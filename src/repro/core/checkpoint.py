@@ -59,13 +59,8 @@ def save_knn_graph(path: PathLike, graph: KNNGraph, fault_plan=None) -> None:
     are what must catch the damage.
     """
     path = Path(path)
-    rows = []
-    for src, dst, score in graph.edges():
-        rows.append((src, dst, score))
-    sources = np.asarray([r[0] for r in rows], dtype=np.int64)
-    destinations = np.asarray([r[1] for r in rows], dtype=np.int64)
-    scores = np.asarray([r[2] for r in rows], dtype=np.float64)
-    header = np.asarray([graph.num_vertices, graph.k, len(rows)], dtype=np.int64)
+    sources, destinations, scores = graph.edge_columns()
+    header = np.asarray([graph.num_vertices, graph.k, len(sources)], dtype=np.int64)
     if fault_plan is not None:
         fault_plan.file_op("write", path)
     with path.open("wb") as handle:
@@ -79,7 +74,12 @@ def save_knn_graph(path: PathLike, graph: KNNGraph, fault_plan=None) -> None:
 
 
 def load_knn_graph(path: PathLike) -> KNNGraph:
-    """Restore a KNN graph written by :func:`save_knn_graph`."""
+    """Restore a KNN graph written by :func:`save_knn_graph`.
+
+    A file in the writer's layout — in-range edges in strictly increasing
+    ``(src, dst)`` order, at most ``k`` a vertex, NaN-free — is placed with
+    one bulk merge; any other edge list is replayed edge by edge.
+    """
     path = Path(path)
     raw = path.read_bytes()
     if raw[:len(_MAGIC)] != _MAGIC:
@@ -97,11 +97,16 @@ def load_knn_graph(path: PathLike) -> KNNGraph:
     destinations = np.frombuffer(raw, dtype=np.int64, count=num_edges, offset=offset)
     offset += num_edges * 8
     scores = np.frombuffer(raw, dtype=np.float64, count=num_edges, offset=offset)
-    if len(scores) != num_edges:
-        raise ValueError(f"{path} is truncated: expected {num_edges} edges")
     graph = KNNGraph(num_vertices, k)
-    for src, dst, score in zip(sources, destinations, scores):
-        graph.add_candidate(int(src), int(dst), float(score))
+    if (num_edges and min(sources.min(), destinations.min()) >= 0
+            and max(sources.max(), destinations.max()) < num_vertices
+            and (np.diff(sources * num_vertices + destinations) > 0).all()
+            and np.bincount(sources).max() <= k and not np.isnan(scores).any()):
+        graph.add_candidates_batch(sources, destinations, scores, assume_unique=True)
+    else:
+        for src, dst, score in zip(sources.tolist(), destinations.tolist(),
+                                   scores.tolist()):
+            graph.add_candidate(src, dst, score)
     return graph
 
 

@@ -18,6 +18,7 @@ from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.utils.arrays import counting_argsort
 from repro.utils.validation import check_non_negative
 
 Edge = Tuple[int, int]
@@ -225,27 +226,30 @@ class CSRDiGraph:
         """Build a CSR graph directly from an edge array, deduplicating edges."""
         check_non_negative(num_vertices, "num_vertices")
         if len(edges) == 0:
-            empty = np.zeros(num_vertices + 1, dtype=np.int64)
-            return cls(empty, np.empty(0, dtype=np.int64), empty.copy(),
-                       np.empty(0, dtype=np.int64))
+            return cls.from_sorted_keys(num_vertices, np.empty(0, dtype=np.int64))
         arr = np.asarray(edges, dtype=np.int64)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError("edges must be a sequence of (src, dst) pairs")
         if arr.min() < 0 or arr.max() >= num_vertices:
             raise ValueError("edge endpoints out of range")
-        arr = np.unique(arr, axis=0)
-        src, dst = arr[:, 0], arr[:, 1]
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
+        return cls.from_sorted_keys(num_vertices,
+                                    np.unique(arr[:, 0] * num_vertices + arr[:, 1]))
+
+    @classmethod
+    def from_sorted_keys(cls, num_vertices: int, keys: np.ndarray) -> "CSRDiGraph":
+        """Build from sorted unique int64 edge keys ``src * num_vertices + dst``.
+
+        The keys are already the out-adjacency; the in-adjacency is one
+        stable counting pass on the destination, which keeps the sources of
+        every destination ascending.
+        """
+        src, dst = np.divmod(keys, max(num_vertices, 1))
         indptr = np.zeros(num_vertices + 1, dtype=np.int64)
-        np.add.at(indptr, src + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        rorder = np.lexsort((src, dst))
-        rsrc, rdst = src[rorder], dst[rorder]
+        np.cumsum(np.bincount(src, minlength=num_vertices), out=indptr[1:])
         rindptr = np.zeros(num_vertices + 1, dtype=np.int64)
-        np.add.at(rindptr, rdst + 1, 1)
-        np.cumsum(rindptr, out=rindptr)
-        return cls(indptr, dst.copy(), rindptr, rsrc.copy())
+        np.cumsum(np.bincount(dst, minlength=num_vertices), out=rindptr[1:])
+        rindices = src[counting_argsort(dst, max(num_vertices - 1, 0))]
+        return cls(indptr, dst, rindptr, rindices)
 
     # -- queries ----------------------------------------------------------
 

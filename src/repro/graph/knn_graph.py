@@ -10,14 +10,13 @@ frameworks do not support and the motivation for the paper's system.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import json
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.graph.digraph import CSRDiGraph, DiGraph
-from repro.utils.arrays import counting_argsort as _counting_argsort
+from repro.utils.arrays import counting_argsort as _counting_argsort, ragged_run_offsets
 from repro.utils.rng import SeedLike, make_rng
 from repro.utils.validation import check_non_negative, check_positive_int
 
@@ -94,18 +93,22 @@ def topk_candidate_rows(sources: np.ndarray, destinations: np.ndarray,
 class KNNGraph:
     """Directed K-out-degree graph with per-edge similarity scores.
 
-    The neighbour list of every vertex is maintained as a min-heap keyed on
-    similarity so that the weakest current neighbour can be evicted in
-    O(log K) when a better candidate arrives.
+    ``G(t)`` is three arrays: neighbours ``(n, k) int64``, scores
+    ``(n, k) float64`` and a per-row count ``(n,) int64``.  The first
+    ``count[v]`` slots of row ``v`` hold its neighbour list ranked by
+    ``(-score, neighbour)``; unused slots hold ``-1`` / ``-inf``, so a row's
+    last score is its weakest when the row is full and ``-inf`` when it is
+    not.  The bulk paths (merge, CSR, save, load, copy) are array-to-array;
+    the scalar methods are row operations on the same arrays.
     """
 
     def __init__(self, num_vertices: int, k: int):
         check_non_negative(num_vertices, "num_vertices")
         check_positive_int(k, "k")
         self._k = k
-        # heap entries are (score, neighbor); the dict mirrors the heap for O(1) lookup
-        self._heaps: List[List[Tuple[float, int]]] = [[] for _ in range(num_vertices)]
-        self._scores: List[Dict[int, float]] = [{} for _ in range(num_vertices)]
+        self._neighbors = np.full((num_vertices, k), -1, dtype=np.int64)
+        self._scores = np.full((num_vertices, k), -np.inf, dtype=np.float64)
+        self._counts = np.zeros(num_vertices, dtype=np.int64)
 
     # -- construction -----------------------------------------------------
 
@@ -145,10 +148,10 @@ class KNNGraph:
         return graph
 
     def copy(self) -> "KNNGraph":
-        clone = KNNGraph(self.num_vertices, self._k)
-        for v in range(self.num_vertices):
-            clone._heaps[v] = list(self._heaps[v])
-            clone._scores[v] = dict(self._scores[v])
+        clone = KNNGraph(0, self._k)
+        clone._neighbors = self._neighbors.copy()
+        clone._scores = self._scores.copy()
+        clone._counts = self._counts.copy()
         return clone
 
     # -- mutation ---------------------------------------------------------
@@ -157,37 +160,31 @@ class KNNGraph:
         """Offer ``neighbor`` with ``score`` as a KNN candidate of ``vertex``.
 
         Returns ``True`` if the neighbour list changed (the candidate was
-        inserted or its score improved), ``False`` otherwise.  This is the
-        single update primitive phase 4 uses when emitting ``G(t+1)``.
+        inserted or its score improved), ``False`` otherwise.  A candidate
+        that only ties a full row's weakest score does not enter, and the
+        neighbour a full row evicts is its weakest, the smallest id among
+        equally weak ones.
         """
         self._check_vertex(vertex)
         self._check_vertex(neighbor)
         if vertex == neighbor:
             return False
-        scores = self._scores[vertex]
-        heap = self._heaps[vertex]
-        if neighbor in scores:
-            if score <= scores[neighbor]:
+        full = self._counts[vertex] == self._k
+        if full and score <= self._scores[vertex, -1]:
+            return False  # not above the weakest: can neither enter nor improve
+        entries = self.ranked(vertex)
+        at = next((i for i, (other, _) in enumerate(entries) if other == neighbor), None)
+        if at is not None:
+            if score <= entries[at][1]:
                 return False
-            # lazy deletion: the old heap entry goes stale instead of paying
-            # an O(K) rebuild; stale entries are skipped when the top is read
-            scores[neighbor] = score
-            heapq.heappush(heap, (score, neighbor))
-            if len(heap) > 2 * self._k + 4:
-                self._compact_heap(vertex)
-            return True
-        if len(scores) < self._k:
-            scores[neighbor] = score
-            heapq.heappush(heap, (score, neighbor))
-            return True
-        self._prune_stale_top(vertex)
-        worst_score, worst_neighbor = heap[0]
-        if score <= worst_score:
-            return False
-        heapq.heappop(heap)
-        del scores[worst_neighbor]
-        scores[neighbor] = score
-        heapq.heappush(heap, (score, neighbor))
+            del entries[at]
+        elif full:
+            # ranked by (-score, id): the first slot holding the weakest
+            # score is the equally weak neighbour with the smallest id
+            weakest = entries[-1][1]
+            del entries[[s for _, s in entries].index(weakest)]
+        entries.append((neighbor, score))
+        self._write_row(vertex, entries)
         return True
 
     def add_candidates_batch(self, sources: np.ndarray, destinations: np.ndarray,
@@ -197,12 +194,12 @@ class KNNGraph:
         Offers ``destinations[i]`` with ``scores[i]`` as a candidate of
         ``sources[i]`` for all ``i`` in one pass: candidates are grouped by
         source, deduplicated (keeping the best score per edge) and merged
-        with each source's existing neighbour list, then the top-K survivors
-        are selected with a single lexsort instead of per-edge heap pushes.
+        with the touched rows' incumbents, and the top-K survivors of every
+        row are written back with one scatter.
 
         With distinct scores the result is identical to calling
         :meth:`add_candidate` once per row in order.  On *tied* scores the
-        two paths may legitimately differ: the sequential heap evicts the
+        two paths may legitimately differ: the scalar path evicts the
         tied-worst neighbour with the smallest id, which is path-dependent
         and not expressible as a top-K under any static order.  The batch
         path ranks by ``(-score, destination)`` instead, a strict total
@@ -243,37 +240,31 @@ class KNNGraph:
                 f"vertex {lo if lo < 0 else hi} out of range for graph with "
                 f"{self.num_vertices} vertices"
             )
-        keep = src != dst
+        # besides self loops, drop every candidate strictly below its row's
+        # weakest score before any sort: K incumbents outrank it, so it can
+        # never enter (an under-full row's last slot is -inf: nothing drops)
+        keep = (src != dst) & ~(sc < self._scores[src, -1])
         if not keep.all():
             src, dst, sc = src[keep], dst[keep], sc[keep]
         if len(src) == 0:
             return 0
 
         num_new = len(src)
-        c_tie = None
-        if self.num_edges:
-            affected = np.sort(src)
-            affected = affected[np.concatenate([[True], affected[1:] != affected[:-1]])]
-            ex_src: List[int] = []
-            ex_dst: List[int] = []
-            ex_sc: List[float] = []
-            for v in affected.tolist():
-                current = self._scores[v]
-                if current:
-                    ex_src.extend([v] * len(current))
-                    ex_dst.extend(current.keys())
-                    ex_sc.extend(current.values())
-            if ex_src:
-                c_src = np.concatenate([np.asarray(ex_src, dtype=np.int64), src])
-                c_dst = np.concatenate([np.asarray(ex_dst, dtype=np.int64), dst])
-                c_sc = np.concatenate([np.asarray(ex_sc, dtype=np.float64), sc])
-                # survivor marker: incumbents (0) vs new candidate rows
-                # (1..n), consumed only by the `changed` count below — the
-                # ranking itself never looks at arrival order
-                c_tie = np.concatenate([np.zeros(len(ex_src), dtype=np.int64),
-                                        np.arange(1, num_new + 1, dtype=np.int64)])
-        if c_tie is None:
-            c_src, c_dst, c_sc = src, dst, sc
+        c_src, c_dst, c_sc, c_tie = src, dst, sc, None
+        touched = np.zeros(self.num_vertices, dtype=bool)
+        touched[src] = True
+        affected = np.flatnonzero(touched & (self._counts > 0))
+        if len(affected):
+            incumbents = self._neighbors[affected]
+            held = incumbents >= 0
+            c_src = np.concatenate([np.repeat(affected, self._counts[affected]), src])
+            c_dst = np.concatenate([incumbents[held], dst])
+            c_sc = np.concatenate([self._scores[affected][held], sc])
+            # survivor marker: incumbents (0) vs new candidate rows (1..n),
+            # consumed only by the `changed` count below — the ranking
+            # itself never looks at arrival order
+            c_tie = np.concatenate([np.zeros(len(c_src) - num_new, dtype=np.int64),
+                                    np.arange(1, num_new + 1, dtype=np.int64)])
 
         # order every entry by (-score, destination): a stable counting pass
         # on the destination composed with the stable score pass realises
@@ -308,35 +299,21 @@ class KNNGraph:
         # graphs past 64Ki vertices) replaces the global comparison sort;
         # composing the permutations first means one gather per payload array
         order = order[_counting_argsort(c_src[order], self.num_vertices - 1)]
-        s_src, s_dst, s_sc = c_src[order], c_dst[order], c_sc[order]
+        s_src = c_src[order]
 
-        # rank < K within each contiguous source group selects the new lists
-        group_breaks = np.flatnonzero(s_src[1:] != s_src[:-1]) + 1
-        group_starts = np.concatenate([[0], group_breaks])
+        # rank < K within each contiguous source group selects the new rows;
+        # a merged row never shrinks (its incumbents took part in the
+        # ranking), so one scatter per array and no slot needs clearing
+        group_starts = np.flatnonzero(
+            np.concatenate([[True], s_src[1:] != s_src[:-1]]))
         group_sizes = np.diff(np.concatenate([group_starts, [len(s_src)]]))
-        rank = np.arange(len(s_src)) - np.repeat(group_starts, group_sizes)
+        rank = ragged_run_offsets(group_sizes)
         keep = rank < self._k
-        s_src, s_dst, s_sc = s_src[keep], s_dst[keep], s_sc[keep]
-        changed = (len(s_src) if c_tie is None
-                   else int(np.count_nonzero(c_tie[order][keep])))
-
-        # group bounds of the kept rows give the touched vertices directly
-        first_in_group = np.empty(len(s_src), dtype=bool)
-        first_in_group[0] = True
-        np.not_equal(s_src[1:], s_src[:-1], out=first_in_group[1:])
-        starts = np.flatnonzero(first_in_group)
-        stops = np.concatenate([starts[1:], [len(s_src)]])
-        all_dst = s_dst.tolist()
-        all_sc = s_sc.tolist()
-        for v, start, stop in zip(s_src[starts].tolist(), starts.tolist(),
-                                  stops.tolist()):
-            neighbors = all_dst[start:stop]
-            vertex_scores = all_sc[start:stop]
-            self._scores[v] = dict(zip(neighbors, vertex_scores))
-            heap = list(zip(vertex_scores, neighbors))
-            heapq.heapify(heap)
-            self._heaps[v] = heap
-        return changed
+        order, s_src, rank = order[keep], s_src[keep], rank[keep]
+        self._neighbors[s_src, rank] = c_dst[order]
+        self._scores[s_src, rank] = c_sc[order]
+        self._counts[s_src[rank == 0]] = np.minimum(group_sizes, self._k)
+        return len(order) if c_tie is None else int(np.count_nonzero(c_tie[order]))
 
     def add_candidates_sharded(self, sources: np.ndarray, destinations: np.ndarray,
                                scores: np.ndarray, num_shards: int = 1,
@@ -378,23 +355,16 @@ class KNNGraph:
                 continue
             if neighbor not in best or score > best[neighbor]:
                 best[neighbor] = score
-        top = heapq.nlargest(self._k, best.items(), key=lambda item: item[1])
-        self._scores[vertex] = dict(top)
-        self._heaps[vertex] = [(score, neighbor) for neighbor, score in top]
-        heapq.heapify(self._heaps[vertex])
+        # stable: among equal scores at the K boundary the first offered wins
+        self._write_row(vertex, sorted(best.items(), key=lambda e: -e[1])[:self._k])
 
-    def _compact_heap(self, vertex: int) -> None:
-        """Drop all stale (lazily deleted) entries from a vertex's heap."""
-        self._heaps[vertex] = [(score, neighbor)
-                               for neighbor, score in self._scores[vertex].items()]
-        heapq.heapify(self._heaps[vertex])
-
-    def _prune_stale_top(self, vertex: int) -> None:
-        """Pop stale entries until the heap top is the true worst neighbour."""
-        heap = self._heaps[vertex]
-        scores = self._scores[vertex]
-        while heap and scores.get(heap[0][1]) != heap[0][0]:
-            heapq.heappop(heap)
+    def _write_row(self, vertex: int, entries: List[Tuple[int, float]]) -> None:
+        """Store at most K ``(neighbor, score)`` pairs as the ranked row of ``vertex``."""
+        entries = sorted(entries, key=lambda e: (-e[1], e[0]))
+        pad = self._k - len(entries)
+        self._neighbors[vertex] = [neighbor for neighbor, _ in entries] + [-1] * pad
+        self._scores[vertex] = [score for _, score in entries] + [-np.inf] * pad
+        self._counts[vertex] = len(entries)
 
     # -- queries ----------------------------------------------------------
 
@@ -404,61 +374,63 @@ class KNNGraph:
 
     @property
     def num_vertices(self) -> int:
-        return len(self._heaps)
+        return len(self._counts)
 
     @property
     def num_edges(self) -> int:
-        return sum(len(s) for s in self._scores)
+        return int(self._counts.sum())
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the graph's own storage: ``n·k·16 + n·8``."""
+        return self._neighbors.nbytes + self._scores.nbytes + self._counts.nbytes
+
+    def ranked(self, vertex: int) -> List[Tuple[int, float]]:
+        """Current KNN of ``vertex`` as ``(neighbor, score)``, best first, ties by id."""
+        self._check_vertex(vertex)
+        count = self._counts[vertex]
+        return list(zip(self._neighbors[vertex, :count].tolist(),
+                        self._scores[vertex, :count].tolist()))
 
     def neighbors(self, vertex: int) -> List[int]:
         """Current KNN of ``vertex`` sorted by descending similarity."""
         self._check_vertex(vertex)
-        items = sorted(self._scores[vertex].items(), key=lambda kv: (-kv[1], kv[0]))
-        return [neighbor for neighbor, _ in items]
+        return self._neighbors[vertex, :self._counts[vertex]].tolist()
 
     def neighbor_scores(self, vertex: int) -> Dict[int, float]:
         """Mapping ``neighbor -> score`` for ``vertex`` (a copy)."""
-        self._check_vertex(vertex)
-        return dict(self._scores[vertex])
+        return dict(self.ranked(vertex))
 
     def score(self, vertex: int, neighbor: int) -> Optional[float]:
-        self._check_vertex(vertex)
-        return self._scores[vertex].get(neighbor)
+        return self.neighbor_scores(vertex).get(neighbor)
 
     def worst_score(self, vertex: int) -> float:
         """Score of the weakest current neighbour (``-inf`` when under-full)."""
         self._check_vertex(vertex)
-        if len(self._scores[vertex]) < self._k:
-            return float("-inf")
-        self._prune_stale_top(vertex)
-        return self._heaps[vertex][0][0]
+        return float(self._scores[vertex, -1])
+
+    def edge_columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """All edges as ``(sources, destinations, scores)`` sorted by ``(src, dst)``."""
+        held = self._neighbors >= 0
+        sources = np.repeat(np.arange(self.num_vertices, dtype=np.int64), self._counts)
+        destinations = self._neighbors[held]
+        order = np.argsort(sources * self.num_vertices + destinations)
+        return sources, destinations[order], self._scores[held][order]
 
     def edges(self) -> Iterator[ScoredEdge]:
-        for v in range(self.num_vertices):
-            for neighbor, score in sorted(self._scores[v].items()):
-                yield (v, neighbor, score)
+        return zip(*(column.tolist() for column in self.edge_columns()))
 
     def _edge_keys(self) -> np.ndarray:
         """All edges encoded as sorted unique int64 keys ``src * n + dst``."""
-        n = self.num_vertices
-        counts = np.fromiter((len(s) for s in self._scores), dtype=np.int64, count=n)
-        total = int(counts.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.int64)
-        src = np.repeat(np.arange(n, dtype=np.int64), counts)
-        dst = np.fromiter((nb for s in self._scores for nb in s),
-                          dtype=np.int64, count=total)
-        keys = src * n + dst
+        keys = (np.arange(self.num_vertices, dtype=np.int64)[:, None]
+                * self.num_vertices + self._neighbors)[self._neighbors >= 0]
         keys.sort()
         return keys
 
     def edge_array(self) -> np.ndarray:
         """All edges as an ``(E, 2)`` int64 array (scores dropped)."""
-        keys = self._edge_keys()
-        if len(keys) == 0:
-            return np.empty((0, 2), dtype=np.int64)
-        n = self.num_vertices
-        return np.column_stack([keys // n, keys % n])
+        sources, destinations, _ = self.edge_columns()
+        return np.column_stack([sources, destinations])
 
     def edge_fingerprint(self) -> str:
         """SHA-256 over the sorted ``(src, dst, round(score, 9))`` edge set.
@@ -467,28 +439,20 @@ class KNNGraph:
         tests: two graphs with the same fingerprint hold the same neighbour
         lists with the same scores (to 1e-9).
         """
-        edges = sorted((int(s), int(d), round(float(score), 9))
-                       for s, d, score in self.edges())
+        edges = [(s, d, round(score, 9)) for s, d, score in self.edges()]
         # the JSON layout matches the original perf-suite fingerprint so the
         # BENCH_perf.json trajectory stays comparable across PRs
         return hashlib.sha256(json.dumps(edges).encode()).hexdigest()
 
     def to_digraph(self) -> DiGraph:
-        graph = DiGraph(self.num_vertices)
-        for src, dst, _ in self.edges():
-            graph.add_edge(src, dst)
-        return graph
+        return DiGraph.from_edges(self.num_vertices, self.edge_array().tolist())
 
     def to_csr(self) -> CSRDiGraph:
-        return CSRDiGraph.from_edges(self.num_vertices, self.edge_array())
+        return CSRDiGraph.from_sorted_keys(self.num_vertices, self._edge_keys())
 
     def average_score(self) -> float:
         """Mean similarity over all current KNN edges (0.0 for an empty graph)."""
-        total, count = 0.0, 0
-        for scores in self._scores:
-            total += sum(scores.values())
-            count += len(scores)
-        return total / count if count else 0.0
+        return float(self._scores[self._neighbors >= 0].mean()) if self.num_edges else 0.0
 
     def edge_difference(self, other: "KNNGraph") -> int:
         """Number of directed edges present in exactly one of the two graphs.

@@ -78,7 +78,7 @@ class SnapshotView:
     """One immutable serving snapshot: ``G(t)`` + ``P(t)`` of a sealed epoch.
 
     Built by :meth:`from_commit` from an epoch directory.  The graph is
-    loaded into memory (queries are sub-millisecond dictionary reads); the
+    loaded into memory (queries are sub-millisecond row reads); the
     profiles stay on disk behind the store's mmap readers and are only
     touched by :meth:`recommend`.
 
@@ -188,8 +188,7 @@ class SnapshotView:
 
     def neighbors(self, user: int) -> List[Tuple[int, float]]:
         """The user's KNN as ``(neighbor, score)``, best first."""
-        scores = self._graph.neighbor_scores(user)
-        return sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
+        return self._graph.ranked(user)
 
     def recommend(self, user: int, top_n: int = 5) -> List[int]:
         """Top-N item recommendations from the user's KNN (sparse profiles).

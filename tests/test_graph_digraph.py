@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph.digraph import CSRDiGraph, DiGraph, degree_histogram
 
@@ -104,6 +106,30 @@ class TestCSRDiGraph:
     def test_from_edges_out_of_range(self):
         with pytest.raises(ValueError):
             CSRDiGraph.from_edges(2, [(0, 5)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=1, max_value=12).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                             max_size=80))))
+    def test_from_edges_matches_the_unique_lexsort_implementation(self, case):
+        """Pinned against the implementation this replaced (``np.unique`` on
+        rows, two lexsorts, two ``np.add.at``): same four arrays, duplicates,
+        self loops and isolated vertices included."""
+        n, edges = case
+        csr = CSRDiGraph.from_edges(n, edges)
+        arr = np.unique(np.asarray(edges, dtype=np.int64).reshape(-1, 2), axis=0)
+        src, dst = arr[:, 0], arr[:, 1]
+        order = np.lexsort((dst, src))
+        src, dst = src[order], dst[order]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.add.at(indptr, src + 1, 1)
+        rorder = np.lexsort((src, dst))
+        rindptr = np.zeros(n + 1, dtype=np.int64)
+        np.add.at(rindptr, dst[rorder] + 1, 1)
+        for got, want in ((csr.indptr, np.cumsum(indptr)), (csr.indices, dst),
+                          (csr.rindptr, np.cumsum(rindptr)), (csr.rindices, src[rorder])):
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
 
     def test_neighbors_sorted(self, small_csr):
         for v in range(small_csr.num_vertices):

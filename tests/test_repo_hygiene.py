@@ -7,6 +7,7 @@ bytecode and other generated caches out of the index for good.
 
 from __future__ import annotations
 
+import re
 import shutil
 import subprocess
 from pathlib import Path
@@ -42,3 +43,19 @@ def test_gitignore_covers_bytecode():
     gitignore = (REPO_ROOT / ".gitignore").read_text()
     for pattern in ("__pycache__/", "*.pyc", ".pytest_cache/", ".hypothesis/"):
         assert pattern in gitignore
+
+
+def test_graph_arrays_are_private_to_knn_graph():
+    """``G(t)``'s three arrays are an implementation detail of
+    ``graph/knn_graph.py``: every other module, test, benchmark and example
+    goes through the public API, so the representation can change again
+    without a sweep."""
+    private = re.compile(r"(?<!self)\._(neighbors|scores|counts)\b")
+    owner = REPO_ROOT / "src" / "repro" / "graph" / "knn_graph.py"
+    offenders = [
+        f"{path.relative_to(REPO_ROOT)}:{number}"
+        for top in ("src", "tests", "benchmarks", "examples")
+        for path in sorted((REPO_ROOT / top).rglob("*.py")) if path != owner
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if private.search(line)]
+    assert offenders == []
