@@ -212,8 +212,7 @@ def _run_update_workload(kind: str, incremental: bool = True) -> dict:
             # store write, so the update scaling is read from iterations 1+
             "profile_bytes_written": (profile_io.bytes_written
                                       if profile_io is not None else None),
-            # time spent folding this iteration's scores into the cache
-            # (the in-place galloping merge)
+            # time spent adopting this iteration's score slab as the cache
             "cache_merge_seconds": round(
                 getattr(result, "cache_merge_seconds", 0.0), 4),
         })

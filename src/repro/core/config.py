@@ -113,11 +113,10 @@ class EngineConfig:
         pairwise partition-disjoint steps (``plan_shard_schedule``) and each
         wave's steps run in parallel on the configured backend, every worker
         exclusively owning its step's partitions for the wave
-        (:class:`~repro.core.parallel.ShardCoordinator`).  Per-shard deltas
-        are pre-reduced to each source's top-K and merged through the
-        order-independent sharded batch merge, so produced graphs and
-        profile bytes stay **bit-identical** with the toggle on or off, on
-        every backend.  ``memory_budget_bytes`` then caps each *worker's*
+        (:class:`~repro.core.parallel.ShardCoordinator`).  Every shard's
+        scores land in the same slots of phase 4's score slab whichever
+        wave produced them, so produced graphs and profile bytes stay
+        **bit-identical** with the toggle on or off, on every backend.  ``memory_budget_bytes`` then caps each *worker's*
         resident profile bytes (its step's slices — the sharded analogue of
         the serial two-resident-partitions envelope) instead of the
         partition cache.  Off by default: one-step-at-a-time residency is

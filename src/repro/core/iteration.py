@@ -26,6 +26,14 @@ things *do* survive across iterations:
   before); every clean tuple reuses its cached score bit-for-bit, so the
   produced ``G(t+1)`` is identical to a full rescore while the kernel work
   scales with the churn, not the candidate volume.
+
+Within an iteration the candidate set has one representation: ``H``'s
+sorted key array, made once in phase 2.  Phase 4 allocates one 8 B/tuple
+score slab aligned with it, fills what the cache knows with a single join,
+lets each residency step scatter its fresh scores into its own slots, and
+then reads the slab twice as it lies — merged into ``G(t+1)`` in
+source-aligned chunks no larger than the flush threshold, and adopted,
+with the keys, as the next score cache.
 """
 
 from __future__ import annotations
@@ -63,8 +71,9 @@ from repro.utils.timer import PhaseTimer
 
 _logger = get_logger("core.iteration")
 
-#: Floor (in scored rows) for the phase-4 bulk-merge flush threshold; the
-#: effective threshold is ``max(4 * num_vertices * k, _SCORED_FLUSH_ROWS)``.
+#: Floor (in scored rows) for the phase-4 bulk-merge flush threshold — the
+#: most slab rows one ``G(t+1)`` merge call takes; the effective threshold is
+#: ``max(4 * num_vertices * k, _SCORED_FLUSH_ROWS)``.
 _SCORED_FLUSH_ROWS = 262144
 
 #: Entries kept in the coordinator's merged row-index cache — one per
@@ -113,10 +122,6 @@ class Phase4ScoreCache:
         self.keys: Optional[np.ndarray] = None
         self.values: Optional[np.ndarray] = None
         self.evictions: int = 0
-        # per-iteration hit recording (see begin_iteration/merge): marks the
-        # cache rows reused this iteration so merge() can keep them without
-        # re-sorting them
-        self._hit_marks: Optional[np.ndarray] = None
 
     def clear(self) -> None:
         self.measure = None
@@ -124,7 +129,6 @@ class Phase4ScoreCache:
         self.num_vertices = 0
         self.keys = None
         self.values = None
-        self._hit_marks = None
 
     @property
     def num_entries(self) -> int:
@@ -135,42 +139,34 @@ class Phase4ScoreCache:
         return (self.keys is not None and self.generation is not None
                 and self.measure == measure and self.num_vertices == num_vertices)
 
-    def lookup(self, tuples: np.ndarray, touched_mask: np.ndarray,
-               pair_keys: Optional[np.ndarray] = None
+    def lookup(self, pair_keys: np.ndarray, touched_mask: np.ndarray
                ) -> Tuple[np.ndarray, np.ndarray]:
-        """Partition a candidate batch into cached-clean and dirty tuples.
+        """Join a candidate set against the cache: cached-clean or dirty.
 
-        Returns ``(scores, hit_mask)``: ``hit_mask[i]`` is ``True`` exactly
-        when both endpoints of ``tuples[i]`` are untouched since the cached
-        generation *and* the pair was scored then; ``scores[i]`` carries the
-        cached score for those rows (and ``0.0`` — to be overwritten by the
-        caller — for dirty rows).  ``pair_keys`` optionally supplies the
-        rows' ``src * num_vertices + dst`` keys when the caller already
-        computed them (phase 4 needs them again to refill the cache).
+        ``pair_keys`` are ``src * num_vertices + dst`` keys — phase 4 hands
+        over the dedup table's whole sorted key array once an iteration, so
+        the join is one ``searchsorted`` of sorted queries in a sorted
+        cache.  Returns ``(scores, hit_mask)``, both aligned with
+        ``pair_keys``: ``hit_mask[i]`` is ``True`` exactly when both
+        endpoints of pair ``i`` are untouched since the cached generation
+        *and* the pair was scored then; ``scores[i]`` carries the cached
+        score for those rows and NaN — to be overwritten by the caller, and
+        refused by the ``G(t+1)`` merge if it is not — for dirty rows.
         """
-        scores = np.zeros(len(tuples), dtype=np.float64)
-        hit_mask = np.zeros(len(tuples), dtype=bool)
-        if self.keys is None or not len(self.keys) or not len(tuples):
+        scores = np.full(len(pair_keys), np.nan)
+        hit_mask = np.zeros(len(pair_keys), dtype=bool)
+        if self.keys is None or not len(self.keys) or not len(pair_keys):
             return scores, hit_mask
-        clean = ~(touched_mask[tuples[:, 0]] | touched_mask[tuples[:, 1]])
-        if not clean.any():
-            return scores, hit_mask
-        clean_rows = np.flatnonzero(clean)
-        if pair_keys is not None:
-            clean_keys = pair_keys[clean_rows]
-        else:
-            clean_keys = (tuples[clean_rows, 0] * np.int64(self.num_vertices)
-                          + tuples[clean_rows, 1])
-        pos = np.searchsorted(self.keys, clean_keys)
-        pos = np.minimum(pos, len(self.keys) - 1)
-        found = self.keys[pos] == clean_keys
-        hit_rows = clean_rows[found]
-        hit_mask[hit_rows] = True
-        scores[hit_rows] = self.values[pos[found]]
-        if self._hit_marks is not None:
-            # remember which cache rows were reused: merge() keeps exactly
-            # those (already sorted) and only sorts the rescored pairs
-            self._hit_marks[pos[found]] = True
+        pos = np.minimum(np.searchsorted(self.keys, pair_keys),
+                         len(self.keys) - 1)
+        found = np.flatnonzero(self.keys[pos] == pair_keys)
+        known = pair_keys[found]
+        sources = known // np.int64(self.num_vertices)
+        clean = ~(touched_mask[sources]
+                  | touched_mask[known - sources * self.num_vertices])
+        found = found[clean]
+        hit_mask[found] = True
+        scores[found] = self.values[pos[found]]
         return scores, hit_mask
 
     def advanced_to(self, touched_rows: np.ndarray,
@@ -202,102 +198,46 @@ class Phase4ScoreCache:
     def replace(self, key_chunks: Sequence[np.ndarray],
                 score_chunks: Sequence[np.ndarray], measure: str,
                 generation: int, num_vertices: int) -> None:
-        """Install one iteration's scored pairs as the new cache contents.
+        """Install scored pairs that arrive in any order, in chunks.
 
         ``key_chunks`` hold ``src * num_vertices + dst`` pair keys, unique
-        across chunks (the dedup hash table scores each pair once per
-        iteration).  Over-capacity iterations clear the cache instead of
+        across chunks.  Sorts them (the 16-bit LSD counting passes — pair
+        keys are bounded by ``num_vertices²``) and hands over to
+        :meth:`merge`, whose rules apply.
+        """
+        keys = (np.concatenate(key_chunks) if key_chunks
+                else np.empty(0, dtype=np.int64))
+        values = (np.concatenate(score_chunks) if score_chunks
+                  else np.empty(0, dtype=np.float64))
+        order = counting_argsort(keys, int(num_vertices) * int(num_vertices))
+        self.merge(keys[order], values[order], measure, generation,
+                   num_vertices)
+
+    def merge(self, keys: np.ndarray, values: np.ndarray, measure: str,
+              generation: int, num_vertices: int) -> None:
+        """Adopt one iteration's scored pairs as the new cache contents.
+
+        ``keys`` must be strictly increasing ``src * num_vertices + dst``
+        pair keys and ``values`` their scores — in phase 4, the dedup
+        table's key array and the score slab aligned with it, which already
+        *are* the next cache: nothing is sorted, copied or interleaved.
+        Both arrays are adopted as they are and marked read-only, because
+        the iteration that produced them still holds them.  Over-capacity
+        iterations clear the cache (one :attr:`evictions`) instead of
         keeping an arbitrary subset.
         """
-        total = sum(len(chunk) for chunk in key_chunks)
-        if total > self.max_entries:
+        if len(keys) != len(values):
+            raise ValueError("keys and values must have equal length")
+        if len(keys) > self.max_entries:
             self.clear()
             self.evictions += 1
             return
-        keys = (key_chunks[0] if len(key_chunks) == 1
-                else np.concatenate(key_chunks)) if key_chunks else np.empty(
-                    0, dtype=np.int64)
-        values = (score_chunks[0] if len(score_chunks) == 1
-                  else np.concatenate(score_chunks)) if score_chunks else np.empty(
-                      0, dtype=np.float64)
-        # pair keys are bounded by num_vertices², so the 16-bit LSD counting
-        # passes sort them in O(passes·n) — this runs once per iteration
-        # over every scored pair, where a comparison sort was measurable
-        order = counting_argsort(keys, int(num_vertices) * int(num_vertices))
-        self.keys = keys[order]
-        self.values = values[order]
-        self.measure = measure
-        self.generation = int(generation)
-        self.num_vertices = int(num_vertices)
-
-    def begin_iteration(self, record_hits: bool = True) -> None:
-        """Reset per-iteration hit recording (called before the lookups).
-
-        While armed, :meth:`lookup` marks every cache row it hands out, so
-        :meth:`merge` can later keep exactly the reused rows — already in
-        sorted order — and only sort the rescored remainder.  **Every**
-        iteration must call this, with ``record_hits=False`` on iterations
-        that run no lookups: marks left armed by an aborted iteration
-        would otherwise survive into the next merge and collide with the
-        fresh chunks (the interleave assumes kept and fresh are disjoint).
-        """
-        self._hit_marks = (np.zeros(len(self.keys), dtype=bool)
-                           if record_hits and self.keys is not None else None)
-
-    def merge(self, dirty_key_chunks: Sequence[np.ndarray],
-              dirty_score_chunks: Sequence[np.ndarray], measure: str,
-              generation: int, num_vertices: int) -> None:
-        """Install one iteration's scored pairs via an in-place merge.
-
-        Produces byte-identical arrays to handing :meth:`replace` *all*
-        scored pairs (pinned by a hypothesis differential test) — the cache
-        still holds exactly this iteration's ``(pair, score)`` set — but
-        does asymptotically less work: the reused pairs are the cache rows
-        marked by this iteration's lookups (:meth:`begin_iteration`), a
-        sorted subsequence that needs no re-sorting, so only the **dirty**
-        chunks (rescored pairs — the churn fraction, not the candidate
-        volume) are counting-sorted, and one galloping interleave (two
-        ``searchsorted`` passes) zips the two disjoint sorted runs
-        together.  Without armed hit marks (full rescore, adaptive skip,
-        cold cache) every pair is in the dirty chunks and the call is a
-        plain rebuild.  Over-capacity iterations clear the cache, exactly
-        like :meth:`replace`.
-        """
-        fresh_keys = (np.concatenate(dirty_key_chunks) if dirty_key_chunks
-                      else np.empty(0, dtype=np.int64))
-        fresh_values = (np.concatenate(dirty_score_chunks) if dirty_score_chunks
-                        else np.empty(0, dtype=np.float64))
-        if self._hit_marks is not None and self._hit_marks.any():
-            kept_keys = self.keys[self._hit_marks]
-            kept_values = self.values[self._hit_marks]
-        else:
-            kept_keys = np.empty(0, dtype=np.int64)
-            kept_values = np.empty(0, dtype=np.float64)
-        self._hit_marks = None
-        total = len(kept_keys) + len(fresh_keys)
-        if total > self.max_entries:
-            self.clear()
-            self.evictions += 1
-            return
-        order = counting_argsort(fresh_keys,
-                                 int(num_vertices) * int(num_vertices))
-        fresh_keys = fresh_keys[order]
-        fresh_values = fresh_values[order]
-        # a pair is either reused (kept) or rescored (fresh), never both —
-        # the dedup hash table scores each pair at most once per iteration —
-        # so the interleave of the two sorted runs is strictly disjoint
-        merged_keys = np.empty(total, dtype=np.int64)
-        merged_values = np.empty(total, dtype=np.float64)
-        kept_to = (np.searchsorted(fresh_keys, kept_keys)
-                   + np.arange(len(kept_keys), dtype=np.int64))
-        fresh_to = (np.searchsorted(kept_keys, fresh_keys)
-                    + np.arange(len(fresh_keys), dtype=np.int64))
-        merged_keys[kept_to] = kept_keys
-        merged_keys[fresh_to] = fresh_keys
-        merged_values[kept_to] = kept_values
-        merged_values[fresh_to] = fresh_values
-        self.keys = merged_keys
-        self.values = merged_values
+        if not (keys[1:] > keys[:-1]).all():
+            raise ValueError("score cache keys must be strictly increasing")
+        keys.flags.writeable = False
+        values.flags.writeable = False
+        self.keys = keys
+        self.values = values
         self.measure = measure
         self.generation = int(generation)
         self.num_vertices = int(num_vertices)
@@ -390,9 +330,8 @@ class IterationResult:
     #: iteration (the cache *was* usable; scoring everything was measured to
     #: be cheaper).  Results are bit-identical either way.
     lookups_skipped: bool = False
-    #: Wall-clock seconds spent folding this iteration's scores into the
-    #: phase-4 score cache (the in-place galloping merge, or the full
-    #: rebuild on full-rescore iterations).
+    #: Wall-clock seconds spent installing this iteration's scores as the
+    #: phase-4 score cache (an adoption of the score slab: checks, no copy).
     cache_merge_seconds: float = 0.0
     #: Residency steps that reused the coordinator's cached merged row
     #: index for their partition pair instead of rebuilding the argsort.
@@ -446,6 +385,64 @@ class _Phase4Outcome:
     row_index_reuses: int
     steps_skipped: int
     steps_total: int
+
+
+@dataclass
+class _Phase4Run:
+    """One phase 4 in flight: the state its two paths and two halves share.
+
+    ``scores`` is the *score slab*: one float64 per tuple of ``H``, aligned
+    with ``keys`` (``H``'s sorted pair keys).  The one-shot cache join fills
+    the slots it can answer (``hits``; ``None`` when no lookups ran), every
+    residency step scatters its fresh scores into the rest, and the finished
+    slab is both the input of the ``G(t+1)`` merge and, with ``keys``, the
+    next score cache.  NaN marks a slot nobody resolved.
+    """
+
+    keys: np.ndarray
+    scores: np.ndarray
+    hits: Optional[np.ndarray]
+    full_rescore: bool
+    lookups_skipped: bool
+    #: ``(step, from_cache)`` in execution order: dirty steps first, then the
+    #: steps the dirty plan expects the cache to answer without partitions.
+    ordered_steps: List[Tuple[ResidencyStep, bool]]
+    dirty_planned: bool
+    partition_rows: np.ndarray
+    store_generation: int
+    lookup_seconds: float
+    reused: int
+    evaluations: int = 0
+    steps_skipped: int = 0
+    kernel_seconds: float = 0.0
+
+    def misses(self, table: TupleHashTable, edges) -> Optional[np.ndarray]:
+        """Slab positions of a step's tuples that still need a score
+        (``None`` when the step's PI edges carry no tuple at all)."""
+        chunks = [table.positions_for(edge.src, edge.dst) for edge in edges]
+        chunks = [chunk for chunk in chunks if len(chunk)]
+        if not chunks:
+            return None
+        positions = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+        if self.hits is not None:
+            positions = positions[~self.hits[positions]]
+        return positions
+
+    def resolve(self, positions: np.ndarray, fresh: np.ndarray) -> None:
+        """Record freshly computed scores for the given slab positions."""
+        self.scores[positions] = fresh
+        self.evaluations += len(positions)
+
+    def outcome(self, graph: KNNGraph, schedule: ScheduleResult,
+                cache_merge_seconds: float, row_index_reuses: int,
+                steps_total: int) -> _Phase4Outcome:
+        return _Phase4Outcome(
+            graph=graph, schedule=schedule, evaluations=self.evaluations,
+            reused=self.reused, full_rescore=self.full_rescore,
+            lookups_skipped=self.lookups_skipped,
+            cache_merge_seconds=cache_merge_seconds,
+            row_index_reuses=row_index_reuses,
+            steps_skipped=self.steps_skipped, steps_total=steps_total)
 
 
 class OutOfCoreIteration:
@@ -745,6 +742,153 @@ class OutOfCoreIteration:
                                    score_cache.generation)
         return None if plan.assume_all_dirty else plan
 
+    def _begin_phase4(self, graph: KNNGraph, table: TupleHashTable,
+                      steps: Sequence[ResidencyStep], measure: str,
+                      assignment: np.ndarray) -> _Phase4Run:
+        """The front half both phase-4 paths share: slab, cache join, plan."""
+        config = self._config
+        keys = table.keys
+        # candidate tuples whose endpoints are both untouched since the
+        # cache's generation reuse the cached score verbatim; only the
+        # remaining "dirty" tuples reach a similarity kernel (or the worker
+        # pool).  Scores are per-pair deterministic, so the merged result is
+        # bit-identical to a full rescore.
+        touched_mask = (self._touched_mask(graph, measure)
+                        if config.incremental_phase4 else None)
+        full_rescore = touched_mask is None
+        # the adaptive policy may decline lookups whose measured expected
+        # value is below their cost; the cache itself is still maintained
+        # (adopted in _finish_phase4) so a later probe iteration can reuse
+        lookups_skipped = bool(not full_rescore and config.adaptive_score_cache
+                               and not self._cache_policy.use_lookups())
+        hits = None
+        lookup_seconds = 0.0
+        if full_rescore or lookups_skipped:
+            scores = np.full(len(keys), np.nan)
+        else:
+            # one join for the whole iteration: H's keys and the cache's are
+            # both sorted, and the slab comes back aligned with H
+            lookup_start = time.perf_counter()
+            scores, hits = self._score_cache.lookup(keys, touched_mask)
+            lookup_seconds = time.perf_counter() - lookup_start
+        # dirty-partition planning: steps whose partitions are both clean
+        # and whose pair the cache vouches for run lookup-only (no partition
+        # acquired unless a lookup missed); everything else runs dirty-first
+        dirty_plan = (self._plan_dirty(steps, assignment)
+                      if config.dirty_scheduling and hits is not None else None)
+        if dirty_plan is not None:
+            ordered_steps = ([(step, False) for step in dirty_plan.executed]
+                             + [(step, True) for step in dirty_plan.cached])
+        else:
+            ordered_steps = [(step, False) for step in steps]
+        return _Phase4Run(
+            keys=keys, scores=scores, hits=hits, full_rescore=full_rescore,
+            lookups_skipped=lookups_skipped, ordered_steps=ordered_steps,
+            dirty_planned=dirty_plan is not None,
+            partition_rows=np.bincount(assignment,
+                                       minlength=config.num_partitions),
+            store_generation=self._profile_store.generation,
+            lookup_seconds=lookup_seconds,
+            reused=int(np.count_nonzero(hits)) if hits is not None else 0)
+
+    def _score_residual(self, run: _Phase4Run, step: ResidencyStep,
+                        positions: np.ndarray, dirty: np.ndarray, measure: str,
+                        **scoring) -> bool:
+        """Score a cached step's misses off a row-level gather, if few.
+
+        The plan called this pair clean, but graph churn elsewhere minted
+        candidate tuples the cache has never seen (neighbour lists keep
+        moving even between clean partitions).  A small residue is scored
+        off a gather of exactly the needed profiles — no partition acquired,
+        the step still skips (returns ``True``); a large one means the pair
+        genuinely needs its partitions, and the caller executes the step.
+        The 4x rule is a pure function of the data, so every backend and
+        every resume makes the same choice.
+        """
+        first, second, _ = step
+        residual_rows = np.unique(dirty.ravel())
+        pair_span = int(run.partition_rows[first]
+                        + (run.partition_rows[second] if second != first else 0))
+        if len(residual_rows) * 4 > pair_span:
+            return False
+        kernel_start = time.perf_counter()
+        residual_slice = self._profile_store.load_users(residual_rows)
+        fresh = score_tuples(residual_slice, dirty, measure, **scoring)
+        run.kernel_seconds += time.perf_counter() - kernel_start
+        run.resolve(positions, fresh)
+        run.steps_skipped += 1
+        return True
+
+    def _finish_phase4(self, run: _Phase4Run, graph: KNNGraph,
+                       table: TupleHashTable, steps: Sequence[ResidencyStep],
+                       measure: str, merge_shards: int) -> Tuple[KNNGraph, float]:
+        """The back half both paths share: ``G(t+1)`` and the next cache.
+
+        Returns the new graph and the seconds the cache adoption took.
+        """
+        config = self._config
+        keys = run.keys
+        if run.reused + run.evaluations != len(keys):
+            raise RuntimeError(
+                f"phase 4 resolved {run.reused + run.evaluations} score slots "
+                f"for {len(keys)} candidate tuples")
+        # H's order is (source, destination), so the slab is merged as it
+        # lies, in runs of whole sources no longer than the flush threshold:
+        # the sort temporaries never outgrow a small multiple of the graph
+        # itself, preserving the two-resident-partitions memory envelope.
+        # G(t) is the hint: its edges are candidates (include_direct_edges),
+        # and their fresh scores bound each source's top-K from below.
+        num_vertices = graph.num_vertices
+        new_graph = KNNGraph(num_vertices, config.k)
+        limit = max(4 * num_vertices * config.k, _SCORED_FLUSH_ROWS)
+        source_starts = (np.searchsorted(
+            keys, np.arange(num_vertices + 1, dtype=np.int64) * num_vertices)
+            if len(keys) > limit else None)
+        start = 0
+        while start < len(keys):
+            stop = len(keys)
+            if stop - start > limit:
+                # a source has fewer than num_vertices <= limit candidates,
+                # so a source boundary always lies within the limit
+                stop = int(source_starts[np.searchsorted(
+                    source_starts, start + limit, side="right") - 1])
+            sources, destinations = table.endpoints(slice(start, stop))
+            new_graph.add_candidates_sharded(
+                sources, destinations, run.scores[start:stop],
+                num_shards=merge_shards, assume_unique=True, hint=graph)
+            start = stop
+        cache_merge_seconds = 0.0
+        score_cache = self._score_cache
+        if config.incremental_phase4:
+            # the cached scores describe the store as of *this* phase 4 —
+            # phase 5 runs after and its deltas are what the next iteration
+            # asks touched_rows_since() about.  (H.keys, slab) already is
+            # that cache; an over-capacity iteration leaves it empty.
+            merge_start = time.perf_counter()
+            score_cache.merge(keys, run.scores, measure, run.store_generation,
+                              num_vertices)
+            cache_merge_seconds = time.perf_counter() - merge_start
+        else:
+            score_cache.clear()
+        if score_cache.keys is None:
+            self._pair_generations.clear()
+        else:
+            # the cache now covers every tuple of every step in this
+            # iteration's plan, all tagged with this phase 4's store
+            # generation.  Rebuilding the map wholesale drops pairs from
+            # older partition assignments.
+            self._pair_generations = {
+                ((first, second) if first <= second else (second, first)):
+                run.store_generation
+                for first, second, _ in steps}
+        if config.adaptive_score_cache:
+            self._cache_policy.observe_kernel(run.kernel_seconds,
+                                              run.evaluations)
+            if run.hits is not None:
+                self._cache_policy.observe_lookups(run.lookup_seconds,
+                                                   len(keys), run.reused)
+        return new_graph, cache_merge_seconds
+
     def _phase4_knn(self, iteration: int, graph: KNNGraph, table: TupleHashTable,
                     steps: Sequence[ResidencyStep], measure: str,
                     io_stats: IOStats, assignment: np.ndarray,
@@ -770,114 +914,16 @@ class OutOfCoreIteration:
         inprocess_backend = ("serial" if config.backend == "process"
                              else config.backend)
         merge_shards = config.num_workers if use_process else 1
-        # worker slice caches are keyed by (iteration, partition): partition
-        # ids repeat across iterations with different vertex sets, and the
-        # store generation tells workers when phase 5 replaced the files
-        store_generation = self._profile_store.generation
         resident_profiles: Dict[int, ProfileSlice] = {}
         charged_profiles: Set[int] = set()
-        new_graph = KNNGraph(graph.num_vertices, config.k)
-        evaluations = 0
-        reused = 0
         row_index_reuses = 0
-        # candidate tuples whose endpoints are both untouched since the
-        # cache's generation reuse the cached score verbatim; only the
-        # remaining "dirty" tuples reach a similarity kernel (or the worker
-        # pool).  Scores are per-pair deterministic, so the merged result is
-        # bit-identical to a full rescore.
-        score_cache = self._score_cache
-        touched_mask = (self._touched_mask(graph, measure)
-                        if config.incremental_phase4 else None)
-        full_rescore = touched_mask is None
-        # the adaptive policy may decline lookups whose measured expected
-        # value is below their cost; the cache itself is still maintained
-        # (merged below) so a later probe iteration can reuse again
-        lookups_skipped = bool(not full_rescore and config.adaptive_score_cache
-                               and not self._cache_policy.use_lookups())
-        do_lookups = not full_rescore and not lookups_skipped
-        # arm hit recording (the reused rows form the sorted "kept" run of
-        # the end-of-iteration merge) — or explicitly disarm it, so marks
-        # left over from an aborted iteration can never leak into merge()
-        score_cache.begin_iteration(record_hits=do_lookups)
-        # dirty-partition planning: steps whose partitions are both clean
-        # and whose pair the cache vouches for run lookup-only (no partition
-        # acquired unless a lookup misses); everything else runs dirty-first
-        dirty_plan = (self._plan_dirty(steps, assignment)
-                      if config.dirty_scheduling and do_lookups else None)
-        if dirty_plan is not None:
-            ordered_steps = ([(step, False) for step in dirty_plan.executed]
-                             + [(step, True) for step in dirty_plan.cached])
-        else:
-            ordered_steps = [(step, False) for step in steps]
+        run = self._begin_phase4(graph, table, steps, measure, assignment)
         # the steps that actually touched the partition cache, in order —
         # re-simulated at the end so the reported ScheduleResult keeps the
         # plan == actual load/unload invariant under any amount of skipping
         executed_sequence: List[ResidencyStep] = []
-        steps_skipped = 0
-        # per-partition row counts, for the residual-gather economics of
-        # cached steps (see below); only needed when a dirty plan exists
-        partition_rows = (np.bincount(assignment,
-                                      minlength=config.num_partitions)
-                          if dirty_plan is not None else None)
-        lookup_seconds = 0.0
-        looked_tuples = 0
-        kernel_seconds = 0.0
-        cache_keys: List[np.ndarray] = []
-        cache_values: List[np.ndarray] = []
-        cache_overflow = not config.incremental_phase4
-        scored_tuples: List[np.ndarray] = []
-        scored_values: List[np.ndarray] = []
-        pending_rows = 0
-        # scored tuples are merged into G(t+1) in bounded batches so the
-        # accumulation never outgrows a small multiple of the graph itself,
-        # preserving the two-resident-partitions memory envelope
-        flush_threshold = max(4 * graph.num_vertices * config.k, _SCORED_FLUSH_ROWS)
 
-        def flush_scored() -> None:
-            nonlocal pending_rows
-            if not scored_tuples:
-                return
-            tuples_block = (scored_tuples[0] if len(scored_tuples) == 1
-                            else np.concatenate(scored_tuples))
-            scores_block = (scored_values[0] if len(scored_values) == 1
-                            else np.concatenate(scored_values))
-            # the hash table guarantees each (s, d) pair is scored once per
-            # iteration, so every flushed block is duplicate-free; the
-            # sharded merge is bit-identical to a single batch call (the
-            # top-K selection is independent per source vertex)
-            new_graph.add_candidates_sharded(tuples_block[:, 0], tuples_block[:, 1],
-                                             scores_block, num_shards=merge_shards,
-                                             assume_unique=True)
-            scored_tuples.clear()
-            scored_values.clear()
-            pending_rows = 0
-
-        def tally_step(tuples, scores, pair_keys, dirty_rows, num_dirty) -> None:
-            """Per-step tail: counters, cache accumulation, graph flush."""
-            nonlocal evaluations, cache_overflow, pending_rows
-            evaluations += num_dirty
-            if not cache_overflow:
-                # only the *dirty* (rescored) pairs are accumulated for the
-                # cache update; reused pairs are already cache rows and are
-                # carried over through the lookup hit marks
-                if dirty_rows is None:
-                    cache_keys.append(pair_keys)
-                    cache_values.append(scores)
-                elif len(dirty_rows):
-                    cache_keys.append(pair_keys[dirty_rows])
-                    cache_values.append(scores[dirty_rows])
-                if (reused + sum(len(chunk) for chunk in cache_keys)
-                        > score_cache.max_entries):
-                    cache_keys.clear()
-                    cache_values.clear()
-                    cache_overflow = True
-            scored_tuples.append(tuples)
-            scored_values.append(scores)
-            pending_rows += len(tuples)
-            if pending_rows >= flush_threshold:
-                flush_scored()
-
-        for step, from_cache in ordered_steps:
+        for step, from_cache in run.ordered_steps:
             first, second, edges = step
             partition_a = partition_b = None
             if not from_cache:
@@ -890,192 +936,118 @@ class OutOfCoreIteration:
                 # the resident partitions
                 self._evict_stale_profiles(partition_cache, resident_profiles,
                                            charged_profiles)
-            # concatenate every PI edge of the residency step into one batch
-            # and score it with a single (parallel) scoring call
-            chunks = [table.tuples_for(edge.src, edge.dst) for edge in edges]
-            chunks = [chunk for chunk in chunks if len(chunk)]
-            if not chunks:
+            # every PI edge of the residency step is one batch, scored with
+            # a single (parallel) scoring call
+            positions = run.misses(table, edges)
+            if positions is None or not len(positions):
+                # no tuples, or every tuple answered from the cache: a
+                # cached step never touched the partition cache, a profile
+                # byte or a kernel
                 if from_cache:
-                    steps_skipped += 1
+                    run.steps_skipped += 1
                 continue
-            tuples = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-            pair_keys = (tuples[:, 0] * np.int64(graph.num_vertices) + tuples[:, 1]
-                         if not cache_overflow or do_lookups else None)
-            if not do_lookups:
-                dirty_rows = None
-                dirty = tuples
-                scores = np.empty(0, dtype=np.float64)  # replaced below
-            else:
-                lookup_start = time.perf_counter()
-                scores, hit_mask = score_cache.lookup(tuples, touched_mask,
-                                                      pair_keys=pair_keys)
-                lookup_seconds += time.perf_counter() - lookup_start
-                looked_tuples += len(tuples)
-                dirty_rows = np.flatnonzero(~hit_mask)
-                dirty = tuples if len(dirty_rows) == len(tuples) else tuples[dirty_rows]
-                reused += len(tuples) - len(dirty_rows)
-            if len(dirty):
-                if from_cache:
-                    # the plan called this pair clean, but graph churn
-                    # elsewhere minted candidate tuples the cache has never
-                    # seen (neighbour lists keep moving even between clean
-                    # partitions).  A small residue is scored off a
-                    # row-level gather of exactly the needed profiles — no
-                    # partition acquired, the step still skips; a large one
-                    # means the pair genuinely needs its partitions, so the
-                    # step falls back to executing.  The 4x rule is a pure
-                    # function of the data, so every backend and every
-                    # resume makes the same choice.
-                    residual_rows = np.unique(dirty.ravel())
-                    pair_span = int(partition_rows[first]
-                                    + (partition_rows[second]
-                                       if second != first else 0))
-                    if len(residual_rows) * 4 <= pair_span:
-                        kernel_start = time.perf_counter()
-                        residual_slice = self._profile_store.load_users(
-                            residual_rows)
-                        fresh = score_tuples(residual_slice, dirty, measure,
-                                             num_threads=config.num_threads,
-                                             backend=inprocess_backend)
-                        kernel_seconds += time.perf_counter() - kernel_start
-                        scores[dirty_rows] = fresh
-                        steps_skipped += 1
-                        tally_step(tuples, scores, pair_keys, dirty_rows,
-                                   len(dirty))
-                        continue
-                    # fall back to executing the step — acquire on demand,
-                    # score the misses against the resident pair, stay exact
-                    partition_a, partition_b = partition_cache.acquire_pair(
-                        first, second)
-                    executed_sequence.append(step)
-                    self._evict_stale_profiles(partition_cache,
-                                               resident_profiles,
-                                               charged_profiles)
-                needed = {first: partition_a, second: partition_b}
-                if self._fault is not None:
-                    # crash window: mid-phase-4, some steps scored, nothing
-                    # committed (placed outside the shared-index lifetime so
-                    # the injected crash itself never doubles as a leak)
-                    self._fault.point("phase4.step")
-                # the merged slice's id→row index (the stable argsort of the
-                # two partitions' concatenated ids) is built once per
-                # (iteration, pair) — recurring pairs reuse it from a small
-                # LRU — and shared with every consumer: in-process merges
-                # skip their per-step argsort, and pool workers receive it
-                # through a shared-memory segment instead of each re-deriving
-                # it
-                index_users = index_order = None
-                if second != first:
-                    index_key = (iteration, first, second)
-                    cached_index = self._row_index_cache.get(index_key)
-                    if cached_index is not None:
-                        index_users, index_order = cached_index
-                        self._row_index_cache.move_to_end(index_key)
-                        row_index_reuses += 1
-                    else:
-                        concat_ids = np.concatenate([partition_a.vertices,
-                                                     partition_b.vertices])
-                        index_order = np.argsort(concat_ids, kind="stable")
-                        index_users = concat_ids[index_order]
-                        self._row_index_cache[index_key] = (index_users,
-                                                            index_order)
-                        while len(self._row_index_cache) > _ROW_INDEX_CACHE_SLOTS:
-                            self._row_index_cache.popitem(last=False)
-                kernel_start = time.perf_counter()
-                fresh = None
-                if use_process:
-                    # the workers load (mmap, zero-copy) the slices
-                    # themselves; the coordinator only keeps the I/O
-                    # accounting aligned.  Per-partition id arrays let
-                    # workers cache each partition's slice across residency
-                    # steps (and iterations); only the dirty shard crosses
-                    # the pipe
-                    self._sync_profile_charges(charged_profiles, needed)
-                    parts = [((iteration, first), partition_a.vertices)]
-                    if second != first:
-                        parts.append(((iteration, second), partition_b.vertices))
-                    shared_index = None
-                    row_index = None
-                    if index_users is not None:
-                        try:
-                            shared_index = SharedRowIndex(index_users, index_order)
-                            row_index = shared_index.descriptor
-                        except OSError:
-                            shared_index = None  # no shm: workers re-gather
-                    try:
-                        fresh = pool.score(None, dirty, measure,
-                                           key=(iteration, first, second),
-                                           parts=parts,
-                                           generation=store_generation,
-                                           row_index=row_index)
-                    except ScoringPoolBroken:
-                        # supervision exhausted respawn-and-retry: finish
-                        # this step (and the rest of the run) in-process —
-                        # scores are per-pair deterministic, so the result
-                        # is bit-identical, just slower
-                        _logger.warning(
-                            "scoring pool failed repeatedly; degrading to "
-                            "in-process scoring for the rest of the run")
-                        self._pool_degraded = True
-                        pool.terminate()
-                        self._pool = None
-                        pool = None
-                        use_process = False
-                    finally:
-                        if shared_index is not None:
-                            shared_index.close()
-                if fresh is None:
-                    self._sync_profile_slices(resident_profiles, needed)
-                    merged = self._merged_slice(resident_profiles, first, second,
-                                                index_users, index_order)
-                    fresh = score_tuples(merged, dirty, measure,
-                                         num_threads=config.num_threads,
-                                         backend=inprocess_backend)
-                kernel_seconds += time.perf_counter() - kernel_start
-                if dirty_rows is None:
-                    scores = fresh
+            dirty = np.column_stack(table.endpoints(positions))
+            if from_cache:
+                if self._score_residual(run, step, positions, dirty, measure,
+                                        num_threads=config.num_threads,
+                                        backend=inprocess_backend):
+                    continue
+                # fall back to executing the step — acquire on demand, score
+                # the misses against the resident pair, stay exact
+                partition_a, partition_b = partition_cache.acquire_pair(
+                    first, second)
+                executed_sequence.append(step)
+                self._evict_stale_profiles(partition_cache, resident_profiles,
+                                           charged_profiles)
+            needed = {first: partition_a, second: partition_b}
+            if self._fault is not None:
+                # crash window: mid-phase-4, some steps scored, nothing
+                # committed (placed outside the shared-index lifetime so the
+                # injected crash itself never doubles as a leak)
+                self._fault.point("phase4.step")
+            # the merged slice's id→row index (the stable argsort of the two
+            # partitions' concatenated ids) is built once per (iteration,
+            # pair) — recurring pairs reuse it from a small LRU — and shared
+            # with every consumer: in-process merges skip their per-step
+            # argsort, and pool workers receive it through a shared-memory
+            # segment instead of each re-deriving it
+            index_users = index_order = None
+            if second != first:
+                index_key = (iteration, first, second)
+                cached_index = self._row_index_cache.get(index_key)
+                if cached_index is not None:
+                    index_users, index_order = cached_index
+                    self._row_index_cache.move_to_end(index_key)
+                    row_index_reuses += 1
                 else:
-                    scores[dirty_rows] = fresh
-            elif from_cache:
-                # every tuple answered from the cache: the step never
-                # touched the partition cache, a profile byte or a kernel
-                steps_skipped += 1
-            tally_step(tuples, scores, pair_keys, dirty_rows, len(dirty))
+                    concat_ids = np.concatenate([partition_a.vertices,
+                                                 partition_b.vertices])
+                    index_order = np.argsort(concat_ids, kind="stable")
+                    index_users = concat_ids[index_order]
+                    self._row_index_cache[index_key] = (index_users,
+                                                        index_order)
+                    while len(self._row_index_cache) > _ROW_INDEX_CACHE_SLOTS:
+                        self._row_index_cache.popitem(last=False)
+            kernel_start = time.perf_counter()
+            fresh = None
+            if use_process:
+                # the workers load (mmap, zero-copy) the slices themselves;
+                # the coordinator only keeps the I/O accounting aligned.
+                # Per-partition id arrays let workers cache each partition's
+                # slice across residency steps (and iterations); only the
+                # dirty shard crosses the pipe
+                self._sync_profile_charges(charged_profiles, needed)
+                parts = [((iteration, first), partition_a.vertices)]
+                if second != first:
+                    parts.append(((iteration, second), partition_b.vertices))
+                shared_index = None
+                row_index = None
+                if index_users is not None:
+                    try:
+                        shared_index = SharedRowIndex(index_users, index_order)
+                        row_index = shared_index.descriptor
+                    except OSError:
+                        shared_index = None  # no shm: workers re-gather
+                try:
+                    # worker slice caches are keyed by (iteration,
+                    # partition): partition ids repeat across iterations with
+                    # different vertex sets, and the store generation tells
+                    # workers when phase 5 replaced the files
+                    fresh = pool.score(None, dirty, measure,
+                                       key=(iteration, first, second),
+                                       parts=parts,
+                                       generation=run.store_generation,
+                                       row_index=row_index)
+                except ScoringPoolBroken:
+                    # supervision exhausted respawn-and-retry: finish this
+                    # step (and the rest of the run) in-process — scores are
+                    # per-pair deterministic, so the result is
+                    # bit-identical, just slower
+                    _logger.warning(
+                        "scoring pool failed repeatedly; degrading to "
+                        "in-process scoring for the rest of the run")
+                    self._pool_degraded = True
+                    pool.terminate()
+                    self._pool = None
+                    pool = None
+                    use_process = False
+                finally:
+                    if shared_index is not None:
+                        shared_index.close()
+            if fresh is None:
+                self._sync_profile_slices(resident_profiles, needed)
+                merged = self._merged_slice(resident_profiles, first, second,
+                                            index_users, index_order)
+                fresh = score_tuples(merged, dirty, measure,
+                                     num_threads=config.num_threads,
+                                     backend=inprocess_backend)
+            run.kernel_seconds += time.perf_counter() - kernel_start
+            run.resolve(positions, fresh)
         partition_cache.flush()
         resident_profiles.clear()
-        flush_scored()
-        cache_merge_seconds = 0.0
-        if cache_overflow:
-            score_cache.clear()
-            self._pair_generations.clear()
-            if config.incremental_phase4:
-                score_cache.evictions += 1
-        else:
-            # the cached scores describe the store as of *this* phase 4 —
-            # phase 5 runs after and its deltas are what the next iteration
-            # asks touched_rows_since() about.  The in-place merge keeps the
-            # reused rows (marked during the lookups, already sorted) and
-            # sorts only the rescored chunks; on full-rescore iterations
-            # every pair is in the chunks and this is a plain rebuild.
-            merge_start = time.perf_counter()
-            score_cache.merge(cache_keys, cache_values, measure,
-                              store_generation, graph.num_vertices)
-            cache_merge_seconds = time.perf_counter() - merge_start
-            # after the merge the cache covers every tuple of every step in
-            # this iteration's plan — executed steps contributed rescored
-            # chunks, cached steps marked their hits as kept rows — all
-            # tagged with this phase 4's store generation.  Rebuilding the
-            # map wholesale drops pairs from older partition assignments.
-            self._pair_generations = {
-                ((first, second) if first <= second else (second, first)):
-                store_generation
-                for first, second, _ in steps}
-        if config.adaptive_score_cache:
-            self._cache_policy.observe_kernel(kernel_seconds, evaluations)
-            if do_lookups:
-                self._cache_policy.observe_lookups(lookup_seconds,
-                                                   looked_tuples, reused)
-        if dirty_plan is not None:
+        new_graph, cache_merge_seconds = self._finish_phase4(
+            run, graph, table, steps, measure, merge_shards)
+        if run.dirty_planned:
             # the plan changed which steps reach the partition cache and in
             # what order; re-simulating over the acquired sequence keeps the
             # schedule's load/unload counts equal to the executed ones
@@ -1085,18 +1057,8 @@ class OutOfCoreIteration:
                 num_partitions=schedule.num_partitions,
                 cache_slots=config.max_resident_partitions,
             )
-        return _Phase4Outcome(
-            graph=new_graph,
-            schedule=schedule,
-            evaluations=evaluations,
-            reused=reused,
-            full_rescore=full_rescore,
-            lookups_skipped=lookups_skipped,
-            cache_merge_seconds=cache_merge_seconds,
-            row_index_reuses=row_index_reuses,
-            steps_skipped=steps_skipped,
-            steps_total=len(steps),
-        )
+        return run.outcome(new_graph, schedule, cache_merge_seconds,
+                           row_index_reuses, len(steps))
 
     def _phase4_knn_sharded(self, iteration: int, graph: KNNGraph,
                             table: TupleHashTable,
@@ -1107,10 +1069,9 @@ class OutOfCoreIteration:
 
         Two passes over the dirty-scheduled step order:
 
-        1. *Classify* — exactly the serial path's per-step lookup logic:
-           cache hits are taken, fully-hit steps and small cached-step
-           residues finish inline, and every step that still needs its
-           partitions becomes a pending record.
+        1. *Classify* — exactly the serial path's per-step logic: fully-hit
+           steps and small cached-step residues finish inline, and every
+           step that still needs its partitions becomes a pending record.
         2. *Execute* — the pending steps are colored into waves of
            partition-disjoint steps (:func:`plan_shard_schedule`) and each
            wave runs concurrently on the :class:`ShardCoordinator`, every
@@ -1119,12 +1080,10 @@ class OutOfCoreIteration:
         Bit-identity with the serial path holds by construction, not by
         luck: similarity scores are a pure function of the two endpoint
         profiles (no worker observes phase-5 writes mid-iteration — they run
-        after phase 4), each worker's per-source top-K pre-reduction ranks
-        by the same ``(-score, destination)`` order as the merge (so dropped
-        rows are provably dominated), and the G(t+1) merge itself is a pure
-        function of the offered candidate multiset — the invariant the
-        dirty-scheduling wall already proves.  Reordering steps into waves
-        therefore cannot move a single edge or byte.
+        after phase 4), every score lands in the same slab slot whichever
+        wave produced it, and the G(t+1) merge is a pure function of the
+        slab.  Reordering steps into waves therefore cannot move a single
+        edge or byte.
 
         Accounting: each wave loads its distinct partitions once and drops
         them at the wave barrier, so loads = unloads = the plan's
@@ -1135,147 +1094,25 @@ class OutOfCoreIteration:
         """
         config = self._config
         coordinator = self._shard_coordinator()
-        store_generation = self._profile_store.generation
         merge_shards = (config.num_workers
                         if coordinator.backend == "process" else 1)
-        new_graph = KNNGraph(graph.num_vertices, config.k)
-        evaluations = 0
-        reused = 0
-        score_cache = self._score_cache
-        touched_mask = (self._touched_mask(graph, measure)
-                        if config.incremental_phase4 else None)
-        full_rescore = touched_mask is None
-        lookups_skipped = bool(not full_rescore and config.adaptive_score_cache
-                               and not self._cache_policy.use_lookups())
-        do_lookups = not full_rescore and not lookups_skipped
-        score_cache.begin_iteration(record_hits=do_lookups)
-        dirty_plan = (self._plan_dirty(steps, assignment)
-                      if config.dirty_scheduling and do_lookups else None)
-        if dirty_plan is not None:
-            ordered_steps = ([(step, False) for step in dirty_plan.executed]
-                             + [(step, True) for step in dirty_plan.cached])
-        else:
-            ordered_steps = [(step, False) for step in steps]
-        partition_rows = np.bincount(assignment,
-                                     minlength=config.num_partitions)
-        steps_skipped = 0
-        lookup_seconds = 0.0
-        looked_tuples = 0
-        kernel_seconds = 0.0
-        cache_keys: List[np.ndarray] = []
-        cache_values: List[np.ndarray] = []
-        cache_overflow = not config.incremental_phase4
-        scored_tuples: List[np.ndarray] = []
-        scored_values: List[np.ndarray] = []
-        pending_rows = 0
-        flush_threshold = max(4 * graph.num_vertices * config.k,
-                              _SCORED_FLUSH_ROWS)
+        run = self._begin_phase4(graph, table, steps, measure, assignment)
 
-        def flush_scored() -> None:
-            nonlocal pending_rows
-            if not scored_tuples:
-                return
-            tuples_block = (scored_tuples[0] if len(scored_tuples) == 1
-                            else np.concatenate(scored_tuples))
-            scores_block = (scored_values[0] if len(scored_values) == 1
-                            else np.concatenate(scored_values))
-            new_graph.add_candidates_sharded(tuples_block[:, 0],
-                                             tuples_block[:, 1], scores_block,
-                                             num_shards=merge_shards,
-                                             assume_unique=True)
-            scored_tuples.clear()
-            scored_values.clear()
-            pending_rows = 0
-
-        def stage_for_graph(tuples_rows: np.ndarray,
-                            scores_rows: np.ndarray) -> None:
-            nonlocal pending_rows
-            if not len(tuples_rows):
-                return
-            scored_tuples.append(tuples_rows)
-            scored_values.append(scores_rows)
-            pending_rows += len(tuples_rows)
-            if pending_rows >= flush_threshold:
-                flush_scored()
-
-        def account_cache(pair_keys, scores, dirty_rows) -> None:
-            nonlocal cache_overflow
-            if cache_overflow:
-                return
-            if dirty_rows is None:
-                cache_keys.append(pair_keys)
-                cache_values.append(scores)
-            elif len(dirty_rows):
-                cache_keys.append(pair_keys[dirty_rows])
-                cache_values.append(scores[dirty_rows])
-            if (reused + sum(len(chunk) for chunk in cache_keys)
-                    > score_cache.max_entries):
-                cache_keys.clear()
-                cache_values.clear()
-                cache_overflow = True
-
-        # -- pass 1: per-step lookup/classification (serial-path semantics) --
-        # pending: steps that must execute — (step, tuples, pair_keys,
-        # scores, dirty_rows, dirty); hit rows of pending steps are staged
-        # for the graph here, their dirty scores arrive from the waves
-        pending: List[tuple] = []
-        for step, from_cache in ordered_steps:
-            first, second, edges = step
-            chunks = [table.tuples_for(edge.src, edge.dst) for edge in edges]
-            chunks = [chunk for chunk in chunks if len(chunk)]
-            if not chunks:
+        # -- pass 1: per-step classification (serial-path semantics) ---------
+        # pending: steps that must execute — (step, slab positions of the
+        # misses, the misses as tuples); their scores arrive from the waves
+        pending: List[Tuple[ResidencyStep, np.ndarray, np.ndarray]] = []
+        for step, from_cache in run.ordered_steps:
+            positions = run.misses(table, step[2])
+            if positions is None or not len(positions):
                 if from_cache:
-                    steps_skipped += 1
+                    run.steps_skipped += 1
                 continue
-            tuples = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-            pair_keys = (tuples[:, 0] * np.int64(graph.num_vertices)
-                         + tuples[:, 1]
-                         if not cache_overflow or do_lookups else None)
-            if not do_lookups:
-                pending.append((step, tuples, pair_keys, None, None, tuples))
+            dirty = np.column_stack(table.endpoints(positions))
+            if from_cache and self._score_residual(run, step, positions, dirty,
+                                                   measure, backend="serial"):
                 continue
-            lookup_start = time.perf_counter()
-            scores, hit_mask = score_cache.lookup(tuples, touched_mask,
-                                                  pair_keys=pair_keys)
-            lookup_seconds += time.perf_counter() - lookup_start
-            looked_tuples += len(tuples)
-            dirty_rows = np.flatnonzero(~hit_mask)
-            dirty = (tuples if len(dirty_rows) == len(tuples)
-                     else tuples[dirty_rows])
-            reused += len(tuples) - len(dirty_rows)
-            if not len(dirty):
-                if from_cache:
-                    steps_skipped += 1
-                account_cache(pair_keys, scores, dirty_rows)
-                stage_for_graph(tuples, scores)
-                continue
-            if from_cache:
-                # same residual-gather economics as the serial path: a small
-                # never-seen residue of a clean pair is scored off a
-                # row-level gather right here (the 4x rule is a pure
-                # function of the data); a large one falls through and the
-                # step executes in a wave
-                residual_rows = np.unique(dirty.ravel())
-                pair_span = int(partition_rows[first]
-                                + (partition_rows[second]
-                                   if second != first else 0))
-                if len(residual_rows) * 4 <= pair_span:
-                    kernel_start = time.perf_counter()
-                    residual_slice = self._profile_store.load_users(
-                        residual_rows)
-                    fresh = score_tuples(residual_slice, dirty, measure,
-                                         backend="serial")
-                    kernel_seconds += time.perf_counter() - kernel_start
-                    scores[dirty_rows] = fresh
-                    steps_skipped += 1
-                    evaluations += len(dirty)
-                    account_cache(pair_keys, scores, dirty_rows)
-                    stage_for_graph(tuples, scores)
-                    continue
-            hit_rows = np.flatnonzero(hit_mask)
-            stage_for_graph(tuples[hit_rows], scores[hit_rows])
-            pending.append((step, tuples, pair_keys, scores, dirty_rows,
-                            dirty))
+            pending.append((step, positions, dirty))
 
         # -- pass 2: wave-plan the pending steps and execute ------------------
         shard_plan = plan_shard_schedule([item[0] for item in pending])
@@ -1297,7 +1134,7 @@ class OutOfCoreIteration:
             tasks: List[ShardStepTask] = []
             wave_partitions: List[int] = []
             seen_partitions: Set[int] = set()
-            for (step, tuples, pair_keys, scores, dirty_rows, dirty) in wave:
+            for step, _, dirty in wave:
                 first, second, edges = step
                 if self._fault is not None:
                     # crash window: mid-phase-4, some steps scored, nothing
@@ -1311,7 +1148,7 @@ class OutOfCoreIteration:
                 tasks.append(ShardStepTask(
                     key=(iteration, first, second), parts=tuple(parts),
                     tuples=dirty, measure=measure,
-                    generation=store_generation, k=config.k))
+                    generation=run.store_generation))
                 tuples_executed += sum(edge.weight for edge in edges)
                 for pid in (first, second):
                     if pid not in seen_partitions:
@@ -1340,45 +1177,15 @@ class OutOfCoreIteration:
                 self._coordinator = None
                 coordinator = self._shard_coordinator()
                 deltas = coordinator.execute_wave(tasks)
-            kernel_seconds += time.perf_counter() - kernel_start
+            run.kernel_seconds += time.perf_counter() - kernel_start
             for pid in wave_partitions:
                 io_stats.record_partition_unload()
             total_residencies += len(wave_partitions)
-            for item, delta in zip(wave, deltas):
-                step, tuples, pair_keys, scores, dirty_rows, dirty = item
-                evaluations += len(dirty)
-                if dirty_rows is None:
-                    # full rescore / lookups skipped: the whole step is dirty
-                    account_cache(pair_keys, delta.scores, None)
-                    stage_for_graph(dirty[delta.topk_rows],
-                                    delta.scores[delta.topk_rows])
-                else:
-                    scores[dirty_rows] = delta.scores
-                    account_cache(pair_keys, scores, dirty_rows)
-                    stage_for_graph(dirty[delta.topk_rows],
-                                    delta.scores[delta.topk_rows])
-        flush_scored()
+            for (_, positions, _), delta in zip(wave, deltas):
+                run.resolve(positions, delta.scores)
 
-        cache_merge_seconds = 0.0
-        if cache_overflow:
-            score_cache.clear()
-            self._pair_generations.clear()
-            if config.incremental_phase4:
-                score_cache.evictions += 1
-        else:
-            merge_start = time.perf_counter()
-            score_cache.merge(cache_keys, cache_values, measure,
-                              store_generation, graph.num_vertices)
-            cache_merge_seconds = time.perf_counter() - merge_start
-            self._pair_generations = {
-                ((first, second) if first <= second else (second, first)):
-                store_generation
-                for first, second, _ in steps}
-        if config.adaptive_score_cache:
-            self._cache_policy.observe_kernel(kernel_seconds, evaluations)
-            if do_lookups:
-                self._cache_policy.observe_lookups(lookup_seconds,
-                                                   looked_tuples, reused)
+        new_graph, cache_merge_seconds = self._finish_phase4(
+            run, graph, table, steps, measure, merge_shards)
         # the executed-residency ScheduleResult of the wave model: loads and
         # unloads both equal the per-wave distinct-partition count, so the
         # schedule == actual invariant holds by construction
@@ -1391,18 +1198,8 @@ class OutOfCoreIteration:
             cache_hits=0,
             tuples_scheduled=tuples_executed,
         )
-        return _Phase4Outcome(
-            graph=new_graph,
-            schedule=executed_schedule,
-            evaluations=evaluations,
-            reused=reused,
-            full_rescore=full_rescore,
-            lookups_skipped=lookups_skipped,
-            cache_merge_seconds=cache_merge_seconds,
-            row_index_reuses=0,
-            steps_skipped=steps_skipped,
-            steps_total=len(steps),
-        )
+        return run.outcome(new_graph, executed_schedule, cache_merge_seconds,
+                           0, len(steps))
 
     @staticmethod
     def _evict_stale_profiles(cache: PartitionCache,

@@ -38,7 +38,6 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from repro.graph.knn_graph import topk_candidate_rows
 from repro.storage.memory_manager import MemoryBudget
 from repro.storage.profile_store import OnDiskProfileStore, ProfileSlice
 from repro.utils.logging import get_logger
@@ -631,11 +630,11 @@ class ShardStepTask:
     step identity (``key`` — scoped per iteration so caches never serve a
     stale pair), the owned partitions as ``(part_key, user_ids)`` descriptors
     (contiguous runs travel as O(1) ranges via :func:`_compact_ids`), the
-    dirty tuple batch to score, the similarity measure, the store generation
-    the worker must have loaded, and the per-source ``k`` of the delta
-    reduction.  Workers never receive profile bytes — they open the store by
-    path (today: the pool initializer; later: an RPC server's own replica) —
-    so routing a task to a remote shard server is a pure placement decision.
+    dirty tuple batch to score, the similarity measure and the store
+    generation the worker must have loaded.  Workers never receive profile
+    bytes — they open the store by path (today: the pool initializer; later:
+    an RPC server's own replica) — so routing a task to a remote shard server
+    is a pure placement decision.
     """
 
     key: Tuple[int, int, int]
@@ -643,38 +642,28 @@ class ShardStepTask:
     tuples: np.ndarray
     measure: str
     generation: Optional[int]
-    k: int
 
 
 @dataclass(frozen=True)
 class ShardDelta:
-    """One worker's answer for one step.
-
-    ``scores`` is aligned with the task's tuples row for row (the score
-    cache needs every dirty pair's score); ``topk_rows`` indexes the rows
-    that can still matter to the graph merge — each source's ``k`` best by
-    the merge's own ``(-score, destination)`` order
-    (:func:`~repro.graph.knn_graph.topk_candidate_rows`), so merging only
-    these rows is provably identical to merging them all.
-    """
+    """One worker's answer for one step: ``scores``, aligned with the task's
+    tuples row for row (phase 4 scatters them into its score slab, which
+    feeds both the graph merge and the score cache)."""
 
     scores: np.ndarray
-    topk_rows: np.ndarray
 
 
 def _execute_shard_step(task: ShardStepTask,
                         fault: Optional[Tuple[str, float]] = None) -> ShardDelta:
-    """Worker entry point: score one whole residency step, reduce to a delta.
+    """Worker entry point: score one whole residency step.
 
     Runs in a pool worker for the process backend (reusing the worker-global
     store/slice caches of :func:`_score_shard`) and inline for the
     serial/thread backends' scoring half.
     """
-    scores = _score_shard(task.key, task.parts, task.tuples, task.measure,
-                          task.generation, None, fault)
-    rows = topk_candidate_rows(task.tuples[:, 0], task.tuples[:, 1], scores,
-                               task.k)
-    return ShardDelta(scores=scores, topk_rows=rows)
+    return ShardDelta(scores=_score_shard(task.key, task.parts, task.tuples,
+                                          task.measure, task.generation, None,
+                                          fault))
 
 
 def _ids_array(ids: "Union[range, np.ndarray]") -> np.ndarray:
@@ -801,10 +790,8 @@ class ShardCoordinator:
 
     @staticmethod
     def _score_merged(merged: ProfileSlice, task: ShardStepTask) -> ShardDelta:
-        scores = merged.similarity_pairs(task.tuples, task.measure)
-        rows = topk_candidate_rows(task.tuples[:, 0], task.tuples[:, 1],
-                                   scores, task.k)
-        return ShardDelta(scores=scores, topk_rows=rows)
+        return ShardDelta(scores=merged.similarity_pairs(task.tuples,
+                                                         task.measure))
 
     def _charge(self, task: ShardStepTask) -> None:
         if self._budget is None:

@@ -50,46 +50,6 @@ def _descending_score_argsort(scores: np.ndarray) -> np.ndarray:
     return order
 
 
-def topk_candidate_rows(sources: np.ndarray, destinations: np.ndarray,
-                        scores: np.ndarray, k: int) -> np.ndarray:
-    """Row indices of each source's ``k`` best candidates, ascending.
-
-    Ranks by the same ``(-score, destination)`` total order the batch merge
-    uses, which is what makes this a *safe* per-shard pre-reduction: a row
-    ranked at position ``k`` or beyond within its own subset is dominated by
-    ``k`` better rows of that subset, so it can never enter its source's
-    top-K of any union the subset joins.  Merging only the selected rows via
-    :meth:`KNNGraph.add_candidates_batch` is therefore identical to merging
-    the full subset — the property that lets shard workers return bounded
-    deltas instead of every scored tuple.  Assumes destinations are unique
-    per source within the subset (true for tuples drawn from the dedup hash
-    table in one iteration), so the order is strict and the selection
-    deterministic.
-    """
-    check_positive_int(k, "k")
-    src = np.asarray(sources, dtype=np.int64).ravel()
-    dst = np.asarray(destinations, dtype=np.int64).ravel()
-    sc = np.asarray(scores, dtype=np.float64).ravel()
-    if not (len(src) == len(dst) == len(sc)):
-        raise ValueError("sources, destinations and scores must have equal length")
-    if len(src) == 0:
-        return np.empty(0, dtype=np.int64)
-    # lexsort with the primary key last: source asc, then score desc
-    # (realised through the order-isomorphic descending key map so ties —
-    # including -0.0 vs +0.0 — resolve exactly as the merge resolves them),
-    # then destination asc
-    bits = (sc + 0.0).view(np.uint64)
-    sign = np.uint64(1) << np.uint64(63)
-    desc_key = ~np.where(bits & sign != 0, ~bits, bits | sign)
-    order = np.lexsort((dst, desc_key, src))
-    src_sorted = src[order]
-    group_breaks = np.flatnonzero(src_sorted[1:] != src_sorted[:-1]) + 1
-    group_starts = np.concatenate([[0], group_breaks])
-    group_sizes = np.diff(np.concatenate([group_starts, [len(src_sorted)]]))
-    rank = np.arange(len(src_sorted)) - np.repeat(group_starts, group_sizes)
-    return np.sort(order[rank < k])
-
-
 class KNNGraph:
     """Directed K-out-degree graph with per-edge similarity scores.
 
@@ -224,6 +184,13 @@ class KNNGraph:
         radix pass whose float→key map is only order-isomorphic on non-NaN
         values, so NaN batches are rejected rather than silently mis-ranked.
         """
+        src, dst, sc = self._checked_candidates(sources, destinations, scores)
+        return self._merge_batch(src, dst, sc, assume_unique)
+
+    def _checked_candidates(self, sources, destinations, scores
+                            ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The three candidate columns as flat arrays, or an error: unequal
+        lengths, a NaN score or an endpoint outside the graph."""
         src = np.asarray(sources, dtype=np.int64).ravel()
         dst = np.asarray(destinations, dtype=np.int64).ravel()
         sc = np.asarray(scores, dtype=np.float64).ravel()
@@ -231,15 +198,19 @@ class KNNGraph:
             raise ValueError("sources, destinations and scores must have equal length")
         if np.isnan(sc).any():
             raise ValueError("candidate scores must be NaN-free")
-        if len(src) == 0:
-            return 0
-        lo = min(int(src.min()), int(dst.min()))
-        hi = max(int(src.max()), int(dst.max()))
-        if lo < 0 or hi >= self.num_vertices:
-            raise IndexError(
-                f"vertex {lo if lo < 0 else hi} out of range for graph with "
-                f"{self.num_vertices} vertices"
-            )
+        if len(src):
+            lo = min(int(src.min()), int(dst.min()))
+            hi = max(int(src.max()), int(dst.max()))
+            if lo < 0 or hi >= self.num_vertices:
+                raise IndexError(
+                    f"vertex {lo if lo < 0 else hi} out of range for graph with "
+                    f"{self.num_vertices} vertices"
+                )
+        return src, dst, sc
+
+    def _merge_batch(self, src: np.ndarray, dst: np.ndarray, sc: np.ndarray,
+                     assume_unique: bool) -> int:
+        """:meth:`add_candidates_batch` on checked columns."""
         # besides self loops, drop every candidate strictly below its row's
         # weakest score before any sort: K incumbents outrank it, so it can
         # never enter (an under-full row's last slot is -inf: nothing drops)
@@ -294,6 +265,16 @@ class KNNGraph:
             keep_best[by_key[run_head]] = True
             order = order[keep_best]
 
+        order = self._write_top_k(order, c_src, c_dst, c_sc)
+        return len(order) if c_tie is None else int(np.count_nonzero(c_tie[order]))
+
+    def _write_top_k(self, order: np.ndarray, c_src: np.ndarray,
+                     c_dst: np.ndarray, c_sc: np.ndarray) -> np.ndarray:
+        """Write every source's K best entries; returns their positions.
+
+        ``order`` lists the entries best first — by ``(-score, destination)``,
+        at most one entry per edge.
+        """
         # per-source counting-sort bucketisation: grouping the score-ordered
         # rows by source is a bounded-key sort, so a counting pass (two for
         # graphs past 64Ki vertices) replaces the global comparison sort;
@@ -313,11 +294,12 @@ class KNNGraph:
         self._neighbors[s_src, rank] = c_dst[order]
         self._scores[s_src, rank] = c_sc[order]
         self._counts[s_src[rank == 0]] = np.minimum(group_sizes, self._k)
-        return len(order) if c_tie is None else int(np.count_nonzero(c_tie[order]))
+        return order
 
     def add_candidates_sharded(self, sources: np.ndarray, destinations: np.ndarray,
                                scores: np.ndarray, num_shards: int = 1,
-                               assume_unique: bool = False) -> int:
+                               assume_unique: bool = False,
+                               hint: Optional["KNNGraph"] = None) -> int:
         """Apply :meth:`add_candidates_batch` shard by shard over the sources.
 
         Rows are split into ``num_shards`` groups by ``source % num_shards``
@@ -325,25 +307,68 @@ class KNNGraph:
         Because every step of the batch merge — incumbent gathering, dedup
         and top-K selection — is independent per source vertex, the result
         is *identical* to a single batch call over all rows, ties included;
-        sharding only bounds the size of each sort.  This is the merge the
-        process backend uses so one iteration's flush never materialises a
-        single monolithic sort.
+        sharding only bounds the size of each sort.
+
+        Candidates that arrive strictly increasing in ``(source,
+        destination)`` for sources whose rows are all empty — phase 4 hands
+        over the dedup table's own order, into a new graph — take a shorter
+        route to the same rows, whatever ``num_shards`` says: see
+        :meth:`_merge_sorted`, which is also the only reader of ``hint``.
         """
         check_positive_int(num_shards, "num_shards")
-        src = np.asarray(sources, dtype=np.int64).ravel()
-        if num_shards == 1 or len(src) == 0:
-            return self.add_candidates_batch(src, destinations, scores,
-                                             assume_unique=assume_unique)
-        dst = np.asarray(destinations, dtype=np.int64).ravel()
-        sc = np.asarray(scores, dtype=np.float64).ravel()
+        src, dst, sc = self._checked_candidates(sources, destinations, scores)
+        if len(src) == 0:
+            return 0
+        keys = src * self.num_vertices + dst
+        if (keys[1:] > keys[:-1]).all() and not self._counts[src].any():
+            return self._merge_sorted(src, dst, sc, keys, hint)
+        if num_shards == 1:
+            return self._merge_batch(src, dst, sc, assume_unique)
         shard_of = src % num_shards
         changed = 0
         for shard in range(num_shards):
             mask = shard_of == shard
             if mask.any():
-                changed += self.add_candidates_batch(src[mask], dst[mask], sc[mask],
-                                                     assume_unique=assume_unique)
+                changed += self._merge_batch(src[mask], dst[mask], sc[mask],
+                                             assume_unique)
         return changed
+
+    def _merge_sorted(self, src: np.ndarray, dst: np.ndarray, sc: np.ndarray,
+                      keys: np.ndarray, hint: Optional["KNNGraph"]) -> int:
+        """Merge candidates whose ``keys`` (``source * n + destination``)
+        are strictly increasing into rows that hold nothing yet.
+
+        No edge repeats and no incumbent competes, and equal scores already
+        stand in destination order, so the ``(-score, destination)`` ranking
+        of :meth:`add_candidates_batch` is one stable score pass and the
+        source pass — no destination pass, no incumbent gather, no dedup.
+
+        ``hint`` names where K strong candidates of a source can be found:
+        when every neighbour of a full ``hint`` row is itself among the
+        candidates (``G(t)``'s edges are, in the table that produced
+        ``G(t+1)``'s candidates), the weakest of those K candidates' scores
+        *in this batch* bounds the source's top-K from below, and every
+        candidate strictly under it is dropped before any sort.  The floor
+        is read off candidates that are present, so no hint can change the
+        result; a row with a neighbour missing has no floor.
+        """
+        keep = src != dst
+        if (hint is not None and hint._k >= self._k
+                and hint.num_vertices == self.num_vertices):
+            lo, hi = int(src[0]), int(src[-1]) + 1
+            wanted = (np.arange(lo, hi, dtype=np.int64)[:, None]
+                      * self.num_vertices + hint._neighbors[lo:hi])
+            at = np.minimum(np.searchsorted(keys, wanted.ravel()),
+                            len(keys) - 1).reshape(wanted.shape)
+            present = ((keys[at] == wanted).all(axis=1)
+                       & (hint._counts[lo:hi] == hint._k))
+            floors = np.where(present, sc[at].min(axis=1), -np.inf)
+            keep &= ~(sc < floors[src - lo])
+        if not keep.all():
+            src, dst, sc = src[keep], dst[keep], sc[keep]
+        if len(src) == 0:
+            return 0
+        return len(self._write_top_k(_descending_score_argsort(sc), src, dst, sc))
 
     def set_neighbors(self, vertex: int, entries: Iterable[Tuple[int, float]]) -> None:
         """Replace the neighbour list of ``vertex`` with the top-K of ``entries``."""

@@ -5,7 +5,8 @@ A partition ``R_i`` holds, exactly as the paper defines it:
 * a subset ``V_i`` of roughly ``n/m`` users,
 * all in-edges ``(s, v)`` and out-edges ``(v, d)`` with ``v ∈ V_i``,
   each list **sorted by the bridge vertex v** so that phase 2 can generate
-  neighbours-of-neighbours tuples with a sequential merge scan,
+  neighbours-of-neighbours tuples with a sequential merge scan — the order
+  is the CSR's own (:func:`build_partitions` slices rows, it never sorts),
 * (on disk) the profiles of the users in ``V_i``.
 
 The objective the partitioners optimise is the per-partition count of
@@ -21,6 +22,7 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.graph.digraph import CSRDiGraph
+from repro.utils.arrays import counting_argsort, ragged_ranges
 
 
 @dataclass
@@ -80,7 +82,11 @@ def build_partitions(graph: CSRDiGraph, assignment: np.ndarray,
     """Materialise :class:`Partition` objects from a vertex→partition assignment.
 
     ``assignment[v]`` is the partition id of vertex ``v``.  Edge lists are
-    sorted by the bridge vertex as required by the paper's phase 1.
+    sorted by the bridge vertex as required by the paper's phase 1 — which
+    costs no sort here: a vertex's CSR row *is* its ``(v, d)`` run with
+    ``d`` ascending and its reverse-CSR row its ``(s, v)`` run with ``s``
+    ascending, so a partition's lists are the rows of its (ascending)
+    vertices sliced out back to back.
     """
     assignment = np.asarray(assignment, dtype=np.int64)
     if len(assignment) != graph.num_vertices:
@@ -88,32 +94,36 @@ def build_partitions(graph: CSRDiGraph, assignment: np.ndarray,
     if len(assignment) and (assignment.min() < 0 or assignment.max() >= num_partitions):
         raise ValueError("assignment contains partition ids out of range")
 
-    edges = graph.edges_array()          # rows (src, dst) == (v, d) for out-edges
+    # one stable counting pass groups the vertices by partition, ascending
+    by_partition = counting_argsort(assignment, max(num_partitions - 1, 0))
+    bounds = np.zeros(num_partitions + 1, dtype=np.int64)
+    np.cumsum(np.bincount(assignment, minlength=num_partitions), out=bounds[1:])
+    out_degrees = graph.out_degree_array()
+    in_degrees = graph.in_degree_array()
+    seen = np.zeros(graph.num_vertices, dtype=bool)   # scratch for N_in / N_out
+
+    def count_distinct(ids: np.ndarray) -> int:
+        seen[ids] = True
+        distinct = int(np.count_nonzero(seen))
+        seen[ids] = False
+        return distinct
+
     partitions: List[Partition] = []
     for pid in range(num_partitions):
-        vertices = np.flatnonzero(assignment == pid).astype(np.int64)
-        if len(edges):
-            out_mask = assignment[edges[:, 0]] == pid
-            in_mask = assignment[edges[:, 1]] == pid
-            out_edges = edges[out_mask]                       # (v, d)
-            in_edges = edges[in_mask][:, [0, 1]]              # (s, v)
-        else:
-            out_edges = np.empty((0, 2), dtype=np.int64)
-            in_edges = np.empty((0, 2), dtype=np.int64)
-        # sort out-edges by bridge v (column 0), in-edges by bridge v (column 1)
-        if len(out_edges):
-            out_edges = out_edges[np.lexsort((out_edges[:, 1], out_edges[:, 0]))]
-        if len(in_edges):
-            in_edges = in_edges[np.lexsort((in_edges[:, 0], in_edges[:, 1]))]
-        n_in = len(np.unique(in_edges[:, 0])) if len(in_edges) else 0
-        n_out = len(np.unique(out_edges[:, 1])) if len(out_edges) else 0
+        vertices = by_partition[bounds[pid]:bounds[pid + 1]]
+        destinations = graph.indices[
+            ragged_ranges(graph.indptr[vertices], out_degrees[vertices])]
+        sources = graph.rindices[
+            ragged_ranges(graph.rindptr[vertices], in_degrees[vertices])]
         partitions.append(Partition(
             pid=pid,
             vertices=vertices,
-            in_edges=in_edges,
-            out_edges=out_edges,
-            num_unique_in_sources=n_in,
-            num_unique_out_destinations=n_out,
+            in_edges=np.column_stack(
+                [sources, np.repeat(vertices, in_degrees[vertices])]),
+            out_edges=np.column_stack(
+                [np.repeat(vertices, out_degrees[vertices]), destinations]),
+            num_unique_in_sources=count_distinct(sources),
+            num_unique_out_destinations=count_distinct(destinations),
         ))
     return partitions
 

@@ -22,9 +22,8 @@ from repro.pigraph.traversal import ResidencyStep, TraversalHeuristic, get_heuri
 from repro.utils.validation import check_positive_int
 
 #: Declared-pure planners: same inputs, same plan — on every backend,
-#: every resume, every re-plan.  The dirty-partition scheduler (PR 7), the
-#: shard planner (PR 9) and the fallback candidate selector all rely on
-#: this to keep the parity walls meaningful.  The invariant lint
+#: every resume, every re-plan.  The dirty-partition scheduler (PR 7) and
+#: the shard planner (PR 9) rely on this to keep the parity walls meaningful.  The invariant lint
 #: (``python -m repro.analysis``) walks the call graph from each entry
 #: and rejects reachable wall-clock reads, randomness, environment reads,
 #: file I/O and module-global writes.  Add a function here to put it
@@ -33,7 +32,6 @@ PURE_FUNCTIONS = (
     "repro.pigraph.scheduler.plan_dirty_schedule",
     "repro.pigraph.scheduler.plan_shard_schedule",
     "repro.pigraph.scheduler.simulate_schedule",
-    "repro.graph.knn_graph.topk_candidate_rows",
 )
 
 

@@ -13,32 +13,19 @@ dedup hash table ``H`` (:class:`~repro.tuples.hash_table.TupleHashTable`).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.graph.digraph import CSRDiGraph
 from repro.partition.model import Partition
 from repro.tuples.hash_table import TupleHashTable
-from repro.utils.arrays import ragged_ranges
+from repro.utils.arrays import ragged_ranges, sorted_runs
 
 #: Row budget for batching bridge tuples into bulk hash-table inserts: large
 #: enough that a whole iteration usually needs one dedup sweep, small enough
 #: that the raw (duplicate-laden) pair buffer stays bounded (~16 MiB).
 _BRIDGE_FLUSH_ROWS = 1 << 20
-
-
-def _sorted_runs(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct values of a *sorted* array plus each run's start and length.
-
-    The O(n) equivalent of ``np.unique(values, return_index=True,
-    return_counts=True)`` for input that is already sorted (the bridge
-    columns are — phase 1 sorts them).
-    """
-    starts = np.concatenate(
-        [[0], np.flatnonzero(values[1:] != values[:-1]) + 1])
-    counts = np.diff(np.concatenate([starts, [len(values)]]))
-    return values[starts], starts, counts
 
 
 def partition_bridge_tuples(partition: Partition,
@@ -67,8 +54,8 @@ def partition_bridge_tuples(partition: Partition,
 
     # both lists are already sorted by bridge, so the run boundaries fall
     # out of one neighbour comparison — no np.unique (which would re-sort)
-    unique_in, in_start, in_count = _sorted_runs(in_edges[:, 1])
-    unique_out, out_start, out_count = _sorted_runs(out_edges[:, 0])
+    unique_in, in_start, in_count = sorted_runs(in_edges[:, 1])
+    unique_out, out_start, out_count = sorted_runs(out_edges[:, 0])
     _, in_at, out_at = np.intersect1d(unique_in, unique_out,
                                       assume_unique=True, return_indices=True)
     if not len(in_at):
@@ -144,6 +131,8 @@ def generate_candidate_tuples(graph: CSRDiGraph,
         # inserted separately so the flush buffer never holds the direct
         # edges on top of pending bridge pairs
         table.add_array(graph.edges_array())
+    # bucket the finished table here, so phase 3 only reads the index
+    table.index_buckets()
     return table
 
 

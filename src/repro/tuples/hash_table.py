@@ -7,33 +7,41 @@ the whole point of the structure — cycles and multiple bridge vertices
 produce the same ``(s, d)`` repeatedly, and the similarity must only be
 computed once.
 
+The table has one representation: the sorted, unique int64 array of
+``s * num_vertices + d`` keys (:attr:`TupleHashTable.keys`).  A bulk insert
+sorts its batch once and merges it in with a ``searchsorted`` sweep; scalar
+:meth:`~TupleHashTable.add` calls land in a small pending set that is
+folded into the array lazily.  Phase 4 keeps that array as the spine of the
+iteration — its score slab, the next score cache and the ``G(t+1)`` merge
+are all aligned with it — so nothing downstream re-derives the order.
+
 Tuples are additionally *bucketed by the partition pair*
 ``(partition(s), partition(d))``; those buckets are exactly the edges of the
-partition-interaction graph built in phase 3.
-
-Keys are encoded as ``s * num_vertices + d`` int64 values and kept in a
-sorted array so that bulk inserts deduplicate with a single
-``searchsorted`` sweep and buckets are assembled with one stable argsort —
-no per-key Python on the hot path.  Scalar :meth:`add` calls land in a small
-pending set that is folded into the sorted array lazily.
+partition-interaction graph built in phase 3.  Buckets are not copies: a
+lazily built index (one stable counting pass over the partition-pair codes)
+lists, per bucket, the positions of its tuples in the key array.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
+from repro.utils.arrays import counting_argsort, sorted_runs
 from repro.utils.validation import check_positive_int
 
 PartitionPair = Tuple[int, int]
 
 
 def _sorted_unique(keys: np.ndarray) -> np.ndarray:
-    """Sort-based unique (avoids np.unique's slower hash path on int64 keys)."""
+    """Sort-based unique (avoids np.unique's slower hash path on int64 keys).
+
+    Sorts ``keys`` in place — both callers pass a temporary.
+    """
     if len(keys) <= 1:
-        return keys.copy()
-    keys = np.sort(keys)
+        return keys
+    keys.sort()
     mask = np.empty(len(keys), dtype=bool)
     mask[0] = True
     np.not_equal(keys[1:], keys[:-1], out=mask[1:])
@@ -53,7 +61,9 @@ class TupleHashTable:
         self._num_parts = int(assignment.max()) + 1 if len(assignment) else 1
         self._keys = np.empty(0, dtype=np.int64)   # sorted, unique
         self._pending: Set[int] = set()            # scalar adds not yet folded in
-        self._buckets: Dict[PartitionPair, List[np.ndarray]] = {}
+        # (order, spans): positions into _keys grouped by partition pair, and
+        # each pair's [start, stop) run in that order; None = stale
+        self._index: Optional[Tuple[np.ndarray, Dict[PartitionPair, Tuple[int, int]]]] = None
 
     # -- insertion -------------------------------------------------------------
 
@@ -71,6 +81,7 @@ class TupleHashTable:
         pending = np.fromiter(self._pending, dtype=np.int64, count=len(self._pending))
         self._keys = _sorted_unique(np.concatenate([self._keys, pending]))
         self._pending.clear()
+        self._index = None
 
     def add(self, source: int, destination: int) -> bool:
         """Insert the tuple ``(source, destination)``; returns ``True`` when new.
@@ -87,10 +98,6 @@ class TupleHashTable:
         if self._contains_key(key):
             return False
         self._pending.add(key)
-        pair = (int(self._assignment[source]), int(self._assignment[destination]))
-        # scalar inserts append the raw int key; bucket readers wrap the
-        # plain-int tail into an array lazily
-        self._buckets.setdefault(pair, []).append(key)
         return True
 
     def add_many(self, pairs: Iterable[Tuple[int, int]]) -> int:
@@ -105,7 +112,9 @@ class TupleHashTable:
         """Vectorised bulk insert of an ``(n, 2)`` array of tuples.
 
         Deduplication against existing contents and self-pair filtering are
-        preserved; this is the fast path used by the tuple generator.
+        preserved; this is the fast path used by the tuple generator.  The
+        batch's keys are sorted once, here; nothing downstream sorts them
+        again.
         """
         pairs = np.asarray(pairs, dtype=np.int64)
         if pairs.size == 0:
@@ -114,38 +123,49 @@ class TupleHashTable:
             raise ValueError("pairs must be an (n, 2) array")
         if pairs.min() < 0 or pairs.max() >= self._num_vertices:
             raise IndexError("tuple endpoints out of range")
-        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
-        if len(pairs) == 0:
-            return 0
-        keys = _sorted_unique(pairs[:, 0] * self._num_vertices + pairs[:, 1])
+        keys = pairs[:, 0] * self._num_vertices + pairs[:, 1]
+        fresh = _sorted_unique(keys[pairs[:, 0] != pairs[:, 1]])
         self._consolidate()
-        positions = np.searchsorted(self._keys, keys)
-        positions[positions >= len(self._keys)] = max(0, len(self._keys) - 1)
-        if len(self._keys):
-            fresh = keys[self._keys[positions] != keys]
-        else:
-            fresh = keys
+        if len(self._keys) and len(fresh):
+            positions = np.searchsorted(self._keys, fresh)
+            known = self._keys[np.minimum(positions, len(self._keys) - 1)] == fresh
+            fresh, positions = fresh[~known], positions[~known]
         if len(fresh) == 0:
             return 0
         # both arrays are sorted, unique and disjoint; np.insert at the
         # searchsorted positions performs a linear merge
-        self._keys = np.insert(self._keys, np.searchsorted(self._keys, fresh), fresh)
-
-        sources = fresh // self._num_vertices
-        destinations = fresh % self._num_vertices
-        codes = (self._assignment[sources] * self._num_parts
-                 + self._assignment[destinations])
-        order = np.argsort(codes, kind="stable")
-        sorted_keys = fresh[order]
-        sorted_codes = codes[order]
-        starts = np.concatenate(
-            [[0], np.flatnonzero(sorted_codes[1:] != sorted_codes[:-1]) + 1])
-        unique_codes = sorted_codes[starts]
-        for code, chunk in zip(unique_codes.tolist(),
-                               np.split(sorted_keys, starts[1:])):
-            pair = (code // self._num_parts, code % self._num_parts)
-            self._buckets.setdefault(pair, []).append(chunk)
+        self._keys = (np.insert(self._keys, positions, fresh)
+                      if len(self._keys) else fresh)
+        self._index = None
         return len(fresh)
+
+    def index_buckets(self) -> None:
+        """Build the bucket index now instead of on the first bucket query.
+
+        The tuple generator calls this once the table is complete, so the
+        indexing pass is part of phase 2 rather than of whichever phase
+        happens to ask first.
+        """
+        self._bucket_index()
+
+    def _bucket_index(self) -> Tuple[np.ndarray, Dict[PartitionPair, Tuple[int, int]]]:
+        self._consolidate()
+        if self._index is None:
+            spans: Dict[PartitionPair, Tuple[int, int]] = {}
+            order = np.empty(0, dtype=np.int64)
+            if len(self._keys):
+                sources, destinations = self.endpoints(slice(None))
+                parts = self._num_parts
+                codes = (self._assignment[sources] * parts
+                         + self._assignment[destinations])
+                # stable: every bucket lists its positions ascending
+                order = counting_argsort(codes, parts * parts)
+                present, starts, counts = sorted_runs(codes[order])
+                for code, start, count in zip(present.tolist(), starts.tolist(),
+                                              counts.tolist()):
+                    spans[(code // parts, code % parts)] = (start, start + count)
+            self._index = (order, spans)
+        return self._index
 
     # -- queries ----------------------------------------------------------------
 
@@ -164,42 +184,56 @@ class TupleHashTable:
         source, destination = pair
         return self._contains_key(source * self._num_vertices + destination)
 
+    @property
+    def keys(self) -> np.ndarray:
+        """Every tuple as its ``source * num_vertices + destination`` key:
+        one sorted, duplicate-free int64 array (not a copy)."""
+        self._consolidate()
+        return self._keys
+
+    def endpoints(self, positions: Union[np.ndarray, slice]
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(sources, destinations)`` of the tuples at ``positions`` of
+        :attr:`keys` — the table's one key decoder."""
+        keys = self.keys[positions]
+        sources = keys // self._num_vertices
+        return sources, keys - sources * self._num_vertices
+
     def partition_pairs(self) -> List[PartitionPair]:
         """All partition pairs that carry at least one tuple (PI-graph edges)."""
-        return sorted(self._buckets)
+        return sorted(self._bucket_index()[1])
 
     def bucket_sizes(self) -> Dict[PartitionPair, int]:
         """Tuple count per partition pair (PI-graph edge weights)."""
-        return {pair: sum(len(chunk) if isinstance(chunk, np.ndarray) else 1
-                          for chunk in chunks)
-                for pair, chunks in self._buckets.items()}
+        return {pair: stop - start
+                for pair, (start, stop) in self._bucket_index()[1].items()}
+
+    def positions_for(self, source_partition: int,
+                      destination_partition: int) -> np.ndarray:
+        """Positions in :attr:`keys` of the tuples on the PI edge
+        ``(source_partition, destination_partition)``, ascending.  Over all
+        partition pairs the results partition ``range(len(self))``."""
+        order, spans = self._bucket_index()
+        start, stop = spans.get((source_partition, destination_partition), (0, 0))
+        return order[start:stop]
 
     def tuples_for(self, source_partition: int, destination_partition: int) -> np.ndarray:
         """All tuples on the PI edge ``(source_partition, destination_partition)``
-        as an ``(n, 2)`` array of user ids."""
-        chunks = self._buckets.get((source_partition, destination_partition), [])
-        if not chunks:
-            return np.empty((0, 2), dtype=np.int64)
-        arrays = [chunk for chunk in chunks if isinstance(chunk, np.ndarray)]
-        scalars = [chunk for chunk in chunks if not isinstance(chunk, np.ndarray)]
-        if scalars:
-            arrays.append(np.asarray(scalars, dtype=np.int64))
-        keys = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-        return np.column_stack([keys // self._num_vertices, keys % self._num_vertices])
+        as an ``(n, 2)`` array of user ids, rows in ascending key order
+        (by source, then destination)."""
+        return np.column_stack(self.endpoints(
+            self.positions_for(source_partition, destination_partition)))
 
     def all_tuples(self) -> np.ndarray:
-        """Every stored tuple as an ``(n, 2)`` array (order unspecified)."""
-        self._consolidate()
-        if len(self._keys) == 0:
-            return np.empty((0, 2), dtype=np.int64)
-        return np.column_stack([self._keys // self._num_vertices,
-                                self._keys % self._num_vertices])
+        """Every stored tuple as an ``(n, 2)`` array, in ascending key order."""
+        return np.column_stack(self.endpoints(slice(None)))
 
     def iter_tuples(self) -> Iterator[Tuple[int, int]]:
-        self._consolidate()
-        for key in self._keys.tolist():
-            yield (key // self._num_vertices, key % self._num_vertices)
+        sources, destinations = self.endpoints(slice(None))
+        yield from zip(sources.tolist(), destinations.tolist())
 
     def memory_estimate_bytes(self) -> int:
-        """Rough in-memory footprint of the table (key array plus buckets)."""
-        return self.num_tuples * 8 * 3
+        """Bytes the table holds right now: the key array, the bucket index
+        when it has been built, and 8 per pending scalar insert."""
+        index_bytes = self._index[0].nbytes if self._index is not None else 0
+        return self._keys.nbytes + index_bytes + 8 * len(self._pending)

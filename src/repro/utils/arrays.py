@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
 
 #: Digit width of the LSD counting-sort passes.
@@ -26,6 +28,19 @@ def counting_argsort(keys: np.ndarray, max_key: int) -> np.ndarray:
         order = order[np.argsort(digits, kind="stable")]
         shift += _RADIX_BITS
     return order
+
+
+def sorted_runs(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct values of a non-empty *sorted* array plus each run's start
+    and length.
+
+    The O(n) equivalent of ``np.unique(values, return_index=True,
+    return_counts=True)`` for input that is already sorted.
+    """
+    starts = np.concatenate(
+        [[0], np.flatnonzero(values[1:] != values[:-1]) + 1])
+    counts = np.diff(np.concatenate([starts, [len(values)]]))
+    return values[starts], starts, counts
 
 
 def ragged_run_offsets(lengths: np.ndarray) -> np.ndarray:

@@ -381,6 +381,39 @@ class TestPortableCheckpoint:
         assert result.reused_scores > 0
         assert result.graph.edge_difference(uninterrupted) == 0
 
+    def test_adopted_cache_is_read_only_and_survives_a_round_trip(self, tmp_path):
+        """The cache adopts phase 4's own arrays (H's keys, the score slab),
+        so they are frozen; saving, advancing and loading copy, and a
+        resumed run reuses exactly what its never-checkpointed twin does."""
+        profiles = generate_dense_profiles(100, dim=8, num_communities=4, seed=47)
+        config = EngineConfig(k=5, num_partitions=4, seed=47)
+
+        def feed(iteration):
+            return [ProfileChange(user=iteration, kind="set",
+                                  vector=np.full(8, 0.1 * (iteration + 1)))]
+
+        with KNNEngine(profiles, config) as engine:
+            twin = engine.run(num_iterations=4, profile_change_feed=feed)
+
+        with KNNEngine(profiles, config) as engine:
+            engine.run(num_iterations=2, profile_change_feed=feed)
+            cache = engine._iteration_runner.score_cache
+            for array in (cache.keys, cache.values):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 0
+            engine.save_checkpoint(tmp_path / "ckpt")
+
+        with KNNEngine.from_checkpoint(tmp_path / "ckpt", config=config) as resumed:
+            results = resumed.run(num_iterations=2,
+                                  profile_change_feed=feed).iterations
+        for result, expected in zip(results, twin.iterations[2:]):
+            assert result.reused_scores == expected.reused_scores > 0
+            assert (result.similarity_evaluations
+                    == expected.similarity_evaluations)
+            assert (result.graph.edge_fingerprint()
+                    == expected.graph.edge_fingerprint())
+
     @pytest.mark.parametrize("kind", ["dense", "sparse"])
     def test_pending_queued_updates_survive_the_checkpoint(self, tmp_path, kind):
         """Changes buffered but not yet applied at save time must be applied

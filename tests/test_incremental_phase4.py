@@ -22,6 +22,7 @@ from repro.core.engine import KNNEngine
 from repro.core.iteration import AdaptiveCachePolicy, Phase4ScoreCache
 from repro.similarity.workloads import (ProfileChange, generate_dense_profiles,
                                         generate_sparse_profiles)
+from repro.testing import FaultPlan, InjectedCrash
 
 NUM_USERS = 120
 NUM_ITEMS = 300
@@ -137,32 +138,42 @@ class TestCleanDirtyPartition:
         touched = np.zeros(n, dtype=bool)
         touched[[4, 17, 23]] = True
         rng = np.random.default_rng(9)
-        tuples = rng.integers(0, n, size=(500, 2), dtype=np.int64)
-        scores, hit_mask = cache.lookup(tuples, touched)
-        query_keys = tuples[:, 0] * n + tuples[:, 1]
+        query_keys = np.unique(rng.integers(0, n * n, size=500, dtype=np.int64))
+        scores, hit_mask = cache.lookup(query_keys, touched)
         in_cache = np.isin(query_keys, keys)
-        clean = ~(touched[tuples[:, 0]] | touched[tuples[:, 1]])
+        clean = ~(touched[query_keys // n] | touched[query_keys % n])
         # hit exactly when the pair was scored AND both endpoints are clean
         np.testing.assert_array_equal(hit_mask, in_cache & clean)
         # every dirty row therefore has a touched endpoint or a fresh pair
         dirty = ~hit_mask
         assert np.all(~clean[dirty] | ~in_cache[dirty])
-        # hit scores come back verbatim
+        # hit scores come back verbatim; a dirty slot can never pass for one
         position = np.searchsorted(keys, query_keys[hit_mask])
         np.testing.assert_array_equal(scores[hit_mask], values[position])
+        assert np.isnan(scores[dirty]).all()
+
+    def test_lookup_does_not_need_sorted_queries(self):
+        """Phase 4 hands over H's sorted keys; any order gives the same join."""
+        cache, keys, _, n = self._populated_cache()
+        touched = np.zeros(n, dtype=bool)
+        touched[[4, 17, 23]] = True
+        rng = np.random.default_rng(10)
+        query_keys = np.unique(rng.integers(0, n * n, size=500, dtype=np.int64))
+        shuffle = rng.permutation(len(query_keys))
+        scores, hit_mask = cache.lookup(query_keys, touched)
+        shuffled_scores, shuffled_hits = cache.lookup(query_keys[shuffle], touched)
+        np.testing.assert_array_equal(shuffled_hits, hit_mask[shuffle])
+        np.testing.assert_array_equal(shuffled_scores, scores[shuffle])
 
     def test_no_touched_rows_hits_every_cached_pair(self):
-        cache, keys, _, n = self._populated_cache()
-        tuples = np.column_stack([keys // n, keys % n])
-        scores, hit_mask = cache.lookup(tuples, np.zeros(n, dtype=bool))
+        cache, keys, values, n = self._populated_cache()
+        scores, hit_mask = cache.lookup(keys, np.zeros(n, dtype=bool))
         assert hit_mask.all()
-        np.testing.assert_array_equal(scores, cache.values[
-            np.searchsorted(cache.keys, keys)])
+        np.testing.assert_array_equal(scores, values)
 
     def test_everything_touched_hits_nothing(self):
         cache, keys, _, n = self._populated_cache()
-        tuples = np.column_stack([keys // n, keys % n])
-        _, hit_mask = cache.lookup(tuples, np.ones(n, dtype=bool))
+        _, hit_mask = cache.lookup(keys, np.ones(n, dtype=bool))
         assert not hit_mask.any()
 
     def test_over_capacity_iteration_clears_the_cache(self):
@@ -181,13 +192,13 @@ class TestCleanDirtyPartition:
 
 
 class TestInPlaceMergeDifferential:
-    """``Phase4ScoreCache.merge`` must be byte-identical to the rebuild.
+    """``Phase4ScoreCache.merge`` adopts ``(H.keys, slab)`` as the next cache.
 
-    The merge keeps the cache rows reused this iteration (marked by the
-    armed lookups — a sorted subsequence needing no re-sort) and counting-
-    sorts only the rescored chunks before one galloping interleave.  The
-    reference is what ``replace`` produces when handed *all* of the
-    iteration's scored pairs: identical key/score arrays, bit for bit.
+    An iteration joins ``H``'s sorted keys against the cache once, rescores
+    the misses into the slab, and hands both arrays over: no sort, no copy,
+    no interleave.  The reference is what ``replace`` builds when handed
+    the same scored pairs in arbitrary order and chunking: identical
+    key/score arrays, bit for bit.
     """
 
     @settings(max_examples=60, deadline=None)
@@ -204,9 +215,9 @@ class TestInPlaceMergeDifferential:
                                                  fresh_seed, touched_seed,
                                                  old_count, fresh_count,
                                                  num_chunks):
-        """Simulate one full iteration at the cache level: arm hit marks,
-        look up a candidate batch against a touched mask, rescore the dirty
-        rows, then merge — and compare against replace() of everything."""
+        """Simulate one full iteration at the cache level: join a candidate
+        set against a touched mask, rescore the dirty slots, then adopt —
+        and compare against replace() of the same pairs, shuffled."""
         top = num_vertices * num_vertices
         old_rng = np.random.default_rng(old_seed)
         old_keys = np.unique(old_rng.integers(0, top, size=old_count,
@@ -215,89 +226,111 @@ class TestInPlaceMergeDifferential:
         fresh_rng = np.random.default_rng(fresh_seed)
         candidate_keys = np.unique(fresh_rng.integers(0, top, size=fresh_count,
                                                       dtype=np.int64))
-        candidates = np.column_stack([candidate_keys // num_vertices,
-                                      candidate_keys % num_vertices])
         touched_rng = np.random.default_rng(touched_seed)
         touched_mask = touched_rng.random(num_vertices) < 0.3
 
         cache = Phase4ScoreCache(max_entries=10_000)
         cache.replace([old_keys], [old_values], "jaccard",
                       generation=4, num_vertices=num_vertices)
-        cache.begin_iteration()
-        scores, hit_mask = cache.lookup(candidates, touched_mask,
-                                        pair_keys=candidate_keys)
+        scores, hit_mask = cache.lookup(candidate_keys, touched_mask)
         dirty_rows = np.flatnonzero(~hit_mask)
         scores[dirty_rows] = fresh_rng.random(len(dirty_rows))  # "rescored"
-        bounds = np.linspace(0, len(dirty_rows), num_chunks + 1).astype(int)
-        key_chunks = [candidate_keys[dirty_rows[a:b]]
-                      for a, b in zip(bounds, bounds[1:])]
-        value_chunks = [scores[dirty_rows[a:b]]
-                        for a, b in zip(bounds, bounds[1:])]
-        cache.merge(key_chunks, value_chunks, "jaccard", generation=5,
-                    num_vertices=num_vertices)
-
+        # the reference sees the same pairs in arbitrary order and chunking
+        shuffle = fresh_rng.permutation(len(candidate_keys))
+        bounds = np.linspace(0, len(shuffle), num_chunks + 1).astype(int)
         reference = Phase4ScoreCache(max_entries=10_000)
-        reference.replace([candidate_keys], [scores], "jaccard",
-                          generation=5, num_vertices=num_vertices)
+        reference.replace(
+            [candidate_keys[shuffle[a:b]] for a, b in zip(bounds, bounds[1:])],
+            [scores[shuffle[a:b]] for a, b in zip(bounds, bounds[1:])],
+            "jaccard", generation=5, num_vertices=num_vertices)
+
+        cache.merge(candidate_keys, scores, "jaccard", generation=5,
+                    num_vertices=num_vertices)
         assert cache.keys.tobytes() == reference.keys.tobytes()
         assert cache.values.tobytes() == reference.values.tobytes()
         assert cache.generation == 5
         assert cache.measure == "jaccard"
 
-    def test_merge_without_armed_marks_is_a_plain_rebuild(self):
+    def test_merge_adopts_sorted_arrays_as_is(self):
         cache = Phase4ScoreCache(max_entries=100)
-        cache.replace([np.asarray([1, 5], dtype=np.int64)],
-                      [np.asarray([0.1, 0.5])], "cosine", 0, 10)
-        cache.merge([np.asarray([7, 3], dtype=np.int64)],
-                    [np.asarray([0.7, 0.3])], "cosine", 1, 10)
-        # no marks: nothing reused, only this iteration's pairs remain
-        assert cache.keys.tolist() == [3, 7]
-        assert cache.values.tolist() == [0.3, 0.7]
+        keys = np.asarray([3, 7], dtype=np.int64)
+        values = np.asarray([0.3, 0.7])
+        cache.merge(keys, values, "cosine", 1, 10)
+        # no sort, no copy: the cache *is* the iteration's arrays
+        assert cache.keys is keys and cache.values is values
         assert cache.generation == 1
+        # what merge cannot vouch for it refuses, leaving the cache as it was
+        with pytest.raises(ValueError):
+            cache.merge(np.asarray([7, 3], dtype=np.int64), values.copy(),
+                        "cosine", 2, 10)
+        with pytest.raises(ValueError):
+            cache.merge(np.asarray([3, 3], dtype=np.int64), values.copy(),
+                        "cosine", 2, 10)
+        with pytest.raises(ValueError):
+            cache.merge(np.asarray([1, 2, 3], dtype=np.int64), values.copy(),
+                        "cosine", 2, 10)
+        assert cache.keys is keys and cache.generation == 1
 
-    def test_merge_keeps_only_the_marked_rows(self):
+    def test_merge_keeps_only_what_was_scored(self):
         cache = Phase4ScoreCache(max_entries=100)
         cache.replace([np.asarray([11, 22, 44], dtype=np.int64)],
                       [np.asarray([0.11, 0.22, 0.44])], "cosine", 0, 10)
-        cache.begin_iteration()
         # candidates: pairs 22 (clean, cached → reused) and 33 (fresh)
-        tuples = np.asarray([[2, 2], [3, 3]], dtype=np.int64)
-        scores, hit_mask = cache.lookup(tuples, np.zeros(10, dtype=bool))
+        candidates = np.asarray([22, 33], dtype=np.int64)
+        scores, hit_mask = cache.lookup(candidates, np.zeros(10, dtype=bool))
         assert hit_mask.tolist() == [True, False]
-        cache.merge([np.asarray([33], dtype=np.int64)], [np.asarray([0.33])],
-                    "cosine", 1, 10)
-        # 11 and 44 were not reused this iteration → gone; 22 survived the
-        # merge without re-sorting; 33 was folded in
+        scores[1] = 0.33
+        cache.merge(candidates, scores, "cosine", 1, 10)
+        # 11 and 44 were not candidates this iteration → gone; 22 was carried
+        # over in its slab slot; 33 was scored into its own
         assert cache.keys.tolist() == [22, 33]
         np.testing.assert_array_equal(cache.values, [0.22, 0.33])
 
-    def test_disarming_drops_stale_marks_from_an_aborted_iteration(self):
-        """Marks armed by an iteration that aborted before its merge must
-        not leak into a later full-rescore merge: the same pairs would then
-        appear in both the kept and fresh runs and the disjoint interleave
-        would corrupt the arrays."""
-        cache = Phase4ScoreCache(max_entries=100)
-        cache.replace([np.asarray([11, 22], dtype=np.int64)],
-                      [np.asarray([0.11, 0.22])], "cosine", 0, 10)
-        cache.begin_iteration()
-        tuples = np.asarray([[1, 1], [2, 2]], dtype=np.int64)  # keys 11, 22
-        cache.lookup(tuples, np.zeros(10, dtype=bool))          # marks both
-        # ... the iteration aborts here; the retry runs without lookups
-        cache.begin_iteration(record_hits=False)
-        cache.merge([np.asarray([11, 22, 33], dtype=np.int64)],
-                    [np.asarray([0.11, 0.22, 0.33])], "cosine", 1, 10)
-        assert cache.keys.tolist() == [11, 22, 33]
-        np.testing.assert_array_equal(cache.values, [0.11, 0.22, 0.33])
+    def test_aborted_iteration_keeps_the_cache(self):
+        """The join reads the cache and writes only the iteration's own slab,
+        so an iteration that dies between its lookups and its adoption has
+        changed nothing: the retry reuses exactly what a never-aborted twin
+        reuses, and produces the same graph."""
+        crash_plan = FaultPlan().crash_at("phase4.step", occurrence=1)
+        runs = {}
+        for name, plan in (("twin", None), ("aborted", crash_plan)):
+            config = EngineConfig(k=5, num_partitions=4,
+                                  heuristic="degree-low-high", seed=17)
+            with KNNEngine(_profiles("dense"), config) as engine:
+                engine.run_iteration()
+                engine.run_iteration()
+                runner = engine._iteration_runner
+                before = (runner.score_cache.keys.tobytes(),
+                          runner.score_cache.values.tobytes(),
+                          runner.score_cache.generation)
+                if plan is not None:
+                    # one row changes, so its partition's steps reach
+                    # "phase4.step" after the join has already run
+                    engine.profile_store.apply_changes([ProfileChange(
+                        user=3, kind="set", vector=np.full(8, 0.5))])
+                    runner._fault = plan
+                    with pytest.raises(InjectedCrash):
+                        engine.run_iteration()
+                    runner._fault = None
+                    assert before == (runner.score_cache.keys.tobytes(),
+                                      runner.score_cache.values.tobytes(),
+                                      runner.score_cache.generation)
+                else:
+                    engine.profile_store.apply_changes([ProfileChange(
+                        user=3, kind="set", vector=np.full(8, 0.5))])
+                result = engine.run_iteration()
+                runs[name] = (result.graph.edge_fingerprint(),
+                              result.reused_scores,
+                              result.similarity_evaluations)
+        assert runs["aborted"] == runs["twin"]
+        assert runs["twin"][1] > 0
 
     def test_scored_set_over_capacity_clears(self):
         cache = Phase4ScoreCache(max_entries=3)
         cache.replace([np.arange(2, dtype=np.int64)], [np.zeros(2)],
                       "cosine", 0, 10)
-        cache.begin_iteration()
-        tuples = np.asarray([[0, 0], [0, 1]], dtype=np.int64)  # keys 0, 1
-        cache.lookup(tuples, np.zeros(10, dtype=bool))
         # 2 reused + 2 rescored = 4 > 3: over capacity, exactly like replace
-        cache.merge([np.asarray([50, 51], dtype=np.int64)], [np.ones(2)],
+        cache.merge(np.asarray([0, 1, 50, 51], dtype=np.int64), np.ones(4),
                     "cosine", 1, 10)
         assert cache.keys is None
         assert cache.evictions == 1

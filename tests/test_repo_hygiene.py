@@ -45,17 +45,39 @@ def test_gitignore_covers_bytecode():
         assert pattern in gitignore
 
 
+def _lines_matching(pattern: "re.Pattern[str]", owners: "tuple[str, ...]"
+                    ) -> "list[str]":
+    owned = {REPO_ROOT / owner for owner in owners}
+    return [
+        f"{path.relative_to(REPO_ROOT)}:{number}"
+        for top in ("src", "tests", "benchmarks", "examples")
+        for path in sorted((REPO_ROOT / top).rglob("*.py")) if path not in owned
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)]
+
+
 def test_graph_arrays_are_private_to_knn_graph():
     """``G(t)``'s three arrays are an implementation detail of
     ``graph/knn_graph.py``: every other module, test, benchmark and example
     goes through the public API, so the representation can change again
     without a sweep."""
     private = re.compile(r"(?<!self)\._(neighbors|scores|counts)\b")
-    owner = REPO_ROOT / "src" / "repro" / "graph" / "knn_graph.py"
-    offenders = [
-        f"{path.relative_to(REPO_ROOT)}:{number}"
-        for top in ("src", "tests", "benchmarks", "examples")
-        for path in sorted((REPO_ROOT / top).rglob("*.py")) if path != owner
-        for number, line in enumerate(path.read_text().splitlines(), 1)
-        if private.search(line)]
-    assert offenders == []
+    assert _lines_matching(private, ("src/repro/graph/knn_graph.py",)) == []
+
+
+def test_table_arrays_are_private_to_the_hash_table():
+    """``H``'s key array, pending set and bucket index belong to
+    ``tuples/hash_table.py``; phase 4 reads ``keys``, ``positions_for`` and
+    ``endpoints``, so the layout can change again without a sweep."""
+    private = re.compile(r"(?<!self)\._(keys|pending|index)\b")
+    assert _lines_matching(private, ("src/repro/tuples/hash_table.py",)) == []
+
+
+def test_score_cache_arrays_are_assigned_in_two_modules():
+    """The cache shares its arrays with the iteration that produced them and
+    freezes them on adoption; only ``Phase4ScoreCache`` itself and the
+    checkpoint loader install arrays, so nothing can slip in a writable or
+    unsorted pair behind ``merge``."""
+    assigned = re.compile(r"\.(keys|values)\s*=(?!=)")
+    assert _lines_matching(assigned, ("src/repro/core/iteration.py",
+                                      "src/repro/core/checkpoint.py")) == []

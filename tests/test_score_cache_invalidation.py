@@ -356,6 +356,48 @@ class TestToggleAndCapacity:
             assert result.reused_scores == 0
         assert runner.score_cache.evictions >= 3
 
+    @pytest.mark.parametrize("shard_parallel", [False, True],
+                             ids=["steps", "waves"])
+    def test_one_over_capacity_iteration_costs_one_eviction(self, tmp_path,
+                                                            shard_parallel):
+        """Capacity is one comparison an iteration — the candidate count
+        against the cap — on both phase-4 paths: the over-capacity iteration
+        still reuses and still builds the same graph, leaves the cache and
+        the pair map empty, counts one eviction, and costs the next
+        iteration one full rescore."""
+        profiles = generate_dense_profiles(NUM_USERS, dim=6, seed=37)
+        twin, _ = _runner(tmp_path / "twin", profiles,
+                          shard_parallel=shard_parallel)
+        capped, _ = _runner(tmp_path / "capped", profiles,
+                            shard_parallel=shard_parallel)
+        graphs = {twin: KNNGraph.random(NUM_USERS, 5, seed=37),
+                  capped: KNNGraph.random(NUM_USERS, 5, seed=37)}
+
+        def step(iteration, runner):
+            result = runner.run(iteration, graphs[runner], update_queue=_queue(
+                [ProfileChange(user=iteration, kind="set",
+                               vector=np.full(6, 0.25 * (iteration + 1)))]))
+            graphs[runner] = result.graph
+            return result
+
+        for iteration in range(2):
+            step(iteration, twin)
+            step(iteration, capped)
+        assert capped._pair_generations
+        capped.score_cache.max_entries = 10          # below any len(H)
+        expected, over = step(2, twin), step(2, capped)
+        assert over.graph.edge_fingerprint() == expected.graph.edge_fingerprint()
+        assert over.reused_scores == expected.reused_scores > 0
+        assert capped.score_cache.keys is None
+        assert capped.score_cache.evictions == 1
+        assert capped._pair_generations == {}
+        capped.score_cache.max_entries = twin.score_cache.max_entries
+        after = step(3, capped)
+        assert after.full_rescore is True and after.reused_scores == 0
+        assert after.graph.edge_fingerprint() == step(3, twin).graph.edge_fingerprint()
+        assert step(4, capped).reused_scores == step(4, twin).reused_scores > 0
+        assert capped.score_cache.evictions == 1
+
     def test_restored_cache_over_capacity_is_dropped(self, tmp_path):
         """Adopting a checkpoint cache must honour this run's capacity."""
         from repro.core.iteration import Phase4ScoreCache

@@ -3,9 +3,9 @@
 Shard parallelism promises that executing whole residency steps
 concurrently — waves of partition-disjoint steps, each worker exclusively
 owning its step's partitions — produces graphs **bit-identical** to the
-one-step-at-a-time serial path: per-shard deltas are pre-reduced to each
-source's top-K by the merge's own ``(-score, destination)`` order, and the
-G(t+1) merge is a pure function of the scored candidate multiset.  These
+one-step-at-a-time serial path: every score lands in the same slot of
+phase 4's score slab whichever wave produced it, and the G(t+1) merge is a
+pure function of the scored candidate multiset.  These
 tests drive hypothesis-generated churn through engines with the toggle on
 and off across all three backends and compare fingerprint-for-fingerprint
 plus final profile bytes; exercise the coordinator directly against a
@@ -26,7 +26,6 @@ from repro.core.config import EngineConfig
 from repro.core.engine import KNNEngine
 from repro.core.parallel import (ShardCoordinator, ShardStepTask,
                                  fork_available)
-from repro.graph.knn_graph import KNNGraph, topk_candidate_rows
 from repro.similarity.workloads import ProfileChange, generate_dense_profiles
 from repro.testing import FaultPlan
 
@@ -159,7 +158,7 @@ class TestShardParityWall:
 class TestCoordinatorOracle:
     """ShardCoordinator deltas against first-principles direct scoring."""
 
-    def _tasks_and_oracle(self, store, k: int = 3):
+    def _tasks_and_oracle(self, store):
         rng = np.random.default_rng(5)
         quarter = NUM_USERS // 4
         tasks = []
@@ -176,7 +175,7 @@ class TestCoordinatorOracle:
                 key=(0, pid, pid + 1),
                 parts=((pid, range(lo, lo + quarter)),
                        (pid + 1, range(lo + quarter, hi))),
-                tuples=tuples, measure="cosine", generation=None, k=k))
+                tuples=tuples, measure="cosine", generation=None))
             scores = whole.similarity_pairs(tuples, "cosine")
             expected.append((tuples, scores))
         return tasks, expected
@@ -191,11 +190,8 @@ class TestCoordinatorOracle:
                                   num_workers=2) as coordinator:
                 deltas = coordinator.execute_wave(tasks)
         assert len(deltas) == len(tasks)
-        for delta, (tuples, scores) in zip(deltas, expected):
+        for delta, (_, scores) in zip(deltas, expected):
             np.testing.assert_array_equal(delta.scores, scores)
-            np.testing.assert_array_equal(
-                delta.topk_rows,
-                topk_candidate_rows(tuples[:, 0], tuples[:, 1], scores, 3))
 
     def test_empty_wave_is_a_noop(self):
         with KNNEngine(_profiles(), _config()) as engine:
@@ -235,71 +231,6 @@ class TestCoordinatorOracle:
                 ShardCoordinator(store, backend="gpu")
             with pytest.raises(ValueError):
                 ShardCoordinator(store, shard_timeout=0)
-
-
-class TestTopKReduction:
-    """topk_candidate_rows against a brute-force oracle + merge equivalence."""
-
-    def _oracle(self, sources, dests, scores, k):
-        rows_by_source = {}
-        for row, source in enumerate(sources):
-            rows_by_source.setdefault(int(source), []).append(row)
-        keep = []
-        for source, rows in rows_by_source.items():
-            ranked = sorted(rows,
-                            key=lambda r: (-scores[r], dests[r]))
-            keep.extend(ranked[:k])
-        return np.sort(np.asarray(keep, dtype=np.int64))
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        num_rows=st.integers(min_value=0, max_value=120),
-        k=st.integers(min_value=1, max_value=6),
-        seed=st.integers(min_value=0, max_value=2**16),
-        tie_scores=st.booleans(),
-    )
-    def test_matches_brute_force(self, num_rows, k, seed, tie_scores):
-        rng = np.random.default_rng(seed)
-        sources = rng.integers(0, 10, size=num_rows)
-        dests = rng.integers(0, 50, size=num_rows)
-        if tie_scores:
-            scores = rng.integers(0, 3, size=num_rows).astype(np.float64)
-        else:
-            scores = rng.random(num_rows)
-        rows = topk_candidate_rows(sources, dests, scores, k)
-        np.testing.assert_array_equal(rows,
-                                      self._oracle(sources, dests, scores, k))
-
-    def test_negative_zero_ties_positive_zero(self):
-        sources = np.zeros(3, dtype=np.int64)
-        dests = np.array([2, 0, 1])
-        scores = np.array([-0.0, 0.0, -0.0])
-        # all three scores equal; ties broken by destination
-        rows = topk_candidate_rows(sources, dests, scores, 2)
-        np.testing.assert_array_equal(rows, [1, 2])
-
-    @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2**16))
-    def test_merging_only_topk_rows_is_bit_identical(self, seed):
-        """The load-bearing claim: dropping dominated rows cannot change
-        the merged graph, because the merge itself ranks by the same
-        (-score, destination) order per source.  Pairs are unique, per the
-        documented precondition — phase 2's dedup hash table guarantees it
-        for every tuple batch a shard worker ever sees."""
-        rng = np.random.default_rng(seed)
-        k = 4
-        sources = rng.integers(0, 20, size=300)
-        dests = rng.integers(0, 20, size=300)
-        keep = sources != dests
-        packed = np.unique(sources[keep] * 20 + dests[keep])
-        sources, dests = packed // 20, packed % 20
-        scores = np.round(rng.random(len(sources)), 2)  # force score ties
-        full = KNNGraph(20, k)
-        full.add_candidates_batch(sources, dests, scores)
-        rows = topk_candidate_rows(sources, dests, scores, k)
-        reduced = KNNGraph(20, k)
-        reduced.add_candidates_batch(sources[rows], dests[rows], scores[rows])
-        assert full.edge_fingerprint() == reduced.edge_fingerprint()
 
 
 @pytest.mark.skipif(not fork_available(), reason="process backend needs fork")

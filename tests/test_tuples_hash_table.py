@@ -147,6 +147,12 @@ class TestBuckets:
         table.add(0, 1)
         assert table.memory_estimate_bytes() > before
 
+    def test_memory_estimate_is_the_bytes_held(self, table):
+        table.add_array(np.array([[0, 1], [0, 4], [5, 2]]))
+        assert table.memory_estimate_bytes() == table.keys.nbytes == 3 * 8
+        table.bucket_sizes()   # builds the bucket index: one position per key
+        assert table.memory_estimate_bytes() == 2 * table.keys.nbytes
+
 
 class TestConstruction:
     def test_assignment_length_check(self):
