@@ -41,8 +41,10 @@ def scoring_workload(tmp_path_factory):
 def test_scoring_throughput_by_thread_count(benchmark, scoring_workload, num_threads):
     profile_slice, pairs, reference = scoring_workload
 
-    scores = benchmark(score_tuples, profile_slice, pairs, "cosine",
-                       num_threads=num_threads, chunk_size=8192)
+    # the slice holds users 0..n-1, so a user's row is its id
+    scores = benchmark(score_tuples, profile_slice, pairs[:, 0], profile_slice,
+                       pairs[:, 1], "cosine", num_threads=num_threads,
+                       chunk_size=8192)
 
     benchmark.extra_info["num_threads"] = num_threads
     benchmark.extra_info["pairs_scored"] = NUM_PAIRS

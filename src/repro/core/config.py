@@ -54,8 +54,8 @@ class EngineConfig:
         Optional cap on the per-bridge-vertex cross product when generating
         candidate tuples (``None`` reproduces the paper exactly).
     backend:
-        Phase-4 scoring backend: ``"serial"`` (one kernel call per residency
-        step), ``"thread"`` (a GIL-sharing thread pool of ``num_threads``),
+        Phase-4 scoring backend: ``"serial"`` (one kernel call per PI edge
+        of a residency step), ``"thread"`` (a GIL-sharing thread pool of ``num_threads``),
         or ``"process"`` (a pool of ``num_workers`` processes that re-open
         the profile store read-only by path and score tuple shards against
         mmap-served slices).  All three produce bit-identical graphs.

@@ -34,31 +34,40 @@ lets each residency step scatter its fresh scores into its own slots, and
 then reads the slab twice as it lies — merged into ``G(t+1)`` in
 source-aligned chunks no larger than the flush threshold, and adopted,
 with the keys, as the next score cache.
+
+Within a residency step the only address is the **partition-local row**: a
+vertex's rank among its partition's ascending vertices, fixed by phase 1
+(:class:`~repro.partition.model.PartitionLayout`) and equal to its row in
+the partition's profile slice.  The tuples the cache could not answer are
+decoded once an iteration into ``(left row, right row)`` runs grouped by PI
+edge, so a step costs a slice of those arrays, a gather from each resident
+slice and a kernel, on every backend.
 """
 
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.core.config import EngineConfig
 from repro.core.parallel import (ProcessScoringPool, ScoringPoolBroken,
-                                 ShardCoordinator, ShardStepTask,
-                                 SharedRowIndex, _compact_ids, fork_available,
-                                 score_tuples)
+                                 ShardCoordinator, ShardStepTask, _compact_ids,
+                                 fork_available, score_tuples)
 from repro.core.update_queue import ProfileUpdateQueue
 from repro.graph.knn_graph import KNNGraph
 from repro.utils.arrays import counting_argsort
-from repro.partition.model import Partition, build_partitions
+from repro.partition.model import (Partition, PartitionLayout,
+                                   build_partitions, partition_layout)
 from repro.partition.partitioners import get_partitioner
 from repro.pigraph.pi_graph import PIGraph
 from repro.pigraph.scheduler import (DirtySchedule, ScheduleResult,
                                      plan_dirty_schedule, plan_shard_schedule,
                                      simulate_schedule)
+from repro.pigraph.pi_graph import PIEdge
 from repro.pigraph.traversal import ResidencyStep, get_heuristic
 from repro.storage.io_stats import IOStats
 from repro.storage.memory_manager import MemoryBudget, PartitionCache
@@ -75,14 +84,6 @@ _logger = get_logger("core.iteration")
 #: most slab rows one ``G(t+1)`` merge call takes; the effective threshold is
 #: ``max(4 * num_vertices * k, _SCORED_FLUSH_ROWS)``.
 _SCORED_FLUSH_ROWS = 262144
-
-#: Entries kept in the coordinator's merged row-index cache — one per
-#: ``(iteration, partition pair)``.  A pair recurring in the residency
-#: schedule (common under the paper's heuristics, which revisit a resident
-#: partition against several peers) then skips the argsort rebuild.  Each
-#: entry is two int64 arrays of the pair's combined vertex count, so a
-#: handful of slots bounds the footprint to a few partition-sized arrays.
-_ROW_INDEX_CACHE_SLOTS = 16
 
 #: Names of the five phases, used consistently in timers, logs and benches.
 PHASE_NAMES = (
@@ -333,9 +334,6 @@ class IterationResult:
     #: Wall-clock seconds spent installing this iteration's scores as the
     #: phase-4 score cache (an adoption of the score slab: checks, no copy).
     cache_merge_seconds: float = 0.0
-    #: Residency steps that reused the coordinator's cached merged row
-    #: index for their partition pair instead of rebuilding the argsort.
-    row_index_reuses: int = 0
     #: Residency steps that never acquired their partition pair under dirty
     #: scheduling: scores came from the score cache, plus at most a small
     #: row-level residual gather for never-seen pairs.  Always 0 when
@@ -360,7 +358,6 @@ class IterationResult:
             "full_rescore": self.full_rescore,
             "lookups_skipped": self.lookups_skipped,
             "cache_merge_seconds": self.cache_merge_seconds,
-            "row_index_reuses": self.row_index_reuses,
             "steps_skipped": self.steps_skipped,
             "steps_total": self.steps_total,
             "load_unload_operations": self.load_unload_operations,
@@ -382,9 +379,13 @@ class _Phase4Outcome:
     full_rescore: bool
     lookups_skipped: bool
     cache_merge_seconds: float
-    row_index_reuses: int
     steps_skipped: int
     steps_total: int
+
+
+#: One PI edge's unresolved tuples: the edge and its ``[lo, hi)`` run in the
+#: iteration's ``positions`` / ``left_rows`` / ``right_rows`` arrays.
+_EdgeBatch = Tuple[PIEdge, int, int]
 
 
 @dataclass
@@ -397,6 +398,11 @@ class _Phase4Run:
     residency step scatters its fresh scores into the rest, and the finished
     slab is both the input of the ``G(t+1)`` merge and, with ``keys``, the
     next score cache.  NaN marks a slot nobody resolved.
+
+    The unresolved slots are decoded once, grouped by PI edge: ``positions``
+    (into the slab), and the partition-local rows of their sources
+    (``left_rows``) and destinations (``right_rows``); ``edge_spans`` maps a
+    PI edge to its run in those three arrays.
     """
 
     keys: np.ndarray
@@ -408,7 +414,11 @@ class _Phase4Run:
     #: steps the dirty plan expects the cache to answer without partitions.
     ordered_steps: List[Tuple[ResidencyStep, bool]]
     dirty_planned: bool
-    partition_rows: np.ndarray
+    layout: PartitionLayout
+    positions: np.ndarray
+    left_rows: np.ndarray
+    right_rows: np.ndarray
+    edge_spans: Dict[Tuple[int, int], Tuple[int, int]]
     store_generation: int
     lookup_seconds: float
     reused: int
@@ -416,32 +426,34 @@ class _Phase4Run:
     steps_skipped: int = 0
     kernel_seconds: float = 0.0
 
-    def misses(self, table: TupleHashTable, edges) -> Optional[np.ndarray]:
-        """Slab positions of a step's tuples that still need a score
-        (``None`` when the step's PI edges carry no tuple at all)."""
-        chunks = [table.positions_for(edge.src, edge.dst) for edge in edges]
-        chunks = [chunk for chunk in chunks if len(chunk)]
-        if not chunks:
-            return None
-        positions = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-        if self.hits is not None:
-            positions = positions[~self.hits[positions]]
-        return positions
+    def batches(self, edges: Iterable[PIEdge]) -> List[_EdgeBatch]:
+        """The step's PI edges that still carry unresolved tuples."""
+        found = []
+        for edge in edges:
+            lo, hi = self.edge_spans.get((edge.src, edge.dst), (0, 0))
+            if hi > lo:
+                found.append((edge, lo, hi))
+        return found
 
-    def resolve(self, positions: np.ndarray, fresh: np.ndarray) -> None:
-        """Record freshly computed scores for the given slab positions."""
-        self.scores[positions] = fresh
-        self.evaluations += len(positions)
+    def resolve(self, batches: Sequence[_EdgeBatch], fresh: np.ndarray) -> None:
+        """Record freshly computed scores, aligned with the batches'
+        concatenation, in their slab slots."""
+        start = 0
+        for _, lo, hi in batches:
+            self.scores[self.positions[lo:hi]] = fresh[start:start + hi - lo]
+            start += hi - lo
+        if start != len(fresh):
+            raise RuntimeError(f"{len(fresh)} scores for {start} tuples")
+        self.evaluations += start
 
     def outcome(self, graph: KNNGraph, schedule: ScheduleResult,
-                cache_merge_seconds: float, row_index_reuses: int,
+                cache_merge_seconds: float,
                 steps_total: int) -> _Phase4Outcome:
         return _Phase4Outcome(
             graph=graph, schedule=schedule, evaluations=self.evaluations,
             reused=self.reused, full_rescore=self.full_rescore,
             lookups_skipped=self.lookups_skipped,
             cache_merge_seconds=cache_merge_seconds,
-            row_index_reuses=row_index_reuses,
             steps_skipped=self.steps_skipped, steps_total=steps_total)
 
 
@@ -464,9 +476,9 @@ class OutOfCoreIteration:
         # waves when process-pool supervision exhausts its retries
         self._coordinator: Optional[ShardCoordinator] = None
         self._coordinator_degraded = False
-        # merged row-index cache, keyed (iteration, first, second) — see
-        # _ROW_INDEX_CACHE_SLOTS
-        self._row_index_cache: "OrderedDict[Tuple[int, int, int], Tuple[np.ndarray, np.ndarray]]" = OrderedDict()
+        # the thread backend's pool, built on first use and, like the two
+        # above, kept for the whole run
+        self._thread_pool: Optional[ThreadPoolExecutor] = None
         # survives across iterations, exactly like the scoring pool: the
         # cache holds the last scored generation's pair → score map
         self._score_cache = Phase4ScoreCache(config.score_cache_entries)
@@ -509,13 +521,16 @@ class OutOfCoreIteration:
         self._score_cache = cache
 
     def close(self) -> None:
-        """Shut down the persistent scoring pool and coordinator (idempotent)."""
+        """Shut down the persistent scoring pools and coordinator (idempotent)."""
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
         if self._coordinator is not None:
             self._coordinator.shutdown()
             self._coordinator = None
+        if self._thread_pool is not None:
+            self._thread_pool.shutdown(wait=True)
+            self._thread_pool = None
 
     @property
     def shard_coordinator(self) -> Optional[ShardCoordinator]:
@@ -551,6 +566,16 @@ class OutOfCoreIteration:
                 shard_timeout=config.shard_timeout_seconds,
                 fault_plan=config.fault_plan)
         return self._pool
+
+    def _thread_executor(self) -> Optional[ThreadPoolExecutor]:
+        """The run-lifetime thread pool of ``backend="thread"`` (``None``
+        when the configuration scores on the calling thread)."""
+        config = self._config
+        if config.backend != "thread" or config.num_threads == 1:
+            return None
+        if self._thread_pool is None:
+            self._thread_pool = ThreadPoolExecutor(max_workers=config.num_threads)
+        return self._thread_pool
 
     def _shard_coordinator(self) -> ShardCoordinator:
         """The run-lifetime wave executor for ``config.shard_parallel``.
@@ -612,10 +637,10 @@ class OutOfCoreIteration:
         csr = graph.to_csr()
 
         with timer.phase(PHASE_NAMES[0]):
-            assignment, partitions = self._phase1_partition(csr)
+            layout, partitions = self._phase1_partition(csr)
 
         with timer.phase(PHASE_NAMES[1]):
-            table = self._phase2_hash_table(csr, partitions, assignment)
+            table = self._phase2_hash_table(csr, partitions, layout.assignment)
             # the partitions now live on disk; drop the in-memory copies
             del partitions, csr
 
@@ -624,7 +649,7 @@ class OutOfCoreIteration:
 
         with timer.phase(PHASE_NAMES[3]):
             outcome = self._phase4_knn(iteration, graph, table, steps, measure,
-                                       io_stats, assignment, schedule)
+                                       io_stats, layout, schedule)
         if self._fault is not None:
             # crash window: G(t+1) fully scored, phase-5 updates not applied
             self._fault.point("phase4.done")
@@ -637,7 +662,7 @@ class OutOfCoreIteration:
         result = IterationResult(
             iteration=iteration,
             graph=outcome.graph,
-            assignment=assignment,
+            assignment=layout.assignment,
             schedule=outcome.schedule,
             num_candidate_tuples=table.num_tuples,
             similarity_evaluations=outcome.evaluations,
@@ -650,7 +675,6 @@ class OutOfCoreIteration:
             full_rescore=outcome.full_rescore,
             lookups_skipped=outcome.lookups_skipped,
             cache_merge_seconds=outcome.cache_merge_seconds,
-            row_index_reuses=outcome.row_index_reuses,
             steps_skipped=outcome.steps_skipped,
             steps_total=outcome.steps_total,
         )
@@ -665,14 +689,19 @@ class OutOfCoreIteration:
 
     # -- phase 1 --------------------------------------------------------------
 
-    def _phase1_partition(self, csr) -> Tuple[np.ndarray, List[Partition]]:
+    def _phase1_partition(self, csr) -> Tuple[PartitionLayout, List[Partition]]:
         config = self._config
         partitioner = get_partitioner(config.partitioner)
         assignment = partitioner.assign(csr, config.num_partitions)
-        partitions = build_partitions(csr, assignment, config.num_partitions)
+        # the one grouping of the vertices by partition this iteration:
+        # phase 1 slices the partitions out of it, phase 4 addresses profile
+        # rows through it
+        layout = partition_layout(assignment, config.num_partitions)
+        partitions = build_partitions(csr, layout.assignment,
+                                      config.num_partitions, layout)
         # overwrite last iteration's files in place instead of unlink+create
         self._partition_store.replace_all(partitions)
-        return assignment, partitions
+        return layout, partitions
 
     # -- phase 2 --------------------------------------------------------------
 
@@ -744,8 +773,9 @@ class OutOfCoreIteration:
 
     def _begin_phase4(self, graph: KNNGraph, table: TupleHashTable,
                       steps: Sequence[ResidencyStep], measure: str,
-                      assignment: np.ndarray) -> _Phase4Run:
-        """The front half both phase-4 paths share: slab, cache join, plan."""
+                      layout: PartitionLayout) -> _Phase4Run:
+        """The front half both phase-4 paths share: slab, cache join, plan,
+        and the unresolved tuples decoded into partition-local rows."""
         config = self._config
         keys = table.keys
         # candidate tuples whose endpoints are both untouched since the
@@ -774,25 +804,44 @@ class OutOfCoreIteration:
         # dirty-partition planning: steps whose partitions are both clean
         # and whose pair the cache vouches for run lookup-only (no partition
         # acquired unless a lookup missed); everything else runs dirty-first
-        dirty_plan = (self._plan_dirty(steps, assignment)
+        dirty_plan = (self._plan_dirty(steps, layout.assignment)
                       if config.dirty_scheduling and hits is not None else None)
         if dirty_plan is not None:
             ordered_steps = ([(step, False) for step in dirty_plan.executed]
                              + [(step, True) for step in dirty_plan.cached])
         else:
             ordered_steps = [(step, False) for step in steps]
+        # H's positions grouped by PI edge; drop what the cache answered and
+        # decode the rest, once: a PI edge (p, q) has every source in p and
+        # every destination in q, so the endpoints' local rows address the
+        # two partitions' slices directly
+        positions, edge_spans = table.bucket_index()
+        if hits is not None and edge_spans:
+            unresolved = ~hits[positions]
+            # the spans tile ``positions`` in order, so one segmented sum
+            # counts each PI edge's unresolved tuples
+            starts = np.fromiter((start for start, _ in edge_spans.values()),
+                                 dtype=np.int64, count=len(edge_spans))
+            counts = np.add.reduceat(unresolved.view(np.uint8), starts,
+                                     dtype=np.int64)
+            stops = np.cumsum(counts)
+            positions = positions[unresolved]
+            edge_spans = dict(zip(edge_spans, zip((stops - counts).tolist(),
+                                                  stops.tolist())))
+        sources, destinations = table.endpoints(positions)
         return _Phase4Run(
             keys=keys, scores=scores, hits=hits, full_rescore=full_rescore,
             lookups_skipped=lookups_skipped, ordered_steps=ordered_steps,
             dirty_planned=dirty_plan is not None,
-            partition_rows=np.bincount(assignment,
-                                       minlength=config.num_partitions),
+            layout=layout, positions=positions,
+            left_rows=layout.local_row[sources],
+            right_rows=layout.local_row[destinations], edge_spans=edge_spans,
             store_generation=self._profile_store.generation,
             lookup_seconds=lookup_seconds,
             reused=int(np.count_nonzero(hits)) if hits is not None else 0)
 
     def _score_residual(self, run: _Phase4Run, step: ResidencyStep,
-                        positions: np.ndarray, dirty: np.ndarray, measure: str,
+                        batches: Sequence[_EdgeBatch], measure: str,
                         **scoring) -> bool:
         """Score a cached step's misses off a row-level gather, if few.
 
@@ -806,16 +855,26 @@ class OutOfCoreIteration:
         every resume makes the same choice.
         """
         first, second, _ = step
-        residual_rows = np.unique(dirty.ravel())
-        pair_span = int(run.partition_rows[first]
-                        + (run.partition_rows[second] if second != first else 0))
-        if len(residual_rows) * 4 > pair_span:
+        layout = run.layout
+        endpoints = np.concatenate(
+            [layout.vertices(edge.src)[run.left_rows[lo:hi]]
+             for edge, lo, hi in batches]
+            + [layout.vertices(edge.dst)[run.right_rows[lo:hi]]
+               for edge, lo, hi in batches])
+        # the gathered slice holds the distinct endpoints ascending, so the
+        # inverse of the unique pass *is* each endpoint's row in it
+        residual_users, rows = np.unique(endpoints, return_inverse=True)
+        pair_span = layout.size(first) + (layout.size(second)
+                                          if second != first else 0)
+        if len(residual_users) * 4 > pair_span:
             return False
         kernel_start = time.perf_counter()
-        residual_slice = self._profile_store.load_users(residual_rows)
-        fresh = score_tuples(residual_slice, dirty, measure, **scoring)
+        residual_slice = self._profile_store.load_users(residual_users)
+        half = len(rows) // 2
+        fresh = score_tuples(residual_slice, rows[:half], residual_slice,
+                             rows[half:], measure, **scoring)
         run.kernel_seconds += time.perf_counter() - kernel_start
-        run.resolve(positions, fresh)
+        run.resolve(batches, fresh)
         run.steps_skipped += 1
         return True
 
@@ -828,6 +887,9 @@ class OutOfCoreIteration:
         """
         config = self._config
         keys = run.keys
+        # the steps are done with the decoded rows, and the merge below has
+        # the iteration's largest temporaries (callers keep no view of them)
+        run.positions = run.left_rows = run.right_rows = None
         if run.reused + run.evaluations != len(keys):
             raise RuntimeError(
                 f"phase 4 resolved {run.reused + run.evaluations} score slots "
@@ -891,12 +953,12 @@ class OutOfCoreIteration:
 
     def _phase4_knn(self, iteration: int, graph: KNNGraph, table: TupleHashTable,
                     steps: Sequence[ResidencyStep], measure: str,
-                    io_stats: IOStats, assignment: np.ndarray,
+                    io_stats: IOStats, layout: PartitionLayout,
                     schedule: ScheduleResult) -> _Phase4Outcome:
         config = self._config
         if config.shard_parallel:
             return self._phase4_knn_sharded(iteration, graph, table, steps,
-                                            measure, io_stats, assignment,
+                                            measure, io_stats, layout,
                                             schedule)
         budget = (MemoryBudget(config.memory_budget_bytes)
                   if config.memory_budget_bytes is not None else None)
@@ -908,141 +970,99 @@ class OutOfCoreIteration:
             io_stats=io_stats,
         )
         pool = self._scoring_pool()
-        use_process = pool is not None
         # backend="process" without a pool (single worker / no fork) scores
         # serially in-process — same results, none of the pipe overhead
-        inprocess_backend = ("serial" if config.backend == "process"
-                             else config.backend)
-        merge_shards = config.num_workers if use_process else 1
+        scoring = dict(
+            num_threads=config.num_threads,
+            backend="serial" if config.backend == "process" else config.backend,
+            executor=self._thread_executor())
+        merge_shards = config.num_workers if pool is not None else 1
         resident_profiles: Dict[int, ProfileSlice] = {}
         charged_profiles: Set[int] = set()
-        row_index_reuses = 0
-        run = self._begin_phase4(graph, table, steps, measure, assignment)
+        run = self._begin_phase4(graph, table, steps, measure, layout)
         # the steps that actually touched the partition cache, in order —
         # re-simulated at the end so the reported ScheduleResult keeps the
         # plan == actual load/unload invariant under any amount of skipping
         executed_sequence: List[ResidencyStep] = []
 
+        def acquire(step: ResidencyStep) -> None:
+            partition_cache.acquire_pair(step[0], step[1])
+            executed_sequence.append(step)
+            # profile slices are loaded (and their reads charged) only when
+            # the step has dirty tuples — a fully cache-hit step touches no
+            # profile bytes at all; the eviction side still runs every
+            # acquiring step so the slice set never outgrows the resident
+            # partitions
+            self._evict_stale_profiles(partition_cache, resident_profiles,
+                                       charged_profiles)
+
         for step, from_cache in run.ordered_steps:
             first, second, edges = step
-            partition_a = partition_b = None
             if not from_cache:
-                partition_a, partition_b = partition_cache.acquire_pair(first, second)
-                executed_sequence.append(step)
-                # profile slices are loaded (and their reads charged) only
-                # when the step has dirty tuples — a fully cache-hit step
-                # touches no profile bytes at all; the eviction side still
-                # runs every acquiring step so the slice set never outgrows
-                # the resident partitions
-                self._evict_stale_profiles(partition_cache, resident_profiles,
-                                           charged_profiles)
-            # every PI edge of the residency step is one batch, scored with
-            # a single (parallel) scoring call
-            positions = run.misses(table, edges)
-            if positions is None or not len(positions):
+                acquire(step)
+            batches = run.batches(edges)
+            if not batches:
                 # no tuples, or every tuple answered from the cache: a
                 # cached step never touched the partition cache, a profile
                 # byte or a kernel
                 if from_cache:
                     run.steps_skipped += 1
                 continue
-            dirty = np.column_stack(table.endpoints(positions))
             if from_cache:
-                if self._score_residual(run, step, positions, dirty, measure,
-                                        num_threads=config.num_threads,
-                                        backend=inprocess_backend):
+                if self._score_residual(run, step, batches, measure, **scoring):
                     continue
                 # fall back to executing the step — acquire on demand, score
                 # the misses against the resident pair, stay exact
-                partition_a, partition_b = partition_cache.acquire_pair(
-                    first, second)
-                executed_sequence.append(step)
-                self._evict_stale_profiles(partition_cache, resident_profiles,
-                                           charged_profiles)
-            needed = {first: partition_a, second: partition_b}
+                acquire(step)
             if self._fault is not None:
                 # crash window: mid-phase-4, some steps scored, nothing
-                # committed (placed outside the shared-index lifetime so the
-                # injected crash itself never doubles as a leak)
+                # committed
                 self._fault.point("phase4.step")
-            # the merged slice's id→row index (the stable argsort of the two
-            # partitions' concatenated ids) is built once per (iteration,
-            # pair) — recurring pairs reuse it from a small LRU — and shared
-            # with every consumer: in-process merges skip their per-step
-            # argsort, and pool workers receive it through a shared-memory
-            # segment instead of each re-deriving it
-            index_users = index_order = None
-            if second != first:
-                index_key = (iteration, first, second)
-                cached_index = self._row_index_cache.get(index_key)
-                if cached_index is not None:
-                    index_users, index_order = cached_index
-                    self._row_index_cache.move_to_end(index_key)
-                    row_index_reuses += 1
-                else:
-                    concat_ids = np.concatenate([partition_a.vertices,
-                                                 partition_b.vertices])
-                    index_order = np.argsort(concat_ids, kind="stable")
-                    index_users = concat_ids[index_order]
-                    self._row_index_cache[index_key] = (index_users,
-                                                        index_order)
-                    while len(self._row_index_cache) > _ROW_INDEX_CACHE_SLOTS:
-                        self._row_index_cache.popitem(last=False)
             kernel_start = time.perf_counter()
-            fresh = None
-            if use_process:
-                # the workers load (mmap, zero-copy) the slices themselves;
-                # the coordinator only keeps the I/O accounting aligned.
-                # Per-partition id arrays let workers cache each partition's
-                # slice across residency steps (and iterations); only the
-                # dirty shard crosses the pipe
-                self._sync_profile_charges(charged_profiles, needed)
-                parts = [((iteration, first), partition_a.vertices)]
-                if second != first:
-                    parts.append(((iteration, second), partition_b.vertices))
-                shared_index = None
-                row_index = None
-                if index_users is not None:
+            if pool is not None:
+                # the workers load (mmap, zero-copy) the slices themselves
+                # and keep them cached per partition across steps; the
+                # coordinator only keeps the I/O accounting aligned, and
+                # only the row shards cross the pipe
+                self._sync_profile_charges(charged_profiles, (first, second),
+                                           layout)
+            # every PI edge of the residency step is one batch: the sources'
+            # rows in the source partition's slice against the destinations'
+            # rows in the destination partition's
+            for batch in batches:
+                edge, lo, hi = batch
+                fresh = None
+                if pool is not None:
+                    # worker caches are keyed by (iteration, partition):
+                    # partition ids repeat across iterations with different
+                    # vertex sets, and the store generation tells workers
+                    # when phase 5 replaced the files
+                    parts = [((iteration, pid), layout.vertices(pid))
+                             for pid in dict.fromkeys((edge.src, edge.dst))]
                     try:
-                        shared_index = SharedRowIndex(index_users, index_order)
-                        row_index = shared_index.descriptor
-                    except OSError:
-                        shared_index = None  # no shm: workers re-gather
-                try:
-                    # worker slice caches are keyed by (iteration,
-                    # partition): partition ids repeat across iterations with
-                    # different vertex sets, and the store generation tells
-                    # workers when phase 5 replaced the files
-                    fresh = pool.score(None, dirty, measure,
-                                       key=(iteration, first, second),
-                                       parts=parts,
-                                       generation=run.store_generation,
-                                       row_index=row_index)
-                except ScoringPoolBroken:
-                    # supervision exhausted respawn-and-retry: finish this
-                    # step (and the rest of the run) in-process — scores are
-                    # per-pair deterministic, so the result is
-                    # bit-identical, just slower
-                    _logger.warning(
-                        "scoring pool failed repeatedly; degrading to "
-                        "in-process scoring for the rest of the run")
-                    self._pool_degraded = True
-                    pool.terminate()
-                    self._pool = None
-                    pool = None
-                    use_process = False
-                finally:
-                    if shared_index is not None:
-                        shared_index.close()
-            if fresh is None:
-                self._sync_profile_slices(resident_profiles, needed)
-                merged = self._merged_slice(resident_profiles, first, second,
-                                            index_users, index_order)
-                fresh = score_tuples(merged, dirty, measure,
-                                     num_threads=config.num_threads,
-                                     backend=inprocess_backend)
+                        fresh = pool.score(parts, run.left_rows[lo:hi],
+                                           run.right_rows[lo:hi], measure,
+                                           generation=run.store_generation)
+                    except ScoringPoolBroken:
+                        # supervision exhausted respawn-and-retry: finish
+                        # this step (and the rest of the run) in-process —
+                        # scores are per-pair deterministic, so the result
+                        # is bit-identical, just slower
+                        _logger.warning(
+                            "scoring pool failed repeatedly; degrading to "
+                            "in-process scoring for the rest of the run")
+                        self._pool_degraded = True
+                        pool.terminate()
+                        self._pool = pool = None
+                if fresh is None:
+                    self._sync_profile_slices(resident_profiles, (first, second),
+                                              layout)
+                    fresh = score_tuples(
+                        resident_profiles[edge.src], run.left_rows[lo:hi],
+                        resident_profiles[edge.dst], run.right_rows[lo:hi],
+                        measure, **scoring)
+                run.resolve((batch,), fresh)
             run.kernel_seconds += time.perf_counter() - kernel_start
-            run.resolve(positions, fresh)
         partition_cache.flush()
         resident_profiles.clear()
         new_graph, cache_merge_seconds = self._finish_phase4(
@@ -1057,13 +1077,12 @@ class OutOfCoreIteration:
                 num_partitions=schedule.num_partitions,
                 cache_slots=config.max_resident_partitions,
             )
-        return run.outcome(new_graph, schedule, cache_merge_seconds,
-                           row_index_reuses, len(steps))
+        return run.outcome(new_graph, schedule, cache_merge_seconds, len(steps))
 
     def _phase4_knn_sharded(self, iteration: int, graph: KNNGraph,
                             table: TupleHashTable,
                             steps: Sequence[ResidencyStep], measure: str,
-                            io_stats: IOStats, assignment: np.ndarray,
+                            io_stats: IOStats, layout: PartitionLayout,
                             schedule: ScheduleResult) -> _Phase4Outcome:
         """Phase 4 with waves of partition-disjoint steps executed in parallel.
 
@@ -1096,64 +1115,52 @@ class OutOfCoreIteration:
         coordinator = self._shard_coordinator()
         merge_shards = (config.num_workers
                         if coordinator.backend == "process" else 1)
-        run = self._begin_phase4(graph, table, steps, measure, assignment)
+        run = self._begin_phase4(graph, table, steps, measure, layout)
 
         # -- pass 1: per-step classification (serial-path semantics) ---------
-        # pending: steps that must execute — (step, slab positions of the
-        # misses, the misses as tuples); their scores arrive from the waves
-        pending: List[Tuple[ResidencyStep, np.ndarray, np.ndarray]] = []
+        # pending: steps that must execute, with the PI-edge batches of
+        # their misses; their scores arrive from the waves
+        pending: List[Tuple[ResidencyStep, List[_EdgeBatch]]] = []
         for step, from_cache in run.ordered_steps:
-            positions = run.misses(table, step[2])
-            if positions is None or not len(positions):
+            batches = run.batches(step[2])
+            if not batches:
                 if from_cache:
                     run.steps_skipped += 1
                 continue
-            dirty = np.column_stack(table.endpoints(positions))
-            if from_cache and self._score_residual(run, step, positions, dirty,
-                                                   measure, backend="serial"):
+            if from_cache and self._score_residual(run, step, batches, measure,
+                                                   backend="serial"):
                 continue
-            pending.append((step, positions, dirty))
+            pending.append((step, batches))
 
         # -- pass 2: wave-plan the pending steps and execute ------------------
-        shard_plan = plan_shard_schedule([item[0] for item in pending])
+        shard_plan = plan_shard_schedule([step for step, _ in pending])
         wave_items: List[List[tuple]] = [[] for _ in range(shard_plan.num_waves)]
         for item, wave_index in zip(pending, shard_plan.wave_of):
             wave_items[wave_index].append(item)
-        part_ids_cache: Dict[int, np.ndarray] = {}
-
-        def part_ids(pid: int) -> np.ndarray:
-            ids = part_ids_cache.get(pid)
-            if ids is None:
-                ids = np.flatnonzero(assignment == pid)
-                part_ids_cache[pid] = ids
-            return ids
 
         tuples_executed = 0
         total_residencies = 0
         for wave in wave_items:
             tasks: List[ShardStepTask] = []
             wave_partitions: List[int] = []
-            seen_partitions: Set[int] = set()
-            for step, _, dirty in wave:
+            for step, batches in wave:
                 first, second, edges = step
                 if self._fault is not None:
                     # crash window: mid-phase-4, some steps scored, nothing
                     # committed — one firing per executed step, matching the
                     # serial path's schedule
                     self._fault.point("phase4.step")
-                parts = [((iteration, first), _compact_ids(part_ids(first)))]
-                if second != first:
-                    parts.append(((iteration, second),
-                                  _compact_ids(part_ids(second))))
+                pids = (first,) if second == first else (first, second)
                 tasks.append(ShardStepTask(
-                    key=(iteration, first, second), parts=tuple(parts),
-                    tuples=dirty, measure=measure,
-                    generation=run.store_generation))
+                    parts=tuple(((iteration, pid), _compact_ids(layout.vertices(pid)))
+                                for pid in pids),
+                    batches=tuple((pids.index(edge.src), pids.index(edge.dst),
+                                   run.left_rows[lo:hi], run.right_rows[lo:hi])
+                                  for edge, lo, hi in batches),
+                    measure=measure, generation=run.store_generation))
                 tuples_executed += sum(edge.weight for edge in edges)
-                for pid in (first, second):
-                    if pid not in seen_partitions:
-                        seen_partitions.add(pid)
-                        wave_partitions.append(pid)
+                # steps of one wave are partition-disjoint
+                wave_partitions.extend(pids)
             # each wave loads its distinct partitions once — in the workers'
             # address spaces, so the coordinator attributes the operations
             # and one slice read per (wave, partition), exactly like
@@ -1161,7 +1168,7 @@ class OutOfCoreIteration:
             # them at the wave barrier
             for pid in wave_partitions:
                 io_stats.record_partition_load()
-                self._profile_store.charge_slice_read(part_ids(pid))
+                self._profile_store.charge_slice_read(layout.vertices(pid))
             kernel_start = time.perf_counter()
             try:
                 deltas = coordinator.execute_wave(tasks)
@@ -1181,8 +1188,9 @@ class OutOfCoreIteration:
             for pid in wave_partitions:
                 io_stats.record_partition_unload()
             total_residencies += len(wave_partitions)
-            for (_, positions, _), delta in zip(wave, deltas):
-                run.resolve(positions, delta.scores)
+            for (_, batches), delta in zip(wave, deltas):
+                run.resolve(batches, delta.scores)
+        tasks = None  # the last wave's tasks hold views of the decoded rows
 
         new_graph, cache_merge_seconds = self._finish_phase4(
             run, graph, table, steps, measure, merge_shards)
@@ -1199,7 +1207,7 @@ class OutOfCoreIteration:
             tuples_scheduled=tuples_executed,
         )
         return run.outcome(new_graph, executed_schedule, cache_merge_seconds,
-                           0, len(steps))
+                           len(steps))
 
     @staticmethod
     def _evict_stale_profiles(cache: PartitionCache,
@@ -1218,18 +1226,22 @@ class OutOfCoreIteration:
         charged &= resident_ids
 
     def _sync_profile_slices(self, resident_profiles: Dict[int, ProfileSlice],
-                             needed: Dict[int, Partition]) -> None:
+                             needed: Iterable[int],
+                             layout: PartitionLayout) -> None:
         """Load the needed partitions' profile slices (dirty steps only).
 
-        Eviction of no-longer-resident slices is *not* done here — it runs
-        unconditionally per step in :meth:`_evict_stale_profiles`.
+        A partition's slice holds its vertices ascending, so a vertex's row
+        in it is its ``layout.local_row``.  Eviction of no-longer-resident
+        slices is *not* done here — it runs unconditionally per step in
+        :meth:`_evict_stale_profiles`.
         """
-        for pid, partition in needed.items():
+        for pid in needed:
             if pid not in resident_profiles:
-                resident_profiles[pid] = self._profile_store.load_users(partition.vertices)
+                resident_profiles[pid] = self._profile_store.load_users(
+                    layout.vertices(pid))
 
-    def _sync_profile_charges(self, charged: Set[int],
-                              needed: Dict[int, Partition]) -> None:
+    def _sync_profile_charges(self, charged: Set[int], needed: Iterable[int],
+                              layout: PartitionLayout) -> None:
         """Mirror :meth:`_sync_profile_slices` accounting for the process backend.
 
         Worker processes load the profile slices in their own address space;
@@ -1240,23 +1252,10 @@ class OutOfCoreIteration:
         the slice loader, the charged-set pruning lives in
         :meth:`_evict_stale_profiles`.
         """
-        for pid, partition in needed.items():
+        for pid in needed:
             if pid not in charged:
-                self._profile_store.charge_slice_read(partition.vertices)
+                self._profile_store.charge_slice_read(layout.vertices(pid))
                 charged.add(pid)
-
-    @staticmethod
-    def _merged_slice(resident_profiles: Dict[int, ProfileSlice],
-                      first: int, second: int,
-                      index_users: Optional[np.ndarray] = None,
-                      index_order: Optional[np.ndarray] = None) -> ProfileSlice:
-        if first == second:
-            return resident_profiles[first]
-        if index_users is not None:
-            # the step's precomputed merge index (partitions are disjoint)
-            return resident_profiles[first].merge_indexed(
-                resident_profiles[second], index_users, index_order)
-        return resident_profiles[first].merge(resident_profiles[second])
 
     # -- phase 5 --------------------------------------------------------------
 

@@ -1,6 +1,7 @@
 """Phase 1 — KNN-graph partitioning."""
 
-from repro.partition.model import Partition, build_partitions
+from repro.partition.model import (Partition, PartitionLayout, build_partitions,
+                                   partition_layout)
 from repro.partition.partitioners import (
     ContiguousPartitioner,
     GreedyLocalityPartitioner,
@@ -18,7 +19,9 @@ from repro.partition.metrics import (
 
 __all__ = [
     "Partition",
+    "PartitionLayout",
     "build_partitions",
+    "partition_layout",
     "Partitioner",
     "ContiguousPartitioner",
     "HashPartitioner",

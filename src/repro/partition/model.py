@@ -17,7 +17,7 @@ The objective the partitioners optimise is the per-partition count of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -77,8 +77,50 @@ class Partition:
                 f"N_in={self.num_unique_in_sources}, N_out={self.num_unique_out_destinations})")
 
 
+@dataclass(frozen=True)
+class PartitionLayout:
+    """One iteration's vertex→partition assignment, grouped by partition.
+
+    ``vertices(pid)`` is partition ``pid``'s ascending vertex list (a view,
+    equal to ``Partition.vertices``), and ``local_row[v]`` is the rank of
+    ``v`` in its own partition's list: ``vertices(assignment[v])[local_row[v]]
+    == v``.  A profile slice loaded for a partition holds its rows in that
+    same ascending order, so ``local_row`` addresses a vertex inside its
+    partition's slice without any id lookup — the only address phase 4 uses.
+    """
+
+    assignment: np.ndarray     # (num_vertices,) partition of each vertex
+    by_partition: np.ndarray   # every vertex, grouped by partition, ascending within
+    bounds: np.ndarray         # (num_partitions + 1,) group boundaries
+    local_row: np.ndarray      # (num_vertices,) int32 rank within the own partition
+
+    def vertices(self, pid: int) -> np.ndarray:
+        return self.by_partition[self.bounds[pid]:self.bounds[pid + 1]]
+
+    def size(self, pid: int) -> int:
+        return int(self.bounds[pid + 1] - self.bounds[pid])
+
+
+def partition_layout(assignment: np.ndarray, num_partitions: int) -> PartitionLayout:
+    """Group the vertices by partition (``assignment[v]`` = partition of ``v``)
+    in one stable counting pass."""
+    assignment = np.asarray(assignment, dtype=np.int64)
+    if len(assignment) and (assignment.min() < 0 or assignment.max() >= num_partitions):
+        raise ValueError("assignment contains partition ids out of range")
+    by_partition = counting_argsort(assignment, max(num_partitions - 1, 0))
+    sizes = np.bincount(assignment, minlength=num_partitions)
+    bounds = np.zeros(num_partitions + 1, dtype=np.int64)
+    np.cumsum(sizes, out=bounds[1:])
+    # int32: whatever phase 4 keeps per candidate tuple is two of these
+    local_row = np.empty(len(assignment), dtype=np.int32)
+    local_row[by_partition] = (np.arange(len(assignment), dtype=np.int64)
+                               - np.repeat(bounds[:-1], sizes))
+    return PartitionLayout(assignment, by_partition, bounds, local_row)
+
+
 def build_partitions(graph: CSRDiGraph, assignment: np.ndarray,
-                     num_partitions: int) -> List[Partition]:
+                     num_partitions: int,
+                     layout: Optional[PartitionLayout] = None) -> List[Partition]:
     """Materialise :class:`Partition` objects from a vertex→partition assignment.
 
     ``assignment[v]`` is the partition id of vertex ``v``.  Edge lists are
@@ -86,18 +128,14 @@ def build_partitions(graph: CSRDiGraph, assignment: np.ndarray,
     costs no sort here: a vertex's CSR row *is* its ``(v, d)`` run with
     ``d`` ascending and its reverse-CSR row its ``(s, v)`` run with ``s``
     ascending, so a partition's lists are the rows of its (ascending)
-    vertices sliced out back to back.
+    vertices sliced out back to back.  ``layout`` is the assignment's
+    :func:`partition_layout` when the caller already has it.
     """
     assignment = np.asarray(assignment, dtype=np.int64)
     if len(assignment) != graph.num_vertices:
         raise ValueError("assignment length must equal the graph's vertex count")
-    if len(assignment) and (assignment.min() < 0 or assignment.max() >= num_partitions):
-        raise ValueError("assignment contains partition ids out of range")
-
-    # one stable counting pass groups the vertices by partition, ascending
-    by_partition = counting_argsort(assignment, max(num_partitions - 1, 0))
-    bounds = np.zeros(num_partitions + 1, dtype=np.int64)
-    np.cumsum(np.bincount(assignment, minlength=num_partitions), out=bounds[1:])
+    if layout is None:
+        layout = partition_layout(assignment, num_partitions)
     out_degrees = graph.out_degree_array()
     in_degrees = graph.in_degree_array()
     seen = np.zeros(graph.num_vertices, dtype=bool)   # scratch for N_in / N_out
@@ -110,7 +148,7 @@ def build_partitions(graph: CSRDiGraph, assignment: np.ndarray,
 
     partitions: List[Partition] = []
     for pid in range(num_partitions):
-        vertices = by_partition[bounds[pid]:bounds[pid + 1]]
+        vertices = layout.vertices(pid)
         destinations = graph.indices[
             ragged_ranges(graph.indptr[vertices], out_degrees[vertices])]
         sources = graph.rindices[

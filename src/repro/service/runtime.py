@@ -94,6 +94,7 @@ class ServingRuntime:
         self._engine: Optional[KNNEngine] = None
         self._recovered_engine: Optional[KNNEngine] = None
         self._engine_lock = threading.Lock()
+        self._batches_enqueued = 0   # under _engine_lock, with the enqueue itself
         self._view: Optional[SnapshotView] = None
         self._view_lock = threading.Lock()
         self._stats_lock = threading.Lock()
@@ -240,8 +241,17 @@ class ServingRuntime:
             # backlog, unlike the old pre-enqueue ``pending + len(batch)``
             # extrapolation
             depth_after = len(engine.update_queue)
+            self._batches_enqueued += 1
         self._supervisor.kick()
         return depth_after
+
+    def _refresh_demand(self) -> Tuple[int, int]:
+        """``(pending updates, batches enqueued so far)`` as one reading: an
+        enqueue is either in both numbers or in neither."""
+        with self._engine_lock:
+            engine = self._engine
+            pending = len(engine.update_queue) if engine is not None else 0
+            return pending, self._batches_enqueued
 
     # -- query path ----------------------------------------------------------
 

@@ -6,6 +6,12 @@ drains the update queue and seals a commit epoch), clones the sealed epoch
 into a fresh :class:`~repro.service.snapshot.SnapshotView`, and hands the
 view to the runtime's atomic swap callback.
 
+A refresh starts whenever updates are pending *or* a batch was admitted
+since the last refresh started.  The second clause covers the batch that
+arrives while a refresh is running and is drained by that refresh's own
+phase 5: its changes are applied but in no served graph yet and the queue
+is empty, so without it they would wait for some later batch to arrive.
+
 Robustness contract (the reason this is a *supervisor* and not a plain
 loop): any exception out of a cycle — an injected crash point, a real I/O
 error, a poisoned worker — is treated as a crash of the refresh path
@@ -135,13 +141,18 @@ class RefreshSupervisor:
             self._state = state
 
     def _run(self) -> None:
+        # the queue depth alone cannot tell a batch that arrived mid-refresh
+        # and was drained by it from no batch at all; the enqueue count can,
+        # so what follows a refresh does not depend on which side of its
+        # phase-5 drain an admission fell
+        enqueued_before = 0    # batches enqueued when the last refresh started
         while not self._stop_event.is_set():
-            self._wake_event.wait(timeout=self._poll_interval)
-            self._wake_event.clear()
-            if self._stop_event.is_set():
-                break
-            if self._runtime.pending_updates <= 0:
+            pending, enqueued = self._runtime._refresh_demand()
+            if pending <= 0 and enqueued == enqueued_before:
+                self._wake_event.wait(timeout=self._poll_interval)
+                self._wake_event.clear()
                 continue
+            enqueued_before = enqueued
             try:
                 self._set_state("refreshing")
                 started = time.perf_counter()

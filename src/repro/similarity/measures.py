@@ -362,21 +362,31 @@ class SetProfileCSR:
             self._tagged_keys = rows * self._num_items + self._codes
         return self._tagged_keys
 
-    def pair_counts(self, left_rows: np.ndarray, right_rows: np.ndarray
+    def pair_counts(self, left_rows: np.ndarray, right_rows: np.ndarray,
+                    right: "SetProfileCSR | None" = None
                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(|a ∩ b|, |a|, |b|)`` float64 arrays for a batch of row pairs."""
+        """``(|a ∩ b|, |a|, |b|)`` float64 arrays for a batch of row pairs.
+
+        ``left_rows`` address this CSR; ``right_rows`` address ``right`` —
+        another CSR under the same item coding, e.g. the other resident
+        partition's — or this one when ``right`` is ``None``.  No combined
+        CSR is built: each side is gathered where it lies.
+        """
+        right = self if right is None else right
+        if right._num_items != self._num_items:
+            raise ValueError("cannot score CSRs with different item codings")
         left_rows = np.asarray(left_rows, dtype=np.int64)
         right_rows = np.asarray(right_rows, dtype=np.int64)
         size_a = self.row_sizes(left_rows)
-        size_b = self.row_sizes(right_rows)
+        size_b = right.row_sizes(right_rows)
         common = np.zeros(len(left_rows), dtype=np.float64)
         if self._num_items and self._rows_sorted:
             # tag each right-row item with the pair's LEFT row and test it
-            # against the slice-wide (row, code) key array: only one side is
+            # against the left CSR's (row, code) key array: only one side is
             # ever expanded to pair granularity, and the binary-search
             # haystack is the slice itself (small, hot in cache) instead of
             # the expanded batch
-            items_b, pairs_b = self._gather(right_rows, size_b)
+            items_b, pairs_b = right._gather(right_rows, size_b)
             if len(items_b):
                 haystack = self._row_tagged_keys()
                 needles = (np.repeat(left_rows, size_b) * self._num_items
@@ -388,7 +398,7 @@ class SetProfileCSR:
                 common = counts.astype(np.float64)
         elif self._num_items:
             items_a, pairs_a = self._gather(left_rows, size_a)
-            items_b, pairs_b = self._gather(right_rows, size_b)
+            items_b, pairs_b = right._gather(right_rows, size_b)
             if len(items_a) and len(items_b):
                 # tag every item with its pair index; identical keys on both
                 # sides are exactly the per-pair intersections
@@ -400,14 +410,16 @@ class SetProfileCSR:
         return common, size_a.astype(np.float64), size_b.astype(np.float64)
 
     def measure_pairs(self, measure: str, left_rows: np.ndarray,
-                      right_rows: np.ndarray) -> np.ndarray:
-        """Batch set-measure scores for row pairs (no per-pair Python)."""
+                      right_rows: np.ndarray,
+                      right: "SetProfileCSR | None" = None) -> np.ndarray:
+        """Batch set-measure scores for row pairs (no per-pair Python);
+        ``right`` as in :meth:`pair_counts`."""
         try:
             kernel = SET_MEASURE_KERNELS[measure]
         except KeyError:
             get_measure(measure)  # raise the standard unknown-measure error
             raise ValueError(f"measure {measure!r} is not a set measure")
-        return kernel(*self.pair_counts(left_rows, right_rows))
+        return kernel(*self.pair_counts(left_rows, right_rows, right))
 
 
 #: Registry of named pairwise measures usable from the engine configuration.

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -42,6 +42,9 @@ class PartitionStore:
         #: write failure here models a transient disk error during an
         #: iteration, not durable-state corruption.
         self.fault_plan = None
+        # pid → path string of the partition file, built once per pid: phase 4
+        # reads each partition many times an iteration
+        self._read_paths: Dict[int, str] = {}
 
     # -- paths -------------------------------------------------------------
 
@@ -123,10 +126,16 @@ class PartitionStore:
         per array.  Partitions are immutable once written, so every consumer
         treats them as read-only.
         """
-        path = self.partition_path(pid)
-        if not path.exists():
-            raise FileNotFoundError(f"no stored partition with id {pid} under {self._base_dir}")
-        raw = path.read_bytes()
+        path = self._read_paths.get(pid)
+        if path is None:
+            path = self._read_paths[pid] = os.fspath(self.partition_path(pid))
+        try:
+            # unbuffered: one read call takes the whole file into one bytes
+            with open(path, "rb", buffering=0) as handle:
+                raw = handle.read()
+        except FileNotFoundError:
+            raise FileNotFoundError(
+                f"no stored partition with id {pid} under {self._base_dir}") from None
         if raw[:len(_MAGIC)] != _MAGIC:
             raise ValueError(f"{path} is not a repro partition file (bad magic)")
         offset = len(_MAGIC)

@@ -137,19 +137,26 @@ def partition_aligned_bounds(num_users: int, num_partitions: int) -> List[int]:
 class ProfileSlice:
     """Profiles of a subset of users, loaded into memory for similarity scoring.
 
-    Construction precomputes an id→row translation — a plain offset when the
-    user ids are one contiguous run (the common case for the paper's
-    contiguous partitioner), a lookup array otherwise — and packs the
-    profiles into a batch-scorable form: a dense matrix (plus row norms) or
-    a CSR incidence matrix, so that :meth:`similarity_pairs` is pure NumPy
-    with no per-pair Python on either profile kind.  Slices served from a
-    mapped store hold read-only views of the mapped file; nothing in the
-    scoring path writes through them.
+    Rows are held in ascending user-id order, so a user's **row** is its
+    rank among the slice's ids — for a partition's slice, the vertex's rank
+    within the partition, which phase 1 fixes once an iteration.  Scoring is
+    row-addressed (:meth:`similarity_rows`): each side of a pair batch is
+    gathered straight from the slice holding it, so two resident partitions
+    are scored against each other without ever being combined.
+    :meth:`similarity_pairs` is the id-addressed convenience on top; it
+    translates ids to rows on demand (an offset for a contiguous id run, a
+    binary search otherwise) and nothing is precomputed for it.
 
-    Merging two dense slices with disjoint users produces a **multi-block**
-    slice that addresses rows across the original mapped blocks — no
-    concatenated matrix is ever allocated, so a merged two-partition
-    residency set stays fully zero-copy.
+    The profiles are packed in a batch-scorable form — a dense matrix (plus
+    row norms) or a CSR incidence matrix — so scoring is pure NumPy with no
+    per-pair Python on either profile kind.  Slices served from a mapped
+    store hold read-only views of the mapped file; nothing in the scoring
+    path writes through them.
+
+    :meth:`merge` builds the union of two slices for callers that want one
+    id-addressed object; two dense slices with disjoint users become a
+    **multi-block** slice that addresses rows across the original mapped
+    blocks, with no concatenated matrix allocated.
     """
 
     def __init__(self, kind: str, profiles: Optional[Dict[int, object]], dim: int = 0,
@@ -169,7 +176,6 @@ class ProfileSlice:
             self._user_ids = np.asarray(user_ids, dtype=np.int64)
         else:
             raise ValueError("provide a profiles dict, or user_ids plus matrix/csr")
-        self._index_ids()
         self._blocks: Optional[List[Tuple[np.ndarray, np.ndarray, np.ndarray]]] = None
         self._row_block: Optional[np.ndarray] = None
         self._row_local: Optional[np.ndarray] = None
@@ -196,21 +202,6 @@ class ProfileSlice:
                 self._csr = _measures.SetProfileCSR.from_sets(
                     [profiles[int(user)] for user in self._user_ids])
 
-    def _index_ids(self) -> None:
-        """Precompute the id→row translation for the (sorted) ``_user_ids``."""
-        users = self._user_ids
-        if len(users) and int(users[-1]) - int(users[0]) + 1 == len(users):
-            # contiguous run: id→row is an offset, no lookup allocation
-            self._row_start: Optional[int] = int(users[0])
-            self._row_of: Optional[np.ndarray] = None
-        else:
-            self._row_start = None
-            if len(users):
-                self._row_of = np.full(int(users[-1]) + 1, -1, dtype=np.int64)
-                self._row_of[users] = np.arange(len(users), dtype=np.int64)
-            else:
-                self._row_of = np.empty(0, dtype=np.int64)
-
     @classmethod
     def _from_dense_blocks(cls, blocks: List[Tuple[np.ndarray, np.ndarray, np.ndarray]],
                            user_ids: np.ndarray, row_block: np.ndarray,
@@ -220,7 +211,6 @@ class ProfileSlice:
         piece.kind = "dense"
         piece._dim = dim
         piece._user_ids = user_ids
-        piece._index_ids()
         piece._profiles = None
         piece._csr = None
         piece._matrix = None
@@ -254,17 +244,33 @@ class ProfileSlice:
     def _rows_for(self, user_ids: np.ndarray) -> np.ndarray:
         """Map loaded user ids to row indices, raising ``KeyError`` on misses."""
         user_ids = np.asarray(user_ids, dtype=np.int64)
-        if self._row_start is not None:
-            rows = user_ids - self._row_start
-            bad = (rows < 0) | (rows >= len(self._user_ids))
+        users = self._user_ids
+        if len(users) and int(users[-1]) - int(users[0]) + 1 == len(users):
+            # contiguous run: id→row is an offset
+            rows = user_ids - users[0]
+            bad = (rows < 0) | (rows >= len(users))
+        elif len(users):
+            rows = np.minimum(np.searchsorted(users, user_ids), len(users) - 1)
+            bad = users[rows] != user_ids
         else:
-            rows = np.full(len(user_ids), -1, dtype=np.int64)
-            in_range = (user_ids >= 0) & (user_ids < len(self._row_of))
-            rows[in_range] = self._row_of[user_ids[in_range]]
-            bad = rows < 0
+            rows = np.zeros(len(user_ids), dtype=np.int64)
+            bad = np.ones(len(user_ids), dtype=bool)
         if bad.any():
             missing = int(user_ids[bad][0])
             raise KeyError(f"user {missing} is not loaded in this profile slice")
+        return rows
+
+    def _checked_rows(self, rows: np.ndarray) -> np.ndarray:
+        """``rows`` as int64, raising ``IndexError`` unless all lie in the slice."""
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.ndim != 1:
+            raise ValueError("rows must be a 1-D array")
+        # one reduction covers both ends: a negative row reinterpreted as
+        # unsigned is larger than any slice
+        if len(rows) and int(rows.view(np.uint64).max()) >= len(self._user_ids):
+            bad = int(rows[(rows < 0) | (rows >= len(self._user_ids))][0])
+            raise IndexError(f"row {bad} out of range for a profile slice of "
+                             f"{len(self._user_ids)} rows")
         return rows
 
     @property
@@ -296,9 +302,9 @@ class ProfileSlice:
         return len(self._user_ids)
 
     def __contains__(self, user: int) -> bool:
-        if self._row_start is not None:
-            return self._row_start <= user < self._row_start + len(self._user_ids)
-        return bool(0 <= user < len(self._row_of) and self._row_of[user] >= 0)
+        users = self._user_ids
+        position = int(np.searchsorted(users, user))
+        return position < len(users) and int(users[position]) == user
 
     def get(self, user: int):
         if self.kind == "sparse":
@@ -379,12 +385,9 @@ class ProfileSlice:
         ``order`` is the stable argsort of the concatenated
         ``[self.user_ids, other.user_ids]`` and ``user_ids`` the resulting
         sorted ids — exactly what :meth:`merge` computes internally for the
-        disjoint case.  Phase 4 builds the index **once** per residency
-        step in the coordinating process and shares it (with worker
-        processes: through shared memory), so no consumer re-runs the
-        argsort.  Results are identical to :meth:`merge` for disjoint user
-        sets; overlapping ids are rejected (the index encodes no
-        ``dict.update`` winner).
+        disjoint case, for a caller that already has them.  Results are
+        identical to :meth:`merge` for disjoint user sets; overlapping ids
+        are rejected (the index encodes no ``dict.update`` winner).
         """
         if other.kind != self.kind:
             raise ValueError("cannot merge slices of different profile kinds")
@@ -446,30 +449,59 @@ class ProfileSlice:
         return ProfileSlice("sparse", None, dim=self._dim or other._dim,
                             user_ids=users, csr=merged)
 
-    def similarity_pairs(self, pairs: np.ndarray, measure: str) -> np.ndarray:
-        """Vectorised similarity for an ``(n, 2)`` array of loaded user ids."""
-        pairs = np.asarray(pairs, dtype=np.int64)
-        if pairs.ndim != 2 or pairs.shape[1] != 2:
-            raise ValueError("pairs must be an (n, 2) array")
-        if len(pairs) == 0:
-            return np.zeros(0, dtype=np.float64)
+    def _check_measure(self, measure: str) -> None:
         _measures.get_measure(measure)
+        if (measure in _measures.SET_MEASURES) != (self.kind == "sparse"):
+            raise ValueError(f"measure {measure!r} needs "
+                             f"{'sparse' if self.kind == 'dense' else 'dense'} profiles")
+
+    def similarity_rows(self, left_rows: np.ndarray, other: "ProfileSlice",
+                        right_rows: np.ndarray, measure: str) -> np.ndarray:
+        """Scores of row ``left_rows[i]`` of this slice against row
+        ``right_rows[i]`` of ``other``, for every ``i``.
+
+        ``other`` may be this slice (tuples inside one partition) or the
+        slice of another partition; each side is gathered where it lies.
+        Rows outside ``[0, len(slice))`` raise ``IndexError``.
+        """
+        if other.kind != self.kind:
+            raise ValueError("cannot score slices of different profile kinds")
+        left_rows = self._checked_rows(left_rows)
+        right_rows = other._checked_rows(right_rows)
+        if len(left_rows) != len(right_rows):
+            raise ValueError("left_rows and right_rows must have equal length")
+        self._check_measure(measure)
+        if len(left_rows) == 0:
+            return np.zeros(0, dtype=np.float64)
         if self.kind == "dense":
-            if measure in _measures.SET_MEASURES:
-                raise ValueError(f"measure {measure!r} needs sparse profiles")
-            left, left_norms = self._take_dense(self._rows_for(pairs[:, 0]))
-            right, right_norms = self._take_dense(self._rows_for(pairs[:, 1]))
+            left, left_norms = self._take_dense(left_rows)
+            right, right_norms = other._take_dense(right_rows)
             if measure == "cosine":
                 # row norms are precomputed once per slice (or read straight
                 # from the store's norm file)
                 return _measures.cosine_from_norms(left, right,
                                                    left_norms, right_norms)
             return _measures.vector_measure_batch(measure, left, right)
-        if measure not in _measures.SET_MEASURES:
-            raise ValueError(f"measure {measure!r} needs dense profiles")
-        left_rows = self._rows_for(pairs[:, 0])
-        right_rows = self._rows_for(pairs[:, 1])
-        return self._csr.measure_pairs(measure, left_rows, right_rows)
+        if other is not self and not self._mergeable_csr(other):
+            # dict-built slices carry one item coding each: score the pairs
+            # through the (re-coded) union instead
+            return self.merge(other).similarity_pairs(
+                np.column_stack([self._user_ids[left_rows],
+                                 other._user_ids[right_rows]]), measure)
+        return self._csr.measure_pairs(measure, left_rows, right_rows,
+                                       other._csr)
+
+    def similarity_pairs(self, pairs: np.ndarray, measure: str) -> np.ndarray:
+        """Vectorised similarity for an ``(n, 2)`` array of loaded user ids
+        (:meth:`similarity_rows` after an id→row translation)."""
+        pairs = np.asarray(pairs, dtype=np.int64)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError("pairs must be an (n, 2) array")
+        if len(pairs) == 0:
+            return np.zeros(0, dtype=np.float64)
+        self._check_measure(measure)  # a bad measure is reported before a miss
+        return self.similarity_rows(self._rows_for(pairs[:, 0]), self,
+                                    self._rows_for(pairs[:, 1]), measure)
 
 
 @dataclass
@@ -549,7 +581,7 @@ class OnDiskProfileStore:
         # (invalidated when a rewrite replaces the files)
         self._dense_mapped: Optional[Tuple[np.ndarray, Optional[np.ndarray]]] = None
         self._sparse_mapped: Optional[
-            Tuple[np.ndarray, Optional[np.ndarray], np.ndarray]] = None
+            Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._v3_state: Optional[_SparseV3State] = None
         self._item_code_cache: Optional[Dict[int, int]] = None
         meta_path = self._base_dir / self._META_NAME
@@ -870,7 +902,12 @@ class OnDiskProfileStore:
     # -- slice loading ---------------------------------------------------------
 
     def _dense_maps(self) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """The store's read-only (matrix, norms) maps, opened once."""
+        """The store's read-only (matrix, norms) maps, opened once.
+
+        Handed out as plain ``ndarray`` views (the mapping stays alive
+        through ``.base``): indexing an ``np.memmap`` instance runs its
+        Python-level ``__getitem__``/``__array_finalize__`` on every gather.
+        """
         if self._dense_mapped is None:
             mm = np.memmap(self._base_dir / self._DENSE_NAME, dtype=np.float64,
                            mode="r", shape=(self.num_users, self.dim))
@@ -878,46 +915,40 @@ class OnDiskProfileStore:
             norms_mm = (np.memmap(norms_path, dtype=np.float64, mode="r",
                                   shape=(self.num_users,))
                         if self.format_version >= 2 and norms_path.exists() else None)
-            self._dense_mapped = (mm, norms_mm)
+            self._dense_mapped = (np.asarray(mm),
+                                  np.asarray(norms_mm) if norms_mm is not None else None)
         return self._dense_mapped
 
-    def _sparse_maps(self) -> Tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
+    def _map_int64(self, name: str) -> np.ndarray:
+        """One int64 store file as a read-only plain-``ndarray`` view of its
+        map (an empty file, which cannot be mapped, as an empty array)."""
+        path = self._base_dir / name
+        if not path.exists() or not path.stat().st_size:
+            return np.empty(0, dtype=np.int64)
+        return np.asarray(np.memmap(path, dtype=np.int64, mode="r"))
+
+    def _sparse_maps(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The store's read-only v1/v2 (indptr, codes, item_ids) maps, opened once.
 
-        Sharing one ``item_ids`` array across every slice also lets
-        :meth:`ProfileSlice.merge` recognise same-store slices by identity
-        instead of comparing item tables element-wise.
+        Sharing one ``item_ids`` array across every slice also lets two
+        slices recognise a common item coding by identity instead of
+        comparing item tables element-wise.
         """
         if self._sparse_mapped is None:
-            indptr_mm = np.memmap(self._base_dir / self._SPARSE_INDPTR,
-                                  dtype=np.int64, mode="r")
-            codes_path = self._base_dir / self._SPARSE_ITEMS
-            codes_mm = (np.memmap(codes_path, dtype=np.int64, mode="r")
-                        if codes_path.stat().st_size else None)
-            items_path = self._base_dir / self._SPARSE_ITEM_IDS
-            item_ids = (np.memmap(items_path, dtype=np.int64, mode="r")
-                        if items_path.exists() and items_path.stat().st_size
-                        else np.empty(0, dtype=np.int64))
-            self._sparse_mapped = (indptr_mm, codes_mm, item_ids)
+            self._sparse_mapped = (self._map_int64(self._SPARSE_INDPTR),
+                                   self._map_int64(self._SPARSE_ITEMS),
+                                   self._map_int64(self._SPARSE_ITEM_IDS))
         return self._sparse_mapped
 
     def _v3(self) -> _SparseV3State:
         """The segmented store's mapped segments, journal and derived indexes."""
         if self._v3_state is None:
             bounds = np.asarray(self._meta["segment_bounds"], dtype=np.int64)
-            seg_indptr: List[np.ndarray] = []
-            seg_codes: List[np.ndarray] = []
-            empty = np.empty(0, dtype=np.int64)
-            for index in range(len(bounds) - 1):
-                ip_path = self._base_dir / self._SEG_INDPTR_TMPL.format(index)
-                seg_indptr.append(np.memmap(ip_path, dtype=np.int64, mode="r"))
-                codes_path = self._base_dir / self._SEG_CODES_TMPL.format(index)
-                seg_codes.append(np.memmap(codes_path, dtype=np.int64, mode="r")
-                                 if codes_path.stat().st_size else empty)
-            items_path = self._base_dir / self._SPARSE_ITEM_IDS
-            item_ids = (np.memmap(items_path, dtype=np.int64, mode="r")
-                        if items_path.exists() and items_path.stat().st_size
-                        else empty)
+            seg_indptr = [self._map_int64(self._SEG_INDPTR_TMPL.format(index))
+                          for index in range(len(bounds) - 1)]
+            seg_codes = [self._map_int64(self._SEG_CODES_TMPL.format(index))
+                         for index in range(len(bounds) - 1)]
+            item_ids = self._map_int64(self._SPARSE_ITEM_IDS)
             # the journal is small by construction; plain reads keep it simple
             j_rows = self._read_int64(self._JOURNAL_ROWS)
             j_indptr = self._read_int64(self._JOURNAL_INDPTR)
@@ -959,6 +990,10 @@ class OnDiskProfileStore:
         is charged through the disk model's mapped-read cost, per contiguous
         range.
 
+        A sorted, duplicate-free ``int64`` array — a partition's vertex
+        list — is taken as it is; any other iterable of ids is sorted and
+        deduplicated first.
+
         Because a zero-copy slice reads the live files, it is **not a
         snapshot**: a later :meth:`apply_changes` shows through dense
         mapped views (and invalidates sparse slices entirely, since sparse
@@ -966,25 +1001,35 @@ class OnDiskProfileStore:
         across a phase-5 update; callers that do must reload after applying
         changes — worker processes key this off :attr:`generation`.
         """
-        ids = self._validated_ids(user_ids)
-        self.charge_slice_read(ids, _validated=True)
+        ids, ranges = self._validated_ids(user_ids)
+        self._charge_ranges(ranges)
         if self._meta["kind"] == "dense":
-            return self._load_dense(ids)
+            return self._load_dense(ids, ranges)
         if self.format_version >= 3:
-            return self._load_sparse_v3(ids)
+            return self._load_sparse_v3(ids, ranges)
         if self.format_version == 2:
-            return self._load_sparse_v2(ids)
-        return self._load_sparse_v1(ids)
+            return self._load_sparse_v2(ids, ranges)
+        return self._load_sparse_v1(ranges)
 
-    def _validated_ids(self, user_ids: Iterable[int]) -> List[int]:
+    def _validated_ids(self, user_ids: Iterable[int]
+                       ) -> Tuple[np.ndarray, List[Tuple[int, int]]]:
+        """``user_ids`` as a sorted unique in-range int64 array, plus its
+        contiguous ``(start, stop)`` runs."""
         self._require_meta()
-        ids = sorted({int(u) for u in user_ids})
-        for user in ids:
-            if not 0 <= user < self.num_users:
-                raise IndexError(f"user {user} out of range (store has {self.num_users})")
-        return ids
+        if (isinstance(user_ids, np.ndarray) and user_ids.dtype == np.int64
+                and user_ids.ndim == 1):
+            ids = user_ids
+        else:
+            ids = np.asarray(sorted({int(u) for u in user_ids}), dtype=np.int64)
+        if len(ids) > 1 and int(np.diff(ids).min()) <= 0:
+            ids = np.unique(ids)   # unsorted or duplicated
+        num_users = self.num_users
+        if len(ids) and (ids[0] < 0 or ids[-1] >= num_users):
+            bad = ids[0] if ids[0] < 0 else ids[np.searchsorted(ids, num_users)]
+            raise IndexError(f"user {int(bad)} out of range (store has {num_users})")
+        return ids, _contiguous_ranges(ids)
 
-    def charge_slice_read(self, user_ids: Iterable[int], _validated: bool = False) -> None:
+    def charge_slice_read(self, user_ids: Iterable[int]) -> None:
         """Charge (without loading) the I/O of one ``load_users`` call.
 
         The phase-4 process backend loads slices inside worker processes
@@ -994,17 +1039,22 @@ class OnDiskProfileStore:
         processes, so charging the device once per slice is also the honest
         model.
         """
-        ids = user_ids if _validated else self._validated_ids(user_ids)
-        ranges = list(_contiguous_ranges(ids))
+        self._charge_ranges(self._validated_ids(user_ids)[1])
+
+    def _charge_ranges(self, ranges: List[Tuple[int, int]]) -> None:
         if not ranges:
             return
         sequential = len(ranges) == 1
         if self._meta["kind"] == "dense":
             row_bytes = self.dim * 8 + (8 if self.format_version >= 2 else 0)
+            cost_of: Dict[int, float] = {}   # runs of equal length cost the same
             for start, stop in ranges:
                 nbytes = (stop - start) * row_bytes
-                self.io_stats.record_read(
-                    nbytes, self._disk.mapped_read_cost(nbytes, sequential=sequential))
+                cost = cost_of.get(nbytes)
+                if cost is None:
+                    cost = cost_of[nbytes] = self._disk.mapped_read_cost(
+                        nbytes, sequential=sequential)
+                self.io_stats.record_read(nbytes, cost)
             return
         if self.format_version >= 3:
             row_sizes = self._v3().row_sizes
@@ -1026,30 +1076,27 @@ class OnDiskProfileStore:
             self.io_stats.record_read(
                 nbytes, self._disk.mapped_read_cost(nbytes, sequential=sequential))
 
-    def _load_dense(self, ids: List[int]) -> ProfileSlice:
+    def _load_dense(self, ids: np.ndarray,
+                    ranges: List[Tuple[int, int]]) -> ProfileSlice:
         dim = self.dim
-        if not ids:
+        if not ranges:
             return ProfileSlice("dense", {}, dim=dim)
-        mm, norms_mm = self._dense_maps()
-        ranges = list(_contiguous_ranges(ids))
+        matrix_map, norms_map = self._dense_maps()
         if len(ranges) == 1:
             start, stop = ranges[0]
-            matrix = mm[start:stop]  # zero-copy read-only view
-            norms = norms_mm[start:stop] if norms_mm is not None else None
+            matrix = matrix_map[start:stop]  # zero-copy read-only view
+            norms = norms_map[start:stop] if norms_map is not None else None
         else:
-            ids_arr = np.asarray(ids, dtype=np.int64)
-            matrix = np.asarray(mm[ids_arr])
+            matrix = matrix_map[ids]
             matrix.flags.writeable = False
-            norms = np.asarray(norms_mm[ids_arr]) if norms_mm is not None else None
-        return ProfileSlice("dense", None, dim=dim,
-                            user_ids=np.asarray(ids, dtype=np.int64),
+            norms = norms_map[ids] if norms_map is not None else None
+        return ProfileSlice("dense", None, dim=dim, user_ids=ids,
                             matrix=matrix, norms=norms)
 
-    def _load_sparse_v3(self, ids: List[int]) -> ProfileSlice:
+    def _load_sparse_v3(self, ids: np.ndarray,
+                        ranges: List[Tuple[int, int]]) -> ProfileSlice:
         num_items = int(self._meta.get("num_items", 0))
         state = self._v3()
-        ids_arr = np.asarray(ids, dtype=np.int64)
-        ranges = list(_contiguous_ranges(ids))
         if len(ranges) == 1:
             # zero-copy fast path: one id run inside one segment, with no
             # journaled rows — the common case when segment bounds follow the
@@ -1062,74 +1109,61 @@ class OnDiskProfileStore:
                 lo = start - int(state.bounds[seg])
                 hi = stop - int(state.bounds[seg])
                 base = int(indptr_map[lo])
-                indptr = np.asarray(indptr_map[lo:hi + 1]) - base
-                top = int(indptr_map[hi])
-                codes = (state.seg_codes[seg][base:top] if top > base
-                         else np.empty(0, dtype=np.int64))
+                indptr = indptr_map[lo:hi + 1] - base
+                codes = state.seg_codes[seg][base:int(indptr_map[hi])]
                 csr = _measures.SetProfileCSR(indptr, codes, num_items,
                                               item_ids=state.item_ids,
                                               rows_sorted=True)
-                return ProfileSlice("sparse", None, user_ids=ids_arr, csr=csr)
-        sizes = state.row_sizes[ids_arr]
-        indptr = np.zeros(len(ids_arr) + 1, dtype=np.int64)
+                return ProfileSlice("sparse", None, user_ids=ids, csr=csr)
+        sizes = state.row_sizes[ids]
+        indptr = np.zeros(len(ids) + 1, dtype=np.int64)
         np.cumsum(sizes, out=indptr[1:])
         codes = np.empty(int(indptr[-1]), dtype=np.int64)
-        journal_entry = state.j_of[ids_arr]
+        journal_entry = state.j_of[ids]
         journaled = journal_entry >= 0
         if journaled.any():
             _fill_rows(codes, indptr, np.flatnonzero(journaled),
                        state.j_indptr, state.j_codes, journal_entry[journaled])
         settled = ~journaled
         if settled.any():
-            segments = np.searchsorted(state.bounds, ids_arr, side="right") - 1
+            segments = np.searchsorted(state.bounds, ids, side="right") - 1
             for seg in np.unique(segments[settled]):
                 mask = settled & (segments == seg)
                 _fill_rows(codes, indptr, np.flatnonzero(mask),
                            state.seg_indptr[seg], state.seg_codes[seg],
-                           ids_arr[mask] - int(state.bounds[seg]))
+                           ids[mask] - int(state.bounds[seg]))
         codes.flags.writeable = False
         csr = _measures.SetProfileCSR(indptr, codes, num_items,
                                       item_ids=state.item_ids, rows_sorted=True)
-        return ProfileSlice("sparse", None, user_ids=ids_arr, csr=csr)
+        return ProfileSlice("sparse", None, user_ids=ids, csr=csr)
 
-    def _load_sparse_v2(self, ids: List[int]) -> ProfileSlice:
+    def _load_sparse_v2(self, ids: np.ndarray,
+                        ranges: List[Tuple[int, int]]) -> ProfileSlice:
         num_items = int(self._meta.get("num_items", 0))
         rows_sorted = bool(self._meta.get("row_codes_sorted", False))
-        indptr_mm, codes_mm, item_ids = self._sparse_maps()
-        empty = np.empty(0, dtype=np.int64)
-        ranges = list(_contiguous_ranges(ids))
+        indptr_map, codes_map, item_ids = self._sparse_maps()
         if len(ranges) == 1:
             start, stop = ranges[0]
-            base = int(indptr_mm[start])
-            indptr = np.asarray(indptr_mm[start:stop + 1]) - base
-            hi = int(indptr_mm[stop])
-            codes = codes_mm[base:hi] if (codes_mm is not None and hi > base) else empty
+            base = int(indptr_map[start])
+            indptr = indptr_map[start:stop + 1] - base
+            codes = codes_map[base:int(indptr_map[stop])]
         else:
-            pieces: List[np.ndarray] = []
-            sizes: List[np.ndarray] = []
-            for start, stop in ranges:
-                lo, hi = int(indptr_mm[start]), int(indptr_mm[stop])
-                if codes_mm is not None and hi > lo:
-                    pieces.append(np.asarray(codes_mm[lo:hi]))
-                sizes.append(np.asarray(indptr_mm[start + 1:stop + 1])
-                             - np.asarray(indptr_mm[start:stop]))
-            codes = np.concatenate(pieces) if pieces else empty
-            codes.flags.writeable = False
-            all_sizes = np.concatenate(sizes) if sizes else empty
+            sizes = indptr_map[ids + 1] - indptr_map[ids]
             indptr = np.zeros(len(ids) + 1, dtype=np.int64)
-            np.cumsum(all_sizes, out=indptr[1:])
+            np.cumsum(sizes, out=indptr[1:])
+            codes = codes_map[ragged_ranges(indptr_map[ids], sizes)]
+            codes.flags.writeable = False
         csr = _measures.SetProfileCSR(indptr, codes, num_items, item_ids=item_ids,
                                       rows_sorted=rows_sorted)
-        return ProfileSlice("sparse", None,
-                            user_ids=np.asarray(ids, dtype=np.int64), csr=csr)
+        return ProfileSlice("sparse", None, user_ids=ids, csr=csr)
 
-    def _load_sparse_v1(self, ids: List[int]) -> ProfileSlice:
+    def _load_sparse_v1(self, ranges: List[Tuple[int, int]]) -> ProfileSlice:
         """Fallback loader for version-1 layouts (raw item ids on disk)."""
         indptr = np.fromfile(self._base_dir / self._SPARSE_INDPTR, dtype=np.int64)
         items_path = self._base_dir / self._SPARSE_ITEMS
         mm = np.memmap(items_path, dtype=np.int64, mode="r") if items_path.stat().st_size else None
         profiles: Dict[int, Set[int]] = {}
-        for start, stop in _contiguous_ranges(ids):
+        for start, stop in ranges:
             lo, hi = int(indptr[start]), int(indptr[stop])
             block = np.array(mm[lo:hi]) if (mm is not None and hi > lo) else np.empty(0, np.int64)
             for user in range(start, stop):
@@ -1460,15 +1494,16 @@ class OnDiskProfileStore:
         return mismatched
 
 
-def _contiguous_ranges(sorted_ids: Sequence[int]):
-    """Yield (start, stop) half-open ranges covering runs of consecutive ids."""
-    if not sorted_ids:
-        return
-    start = prev = sorted_ids[0]
-    for value in sorted_ids[1:]:
-        if value == prev + 1:
-            prev = value
-            continue
-        yield (start, prev + 1)
-        start = prev = value
-    yield (start, prev + 1)
+def _contiguous_ranges(sorted_ids: Sequence[int]) -> List[Tuple[int, int]]:
+    """Half-open ``(start, stop)`` ranges covering the runs of consecutive ids
+    in a sorted, duplicate-free id sequence."""
+    ids = np.asarray(sorted_ids, dtype=np.int64)
+    if not len(ids):
+        return []
+    first, last = int(ids[0]), int(ids[-1])
+    if last - first + 1 == len(ids):
+        return [(first, last + 1)]
+    breaks = np.flatnonzero(np.diff(ids) != 1)
+    starts = ids[np.concatenate([[0], breaks + 1])]
+    stops = ids[np.concatenate([breaks, [len(ids) - 1]])] + 1
+    return list(zip(starts.tolist(), stops.tolist()))

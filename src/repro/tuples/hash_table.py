@@ -146,9 +146,13 @@ class TupleHashTable:
         indexing pass is part of phase 2 rather than of whichever phase
         happens to ask first.
         """
-        self._bucket_index()
+        self.bucket_index()
 
-    def _bucket_index(self) -> Tuple[np.ndarray, Dict[PartitionPair, Tuple[int, int]]]:
+    def bucket_index(self) -> Tuple[np.ndarray, Dict[PartitionPair, Tuple[int, int]]]:
+        """``(order, spans)``: the positions of :attr:`keys` grouped by
+        partition pair (ascending within a pair), and each pair's non-empty
+        ``[start, stop)`` run in ``order``; ``spans`` lists the pairs in run
+        order, so the runs tile ``order``.  Not copies — do not mutate."""
         self._consolidate()
         if self._index is None:
             spans: Dict[PartitionPair, Tuple[int, int]] = {}
@@ -197,23 +201,25 @@ class TupleHashTable:
         :attr:`keys` — the table's one key decoder."""
         keys = self.keys[positions]
         sources = keys // self._num_vertices
-        return sources, keys - sources * self._num_vertices
+        destinations = sources * self._num_vertices
+        np.subtract(keys, destinations, out=destinations)
+        return sources, destinations
 
     def partition_pairs(self) -> List[PartitionPair]:
         """All partition pairs that carry at least one tuple (PI-graph edges)."""
-        return sorted(self._bucket_index()[1])
+        return sorted(self.bucket_index()[1])
 
     def bucket_sizes(self) -> Dict[PartitionPair, int]:
         """Tuple count per partition pair (PI-graph edge weights)."""
         return {pair: stop - start
-                for pair, (start, stop) in self._bucket_index()[1].items()}
+                for pair, (start, stop) in self.bucket_index()[1].items()}
 
     def positions_for(self, source_partition: int,
                       destination_partition: int) -> np.ndarray:
         """Positions in :attr:`keys` of the tuples on the PI edge
         ``(source_partition, destination_partition)``, ascending.  Over all
         partition pairs the results partition ``range(len(self))``."""
-        order, spans = self._bucket_index()
+        order, spans = self.bucket_index()
         start, stop = spans.get((source_partition, destination_partition), (0, 0))
         return order[start:stop]
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,22 @@ from repro.graph.digraph import CSRDiGraph, DiGraph
 from repro.graph.generators import powerlaw_fixed_size_graph
 from repro.graph.knn_graph import KNNGraph
 from repro.similarity.workloads import generate_dense_profiles, generate_sparse_profiles
+
+
+@pytest.fixture
+def shm_unchanged():
+    """Fail the test if it changes the set of names under ``/dev/shm``.
+
+    Nothing in the engine publishes a named shared-memory object, so a run —
+    finished, crashed or with its pool workers killed mid-step — must leave
+    that directory exactly as it found it.
+    """
+    def names():
+        return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+
+    before = names()
+    yield
+    assert names() == before
 
 
 @pytest.fixture

@@ -59,6 +59,13 @@ def pairs():
     return rng.integers(0, NUM_USERS, size=(500, 2)).astype(np.int64)
 
 
+def _score(piece, pairs, measure, **options):
+    """``score_tuples`` for id pairs over a slice holding users ``0..n-1``
+    (where a user's row is its id)."""
+    return score_tuples(piece, pairs[:, 0], piece, pairs[:, 1], measure,
+                        **options)
+
+
 def _assert_scores_match(expected, got):
     np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
 
@@ -67,10 +74,10 @@ class TestScoreParityAllMeasures:
     @pytest.mark.parametrize("measure", sorted(VECTOR_MEASURES))
     def test_dense_measures(self, dense_store, dense_pool, pairs, measure):
         piece = dense_store.load_users(range(NUM_USERS))
-        serial = score_tuples(piece, pairs, measure, backend="serial")
-        threaded = score_tuples(piece, pairs, measure, num_threads=4,
+        serial = _score(piece, pairs, measure, backend="serial")
+        threaded = _score(piece, pairs, measure, num_threads=4,
                                 chunk_size=64, backend="thread")
-        process = score_tuples(piece, pairs, measure, backend="process",
+        process = _score(piece, pairs, measure, backend="process",
                                pool=dense_pool)
         _assert_scores_match(serial, threaded)
         _assert_scores_match(serial, process)
@@ -78,10 +85,10 @@ class TestScoreParityAllMeasures:
     @pytest.mark.parametrize("measure", sorted(SET_MEASURES))
     def test_sparse_measures(self, sparse_store, sparse_pool, pairs, measure):
         piece = sparse_store.load_users(range(NUM_USERS))
-        serial = score_tuples(piece, pairs, measure, backend="serial")
-        threaded = score_tuples(piece, pairs, measure, num_threads=4,
+        serial = _score(piece, pairs, measure, backend="serial")
+        threaded = _score(piece, pairs, measure, num_threads=4,
                                 chunk_size=64, backend="thread")
-        process = score_tuples(piece, pairs, measure, backend="process",
+        process = _score(piece, pairs, measure, backend="process",
                                pool=sparse_pool)
         _assert_scores_match(serial, threaded)
         _assert_scores_match(serial, process)
@@ -91,18 +98,37 @@ class TestScoreParityAllMeasures:
         users = list(range(0, NUM_USERS, 3))
         piece = dense_store.load_users(users)
         rng = np.random.default_rng(5)
-        pairs = np.asarray(users, dtype=np.int64)[
-            rng.integers(0, len(users), size=(200, 2))]
-        serial = score_tuples(piece, pairs, "cosine", backend="serial")
-        process = score_tuples(piece, pairs, "cosine", backend="process",
-                               pool=dense_pool)
+        rows = rng.integers(0, len(users), size=(200, 2))
+        serial = _score(piece, rows, "cosine", backend="serial")
+        process = _score(piece, rows, "cosine", backend="process",
+                         pool=dense_pool)
         _assert_scores_match(serial, process)
+        # and the rows mean what the ids say
+        _assert_scores_match(piece.similarity_pairs(
+            np.asarray(users, dtype=np.int64)[rows], "cosine"), serial)
+
+    def test_two_partition_parity(self, dense_store, dense_pool):
+        """Left rows address one slice, right rows the other."""
+        half = NUM_USERS // 2
+        left = dense_store.load_users(range(half))
+        right = dense_store.load_users(range(half, NUM_USERS))
+        rng = np.random.default_rng(6)
+        left_rows = rng.integers(0, half, size=300)
+        right_rows = rng.integers(0, NUM_USERS - half, size=300)
+        serial = score_tuples(left, left_rows, right, right_rows, "cosine",
+                              backend="serial")
+        process = score_tuples(left, left_rows, right, right_rows, "cosine",
+                               backend="process", pool=dense_pool)
+        _assert_scores_match(serial, process)
+        whole = dense_store.load_users(range(NUM_USERS))
+        _assert_scores_match(whole.similarity_pairs(
+            np.column_stack([left_rows, half + right_rows]), "cosine"), serial)
 
 
 class TestProcessPoolEdgeCases:
     def test_empty_tuples(self, dense_store, dense_pool):
         piece = dense_store.load_users(range(10))
-        out = score_tuples(piece, np.empty((0, 2), dtype=np.int64), "cosine",
+        out = _score(piece, np.empty((0, 2), dtype=np.int64), "cosine",
                            backend="process", pool=dense_pool)
         assert out.shape == (0,)
 
@@ -110,7 +136,7 @@ class TestProcessPoolEdgeCases:
         """Shards beyond the tuple count are dropped, not scored empty."""
         piece = dense_store.load_users(range(10))
         pairs = np.array([[0, 1], [2, 3]], dtype=np.int64)
-        out = score_tuples(piece, pairs, "cosine", backend="process",
+        out = _score(piece, pairs, "cosine", backend="process",
                            pool=dense_pool)
         _assert_scores_match(piece.similarity_pairs(pairs, "cosine"), out)
 
@@ -118,24 +144,26 @@ class TestProcessPoolEdgeCases:
         piece = dense_store.load_users(range(NUM_USERS))
         pairs = np.array([[0, 1], [5, 9], [10, 11]], dtype=np.int64)
         with ProcessScoringPool(dense_store, num_workers=1) as pool:
-            out = score_tuples(piece, pairs, "cosine", backend="process", pool=pool)
+            out = _score(piece, pairs, "cosine", backend="process", pool=pool)
         _assert_scores_match(piece.similarity_pairs(pairs, "cosine"), out)
 
     def test_process_backend_requires_pool(self, dense_store):
         piece = dense_store.load_users(range(10))
         with pytest.raises(ValueError):
-            score_tuples(piece, np.array([[0, 1]]), "cosine", backend="process")
+            _score(piece, np.array([[0, 1]]), "cosine", backend="process")
 
     def test_unknown_backend_rejected(self, dense_store):
         piece = dense_store.load_users(range(10))
         with pytest.raises(ValueError):
-            score_tuples(piece, np.array([[0, 1]]), "cosine", backend="gpu")
+            _score(piece, np.array([[0, 1]]), "cosine", backend="gpu")
 
     def test_pool_reuses_cached_slice_per_key(self, dense_store, dense_pool, pairs):
         """Same key twice → same result (worker cache reuse is sound)."""
         piece = dense_store.load_users(range(NUM_USERS))
-        first = dense_pool.score(piece.user_ids, pairs, "cosine", key="step-a")
-        second = dense_pool.score(piece.user_ids, pairs, "cosine", key="step-a")
+        part = [("step-a", piece.user_ids)]
+        first = dense_pool.score(part, pairs[:, 0], pairs[:, 1], "cosine")
+        second = dense_pool.score(part, pairs[:, 0], pairs[:, 1], "cosine")
+        _assert_scores_match(piece.similarity_pairs(pairs, "cosine"), first)
         _assert_scores_match(first, second)
 
 

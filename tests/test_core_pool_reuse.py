@@ -121,15 +121,17 @@ class TestPoolReuseParityAcrossUpdates:
         pairs = np.array([[0, 1], [2, 3], [0, 3]], dtype=np.int64)
         with ProcessScoringPool(store, num_workers=2) as pool:
             piece = store.load_users(range(40))
-            before = score_tuples(piece, pairs, "cosine", backend="process",
-                                  pool=pool, generation=store.generation)
+            before = score_tuples(piece, pairs[:, 0], piece, pairs[:, 1],
+                                  "cosine", backend="process", pool=pool,
+                                  generation=store.generation)
             np.testing.assert_array_equal(
                 before, piece.similarity_pairs(pairs, "cosine"))
             store.apply_changes([ProfileChange(user=0, kind="set",
                                                vector=np.ones(6))])
             reloaded = store.load_users(range(40))
-            after = score_tuples(reloaded, pairs, "cosine", backend="process",
-                                 pool=pool, generation=store.generation)
+            after = score_tuples(reloaded, pairs[:, 0], reloaded, pairs[:, 1],
+                                 "cosine", backend="process", pool=pool,
+                                 generation=store.generation)
             np.testing.assert_array_equal(
                 after, reloaded.similarity_pairs(pairs, "cosine"))
             assert not np.array_equal(before, after)
@@ -148,3 +150,53 @@ class TestPoolReuseParityAcrossUpdates:
         fallback = _run_fingerprints(profiles, feed,
                                      backend="process", num_workers=4)
         assert serial == fallback
+
+
+class TestThreadExecutorReuse:
+    """The thread backend keeps one executor for the whole run, like the
+    process pool — not one per scoring call."""
+
+    def test_one_executor_per_run_and_threads_gone_after_close(self, monkeypatch):
+        import threading
+        from concurrent.futures import ThreadPoolExecutor
+
+        import repro.core.iteration as iteration_module
+        import repro.core.parallel as parallel_module
+
+        built = []
+        submitted = []
+
+        class SpyExecutor(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+            def submit(self, *args, **kwargs):
+                submitted.append(self)
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(iteration_module, "ThreadPoolExecutor", SpyExecutor)
+        monkeypatch.setattr(parallel_module, "ThreadPoolExecutor", SpyExecutor)
+        # 8 partitions = 36 residency steps; PI edges beyond the 4096-tuple
+        # chunk size, so the steps really fan out onto the pool
+        profiles = generate_dense_profiles(2400, dim=6, num_communities=3,
+                                           seed=41)
+        base = dict(k=12, num_partitions=8, heuristic="degree-low-high", seed=9)
+        baseline = threading.active_count()
+        engine = KNNEngine(profiles, EngineConfig(backend="thread",
+                                                  num_threads=4, **base))
+        try:
+            results = [engine.run_iteration(), engine.run_iteration()]
+            assert results[0].steps_total == 36
+            assert len(built) == 1
+            assert len(submitted) > 36 and set(submitted) == {built[0]}
+            assert threading.active_count() > baseline
+        finally:
+            engine.close()
+        engine.close()  # idempotent
+        assert threading.active_count() == baseline
+        with KNNEngine(profiles, EngineConfig(backend="serial", **base)) as twin:
+            expected = [twin.run_iteration(), twin.run_iteration()]
+        assert ([r.graph.edge_fingerprint() for r in results]
+                == [r.graph.edge_fingerprint() for r in expected])
+        assert len(built) == 1  # the serial twin never builds one

@@ -7,6 +7,7 @@ bytecode and other generated caches out of the index for good.
 
 from __future__ import annotations
 
+import ast
 import re
 import shutil
 import subprocess
@@ -67,7 +68,7 @@ def test_graph_arrays_are_private_to_knn_graph():
 
 def test_table_arrays_are_private_to_the_hash_table():
     """``H``'s key array, pending set and bucket index belong to
-    ``tuples/hash_table.py``; phase 4 reads ``keys``, ``positions_for`` and
+    ``tuples/hash_table.py``; phase 4 reads ``keys``, ``bucket_index`` and
     ``endpoints``, so the layout can change again without a sweep."""
     private = re.compile(r"(?<!self)\._(keys|pending|index)\b")
     assert _lines_matching(private, ("src/repro/tuples/hash_table.py",)) == []
@@ -81,3 +82,38 @@ def test_score_cache_arrays_are_assigned_in_two_modules():
     assigned = re.compile(r"\.(keys|values)\s*=(?!=)")
     assert _lines_matching(assigned, ("src/repro/core/iteration.py",
                                       "src/repro/core/checkpoint.py")) == []
+
+
+def test_nothing_under_src_uses_shared_memory():
+    """Phase 4 addresses partition slices by partition-local row, so there
+    is no merged index to publish: no module creates (or has to clean up) a
+    named ``multiprocessing.shared_memory`` segment."""
+    src = REPO_ROOT / "src" / "repro"
+    offenders = [
+        f"{path.relative_to(REPO_ROOT)}:{number}"
+        for path in sorted(src.rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(r"shared_memory|SharedMemory", line)]
+    assert offenders == []
+
+
+def test_core_scores_by_row_not_through_merged_or_id_addressed_slices():
+    """Nothing in ``core/`` merges profile slices or translates user ids to
+    rows: every backend scores ``ProfileSlice.similarity_rows``.  ``merge``
+    is also the name of the stats / score-cache accumulators, so a
+    ``.merge(...)`` call passes only on one of those receivers."""
+    accumulators = {"self", "io_stats", "total_io", "total_phases",
+                    "score_cache", "snapshot", "profile_snapshot"}
+    offenders = []
+    for path in sorted((REPO_ROOT / "src" / "repro" / "core").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)):
+                continue
+            name = node.func.attr
+            receiver = node.func.value
+            if name in ("merge_indexed", "_rows_for", "similarity_pairs") or (
+                    name == "merge" and not (isinstance(receiver, ast.Name)
+                                             and receiver.id in accumulators)):
+                offenders.append(f"{path.name}:{node.lineno} .{name}()")
+    assert offenders == []

@@ -29,7 +29,7 @@ import pytest
 
 from repro.core.config import EngineConfig
 from repro.core.engine import KNNEngine
-from repro.core.parallel import active_shared_row_indexes, fork_available
+from repro.core.parallel import fork_available
 from repro.service import ServingRuntime
 from repro.similarity.workloads import ProfileChange, generate_dense_profiles
 from repro.testing import FaultPlan, InjectedCrash
@@ -145,7 +145,8 @@ def twin():
 
 
 @pytest.mark.parametrize("point", REFRESH_CRASH_POINTS)
-def test_refresh_crash_recovers_without_an_outage(point, tmp_path, twin):
+def test_refresh_crash_recovers_without_an_outage(point, tmp_path, twin,
+                                                  shm_unchanged):
     """Kill the refresh loop at ``point``; serving must never notice."""
     plan = FaultPlan().crash_at(point, occurrence=2)
     runtime = _runtime(tmp_path / "svc", plan=plan)
@@ -160,7 +161,6 @@ def test_refresh_crash_recovers_without_an_outage(point, tmp_path, twin):
         assert (fingerprint, dense) == twin
     finally:
         runtime.close()
-    assert active_shared_row_indexes() == []
 
 
 def test_admission_crash_is_a_recoverable_process_death(tmp_path, twin):
@@ -247,7 +247,8 @@ def test_drain_crash_recovers_with_nothing_lost(tmp_path, twin):
         recovered.close()
 
 
-def test_hung_worker_stalls_one_refresh_not_the_service(tmp_path, twin):
+def test_hung_worker_stalls_one_refresh_not_the_service(tmp_path, twin,
+                                                        shm_unchanged):
     """A worker hang inside phase 4 must stay invisible to the query path."""
     if not fork_available():
         pytest.skip("process backend needs fork")
@@ -268,7 +269,6 @@ def test_hung_worker_stalls_one_refresh_not_the_service(tmp_path, twin):
         assert _final_state(runtime) == twin
     finally:
         runtime.close()
-    assert active_shared_row_indexes() == []
 
 
 def test_seeded_crash_soak_serves_through_every_failure(tmp_path, twin):

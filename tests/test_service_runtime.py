@@ -464,3 +464,49 @@ class TestGracefulDrain:
             service.stop(drain=True)
             service.stop(drain=True)
             service.stop(drain=False)
+
+
+class TestRefreshCadence:
+    """A refresh starts after every admission — on either side of the drain."""
+
+    def test_batch_admitted_mid_refresh_gets_a_refresh_of_its_own(
+            self, tmp_path, monkeypatch):
+        """Admitted while a refresh runs and drained by that same refresh's
+        phase 5: the change is applied but in no served graph, and the queue
+        is empty — the next refresh must follow without waiting for a batch."""
+        with _runtime(tmp_path / "svc") as service:
+            engine = service.engine
+            iterate = engine.run_iteration
+            calls, served = [], []
+
+            def iterate_with_a_late_batch():
+                calls.append(service.pending_updates)
+                served.append(service.neighbors(7))
+                if len(calls) == 1:
+                    late = [ProfileChange(user=7, kind="set",
+                                          vector=np.linspace(1.0, 2.0, DIM))]
+                    assert service.submit_updates(late).accepted
+                return iterate()
+
+            monkeypatch.setattr(engine, "run_iteration", iterate_with_a_late_batch)
+            assert service.submit_updates(_batch(0)).accepted
+            _await(lambda: service.supervisor.refreshes >= 2, message="follow-up")
+            # the second refresh found the queue already drained by the first
+            assert calls == [3, 0]
+            assert service.current_epoch == 2
+            # epoch 1 was scored before user 7 changed, epoch 2 after
+            assert service.neighbors(7) != served[1]
+            # and it stops there: nothing admitted since that refresh started
+            time.sleep(0.05)
+            assert service.supervisor.refreshes == 2
+
+    def test_lockstep_batches_cost_one_refresh_each(self, tmp_path):
+        with _runtime(tmp_path / "svc") as service:
+            for index in range(4):
+                assert service.submit_updates(_batch(index)).accepted
+                _await(lambda: service.current_epoch >= index + 1
+                       and service.pending_updates == 0, message="epoch")
+                _await(lambda: service.supervisor.state == "idle", message="idle")
+            time.sleep(0.05)
+            assert service.supervisor.refreshes == 4
+            assert service.current_epoch == 4

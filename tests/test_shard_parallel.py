@@ -164,18 +164,24 @@ class TestCoordinatorOracle:
         tasks = []
         expected = []
         whole = store.load_users(np.arange(NUM_USERS))
-        # two partition-disjoint steps: (0,1) and (2,3)
+        # two partition-disjoint steps: (0,1) and (2,3); each carries its
+        # three PI edges as partition-local row batches
         for pid in (0, 2):
             lo, hi = pid * quarter, (pid + 2) * quarter
-            sources = rng.integers(lo, hi, size=40)
-            dests = rng.integers(lo, hi, size=40)
-            keep = sources != dests
-            tuples = np.stack([sources[keep], dests[keep]], axis=1)
+            starts = (lo, lo + quarter)
+            batches = []
+            tuples = []
+            for left, right in ((0, 1), (1, 0), (0, 0)):
+                left_rows = rng.integers(0, quarter, size=40)
+                right_rows = rng.integers(0, quarter, size=40)
+                batches.append((left, right, left_rows, right_rows))
+                tuples.append(np.stack([starts[left] + left_rows,
+                                        starts[right] + right_rows], axis=1))
             tasks.append(ShardStepTask(
-                key=(0, pid, pid + 1),
                 parts=((pid, range(lo, lo + quarter)),
                        (pid + 1, range(lo + quarter, hi))),
-                tuples=tuples, measure="cosine", generation=None))
+                batches=tuple(batches), measure="cosine", generation=None))
+            tuples = np.concatenate(tuples)
             scores = whole.similarity_pairs(tuples, "cosine")
             expected.append((tuples, scores))
         return tasks, expected

@@ -1,15 +1,14 @@
-"""The shared-memory merged-slice row index (PR 5).
+"""``ProfileSlice.merge_indexed`` and the row-addressed pool against it.
 
-Phase 4 builds each residency step's merged id→row index once in the
-coordinator and shares it: in-process backends pass it straight into
-:meth:`ProfileSlice.merge_indexed`, the process pool publishes it to its
-workers through a ``multiprocessing.shared_memory`` segment
-(:class:`SharedRowIndex`).  These tests pin
+This file used to pin the shared-memory row index of PR 5; phase 4 now
+addresses every partition slice by partition-local row, so no merged index
+is built or shared and the segment is gone.  What stays:
 
-* ``merge_indexed`` ≡ ``merge`` for disjoint slices (dense multi-block
-  and sparse CSR), including the no-matrix-allocation property,
-* the shared segment's roundtrip through the worker attach path, and
-* pool scoring with and without the shared index being bit-identical.
+* ``merge_indexed`` ≡ ``merge`` for disjoint slices (dense multi-block and
+  sparse CSR), including the no-matrix-allocation property — both remain
+  public API for callers that want one id-addressed slice, and
+* the process pool scoring two partitions by row being bit-identical to
+  the id-addressed merged slice (the pre-PR-14 path, kept as the oracle).
 """
 
 from __future__ import annotations
@@ -17,8 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import parallel
-from repro.core.parallel import ProcessScoringPool, SharedRowIndex, fork_available
+from repro.core.parallel import ProcessScoringPool, fork_available
 from repro.similarity.workloads import (generate_dense_profiles,
                                         generate_sparse_profiles)
 from repro.storage.profile_store import OnDiskProfileStore
@@ -97,64 +95,8 @@ class TestMergeIndexed:
             a.merge_indexed(b, users, order)
 
 
-@pytest.fixture
-def drop_worker_attachment():
-    """Clear the module-level worker attachment cache after the test."""
-    yield
-    parallel._WORKER_SLICE = (None, None)
-    _, shm = parallel._WORKER_INDEX
-    parallel._WORKER_INDEX = (None, None)
-    if shm is not None:
-        shm.close()
-
-
-class TestSharedRowIndexSegment:
-    def test_roundtrip_through_the_worker_attach_path(self,
-                                                      drop_worker_attachment):
-        users = np.asarray([2, 5, 9, 11], dtype=np.int64)
-        order = np.asarray([1, 3, 0, 2], dtype=np.int64)
-        shared = SharedRowIndex(users, order)
-        got_users, got_order = parallel._attach_row_index(shared.descriptor)
-        np.testing.assert_array_equal(got_users, users)
-        np.testing.assert_array_equal(got_order, order)
-        shared.close()
-
-    def test_empty_index(self):
-        shared = SharedRowIndex(np.empty(0, dtype=np.int64),
-                                np.empty(0, dtype=np.int64))
-        assert shared.descriptor[1] == 0
-        shared.close()
-        shared.close()  # idempotent
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="equal length"):
-            SharedRowIndex(np.zeros(3, dtype=np.int64),
-                           np.zeros(2, dtype=np.int64))
-
-
 @pytest.mark.skipif(not fork_available(), reason="process pool needs fork")
 class TestPoolWithSharedIndex:
-    def test_pool_scores_identical_with_and_without_index(self, store):
-        measure = "cosine" if store.kind == "dense" else "jaccard"
-        a_ids = np.arange(0, 50, dtype=np.int64)
-        b_ids = np.arange(50, NUM_USERS, dtype=np.int64)
-        users, order = _index_for(a_ids, b_ids)
-        rng = np.random.default_rng(11)
-        tuples = rng.integers(0, NUM_USERS, size=(500, 2), dtype=np.int64)
-        parts = [(("p", 0), a_ids), (("p", 1), b_ids)]
-        with ProcessScoringPool(store, num_workers=2) as pool:
-            shared = SharedRowIndex(users, order)
-            try:
-                with_index = pool.score(None, tuples, measure, key=("s", 1),
-                                        parts=parts, generation=store.generation,
-                                        row_index=shared.descriptor)
-            finally:
-                shared.close()
-            # a different step key forces a fresh merge without the index
-            without = pool.score(None, tuples, measure, key=("s", 2),
-                                 parts=parts, generation=store.generation)
-        np.testing.assert_array_equal(with_index, without)
-
     def test_serial_reference_matches(self, store):
         measure = "cosine" if store.kind == "dense" else "jaccard"
         a_ids = np.arange(0, 50, dtype=np.int64)
@@ -163,15 +105,17 @@ class TestPoolWithSharedIndex:
         merged = store.load_users(a_ids).merge_indexed(
             store.load_users(b_ids), users, order)
         rng = np.random.default_rng(11)
-        tuples = rng.integers(0, NUM_USERS, size=(500, 2), dtype=np.int64)
-        reference = merged.similarity_pairs(tuples, measure)
+        left_rows = rng.integers(0, len(a_ids), size=500)
+        right_rows = rng.integers(0, len(b_ids), size=500)
+        reference = merged.similarity_pairs(
+            np.column_stack([a_ids[left_rows], b_ids[right_rows]]), measure)
         parts = [(("p", 0), a_ids), (("p", 1), b_ids)]
         with ProcessScoringPool(store, num_workers=2) as pool:
-            shared = SharedRowIndex(users, order)
-            try:
-                scored = pool.score(None, tuples, measure, key=("s", 1),
-                                    parts=parts, generation=store.generation,
-                                    row_index=shared.descriptor)
-            finally:
-                shared.close()
+            scored = pool.score(parts, left_rows, right_rows, measure,
+                                generation=store.generation)
+            backwards = pool.score(parts[::-1], right_rows, left_rows, measure,
+                                   generation=store.generation)
         np.testing.assert_array_equal(scored, reference)
+        np.testing.assert_array_equal(
+            backwards, merged.similarity_pairs(
+                np.column_stack([b_ids[right_rows], a_ids[left_rows]]), measure))

@@ -135,8 +135,13 @@ def sparse_store(sparse_profiles, tmp_path):
 class TestZeroCopy:
     def test_contiguous_dense_slice_is_a_mapped_view(self, dense_store):
         piece = dense_store.load_users(range(10, 40))
-        assert isinstance(piece.matrix, np.memmap)
+        # a plain ndarray view of the store's map: zero-copy, but fancy
+        # indexing it never runs np.memmap's Python-level hooks
+        assert type(piece.matrix) is np.ndarray
         assert not piece.matrix.flags.writeable
+        assert np.shares_memory(piece.matrix, dense_store._dense_maps()[0])
+        assert type(piece._norms) is np.ndarray
+        assert np.shares_memory(piece._norms, dense_store._dense_maps()[1])
 
     def test_scattered_dense_slice_is_read_only_copy(self, dense_store):
         piece = dense_store.load_users([0, 2, 4, 50])
@@ -146,8 +151,12 @@ class TestZeroCopy:
     def test_contiguous_sparse_codes_are_a_mapped_view(self, sparse_store):
         piece = sparse_store.load_users(range(5, 25))
         codes = piece._csr.codes
-        # zero-copy: the codes array is (a view of) the mapped file
-        assert isinstance(codes, np.memmap) or isinstance(codes.base, np.memmap)
+        # zero-copy: the codes array is a plain read-only view of the
+        # mapped segment file
+        assert type(codes) is np.ndarray
+        assert not codes.flags.writeable
+        assert any(np.shares_memory(codes, mapped)
+                   for mapped in sparse_store._v3().seg_codes)
 
     def test_mapped_view_tracks_inplace_update(self, dense_store, dense_profiles):
         """The zero-copy slice reads the file, not a snapshot."""

@@ -33,8 +33,28 @@ class TestWriteRead:
 
     def test_missing_partition(self, tmp_path):
         store = PartitionStore(tmp_path)
-        with pytest.raises(FileNotFoundError):
+        with pytest.raises(FileNotFoundError,
+                           match="no stored partition with id 7 under"):
             store.read_partition(7)
+
+    def test_partition_removed_after_a_read_is_reported_the_same_way(
+            self, partitions, tmp_path):
+        """One ``open`` decides: no ``exists()`` probe a removal can race."""
+        store = PartitionStore(tmp_path)
+        store.write_partition(partitions[0])
+        store.read_partition(0)
+        store.delete_partition(0)
+        with pytest.raises(FileNotFoundError,
+                           match="no stored partition with id 0 under") as caught:
+            store.read_partition(0)
+        assert caught.value.__cause__ is None  # not Python's own errno text
+
+    def test_wrong_pid_in_file(self, partitions, tmp_path):
+        store = PartitionStore(tmp_path)
+        store.write_partition(partitions[1])
+        store.partition_path(1).rename(store.partition_path(3))
+        with pytest.raises(ValueError, match="stores partition 1, expected 3"):
+            store.read_partition(3)
 
     def test_bad_magic(self, tmp_path):
         store = PartitionStore(tmp_path)
@@ -67,6 +87,22 @@ class TestIOAccounting:
         assert store.io_stats.read_ops == 1
         assert store.io_stats.bytes_read > 0
         assert store.io_stats.simulated_io_seconds > 0
+
+    def test_repeated_reads_charge_the_whole_file_each_time(self, partitions,
+                                                            tmp_path):
+        store = PartitionStore(tmp_path, disk_model="ssd")
+        store.write_partitions(partitions)
+        store.io_stats.reset()
+        expected_seconds = 0.0
+        for _ in range(3):
+            for partition in partitions:
+                store.read_partition(partition.pid)
+                expected_seconds += store.disk_model.read_cost(
+                    store.partition_size_bytes(partition.pid), sequential=True)
+        assert store.io_stats.read_ops == 3 * len(partitions)
+        assert store.io_stats.bytes_read == 3 * sum(
+            store.partition_size_bytes(p.pid) for p in partitions)
+        assert store.io_stats.simulated_io_seconds == expected_seconds
 
     def test_instant_disk_has_zero_simulated_time(self, partitions, tmp_path):
         store = PartitionStore(tmp_path, disk_model="instant")
