@@ -491,7 +491,9 @@ def _observe(kind, dirty, shard, backend):
             digest.update(path.name.encode())
             digest.update(path.read_bytes())
     rows = [(r.graph.edge_fingerprint()[:16], r.similarity_evaluations,
-             r.reused_scores, r.steps_skipped, r.load_unload_operations)
+             r.reused_scores, r.steps_skipped, r.load_unload_operations,
+             r.io_stats.bytes_read, r.io_stats.partition_loads,
+             r.io_stats.partition_unloads, r.schedule.num_steps)
             for r in run.iterations[GOLDEN_WARMUP:]]
     return rows, digest.hexdigest()[:16]
 
@@ -521,6 +523,36 @@ _GOLDEN_SCHEDULE = {
     ("sparse", False, False): [(0, 38)] * 5,
     ("sparse", False, True): [(0, 72), (0, 62), (0, 72), (0, 72), (0, 72)],
 }
+#: Per churned iteration: (io_stats.bytes_read, partition loads, partition
+#: unloads, schedule.num_steps), by (kind, dirty_scheduling, shard_parallel);
+#: the same for every backend.  Computed at commit 6beeaab (PR 14), before
+#: phase 4's two loops and two pools became one loop over one seam.
+_GOLDEN_IO = {
+    ("dense", True, False): [(12384, 0, 0, 0), (97488, 6, 6, 6),
+                             (97632, 6, 6, 6), (98640, 6, 6, 6),
+                             (97776, 6, 6, 6)],
+    ("dense", True, True): [(12384, 0, 0, 0), (54072, 11, 11, 6),
+                            (54216, 11, 11, 6), (55224, 11, 11, 6),
+                            (54360, 11, 11, 6)],
+    ("dense", False, False): [(304280, 19, 19, 21), (275440, 19, 19, 21),
+                              (275488, 19, 19, 21), (289904, 19, 19, 21),
+                              (280208, 19, 19, 21)],
+    ("dense", False, True): [(172800, 36, 36, 21), (96192, 20, 20, 11),
+                             (96120, 20, 20, 11), (139320, 29, 29, 17),
+                             (105696, 22, 22, 12)],
+    ("sparse", True, False): [(44064, 0, 0, 0), (118136, 6, 6, 6),
+                              (127464, 6, 6, 6), (128632, 6, 6, 6),
+                              (214064, 11, 11, 11)],
+    ("sparse", True, True): [(44064, 0, 0, 0), (85760, 11, 11, 6),
+                             (95408, 11, 11, 6), (96896, 11, 11, 6),
+                             (159736, 20, 20, 11)],
+    ("sparse", False, False): [(317136, 19, 19, 21), (317208, 19, 19, 21),
+                               (319048, 19, 19, 21), (320840, 19, 19, 21),
+                               (324712, 19, 19, 21)],
+    ("sparse", False, True): [(249888, 36, 36, 21), (215656, 31, 31, 17),
+                              (250608, 36, 36, 21), (250992, 36, 36, 21),
+                              (251376, 36, 36, 21)],
+}
 
 
 class TestEngineGoldens:
@@ -533,5 +565,6 @@ class TestEngineGoldens:
             "the process backend needs fork; this wall does not skip")
         rows, profile_digest = _observe(kind, dirty, shard, backend)
         assert [row[:3] for row in rows] == _GOLDEN_SCORED[kind]
-        assert [row[3:] for row in rows] == _GOLDEN_SCHEDULE[kind, dirty, shard]
+        assert [row[3:5] for row in rows] == _GOLDEN_SCHEDULE[kind, dirty, shard]
+        assert [row[5:] for row in rows] == _GOLDEN_IO[kind, dirty, shard]
         assert profile_digest == _GOLDEN_PROFILES[kind]
