@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.config import EngineConfig
 from repro.core.engine import KNNEngine
-from repro.core.parallel import score_tuples
+from repro.core.parallel import ScoringWorkers, ShardStepTask
 from repro.similarity.workloads import generate_dense_profiles
 from repro.storage.profile_store import OnDiskProfileStore
 
@@ -30,21 +30,23 @@ def scoring_workload(tmp_path_factory):
     profiles = generate_dense_profiles(NUM_USERS, dim=32, num_communities=10, seed=31)
     store = OnDiskProfileStore.create(tmp_path_factory.mktemp("profiles"), profiles,
                                       disk_model="instant")
-    profile_slice = store.load_users(range(NUM_USERS))
     rng = np.random.default_rng(31)
     pairs = rng.integers(0, NUM_USERS, size=(NUM_PAIRS, 2)).astype(np.int64)
-    reference = profile_slice.similarity_pairs(pairs, "cosine")
-    return profile_slice, pairs, reference
+    reference = store.load_users(range(NUM_USERS)).similarity_pairs(pairs, "cosine")
+    return store, pairs, reference
 
 
 @pytest.mark.parametrize("num_threads", (1, 2, 4))
 def test_scoring_throughput_by_thread_count(benchmark, scoring_workload, num_threads):
-    profile_slice, pairs, reference = scoring_workload
-
-    # the slice holds users 0..n-1, so a user's row is its id
-    scores = benchmark(score_tuples, profile_slice, pairs[:, 0], profile_slice,
-                       pairs[:, 1], "cosine", num_threads=num_threads,
-                       chunk_size=8192)
+    store, pairs, reference = scoring_workload
+    # one part holding users 0..n-1, so a user's row is its id; the lone
+    # task is cut row-wise across the pool
+    task = ShardStepTask(parts=(("all", range(NUM_USERS)),),
+                         batches=((0, 0, pairs[:, 0], pairs[:, 1]),),
+                         measure="cosine", generation=None)
+    with ScoringWorkers(store, backend="thread",
+                        num_workers=num_threads) as workers:
+        (scores,) = benchmark(workers.execute, [task])
 
     benchmark.extra_info["num_threads"] = num_threads
     benchmark.extra_info["pairs_scored"] = NUM_PAIRS
@@ -55,8 +57,9 @@ def test_threaded_engine_iteration_matches_sequential(benchmark, pedantic_kwargs
     """A full iteration with 4 scoring threads produces the identical KNN graph."""
     profiles = generate_dense_profiles(800, dim=16, num_communities=6, seed=31)
 
-    def run(num_threads):
-        config = EngineConfig(k=8, num_partitions=6, num_threads=num_threads, seed=31)
+    def run(num_workers):
+        config = EngineConfig(k=8, num_partitions=6, backend="thread",
+                              num_workers=num_workers, seed=31)
         with KNNEngine(profiles, config) as engine:
             return engine.run_iteration().graph
 

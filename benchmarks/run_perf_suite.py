@@ -106,8 +106,7 @@ UPDATE_PARTITIONS = 8
 UPDATE_CHURN = 500          # users whose profile changes per iteration
 UPDATE_ITEMS = 30000        # sparse catalogue size
 
-#: (backend, workers) datapoints of the backend sweep; "workers" means
-#: num_threads for the thread backend and num_workers for the process one.
+#: (backend, num_workers) datapoints of the backend sweep.
 BACKEND_POINTS = (
     ("serial", 1),
     ("thread", 4),
@@ -205,7 +204,7 @@ def _run_update_workload(kind: str, incremental: bool = True) -> dict:
             "phase5_seconds": round(phases[PHASE_NAMES[4]], 4),
             "updates_applied": result.profile_updates_applied,
             # incremental phase 4: kernel work vs cache reuse per iteration
-            "rescored_tuples": result.rescored_tuples,
+            "rescored_tuples": result.similarity_evaluations,
             "reused_scores": result.reused_scores,
             "full_rescore": result.full_rescore,
             # phase-5 write traffic; iteration 0 also carries the initial
@@ -301,11 +300,7 @@ def _run_dirty_workload(dirty_scheduling: bool, backend: str = "serial",
     matrix = profiles.matrix.copy()
     rng = np.random.default_rng(7)
     hot_rows = UPDATE_USERS // UPDATE_PARTITIONS   # the first partition
-    overrides = {"backend": backend}
-    if backend == "thread":
-        overrides["num_threads"] = workers
-    elif backend == "process":
-        overrides["num_workers"] = workers
+    overrides = {"backend": backend, "num_workers": workers}
     config = EngineConfig(k=K, num_partitions=UPDATE_PARTITIONS,
                           heuristic="degree-low-high", seed=SEED,
                           dirty_scheduling=dirty_scheduling, **overrides)
@@ -721,11 +716,7 @@ def _run_sharded_workload(shard_parallel: bool, backend: str = "serial",
     """One churned run with whole-step wave execution on or off."""
     profiles = generate_dense_profiles(UPDATE_USERS, dim=16,
                                        num_communities=8, seed=SEED)
-    overrides = {"backend": backend}
-    if backend == "thread":
-        overrides["num_threads"] = workers
-    elif backend == "process":
-        overrides["num_workers"] = workers
+    overrides = {"backend": backend, "num_workers": workers}
     config = EngineConfig(k=K, num_partitions=UPDATE_PARTITIONS,
                           heuristic="degree-low-high", seed=SEED,
                           shard_parallel=shard_parallel,
@@ -742,11 +733,12 @@ def _run_sharded_workload(shard_parallel: bool, backend: str = "serial",
         run = engine.run(num_iterations=SHARDED_ITERATIONS,
                          profile_change_feed=churn)
         wall = time.perf_counter() - start
-        coordinator = engine._iteration_runner.shard_coordinator
-        peak_worker_bytes = (coordinator.peak_worker_bytes
-                             if coordinator is not None else None)
-        coordinator_backend = (coordinator.backend
-                               if coordinator is not None else None)
+        scoring_workers = engine._iteration_runner.workers
+        # the per-worker budget only exists under wave execution
+        peak_worker_bytes = (scoring_workers.peak_worker_bytes
+                             if shard_parallel else None)
+        coordinator_backend = (scoring_workers.transport
+                               if shard_parallel else None)
         profile_sha256 = hashlib.sha256(
             (engine.profile_store.base_dir
              / "profiles_dense.bin").read_bytes()).hexdigest()
@@ -855,9 +847,9 @@ def run_million_user_bench() -> dict:
     with KNNEngine(profiles, config) as engine:
         result = engine.run_iteration()
         wall = time.perf_counter() - start
-        coordinator = engine._iteration_runner.shard_coordinator
-        peak_worker_bytes = coordinator.peak_worker_bytes
-        coordinator_backend = coordinator.backend
+        scoring_workers = engine._iteration_runner.workers
+        peak_worker_bytes = scoring_workers.peak_worker_bytes
+        coordinator_backend = scoring_workers.transport
     phase4 = result.phase_timer.as_dict()[PHASE_NAMES[3]]
     return {
         "num_users": MILLION_USERS,
@@ -884,7 +876,8 @@ def run_thread_sweep(thread_counts=(1, 2, 4)) -> list:
     profiles = generate_dense_profiles(NUM_USERS, dim=16, num_communities=8,
                                        seed=SEED)
     for num_threads in thread_counts:
-        row = _one_iteration(profiles, num_threads=num_threads)
+        row = _one_iteration(profiles, backend="thread",
+                             num_workers=num_threads)
         rows.append({"num_threads": num_threads, **row})
     return rows
 
@@ -895,11 +888,7 @@ def run_backend_sweep(user_counts=(2000, 10000)) -> list:
         profiles = generate_dense_profiles(num_users, dim=16, num_communities=8,
                                            seed=SEED)
         for backend, workers in BACKEND_POINTS:
-            overrides = {"backend": backend}
-            if backend == "thread":
-                overrides["num_threads"] = workers
-            elif backend == "process":
-                overrides["num_workers"] = workers
+            overrides = {"backend": backend, "num_workers": workers}
             row = _one_iteration(profiles, **overrides)
             rows.append({"num_users": num_users, "backend": backend,
                          "workers": workers, **row})

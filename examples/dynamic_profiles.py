@@ -72,7 +72,7 @@ def main() -> None:
             # store write, so read the scaling from iterations 1+)
             phase5_bytes = result.profile_io_stats.bytes_written
             print(f"{iteration:>4} {len(churn):>7} {result.profile_updates_applied:>8} "
-                  f"{changed:>14} {result.rescored_tuples:>9} "
+                  f"{changed:>14} {result.similarity_evaluations:>9} "
                   f"{result.reused_scores:>7} {phase5_seconds:>8.4f} "
                   f"{phase5_bytes:>9} {engine.profile_store.generation:>4} "
                   f"{recall:>24.3f}")

@@ -32,9 +32,9 @@ def main() -> None:
     #    two partitions resident (the paper's memory constraint), and the
     #    degree-based low-to-high PI-graph traversal heuristic.
     #
-    #    Phase-4 scoring is parallelisable via two knobs (all backends
-    #    produce bit-identical graphs):
-    #      backend="thread",  num_threads=4  — thread pool (kernels drop the GIL)
+    #    Phase-4 scoring is parallelisable via two knobs — who runs the
+    #    kernel, and how wide (all backends produce bit-identical graphs):
+    #      backend="thread",  num_workers=4  — thread pool (kernels drop the GIL)
     #      backend="process", num_workers=4  — process pool; workers re-open the
     #                                          profile store read-only by path and
     #                                          score against zero-copy mmap slices
@@ -53,7 +53,7 @@ def main() -> None:
         heuristic="degree-low-high",
         disk_model="ssd",
         backend="thread",
-        num_threads=1,
+        num_workers=1,
         seed=1,
     )
 

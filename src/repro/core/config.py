@@ -54,18 +54,16 @@ class EngineConfig:
         Optional cap on the per-bridge-vertex cross product when generating
         candidate tuples (``None`` reproduces the paper exactly).
     backend:
-        Phase-4 scoring backend: ``"serial"`` (one kernel call per PI edge
-        of a residency step), ``"thread"`` (a GIL-sharing thread pool of ``num_threads``),
-        or ``"process"`` (a pool of ``num_workers`` processes that re-open
-        the profile store read-only by path and score tuple shards against
-        mmap-served slices).  All three produce bit-identical graphs.
-    num_threads:
-        Worker threads for the ``thread`` backend (1 = sequential).
+        Who runs phase 4's similarity kernel
+        (:class:`~repro.core.parallel.ScoringWorkers`): ``"serial"`` (the
+        calling thread), ``"thread"`` (a GIL-sharing thread pool) or
+        ``"process"`` (forked workers that re-open the profile store
+        read-only by path and score against mmap-served slices).  All three
+        produce bit-identical graphs.
     num_workers:
-        Worker processes for the ``process`` backend; also the shard count
-        of the deterministic per-shard top-K merge into ``G(t+1)``.
-        ``num_workers=1`` (or a platform without ``fork``) skips the pool
-        entirely and scores in-process — identical results, no pipe cost.
+        Width of whichever pool ``backend`` names.  ``1`` (or ``"process"``
+        on a platform without ``fork``) builds no pool and scores on the
+        calling thread — identical results, no hand-over cost.
     profile_segment_rows:
         Row count per on-disk sparse profile segment (the unit phase-5
         incremental updates rewrite).  ``None`` aligns segments with the
@@ -95,32 +93,18 @@ class EngineConfig:
         (16 bytes each).  An iteration whose scored tuple set exceeds the
         cap leaves the cache empty — the next iteration then rescores
         everything — so memory stays bounded on huge candidate sets.
-    adaptive_score_cache:
-        Measure the per-tuple cost of cache lookups against their expected
-        saving (hit rate × kernel cost) and skip the lookups while they do
-        not pay — recovering the last few percent on dense low-dimensional
-        kernels whose evaluation costs about as much as the lookup itself.
-        Skipping only means scoring every tuple, so produced graphs stay
-        **bit-identical** with the policy on or off.  Off by default
-        because the decision rests on machine-dependent wall-clock
-        measurements: per-iteration reuse counters
-        (``IterationResult.reused_scores``/``lookups_skipped``) then vary
-        by hardware, which reproducibility-sensitive experiments may not
-        want.
     shard_parallel:
         Execute *whole residency steps* concurrently instead of one step at
-        a time: the dirty-scheduled step sequence is colored into waves of
-        pairwise partition-disjoint steps (``plan_shard_schedule``) and each
-        wave's steps run in parallel on the configured backend, every worker
-        exclusively owning its step's partitions for the wave
-        (:class:`~repro.core.parallel.ShardCoordinator`).  Every shard's
-        scores land in the same slots of phase 4's score slab whichever
-        wave produced them, so produced graphs and profile bytes stay
-        **bit-identical** with the toggle on or off, on every backend.  ``memory_budget_bytes`` then caps each *worker's*
-        resident profile bytes (its step's slices — the sharded analogue of
-        the serial two-resident-partitions envelope) instead of the
+        a time: the steps that need their partitions are colored into waves
+        of pairwise partition-disjoint steps (``plan_shard_schedule``) and
+        each wave is one call across the worker seam, every worker
+        exclusively owning its step's partitions for the wave.  Produced
+        graphs and profile bytes stay **bit-identical** with the toggle on
+        or off, on every backend.  ``memory_budget_bytes`` then caps each
+        *worker's* resident profile bytes (its step's slices) instead of the
         partition cache.  Off by default: one-step-at-a-time residency is
-        the paper's cost model and the right shape for single-core boxes.
+        the paper's cost model, and waves pay up to twice its load/unload
+        operations.
     seed:
         Seed for the random initial KNN graph.
     shard_timeout_seconds:
@@ -155,13 +139,11 @@ class EngineConfig:
     include_direct_edges: bool = True
     max_pairs_per_bridge: Optional[int] = None
     backend: str = "thread"
-    num_threads: int = 1
     num_workers: int = 1
     profile_segment_rows: Optional[int] = None
     incremental_phase4: bool = True
     dirty_scheduling: bool = True
     score_cache_entries: int = 4_000_000
-    adaptive_score_cache: bool = False
     shard_parallel: bool = False
     seed: Optional[int] = 0
     shard_timeout_seconds: Optional[float] = None
@@ -172,7 +154,6 @@ class EngineConfig:
         check_positive_int(self.k, "k")
         check_positive_int(self.num_partitions, "num_partitions")
         check_positive_int(self.max_resident_partitions, "max_resident_partitions")
-        check_positive_int(self.num_threads, "num_threads")
         check_positive_int(self.num_workers, "num_workers")
         if self.backend not in BACKENDS:
             raise ValueError(

@@ -25,7 +25,7 @@ import json
 import os
 import shutil
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable, List, Optional, Tuple, Union
 
@@ -56,6 +56,30 @@ _logger = get_logger("core.engine")
 # (same wire format); re-exported here for backwards compatibility
 _change_to_manifest = change_to_manifest
 _change_from_manifest = change_from_manifest
+
+
+def _config_from_manifest(saved: dict, directory) -> EngineConfig:
+    """The :class:`EngineConfig` a checkpoint manifest saved.
+
+    The manifest is outside input — older commits wrote it — so knobs retired
+    since are translated rather than handed to the constructor: a saved
+    ``adaptive_score_cache`` is dropped (it never changed results), a saved
+    ``num_threads`` becomes the ``num_workers`` of a ``"thread"`` backend and
+    is dropped otherwise.  Any other key this version does not know is an
+    error that names the key and the checkpoint.
+    """
+    saved = dict(saved)
+    saved.pop("adaptive_score_cache", None)
+    num_threads = saved.pop("num_threads", None)
+    if num_threads is not None and saved.get("backend") == "thread":
+        saved["num_workers"] = num_threads
+    unknown = sorted(saved.keys() - {spec.name for spec in fields(EngineConfig)})
+    if unknown:
+        raise ValueError(
+            f"checkpoint under {directory} saved engine_config key(s) "
+            f"{', '.join(unknown)} that this version does not know; pass "
+            "config= explicitly")
+    return EngineConfig(**saved)
 
 
 def _scan_commit_epochs(commits_dir: Path) -> List[Tuple[int, Path]]:
@@ -369,7 +393,7 @@ class KNNEngine:
                 raise ValueError(
                     f"checkpoint under {directory} carries no engine_config "
                     "(pre-config checkpoint?); pass config= explicitly")
-            config = EngineConfig(**saved)
+            config = _config_from_manifest(saved, directory)
         engine = cls(snapshot_store, config=config, workdir=workdir,
                      initial_graph=graph)
         engine._iterations_run = iteration

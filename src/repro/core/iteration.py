@@ -14,9 +14,10 @@ The orchestration follows Figure 1 of the paper exactly:
 queue, and calls :meth:`OutOfCoreIteration.run` once per iteration.  Two
 things *do* survive across iterations:
 
-* the phase-4 process scoring pool — forking workers every iteration used
-  to dominate short iterations, so the pool is created once, reused for
-  the whole run, and its workers invalidate their cached mmap slices
+* the phase-4 scoring workers (:class:`~repro.core.parallel.ScoringWorkers`)
+  — forking workers every iteration used to dominate short iterations, so
+  whatever executor the configured backend needs is created once, reused
+  for the whole run, and its workers invalidate their cached mmap slices
   through the profile store's ``generation`` counter whenever phase 5
   changes the files; and
 * the phase-4 **score cache** (:class:`Phase4ScoreCache`) — the previous
@@ -42,21 +43,27 @@ the partition's profile slice.  The tuples the cache could not answer are
 decoded once an iteration into ``(left row, right row)`` runs grouped by PI
 edge, so a step costs a slice of those arrays, a gather from each resident
 slice and a kernel, on every backend.
+
+Phase 4 itself is one loop over one seam: the steps the cache could not
+answer are grouped — each alone, or into waves of partition-disjoint steps
+under ``shard_parallel`` — and every group goes residency in, one
+``ScoringWorkers.execute(tasks)``, scores into the slab, residency out.  The
+two groupings are two *cost models* of the same loop (:class:`_StepResidency`,
+:class:`_WaveResidency`), and the residency model — never whoever happened
+to run the kernel — charges the partition loads and the slice reads.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence, Set,
+                    Tuple, Union)
 
 import numpy as np
 
 from repro.core.config import EngineConfig
-from repro.core.parallel import (ProcessScoringPool, ScoringPoolBroken,
-                                 ShardCoordinator, ShardStepTask, _compact_ids,
-                                 fork_available, score_tuples)
+from repro.core.parallel import ScoringWorkers, ShardStepTask, score_tuples
 from repro.core.update_queue import ProfileUpdateQueue
 from repro.graph.knn_graph import KNNGraph
 from repro.utils.arrays import counting_argsort
@@ -72,7 +79,7 @@ from repro.pigraph.traversal import ResidencyStep, get_heuristic
 from repro.storage.io_stats import IOStats
 from repro.storage.memory_manager import MemoryBudget, PartitionCache
 from repro.storage.partition_store import PartitionStore
-from repro.storage.profile_store import OnDiskProfileStore, ProfileSlice
+from repro.storage.profile_store import OnDiskProfileStore
 from repro.tuples.generator import generate_candidate_tuples
 from repro.tuples.hash_table import TupleHashTable
 from repro.utils.logging import get_logger
@@ -244,65 +251,6 @@ class Phase4ScoreCache:
         self.num_vertices = int(num_vertices)
 
 
-class AdaptiveCachePolicy:
-    """Measured per-tuple economics of the phase-4 score cache.
-
-    A cache lookup costs one binary search per candidate tuple; a hit saves
-    one kernel evaluation.  For cheap kernels — dense low-dimensional
-    cosine costs about as much as the lookup itself — the bookkeeping can
-    cancel the reuse.  This policy tracks exponential moving averages of
-    the *measured* per-tuple lookup cost, per-tuple kernel cost and hit
-    rate, and recommends skipping lookups while the expected saving per
-    looked-up tuple (``hit_rate × kernel_cost``) stays below the lookup
-    cost.  Skipping only means scoring every tuple — results stay
-    bit-identical — and every ``REPROBE_EVERY``-th skipped iteration runs
-    the lookups anyway so a shift in workload economics (bigger kernels,
-    higher overlap) re-engages the cache.  Enabled by
-    ``EngineConfig.adaptive_score_cache``.
-    """
-
-    #: Probe with real lookups after this many consecutive skipped iterations.
-    REPROBE_EVERY = 4
-    #: EMA weight of the newest measurement.
-    ALPHA = 0.5
-
-    def __init__(self):
-        self.lookup_cost: Optional[float] = None   # seconds / looked-up tuple
-        self.kernel_cost: Optional[float] = None   # seconds / rescored tuple
-        self.hit_rate: Optional[float] = None
-        self.skipped_iterations: int = 0
-        self._skips_since_probe: int = 0
-
-    def use_lookups(self) -> bool:
-        """Decide (once per iteration) whether lookups pay for themselves."""
-        if None in (self.lookup_cost, self.kernel_cost, self.hit_rate):
-            return True  # no measurements yet: probe
-        if self.hit_rate * self.kernel_cost >= self.lookup_cost:
-            self._skips_since_probe = 0
-            return True
-        self._skips_since_probe += 1
-        if self._skips_since_probe >= self.REPROBE_EVERY:
-            self._skips_since_probe = 0
-            return True
-        self.skipped_iterations += 1
-        return False
-
-    @classmethod
-    def _ema(cls, previous: Optional[float], value: float) -> float:
-        if previous is None:
-            return value
-        return (1.0 - cls.ALPHA) * previous + cls.ALPHA * value
-
-    def observe_lookups(self, seconds: float, tuples: int, hits: int) -> None:
-        if tuples > 0:
-            self.lookup_cost = self._ema(self.lookup_cost, seconds / tuples)
-            self.hit_rate = self._ema(self.hit_rate, hits / tuples)
-
-    def observe_kernel(self, seconds: float, tuples: int) -> None:
-        if tuples > 0:
-            self.kernel_cost = self._ema(self.kernel_cost, seconds / tuples)
-
-
 @dataclass
 class IterationResult:
     """Everything produced and measured by one out-of-core KNN iteration."""
@@ -319,18 +267,11 @@ class IterationResult:
     #: The profile store's share of ``io_stats`` — its write side is the
     #: phase-5 update traffic, which the perf suite tracks per iteration.
     profile_io_stats: IOStats = field(default_factory=IOStats)
-    #: Tuples actually pushed through a similarity kernel this iteration
-    #: (equals ``similarity_evaluations``; named for the bench reports).
-    rescored_tuples: int = 0
     #: Tuples whose score was reused verbatim from the phase-4 score cache.
     reused_scores: int = 0
     #: ``True`` when no cached score was usable this iteration (cold cache,
     #: unknown delta history, or ``incremental_phase4`` disabled).
     full_rescore: bool = True
-    #: ``True`` when the adaptive policy chose not to run cache lookups this
-    #: iteration (the cache *was* usable; scoring everything was measured to
-    #: be cheaper).  Results are bit-identical either way.
-    lookups_skipped: bool = False
     #: Wall-clock seconds spent installing this iteration's scores as the
     #: phase-4 score cache (an adoption of the score slab: checks, no copy).
     cache_merge_seconds: float = 0.0
@@ -353,10 +294,8 @@ class IterationResult:
             "iteration": self.iteration,
             "num_candidate_tuples": self.num_candidate_tuples,
             "similarity_evaluations": self.similarity_evaluations,
-            "rescored_tuples": self.rescored_tuples,
             "reused_scores": self.reused_scores,
             "full_rescore": self.full_rescore,
-            "lookups_skipped": self.lookups_skipped,
             "cache_merge_seconds": self.cache_merge_seconds,
             "steps_skipped": self.steps_skipped,
             "steps_total": self.steps_total,
@@ -377,7 +316,6 @@ class _Phase4Outcome:
     evaluations: int
     reused: int
     full_rescore: bool
-    lookups_skipped: bool
     cache_merge_seconds: float
     steps_skipped: int
     steps_total: int
@@ -390,14 +328,14 @@ _EdgeBatch = Tuple[PIEdge, int, int]
 
 @dataclass
 class _Phase4Run:
-    """One phase 4 in flight: the state its two paths and two halves share.
+    """One phase 4 in flight: the state its three stages share.
 
     ``scores`` is the *score slab*: one float64 per tuple of ``H``, aligned
     with ``keys`` (``H``'s sorted pair keys).  The one-shot cache join fills
-    the slots it can answer (``hits``; ``None`` when no lookups ran), every
-    residency step scatters its fresh scores into the rest, and the finished
-    slab is both the input of the ``G(t+1)`` merge and, with ``keys``, the
-    next score cache.  NaN marks a slot nobody resolved.
+    the slots it can answer, every residency step scatters its fresh scores
+    into the rest, and the finished slab is both the input of the ``G(t+1)``
+    merge and, with ``keys``, the next score cache.  NaN marks a slot nobody
+    resolved.
 
     The unresolved slots are decoded once, grouped by PI edge: ``positions``
     (into the slab), and the partition-local rows of their sources
@@ -407,9 +345,7 @@ class _Phase4Run:
 
     keys: np.ndarray
     scores: np.ndarray
-    hits: Optional[np.ndarray]
     full_rescore: bool
-    lookups_skipped: bool
     #: ``(step, from_cache)`` in execution order: dirty steps first, then the
     #: steps the dirty plan expects the cache to answer without partitions.
     ordered_steps: List[Tuple[ResidencyStep, bool]]
@@ -420,11 +356,9 @@ class _Phase4Run:
     right_rows: np.ndarray
     edge_spans: Dict[Tuple[int, int], Tuple[int, int]]
     store_generation: int
-    lookup_seconds: float
     reused: int
     evaluations: int = 0
     steps_skipped: int = 0
-    kernel_seconds: float = 0.0
 
     def batches(self, edges: Iterable[PIEdge]) -> List[_EdgeBatch]:
         """The step's PI edges that still carry unresolved tuples."""
@@ -452,9 +386,166 @@ class _Phase4Run:
         return _Phase4Outcome(
             graph=graph, schedule=schedule, evaluations=self.evaluations,
             reused=self.reused, full_rescore=self.full_rescore,
-            lookups_skipped=self.lookups_skipped,
             cache_merge_seconds=cache_merge_seconds,
             steps_skipped=self.steps_skipped, steps_total=steps_total)
+
+
+#: A step the cache could not settle, with its unresolved PI-edge batches.
+_PendingStep = Tuple[ResidencyStep, List[_EdgeBatch]]
+
+
+class _StepResidency:
+    """Step-at-a-time residency — the paper's cost model.
+
+    One pending step a group, walked in plan order through an LRU
+    :class:`PartitionCache` of ``max_resident_partitions`` slots.  Every
+    pending step acquires its pair, also one whose tuples the cache answered
+    in full (the planned :class:`ScheduleResult` counted it); a partition's
+    profile slice is charged once per residency, and only when a step with
+    tuples to score needs it — a fully cache-hit step touches no profile
+    bytes at all.
+    """
+
+    def __init__(self, config: EngineConfig, partition_store: PartitionStore,
+                 profile_store: OnDiskProfileStore, layout: PartitionLayout,
+                 io_stats: IOStats, planned: ScheduleResult,
+                 dirty_planned: bool):
+        budget = (MemoryBudget(config.memory_budget_bytes)
+                  if config.memory_budget_bytes is not None else None)
+        self._cache = PartitionCache(
+            partition_store,
+            max_resident=config.max_resident_partitions,
+            memory_budget=budget,
+            profile_bytes_per_user=profile_store.estimated_bytes_per_user(),
+            io_stats=io_stats,
+        )
+        self._profile_store = profile_store
+        self._layout = layout
+        self._planned = planned
+        self._dirty_planned = dirty_planned
+        # the steps that actually touched the partition cache, in order
+        self._acquired: List[ResidencyStep] = []
+        # resident partitions whose slice read this residency already paid
+        self._charged: Set[int] = set()
+
+    def groups(self, pending: Iterable[_PendingStep]
+               ) -> Iterable[List[_PendingStep]]:
+        return ([item] for item in pending)
+
+    def enter(self, group: Sequence[_PendingStep]) -> None:
+        for step, batches in group:
+            first, second, _ = step
+            self._cache.acquire_pair(first, second)
+            self._acquired.append(step)
+            # slices leave with their partitions — on every acquiring step,
+            # or fully cache-hit steps would let the charged set outlive the
+            # residencies it describes
+            self._charged.intersection_update(self._cache.resident_ids)
+            if batches:
+                for pid in (first, second):
+                    if pid not in self._charged:
+                        self._profile_store.charge_slice_read(
+                            self._layout.vertices(pid))
+                        self._charged.add(pid)
+
+    def leave(self, group: Sequence[_PendingStep]) -> None:
+        """Nothing: a partition stays until the LRU walk evicts it."""
+
+    def schedule(self) -> ScheduleResult:
+        """Unload what is still resident; the schedule as executed."""
+        self._cache.flush()
+        if not self._dirty_planned:
+            return self._planned
+        # the plan changed which steps reach the partition cache and in
+        # what order; re-simulating over the acquired sequence keeps the
+        # schedule's load/unload counts equal to the executed ones
+        return simulate_schedule(
+            self._acquired,
+            heuristic_name=self._planned.heuristic,
+            num_partitions=self._planned.num_partitions,
+            cache_slots=self._cache.max_resident,
+        )
+
+
+class _WaveResidency:
+    """Wave residency — ``shard_parallel``'s cost model.
+
+    The pending steps that have tuples to score are colored into waves of
+    pairwise partition-disjoint steps (:func:`plan_shard_schedule`), one
+    wave a group, every step's worker exclusively owning its partitions for
+    the wave.  Each wave loads its distinct partitions once — in the
+    workers' address spaces, so the operations and one slice read per
+    (wave, partition) are attributed here — and drops them at the wave
+    barrier: loads = unloads = the plan's total partition residencies.
+    Nothing stays resident between waves, which is why this model pays up
+    to twice the step-at-a-time walk's load/unload operations.  The
+    partition files themselves are never read; ``memory_budget_bytes`` caps
+    each worker's step (:class:`ScoringWorkers`) instead of a partition
+    cache.
+    """
+
+    def __init__(self, profile_store: OnDiskProfileStore,
+                 layout: PartitionLayout, io_stats: IOStats,
+                 planned: ScheduleResult):
+        self._profile_store = profile_store
+        self._layout = layout
+        self._io_stats = io_stats
+        self._planned = planned
+        self._steps = 0
+        self._residencies = 0
+        self._tuples = 0
+
+    def groups(self, pending: Iterable[_PendingStep]
+               ) -> Iterable[List[_PendingStep]]:
+        executing = [item for item in pending if item[1]]
+        plan = plan_shard_schedule([step for step, _ in executing])
+        waves: List[List[_PendingStep]] = [[] for _ in range(plan.num_waves)]
+        for item, wave in zip(executing, plan.wave_of):
+            waves[wave].append(item)
+        return waves
+
+    @staticmethod
+    def _partitions(group: Sequence[_PendingStep]) -> List[int]:
+        # steps of one wave are partition-disjoint
+        return [pid for (first, second, _), _ in group
+                for pid in ((first,) if second == first else (first, second))]
+
+    def enter(self, group: Sequence[_PendingStep]) -> None:
+        for pid in self._partitions(group):
+            self._io_stats.record_partition_load()
+            self._profile_store.charge_slice_read(self._layout.vertices(pid))
+
+    def leave(self, group: Sequence[_PendingStep]) -> None:
+        partitions = self._partitions(group)
+        for _ in partitions:
+            self._io_stats.record_partition_unload()
+        self._residencies += len(partitions)
+        self._steps += len(group)
+        self._tuples += sum(edge.weight for step, _ in group for edge in step[2])
+
+    def schedule(self) -> ScheduleResult:
+        """The executed-residency schedule of the wave model: loads and
+        unloads both equal the per-wave distinct-partition count, so the
+        schedule == actual invariant holds by construction."""
+        return ScheduleResult(
+            heuristic=self._planned.heuristic,
+            num_partitions=self._planned.num_partitions,
+            num_steps=self._steps,
+            loads=self._residencies,
+            unloads=self._residencies,
+            cache_hits=0,
+            tuples_scheduled=self._tuples,
+        )
+
+
+_Residency = Union[_StepResidency, _WaveResidency]
+
+
+def _score_in_process(left, left_rows, right, right_rows, measure: str) -> np.ndarray:
+    """The kernel dispatch handed to the scoring workers: ``score_tuples`` as
+    this module binds it *when called*, so whatever replaces that name sees
+    the steps' scores as well as the residuals'."""
+    return score_tuples(left, left_rows, right, right_rows, measure)
 
 
 class OutOfCoreIteration:
@@ -465,21 +556,24 @@ class OutOfCoreIteration:
         self._config = config
         self._partition_store = partition_store
         self._profile_store = profile_store
-        self._pool: Optional[ProcessScoringPool] = None
-        self._warned_process_fallback = False
         self._fault = config.fault_plan
-        # set when pool supervision exhausted its retries: the rest of the
-        # run scores in-process (bit-identical, just without the pool)
-        self._pool_degraded = False
-        # shard-parallel wave executor (config.shard_parallel); like the
-        # scoring pool it lives for the whole run and degrades to serial
-        # waves when process-pool supervision exhausts its retries
-        self._coordinator: Optional[ShardCoordinator] = None
-        self._coordinator_degraded = False
-        # the thread backend's pool, built on first use and, like the two
-        # above, kept for the whole run
-        self._thread_pool: Optional[ThreadPoolExecutor] = None
-        # survives across iterations, exactly like the scoring pool: the
+        # who runs the kernel: the one seam every phase-4 score crosses,
+        # alive for the whole run.  Under shard_parallel the memory budget
+        # caps each worker's step instead of the partition cache.
+        worker_budget = (config.memory_budget_bytes
+                         if config.shard_parallel else None)
+        self._workers = ScoringWorkers(
+            profile_store,
+            backend=config.backend,
+            num_workers=config.num_workers,
+            shard_timeout=config.shard_timeout_seconds,
+            part_cache_slots=config.max_resident_partitions,
+            worker_budget_bytes=worker_budget,
+            bytes_per_user=(profile_store.estimated_bytes_per_user()
+                            if worker_budget else 0),
+            fault_plan=config.fault_plan,
+            score=_score_in_process)
+        # survives across iterations, exactly like the workers: the
         # cache holds the last scored generation's pair → score map
         self._score_cache = Phase4ScoreCache(config.score_cache_entries)
         # normalised (min, max) partition pair → store generation at which
@@ -490,9 +584,6 @@ class OutOfCoreIteration:
         # for.  Rebuilt wholesale every non-overflow iteration, so entries
         # from older partition assignments cannot accumulate.
         self._pair_generations: Dict[Tuple[int, int], int] = {}
-        # measured lookup/kernel economics (only consulted when
-        # config.adaptive_score_cache is on)
-        self._cache_policy = AdaptiveCachePolicy()
 
     @property
     def score_cache(self) -> Phase4ScoreCache:
@@ -500,9 +591,9 @@ class OutOfCoreIteration:
         return self._score_cache
 
     @property
-    def cache_policy(self) -> AdaptiveCachePolicy:
-        """The adaptive lookup policy's measured state (benchmarks read it)."""
-        return self._cache_policy
+    def workers(self) -> ScoringWorkers:
+        """The run-lifetime scoring workers (benchmarks read their budget)."""
+        return self._workers
 
     def restore_score_cache(self, cache: Phase4ScoreCache) -> None:
         """Adopt a (checkpoint-loaded) score cache.
@@ -521,105 +612,8 @@ class OutOfCoreIteration:
         self._score_cache = cache
 
     def close(self) -> None:
-        """Shut down the persistent scoring pools and coordinator (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-        if self._coordinator is not None:
-            self._coordinator.shutdown()
-            self._coordinator = None
-        if self._thread_pool is not None:
-            self._thread_pool.shutdown(wait=True)
-            self._thread_pool = None
-
-    @property
-    def shard_coordinator(self) -> Optional[ShardCoordinator]:
-        """The live shard coordinator, if any (benchmarks read its budget)."""
-        return self._coordinator
-
-    def _scoring_pool(self) -> Optional[ProcessScoringPool]:
-        """The run-lifetime process pool, or ``None`` for in-process scoring.
-
-        ``backend="process"`` with a single worker (or on a platform without
-        ``fork``) would pay pool start-up and pipe traffic for zero
-        parallelism, so those configurations fall back to the serial path —
-        which is bit-identical — with a one-time warning.
-        """
-        config = self._config
-        if config.backend != "process":
-            return None
-        if self._pool_degraded:
-            return None
-        if config.num_workers == 1 or not fork_available():
-            if not self._warned_process_fallback:
-                reason = ("num_workers=1" if config.num_workers == 1
-                          else "fork is unavailable on this platform")
-                _logger.warning(
-                    "backend='process' with %s: skipping the worker pool and "
-                    "scoring in-process (results are identical)", reason)
-                self._warned_process_fallback = True
-            return None
-        if self._pool is None:
-            self._pool = ProcessScoringPool(
-                self._profile_store,
-                num_workers=config.num_workers,
-                shard_timeout=config.shard_timeout_seconds,
-                fault_plan=config.fault_plan)
-        return self._pool
-
-    def _thread_executor(self) -> Optional[ThreadPoolExecutor]:
-        """The run-lifetime thread pool of ``backend="thread"`` (``None``
-        when the configuration scores on the calling thread)."""
-        config = self._config
-        if config.backend != "thread" or config.num_threads == 1:
-            return None
-        if self._thread_pool is None:
-            self._thread_pool = ThreadPoolExecutor(max_workers=config.num_threads)
-        return self._thread_pool
-
-    def _shard_coordinator(self) -> ShardCoordinator:
-        """The run-lifetime wave executor for ``config.shard_parallel``.
-
-        The backend maps directly: ``serial`` runs waves sequentially (the
-        reference semantics), ``thread`` scores a wave's steps on
-        ``num_threads`` threads, ``process`` ships whole steps to
-        ``num_workers`` fork workers.  The same fallbacks as
-        :meth:`_scoring_pool` apply — a process backend without ``fork`` or
-        with a single worker, or one whose supervision exhausted its
-        retries, executes serial waves (bit-identical, just sequential).
-        """
-        if self._coordinator is not None:
-            return self._coordinator
-        config = self._config
-        backend = config.backend
-        workers = 1
-        if backend == "thread":
-            workers = config.num_threads
-        elif backend == "process":
-            workers = config.num_workers
-            if self._coordinator_degraded:
-                backend, workers = "serial", 1
-            elif config.num_workers == 1 or not fork_available():
-                if not self._warned_process_fallback:
-                    reason = ("num_workers=1" if config.num_workers == 1
-                              else "fork is unavailable on this platform")
-                    _logger.warning(
-                        "backend='process' with %s: skipping the worker pool "
-                        "and scoring in-process (results are identical)",
-                        reason)
-                    self._warned_process_fallback = True
-                backend, workers = "serial", 1
-        if backend == "thread" and workers == 1:
-            backend = "serial"
-        self._coordinator = ShardCoordinator(
-            self._profile_store,
-            backend=backend,
-            num_workers=max(1, workers),
-            shard_timeout=config.shard_timeout_seconds,
-            worker_budget_bytes=config.memory_budget_bytes,
-            bytes_per_user=self._profile_store.estimated_bytes_per_user(),
-            fault_plan=config.fault_plan)
-        return self._coordinator
+        """Shut down the scoring workers (idempotent)."""
+        self._workers.shutdown()
 
     # -- public entry point -------------------------------------------------
 
@@ -670,10 +664,8 @@ class OutOfCoreIteration:
             phase_timer=timer,
             io_stats=io_stats,
             profile_io_stats=profile_stats,
-            rescored_tuples=outcome.evaluations,
             reused_scores=outcome.reused,
             full_rescore=outcome.full_rescore,
-            lookups_skipped=outcome.lookups_skipped,
             cache_merge_seconds=outcome.cache_merge_seconds,
             steps_skipped=outcome.steps_skipped,
             steps_total=outcome.steps_total,
@@ -774,8 +766,8 @@ class OutOfCoreIteration:
     def _begin_phase4(self, graph: KNNGraph, table: TupleHashTable,
                       steps: Sequence[ResidencyStep], measure: str,
                       layout: PartitionLayout) -> _Phase4Run:
-        """The front half both phase-4 paths share: slab, cache join, plan,
-        and the unresolved tuples decoded into partition-local rows."""
+        """The front of phase 4: slab, cache join, plan, and the unresolved
+        tuples decoded into partition-local rows."""
         config = self._config
         keys = table.keys
         # candidate tuples whose endpoints are both untouched since the
@@ -786,21 +778,13 @@ class OutOfCoreIteration:
         touched_mask = (self._touched_mask(graph, measure)
                         if config.incremental_phase4 else None)
         full_rescore = touched_mask is None
-        # the adaptive policy may decline lookups whose measured expected
-        # value is below their cost; the cache itself is still maintained
-        # (adopted in _finish_phase4) so a later probe iteration can reuse
-        lookups_skipped = bool(not full_rescore and config.adaptive_score_cache
-                               and not self._cache_policy.use_lookups())
         hits = None
-        lookup_seconds = 0.0
-        if full_rescore or lookups_skipped:
+        if full_rescore:
             scores = np.full(len(keys), np.nan)
         else:
             # one join for the whole iteration: H's keys and the cache's are
             # both sorted, and the slab comes back aligned with H
-            lookup_start = time.perf_counter()
             scores, hits = self._score_cache.lookup(keys, touched_mask)
-            lookup_seconds = time.perf_counter() - lookup_start
         # dirty-partition planning: steps whose partitions are both clean
         # and whose pair the cache vouches for run lookup-only (no partition
         # acquired unless a lookup missed); everything else runs dirty-first
@@ -830,19 +814,17 @@ class OutOfCoreIteration:
                                                   stops.tolist())))
         sources, destinations = table.endpoints(positions)
         return _Phase4Run(
-            keys=keys, scores=scores, hits=hits, full_rescore=full_rescore,
-            lookups_skipped=lookups_skipped, ordered_steps=ordered_steps,
+            keys=keys, scores=scores, full_rescore=full_rescore,
+            ordered_steps=ordered_steps,
             dirty_planned=dirty_plan is not None,
             layout=layout, positions=positions,
             left_rows=layout.local_row[sources],
             right_rows=layout.local_row[destinations], edge_spans=edge_spans,
             store_generation=self._profile_store.generation,
-            lookup_seconds=lookup_seconds,
             reused=int(np.count_nonzero(hits)) if hits is not None else 0)
 
     def _score_residual(self, run: _Phase4Run, step: ResidencyStep,
-                        batches: Sequence[_EdgeBatch], measure: str,
-                        **scoring) -> bool:
+                        batches: Sequence[_EdgeBatch], measure: str) -> bool:
         """Score a cached step's misses off a row-level gather, if few.
 
         The plan called this pair clean, but graph churn elsewhere minted
@@ -868,20 +850,80 @@ class OutOfCoreIteration:
                                           if second != first else 0)
         if len(residual_users) * 4 > pair_span:
             return False
-        kernel_start = time.perf_counter()
         residual_slice = self._profile_store.load_users(residual_users)
         half = len(rows) // 2
         fresh = score_tuples(residual_slice, rows[:half], residual_slice,
-                             rows[half:], measure, **scoring)
-        run.kernel_seconds += time.perf_counter() - kernel_start
+                             rows[half:], measure)
         run.resolve(batches, fresh)
         run.steps_skipped += 1
         return True
 
+    def _pending_steps(self, run: _Phase4Run, measure: str
+                       ) -> Iterator[Tuple[ResidencyStep, List[_EdgeBatch]]]:
+        """Classify the ordered steps, one at a time as the loop asks:
+        yields, with the PI-edge batches of its unresolved tuples, every
+        step that is not settled without its partitions.
+
+        A step the dirty plan expects the cache to answer is settled when
+        the join did answer all of it, or when :meth:`_score_residual` takes
+        the few tuples it missed; otherwise it falls back to executing —
+        acquired on demand, scored against the resident pair, exact.  A step
+        the plan executes is yielded even with nothing left to score: the
+        step-at-a-time cost model still acquires its partitions.
+        """
+        for step, from_cache in run.ordered_steps:
+            batches = run.batches(step[2])
+            if from_cache:
+                if not batches:
+                    # every tuple answered from the cache: the step never
+                    # touched the partition cache, a profile byte or a kernel
+                    run.steps_skipped += 1
+                    continue
+                if self._score_residual(run, step, batches, measure):
+                    continue
+            yield step, batches
+
+    def _execute_pending(self, iteration: int, run: _Phase4Run, measure: str,
+                         residency: _Residency) -> None:
+        """The one phase-4 loop: per group of pending steps, residency in,
+        one ``execute`` across the worker seam, scores into the slab,
+        residency out."""
+        layout = run.layout
+        for group in residency.groups(self._pending_steps(run, measure)):
+            residency.enter(group)
+            tasks = []
+            scored = []
+            for step, batches in group:
+                if not batches:
+                    continue
+                if self._fault is not None:
+                    # crash window: mid-phase-4, some steps scored, nothing
+                    # committed — one firing per executed step
+                    self._fault.point("phase4.step")
+                first, second, _ = step
+                pids = (first,) if second == first else (first, second)
+                # worker caches are keyed by (iteration, partition):
+                # partition ids repeat across iterations with different
+                # vertex sets, and the store generation tells workers when
+                # phase 5 replaced the files.  Every PI edge of the step is
+                # one batch: the sources' rows in the source partition's
+                # slice against the destinations' rows in the destination's.
+                tasks.append(ShardStepTask(
+                    parts=tuple(((iteration, pid), layout.vertices(pid))
+                                for pid in pids),
+                    batches=tuple((pids.index(edge.src), pids.index(edge.dst),
+                                   run.left_rows[lo:hi], run.right_rows[lo:hi])
+                                  for edge, lo, hi in batches),
+                    measure=measure, generation=run.store_generation))
+                scored.append(batches)
+            for batches, fresh in zip(scored, self._workers.execute(tasks)):
+                run.resolve(batches, fresh)
+            residency.leave(group)
+
     def _finish_phase4(self, run: _Phase4Run, graph: KNNGraph,
                        table: TupleHashTable, steps: Sequence[ResidencyStep],
-                       measure: str, merge_shards: int) -> Tuple[KNNGraph, float]:
-        """The back half both paths share: ``G(t+1)`` and the next cache.
+                       measure: str) -> Tuple[KNNGraph, float]:
+        """The back of phase 4: ``G(t+1)`` and the next cache.
 
         Returns the new graph and the seconds the cache adoption took.
         """
@@ -917,7 +959,7 @@ class OutOfCoreIteration:
             sources, destinations = table.endpoints(slice(start, stop))
             new_graph.add_candidates_sharded(
                 sources, destinations, run.scores[start:stop],
-                num_shards=merge_shards, assume_unique=True, hint=graph)
+                assume_unique=True, hint=graph)
             start = stop
         cache_merge_seconds = 0.0
         score_cache = self._score_cache
@@ -943,319 +985,38 @@ class OutOfCoreIteration:
                 ((first, second) if first <= second else (second, first)):
                 run.store_generation
                 for first, second, _ in steps}
-        if config.adaptive_score_cache:
-            self._cache_policy.observe_kernel(run.kernel_seconds,
-                                              run.evaluations)
-            if run.hits is not None:
-                self._cache_policy.observe_lookups(run.lookup_seconds,
-                                                   len(keys), run.reused)
         return new_graph, cache_merge_seconds
 
     def _phase4_knn(self, iteration: int, graph: KNNGraph, table: TupleHashTable,
                     steps: Sequence[ResidencyStep], measure: str,
                     io_stats: IOStats, layout: PartitionLayout,
                     schedule: ScheduleResult) -> _Phase4Outcome:
+        """Walk the plan, score every tuple the cache could not answer, and
+        emit ``G(t+1)``.
+
+        Bit-identity across schedules and backends holds by construction,
+        not by luck: similarity scores are a pure function of the two
+        endpoint profiles (no worker observes phase-5 writes mid-iteration —
+        they run after phase 4), every score lands in the same slab slot
+        whichever group or worker produced it, and the G(t+1) merge is a
+        pure function of the slab.  Regrouping steps into waves or cutting
+        one across workers therefore cannot move a single edge or byte.
+        """
         config = self._config
+        run = self._begin_phase4(graph, table, steps, measure, layout)
+        residency: _Residency
         if config.shard_parallel:
-            return self._phase4_knn_sharded(iteration, graph, table, steps,
-                                            measure, io_stats, layout,
-                                            schedule)
-        budget = (MemoryBudget(config.memory_budget_bytes)
-                  if config.memory_budget_bytes is not None else None)
-        partition_cache = PartitionCache(
-            self._partition_store,
-            max_resident=config.max_resident_partitions,
-            memory_budget=budget,
-            profile_bytes_per_user=self._profile_store.estimated_bytes_per_user(),
-            io_stats=io_stats,
-        )
-        pool = self._scoring_pool()
-        # backend="process" without a pool (single worker / no fork) scores
-        # serially in-process — same results, none of the pipe overhead
-        scoring = dict(
-            num_threads=config.num_threads,
-            backend="serial" if config.backend == "process" else config.backend,
-            executor=self._thread_executor())
-        merge_shards = config.num_workers if pool is not None else 1
-        resident_profiles: Dict[int, ProfileSlice] = {}
-        charged_profiles: Set[int] = set()
-        run = self._begin_phase4(graph, table, steps, measure, layout)
-        # the steps that actually touched the partition cache, in order —
-        # re-simulated at the end so the reported ScheduleResult keeps the
-        # plan == actual load/unload invariant under any amount of skipping
-        executed_sequence: List[ResidencyStep] = []
-
-        def acquire(step: ResidencyStep) -> None:
-            partition_cache.acquire_pair(step[0], step[1])
-            executed_sequence.append(step)
-            # profile slices are loaded (and their reads charged) only when
-            # the step has dirty tuples — a fully cache-hit step touches no
-            # profile bytes at all; the eviction side still runs every
-            # acquiring step so the slice set never outgrows the resident
-            # partitions
-            self._evict_stale_profiles(partition_cache, resident_profiles,
-                                       charged_profiles)
-
-        for step, from_cache in run.ordered_steps:
-            first, second, edges = step
-            if not from_cache:
-                acquire(step)
-            batches = run.batches(edges)
-            if not batches:
-                # no tuples, or every tuple answered from the cache: a
-                # cached step never touched the partition cache, a profile
-                # byte or a kernel
-                if from_cache:
-                    run.steps_skipped += 1
-                continue
-            if from_cache:
-                if self._score_residual(run, step, batches, measure, **scoring):
-                    continue
-                # fall back to executing the step — acquire on demand, score
-                # the misses against the resident pair, stay exact
-                acquire(step)
-            if self._fault is not None:
-                # crash window: mid-phase-4, some steps scored, nothing
-                # committed
-                self._fault.point("phase4.step")
-            kernel_start = time.perf_counter()
-            if pool is not None:
-                # the workers load (mmap, zero-copy) the slices themselves
-                # and keep them cached per partition across steps; the
-                # coordinator only keeps the I/O accounting aligned, and
-                # only the row shards cross the pipe
-                self._sync_profile_charges(charged_profiles, (first, second),
-                                           layout)
-            # every PI edge of the residency step is one batch: the sources'
-            # rows in the source partition's slice against the destinations'
-            # rows in the destination partition's
-            for batch in batches:
-                edge, lo, hi = batch
-                fresh = None
-                if pool is not None:
-                    # worker caches are keyed by (iteration, partition):
-                    # partition ids repeat across iterations with different
-                    # vertex sets, and the store generation tells workers
-                    # when phase 5 replaced the files
-                    parts = [((iteration, pid), layout.vertices(pid))
-                             for pid in dict.fromkeys((edge.src, edge.dst))]
-                    try:
-                        fresh = pool.score(parts, run.left_rows[lo:hi],
-                                           run.right_rows[lo:hi], measure,
-                                           generation=run.store_generation)
-                    except ScoringPoolBroken:
-                        # supervision exhausted respawn-and-retry: finish
-                        # this step (and the rest of the run) in-process —
-                        # scores are per-pair deterministic, so the result
-                        # is bit-identical, just slower
-                        _logger.warning(
-                            "scoring pool failed repeatedly; degrading to "
-                            "in-process scoring for the rest of the run")
-                        self._pool_degraded = True
-                        pool.terminate()
-                        self._pool = pool = None
-                if fresh is None:
-                    self._sync_profile_slices(resident_profiles, (first, second),
-                                              layout)
-                    fresh = score_tuples(
-                        resident_profiles[edge.src], run.left_rows[lo:hi],
-                        resident_profiles[edge.dst], run.right_rows[lo:hi],
-                        measure, **scoring)
-                run.resolve((batch,), fresh)
-            run.kernel_seconds += time.perf_counter() - kernel_start
-        partition_cache.flush()
-        resident_profiles.clear()
+            residency = _WaveResidency(self._profile_store, layout, io_stats,
+                                       schedule)
+        else:
+            residency = _StepResidency(config, self._partition_store,
+                                       self._profile_store, layout, io_stats,
+                                       schedule, run.dirty_planned)
+        self._execute_pending(iteration, run, measure, residency)
+        executed = residency.schedule()
         new_graph, cache_merge_seconds = self._finish_phase4(
-            run, graph, table, steps, measure, merge_shards)
-        if run.dirty_planned:
-            # the plan changed which steps reach the partition cache and in
-            # what order; re-simulating over the acquired sequence keeps the
-            # schedule's load/unload counts equal to the executed ones
-            schedule = simulate_schedule(
-                executed_sequence,
-                heuristic_name=schedule.heuristic,
-                num_partitions=schedule.num_partitions,
-                cache_slots=config.max_resident_partitions,
-            )
-        return run.outcome(new_graph, schedule, cache_merge_seconds, len(steps))
-
-    def _phase4_knn_sharded(self, iteration: int, graph: KNNGraph,
-                            table: TupleHashTable,
-                            steps: Sequence[ResidencyStep], measure: str,
-                            io_stats: IOStats, layout: PartitionLayout,
-                            schedule: ScheduleResult) -> _Phase4Outcome:
-        """Phase 4 with waves of partition-disjoint steps executed in parallel.
-
-        Two passes over the dirty-scheduled step order:
-
-        1. *Classify* — exactly the serial path's per-step logic: fully-hit
-           steps and small cached-step residues finish inline, and every
-           step that still needs its partitions becomes a pending record.
-        2. *Execute* — the pending steps are colored into waves of
-           partition-disjoint steps (:func:`plan_shard_schedule`) and each
-           wave runs concurrently on the :class:`ShardCoordinator`, every
-           worker exclusively owning its step's partitions for the wave.
-
-        Bit-identity with the serial path holds by construction, not by
-        luck: similarity scores are a pure function of the two endpoint
-        profiles (no worker observes phase-5 writes mid-iteration — they run
-        after phase 4), every score lands in the same slab slot whichever
-        wave produced it, and the G(t+1) merge is a pure function of the
-        slab.  Reordering steps into waves therefore cannot move a single
-        edge or byte.
-
-        Accounting: each wave loads its distinct partitions once and drops
-        them at the wave barrier, so loads = unloads = the plan's
-        ``total_partition_residencies``; one profile-slice read is charged
-        per (wave, partition).  The reported :class:`ScheduleResult` is
-        rebuilt from the wave plan, keeping the schedule == actual
-        load/unload invariant the serial path maintains.
-        """
-        config = self._config
-        coordinator = self._shard_coordinator()
-        merge_shards = (config.num_workers
-                        if coordinator.backend == "process" else 1)
-        run = self._begin_phase4(graph, table, steps, measure, layout)
-
-        # -- pass 1: per-step classification (serial-path semantics) ---------
-        # pending: steps that must execute, with the PI-edge batches of
-        # their misses; their scores arrive from the waves
-        pending: List[Tuple[ResidencyStep, List[_EdgeBatch]]] = []
-        for step, from_cache in run.ordered_steps:
-            batches = run.batches(step[2])
-            if not batches:
-                if from_cache:
-                    run.steps_skipped += 1
-                continue
-            if from_cache and self._score_residual(run, step, batches, measure,
-                                                   backend="serial"):
-                continue
-            pending.append((step, batches))
-
-        # -- pass 2: wave-plan the pending steps and execute ------------------
-        shard_plan = plan_shard_schedule([step for step, _ in pending])
-        wave_items: List[List[tuple]] = [[] for _ in range(shard_plan.num_waves)]
-        for item, wave_index in zip(pending, shard_plan.wave_of):
-            wave_items[wave_index].append(item)
-
-        tuples_executed = 0
-        total_residencies = 0
-        for wave in wave_items:
-            tasks: List[ShardStepTask] = []
-            wave_partitions: List[int] = []
-            for step, batches in wave:
-                first, second, edges = step
-                if self._fault is not None:
-                    # crash window: mid-phase-4, some steps scored, nothing
-                    # committed — one firing per executed step, matching the
-                    # serial path's schedule
-                    self._fault.point("phase4.step")
-                pids = (first,) if second == first else (first, second)
-                tasks.append(ShardStepTask(
-                    parts=tuple(((iteration, pid), _compact_ids(layout.vertices(pid)))
-                                for pid in pids),
-                    batches=tuple((pids.index(edge.src), pids.index(edge.dst),
-                                   run.left_rows[lo:hi], run.right_rows[lo:hi])
-                                  for edge, lo, hi in batches),
-                    measure=measure, generation=run.store_generation))
-                tuples_executed += sum(edge.weight for edge in edges)
-                # steps of one wave are partition-disjoint
-                wave_partitions.extend(pids)
-            # each wave loads its distinct partitions once — in the workers'
-            # address spaces, so the coordinator attributes the operations
-            # and one slice read per (wave, partition), exactly like
-            # _sync_profile_charges does for the scoring pool — and drops
-            # them at the wave barrier
-            for pid in wave_partitions:
-                io_stats.record_partition_load()
-                self._profile_store.charge_slice_read(layout.vertices(pid))
-            kernel_start = time.perf_counter()
-            try:
-                deltas = coordinator.execute_wave(tasks)
-            except ScoringPoolBroken:
-                # wave supervision exhausted respawn-and-retry: tasks are
-                # pure, so re-running the whole wave serially is
-                # bit-identical — degrade for the rest of the run
-                _logger.warning(
-                    "shard coordinator failed repeatedly; degrading to "
-                    "serial wave execution for the rest of the run")
-                self._coordinator_degraded = True
-                coordinator.shutdown()
-                self._coordinator = None
-                coordinator = self._shard_coordinator()
-                deltas = coordinator.execute_wave(tasks)
-            run.kernel_seconds += time.perf_counter() - kernel_start
-            for pid in wave_partitions:
-                io_stats.record_partition_unload()
-            total_residencies += len(wave_partitions)
-            for (_, batches), delta in zip(wave, deltas):
-                run.resolve(batches, delta.scores)
-        tasks = None  # the last wave's tasks hold views of the decoded rows
-
-        new_graph, cache_merge_seconds = self._finish_phase4(
-            run, graph, table, steps, measure, merge_shards)
-        # the executed-residency ScheduleResult of the wave model: loads and
-        # unloads both equal the per-wave distinct-partition count, so the
-        # schedule == actual invariant holds by construction
-        executed_schedule = ScheduleResult(
-            heuristic=schedule.heuristic,
-            num_partitions=schedule.num_partitions,
-            num_steps=len(pending),
-            loads=total_residencies,
-            unloads=total_residencies,
-            cache_hits=0,
-            tuples_scheduled=tuples_executed,
-        )
-        return run.outcome(new_graph, executed_schedule, cache_merge_seconds,
-                           len(steps))
-
-    @staticmethod
-    def _evict_stale_profiles(cache: PartitionCache,
-                              resident_profiles: Dict[int, ProfileSlice],
-                              charged: Set[int]) -> None:
-        """Drop slice state for partitions no longer resident.
-
-        Runs every residency step (loading is deferred to dirty steps, but
-        eviction must not be, or fully cache-hit steps would let the slice
-        set outgrow the two-resident-partitions memory envelope).
-        """
-        resident_ids = set(cache.resident_ids)
-        for pid in list(resident_profiles):
-            if pid not in resident_ids:
-                del resident_profiles[pid]
-        charged &= resident_ids
-
-    def _sync_profile_slices(self, resident_profiles: Dict[int, ProfileSlice],
-                             needed: Iterable[int],
-                             layout: PartitionLayout) -> None:
-        """Load the needed partitions' profile slices (dirty steps only).
-
-        A partition's slice holds its vertices ascending, so a vertex's row
-        in it is its ``layout.local_row``.  Eviction of no-longer-resident
-        slices is *not* done here — it runs unconditionally per step in
-        :meth:`_evict_stale_profiles`.
-        """
-        for pid in needed:
-            if pid not in resident_profiles:
-                resident_profiles[pid] = self._profile_store.load_users(
-                    layout.vertices(pid))
-
-    def _sync_profile_charges(self, charged: Set[int], needed: Iterable[int],
-                              layout: PartitionLayout) -> None:
-        """Mirror :meth:`_sync_profile_slices` accounting for the process backend.
-
-        Worker processes load the profile slices in their own address space;
-        their IOStats never reach the engine, so the coordinator charges one
-        mapped slice read per partition residency — the same schedule the
-        in-process backends pay, and an honest model of the shared page
-        cache (each slice is faulted in once, not once per worker).  Like
-        the slice loader, the charged-set pruning lives in
-        :meth:`_evict_stale_profiles`.
-        """
-        for pid in needed:
-            if pid not in charged:
-                self._profile_store.charge_slice_read(layout.vertices(pid))
-                charged.add(pid)
+            run, graph, table, steps, measure)
+        return run.outcome(new_graph, executed, cache_merge_seconds, len(steps))
 
     # -- phase 5 --------------------------------------------------------------
 

@@ -1,170 +1,93 @@
-"""Parallel similarity scoring: thread and process backends.
+"""The worker seam: who runs phase 4's similarity kernel.
 
-Phase 4 scores the candidate tuples of one PI edge against the profiles of
-the (at most two) resident partitions.  Every backend takes the same
-**row-addressed** work order — partition-local rows into the left and the
-right partition's slice — and the batch is embarrassingly parallel:
+Phase 4 is one loop — make a step's partitions resident, score its tuples,
+let them go — and the only parallelism it needs is *who runs the kernel*.
+That choice lives behind one call, :meth:`ScoringWorkers.execute`, whose
+contract is deliberately narrow and serialisable: a list of
+:class:`ShardStepTask` work orders goes in (the partitions a step owns, the
+step's PI edges as partition-local row batches, the measure, the store
+generation), one score array per task comes out, in task order, and nothing
+else crosses the boundary.
 
-* ``thread`` — a plain thread pool.  The dense-profile kernels are NumPy
-  calls that release the GIL, so threads give real speedups with zero
+Three transports realise it, picked once from ``(backend, num_workers,
+fork_available())``:
+
+* **inline** — the calling thread scores every task (``serial``, and any
+  backend whose width is one).
+* **thread** — a run-lifetime thread pool.  The dense-profile kernels are
+  NumPy calls that release the GIL, so threads give real speedups with zero
   serialisation of the profile slices.
-* ``process`` — a process pool (:class:`ProcessScoringPool`).  Workers
-  *never* receive profile data over the pipe: each worker re-opens the
-  on-disk profile store read-only by path and serves its slices straight
-  from the mapped files (zero-copy for contiguous partitions, cached per
-  partition across residency steps), so per task only the row shards, the
-  score shard and O(1) slice descriptors cross the pipe.  This sidesteps
-  the GIL entirely — including the Python-level portions of the kernels
-  that threads serialise on.
+* **process** — a run-lifetime fork pool.  Workers *never* receive profile
+  data over the pipe: each re-opens the on-disk profile store read-only by
+  path and serves its slices straight from the mapped files (zero-copy for
+  contiguous partitions, cached per partition across tasks), so per task
+  only the row batches, the scores and O(1) slice descriptors cross the
+  pipe.  This sidesteps the GIL entirely — including the Python-level
+  portions of the kernels that threads serialise on.
 
-Both backends return scores aligned with the input rows (shards are
-concatenated in submission order), so results are bit-identical to the
-serial path regardless of worker count.
+and two granularities fall out of the same call: a *wave* of partition-
+disjoint steps is a list of tasks, one per step, and a lone step on a
+transport wider than one is cut row-wise into sub-tasks over the same
+partitions.  Scores come back aligned with the task's rows whatever the
+transport or the cut, so results are bit-identical to the inline path.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import time
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import nullcontext
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
-
-import multiprocessing
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.storage.memory_manager import MemoryBudget
 from repro.storage.profile_store import OnDiskProfileStore, ProfileSlice
+from repro.testing.faults import apply_worker_fault
 from repro.utils.logging import get_logger
 from repro.utils.validation import check_positive_int
 
 _logger = get_logger("core.parallel")
 
-#: Recognised values for the ``backend`` knob (config and ``score_tuples``).
+#: Recognised values for the ``backend`` knob.
 BACKENDS = ("serial", "thread", "process")
 
-#: A partition as it crosses the pipe: ``(cache key, user ids)``.  Workers
+#: A partition as a worker sees it: ``(cache key, user ids)``.  Workers
 #: cache the loaded slice under the key (``None`` = ad-hoc id set, never
-#: cached); contiguous id runs travel as an O(1) ``range``.
+#: cached); contiguous id runs cross the pipe as an O(1) ``range``.
 PartDescriptor = Tuple[object, Union[range, np.ndarray]]
-
-
-def _num_chunks(num_tuples: int, num_threads: int, chunk_size: int) -> int:
-    """Chunk count for the thread backend: at least one chunk per thread and
-    never a chunk larger than ``chunk_size``, clamped so no chunk is empty."""
-    return min(num_tuples, max(num_threads, -(-num_tuples // chunk_size)))
-
-
-def _row_arrays(left_rows, right_rows) -> Tuple[np.ndarray, np.ndarray]:
-    left_rows = np.asarray(left_rows, dtype=np.int64)
-    right_rows = np.asarray(right_rows, dtype=np.int64)
-    if left_rows.ndim != 1 or left_rows.shape != right_rows.shape:
-        raise ValueError("left_rows and right_rows must be 1-D arrays of equal length")
-    return left_rows, right_rows
-
-
-def score_tuples(left: ProfileSlice, left_rows: np.ndarray,
-                 right: ProfileSlice, right_rows: np.ndarray, measure: str,
-                 num_threads: int = 1, chunk_size: int = 4096,
-                 backend: str = "thread",
-                 pool: "Optional[ProcessScoringPool]" = None,
-                 generation: Optional[int] = None,
-                 executor: Optional[Executor] = None) -> np.ndarray:
-    """Similarity of row ``left_rows[i]`` of ``left`` against row
-    ``right_rows[i]`` of ``right`` for every ``i``, optionally parallel.
-
-    ``left`` and ``right`` are the slices of the two resident partitions
-    (the same object for tuples inside one partition) and the rows are
-    partition-local.  The result is aligned with the rows regardless of the
-    backend or worker count.  The thread backend chunks the batch onto
-    ``executor`` (a caller-owned pool that outlives the call; a temporary
-    one is made when none is given).  ``backend="process"`` requires a
-    :class:`ProcessScoringPool` whose workers have the same store open; the
-    slices stay in the calling process and only their user ids cross the
-    pipe.  A pool that is kept alive across profile updates must be told the
-    store's current ``generation`` (:attr:`OnDiskProfileStore.generation`)
-    so workers drop slices cached before the update; with ``None`` the store
-    is assumed unchanged for the pool's lifetime.
-    """
-    check_positive_int(num_threads, "num_threads")
-    check_positive_int(chunk_size, "chunk_size")
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; known: {', '.join(BACKENDS)}")
-    if backend == "process":
-        if pool is None:
-            raise ValueError("backend='process' requires a ProcessScoringPool")
-        parts = [_span_descriptor(left, generation)]
-        if right is not left:
-            parts.append(_span_descriptor(right, generation))
-        return pool.score(parts, left_rows, right_rows, measure,
-                          generation=generation)
-    if backend == "serial" or num_threads == 1 or len(left_rows) <= chunk_size:
-        return left.similarity_rows(left_rows, right, right_rows, measure)
-
-    # balance the batch across the pool; the chunk count is clamped to the
-    # row count so a batch barely above chunk_size never degenerates into
-    # near-empty chunks
-    left_rows, right_rows = _row_arrays(left_rows, right_rows)
-    chunks = _num_chunks(len(left_rows), num_threads, chunk_size)
-    with (nullcontext(executor) if executor is not None
-          else ThreadPoolExecutor(max_workers=num_threads)) as thread_pool:
-        futures = [
-            thread_pool.submit(left.similarity_rows, left_chunk, right,
-                               right_chunk, measure)
-            for left_chunk, right_chunk in zip(np.array_split(left_rows, chunks),
-                                               np.array_split(right_rows, chunks))]
-        return np.concatenate([future.result() for future in futures])
-
-
-def _span_descriptor(profile_slice: ProfileSlice,
-                     generation: Optional[int]) -> PartDescriptor:
-    """A slice as a worker-loadable descriptor.  A contiguous slice can be
-    identified by its span — the store is immutable under a given
-    generation — letting workers cache the load."""
-    ids = _compact_ids(profile_slice.user_ids)
-    key = (("span", ids.start, ids.stop, generation)
-           if isinstance(ids, range) else None)
-    return key, ids
-
-
-def fork_available() -> bool:
-    """Whether this platform can fork worker processes (cheap pool start-up)."""
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
-# -- process backend ---------------------------------------------------------
-#
-# Worker-side state: one re-opened store per worker process and a small
-# cache of per-partition slices (each partition is one contiguous id run
-# under the paper's split, so these are zero-copy views of the mapped files —
-# cheap to keep resident across residency steps).  A work order addresses
-# those slices by partition-local row, so nothing is merged or looked up by
-# id.  A pool *outlives* phase 4 — the engine keeps one alive for the whole
-# run — so store immutability is tracked explicitly: every ``score`` call
-# carries the store's generation counter, and a worker seeing a newer
-# generation than its caches were loaded under re-opens the store and drops
-# every cached slice before scoring (phase-5 updates replace journal and
-# segment files, so stale maps must never be read).  Cache keys are scoped
-# by the caller (phase 4 keys them by iteration) so a partition id reused
-# across iterations with different vertices never hits a stale entry.
-
-_WORKER_STORE: Optional[OnDiskProfileStore] = None
-_WORKER_PARTS: "dict[object, ProfileSlice]" = {}
-_WORKER_GENERATION: Optional[int] = None
-
-#: Per-partition slices a worker keeps resident (mirrors the coordinator's
-#: small partition cache; the slices are views, so this bounds mapping count,
-#: not bytes).
-_WORKER_PART_CACHE_SLOTS = 4
 
 #: The PI edges of one work order: ``(left part, right part, left_rows,
 #: right_rows)`` — the parts as indices into the order's part descriptors,
 #: the rows local to those partitions.
 RowBatch = Tuple[int, int, np.ndarray, np.ndarray]
+
+#: Rows above which a lone task's batch is cut across the workers; a smaller
+#: batch costs more to hand over than to score where it is.
+SPLIT_FLOOR_ROWS = 4096
+
+
+def score_tuples(left: ProfileSlice, left_rows: np.ndarray,
+                 right: ProfileSlice, right_rows: np.ndarray,
+                 measure: str) -> np.ndarray:
+    """Similarity of row ``left_rows[i]`` of ``left`` against row
+    ``right_rows[i]`` of ``right`` for every ``i``, on the calling thread.
+
+    ``left`` and ``right`` are the slices of the two resident partitions
+    (the same object for tuples inside one partition) and the rows are
+    partition-local.  This is the in-process kernel dispatch: every score a
+    transport computes in this process, and every worker's, goes through it.
+    """
+    return left.similarity_rows(left_rows, right, right_rows, measure)
+
+
+def fork_available() -> bool:
+    """Whether this platform can fork worker processes (cheap pool start-up)."""
+    return "fork" in multiprocessing.get_all_start_methods()
 
 
 def _compact_ids(user_ids) -> "Union[range, np.ndarray]":
@@ -181,75 +104,138 @@ def _ids_array(ids: "Union[range, np.ndarray]") -> np.ndarray:
     return np.ascontiguousarray(ids, dtype=np.int64)
 
 
-def _init_scoring_worker(store_dir: str) -> None:
-    global _WORKER_STORE, _WORKER_PARTS, _WORKER_GENERATION
-    # the coordinator charges slice reads once for the whole pool, so the
-    # worker's own accounting uses the free device model
-    _WORKER_STORE = OnDiskProfileStore(store_dir, disk_model="instant")
-    _WORKER_PARTS = {}
-    _WORKER_GENERATION = None
+@dataclass(frozen=True)
+class ShardStepTask:
+    """Serialisable work order for one residency step (the RPC-ready contract).
+
+    Everything a worker needs crosses the boundary in this one object: the
+    owned partitions as ``(part_key, user_ids)`` descriptors (part keys
+    scoped per iteration so caches never serve a stale partition), the
+    step's PI edges as :data:`RowBatch` entries — partition-local rows into
+    those parts — the similarity measure and the store generation the worker
+    must have loaded (``None`` = the store never changes while the workers
+    live).  Workers never receive profile bytes — they open the store by
+    path (today: the pool initializer; later: an RPC server's own replica) —
+    so routing a task to a remote shard server is a pure placement decision.
+    """
+
+    parts: Tuple[PartDescriptor, ...]
+    batches: Tuple[RowBatch, ...]
+    measure: str
+    generation: Optional[int]
 
 
-def _cached_part_slice(cache: "Dict[object, ProfileSlice]", slots: int,
-                       store: OnDiskProfileStore,
-                       part: PartDescriptor) -> ProfileSlice:
-    """The slice of one part descriptor, through a small FIFO cache."""
-    part_key, ids = part
-    if part_key is None:  # uncacheable ad-hoc id set
-        return store.load_users(_ids_array(ids))
-    piece = cache.get(part_key)
-    if piece is None:
-        piece = store.load_users(_ids_array(ids))
-        while len(cache) >= slots:
-            cache.pop(next(iter(cache)))
-        cache[part_key] = piece
-    return piece
+# -- the worker side -----------------------------------------------------------
+#
+# A worker keeps one re-opened store and a small cache of per-partition
+# slices (each partition is one contiguous id run under the paper's split, so
+# these are zero-copy views of the mapped files — cheap to keep across
+# tasks).  A work order addresses those slices by partition-local row, so
+# nothing is merged or looked up by id.  Workers *outlive* phase 4 — the
+# engine keeps them for the whole run — so store immutability is tracked
+# explicitly: every task carries the store's generation counter, and a worker
+# seeing a newer generation than its cache was loaded under re-opens the
+# store and drops every cached slice before scoring (phase-5 updates replace
+# journal and segment files, so stale maps must never be read).  Cache keys
+# are scoped by the caller (phase 4 keys them by iteration) so a partition id
+# reused across iterations with different vertices never hits a stale entry.
 
 
-def _score_batches(slices: Sequence[ProfileSlice], batches: Sequence[RowBatch],
-                   measure: str) -> np.ndarray:
-    """Scores of every batch, concatenated in batch order."""
-    scores = [slices[left].similarity_rows(left_rows, slices[right],
-                                           right_rows, measure)
-              for left, right, left_rows, right_rows in batches]
+class _WorkerState:
+    """What one scoring worker holds between tasks: its store handle, its
+    part cache and the generation both were loaded under.  A forked worker
+    has one (made by the pool initializer); :class:`ScoringWorkers` has one
+    for the transports that score in its own process."""
+
+    def __init__(self, store_dir: str, slots: int,
+                 score: Callable[..., np.ndarray] = score_tuples):
+        self._store_dir = store_dir
+        self._slots = slots
+        self.score = score
+        self._store: Optional[OnDiskProfileStore] = None
+        self._parts: Dict[object, ProfileSlice] = {}
+        self._generation: Optional[int] = None
+
+    def slices(self, task: ShardStepTask) -> List[ProfileSlice]:
+        """The slice of each of the task's parts, generation-checked."""
+        store = self._store
+        if store is None:
+            # an own read-only handle with the free device model: whoever
+            # decides residency charges the slice reads, once per partition
+            # residency — never the worker that happens to map the bytes
+            store = self._store = OnDiskProfileStore(self._store_dir,
+                                                     disk_model="instant")
+        if task.generation is not None and task.generation != self._generation:
+            store.reload()
+            self._parts.clear()
+            self._generation = task.generation
+        return [self._cached_part_slice(store, part) for part in task.parts]
+
+    def release(self) -> None:
+        """Drop the store handle and every cached slice."""
+        self._store = None
+        self._parts.clear()
+        self._generation = None
+
+    def _cached_part_slice(self, store: OnDiskProfileStore,
+                           part: PartDescriptor) -> ProfileSlice:
+        """The slice of one part descriptor, through a small LRU cache."""
+        part_key, ids = part
+        if part_key is None:  # uncacheable ad-hoc id set
+            return store.load_users(_ids_array(ids))
+        piece = self._parts.pop(part_key, None)
+        if piece is None:
+            piece = store.load_users(_ids_array(ids))
+            while len(self._parts) >= self._slots:
+                self._parts.pop(next(iter(self._parts)))
+        self._parts[part_key] = piece   # most recently used last
+        return piece
+
+
+def _score_batches(slices: Sequence[ProfileSlice], task: ShardStepTask,
+                   score: Callable[..., np.ndarray]) -> np.ndarray:
+    """Scores of every batch of the task, concatenated in batch order."""
+    scores = [score(slices[left], left_rows, slices[right], right_rows,
+                    task.measure)
+              for left, right, left_rows, right_rows in task.batches]
     return scores[0] if len(scores) == 1 else np.concatenate(scores)
 
 
-def _score_shard(parts: Sequence[PartDescriptor], batches: Sequence[RowBatch],
-                 measure: str, generation: Optional[int] = None,
-                 fault: Optional[Tuple[str, float]] = None) -> np.ndarray:
-    """Worker entry point: score row batches against the given partitions.
+def _score_shard(state: _WorkerState, task: ShardStepTask,
+                 fault: Optional[Tuple[str, int, float]] = None) -> np.ndarray:
+    """The worker-side function: score one task against the worker's slices.
 
-    Each partition of ``parts`` is loaded (zero-copy for contiguous runs)
-    and cached by key; the batches address the loaded slices by row, exactly
-    as the in-process backends do, so scores stay bit-identical.  A
-    ``generation`` newer than the one the caches were loaded under means the
-    store files changed underneath us (phase-5 updates): the store is
-    re-opened and every cached slice dropped before anything is loaded.
+    Each partition of ``task.parts`` is loaded (zero-copy for contiguous
+    runs) and cached by key; the batches address the loaded slices by row,
+    so scores are bit-identical wherever this runs.  ``fault`` is an
+    injected worker fault (see :mod:`repro.testing.faults`), attached by the
+    supervisor to exactly one task of one attempt.
     """
-    global _WORKER_GENERATION
-    if fault is not None:
-        # injected worker fault (see repro.testing.faults): the coordinator
-        # attaches the directive to exactly one shard of one score attempt
-        mode, seconds = fault
-        if mode == "kill":
-            os._exit(43)  # hard death: no cleanup, no exception over the pipe
-        elif mode == "hang":
-            time.sleep(seconds)
-    if generation is not None and generation != _WORKER_GENERATION:
-        _WORKER_STORE.reload()
-        _WORKER_PARTS.clear()
-        _WORKER_GENERATION = generation
-    slices = [_cached_part_slice(_WORKER_PARTS, _WORKER_PART_CACHE_SLOTS,
-                                 _WORKER_STORE, part) for part in parts]
-    return _score_batches(slices, batches, measure)
+    apply_worker_fault(fault)
+    return _score_batches(state.slices(task), task, state.score)
 
 
-def _build_worker_executor(num_workers: int, store_dir: str) -> ProcessPoolExecutor:
+#: The forked worker's state (one per worker process, set by the initializer).
+_WORKER: Optional[_WorkerState] = None
+
+
+def _init_scoring_worker(store_dir: str, slots: int) -> None:
+    global _WORKER
+    _WORKER = _WorkerState(store_dir, slots)
+
+
+def _score_shard_in_worker(task: ShardStepTask,
+                           fault: Optional[Tuple[str, int, float]]) -> np.ndarray:
+    """Pool-worker entry point of the process transport."""
+    return _score_shard(_WORKER, task, fault)
+
+
+def _build_worker_executor(num_workers: int, store_dir: str,
+                           slots: int) -> ProcessPoolExecutor:
     """A pool of scoring workers that each re-open the store at ``store_dir``.
 
     fork (where available) shares the parent's imports copy-on-write; the
-    workers re-open the store themselves in the initializer.
+    workers re-open the store themselves on their first task.
     """
     methods = multiprocessing.get_all_start_methods()
     context = multiprocessing.get_context("fork" if "fork" in methods else None)
@@ -257,17 +243,18 @@ def _build_worker_executor(num_workers: int, store_dir: str) -> ProcessPoolExecu
         max_workers=num_workers,
         mp_context=context,
         initializer=_init_scoring_worker,
-        initargs=(store_dir,),
+        initargs=(store_dir, slots),
     )
 
 
 def _terminate_executor(executor: Optional[ProcessPoolExecutor]) -> None:
-    """Kill-and-reap teardown shared by the pool and the shard coordinator.
+    """Kill-and-reap teardown of the process transport.
 
     ``shutdown(wait=False)`` alone leaves a *hung* worker running — the
     executor only reaps workers that return — so any process still alive
-    after the shutdown is killed explicitly.  Tolerates broken executors
-    and ``None``.
+    after the shutdown is killed explicitly; otherwise a single sleeping
+    worker would pin its store mappings for the rest of the run.  Tolerates
+    broken executors and ``None``.
     """
     if executor is None:
         return
@@ -284,258 +271,82 @@ def _terminate_executor(executor: Optional[ProcessPoolExecutor]) -> None:
 
 
 class ScoringPoolBroken(RuntimeError):
-    """The scoring pool failed ``max_retries`` consecutive attempts.
+    """The process transport failed ``max_retries + 1`` consecutive attempts.
 
-    Raised by :meth:`ProcessScoringPool.score` after respawn-and-retry is
-    exhausted; phase 4 catches it and degrades to the in-process path
-    (bit-identical results, just slower), so a persistently failing worker
-    environment never takes the iteration down.
+    Raised inside :meth:`ScoringWorkers.execute` after respawn-and-retry is
+    exhausted and handled there: the instance degrades to the inline
+    transport (bit-identical results, just slower), so a persistently
+    failing worker environment never takes the iteration down.
     """
 
 
-class ProcessScoringPool:
-    """A supervised pool of scoring workers that re-open one store by path.
+def _split_rows(task: ShardStepTask, width: int
+                ) -> Tuple[List[ShardStepTask], List[List[Tuple[int, int]]], int]:
+    """One task as at most ``width`` sub-tasks over the same parts.
 
-    Tuple shards are split deterministically (``np.array_split`` order) and
-    the per-shard score arrays are concatenated in submission order, so the
-    assembled result is bit-identical to a serial ``similarity_pairs`` call.
-    The pool is designed to live for a whole engine run — fork start-up is
-    paid once, not once per iteration — with worker caches invalidated
-    through the ``generation`` argument of :meth:`score` whenever phase 5
-    changes the store underneath.  Use as a context manager, or call
-    :meth:`shutdown`.
-
-    Supervision: a dead worker surfaces as :class:`BrokenProcessPool`; a
-    hung worker is caught by the per-shard watchdog (``shard_timeout``
-    seconds per shard, ``None`` = wait forever).  Either way the pool is
-    torn down (leftover processes killed), respawned, and the whole shard
-    batch retried with capped exponential backoff — retrying the full batch
-    keeps the deterministic shard/concatenation order, so results stay
-    bit-identical under any kill schedule.  After ``max_retries``
-    consecutive failures :class:`ScoringPoolBroken` is raised for the
-    caller to degrade gracefully.
+    Every batch above :data:`SPLIT_FLOOR_ROWS` is cut in ``np.array_split``
+    order and sub-task ``j`` takes the ``j``-th piece of each.  Returns the
+    sub-tasks, for each the ``[lo, hi)`` runs of the task's score array its
+    scores fill in order, and the task's total row count.
     """
-
-    RETRY_BACKOFF_BASE = 0.05
-    RETRY_BACKOFF_CAP = 1.0
-
-    def __init__(self, store: Union[OnDiskProfileStore, str, os.PathLike],
-                 num_workers: int = 1,
-                 shard_timeout: Optional[float] = None,
-                 max_retries: int = 3,
-                 fault_plan=None):
-        check_positive_int(num_workers, "num_workers")
-        if shard_timeout is not None and shard_timeout <= 0:
-            raise ValueError("shard_timeout must be positive when given")
-        check_positive_int(max_retries, "max_retries")
-        store_dir = store.base_dir if isinstance(store, OnDiskProfileStore) else store
-        self._store_dir = str(store_dir)
-        self._num_workers = num_workers
-        self._shard_timeout = shard_timeout
-        self._max_retries = max_retries
-        self._fault_plan = fault_plan
-        self._respawns = 0
-        self._executor = _build_worker_executor(self._num_workers,
-                                                 self._store_dir)
-
-    def terminate(self) -> None:
-        """Tear down the executor without waiting on its workers.
-
-        ``shutdown(wait=False)`` alone leaves a *hung* worker running — the
-        executor only reaps workers that return — so any process still
-        alive after the shutdown is killed explicitly; otherwise a single
-        sleeping worker would pin its store mappings for the rest of the
-        run.  Safe to call repeatedly (and after :meth:`shutdown`).
-        """
-        executor, self._executor = self._executor, None
-        _terminate_executor(executor)
-
-    def _respawn(self) -> None:
-        """Replace the (broken or hung) executor with a fresh one."""
-        self.terminate()
-        self._respawns += 1
-        self._executor = _build_worker_executor(self._num_workers,
-                                                 self._store_dir)
-
-    @property
-    def num_workers(self) -> int:
-        return self._num_workers
-
-    @property
-    def respawns(self) -> int:
-        """How many times supervision replaced the worker pool."""
-        return self._respawns
-
-    def score(self, parts: Sequence[PartDescriptor], left_rows: np.ndarray,
-              right_rows: np.ndarray, measure: str,
-              generation: Optional[int] = None) -> np.ndarray:
-        """Score row pairs against one or two partitions, sharded.
-
-        ``parts`` — one or two ``(part_key, user_ids)`` descriptors — names
-        the partitions of one PI edge: ``left_rows`` are rows of the first
-        part, ``right_rows`` rows of the last (the same part when only one
-        is given).  Workers load each partition slice once (zero-copy for a
-        contiguous partition), keep it cached by ``part_key`` across calls
-        (``None`` = never cached), and gather each side where it lies,
-        exactly as the in-process backends do, so scores stay bit-identical.
-
-        ``generation`` is the store's update counter: a pool that survives
-        profile updates (the engine keeps one alive across iterations) must
-        pass the current value so workers invalidate their cached slices
-        after every phase-5 batch.  ``None`` keeps the legacy contract (the
-        store never changes while the pool is alive).
-        """
-        if not 1 <= len(parts) <= 2:
-            raise ValueError("parts must name one or two partitions")
-        left_rows, right_rows = _row_arrays(left_rows, right_rows)
-        if not len(left_rows):
-            return np.zeros(0, dtype=np.float64)
-        parts = tuple((part_key, _compact_ids(ids)) for part_key, ids in parts)
-        num_shards = min(self._num_workers, len(left_rows))
-        shards = list(zip(np.array_split(left_rows, num_shards),
-                          np.array_split(right_rows, num_shards)))
-        for attempt in range(self._max_retries + 1):
-            fault = (self._fault_plan.take_worker_fault()
-                     if self._fault_plan is not None else None)
-            try:
-                return self._score_attempt(parts, shards, measure, generation,
-                                           fault)
-            except (BrokenProcessPool, FutureTimeoutError) as exc:
-                kind = ("shard timeout" if isinstance(exc, FutureTimeoutError)
-                        else "worker died")
-                if attempt >= self._max_retries:
-                    raise ScoringPoolBroken(
-                        f"scoring pool failed {attempt + 1} consecutive "
-                        f"attempts (last: {kind})") from exc
-                delay = min(self.RETRY_BACKOFF_CAP,
-                            self.RETRY_BACKOFF_BASE * (2 ** attempt))
-                _logger.warning(
-                    "scoring pool %s (attempt %d/%d); respawning workers and "
-                    "retrying the shard batch in %.2fs",
-                    kind, attempt + 1, self._max_retries + 1, delay)
-                time.sleep(delay)
-                self._respawn()
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    def _score_attempt(self, parts, shards, measure, generation,
-                       fault) -> np.ndarray:
-        """One submission of the full shard batch (the retry unit).
-
-        A ``fault`` directive ``(mode, shard_index, seconds)`` is attached
-        to exactly the targeted shard.  The per-shard watchdog applies the
-        timeout to each ``result()`` wait; on expiry the not-yet-started
-        shards are cancelled before the supervisor respawns the pool.
-        """
-        futures = []
-        for index, (left_rows, right_rows) in enumerate(shards):
-            shard_fault = None
-            if fault is not None and index == fault[1] % len(shards):
-                shard_fault = (fault[0], fault[2])
-            futures.append(self._executor.submit(
-                _score_shard, parts,
-                ((0, len(parts) - 1, left_rows, right_rows),), measure,
-                generation, shard_fault))
-        try:
-            return np.concatenate(
-                [future.result(timeout=self._shard_timeout)
-                 for future in futures])
-        except FutureTimeoutError:
-            for future in futures:
-                future.cancel()
-            raise
-
-    def shutdown(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-    def __enter__(self) -> "ProcessScoringPool":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.shutdown()
+    pieces: List[List[RowBatch]] = [[] for _ in range(width)]
+    runs: List[List[Tuple[int, int]]] = [[] for _ in range(width)]
+    offset = 0
+    for left, right, left_rows, right_rows in task.batches:
+        rows = len(left_rows)
+        cuts = min(width, rows) if rows > SPLIT_FLOOR_ROWS else 1
+        for index, (left_piece, right_piece) in enumerate(
+                zip(np.array_split(left_rows, cuts),
+                    np.array_split(right_rows, cuts))):
+            pieces[index].append((left, right, left_piece, right_piece))
+            runs[index].append((offset, offset + len(left_piece)))
+            offset += len(left_piece)
+    subtasks = [replace(task, batches=tuple(piece)) for piece in pieces if piece]
+    return subtasks, [run for run in runs if run], offset
 
 
-# -- shard-parallel wave execution --------------------------------------------
-#
-# The pool above parallelises *within* one residency step (tuple shards of a
-# single partition pair).  The coordinator below parallelises *across* steps:
-# ``plan_shard_schedule`` colors the step sequence into waves of pairwise
-# partition-disjoint steps, and within a wave each worker executes whole
-# steps — exclusively owning its step's partitions for the wave — against its
-# own mmap slices.  The worker contract is deliberately narrow and
-# serialisable: a ShardStepTask descriptor goes in, a ShardDelta comes out,
-# and nothing else crosses the boundary, so a multi-node RPC backend can
-# replace the process pool without touching phase 4.
+class ScoringWorkers:
+    """The one supervised executor behind phase 4: ``execute(tasks) -> scores``.
 
+    ``tasks`` is either one residency step or a wave of steps that share no
+    partition (the caller guarantees it — ``plan_shard_schedule`` does — so
+    whoever executes a step owns its partitions exclusively until the call
+    returns; there is no cross-worker coordination on profile state, only
+    the barrier the call itself is).  A lone task on a transport wider than
+    one is cut row-wise into sub-tasks (:func:`_split_rows`) and its scores
+    reassembled in order.
 
-@dataclass(frozen=True)
-class ShardStepTask:
-    """Serialisable work order for one residency step (the RPC-ready contract).
+    The transport is picked at construction: ``thread`` and ``process`` need
+    ``num_workers > 1`` (and ``process`` needs ``fork``) — otherwise a pool
+    would pay start-up and pipe traffic for zero parallelism, so those
+    configurations score inline, which is bit-identical, with a one-time
+    warning.  Executors are built on first use and kept for the whole run;
+    the default configuration never builds one.
 
-    Everything a worker needs crosses the boundary in this one object: the
-    owned partitions as ``(part_key, user_ids)`` descriptors (part keys
-    scoped per iteration so caches never serve a stale partition; contiguous
-    runs travel as O(1) ranges via :func:`_compact_ids`), the step's PI edges
-    as :data:`RowBatch` entries — partition-local rows into those parts — the
-    similarity measure and the store generation the worker must have loaded.
-    Workers never receive profile bytes — they open the store by path
-    (today: the pool initializer; later: an RPC server's own replica) — so
-    routing a task to a remote shard server is a pure placement decision.
-    """
-
-    parts: Tuple[PartDescriptor, ...]
-    batches: Tuple[RowBatch, ...]
-    measure: str
-    generation: Optional[int]
-
-
-@dataclass(frozen=True)
-class ShardDelta:
-    """One worker's answer for one step: ``scores``, aligned with the task's
-    batches concatenated in order (phase 4 scatters them into its score
-    slab, which feeds both the graph merge and the score cache)."""
-
-    scores: np.ndarray
-
-
-def _execute_shard_step(task: ShardStepTask,
-                        fault: Optional[Tuple[str, float]] = None) -> ShardDelta:
-    """Pool-worker entry point of the process backend: score one whole
-    residency step through the worker-global store/slice caches."""
-    return ShardDelta(scores=_score_shard(task.parts, task.batches,
-                                          task.measure, task.generation, fault))
-
-
-class ShardCoordinator:
-    """Executes waves of partition-disjoint residency steps concurrently.
-
-    Ownership model: within one wave no two steps share a partition
-    (guaranteed by ``plan_shard_schedule``), so the worker executing a step
-    holds exclusive ownership of that step's partitions for the wave — there
-    is no cross-worker coordination on profile state, only the barrier
-    between waves.  Each backend realises the same contract:
-
-    * ``serial`` — steps run inline, one after another (the degrade target).
-    * ``thread`` — the coordinator loads each step's partition slices
-      serially (keeping store access single-threaded), then scores the
-      wave's steps on a thread pool; the kernels are NumPy and release the
-      GIL.
-    * ``process`` — tasks ship to a supervised fork pool whose workers
-      re-open the store by path (the :func:`_init_scoring_worker` /
-      :func:`_score_shard` infrastructure), with the same dead/hung-worker
-      respawn-and-retry discipline as :class:`ProcessScoringPool`; the retry
-      unit is the whole wave, which is safe because tasks are pure.  After
-      ``max_retries`` consecutive failures :class:`ScoringPoolBroken`
-      surfaces for the caller to degrade to serial.
+    Supervision wraps the process transport: a dead worker surfaces as
+    :class:`BrokenProcessPool`; a hung one is caught by the per-future
+    watchdog (``shard_timeout`` seconds, ``None`` = wait forever).  Either
+    way the pool is torn down (leftover processes killed), respawned, and
+    the *whole task list* retried with capped exponential backoff — tasks
+    are pure, and retrying all of them keeps the submission order, so
+    results stay bit-identical under any kill schedule.  After
+    ``max_retries`` consecutive failures the instance logs one warning,
+    switches to the inline transport for the rest of its life and re-runs
+    the list there.
 
     Per-worker memory budget: ``worker_budget_bytes`` caps the resident
     profile bytes a single worker may hold — one step's partitions, the
-    sharded analogue of the serial path's two-resident-partitions envelope.
-    Each task's slice bytes are charged transiently against a
+    wave analogue of the two-resident-partitions envelope.  Each task's
+    slice bytes are charged transiently against a
     :class:`~repro.storage.memory_manager.MemoryBudget` before dispatch
     (``MemoryError`` on overflow, never a silent spill), and the high-water
-    mark is reported via :attr:`peak_worker_bytes`.
+    mark is reported via :attr:`peak_worker_bytes`.  Workers cache at most
+    ``part_cache_slots`` slices, so the envelope also survives partitioners
+    whose slices are gathered copies rather than views.
+
+    ``score`` is the in-process kernel dispatch; phase 4 passes its own
+    module's :func:`score_tuples` binding, so whatever replaces that name —
+    a tracer, a native kernel — sees every score computed in this process.
     """
 
     RETRY_BACKOFF_BASE = 0.05
@@ -546,9 +357,11 @@ class ShardCoordinator:
                  num_workers: int = 1,
                  shard_timeout: Optional[float] = None,
                  max_retries: int = 3,
+                 part_cache_slots: int = 2,
                  worker_budget_bytes: Optional[float] = None,
                  bytes_per_user: int = 0,
-                 fault_plan=None):
+                 fault_plan=None,
+                 score: Callable[..., np.ndarray] = score_tuples):
         if backend not in BACKENDS:
             raise ValueError(
                 f"unknown backend {backend!r}; known: {', '.join(BACKENDS)}")
@@ -556,29 +369,38 @@ class ShardCoordinator:
         if shard_timeout is not None and shard_timeout <= 0:
             raise ValueError("shard_timeout must be positive when given")
         check_positive_int(max_retries, "max_retries")
+        check_positive_int(part_cache_slots, "part_cache_slots")
         store_dir = store.base_dir if isinstance(store, OnDiskProfileStore) else store
         self._store_dir = str(store_dir)
-        self._backend = backend
         self._num_workers = num_workers
         self._shard_timeout = shard_timeout
         self._max_retries = max_retries
+        self._part_cache_slots = part_cache_slots
         self._budget = (MemoryBudget(worker_budget_bytes)
                         if worker_budget_bytes else None)
         self._bytes_per_user = int(bytes_per_user)
         self._fault_plan = fault_plan
         self._respawns = 0
-        self._executor = None  # lazily built (thread or process, per backend)
-        # in-process slice state for serial/thread (instance-scoped mirror of
-        # the worker globals; slices are mmap views, the bound is on mapping
-        # count, not bytes)
-        self._local_store: Optional[OnDiskProfileStore] = None
-        self._local_parts: "Dict[object, ProfileSlice]" = {}
-        self._local_generation: Optional[int] = None
-        self._part_cache_slots = max(_WORKER_PART_CACHE_SLOTS, 2 * num_workers)
+        self._executor = None  # built on first use (thread or process)
+        self._state = _WorkerState(self._store_dir, part_cache_slots, score)
+        self._transport = "inline"
+        if backend == "thread" and num_workers > 1:
+            self._transport = "thread"
+        elif backend == "process":
+            if num_workers > 1 and fork_available():
+                self._transport = "process"
+            else:
+                _logger.warning(
+                    "backend='process' with %s: skipping the worker pool and "
+                    "scoring in-process (results are identical)",
+                    "num_workers=1" if num_workers == 1
+                    else "fork is unavailable on this platform")
 
     @property
-    def backend(self) -> str:
-        return self._backend
+    def transport(self) -> str:
+        """``"inline"``, ``"thread"`` or ``"process"`` — what runs the kernel
+        now (a degraded process transport reads ``"inline"``)."""
+        return self._transport
 
     @property
     def num_workers(self) -> int:
@@ -598,71 +420,75 @@ class ShardCoordinator:
     def worker_budget_bytes(self) -> Optional[float]:
         return self._budget.capacity_bytes if self._budget is not None else None
 
-    # -- wave execution ------------------------------------------------------
+    # -- the seam ------------------------------------------------------------
 
-    def execute_wave(self, tasks: Sequence[ShardStepTask]) -> List[ShardDelta]:
-        """Run one wave of partition-disjoint step tasks; deltas in task order.
-
-        The caller is responsible for wave membership (tasks must not share
-        partitions — ``plan_shard_schedule`` guarantees it); the coordinator
-        is indifferent, but the ownership story above assumes it.
-        """
+    def execute(self, tasks: Sequence[ShardStepTask]) -> List[np.ndarray]:
+        """Score every task; one score array per task, in task order, each
+        aligned with its task's batches concatenated in order."""
         if not tasks:
             return []
-        for task in tasks:
-            self._charge(task)
-        if self._backend == "process":
-            return self._execute_wave_process(tasks)
-        slices = [self._local_slices(task) for task in tasks]
-        if self._backend == "thread" and self._num_workers > 1 and len(tasks) > 1:
+        if self._budget is not None:
+            for task in tasks:
+                self._budget.record_transient(
+                    sum(len(ids) for _, ids in task.parts) * self._bytes_per_user)
+        if len(tasks) > 1 or self._transport == "inline":
+            return self._dispatch(tasks)
+        subtasks, runs, total = _split_rows(tasks[0], self._num_workers)
+        if len(subtasks) <= 1:   # nothing above the floor: nothing to put back
+            return self._dispatch(tasks)
+        scores = np.empty(total, dtype=np.float64)
+        for piece, piece_runs in zip(self._dispatch(subtasks), runs):
+            start = 0
+            for lo, hi in piece_runs:
+                scores[lo:hi] = piece[start:start + hi - lo]
+                start += hi - lo
+        return [scores]
+
+    def _dispatch(self, tasks: Sequence[ShardStepTask]) -> List[np.ndarray]:
+        if self._transport == "process":
+            try:
+                return self._dispatch_supervised(tasks)
+            except ScoringPoolBroken as exc:
+                # tasks are pure and scores per-pair deterministic, so
+                # finishing this list (and the run) inline is bit-identical
+                _logger.warning("%s; degrading to in-process scoring for the "
+                                "rest of the run", exc)
+                self._transport = "inline"
+        if self._transport == "thread" and len(tasks) > 1:
             if self._executor is None:
                 self._executor = ThreadPoolExecutor(max_workers=self._num_workers)
-            futures = [self._executor.submit(_score_batches, pieces,
-                                             task.batches, task.measure)
-                       for pieces, task in zip(slices, tasks)]
-            return [ShardDelta(scores=future.result()) for future in futures]
-        return [ShardDelta(scores=_score_batches(pieces, task.batches,
-                                                 task.measure))
-                for pieces, task in zip(slices, tasks)]
+            # slices are resolved here, one task after another, so the store
+            # handle and the part cache are only ever touched by this thread
+            futures = [self._executor.submit(_score_batches,
+                                             self._state.slices(task), task,
+                                             self._state.score)
+                       for task in tasks]
+            return [future.result() for future in futures]
+        return [_score_shard(self._state, task) for task in tasks]
 
-    def _charge(self, task: ShardStepTask) -> None:
-        if self._budget is None:
-            return
-        resident = sum(len(ids) for _, ids in task.parts) * self._bytes_per_user
-        self._budget.record_transient(resident)
-
-    def _local_slices(self, task: ShardStepTask) -> List[ProfileSlice]:
-        store = self._local_store
-        if store is None:
-            # own read-only handle with the free device model: phase 4
-            # attributes slice reads itself, once per (wave, partition)
-            store = self._local_store = OnDiskProfileStore(
-                self._store_dir, disk_model="instant")
-        if task.generation is not None and task.generation != self._local_generation:
-            store.reload()
-            self._local_parts.clear()
-            self._local_generation = task.generation
-        return [_cached_part_slice(self._local_parts, self._part_cache_slots,
-                                   store, part) for part in task.parts]
-
-    # -- process backend supervision -----------------------------------------
-
-    def _execute_wave_process(self, tasks: Sequence[ShardStepTask]
-                              ) -> List[ShardDelta]:
+    def _dispatch_supervised(self, tasks: Sequence[ShardStepTask]
+                             ) -> List[np.ndarray]:
+        """The process transport: submit, watch, respawn and retry."""
+        tasks = [replace(task, parts=tuple((key, _compact_ids(ids))
+                                           for key, ids in task.parts))
+                 for task in tasks]
         for attempt in range(self._max_retries + 1):
             fault = (self._fault_plan.take_worker_fault()
                      if self._fault_plan is not None else None)
             if self._executor is None:
                 self._executor = _build_worker_executor(
-                    self._num_workers, self._store_dir)
+                    self._num_workers, self._store_dir, self._part_cache_slots)
             futures = []
-            for index, task in enumerate(tasks):
-                task_fault = None
-                if fault is not None and index == fault[1] % len(tasks):
-                    task_fault = (fault[0], fault[2])
-                futures.append(self._executor.submit(
-                    _execute_shard_step, task, task_fault))
             try:
+                # submitting is inside the watch too: a worker that dies on
+                # the first task breaks the pool under the later submits
+                for index, task in enumerate(tasks):
+                    # a fault directive ``(mode, shard, seconds)`` rides on
+                    # exactly the targeted task of this attempt
+                    futures.append(self._executor.submit(
+                        _score_shard_in_worker, task,
+                        fault if fault is not None
+                        and index == fault[1] % len(tasks) else None))
                 return [future.result(timeout=self._shard_timeout)
                         for future in futures]
             except (BrokenProcessPool, FutureTimeoutError) as exc:
@@ -670,35 +496,35 @@ class ShardCoordinator:
                     future.cancel()
                 kind = ("shard timeout" if isinstance(exc, FutureTimeoutError)
                         else "worker died")
+                executor, self._executor = self._executor, None
+                _terminate_executor(executor)
                 if attempt >= self._max_retries:
                     raise ScoringPoolBroken(
-                        f"shard coordinator failed {attempt + 1} consecutive "
-                        f"wave attempts (last: {kind})") from exc
+                        f"scoring workers failed {attempt + 1} consecutive "
+                        f"attempts (last: {kind})") from exc
                 delay = min(self.RETRY_BACKOFF_CAP,
                             self.RETRY_BACKOFF_BASE * (2 ** attempt))
                 _logger.warning(
-                    "shard coordinator %s (attempt %d/%d); respawning workers "
-                    "and retrying the wave in %.2fs",
+                    "scoring workers: %s (attempt %d/%d); respawning and "
+                    "retrying the task list in %.2fs",
                     kind, attempt + 1, self._max_retries + 1, delay)
                 time.sleep(delay)
-                executor, self._executor = self._executor, None
-                _terminate_executor(executor)
                 self._respawns += 1
         raise AssertionError("unreachable")  # pragma: no cover
 
     # -- lifecycle -----------------------------------------------------------
 
     def shutdown(self) -> None:
+        """Release the executor and the in-process slices (idempotent; a
+        later :meth:`execute` builds what it needs again)."""
         executor, self._executor = self._executor, None
-        if executor is not None:
-            if self._backend == "process":
-                _terminate_executor(executor)
-            else:
-                executor.shutdown(wait=True)
-        self._local_store = None
-        self._local_parts.clear()
+        if executor is not None and self._transport == "thread":
+            executor.shutdown(wait=True)
+        else:
+            _terminate_executor(executor)
+        self._state.release()
 
-    def __enter__(self) -> "ShardCoordinator":
+    def __enter__(self) -> "ScoringWorkers":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:

@@ -1,5 +1,6 @@
 """Tests for repro.core.checkpoint."""
 
+import json
 import os
 
 import numpy as np
@@ -16,6 +17,7 @@ from repro.core.checkpoint import (
     save_portable_checkpoint,
     save_score_cache,
     snapshot_profile_store,
+    write_checkpoint_checksums,
 )
 from repro.core.config import EngineConfig
 from repro.core.engine import KNNEngine
@@ -646,3 +648,88 @@ class TestResumeRun:
             final = resumed.run(num_iterations=2).final_graph
 
         assert final.edge_difference(uninterrupted) == 0
+
+
+#: ``engine_config`` as commit 6beeaab (PR 14) wrote it into a checkpoint
+#: manifest — captured from a run there — before ``adaptive_score_cache`` and
+#: ``num_threads`` were retired.
+_PARENT_ENGINE_CONFIG = {
+    "adaptive_score_cache": True, "backend": "thread",
+    "dirty_scheduling": True, "disk_model": "ssd", "durable": False,
+    "heuristic": "sequential", "include_direct_edges": True,
+    "incremental_phase4": True, "k": 4, "max_pairs_per_bridge": None,
+    "max_resident_partitions": 2, "measure": None,
+    "memory_budget_bytes": None, "num_partitions": 3, "num_threads": 3,
+    "num_workers": 2, "partitioner": "contiguous",
+    "profile_segment_rows": None, "score_cache_entries": 4000000, "seed": 9,
+    "shard_parallel": False, "shard_timeout_seconds": None,
+}
+
+
+def _rewrite_saved_config(directory, **changes):
+    """Make a checkpoint carry the parent commit's ``engine_config`` (plus
+    ``changes``), re-sealing the directory when it is a sealed epoch."""
+    manifest_path = directory / "checkpoint.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["metadata"]["engine_config"] = {**_PARENT_ENGINE_CONFIG, **changes}
+    manifest_path.write_text(json.dumps(manifest, indent=2))
+    if (directory / "checksums.json").exists():
+        write_checkpoint_checksums(directory)
+
+
+class TestParentCommitManifest:
+    """A checkpoint or epoch commit written before two knobs were retired
+    must resume — the manifest is outside input, not a constructor call."""
+
+    def _checkpoint(self, tmp_path, **changes):
+        profiles = generate_dense_profiles(60, dim=4, seed=1)
+        config = EngineConfig(k=4, num_partitions=3, seed=9)
+        with KNNEngine(profiles, config) as engine:
+            fingerprint = engine.run_iteration().graph.edge_fingerprint()
+            engine.save_checkpoint(tmp_path / "ckpt")
+            following = engine.run_iteration().graph.edge_fingerprint()
+        _rewrite_saved_config(tmp_path / "ckpt", **changes)
+        return fingerprint, following
+
+    def test_thread_width_carries_over_and_the_run_continues(self, tmp_path):
+        fingerprint, following = self._checkpoint(tmp_path)
+        with KNNEngine.from_checkpoint(tmp_path / "ckpt") as resumed:
+            assert resumed.config == EngineConfig(
+                k=4, num_partitions=3, seed=9, backend="thread", num_workers=3)
+            assert resumed.graph.edge_fingerprint() == fingerprint
+            assert resumed.run_iteration().graph.edge_fingerprint() == following
+
+    def test_thread_count_of_another_backend_is_dropped(self, tmp_path):
+        self._checkpoint(tmp_path, backend="serial", num_threads=8)
+        with KNNEngine.from_checkpoint(tmp_path / "ckpt") as resumed:
+            assert resumed.config.backend == "serial"
+            assert resumed.config.num_workers == 2
+
+    def test_unknown_key_is_named_with_its_checkpoint(self, tmp_path):
+        self._checkpoint(tmp_path, warp_factor=9)
+        with pytest.raises(ValueError, match="warp_factor") as failure:
+            KNNEngine.from_checkpoint(tmp_path / "ckpt")
+        assert str(tmp_path / "ckpt") in str(failure.value)
+
+    def test_serving_runtime_recovers_a_parent_commit_directory(self, tmp_path):
+        from repro.service import ServingRuntime
+        profiles = generate_dense_profiles(60, dim=4, seed=1)
+        config = EngineConfig(k=4, num_partitions=3, seed=9, durable=True)
+        workdir = tmp_path / "svc"
+        with ServingRuntime(profiles, config, workdir=workdir) as service:
+            assert service.submit_updates(
+                [ProfileChange(user=0, kind="set", vector=np.ones(4))]).accepted
+            service.stop(drain=True)
+            epochs = service.engine.sealed_epochs()
+            served = service.neighbors(0)
+        assert len(epochs) >= 2
+        for _, path in epochs:
+            _rewrite_saved_config(path, durable=True)
+        recovered = ServingRuntime.recover(workdir)
+        try:
+            assert recovered.current_epoch == epochs[-1][0]
+            assert recovered.engine.config == config.with_overrides(
+                backend="thread", num_workers=3)
+            assert recovered.neighbors(0) == served
+        finally:
+            recovered.close()

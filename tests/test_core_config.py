@@ -65,7 +65,7 @@ class TestValidation:
 
     def test_invalid_threads(self):
         with pytest.raises(ValueError):
-            EngineConfig(num_threads=0)
+            EngineConfig(num_workers=0)
 
 
 class TestOverrides:

@@ -111,7 +111,7 @@ class TestExecution:
         base = EngineConfig(k=5, num_partitions=4, seed=8)
         with KNNEngine(profiles, base) as single:
             graph_single = single.run(num_iterations=2).final_graph
-        with KNNEngine(profiles, base.with_overrides(num_threads=4)) as multi:
+        with KNNEngine(profiles, base.with_overrides(num_workers=4)) as multi:
             graph_multi = multi.run(num_iterations=2).final_graph
         assert graph_single.edge_difference(graph_multi) == 0
 

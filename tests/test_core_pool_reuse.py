@@ -1,15 +1,17 @@
-"""Persistent scoring pool: reuse across iterations, parity across updates.
+"""Run-lifetime scoring workers: reuse across iterations, parity across updates.
 
-The engine now keeps one :class:`ProcessScoringPool` alive for a whole run;
-workers invalidate their cached mmap slices through the profile store's
-``generation`` counter after every phase-5 update batch.  These tests pin
+The engine keeps one :class:`ScoringWorkers` — and whatever executor its
+transport needs — alive for a whole run; workers invalidate their cached
+mmap slices through the profile store's ``generation`` counter after every
+phase-5 update batch.  These tests pin
 
-* that the pool object really is reused across iterations (the amortisation
-  the ISSUE asks for),
+* that the executor really is reused across iterations (fork start-up is
+  paid once a run, not once an iteration),
 * that graph fingerprints stay identical across serial / thread / process
   backends *while profiles change between iterations* — stale worker caches
   would break this instantly,
-* the single-worker and no-fork fallbacks to in-process scoring.
+* the single-worker and no-fork fallbacks to in-process scoring, and that
+  the default configuration builds no executor and no worker process at all.
 """
 
 from __future__ import annotations
@@ -21,10 +23,8 @@ import pytest
 
 from repro.core.config import EngineConfig
 from repro.core.engine import KNNEngine
-from repro.core.parallel import ProcessScoringPool, score_tuples
 from repro.similarity.workloads import (ProfileChange, generate_dense_profiles,
                                         generate_sparse_profiles)
-from repro.storage.profile_store import OnDiskProfileStore
 
 NUM_USERS = 150
 
@@ -61,7 +61,7 @@ class TestPoolReuseParityAcrossUpdates:
                                            seed=23)
         serial = _run_fingerprints(profiles, _dense_feed, backend="serial")
         threaded = _run_fingerprints(profiles, _dense_feed, backend="thread",
-                                     num_threads=3)
+                                     num_workers=3)
         process = _run_fingerprints(profiles, _dense_feed, backend="process",
                                     num_workers=3)
         assert serial == threaded == process
@@ -82,23 +82,25 @@ class TestPoolReuseParityAcrossUpdates:
                               num_workers=2, seed=5)
         with KNNEngine(profiles, config) as engine:
             engine.run_iteration()
-            pool_first = engine._iteration_runner._pool
+            workers = engine._iteration_runner.workers
+            pool_first = workers._executor
             assert pool_first is not None
             engine.enqueue_profile_changes(
                 [ProfileChange(user=0, kind="set", vector=np.ones(6))])
             engine.run_iteration()
-            assert engine._iteration_runner._pool is pool_first
+            assert workers._executor is pool_first
+            assert workers.respawns == 0
         # close() shut the pool down and dropped it
-        assert engine._iteration_runner._pool is None
+        assert workers._executor is None
 
     def test_single_worker_skips_pool_with_warning(self, caplog):
         profiles = generate_dense_profiles(80, dim=6, num_communities=3, seed=31)
         config = EngineConfig(k=4, num_partitions=4, backend="process",
                               num_workers=1, seed=5)
-        with caplog.at_level(logging.WARNING, logger="repro.core.iteration"):
+        with caplog.at_level(logging.WARNING, logger="repro.core.parallel"):
             with KNNEngine(profiles, config) as engine:
                 engine.run_iteration()
-                assert engine._iteration_runner._pool is None
+                assert engine._iteration_runner.workers._executor is None
                 engine.run_iteration()
         warnings = [record for record in caplog.records
                     if "skipping the worker pool" in record.message]
@@ -112,39 +114,21 @@ class TestPoolReuseParityAcrossUpdates:
                                      num_workers=1)
         assert serial == fallback
 
-    def test_score_tuples_generation_invalidates_worker_cache(self, tmp_path):
-        """The public score_tuples process path must not serve pre-update
-        scores from a worker's span-keyed slice cache after apply_changes."""
-        profiles = generate_dense_profiles(40, dim=6, num_communities=2, seed=3)
-        store = OnDiskProfileStore.create(tmp_path, profiles,
-                                          disk_model="instant")
-        pairs = np.array([[0, 1], [2, 3], [0, 3]], dtype=np.int64)
-        with ProcessScoringPool(store, num_workers=2) as pool:
-            piece = store.load_users(range(40))
-            before = score_tuples(piece, pairs[:, 0], piece, pairs[:, 1],
-                                  "cosine", backend="process", pool=pool,
-                                  generation=store.generation)
-            np.testing.assert_array_equal(
-                before, piece.similarity_pairs(pairs, "cosine"))
-            store.apply_changes([ProfileChange(user=0, kind="set",
-                                               vector=np.ones(6))])
-            reloaded = store.load_users(range(40))
-            after = score_tuples(reloaded, pairs[:, 0], reloaded, pairs[:, 1],
-                                 "cosine", backend="process", pool=pool,
-                                 generation=store.generation)
-            np.testing.assert_array_equal(
-                after, reloaded.similarity_pairs(pairs, "cosine"))
-            assert not np.array_equal(before, after)
-
-    def test_no_fork_platform_falls_back(self, monkeypatch):
-        import repro.core.iteration as iteration_module
-        monkeypatch.setattr(iteration_module, "fork_available", lambda: False)
+    def test_no_fork_platform_falls_back(self, monkeypatch, caplog):
+        import repro.core.parallel as parallel_module
+        monkeypatch.setattr(parallel_module, "fork_available", lambda: False)
         profiles = generate_dense_profiles(80, dim=6, num_communities=3, seed=37)
         config = EngineConfig(k=4, num_partitions=4, backend="process",
                               num_workers=4, seed=5)
-        with KNNEngine(profiles, config) as engine:
-            engine.run_iteration()
-            assert engine._iteration_runner._pool is None
+        with caplog.at_level(logging.WARNING, logger="repro.core.parallel"):
+            with KNNEngine(profiles, config) as engine:
+                engine.run_iteration()
+                engine.run_iteration()
+                workers = engine._iteration_runner.workers
+                assert workers.transport == "inline"
+                assert workers._executor is None
+        assert sum("fork is unavailable" in record.message
+                   for record in caplog.records) == 1   # once a run
         feed = lambda rng: _dense_feed(rng, dim=6, num_users=80)
         serial = _run_fingerprints(profiles, feed, backend="serial")
         fallback = _run_fingerprints(profiles, feed,
@@ -156,11 +140,31 @@ class TestThreadExecutorReuse:
     """The thread backend keeps one executor for the whole run, like the
     process pool — not one per scoring call."""
 
+    def test_default_config_builds_no_executor_and_no_process(self, monkeypatch):
+        import multiprocessing
+
+        import repro.core.parallel as parallel_module
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the default configuration built an executor")
+
+        monkeypatch.setattr(parallel_module, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", refuse)
+        profiles = generate_dense_profiles(NUM_USERS, dim=8, num_communities=4,
+                                           seed=23)
+        rng = np.random.default_rng(99)
+        with KNNEngine(profiles, EngineConfig(k=5, num_partitions=4,
+                                              seed=17)) as engine:
+            run = engine.run(num_iterations=3,
+                             profile_change_feed=_dense_feed(rng))
+            assert engine._iteration_runner.workers.transport == "inline"
+            assert multiprocessing.active_children() == []
+        assert all(result.similarity_evaluations for result in run.iterations)
+
     def test_one_executor_per_run_and_threads_gone_after_close(self, monkeypatch):
         import threading
         from concurrent.futures import ThreadPoolExecutor
 
-        import repro.core.iteration as iteration_module
         import repro.core.parallel as parallel_module
 
         built = []
@@ -175,7 +179,6 @@ class TestThreadExecutorReuse:
                 submitted.append(self)
                 return super().submit(*args, **kwargs)
 
-        monkeypatch.setattr(iteration_module, "ThreadPoolExecutor", SpyExecutor)
         monkeypatch.setattr(parallel_module, "ThreadPoolExecutor", SpyExecutor)
         # 8 partitions = 36 residency steps; PI edges beyond the 4096-tuple
         # chunk size, so the steps really fan out onto the pool
@@ -184,7 +187,7 @@ class TestThreadExecutorReuse:
         base = dict(k=12, num_partitions=8, heuristic="degree-low-high", seed=9)
         baseline = threading.active_count()
         engine = KNNEngine(profiles, EngineConfig(backend="thread",
-                                                  num_threads=4, **base))
+                                                  num_workers=4, **base))
         try:
             results = [engine.run_iteration(), engine.run_iteration()]
             assert results[0].steps_total == 36

@@ -46,7 +46,7 @@ def _config(**overrides):
 def _backend_overrides(backend: str) -> dict:
     overrides = {"backend": backend}
     if backend == "thread":
-        overrides["num_threads"] = 3
+        overrides["num_workers"] = 3
     elif backend == "process":
         overrides["num_workers"] = 2
     return overrides

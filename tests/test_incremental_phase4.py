@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import EngineConfig
 from repro.core.engine import KNNEngine
-from repro.core.iteration import AdaptiveCachePolicy, Phase4ScoreCache
+from repro.core.iteration import Phase4ScoreCache
 from repro.similarity.workloads import (ProfileChange, generate_dense_profiles,
                                         generate_sparse_profiles)
 from repro.testing import FaultPlan, InjectedCrash
@@ -79,7 +79,7 @@ class TestDifferentialWall:
                                                        churn_sizes, churn_seed):
         overrides = {"backend": backend}
         if backend == "thread":
-            overrides["num_threads"] = 3
+            overrides["num_workers"] = 3
         elif backend == "process":
             overrides["num_workers"] = 2
         runs = {}
@@ -100,11 +100,7 @@ class TestDifferentialWall:
     @pytest.mark.parametrize("kind", ["dense", "sparse"])
     def test_all_backends_reuse_and_agree(self, kind, backend, workers):
         """Every backend must actually *reuse* scores, not just agree."""
-        overrides = {"backend": backend}
-        if backend == "thread":
-            overrides["num_threads"] = workers
-        elif backend == "process":
-            overrides["num_workers"] = workers
+        overrides = {"backend": backend, "num_workers": workers}
         churn_sizes = [8, 8, 8, 8]
         incremental = _run(kind, True, _churn_feed(kind, churn_sizes, 3),
                            iterations=4, **overrides)
@@ -116,9 +112,8 @@ class TestDifferentialWall:
         for result in incremental.iterations[1:]:
             assert not result.full_rescore
             assert result.reused_scores > 0
-            assert (result.rescored_tuples + result.reused_scores
+            assert (result.similarity_evaluations + result.reused_scores
                     == result.num_candidate_tuples)
-            assert result.rescored_tuples == result.similarity_evaluations
 
 
 class TestCleanDirtyPartition:
@@ -336,81 +331,6 @@ class TestInPlaceMergeDifferential:
         assert cache.evictions == 1
 
 
-class TestAdaptivePolicy:
-    """The adaptive lookup policy: measured economics, bit-identical results."""
-
-    def test_probes_until_measured(self):
-        policy = AdaptiveCachePolicy()
-        assert policy.use_lookups()          # nothing measured yet
-        policy.observe_kernel(1.0, 1000)     # 1 ms per kernel tuple
-        assert policy.use_lookups()          # lookup cost still unknown
-
-    def test_skips_when_hit_value_below_lookup_cost(self):
-        policy = AdaptiveCachePolicy()
-        policy.observe_kernel(0.001, 1000)             # 1 µs per rescore
-        policy.observe_lookups(0.01, 1000, hits=100)   # 10 µs per lookup, 10% hits
-        # expected saving 0.1 µs < 10 µs lookup cost → skip
-        assert not policy.use_lookups()
-        assert policy.skipped_iterations == 1
-
-    def test_engages_when_hit_value_exceeds_lookup_cost(self):
-        policy = AdaptiveCachePolicy()
-        policy.observe_kernel(1.0, 1000)               # 1 ms per rescore
-        policy.observe_lookups(0.001, 1000, hits=800)  # 1 µs lookups, 80% hits
-        assert policy.use_lookups()
-        assert policy.skipped_iterations == 0
-
-    def test_reprobes_after_consecutive_skips(self):
-        policy = AdaptiveCachePolicy()
-        policy.observe_kernel(0.001, 1000)
-        policy.observe_lookups(0.01, 1000, hits=10)
-        decisions = [policy.use_lookups()
-                     for _ in range(2 * AdaptiveCachePolicy.REPROBE_EVERY)]
-        assert True in decisions       # the periodic probe happens
-        assert False in decisions      # and the skips happen
-        # exactly one probe per REPROBE_EVERY decisions
-        assert decisions.count(True) == 2
-
-    def test_adaptive_run_is_bit_identical(self):
-        """Whatever the policy decides on this machine's timings, the
-        produced graphs must match the non-adaptive run exactly."""
-        for kind in ("dense", "sparse"):
-            churn_sizes = [6, 6, 6, 6]
-            adaptive = _run(kind, True, _churn_feed(kind, churn_sizes, 5),
-                            iterations=4, adaptive_score_cache=True)
-            plain = _run(kind, True, _churn_feed(kind, churn_sizes, 5),
-                         iterations=4)
-            assert ([r.graph.edge_fingerprint() for r in adaptive.iterations]
-                    == [r.graph.edge_fingerprint() for r in plain.iterations])
-
-    def test_forced_skip_scores_everything_and_stays_identical(self):
-        """Inject economics that make lookups worthless: the engine skips
-        them (lookups_skipped), rescans everything, and the graphs still
-        match the default run bit for bit."""
-        config = EngineConfig(k=5, num_partitions=4, heuristic="degree-low-high",
-                              seed=17, adaptive_score_cache=True)
-        with KNNEngine(_profiles("dense"), config) as engine:
-            policy = engine._iteration_runner.cache_policy
-            results = []
-            for _ in range(3):
-                # re-pin the measurements each iteration so the engine's own
-                # observations never outvote the injected economics
-                policy.lookup_cost = 1.0
-                policy.kernel_cost = 1e-9
-                policy.hit_rate = 0.5
-                policy._skips_since_probe = 0
-                results.append(engine.run_iteration())
-        assert results[0].full_rescore            # cold cache: no decision yet
-        for result in results[1:]:
-            assert result.lookups_skipped
-            assert not result.full_rescore        # the cache *was* usable
-            assert result.reused_scores == 0
-            assert result.rescored_tuples == result.num_candidate_tuples
-        plain = _run("dense", True, None, iterations=3)
-        assert ([r.graph.edge_fingerprint() for r in results]
-                == [r.graph.edge_fingerprint() for r in plain.iterations])
-
-
 class TestRescoredCountsScaleWithChurn:
     """Kernel work tracks the touched rows, not the candidate volume."""
 
@@ -422,15 +342,15 @@ class TestRescoredCountsScaleWithChurn:
             # rescored ones are exactly this iteration's fresh pairs
             assert not result.full_rescore
             assert result.reused_scores > 0
-            assert result.rescored_tuples < result.num_candidate_tuples
+            assert result.similarity_evaluations < result.num_candidate_tuples
 
     def test_more_churn_more_rescoring(self):
         small = _run("sparse", True, _churn_feed("sparse", [4] * 4, 11),
                      iterations=4)
         large = _run("sparse", True, _churn_feed("sparse", [60] * 4, 11),
                      iterations=4)
-        small_rescored = sum(r.rescored_tuples for r in small.iterations[1:])
-        large_rescored = sum(r.rescored_tuples for r in large.iterations[1:])
+        small_rescored = sum(r.similarity_evaluations for r in small.iterations[1:])
+        large_rescored = sum(r.similarity_evaluations for r in large.iterations[1:])
         assert small_rescored < large_rescored
 
     @staticmethod
@@ -467,7 +387,7 @@ class TestRescoredCountsScaleWithChurn:
                         if (s, d) in previous_candidates
                         and s not in touched_last and d not in touched_last)
                     assert result.reused_scores == clean_cached
-                    assert result.rescored_tuples == len(candidates) - clean_cached
+                    assert result.similarity_evaluations == len(candidates) - clean_cached
                 previous_candidates = candidates
                 # the queued changes are applied at the end of this
                 # iteration, dirtying the *next* iteration's lookups

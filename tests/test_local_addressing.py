@@ -419,7 +419,7 @@ def _hash_run(backend: str, shard_parallel: bool):
     profiles = generate_dense_profiles(400, dim=8, num_communities=5, seed=23)
     overrides = {"backend": backend}
     if backend == "thread":
-        overrides["num_threads"] = 3
+        overrides["num_workers"] = 3
     elif backend == "process":
         overrides["num_workers"] = 2
     config = EngineConfig(k=6, num_partitions=5, partitioner="hash",

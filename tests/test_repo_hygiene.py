@@ -117,3 +117,43 @@ def test_core_scores_by_row_not_through_merged_or_id_addressed_slices():
                                              and receiver.id in accumulators)):
                 offenders.append(f"{path.name}:{node.lineno} .{name}()")
     assert offenders == []
+
+
+def test_every_engine_config_field_is_read_somewhere():
+    """A knob survives only while code outside ``core/config.py`` reads it
+    as an attribute: one that nothing reads cannot ride through a refactor
+    again (``adaptive_score_cache`` decided nothing on any workload, and
+    ``num_threads`` was a second width beside ``num_workers``)."""
+    import dataclasses
+
+    from repro.core.config import EngineConfig
+
+    src = REPO_ROOT / "src" / "repro"
+    read = {node.attr
+            for path in sorted(src.rglob("*.py"))
+            if path != src / "core" / "config.py"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)}
+    fields = {spec.name for spec in dataclasses.fields(EngineConfig)}
+    assert fields - read == set()
+    assert len(fields) == 21
+
+
+def test_one_worker_seam():
+    """Executors are built in ``core/parallel.py`` and nowhere else under
+    ``src/``, and phase 4 never handles the seam's failure itself: the
+    degrade to inline scoring is written once, behind ``execute``."""
+    src = REPO_ROOT / "src" / "repro"
+    built = re.compile(r"\b(Thread|Process)PoolExecutor\(")
+    offenders = [
+        f"{path.relative_to(REPO_ROOT)}:{number}"
+        for path in sorted(src.rglob("*.py"))
+        if path != src / "core" / "parallel.py"
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if built.search(line)]
+    assert offenders == []
+    parallel = (src / "core" / "parallel.py").read_text()
+    assert len(built.findall(parallel)) == 2
+    assert parallel.count("except (BrokenProcessPool, FutureTimeoutError)") == 1
+    assert parallel.count("_build_worker_executor(") == 2   # def + one call
+    assert "ScoringPoolBroken" not in (src / "core" / "iteration.py").read_text()

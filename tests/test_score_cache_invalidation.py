@@ -70,7 +70,7 @@ class TestReloadForcesOneFullRescore:
         cold = runner.run(2, warm.graph)
         assert cold.full_rescore is True
         assert cold.reused_scores == 0
-        assert cold.rescored_tuples == cold.num_candidate_tuples
+        assert cold.similarity_evaluations == cold.num_candidate_tuples
         # exactly once: the next iteration is incremental again
         recovered = runner.run(3, cold.graph)
         assert recovered.full_rescore is False
@@ -147,7 +147,7 @@ class TestPoolSkipPath:
                                            seed=13)
         runner, _ = _runner(tmp_path, profiles, backend="process",
                             num_workers=1)
-        assert runner._scoring_pool() is None                  # pool skipped
+        assert runner.workers.transport == "inline"            # pool skipped
         graph = KNNGraph.random(NUM_USERS, 5, seed=13)
         results = []
         for iteration in range(3):
@@ -342,7 +342,7 @@ class TestToggleAndCapacity:
             graph = result.graph
             assert result.full_rescore is True
             assert result.reused_scores == 0
-            assert result.rescored_tuples == result.num_candidate_tuples
+            assert result.similarity_evaluations == result.num_candidate_tuples
         assert runner.score_cache.keys is None
 
     def test_tiny_capacity_forces_full_rescore_every_iteration(self, tmp_path):

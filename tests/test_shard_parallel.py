@@ -8,11 +8,11 @@ phase 4's score slab whichever wave produced it, and the G(t+1) merge is a
 pure function of the scored candidate multiset.  These
 tests drive hypothesis-generated churn through engines with the toggle on
 and off across all three backends and compare fingerprint-for-fingerprint
-plus final profile bytes; exercise the coordinator directly against a
-first-principles scoring oracle; pin the per-worker memory-budget
+plus final profile bytes; exercise a wave across the worker seam directly
+against a first-principles scoring oracle; pin the per-worker memory-budget
 accounting (hard ``MemoryError``, never a silent spill); and walk the
 supervision ladder — dead worker respawn, hung shard timeout, and the
-terminal degrade to serial — asserting parity survives every rung.
+terminal degrade to inline — asserting parity survives every rung.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import EngineConfig
 from repro.core.engine import KNNEngine
-from repro.core.parallel import (ShardCoordinator, ShardStepTask,
+from repro.core.parallel import (ScoringWorkers, ShardStepTask,
                                  fork_available)
 from repro.similarity.workloads import ProfileChange, generate_dense_profiles
 from repro.testing import FaultPlan
@@ -48,7 +48,7 @@ def _config(**overrides):
 def _backend_overrides(backend: str) -> dict:
     overrides = {"backend": backend}
     if backend == "thread":
-        overrides["num_threads"] = 3
+        overrides["num_workers"] = 3
     elif backend == "process":
         overrides["num_workers"] = 2
     return overrides
@@ -149,14 +149,18 @@ class TestShardParityWall:
                          memory_budget_bytes=50_000_000)
         with KNNEngine(_profiles(), config) as engine:
             engine.run_iteration()
-            coordinator = engine._iteration_runner.shard_coordinator
-            assert coordinator is not None
-            assert coordinator.worker_budget_bytes == 50_000_000
-            assert 0 < coordinator.peak_worker_bytes <= 50_000_000
+            workers = engine._iteration_runner.workers
+            assert workers.worker_budget_bytes == 50_000_000
+            assert 0 < workers.peak_worker_bytes <= 50_000_000
+        # step at a time, the budget is the partition cache's, not a worker's
+        with KNNEngine(_profiles(), _config(
+                memory_budget_bytes=50_000_000)) as engine:
+            engine.run_iteration()
+            assert engine._iteration_runner.workers.worker_budget_bytes is None
 
 
 class TestCoordinatorOracle:
-    """ShardCoordinator deltas against first-principles direct scoring."""
+    """A wave across the seam against first-principles direct scoring."""
 
     def _tasks_and_oracle(self, store):
         rng = np.random.default_rng(5)
@@ -192,17 +196,17 @@ class TestCoordinatorOracle:
             pytest.skip("process backend needs fork")
         with KNNEngine(_profiles(), _config()) as engine:
             tasks, expected = self._tasks_and_oracle(engine.profile_store)
-            with ShardCoordinator(engine.profile_store, backend=backend,
-                                  num_workers=2) as coordinator:
-                deltas = coordinator.execute_wave(tasks)
+            with ScoringWorkers(engine.profile_store, backend=backend,
+                                num_workers=2) as workers:
+                deltas = workers.execute(tasks)
         assert len(deltas) == len(tasks)
         for delta, (_, scores) in zip(deltas, expected):
-            np.testing.assert_array_equal(delta.scores, scores)
+            np.testing.assert_array_equal(delta, scores)
 
     def test_empty_wave_is_a_noop(self):
         with KNNEngine(_profiles(), _config()) as engine:
-            with ShardCoordinator(engine.profile_store) as coordinator:
-                assert coordinator.execute_wave([]) == []
+            with ScoringWorkers(engine.profile_store) as workers:
+                assert workers.execute([]) == []
 
     def test_budget_overflow_raises_memory_error(self):
         """One step larger than the per-worker budget must fail loudly."""
@@ -210,10 +214,10 @@ class TestCoordinatorOracle:
             store = engine.profile_store
             tasks, _ = self._tasks_and_oracle(store)
             per_user = store.estimated_bytes_per_user()
-            with ShardCoordinator(store, worker_budget_bytes=per_user * 10,
-                                  bytes_per_user=per_user) as coordinator:
+            with ScoringWorkers(store, worker_budget_bytes=per_user * 10,
+                                bytes_per_user=per_user) as workers:
                 with pytest.raises(MemoryError):
-                    coordinator.execute_wave(tasks[:1])
+                    workers.execute(tasks[:1])
 
     def test_budget_is_per_worker_not_per_wave(self):
         """Workers drop their slices at the wave barrier: many steps fit
@@ -223,20 +227,12 @@ class TestCoordinatorOracle:
             tasks, _ = self._tasks_and_oracle(store)
             per_user = store.estimated_bytes_per_user()
             one_step = (NUM_USERS // 2) * per_user
-            with ShardCoordinator(store, worker_budget_bytes=one_step,
-                                  bytes_per_user=per_user) as coordinator:
-                deltas = coordinator.execute_wave(tasks[:1])
-                deltas += coordinator.execute_wave(tasks[1:])
-                assert coordinator.peak_worker_bytes == one_step
+            with ScoringWorkers(store, worker_budget_bytes=one_step,
+                                bytes_per_user=per_user) as workers:
+                deltas = workers.execute(tasks[:1])
+                deltas += workers.execute(tasks[1:])
+                assert workers.peak_worker_bytes == one_step
         assert len(deltas) == 2
-
-    def test_rejects_unknown_backend_and_bad_knobs(self):
-        with KNNEngine(_profiles(), _config()) as engine:
-            store = engine.profile_store
-            with pytest.raises(ValueError):
-                ShardCoordinator(store, backend="gpu")
-            with pytest.raises(ValueError):
-                ShardCoordinator(store, shard_timeout=0)
 
 
 @pytest.mark.skipif(not fork_available(), reason="process backend needs fork")
@@ -256,9 +252,9 @@ class TestShardSupervision:
                          num_workers=2, fault_plan=plan)
         with KNNEngine(_profiles(), config) as engine:
             results = [engine.run_iteration() for _ in range(3)]
-            coordinator = engine._iteration_runner.shard_coordinator
-            assert coordinator.backend == "process"
-            assert coordinator.respawns >= 1
+            workers = engine._iteration_runner.workers
+            assert workers.transport == "process"
+            assert workers.respawns >= 1
         assert [r.graph.edge_fingerprint() for r in results] == clean
 
     def test_hung_shard_times_out_and_stays_bit_identical(self):
@@ -269,7 +265,7 @@ class TestShardSupervision:
                          fault_plan=plan)
         with KNNEngine(_profiles(), config) as engine:
             results = [engine.run_iteration() for _ in range(3)]
-            assert engine._iteration_runner.shard_coordinator.respawns >= 1
+            assert engine._iteration_runner.workers.respawns >= 1
         assert [r.graph.edge_fingerprint() for r in results] == clean
 
     def test_persistent_failure_degrades_to_serial_bit_identical(self):
@@ -281,7 +277,6 @@ class TestShardSupervision:
                          num_workers=2, fault_plan=plan)
         with KNNEngine(_profiles(), config) as engine:
             results = [engine.run_iteration() for _ in range(3)]
-            coordinator = engine._iteration_runner.shard_coordinator
-            # the coordinator gave up on processes and rebuilt serial
-            assert coordinator.backend == "serial"
+            # the workers gave up on processes and score inline
+            assert engine._iteration_runner.workers.transport == "inline"
         assert [r.graph.edge_fingerprint() for r in results] == clean

@@ -16,7 +16,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.parallel import ProcessScoringPool, fork_available
+import repro.core.parallel as parallel_module
+from repro.core.parallel import (ScoringWorkers, ShardStepTask,
+                                 fork_available)
 from repro.similarity.workloads import (generate_dense_profiles,
                                         generate_sparse_profiles)
 from repro.storage.profile_store import OnDiskProfileStore
@@ -97,7 +99,9 @@ class TestMergeIndexed:
 
 @pytest.mark.skipif(not fork_available(), reason="process pool needs fork")
 class TestPoolWithSharedIndex:
-    def test_serial_reference_matches(self, store):
+    def test_serial_reference_matches(self, store, monkeypatch):
+        # cut the 500 rows across both workers
+        monkeypatch.setattr(parallel_module, "SPLIT_FLOOR_ROWS", 0)
         measure = "cosine" if store.kind == "dense" else "jaccard"
         a_ids = np.arange(0, 50, dtype=np.int64)
         b_ids = np.arange(50, NUM_USERS, dtype=np.int64)
@@ -109,12 +113,14 @@ class TestPoolWithSharedIndex:
         right_rows = rng.integers(0, len(b_ids), size=500)
         reference = merged.similarity_pairs(
             np.column_stack([a_ids[left_rows], b_ids[right_rows]]), measure)
-        parts = [(("p", 0), a_ids), (("p", 1), b_ids)]
-        with ProcessScoringPool(store, num_workers=2) as pool:
-            scored = pool.score(parts, left_rows, right_rows, measure,
-                                generation=store.generation)
-            backwards = pool.score(parts[::-1], right_rows, left_rows, measure,
-                                   generation=store.generation)
+        parts = ((("p", 0), a_ids), (("p", 1), b_ids))
+        forwards = ShardStepTask(parts, ((0, 1, left_rows, right_rows),),
+                                 measure, store.generation)
+        with ScoringWorkers(store, backend="process", num_workers=2) as pool:
+            (scored,) = pool.execute([forwards])
+            (backwards,) = pool.execute([ShardStepTask(
+                parts[::-1], ((0, 1, right_rows, left_rows),), measure,
+                store.generation)])
         np.testing.assert_array_equal(scored, reference)
         np.testing.assert_array_equal(
             backwards, merged.similarity_pairs(

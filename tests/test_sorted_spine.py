@@ -476,7 +476,7 @@ def _golden_feed(kind, profiles):
 def _observe(kind, dirty, shard, backend):
     overrides = {"backend": backend}
     if backend == "thread":
-        overrides["num_threads"] = 3
+        overrides["num_workers"] = 3
     elif backend == "process":
         overrides["num_workers"] = 2
     config = EngineConfig(k=5, num_partitions=6, heuristic="degree-low-high",
