@@ -205,11 +205,9 @@ def load_score_cache(path: PathLike) -> Phase4ScoreCache:
     keys = np.frombuffer(raw, dtype=np.int64, count=num_entries, offset=offset)
     offset += num_entries * 8
     values = np.frombuffer(raw, dtype=np.float64, count=num_entries, offset=offset)
-    cache.keys = keys.copy()
-    cache.values = values.copy()
-    cache.measure = measure or None
-    cache.generation = generation
-    cache.num_vertices = num_vertices
+    # merge() is the one way arrays enter a cache: it refuses unsorted keys
+    cache.merge(keys.copy(), values.copy(), measure or None, generation,
+                num_vertices)
     return cache
 
 

@@ -9,32 +9,35 @@ The orchestration follows Figure 1 of the paper exactly:
    and emit ``G(t+1)``,
 5. apply the queued profile changes to produce ``P(t+1)``.
 
-:class:`OutOfCoreIteration` carries no per-iteration state — the engine
-(:mod:`repro.core.engine`) owns the loop, the profile store and the update
-queue, and calls :meth:`OutOfCoreIteration.run` once per iteration.  Two
-things *do* survive across iterations:
+The engine (:mod:`repro.core.engine`) owns the loop, the profile store and
+the update queue, and calls :meth:`OutOfCoreIteration.run` once an iteration.
+Three things survive across iterations:
 
 * the phase-4 scoring workers (:class:`~repro.core.parallel.ScoringWorkers`)
-  — forking workers every iteration used to dominate short iterations, so
-  whatever executor the configured backend needs is created once, reused
-  for the whole run, and its workers invalidate their cached mmap slices
-  through the profile store's ``generation`` counter whenever phase 5
-  changes the files; and
-* the phase-4 **score cache** (:class:`Phase4ScoreCache`) — the previous
-  scored generation's pair → score map.  Each iteration asks the store
-  which rows changed since that generation and rescores only the candidate
-  tuples with at least one touched endpoint (plus pairs never scored
-  before); every clean tuple reuses its cached score bit-for-bit, so the
-  produced ``G(t+1)`` is identical to a full rescore while the kernel work
-  scales with the churn, not the candidate volume.
+  — whatever executor the backend needs, created once; workers drop their
+  cached mmap slices when the store's ``generation`` says phase 5 wrote;
+* the phase-4 **score cache** (:class:`Phase4ScoreCache`) — the last scored
+  slab and its keys; a tuple with two endpoints untouched since its
+  generation reuses its score bit-for-bit, so kernel work scales with the
+  churn.  Dropped (a full rescore, always correct) by another measure or
+  vertex count, a touched history the store cannot vouch for, an
+  over-capacity slab, or ``incremental_phase4`` off; and
+* the **candidates** (:class:`~repro.tuples.delta.CarriedCandidates`) —
+  ``G(t)`` and the ``H`` phase 2 made of it, multiplicities included.  Phase
+  2 advances that ``H`` by the edge delta to the new graph, and the slab
+  then follows its keys position for position instead of being searched.
+  Rebuilt from the partitions (the reference path) when nothing is carried
+  — cold start, resume, recovery, ``max_pairs_per_bridge`` — on another
+  vertex count, or past ``_DELTA_REBUILD_FRACTION``; outlives the scores.
 
-Within an iteration the candidate set has one representation: ``H``'s
-sorted key array, made once in phase 2.  Phase 4 allocates one 8 B/tuple
-score slab aligned with it, fills what the cache knows with a single join,
-lets each residency step scatter its fresh scores into its own slots, and
-then reads the slab twice as it lies — merged into ``G(t+1)`` in
-source-aligned chunks no larger than the flush threshold, and adopted,
-with the keys, as the next score cache.
+The last two are committed by a completed phase 4 only: an aborted iteration
+leaves them untouched (a rebuild lets go of the candidates as it starts — a
+retry would rebuild too).  Within an iteration the candidate set has one
+representation, ``H``'s sorted key array, and phase 4 one 8 B/tuple score slab
+aligned with it: the cache join fills what it knows, each residency step
+scatters its fresh scores into its own slots, and the slab is read twice as
+it lies — merged into ``G(t+1)`` in source-aligned chunks no larger than the
+flush threshold, and adopted as the next score cache.
 
 Within a residency step the only address is the **partition-local row**: a
 vertex's rank among its partition's ascending vertices, fixed by phase 1
@@ -66,22 +69,22 @@ from repro.core.config import EngineConfig
 from repro.core.parallel import ScoringWorkers, ShardStepTask, score_tuples
 from repro.core.update_queue import ProfileUpdateQueue
 from repro.graph.knn_graph import KNNGraph
-from repro.utils.arrays import counting_argsort
+from repro.utils.arrays import counting_argsort, find_sorted
 from repro.partition.model import (Partition, PartitionLayout,
                                    build_partitions, partition_layout)
 from repro.partition.partitioners import get_partitioner
-from repro.pigraph.pi_graph import PIGraph
+from repro.pigraph.pi_graph import PIEdge, PIGraph
 from repro.pigraph.scheduler import (DirtySchedule, ScheduleResult,
                                      plan_dirty_schedule, plan_shard_schedule,
                                      simulate_schedule)
-from repro.pigraph.pi_graph import PIEdge
 from repro.pigraph.traversal import ResidencyStep, get_heuristic
 from repro.storage.io_stats import IOStats
 from repro.storage.memory_manager import MemoryBudget, PartitionCache
 from repro.storage.partition_store import PartitionStore
 from repro.storage.profile_store import OnDiskProfileStore
+from repro.tuples.delta import CarriedCandidates
 from repro.tuples.generator import generate_candidate_tuples
-from repro.tuples.hash_table import TupleHashTable
+from repro.tuples.hash_table import KeyPatch, TupleHashTable
 from repro.utils.logging import get_logger
 from repro.utils.timer import PhaseTimer
 
@@ -91,6 +94,14 @@ _logger = get_logger("core.iteration")
 #: most slab rows one ``G(t+1)`` merge call takes; the effective threshold is
 #: ``max(4 * num_vertices * k, _SCORED_FLUSH_ROWS)``.
 _SCORED_FLUSH_ROWS = 262144
+
+#: Phase 2 advances the carried ``H`` while the edges removed plus added since
+#: the carried graph stay within this share of ``n·k``, and rebuilds it above.
+#: Rebuild + search join vs delta + positional join, ms at 5,000 users, k = 10,
+#: by share moved: 0.025 → 44 / 14, 0.05 → 41 / 19, 0.10 → 42 / 32, 0.125 →
+#: 46 / 45, 0.15 → 46 / 44 (break-even), 0.30 → 55 / 87, 0.60 → 60 / 154; a
+#: converged drift moves ~0.02, the iterations of a cold build 1.8 … 0.17.
+_DELTA_REBUILD_FRACTION = 0.125
 
 #: Names of the five phases, used consistently in timers, logs and benches.
 PHASE_NAMES = (
@@ -124,23 +135,15 @@ class Phase4ScoreCache:
 
     def __init__(self, max_entries: int = 4_000_000):
         self.max_entries = int(max_entries)
+        self.evictions: int = 0
+        self.clear()
+
+    def clear(self) -> None:
         self.measure: Optional[str] = None
         self.generation: Optional[int] = None
         self.num_vertices: int = 0
         self.keys: Optional[np.ndarray] = None
         self.values: Optional[np.ndarray] = None
-        self.evictions: int = 0
-
-    def clear(self) -> None:
-        self.measure = None
-        self.generation = None
-        self.num_vertices = 0
-        self.keys = None
-        self.values = None
-
-    @property
-    def num_entries(self) -> int:
-        return 0 if self.keys is None else len(self.keys)
 
     def matches(self, measure: str, num_vertices: int) -> bool:
         """Whether the cached scores speak about this measure and graph."""
@@ -165,9 +168,8 @@ class Phase4ScoreCache:
         hit_mask = np.zeros(len(pair_keys), dtype=bool)
         if self.keys is None or not len(self.keys) or not len(pair_keys):
             return scores, hit_mask
-        pos = np.minimum(np.searchsorted(self.keys, pair_keys),
-                         len(self.keys) - 1)
-        found = np.flatnonzero(self.keys[pos] == pair_keys)
+        pos, known = find_sorted(self.keys, pair_keys)
+        found = np.flatnonzero(known)
         known = pair_keys[found]
         sources = known // np.int64(self.num_vertices)
         clean = ~(touched_mask[sources]
@@ -175,6 +177,20 @@ class Phase4ScoreCache:
         found = found[clean]
         hit_mask[found] = True
         scores[found] = self.values[pos[found]]
+        return scores, hit_mask
+
+    def carry(self, patch: KeyPatch, pair_keys: np.ndarray,
+              touched_mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`lookup` without the search, for ``pair_keys`` that are this
+        cache's own keys advanced by ``patch``: the slab follows its keys
+        (a surviving pair keeps its score in place, an arriving one is NaN),
+        so the hits are the carried pairs with two clean endpoints — the
+        same ``(scores, hit_mask)`` the search would return."""
+        scores = patch.apply(self.values, np.nan)
+        sources = pair_keys // np.int64(self.num_vertices)
+        hit_mask = ~(np.isnan(scores) | touched_mask[sources]
+                     | touched_mask[pair_keys - sources * self.num_vertices])
+        scores[~hit_mask] = np.nan
         return scores, hit_mask
 
     def advanced_to(self, touched_rows: np.ndarray,
@@ -188,20 +204,17 @@ class Phase4ScoreCache:
         (:meth:`KNNEngine.save_checkpoint` advances the cache to the
         snapshot generation this way).
         """
-        advanced = Phase4ScoreCache(max_entries=self.max_entries)
+        cache = Phase4ScoreCache(max_entries=self.max_entries)
         if self.keys is None:
-            return advanced
+            return cache
         n = np.int64(self.num_vertices)
         mask = np.zeros(self.num_vertices, dtype=bool)
         touched_rows = np.asarray(touched_rows, dtype=np.int64)
         mask[touched_rows[touched_rows < self.num_vertices]] = True
         keep = ~(mask[self.keys // n] | mask[self.keys % n])
-        advanced.keys = self.keys[keep]
-        advanced.values = self.values[keep]
-        advanced.measure = self.measure
-        advanced.generation = int(generation)
-        advanced.num_vertices = self.num_vertices
-        return advanced
+        cache.merge(self.keys[keep], self.values[keep], self.measure,
+                    generation, self.num_vertices)
+        return cache
 
     def replace(self, key_chunks: Sequence[np.ndarray],
                 score_chunks: Sequence[np.ndarray], measure: str,
@@ -272,6 +285,9 @@ class IterationResult:
     #: ``True`` when no cached score was usable this iteration (cold cache,
     #: unknown delta history, or ``incremental_phase4`` disabled).
     full_rescore: bool = True
+    #: ``True`` when phase 2 built ``H`` from the partitions; ``False`` when it
+    #: advanced last iteration's ``H`` by the edge delta ``G(t-1) → G(t)``.
+    candidates_rebuilt: bool = True
     #: Wall-clock seconds spent installing this iteration's scores as the
     #: phase-4 score cache (an adoption of the score slab: checks, no copy).
     cache_merge_seconds: float = 0.0
@@ -296,6 +312,7 @@ class IterationResult:
             "similarity_evaluations": self.similarity_evaluations,
             "reused_scores": self.reused_scores,
             "full_rescore": self.full_rescore,
+            "candidates_rebuilt": self.candidates_rebuilt,
             "cache_merge_seconds": self.cache_merge_seconds,
             "steps_skipped": self.steps_skipped,
             "steps_total": self.steps_total,
@@ -305,20 +322,6 @@ class IterationResult:
             "simulated_io_seconds": self.io_stats.simulated_io_seconds,
             "phase_seconds": self.phase_timer.as_dict(),
         }
-
-
-@dataclass
-class _Phase4Outcome:
-    """Internal bundle of everything phase 4 measures (see IterationResult)."""
-
-    graph: KNNGraph
-    schedule: ScheduleResult
-    evaluations: int
-    reused: int
-    full_rescore: bool
-    cache_merge_seconds: float
-    steps_skipped: int
-    steps_total: int
 
 
 #: One PI edge's unresolved tuples: the edge and its ``[lo, hi)`` run in the
@@ -359,6 +362,7 @@ class _Phase4Run:
     reused: int
     evaluations: int = 0
     steps_skipped: int = 0
+    cache_merge_seconds: float = 0.0
 
     def batches(self, edges: Iterable[PIEdge]) -> List[_EdgeBatch]:
         """The step's PI edges that still carry unresolved tuples."""
@@ -379,15 +383,6 @@ class _Phase4Run:
         if start != len(fresh):
             raise RuntimeError(f"{len(fresh)} scores for {start} tuples")
         self.evaluations += start
-
-    def outcome(self, graph: KNNGraph, schedule: ScheduleResult,
-                cache_merge_seconds: float,
-                steps_total: int) -> _Phase4Outcome:
-        return _Phase4Outcome(
-            graph=graph, schedule=schedule, evaluations=self.evaluations,
-            reused=self.reused, full_rescore=self.full_rescore,
-            cache_merge_seconds=cache_merge_seconds,
-            steps_skipped=self.steps_skipped, steps_total=steps_total)
 
 
 #: A step the cache could not settle, with its unresolved PI-edge batches.
@@ -584,6 +579,9 @@ class OutOfCoreIteration:
         # for.  Rebuilt wholesale every non-overflow iteration, so entries
         # from older partition assignments cannot accumulate.
         self._pair_generations: Dict[Tuple[int, int], int] = {}
+        # G(t) and its H as the last completed phase 4 left them (module
+        # docstring); not checkpointed either — a fresh runner rebuilds once
+        self._candidates: Optional[CarriedCandidates] = None
 
     @property
     def score_cache(self) -> Phase4ScoreCache:
@@ -606,7 +604,7 @@ class OutOfCoreIteration:
         so the configured memory bound holds from the first iteration.
         """
         cache.max_entries = self._config.score_cache_entries
-        if cache.num_entries > cache.max_entries:
+        if cache.keys is not None and len(cache.keys) > cache.max_entries:
             cache.clear()
             cache.evictions += 1
         self._score_cache = cache
@@ -627,23 +625,30 @@ class OutOfCoreIteration:
         io_stats = IOStats()
         measure = config.measure or self._profile_store_default_measure()
 
-        # both phase 1 and phase 2 scan G(t) in CSR form; build it once
-        csr = graph.to_csr()
+        # phases 1 and 2 scan G(t) in CSR form, and the edge delta against
+        # the carried graph reads the same sorted keys; build both once
+        edge_keys = graph.edge_keys()
+        csr = graph.to_csr(edge_keys)
 
         with timer.phase(PHASE_NAMES[0]):
             layout, partitions = self._phase1_partition(csr)
 
         with timer.phase(PHASE_NAMES[1]):
-            table = self._phase2_hash_table(csr, partitions, layout.assignment)
+            table, patch = self._phase2_hash_table(csr, edge_keys, partitions,
+                                                   layout.assignment)
             # the partitions now live on disk; drop the in-memory copies
-            del partitions, csr
+            del partitions
 
         with timer.phase(PHASE_NAMES[2]):
             pi_graph, steps, schedule = self._phase3_pi_graph(table)
 
         with timer.phase(PHASE_NAMES[3]):
-            outcome = self._phase4_knn(iteration, graph, table, steps, measure,
-                                       io_stats, layout, schedule)
+            run, new_graph, schedule = self._phase4_knn(
+                iteration, graph, table, patch, steps, measure, io_stats,
+                layout, schedule)
+            # committed beside the score cache, by a completed phase 4 only
+            self._candidates = (CarriedCandidates(csr, edge_keys, table)
+                                if config.max_pairs_per_bridge is None else None)
         if self._fault is not None:
             # crash window: G(t+1) fully scored, phase-5 updates not applied
             self._fault.point("phase4.done")
@@ -655,26 +660,28 @@ class OutOfCoreIteration:
         io_stats.merge(store_stats)
         result = IterationResult(
             iteration=iteration,
-            graph=outcome.graph,
+            graph=new_graph,
             assignment=layout.assignment,
-            schedule=outcome.schedule,
+            schedule=schedule,
             num_candidate_tuples=table.num_tuples,
-            similarity_evaluations=outcome.evaluations,
+            similarity_evaluations=run.evaluations,
             profile_updates_applied=updates_applied,
             phase_timer=timer,
             io_stats=io_stats,
             profile_io_stats=profile_stats,
-            reused_scores=outcome.reused,
-            full_rescore=outcome.full_rescore,
-            cache_merge_seconds=outcome.cache_merge_seconds,
-            steps_skipped=outcome.steps_skipped,
-            steps_total=outcome.steps_total,
+            reused_scores=run.reused,
+            full_rescore=run.full_rescore,
+            candidates_rebuilt=patch is None,
+            cache_merge_seconds=run.cache_merge_seconds,
+            steps_skipped=run.steps_skipped,
+            steps_total=len(steps),
         )
         _logger.info(
-            "iteration %d: %d tuples, %d similarity evaluations "
+            "iteration %d: %d tuples (%s), %d similarity evaluations "
             "(%d reused from cache), %d/%d steps skipped, %d load/unload ops",
-            iteration, result.num_candidate_tuples, outcome.evaluations,
-            outcome.reused, outcome.steps_skipped, outcome.steps_total,
+            iteration, result.num_candidate_tuples,
+            "rebuilt" if patch is None else "advanced", run.evaluations,
+            run.reused, run.steps_skipped, len(steps),
             result.load_unload_operations,
         )
         return result
@@ -697,16 +704,23 @@ class OutOfCoreIteration:
 
     # -- phase 2 --------------------------------------------------------------
 
-    def _phase2_hash_table(self, csr, partitions: Sequence[Partition],
-                           assignment: np.ndarray) -> TupleHashTable:
+    def _phase2_hash_table(self, csr, edge_keys: np.ndarray,
+                           partitions: Sequence[Partition], assignment: np.ndarray
+                           ) -> Tuple[TupleHashTable, Optional[KeyPatch]]:
+        """``H`` of ``G(t)`` and, when it was advanced from the carried table
+        rather than rebuilt, how its keys differ from that table's."""
         config = self._config
-        return generate_candidate_tuples(
-            csr,
-            partitions,
-            assignment,
-            include_direct_edges=config.include_direct_edges,
-            max_pairs_per_bridge=config.max_pairs_per_bridge,
-        )
+        advanced = None if self._candidates is None else self._candidates.advance(
+            csr, edge_keys, assignment, config.include_direct_edges,
+            max_moved=_DELTA_REBUILD_FRACTION * csr.num_vertices * config.k)
+        if advanced is None:
+            # a retry would decide the same: what is carried is only memory now
+            self._candidates = None
+            advanced = generate_candidate_tuples(
+                csr, partitions, assignment,
+                include_direct_edges=config.include_direct_edges,
+                max_pairs_per_bridge=config.max_pairs_per_bridge), None
+        return advanced
 
     # -- phase 3 --------------------------------------------------------------
 
@@ -750,8 +764,7 @@ class OutOfCoreIteration:
 
         ``None`` covers every situation where planning cannot help or
         cannot be trusted: the toggle is off, the cache is unusable this
-        iteration (cold, wrong measure, full rescore, adaptive skip), or
-        the delta history cannot vouch for the churn — reload, compaction
+        iteration (cold, wrong measure, full rescore), or the delta history cannot vouch for the churn — reload, compaction
         rollover and recovery all surface as ``touched_partitions_since``
         returning ``None``, and the only safe answer is to run everything.
         """
@@ -764,27 +777,29 @@ class OutOfCoreIteration:
         return None if plan.assume_all_dirty else plan
 
     def _begin_phase4(self, graph: KNNGraph, table: TupleHashTable,
+                      patch: Optional[KeyPatch],
                       steps: Sequence[ResidencyStep], measure: str,
                       layout: PartitionLayout) -> _Phase4Run:
         """The front of phase 4: slab, cache join, plan, and the unresolved
         tuples decoded into partition-local rows."""
         config = self._config
         keys = table.keys
-        # candidate tuples whose endpoints are both untouched since the
-        # cache's generation reuse the cached score verbatim; only the
-        # remaining "dirty" tuples reach a similarity kernel (or the worker
-        # pool).  Scores are per-pair deterministic, so the merged result is
-        # bit-identical to a full rescore.
+        # tuples with two endpoints untouched since the cache's generation
+        # reuse its score verbatim; only the rest reach a kernel
         touched_mask = (self._touched_mask(graph, measure)
                         if config.incremental_phase4 else None)
         full_rescore = touched_mask is None
+        cache = self._score_cache
         hits = None
         if full_rescore:
             scores = np.full(len(keys), np.nan)
+        elif patch is not None and cache.keys is self._candidates.table.keys:
+            # H was advanced from the very keys the slab is aligned with, so
+            # the slab follows them: a positional join
+            scores, hits = cache.carry(patch, keys, touched_mask)
         else:
-            # one join for the whole iteration: H's keys and the cache's are
-            # both sorted, and the slab comes back aligned with H
-            scores, hits = self._score_cache.lookup(keys, touched_mask)
+            # both key arrays are sorted: one search joins them
+            scores, hits = cache.lookup(keys, touched_mask)
         # dirty-partition planning: steps whose partitions are both clean
         # and whose pair the cache vouches for run lookup-only (no partition
         # acquired unless a lookup missed); everything else runs dirty-first
@@ -795,28 +810,16 @@ class OutOfCoreIteration:
                              + [(step, True) for step in dirty_plan.cached])
         else:
             ordered_steps = [(step, False) for step in steps]
-        # H's positions grouped by PI edge; drop what the cache answered and
-        # decode the rest, once: a PI edge (p, q) has every source in p and
-        # every destination in q, so the endpoints' local rows address the
-        # two partitions' slices directly
-        positions, edge_spans = table.bucket_index()
-        if hits is not None and edge_spans:
-            unresolved = ~hits[positions]
-            # the spans tile ``positions`` in order, so one segmented sum
-            # counts each PI edge's unresolved tuples
-            starts = np.fromiter((start for start, _ in edge_spans.values()),
-                                 dtype=np.int64, count=len(edge_spans))
-            counts = np.add.reduceat(unresolved.view(np.uint8), starts,
-                                     dtype=np.int64)
-            stops = np.cumsum(counts)
-            positions = positions[unresolved]
-            edge_spans = dict(zip(edge_spans, zip((stops - counts).tolist(),
-                                                  stops.tolist())))
+        # the positions of H the cache did not answer, grouped by PI edge and
+        # decoded once: a PI edge (p, q) has its sources in p and destinations
+        # in q, so the endpoints' local rows address the two slices directly
+        positions, edge_spans = table.bucket_index(
+            None if hits is None else ~hits)
+        table.freeze()      # read-only from here on, and done with its index
         sources, destinations = table.endpoints(positions)
         return _Phase4Run(
             keys=keys, scores=scores, full_rescore=full_rescore,
-            ordered_steps=ordered_steps,
-            dirty_planned=dirty_plan is not None,
+            ordered_steps=ordered_steps, dirty_planned=dirty_plan is not None,
             layout=layout, positions=positions,
             left_rows=layout.local_row[sources],
             right_rows=layout.local_row[destinations], edge_spans=edge_spans,
@@ -922,11 +925,8 @@ class OutOfCoreIteration:
 
     def _finish_phase4(self, run: _Phase4Run, graph: KNNGraph,
                        table: TupleHashTable, steps: Sequence[ResidencyStep],
-                       measure: str) -> Tuple[KNNGraph, float]:
-        """The back of phase 4: ``G(t+1)`` and the next cache.
-
-        Returns the new graph and the seconds the cache adoption took.
-        """
+                       measure: str) -> KNNGraph:
+        """The back of phase 4: ``G(t+1)`` and the next cache."""
         config = self._config
         keys = run.keys
         # the steps are done with the decoded rows, and the merge below has
@@ -961,7 +961,6 @@ class OutOfCoreIteration:
                 sources, destinations, run.scores[start:stop],
                 assume_unique=True, hint=graph)
             start = stop
-        cache_merge_seconds = 0.0
         score_cache = self._score_cache
         if config.incremental_phase4:
             # the cached scores describe the store as of *this* phase 4 —
@@ -971,7 +970,7 @@ class OutOfCoreIteration:
             merge_start = time.perf_counter()
             score_cache.merge(keys, run.scores, measure, run.store_generation,
                               num_vertices)
-            cache_merge_seconds = time.perf_counter() - merge_start
+            run.cache_merge_seconds = time.perf_counter() - merge_start
         else:
             score_cache.clear()
         if score_cache.keys is None:
@@ -985,12 +984,14 @@ class OutOfCoreIteration:
                 ((first, second) if first <= second else (second, first)):
                 run.store_generation
                 for first, second, _ in steps}
-        return new_graph, cache_merge_seconds
+        return new_graph
 
     def _phase4_knn(self, iteration: int, graph: KNNGraph, table: TupleHashTable,
+                    patch: Optional[KeyPatch],
                     steps: Sequence[ResidencyStep], measure: str,
                     io_stats: IOStats, layout: PartitionLayout,
-                    schedule: ScheduleResult) -> _Phase4Outcome:
+                    schedule: ScheduleResult
+                    ) -> Tuple[_Phase4Run, KNNGraph, ScheduleResult]:
         """Walk the plan, score every tuple the cache could not answer, and
         emit ``G(t+1)``.
 
@@ -1003,7 +1004,7 @@ class OutOfCoreIteration:
         one across workers therefore cannot move a single edge or byte.
         """
         config = self._config
-        run = self._begin_phase4(graph, table, steps, measure, layout)
+        run = self._begin_phase4(graph, table, patch, steps, measure, layout)
         residency: _Residency
         if config.shard_parallel:
             residency = _WaveResidency(self._profile_store, layout, io_stats,
@@ -1014,9 +1015,7 @@ class OutOfCoreIteration:
                                        schedule, run.dirty_planned)
         self._execute_pending(iteration, run, measure, residency)
         executed = residency.schedule()
-        new_graph, cache_merge_seconds = self._finish_phase4(
-            run, graph, table, steps, measure)
-        return run.outcome(new_graph, executed, cache_merge_seconds, len(steps))
+        return run, self._finish_phase4(run, graph, table, steps, measure), executed
 
     # -- phase 5 --------------------------------------------------------------
 

@@ -445,8 +445,10 @@ class KNNGraph:
     def edges(self) -> Iterator[ScoredEdge]:
         return zip(*(column.tolist() for column in self.edge_columns()))
 
-    def _edge_keys(self) -> np.ndarray:
-        """All edges encoded as sorted unique int64 keys ``src * n + dst``."""
+    def edge_keys(self) -> np.ndarray:
+        """All edges encoded as sorted unique int64 keys ``src * n + dst`` (a
+        fresh array): what :meth:`to_csr` is built from and graphs are
+        compared by."""
         keys = (np.arange(self.num_vertices, dtype=np.int64)[:, None]
                 * self.num_vertices + self._neighbors)[self._neighbors >= 0]
         keys.sort()
@@ -472,8 +474,11 @@ class KNNGraph:
     def to_digraph(self) -> DiGraph:
         return DiGraph.from_edges(self.num_vertices, self.edge_array().tolist())
 
-    def to_csr(self) -> CSRDiGraph:
-        return CSRDiGraph.from_sorted_keys(self.num_vertices, self._edge_keys())
+    def to_csr(self, edge_keys: Optional[np.ndarray] = None) -> CSRDiGraph:
+        """CSR snapshot, from :meth:`edge_keys` when the caller has them."""
+        if edge_keys is None:
+            edge_keys = self.edge_keys()
+        return CSRDiGraph.from_sorted_keys(self.num_vertices, edge_keys)
 
     def average_score(self) -> float:
         """Mean similarity over all current KNN edges (0.0 for an empty graph)."""
@@ -487,8 +492,8 @@ class KNNGraph:
         """
         if other.num_vertices != self.num_vertices:
             raise ValueError("graphs must have the same vertex count")
-        mine = self._edge_keys()
-        theirs = other._edge_keys()
+        mine = self.edge_keys()
+        theirs = other.edge_keys()
         shared = len(np.intersect1d(mine, theirs, assume_unique=True))
         return len(mine) + len(theirs) - 2 * shared
 
@@ -500,10 +505,10 @@ class KNNGraph:
         """
         if exact.num_vertices != self.num_vertices:
             raise ValueError("graphs must have the same vertex count")
-        truth = exact._edge_keys()
+        truth = exact.edge_keys()
         if len(truth) == 0:
             return 1.0
-        mine = self._edge_keys()
+        mine = self.edge_keys()
         hits = len(np.intersect1d(mine, truth, assume_unique=True))
         return hits / len(truth)
 

@@ -115,9 +115,11 @@ def generate_candidate_tuples(graph: CSRDiGraph,
     def flush() -> None:
         nonlocal pending
         if chunks:
-            table.add_array(chunks[0] if len(chunks) == 1 else np.concatenate(chunks))
+            batch = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+            # before the insert, whose sort buffers are the peak of phase 2
             chunks.clear()
             pending = 0
+            table.add_array(batch)
 
     for partition in partitions:
         pairs = partition_bridge_tuples(partition, max_pairs_per_bridge=max_pairs_per_bridge)
@@ -132,7 +134,7 @@ def generate_candidate_tuples(graph: CSRDiGraph,
         # edges on top of pending bridge pairs
         table.add_array(graph.edges_array())
     # bucket the finished table here, so phase 3 only reads the index
-    table.index_buckets()
+    table.bucket_index()
     return table
 
 

@@ -43,6 +43,15 @@ def sorted_runs(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]
     return values[starts], starts, counts
 
 
+def find_sorted(haystack: np.ndarray, needles) -> Tuple[np.ndarray, np.ndarray]:
+    """Where ``needles`` sit (or would be inserted) in the sorted ``haystack``,
+    and which of them are in it — the binary-search half of a sorted join."""
+    positions = np.searchsorted(haystack, needles)
+    if not len(haystack):
+        return positions, np.zeros(np.shape(needles), dtype=bool)
+    return positions, haystack[np.minimum(positions, len(haystack) - 1)] == needles
+
+
 def ragged_run_offsets(lengths: np.ndarray) -> np.ndarray:
     """Within-run offsets of a ragged concatenation: ``[0..l0), [0..l1), …``.
 

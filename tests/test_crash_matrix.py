@@ -185,6 +185,60 @@ def test_sparse_journal_crash_recovers_to_uninterrupted_twin(tmp_path):
         recovered.close()
 
 
+def test_crash_in_a_delta_iteration_recovers_onto_the_reference_path(tmp_path):
+    """The matrix above crashes a graph that is still forming, where phase 2
+    rebuilds ``H`` anyway.  This row crashes a *converged* run mid-phase-4,
+    in an iteration that advanced ``H`` by the edge delta: what is carried is
+    never checkpointed, so the recovered engine rebuilds once (joining the
+    epoch's score cache by search), advances again from the next iteration
+    on, and finishes on the never-crashed twin's graph, evaluations and
+    reuse."""
+    warm, total = 8, 11
+
+    def changes():
+        rng = np.random.default_rng(300)
+        return [ProfileChange(user=int(u), kind="set", vector=rng.random(DIM))
+                for u in rng.choice(NUM_USERS, size=3, replace=False)]
+
+    def counters(result):
+        return (result.graph.edge_fingerprint(), result.similarity_evaluations,
+                result.reused_scores)
+
+    with KNNEngine(_profiles(), _config("serial", durable=True),
+                   workdir=tmp_path / "twin") as twin:
+        twin.run(warm - 1)
+        twin.enqueue_profile_changes(changes())
+        twin.run_iteration()
+        expected = [twin.run_iteration() for _ in range(total - warm)]
+    assert not any(result.candidates_rebuilt for result in expected)
+
+    workdir = tmp_path / "work"
+    engine = KNNEngine(_profiles(), _config("serial", durable=True),
+                       workdir=workdir)
+    try:
+        engine.run(warm - 1)
+        engine.enqueue_profile_changes(changes())
+        # phase 5 applies the changes; the next phase 4 has rows to rescore
+        assert not engine.run_iteration().candidates_rebuilt
+        engine._iteration_runner._fault = FaultPlan().crash_at(
+            "phase4.step", occurrence=1)
+        with pytest.raises(InjectedCrash):
+            engine.run_iteration()
+    finally:
+        engine.close()
+
+    recovered = KNNEngine.recover(workdir)
+    try:
+        assert recovered.iterations_run == warm
+        finished = [recovered.run_iteration() for _ in range(total - warm)]
+    finally:
+        recovered.close()
+    assert [result.candidates_rebuilt for result in finished] == [True, False, False]
+    assert not finished[0].full_rescore        # the epoch's cache, searched
+    assert [counters(result) for result in finished] == [
+        counters(result) for result in expected]
+
+
 def test_random_crash_sweep_is_recoverable(tmp_path):
     """Seeded random multi-crash schedule: crash, recover, crash again."""
     plan = FaultPlan(seed=17).crash_at_random(CRASH_POINTS[:6], count=2,

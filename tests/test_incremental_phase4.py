@@ -283,42 +283,51 @@ class TestInPlaceMergeDifferential:
 
     def test_aborted_iteration_keeps_the_cache(self):
         """The join reads the cache and writes only the iteration's own slab,
-        so an iteration that dies between its lookups and its adoption has
-        changed nothing: the retry reuses exactly what a never-aborted twin
-        reuses, and produces the same graph."""
+        and phase 2 advances a copy of what is carried, so an iteration that
+        dies between its joins and its adoption has changed nothing — not
+        the slab, not ``H``'s keys and multiplicities, not the baseline
+        graph they were made of.  The retry (a delta iteration, like the
+        one that died) reuses exactly what a never-aborted twin reuses, and
+        produces the same graph."""
         crash_plan = FaultPlan().crash_at("phase4.step", occurrence=1)
+
+        def left_behind(runner):
+            carried = runner._candidates
+            return ([array.tobytes() for array in carried._graph_arrays()]
+                    + [carried.table.keys.tobytes(),
+                       carried.table.multiplicities.tobytes(),
+                       runner.score_cache.keys.tobytes(),
+                       runner.score_cache.values.tobytes(),
+                       runner.score_cache.generation])
+
         runs = {}
         for name, plan in (("twin", None), ("aborted", crash_plan)):
             config = EngineConfig(k=5, num_partitions=4,
                                   heuristic="degree-low-high", seed=17)
             with KNNEngine(_profiles("dense"), config) as engine:
-                engine.run_iteration()
-                engine.run_iteration()
+                for _ in range(7):       # converged: phase 2 is on the delta path
+                    warm = engine.run_iteration()
+                assert not warm.candidates_rebuilt
                 runner = engine._iteration_runner
-                before = (runner.score_cache.keys.tobytes(),
-                          runner.score_cache.values.tobytes(),
-                          runner.score_cache.generation)
+                carried, before = runner._candidates, left_behind(runner)
+                # one row changes, so its partition's steps reach
+                # "phase4.step" after both joins have already run
+                engine.profile_store.apply_changes([ProfileChange(
+                    user=3, kind="set", vector=np.full(8, 0.5))])
                 if plan is not None:
-                    # one row changes, so its partition's steps reach
-                    # "phase4.step" after the join has already run
-                    engine.profile_store.apply_changes([ProfileChange(
-                        user=3, kind="set", vector=np.full(8, 0.5))])
                     runner._fault = plan
                     with pytest.raises(InjectedCrash):
                         engine.run_iteration()
                     runner._fault = None
-                    assert before == (runner.score_cache.keys.tobytes(),
-                                      runner.score_cache.values.tobytes(),
-                                      runner.score_cache.generation)
-                else:
-                    engine.profile_store.apply_changes([ProfileChange(
-                        user=3, kind="set", vector=np.full(8, 0.5))])
+                    assert runner._candidates is carried
+                    assert before == left_behind(runner)
                 result = engine.run_iteration()
                 runs[name] = (result.graph.edge_fingerprint(),
                               result.reused_scores,
-                              result.similarity_evaluations)
+                              result.similarity_evaluations,
+                              result.candidates_rebuilt)
         assert runs["aborted"] == runs["twin"]
-        assert runs["twin"][1] > 0
+        assert runs["twin"][1] > 0 and runs["twin"][3] is False
 
     def test_scored_set_over_capacity_clears(self):
         cache = Phase4ScoreCache(max_entries=3)

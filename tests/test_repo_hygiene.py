@@ -67,21 +67,22 @@ def test_graph_arrays_are_private_to_knn_graph():
 
 
 def test_table_arrays_are_private_to_the_hash_table():
-    """``H``'s key array, pending set and bucket index belong to
-    ``tuples/hash_table.py``; phase 4 reads ``keys``, ``bucket_index`` and
-    ``endpoints``, so the layout can change again without a sweep."""
-    private = re.compile(r"(?<!self)\._(keys|pending|index)\b")
+    """``H``'s key and multiplicity arrays, pending inserts, bucket index and
+    bucket sizes belong to ``tuples/hash_table.py``; the delta algebra hands
+    ``patched`` a signed delta and phase 4 reads ``keys``, ``bucket_index``
+    and ``endpoints``, so the layout can change again without a sweep."""
+    private = re.compile(r"(?<!self)\._(keys|multiplicity|pending|index|sizes)\b")
     assert _lines_matching(private, ("src/repro/tuples/hash_table.py",)) == []
 
 
-def test_score_cache_arrays_are_assigned_in_two_modules():
+def test_score_cache_arrays_are_assigned_in_one_module():
     """The cache shares its arrays with the iteration that produced them and
-    freezes them on adoption; only ``Phase4ScoreCache`` itself and the
-    checkpoint loader install arrays, so nothing can slip in a writable or
-    unsorted pair behind ``merge``."""
+    freezes them on adoption; only ``Phase4ScoreCache`` itself installs
+    arrays — the checkpoint loader and whatever carries state across
+    iterations go through ``merge`` — so nothing can slip in a writable or
+    unsorted pair, or keep a second copy of the slab."""
     assigned = re.compile(r"\.(keys|values)\s*=(?!=)")
-    assert _lines_matching(assigned, ("src/repro/core/iteration.py",
-                                      "src/repro/core/checkpoint.py")) == []
+    assert _lines_matching(assigned, ("src/repro/core/iteration.py",)) == []
 
 
 def test_nothing_under_src_uses_shared_memory():
@@ -103,7 +104,7 @@ def test_core_scores_by_row_not_through_merged_or_id_addressed_slices():
     is also the name of the stats / score-cache accumulators, so a
     ``.merge(...)`` call passes only on one of those receivers."""
     accumulators = {"self", "io_stats", "total_io", "total_phases",
-                    "score_cache", "snapshot", "profile_snapshot"}
+                    "score_cache", "cache", "snapshot", "profile_snapshot"}
     offenders = []
     for path in sorted((REPO_ROOT / "src" / "repro" / "core").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):

@@ -29,6 +29,7 @@ from repro.graph.knn_graph import KNNGraph
 from repro.partition.model import Partition, build_partitions
 from repro.similarity.workloads import (ProfileChange, generate_dense_profiles,
                                         generate_sparse_profiles)
+from repro.tuples.delta import CarriedCandidates
 from repro.tuples.hash_table import TupleHashTable
 from test_graph_knn_arrays import _SCORES, _assert_rows_equal, oracle_merge
 
@@ -495,7 +496,8 @@ def _observe(kind, dirty, shard, backend):
              r.io_stats.bytes_read, r.io_stats.partition_loads,
              r.io_stats.partition_unloads, r.schedule.num_steps)
             for r in run.iterations[GOLDEN_WARMUP:]]
-    return rows, digest.hexdigest()[:16]
+    rebuilt = [r.candidates_rebuilt for r in run.iterations]
+    return rows, digest.hexdigest()[:16], rebuilt
 
 
 #: Per churned iteration: (edge_fingerprint()[:16], similarity_evaluations,
@@ -560,11 +562,28 @@ class TestEngineGoldens:
     @pytest.mark.parametrize("shard", [False, True], ids=["steps", "waves"])
     @pytest.mark.parametrize("dirty", [True, False], ids=["dirty", "full"])
     @pytest.mark.parametrize("kind", ["dense", "sparse"])
-    def test_matches_the_parent_commit(self, kind, dirty, shard, backend):
+    def test_matches_the_parent_commit(self, kind, dirty, shard, backend,
+                                       monkeypatch):
         assert fork_available() or backend != "process", (
             "the process backend needs fork; this wall does not skip")
-        rows, profile_digest = _observe(kind, dirty, shard, backend)
+        # the goldens were recorded before phase 2 could advance H by the
+        # edge delta: a spy proves the churned iterations took that path,
+        # the unedited goldens that it changed nothing
+        advanced = []
+        advance = CarriedCandidates.advance
+
+        def spied(carried, *args, **kwargs):
+            result = advance(carried, *args, **kwargs)
+            advanced.append(result is not None)
+            return result
+
+        monkeypatch.setattr(CarriedCandidates, "advance", spied)
+        rows, profile_digest, rebuilt = _observe(kind, dirty, shard, backend)
         assert [row[:3] for row in rows] == _GOLDEN_SCORED[kind]
         assert [row[3:5] for row in rows] == _GOLDEN_SCHEDULE[kind, dirty, shard]
         assert [row[5:] for row in rows] == _GOLDEN_IO[kind, dirty, shard]
         assert profile_digest == _GOLDEN_PROFILES[kind]
+        # every iteration but the cold first asked; what the engine reports
+        # is what ran, and most of the churn ran on the delta path
+        assert [not flag for flag in rebuilt[1:]] == advanced
+        assert rebuilt[GOLDEN_WARMUP:].count(False) >= GOLDEN_CHURNED - 1

@@ -149,9 +149,16 @@ class TestBuckets:
 
     def test_memory_estimate_is_the_bytes_held(self, table):
         table.add_array(np.array([[0, 1], [0, 4], [5, 2]]))
-        assert table.memory_estimate_bytes() == table.keys.nbytes == 3 * 8
-        table.bucket_sizes()   # builds the bucket index: one position per key
-        assert table.memory_estimate_bytes() == 2 * table.keys.nbytes
+        # an int64 key and an int32 multiplicity per tuple
+        held = table.keys.nbytes + table.multiplicities.nbytes
+        assert table.memory_estimate_bytes() == held == 3 * (8 + 4)
+        # the bucket index is one position per key, and building it counts
+        # the tuples of each of the 2 x 2 partition pairs
+        table.bucket_index()
+        indexed = table.memory_estimate_bytes()
+        assert indexed == held + table.keys.nbytes + 4 * 8
+        table.add(7, 3)        # a pending scalar insert: key + count
+        assert table.memory_estimate_bytes() == indexed + 12
 
 
 class TestConstruction:
