@@ -28,7 +28,7 @@ def main() -> None:
     profiles = generate_dense_profiles(num_users=2000, dim=16,
                                        num_communities=8, noise=0.25, seed=1)
 
-    # 2. Engine configuration: K=10 neighbours, 8 on-disk partitions, at most
+    # 2. Engine configuration: K=10 neighbours, 8 partitions, at most
     #    two partitions resident (the paper's memory constraint), and the
     #    degree-based low-to-high PI-graph traversal heuristic.
     #

@@ -61,9 +61,6 @@ DEFAULT_SANCTIONED_WRITERS = (
     # on scan, which is the durability contract itself
     "ProfileUpdateQueue._wal",
     "OnDiskProfileStore._append_file",
-    # partition files carry a magic header checked on every read and are
-    # re-derivable from the edge list — build artifacts, not recovery state
-    "PartitionStore.write_partition",
 )
 
 

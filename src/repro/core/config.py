@@ -35,7 +35,7 @@ class EngineConfig:
         ``ldg`` or ``greedy-locality``.
     heuristic:
         PI-graph traversal heuristic: ``sequential``, ``degree-high-low``,
-        ``degree-low-high`` or ``greedy-resident``.
+        ``degree-low-high``, ``greedy-resident`` or ``cost-aware``.
     measure:
         Similarity measure name; ``None`` uses the profile store's default
         (Jaccard for sparse profiles, cosine for dense ones).
@@ -45,8 +45,11 @@ class EngineConfig:
     max_resident_partitions:
         Cache slots for phase 4; the paper uses 2.
     memory_budget_bytes:
-        Optional hard byte budget for resident partitions (``None`` = only
-        the slot limit applies).
+        Optional hard byte budget for the resident partitions (``None`` =
+        only the slot limit applies).  A resident partition is charged its
+        edge lists (16 B an in- or out-edge), its vertex ids (8 B each) and
+        the profile rows of its users; ``G(t)``, ``H`` and the score slab
+        are in-core and outside the budget.
     include_direct_edges:
         Whether the direct edges of ``G(t)`` are added to the hash table
         alongside the neighbours-of-neighbours tuples (the paper does).

@@ -43,7 +43,6 @@ from repro.graph.knn_graph import KNNGraph
 from repro.similarity.profiles import ProfileStoreBase
 from repro.similarity.workloads import ProfileChange
 from repro.storage.io_stats import IOStats
-from repro.storage.partition_store import PartitionStore
 from repro.storage.profile_store import OnDiskProfileStore, partition_aligned_bounds
 from repro.utils.logging import get_logger
 from repro.utils.timer import PhaseTimer
@@ -170,14 +169,11 @@ class KNNEngine:
                 self._workdir / "profiles", profiles,
                 disk_model=self._config.disk_model,
                 segment_bounds=self._segment_bounds(profiles.num_users))
-        self._partition_store = PartitionStore(
-            self._workdir / "partitions", disk_model=self._config.disk_model)
         # a configured fault plan observes every durability-relevant file
         # operation the engine performs (deterministic fault injection)
         self._profile_store.fault_plan = self._config.fault_plan
-        self._partition_store.fault_plan = self._config.fault_plan
         self._iteration_runner = OutOfCoreIteration(
-            self._config, self._partition_store, self._profile_store)
+            self._config, self._profile_store)
         wal_path = (self._workdir / "wal.bin") if self._config.durable else None
         self._update_queue = ProfileUpdateQueue(
             wal_path=wal_path, fault_plan=self._config.fault_plan)
@@ -580,9 +576,8 @@ class KNNEngine:
 
         Walks the sealed epochs newest-first and restores the first one
         whose checksums verify (:func:`verify_checkpoint`); unsealed
-        ``.tmp`` epochs and the crashed run's working profile/partition
-        copies are discarded — they are superseded by the verified
-        snapshot.  The durable WAL's tail (records after the restored
+        ``.tmp`` epochs and the crashed run's working profile copy are
+        discarded — they are superseded by the verified snapshot.  The durable WAL's tail (records after the restored
         epoch's committed sequence) is replayed into the update queue, so
         no enqueued change is lost and none is applied twice.  With
         ``config=None`` the configuration sealed in the epoch is restored
@@ -611,11 +606,9 @@ class KNNEngine:
                 f"no commit under {commits} passes verification; the run "
                 "cannot be recovered")
         _logger.info("recovering from %s", chosen)
-        # the crashed working copies may be torn mid-write; the verified
-        # epoch replaces the profiles, and partitions are derived state
-        # (phase 1 rebuilds them every iteration)
+        # the crashed working copy may be torn mid-write; the verified
+        # epoch replaces it
         shutil.rmtree(workdir / "profiles", ignore_errors=True)
-        shutil.rmtree(workdir / "partitions", ignore_errors=True)
         return cls.from_checkpoint(chosen, config=config, workdir=workdir)
 
     def run(self, num_iterations: int,

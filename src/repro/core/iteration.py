@@ -2,7 +2,7 @@
 
 The orchestration follows Figure 1 of the paper exactly:
 
-1. partition ``G(t)`` and spill the partitions to disk,
+1. partition ``G(t)`` and charge spilling the partitions to disk,
 2. populate the dedup hash table ``H`` with candidate tuples,
 3. build the partition-interaction graph and plan its traversal,
 4. walk the plan with at most two partitions resident, score every tuple,
@@ -70,8 +70,8 @@ from repro.core.parallel import ScoringWorkers, ShardStepTask, score_tuples
 from repro.core.update_queue import ProfileUpdateQueue
 from repro.graph.knn_graph import KNNGraph
 from repro.utils.arrays import counting_argsort, find_sorted
-from repro.partition.model import (Partition, PartitionLayout,
-                                   build_partitions, partition_layout)
+from repro.partition.model import (PartitionLayout, build_partitions,
+                                   partition_layout)
 from repro.partition.partitioners import get_partitioner
 from repro.pigraph.pi_graph import PIEdge, PIGraph
 from repro.pigraph.scheduler import (DirtySchedule, ScheduleResult,
@@ -352,7 +352,6 @@ class _Phase4Run:
     #: ``(step, from_cache)`` in execution order: dirty steps first, then the
     #: steps the dirty plan expects the cache to answer without partitions.
     ordered_steps: List[Tuple[ResidencyStep, bool]]
-    dirty_planned: bool
     layout: PartitionLayout
     positions: np.ndarray
     left_rows: np.ndarray
@@ -403,23 +402,18 @@ class _StepResidency:
 
     def __init__(self, config: EngineConfig, partition_store: PartitionStore,
                  profile_store: OnDiskProfileStore, layout: PartitionLayout,
-                 io_stats: IOStats, planned: ScheduleResult,
-                 dirty_planned: bool):
+                 io_stats: IOStats, planned: ScheduleResult):
         budget = (MemoryBudget(config.memory_budget_bytes)
                   if config.memory_budget_bytes is not None else None)
-        self._cache = PartitionCache(
-            partition_store,
-            max_resident=config.max_resident_partitions,
-            memory_budget=budget,
-            profile_bytes_per_user=profile_store.estimated_bytes_per_user(),
-            io_stats=io_stats,
-        )
+        self._cache = PartitionCache(partition_store,
+                                     config.max_resident_partitions,
+                                     budget, io_stats)
         self._profile_store = profile_store
         self._layout = layout
         self._planned = planned
-        self._dirty_planned = dirty_planned
-        # the steps that actually touched the partition cache, in order
-        self._acquired: List[ResidencyStep] = []
+        self._steps = 0
+        self._hits = 0
+        self._tuples = 0
         # resident partitions whose slice read this residency already paid
         self._charged: Set[int] = set()
 
@@ -428,10 +422,10 @@ class _StepResidency:
         return ([item] for item in pending)
 
     def enter(self, group: Sequence[_PendingStep]) -> None:
-        for step, batches in group:
-            first, second, _ = step
-            self._cache.acquire_pair(first, second)
-            self._acquired.append(step)
+        for (first, second, edges), batches in group:
+            self._hits += self._cache.acquire_pair(first, second)
+            self._steps += 1
+            self._tuples += sum(edge.weight for edge in edges)
             # slices leave with their partitions — on every acquiring step,
             # or fully cache-hit steps would let the charged set outlive the
             # residencies it describes
@@ -447,18 +441,20 @@ class _StepResidency:
         """Nothing: a partition stays until the LRU walk evicts it."""
 
     def schedule(self) -> ScheduleResult:
-        """Unload what is still resident; the schedule as executed."""
+        """Unload what is still resident; the schedule as executed, read off
+        the walk itself — a dirty plan changes which steps reach the
+        partition cache and in what order."""
+        final_resident = tuple(self._cache.resident_ids)
         self._cache.flush()
-        if not self._dirty_planned:
-            return self._planned
-        # the plan changed which steps reach the partition cache and in
-        # what order; re-simulating over the acquired sequence keeps the
-        # schedule's load/unload counts equal to the executed ones
-        return simulate_schedule(
-            self._acquired,
-            heuristic_name=self._planned.heuristic,
+        return ScheduleResult(
+            heuristic=self._planned.heuristic,
             num_partitions=self._planned.num_partitions,
-            cache_slots=self._cache.max_resident,
+            num_steps=self._steps,
+            loads=self._cache.io_stats.partition_loads,
+            unloads=self._cache.io_stats.partition_unloads,
+            cache_hits=self._hits,
+            tuples_scheduled=self._tuples,
+            final_resident=final_resident,
         )
 
 
@@ -474,7 +470,7 @@ class _WaveResidency:
     barrier: loads = unloads = the plan's total partition residencies.
     Nothing stays resident between waves, which is why this model pays up
     to twice the step-at-a-time walk's load/unload operations.  The
-    partition files themselves are never read; ``memory_budget_bytes`` caps
+    partition files' reads are not charged; ``memory_budget_bytes`` caps
     each worker's step (:class:`ScoringWorkers`) instead of a partition
     cache.
     """
@@ -544,12 +540,12 @@ def _score_in_process(left, left_rows, right, right_rows, measure: str) -> np.nd
 
 
 class OutOfCoreIteration:
-    """Executes a single KNN iteration against on-disk partitions and profiles."""
+    """Executes a single KNN iteration against on-disk profiles, charging
+    the partition files' traffic without performing it."""
 
-    def __init__(self, config: EngineConfig, partition_store: PartitionStore,
-                 profile_store: OnDiskProfileStore):
+    def __init__(self, config: EngineConfig, profile_store: OnDiskProfileStore):
         self._config = config
-        self._partition_store = partition_store
+        self._partition_store = PartitionStore(config.disk_model)
         self._profile_store = profile_store
         self._fault = config.fault_plan
         # who runs the kernel: the one seam every phase-4 score crosses,
@@ -631,13 +627,10 @@ class OutOfCoreIteration:
         csr = graph.to_csr(edge_keys)
 
         with timer.phase(PHASE_NAMES[0]):
-            layout, partitions = self._phase1_partition(csr)
+            layout = self._phase1_partition(csr)
 
         with timer.phase(PHASE_NAMES[1]):
-            table, patch = self._phase2_hash_table(csr, edge_keys, partitions,
-                                                   layout.assignment)
-            # the partitions now live on disk; drop the in-memory copies
-            del partitions
+            table, patch = self._phase2_hash_table(csr, edge_keys, layout)
 
         with timer.phase(PHASE_NAMES[2]):
             pi_graph, steps, schedule = self._phase3_pi_graph(table)
@@ -688,34 +681,36 @@ class OutOfCoreIteration:
 
     # -- phase 1 --------------------------------------------------------------
 
-    def _phase1_partition(self, csr) -> Tuple[PartitionLayout, List[Partition]]:
+    def _phase1_partition(self, csr) -> PartitionLayout:
         config = self._config
         partitioner = get_partitioner(config.partitioner)
         assignment = partitioner.assign(csr, config.num_partitions)
-        # the one grouping of the vertices by partition this iteration:
-        # phase 1 slices the partitions out of it, phase 4 addresses profile
-        # rows through it
+        # the one grouping of the vertices by partition this iteration: the
+        # partition files are sized from it, a phase-2 rebuild slices the
+        # partitions out of it, phase 4 addresses profile rows through it
         layout = partition_layout(assignment, config.num_partitions)
-        partitions = build_partitions(csr, layout.assignment,
-                                      config.num_partitions, layout)
-        # overwrite last iteration's files in place instead of unlink+create
-        self._partition_store.replace_all(partitions)
-        return layout, partitions
+        self._partition_store.replace_all(
+            csr, layout, self._profile_store.estimated_bytes_per_user())
+        return layout
 
     # -- phase 2 --------------------------------------------------------------
 
     def _phase2_hash_table(self, csr, edge_keys: np.ndarray,
-                           partitions: Sequence[Partition], assignment: np.ndarray
+                           layout: PartitionLayout
                            ) -> Tuple[TupleHashTable, Optional[KeyPatch]]:
         """``H`` of ``G(t)`` and, when it was advanced from the carried table
         rather than rebuilt, how its keys differ from that table's."""
         config = self._config
+        assignment = layout.assignment
         advanced = None if self._candidates is None else self._candidates.advance(
             csr, edge_keys, assignment, config.include_direct_edges,
             max_moved=_DELTA_REBUILD_FRACTION * csr.num_vertices * config.k)
         if advanced is None:
             # a retry would decide the same: what is carried is only memory now
             self._candidates = None
+            # the bridge scan is the one reader of the partitions' edge lists
+            partitions = build_partitions(csr, assignment,
+                                          config.num_partitions, layout)
             advanced = generate_candidate_tuples(
                 csr, partitions, assignment,
                 include_direct_edges=config.include_direct_edges,
@@ -819,8 +814,7 @@ class OutOfCoreIteration:
         sources, destinations = table.endpoints(positions)
         return _Phase4Run(
             keys=keys, scores=scores, full_rescore=full_rescore,
-            ordered_steps=ordered_steps, dirty_planned=dirty_plan is not None,
-            layout=layout, positions=positions,
+            ordered_steps=ordered_steps, layout=layout, positions=positions,
             left_rows=layout.local_row[sources],
             right_rows=layout.local_row[destinations], edge_spans=edge_spans,
             store_generation=self._profile_store.generation,
@@ -1012,7 +1006,7 @@ class OutOfCoreIteration:
         else:
             residency = _StepResidency(config, self._partition_store,
                                        self._profile_store, layout, io_stats,
-                                       schedule, run.dirty_planned)
+                                       schedule)
         self._execute_pending(iteration, run, measure, residency)
         executed = residency.schedule()
         return run, self._finish_phase4(run, graph, table, steps, measure), executed

@@ -6,7 +6,7 @@ Two complementary representations are provided:
   being built or edited (the KNN graph changes every iteration).
 * :class:`CSRDiGraph` — an immutable Compressed-Sparse-Row snapshot backed by
   NumPy arrays, used for fast vectorised scans (degree statistics, candidate
-  generation, serialisation to partition files).
+  generation, slicing out and sizing the partitions).
 
 Vertices are dense integer ids ``0 .. num_vertices-1``; the out-of-core layer
 relies on this to address partitions and profile rows by simple arithmetic.

@@ -17,7 +17,7 @@ The objective the partitioners optimise is the per-partition count of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -58,15 +58,10 @@ class Partition:
         """``N_in_i + N_out_i`` — the quantity the paper's objective sums."""
         return self.num_unique_in_sources + self.num_unique_out_destinations
 
-    def vertex_set(self) -> set:
-        return set(int(v) for v in self.vertices)
-
-    def contains(self, vertex: int) -> bool:
-        pos = np.searchsorted(self.vertices, vertex)
-        return pos < len(self.vertices) and self.vertices[pos] == vertex
-
     def estimated_bytes(self, profile_bytes_per_user: int = 0) -> int:
-        """Approximate in-memory footprint, used by the memory manager."""
+        """Approximate in-memory footprint: what the memory manager charges
+        for the partition while resident (``PartitionStore`` has the closed
+        form over vertex and edge counts)."""
         edges_bytes = (self.in_edges.size + self.out_edges.size) * 8
         vertex_bytes = self.vertices.size * 8
         return edges_bytes + vertex_bytes + self.num_vertices * profile_bytes_per_user
@@ -165,14 +160,3 @@ def build_partitions(graph: CSRDiGraph, assignment: np.ndarray,
         ))
     return partitions
 
-
-def assignment_from_partitions(partitions: Sequence[Partition],
-                               num_vertices: int) -> np.ndarray:
-    """Reconstruct the vertex→partition assignment array from partitions."""
-    assignment = np.full(num_vertices, -1, dtype=np.int64)
-    for partition in partitions:
-        assignment[partition.vertices] = partition.pid
-    if (assignment < 0).any():
-        missing = int((assignment < 0).sum())
-        raise ValueError(f"{missing} vertices are not covered by any partition")
-    return assignment

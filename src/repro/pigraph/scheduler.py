@@ -1,25 +1,24 @@
 """Load/unload scheduling and operation counting for PI-graph traversals.
 
 Given the ordered residency steps produced by a traversal heuristic, the
-scheduler simulates a bounded partition cache (two slots by default, as the
-paper requires) and counts the partition **load** and **unload** operations
-the traversal would incur — the quantity reported in the paper's Table 1.
-The same plan can then be executed against the real
-:class:`~repro.storage.memory_manager.PartitionCache` during phase 4; the
-simulated and executed counts agree because both use LRU eviction over the
-same step sequence.
+scheduler walks them through a bounded partition cache (two slots by
+default, as the paper requires) and counts the partition **load** and
+**unload** operations the traversal incurs — the quantity reported in the
+paper's Table 1.  The cache is
+:class:`~repro.storage.memory_manager.PartitionCache`, the same one phase 4
+executes the plan against (there it also charges bytes and a memory
+budget), so the simulated and the executed counts agree by construction.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import (Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
                     Union)
 
 from repro.pigraph.pi_graph import PIGraph
 from repro.pigraph.traversal import ResidencyStep, TraversalHeuristic, get_heuristic
-from repro.utils.validation import check_positive_int
+from repro.storage.memory_manager import PartitionCache
 
 #: Declared-pure planners: same inputs, same plan — on every backend,
 #: every resume, every re-plan.  The dirty-partition scheduler (PR 7) and
@@ -236,71 +235,34 @@ def simulate_schedule(steps: Sequence[ResidencyStep],
                       num_partitions: int = 0,
                       cache_slots: int = 2,
                       unload_at_end: bool = True) -> ScheduleResult:
-    """Simulate a ``cache_slots``-slot LRU partition cache over ``steps``.
+    """Walk ``steps`` through a ``cache_slots``-slot LRU partition cache.
 
     Every partition brought into the cache counts one *load*; every eviction
     (including the final flush when ``unload_at_end``) counts one *unload*.
     A step whose partitions are already resident costs nothing and is
-    recorded as a cache hit.
+    recorded as a cache hit.  The walk is the executor's own
+    :class:`~repro.storage.memory_manager.PartitionCache` with nothing to
+    charge, so what is counted here is what phase 4 performs.
     """
-    check_positive_int(cache_slots, "cache_slots")
-    resident: "OrderedDict[int, None]" = OrderedDict()
-    loads = unloads = hits = 0
-    tuples_scheduled = 0
-
-    def touch(partition: int) -> bool:
-        """Ensure ``partition`` is resident; return True on a cache hit."""
-        nonlocal loads, unloads
-        if partition in resident:
-            resident.move_to_end(partition)
-            return True
-        while len(resident) >= cache_slots:
-            resident.popitem(last=False)
-            unloads += 1
-        resident[partition] = None
-        loads += 1
-        return False
-
+    cache = PartitionCache(max_resident=cache_slots)
+    hits = tuples_scheduled = 0
     for first, second, edges in steps:
-        needed = (first,) if first == second else (first, second)
-        if len(needed) > cache_slots:
+        if first != second and cache_slots < 2:
             raise ValueError(
-                f"step needs {len(needed)} resident partitions but the cache has "
+                "step needs 2 resident partitions but the cache has "
                 f"{cache_slots} slots"
             )
-        # Mirror ``PartitionCache.acquire_pair``: every partition of this step
-        # that is already resident is touched *before* any miss is loaded, so
-        # a load can never evict the step's own partner.  Without the
-        # pre-touch pass, a step whose partner sat at the LRU position would
-        # evict it while loading the other partition and immediately reload
-        # it — one spurious load+unload the executor never performs, breaking
-        # the "simulated and executed counts agree" contract exactly at the
-        # ``cache_slots`` boundary.
-        step_hit = True
-        for partition in needed:
-            if partition in resident:
-                resident.move_to_end(partition)
-            else:
-                step_hit = False
-        # Touch the pivot before the partner: the partner then becomes the
-        # eviction candidate on the next step while the pivot stays resident,
-        # and a pivot switch to the previous partner is a cache hit.
-        for partition in needed:
-            touch(partition)
-        if step_hit:
-            hits += 1
+        hits += cache.acquire_pair(first, second)
         tuples_scheduled += sum(edge.weight for edge in edges)
 
-    final_resident = tuple(resident)
-    if unload_at_end:
-        unloads += len(resident)
-        resident.clear()
+    final_resident = tuple(cache.resident_ids)
     return ScheduleResult(
         heuristic=heuristic_name,
         num_partitions=num_partitions,
         num_steps=len(steps),
-        loads=loads,
-        unloads=unloads,
+        loads=cache.io_stats.partition_loads,
+        unloads=(cache.io_stats.partition_unloads
+                 + (len(final_resident) if unload_at_end else 0)),
         cache_hits=hits,
         tuples_scheduled=tuples_scheduled,
         final_resident=final_resident,

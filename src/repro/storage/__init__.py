@@ -1,4 +1,4 @@
-"""Out-of-core storage layer: partition files, profile files, disk model, cache."""
+"""Out-of-core storage layer: profile files, the partition files' cost model, disk model, cache."""
 
 from repro.storage.disk_model import DiskModel, DISK_PRESETS
 from repro.storage.io_stats import IOStats

@@ -2,10 +2,15 @@
 
 The paper's phase 4 keeps *at most two partitions resident* at any time and
 the experiments count partition load/unload operations under that policy.
-:class:`PartitionCache` enforces the policy (the slot count is configurable
-so the memory-budget extension experiment can vary it), performs LRU
-eviction, and attributes every load/unload to the shared
-:class:`~repro.storage.io_stats.IOStats`.
+:class:`PartitionCache` is that policy — the one implementation of the
+pre-touch / pivot-first / evict-LRU residency walk (the slot count is
+configurable so the memory-budget extension experiment can vary it).  It
+holds partition ids and their resident sizes, never partition data: a load
+is a charge against the :class:`~repro.storage.partition_store.PartitionStore`
+and the :class:`MemoryBudget`, and a count in the shared
+:class:`~repro.storage.io_stats.IOStats`.  With neither store nor budget it
+is the bare walk :func:`~repro.pigraph.scheduler.simulate_schedule` counts
+Table 1 with, so the simulated and the executed counts cannot drift apart.
 
 :class:`MemoryBudget` is the byte-level account the cache draws from: the
 engine sizes partitions (edges plus profile rows) and refuses to exceed the
@@ -16,9 +21,8 @@ explicit and reproducible in software.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
-from repro.partition.model import Partition
 from repro.storage.io_stats import IOStats
 from repro.storage.partition_store import PartitionStore
 from repro.utils.validation import check_positive, check_positive_int
@@ -88,24 +92,28 @@ class MemoryBudget:
 
 
 class PartitionCache:
-    """LRU cache of resident partitions with a bounded number of slots.
+    """LRU residency of partition ids with a bounded number of slots.
 
     ``max_resident=2`` reproduces the paper's policy of holding at most two
-    partitions in memory while a PI-graph edge is processed.
+    partitions in memory while a PI-graph edge is processed.  ``store``
+    prices a load (one file read, the resident bytes) and ``memory_budget``
+    holds those bytes while the partition stays; without them loads are free
+    and only counted.
     """
 
-    def __init__(self, store: PartitionStore, max_resident: int = 2,
+    def __init__(self, store: Optional[PartitionStore] = None,
+                 max_resident: int = 2,
                  memory_budget: Optional[MemoryBudget] = None,
-                 profile_bytes_per_user: int = 0,
                  io_stats: Optional[IOStats] = None):
         check_positive_int(max_resident, "max_resident")
-        self._store = store
         self._max_resident = max_resident
+        self._store = store
         self._budget = memory_budget
-        self._profile_bytes_per_user = profile_bytes_per_user
-        self.io_stats = io_stats if io_stats is not None else store.io_stats
-        self._resident: "OrderedDict[int, Partition]" = OrderedDict()
-        self._sizes: Dict[int, int] = {}
+        if io_stats is None:
+            io_stats = store.io_stats if store is not None else IOStats()
+        self.io_stats = io_stats
+        # pid → resident bytes, least recently used first
+        self._resident: "OrderedDict[int, int]" = OrderedDict()
 
     # -- cache behaviour -----------------------------------------------------
 
@@ -121,42 +129,44 @@ class PartitionCache:
     def is_resident(self, pid: int) -> bool:
         return pid in self._resident
 
-    def acquire(self, pid: int) -> Partition:
-        """Return partition ``pid``, loading it (and evicting) if necessary."""
+    def acquire(self, pid: int) -> bool:
+        """Make partition ``pid`` resident, loading it (and evicting the
+        least recently used) if necessary; ``True`` on a cache hit."""
         if pid in self._resident:
             self._resident.move_to_end(pid)
-            return self._resident[pid]
+            return True
         while len(self._resident) >= self._max_resident:
-            self._evict_one()
-        partition = self._store.read_partition(pid)
-        size = partition.estimated_bytes(self._profile_bytes_per_user)
+            self._unload(next(iter(self._resident)))
+        size = self._store.read_partition(pid) if self._store is not None else 0
         if self._budget is not None:
             self._budget.allocate(size)
-        self._resident[pid] = partition
-        self._sizes[pid] = size
+        self._resident[pid] = size
         self.io_stats.record_partition_load()
-        return partition
+        return False
 
-    def acquire_pair(self, pid_a: int, pid_b: int) -> Tuple[Partition, Partition]:
-        """Make partitions ``pid_a`` and ``pid_b`` simultaneously resident.
+    def acquire_pair(self, pid_a: int, pid_b: int) -> bool:
+        """Make partitions ``pid_a`` and ``pid_b`` simultaneously resident;
+        ``True`` when both already were.
 
         This is exactly the access pattern of one PI-graph edge.  When the
         two ids are equal a single partition is loaded.
         """
         if pid_a == pid_b:
-            partition = self.acquire(pid_a)
-            return partition, partition
+            return self.acquire(pid_a)
         if self._max_resident < 2:
             raise RuntimeError("acquire_pair requires at least two cache slots")
-        # Keep the other requested partition from being evicted by touching it first.
-        if pid_a in self._resident:
-            self._resident.move_to_end(pid_a)
-        if pid_b in self._resident:
-            self._resident.move_to_end(pid_b)
-        first = self.acquire(pid_a)
-        self._resident.move_to_end(pid_a)
-        second = self.acquire(pid_b)
-        return first, second
+        # Touch whichever of the two is already resident *before* any miss
+        # is loaded, so a load can never evict the step's own partner (and
+        # immediately reload it: one spurious load+unload at exactly the
+        # slot boundary).
+        for pid in (pid_a, pid_b):
+            if pid in self._resident:
+                self._resident.move_to_end(pid)
+        # The pivot before the partner: the partner then becomes the
+        # eviction candidate on the next step while the pivot stays
+        # resident, and a pivot switch to the previous partner is a hit.
+        pivot_hit = self.acquire(pid_a)
+        return self.acquire(pid_b) and pivot_hit
 
     def release(self, pid: int) -> None:
         """Explicitly unload a resident partition (no-op when absent)."""
@@ -168,13 +178,8 @@ class PartitionCache:
         for pid in list(self._resident):
             self._unload(pid)
 
-    def _evict_one(self) -> None:
-        pid, _ = next(iter(self._resident.items()))
-        self._unload(pid)
-
     def _unload(self, pid: int) -> None:
-        self._resident.pop(pid)
-        size = self._sizes.pop(pid, 0)
+        size = self._resident.pop(pid)
         if self._budget is not None:
             self._budget.release(size)
         self.io_stats.record_partition_unload()

@@ -9,7 +9,6 @@ from repro.core.iteration import PHASE_NAMES, OutOfCoreIteration
 from repro.core.update_queue import ProfileUpdateQueue
 from repro.graph.knn_graph import KNNGraph
 from repro.similarity.workloads import ProfileChange, generate_dense_profiles, generate_sparse_profiles
-from repro.storage.partition_store import PartitionStore
 from repro.storage.profile_store import OnDiskProfileStore
 
 
@@ -17,8 +16,7 @@ def make_runner(tmp_path, profiles, **config_kwargs):
     config = EngineConfig(**config_kwargs)
     profile_store = OnDiskProfileStore.create(tmp_path / "profiles", profiles,
                                               disk_model=config.disk_model)
-    partition_store = PartitionStore(tmp_path / "partitions", disk_model=config.disk_model)
-    return OutOfCoreIteration(config, partition_store, profile_store), profile_store
+    return OutOfCoreIteration(config, profile_store), profile_store
 
 
 @pytest.fixture(scope="module")

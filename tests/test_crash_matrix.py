@@ -126,6 +126,42 @@ def test_crash_recover_finish_matches_uninterrupted(point, backend, tmp_path,
         recovered.close()
 
 
+def test_recovery_ignores_a_stale_partitions_directory(tmp_path, reference):
+    """A workdir left by a version that still wrote partition files — whole
+    ones and one torn mid-write: ``recover`` (and the ``from_checkpoint``
+    onto the same workdir it ends in) neither needs nor trips over them."""
+    ref_fingerprint, ref_dense = reference
+    workdir = tmp_path / "work"
+    plan = FaultPlan().crash_at("phase4.step", occurrence=2)
+    feed = _once_feed()
+    engine = KNNEngine(_profiles(),
+                       _config("serial", durable=True, fault_plan=plan),
+                       workdir=workdir)
+    try:
+        with pytest.raises(InjectedCrash):
+            engine.run(NUM_ITERATIONS, profile_change_feed=feed)
+    finally:
+        engine.close()
+    stale = workdir / "partitions"
+    stale.mkdir()
+    for pid in range(4):
+        (stale / f"partition_{pid:05d}.bin").write_bytes(
+            b"RPPT0001" + np.arange(6 + 40 * pid, dtype=np.int64).tobytes())
+    (stale / "partition_00004.bin").write_bytes(b"RPPT")
+
+    recovered = KNNEngine.recover(workdir)
+    try:
+        recovered.run(NUM_ITERATIONS - recovered.iterations_run,
+                      profile_change_feed=feed)
+        assert recovered.iterations_run == NUM_ITERATIONS
+        assert recovered.graph.edge_fingerprint() == ref_fingerprint
+        dense = (recovered.profile_store.base_dir
+                 / "profiles_dense.bin").read_bytes()
+        assert dense == ref_dense
+    finally:
+        recovered.close()
+
+
 def test_sparse_journal_crash_recovers_to_uninterrupted_twin(tmp_path):
     """Crash in the v3 journal window: rows appended, generation not bumped.
 

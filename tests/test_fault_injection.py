@@ -116,13 +116,13 @@ class TestFaultHooksInStores:
         clone = OnDiskProfileStore(tmp_path / "dst", disk_model="instant")
         assert clone.num_users == 30
 
-    def test_engine_wires_the_plan_into_both_stores(self, tmp_path):
+    def test_engine_wires_the_plan_into_the_profile_store(self, tmp_path):
+        # the one store with files: partition traffic is charged, not performed
         plan = FaultPlan()
         profiles = generate_dense_profiles(30, dim=4, seed=1)
         config = EngineConfig(k=4, num_partitions=2, fault_plan=plan)
         with KNNEngine(profiles, config, workdir=tmp_path / "w") as engine:
             assert engine.profile_store.fault_plan is plan
-            assert engine._partition_store.fault_plan is plan
 
     def test_crash_point_aborts_an_engine_run(self, tmp_path):
         plan = FaultPlan().crash_at("iteration.begin", occurrence=2)

@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.partition.model import (
-    Partition,
-    assignment_from_partitions,
-    build_partitions,
-)
+from repro.partition.model import Partition, build_partitions
 from repro.partition.partitioners import ContiguousPartitioner
 
 
@@ -37,7 +33,7 @@ class TestBuildPartitions:
     def test_out_edges_belong_to_partition_vertices(self, medium_graph):
         assignment = ContiguousPartitioner().assign(medium_graph, 4)
         for partition in build_partitions(medium_graph, assignment, 4):
-            vertex_set = partition.vertex_set()
+            vertex_set = set(partition.vertices.tolist())
             assert all(int(v) in vertex_set for v in partition.out_edges[:, 0])
             assert all(int(v) in vertex_set for v in partition.in_edges[:, 1])
 
@@ -61,14 +57,6 @@ class TestBuildPartitions:
 
 
 class TestPartitionObject:
-    def test_contains(self, small_csr):
-        assignment = ContiguousPartitioner().assign(small_csr, 2)
-        partitions = build_partitions(small_csr, assignment, 2)
-        first = partitions[0]
-        for v in first.vertices:
-            assert first.contains(int(v))
-        assert not first.contains(int(partitions[1].vertices[0]))
-
     def test_locality_cost(self):
         partition = Partition(
             pid=0,
@@ -85,16 +73,3 @@ class TestPartitionObject:
         [partition] = build_partitions(small_csr, assignment, 1)
         assert partition.estimated_bytes(100) > partition.estimated_bytes(0)
 
-
-class TestAssignmentRoundtrip:
-    def test_roundtrip(self, medium_graph):
-        assignment = ContiguousPartitioner().assign(medium_graph, 5)
-        partitions = build_partitions(medium_graph, assignment, 5)
-        rebuilt = assignment_from_partitions(partitions, medium_graph.num_vertices)
-        assert np.array_equal(rebuilt, assignment)
-
-    def test_uncovered_vertex_detected(self, small_csr):
-        assignment = ContiguousPartitioner().assign(small_csr, 2)
-        partitions = build_partitions(small_csr, assignment, 2)
-        with pytest.raises(ValueError):
-            assignment_from_partitions(partitions[:1], small_csr.num_vertices)

@@ -1,14 +1,13 @@
 """Tests for repro.pigraph.scheduler."""
 
-import tempfile
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.graph.datasets import small_dataset
-from repro.partition.model import Partition
+from repro.graph.digraph import CSRDiGraph
+from repro.partition.model import partition_layout
 from repro.pigraph.pi_graph import PIGraph
 from repro.pigraph.scheduler import (
     compare_heuristics,
@@ -19,7 +18,7 @@ from repro.pigraph.scheduler import (
     simulate_schedule,
 )
 from repro.pigraph.traversal import PAPER_HEURISTICS, get_heuristic
-from repro.storage.memory_manager import PartitionCache
+from repro.storage.memory_manager import MemoryBudget, PartitionCache
 from repro.storage.partition_store import PartitionStore
 
 
@@ -220,32 +219,35 @@ class TestSimulateVersusPartitionCache:
     """``simulate_schedule`` against the executor it claims to predict.
 
     The module docstring promises "the simulated and executed counts
-    agree"; the executor is :class:`PartitionCache` driven through
-    ``acquire_pair`` over the same step sequence.  These tests make that a
-    first-principles oracle — every divergence is a bug in the simulator —
-    with the exact-``cache_slots``-boundary regression pinned explicitly:
-    the pre-fix simulator let a step's load evict the step's *own* resident
-    partner (which ``acquire_pair`` pre-touches), inventing one spurious
-    load+unload per occurrence.
+    agree"; the executor is :class:`PartitionCache` as phase 4 drives it —
+    priced by a store, drawing on a budget, ``acquire_pair`` over the same
+    step sequence.  The simulator walks a bare cache of its own, so these
+    tests pin that charging never changes the walk, with the
+    exact-``cache_slots``-boundary regression pinned explicitly: a step's
+    load must not evict the step's *own* resident partner (which
+    ``acquire_pair`` pre-touches), inventing one spurious load+unload per
+    occurrence.
     """
 
     @staticmethod
     def _drive_real_cache(pairs, cache_slots, unload_at_end):
-        """Load/unload counts of a real PartitionCache over ``pairs``."""
-        partitions = sorted({p for pair in pairs for p in pair})
-        with tempfile.TemporaryDirectory() as tmp:
-            store = PartitionStore(tmp, disk_model="instant")
-            empty = np.empty((0, 2), dtype=np.int64)
-            store.write_partitions([
-                Partition(pid=pid, vertices=np.asarray([pid]),
-                          in_edges=empty, out_edges=empty)
-                for pid in partitions])
-            cache = PartitionCache(store, max_resident=cache_slots)
-            for first, second in pairs:
-                cache.acquire_pair(first, second)
-            if unload_at_end:
-                cache.flush()
-            return cache.io_stats.partition_loads, cache.io_stats.partition_unloads
+        """Loads, unloads and step hits of a charging PartitionCache over
+        ``pairs``: partition ``p`` holds vertex ``p`` and its one out-edge."""
+        num_partitions = 1 + max((p for pair in pairs for p in pair), default=0)
+        graph = CSRDiGraph.from_edges(
+            num_partitions,
+            [(v, (v + 1) % num_partitions) for v in range(num_partitions)])
+        store = PartitionStore(disk_model="ssd")
+        store.replace_all(
+            graph, partition_layout(np.arange(num_partitions), num_partitions),
+            profile_bytes_per_user=64)
+        cache = PartitionCache(store, max_resident=cache_slots,
+                               memory_budget=MemoryBudget(1 << 20))
+        hits = sum(cache.acquire_pair(first, second) for first, second in pairs)
+        if unload_at_end:
+            cache.flush()
+        return (cache.io_stats.partition_loads,
+                cache.io_stats.partition_unloads, hits)
 
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -265,10 +267,11 @@ class TestSimulateVersusPartitionCache:
         result = simulate_schedule(_sentinel_steps(pairs),
                                    cache_slots=cache_slots,
                                    unload_at_end=unload_at_end)
-        loads, unloads = self._drive_real_cache(pairs, cache_slots,
-                                                unload_at_end)
+        loads, unloads, hits = self._drive_real_cache(pairs, cache_slots,
+                                                      unload_at_end)
         assert result.loads == loads
         assert result.unloads == unloads
+        assert result.cache_hits == hits
 
     def test_partner_eviction_regression_pinned(self):
         """(0,1),(0,2),(3,0) at exactly two slots: after (0,2) leaves
@@ -279,10 +282,9 @@ class TestSimulateVersusPartitionCache:
         assert result.loads == 4       # 0, 1, 2, 3 — each loaded once
         assert result.unloads == 2     # 1 then 2 evicted; never partner 0
         assert set(result.final_resident) == {0, 3}
-        loads, unloads = self._drive_real_cache([(0, 1), (0, 2), (3, 0)],
-                                                cache_slots=2,
-                                                unload_at_end=False)
-        assert (loads, unloads) == (4, 2)
+        loads, unloads, hits = self._drive_real_cache(
+            [(0, 1), (0, 2), (3, 0)], cache_slots=2, unload_at_end=False)
+        assert (loads, unloads, hits) == (4, 2, 0)
 
     def test_boundary_final_flush_accounting(self):
         """With the final flush every load is eventually unloaded."""

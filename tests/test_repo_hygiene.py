@@ -98,6 +98,29 @@ def test_nothing_under_src_uses_shared_memory():
     assert offenders == []
 
 
+def test_the_partition_accountants_touch_no_file():
+    """Partition traffic is charged in closed form: the store that prices it
+    and the cache that walks it import no filesystem module and open
+    nothing, so the partition files cannot grow back."""
+    offenders = []
+    for name in ("partition_store.py", "memory_manager.py"):
+        path = REPO_ROOT / "src" / "repro" / "storage" / name
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "open"):
+                modules = ["open("]
+            else:
+                continue
+            offenders += [f"{name}:{node.lineno} {module}" for module in modules
+                          if module.split(".")[0] in (
+                              "os", "pathlib", "shutil", "tempfile", "open(")]
+    assert offenders == []
+
+
 def test_core_scores_by_row_not_through_merged_or_id_addressed_slices():
     """Nothing in ``core/`` merges profile slices or translates user ids to
     rows: every backend scores ``ProfileSlice.similarity_rows``.  ``merge``

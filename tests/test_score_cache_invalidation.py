@@ -23,7 +23,6 @@ from repro.core.update_queue import ProfileUpdateQueue
 from repro.graph.knn_graph import KNNGraph
 from repro.similarity.workloads import (ProfileChange, generate_dense_profiles,
                                         generate_sparse_profiles)
-from repro.storage.partition_store import PartitionStore
 from repro.storage.profile_store import OnDiskProfileStore
 
 NUM_USERS = 100
@@ -34,10 +33,7 @@ def _runner(tmp_path, profiles, journal_limit=None, **config_kwargs):
     profile_store = OnDiskProfileStore.create(
         tmp_path / "profiles", profiles, disk_model=config.disk_model,
         journal_limit=journal_limit)
-    partition_store = PartitionStore(tmp_path / "partitions",
-                                     disk_model=config.disk_model)
-    return (OutOfCoreIteration(config, partition_store, profile_store),
-            profile_store)
+    return OutOfCoreIteration(config, profile_store), profile_store
 
 
 def _queue(changes):

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.iteration as iteration_module
 import repro.graph.knn_graph as knn_graph_module
 from repro.core.config import EngineConfig
 from repro.core.engine import KNNEngine
@@ -578,6 +579,17 @@ class TestEngineGoldens:
             return result
 
         monkeypatch.setattr(CarriedCandidates, "advance", spied)
+        # ... and before the partition files became a cost model: the
+        # partitions are built only for the bridge scan of a rebuild.  Every
+        # iteration but the first has asked ``advance`` by then, so the
+        # answers so far number the iteration a build happens in.
+        built_in = []
+
+        def spied_build(*args, **kwargs):
+            built_in.append(len(advanced))
+            return build_partitions(*args, **kwargs)
+
+        monkeypatch.setattr(iteration_module, "build_partitions", spied_build)
         rows, profile_digest, rebuilt = _observe(kind, dirty, shard, backend)
         assert [row[:3] for row in rows] == _GOLDEN_SCORED[kind]
         assert [row[3:5] for row in rows] == _GOLDEN_SCHEDULE[kind, dirty, shard]
@@ -586,4 +598,5 @@ class TestEngineGoldens:
         # every iteration but the cold first asked; what the engine reports
         # is what ran, and most of the churn ran on the delta path
         assert [not flag for flag in rebuilt[1:]] == advanced
+        assert built_in == [i for i, flag in enumerate(rebuilt) if flag]
         assert rebuilt[GOLDEN_WARMUP:].count(False) >= GOLDEN_CHURNED - 1

@@ -1,20 +1,20 @@
 """Tests for repro.storage.memory_manager."""
 
-import numpy as np
 import pytest
 
-from repro.partition.model import build_partitions
+from repro.partition.model import build_partitions, partition_layout
 from repro.partition.partitioners import ContiguousPartitioner
 from repro.storage.memory_manager import MemoryBudget, PartitionCache
 from repro.storage.partition_store import PartitionStore
 
 
 @pytest.fixture
-def stored_partitions(medium_graph, tmp_path):
+def stored_partitions(medium_graph):
+    """A store that sized six partitions, and the partitions it sized."""
     assignment = ContiguousPartitioner().assign(medium_graph, 6)
     partitions = build_partitions(medium_graph, assignment, 6)
-    store = PartitionStore(tmp_path, disk_model="instant")
-    store.write_partitions(partitions)
+    store = PartitionStore(disk_model="instant")
+    store.replace_all(medium_graph, partition_layout(assignment, 6))
     store.io_stats.reset()
     return store, partitions
 
@@ -88,15 +88,17 @@ class TestPartitionCache:
     def test_acquire_pair(self, stored_partitions):
         store, _ = stored_partitions
         cache = PartitionCache(store, max_resident=2)
-        a, b = cache.acquire_pair(3, 4)
-        assert a.pid == 3 and b.pid == 4
+        assert cache.acquire_pair(3, 4) is False      # two misses
         assert set(cache.resident_ids) == {3, 4}
+        assert cache.acquire_pair(4, 3) is True       # a hit: both resident
+        assert cache.acquire_pair(4, 5) is False      # one miss is a miss
+        assert cache.io_stats.read_ops == cache.io_stats.partition_loads == 3
 
     def test_acquire_pair_same_partition(self, stored_partitions):
         store, _ = stored_partitions
         cache = PartitionCache(store, max_resident=2)
-        a, b = cache.acquire_pair(1, 1)
-        assert a is b
+        assert cache.acquire_pair(1, 1) is False
+        assert cache.acquire_pair(1, 1) is True
         assert cache.io_stats.partition_loads == 1
 
     def test_acquire_pair_keeps_both_resident(self, stored_partitions):
@@ -129,7 +131,11 @@ class TestPartitionCache:
         budget = MemoryBudget(size * 2 + 16)
         cache = PartitionCache(store, max_resident=2, memory_budget=budget)
         cache.acquire_pair(0, 1)
-        assert budget.used_bytes > 0
+        assert budget.used_bytes == sum(p.estimated_bytes() for p in partitions[:2])
+        cache.acquire(2)        # evicts 0, the least recently used
+        assert budget.used_bytes == sum(p.estimated_bytes() for p in partitions[1:3])
+        assert budget.peak_bytes == max(
+            sum(p.estimated_bytes() for p in partitions[i:i + 2]) for i in (0, 1))
         cache.flush()
         assert budget.used_bytes == 0
 
@@ -153,3 +159,13 @@ class TestPartitionCache:
         cache.acquire(1)
         cache.acquire(2)
         assert cache.load_unload_operations == cache.io_stats.load_unload_operations == 4
+
+    def test_without_store_or_budget_loads_are_only_counted(self):
+        """The bare walk ``simulate_schedule`` counts with."""
+        cache = PartitionCache(max_resident=2)
+        cache.acquire_pair(7, 9)
+        cache.acquire_pair(9, 11)
+        assert cache.resident_ids == [9, 11]
+        assert (cache.io_stats.partition_loads,
+                cache.io_stats.partition_unloads) == (3, 1)
+        assert cache.io_stats.read_ops == cache.io_stats.bytes_read == 0
