@@ -15,6 +15,7 @@ Commands
 ``disks``       compare the HDD and SSD device models
 ``quality``     engine vs NN-Descent vs brute force recall
 ``serve``       run the always-on serving runtime under simulated load
+``migrate``     rewrite a legacy (version 1 / 2) profile store in place
 """
 
 from __future__ import annotations
@@ -93,6 +94,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--seed", type=int, default=11)
     serve.add_argument("--workdir", default=None,
                        help="durable state directory (default: a tempdir)")
+
+    migrate = sub.add_parser(
+        "migrate", help="rewrite a version 1 / 2 profile store into the "
+                        "current on-disk layout, in place")
+    migrate.add_argument("store_dir", help="directory holding profiles_meta.json")
 
     return parser
 
@@ -238,6 +244,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_migrate(args: argparse.Namespace) -> int:
+    from repro.storage.migrate import migrate_store
+    from repro.storage.profile_store import StoreFormatError
+
+    try:
+        migrated = migrate_store(args.store_dir)
+    except (FileNotFoundError, StoreFormatError) as error:
+        print(f"migrate: {error}", file=sys.stderr)
+        return 1
+    print(f"{args.store_dir}: rewritten in the current layout" if migrated
+          else f"{args.store_dir}: already in the current layout, nothing to do")
+    return 0
+
+
 _COMMANDS = {
     "datasets": _cmd_datasets,
     "table1": _cmd_table1,
@@ -247,6 +267,7 @@ _COMMANDS = {
     "disks": _cmd_disks,
     "quality": _cmd_quality,
     "serve": _cmd_serve,
+    "migrate": _cmd_migrate,
 }
 
 

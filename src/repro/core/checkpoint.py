@@ -239,10 +239,10 @@ def clone_profile_files(source_dir: PathLike, dest_dir: PathLike,
     The split is the store's own contract
     (:meth:`OnDiskProfileStore.linkable_snapshot_file`, kept next to the
     write paths it describes): files the store only ever replaces
-    atomically (sparse segments, the monolithic v1/v2 CSR files) are
-    hard-linked — both sides can keep using them, because every rewrite
-    swaps in a fresh inode — while files mutated in place (meta, journal,
-    item table, dense matrix/norms) are copied.  Cross-filesystem links
+    atomically (the sparse segments) are hard-linked — both sides can
+    keep using them, because every rewrite swaps in a fresh inode — while
+    files mutated in place (meta, journal, item table, dense
+    matrix/norms) are copied.  Cross-filesystem links
     fall back to copies transparently.  Used in both directions: taking a
     snapshot (live store → checkpoint) and resuming one (checkpoint →
     fresh workdir).  Stale ``profiles_*`` files already present in the

@@ -297,44 +297,6 @@ class SetProfileCSR:
         codes = self.row_codes(row)
         return self._item_ids[codes] if self._item_ids is not None else codes
 
-    @classmethod
-    def merged_subset(cls, a: "SetProfileCSR", b: "SetProfileCSR",
-                      take: np.ndarray) -> "SetProfileCSR":
-        """Rows ``take`` of the virtual row stack ``[a; b]``, in one gather.
-
-        ``take`` indexes rows ``0..a.num_rows-1`` in ``a`` and
-        ``a.num_rows..`` in ``b``.  The output codes array is allocated
-        once and filled by one gather per source — no intermediate
-        concatenation of the two CSRs — which is what makes merging two
-        mmap-served partition slices a single-copy operation.
-        """
-        if a._num_items != b._num_items:
-            raise ValueError("cannot merge CSRs with different item codings")
-        take = np.asarray(take, dtype=np.int64)
-        from_b = take >= a.num_rows
-        rows_a = take[~from_b]
-        rows_b = take[from_b] - a.num_rows
-        sizes = np.empty(len(take), dtype=np.int64)
-        src_start = np.empty(len(take), dtype=np.int64)
-        sizes[~from_b] = a.row_sizes(rows_a)
-        sizes[from_b] = b.row_sizes(rows_b)
-        src_start[~from_b] = a._indptr[rows_a]
-        src_start[from_b] = b._indptr[rows_b]
-        indptr = np.zeros(len(take) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=indptr[1:])
-        total = int(indptr[-1])
-        codes = np.empty(total, dtype=np.int64)
-        if total:
-            offsets = np.arange(total, dtype=np.int64) - np.repeat(indptr[:-1], sizes)
-            src = np.repeat(src_start, sizes) + offsets
-            item_from_b = np.repeat(from_b, sizes)
-            codes[~item_from_b] = a._codes[src[~item_from_b]]
-            codes[item_from_b] = b._codes[src[item_from_b]]
-        item_ids = a._item_ids if a._item_ids is not None else b._item_ids
-        # rows are copied verbatim, so the per-row code order survives the merge
-        return cls(indptr, codes, a._num_items, item_ids=item_ids,
-                   rows_sorted=a._rows_sorted and b._rows_sorted)
-
     def row_sizes(self, rows: np.ndarray) -> np.ndarray:
         return self._indptr[rows + 1] - self._indptr[rows]
 

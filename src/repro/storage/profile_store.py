@@ -18,12 +18,13 @@ in-memory stores:
   segments only when it outgrows a segment.  Update write-bytes therefore
   scale with the touched rows, not the store size.
 
-The on-disk layout is versioned (``format_version`` in the meta file).
-Version-1 stores (dense without the norm file, sparse with raw item ids)
-and version-2 stores (sparse as one monolithic CSR file pair) are still
-readable through fallback loaders.  Every layout rewrite or incremental
-update bumps the store's ``generation`` counter, which worker processes
-holding the store open by path use to invalidate their cached slices.
+This is the only layout the store reads or writes (``docs/storage.md``
+lists every file and meta key): a meta recording any other
+``format_version`` is refused on open with :class:`StoreFormatError`, and
+``python -m repro migrate`` rewrites older stores in place.  Every layout
+rewrite or incremental update bumps the store's ``generation`` counter,
+which worker processes holding the store open by path use to invalidate
+their cached slices.
 The store also keeps an in-memory log of which rows each applied batch
 touched (:meth:`OnDiskProfileStore.touched_rows_since`), the delta feed of
 the engine's incremental phase 4; full rewrites, journal compactions and
@@ -62,7 +63,7 @@ from repro.utils.arrays import ragged_ranges
 
 PathLike = Union[str, os.PathLike]
 
-#: Current on-disk layout version (see module docstring for the history).
+#: The on-disk layout version this module reads and writes.
 FORMAT_VERSION = 3
 
 #: Segment size used when the creator supplies no partition-aligned bounds.
@@ -76,6 +77,10 @@ _DELTA_LOG_LIMIT = 64
 
 class StoreCorruptionError(RuntimeError):
     """A store file's content does not match its recorded CRC32."""
+
+
+class StoreFormatError(RuntimeError):
+    """A store's meta describes a layout other than the current one."""
 
 
 def _atomic_tofile(array: np.ndarray, path: Path, fault_plan=None) -> None:
@@ -147,16 +152,16 @@ class ProfileSlice:
     translates ids to rows on demand (an offset for a contiguous id run, a
     binary search otherwise) and nothing is precomputed for it.
 
-    The profiles are packed in a batch-scorable form — a dense matrix (plus
-    row norms) or a CSR incidence matrix — so scoring is pure NumPy with no
-    per-pair Python on either profile kind.  Slices served from a mapped
-    store hold read-only views of the mapped file; nothing in the scoring
-    path writes through them.
+    A slice has one form: the sorted ids plus either a dense matrix with its
+    row norms or a CSR incidence matrix under one item coding (the store's
+    item table for every slice a store serves), so scoring is pure NumPy
+    with no per-pair Python on either profile kind.  Slices served from a
+    mapped store hold read-only views of the mapped file; nothing in the
+    scoring path writes through them.  A ``profiles`` dict is accepted as a
+    constructor convenience and packed into that form at once.
 
-    :meth:`merge` builds the union of two slices for callers that want one
-    id-addressed object; two dense slices with disjoint users become a
-    **multi-block** slice that addresses rows across the original mapped
-    blocks, with no concatenated matrix allocated.
+    :meth:`merge` builds the union of two slices, as one gathered copy, for
+    callers that want a single id-addressed object.
     """
 
     def __init__(self, kind: str, profiles: Optional[Dict[int, object]], dim: int = 0,
@@ -167,18 +172,16 @@ class ProfileSlice:
         if kind not in ("sparse", "dense"):
             raise ValueError(f"kind must be 'sparse' or 'dense', got {kind!r}")
         self.kind = kind
-        self._dim = dim
         if profiles is not None:
             self._user_ids = np.asarray(sorted(profiles), dtype=np.int64)
         elif user_ids is not None and (matrix is not None or csr is not None):
-            # array fast path: rows correspond to the (sorted) ``user_ids``,
-            # no per-user dict required
+            # rows correspond to the (sorted) ``user_ids``
             self._user_ids = np.asarray(user_ids, dtype=np.int64)
         else:
             raise ValueError("provide a profiles dict, or user_ids plus matrix/csr")
-        self._blocks: Optional[List[Tuple[np.ndarray, np.ndarray, np.ndarray]]] = None
-        self._row_block: Optional[np.ndarray] = None
-        self._row_local: Optional[np.ndarray] = None
+        self._matrix: Optional[np.ndarray] = None
+        self._norms: Optional[np.ndarray] = None
+        self._csr: Optional[_measures.SetProfileCSR] = None
         if kind == "dense":
             if matrix is not None:
                 self._matrix = matrix
@@ -186,60 +189,13 @@ class ProfileSlice:
                 self._matrix = np.vstack([profiles[int(user)] for user in self._user_ids])
             else:
                 self._matrix = np.zeros((0, dim), dtype=np.float64)
-            self._dim = self._matrix.shape[1] if self._matrix.size else dim
-            self._csr = None
-            self._profiles = None
             self._norms = (np.asarray(norms, dtype=np.float64) if norms is not None
                            else np.linalg.norm(self._matrix, axis=1))
+        elif csr is not None:
+            self._csr = csr
         else:
-            self._matrix = None
-            self._norms = None
-            if csr is not None:
-                self._profiles = None
-                self._csr = csr
-            else:
-                self._profiles = profiles
-                self._csr = _measures.SetProfileCSR.from_sets(
-                    [profiles[int(user)] for user in self._user_ids])
-
-    @classmethod
-    def _from_dense_blocks(cls, blocks: List[Tuple[np.ndarray, np.ndarray, np.ndarray]],
-                           user_ids: np.ndarray, row_block: np.ndarray,
-                           row_local: np.ndarray, dim: int) -> "ProfileSlice":
-        """A multi-block dense slice over existing row blocks (no matrix copy)."""
-        piece = cls.__new__(cls)
-        piece.kind = "dense"
-        piece._dim = dim
-        piece._user_ids = user_ids
-        piece._profiles = None
-        piece._csr = None
-        piece._matrix = None
-        piece._norms = None
-        piece._blocks = blocks
-        piece._row_block = row_block
-        piece._row_local = row_local
-        return piece
-
-    def _dense_blocks(self) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """This slice's dense row blocks as ``(user_ids, matrix, norms)`` triples."""
-        if self._blocks is not None:
-            return self._blocks
-        return [(self._user_ids, self._matrix, self._norms)]
-
-    def _take_dense(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Gather ``(matrix_rows, norm_rows)`` across however many blocks back them."""
-        if self._matrix is not None:
-            return self._matrix[rows], self._norms[rows]
-        out = np.empty((len(rows), self._dim), dtype=np.float64)
-        norms = np.empty(len(rows), dtype=np.float64)
-        block_of = self._row_block[rows]
-        local = self._row_local[rows]
-        for index, (_, block_matrix, block_norms) in enumerate(self._blocks):
-            mask = block_of == index
-            if mask.any():
-                out[mask] = block_matrix[local[mask]]
-                norms[mask] = block_norms[local[mask]]
-        return out, norms
+            self._csr = _measures.SetProfileCSR.from_sets(
+                [profiles[int(user)] for user in self._user_ids])
 
     def _rows_for(self, user_ids: np.ndarray) -> np.ndarray:
         """Map loaded user ids to row indices, raising ``KeyError`` on misses."""
@@ -284,19 +240,8 @@ class ProfileSlice:
 
     @property
     def matrix(self) -> Optional[np.ndarray]:
-        """The dense profile matrix (``None`` for sparse and multi-block slices)."""
+        """The dense profile matrix (``None`` for sparse slices)."""
         return self._matrix
-
-    @property
-    def matrix_blocks(self) -> Optional[Tuple[np.ndarray, ...]]:
-        """The dense row blocks backing this slice (``None`` for sparse ones).
-
-        A slice loaded from one partition has a single block; a merged
-        two-partition slice keeps both partitions' mapped blocks as-is.
-        """
-        if self.kind != "dense":
-            return None
-        return tuple(matrix for _, matrix, _ in self._dense_blocks())
 
     def __len__(self) -> int:
         return len(self._user_ids)
@@ -307,76 +252,26 @@ class ProfileSlice:
         return position < len(users) and int(users[position]) == user
 
     def get(self, user: int):
-        if self.kind == "sparse":
-            if self._profiles is not None:
-                try:
-                    return self._profiles[user]
-                except KeyError:
-                    raise KeyError(
-                        f"user {user} is not loaded in this profile slice") from None
-            row = int(self._rows_for(np.asarray([user], dtype=np.int64))[0])
-            return set(self._csr.row_items(row).tolist())
         row = int(self._rows_for(np.asarray([user], dtype=np.int64))[0])
-        if self._matrix is not None:
-            return self._matrix[row]
-        block = int(self._row_block[row])
-        return self._blocks[block][1][int(self._row_local[row])]
-
-    def _as_profiles_dict(self) -> Dict[int, object]:
-        """Sparse slice as a ``user -> item set`` dict (merge fallback)."""
-        if self._profiles is not None:
-            return dict(self._profiles)
-        return {int(user): self.get(int(user)) for user in self._user_ids}
+        if self.kind == "sparse":
+            return set(self._csr.row_items(row).tolist())
+        return self._matrix[row]
 
     def merge(self, other: "ProfileSlice") -> "ProfileSlice":
-        """Union of two slices (used when both partitions' profiles are resident).
+        """Union of two slices as one gathered copy.
 
-        Dense slices with disjoint user sets — always the case for two
-        partitions — merge into a multi-block slice referencing the original
-        row blocks: no matrix is allocated or copied.  Overlapping dense
-        slices fall back to a gathered copy with ``dict.update`` semantics
-        (the other slice's row wins).
+        A user present in both keeps the *other* slice's row
+        (``dict.update`` semantics).  Sparse slices must share one item
+        coding, which two slices of one store always do.
         """
-        if other.kind != self.kind:
-            raise ValueError("cannot merge slices of different profile kinds")
-        if self.kind == "sparse":
-            if self._mergeable_csr(other):
-                return self._merge_sparse_arrays(other)
-            combined = self._as_profiles_dict()
-            combined.update(other._as_profiles_dict())
-            return ProfileSlice(self.kind, combined, dim=self._dim or other._dim)
-        blocks = self._dense_blocks() + other._dense_blocks()
-        users = np.concatenate([ids for ids, _, _ in blocks])
-        order = np.argsort(users, kind="stable")
-        sorted_users = users[order]
-        if len(sorted_users) <= 1 or not bool(
-                (sorted_users[1:] == sorted_users[:-1]).any()):
-            sizes = [len(ids) for ids, _, _ in blocks]
-            row_block = np.repeat(np.arange(len(blocks), dtype=np.int64),
-                                  sizes)[order]
-            row_local = np.concatenate(
-                [np.arange(size, dtype=np.int64) for size in sizes])[order]
-            dim = self._dim or other._dim
-            return ProfileSlice._from_dense_blocks(blocks, sorted_users,
-                                                   row_block, row_local, dim)
-        # overlapping users: gather both sides and keep the other slice's row
-        # for any user present in both (dict.update semantics)
-        self_matrix, self_norms = self._take_dense(
-            np.arange(len(self._user_ids), dtype=np.int64))
-        other_matrix, other_norms = other._take_dense(
-            np.arange(len(other._user_ids), dtype=np.int64))
         users = np.concatenate([self._user_ids, other._user_ids])
-        matrix = np.concatenate([self_matrix, other_matrix], axis=0)
-        norms = np.concatenate([self_norms, other_norms])
+        # stable sort keeps other's row after self's for a shared user, so
+        # keeping the last occurrence lets the other slice win
         order = np.argsort(users, kind="stable")
-        users, matrix, norms = users[order], matrix[order], norms[order]
-        if len(users) > 1:
-            last = np.empty(len(users), dtype=bool)
-            last[-1] = True
-            np.not_equal(users[:-1], users[1:], out=last[:-1])
-            users, matrix, norms = users[last], matrix[last], norms[last]
-        return ProfileSlice(self.kind, None, dim=self._dim or other._dim,
-                            user_ids=users, matrix=matrix, norms=norms)
+        users = users[order]
+        last = np.ones(len(users), dtype=bool)
+        last[:-1] = users[:-1] != users[1:]
+        return self._gathered(other, users[last], order[last])
 
     def merge_indexed(self, other: "ProfileSlice", user_ids: np.ndarray,
                       order: np.ndarray) -> "ProfileSlice":
@@ -384,13 +279,10 @@ class ProfileSlice:
 
         ``order`` is the stable argsort of the concatenated
         ``[self.user_ids, other.user_ids]`` and ``user_ids`` the resulting
-        sorted ids — exactly what :meth:`merge` computes internally for the
-        disjoint case, for a caller that already has them.  Results are
-        identical to :meth:`merge` for disjoint user sets; overlapping ids
-        are rejected (the index encodes no ``dict.update`` winner).
+        sorted ids — what :meth:`merge` computes internally, for a caller
+        that already has them.  Overlapping ids are rejected (the index
+        encodes no ``dict.update`` winner).
         """
-        if other.kind != self.kind:
-            raise ValueError("cannot merge slices of different profile kinds")
         user_ids = np.asarray(user_ids, dtype=np.int64)
         order = np.asarray(order, dtype=np.int64)
         total = len(self._user_ids) + len(other._user_ids)
@@ -401,53 +293,48 @@ class ProfileSlice:
         if total > 1 and bool((user_ids[1:] == user_ids[:-1]).any()):
             raise ValueError("merge_indexed requires disjoint user sets; "
                              "use merge() for overlapping slices")
+        return self._gathered(other, user_ids, order)
+
+    def _gathered(self, other: "ProfileSlice", user_ids: np.ndarray,
+                  rows: np.ndarray) -> "ProfileSlice":
+        """Rows ``rows`` of the row stack ``[self; other]``, held under ``user_ids``."""
+        self._check_combinable(other, "merge")
         if self.kind == "sparse":
-            if not self._mergeable_csr(other):
-                # dict-based (v1) slices cannot gather by row index
-                return self.merge(other)
-            merged = _measures.SetProfileCSR.merged_subset(self._csr, other._csr,
-                                                           order)
-            return ProfileSlice("sparse", None, dim=self._dim or other._dim,
-                                user_ids=user_ids, csr=merged)
-        blocks = self._dense_blocks() + other._dense_blocks()
-        starts = np.zeros(len(blocks) + 1, dtype=np.int64)
-        np.cumsum([len(ids) for ids, _, _ in blocks], out=starts[1:])
-        row_block = np.searchsorted(starts, order, side="right") - 1
-        row_local = order - starts[row_block]
-        return ProfileSlice._from_dense_blocks(blocks, user_ids, row_block,
-                                               row_local,
-                                               self._dim or other._dim)
+            a, b = self._csr, other._csr
+            from_b = rows >= a.num_rows
+            indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+            np.cumsum(np.concatenate([np.diff(a.indptr), np.diff(b.indptr)])[rows],
+                      out=indptr[1:])
+            codes = np.empty(int(indptr[-1]), dtype=np.int64)
+            for csr, mine, first in ((a, ~from_b, 0), (b, from_b, a.num_rows)):
+                _fill_rows(codes, indptr, np.flatnonzero(mine), csr.indptr,
+                           csr.codes, rows[mine] - first)
+            # rows are copied verbatim, so their code order survives
+            csr = _measures.SetProfileCSR(
+                indptr, codes, a.num_items, item_ids=a.item_ids,
+                rows_sorted=a.rows_sorted and b.rows_sorted)
+            return ProfileSlice("sparse", None, user_ids=user_ids, csr=csr)
+        return ProfileSlice(
+            "dense", None, user_ids=user_ids,
+            matrix=np.concatenate([self._matrix, other._matrix])[rows],
+            norms=np.concatenate([self._norms, other._norms])[rows])
 
-    def _mergeable_csr(self, other: "ProfileSlice") -> bool:
-        """True when both sparse slices hold CSRs under one item coding."""
-        if self._profiles is not None or other._profiles is not None:
-            return False
+    def _check_combinable(self, other: "ProfileSlice", verb: str) -> None:
+        """Raise ``ValueError`` unless both slices are one kind and, when
+        sparse, hold their CSRs under one item coding."""
+        if other.kind != self.kind:
+            raise ValueError(f"cannot {verb} slices of different profile kinds")
+        if self.kind == "dense":
+            return
         a, b = self._csr.item_ids, other._csr.item_ids
-        if self._csr.num_items != other._csr.num_items:
-            return False
-        if a is None or b is None:
-            # raw-code CSRs: equal code spaces are only comparable when both
-            # lack a decode table (codes are then the item ids themselves)
-            return a is None and b is None
         # slices from one store share the store's single mapped item table,
-        # so identity settles the common case without an O(num_items) scan
-        return a is b or np.array_equal(a, b)
-
-    def _merge_sparse_arrays(self, other: "ProfileSlice") -> "ProfileSlice":
-        users = np.concatenate([self._user_ids, other._user_ids])
-        rows = np.arange(len(users), dtype=np.int64)
-        order = np.argsort(users, kind="stable")
-        users, rows = users[order], rows[order]
-        if len(users) > 1:
-            # stable sort keeps other's row after self's for a shared user;
-            # keeping the last occurrence reproduces dict.update semantics
-            last = np.empty(len(users), dtype=bool)
-            last[-1] = True
-            np.not_equal(users[:-1], users[1:], out=last[:-1])
-            users, rows = users[last], rows[last]
-        merged = _measures.SetProfileCSR.merged_subset(self._csr, other._csr, rows)
-        return ProfileSlice("sparse", None, dim=self._dim or other._dim,
-                            user_ids=users, csr=merged)
+        # so identity settles the common case without an O(num_items) scan;
+        # a raw-code CSR (no decode table) never matches a coded one
+        if self._csr.num_items != other._csr.num_items or not (
+                a is b or (a is not None and b is not None
+                           and np.array_equal(a, b))):
+            raise ValueError(f"cannot {verb} sparse slices under different item "
+                             "codings; load both from one store")
 
     def _check_measure(self, measure: str) -> None:
         _measures.get_measure(measure)
@@ -462,10 +349,10 @@ class ProfileSlice:
 
         ``other`` may be this slice (tuples inside one partition) or the
         slice of another partition; each side is gathered where it lies.
-        Rows outside ``[0, len(slice))`` raise ``IndexError``.
+        Rows outside ``[0, len(slice))`` raise ``IndexError``; two sparse
+        slices under different item codings raise ``ValueError``.
         """
-        if other.kind != self.kind:
-            raise ValueError("cannot score slices of different profile kinds")
+        self._check_combinable(other, "score")
         left_rows = self._checked_rows(left_rows)
         right_rows = other._checked_rows(right_rows)
         if len(left_rows) != len(right_rows):
@@ -473,23 +360,17 @@ class ProfileSlice:
         self._check_measure(measure)
         if len(left_rows) == 0:
             return np.zeros(0, dtype=np.float64)
-        if self.kind == "dense":
-            left, left_norms = self._take_dense(left_rows)
-            right, right_norms = other._take_dense(right_rows)
-            if measure == "cosine":
-                # row norms are precomputed once per slice (or read straight
-                # from the store's norm file)
-                return _measures.cosine_from_norms(left, right,
-                                                   left_norms, right_norms)
-            return _measures.vector_measure_batch(measure, left, right)
-        if other is not self and not self._mergeable_csr(other):
-            # dict-built slices carry one item coding each: score the pairs
-            # through the (re-coded) union instead
-            return self.merge(other).similarity_pairs(
-                np.column_stack([self._user_ids[left_rows],
-                                 other._user_ids[right_rows]]), measure)
-        return self._csr.measure_pairs(measure, left_rows, right_rows,
-                                       other._csr)
+        if self.kind == "sparse":
+            return self._csr.measure_pairs(measure, left_rows, right_rows,
+                                           other._csr)
+        left, right = self._matrix[left_rows], other._matrix[right_rows]
+        if measure == "cosine":
+            # row norms are precomputed once per slice (or read straight
+            # from the store's norm file)
+            return _measures.cosine_from_norms(left, right,
+                                               self._norms[left_rows],
+                                               other._norms[right_rows])
+        return _measures.vector_measure_batch(measure, left, right)
 
     def similarity_pairs(self, pairs: np.ndarray, measure: str) -> np.ndarray:
         """Vectorised similarity for an ``(n, 2)`` array of loaded user ids
@@ -505,8 +386,8 @@ class ProfileSlice:
 
 
 @dataclass
-class _SparseV3State:
-    """Lazily-opened mapped state of a segmented (v3) sparse store."""
+class _SparseState:
+    """Lazily-opened mapped state of a sparse store."""
 
     bounds: np.ndarray                 # segment boundaries, len num_segments+1
     seg_indptr: List[np.ndarray]       # per-segment local indptr maps
@@ -524,9 +405,9 @@ def _fill_rows(out_codes: np.ndarray, out_indptr: np.ndarray,
                src_codes: np.ndarray, src_rows: np.ndarray) -> None:
     """Copy CSR rows ``src_rows`` into ``out_codes`` at positions ``out_rows``.
 
-    One gather per source array — the same single-copy pattern as
-    :meth:`SetProfileCSR.merged_subset` — so assembling a slice from several
-    segments plus the journal never concatenates intermediate arrays.
+    One gather per source array, so assembling a slice from several
+    segments plus the journal (or merging two slices) never concatenates
+    intermediate arrays.
     """
     src_rows = np.asarray(src_rows, dtype=np.int64)
     starts = np.asarray(src_indptr, dtype=np.int64)[src_rows]
@@ -544,31 +425,23 @@ class OnDiskProfileStore:
     _META_NAME = "profiles_meta.json"
     _DENSE_NAME = "profiles_dense.bin"
     _NORMS_NAME = "profiles_norms.bin"
-    _SPARSE_INDPTR = "profiles_indptr.bin"
-    _SPARSE_ITEMS = "profiles_items.bin"      # v1: raw item ids; v2: item codes
-    _SPARSE_ITEM_IDS = "profiles_item_ids.bin"  # v2+: code→item-id table
-    _SEG_PREFIX = "profiles_seg_"                          # v3 only
+    _SPARSE_ITEM_IDS = "profiles_item_ids.bin"  # code→item-id table
+    _SEG_PREFIX = "profiles_seg_"
     _SEG_INDPTR_TMPL = _SEG_PREFIX + "{0:05d}_indptr.bin"
     _SEG_CODES_TMPL = _SEG_PREFIX + "{0:05d}_codes.bin"
-    _JOURNAL_ROWS = "profiles_journal_rows.bin"            # v3 only
-    _JOURNAL_INDPTR = "profiles_journal_indptr.bin"        # v3 only
-    _JOURNAL_CODES = "profiles_journal_codes.bin"          # v3 only
+    _JOURNAL_ROWS = "profiles_journal_rows.bin"
+    _JOURNAL_INDPTR = "profiles_journal_indptr.bin"
+    _JOURNAL_CODES = "profiles_journal_codes.bin"
 
     def __init__(self, base_dir: PathLike, disk_model: Union[str, DiskModel] = "ssd",
                  io_stats: Optional[IOStats] = None,
-                 format_version: int = FORMAT_VERSION,
                  segment_bounds: Optional[Sequence[int]] = None,
                  journal_limit: Optional[int] = None,
                  verify: bool = False):
-        # version 1 is read-only legacy (there has never been a v1 writer)
-        if not 2 <= format_version <= FORMAT_VERSION:
-            raise ValueError(f"format_version must be 2..{FORMAT_VERSION}, "
-                             f"got {format_version}")
+        # opening is not creating: the directory is made by the first write
         self._base_dir = Path(base_dir)
-        self._base_dir.mkdir(parents=True, exist_ok=True)
         self._disk = get_disk_model(disk_model)
         self.io_stats = io_stats if io_stats is not None else IOStats()
-        self._target_version = int(format_version)
         self._segment_bounds_hint = (list(segment_bounds)
                                      if segment_bounds is not None else None)
         self._journal_limit_override = journal_limit
@@ -579,22 +452,35 @@ class OnDiskProfileStore:
         self._meta: Optional[dict] = None
         # lazily-opened memory maps shared by every slice this store serves
         # (invalidated when a rewrite replaces the files)
-        self._dense_mapped: Optional[Tuple[np.ndarray, Optional[np.ndarray]]] = None
-        self._sparse_mapped: Optional[
-            Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-        self._v3_state: Optional[_SparseV3State] = None
+        self._dense_mapped: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._sparse_state: Optional[_SparseState] = None
         self._item_code_cache: Optional[Dict[int, int]] = None
-        meta_path = self._base_dir / self._META_NAME
-        if meta_path.exists():
-            self._meta = json.loads(meta_path.read_text())
         # touched-row delta log: (generation, sorted touched rows) per applied
         # batch, contiguous back to _delta_floor.  Opening a store by path
         # starts with empty history — whatever happened before is unknown.
         self._delta_log: List[Tuple[int, np.ndarray]] = []
-        self._delta_floor: int = (int(self._meta.get("generation", 0))
-                                  if self._meta else 0)
-        if self._verify_on_open and self._meta is not None:
-            self.verify_checksums(strict=True)
+        self._delta_floor = 0
+        self.reload()
+
+    def _read_meta(self) -> Optional[dict]:
+        """The store's meta (``None`` before ``create()``), behind the format
+        gate: anything but the current layout raises :class:`StoreFormatError`.
+        A meta without ``format_version`` is a version-1 store (the key did
+        not exist yet); versions 1 and 2 are pointed at ``migrate``.
+        """
+        meta_path = self._base_dir / self._META_NAME
+        if not meta_path.exists():
+            return None
+        meta = json.loads(meta_path.read_text())
+        kind, version = meta.get("kind"), meta.get("format_version", 1)
+        if kind not in ("dense", "sparse") or version != FORMAT_VERSION:
+            remedy = (f"; run `python -m repro migrate {self._base_dir}` to "
+                      "rewrite it in place" if version in (1, 2) else "")
+            raise StoreFormatError(
+                f"profile store under {self._base_dir} has kind {kind!r} and "
+                f"format_version {version!r}; only dense and sparse stores of "
+                f"format_version {FORMAT_VERSION} can be opened{remedy}")
+        return meta
 
     # -- creation ------------------------------------------------------------
 
@@ -602,29 +488,23 @@ class OnDiskProfileStore:
     def create(cls, base_dir: PathLike, store: ProfileStoreBase,
                disk_model: Union[str, DiskModel] = "ssd",
                io_stats: Optional[IOStats] = None,
-               format_version: int = FORMAT_VERSION,
                segment_bounds: Optional[Sequence[int]] = None,
                journal_limit: Optional[int] = None) -> "OnDiskProfileStore":
         """Persist an in-memory profile store and return the on-disk handle.
 
-        ``format_version`` pins the written layout (v2 is kept writable for
-        compatibility tests and fixtures; v1 is read-only legacy and is
-        rejected here); ``segment_bounds``
-        aligns the v3 sparse segments with the engine's partition split; and
-        ``journal_limit`` caps the v3 row-remap journal before it is folded
-        back into the segments (default: about one segment's rows).
+        ``segment_bounds`` aligns the sparse segments with the engine's
+        partition split, and ``journal_limit`` caps the row-remap journal
+        before it is folded back into the segments (default: about one
+        segment's rows).
         """
         on_disk = cls(base_dir, disk_model=disk_model, io_stats=io_stats,
-                      format_version=format_version,
                       segment_bounds=segment_bounds, journal_limit=journal_limit)
         on_disk._write_full(store)
         return on_disk
 
-    def _next_generation(self) -> int:
-        return int(self._meta.get("generation", 0)) + 1 if self._meta else 0
-
     def _write_full(self, store: ProfileStoreBase) -> None:
-        generation = self._next_generation()
+        generation = int(self._meta.get("generation", 0)) + 1 if self._meta else 0
+        self._base_dir.mkdir(parents=True, exist_ok=True)
         if isinstance(store, DenseProfileStore):
             matrix = store.matrix.astype(np.float64)
             _atomic_tofile(matrix, self._base_dir / self._DENSE_NAME, self.fault_plan)
@@ -632,7 +512,7 @@ class OnDiskProfileStore:
             _atomic_tofile(norms, self._base_dir / self._NORMS_NAME, self.fault_plan)
             self._meta = {"kind": "dense", "num_users": store.num_users,
                           "dim": store.dim,
-                          "format_version": self._target_version,
+                          "format_version": FORMAT_VERSION,
                           "generation": generation}
             self._set_crc(self._DENSE_NAME, matrix)
             self._set_crc(self._NORMS_NAME, norms)
@@ -640,10 +520,7 @@ class OnDiskProfileStore:
             self.io_stats.record_write(total,
                                        self._disk.write_cost(total, sequential=True))
         elif isinstance(store, SparseProfileStore):
-            if self._target_version >= 3:
-                self._write_sparse_v3(store, generation)
-            else:
-                self._write_sparse_v2(store, generation)
+            self._write_sparse(store, generation)
         else:
             raise TypeError(f"unsupported profile store type: {type(store).__name__}")
         self._write_meta()
@@ -652,27 +529,7 @@ class OnDiskProfileStore:
         # every row may have changed; restart the delta history here
         self._reset_delta_log()
 
-    def _write_sparse_v2(self, store: SparseProfileStore, generation: int) -> None:
-        csr = store.incidence()
-        indptr = np.asarray(csr.indptr, dtype=np.int64)
-        codes = np.asarray(csr.codes, dtype=np.int64)
-        item_ids = (np.asarray(csr.item_ids, dtype=np.int64)
-                    if csr.item_ids is not None else np.empty(0, dtype=np.int64))
-        _atomic_tofile(indptr, self._base_dir / self._SPARSE_INDPTR, self.fault_plan)
-        _atomic_tofile(codes, self._base_dir / self._SPARSE_ITEMS, self.fault_plan)
-        _atomic_tofile(item_ids, self._base_dir / self._SPARSE_ITEM_IDS,
-                       self.fault_plan)
-        self._meta = {"kind": "sparse", "num_users": store.num_users,
-                      "num_items": csr.num_items, "format_version": 2,
-                      "row_codes_sorted": bool(csr.rows_sorted),
-                      "generation": generation}
-        self._set_crc(self._SPARSE_INDPTR, indptr)
-        self._set_crc(self._SPARSE_ITEMS, codes)
-        self._set_crc(self._SPARSE_ITEM_IDS, item_ids)
-        total = indptr.nbytes + codes.nbytes + item_ids.nbytes
-        self.io_stats.record_write(total, self._disk.write_cost(total, sequential=True))
-
-    def _write_sparse_v3(self, store: SparseProfileStore, generation: int) -> None:
+    def _write_sparse(self, store: SparseProfileStore, generation: int) -> None:
         csr = store.incidence()  # from_sets sorts each row's codes
         indptr = np.asarray(csr.indptr, dtype=np.int64)
         codes = np.asarray(csr.codes, dtype=np.int64)
@@ -698,17 +555,13 @@ class OnDiskProfileStore:
         for name in (self._JOURNAL_ROWS, self._JOURNAL_INDPTR, self._JOURNAL_CODES):
             _atomic_write_bytes(b"", self._base_dir / name, self.fault_plan)
             crcs[name] = 0  # zlib.crc32(b"")
-        # stale files from other layouts (upgrades) or shrunken segment counts
-        for name in (self._SPARSE_INDPTR, self._SPARSE_ITEMS):
-            path = self._base_dir / name
-            if path.exists():
-                path.unlink()
+        # stale segment files of a shrunken segment count
         for path in self._base_dir.glob("profiles_seg_*.bin"):
             index = int(path.stem.split("_")[2])
             if index >= len(bounds) - 1:
                 path.unlink()
         self._meta = {"kind": "sparse", "num_users": store.num_users,
-                      "num_items": csr.num_items, "format_version": 3,
+                      "num_items": csr.num_items, "format_version": FORMAT_VERSION,
                       "segment_bounds": [int(b) for b in bounds],
                       "journal_entries": 0, "generation": generation,
                       "crc32": crcs}
@@ -730,8 +583,7 @@ class OnDiskProfileStore:
 
     def _invalidate_maps(self) -> None:
         self._dense_mapped = None
-        self._sparse_mapped = None
-        self._v3_state = None
+        self._sparse_state = None
         # full rewrites recode items; journal appends extend the cached map
         # in place instead (the item table is append-only between rewrites)
         self._item_code_cache = None
@@ -744,8 +596,7 @@ class OnDiskProfileStore:
         replace journal/segment files, so cached maps (and any slices built
         on them) must be re-opened before the next load.
         """
-        meta_path = self._base_dir / self._META_NAME
-        self._meta = json.loads(meta_path.read_text()) if meta_path.exists() else None
+        self._meta = self._read_meta()
         self._invalidate_maps()
         # the files may have been rewritten by another process; any delta
         # history collected through this handle no longer describes them
@@ -764,18 +615,16 @@ class OnDiskProfileStore:
     def linkable_snapshot_file(name: str) -> bool:
         """Whether a store file is safe to *hard-link* into a snapshot.
 
-        Lives next to the write paths it describes: segment files and the
-        monolithic v1/v2 CSR files are only ever replaced atomically via
-        rename (:func:`_atomic_tofile`), so a link keeps the old bytes.
+        Lives next to the write paths it describes: segment files are only
+        ever replaced atomically via rename (:func:`_atomic_tofile`), so a
+        link keeps the old bytes.
         The meta file is rewritten in place, the journal and item table
         are appended in place, and dense matrices/norms are updated
         through a writable memmap — those must be copied.  Any new store
         file defaults to copy until explicitly added here alongside an
         atomic-replace write path.
         """
-        return (name.startswith(OnDiskProfileStore._SEG_PREFIX)
-                or name in (OnDiskProfileStore._SPARSE_INDPTR,
-                            OnDiskProfileStore._SPARSE_ITEMS))
+        return name.startswith(OnDiskProfileStore._SEG_PREFIX)
 
     @property
     def kind(self) -> str:
@@ -791,12 +640,6 @@ class OnDiskProfileStore:
     def dim(self) -> int:
         self._require_meta()
         return int(self._meta.get("dim", 0))
-
-    @property
-    def format_version(self) -> int:
-        """On-disk layout version (1 = pre-norms/raw-item layout)."""
-        self._require_meta()
-        return int(self._meta.get("format_version", 1))
 
     @property
     def generation(self) -> int:
@@ -889,19 +732,12 @@ class OnDiskProfileStore:
             return self.dim * 8
         if self.num_users == 0:
             return 0
-        if self.format_version >= 3:
-            total_items = int(self._v3().row_sizes.sum())
-            return max(8, (total_items * 8) // self.num_users)
-        indptr_path = self._base_dir / self._SPARSE_INDPTR
-        if not indptr_path.exists():
-            return 0
-        indptr = np.fromfile(indptr_path, dtype=np.int64)
-        total_items = int(indptr[-1]) if len(indptr) else 0
-        return max(8, (total_items * 8) // max(1, self.num_users))
+        total_items = int(self._sparse().row_sizes.sum())
+        return max(8, (total_items * 8) // self.num_users)
 
     # -- slice loading ---------------------------------------------------------
 
-    def _dense_maps(self) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    def _dense_maps(self) -> Tuple[np.ndarray, np.ndarray]:
         """The store's read-only (matrix, norms) maps, opened once.
 
         Handed out as plain ``ndarray`` views (the mapping stays alive
@@ -911,12 +747,10 @@ class OnDiskProfileStore:
         if self._dense_mapped is None:
             mm = np.memmap(self._base_dir / self._DENSE_NAME, dtype=np.float64,
                            mode="r", shape=(self.num_users, self.dim))
-            norms_path = self._base_dir / self._NORMS_NAME
-            norms_mm = (np.memmap(norms_path, dtype=np.float64, mode="r",
-                                  shape=(self.num_users,))
-                        if self.format_version >= 2 and norms_path.exists() else None)
-            self._dense_mapped = (np.asarray(mm),
-                                  np.asarray(norms_mm) if norms_mm is not None else None)
+            norms_mm = np.memmap(self._base_dir / self._NORMS_NAME,
+                                 dtype=np.float64, mode="r",
+                                 shape=(self.num_users,))
+            self._dense_mapped = (np.asarray(mm), np.asarray(norms_mm))
         return self._dense_mapped
 
     def _map_int64(self, name: str) -> np.ndarray:
@@ -927,22 +761,9 @@ class OnDiskProfileStore:
             return np.empty(0, dtype=np.int64)
         return np.asarray(np.memmap(path, dtype=np.int64, mode="r"))
 
-    def _sparse_maps(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The store's read-only v1/v2 (indptr, codes, item_ids) maps, opened once.
-
-        Sharing one ``item_ids`` array across every slice also lets two
-        slices recognise a common item coding by identity instead of
-        comparing item tables element-wise.
-        """
-        if self._sparse_mapped is None:
-            self._sparse_mapped = (self._map_int64(self._SPARSE_INDPTR),
-                                   self._map_int64(self._SPARSE_ITEMS),
-                                   self._map_int64(self._SPARSE_ITEM_IDS))
-        return self._sparse_mapped
-
-    def _v3(self) -> _SparseV3State:
-        """The segmented store's mapped segments, journal and derived indexes."""
-        if self._v3_state is None:
+    def _sparse(self) -> _SparseState:
+        """The sparse store's mapped segments, journal and derived indexes."""
+        if self._sparse_state is None:
             bounds = np.asarray(self._meta["segment_bounds"], dtype=np.int64)
             seg_indptr = [self._map_int64(self._SEG_INDPTR_TMPL.format(index))
                           for index in range(len(bounds) - 1)]
@@ -967,11 +788,11 @@ class OnDiskProfileStore:
             if len(j_rows):
                 row_sizes = row_sizes.copy()
                 row_sizes[j_rows] = np.diff(j_indptr)
-            self._v3_state = _SparseV3State(
+            self._sparse_state = _SparseState(
                 bounds=bounds, seg_indptr=seg_indptr, seg_codes=seg_codes,
                 item_ids=item_ids, j_rows=j_rows, j_indptr=j_indptr,
                 j_codes=j_codes, j_of=j_of, row_sizes=row_sizes)
-        return self._v3_state
+        return self._sparse_state
 
     def _read_int64(self, name: str) -> np.ndarray:
         path = self._base_dir / name
@@ -1005,11 +826,7 @@ class OnDiskProfileStore:
         self._charge_ranges(ranges)
         if self._meta["kind"] == "dense":
             return self._load_dense(ids, ranges)
-        if self.format_version >= 3:
-            return self._load_sparse_v3(ids, ranges)
-        if self.format_version == 2:
-            return self._load_sparse_v2(ids, ranges)
-        return self._load_sparse_v1(ranges)
+        return self._load_sparse(ids, ranges)
 
     def _validated_ids(self, user_ids: Iterable[int]
                        ) -> Tuple[np.ndarray, List[Tuple[int, int]]]:
@@ -1046,7 +863,7 @@ class OnDiskProfileStore:
             return
         sequential = len(ranges) == 1
         if self._meta["kind"] == "dense":
-            row_bytes = self.dim * 8 + (8 if self.format_version >= 2 else 0)
+            row_bytes = self.dim * 8 + 8   # the row plus its stored norm
             cost_of: Dict[int, float] = {}   # runs of equal length cost the same
             for start, stop in ranges:
                 nbytes = (stop - start) * row_bytes
@@ -1056,47 +873,33 @@ class OnDiskProfileStore:
                         nbytes, sequential=sequential)
                 self.io_stats.record_read(nbytes, cost)
             return
-        if self.format_version >= 3:
-            row_sizes = self._v3().row_sizes
-            for start, stop in ranges:
-                nbytes = (int(row_sizes[start:stop].sum())
-                          + (stop - start + 1)) * 8
-                self.io_stats.record_read(
-                    nbytes, self._disk.mapped_read_cost(nbytes, sequential=sequential))
-            return
-        indptr = self._sparse_maps()[0]
-        if self.format_version < 2:
-            # the v1 loader reads the whole indptr array up front
-            self.io_stats.record_read(indptr.nbytes,
-                                      self._disk.read_cost(indptr.nbytes, sequential=True))
+        row_sizes = self._sparse().row_sizes
         for start, stop in ranges:
-            nbytes = int(indptr[stop] - indptr[start]) * 8
-            if self.format_version >= 2:
-                nbytes += (stop - start + 1) * 8  # the indptr slice itself
+            # the rows' codes plus the indptr slice itself
+            nbytes = (int(row_sizes[start:stop].sum()) + (stop - start + 1)) * 8
             self.io_stats.record_read(
                 nbytes, self._disk.mapped_read_cost(nbytes, sequential=sequential))
 
     def _load_dense(self, ids: np.ndarray,
                     ranges: List[Tuple[int, int]]) -> ProfileSlice:
-        dim = self.dim
         if not ranges:
-            return ProfileSlice("dense", {}, dim=dim)
+            return ProfileSlice("dense", {}, dim=self.dim)
         matrix_map, norms_map = self._dense_maps()
         if len(ranges) == 1:
             start, stop = ranges[0]
             matrix = matrix_map[start:stop]  # zero-copy read-only view
-            norms = norms_map[start:stop] if norms_map is not None else None
+            norms = norms_map[start:stop]
         else:
             matrix = matrix_map[ids]
             matrix.flags.writeable = False
-            norms = norms_map[ids] if norms_map is not None else None
-        return ProfileSlice("dense", None, dim=dim, user_ids=ids,
+            norms = norms_map[ids]
+        return ProfileSlice("dense", None, user_ids=ids,
                             matrix=matrix, norms=norms)
 
-    def _load_sparse_v3(self, ids: np.ndarray,
+    def _load_sparse(self, ids: np.ndarray,
                         ranges: List[Tuple[int, int]]) -> ProfileSlice:
         num_items = int(self._meta.get("num_items", 0))
-        state = self._v3()
+        state = self._sparse()
         if len(ranges) == 1:
             # zero-copy fast path: one id run inside one segment, with no
             # journaled rows — the common case when segment bounds follow the
@@ -1137,43 +940,7 @@ class OnDiskProfileStore:
                                       item_ids=state.item_ids, rows_sorted=True)
         return ProfileSlice("sparse", None, user_ids=ids, csr=csr)
 
-    def _load_sparse_v2(self, ids: np.ndarray,
-                        ranges: List[Tuple[int, int]]) -> ProfileSlice:
-        num_items = int(self._meta.get("num_items", 0))
-        rows_sorted = bool(self._meta.get("row_codes_sorted", False))
-        indptr_map, codes_map, item_ids = self._sparse_maps()
-        if len(ranges) == 1:
-            start, stop = ranges[0]
-            base = int(indptr_map[start])
-            indptr = indptr_map[start:stop + 1] - base
-            codes = codes_map[base:int(indptr_map[stop])]
-        else:
-            sizes = indptr_map[ids + 1] - indptr_map[ids]
-            indptr = np.zeros(len(ids) + 1, dtype=np.int64)
-            np.cumsum(sizes, out=indptr[1:])
-            codes = codes_map[ragged_ranges(indptr_map[ids], sizes)]
-            codes.flags.writeable = False
-        csr = _measures.SetProfileCSR(indptr, codes, num_items, item_ids=item_ids,
-                                      rows_sorted=rows_sorted)
-        return ProfileSlice("sparse", None, user_ids=ids, csr=csr)
-
-    def _load_sparse_v1(self, ranges: List[Tuple[int, int]]) -> ProfileSlice:
-        """Fallback loader for version-1 layouts (raw item ids on disk)."""
-        indptr = np.fromfile(self._base_dir / self._SPARSE_INDPTR, dtype=np.int64)
-        items_path = self._base_dir / self._SPARSE_ITEMS
-        mm = np.memmap(items_path, dtype=np.int64, mode="r") if items_path.stat().st_size else None
-        profiles: Dict[int, Set[int]] = {}
-        for start, stop in ranges:
-            lo, hi = int(indptr[start]), int(indptr[stop])
-            block = np.array(mm[lo:hi]) if (mm is not None and hi > lo) else np.empty(0, np.int64)
-            for user in range(start, stop):
-                ulo, uhi = int(indptr[user]) - lo, int(indptr[user + 1]) - lo
-                profiles[user] = set(int(x) for x in block[ulo:uhi])
-        if mm is not None:
-            del mm
-        return ProfileSlice("sparse", profiles)
-
-    def _row_items_v3(self, state: _SparseV3State, row: int) -> Set[int]:
+    def _row_items(self, state: _SparseState, row: int) -> Set[int]:
         """Decoded item-id set of one row (journal entry wins over segment)."""
         entry = int(state.j_of[row])
         if entry >= 0:
@@ -1197,28 +964,16 @@ class OnDiskProfileStore:
             self.io_stats.record_read(matrix.nbytes,
                                       self._disk.read_cost(matrix.nbytes, sequential=True))
             return DenseProfileStore(matrix, copy=False)
-        if self.format_version >= 3:
-            state = self._v3()
-            total = (sum(np.asarray(ip).nbytes for ip in state.seg_indptr)
-                     + sum(np.asarray(c).nbytes for c in state.seg_codes)
-                     + np.asarray(state.item_ids).nbytes
-                     + state.j_rows.nbytes + state.j_indptr.nbytes
-                     + state.j_codes.nbytes)
-            self.io_stats.record_read(total,
-                                      self._disk.read_cost(total, sequential=True))
-            return SparseProfileStore([self._row_items_v3(state, row)
-                                       for row in range(self.num_users)])
-        indptr = np.fromfile(self._base_dir / self._SPARSE_INDPTR, dtype=np.int64)
-        items = np.fromfile(self._base_dir / self._SPARSE_ITEMS, dtype=np.int64)
-        total = indptr.nbytes + items.nbytes
-        if self.format_version >= 2:
-            item_ids = np.fromfile(self._base_dir / self._SPARSE_ITEM_IDS, dtype=np.int64)
-            total += item_ids.nbytes
-            items = item_ids[items] if len(items) else items
-        self.io_stats.record_read(total, self._disk.read_cost(total, sequential=True))
-        profiles = [set(items[indptr[u]:indptr[u + 1]].tolist())
-                    for u in range(self.num_users)]
-        return SparseProfileStore(profiles)
+        state = self._sparse()
+        total = (sum(np.asarray(ip).nbytes for ip in state.seg_indptr)
+                 + sum(np.asarray(c).nbytes for c in state.seg_codes)
+                 + np.asarray(state.item_ids).nbytes
+                 + state.j_rows.nbytes + state.j_indptr.nbytes
+                 + state.j_codes.nbytes)
+        self.io_stats.record_read(total,
+                                  self._disk.read_cost(total, sequential=True))
+        return SparseProfileStore([self._row_items(state, row)
+                                   for row in range(self.num_users)])
 
     # -- updates (phase 5) -----------------------------------------------------
 
@@ -1228,21 +983,17 @@ class OnDiskProfileStore:
         Returns the number of users whose profile was touched.  Dense
         changes are in-place row writes through a writable memmap (the norm
         file is kept in sync, superseded ``set`` changes coalesced to the
-        last write).  Segmented (v3) sparse changes append the touched rows
-        to the row-remap journal — write bytes scale with the touched rows —
-        and fold the journal into the affected segments only when it
-        outgrows its cap.  Older sparse layouts rewrite the files, which
-        also upgrades them to the current format.  Every applied batch bumps
-        the store :attr:`generation`.
+        last write).  Sparse changes append the touched rows to the
+        row-remap journal — write bytes scale with the touched rows — and
+        fold the journal into the affected segments only when it outgrows
+        its cap.  Every applied batch bumps the store :attr:`generation`.
         """
         self._require_meta()
         if not changes:
             return 0
         if self._meta["kind"] == "dense":
             return self._apply_dense(changes)
-        if self.format_version >= 3:
-            return self._apply_sparse_v3(changes)
-        return self._apply_sparse_rewrite(changes)
+        return self._apply_sparse(changes)
 
     def _apply_dense(self, changes: Sequence[ProfileChange]) -> int:
         dim = self.dim
@@ -1253,18 +1004,14 @@ class OnDiskProfileStore:
                 raise IndexError(f"user {user} out of range (store has {self.num_users})")
         path = self._base_dir / self._DENSE_NAME
         mm = np.memmap(path, dtype=np.float64, mode="r+", shape=(self.num_users, dim))
-        norms_path = self._base_dir / self._NORMS_NAME
-        norms_mm = (np.memmap(norms_path, dtype=np.float64, mode="r+",
-                              shape=(self.num_users,))
-                    if self.format_version >= 2 and norms_path.exists() else None)
+        norms_mm = np.memmap(self._base_dir / self._NORMS_NAME, dtype=np.float64,
+                             mode="r+", shape=(self.num_users,))
         for user, vector in latest.items():
             mm[user] = vector
-            num_bytes = vector.nbytes
-            if norms_mm is not None:
-                # np.sum reduces pairwise exactly like the axis-1 norm used
-                # at write time, so stored and recomputed norms stay bitwise equal
-                norms_mm[user] = np.sqrt(np.sum(vector * vector))
-                num_bytes += 8
+            # np.sum reduces pairwise exactly like the axis-1 norm used
+            # at write time, so stored and recomputed norms stay bitwise equal
+            norms_mm[user] = np.sqrt(np.sum(vector * vector))
+            num_bytes = vector.nbytes + 8
             self.io_stats.record_write(
                 num_bytes, self._disk.mapped_write_cost(num_bytes, sequential=False))
         if self.fault_plan is not None:
@@ -1274,23 +1021,15 @@ class OnDiskProfileStore:
         mm.flush()
         self._set_crc(self._DENSE_NAME, mm.tobytes())
         del mm
-        if norms_mm is not None:
-            norms_mm.flush()
-            self._set_crc(self._NORMS_NAME, norms_mm.tobytes())
-            del norms_mm
+        norms_mm.flush()
+        self._set_crc(self._NORMS_NAME, norms_mm.tobytes())
+        del norms_mm
         self._bump_generation()
         self._record_delta(np.asarray(sorted(latest), dtype=np.int64))
         return len(latest)
 
-    def _apply_sparse_rewrite(self, changes: Sequence[ProfileChange]) -> int:
-        """Full-rewrite path for pre-segmented layouts (upgrades them in place)."""
-        store = self.load_all()
-        touched = store.apply_profile_changes(changes)
-        self._write_full(store)
-        return touched
-
-    def _apply_sparse_v3(self, changes: Sequence[ProfileChange]) -> int:
-        state = self._v3()
+    def _apply_sparse(self, changes: Sequence[ProfileChange]) -> int:
+        state = self._sparse()
         # decode the touched rows once, then replay the changes in order
         sets: Dict[int, Set[int]] = {}
         for change in changes:
@@ -1300,7 +1039,7 @@ class OnDiskProfileStore:
             if not 0 <= user < self.num_users:
                 raise IndexError(f"user {user} out of range (store has {self.num_users})")
             if user not in sets:
-                sets[user] = self._row_items_v3(state, user)
+                sets[user] = self._row_items(state, user)
             if change.kind == "add":
                 sets[user].add(change.item)
             else:
@@ -1343,10 +1082,10 @@ class OnDiskProfileStore:
         written = rows.nbytes + new_codes.nbytes + journal_indptr.nbytes + appended_bytes
         self.io_stats.record_write(
             written, self._disk.mapped_write_cost(written, sequential=True))
-        self._v3_state = None
+        self._sparse_state = None
         compacted = False
         if self._meta["journal_entries"] > self._journal_limit():
-            self._compact_v3()
+            self._compact()
             compacted = True
         self._bump_generation()
         if compacted:
@@ -1374,7 +1113,7 @@ class OnDiskProfileStore:
             self.fault_plan.after_file_op("write", path)
         self._extend_crc(name, data)
 
-    def _item_code_map(self, state: _SparseV3State) -> Dict[int, int]:
+    def _item_code_map(self, state: _SparseState) -> Dict[int, int]:
         """The item-id→code dict, built once per (re)coding of the table."""
         if self._item_code_cache is None:
             item_table = np.asarray(state.item_ids, dtype=np.int64)
@@ -1388,14 +1127,14 @@ class OnDiskProfileStore:
         num_segments = max(1, len(self._meta["segment_bounds"]) - 1)
         return max(64, -(-self.num_users // num_segments))
 
-    def _compact_v3(self) -> None:
+    def _compact(self) -> None:
         """Fold the journal back into the segments holding journaled rows.
 
         Only the touched segments are rewritten — the amortised write cost of
         an update stream stays proportional to the rows it changed, never the
         store size.
         """
-        state = self._v3()
+        state = self._sparse()
         if not len(state.j_rows):
             return
         journaled_rows = np.unique(state.j_rows)
@@ -1431,7 +1170,7 @@ class OnDiskProfileStore:
         self._meta["journal_entries"] = 0
         self.io_stats.record_write(total,
                                    self._disk.write_cost(total, sequential=True))
-        self._v3_state = None
+        self._sparse_state = None
 
     def _bump_generation(self) -> None:
         self._meta["generation"] = int(self._meta.get("generation", 0)) + 1

@@ -8,8 +8,9 @@ translating user ids through a merged slice.  These tests pin
     assignment, empty partitions and ``m > n`` included;
 (b) ``a.similarity_rows(rows_a, b, rows_b)`` bit-equal to the id-addressed
     ``a.merge(b).similarity_pairs(ids)`` (the pre-PR-14 path, kept as the
-    oracle) for all 8 measures on dense, sparse v2, sparse v3 with
-    journaled rows and unsorted-row CSR slices, and its input checks;
+    oracle) for all 8 measures on dense, settled sparse (one-segment
+    zero-copy and multi-segment), sparse with journaled rows and
+    unsorted-row CSR slices, and its input checks;
 (c) ``load_users(ndarray)`` ≡ ``load_users(list)``, slice for slice and
     charge for charge;
 (d) the residual path: scores addressed by the ``np.unique`` inverse equal
@@ -114,33 +115,43 @@ def slice_pairs(tmp_path_factory):
         disk_model="instant")
     sparse = generate_sparse_profiles(NUM_USERS, 120, items_per_user=9,
                                       num_communities=3, seed=3)
-    v2 = OnDiskProfileStore.create(tmp_path_factory.mktemp("v2"), sparse,
-                                   disk_model="instant", format_version=2)
-    v3 = OnDiskProfileStore.create(tmp_path_factory.mktemp("v3"), sparse,
-                                   disk_model="instant",
-                                   segment_bounds=[0, 30, 60, NUM_USERS],
-                                   journal_limit=1000)
-    v3.apply_changes([ProfileChange(user=user, kind="add", item=500 + user % 7)
-                      for user in range(5, NUM_USERS, 4)]
-                     + [ProfileChange(user=9, kind="remove", item=505)])
+    bounds = [0, 30, 60, NUM_USERS]
+    settled = OnDiskProfileStore.create(tmp_path_factory.mktemp("settled"),
+                                        sparse, disk_model="instant",
+                                        segment_bounds=bounds)
+    journaled = OnDiskProfileStore.create(tmp_path_factory.mktemp("journaled"),
+                                          sparse, disk_model="instant",
+                                          segment_bounds=bounds,
+                                          journal_limit=1000)
+    journaled.apply_changes(
+        [ProfileChange(user=user, kind="add", item=500 + user % 7)
+         for user in range(5, NUM_USERS, 4)]
+        + [ProfileChange(user=9, kind="remove", item=505)])
     half = NUM_USERS // 2
     return {
         "dense": (dense.load_users(evens), dense.load_users(odds)),
         "dense-contiguous": (dense.load_users(np.arange(half)),
                              dense.load_users(np.arange(half, NUM_USERS))),
-        "sparse-v2": (v2.load_users(evens), v2.load_users(odds)),
-        "sparse-v2-contiguous": (v2.load_users(np.arange(half)),
-                                 v2.load_users(np.arange(half, NUM_USERS))),
-        "sparse-v3-journaled": (v3.load_users(evens), v3.load_users(odds)),
-        "sparse-v3-contiguous": (v3.load_users(np.arange(30, 60)),
-                                 v3.load_users(np.arange(60, NUM_USERS))),
+        # settled store: scattered ids, one segment each (zero-copy views),
+        # and contiguous runs that each span two segments (gathered)
+        "sparse-settled": (settled.load_users(evens), settled.load_users(odds)),
+        "sparse-one-segment": (settled.load_users(np.arange(0, 30)),
+                               settled.load_users(np.arange(60, NUM_USERS))),
+        "sparse-multi-segment": (settled.load_users(np.arange(half)),
+                                 settled.load_users(np.arange(half, NUM_USERS))),
+        "sparse-journaled": (journaled.load_users(evens),
+                             journaled.load_users(odds)),
+        "sparse-journaled-contiguous": (
+            journaled.load_users(np.arange(30, 60)),
+            journaled.load_users(np.arange(60, NUM_USERS))),
         "sparse-unsorted": tuple(_unsorted_csr_slices()),
     }
 
 
 DENSE_FAMILIES = ["dense", "dense-contiguous"]
-SPARSE_FAMILIES = ["sparse-v2", "sparse-v2-contiguous", "sparse-v3-journaled",
-                   "sparse-v3-contiguous", "sparse-unsorted"]
+SPARSE_FAMILIES = ["sparse-settled", "sparse-one-segment", "sparse-multi-segment",
+                   "sparse-journaled", "sparse-journaled-contiguous",
+                   "sparse-unsorted"]
 FAMILY_MEASURES = ([(family, measure) for family in DENSE_FAMILIES
                     for measure in sorted(VECTOR_MEASURES)]
                    + [(family, measure) for family in SPARSE_FAMILIES
@@ -171,18 +182,24 @@ def test_similarity_rows_equals_the_merged_id_addressed_oracle(
         np.testing.assert_array_equal(got, expected)
 
 
-def test_dict_built_sparse_slices_score_through_their_union():
-    """Two dict-built (v1-style) slices carry one item coding each."""
+def test_sparse_slices_under_different_item_codings_are_rejected():
+    """Two dict-built slices carry one item coding each: scoring or merging
+    them would compare codes of different tables, so both refuse."""
     a = ProfileSlice("sparse", {0: {1, 2, 3}, 4: {2, 9}})
     b = ProfileSlice("sparse", {1: {2, 3}, 7: {9, 11, 12}})
     rows = np.array([0, 1, 1, 0])
-    got = a.similarity_rows(rows, b, np.array([0, 1, 0, 1]), "jaccard")
-    np.testing.assert_array_equal(got, [2 / 3, 1 / 4, 1 / 3, 0.0])
+    with pytest.raises(ValueError, match="different item codings"):
+        a.similarity_rows(rows, b, np.array([0, 1, 0, 1]), "jaccard")
+    with pytest.raises(ValueError, match="different item codings"):
+        a.merge(b)
+    # each slice still scores against itself under its own coding
+    np.testing.assert_array_equal(
+        a.similarity_rows(np.array([0]), a, np.array([1]), "jaccard"), [1 / 4])
 
 
 class TestSimilarityRowsRejects:
     @pytest.mark.parametrize("family,measure",
-                             [("dense", "cosine"), ("sparse-v3-journaled", "jaccard")])
+                             [("dense", "cosine"), ("sparse-journaled", "jaccard")])
     @pytest.mark.parametrize("bad", [-1, "len"])
     def test_out_of_range_rows(self, slice_pairs, family, measure, bad):
         a, b = slice_pairs[family]
@@ -204,13 +221,13 @@ class TestSimilarityRowsRejects:
 
     def test_mixed_kinds(self, slice_pairs):
         dense, _ = slice_pairs["dense"]
-        sparse, _ = slice_pairs["sparse-v2"]
+        sparse, _ = slice_pairs["sparse-settled"]
         with pytest.raises(ValueError, match="different profile kinds"):
             dense.similarity_rows(np.array([0]), sparse, np.array([0]), "cosine")
 
     def test_wrong_kind_and_unknown_measures(self, slice_pairs):
         dense, dense_b = slice_pairs["dense"]
-        sparse, sparse_b = slice_pairs["sparse-v2"]
+        sparse, sparse_b = slice_pairs["sparse-settled"]
         rows = np.array([0, 1])
         with pytest.raises(ValueError, match="needs sparse profiles"):
             dense.similarity_rows(rows, dense_b, rows, "jaccard")
@@ -260,21 +277,20 @@ ID_SHAPES = {
 }
 
 
-@pytest.fixture(scope="module", params=["dense", "sparse-v2", "sparse-v3"])
+@pytest.fixture(scope="module", params=["dense", "sparse-settled",
+                                        "sparse-journaled"])
 def charged_store(request, tmp_path_factory):
     base = tmp_path_factory.mktemp(request.param)
     if request.param == "dense":
         profiles = generate_dense_profiles(NUM_USERS, dim=6, seed=5)
         return OnDiskProfileStore.create(base, profiles, disk_model="ssd")
     profiles = generate_sparse_profiles(NUM_USERS, 120, items_per_user=9, seed=5)
-    if request.param == "sparse-v2":
-        return OnDiskProfileStore.create(base, profiles, disk_model="ssd",
-                                         format_version=2)
     store = OnDiskProfileStore.create(base, profiles, disk_model="ssd",
                                       segment_bounds=[0, 30, 60, NUM_USERS],
                                       journal_limit=1000)
-    store.apply_changes([ProfileChange(user=21, kind="add", item=999),
-                         ProfileChange(user=40, kind="add", item=998)])
+    if request.param == "sparse-journaled":
+        store.apply_changes([ProfileChange(user=21, kind="add", item=999),
+                             ProfileChange(user=40, kind="add", item=998)])
     return store
 
 
@@ -314,8 +330,7 @@ def test_array_and_list_loads_are_the_same_slice_and_the_same_charge(
     # one read per contiguous run, as the per-id generator counted them
     runs = _reference_ranges(sorted(set(ids)))
     assert _contiguous_ranges(sorted(set(ids))) == runs
-    if charged_store.format_version != 1:
-        assert list_charge[0] == len(runs)
+    assert list_charge[0] == len(runs)
     # the loaded rows are the requested users', ascending
     np.testing.assert_array_equal(from_array.user_ids, sorted(set(ids)))
     everyone = charged_store.load_users(range(NUM_USERS))
@@ -339,13 +354,12 @@ def test_out_of_range_ids_name_the_first_offender(charged_store, ids, offender):
             charged_store.charge_slice_read(form)
 
 
-def test_mapped_sparse_v2_slice_is_a_plain_read_only_view(tmp_path):
+def test_mapped_sparse_slice_is_a_plain_read_only_view(tmp_path):
     profiles = generate_sparse_profiles(NUM_USERS, 120, items_per_user=9, seed=5)
-    store = OnDiskProfileStore.create(tmp_path, profiles, disk_model="instant",
-                                      format_version=2)
+    store = OnDiskProfileStore.create(tmp_path, profiles, disk_model="instant")
     codes = store.load_users(np.arange(10, 40))._csr.codes
     assert type(codes) is np.ndarray and not codes.flags.writeable
-    assert np.shares_memory(codes, store._sparse_maps()[1])
+    assert np.shares_memory(codes, store._sparse().seg_codes[0])
 
 
 # -- (d) the residual path --------------------------------------------------------

@@ -181,3 +181,51 @@ def test_one_worker_seam():
     assert parallel.count("except (BrokenProcessPool, FutureTimeoutError)") == 1
     assert parallel.count("_build_worker_executor(") == 2   # def + one call
     assert "ScoringPoolBroken" not in (src / "core" / "iteration.py").read_text()
+
+
+def test_one_profile_format_and_one_place_that_checks_it():
+    """The profile store reads and writes one layout.  Under ``src/`` a
+    format version is compared only by the open-time gate
+    (``OnDiskProfileStore._read_meta``) and by ``migrate_store``, and
+    nothing is named after a numbered layout — so a second reader cannot
+    grow back unnoticed."""
+    src = REPO_ROOT / "src" / "repro"
+    numbered = re.compile(r"_v[12](?![0-9a-z])|_load_sparse_v|_write_sparse_v")
+
+    def mentions_version(node: ast.AST, tainted: "set[str]") -> bool:
+        return any(
+            (isinstance(sub, ast.Constant) and sub.value == "format_version")
+            or (isinstance(sub, ast.Attribute) and sub.attr == "format_version")
+            or (isinstance(sub, ast.Name)
+                and (sub.id.lower() == "format_version" or sub.id in tainted))
+            for sub in ast.walk(node))
+
+    comparing, named = [], []
+    for path in sorted(src.rglob("*.py")):
+        where = str(path.relative_to(src))
+        for scope in ast.walk(ast.parse(path.read_text())):
+            if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                defined = [scope.name]
+            elif isinstance(scope, ast.Assign):
+                defined = [target.id if isinstance(target, ast.Name) else target.attr
+                           for target in scope.targets
+                           if isinstance(target, (ast.Name, ast.Attribute))]
+            else:
+                defined = []
+            named += [f"{where}:{scope.lineno} {name}" for name in defined
+                      if numbered.search(name)]
+            if not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            # names bound from the meta's version are the version too
+            tainted = {name.id
+                       for node in ast.walk(scope) if isinstance(node, ast.Assign)
+                       and mentions_version(node.value, set())
+                       for target in node.targets for name in ast.walk(target)
+                       if isinstance(name, ast.Name)}
+            if any(isinstance(node, ast.Compare) and mentions_version(node, tainted)
+                   for node in ast.walk(scope)):
+                comparing.append(f"{where}:{scope.name}")
+    assert named == []
+    assert comparing == ["storage/migrate.py:migrate_store",
+                         "storage/profile_store.py:_read_meta"]

@@ -156,7 +156,7 @@ class TestZeroCopy:
         assert type(codes) is np.ndarray
         assert not codes.flags.writeable
         assert any(np.shares_memory(codes, mapped)
-                   for mapped in sparse_store._v3().seg_codes)
+                   for mapped in sparse_store._sparse().seg_codes)
 
     def test_mapped_view_tracks_inplace_update(self, dense_store, dense_profiles):
         """The zero-copy slice reads the file, not a snapshot."""

@@ -1,5 +1,7 @@
 """Tests for repro.storage.profile_store."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,27 @@ class TestProfileSlice:
         merged = a.merge(b)
         assert merged.users == {0, 1, 2, 3}
 
+    @pytest.mark.parametrize("kind", ["dense", "sparse"])
+    def test_merge_indexed_on_disjoint_slices_equals_merge(
+            self, kind, dense_profiles, sparse_profiles, tmp_path):
+        profiles = dense_profiles if kind == "dense" else sparse_profiles
+        store = OnDiskProfileStore.create(tmp_path, profiles)
+        a = store.load_users([0, 7, 30, 31, 99])
+        b = store.load_users([3, 8, 29, 100])
+        concat = np.concatenate([a.user_ids, b.user_ids])
+        order = np.argsort(concat, kind="stable")
+        plain, indexed = a.merge(b), a.merge_indexed(b, concat[order], order)
+        np.testing.assert_array_equal(indexed.user_ids, plain.user_ids)
+        pairs = np.random.default_rng(5).choice(concat, size=(100, 2))
+        measure = "cosine" if kind == "dense" else "jaccard"
+        np.testing.assert_array_equal(indexed.similarity_pairs(pairs, measure),
+                                      plain.similarity_pairs(pairs, measure))
+        with pytest.raises(ValueError, match="merge index"):
+            a.merge_indexed(b, concat[order][:-1], order[:-1])
+        with pytest.raises(ValueError, match="disjoint"):
+            a.merge_indexed(a, np.sort(np.tile(a.user_ids, 2)),
+                            np.argsort(np.tile(a.user_ids, 2), kind="stable"))
+
     def test_merge_kind_mismatch(self, dense_profiles, sparse_profiles, tmp_path):
         dense_store = OnDiskProfileStore.create(tmp_path / "d", dense_profiles)
         sparse_store = OnDiskProfileStore.create(tmp_path / "s", sparse_profiles)
@@ -144,108 +167,20 @@ class TestProfileSlice:
             piece.similarity_pairs(np.array([[0, 1]]), "jaccard")
 
 
-def _write_v1_sparse(base_dir, profiles):
-    """Handcraft a version-1 sparse layout: raw sorted item ids, no version."""
-    import json
-    num_users = profiles.num_users
-    indptr = np.zeros(num_users + 1, dtype=np.int64)
-    items_list = []
-    for user in range(num_users):
-        items = np.asarray(sorted(profiles.get(user)), dtype=np.int64)
-        items_list.append(items)
-        indptr[user + 1] = indptr[user] + len(items)
-    items = (np.concatenate(items_list) if items_list
-             else np.empty(0, dtype=np.int64))
-    indptr.tofile(base_dir / "profiles_indptr.bin")
-    items.tofile(base_dir / "profiles_items.bin")
-    (base_dir / "profiles_meta.json").write_text(
-        json.dumps({"kind": "sparse", "num_users": num_users}))
-
-
-def _write_v1_dense(base_dir, profiles):
-    """Handcraft a version-1 dense layout: matrix only, no norms, no version."""
-    import json
-    profiles.matrix.astype(np.float64).tofile(base_dir / "profiles_dense.bin")
-    (base_dir / "profiles_meta.json").write_text(
-        json.dumps({"kind": "dense", "num_users": profiles.num_users,
-                    "dim": profiles.dim}))
-
-
 class TestFormatVersions:
+    """What a fresh store looks like; the format contract itself (layout
+    golden, the open-time gate, migration) is tests/test_storage_format.py."""
+
     def test_fresh_stores_are_v3(self, dense_profiles, sparse_profiles, tmp_path):
-        dense = OnDiskProfileStore.create(tmp_path / "d", dense_profiles)
-        sparse = OnDiskProfileStore.create(tmp_path / "s", sparse_profiles)
-        assert dense.format_version == 3
-        assert sparse.format_version == 3
+        OnDiskProfileStore.create(tmp_path / "d", dense_profiles)
+        OnDiskProfileStore.create(tmp_path / "s", sparse_profiles)
+        for name in ("d", "s"):
+            meta = json.loads((tmp_path / name / "profiles_meta.json").read_text())
+            assert meta["format_version"] == 3
         assert (tmp_path / "d" / "profiles_norms.bin").exists()
         assert (tmp_path / "s" / "profiles_item_ids.bin").exists()
         assert (tmp_path / "s" / "profiles_seg_00000_indptr.bin").exists()
         assert (tmp_path / "s" / "profiles_seg_00000_codes.bin").exists()
-
-    def test_v2_target_still_writable(self, sparse_profiles, tmp_path):
-        """The previous monolithic CSR layout stays writable (and readable)."""
-        store = OnDiskProfileStore.create(tmp_path, sparse_profiles,
-                                          disk_model="instant", format_version=2)
-        assert store.format_version == 2
-        assert (tmp_path / "profiles_indptr.bin").exists()
-        reopened = OnDiskProfileStore(tmp_path, disk_model="instant")
-        assert reopened.load_all() == sparse_profiles
-        piece = reopened.load_users([0, 3, 100])
-        for user in (0, 3, 100):
-            assert piece.get(user) == sparse_profiles.get(user)
-
-    def test_v1_sparse_fallback_loader(self, sparse_profiles, tmp_path):
-        tmp_path.mkdir(exist_ok=True)
-        _write_v1_sparse(tmp_path, sparse_profiles)
-        store = OnDiskProfileStore(tmp_path, disk_model="instant")
-        assert store.format_version == 1
-        piece = store.load_users([0, 3, 4, 100])
-        for user in (0, 3, 4, 100):
-            assert piece.get(user) == sparse_profiles.get(user)
-        assert store.load_all() == sparse_profiles
-
-    def test_v1_sparse_scores_match_v2(self, sparse_profiles, tmp_path):
-        _write_v1_sparse(tmp_path, sparse_profiles)
-        v1 = OnDiskProfileStore(tmp_path, disk_model="instant")
-        v2 = OnDiskProfileStore.create(tmp_path / "v2", sparse_profiles,
-                                       disk_model="instant")
-        pairs = np.array([[0, 1], [2, 50], [7, 7]], dtype=np.int64)
-        users = range(sparse_profiles.num_users)
-        for measure in ("jaccard", "overlap", "common", "cosine_set"):
-            np.testing.assert_allclose(
-                v1.load_users(users).similarity_pairs(pairs, measure),
-                v2.load_users(users).similarity_pairs(pairs, measure),
-                rtol=0.0, atol=1e-12)
-
-    def test_v1_dense_fallback_loader(self, dense_profiles, tmp_path):
-        _write_v1_dense(tmp_path, dense_profiles)
-        store = OnDiskProfileStore(tmp_path, disk_model="instant")
-        assert store.format_version == 1
-        piece = store.load_users(range(10))
-        for user in range(10):
-            assert np.allclose(piece.get(user), dense_profiles.get(user))
-        pairs = np.array([[0, 1], [2, 9]], dtype=np.int64)
-        np.testing.assert_allclose(
-            piece.similarity_pairs(pairs, "cosine"),
-            dense_profiles.similarity_pairs(pairs, "cosine"),
-            rtol=0.0, atol=1e-12)
-
-    def test_sparse_update_upgrades_v1_to_current(self, sparse_profiles, tmp_path):
-        _write_v1_sparse(tmp_path, sparse_profiles)
-        store = OnDiskProfileStore(tmp_path, disk_model="instant")
-        store.apply_changes([ProfileChange(user=1, kind="add", item=9999)])
-        assert store.format_version == 3
-        assert 9999 in store.load_users([1]).get(1)
-
-    def test_dense_v1_update_keeps_working(self, dense_profiles, tmp_path):
-        _write_v1_dense(tmp_path, dense_profiles)
-        store = OnDiskProfileStore(tmp_path, disk_model="instant")
-        vector = np.full(dense_profiles.dim, 3.0)
-        store.apply_changes([ProfileChange(user=0, kind="set", vector=vector)])
-        piece = store.load_users([0, 1])
-        assert np.allclose(piece.get(0), vector)
-        # norms recomputed from the matrix on v1 loads
-        assert np.allclose(piece._norms[0], np.linalg.norm(vector))
 
     def test_dense_norms_stay_in_sync_after_update(self, dense_profiles, tmp_path):
         store = OnDiskProfileStore.create(tmp_path, dense_profiles,
@@ -358,11 +293,10 @@ class TestTouchedRowDeltas:
 
     def test_full_rewrite_truncates_history(self, tmp_path):
         profiles = SparseProfileStore([{i} for i in range(20)])
-        store = OnDiskProfileStore.create(tmp_path / "v2", profiles,
-                                          format_version=2)
-        g0 = store.generation
-        # v2 updates rewrite (and upgrade) the whole store
-        store.apply_changes([ProfileChange(user=2, kind="add", item=500)])
+        g0 = OnDiskProfileStore.create(tmp_path / "s", profiles).generation
+        # create() over an existing store rewrites every file
+        store = OnDiskProfileStore.create(tmp_path / "s", profiles)
+        assert store.generation == g0 + 1
         assert store.touched_rows_since(g0) is None
 
     def test_delta_log_cap_raises_the_floor(self, tmp_path):
@@ -383,6 +317,13 @@ class TestErrors:
         store = OnDiskProfileStore(tmp_path)
         with pytest.raises(RuntimeError):
             _ = store.num_users
+
+    def test_opening_does_not_create_the_directory(self, tmp_path):
+        store = OnDiskProfileStore(tmp_path / "typo" / "profiles")
+        with pytest.raises(RuntimeError, match="no profile store"):
+            store.load_users([0])
+        store.reload()
+        assert not (tmp_path / "typo").exists()
 
     def test_unsupported_store_type(self, tmp_path):
         with pytest.raises(TypeError):

@@ -1,16 +1,17 @@
-"""Segmented (v3) sparse stores and multi-block dense slices.
+"""Segmented sparse stores, their journal, and slice merges.
 
 Three protections for the amortised iteration loop's storage layer:
 
 * property-based parity — across random phase-5 update sequences, a
-  segmented v3 store (tiny segments, tiny journal cap, so both the journal
-  path and the compaction path are exercised constantly) serves exactly the
-  same profiles and bit-identical scores as a full-rewrite v2 store;
+  journaled / compacted store (tiny journal cap, so both the journal path
+  and the compaction path are exercised constantly) serves exactly the
+  same profiles and bit-identical scores as an oracle that shares none of
+  the update code: the in-memory ``SparseProfileStore`` the same changes
+  were applied to, and a store freshly ``create()``d from it;
 * write-byte scaling — incremental updates write bytes proportional to the
   touched rows, never the store size;
-* multi-block dense merges — merging two partitions' mapped slices
-  allocates no new matrix, and scores stay bit-identical to the copying
-  merge.
+* merges — the union of two slices scores bit-identically to one slice
+  loaded whole, with the other slice winning an overlap.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 from repro.similarity.measures import SET_MEASURES, VECTOR_MEASURES
 from repro.similarity.profiles import SparseProfileStore
 from repro.similarity.workloads import ProfileChange
-from repro.storage.profile_store import (OnDiskProfileStore,
+from repro.storage.profile_store import (OnDiskProfileStore, ProfileSlice,
                                          partition_aligned_bounds)
 
 # -- strategies -------------------------------------------------------------
@@ -46,37 +47,40 @@ def _to_changes(batch, num_users):
 
 
 class TestSegmentedMatchesRewrite:
+    """The journaled store against a store rewritten in full from the oracle."""
+
     @settings(max_examples=40, deadline=None)
     @given(profiles=profiles_strategy, batches=change_batches,
            pair_seed=st.integers(0, 2**16))
     def test_random_update_sequences(self, tmp_path_factory, profiles, batches,
                                      pair_seed):
         num_users = len(profiles)
-        base = tmp_path_factory.mktemp("v3-parity")
-        store_mem = SparseProfileStore(profiles)
-        # tiny segments and a 2-entry journal cap force journal appends,
-        # latest-entry-wins overrides AND compactions inside a short run
-        v3 = OnDiskProfileStore.create(base / "v3", store_mem,
-                                       disk_model="instant",
-                                       segment_bounds=None, journal_limit=2)
-        v2 = OnDiskProfileStore.create(base / "v2", store_mem,
-                                       disk_model="instant", format_version=2)
+        base = tmp_path_factory.mktemp("journal-parity")
+        oracle = SparseProfileStore(profiles)
+        # three segments and a 2-entry journal cap force journal appends,
+        # latest-entry-wins overrides AND partial compactions in a short run
+        store = OnDiskProfileStore.create(
+            base / "journaled", oracle, disk_model="instant",
+            segment_bounds=partition_aligned_bounds(num_users, 3),
+            journal_limit=2)
         rng = np.random.default_rng(pair_seed)
-        for batch in batches:
+        for index, batch in enumerate(batches):
             changes = _to_changes(batch, num_users)
-            assert v3.apply_changes(changes) == v2.apply_changes(changes)
-            assert v3.load_all() == v2.load_all()
+            assert (store.apply_changes(changes)
+                    == oracle.apply_profile_changes(changes))
+            assert store.load_all() == oracle
+            fresh = OnDiskProfileStore.create(base / f"fresh-{index}", oracle,
+                                              disk_model="instant")
             ids = sorted(set(rng.integers(0, num_users, size=4).tolist()))
-            piece_v3 = v3.load_users(ids)
-            piece_v2 = v2.load_users(ids)
+            piece, piece_fresh = store.load_users(ids), fresh.load_users(ids)
             for user in ids:
-                assert piece_v3.get(user) == piece_v2.get(user)
+                assert piece.get(user) == oracle.get(user)
             pairs = np.asarray(ids, dtype=np.int64)[
                 rng.integers(0, len(ids), size=(16, 2))]
             for measure in sorted(SET_MEASURES):
                 np.testing.assert_array_equal(
-                    piece_v3.similarity_pairs(pairs, measure),
-                    piece_v2.similarity_pairs(pairs, measure))
+                    piece.similarity_pairs(pairs, measure),
+                    piece_fresh.similarity_pairs(pairs, measure))
 
     def test_journal_then_compaction_roundtrip(self, sparse_profiles, tmp_path):
         store = OnDiskProfileStore.create(tmp_path, sparse_profiles,
@@ -174,26 +178,14 @@ class TestUpdateWriteBytesScale:
         assert np.allclose(store.load_users([3]).get(3), vectors[-1])
 
 
-class TestMultiBlockDenseSlices:
-    def test_merge_allocates_no_matrix(self, dense_profiles, tmp_path):
-        store = OnDiskProfileStore.create(tmp_path, dense_profiles,
-                                          disk_model="instant")
-        a = store.load_users(range(0, 40))
-        b = store.load_users(range(40, 90))
-        merged = a.merge(b)
-        assert merged.matrix is None                      # nothing materialised
-        blocks = merged.matrix_blocks
-        assert blocks is not None and len(blocks) == 2
-        assert blocks[0] is a.matrix and blocks[1] is b.matrix
-        assert np.shares_memory(blocks[0], a.matrix)
-        assert merged.users == set(range(90))
-
-    def test_merged_scores_match_copying_merge(self, dense_profiles, tmp_path):
+class TestSliceMerges:
+    def test_merged_scores_match_the_whole_slice(self, dense_profiles, tmp_path):
         store = OnDiskProfileStore.create(tmp_path, dense_profiles,
                                           disk_model="instant")
         merged = store.load_users(range(0, 60)).merge(
             store.load_users(range(60, 120)))
         whole = store.load_users(range(120))
+        assert merged.users == set(range(120))
         rng = np.random.default_rng(3)
         pairs = rng.integers(0, 120, size=(300, 2)).astype(np.int64)
         for measure in sorted(VECTOR_MEASURES):
@@ -201,38 +193,47 @@ class TestMultiBlockDenseSlices:
                 merged.similarity_pairs(pairs, measure),
                 whole.similarity_pairs(pairs, measure))
 
-    def test_interleaved_blocks_resolve_rows(self, dense_profiles, tmp_path):
-        """Scattered (hash-partition shaped) blocks interleave user ids."""
+    def test_interleaved_slices_resolve_rows(self, dense_profiles, tmp_path):
+        """Scattered (hash-partition shaped) slices interleave user ids."""
         store = OnDiskProfileStore.create(tmp_path, dense_profiles,
                                           disk_model="instant")
         evens = store.load_users(range(0, 60, 2))
         odds = store.load_users(range(1, 60, 2))
         merged = evens.merge(odds)
-        assert merged.matrix is None
         for user in range(60):
             np.testing.assert_array_equal(merged.get(user),
                                           dense_profiles.get(user))
 
-    def test_overlapping_merge_falls_back_to_copy(self, dense_profiles, tmp_path):
-        store = OnDiskProfileStore.create(tmp_path, dense_profiles,
-                                          disk_model="instant")
-        a = store.load_users(range(0, 30))
-        b = store.load_users(range(20, 50))
+    def test_the_other_dense_slice_wins_an_overlap(self):
+        a = ProfileSlice("dense", {0: np.array([1.0, 1.0]), 1: np.array([2.0, 2.0])})
+        b = ProfileSlice("dense", {1: np.array([9.0, 9.0]), 2: np.array([3.0, 3.0])})
         merged = a.merge(b)
-        assert merged.matrix is not None                  # copy path
-        assert merged.users == set(range(50))
-        for user in range(50):
-            np.testing.assert_array_equal(merged.get(user),
-                                          dense_profiles.get(user))
+        np.testing.assert_array_equal(merged.user_ids, [0, 1, 2])
+        np.testing.assert_array_equal(merged.matrix, [[1, 1], [9, 9], [3, 3]])
+        np.testing.assert_array_equal(merged._norms,
+                                      np.linalg.norm(merged.matrix, axis=1))
+        np.testing.assert_array_equal(b.merge(a).get(1), [2.0, 2.0])
 
-    def test_three_way_merge_chains_blocks(self, dense_profiles, tmp_path):
+    def test_the_other_sparse_slice_wins_an_overlap(self, sparse_profiles,
+                                                    tmp_path):
+        store = OnDiskProfileStore.create(tmp_path, sparse_profiles,
+                                          disk_model="instant")
+        before = store.load_users(range(0, 30))
+        # the journal append leaves the mapped segments `before` views alone
+        store.apply_changes([ProfileChange(user=25, kind="remove",
+                                           item=min(sparse_profiles.get(25)))])
+        after = store.load_users(range(20, 50))
+        merged = before.merge(after)
+        np.testing.assert_array_equal(merged.user_ids, np.arange(50))
+        assert merged.get(25) == after.get(25) != before.get(25)
+        assert after.merge(before).get(25) == before.get(25)
+
+    def test_three_way_merge(self, dense_profiles, tmp_path):
         store = OnDiskProfileStore.create(tmp_path, dense_profiles,
                                           disk_model="instant")
         merged = (store.load_users(range(0, 30))
                   .merge(store.load_users(range(30, 60)))
                   .merge(store.load_users(range(60, 90))))
-        assert merged.matrix is None
-        assert len(merged.matrix_blocks) == 3
         pairs = np.array([[0, 89], [31, 59], [5, 65]], dtype=np.int64)
         whole = store.load_users(range(90))
         np.testing.assert_array_equal(merged.similarity_pairs(pairs, "cosine"),
