@@ -394,16 +394,16 @@ class KNNEngine:
                      initial_graph=graph)
         engine._iterations_run = iteration
         pending = metadata.get("pending_updates") or []
-        if engine._update_queue.wal_preexisting:
-            # the workdir's WAL already holds every not-yet-applied change
-            # (and possibly already-applied ones garbage collection hasn't
-            # caught up with) — replay the tail after the checkpoint's
-            # committed sequence instead of trusting the manifest's pending
-            # list, which describes the same changes and would double-buffer
-            # them.  Sequence filtering makes the replay exactly-once.
-            applied = int(metadata.get("wal_applied_seq", -1))
-            engine._wal_replayed = engine._update_queue.replay_tail(applied)
-        elif pending:
+        # the workdir's WAL already holds every not-yet-applied change (and
+        # possibly already-applied ones garbage collection hasn't caught up
+        # with) — replay the tail after the checkpoint's committed sequence
+        # instead of trusting the manifest's pending list, which describes
+        # the same changes and would double-buffer them.  Sequence filtering
+        # makes the replay exactly-once; an empty or absent WAL replays
+        # nothing and only resumes the numbering.
+        engine._wal_replayed = engine._update_queue.replay_tail(
+            int(metadata.get("wal_applied_seq", -1)))
+        if pending and not engine._update_queue.wal_preexisting:
             # changes buffered but not yet applied when the checkpoint was
             # taken resume their place in the queue, so the next iteration's
             # phase 5 applies exactly what an uninterrupted run would have
@@ -442,7 +442,7 @@ class KNNEngine:
 
     # -- execution -------------------------------------------------------------------
 
-    def run_iteration(self) -> IterationResult:
+    def run_iteration(self, *, updates_first: bool = False) -> IterationResult:
         """Run exactly one five-phase iteration and advance ``G(t)`` to ``G(t+1)``.
 
         With :attr:`EngineConfig.durable` on, the iteration is bracketed by
@@ -450,12 +450,19 @@ class KNNEngine:
         iteration only) and a commit of the completed iteration, so a crash
         at *any* instant leaves at least one verifiable epoch for
         :meth:`recover`.
+
+        ``updates_first`` is the serving order (the refresh loop always
+        passes it; the batch API never does): the queued changes are applied
+        *before* scoring, so the sealed ``G(t+1)`` is scored against the
+        ``P(t+1)`` stored beside it and an update queued before the call is
+        in the graph it returns.
         """
         self._ensure_open()
         if self._config.durable:
             self._ensure_initial_commit()
         result = self._iteration_runner.run(
-            self._iterations_run, self._graph, self._update_queue)
+            self._iterations_run, self._graph, self._update_queue,
+            updates_first=updates_first)
         self._graph = result.graph
         self._iterations_run += 1
         if self._config.durable:

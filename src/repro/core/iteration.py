@@ -612,14 +612,27 @@ class OutOfCoreIteration:
     # -- public entry point -------------------------------------------------
 
     def run(self, iteration: int, graph: KNNGraph,
-            update_queue: Optional[ProfileUpdateQueue] = None) -> IterationResult:
-        """Run phases 1–5 once, turning ``G(t)`` into ``G(t+1)``."""
+            update_queue: Optional[ProfileUpdateQueue] = None, *,
+            updates_first: bool = False) -> IterationResult:
+        """Run the five phases once, turning ``G(t)`` into ``G(t+1)``.
+
+        The paper's order is 1–4 then 5: ``G(t+1)`` is scored against
+        ``P(t)`` and the queued changes make ``P(t+1)`` afterwards.  With
+        ``updates_first`` (the serving order) phase 5 runs at the head
+        instead — the queue is drained and applied, then 1–4 score the
+        profiles just written — so ``G(t+1)`` already reflects every change
+        queued when the iteration began; what arrives later stays queued.
+        """
         config = self._config
         if self._fault is not None:
             self._fault.point("iteration.begin")
         timer = PhaseTimer()
         io_stats = IOStats()
         measure = config.measure or self._profile_store_default_measure()
+
+        if updates_first:
+            with timer.phase(PHASE_NAMES[4]):
+                updates_applied = self._phase5_profile_update(update_queue)
 
         # phases 1 and 2 scan G(t) in CSR form, and the edge delta against
         # the carried graph reads the same sorted keys; build both once
@@ -643,11 +656,13 @@ class OutOfCoreIteration:
             self._candidates = (CarriedCandidates(csr, edge_keys, table)
                                 if config.max_pairs_per_bridge is None else None)
         if self._fault is not None:
-            # crash window: G(t+1) fully scored, phase-5 updates not applied
+            # crash window: G(t+1) fully scored and not sealed; the queued
+            # updates not applied yet (paper order) or applied and scored
             self._fault.point("phase4.done")
 
-        with timer.phase(PHASE_NAMES[4]):
-            updates_applied = self._phase5_profile_update(update_queue)
+        if not updates_first:
+            with timer.phase(PHASE_NAMES[4]):
+                updates_applied = self._phase5_profile_update(update_queue)
 
         store_stats, profile_stats = self._drain_store_stats()
         io_stats.merge(store_stats)
@@ -992,9 +1007,9 @@ class OutOfCoreIteration:
         Bit-identity across schedules and backends holds by construction,
         not by luck: similarity scores are a pure function of the two
         endpoint profiles (no worker observes phase-5 writes mid-iteration —
-        they run after phase 4), every score lands in the same slab slot
-        whichever group or worker produced it, and the G(t+1) merge is a
-        pure function of the slab.  Regrouping steps into waves or cutting
+        they run before phase 4 or after it), every score lands in the same
+        slab slot whichever group or worker produced it, and the G(t+1) merge
+        is a pure function of the slab.  Regrouping steps into waves or cutting
         one across workers therefore cannot move a single edge or byte.
         """
         config = self._config
@@ -1017,8 +1032,8 @@ class OutOfCoreIteration:
         if update_queue is None or len(update_queue) == 0:
             return 0
         if self._fault is not None:
-            # crash window: updates scored and enqueued (WAL-durable when the
-            # engine runs durable) but not yet applied to the profile store
+            # crash window: updates enqueued (WAL-durable when the engine
+            # runs durable) but not yet applied to the profile store
             self._fault.point("phase5.before_apply")
         changes = update_queue.drain()
         return self._profile_store.apply_changes(changes)

@@ -196,9 +196,16 @@ class ProfileUpdateQueue:
         is exactly-once regardless of when the WAL was last truncated.  The
         records are loaded in WAL order **without** being re-appended (they
         are already durable).  Returns how many records were reloaded.
+
+        Sequences up to ``after_seq`` are spoken for from here on: a commit
+        that drains nothing still records them as applied, and new records
+        are numbered past them even when truncation left the WAL empty (a
+        reused number would be skipped, as applied, by the next recovery).
         """
         replayed = 0
         with self._lock:
+            self._applied_seq = max(self._applied_seq, after_seq)
+            self._next_seq = max(self._next_seq, after_seq + 1)
             for payload in self.wal_records():
                 seq = int(payload["seq"])
                 if seq <= after_seq:

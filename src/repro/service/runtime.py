@@ -13,10 +13,11 @@ long-lived service with three separated threads of control:
   engine's durable WAL-backed update queue.  Over-capacity load is shed
   with an explicit backpressure result, never queued unboundedly.
 * **background refresh** (one supervised thread) — the
-  :class:`RefreshSupervisor` runs dirty-scheduled iterations, seals each
-  epoch and atomically swaps the serving snapshot; on any crash it
-  recovers the engine via :meth:`KNNEngine.recover` with capped backoff
-  while queries keep being served from the last good snapshot.
+  :class:`RefreshSupervisor` drains and applies the pending updates, scores
+  what it applied, seals the epoch and atomically swaps the serving
+  snapshot, so an accepted update is served one refresh later; on any
+  crash it recovers the engine via :meth:`KNNEngine.recover` with capped
+  backoff while queries keep being served from the last good snapshot.
 
 Durability is not optional: the runtime forces ``durable=True`` so every
 accepted update is fsynced to the WAL before the client sees
@@ -67,8 +68,8 @@ class ServingRuntime:
     ``start()`` seals epoch 0 (the pre-iteration state) and swaps in the
     first snapshot before the refresh loop even starts, so the service is
     *ready* from the first moment — serving ``G(0)`` beats serving
-    nothing.  ``stop(drain=True)`` stops admitting, flushes the WAL by
-    sealing a final epoch for any pending updates, and joins the loop.
+    nothing.  ``stop(drain=True)`` stops admitting, joins the loop and
+    flushes the WAL with a final refresh, which serves what it applies.
     """
 
     def __init__(self, profiles=None, config: Optional[EngineConfig] = None,
@@ -94,7 +95,6 @@ class ServingRuntime:
         self._engine: Optional[KNNEngine] = None
         self._recovered_engine: Optional[KNNEngine] = None
         self._engine_lock = threading.Lock()
-        self._batches_enqueued = 0   # under _engine_lock, with the enqueue itself
         self._view: Optional[SnapshotView] = None
         self._view_lock = threading.Lock()
         self._stats_lock = threading.Lock()
@@ -172,9 +172,9 @@ class ServingRuntime:
         ``draining``), stop the background loop, then — if updates are
         still pending and the supervisor is not parked failed — run one
         final synchronous refresh so the WAL is flushed into a sealed
-        epoch and nothing accepted is left unapplied.  May raise if the
-        final seal crashes (an injected ``service.drain`` crash models the
-        process dying mid-shutdown; :meth:`recover` picks up from there).
+        epoch and nothing accepted is left unapplied or unserved.  May raise
+        if the final seal crashes (an injected ``service.drain`` crash models
+        the process dying mid-shutdown; :meth:`recover` picks up from there).
         """
         if self._stopped or not self._started:
             self._stopped = True
@@ -241,17 +241,8 @@ class ServingRuntime:
             # backlog, unlike the old pre-enqueue ``pending + len(batch)``
             # extrapolation
             depth_after = len(engine.update_queue)
-            self._batches_enqueued += 1
         self._supervisor.kick()
         return depth_after
-
-    def _refresh_demand(self) -> Tuple[int, int]:
-        """``(pending updates, batches enqueued so far)`` as one reading: an
-        enqueue is either in both numbers or in neither."""
-        with self._engine_lock:
-            engine = self._engine
-            pending = len(engine.update_queue) if engine is not None else 0
-            return pending, self._batches_enqueued
 
     # -- query path ----------------------------------------------------------
 

@@ -1,16 +1,15 @@
-"""Supervised background refresh loop: iterate, seal, swap — and survive.
+"""Supervised background refresh: apply, score, seal, swap — and survive.
 
 The :class:`RefreshSupervisor` owns the service's single background thread.
-Each refresh cycle it runs one dirty-scheduled engine iteration (which
-drains the update queue and seals a commit epoch), clones the sealed epoch
-into a fresh :class:`~repro.service.snapshot.SnapshotView`, and hands the
-view to the runtime's atomic swap callback.
+Each refresh cycle it runs one dirty-scheduled engine iteration in the
+serving order — drain the update queue, apply, score what was applied, seal
+a commit epoch — clones the sealed epoch into a fresh
+:class:`~repro.service.snapshot.SnapshotView`, and hands the view to the
+runtime's atomic swap callback.
 
-A refresh starts whenever updates are pending *or* a batch was admitted
-since the last refresh started.  The second clause covers the batch that
-arrives while a refresh is running and is drained by that refresh's own
-phase 5: its changes are applied but in no served graph yet and the queue
-is empty, so without it they would wait for some later batch to arrive.
+A refresh starts whenever updates are pending, and serves everything that
+was pending when it started.  A batch admitted while it runs stays queued
+and gets the next refresh.
 
 Robustness contract (the reason this is a *supervisor* and not a plain
 loop): any exception out of a cycle — an injected crash point, a real I/O
@@ -141,18 +140,11 @@ class RefreshSupervisor:
             self._state = state
 
     def _run(self) -> None:
-        # the queue depth alone cannot tell a batch that arrived mid-refresh
-        # and was drained by it from no batch at all; the enqueue count can,
-        # so what follows a refresh does not depend on which side of its
-        # phase-5 drain an admission fell
-        enqueued_before = 0    # batches enqueued when the last refresh started
         while not self._stop_event.is_set():
-            pending, enqueued = self._runtime._refresh_demand()
-            if pending <= 0 and enqueued == enqueued_before:
+            if self._runtime.pending_updates == 0:
                 self._wake_event.wait(timeout=self._poll_interval)
                 self._wake_event.clear()
                 continue
-            enqueued_before = enqueued
             try:
                 self._set_state("refreshing")
                 started = time.perf_counter()
@@ -173,14 +165,15 @@ class RefreshSupervisor:
         self._set_state("stopped")
 
     def run_one_refresh(self) -> None:
-        """One refresh cycle: iterate (seals the epoch), clone, swap.
+        """One refresh cycle: drain, apply, score what was applied, seal,
+        clone, swap — an update queued before the call is served after it.
 
         Also used synchronously by the runtime's graceful drain for the
         final epoch.  Raises on any failure — the caller supervises.
         """
         runtime = self._runtime
         engine = runtime.engine
-        engine.run_iteration()
+        engine.run_iteration(updates_first=True)
         fault_point(runtime.fault_plan, "service.before_swap")
         sealed = engine.latest_sealed_epoch()
         if sealed is None:  # pragma: no cover — durable iterations always seal

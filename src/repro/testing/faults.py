@@ -44,9 +44,15 @@ from typing import List, Optional, Sequence, Tuple
 #: build error, as is a listed point with no production call site or no
 #: test reference.  Keep the names grouped by the path they live on; the
 #: crash matrix (``tests/test_crash_matrix.py``) crashes the engine at
-#: each of these and proves recovery.
+#: each of these and proves recovery, in both orders of an iteration.  In
+#: the paper's order ``phase4.done`` is "scored, updates not applied" and
+#: ``phase5.before_apply`` / ``store.*`` follow it; in the serving order
+#: (``run_iteration(updates_first=True)``) ``phase5.before_apply`` and
+#: ``store.*`` fire before any scoring and ``phase4.step`` / ``phase4.done``
+#: are "applied and scored, not sealed" — the working store is ahead of
+#: every epoch, and recovery replays the batch from the WAL.
 ITERATION_CRASH_POINTS = (
-    # iteration loop (engine.run_iterations)
+    # iteration loop (KNNEngine.run_iteration / OutOfCoreIteration.run)
     "iteration.begin",
     "phase4.step",
     "phase4.done",

@@ -153,3 +153,44 @@ class TestDynamicProfiles:
         with KNNEngine(profiles, config) as dynamic_engine:
             dynamic = dynamic_engine.run(num_iterations=3, profile_change_feed=feed).final_graph
         assert static.edge_difference(dynamic) > 0
+
+    def test_updates_first_is_the_paper_sequence_with_phase_5_moved_to_the_head(
+            self, profiles):
+        """Phase 5 at the tail of iteration *t* and at the head of *t + 1*
+        make the same graph sequence from the same batches; only which
+        iteration reports the applied work — and which graph first reflects
+        it — moves."""
+        config = EngineConfig(k=5, num_partitions=4, seed=12)
+        rng = np.random.default_rng(1)
+        batch = [ProfileChange(user=int(u), kind="set",
+                               vector=rng.normal(size=profiles.dim))
+                 for u in rng.choice(profiles.num_users, size=6, replace=False)]
+
+        def counters(result):
+            return (result.graph.edge_fingerprint(), result.similarity_evaluations,
+                    result.reused_scores, result.load_unload_operations)
+
+        with KNNEngine(profiles, config) as paper:
+            paper.run(2)
+            paper.enqueue_profile_changes(batch)
+            tail = paper.run_iteration()         # scores P(t), then applies
+            after = paper.run_iteration()        # the first to score the batch
+            paper_bytes = (paper.profile_store.base_dir
+                           / "profiles_dense.bin").read_bytes()
+        with KNNEngine(profiles, config) as serving:
+            serving.run(2)
+            idle = serving.run_iteration(updates_first=True)   # nothing queued
+            serving.enqueue_profile_changes(batch)
+            head = serving.run_iteration(updates_first=True)   # applies, then scores
+            assert len(serving.update_queue) == 0
+            serving_bytes = (serving.profile_store.base_dir
+                             / "profiles_dense.bin").read_bytes()
+        assert counters(idle) == counters(tail)
+        assert counters(head) == counters(after)
+        assert serving_bytes == paper_bytes
+        assert (tail.profile_updates_applied, after.profile_updates_applied) == (6, 0)
+        assert (idle.profile_updates_applied, head.profile_updates_applied) == (0, 6)
+        # the head-applied work is timed as phase 5 of the iteration it ran in
+        assert list(head.phase_timer.as_dict())[0] == "5-profile-update"
+        assert idle.profile_io_stats.bytes_written == 0
+        assert head.profile_io_stats.bytes_written > 0

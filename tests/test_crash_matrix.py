@@ -7,7 +7,9 @@ protocol — a durable run is crashed mid-flight by an injected
 to completion.  Across all three scoring backends the final graph's
 ``edge_fingerprint`` and the final profile bytes must match an
 uninterrupted run exactly: no update lost, none applied twice, and the set
-of names under ``/dev/shm`` unchanged along the way.
+of names under ``/dev/shm`` unchanged along the way.  The matrix runs
+twice: in the paper's order (phase 5 at the tail, ``KNNEngine.run``) and in
+the serving refresh's (phase 5 at the head, ``updates_first=True``).
 """
 
 from __future__ import annotations
@@ -162,7 +164,20 @@ def test_recovery_ignores_a_stale_partitions_directory(tmp_path, reference):
         recovered.close()
 
 
-def test_sparse_journal_crash_recovers_to_uninterrupted_twin(tmp_path):
+def _run_paper_order(engine, feed):
+    engine.run(NUM_ITERATIONS - engine.iterations_run, profile_change_feed=feed)
+
+
+def _run_serving_order(engine, feed):
+    """``run()``'s loop — feed, then iterate — with phase 5 at the head."""
+    while engine.iterations_run < NUM_ITERATIONS:
+        engine.enqueue_profile_changes(feed(engine.iterations_run))
+        engine.run_iteration(updates_first=True)
+
+
+@pytest.mark.parametrize("run_to_the_end", [_run_paper_order, _run_serving_order])
+def test_sparse_journal_crash_recovers_to_uninterrupted_twin(tmp_path,
+                                                             run_to_the_end):
     """Crash in the v3 journal window: rows appended, generation not bumped.
 
     ``store.journal_appended`` only fires on the segmented sparse apply
@@ -190,7 +205,7 @@ def test_sparse_journal_crash_recovers_to_uninterrupted_twin(tmp_path):
         return feed
 
     with KNNEngine(sparse_profiles(), _config("serial")) as clean:
-        clean.run(NUM_ITERATIONS, profile_change_feed=sparse_feed())
+        run_to_the_end(clean, sparse_feed())
         ref_fingerprint = clean.graph.edge_fingerprint()
         clean_slice = clean.profile_store.load_users(range(40))
         ref_rows = {u: set(clean_slice.get(u)) for u in range(40)}
@@ -203,20 +218,84 @@ def test_sparse_journal_crash_recovers_to_uninterrupted_twin(tmp_path):
                        workdir=workdir)
     try:
         with pytest.raises(InjectedCrash):
-            engine.run(NUM_ITERATIONS, profile_change_feed=feed)
+            run_to_the_end(engine, feed)
     finally:
         engine.close()
     assert "crash" in plan.fired_kinds()
 
     recovered = KNNEngine.recover(workdir)
     try:
-        recovered.run(NUM_ITERATIONS - recovered.iterations_run,
-                      profile_change_feed=feed)
+        run_to_the_end(recovered, feed)
         assert recovered.iterations_run == NUM_ITERATIONS
         assert recovered.graph.edge_fingerprint() == ref_fingerprint
         got_slice = recovered.profile_store.load_users(range(40))
         assert {u: set(got_slice.get(u)) for u in range(40)} == ref_rows
         assert recovered.profile_store.verify_checksums() == []
+    finally:
+        recovered.close()
+
+
+# -- the serving order: phase 5 at the head of the iteration -------------------
+#
+# The refresh loop runs ``run_iteration(updates_first=True)``: drain, apply,
+# score, seal.  The same points then bracket other windows — ``store.*`` and
+# ``phase5.before_apply`` fire before any scoring, ``phase4.step`` and
+# ``phase4.done`` with the batch applied to the working store and in no sealed
+# epoch — so the matrix is proved again in that order, against a twin that
+# never crashed and ran the same order.
+
+@pytest.fixture(scope="module")
+def serving_reference():
+    with KNNEngine(_profiles(), _config("serial")) as engine:
+        _run_serving_order(engine, _once_feed())
+        fingerprint = engine.graph.edge_fingerprint()
+        dense = (engine.profile_store.base_dir / "profiles_dense.bin").read_bytes()
+    return fingerprint, dense
+
+
+def test_the_serving_order_serves_a_batch_one_iteration_earlier(
+        reference, serving_reference):
+    """Same batches, same final profiles — and another graph sequence: the
+    serving order scored the last batch, the paper order only applied it.
+    (Were the two equal, the rows below would prove nothing new.)"""
+    assert serving_reference[1] == reference[1]
+    assert serving_reference[0] != reference[0]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("point", CRASH_POINTS)
+def test_crash_recover_finish_matches_uninterrupted_in_serving_order(
+        point, backend, tmp_path, serving_reference, shm_unchanged):
+    if backend == "process" and not fork_available():
+        pytest.skip("process backend needs fork")
+    ref_fingerprint, ref_dense = serving_reference
+    workdir = tmp_path / "work"
+    plan = FaultPlan().crash_at(point, occurrence=2)
+    feed = _once_feed()
+    engine = KNNEngine(_profiles(),
+                       _config(backend, durable=True, fault_plan=plan),
+                       workdir=workdir)
+    try:
+        with pytest.raises(InjectedCrash):
+            _run_serving_order(engine, feed)
+    finally:
+        engine.close()
+    assert "crash" in plan.fired_kinds()
+
+    recovered = KNNEngine.recover(workdir)
+    try:
+        assert recovered.iterations_run < NUM_ITERATIONS
+        # exactly-once replay: what the WAL hands back is what the restored
+        # epoch had not applied — whole batches of 3, never a part of one
+        assert recovered.wal_replayed == len(recovered.update_queue)
+        assert recovered.wal_replayed % 3 == 0
+        _run_serving_order(recovered, feed)
+        assert recovered.graph.edge_fingerprint() == ref_fingerprint
+        dense = (recovered.profile_store.base_dir
+                 / "profiles_dense.bin").read_bytes()
+        assert dense == ref_dense
+        assert recovered.profile_store.verify_checksums() == []
+        assert len(_scan_commit_epochs(recovered.commits_dir)) <= 2
     finally:
         recovered.close()
 

@@ -133,11 +133,12 @@ def _final_state(runtime):
 
 @pytest.fixture(scope="module")
 def twin():
-    """Fingerprint + profile bytes of a never-crashed lockstep twin."""
+    """Fingerprint + profile bytes of a never-crashed lockstep twin, in the
+    refresh's order: each batch applied, then scored."""
     with KNNEngine(_profiles(), _config()) as engine:
         for index in range(NUM_BATCHES):
             engine.enqueue_profile_changes(_batch(index))
-            engine.run_iteration()
+            engine.run_iteration(updates_first=True)
         fingerprint = engine.graph.edge_fingerprint()
         dense = (engine.profile_store.base_dir
                  / "profiles_dense.bin").read_bytes()

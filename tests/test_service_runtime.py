@@ -442,6 +442,22 @@ class TestGracefulDrain:
         finally:
             service.close()
 
+    def test_the_graph_served_after_a_drain_reflects_the_last_batch(self, tmp_path):
+        """The final refresh applies before it scores: nothing accepted is
+        left applied-but-unserved when the service goes down."""
+        service = _runtime(tmp_path / "svc").start()
+        try:
+            service.supervisor.stop()
+            anchor = service.neighbors(7)[0][0]
+            become_the_anchor = [ProfileChange(user=7, kind="set",
+                                               vector=_profiles().get(anchor))]
+            assert service.submit_updates(become_the_anchor).accepted
+            service.stop(drain=True)
+            neighbour, score = service.neighbors(7)[0]
+            assert neighbour == anchor and score == pytest.approx(1.0)
+        finally:
+            service.close()
+
     def test_stop_without_drain_leaves_the_backlog_in_the_wal(self, tmp_path):
         workdir = tmp_path / "svc"
         service = _runtime(workdir).start()
@@ -467,36 +483,44 @@ class TestGracefulDrain:
 
 
 class TestRefreshCadence:
-    """A refresh starts after every admission — on either side of the drain."""
+    """A refresh serves what was queued when it started; the rest waits."""
 
     def test_batch_admitted_mid_refresh_gets_a_refresh_of_its_own(
             self, tmp_path, monkeypatch):
-        """Admitted while a refresh runs and drained by that same refresh's
-        phase 5: the change is applied but in no served graph, and the queue
-        is empty — the next refresh must follow without waiting for a batch."""
+        """Admitted right after a refresh's head drain: the batch is still
+        queued when that refresh ends, the next refresh serves it, and the
+        loop idles after that."""
         with _runtime(tmp_path / "svc") as service:
             engine = service.engine
-            iterate = engine.run_iteration
-            calls, served = [], []
+            iterate, drain = engine.run_iteration, engine.update_queue.drain
+            pending, served = [], []
 
-            def iterate_with_a_late_batch():
-                calls.append(service.pending_updates)
-                served.append(service.neighbors(7))
-                if len(calls) == 1:
+            def drain_then_admit_a_late_batch():
+                changes = drain()
+                if not pending:
                     late = [ProfileChange(user=7, kind="set",
                                           vector=np.linspace(1.0, 2.0, DIM))]
                     assert service.submit_updates(late).accepted
-                return iterate()
+                return changes
 
-            monkeypatch.setattr(engine, "run_iteration", iterate_with_a_late_batch)
+            def iterate_and_watch_the_queue(**order):
+                before = service.pending_updates
+                served.append(service.neighbors(7))
+                result = iterate(**order)
+                pending.append((before, service.pending_updates))
+                return result
+
+            monkeypatch.setattr(engine.update_queue, "drain",
+                                drain_then_admit_a_late_batch)
+            monkeypatch.setattr(engine, "run_iteration", iterate_and_watch_the_queue)
             assert service.submit_updates(_batch(0)).accepted
             _await(lambda: service.supervisor.refreshes >= 2, message="follow-up")
-            # the second refresh found the queue already drained by the first
-            assert calls == [3, 0]
+            # the late batch outlived the first refresh and fed the second
+            assert pending == [(3, 1), (1, 0)]
             assert service.current_epoch == 2
             # epoch 1 was scored before user 7 changed, epoch 2 after
             assert service.neighbors(7) != served[1]
-            # and it stops there: nothing admitted since that refresh started
+            # and it stops there: the queue is empty
             time.sleep(0.05)
             assert service.supervisor.refreshes == 2
 

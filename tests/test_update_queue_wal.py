@@ -100,6 +100,31 @@ class TestExactlyOnce:
         assert recovered.replay_tail(-1) == 1
         assert recovered.drain()[0].user == 7
 
+    def test_a_wal_truncated_empty_does_not_reuse_applied_sequences(self, tmp_path):
+        """Everything applied and garbage-collected, then a restart: the
+        reopened queue cannot read the numbering off an empty WAL, so the
+        replay bound resumes it.  A batch numbered from 0 again would sit at
+        or below the bound and be skipped, as applied, by the next recovery
+        — an acknowledged write lost."""
+        wal = tmp_path / "wal.bin"
+        queue = ProfileUpdateQueue(wal_path=wal, fsync=False)
+        queue.enqueue_many([_add_change(u, u) for u in range(3)])
+        queue.drain()
+        applied = queue.last_applied_seq
+        queue.truncate_wal(applied)
+        queue.close()
+
+        restarted = ProfileUpdateQueue(wal_path=wal, fsync=False)
+        assert restarted.replay_tail(applied) == 0
+        # a commit that drains nothing still records the bound as applied
+        assert restarted.last_applied_seq == applied
+        restarted.enqueue_many([_add_change(u, u) for u in (8, 9)])
+        restarted.close()                   # dies before any drain
+
+        recovered = ProfileUpdateQueue(wal_path=wal, fsync=False)
+        assert recovered.replay_tail(applied) == 2
+        assert sorted(c.user for c in recovered.drain()) == [8, 9]
+
 
 class TestTornAndCorruptTails:
     def _write_wal(self, path, changes):
