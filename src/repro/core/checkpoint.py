@@ -14,16 +14,22 @@ directory.  ``save_checkpoint``/``load_checkpoint`` work on any
 expensive brute-force ground truths in benchmarks.
 
 A **portable** checkpoint (:func:`save_portable_checkpoint`) additionally
-captures ``P(t)`` itself and the phase-4 score cache, so the checkpoint
-directory is self-contained (survives the engine's scratch workdir being
-deleted).  The profile snapshot **hard-links** the store's immutable files
-— the segmented sparse layout only ever *replaces* segment files via
-rename, never rewrites them in place — so snapshotting a multi-gigabyte
-store costs a directory entry per segment, not a copy; only the small
-mutable files (meta, journal, item table) and in-place-updated dense
+captures ``P(t)`` itself and, when handed one, the phase-4 score cache, so
+the checkpoint directory is self-contained (survives the engine's scratch
+workdir being deleted).  The profile snapshot **hard-links** the store's
+immutable files — the segmented sparse layout only ever *replaces* segment
+files via rename, never rewrites them in place — so snapshotting a
+multi-gigabyte store costs a directory entry per segment, not a copy; only
+the small mutable files (meta, journal, item table) and in-place-updated dense
 matrices are copied.  The score cache rides along as a compact binary of
 ``(pair key, score)`` arrays keyed by the store generation: a resumed run
-that cannot vouch for that generation simply pays one full rescore.
+that cannot vouch for that generation simply pays one full rescore.  The
+engine's explicit ``save_checkpoint()`` carries it; its per-iteration commit
+epochs do not (``docs/robustness.md`` has the measurement).
+
+The writers report the CRC32 of the bytes they had in hand, so
+:func:`write_checkpoint_checksums` seals an epoch without re-reading it and
+a file torn *after* its write is rejected, not blessed by the re-read.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ import json
 import os
 import shutil
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -50,27 +56,28 @@ _MAGIC = b"RPCK0001"
 _CACHE_MAGIC = b"RPSC0001"
 
 
-def save_knn_graph(path: PathLike, graph: KNNGraph, fault_plan=None) -> None:
+def save_knn_graph(path: PathLike, graph: KNNGraph, fault_plan=None) -> int:
     """Serialise a scored KNN graph to a compact binary file.
 
-    ``fault_plan`` (see :mod:`repro.testing.faults`) can fail the write or
-    truncate the written file to model a crash mid-serialisation; the
-    loader's magic/size checks and the checkpoint-level ``checksums.json``
-    are what must catch the damage.
+    Returns the CRC32 of the bytes handed to the file.  ``fault_plan`` (see
+    :mod:`repro.testing.faults`) can fail the write or truncate the written
+    file to model a crash mid-serialisation; the checkpoint-level
+    ``checksums.json`` — which records the returned CRC, not a re-read —
+    and the loader's magic/size checks are what must catch the damage.
     """
     path = Path(path)
     sources, destinations, scores = graph.edge_columns()
     header = np.asarray([graph.num_vertices, graph.k, len(sources)], dtype=np.int64)
     if fault_plan is not None:
         fault_plan.file_op("write", path)
+    crc = 0
     with path.open("wb") as handle:
-        handle.write(_MAGIC)
-        handle.write(header.tobytes())
-        handle.write(sources.tobytes())
-        handle.write(destinations.tobytes())
-        handle.write(scores.tobytes())
+        for block in (_MAGIC, header, sources, destinations, scores):
+            handle.write(block)
+            crc = zlib.crc32(block, crc)
     if fault_plan is not None:
         fault_plan.after_file_op("write", path)
+    return crc
 
 
 def load_knn_graph(path: PathLike) -> KNNGraph:
@@ -118,20 +125,8 @@ def save_checkpoint(directory: PathLike, graph: KNNGraph, iteration: int,
     Returns the manifest path.  ``metadata`` may carry anything JSON-
     serialisable (the engine stores its configuration fingerprint there).
     """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    graph_path = directory / f"knn_graph_{iteration:05d}.bin"
-    save_knn_graph(graph_path, graph, fault_plan=fault_plan)
-    manifest = {
-        "iteration": int(iteration),
-        "graph_file": graph_path.name,
-        "num_vertices": graph.num_vertices,
-        "k": graph.k,
-        "metadata": metadata or {},
-    }
-    manifest_path = directory / "checkpoint.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2))
-    return manifest_path
+    return save_portable_checkpoint(directory, graph, iteration,
+                                    metadata=metadata, fault_plan=fault_plan)
 
 
 def load_checkpoint(directory: PathLike) -> Tuple[KNNGraph, int, Dict[str, object]]:
@@ -219,13 +214,16 @@ class CloneStats:
     entry each — no data was read or written); ``copied_bytes`` were
     streamed through ``shutil.copy2``.  The perf suite's resume gate uses
     the split to prove that resuming a sparse store never materialises a
-    full profile copy.
+    full profile copy.  ``checksums`` is the CRC32 of each cloned file the
+    source's ``profiles_meta.json`` vouches for (its ``crc32`` map, plus the
+    meta file itself from the bytes parsed) — no profile data is read.
     """
 
     linked_files: int = 0
     copied_files: int = 0
     linked_bytes: int = 0
     copied_bytes: int = 0
+    checksums: Dict[str, int] = field(default_factory=dict)
 
     @property
     def total_bytes(self) -> int:
@@ -258,9 +256,17 @@ def clone_profile_files(source_dir: PathLike, dest_dir: PathLike,
             f"clone destination {dest} is the source directory itself; "
             "choose a directory outside the store")
     stats = CloneStats()
+    meta = source / OnDiskProfileStore._META_NAME
+    recorded: Dict[str, int] = {}
+    if meta.is_file():
+        blob = meta.read_bytes()
+        recorded = dict(json.loads(blob).get("crc32") or {})
+        recorded[meta.name] = zlib.crc32(blob)
     for path in sorted(source.glob("profiles_*")):
         if path.name.endswith(".tmp"):
             continue
+        if path.name in recorded:
+            stats.checksums[path.name] = int(recorded[path.name])
         target = dest / path.name
         if target.exists():
             target.unlink()
@@ -288,27 +294,13 @@ def clone_profile_files(source_dir: PathLike, dest_dir: PathLike,
     return stats
 
 
-def snapshot_profile_store(store: OnDiskProfileStore, directory: PathLike,
-                           fault_plan=None) -> Path:
-    """Snapshot the on-disk profiles into ``directory`` (hard-link + copy).
-
-    See :func:`clone_profile_files` for the link/copy split (including the
-    refusal to clone a store onto its own directory).  Returns the
-    snapshot directory, itself a valid
-    :class:`~repro.storage.profile_store.OnDiskProfileStore` base dir.
-    """
-    dest = Path(directory)
-    clone_profile_files(store.base_dir, dest, fault_plan=fault_plan)
-    return dest
-
-
 def restore_profile_store(snapshot_dir: PathLike, dest_dir: PathLike,
                           disk_model: Union[str, DiskModel] = "ssd",
                           io_stats: Optional[IOStats] = None,
                           ) -> Tuple[OnDiskProfileStore, CloneStats]:
     """Rebuild a working profile store from a snapshot, zero-copy.
 
-    The inverse of :func:`snapshot_profile_store`: the snapshot's immutable
+    The inverse of taking the snapshot: the snapshot's immutable
     files are hard-linked into ``dest_dir`` and only the small mutable
     files (meta, journal, item table) and in-place-updated dense matrices
     are copied, so resuming a multi-gigabyte sparse store costs a
@@ -335,28 +327,44 @@ def save_portable_checkpoint(directory: PathLike, graph: KNNGraph, iteration: in
                              profile_store: Optional[OnDiskProfileStore] = None,
                              score_cache: Optional[Phase4ScoreCache] = None,
                              metadata: Optional[Dict[str, object]] = None,
-                             fault_plan=None) -> Path:
+                             fault_plan=None,
+                             checksums: Optional[Dict[str, int]] = None) -> Path:
     """Write a self-contained checkpoint: graph + profiles ``P(t)`` + cache.
 
     Extends :func:`save_checkpoint` with a hard-linked snapshot of the
-    profile store and the phase-4 score cache, so resuming does not depend
-    on the engine's (usually temporary) working directory.  Returns the
-    manifest path.
+    profile store and the phase-4 score cache (each only when given), so
+    resuming does not depend on the engine's (usually temporary) working
+    directory.  Returns the manifest path; a ``checksums`` dict, when
+    passed, receives ``relative name -> CRC32`` of every file whose bytes
+    this call had in hand, for :func:`write_checkpoint_checksums`.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    manifest_path = save_checkpoint(directory, graph, iteration, metadata=metadata,
-                                    fault_plan=fault_plan)
-    manifest = json.loads(manifest_path.read_text())
+    vouched = {} if checksums is None else checksums
+    graph_name = f"knn_graph_{iteration:05d}.bin"
+    vouched[graph_name] = save_knn_graph(directory / graph_name, graph,
+                                         fault_plan=fault_plan)
+    manifest = {
+        "iteration": int(iteration),
+        "graph_file": graph_name,
+        "num_vertices": graph.num_vertices,
+        "k": graph.k,
+        "metadata": metadata or {},
+    }
     if profile_store is not None:
-        snapshot_profile_store(profile_store, directory / "profiles",
-                               fault_plan=fault_plan)
+        cloned = clone_profile_files(profile_store.base_dir,
+                                     directory / "profiles", fault_plan=fault_plan)
+        vouched.update((str(Path("profiles", name)), crc)
+                       for name, crc in cloned.checksums.items())
         manifest["profiles_dir"] = "profiles"
     if score_cache is not None:
         cache_name = "score_cache.bin"
         save_score_cache(directory / cache_name, score_cache)
         manifest["score_cache_file"] = cache_name
-    manifest_path.write_text(json.dumps(manifest, indent=2))
+    blob = json.dumps(manifest, indent=2).encode("utf-8")
+    manifest_path = directory / "checkpoint.json"
+    manifest_path.write_bytes(blob)
+    vouched[manifest_path.name] = zlib.crc32(blob)
     return manifest_path
 
 
@@ -395,9 +403,12 @@ def _checkpoint_files(directory: Path) -> List[Path]:
                   and not path.name.endswith(".tmp"))
 
 
-def write_checkpoint_checksums(directory: PathLike) -> Path:
+def write_checkpoint_checksums(directory: PathLike,
+                               vouched: Optional[Dict[str, int]] = None) -> Path:
     """Record a CRC32 for every file of a checkpoint directory.
 
+    Every file found is listed; only those absent from ``vouched`` (see
+    :func:`save_portable_checkpoint`) are read back to compute one.
     ``checksums.json`` is written **last**, after every other file of the
     checkpoint, so its presence doubles as a completeness marker: the
     engine's commit protocol writes the whole epoch into a temporary
@@ -406,10 +417,12 @@ def write_checkpoint_checksums(directory: PathLike) -> Path:
     or one that :func:`verify_checkpoint` rejects.
     """
     directory = Path(directory)
-    checksums = {
-        str(path.relative_to(directory)): zlib.crc32(path.read_bytes())
-        for path in _checkpoint_files(directory)
-    }
+    vouched = vouched or {}
+    checksums = {}
+    for path in _checkpoint_files(directory):
+        name = str(path.relative_to(directory))
+        checksums[name] = (vouched[name] if name in vouched
+                           else zlib.crc32(path.read_bytes()))
     target = directory / _CHECKSUMS_NAME
     tmp = target.with_name(target.name + ".tmp")
     with tmp.open("w", encoding="utf-8") as handle:

@@ -178,6 +178,7 @@ class KNNEngine:
         self._update_queue = ProfileUpdateQueue(
             wal_path=wal_path, fault_plan=self._config.fault_plan)
         self._wal_replayed = 0
+        self._has_commit = False  # flips once: the first sealed epoch
 
         if initial_graph is not None:
             if initial_graph.num_vertices != profiles.num_users:
@@ -264,7 +265,9 @@ class KNNEngine:
     # -- checkpointing -----------------------------------------------------------
 
     def save_checkpoint(self, directory: Union[str, Path],
-                        metadata: Optional[dict] = None) -> Path:
+                        metadata: Optional[dict] = None, *,
+                        score_cache: bool = True,
+                        checksums: Optional[dict] = None) -> Path:
         """Write a self-contained (portable) checkpoint of the current state.
 
         Captures ``G(t)``, the iteration counter, the engine configuration,
@@ -272,7 +275,9 @@ class KNNEngine:
         phase-4 score cache and any profile changes still buffered in the
         update queue, so the run can resume (:meth:`from_checkpoint`) even
         after this engine's scratch workdir is gone.  Returns the manifest
-        path.
+        path.  The keyword arguments are the commit protocol's:
+        ``score_cache=False`` leaves the cache out (a resume then pays one
+        full rescore) and a ``checksums`` dict receives each file's CRC32.
         """
         self._ensure_open()
         combined = dict(metadata or {})
@@ -289,9 +294,9 @@ class KNNEngine:
         return save_portable_checkpoint(
             directory, self._graph, self._iterations_run,
             profile_store=self._profile_store,
-            score_cache=self._checkpointable_cache(),
+            score_cache=self._checkpointable_cache() if score_cache else None,
             metadata=combined,
-            fault_plan=self._config.fault_plan)
+            fault_plan=self._config.fault_plan, checksums=checksums)
 
     def _checkpointable_cache(self) -> Phase4ScoreCache:
         """The score cache advanced to the snapshot generation for saving.
@@ -489,8 +494,9 @@ class KNNEngine:
 
     def _ensure_initial_commit(self) -> None:
         """Commit the pre-iteration state once, before the first iteration."""
-        if not _scan_commit_epochs(self.commits_dir):
+        if not self._has_commit and not _scan_commit_epochs(self.commits_dir):
             self._commit_iteration()
+        self._has_commit = True
 
     def ensure_initial_commit(self) -> None:
         """Seal the current (pre-iteration) state as epoch 0 if none exists.
@@ -510,12 +516,17 @@ class KNNEngine:
     def sealed_epochs(self) -> List[Tuple[int, Path]]:
         """``(epoch, path)`` of every sealed commit directory, ascending.
 
-        The snapshot/swap seam of the serving runtime: each entry is a
-        self-contained, checksummed portable checkpoint whose files are
-        immutable once sealed — safe to hard-link into a serving snapshot
-        (the clone survives this engine pruning the epoch later).
+        What start-up and recovery publish from: each entry is a
+        self-contained, checksummed checkpoint (graph, profile snapshot,
+        manifest) whose files are immutable once sealed — safe to hard-link
+        into a serving snapshot (the clone survives this engine pruning the
+        epoch later).  A refresh does not scan: it sealed :meth:`epoch_dir`.
         """
         return _scan_commit_epochs(self.commits_dir)
+
+    def epoch_dir(self, epoch: int) -> Path:
+        """Where the commit of iteration ``epoch`` is (or would be) sealed."""
+        return self.commits_dir / f"epoch_{epoch:05d}"
 
     def latest_sealed_epoch(self) -> Optional[Tuple[int, Path]]:
         """The newest sealed epoch, or ``None`` when nothing committed yet."""
@@ -526,9 +537,10 @@ class KNNEngine:
         """Atomically seal the current state as ``commits/epoch_NNNNN``.
 
         Protocol: the whole epoch (graph, hard-linked profile snapshot,
-        score cache, manifest) is written into an ``.tmp`` directory,
+        manifest — no score cache) is written into an ``.tmp`` directory,
         sealed with ``checksums.json`` (written last — it doubles as the
-        completeness marker), and renamed into place in one atomic step.
+        completeness marker; the CRCs are the writers' own), and renamed
+        into place in one atomic step.
         Only then are stale epochs pruned and the WAL garbage-collected up
         to the oldest *surviving* epoch's applied sequence.  A crash
         between any two steps leaves either the previous epochs or the new
@@ -539,14 +551,15 @@ class KNNEngine:
             fault.point("commit.begin")
         commits = self.commits_dir
         commits.mkdir(parents=True, exist_ok=True)
-        epoch = self._iterations_run
-        final = commits / f"epoch_{epoch:05d}"
-        tmp = commits / f"epoch_{epoch:05d}.tmp"
+        final = self.epoch_dir(self._iterations_run)
+        tmp = final.with_name(final.name + ".tmp")
         if tmp.exists():
             shutil.rmtree(tmp)
-        self.save_checkpoint(tmp, metadata={
-            "wal_applied_seq": self._update_queue.last_applied_seq})
-        write_checkpoint_checksums(tmp)
+        vouched: dict = {}
+        self.save_checkpoint(
+            tmp, metadata={"wal_applied_seq": self._update_queue.last_applied_seq},
+            score_cache=False, checksums=vouched)
+        write_checkpoint_checksums(tmp, vouched)
         if fault is not None:
             fault.point("commit.before_rename")
         if final.exists():

@@ -114,6 +114,13 @@ class KNNGraph:
         clone._counts = self._counts.copy()
         return clone
 
+    def freeze(self) -> "KNNGraph":
+        """Make the three arrays read-only — a served ``G(t)``; any later
+        write through this graph raises ``ValueError``.  Returns ``self``."""
+        for array in (self._neighbors, self._scores, self._counts):
+            array.flags.writeable = False
+        return self
+
     # -- mutation ---------------------------------------------------------
 
     def add_candidate(self, vertex: int, neighbor: int, score: float) -> bool:

@@ -78,9 +78,10 @@ class SnapshotView:
     """One immutable serving snapshot: ``G(t)`` + ``P(t)`` of a sealed epoch.
 
     Built by :meth:`from_commit` from an epoch directory.  The graph is
-    loaded into memory (queries are sub-millisecond row reads); the
-    profiles stay on disk behind the store's mmap readers and are only
-    touched by :meth:`recommend`.
+    held in memory, read-only (queries are sub-millisecond row reads): the
+    refresh hands over the arrays it just sealed, start-up and recovery
+    load them from the clone.  The profiles stay on disk behind the
+    store's mmap readers and are only touched by :meth:`recommend`.
 
     Thread-safety: all query methods are read-only and safe to call from
     many reader threads concurrently.  Lifetime is managed through
@@ -101,8 +102,12 @@ class SnapshotView:
 
     @classmethod
     def from_commit(cls, epoch_dir: PathLike, serving_dir: PathLike,
-                    epoch: int) -> "SnapshotView":
+                    epoch: int, graph: Optional[KNNGraph] = None) -> "SnapshotView":
         """Clone a sealed epoch into a fresh ``serving_dir`` subdirectory.
+
+        ``graph`` is the in-memory ``G(t)`` the epoch was sealed from when
+        the caller still holds it (the refresh does); otherwise the clone is
+        read back.  Either way the served graph is frozen.
 
         The clone directory name carries a per-process monotonic suffix
         (``epoch_NNNNN_cMMMM``) so every view instance owns a *unique*
@@ -119,11 +124,12 @@ class SnapshotView:
         if dest.exists():  # pragma: no cover - the suffix makes this unreachable
             shutil.rmtree(dest)
         _clone_tree_hardlink(source, dest)
-        graph, _iteration, _metadata = load_checkpoint(dest)
+        if graph is None:
+            graph, _iteration, _metadata = load_checkpoint(dest)
         store = None
         if (dest / "profiles").is_dir():
             store = OnDiskProfileStore(dest / "profiles", disk_model="instant")
-        return cls(dest, epoch, graph, store)
+        return cls(dest, epoch, graph.freeze(), store)
 
     # -- lifetime ------------------------------------------------------------
 

@@ -4,8 +4,8 @@ The :class:`RefreshSupervisor` owns the service's single background thread.
 Each refresh cycle it runs one dirty-scheduled engine iteration in the
 serving order — drain the update queue, apply, score what was applied, seal
 a commit epoch — clones the sealed epoch into a fresh
-:class:`~repro.service.snapshot.SnapshotView`, and hands the view to the
-runtime's atomic swap callback.
+:class:`~repro.service.snapshot.SnapshotView` around the graph it still holds
+in memory, and hands the view to the runtime's atomic swap callback.
 
 A refresh starts whenever updates are pending, and serves everything that
 was pending when it started.  A batch admitted while it runs stays queued
@@ -175,11 +175,13 @@ class RefreshSupervisor:
         engine = runtime.engine
         engine.run_iteration(updates_first=True)
         fault_point(runtime.fault_plan, "service.before_swap")
-        sealed = engine.latest_sealed_epoch()
-        if sealed is None:  # pragma: no cover — durable iterations always seal
-            raise RuntimeError("refresh completed but no sealed epoch found")
-        epoch, epoch_dir = sealed
-        view = SnapshotView.from_commit(epoch_dir, runtime.serving_dir, epoch)
+        # the iteration sealed its own epoch before returning (durable
+        # before visible), so the graph it left in memory is that epoch's
+        epoch = engine.iterations_run
+        epoch_dir = engine.epoch_dir(epoch)
+        assert epoch_dir.is_dir(), f"refresh completed but {epoch_dir} is not sealed"
+        view = SnapshotView.from_commit(epoch_dir, runtime.serving_dir, epoch,
+                                        graph=engine.graph)
         runtime._swap_snapshot(view)
         fault_point(runtime.fault_plan, "service.after_swap")
 

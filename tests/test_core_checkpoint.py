@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core.checkpoint import (
+    clone_profile_files,
     has_checkpoint,
     load_checkpoint,
     load_knn_graph,
@@ -16,7 +17,6 @@ from repro.core.checkpoint import (
     save_knn_graph,
     save_portable_checkpoint,
     save_score_cache,
-    snapshot_profile_store,
     write_checkpoint_checksums,
 )
 from repro.core.config import EngineConfig
@@ -154,11 +154,16 @@ class TestScoreCacheSerialisation:
             load_score_cache(path)
 
 
+def _snapshot(store, dest):
+    clone_profile_files(store.base_dir, dest)
+    return dest
+
+
 class TestProfileSnapshot:
     def test_sparse_v3_segments_are_hard_linked(self, tmp_path):
         profiles = generate_sparse_profiles(80, 200, items_per_user=10, seed=3)
         store = OnDiskProfileStore.create(tmp_path / "store", profiles)
-        dest = snapshot_profile_store(store, tmp_path / "snap")
+        dest = _snapshot(store, tmp_path / "snap")
         segments = sorted(store.base_dir.glob("profiles_seg_*.bin"))
         assert segments
         for segment in segments:
@@ -180,7 +185,7 @@ class TestProfileSnapshot:
         store.apply_changes([ProfileChange(user=int(u), kind="add",
                                            item=int(rng.integers(0, 200)))
                              for u in range(3)])
-        dest = snapshot_profile_store(store, tmp_path / "snap")
+        dest = _snapshot(store, tmp_path / "snap")
         frozen = OnDiskProfileStore(dest)
         expected = {user: frozen.load_users([user]).get(user)
                     for user in range(80)}
@@ -201,14 +206,14 @@ class TestProfileSnapshot:
         store = OnDiskProfileStore.create(tmp_path / "store", profiles)
         before = store.load_users([0]).get(0)
         with pytest.raises(ValueError, match="source directory itself"):
-            snapshot_profile_store(store, store.base_dir)
+            _snapshot(store, store.base_dir)
         # and the store is untouched
         assert store.load_users([0]).get(0) == before
 
     def test_dense_snapshot_is_a_copy(self, tmp_path):
         profiles = generate_dense_profiles(40, dim=6, seed=3)
         store = OnDiskProfileStore.create(tmp_path / "store", profiles)
-        dest = snapshot_profile_store(store, tmp_path / "snap")
+        dest = _snapshot(store, tmp_path / "snap")
         # dense rows are updated in place through a memmap — linking would
         # corrupt old checkpoints, so the matrix must be copied
         assert (os.stat(store.base_dir / "profiles_dense.bin").st_ino

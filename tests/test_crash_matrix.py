@@ -304,10 +304,10 @@ def test_crash_in_a_delta_iteration_recovers_onto_the_reference_path(tmp_path):
     """The matrix above crashes a graph that is still forming, where phase 2
     rebuilds ``H`` anyway.  This row crashes a *converged* run mid-phase-4,
     in an iteration that advanced ``H`` by the edge delta: what is carried is
-    never checkpointed, so the recovered engine rebuilds once (joining the
-    epoch's score cache by search), advances again from the next iteration
-    on, and finishes on the never-crashed twin's graph, evaluations and
-    reuse."""
+    never checkpointed and a commit epoch holds no score cache, so the
+    recovered engine rebuilds and rescores in full once — the same graph for
+    more evaluations — then advances again from the next iteration on, on the
+    never-crashed twin's graph, evaluations and reuse."""
     warm, total = 8, 11
 
     def changes():
@@ -349,9 +349,12 @@ def test_crash_in_a_delta_iteration_recovers_onto_the_reference_path(tmp_path):
     finally:
         recovered.close()
     assert [result.candidates_rebuilt for result in finished] == [True, False, False]
-    assert not finished[0].full_rescore        # the epoch's cache, searched
-    assert [counters(result) for result in finished] == [
-        counters(result) for result in expected]
+    assert finished[0].full_rescore            # epochs carry no score cache
+    assert finished[0].reused_scores == 0
+    assert finished[0].graph.edge_fingerprint() == expected[0].graph.edge_fingerprint()
+    assert finished[0].similarity_evaluations == sum(counters(expected[0])[1:])
+    assert [counters(result) for result in finished[1:]] == [
+        counters(result) for result in expected[1:]]
 
 
 def test_random_crash_sweep_is_recoverable(tmp_path):

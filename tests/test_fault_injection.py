@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core.checkpoint import clone_profile_files
+from repro.core.checkpoint import clone_profile_files, verify_checkpoint
 from repro.core.config import EngineConfig
 from repro.core.engine import KNNEngine
 from repro.similarity.workloads import generate_dense_profiles
@@ -133,3 +133,29 @@ class TestFaultHooksInStores:
             with pytest.raises(InjectedCrash):
                 engine.run_iteration()
             assert engine.iterations_run == 1
+
+    def test_an_epoch_torn_after_its_write_is_rejected_and_recovery_falls_back(
+            self, tmp_path):
+        # the commit seals the CRC the graph writer took from the bytes in
+        # hand, so a tear between write and seal fails verification and
+        # recovery takes the previous epoch — a seal that re-read the file
+        # would verify the torn epoch and fail later, in the loader
+        profiles = generate_dense_profiles(30, dim=4, seed=1)
+        config = EngineConfig(k=4, num_partitions=2, seed=3)
+        with KNNEngine(profiles, config) as twin:
+            twin.run(3)
+            expected = twin.graph.edge_fingerprint()
+        plan = FaultPlan().truncate_file("write", match="knn_graph",
+                                         keep_bytes=40, occurrence=3)
+        engine = KNNEngine(profiles, config.with_overrides(
+            durable=True, fault_plan=plan), workdir=tmp_path / "w")
+        try:
+            engine.run(2)           # epochs 0, 1, 2: the third graph is torn
+        finally:
+            engine.close()
+        assert "truncate" in plan.fired_kinds()
+        assert not verify_checkpoint(tmp_path / "w" / "commits" / "epoch_00002")
+        with KNNEngine.recover(tmp_path / "w") as recovered:
+            assert recovered.iterations_run == 1
+            recovered.run(2)
+            assert recovered.graph.edge_fingerprint() == expected

@@ -127,6 +127,40 @@ class TestCheckpointChecksums:
         (directory / "profiles" / "profiles_dense.bin").unlink()
         assert not verify_checkpoint(directory)
 
+    def test_a_graph_torn_after_its_write_is_not_blessed_by_the_seal(self, tmp_path):
+        # the sealed CRC is the writer's own, taken from the bytes in hand; a
+        # seal that re-read the file would record the torn bytes' CRC and the
+        # damage would only surface later, in the loader's size check
+        directory = tmp_path / "ckpt"
+        plan = FaultPlan().truncate_file("write", match="knn_graph",
+                                         keep_bytes=64)
+        vouched = {}
+        save_portable_checkpoint(directory, KNNGraph.random(40, 4, seed=9), 1,
+                                 profile_store=_dense_store(tmp_path),
+                                 fault_plan=plan, checksums=vouched)
+        write_checkpoint_checksums(directory, vouched)
+        assert "truncate" in plan.fired_kinds()
+        assert (directory / "knn_graph_00001.bin").stat().st_size == 64
+        assert not verify_checkpoint(directory)
+
+    def test_a_profile_file_torn_in_the_store_is_not_blessed_by_the_seal(self, tmp_path):
+        # a torn journal append: the store's meta records the CRC of the bytes
+        # it appended, the clone carries the torn file, the seal takes the
+        # meta's word — so the epoch is rejected instead of verified
+        store = _sparse_store(tmp_path)
+        store.fault_plan = FaultPlan().truncate_file(
+            "write", match="journal_rows", keep_bytes=4)
+        store.apply_changes([ProfileChange(user=2, kind="add", item=79)])
+        directory = tmp_path / "ckpt"
+        vouched = {}
+        save_portable_checkpoint(directory, KNNGraph.random(40, 4, seed=9), 1,
+                                 profile_store=store, checksums=vouched)
+        write_checkpoint_checksums(directory, vouched)
+        assert not verify_checkpoint(directory)
+        # the un-vouched seal of the same directory is the old behaviour
+        write_checkpoint_checksums(directory)
+        assert verify_checkpoint(directory)
+
     def test_unparseable_checksums_rejected(self, tmp_path):
         directory = self._checkpoint(tmp_path)
         (directory / "checksums.json").write_text("{not json")
