@@ -1,9 +1,10 @@
 """Ablation — phase-1 partitioning strategies.
 
-DESIGN.md calls out the partitioning objective ``min Σ (N_in + N_out)`` as a
-design choice worth ablating: how much does a locality-aware partitioner buy
-over the paper's plain contiguous ``n/m`` split (and over a deliberately bad
-hash split) in terms of the paper's own objective and of the edge cut?
+The paper's partitioning objective ``min Σ (N_in + N_out)`` (see
+``repro.partition.partitioners``) is a design choice worth ablating: how
+much does a locality-aware partitioner buy over the paper's plain contiguous
+``n/m`` split (and over a deliberately bad hash split) in terms of the
+paper's own objective and of the edge cut?
 
 The KNN result itself must be identical under every partitioner (asserted),
 so this ablation isolates the I/O-locality effect of phase 1.

@@ -2,8 +2,8 @@
 
 The paper's future work plans to measure "execution times as well as
 throughput from the disk IO operations" on HDD and SSD.  Physical devices
-are replaced by the deterministic disk model (see DESIGN.md §3); the
-benchmark verifies the expected qualitative ordering: the same iteration
+are replaced by the deterministic disk model (``repro.storage.disk_model``);
+the benchmark verifies the expected qualitative ordering: the same iteration
 charges far more simulated I/O time on the HDD model than on the SSD model,
 and the gap grows with the number of partitions (more, smaller transfers).
 

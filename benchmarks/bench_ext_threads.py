@@ -5,7 +5,7 @@ tuple scoring is the compute-bound part of an iteration; this benchmark
 measures the scoring throughput of a large tuple batch for 1, 2 and 4
 worker threads (the dense cosine kernel releases the GIL inside NumPy).
 Exact speedups depend on the host; the benchmark asserts correctness
-(identical scores) and records throughput for EXPERIMENTS.md.
+(identical scores) and records throughput in the benchmark's ``extra_info``.
 
 Run with:  pytest benchmarks/bench_ext_threads.py --benchmark-only -s
 """

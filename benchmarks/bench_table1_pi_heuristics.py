@@ -10,8 +10,8 @@ This benchmark regenerates the table on the synthetic stand-in datasets
 paper's qualitative claim: the degree-based heuristics need roughly 5–15 %
 fewer operations than the sequential baseline.  Absolute values differ from
 the paper because the graphs are synthetic and the exact operation-counting
-convention of the original implementation is not published; EXPERIMENTS.md
-records both sets of numbers side by side.
+convention of the original implementation is not published; every cell
+records both numbers side by side in the benchmark's ``extra_info``.
 
 Run with:  pytest benchmarks/bench_table1_pi_heuristics.py --benchmark-only -s
 """

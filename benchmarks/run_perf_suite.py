@@ -211,9 +211,6 @@ def _run_update_workload(kind: str, incremental: bool = True) -> dict:
             # store write, so the update scaling is read from iterations 1+
             "profile_bytes_written": (profile_io.bytes_written
                                       if profile_io is not None else None),
-            # time spent adopting this iteration's score slab as the cache
-            "cache_merge_seconds": round(
-                getattr(result, "cache_merge_seconds", 0.0), 4),
         })
     phases = run.summary()["phase_seconds"]
     return {
@@ -229,8 +226,6 @@ def _run_update_workload(kind: str, incremental: bool = True) -> dict:
         "phase2_seconds": round(phases[PHASE_NAMES[1]], 4),
         "rescored_tuples": sum(row["rescored_tuples"] for row in per_iteration),
         "reused_scores": sum(row["reused_scores"] for row in per_iteration),
-        "cache_merge_seconds": round(sum(row["cache_merge_seconds"]
-                                         for row in per_iteration), 4),
         "iterations": per_iteration,
         "graph_fingerprint": run.final_graph.edge_fingerprint(),
     }

@@ -5,7 +5,7 @@ Each runner returns plain data structures (dataclasses / dicts) so that the
 results and print paper-style tables, and the ``examples/`` scripts can
 reuse the same code paths interactively.
 
-Experiment index (see DESIGN.md §5):
+Experiment index:
 
 * :func:`run_table1` — Table 1: load/unload operations of the PI-graph
   traversal heuristics on the six (synthetic stand-in) datasets.
@@ -39,9 +39,10 @@ from repro.utils.rng import SeedLike
 # Table 1 — PI-graph traversal heuristics
 # ---------------------------------------------------------------------------
 
-#: Values printed in the paper's Table 1, for side-by-side comparison in
-#: EXPERIMENTS.md and in the benchmark output.  Keys are dataset registry
-#: names; values are (sequential, high-low, low-high) operation counts.
+#: Values printed in the paper's Table 1, carried beside each reproduced row
+#: (``Table1Row.paper_operations``) and into the benchmark's ``extra_info``.
+#: Keys are dataset registry names; values are (sequential, high-low,
+#: low-high) operation counts.
 PAPER_TABLE1 = {
     "wiki-vote": (211856, 204706, 202290),
     "gen-rel": (34506, 32220, 31256),

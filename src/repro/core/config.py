@@ -73,29 +73,30 @@ class EngineConfig:
         contiguous partitioner's n/m split (one segment per partition) and
         falls back to the store's default for scattering partitioners.
     incremental_phase4:
-        Reuse the previous iteration's similarity scores for candidate
-        tuples whose endpoints' profiles are unchanged (tracked through the
+        Keep scores in the carried state
+        (:class:`~repro.core.iteration.Phase4ScoreCache`) and reuse them for
+        candidate tuples whose endpoints' profiles are unchanged (the
         profile store's touched-row deltas).  Scores are deterministic per
         pair, so the produced graphs are **bit-identical** with the toggle
-        on or off; iterations after the first just rescore only tuples with
-        at least one touched endpoint (plus never-seen pairs).
+        on or off; iterations after the first rescore only tuples with at
+        least one touched endpoint (plus never-seen pairs).
     dirty_scheduling:
-        Plan each iteration's residency steps around the partitions the
-        update churn actually touched: steps whose two partitions are both
-        clean and whose pair was scored at the score cache's generation are
-        served from the cache without loading a partition, and the
-        remaining steps run dirty-first (convergence-driven ordering).
-        Needs ``incremental_phase4``; every situation the delta history
-        cannot vouch for (reload, compaction, recovery) falls back to the
-        full schedule.  Produced graphs are **bit-identical** with the
-        toggle on or off — per-tuple cache validity is still checked
-        against the touched-row mask, and the G(t+1) merge is a pure
-        function of the scored candidate multiset.
+        The carried state's second reading: residency steps whose two
+        partitions the update churn left clean and whose pair is in its
+        ``scored_pairs`` are served from its scores without loading a
+        partition, and the remaining steps run dirty-first
+        (convergence-driven ordering).  Needs ``incremental_phase4``; every
+        situation the delta history cannot vouch for (reload, compaction,
+        recovery) falls back to the full schedule.  Produced graphs are
+        **bit-identical** with the toggle on or off — per-tuple cache
+        validity is still checked against the touched-row mask, and the
+        G(t+1) merge is a pure function of the scored candidate multiset.
     score_cache_entries:
-        Capacity of the phase-4 score cache in (pair, score) entries
-        (16 bytes each).  An iteration whose scored tuple set exceeds the
-        cap leaves the cache empty — the next iteration then rescores
-        everything — so memory stays bounded on huge candidate sets.
+        Capacity of the carried state's scores
+        (:class:`~repro.core.iteration.Phase4ScoreCache`) in (pair, score)
+        entries (16 bytes each).  An iteration whose scored tuple set
+        exceeds the cap leaves no scores (``G(t)`` and ``H`` stay; the next
+        iteration rescores everything), so memory stays bounded.
     shard_parallel:
         Execute *whole residency steps* concurrently instead of one step at
         a time: the steps that need their partitions are colored into waves

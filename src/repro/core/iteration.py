@@ -11,33 +11,28 @@ The orchestration follows Figure 1 of the paper exactly:
 
 The engine (:mod:`repro.core.engine`) owns the loop, the profile store and
 the update queue, and calls :meth:`OutOfCoreIteration.run` once an iteration.
-Three things survive across iterations:
+Two things survive across iterations:
 
 * the phase-4 scoring workers (:class:`~repro.core.parallel.ScoringWorkers`)
   — whatever executor the backend needs, created once; workers drop their
-  cached mmap slices when the store's ``generation`` says phase 5 wrote;
-* the phase-4 **score cache** (:class:`Phase4ScoreCache`) — the last scored
-  slab and its keys; a tuple with two endpoints untouched since its
-  generation reuses its score bit-for-bit, so kernel work scales with the
-  churn.  Dropped (a full rescore, always correct) by another measure or
-  vertex count, a touched history the store cannot vouch for, an
-  over-capacity slab, or ``incremental_phase4`` off; and
-* the **candidates** (:class:`~repro.tuples.delta.CarriedCandidates`) —
-  ``G(t)`` and the ``H`` phase 2 made of it, multiplicities included.  Phase
-  2 advances that ``H`` by the edge delta to the new graph, and the slab
-  then follows its keys position for position instead of being searched.
-  Rebuilt from the partitions (the reference path) when nothing is carried
-  — cold start, resume, recovery, ``max_pairs_per_bridge`` — on another
-  vertex count, or past ``_DELTA_REBUILD_FRACTION``; outlives the scores.
+  cached mmap slices when the store's ``generation`` says phase 5 wrote; and
+* the **carried state** (:class:`Phase4ScoreCache`) — ``G(t)``, the ``H``
+  phase 2 made of it and the score slab over ``H``.  Phase 2 advances
+  ``H`` by the edge delta and the slab follows its keys; a tuple with two
+  endpoints untouched since the slab's generation reuses its score
+  bit-for-bit, so kernel work scales with the churn, and a partition pair
+  the slab covers may skip its residency step.  ``H`` is rebuilt, or the
+  scores dropped, whenever the data cannot vouch for them (the class says
+  when); either loss keeps the other half.
 
-The last two are committed by a completed phase 4 only: an aborted iteration
-leaves them untouched (a rebuild lets go of the candidates as it starts — a
-retry would rebuild too).  Within an iteration the candidate set has one
-representation, ``H``'s sorted key array, and phase 4 one 8 B/tuple score slab
-aligned with it: the cache join fills what it knows, each residency step
-scatters its fresh scores into its own slots, and the slab is read twice as
-it lies — merged into ``G(t+1)`` in source-aligned chunks no larger than the
-flush threshold, and adopted as the next score cache.
+The state is committed by a completed phase 4 only, in one ``merge``: an
+aborted iteration leaves it untouched (a rebuild lets go of ``G(t)`` and
+``H`` as it starts — a retry would rebuild too).  Within an iteration the
+candidate set has one representation, ``H``'s sorted key array, and phase 4
+one 8 B/tuple score slab aligned with it: the cache join fills what it
+knows, each residency step scatters its fresh scores into its own slots, and
+the slab is read twice as it lies — merged into ``G(t+1)`` in source-aligned
+chunks no larger than the flush threshold, and committed as the next state.
 
 Within a residency step the only address is the **partition-local row**: a
 vertex's rank among its partition's ascending vertices, fixed by phase 1
@@ -58,31 +53,30 @@ to run the kernel — charges the partition loads and the slice reads.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import (Dict, Iterable, Iterator, List, Optional, Sequence, Set,
-                    Tuple, Union)
+from typing import (Dict, FrozenSet, Iterable, Iterator, List, Optional,
+                    Sequence, Set, Tuple, Union)
 
 import numpy as np
 
 from repro.core.config import EngineConfig
 from repro.core.parallel import ScoringWorkers, ShardStepTask, score_tuples
 from repro.core.update_queue import ProfileUpdateQueue
+from repro.graph.digraph import CSRDiGraph
 from repro.graph.knn_graph import KNNGraph
-from repro.utils.arrays import counting_argsort, find_sorted
+from repro.utils.arrays import find_sorted
 from repro.partition.model import (PartitionLayout, build_partitions,
                                    partition_layout)
 from repro.partition.partitioners import get_partitioner
 from repro.pigraph.pi_graph import PIEdge, PIGraph
-from repro.pigraph.scheduler import (DirtySchedule, ScheduleResult,
-                                     plan_dirty_schedule, plan_shard_schedule,
-                                     simulate_schedule)
+from repro.pigraph.scheduler import (ScheduleResult, plan_dirty_schedule,
+                                     plan_shard_schedule, simulate_schedule)
 from repro.pigraph.traversal import ResidencyStep, get_heuristic
 from repro.storage.io_stats import IOStats
 from repro.storage.memory_manager import MemoryBudget, PartitionCache
 from repro.storage.partition_store import PartitionStore
 from repro.storage.profile_store import OnDiskProfileStore
-from repro.tuples.delta import CarriedCandidates
+from repro.tuples.delta import edge_delta, multiplicity_delta
 from repro.tuples.generator import generate_candidate_tuples
 from repro.tuples.hash_table import KeyPatch, TupleHashTable
 from repro.utils.logging import get_logger
@@ -114,41 +108,83 @@ PHASE_NAMES = (
 
 
 class Phase4ScoreCache:
-    """Generation-keyed cache of phase-4 similarity scores.
+    """What a completed phase 4 carries into the next iteration.
 
-    Holds the previous scored iteration's ``(source, destination) → score``
-    map as a sorted int64 pair-key array plus an aligned score array, tagged
-    with the ``(measure, store generation, vertex count)`` it was computed
-    under.  A similarity score depends only on the two endpoint profiles,
-    so a cached entry may be reused **bit-for-bit** as long as neither
-    endpoint's profile changed since the cached generation — exactly what
-    the profile store's touched-row deltas
+    ``G(t)`` (``csr``, ``edge_keys``) and its ``H`` (``table``), which phase
+    2 :meth:`advance`\\ s by the edge delta; and the scores, a sorted int64
+    pair-key array (``keys``) with the slab of scores aligned with it
+    (``values``), tagged with the ``(measure, store generation, vertex
+    count)`` they were computed under and the normalised partition pairs
+    whose tuples they all cover (``scored_pairs``).  A similarity score
+    depends only on the two endpoint profiles, so a score is reused
+    **bit-for-bit** while neither endpoint changed since its generation —
+    what the store's touched-row deltas
     (:meth:`~repro.storage.profile_store.OnDiskProfileStore.touched_rows_since`)
-    report.  Anything the deltas cannot vouch for (unknown history, measure
-    or vertex-count mismatch, empty cache) falls back to a full rescore,
-    which is always correct.
+    report; anything they cannot vouch for is a full rescore.
 
-    Capacity is bounded by ``max_entries`` (16 bytes per entry): an
-    iteration whose scored set exceeds the cap leaves the cache empty
-    (recorded in :attr:`evictions`) rather than keeping a partial map.
+    A commit (:meth:`merge`, the only one) makes ``keys`` *be*
+    ``table.keys``: while ``aligned`` the slab follows ``H`` through an
+    advance's patch (:meth:`carry`); after a rebuild (:meth:`release`) or a
+    :meth:`restore` it is joined by search (:meth:`lookup`).  A scored set
+    over ``max_entries`` (16 bytes each) leaves no scores (one
+    :attr:`evictions`) rather than a partial map.
     """
 
     def __init__(self, max_entries: int = 4_000_000):
         self.max_entries = int(max_entries)
         self.evictions: int = 0
+        self.release()
         self.clear()
 
     def clear(self) -> None:
+        """Drop the scores and their tags; ``G(t)`` and ``H`` stay."""
         self.measure: Optional[str] = None
         self.generation: Optional[int] = None
         self.num_vertices: int = 0
         self.keys: Optional[np.ndarray] = None
         self.values: Optional[np.ndarray] = None
+        self.scored_pairs: FrozenSet[Tuple[int, int]] = frozenset()
+        self.aligned = False
+
+    def release(self) -> None:
+        """Let go of ``G(t)`` and ``H`` — a rebuild starts, and a retry
+        would rebuild too; the scores stay for the search join."""
+        self.csr: Optional[CSRDiGraph] = None
+        self.edge_keys: Optional[np.ndarray] = None
+        self.table: Optional[TupleHashTable] = None
+        self.aligned = False
+
+    def _graph_arrays(self) -> Tuple[np.ndarray, ...]:
+        csr = self.csr
+        return self.edge_keys, csr.indptr, csr.indices, csr.rindptr, csr.rindices
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the carried ``G(t)`` and ``H``."""
+        return (sum(array.nbytes for array in self._graph_arrays())
+                + self.table.memory_estimate_bytes())
+
+    def advance(self, csr: CSRDiGraph, edge_keys: np.ndarray,
+                assignment: np.ndarray, include_direct_edges: bool,
+                max_moved: float) -> Optional[Tuple[TupleHashTable, KeyPatch]]:
+        """``H`` of the graph ``csr`` (sorted edge keys ``edge_keys``),
+        bucketed by ``assignment``, advanced from the carried table, and how
+        its keys differ from that table's — or ``None`` when the caller
+        should rebuild: another vertex count, or more than ``max_moved``
+        edges removed plus added.  Nothing carried is modified."""
+        if csr.num_vertices != self.csr.num_vertices:
+            return None
+        removed, added = edge_delta(self.edge_keys, edge_keys)
+        if len(removed) + len(added) > max_moved:
+            return None
+        keys, changes = multiplicity_delta(self.csr, csr, removed, added,
+                                           include_direct_edges)
+        return self.table.patched(keys, changes, assignment)
 
     def matches(self, measure: str, num_vertices: int) -> bool:
         """Whether the cached scores speak about this measure and graph."""
-        return (self.keys is not None and self.generation is not None
-                and self.measure == measure and self.num_vertices == num_vertices)
+        return (self.keys is not None and self.measure == measure
+                and self.num_vertices == num_vertices)
 
     def lookup(self, pair_keys: np.ndarray, touched_mask: np.ndarray
                ) -> Tuple[np.ndarray, np.ndarray]:
@@ -195,15 +231,10 @@ class Phase4ScoreCache:
 
     def advanced_to(self, touched_rows: np.ndarray,
                     generation: int) -> "Phase4ScoreCache":
-        """A copy of this cache advanced past the given touched rows.
-
-        Entries with a touched endpoint are pruned (they would be dirty
-        anyway) and the remainder re-tagged with ``generation`` — the
-        store state the pruned map now describes exactly.  Keeps the pair
-        key encoding in one place for checkpointing
-        (:meth:`KNNEngine.save_checkpoint` advances the cache to the
-        snapshot generation this way).
-        """
+        """A scores-only copy advanced past the given touched rows: entries
+        with a touched endpoint pruned (they would be dirty anyway), the
+        rest re-tagged with ``generation`` — how
+        :meth:`KNNEngine.save_checkpoint` reaches the snapshot generation."""
         cache = Phase4ScoreCache(max_entries=self.max_entries)
         if self.keys is None:
             return cache
@@ -216,52 +247,64 @@ class Phase4ScoreCache:
                     generation, self.num_vertices)
         return cache
 
-    def replace(self, key_chunks: Sequence[np.ndarray],
-                score_chunks: Sequence[np.ndarray], measure: str,
-                generation: int, num_vertices: int) -> None:
-        """Install scored pairs that arrive in any order, in chunks.
-
-        ``key_chunks`` hold ``src * num_vertices + dst`` pair keys, unique
-        across chunks.  Sorts them (the 16-bit LSD counting passes — pair
-        keys are bounded by ``num_vertices²``) and hands over to
-        :meth:`merge`, whose rules apply.
-        """
-        keys = (np.concatenate(key_chunks) if key_chunks
-                else np.empty(0, dtype=np.int64))
-        values = (np.concatenate(score_chunks) if score_chunks
-                  else np.empty(0, dtype=np.float64))
-        order = counting_argsort(keys, int(num_vertices) * int(num_vertices))
-        self.merge(keys[order], values[order], measure, generation,
-                   num_vertices)
-
-    def merge(self, keys: np.ndarray, values: np.ndarray, measure: str,
-              generation: int, num_vertices: int) -> None:
-        """Adopt one iteration's scored pairs as the new cache contents.
-
-        ``keys`` must be strictly increasing ``src * num_vertices + dst``
-        pair keys and ``values`` their scores — in phase 4, the dedup
-        table's key array and the score slab aligned with it, which already
-        *are* the next cache: nothing is sorted, copied or interleaved.
-        Both arrays are adopted as they are and marked read-only, because
-        the iteration that produced them still holds them.  Over-capacity
-        iterations clear the cache (one :attr:`evictions`) instead of
-        keeping an arbitrary subset.
-        """
-        if len(keys) != len(values):
-            raise ValueError("keys and values must have equal length")
-        if len(keys) > self.max_entries:
-            self.clear()
+    def restore(self, cache: "Phase4ScoreCache") -> None:
+        """Adopt another cache's scores — a checkpoint's — under this one's
+        capacity (over it, none: one :attr:`evictions`).  ``G(t)`` and
+        ``H`` stay, but the slab is not theirs: it is joined by search and
+        vouches for no partition pair until the next :meth:`merge`."""
+        self.clear()
+        if cache.keys is None:
+            return
+        if len(cache.keys) > self.max_entries:
             self.evictions += 1
             return
-        if not (keys[1:] > keys[:-1]).all():
+        self.keys, self.values = cache.keys, cache.values
+        self.measure, self.generation = cache.measure, cache.generation
+        self.num_vertices = cache.num_vertices
+
+    def merge(self, keys: np.ndarray, values: Optional[np.ndarray],
+              measure: str, generation: int, num_vertices: int, *,
+              graph: Optional[Tuple[CSRDiGraph, np.ndarray,
+                                    TupleHashTable]] = None,
+              scored_pairs: Iterable[Tuple[int, int]] = ()) -> None:
+        """Commit one iteration as the new state.
+
+        ``keys`` are strictly increasing ``src * num_vertices + dst`` pair
+        keys and ``values`` their scores — in phase 4, ``H``'s key array and
+        the slab aligned with it, adopted as they lie (read-only, the
+        iteration still holds them: no sort, no copy).  ``graph`` is the
+        ``(csr, edge_keys, table)`` whose ``table.keys`` they are, or
+        ``None``; ``scored_pairs`` the normalised partition pairs they
+        cover.  ``values=None`` (``incremental_phase4`` off) keeps no
+        scores, nor does an over-capacity set.  A refused merge changes
+        nothing.
+        """
+        scored = values is not None and len(keys) <= self.max_entries
+        if values is not None and len(keys) != len(values):
+            raise ValueError("keys and values must have equal length")
+        if scored and not (keys[1:] > keys[:-1]).all():
             raise ValueError("score cache keys must be strictly increasing")
+        if graph is not None and graph[2].keys is not keys:
+            raise ValueError("the scored keys must be the carried table's")
+        self.release()
+        if graph is not None:
+            self.csr, self.edge_keys, self.table = graph
+            self.table.freeze()
+            for array in self._graph_arrays():
+                array.flags.writeable = False
+        self.clear()
+        if not scored:
+            if values is not None:
+                self.evictions += 1
+            return
         keys.flags.writeable = False
         values.flags.writeable = False
-        self.keys = keys
-        self.values = values
+        self.keys, self.values = keys, values
         self.measure = measure
         self.generation = int(generation)
         self.num_vertices = int(num_vertices)
+        self.scored_pairs = frozenset(scored_pairs)
+        self.aligned = graph is not None
 
 
 @dataclass
@@ -288,9 +331,6 @@ class IterationResult:
     #: ``True`` when phase 2 built ``H`` from the partitions; ``False`` when it
     #: advanced last iteration's ``H`` by the edge delta ``G(t-1) → G(t)``.
     candidates_rebuilt: bool = True
-    #: Wall-clock seconds spent installing this iteration's scores as the
-    #: phase-4 score cache (an adoption of the score slab: checks, no copy).
-    cache_merge_seconds: float = 0.0
     #: Residency steps that never acquired their partition pair under dirty
     #: scheduling: scores came from the score cache, plus at most a small
     #: row-level residual gather for never-seen pairs.  Always 0 when
@@ -313,7 +353,6 @@ class IterationResult:
             "reused_scores": self.reused_scores,
             "full_rescore": self.full_rescore,
             "candidates_rebuilt": self.candidates_rebuilt,
-            "cache_merge_seconds": self.cache_merge_seconds,
             "steps_skipped": self.steps_skipped,
             "steps_total": self.steps_total,
             "load_unload_operations": self.load_unload_operations,
@@ -337,8 +376,8 @@ class _Phase4Run:
     with ``keys`` (``H``'s sorted pair keys).  The one-shot cache join fills
     the slots it can answer, every residency step scatters its fresh scores
     into the rest, and the finished slab is both the input of the ``G(t+1)``
-    merge and, with ``keys``, the next score cache.  NaN marks a slot nobody
-    resolved.
+    merge and, with ``keys``, the next carried scores.  NaN marks a slot
+    nobody resolved.
 
     The unresolved slots are decoded once, grouped by PI edge: ``positions``
     (into the slab), and the partition-local rows of their sources
@@ -361,7 +400,6 @@ class _Phase4Run:
     reused: int
     evaluations: int = 0
     steps_skipped: int = 0
-    cache_merge_seconds: float = 0.0
 
     def batches(self, edges: Iterable[PIEdge]) -> List[_EdgeBatch]:
         """The step's PI edges that still carry unresolved tuples."""
@@ -564,24 +602,14 @@ class OutOfCoreIteration:
                             if worker_budget else 0),
             fault_plan=config.fault_plan,
             score=_score_in_process)
-        # survives across iterations, exactly like the workers: the
-        # cache holds the last scored generation's pair → score map
+        # survives across iterations, like the workers; only its scores are
+        # checkpointed, so a fresh runner rebuilds H once and skips no step
+        # until its first commit
         self._score_cache = Phase4ScoreCache(config.score_cache_entries)
-        # normalised (min, max) partition pair → store generation at which
-        # the pair's tuples were last fully covered by the score cache.
-        # Deliberately *not* checkpointed: a fresh runner (resume, recovery)
-        # starts empty, which only costs executing clean pairs once — dirty
-        # scheduling must never trust a pair the current cache can't vouch
-        # for.  Rebuilt wholesale every non-overflow iteration, so entries
-        # from older partition assignments cannot accumulate.
-        self._pair_generations: Dict[Tuple[int, int], int] = {}
-        # G(t) and its H as the last completed phase 4 left them (module
-        # docstring); not checkpointed either — a fresh runner rebuilds once
-        self._candidates: Optional[CarriedCandidates] = None
 
     @property
     def score_cache(self) -> Phase4ScoreCache:
-        """The run-lifetime phase-4 score cache (checkpointing reads it)."""
+        """The run-lifetime carried state (checkpointing reads its scores)."""
         return self._score_cache
 
     @property
@@ -590,20 +618,12 @@ class OutOfCoreIteration:
         return self._workers
 
     def restore_score_cache(self, cache: Phase4ScoreCache) -> None:
-        """Adopt a (checkpoint-loaded) score cache.
-
-        Safe by construction: reuse only happens when the profile store can
-        vouch for the row deltas since ``cache.generation``; a generation
-        the store has no history for costs exactly one full rescore.  The
-        engine-configured capacity wins over the serialised one — a cache
-        larger than this run's ``score_cache_entries`` is dropped outright
-        so the configured memory bound holds from the first iteration.
-        """
-        cache.max_entries = self._config.score_cache_entries
-        if cache.keys is not None and len(cache.keys) > cache.max_entries:
-            cache.clear()
-            cache.evictions += 1
-        self._score_cache = cache
+        """Adopt a (checkpoint-loaded) score cache's scores
+        (:meth:`Phase4ScoreCache.restore`).  Safe by construction: reuse
+        only happens when the profile store can vouch for the row deltas
+        since ``cache.generation``, and this run's ``score_cache_entries``
+        bounds them from the first iteration."""
+        self._score_cache.restore(cache)
 
     def close(self) -> None:
         """Shut down the scoring workers (idempotent)."""
@@ -652,9 +672,18 @@ class OutOfCoreIteration:
             run, new_graph, schedule = self._phase4_knn(
                 iteration, graph, table, patch, steps, measure, io_stats,
                 layout, schedule)
-            # committed beside the score cache, by a completed phase 4 only
-            self._candidates = (CarriedCandidates(csr, edge_keys, table)
-                                if config.max_pairs_per_bridge is None else None)
+            # the one commit, by a completed phase 4 only.  The scores
+            # describe the store as of *this* phase 4 — the deltas the next
+            # iteration asks touched_rows_since() about start here — and
+            # cover every tuple of every step in this iteration's plan.
+            score_cache = self._score_cache
+            score_cache.merge(
+                table.keys, run.scores if config.incremental_phase4 else None,
+                measure, run.store_generation, graph.num_vertices,
+                graph=((csr, edge_keys, table)
+                       if config.max_pairs_per_bridge is None else None),
+                scored_pairs={(min(first, second), max(first, second))
+                              for first, second, _ in steps})
         if self._fault is not None:
             # crash window: G(t+1) fully scored and not sealed; the queued
             # updates not applied yet (paper order) or applied and scored
@@ -680,7 +709,6 @@ class OutOfCoreIteration:
             reused_scores=run.reused,
             full_rescore=run.full_rescore,
             candidates_rebuilt=patch is None,
-            cache_merge_seconds=run.cache_merge_seconds,
             steps_skipped=run.steps_skipped,
             steps_total=len(steps),
         )
@@ -717,12 +745,12 @@ class OutOfCoreIteration:
         rather than rebuilt, how its keys differ from that table's."""
         config = self._config
         assignment = layout.assignment
-        advanced = None if self._candidates is None else self._candidates.advance(
+        carried = self._score_cache
+        advanced = None if carried.table is None else carried.advance(
             csr, edge_keys, assignment, config.include_direct_edges,
             max_moved=_DELTA_REBUILD_FRACTION * csr.num_vertices * config.k)
         if advanced is None:
-            # a retry would decide the same: what is carried is only memory now
-            self._candidates = None
+            carried.release()
             # the bridge scan is the one reader of the partitions' edge lists
             partitions = build_partitions(csr, assignment,
                                           config.num_partitions, layout)
@@ -768,24 +796,6 @@ class OutOfCoreIteration:
         mask[touched[touched < graph.num_vertices]] = True
         return mask
 
-    def _plan_dirty(self, steps: Sequence[ResidencyStep],
-                    assignment: np.ndarray) -> Optional[DirtySchedule]:
-        """The iteration's dirty-partition plan, or ``None`` for the full one.
-
-        ``None`` covers every situation where planning cannot help or
-        cannot be trusted: the toggle is off, the cache is unusable this
-        iteration (cold, wrong measure, full rescore), or the delta history cannot vouch for the churn — reload, compaction
-        rollover and recovery all surface as ``touched_partitions_since``
-        returning ``None``, and the only safe answer is to run everything.
-        """
-        score_cache = self._score_cache
-        dirty_partitions = self._profile_store.touched_partitions_since(
-            score_cache.generation, assignment)
-        plan = plan_dirty_schedule(steps, dirty_partitions,
-                                   self._pair_generations,
-                                   score_cache.generation)
-        return None if plan.assume_all_dirty else plan
-
     def _begin_phase4(self, graph: KNNGraph, table: TupleHashTable,
                       patch: Optional[KeyPatch],
                       steps: Sequence[ResidencyStep], measure: str,
@@ -803,23 +813,27 @@ class OutOfCoreIteration:
         hits = None
         if full_rescore:
             scores = np.full(len(keys), np.nan)
-        elif patch is not None and cache.keys is self._candidates.table.keys:
+        elif patch is not None and cache.aligned:
             # H was advanced from the very keys the slab is aligned with, so
             # the slab follows them: a positional join
             scores, hits = cache.carry(patch, keys, touched_mask)
         else:
             # both key arrays are sorted: one search joins them
             scores, hits = cache.lookup(keys, touched_mask)
-        # dirty-partition planning: steps whose partitions are both clean
-        # and whose pair the cache vouches for run lookup-only (no partition
-        # acquired unless a lookup missed); everything else runs dirty-first
-        dirty_plan = (self._plan_dirty(steps, layout.assignment)
-                      if config.dirty_scheduling and hits is not None else None)
-        if dirty_plan is not None:
-            ordered_steps = ([(step, False) for step in dirty_plan.executed]
-                             + [(step, True) for step in dirty_plan.cached])
-        else:
-            ordered_steps = [(step, False) for step in steps]
+        # dirty-partition planning, the scores' second reading: steps whose
+        # partitions are both clean and whose pair the scores cover run
+        # lookup-only (no partition acquired unless a lookup missed);
+        # everything else runs dirty-first.  A delta history that cannot
+        # vouch for the churn (reload, compaction rollover, recovery) keeps
+        # the full plan in its order.
+        executed, cached = steps, []
+        if config.dirty_scheduling and hits is not None:
+            plan = plan_dirty_schedule(
+                steps, self._profile_store.touched_partitions_since(
+                    cache.generation, layout.assignment), cache.scored_pairs)
+            executed, cached = plan.executed, plan.cached
+        ordered_steps = ([(step, False) for step in executed]
+                         + [(step, True) for step in cached])
         # the positions of H the cache did not answer, grouped by PI edge and
         # decoded once: a PI edge (p, q) has its sources in p and destinations
         # in q, so the endpoints' local rows address the two slices directly
@@ -933,9 +947,8 @@ class OutOfCoreIteration:
             residency.leave(group)
 
     def _finish_phase4(self, run: _Phase4Run, graph: KNNGraph,
-                       table: TupleHashTable, steps: Sequence[ResidencyStep],
-                       measure: str) -> KNNGraph:
-        """The back of phase 4: ``G(t+1)`` and the next cache."""
+                       table: TupleHashTable) -> KNNGraph:
+        """The back of phase 4: ``G(t+1)`` from the finished slab."""
         config = self._config
         keys = run.keys
         # the steps are done with the decoded rows, and the merge below has
@@ -970,29 +983,6 @@ class OutOfCoreIteration:
                 sources, destinations, run.scores[start:stop],
                 assume_unique=True, hint=graph)
             start = stop
-        score_cache = self._score_cache
-        if config.incremental_phase4:
-            # the cached scores describe the store as of *this* phase 4 —
-            # phase 5 runs after and its deltas are what the next iteration
-            # asks touched_rows_since() about.  (H.keys, slab) already is
-            # that cache; an over-capacity iteration leaves it empty.
-            merge_start = time.perf_counter()
-            score_cache.merge(keys, run.scores, measure, run.store_generation,
-                              num_vertices)
-            run.cache_merge_seconds = time.perf_counter() - merge_start
-        else:
-            score_cache.clear()
-        if score_cache.keys is None:
-            self._pair_generations.clear()
-        else:
-            # the cache now covers every tuple of every step in this
-            # iteration's plan, all tagged with this phase 4's store
-            # generation.  Rebuilding the map wholesale drops pairs from
-            # older partition assignments.
-            self._pair_generations = {
-                ((first, second) if first <= second else (second, first)):
-                run.store_generation
-                for first, second, _ in steps}
         return new_graph
 
     def _phase4_knn(self, iteration: int, graph: KNNGraph, table: TupleHashTable,
@@ -1024,7 +1014,7 @@ class OutOfCoreIteration:
                                        schedule)
         self._execute_pending(iteration, run, measure, residency)
         executed = residency.schedule()
-        return run, self._finish_phase4(run, graph, table, steps, measure), executed
+        return run, self._finish_phase4(run, graph, table), executed
 
     # -- phase 5 --------------------------------------------------------------
 

@@ -7,8 +7,7 @@ count, and broad structural family (voting / citation-style power law,
 collaboration networks with clustering, e-mail communication, P2P overlay).
 Because the experiment measures partition load/unload operation counts —
 a function of graph size and degree structure, not of the identities of
-individual SNAP users — the substitution preserves the quantity of interest
-(documented in DESIGN.md, section 3).
+individual SNAP users — the substitution preserves the quantity of interest.
 
 The generated graphs are deterministic for a given seed, and the default
 seed is fixed so that benchmark tables are stable across runs.

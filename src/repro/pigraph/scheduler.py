@@ -13,8 +13,8 @@ budget), so the simulated and the executed counts agree by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
-                    Union)
+from typing import (Collection, Dict, Iterable, List, Optional, Sequence,
+                    Tuple, Union)
 
 from repro.pigraph.pi_graph import PIGraph
 from repro.pigraph.traversal import ResidencyStep, TraversalHeuristic, get_heuristic
@@ -102,11 +102,11 @@ def _normalised_pair(first: int, second: int) -> Tuple[int, int]:
 
 def plan_dirty_schedule(steps: Sequence[ResidencyStep],
                         dirty_partitions: Optional[Iterable[int]],
-                        pair_generations: Mapping[Tuple[int, int], int],
-                        cache_generation: Optional[int]) -> DirtySchedule:
+                        scored_pairs: Collection[Tuple[int, int]]
+                        ) -> DirtySchedule:
     """Split and reorder a traversal plan around the partitions churn touched.
 
-    A *pure* function of its four inputs — no wall clock, no ambient state —
+    A *pure* function of its three inputs — no wall clock, no ambient state —
     so every backend, every resume and every re-plan of the same iteration
     produces the same schedule:
 
@@ -116,20 +116,17 @@ def plan_dirty_schedule(steps: Sequence[ResidencyStep],
       that method's "cannot vouch" answer: every step executes, in the
       heuristic's original order (reload, compaction rollover and recovery
       all land here — the only safe answer is "run everything").
-    - ``pair_generations``: store generation at which each normalised
-      partition pair ``(min, max)`` last had its tuples fully scored.
-    - ``cache_generation``: the generation the phase-4 score cache currently
-      matches, or ``None`` when there is no usable cache.
+    - ``scored_pairs``: the normalised partition pairs ``(min, max)`` whose
+      tuples the score cache all covers, at its generation.
 
     A step may be served from the cache only when *both* partitions are
-    clean and its pair is recorded as scored at exactly ``cache_generation``.
-    Clean-pair steps whose scores are not vouched for still execute — after
+    clean and its pair is in ``scored_pairs``.  Clean-pair steps whose scores are not vouched for still execute — after
     the dirty steps, so the partitions most likely to change the graph are
     visited first (convergence-driven ordering).  Relative order within each
     class is preserved, keeping the heuristic's residency locality.
     """
     all_steps = list(steps)
-    if dirty_partitions is None or cache_generation is None:
+    if dirty_partitions is None:
         return DirtySchedule(executed=all_steps, cached=[],
                              dirty_partitions=None, assume_all_dirty=True)
     dirty = frozenset(int(p) for p in dirty_partitions)
@@ -140,7 +137,7 @@ def plan_dirty_schedule(steps: Sequence[ResidencyStep],
         first, second, _ = step
         if first in dirty or second in dirty:
             dirty_steps.append(step)
-        elif pair_generations.get(_normalised_pair(first, second)) == cache_generation:
+        elif _normalised_pair(first, second) in scored_pairs:
             cached.append(step)
         else:
             clean_unscored.append(step)

@@ -126,9 +126,6 @@ class PartitionCache:
         """Partition ids currently resident, least-recently-used first."""
         return list(self._resident)
 
-    def is_resident(self, pid: int) -> bool:
-        return pid in self._resident
-
     def acquire(self, pid: int) -> bool:
         """Make partition ``pid`` resident, loading it (and evicting the
         least recently used) if necessary; ``True`` on a cache hit."""
@@ -168,11 +165,6 @@ class PartitionCache:
         pivot_hit = self.acquire(pid_a)
         return self.acquire(pid_b) and pivot_hit
 
-    def release(self, pid: int) -> None:
-        """Explicitly unload a resident partition (no-op when absent)."""
-        if pid in self._resident:
-            self._unload(pid)
-
     def flush(self) -> None:
         """Unload every resident partition."""
         for pid in list(self._resident):
@@ -183,9 +175,3 @@ class PartitionCache:
         if self._budget is not None:
             self._budget.release(size)
         self.io_stats.record_partition_unload()
-
-    # -- statistics ------------------------------------------------------------
-
-    @property
-    def load_unload_operations(self) -> int:
-        return self.io_stats.load_unload_operations

@@ -11,20 +11,19 @@ per path, bilinearity gives the signed change of the path counts::
 
 plus ``− R + A`` for the direct edges: gathers over CSR rows that already
 exist, a few ten thousand raw pairs instead of a million.  Summed per key
-they are what :meth:`TupleHashTable.patched` applies.  The from-scratch
+they are what :meth:`TupleHashTable.patched` applies, when the carried state
+(:meth:`repro.core.iteration.Phase4ScoreCache.advance`) asks.  The from-scratch
 :func:`~repro.tuples.generator.generate_candidate_tuples` stays the
 reference: it is what runs cold, and what the walls compare this against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.graph.digraph import CSRDiGraph
-from repro.tuples.hash_table import KeyPatch, TupleHashTable
 from repro.utils.arrays import find_sorted, ragged_ranges, sorted_runs
 
 _Pairs = Tuple[np.ndarray, np.ndarray]
@@ -91,43 +90,3 @@ def multiplicity_delta(old: CSRDiGraph, new: CSRDiGraph, removed: np.ndarray,
     moved = changes != 0
     return unique[moved], changes[moved]
 
-
-@dataclass(frozen=True)
-class CarriedCandidates:
-    """What a completed iteration leaves of its phase 2: ``G(t)`` as CSR and
-    as sorted edge keys, and the ``H`` built (or advanced) from it."""
-
-    csr: CSRDiGraph
-    edge_keys: np.ndarray
-    table: TupleHashTable
-
-    def _graph_arrays(self) -> Tuple[np.ndarray, ...]:
-        csr = self.csr
-        return self.edge_keys, csr.indptr, csr.indices, csr.rindptr, csr.rindices
-
-    def __post_init__(self):
-        self.table.freeze()
-        for array in self._graph_arrays():
-            array.flags.writeable = False
-
-    @property
-    def nbytes(self) -> int:
-        return (sum(array.nbytes for array in self._graph_arrays())
-                + self.table.memory_estimate_bytes())
-
-    def advance(self, csr: CSRDiGraph, edge_keys: np.ndarray,
-                assignment: np.ndarray, include_direct_edges: bool,
-                max_moved: float) -> Optional[Tuple[TupleHashTable, KeyPatch]]:
-        """``H`` of the graph ``csr`` (sorted edge keys ``edge_keys``),
-        bucketed by ``assignment``, advanced from the carried table, and how
-        its keys differ from that table's — or ``None`` when the caller
-        should rebuild: another vertex count, or more than ``max_moved``
-        edges removed plus added.  Nothing carried is modified."""
-        if csr.num_vertices != self.csr.num_vertices:
-            return None
-        removed, added = edge_delta(self.edge_keys, edge_keys)
-        if len(removed) + len(added) > max_moved:
-            return None
-        keys, changes = multiplicity_delta(self.csr, csr, removed, added,
-                                           include_direct_edges)
-        return self.table.patched(keys, changes, assignment)

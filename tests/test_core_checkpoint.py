@@ -105,8 +105,8 @@ class TestScoreCacheSerialisation:
         cache = Phase4ScoreCache(max_entries=10_000)
         rng = np.random.default_rng(1)
         keys = np.unique(rng.integers(0, n * n, size=entries, dtype=np.int64))
-        cache.replace([keys], [rng.random(len(keys))], "jaccard",
-                      generation=7, num_vertices=n)
+        cache.merge(keys, rng.random(len(keys)), "jaccard",
+                    generation=7, num_vertices=n)
         return cache
 
     def test_roundtrip(self, tmp_path):
@@ -229,8 +229,8 @@ class TestPortableCheckpoint:
         profiles = generate_sparse_profiles(80, 200, items_per_user=10, seed=9)
         store = OnDiskProfileStore.create(tmp_path / "store", profiles)
         cache = Phase4ScoreCache()
-        cache.replace([np.asarray([5, 9], dtype=np.int64)],
-                      [np.asarray([0.5, 0.25])], "jaccard", 0, 60)
+        cache.merge(np.asarray([5, 9], dtype=np.int64),
+                    np.asarray([0.5, 0.25]), "jaccard", 0, 60)
         save_portable_checkpoint(tmp_path / "ckpt", scored_graph, 3,
                                  profile_store=store, score_cache=cache,
                                  metadata={"note": "x"})

@@ -26,7 +26,7 @@ from repro.graph.knn_graph import KNNGraph
 from repro.partition.model import build_partitions
 from repro.similarity.workloads import ProfileChange, generate_dense_profiles
 from repro.storage.profile_store import OnDiskProfileStore
-from repro.tuples.delta import CarriedCandidates, edge_delta
+from repro.tuples.delta import edge_delta
 from repro.tuples.generator import (brute_force_two_hop_pairs,
                                     generate_candidate_tuples)
 from repro.tuples.hash_table import TupleHashTable
@@ -110,6 +110,14 @@ def _from_scratch(n, keys, assignment, parts, direct=True, cap=None):
     return csr, table
 
 
+def _carried(csr, keys, table):
+    """``G(t)`` and its ``H`` as a completed phase 4 commits them."""
+    carried = Phase4ScoreCache()
+    carried.merge(table.keys, None, "cosine", 0, csr.num_vertices,
+                  graph=(csr, keys, table))
+    return carried
+
+
 def _assert_same_table(table: TupleHashTable, reference: TupleHashTable):
     assert table.keys.dtype == reference.keys.dtype == np.int64
     np.testing.assert_array_equal(table.keys, reference.keys)
@@ -132,7 +140,7 @@ class TestDeltaAlgebra:
 
         keys, placed = _edge_keys(sequence[0]), assignment()
         csr, table = _from_scratch(n, keys, placed, parts, direct)
-        carried = CarriedCandidates(csr, keys, table)
+        carried = _carried(csr, keys, table)
         slab = rng.random(len(table))
         for rows in sequence[1:]:
             keys = _edge_keys(rows)
@@ -196,7 +204,7 @@ class TestDeltaAlgebra:
             # nothing carried was modified
             assert before == [array.tobytes() for array in carried._graph_arrays()] + [
                 carried.table.keys.tobytes(), carried.table.multiplicities.tobytes()]
-            carried = CarriedCandidates(csr, keys, table)
+            carried = _carried(csr, keys, table)
             slab = np.where(np.isnan(followed), rng.random(len(followed)), followed)
 
     def test_an_empty_delta_changes_nothing(self):
@@ -204,7 +212,7 @@ class TestDeltaAlgebra:
         keys = KNNGraph.random(n, 3, seed=4).edge_keys()
         placed = np.arange(n) % parts
         csr, table = _from_scratch(n, keys, placed, parts)
-        carried = CarriedCandidates(csr, keys, table)
+        carried = _carried(csr, keys, table)
         advanced, patch = carried.advance(csr, keys.copy(), placed, True,
                                           max_moved=0)
         assert len(patch.deleted) == len(patch.inserted_at) == 0
@@ -216,7 +224,7 @@ class TestDeltaAlgebra:
         new = KNNGraph.random(n, 3, seed=5).edge_keys()
         placed = np.arange(n) % parts
         old_csr, old_table = _from_scratch(n, old, placed, parts)
-        carried = CarriedCandidates(old_csr, old, old_table)
+        carried = _carried(old_csr, old, old_table)
         moved = len(np.setxor1d(old, new))
         csr = CSRDiGraph.from_sorted_keys(n, new)
         assert carried.advance(csr, new, placed, True, max_moved=moved - 1) is None
@@ -281,11 +289,11 @@ class TestPathSelection:
                 assert result.candidates_rebuilt == rebuilt
                 assert result.summary()["candidates_rebuilt"] == rebuilt
                 if cap is None:
-                    np.testing.assert_array_equal(runner._candidates.edge_keys, keys)
-                    _assert_same_table(runner._candidates.table, reference)
+                    np.testing.assert_array_equal(runner.score_cache.edge_keys, keys)
+                    _assert_same_table(runner.score_cache.table, reference)
                     previous = keys
                 else:
-                    assert runner._candidates is None
+                    assert runner.score_cache.table is None
 
     def test_a_delta_over_the_threshold_in_mid_sequence(self, caplog):
         """40 vertices x k=4: 20 moved edges is the limit.  A swap of one
@@ -348,7 +356,7 @@ class TestEngineTwins:
                 for iteration in range(GOLDEN_WARMUP + self.CHURNED):
                     engine.enqueue_profile_changes(feed(iteration))
                     if not keep:
-                        engine._iteration_runner._candidates = None
+                        engine._iteration_runner.score_cache.release()
                     results.append(engine.run_iteration())
             observed[keep] = [_counters(result) for result in results]
             rebuilt[keep] = [result.candidates_rebuilt for result in results]
@@ -391,7 +399,7 @@ class TestEngineTwins:
             engine.save_checkpoint(tmp_path / "checkpoint")
         with KNNEngine.from_checkpoint(tmp_path / "checkpoint") as resumed:
             finished = run(resumed, feed, warm, more)
-        # the pair → generation map of dirty scheduling is not checkpointed
+        # the scored partition pairs of dirty scheduling are not checkpointed
         # either, so the first resumed iteration skips no step; its scores,
         # and everything from the second iteration on, are the twin's
         assert _counters(finished[0])[:3] == _counters(expected[0])[:3]
@@ -463,7 +471,7 @@ class TestNothingGrows:
                 engine.enqueue_profile_changes(feed(iteration))
                 graph = engine.graph
                 result = engine.run_iteration()
-                carried = runner._candidates
+                carried = runner.score_cache
                 sizes[iteration] = (carried.table.memory_estimate_bytes(),
                                     carried.nbytes + runner.score_cache.values.nbytes)
             assert not result.candidates_rebuilt

@@ -20,9 +20,12 @@ from hypothesis import strategies as st
 from repro.core.config import EngineConfig
 from repro.core.engine import KNNEngine
 from repro.core.iteration import Phase4ScoreCache
+from repro.graph.digraph import CSRDiGraph
+from repro.partition.model import build_partitions
 from repro.similarity.workloads import (ProfileChange, generate_dense_profiles,
                                         generate_sparse_profiles)
 from repro.testing import FaultPlan, InjectedCrash
+from repro.tuples.generator import generate_candidate_tuples
 
 NUM_USERS = 120
 NUM_ITEMS = 300
@@ -125,7 +128,7 @@ class TestCleanDirtyPartition:
         pairs = rng.integers(0, n, size=(300, 2), dtype=np.int64)
         keys = np.unique(pairs[:, 0] * n + pairs[:, 1])
         values = rng.random(len(keys))
-        cache.replace([keys], [values], "cosine", generation=3, num_vertices=n)
+        cache.merge(keys, values, "cosine", generation=3, num_vertices=n)
         return cache, keys, values, n
 
     def test_hits_require_cached_pair_and_clean_endpoints(self):
@@ -174,7 +177,7 @@ class TestCleanDirtyPartition:
     def test_over_capacity_iteration_clears_the_cache(self):
         cache = Phase4ScoreCache(max_entries=10)
         keys = np.arange(11, dtype=np.int64)
-        cache.replace([keys], [np.zeros(11)], "cosine", 0, 100)
+        cache.merge(keys, np.zeros(11), "cosine", 0, 100)
         assert cache.keys is None
         assert cache.evictions == 1
         assert not cache.matches("cosine", 100)
@@ -191,9 +194,9 @@ class TestInPlaceMergeDifferential:
 
     An iteration joins ``H``'s sorted keys against the cache once, rescores
     the misses into the slab, and hands both arrays over: no sort, no copy,
-    no interleave.  The reference is what ``replace`` builds when handed
-    the same scored pairs in arbitrary order and chunking: identical
-    key/score arrays, bit for bit.
+    no interleave.  The reference is the same scored pairs handed over in
+    arbitrary order and chunking and sorted back: identical key/score
+    arrays, bit for bit.
     """
 
     @settings(max_examples=60, deadline=None)
@@ -212,7 +215,7 @@ class TestInPlaceMergeDifferential:
                                                  num_chunks):
         """Simulate one full iteration at the cache level: join a candidate
         set against a touched mask, rescore the dirty slots, then adopt —
-        and compare against replace() of the same pairs, shuffled."""
+        and compare against the same pairs shuffled, chunked and re-sorted."""
         top = num_vertices * num_vertices
         old_rng = np.random.default_rng(old_seed)
         old_keys = np.unique(old_rng.integers(0, top, size=old_count,
@@ -225,19 +228,22 @@ class TestInPlaceMergeDifferential:
         touched_mask = touched_rng.random(num_vertices) < 0.3
 
         cache = Phase4ScoreCache(max_entries=10_000)
-        cache.replace([old_keys], [old_values], "jaccard",
-                      generation=4, num_vertices=num_vertices)
+        cache.merge(old_keys, old_values, "jaccard",
+                    generation=4, num_vertices=num_vertices)
         scores, hit_mask = cache.lookup(candidate_keys, touched_mask)
         dirty_rows = np.flatnonzero(~hit_mask)
         scores[dirty_rows] = fresh_rng.random(len(dirty_rows))  # "rescored"
         # the reference sees the same pairs in arbitrary order and chunking
         shuffle = fresh_rng.permutation(len(candidate_keys))
         bounds = np.linspace(0, len(shuffle), num_chunks + 1).astype(int)
+        chunked_keys = np.concatenate(
+            [candidate_keys[shuffle[a:b]] for a, b in zip(bounds, bounds[1:])])
+        chunked_scores = np.concatenate(
+            [scores[shuffle[a:b]] for a, b in zip(bounds, bounds[1:])])
+        order = np.argsort(chunked_keys)
         reference = Phase4ScoreCache(max_entries=10_000)
-        reference.replace(
-            [candidate_keys[shuffle[a:b]] for a, b in zip(bounds, bounds[1:])],
-            [scores[shuffle[a:b]] for a, b in zip(bounds, bounds[1:])],
-            "jaccard", generation=5, num_vertices=num_vertices)
+        reference.merge(chunked_keys[order], chunked_scores[order],
+                        "jaccard", generation=5, num_vertices=num_vertices)
 
         cache.merge(candidate_keys, scores, "jaccard", generation=5,
                     num_vertices=num_vertices)
@@ -268,8 +274,8 @@ class TestInPlaceMergeDifferential:
 
     def test_merge_keeps_only_what_was_scored(self):
         cache = Phase4ScoreCache(max_entries=100)
-        cache.replace([np.asarray([11, 22, 44], dtype=np.int64)],
-                      [np.asarray([0.11, 0.22, 0.44])], "cosine", 0, 10)
+        cache.merge(np.asarray([11, 22, 44], dtype=np.int64),
+                    np.asarray([0.11, 0.22, 0.44]), "cosine", 0, 10)
         # candidates: pairs 22 (clean, cached → reused) and 33 (fresh)
         candidates = np.asarray([22, 33], dtype=np.int64)
         scores, hit_mask = cache.lookup(candidates, np.zeros(10, dtype=bool))
@@ -292,7 +298,7 @@ class TestInPlaceMergeDifferential:
         crash_plan = FaultPlan().crash_at("phase4.step", occurrence=1)
 
         def left_behind(runner):
-            carried = runner._candidates
+            carried = runner.score_cache
             return ([array.tobytes() for array in carried._graph_arrays()]
                     + [carried.table.keys.tobytes(),
                        carried.table.multiplicities.tobytes(),
@@ -309,7 +315,7 @@ class TestInPlaceMergeDifferential:
                     warm = engine.run_iteration()
                 assert not warm.candidates_rebuilt
                 runner = engine._iteration_runner
-                carried, before = runner._candidates, left_behind(runner)
+                carried, before = runner.score_cache.table, left_behind(runner)
                 # one row changes, so its partition's steps reach
                 # "phase4.step" after both joins have already run
                 engine.profile_store.apply_changes([ProfileChange(
@@ -319,7 +325,7 @@ class TestInPlaceMergeDifferential:
                     with pytest.raises(InjectedCrash):
                         engine.run_iteration()
                     runner._fault = None
-                    assert runner._candidates is carried
+                    assert runner.score_cache.table is carried
                     assert before == left_behind(runner)
                 result = engine.run_iteration()
                 runs[name] = (result.graph.edge_fingerprint(),
@@ -329,11 +335,82 @@ class TestInPlaceMergeDifferential:
         assert runs["aborted"] == runs["twin"]
         assert runs["twin"][1] > 0 and runs["twin"][3] is False
 
+    def test_an_aborted_iteration_leaves_every_carried_field(self):
+        """One commit: an iteration that dies between its joins and its
+        merge leaves every field of the carried state the very object it
+        was — ``G(t)``, ``H``, the slab, its tags, its scored partition
+        pairs and its alignment."""
+        config = EngineConfig(k=5, num_partitions=4,
+                              heuristic="degree-low-high", seed=17)
+        with KNNEngine(_profiles("dense"), config) as engine:
+            for _ in range(7):
+                engine.run_iteration()
+            runner = engine._iteration_runner
+            state = runner.score_cache
+            assert state.aligned and state.scored_pairs
+            before = {name: getattr(state, name) for name in (
+                "csr", "edge_keys", "table", "keys", "values", "measure",
+                "generation", "num_vertices", "scored_pairs", "aligned",
+                "evictions")}
+            engine.profile_store.apply_changes([ProfileChange(
+                user=3, kind="set", vector=np.full(8, 0.5))])
+            runner._fault = FaultPlan().crash_at("phase4.step", occurrence=1)
+            with pytest.raises(InjectedCrash):
+                engine.run_iteration()
+            runner._fault = None
+            for name, value in before.items():
+                assert getattr(state, name) is value, name
+
+    def test_a_restored_cache_keeps_h_and_vouches_for_no_pair(self):
+        """Restoring keeps the carried ``G(t)`` and ``H``, but the slab is
+        not theirs: the next iteration advances, joins by search and serves
+        no step from the cache; its commit aligns the state again."""
+        config = EngineConfig(k=5, num_partitions=4,
+                              heuristic="degree-low-high", seed=17)
+        with KNNEngine(_profiles("dense"), config) as engine:
+            for _ in range(7):
+                engine.run_iteration()
+            runner = engine._iteration_runner
+            state = runner.score_cache
+            table = state.table
+            loaded = state.advanced_to(np.empty(0, dtype=np.int64),
+                                       state.generation)
+            runner.restore_score_cache(loaded)
+            assert state.table is table and state.keys is loaded.keys
+            assert not state.aligned and not state.scored_pairs
+            result = engine.run_iteration()
+            assert not result.candidates_rebuilt and not result.full_rescore
+            assert result.steps_skipped == 0 and result.reused_scores > 0
+            assert state.aligned and state.keys is state.table.keys
+
+    def test_merge_keeps_the_graph_whatever_happens_to_the_scores(self):
+        """``values=None`` and an over-capacity set both leave no scores but
+        keep ``G(t)`` and ``H``; only the second is an eviction.  A graph
+        whose table is not the scored keys' is refused, changing nothing."""
+        rows = [{1, 2}, {2}, {0}]
+        keys = np.asarray(sorted(s * 3 + d for s, row in enumerate(rows)
+                                 for d in row), dtype=np.int64)
+        csr = CSRDiGraph.from_sorted_keys(3, keys)
+        assignment = np.zeros(3, dtype=np.int64)
+        table = generate_candidate_tuples(
+            csr, build_partitions(csr, assignment, 1), assignment)
+        state = Phase4ScoreCache(max_entries=len(table) - 1)
+        for values, evictions in ((None, 0), (np.zeros(len(table)), 1)):
+            state.merge(table.keys, values, "cosine", 1, 3,
+                        graph=(csr, keys, table), scored_pairs={(0, 0)})
+            assert state.table is table and state.csr is csr
+            assert state.keys is None and not state.scored_pairs
+            assert not state.aligned and state.evictions == evictions
+        with pytest.raises(ValueError):
+            state.merge(table.keys.copy(), None, "cosine", 2, 3,
+                        graph=(csr, keys, table))
+        assert state.table is table and state.evictions == 1
+
     def test_scored_set_over_capacity_clears(self):
         cache = Phase4ScoreCache(max_entries=3)
-        cache.replace([np.arange(2, dtype=np.int64)], [np.zeros(2)],
-                      "cosine", 0, 10)
-        # 2 reused + 2 rescored = 4 > 3: over capacity, exactly like replace
+        cache.merge(np.arange(2, dtype=np.int64), np.zeros(2),
+                    "cosine", 0, 10)
+        # 2 reused + 2 rescored = 4 > 3: over capacity
         cache.merge(np.asarray([0, 1, 50, 51], dtype=np.int64), np.ones(4),
                     "cosine", 1, 10)
         assert cache.keys is None

@@ -103,16 +103,16 @@ class TestHeuristicComparison:
 
 
 class TestPlanDirtySchedule:
-    """``plan_dirty_schedule`` is a pure function of its four inputs.
+    """``plan_dirty_schedule`` is a pure function of its three inputs.
 
     The dirty planner feeds phase 4's step skipping, so any hidden state —
     wall clock, iteration order of a set, ambient randomness — would make
     backends or resumed runs disagree about *which* steps skip.  The
     property suite pins: executed + cached is always a permutation of the
-    input, classification follows the (dirty set, pair generations,
-    cache generation) contract exactly, relative order is preserved within
-    each class with dirty steps first, and replanning (with the dirty set
-    presented in any order) reproduces the plan verbatim.
+    input, classification follows the (dirty set, scored pairs) contract
+    exactly, relative order is preserved within each class with dirty steps
+    first, and replanning (with the dirty set presented in any order)
+    reproduces the plan verbatim.
     """
 
     @staticmethod
@@ -130,28 +130,23 @@ class TestPlanDirtySchedule:
         num_steps=st.integers(min_value=0, max_value=24),
         dirty_fraction=st.floats(min_value=0.0, max_value=1.0),
         scored_fraction=st.floats(min_value=0.0, max_value=1.0),
-        cache_generation=st.integers(min_value=0, max_value=5),
-        stale_generation=st.integers(min_value=0, max_value=5),
     )
     def test_plan_is_a_pure_classification(self, num_partitions, pair_seed,
                                            num_steps, dirty_fraction,
-                                           scored_fraction, cache_generation,
-                                           stale_generation):
+                                           scored_fraction):
         rng = np.random.default_rng(pair_seed)
         pairs = [tuple(rng.integers(0, num_partitions, size=2))
                  for _ in range(num_steps)]
         steps = self._steps(pairs)
         dirty = [p for p in range(num_partitions)
                  if rng.random() < dirty_fraction]
-        pair_generations = {}
+        scored_pairs = set()
         for first, second in pairs:
             key = (first, second) if first <= second else (second, first)
-            pair_generations[key] = (cache_generation
-                                     if rng.random() < scored_fraction
-                                     else stale_generation)
+            if rng.random() < scored_fraction:
+                scored_pairs.add(key)
 
-        plan = plan_dirty_schedule(steps, dirty, pair_generations,
-                                   cache_generation)
+        plan = plan_dirty_schedule(steps, dirty, scored_pairs)
         assert not plan.assume_all_dirty
         # permutation: every input step appears exactly once, by identity
         assert sorted(map(id, plan.executed + plan.cached)) == sorted(
@@ -161,11 +156,15 @@ class TestPlanDirtySchedule:
             first, second, _ = step
             key = (first, second) if first <= second else (second, first)
             assert first not in dirty_set and second not in dirty_set
-            assert pair_generations[key] == cache_generation
+            assert key in scored_pairs
         # dirty-first: once the executed list goes clean it stays clean
         flags = [first in dirty_set or second in dirty_set
                  for first, second, _ in plan.executed]
         assert flags == sorted(flags, reverse=True)
+        # ... and a clean step executes only when its pair is not scored
+        for (first, second, _), dirty_step in zip(plan.executed, flags):
+            assert dirty_step or (min(first, second),
+                                  max(first, second)) not in scored_pairs
         # relative order within each class follows the input order
         order = {id(step): index for index, step in enumerate(steps)}
         dirty_part = [s for s in plan.executed
@@ -176,8 +175,7 @@ class TestPlanDirtySchedule:
             positions = [order[id(step)] for step in sequence]
             assert positions == sorted(positions)
         # deterministic replan, regardless of how the dirty set is presented
-        replan = plan_dirty_schedule(steps, reversed(dirty), pair_generations,
-                                     cache_generation)
+        replan = plan_dirty_schedule(steps, reversed(dirty), scored_pairs)
         assert replan.executed == plan.executed
         assert replan.cached == plan.cached
         assert replan.dirty_partitions == plan.dirty_partitions
@@ -186,15 +184,13 @@ class TestPlanDirtySchedule:
 
     @settings(max_examples=40, deadline=None)
     @given(pair_seed=st.integers(min_value=0, max_value=2**16),
-           missing_generation=st.sampled_from(["dirty", "cache"]))
+           scored=st.booleans())
     def test_unknown_inputs_assume_all_dirty_in_input_order(self, pair_seed,
-                                                            missing_generation):
+                                                            scored):
         rng = np.random.default_rng(pair_seed)
-        steps = self._steps([tuple(rng.integers(0, 4, size=2))
-                             for _ in range(10)])
-        dirty = None if missing_generation == "dirty" else [0, 1]
-        generation = None if missing_generation == "cache" else 3
-        plan = plan_dirty_schedule(steps, dirty, {}, generation)
+        pairs = [tuple(sorted(rng.integers(0, 4, size=2))) for _ in range(10)]
+        steps = self._steps(pairs)
+        plan = plan_dirty_schedule(steps, None, set(pairs) if scored else set())
         assert plan.assume_all_dirty
         assert plan.executed == steps          # original order, untouched
         assert plan.cached == []
@@ -202,8 +198,7 @@ class TestPlanDirtySchedule:
 
     def test_unscored_clean_pairs_execute_after_dirty(self):
         steps = self._steps([(0, 1), (2, 3), (2, 2), (0, 3)])
-        plan = plan_dirty_schedule(
-            steps, [0], {(2, 3): 7, (2, 2): 5}, cache_generation=7)
+        plan = plan_dirty_schedule(steps, [0], {(2, 3)})
         assert plan.executed == [steps[0], steps[3], steps[2]]
         assert plan.cached == [steps[1]]
 

@@ -75,14 +75,72 @@ def test_table_arrays_are_private_to_the_hash_table():
     assert _lines_matching(private, ("src/repro/tuples/hash_table.py",)) == []
 
 
+def _attribute_assignments(tree: ast.AST):
+    """``(class, function, target, line)`` of every assignment to an
+    attribute ``target``, with its innermost enclosing class and function
+    (``None`` at module level)."""
+    found = []
+
+    def visit(node, cls, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name, None)
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, cls, child.name)
+                continue
+            if isinstance(child, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = (child.targets if isinstance(child, ast.Assign)
+                           else [child.target])
+                found.extend((cls, function, sub, child.lineno)
+                             for target in targets for sub in ast.walk(target)
+                             if isinstance(sub, ast.Attribute)
+                             and isinstance(sub.ctx, ast.Store))
+            visit(child, cls, function)
+
+    visit(tree, None, None)
+    return found
+
+
 def test_score_cache_arrays_are_assigned_in_one_module():
-    """The cache shares its arrays with the iteration that produced them and
-    freezes them on adoption; only ``Phase4ScoreCache`` itself installs
-    arrays — the checkpoint loader and whatever carries state across
-    iterations go through ``merge`` — so nothing can slip in a writable or
-    unsorted pair, or keep a second copy of the slab."""
-    assigned = re.compile(r"\.(keys|values)\s*=(?!=)")
-    assert _lines_matching(assigned, ("src/repro/core/iteration.py",)) == []
+    """The carried state shares its arrays with the iteration that produced
+    them and freezes them on adoption; only ``Phase4ScoreCache``'s own
+    methods assign its carried fields — the checkpoint loader and the
+    phase-4 commit go through ``merge`` — so nothing can slip in a writable
+    or unsorted pair, keep a second copy of the slab or of ``H``, or carry a
+    second object beside it: after ``__init__`` the runner rebinds none of
+    its own attributes."""
+    carried = {"keys", "values", "table", "csr", "edge_keys", "scored_pairs"}
+    iteration = REPO_ROOT / "src" / "repro" / "core" / "iteration.py"
+    offenders = []
+    for top in ("src", "tests", "benchmarks", "examples"):
+        for path in sorted((REPO_ROOT / top).rglob("*.py")):
+            found = _attribute_assignments(ast.parse(path.read_text()))
+            owned = path == iteration
+            offenders += [
+                f"{path.relative_to(REPO_ROOT)}:{line} .{target.attr}"
+                for cls, function, target, line in found
+                if (target.attr in carried
+                    and not (owned and cls == "Phase4ScoreCache"))
+                or (owned and cls == "OutOfCoreIteration"
+                    and function != "__init__"
+                    and isinstance(target.value, ast.Name)
+                    and target.value.id == "self")]
+    assert offenders == []
+
+
+def test_one_carried_state():
+    """``G(t)``, ``H`` and the score slab ride across iterations as one
+    object; the second carrier and the runner attributes that held its
+    pieces do not come back under ``src/``."""
+    gone = re.compile(r"\b(CarriedCandidates|_pair_generations|_candidates)\b")
+    src = REPO_ROOT / "src"
+    offenders = [
+        f"{path.relative_to(REPO_ROOT)}:{number}"
+        for path in sorted(src.rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if gone.search(line)]
+    assert offenders == []
 
 
 def test_nothing_under_src_uses_shared_memory():

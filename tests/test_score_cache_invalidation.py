@@ -359,7 +359,7 @@ class TestToggleAndCapacity:
         """Capacity is one comparison an iteration — the candidate count
         against the cap — on both phase-4 paths: the over-capacity iteration
         still reuses and still builds the same graph, leaves the cache and
-        the pair map empty, counts one eviction, and costs the next
+        its scored pairs empty, counts one eviction, and costs the next
         iteration one full rescore."""
         profiles = generate_dense_profiles(NUM_USERS, dim=6, seed=37)
         twin, _ = _runner(tmp_path / "twin", profiles,
@@ -379,14 +379,14 @@ class TestToggleAndCapacity:
         for iteration in range(2):
             step(iteration, twin)
             step(iteration, capped)
-        assert capped._pair_generations
+        assert capped.score_cache.scored_pairs
         capped.score_cache.max_entries = 10          # below any len(H)
         expected, over = step(2, twin), step(2, capped)
         assert over.graph.edge_fingerprint() == expected.graph.edge_fingerprint()
         assert over.reused_scores == expected.reused_scores > 0
         assert capped.score_cache.keys is None
         assert capped.score_cache.evictions == 1
-        assert capped._pair_generations == {}
+        assert not capped.score_cache.scored_pairs
         capped.score_cache.max_entries = twin.score_cache.max_entries
         after = step(3, capped)
         assert after.full_rescore is True and after.reused_scores == 0
@@ -400,8 +400,8 @@ class TestToggleAndCapacity:
         profiles = generate_dense_profiles(NUM_USERS, dim=6, seed=29)
         runner, _ = _runner(tmp_path, profiles, score_cache_entries=4)
         big = Phase4ScoreCache(max_entries=1000)
-        big.replace([np.arange(20, dtype=np.int64)], [np.zeros(20)],
-                    "cosine", 0, NUM_USERS)
+        big.merge(np.arange(20, dtype=np.int64), np.zeros(20),
+                  "cosine", 0, NUM_USERS)
         runner.restore_score_cache(big)
         assert runner.score_cache.keys is None        # evicted at adoption
         assert runner.score_cache.max_entries == 4

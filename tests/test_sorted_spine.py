@@ -24,13 +24,13 @@ import repro.core.iteration as iteration_module
 import repro.graph.knn_graph as knn_graph_module
 from repro.core.config import EngineConfig
 from repro.core.engine import KNNEngine
+from repro.core.iteration import Phase4ScoreCache
 from repro.core.parallel import fork_available
 from repro.graph.digraph import CSRDiGraph
 from repro.graph.knn_graph import KNNGraph
 from repro.partition.model import Partition, build_partitions
 from repro.similarity.workloads import (ProfileChange, generate_dense_profiles,
                                         generate_sparse_profiles)
-from repro.tuples.delta import CarriedCandidates
 from repro.tuples.hash_table import TupleHashTable
 from test_graph_knn_arrays import _SCORES, _assert_rows_equal, oracle_merge
 
@@ -571,14 +571,14 @@ class TestEngineGoldens:
         # edge delta: a spy proves the churned iterations took that path,
         # the unedited goldens that it changed nothing
         advanced = []
-        advance = CarriedCandidates.advance
+        advance = Phase4ScoreCache.advance
 
         def spied(carried, *args, **kwargs):
             result = advance(carried, *args, **kwargs)
             advanced.append(result is not None)
             return result
 
-        monkeypatch.setattr(CarriedCandidates, "advance", spied)
+        monkeypatch.setattr(Phase4ScoreCache, "advance", spied)
         # ... and before the partition files became a cost model: the
         # partitions are built only for the bridge scan of a rebuild.  Every
         # iteration but the first has asked ``advance`` by then, so the

@@ -70,8 +70,7 @@ class TestPartitionCache:
         cache.acquire(0)
         cache.acquire(1)
         cache.acquire(2)
-        assert len(cache.resident_ids) == 2
-        assert not cache.is_resident(0)
+        assert cache.resident_ids == [1, 2]
         assert cache.io_stats.partition_loads == 3
         assert cache.io_stats.partition_unloads == 1
 
@@ -82,8 +81,7 @@ class TestPartitionCache:
         cache.acquire(1)
         cache.acquire(0)          # 1 becomes LRU
         cache.acquire(2)
-        assert cache.is_resident(0)
-        assert not cache.is_resident(1)
+        assert cache.resident_ids == [0, 2]
 
     def test_acquire_pair(self, stored_partitions):
         store, _ = stored_partitions
@@ -117,12 +115,12 @@ class TestPartitionCache:
         assert cache.resident_ids == []
         assert cache.io_stats.partition_unloads == 2
 
-    def test_release_specific(self, stored_partitions):
+    def test_flush_of_an_empty_cache_unloads_nothing(self, stored_partitions):
         store, _ = stored_partitions
         cache = PartitionCache(store, max_resident=3)
         cache.acquire(0)
-        cache.release(0)
-        cache.release(0)          # no-op
+        cache.flush()
+        cache.flush()             # no-op
         assert cache.io_stats.partition_unloads == 1
 
     def test_budget_respected(self, stored_partitions):
@@ -152,13 +150,14 @@ class TestPartitionCache:
         with pytest.raises(RuntimeError):
             cache.acquire_pair(0, 1)
 
-    def test_load_unload_operations_property(self, stored_partitions):
+    def test_load_unload_operations_are_counted_in_io_stats(self, stored_partitions):
         store, _ = stored_partitions
         cache = PartitionCache(store, max_resident=2)
         cache.acquire(0)
         cache.acquire(1)
         cache.acquire(2)
-        assert cache.load_unload_operations == cache.io_stats.load_unload_operations == 4
+        assert cache.io_stats.load_unload_operations == 4
+        assert store.io_stats is cache.io_stats
 
     def test_without_store_or_budget_loads_are_only_counted(self):
         """The bare walk ``simulate_schedule`` counts with."""
