@@ -26,9 +26,9 @@ The quantities recorded:
   phase-4/phase-5 seconds, profile-store write bytes and incremental
   phase-4 counters (rescored vs cache-reused tuples), plus the combined
   phase-4+5 wall-clock the CI regression gate compares.  Each workload is
-  run with the score cache on *and* off (``full_rescore`` section), and
-  the report records whether the two fingerprints match — the CI gate
-  fails when they do not;
+  also run against a store that cannot vouch for its deltas, so nothing is
+  reused (``full_rescore`` section), and the report records whether the
+  two fingerprints match — the CI gate fails when they do not;
 * ``resume`` — the zero-copy checkpoint-resume bench: a 10k-user sparse
   engine is checkpointed after one iteration and resumed via
   ``KNNEngine.from_checkpoint`` inside a forked child process.  Records
@@ -75,6 +75,7 @@ The quantities recorded:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import multiprocessing
@@ -83,6 +84,7 @@ import platform
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -91,6 +93,7 @@ from repro.core.engine import KNNEngine
 from repro.core.iteration import PHASE_NAMES
 from repro.similarity.workloads import (ProfileChange, generate_dense_profiles,
                                         generate_sparse_profiles)
+from repro.storage.profile_store import OnDiskProfileStore
 
 SEED = 11
 NUM_USERS = 2000
@@ -161,13 +164,24 @@ def _one_iteration(profiles, **overrides) -> dict:
     }
 
 
+def _unvouched(method: str, on: bool):
+    """While entered (and ``on``), the profile store's ``method`` —
+    ``touched_rows_since`` or ``touched_partitions_since`` — cannot vouch
+    for any delta: the engine's own fall-back to a full rescore or the full
+    schedule, reached the way a reload or a recovery reaches it."""
+    if not on:
+        return contextlib.nullcontext()
+    return mock.patch.object(OnDiskProfileStore, method,
+                             lambda store, *args: None)
+
+
 def _run_update_workload(kind: str, incremental: bool = True) -> dict:
     """One update-heavy engine run: per-iteration phase-4/5 seconds and bytes.
 
-    ``incremental=False`` disables the phase-4 score cache (full rescore
-    every iteration); the suite runs both so the report carries the
-    incremental-vs-full timing delta and CI can assert the fingerprints
-    stay bit-identical.
+    ``incremental=False`` runs it against a store that cannot vouch for its
+    row deltas (full rescore every iteration); the suite runs both so the
+    report carries the incremental-vs-full timing delta and CI can assert
+    the fingerprints stay bit-identical.
     """
     if kind == "dense":
         profiles = generate_dense_profiles(UPDATE_USERS, dim=16,
@@ -177,8 +191,7 @@ def _run_update_workload(kind: str, incremental: bool = True) -> dict:
                                             items_per_user=20,
                                             num_communities=8, seed=SEED)
     config = EngineConfig(k=K, num_partitions=UPDATE_PARTITIONS,
-                          heuristic="degree-low-high", seed=SEED,
-                          incremental_phase4=incremental)
+                          heuristic="degree-low-high", seed=SEED)
     rng = np.random.default_rng(7)
 
     def churn(_iteration: int):
@@ -190,7 +203,8 @@ def _run_update_workload(kind: str, incremental: bool = True) -> dict:
                               item=int(rng.integers(0, UPDATE_ITEMS)))
                 for u in users]
 
-    with KNNEngine(profiles, config) as engine:
+    with _unvouched("touched_rows_since", not incremental), \
+            KNNEngine(profiles, config) as engine:
         start = time.perf_counter()
         run = engine.run(num_iterations=UPDATE_ITERATIONS,
                          profile_change_feed=churn)
@@ -236,10 +250,10 @@ def run_update_workload_bench() -> dict:
 
     ``phase45_seconds`` (the combined phase-4 + phase-5 wall-clock across
     both runs, score cache on) is what the CI phase-5 regression gate
-    compares.  Each workload is also re-run with ``incremental_phase4``
-    disabled so the report carries the incremental-vs-full wall-clock
-    delta, and ``incremental_fingerprints_match`` lets the CI gate fail
-    hard if the cache ever changes a result bit.
+    compares.  Each workload is also re-run against a store that cannot
+    vouch for its row deltas so the report carries the incremental-vs-full
+    wall-clock delta, and ``incremental_fingerprints_match`` lets the CI
+    gate fail hard if the cache ever changes a result bit.
     """
     dense = _run_update_workload("dense")
     sparse = _run_update_workload("sparse")
@@ -289,6 +303,8 @@ def _run_dirty_workload(dirty_scheduling: bool, backend: str = "serial",
     so the drift window measures the steady state, not residual convergence
     churn.  The warm-up length is a pure function of the data and therefore
     identical across backends and across the dirty-on/off twin runs.
+    ``dirty_scheduling=False`` runs it against a store that cannot vouch
+    for its partition deltas, which keeps the full schedule.
     """
     profiles = generate_dense_profiles(UPDATE_USERS, dim=16,
                                        num_communities=8, seed=SEED)
@@ -297,8 +313,7 @@ def _run_dirty_workload(dirty_scheduling: bool, backend: str = "serial",
     hot_rows = UPDATE_USERS // UPDATE_PARTITIONS   # the first partition
     overrides = {"backend": backend, "num_workers": workers}
     config = EngineConfig(k=K, num_partitions=UPDATE_PARTITIONS,
-                          heuristic="degree-low-high", seed=SEED,
-                          dirty_scheduling=dirty_scheduling, **overrides)
+                          heuristic="degree-low-high", seed=SEED, **overrides)
 
     def drift_batch():
         users = rng.choice(hot_rows, size=UPDATE_CHURN, replace=False)
@@ -310,7 +325,8 @@ def _run_dirty_workload(dirty_scheduling: bool, backend: str = "serial",
                                          vector=matrix[user].copy()))
         return changes
 
-    with KNNEngine(profiles, config) as engine:
+    with _unvouched("touched_partitions_since", not dirty_scheduling), \
+            KNNEngine(profiles, config) as engine:
         previous = engine.graph.edge_fingerprint()
         warmup = 0
         while warmup < DIRTY_WARMUP_CAP:

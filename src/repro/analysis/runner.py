@@ -55,7 +55,6 @@ DEFAULT_SANCTIONED_WRITERS = (
     # directory is atomically published, so per-file fsync is redundant
     "save_knn_graph",
     "save_checkpoint",
-    "save_score_cache",
     "save_portable_checkpoint",
     # append-only CRC-framed logs — a torn tail is detected and dropped
     # on scan, which is the durability contract itself

@@ -14,18 +14,16 @@ directory.  ``save_checkpoint``/``load_checkpoint`` work on any
 expensive brute-force ground truths in benchmarks.
 
 A **portable** checkpoint (:func:`save_portable_checkpoint`) additionally
-captures ``P(t)`` itself and, when handed one, the phase-4 score cache, so
-the checkpoint directory is self-contained (survives the engine's scratch
-workdir being deleted).  The profile snapshot **hard-links** the store's
-immutable files — the segmented sparse layout only ever *replaces* segment
-files via rename, never rewrites them in place — so snapshotting a
-multi-gigabyte store costs a directory entry per segment, not a copy; only
-the small mutable files (meta, journal, item table) and in-place-updated dense
-matrices are copied.  The score cache rides along as a compact binary of
-``(pair key, score)`` arrays keyed by the store generation: a resumed run
-that cannot vouch for that generation simply pays one full rescore.  The
-engine's explicit ``save_checkpoint()`` carries it; its per-iteration commit
-epochs do not (``docs/robustness.md`` has the measurement).
+captures ``P(t)`` itself, so the checkpoint directory is self-contained
+(survives the engine's scratch workdir being deleted).  The profile snapshot
+**hard-links** the store's immutable files — the segmented sparse layout
+only ever *replaces* segment files via rename, never rewrites them in place
+— so snapshotting a multi-gigabyte store costs a directory entry per
+segment, not a copy; only the small mutable files (meta, journal, item
+table) and in-place-updated dense matrices are copied.  The engine's
+explicit ``save_checkpoint()`` and its per-iteration commit epochs write
+this one layout; neither carries phase 4's scores, so a resumed run pays
+one full rescore (``docs/robustness.md`` has the measurement).
 
 The writers report the CRC32 of the bytes they had in hand, so
 :func:`write_checkpoint_checksums` seals an epoch without re-reading it and
@@ -44,7 +42,6 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.iteration import Phase4ScoreCache
 from repro.graph.knn_graph import KNNGraph
 from repro.storage.disk_model import DiskModel
 from repro.storage.io_stats import IOStats
@@ -53,7 +50,6 @@ from repro.storage.profile_store import OnDiskProfileStore
 PathLike = Union[str, os.PathLike]
 
 _MAGIC = b"RPCK0001"
-_CACHE_MAGIC = b"RPSC0001"
 
 
 def save_knn_graph(path: PathLike, graph: KNNGraph, fault_plan=None) -> int:
@@ -152,58 +148,6 @@ def has_checkpoint(directory: PathLike) -> bool:
 
 
 # -- portable checkpoints ----------------------------------------------------
-
-
-def save_score_cache(path: PathLike, cache: Phase4ScoreCache) -> None:
-    """Serialise a phase-4 score cache (possibly empty) to a binary file."""
-    path = Path(path)
-    measure = (cache.measure or "").encode("utf-8")
-    empty = cache.keys is None or cache.generation is None
-    header = np.asarray([
-        -1 if empty else int(cache.generation),
-        int(cache.num_vertices),
-        0 if empty else len(cache.keys),
-        len(measure),
-        int(cache.max_entries),
-    ], dtype=np.int64)
-    with path.open("wb") as handle:
-        handle.write(_CACHE_MAGIC)
-        handle.write(header.tobytes())
-        handle.write(measure)
-        if not empty:
-            handle.write(np.asarray(cache.keys, dtype=np.int64).tobytes())
-            handle.write(np.asarray(cache.values, dtype=np.float64).tobytes())
-
-
-def load_score_cache(path: PathLike) -> Phase4ScoreCache:
-    """Restore a score cache written by :func:`save_score_cache`."""
-    path = Path(path)
-    raw = path.read_bytes()
-    if raw[:len(_CACHE_MAGIC)] != _CACHE_MAGIC:
-        raise ValueError(f"{path} is not a repro score-cache file (bad magic)")
-    offset = len(_CACHE_MAGIC)
-    header = np.frombuffer(raw, dtype=np.int64, count=5, offset=offset)
-    offset += 5 * 8
-    generation, num_vertices, num_entries, measure_len, max_entries = (
-        int(x) for x in header)
-    if num_entries < 0 or measure_len < 0 or num_vertices < 0:
-        raise ValueError(f"{path} has a corrupt header (negative counts)")
-    measure = raw[offset:offset + measure_len].decode("utf-8")
-    offset += measure_len
-    cache = Phase4ScoreCache(max_entries=max(1, max_entries))
-    if generation < 0:
-        return cache
-    expected = offset + num_entries * 16
-    if len(raw) < expected:
-        raise ValueError(
-            f"{path} is truncated: expected {expected} bytes, found {len(raw)}")
-    keys = np.frombuffer(raw, dtype=np.int64, count=num_entries, offset=offset)
-    offset += num_entries * 8
-    values = np.frombuffer(raw, dtype=np.float64, count=num_entries, offset=offset)
-    # merge() is the one way arrays enter a cache: it refuses unsorted keys
-    cache.merge(keys.copy(), values.copy(), measure or None, generation,
-                num_vertices)
-    return cache
 
 
 @dataclass
@@ -325,18 +269,17 @@ def restore_profile_store(snapshot_dir: PathLike, dest_dir: PathLike,
 
 def save_portable_checkpoint(directory: PathLike, graph: KNNGraph, iteration: int,
                              profile_store: Optional[OnDiskProfileStore] = None,
-                             score_cache: Optional[Phase4ScoreCache] = None,
                              metadata: Optional[Dict[str, object]] = None,
                              fault_plan=None,
                              checksums: Optional[Dict[str, int]] = None) -> Path:
-    """Write a self-contained checkpoint: graph + profiles ``P(t)`` + cache.
+    """Write a self-contained checkpoint: graph + profiles ``P(t)``.
 
     Extends :func:`save_checkpoint` with a hard-linked snapshot of the
-    profile store and the phase-4 score cache (each only when given), so
-    resuming does not depend on the engine's (usually temporary) working
-    directory.  Returns the manifest path; a ``checksums`` dict, when
-    passed, receives ``relative name -> CRC32`` of every file whose bytes
-    this call had in hand, for :func:`write_checkpoint_checksums`.
+    profile store (when given), so resuming does not depend on the engine's
+    (usually temporary) working directory.  Returns the manifest path; a
+    ``checksums`` dict, when passed, receives ``relative name -> CRC32`` of
+    every file whose bytes this call had in hand, for
+    :func:`write_checkpoint_checksums`.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -357,10 +300,6 @@ def save_portable_checkpoint(directory: PathLike, graph: KNNGraph, iteration: in
         vouched.update((str(Path("profiles", name)), crc)
                        for name, crc in cloned.checksums.items())
         manifest["profiles_dir"] = "profiles"
-    if score_cache is not None:
-        cache_name = "score_cache.bin"
-        save_score_cache(directory / cache_name, score_cache)
-        manifest["score_cache_file"] = cache_name
     blob = json.dumps(manifest, indent=2).encode("utf-8")
     manifest_path = directory / "checkpoint.json"
     manifest_path.write_bytes(blob)
@@ -369,15 +308,15 @@ def save_portable_checkpoint(directory: PathLike, graph: KNNGraph, iteration: in
 
 
 def load_portable_checkpoint(directory: PathLike) -> Tuple[
-        KNNGraph, int, Dict[str, object],
-        Optional[OnDiskProfileStore], Optional[Phase4ScoreCache]]:
+        KNNGraph, int, Dict[str, object], Optional[OnDiskProfileStore]]:
     """Load a portable checkpoint written by :func:`save_portable_checkpoint`.
 
-    Returns ``(graph, iteration, metadata, profile_store, score_cache)``;
-    the last two are ``None`` when the checkpoint was saved without them.
-    The returned store handle reads the snapshot in place — callers that
-    want to mutate profiles should copy it into a fresh working directory
-    first (the engine's resume path loads it fully into memory instead).
+    Returns ``(graph, iteration, metadata, profile_store)``; the store is
+    ``None`` when the checkpoint was saved without one.  Any other file an
+    older writer left in the directory is not read.  The returned store
+    handle reads the snapshot in place — callers that want to mutate
+    profiles clone it into a fresh working directory first, as the engine's
+    resume path does.
     """
     directory = Path(directory)
     graph, iteration, metadata = load_checkpoint(directory)
@@ -386,10 +325,7 @@ def load_portable_checkpoint(directory: PathLike) -> Tuple[
     if manifest.get("profiles_dir"):
         store = OnDiskProfileStore(directory / manifest["profiles_dir"],
                                    disk_model="instant")
-    cache = None
-    if manifest.get("score_cache_file"):
-        cache = load_score_cache(directory / manifest["score_cache_file"])
-    return graph, iteration, metadata, store, cache
+    return graph, iteration, metadata, store
 
 
 # -- checkpoint integrity -----------------------------------------------------

@@ -67,36 +67,21 @@ class EngineConfig:
         Width of whichever pool ``backend`` names.  ``1`` (or ``"process"``
         on a platform without ``fork``) builds no pool and scores on the
         calling thread — identical results, no hand-over cost.
-    profile_segment_rows:
-        Row count per on-disk sparse profile segment (the unit phase-5
-        incremental updates rewrite).  ``None`` aligns segments with the
-        contiguous partitioner's n/m split (one segment per partition) and
-        falls back to the store's default for scattering partitioners.
-    incremental_phase4:
-        Keep scores in the carried state
-        (:class:`~repro.core.iteration.Phase4ScoreCache`) and reuse them for
-        candidate tuples whose endpoints' profiles are unchanged (the
-        profile store's touched-row deltas).  Scores are deterministic per
-        pair, so the produced graphs are **bit-identical** with the toggle
-        on or off; iterations after the first rescore only tuples with at
-        least one touched endpoint (plus never-seen pairs).
-    dirty_scheduling:
-        The carried state's second reading: residency steps whose two
-        partitions the update churn left clean and whose pair is in its
-        ``scored_pairs`` are served from its scores without loading a
-        partition, and the remaining steps run dirty-first
-        (convergence-driven ordering).  Needs ``incremental_phase4``; every
-        situation the delta history cannot vouch for (reload, compaction,
-        recovery) falls back to the full schedule.  Produced graphs are
-        **bit-identical** with the toggle on or off — per-tuple cache
-        validity is still checked against the touched-row mask, and the
-        G(t+1) merge is a pure function of the scored candidate multiset.
     score_cache_entries:
         Capacity of the carried state's scores
         (:class:`~repro.core.iteration.Phase4ScoreCache`) in (pair, score)
         entries (16 bytes each).  An iteration whose scored tuple set
         exceeds the cap leaves no scores (``G(t)`` and ``H`` stay; the next
         iteration rescores everything), so memory stays bounded.
+
+        The carried state has no switch: a score depends only on its two
+        endpoint profiles, so phase 4 always reuses the scores of tuples
+        whose endpoints the store's touched-row deltas report unchanged,
+        and always serves residency steps whose two partitions stayed clean
+        from them (dirty steps first).  Where the delta history cannot
+        vouch for the churn — cold start, ``reload()``, compaction
+        rollover, recovery or resume — the iteration rescores everything
+        on the full schedule.  Produced graphs are bit-identical either way.
     shard_parallel:
         Execute *whole residency steps* concurrently instead of one step at
         a time: the steps that need their partitions are colored into waves
@@ -144,9 +129,6 @@ class EngineConfig:
     max_pairs_per_bridge: Optional[int] = None
     backend: str = "thread"
     num_workers: int = 1
-    profile_segment_rows: Optional[int] = None
-    incremental_phase4: bool = True
-    dirty_scheduling: bool = True
     score_cache_entries: int = 4_000_000
     shard_parallel: bool = False
     seed: Optional[int] = 0
@@ -190,8 +172,6 @@ class EngineConfig:
             raise ValueError("memory_budget_bytes must be positive when given")
         if self.max_pairs_per_bridge is not None and self.max_pairs_per_bridge <= 0:
             raise ValueError("max_pairs_per_bridge must be positive when given")
-        if self.profile_segment_rows is not None and self.profile_segment_rows <= 0:
-            raise ValueError("profile_segment_rows must be positive when given")
         check_positive_int(self.score_cache_entries, "score_cache_entries")
         if self.shard_timeout_seconds is not None and self.shard_timeout_seconds <= 0:
             raise ValueError("shard_timeout_seconds must be positive when given")

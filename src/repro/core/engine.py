@@ -36,7 +36,7 @@ from repro.core.checkpoint import (CloneStats, load_portable_checkpoint,
                                    write_checkpoint_checksums)
 from repro.core.config import EngineConfig
 from repro.core.convergence import ConvergenceTracker
-from repro.core.iteration import IterationResult, OutOfCoreIteration, Phase4ScoreCache
+from repro.core.iteration import IterationResult, OutOfCoreIteration
 from repro.core.update_queue import (ProfileUpdateQueue, change_from_manifest,
                                      change_to_manifest)
 from repro.graph.knn_graph import KNNGraph
@@ -56,19 +56,25 @@ _logger = get_logger("core.engine")
 _change_to_manifest = change_to_manifest
 _change_from_manifest = change_from_manifest
 
+#: ``EngineConfig`` fields older manifests may carry that no longer exist.
+_RETIRED_KNOBS = ("adaptive_score_cache", "incremental_phase4",
+                  "dirty_scheduling", "profile_segment_rows")
+
 
 def _config_from_manifest(saved: dict, directory) -> EngineConfig:
     """The :class:`EngineConfig` a checkpoint manifest saved.
 
     The manifest is outside input — older commits wrote it — so knobs retired
     since are translated rather than handed to the constructor: a saved
-    ``adaptive_score_cache`` is dropped (it never changed results), a saved
-    ``num_threads`` becomes the ``num_workers`` of a ``"thread"`` backend and
-    is dropped otherwise.  Any other key this version does not know is an
-    error that names the key and the checkpoint.
+    ``adaptive_score_cache``, ``incremental_phase4``, ``dirty_scheduling``
+    or ``profile_segment_rows`` is dropped (none ever changed results), a
+    saved ``num_threads`` becomes the ``num_workers`` of a ``"thread"``
+    backend and is dropped otherwise.  Any other key this version does not
+    know is an error that names the key and the checkpoint.
     """
     saved = dict(saved)
-    saved.pop("adaptive_score_cache", None)
+    for retired in _RETIRED_KNOBS:
+        saved.pop(retired, None)
     num_threads = saved.pop("num_threads", None)
     if num_threads is not None and saved.get("backend") == "thread":
         saved["num_workers"] = num_threads
@@ -192,18 +198,15 @@ class KNNEngine:
     def _segment_bounds(self, num_users: int) -> Optional[list]:
         """Sparse-segment boundaries for the on-disk profile store.
 
-        An explicit ``profile_segment_rows`` wins; otherwise the bounds
-        follow the contiguous partitioner's n/m split so every partition's
-        profile slice maps to exactly one segment (zero-copy loads, and
-        phase-5 segment rewrites stay partition-local).  Scattering
-        partitioners get the store's default uniform segments.
+        Under the contiguous partitioner the bounds follow its n/m split so
+        every partition's profile slice maps to exactly one segment
+        (zero-copy loads, and phase-5 segment rewrites stay
+        partition-local).  Scattering partitioners get the store's default
+        uniform segments.  A caller wanting another layout creates the
+        store itself (``OnDiskProfileStore.create(segment_bounds=...)``) and
+        hands it to the engine, which keeps its layout.
         """
         config = self._config
-        if config.profile_segment_rows is not None:
-            step = min(config.profile_segment_rows, num_users)
-            bounds = list(range(0, num_users, step))
-            bounds.append(num_users)
-            return sorted(set(bounds))
         if config.partitioner == "contiguous":
             return partition_aligned_bounds(num_users, config.num_partitions)
         return None
@@ -266,18 +269,18 @@ class KNNEngine:
 
     def save_checkpoint(self, directory: Union[str, Path],
                         metadata: Optional[dict] = None, *,
-                        score_cache: bool = True,
                         checksums: Optional[dict] = None) -> Path:
         """Write a self-contained (portable) checkpoint of the current state.
 
         Captures ``G(t)``, the iteration counter, the engine configuration,
-        a hard-linked snapshot of the on-disk profiles ``P(t)``, the
-        phase-4 score cache and any profile changes still buffered in the
-        update queue, so the run can resume (:meth:`from_checkpoint`) even
-        after this engine's scratch workdir is gone.  Returns the manifest
-        path.  The keyword arguments are the commit protocol's:
-        ``score_cache=False`` leaves the cache out (a resume then pays one
-        full rescore) and a ``checksums`` dict receives each file's CRC32.
+        a hard-linked snapshot of the on-disk profiles ``P(t)`` and any
+        profile changes still buffered in the update queue, so the run can
+        resume (:meth:`from_checkpoint`) even after this engine's scratch
+        workdir is gone.  The layout is a commit epoch's without its seal;
+        phase 4's carried state is not saved, so the resumed run's first
+        iteration rescores everything.  Returns the manifest path.  A
+        ``checksums`` dict (the commit protocol's) receives each file's
+        CRC32.
         """
         self._ensure_open()
         combined = dict(metadata or {})
@@ -293,34 +296,8 @@ class KNNEngine:
                                        for change in self._update_queue.peek()]
         return save_portable_checkpoint(
             directory, self._graph, self._iterations_run,
-            profile_store=self._profile_store,
-            score_cache=self._checkpointable_cache() if score_cache else None,
-            metadata=combined,
+            profile_store=self._profile_store, metadata=combined,
             fault_plan=self._config.fault_plan, checksums=checksums)
-
-    def _checkpointable_cache(self) -> Phase4ScoreCache:
-        """The score cache advanced to the snapshot generation for saving.
-
-        The cache is tagged with the generation read at phase-4 time, but
-        phase 5 of the same iteration usually bumps the store — so a cache
-        saved verbatim would never match the snapshot and every resume of
-        an update-stream run would pay a needless full rescore.  While the
-        live store can still enumerate the rows touched since scoring, the
-        stale entries are pruned (they would be dirty next iteration
-        anyway) and the remainder re-tagged with the snapshot generation,
-        which :meth:`from_checkpoint` rebases onto the fresh store.  When
-        the deltas are unknown the cache is saved as-is and the resume
-        path's generation check drops it — correct either way.
-        """
-        cache = self._iteration_runner.score_cache
-        current = self._profile_store.generation
-        if (cache.generation is None or cache.keys is None
-                or cache.generation == current):
-            return cache
-        touched = self._profile_store.touched_rows_since(cache.generation)
-        if touched is None:
-            return cache
-        return cache.advanced_to(touched, current)
 
     def _config_manifest(self) -> dict:
         """The engine configuration as a JSON-serialisable dict.
@@ -356,22 +333,14 @@ class KNNEngine:
         ``k``, measure, partitioning); passing a config explicitly
         overrides it — including ``backend``/``num_workers``, which never
         change results.  The snapshot's on-disk segment layout is kept
-        as-is (a config overriding ``num_partitions`` or
-        ``profile_segment_rows`` affects only which loads hit the zero-copy
-        fast path, never the produced graphs).
+        as-is (a config overriding ``num_partitions`` affects only which
+        loads hit the zero-copy fast path, never the produced graphs).
 
-        The score cache is restored only when its generation matches the
-        snapshot store's — i.e. the cached scores describe exactly the
-        profiles ``P(t)`` being resumed.  The hard-linked working store
-        carries the snapshot's generation counter forward, so a matching
-        cache is adopted as-is and reuse continues seamlessly.
-        :meth:`save_checkpoint` arranges for this to be the common case by
-        pruning churn-touched entries and advancing the cache to the
-        snapshot generation; a cache it could not advance (unknown deltas)
-        is dropped here instead (its generation predates the resumed
-        store's counter, so keeping it could reuse stale scores), and the
-        first resumed iteration performs one full rescore.  Resumed
-        results are bit-identical to an uninterrupted run either way.
+        Phase 4's carried state is not part of a checkpoint, so it starts
+        empty — :meth:`recover` resumes the same way: the first resumed
+        iteration rebuilds ``H`` and rescores every tuple, and reuse resumes
+        from its commit on.  Resumed results are bit-identical to an
+        uninterrupted run.
         """
         if (workdir is not None
                 and Path(workdir).resolve() == Path(directory).resolve()):
@@ -382,8 +351,8 @@ class KNNEngine:
                 f"workdir {workdir} is the checkpoint directory; resuming "
                 "would overwrite the snapshot profiles — pass a different "
                 "workdir (or None for a scratch directory)")
-        checkpoint = load_portable_checkpoint(directory)
-        graph, iteration, metadata, snapshot_store, score_cache = checkpoint
+        graph, iteration, metadata, snapshot_store = load_portable_checkpoint(
+            directory)
         if snapshot_store is None:
             raise ValueError(
                 f"checkpoint under {directory} has no profile snapshot; "
@@ -414,14 +383,6 @@ class KNNEngine:
             # phase 5 applies exactly what an uninterrupted run would have
             engine.enqueue_profile_changes(
                 _change_from_manifest(item) for item in pending)
-        if (score_cache is not None and score_cache.generation is not None
-                and score_cache.generation == snapshot_store.generation):
-            # the cached scores describe exactly the snapshot profiles the
-            # working store was hard-linked from; the clone carries the
-            # snapshot's generation counter forward, so the cache matches
-            # the fresh store directly (asserted, not assumed)
-            assert engine._profile_store.generation == snapshot_store.generation
-            engine.restore_score_cache(score_cache)
         return engine
 
     @property
@@ -432,18 +393,6 @@ class KNNEngine:
         segmented sparse store hard-links (not copies) every immutable file.
         """
         return self._resume_clone_stats
-
-    def restore_score_cache(self, cache: Phase4ScoreCache) -> None:
-        """Adopt a phase-4 score cache (see ``from_checkpoint``).
-
-        ``cache.generation`` must refer to *this* engine's profile store —
-        its counter and its contents.  Generation counters are not a shared
-        namespace across stores, so adopting a cache keyed to another
-        store's counter can silently reuse stale scores;
-        :meth:`from_checkpoint` re-keys or drops the restored cache for
-        exactly that reason.
-        """
-        self._iteration_runner.restore_score_cache(cache)
 
     # -- execution -------------------------------------------------------------------
 
@@ -536,8 +485,9 @@ class KNNEngine:
     def _commit_iteration(self) -> None:
         """Atomically seal the current state as ``commits/epoch_NNNNN``.
 
-        Protocol: the whole epoch (graph, hard-linked profile snapshot,
-        manifest — no score cache) is written into an ``.tmp`` directory,
+        Protocol: the whole epoch (:meth:`save_checkpoint`'s graph,
+        hard-linked profile snapshot and manifest) is written into an
+        ``.tmp`` directory,
         sealed with ``checksums.json`` (written last — it doubles as the
         completeness marker; the CRCs are the writers' own), and renamed
         into place in one atomic step.
@@ -558,7 +508,7 @@ class KNNEngine:
         vouched: dict = {}
         self.save_checkpoint(
             tmp, metadata={"wal_applied_seq": self._update_queue.last_applied_seq},
-            score_cache=False, checksums=vouched)
+            checksums=vouched)
         write_checkpoint_checksums(tmp, vouched)
         if fault is not None:
             fault.point("commit.before_rename")

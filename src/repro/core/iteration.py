@@ -124,10 +124,11 @@ class Phase4ScoreCache:
 
     A commit (:meth:`merge`, the only one) makes ``keys`` *be*
     ``table.keys``: while ``aligned`` the slab follows ``H`` through an
-    advance's patch (:meth:`carry`); after a rebuild (:meth:`release`) or a
-    :meth:`restore` it is joined by search (:meth:`lookup`).  A scored set
-    over ``max_entries`` (16 bytes each) leaves no scores (one
-    :attr:`evictions`) rather than a partial map.
+    advance's patch (:meth:`carry`); after a rebuild (:meth:`release`) it is
+    joined by search (:meth:`lookup`).  A scored set over ``max_entries``
+    (16 bytes each) leaves no scores (one :attr:`evictions`) rather than a
+    partial map.  Nothing of it is checkpointed: a resumed or recovered run
+    starts empty, rebuilds ``H`` and rescores once.
     """
 
     def __init__(self, max_entries: int = 4_000_000):
@@ -229,40 +230,7 @@ class Phase4ScoreCache:
         scores[~hit_mask] = np.nan
         return scores, hit_mask
 
-    def advanced_to(self, touched_rows: np.ndarray,
-                    generation: int) -> "Phase4ScoreCache":
-        """A scores-only copy advanced past the given touched rows: entries
-        with a touched endpoint pruned (they would be dirty anyway), the
-        rest re-tagged with ``generation`` — how
-        :meth:`KNNEngine.save_checkpoint` reaches the snapshot generation."""
-        cache = Phase4ScoreCache(max_entries=self.max_entries)
-        if self.keys is None:
-            return cache
-        n = np.int64(self.num_vertices)
-        mask = np.zeros(self.num_vertices, dtype=bool)
-        touched_rows = np.asarray(touched_rows, dtype=np.int64)
-        mask[touched_rows[touched_rows < self.num_vertices]] = True
-        keep = ~(mask[self.keys // n] | mask[self.keys % n])
-        cache.merge(self.keys[keep], self.values[keep], self.measure,
-                    generation, self.num_vertices)
-        return cache
-
-    def restore(self, cache: "Phase4ScoreCache") -> None:
-        """Adopt another cache's scores — a checkpoint's — under this one's
-        capacity (over it, none: one :attr:`evictions`).  ``G(t)`` and
-        ``H`` stay, but the slab is not theirs: it is joined by search and
-        vouches for no partition pair until the next :meth:`merge`."""
-        self.clear()
-        if cache.keys is None:
-            return
-        if len(cache.keys) > self.max_entries:
-            self.evictions += 1
-            return
-        self.keys, self.values = cache.keys, cache.values
-        self.measure, self.generation = cache.measure, cache.generation
-        self.num_vertices = cache.num_vertices
-
-    def merge(self, keys: np.ndarray, values: Optional[np.ndarray],
+    def merge(self, keys: np.ndarray, values: np.ndarray,
               measure: str, generation: int, num_vertices: int, *,
               graph: Optional[Tuple[CSRDiGraph, np.ndarray,
                                     TupleHashTable]] = None,
@@ -275,12 +243,11 @@ class Phase4ScoreCache:
         iteration still holds them: no sort, no copy).  ``graph`` is the
         ``(csr, edge_keys, table)`` whose ``table.keys`` they are, or
         ``None``; ``scored_pairs`` the normalised partition pairs they
-        cover.  ``values=None`` (``incremental_phase4`` off) keeps no
-        scores, nor does an over-capacity set.  A refused merge changes
-        nothing.
+        cover.  An over-capacity set keeps no scores.  A refused merge
+        changes nothing.
         """
-        scored = values is not None and len(keys) <= self.max_entries
-        if values is not None and len(keys) != len(values):
+        scored = len(keys) <= self.max_entries
+        if len(keys) != len(values):
             raise ValueError("keys and values must have equal length")
         if scored and not (keys[1:] > keys[:-1]).all():
             raise ValueError("score cache keys must be strictly increasing")
@@ -294,8 +261,7 @@ class Phase4ScoreCache:
                 array.flags.writeable = False
         self.clear()
         if not scored:
-            if values is not None:
-                self.evictions += 1
+            self.evictions += 1
             return
         keys.flags.writeable = False
         values.flags.writeable = False
@@ -325,17 +291,16 @@ class IterationResult:
     profile_io_stats: IOStats = field(default_factory=IOStats)
     #: Tuples whose score was reused verbatim from the phase-4 score cache.
     reused_scores: int = 0
-    #: ``True`` when no cached score was usable this iteration (cold cache,
-    #: unknown delta history, or ``incremental_phase4`` disabled).
+    #: ``True`` when no cached score was usable this iteration (cold cache or
+    #: a delta history the store cannot vouch for).
     full_rescore: bool = True
     #: ``True`` when phase 2 built ``H`` from the partitions; ``False`` when it
     #: advanced last iteration's ``H`` by the edge delta ``G(t-1) → G(t)``.
     candidates_rebuilt: bool = True
     #: Residency steps that never acquired their partition pair under dirty
     #: scheduling: scores came from the score cache, plus at most a small
-    #: row-level residual gather for never-seen pairs.  Always 0 when
-    #: ``dirty_scheduling`` is off or the delta history could not vouch for
-    #: the churn (full schedule).
+    #: row-level residual gather for never-seen pairs.  Always 0 when the
+    #: delta history could not vouch for the churn (full schedule).
     steps_skipped: int = 0
     #: Residency steps in the full traversal plan this iteration.
     steps_total: int = 0
@@ -602,28 +567,18 @@ class OutOfCoreIteration:
                             if worker_budget else 0),
             fault_plan=config.fault_plan,
             score=_score_in_process)
-        # survives across iterations, like the workers; only its scores are
-        # checkpointed, so a fresh runner rebuilds H once and skips no step
-        # until its first commit
+        # survives across iterations, like the workers
         self._score_cache = Phase4ScoreCache(config.score_cache_entries)
 
     @property
     def score_cache(self) -> Phase4ScoreCache:
-        """The run-lifetime carried state (checkpointing reads its scores)."""
+        """The run-lifetime carried state."""
         return self._score_cache
 
     @property
     def workers(self) -> ScoringWorkers:
         """The run-lifetime scoring workers (benchmarks read their budget)."""
         return self._workers
-
-    def restore_score_cache(self, cache: Phase4ScoreCache) -> None:
-        """Adopt a (checkpoint-loaded) score cache's scores
-        (:meth:`Phase4ScoreCache.restore`).  Safe by construction: reuse
-        only happens when the profile store can vouch for the row deltas
-        since ``cache.generation``, and this run's ``score_cache_entries``
-        bounds them from the first iteration."""
-        self._score_cache.restore(cache)
 
     def close(self) -> None:
         """Shut down the scoring workers (idempotent)."""
@@ -678,8 +633,8 @@ class OutOfCoreIteration:
             # cover every tuple of every step in this iteration's plan.
             score_cache = self._score_cache
             score_cache.merge(
-                table.keys, run.scores if config.incremental_phase4 else None,
-                measure, run.store_generation, graph.num_vertices,
+                table.keys, run.scores, measure, run.store_generation,
+                graph.num_vertices,
                 graph=((csr, edge_keys, table)
                        if config.max_pairs_per_bridge is None else None),
                 scored_pairs={(min(first, second), max(first, second))
@@ -802,12 +757,10 @@ class OutOfCoreIteration:
                       layout: PartitionLayout) -> _Phase4Run:
         """The front of phase 4: slab, cache join, plan, and the unresolved
         tuples decoded into partition-local rows."""
-        config = self._config
         keys = table.keys
         # tuples with two endpoints untouched since the cache's generation
         # reuse its score verbatim; only the rest reach a kernel
-        touched_mask = (self._touched_mask(graph, measure)
-                        if config.incremental_phase4 else None)
+        touched_mask = self._touched_mask(graph, measure)
         full_rescore = touched_mask is None
         cache = self._score_cache
         hits = None
@@ -827,7 +780,7 @@ class OutOfCoreIteration:
         # vouch for the churn (reload, compaction rollover, recovery) keeps
         # the full plan in its order.
         executed, cached = steps, []
-        if config.dirty_scheduling and hits is not None:
+        if hits is not None:
             plan = plan_dirty_schedule(
                 steps, self._profile_store.touched_partitions_since(
                     cache.generation, layout.assignment), cache.scored_pairs)

@@ -41,6 +41,7 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
+from multiprocessing.connection import wait as wait_for_sentinels
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -250,22 +251,28 @@ def _build_worker_executor(num_workers: int, store_dir: str,
 def _terminate_executor(executor: Optional[ProcessPoolExecutor]) -> None:
     """Kill-and-reap teardown of the process transport.
 
-    ``shutdown(wait=False)`` alone leaves a *hung* worker running — the
-    executor only reaps workers that return — so any process still alive
-    after the shutdown is killed explicitly; otherwise a single sleeping
-    worker would pin its store mappings for the rest of the run.  Tolerates
-    broken executors and ``None``.
+    Every worker has one reaper, the executor's management thread, which
+    waits on each of them as it shuts down.  Polling a worker here as well
+    would race it for the same ``waitpid``: the loser gets ``ECHILD``, and
+    a reaped worker then reads as alive (and may be sent a signal).  So a
+    worker is judged by its sentinel, which reaps nothing: one still
+    running — hung in a shard, or idle — is killed, so no shard can pin its
+    store mappings past the teardown; ``shutdown(wait=True)`` lets the
+    management thread reap them all; and the joins that follow only read
+    the exit codes it recorded.  Tolerates broken executors and ``None``.
     """
     if executor is None:
         return
-    processes = list(getattr(executor, "_processes", {}).values())
-    try:
-        executor.shutdown(wait=False, cancel_futures=True)
-    except Exception:
-        pass  # a broken pool may refuse; the kills below still run
+    processes = list((getattr(executor, "_processes", None) or {}).values())
+    exited = set(wait_for_sentinels([process.sentinel for process in processes],
+                                    timeout=0))
     for process in processes:
-        if process.is_alive():
+        if process.sentinel not in exited:
             process.kill()
+    try:
+        executor.shutdown(wait=True, cancel_futures=True)
+    except Exception:
+        pass  # a broken pool may refuse; its management thread still reaps
     for process in processes:
         process.join(timeout=5.0)
 

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +14,34 @@ from repro.graph.digraph import CSRDiGraph, DiGraph
 from repro.graph.generators import powerlaw_fixed_size_graph
 from repro.graph.knn_graph import KNNGraph
 from repro.similarity.workloads import generate_dense_profiles, generate_sparse_profiles
+from repro.storage.profile_store import OnDiskProfileStore
+
+
+def _unvouched(method, on=True, target=OnDiskProfileStore):
+    """A context in which ``target``'s delta query ``method`` answers
+    ``None`` — "cannot vouch" — whatever happened; a no-op when not ``on``."""
+    if not on:
+        return contextlib.nullcontext()
+    return mock.patch.object(target, method, lambda *args: None)
+
+
+@pytest.fixture(scope="session")
+def full_schedule():
+    """``with full_schedule():`` runs engines on the full schedule, the way
+    a reload, a compaction rollover or a recovery reaches it: the store
+    cannot vouch for its partition deltas, so no residency step is served
+    from the carried scores (tuples still reuse theirs).  ``on=False`` makes
+    it a no-op for parametrised twins; ``target=`` narrows it to one store.
+    """
+    return functools.partial(_unvouched, "touched_partitions_since")
+
+
+@pytest.fixture(scope="session")
+def full_rescore():
+    """``with full_rescore():`` runs engines that rescore every tuple on the
+    full schedule: the store cannot vouch for its row deltas, so nothing
+    carried is reused.  Same keywords as :func:`full_schedule`."""
+    return functools.partial(_unvouched, "touched_rows_since")
 
 
 @pytest.fixture

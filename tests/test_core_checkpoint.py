@@ -12,16 +12,13 @@ from repro.core.checkpoint import (
     load_checkpoint,
     load_knn_graph,
     load_portable_checkpoint,
-    load_score_cache,
     save_checkpoint,
     save_knn_graph,
     save_portable_checkpoint,
-    save_score_cache,
     write_checkpoint_checksums,
 )
 from repro.core.config import EngineConfig
 from repro.core.engine import KNNEngine
-from repro.core.iteration import Phase4ScoreCache
 from repro.graph.knn_graph import KNNGraph
 from repro.similarity.workloads import (ProfileChange, generate_dense_profiles,
                                         generate_sparse_profiles)
@@ -100,60 +97,6 @@ class TestCheckpointManifest:
         assert graph.edge_difference(later) == 0
 
 
-class TestScoreCacheSerialisation:
-    def _cache(self, n=40, entries=200):
-        cache = Phase4ScoreCache(max_entries=10_000)
-        rng = np.random.default_rng(1)
-        keys = np.unique(rng.integers(0, n * n, size=entries, dtype=np.int64))
-        cache.merge(keys, rng.random(len(keys)), "jaccard",
-                    generation=7, num_vertices=n)
-        return cache
-
-    def test_roundtrip(self, tmp_path):
-        cache = self._cache()
-        path = tmp_path / "cache.bin"
-        save_score_cache(path, cache)
-        loaded = load_score_cache(path)
-        assert loaded.measure == "jaccard"
-        assert loaded.generation == 7
-        assert loaded.num_vertices == cache.num_vertices
-        assert loaded.max_entries == cache.max_entries
-        np.testing.assert_array_equal(loaded.keys, cache.keys)
-        np.testing.assert_array_equal(loaded.values, cache.values)
-
-    def test_empty_cache_roundtrip(self, tmp_path):
-        path = tmp_path / "empty.bin"
-        save_score_cache(path, Phase4ScoreCache(max_entries=5))
-        loaded = load_score_cache(path)
-        assert loaded.keys is None and loaded.generation is None
-        assert loaded.max_entries == 5
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"NOTCACHE" + b"\x00" * 64)
-        with pytest.raises(ValueError, match="magic"):
-            load_score_cache(path)
-
-    def test_truncated_rejected(self, tmp_path):
-        cache = self._cache()
-        path = tmp_path / "cache.bin"
-        save_score_cache(path, cache)
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(ValueError, match="truncated"):
-            load_score_cache(path)
-
-    def test_negative_header_counts_rejected(self, tmp_path):
-        cache = self._cache()
-        path = tmp_path / "cache.bin"
-        save_score_cache(path, cache)
-        raw = bytearray(path.read_bytes())
-        # corrupt num_entries (third int64 of the header) to -1
-        raw[8 + 16:8 + 24] = np.int64(-1).tobytes()
-        path.write_bytes(bytes(raw))
-        with pytest.raises(ValueError, match="corrupt header"):
-            load_score_cache(path)
-
-
 def _snapshot(store, dest):
     clone_profile_files(store.base_dir, dest)
     return dest
@@ -228,24 +171,21 @@ class TestPortableCheckpoint:
     def test_save_and_load_roundtrip(self, scored_graph, tmp_path):
         profiles = generate_sparse_profiles(80, 200, items_per_user=10, seed=9)
         store = OnDiskProfileStore.create(tmp_path / "store", profiles)
-        cache = Phase4ScoreCache()
-        cache.merge(np.asarray([5, 9], dtype=np.int64),
-                    np.asarray([0.5, 0.25]), "jaccard", 0, 60)
         save_portable_checkpoint(tmp_path / "ckpt", scored_graph, 3,
-                                 profile_store=store, score_cache=cache,
-                                 metadata={"note": "x"})
-        graph, iteration, metadata, loaded_store, loaded_cache = (
+                                 profile_store=store, metadata={"note": "x"})
+        graph, iteration, metadata, loaded_store = (
             load_portable_checkpoint(tmp_path / "ckpt"))
         assert iteration == 3 and metadata == {"note": "x"}
         assert graph.edge_difference(scored_graph) == 0
         assert loaded_store.num_users == 80
         assert loaded_store.load_users([4]).get(4) == store.load_users([4]).get(4)
-        np.testing.assert_array_equal(loaded_cache.keys, cache.keys)
+        assert {path.name for path in (tmp_path / "ckpt").iterdir()} == {
+            "checkpoint.json", "knn_graph_00003.bin", "profiles"}
 
     def test_without_store_and_cache(self, scored_graph, tmp_path):
         save_portable_checkpoint(tmp_path, scored_graph, 1)
-        graph, iteration, _, store, cache = load_portable_checkpoint(tmp_path)
-        assert iteration == 1 and store is None and cache is None
+        graph, iteration, _, store = load_portable_checkpoint(tmp_path)
+        assert iteration == 1 and store is None
 
     def test_engine_checkpoint_resume_is_bit_identical(self, tmp_path):
         """Interrupt after 2 iterations, resume from the portable checkpoint
@@ -277,11 +217,10 @@ class TestPortableCheckpoint:
             run = resumed.run(num_iterations=2, profile_change_feed=make_feed(rng))
         assert run.final_graph.edge_difference(
             uninterrupted.final_graph) == 0
-        # save_checkpoint pruned the churn-touched pairs and advanced the
-        # cache to the snapshot generation, so reuse continues seamlessly
-        # from the very first resumed iteration
-        assert run.iterations[0].full_rescore is False
-        assert run.iterations[0].reused_scores > 0
+        # nothing carried is checkpointed: the first resumed iteration
+        # rescores everything, and reuse resumes from its commit on
+        assert run.iterations[0].full_rescore is True
+        assert run.iterations[0].reused_scores == 0
         assert run.iterations[1].reused_scores > 0
 
     def test_from_checkpoint_without_snapshot_rejected(self, scored_graph,
@@ -292,11 +231,10 @@ class TestPortableCheckpoint:
 
     def test_generation_collision_does_not_reuse_stale_scores(self, tmp_path):
         """Checkpoint saved after churn was applied (cache one generation
-        behind P(t)): the fresh working store also numbers from 0, so a
-        naively restored cache would claim 'nothing changed' and reuse
-        pre-churn scores.  save_checkpoint instead prunes the touched pairs
-        and advances the cache to the snapshot generation, so the resumed
-        run reuses only still-valid scores — and stays bit-identical."""
+        behind P(t)): a restored cache would have to be pruned of the
+        touched pairs to stay valid.  No cache is saved, so the resumed run
+        reuses nothing stale — it rescores everything once and stays
+        bit-identical."""
         profiles = generate_sparse_profiles(90, 250, items_per_user=10,
                                             num_communities=4, seed=41)
         config = EngineConfig(k=5, num_partitions=4, seed=41)
@@ -318,16 +256,13 @@ class TestPortableCheckpoint:
         with KNNEngine.from_checkpoint(tmp_path / "ckpt") as resumed:
             result = resumed.run_iteration()
         assert result.graph.edge_difference(uninterrupted) == 0
-        # the pruned cache was restored: churn-touched pairs rescored,
-        # everything else reused — never a stale score
-        assert result.full_rescore is False
-        assert result.reused_scores > 0
+        assert result.full_rescore is True
+        assert result.reused_scores == 0
 
     def test_unknown_deltas_at_save_time_drop_the_cache_on_resume(self, tmp_path):
         """When the store cannot enumerate the rows touched since scoring
-        (here: a journal compaction truncated the delta history), the cache
-        is saved as-is and the resume generation check drops it — one full
-        rescore, never a stale reuse."""
+        (here: a journal compaction truncated the delta history) the resume
+        is no different: one full rescore, never a stale reuse."""
         profiles = generate_sparse_profiles(90, 250, items_per_user=10,
                                             num_communities=4, seed=59)
         config = EngineConfig(k=5, num_partitions=4, seed=59)
@@ -367,31 +302,35 @@ class TestPortableCheckpoint:
         with KNNEngine.from_checkpoint(tmp_path / "ckpt", config=config) as ok:
             ok.run_iteration()
 
-    def test_cache_rebased_when_it_matches_the_snapshot(self, tmp_path):
-        """No churn between scoring and checkpointing: the cache describes
-        exactly the snapshot profiles, so resume re-keys it to the fresh
-        store and the first resumed iteration reuses immediately."""
+    def test_a_resume_without_churn_rescores_once_then_reuses(self, tmp_path):
+        """No churn between scoring and checkpointing: the scores would
+        still describe the snapshot profiles, but they are not saved — the
+        first resumed iteration rescores, the second reuses like the twin."""
         profiles = generate_sparse_profiles(90, 250, items_per_user=10,
                                             num_communities=4, seed=43)
         config = EngineConfig(k=5, num_partitions=4, seed=43)
         with KNNEngine(profiles, config) as engine:
             engine.run_iteration()
-            uninterrupted = engine.run_iteration().graph
+            uninterrupted = [engine.run_iteration() for _ in range(2)]
 
         with KNNEngine(profiles, config) as engine:
             engine.run_iteration()            # cache gen 0 == store gen 0
             engine.save_checkpoint(tmp_path / "ckpt")
 
         with KNNEngine.from_checkpoint(tmp_path / "ckpt") as resumed:
-            result = resumed.run_iteration()
-        assert result.full_rescore is False
-        assert result.reused_scores > 0
-        assert result.graph.edge_difference(uninterrupted) == 0
+            results = [resumed.run_iteration() for _ in range(2)]
+        assert results[0].full_rescore is True
+        assert results[0].reused_scores == 0
+        assert results[1].reused_scores == uninterrupted[1].reused_scores > 0
+        for result, expected in zip(results, uninterrupted):
+            assert result.graph.edge_difference(expected.graph) == 0
 
-    def test_adopted_cache_is_read_only_and_survives_a_round_trip(self, tmp_path):
+    def test_adopted_cache_is_read_only_and_a_resume_matches_the_twin(
+            self, tmp_path):
         """The cache adopts phase 4's own arrays (H's keys, the score slab),
-        so they are frozen; saving, advancing and loading copy, and a
-        resumed run reuses exactly what its never-checkpointed twin does."""
+        so they are frozen; a checkpoint saves none of them, and from its
+        second iteration on a resumed run reuses exactly what its
+        never-checkpointed twin does."""
         profiles = generate_dense_profiles(100, dim=8, num_communities=4, seed=47)
         config = EngineConfig(k=5, num_partitions=4, seed=47)
 
@@ -414,10 +353,11 @@ class TestPortableCheckpoint:
         with KNNEngine.from_checkpoint(tmp_path / "ckpt", config=config) as resumed:
             results = resumed.run(num_iterations=2,
                                   profile_change_feed=feed).iterations
+        assert results[0].full_rescore and results[0].reused_scores == 0
+        assert results[1].reused_scores == twin.iterations[3].reused_scores > 0
+        assert (results[1].similarity_evaluations
+                == twin.iterations[3].similarity_evaluations)
         for result, expected in zip(results, twin.iterations[2:]):
-            assert result.reused_scores == expected.reused_scores > 0
-            assert (result.similarity_evaluations
-                    == expected.similarity_evaluations)
             assert (result.graph.edge_fingerprint()
                     == expected.graph.edge_fingerprint())
 
@@ -473,7 +413,7 @@ class TestPortableCheckpoint:
                                        metadata={"engine_config": {}})
             # non-reserved metadata still flows through
             engine.save_checkpoint(tmp_path / "ckpt", metadata={"note": "y"})
-        _, _, metadata, _, _ = load_portable_checkpoint(tmp_path / "ckpt")
+        _, _, metadata, _ = load_portable_checkpoint(tmp_path / "ckpt")
         assert metadata["note"] == "y"
         assert "engine_config" in metadata
 
@@ -502,14 +442,19 @@ class TestZeroCopyResume:
     """``from_checkpoint`` hard-links the snapshot back — it never loads
     ``P(t)`` into memory, and the checkpoint survives the resumed run."""
 
-    def _checkpointed_engine(self, tmp_path, kind="sparse", seed=71, **config_kwargs):
+    def _checkpointed_engine(self, tmp_path, kind="sparse", seed=71,
+                             segment_bounds=None):
         if kind == "sparse":
             profiles = generate_sparse_profiles(120, 300, items_per_user=10,
                                                 num_communities=4, seed=seed)
         else:
             profiles = generate_dense_profiles(120, dim=6, num_communities=4,
                                                seed=seed)
-        config = EngineConfig(k=5, num_partitions=4, seed=seed, **config_kwargs)
+        if segment_bounds is not None:
+            # a layout of the caller's own: the engine keeps a store's bounds
+            profiles = OnDiskProfileStore.create(
+                tmp_path / "store", profiles, segment_bounds=segment_bounds)
+        config = EngineConfig(k=5, num_partitions=4, seed=seed)
         with KNNEngine(profiles, config) as engine:
             engine.run_iteration()
             engine.save_checkpoint(tmp_path / "ckpt")
@@ -559,9 +504,11 @@ class TestZeroCopyResume:
         """The resumed store shares inodes with the snapshot; its journal
         appends and compaction segment rewrites must never show through
         (atomic replace gives replaced files fresh inodes)."""
-        ckpt, _, _ = self._checkpointed_engine(tmp_path, "sparse",
-                                               profile_segment_rows=30)
+        ckpt, _, _ = self._checkpointed_engine(
+            tmp_path, "sparse", segment_bounds=[0, 30, 60, 90, 120])
         frozen = OnDiskProfileStore(ckpt / "profiles")
+        meta = json.loads((ckpt / "profiles" / "profiles_meta.json").read_text())
+        assert meta["segment_bounds"] == [0, 30, 60, 90, 120]
         expected = {user: frozen.load_users([user]).get(user)
                     for user in range(120)}
         rng = np.random.default_rng(9)
@@ -671,12 +618,28 @@ _PARENT_ENGINE_CONFIG = {
 }
 
 
-def _rewrite_saved_config(directory, **changes):
-    """Make a checkpoint carry the parent commit's ``engine_config`` (plus
-    ``changes``), re-sealing the directory when it is a sealed epoch."""
+#: ``engine_config`` as commit 87436a9 wrote it into a checkpoint manifest —
+#: captured from a run there — with the three knobs retired since set to
+#: what no configuration can say any more: no score reuse, the full
+#: schedule and 20-row profile segments.
+_SWITCHED_OFF_ENGINE_CONFIG = {
+    "backend": "thread", "dirty_scheduling": False, "disk_model": "ssd",
+    "durable": False, "heuristic": "sequential", "include_direct_edges": True,
+    "incremental_phase4": False, "k": 4, "max_pairs_per_bridge": None,
+    "max_resident_partitions": 2, "measure": None,
+    "memory_budget_bytes": None, "num_partitions": 3, "num_workers": 1,
+    "partitioner": "contiguous", "profile_segment_rows": 20,
+    "score_cache_entries": 4000000, "seed": 9, "shard_parallel": False,
+    "shard_timeout_seconds": None,
+}
+
+
+def _rewrite_saved_config(directory, base=_PARENT_ENGINE_CONFIG, **changes):
+    """Make a checkpoint carry an older commit's ``engine_config`` (``base``
+    plus ``changes``), re-sealing the directory when it is a sealed epoch."""
     manifest_path = directory / "checkpoint.json"
     manifest = json.loads(manifest_path.read_text())
-    manifest["metadata"]["engine_config"] = {**_PARENT_ENGINE_CONFIG, **changes}
+    manifest["metadata"]["engine_config"] = {**base, **changes}
     manifest_path.write_text(json.dumps(manifest, indent=2))
     if (directory / "checksums.json").exists():
         write_checkpoint_checksums(directory)
@@ -738,3 +701,66 @@ class TestParentCommitManifest:
             assert recovered.neighbors(0) == served
         finally:
             recovered.close()
+
+
+class TestSwitchedOffManifest:
+    """A manifest from before the carried state lost its switches — even one
+    with both switched off and its own segment size — resumes and recovers
+    into today's configuration, and the run continues to the graphs of a
+    twin that never stopped."""
+
+    CONFIG = EngineConfig(k=4, num_partitions=3, seed=9)
+
+    def _feed(self, iteration):
+        rng = np.random.default_rng(iteration)
+        return [ProfileChange(user=int(user), kind="set", vector=rng.random(4))
+                for user in rng.choice(60, size=5, replace=False)]
+
+    def _twin(self, iterations):
+        with KNNEngine(generate_dense_profiles(60, dim=4, seed=1),
+                       self.CONFIG) as twin:
+            return [result.graph.edge_fingerprint() for result in twin.run(
+                iterations, profile_change_feed=self._feed).iterations]
+
+    def test_from_checkpoint_drops_the_retired_knobs(self, tmp_path):
+        with KNNEngine(generate_dense_profiles(60, dim=4, seed=1),
+                       self.CONFIG) as engine:
+            engine.run(2, profile_change_feed=self._feed)
+            engine.save_checkpoint(tmp_path / "ckpt")
+        _rewrite_saved_config(tmp_path / "ckpt", base=_SWITCHED_OFF_ENGINE_CONFIG)
+        with KNNEngine.from_checkpoint(tmp_path / "ckpt") as resumed:
+            assert resumed.config == self.CONFIG
+            run = resumed.run(2, profile_change_feed=self._feed)
+        assert [result.graph.edge_fingerprint()
+                for result in run.iterations] == self._twin(4)[2:]
+        # the resume rescores once, then reuses: the switch is gone
+        assert [result.full_rescore for result in run.iterations] == [True, False]
+
+    def test_recover_drops_the_retired_knobs(self, tmp_path):
+        workdir = tmp_path / "work"
+        durable = self.CONFIG.with_overrides(durable=True)
+        with KNNEngine(generate_dense_profiles(60, dim=4, seed=1), durable,
+                       workdir=workdir) as engine:
+            engine.run(2, profile_change_feed=self._feed)
+            epochs = engine.sealed_epochs()
+        assert len(epochs) == 2
+        for _, path in epochs:
+            _rewrite_saved_config(path, base=_SWITCHED_OFF_ENGINE_CONFIG,
+                                  durable=True)
+        with KNNEngine.recover(workdir) as recovered:
+            assert recovered.config == durable
+            assert recovered.iterations_run == 2
+            run = recovered.run(2, profile_change_feed=self._feed)
+        assert [result.graph.edge_fingerprint()
+                for result in run.iterations] == self._twin(4)[2:]
+
+    def test_an_unknown_key_beside_them_still_raises(self, tmp_path):
+        with KNNEngine(generate_dense_profiles(60, dim=4, seed=1),
+                       self.CONFIG) as engine:
+            engine.run_iteration()
+            engine.save_checkpoint(tmp_path / "ckpt")
+        _rewrite_saved_config(tmp_path / "ckpt", base=_SWITCHED_OFF_ENGINE_CONFIG,
+                              warp_factor=9)
+        with pytest.raises(ValueError, match="warp_factor") as failure:
+            KNNEngine.from_checkpoint(tmp_path / "ckpt")
+        assert "incremental_phase4" not in str(failure.value)

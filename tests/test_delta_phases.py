@@ -113,8 +113,8 @@ def _from_scratch(n, keys, assignment, parts, direct=True, cap=None):
 def _carried(csr, keys, table):
     """``G(t)`` and its ``H`` as a completed phase 4 commits them."""
     carried = Phase4ScoreCache()
-    carried.merge(table.keys, None, "cosine", 0, csr.num_vertices,
-                  graph=(csr, keys, table))
+    carried.merge(table.keys, np.full(len(table.keys), np.nan), "cosine", 0,
+                  csr.num_vertices, graph=(csr, keys, table))
     return carried
 
 
@@ -371,11 +371,10 @@ class TestEngineTwins:
 
 
     def test_a_resumed_engine_rebuilds_once_then_advances(self, tmp_path):
-        """What is carried is not checkpointed (the format is the parent
-        commit's): a resumed engine has the saved score cache but no
-        multiplicities, so its first iteration is the reference path with
-        the search join, its second the delta path — same numbers as the
-        engine that never stopped."""
+        """What is carried is not checkpointed: a resumed engine's first
+        iteration is the reference path with a full rescore, its second the
+        delta path — same graphs as the engine that never stopped, and from
+        the second on the same numbers."""
         config = EngineConfig(k=5, num_partitions=6, heuristic="degree-low-high",
                               seed=17)
         warm, more = GOLDEN_WARMUP + 2, 3
@@ -399,30 +398,31 @@ class TestEngineTwins:
             engine.save_checkpoint(tmp_path / "checkpoint")
         with KNNEngine.from_checkpoint(tmp_path / "checkpoint") as resumed:
             finished = run(resumed, feed, warm, more)
-        # the scored partition pairs of dirty scheduling are not checkpointed
-        # either, so the first resumed iteration skips no step; its scores,
-        # and everything from the second iteration on, are the twin's
-        assert _counters(finished[0])[:3] == _counters(expected[0])[:3]
+        # the first resumed iteration reuses no score and skips no step; its
+        # graph, and everything from the second iteration on, are the twin's
+        assert _counters(finished[0])[0] == _counters(expected[0])[0]
         assert [_counters(result) for result in finished[1:]] == [
             _counters(result) for result in expected[1:]]
         assert [r.candidates_rebuilt for r in expected] == [False] * more
         assert [r.candidates_rebuilt for r in finished] == [True, False, False]
-        assert not finished[0].full_rescore and finished[0].reused_scores > 0
+        first = finished[0]
+        assert first.full_rescore and first.reused_scores == 0
+        assert first.similarity_evaluations == first.num_candidate_tuples
+        assert first.steps_skipped == 0
 
-    @pytest.mark.parametrize("lose", ["capacity", "history", "restored", "toggle"])
-    def test_losing_the_scores_keeps_the_candidates(self, lose):
+    @pytest.mark.parametrize("lose", ["capacity", "history", "unvouched"])
+    def test_losing_the_scores_keeps_the_candidates(self, lose, full_rescore):
         """Phase 2 does not depend on the score cache: an over-capacity
-        slab, a touched-row history the store cannot vouch for, a cache
-        swapped in from outside or ``incremental_phase4`` off cost rescoring
-        (or the search join), never the rebuild — and never a different
-        graph."""
-        def engine_of(**overrides):
+        slab, a touched-row history the store cannot vouch for once or a
+        store that never vouches cost rescoring, never the rebuild — and
+        never a different graph."""
+        def engine_of():
             config = EngineConfig(k=5, num_partitions=6, seed=17,
-                                  heuristic="degree-low-high", **overrides)
+                                  heuristic="degree-low-high")
             return KNNEngine(_golden_profiles("dense"), config)
 
-        with engine_of() as twin, engine_of(
-                incremental_phase4=lose != "toggle") as engine:
+        with engine_of() as twin, engine_of() as engine, full_rescore(
+                lose == "unvouched", target=engine.profile_store):
             for _ in range(GOLDEN_WARMUP + 1):
                 expected, result = twin.run_iteration(), engine.run_iteration()
             runner = engine._iteration_runner
@@ -439,19 +439,13 @@ class TestEngineTwins:
                 OnDiskProfileStore(engine.profile_store.base_dir).apply_changes(change)
                 engine.profile_store.reload()
                 twin.profile_store.apply_changes(change)
-            elif lose == "restored":
-                cache = runner.score_cache
-                runner.restore_score_cache(
-                    cache.advanced_to(np.empty(0, dtype=np.int64), cache.generation))
             expected, result = twin.run_iteration(), engine.run_iteration()
             assert not result.candidates_rebuilt and not expected.candidates_rebuilt
-            assert result.full_rescore == (lose != "restored")
-            assert result.reused_scores == (
-                expected.reused_scores if lose == "restored" else 0)
+            assert result.full_rescore and result.reused_scores == 0
             assert result.graph.edge_fingerprint() == expected.graph.edge_fingerprint()
             after = engine.run_iteration()
             assert not after.candidates_rebuilt
-            assert after.full_rescore == (lose == "toggle")
+            assert after.full_rescore == (lose == "unvouched")
             assert after.graph.edge_fingerprint() == twin.run_iteration().graph.edge_fingerprint()
 
 

@@ -5,13 +5,15 @@ produces graphs **bit-identical** to the full schedule: per-tuple cache
 validity is still checked against the touched-row mask, and the G(t+1)
 merge is a pure function of the scored candidate multiset.  These tests
 drive hypothesis-generated churn (uniform and partition-localised)
-through runs with the toggle on and off across all three scoring
-backends and compare fingerprint-for-fingerprint plus final profile
-bytes; pin that skipping actually *engages* on a converged graph under
-localised drift churn; and walk every situation where the delta history
-cannot vouch for the churn — reload, delta-log rollover (compaction),
-crash recovery, checkpoint resume — asserting the engine's only answer
-is "run everything" (one unskipped pass) while parity still holds.
+through runs against a store that vouches for its partition deltas and
+one that cannot (the ``full_schedule`` fixture: the full schedule, as a
+reload or a recovery reaches it) across all three scoring backends and
+compare fingerprint-for-fingerprint plus final profile bytes; pin that
+skipping actually *engages* on a converged graph under localised drift
+churn; and walk every situation where the delta history cannot vouch for
+the churn — reload, delta-log rollover (compaction), crash recovery,
+checkpoint resume — asserting the engine's only answer is "run
+everything" (one unskipped pass) while parity still holds.
 """
 
 from __future__ import annotations
@@ -72,12 +74,13 @@ def _final_profile_bytes(engine: KNNEngine) -> bytes:
     return (engine.profile_store.base_dir / "profiles_dense.bin").read_bytes()
 
 
-def _run_pair(churn_factory, iterations: int = 4, **overrides):
-    """The same run twice — dirty scheduling on and off — for comparison."""
+def _run_pair(full_schedule, churn_factory, iterations: int = 4, **overrides):
+    """The same run twice — dirty-scheduled and on the full schedule — for
+    comparison."""
     runs = {}
     for dirty in (True, False):
-        config = _config(dirty_scheduling=dirty, **overrides)
-        with KNNEngine(_profiles(), config) as engine:
+        config = _config(**overrides)
+        with full_schedule(not dirty), KNNEngine(_profiles(), config) as engine:
             run = engine.run(num_iterations=iterations,
                              profile_change_feed=churn_factory())
             runs[dirty] = (run, _final_profile_bytes(engine))
@@ -105,9 +108,8 @@ class _DriftHarness:
         self.rng = np.random.default_rng(drift_seed)
         self.dim = dim
 
-    def config(self, dirty: bool, **overrides):
-        return _config(num_partitions=self.num_partitions,
-                       dirty_scheduling=dirty, **overrides)
+    def config(self, **overrides):
+        return _config(num_partitions=self.num_partitions, **overrides)
 
     def drift_batch(self):
         users = self.rng.choice(self.drift_rows, size=self.drift_users,
@@ -121,13 +123,14 @@ class _DriftHarness:
         return changes
 
 
-def _drive_drift(backend: str, dirty: bool, warmup: int = 5, drifts: int = 3,
+def _drive_drift(backend: str, context, warmup: int = 5, drifts: int = 3,
                  drift_seed: int = 23):
-    """Run warm-up + drift iterations; return (results, final bytes)."""
+    """Run warm-up + drift iterations inside ``context``; return (results,
+    final bytes)."""
     harness = _DriftHarness(drift_seed=drift_seed)
-    config = harness.config(dirty, **_backend_overrides(backend))
+    config = harness.config(**_backend_overrides(backend))
     results = []
-    with KNNEngine(harness.profiles, config) as engine:
+    with context, KNNEngine(harness.profiles, config) as engine:
         for _ in range(warmup):
             results.append(engine.run_iteration())
         for _ in range(drifts):
@@ -148,12 +151,13 @@ class TestDirtyParityWall:
         churn_seed=st.integers(min_value=0, max_value=2**16),
         users_pool=st.sampled_from([NUM_USERS, 30]),
     )
-    def test_dirty_bit_identical_to_full_schedule(self, backend, churn_sizes,
-                                                  churn_seed, users_pool):
+    def test_dirty_bit_identical_to_full_schedule(self, full_schedule, backend,
+                                                  churn_sizes, churn_seed,
+                                                  users_pool):
         if backend == "process" and not fork_available():
             backend = "thread"
-        runs = _run_pair(lambda: _churn_feed(churn_sizes, churn_seed,
-                                             users_pool),
+        runs = _run_pair(full_schedule,
+                         lambda: _churn_feed(churn_sizes, churn_seed, users_pool),
                          **_backend_overrides(backend))
         (dirty_run, dirty_bytes) = runs[True]
         (full_run, full_bytes) = runs[False]
@@ -161,20 +165,20 @@ class TestDirtyParityWall:
                 == [r.graph.edge_fingerprint() for r in full_run.iterations])
         # phase 5 applied the identical churn: final profiles byte-equal
         assert dirty_bytes == full_bytes
-        # the toggle off never skips, and on-skips never drop steps
+        # the full schedule never skips, and skips never drop steps
         assert all(r.steps_skipped == 0 for r in full_run.iterations)
         for result in dirty_run.iterations:
             assert 0 <= result.steps_skipped <= result.steps_total
             assert result.steps_total == result.schedule.num_steps
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_converged_drift_skips_and_agrees(self, backend):
+    def test_converged_drift_skips_and_agrees(self, backend, full_schedule):
         """On a converged graph under localised drift, skipping must both
         engage (steps and loads actually saved) and stay bit-identical."""
         if backend == "process" and not fork_available():
             pytest.skip("process backend needs fork")
-        dirty_results, dirty_bytes = _drive_drift(backend, dirty=True)
-        full_results, full_bytes = _drive_drift(backend, dirty=False)
+        dirty_results, dirty_bytes = _drive_drift(backend, full_schedule(False))
+        full_results, full_bytes = _drive_drift(backend, full_schedule())
         assert ([r.graph.edge_fingerprint() for r in dirty_results]
                 == [r.graph.edge_fingerprint() for r in full_results])
         assert dirty_bytes == full_bytes
@@ -193,17 +197,19 @@ class TestDirtyParityWall:
         """No churn at all: once candidate sets stabilise, almost every
         step is answerable from the cache without touching a partition."""
         harness = _DriftHarness()
-        with KNNEngine(harness.profiles, harness.config(True)) as engine:
+        with KNNEngine(harness.profiles, harness.config()) as engine:
             results = [engine.run_iteration() for _ in range(7)]
         last = results[-1]
         assert last.steps_skipped > 0
         assert last.steps_skipped >= last.steps_total // 2
 
-    def test_disabling_incremental_disables_skipping(self):
-        """Without the score cache there is nothing to serve steps from."""
+    def test_disabling_incremental_disables_skipping(self, full_rescore):
+        """A store that cannot vouch for its row deltas disables score reuse,
+        so there is nothing to serve steps from: every iteration rescores on
+        the full schedule."""
         harness = _DriftHarness()
-        config = harness.config(True, incremental_phase4=False)
-        with KNNEngine(harness.profiles, config) as engine:
+        with full_rescore(), KNNEngine(harness.profiles,
+                                       harness.config()) as engine:
             results = [engine.run_iteration() for _ in range(4)]
         assert all(r.steps_skipped == 0 for r in results)
         assert all(r.full_rescore for r in results)
@@ -213,7 +219,7 @@ class TestRunEverythingEdges:
     """Every invalidation edge must fall back to the full schedule."""
 
     def _warm_engine(self, harness):
-        engine = KNNEngine(harness.profiles, harness.config(True))
+        engine = KNNEngine(harness.profiles, harness.config())
         for _ in range(6):
             engine.run_iteration()
         warm = engine.run_iteration()
@@ -274,33 +280,28 @@ class TestRunEverythingEdges:
             assert after.steps_skipped == 0
 
     def test_checkpoint_resume_costs_one_unskipped_pass(self, tmp_path):
-        """The per-pair scored-generation map is deliberately not part of a
-        checkpoint: the resumed engine's first iteration runs the full
-        schedule (scores still reuse via the restored cache), then skipping
-        re-engages — and the resumed graphs match the uninterrupted run."""
+        """The carried state is not part of a checkpoint: the resumed
+        engine's first iteration rescores on the full schedule, then
+        skipping re-engages — and the resumed graphs match the
+        uninterrupted run."""
         harness = _DriftHarness()
         with self._warm_engine(harness) as engine:
             engine.save_checkpoint(tmp_path / "ckpt")
             continued = [engine.run_iteration() for _ in range(2)]
         resumed_engine = KNNEngine.from_checkpoint(tmp_path / "ckpt")
         with resumed_engine:
-            cache = resumed_engine._iteration_runner.score_cache
-            # the restored cache is vouched for: generation matches the
-            # resumed store exactly (else from_checkpoint must drop it)
-            if cache.generation is not None:
-                assert cache.generation == resumed_engine.profile_store.generation
+            assert resumed_engine._iteration_runner.score_cache.keys is None
             resumed = [resumed_engine.run_iteration() for _ in range(2)]
         assert resumed[0].steps_skipped == 0
-        assert not resumed[0].full_rescore        # cache reuse still on
+        assert resumed[0].full_rescore            # nothing carried to reuse
         assert resumed[1].steps_skipped > 0       # skipping re-engaged
         assert ([r.graph.edge_fingerprint() for r in resumed]
                 == [r.graph.edge_fingerprint() for r in continued])
 
     def test_crash_recovery_never_trusts_an_unvouched_cache(self, tmp_path):
-        """Crash mid-run, recover, finish: the restored score cache is
-        adopted only at the store's exact generation, the first recovered
-        iteration runs the full schedule, and the final graph and profile
-        bytes match a never-crashed twin."""
+        """Crash mid-run, recover, finish: the recovered engine carries no
+        scores, the first recovered iteration runs the full schedule, and
+        the final graph and profile bytes match a never-crashed twin."""
         TOTAL = 7
 
         def once_feed(harness):
@@ -318,7 +319,7 @@ class TestRunEverythingEdges:
             return feed
 
         twin = _DriftHarness()
-        with KNNEngine(twin.profiles, twin.config(True)) as clean:
+        with KNNEngine(twin.profiles, twin.config()) as clean:
             clean.run(TOTAL, profile_change_feed=once_feed(twin))
             ref_fingerprint = clean.graph.edge_fingerprint()
             ref_bytes = _final_profile_bytes(clean)
@@ -328,7 +329,7 @@ class TestRunEverythingEdges:
         plan = FaultPlan().crash_at("phase4.step", occurrence=40)
         workdir = tmp_path / "work"
         engine = KNNEngine(harness.profiles,
-                           harness.config(True, durable=True, fault_plan=plan),
+                           harness.config(durable=True, fault_plan=plan),
                            workdir=workdir)
         try:
             with pytest.raises(InjectedCrash):
@@ -339,18 +340,13 @@ class TestRunEverythingEdges:
 
         recovered = KNNEngine.recover(workdir)
         try:
-            cache = recovered._iteration_runner.score_cache
-            # the cache survives recovery only at the exact generation the
-            # restored store vouches for — never against an unvouched one
-            if cache.generation is not None:
-                assert (cache.generation
-                        == recovered.profile_store.generation)
+            # the carried state died with the crashed process
+            assert recovered._iteration_runner.score_cache.keys is None
             remaining = TOTAL - recovered.iterations_run
             assert remaining > 0
             run = recovered.run(remaining, profile_change_feed=feed)
-            # the pair-generation map died with the crashed process: the
-            # first recovered iteration runs the full schedule (per-tuple
-            # score reuse may still apply, but no step skips)
+            # so the first recovered iteration rescores on the full schedule
+            assert run.iterations[0].full_rescore
             assert run.iterations[0].steps_skipped == 0
             assert recovered.graph.edge_fingerprint() == ref_fingerprint
             assert _final_profile_bytes(recovered) == ref_bytes
@@ -364,7 +360,7 @@ class TestConvergedStopDurability:
     def _run_to_convergence(self, workdir):
         harness = _DriftHarness()
         engine = KNNEngine(harness.profiles,
-                           harness.config(True, durable=True),
+                           harness.config(durable=True),
                            workdir=workdir)
         with engine:
             run = engine.run(num_iterations=20, convergence_threshold=1e-9,

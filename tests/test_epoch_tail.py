@@ -6,9 +6,10 @@ just sealed from memory.  This wall pins what that must not cost:
 
 * the seal is the one a from-disk re-read would have written, byte for byte;
 * the layout loses ``score_cache.bin`` and gains nothing, and an explicit
-  ``save_checkpoint()`` still carries the cache;
-* an epoch sealed by the parent commit (cache included, CRCs re-read) still
-  recovers, to the never-interrupted twin's graph and profile bytes;
+  ``save_checkpoint()`` is laid out the same way;
+* an epoch sealed in an older layout (score cache included, CRCs re-read)
+  still recovers, to the never-interrupted twin's graph and profile bytes,
+  without reading the cache;
 * ``load_checkpoint`` is off the refresh path and still what start-up,
   recovery and the supervisor's republish read the graph with;
 * the served graph is the sealed one, row for row, and is read-only — the
@@ -22,6 +23,7 @@ the supervisor's own recovery path starts the real thread.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import shutil
@@ -166,33 +168,48 @@ def test_a_commit_epoch_loses_the_score_cache_and_gains_nothing(kind, tmp_path,
             assert manifest["profiles_dir"] == "profiles"
         live = {path.name for path in engine.profile_store.base_dir.glob("profiles_*")}
         assert {path.name for path in (epoch_dir / "profiles").iterdir()} == live
-        # the explicit, portable checkpoint is a separate decision: it keeps it
+        # the explicit, portable checkpoint is an epoch without its seal
         explicit = tmp_path / "explicit"
         engine.save_checkpoint(explicit)
         manifest = json.loads((explicit / "checkpoint.json").read_text())
-        assert manifest["score_cache_file"] == "score_cache.bin"
-        assert (explicit / "score_cache.bin").is_file()
+        assert "score_cache_file" not in manifest
         assert {path.name for path in explicit.iterdir()} == {
-            "checkpoint.json", "score_cache.bin",
+            "checkpoint.json",
             f"knn_graph_{engine.iterations_run:05d}.bin", "profiles"}
 
 
 # -- (iii) an epoch sealed by the parent commit still recovers -------------------
 
 
+def _old_score_cache_bytes(cache):
+    """``score_cache.bin`` as older commits wrote it into a checkpoint: the
+    magic, an int64 header (generation, vertex count, entries, measure
+    length, capacity), the measure, the sorted pair keys, their scores."""
+    measure = cache.measure.encode("utf-8")
+    header = np.asarray([cache.generation, cache.num_vertices, len(cache.keys),
+                         len(measure), cache.max_entries], dtype=np.int64)
+    return b"".join((b"RPSC0001", header.tobytes(), measure,
+                     cache.keys.tobytes(), cache.values.tobytes()))
+
+
 def _reseal_in_the_parent_layout(engine):
-    """Rewrite the newest epoch the way the parent commit sealed it: score
+    """Rewrite the newest epoch the way older commits sealed it: score
     cache included, every CRC taken from a re-read."""
     epoch, epoch_dir = engine.latest_sealed_epoch()
     metadata = json.loads((epoch_dir / "checkpoint.json").read_text())["metadata"]
     shutil.rmtree(epoch_dir)
-    save_portable_checkpoint(epoch_dir, engine.graph, epoch,
-                             profile_store=engine.profile_store,
-                             score_cache=engine._checkpointable_cache(),
-                             metadata=metadata)
+    manifest_path = save_portable_checkpoint(
+        epoch_dir, engine.graph, epoch, profile_store=engine.profile_store,
+        metadata=metadata)
+    (epoch_dir / "score_cache.bin").write_bytes(
+        _old_score_cache_bytes(engine._iteration_runner.score_cache))
+    manifest = json.loads(manifest_path.read_text())
+    manifest["score_cache_file"] = "score_cache.bin"
+    manifest_path.write_text(json.dumps(manifest, indent=2))
     write_checkpoint_checksums(epoch_dir)
-    assert (epoch_dir / "score_cache.bin").is_file()
     assert verify_checkpoint(epoch_dir)
+    assert "score_cache.bin" in json.loads(
+        (epoch_dir / "checksums.json").read_text())
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -218,8 +235,45 @@ def test_engine_recovers_a_parent_layout_epoch_to_the_twin(kind, tmp_path):
     with KNNEngine.recover(tmp_path / "work") as recovered:
         assert recovered.iterations_run == 3
         first, _ = drive(recovered, 5)
-        assert not first.full_rescore      # the parent epoch's cache is adopted
+        assert first.full_rescore          # the old epoch's cache is not read
         assert _final_state(recovered) == expected
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_an_old_explicit_checkpoint_resumes_without_reading_its_cache(
+        kind, tmp_path):
+    """An explicit checkpoint older commits wrote carries ``score_cache.bin``
+    and a manifest entry naming it; resuming reads neither the file nor
+    anything it says, rescores once and continues to the twin's graphs."""
+    def drive(engine, upto):
+        results = []
+        while engine.iterations_run < upto:
+            engine.enqueue_profile_changes(_batch(kind, engine.iterations_run))
+            results.append(engine.run_iteration())
+        return results
+
+    with KNNEngine(_profiles(kind), _config(kind)) as twin:
+        expected = [result.graph.edge_fingerprint() for result in drive(twin, 5)]
+    with KNNEngine(_profiles(kind), _config(kind)) as engine:
+        drive(engine, 3)
+        manifest_path = engine.save_checkpoint(tmp_path / "ckpt")
+        cache_bytes = _old_score_cache_bytes(engine._iteration_runner.score_cache)
+    (tmp_path / "ckpt" / "score_cache.bin").write_bytes(cache_bytes)
+    manifest = json.loads(manifest_path.read_text())
+    manifest["score_cache_file"] = "score_cache.bin"
+    manifest_path.write_text(json.dumps(manifest, indent=2))
+
+    read = []
+    real = Path.read_bytes
+    with mock.patch.object(Path, "read_bytes",
+                           lambda path: read.append(path.name) or real(path)):
+        resumed = KNNEngine.from_checkpoint(tmp_path / "ckpt")
+    with resumed:
+        assert "score_cache.bin" not in read
+        results = drive(resumed, 5)
+    assert [result.graph.edge_fingerprint() for result in results] == expected[3:]
+    assert [result.full_rescore for result in results] == [True, False]
+    assert (tmp_path / "ckpt" / "score_cache.bin").read_bytes() == cache_bytes
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -346,6 +400,10 @@ def test_recovery_and_republish_still_load_from_disk(tmp_path):
 
 
 def _open_fds():
+    # the count is process-wide: what earlier tests left to the cyclic
+    # collector (a closed engine's profile mappings) is finalised first, or
+    # it may close its descriptors in the middle of the measured window
+    gc.collect()
     return len(os.listdir("/proc/self/fd"))
 
 

@@ -1,16 +1,20 @@
 """The incremental phase-4 differential wall.
 
-The generation-keyed score cache promises that an engine run with
-``incremental_phase4=True`` produces graphs **bit-identical** to a full
-rescore, while pushing only tuples with at least one touched endpoint (or
-never-scored pairs) through a similarity kernel.  These tests drive random
-phase-5 churn through the update queue and compare the two modes
-fingerprint-for-fingerprint across all three scoring backends, pin the
-exact clean/dirty partition of a candidate batch at the cache level, and
-assert that the rescored-tuple counts scale with the churn, not the graph.
+The generation-keyed score cache promises that an engine reusing carried
+scores produces graphs **bit-identical** to a full rescore, while pushing
+only tuples with at least one touched endpoint (or never-scored pairs)
+through a similarity kernel.  These tests drive random phase-5 churn
+through the update queue and compare each run fingerprint-for-fingerprint
+with its twin against a store that cannot vouch for its row deltas (the
+``full_rescore`` fixture: every tuple rescored, as after a reload or a
+recovery) across all three scoring backends, pin the exact clean/dirty
+partition of a candidate batch at the cache level, and assert that the
+rescored-tuple counts scale with the churn, not the graph.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -58,10 +62,11 @@ def _churn_feed(kind: str, per_iteration, rng_seed: int, users_pool=NUM_USERS):
     return feed
 
 
-def _run(kind: str, incremental: bool, churn, iterations=3, **overrides):
+def _run(kind: str, churn, iterations=3, context=contextlib.nullcontext(),
+         **overrides):
     config = EngineConfig(k=5, num_partitions=4, heuristic="degree-low-high",
-                          seed=17, incremental_phase4=incremental, **overrides)
-    with KNNEngine(_profiles(kind), config) as engine:
+                          seed=17, **overrides)
+    with context, KNNEngine(_profiles(kind), config) as engine:
         run = engine.run(num_iterations=iterations, profile_change_feed=churn)
     return run
 
@@ -78,8 +83,9 @@ class TestDifferentialWall:
                              min_size=3, max_size=3),
         churn_seed=st.integers(min_value=0, max_value=2**16),
     )
-    def test_incremental_bit_identical_to_full_rescore(self, kind, backend,
-                                                       churn_sizes, churn_seed):
+    def test_incremental_bit_identical_to_full_rescore(self, full_rescore, kind,
+                                                       backend, churn_sizes,
+                                                       churn_seed):
         overrides = {"backend": backend}
         if backend == "thread":
             overrides["num_workers"] = 3
@@ -88,7 +94,9 @@ class TestDifferentialWall:
         runs = {}
         for incremental in (True, False):
             churn = _churn_feed(kind, churn_sizes, churn_seed)
-            runs[incremental] = _run(kind, incremental, churn, **overrides)
+            runs[incremental] = _run(kind, churn,
+                                     context=full_rescore(not incremental),
+                                     **overrides)
         incremental_fps = [result.graph.edge_fingerprint()
                            for result in runs[True].iterations]
         full_fps = [result.graph.edge_fingerprint()
@@ -101,14 +109,15 @@ class TestDifferentialWall:
     @pytest.mark.parametrize("backend,workers", [("serial", 1), ("thread", 3),
                                                  ("process", 2)])
     @pytest.mark.parametrize("kind", ["dense", "sparse"])
-    def test_all_backends_reuse_and_agree(self, kind, backend, workers):
+    def test_all_backends_reuse_and_agree(self, kind, backend, workers,
+                                          full_rescore):
         """Every backend must actually *reuse* scores, not just agree."""
         overrides = {"backend": backend, "num_workers": workers}
         churn_sizes = [8, 8, 8, 8]
-        incremental = _run(kind, True, _churn_feed(kind, churn_sizes, 3),
+        incremental = _run(kind, _churn_feed(kind, churn_sizes, 3),
                            iterations=4, **overrides)
-        full = _run(kind, False, _churn_feed(kind, churn_sizes, 3),
-                    iterations=4, **overrides)
+        full = _run(kind, _churn_feed(kind, churn_sizes, 3), iterations=4,
+                    context=full_rescore(), **overrides)
         assert ([r.graph.edge_fingerprint() for r in incremental.iterations]
                 == [r.graph.edge_fingerprint() for r in full.iterations])
         assert incremental.iterations[0].full_rescore          # cold cache
@@ -361,32 +370,10 @@ class TestInPlaceMergeDifferential:
             for name, value in before.items():
                 assert getattr(state, name) is value, name
 
-    def test_a_restored_cache_keeps_h_and_vouches_for_no_pair(self):
-        """Restoring keeps the carried ``G(t)`` and ``H``, but the slab is
-        not theirs: the next iteration advances, joins by search and serves
-        no step from the cache; its commit aligns the state again."""
-        config = EngineConfig(k=5, num_partitions=4,
-                              heuristic="degree-low-high", seed=17)
-        with KNNEngine(_profiles("dense"), config) as engine:
-            for _ in range(7):
-                engine.run_iteration()
-            runner = engine._iteration_runner
-            state = runner.score_cache
-            table = state.table
-            loaded = state.advanced_to(np.empty(0, dtype=np.int64),
-                                       state.generation)
-            runner.restore_score_cache(loaded)
-            assert state.table is table and state.keys is loaded.keys
-            assert not state.aligned and not state.scored_pairs
-            result = engine.run_iteration()
-            assert not result.candidates_rebuilt and not result.full_rescore
-            assert result.steps_skipped == 0 and result.reused_scores > 0
-            assert state.aligned and state.keys is state.table.keys
-
     def test_merge_keeps_the_graph_whatever_happens_to_the_scores(self):
-        """``values=None`` and an over-capacity set both leave no scores but
-        keep ``G(t)`` and ``H``; only the second is an eviction.  A graph
-        whose table is not the scored keys' is refused, changing nothing."""
+        """An over-capacity set leaves no scores, counts one eviction, but
+        keeps ``G(t)`` and ``H``.  A graph whose table is not the scored
+        keys' is refused, changing nothing."""
         rows = [{1, 2}, {2}, {0}]
         keys = np.asarray(sorted(s * 3 + d for s, row in enumerate(rows)
                                  for d in row), dtype=np.int64)
@@ -395,15 +382,14 @@ class TestInPlaceMergeDifferential:
         table = generate_candidate_tuples(
             csr, build_partitions(csr, assignment, 1), assignment)
         state = Phase4ScoreCache(max_entries=len(table) - 1)
-        for values, evictions in ((None, 0), (np.zeros(len(table)), 1)):
-            state.merge(table.keys, values, "cosine", 1, 3,
-                        graph=(csr, keys, table), scored_pairs={(0, 0)})
-            assert state.table is table and state.csr is csr
-            assert state.keys is None and not state.scored_pairs
-            assert not state.aligned and state.evictions == evictions
+        state.merge(table.keys, np.zeros(len(table)), "cosine", 1, 3,
+                    graph=(csr, keys, table), scored_pairs={(0, 0)})
+        assert state.table is table and state.csr is csr
+        assert state.keys is None and not state.scored_pairs
+        assert not state.aligned and state.evictions == 1
         with pytest.raises(ValueError):
-            state.merge(table.keys.copy(), None, "cosine", 2, 3,
-                        graph=(csr, keys, table))
+            state.merge(table.keys.copy(), np.zeros(len(table)), "cosine", 2,
+                        3, graph=(csr, keys, table))
         assert state.table is table and state.evictions == 1
 
     def test_scored_set_over_capacity_clears(self):
@@ -422,7 +408,7 @@ class TestRescoredCountsScaleWithChurn:
 
     def test_zero_churn_rescores_only_fresh_pairs(self):
         """With no churn, warm iterations rescore only never-seen pairs."""
-        run = _run("dense", True, None, iterations=4)
+        run = _run("dense", None, iterations=4)
         for result in run.iterations[1:]:
             # every tuple already scored last iteration is reused: the
             # rescored ones are exactly this iteration's fresh pairs
@@ -431,10 +417,8 @@ class TestRescoredCountsScaleWithChurn:
             assert result.similarity_evaluations < result.num_candidate_tuples
 
     def test_more_churn_more_rescoring(self):
-        small = _run("sparse", True, _churn_feed("sparse", [4] * 4, 11),
-                     iterations=4)
-        large = _run("sparse", True, _churn_feed("sparse", [60] * 4, 11),
-                     iterations=4)
+        small = _run("sparse", _churn_feed("sparse", [4] * 4, 11), iterations=4)
+        large = _run("sparse", _churn_feed("sparse", [60] * 4, 11), iterations=4)
         small_rescored = sum(r.similarity_evaluations for r in small.iterations[1:])
         large_rescored = sum(r.similarity_evaluations for r in large.iterations[1:])
         assert small_rescored < large_rescored

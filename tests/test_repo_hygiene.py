@@ -105,8 +105,8 @@ def _attribute_assignments(tree: ast.AST):
 def test_score_cache_arrays_are_assigned_in_one_module():
     """The carried state shares its arrays with the iteration that produced
     them and freezes them on adoption; only ``Phase4ScoreCache``'s own
-    methods assign its carried fields — the checkpoint loader and the
-    phase-4 commit go through ``merge`` — so nothing can slip in a writable
+    methods assign its carried fields — the phase-4 commit goes through
+    ``merge`` — so nothing can slip in a writable
     or unsorted pair, keep a second copy of the slab or of ``H``, or carry a
     second object beside it: after ``__init__`` the runner rebinds none of
     its own attributes."""
@@ -218,7 +218,38 @@ def test_every_engine_config_field_is_read_somewhere():
             if isinstance(node, ast.Attribute)}
     fields = {spec.name for spec in dataclasses.fields(EngineConfig)}
     assert fields - read == set()
-    assert len(fields) == 21
+    assert len(fields) == 18
+
+
+def test_engine_config_fields_are_pinned():
+    """Every field either is the paper's knob or pays for itself on a gated
+    bench; the carried state has no switch (``incremental_phase4``,
+    ``dirty_scheduling``) and the segment layout follows the partitioner
+    (``profile_segment_rows``).  A new field is a decision made here."""
+    import dataclasses
+
+    from repro.core.config import EngineConfig
+
+    assert [spec.name for spec in dataclasses.fields(EngineConfig)] == [
+        "k", "num_partitions", "partitioner", "heuristic", "measure",
+        "disk_model", "max_resident_partitions", "memory_budget_bytes",
+        "include_direct_edges", "max_pairs_per_bridge", "backend",
+        "num_workers", "score_cache_entries", "shard_parallel", "seed",
+        "shard_timeout_seconds", "durable", "fault_plan"]
+
+
+def test_no_score_cache_file_under_src():
+    """An explicit checkpoint is laid out like a commit epoch: nothing under
+    ``src/`` writes (or reads) a score-cache file any more."""
+    gone = re.compile(r"score_cache\.bin|score_cache_file|_score_cache\(|"
+                      r"RPSC0001|_CACHE_MAGIC")
+    src = REPO_ROOT / "src"
+    offenders = [
+        f"{path.relative_to(REPO_ROOT)}:{number}"
+        for path in sorted(src.rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if gone.search(line)]
+    assert offenders == []
 
 
 def test_one_worker_seam():

@@ -85,10 +85,11 @@ class TestReloadForcesOneFullRescore:
         store.reload()
         incremental_result = runner.run(2, second.graph)
 
-        fresh_runner, fresh_store = _runner(tmp_path / "fresh", profiles,
-                                            incremental_phase4=False)
+        # a fresh runner has nothing cached: its first iteration is the oracle
+        fresh_runner, fresh_store = _runner(tmp_path / "fresh", profiles)
         fresh_store.apply_changes(_sparse_changes(range(20), seed=9))
         oracle = fresh_runner.run(2, second.graph)
+        assert oracle.full_rescore
         assert (incremental_result.graph.edge_fingerprint()
                 == oracle.graph.edge_fingerprint())
 
@@ -115,22 +116,23 @@ class TestCompactionForcesOneFullRescore:
         assert recovered.full_rescore is False
         assert recovered.reused_scores > 0
 
-    def test_compaction_during_engine_run_stays_bit_identical(self, tmp_path):
+    def test_compaction_during_engine_run_stays_bit_identical(self, tmp_path,
+                                                              full_rescore):
         profiles = generate_sparse_profiles(NUM_USERS, 300, items_per_user=10,
                                             seed=11)
         fingerprints = {}
         for incremental in (True, False):
             runner, _ = _runner(tmp_path / f"inc-{incremental}", profiles,
-                                journal_limit=4,
-                                incremental_phase4=incremental)
+                                journal_limit=4)
             graph = KNNGraph.random(NUM_USERS, 5, seed=11)
             fps = []
-            for iteration in range(4):
-                result = runner.run(iteration, graph, update_queue=_queue(
-                    _sparse_changes(range(iteration * 7, iteration * 7 + 7),
-                                    seed=iteration)))
-                graph = result.graph
-                fps.append(graph.edge_fingerprint())
+            with full_rescore(not incremental):
+                for iteration in range(4):
+                    result = runner.run(iteration, graph, update_queue=_queue(
+                        _sparse_changes(range(iteration * 7, iteration * 7 + 7),
+                                        seed=iteration)))
+                    graph = result.graph
+                    fps.append(graph.edge_fingerprint())
             fingerprints[incremental] = fps
         assert fingerprints[True] == fingerprints[False]
 
@@ -329,17 +331,21 @@ class TestPartitionRollupBoundary(TestDeltaLogBoundary):
 
 
 class TestToggleAndCapacity:
-    def test_incremental_disabled_never_reuses(self, tmp_path):
+    def test_incremental_disabled_never_reuses(self, tmp_path, full_rescore):
+        """A store that never vouches for its row deltas disables score
+        reuse: a full rescore every iteration, while the scores are still
+        carried."""
         profiles = generate_dense_profiles(NUM_USERS, dim=6, seed=17)
-        runner, _ = _runner(tmp_path, profiles, incremental_phase4=False)
+        runner, _ = _runner(tmp_path, profiles)
         graph = KNNGraph.random(NUM_USERS, 5, seed=17)
-        for iteration in range(3):
-            result = runner.run(iteration, graph)
-            graph = result.graph
-            assert result.full_rescore is True
-            assert result.reused_scores == 0
-            assert result.similarity_evaluations == result.num_candidate_tuples
-        assert runner.score_cache.keys is None
+        with full_rescore():
+            for iteration in range(3):
+                result = runner.run(iteration, graph)
+                graph = result.graph
+                assert result.full_rescore is True
+                assert result.reused_scores == 0
+                assert result.similarity_evaluations == result.num_candidate_tuples
+        assert runner.score_cache.keys is not None
 
     def test_tiny_capacity_forces_full_rescore_every_iteration(self, tmp_path):
         profiles = generate_dense_profiles(NUM_USERS, dim=6, seed=19)
@@ -393,18 +399,6 @@ class TestToggleAndCapacity:
         assert after.graph.edge_fingerprint() == step(3, twin).graph.edge_fingerprint()
         assert step(4, capped).reused_scores == step(4, twin).reused_scores > 0
         assert capped.score_cache.evictions == 1
-
-    def test_restored_cache_over_capacity_is_dropped(self, tmp_path):
-        """Adopting a checkpoint cache must honour this run's capacity."""
-        from repro.core.iteration import Phase4ScoreCache
-        profiles = generate_dense_profiles(NUM_USERS, dim=6, seed=29)
-        runner, _ = _runner(tmp_path, profiles, score_cache_entries=4)
-        big = Phase4ScoreCache(max_entries=1000)
-        big.merge(np.arange(20, dtype=np.int64), np.zeros(20),
-                  "cosine", 0, NUM_USERS)
-        runner.restore_score_cache(big)
-        assert runner.score_cache.keys is None        # evicted at adoption
-        assert runner.score_cache.max_entries == 4
 
     def test_capacity_does_not_change_results(self, tmp_path):
         profiles = generate_sparse_profiles(NUM_USERS, 300, items_per_user=10,

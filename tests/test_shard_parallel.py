@@ -17,6 +17,8 @@ terminal degrade to inline — asserting parity survives every rung.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -72,12 +74,14 @@ def _final_profile_bytes(engine: KNNEngine) -> bytes:
     return (engine.profile_store.base_dir / "profiles_dense.bin").read_bytes()
 
 
-def _run_pair(churn_factory, iterations: int = 4, **overrides):
-    """The same run twice — shard parallelism on and off — for comparison."""
+def _run_pair(churn_factory, iterations: int = 4,
+              context=contextlib.nullcontext, **overrides):
+    """The same run twice — shard parallelism on and off — for comparison,
+    each inside a fresh ``context()``."""
     runs = {}
     for sharded in (True, False):
         config = _config(shard_parallel=sharded, **overrides)
-        with KNNEngine(_profiles(), config) as engine:
+        with context(), KNNEngine(_profiles(), config) as engine:
             run = engine.run(num_iterations=iterations,
                              profile_change_feed=churn_factory())
             runs[sharded] = (run, _final_profile_bytes(engine))
@@ -115,22 +119,24 @@ class TestShardParityWall:
                     == result.schedule.load_unload_operations)
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_parity_with_dirty_scheduling_off(self, backend):
-        """The full (undirtied) schedule shards identically too."""
+    def test_parity_with_dirty_scheduling_off(self, backend, full_schedule):
+        """The full (undirtied) schedule — a store that cannot vouch for its
+        partition deltas — shards identically too."""
         if backend == "process" and not fork_available():
             pytest.skip("process backend needs fork")
         runs = _run_pair(lambda: _churn_feed([10, 5, 0, 8], 29),
-                         dirty_scheduling=False,
+                         context=full_schedule,
                          **_backend_overrides(backend))
         assert ([r.graph.edge_fingerprint() for r in runs[True][0].iterations]
                 == [r.graph.edge_fingerprint()
                     for r in runs[False][0].iterations])
         assert runs[True][1] == runs[False][1]
 
-    def test_parity_without_incremental_phase4(self):
-        """No score cache at all: every tuple crosses the worker boundary."""
+    def test_parity_without_incremental_phase4(self, full_rescore):
+        """No reusable score at all — a store that cannot vouch for its row
+        deltas: every tuple crosses the worker boundary."""
         runs = _run_pair(lambda: _churn_feed([6, 6, 6, 6], 31),
-                         incremental_phase4=False, dirty_scheduling=False)
+                         context=full_rescore)
         assert ([r.graph.edge_fingerprint() for r in runs[True][0].iterations]
                 == [r.graph.edge_fingerprint()
                     for r in runs[False][0].iterations])

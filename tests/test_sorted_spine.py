@@ -475,17 +475,18 @@ def _golden_feed(kind, profiles):
     return feed
 
 
-def _observe(kind, dirty, shard, backend):
+def _observe(kind, dirty, shard, backend, full_schedule):
+    """``dirty=False`` runs against a store that cannot vouch for its
+    partition deltas — the full schedule."""
     overrides = {"backend": backend}
     if backend == "thread":
         overrides["num_workers"] = 3
     elif backend == "process":
         overrides["num_workers"] = 2
     config = EngineConfig(k=5, num_partitions=6, heuristic="degree-low-high",
-                          seed=17, dirty_scheduling=dirty, shard_parallel=shard,
-                          **overrides)
+                          seed=17, shard_parallel=shard, **overrides)
     profiles = _golden_profiles(kind)
-    with KNNEngine(profiles, config) as engine:
+    with full_schedule(not dirty), KNNEngine(profiles, config) as engine:
         run = engine.run(num_iterations=GOLDEN_WARMUP + GOLDEN_CHURNED,
                          profile_change_feed=_golden_feed(kind, profiles))
         digest = hashlib.sha256()
@@ -515,7 +516,10 @@ _GOLDEN_SCORED = {
 #: sha256[:16] over the names and bytes of the store's ``*.bin`` files.
 _GOLDEN_PROFILES = {"dense": "a84aabaa5f105dbc", "sparse": "e177cf64dc22db4b"}
 #: Per churned iteration: (steps_skipped, load_unload_operations), by
-#: (kind, dirty_scheduling, shard_parallel); the same for every backend.
+#: (kind, dirty, shard_parallel); the same for every backend.  ``dirty`` is
+#: False for the full schedule, recorded when a config knob turned dirty
+#: scheduling off and now reached through a store that cannot vouch for its
+#: partition deltas.
 _GOLDEN_SCHEDULE = {
     ("dense", True, False): [(21, 0), (15, 12), (15, 12), (15, 12), (15, 12)],
     ("dense", True, True): [(21, 0), (15, 22), (15, 22), (15, 22), (15, 22)],
@@ -527,7 +531,7 @@ _GOLDEN_SCHEDULE = {
     ("sparse", False, True): [(0, 72), (0, 62), (0, 72), (0, 72), (0, 72)],
 }
 #: Per churned iteration: (io_stats.bytes_read, partition loads, partition
-#: unloads, schedule.num_steps), by (kind, dirty_scheduling, shard_parallel);
+#: unloads, schedule.num_steps), by (kind, dirty, shard_parallel);
 #: the same for every backend.  Computed at commit 6beeaab (PR 14), before
 #: phase 4's two loops and two pools became one loop over one seam.
 _GOLDEN_IO = {
@@ -564,7 +568,7 @@ class TestEngineGoldens:
     @pytest.mark.parametrize("dirty", [True, False], ids=["dirty", "full"])
     @pytest.mark.parametrize("kind", ["dense", "sparse"])
     def test_matches_the_parent_commit(self, kind, dirty, shard, backend,
-                                       monkeypatch):
+                                       monkeypatch, full_schedule):
         assert fork_available() or backend != "process", (
             "the process backend needs fork; this wall does not skip")
         # the goldens were recorded before phase 2 could advance H by the
@@ -590,7 +594,8 @@ class TestEngineGoldens:
             return build_partitions(*args, **kwargs)
 
         monkeypatch.setattr(iteration_module, "build_partitions", spied_build)
-        rows, profile_digest, rebuilt = _observe(kind, dirty, shard, backend)
+        rows, profile_digest, rebuilt = _observe(kind, dirty, shard, backend,
+                                                 full_schedule)
         assert [row[:3] for row in rows] == _GOLDEN_SCORED[kind]
         assert [row[3:5] for row in rows] == _GOLDEN_SCHEDULE[kind, dirty, shard]
         assert [row[5:] for row in rows] == _GOLDEN_IO[kind, dirty, shard]

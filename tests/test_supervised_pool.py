@@ -15,6 +15,8 @@ through ``KNNEngine``.
 from __future__ import annotations
 
 import logging
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -145,6 +147,47 @@ class TestPoolSupervision:
         workers.shutdown()
         assert workers._executor is None
         assert not any(process.is_alive() for process in processes)
+
+    def test_a_hung_pool_is_killed_and_reaped_by_its_teardown(
+            self, dense_store, pairs, monkeypatch):
+        """The watchdog's teardown kills the worker asleep in its shard (no
+        60 s wait) and leaves no worker of the dead pool unreaped."""
+        torn_down = []
+        terminate = parallel_module._terminate_executor
+
+        def recorded(executor):
+            torn_down.append(list(executor._processes.values()))
+            terminate(executor)
+
+        monkeypatch.setattr(parallel_module, "_terminate_executor", recorded)
+        plan = FaultPlan().hang_worker(call=1, shard=0, seconds=60.0)
+        started = time.monotonic()
+        with ScoringWorkers(dense_store, backend="process", num_workers=2,
+                            shard_timeout=0.5, fault_plan=plan) as workers:
+            got = _score(workers, pairs)
+            assert workers.respawns == 1
+        assert time.monotonic() - started < 30.0
+        np.testing.assert_array_equal(got, _expected(dense_store, pairs))
+        hung = torn_down[0]         # the watchdog's; then the shutdown's
+        assert len(torn_down) == 2 and len(hung) == 2
+        assert [process.exitcode is not None for process in hung] == [True, True]
+        assert -signal.SIGKILL in [process.exitcode for process in hung]
+
+    def test_every_worker_is_reaped_once_by_the_time_shutdown_returns(
+            self, dense_store, pairs):
+        """Each worker has one reaper.  Two threads waiting on the same
+        child race for its ``waitpid``, and the loser reads a reaped worker
+        as still running — a few cycles in a hundred on two cores when the
+        teardown polled beside the executor's management thread."""
+        for _ in range(150):
+            workers = ScoringWorkers(dense_store, backend="process",
+                                     num_workers=2)
+            _score(workers, pairs)
+            processes = list(workers._executor._processes.values())
+            workers.shutdown()
+            assert len(processes) == 2
+            assert [process.exitcode is not None for process in processes] == [
+                True, True]
 
 
 def _io_rows(run):
