@@ -52,16 +52,17 @@ The quantities recorded:
   verdicts: zero failed reads, snapshot isolation proven (reads landed
   mid-refresh with p99 far below the fastest refresh cycle), and burst
   load actually shed;
-* ``sharded`` — the shard-parallel matrix: the 10k-user churned workload
-  with whole-step wave execution on (serial/thread/process) and off,
-  recording phase-4 wall-clock, per-worker ``peak_worker_bytes`` against
-  the byte budget, the process-over-thread speedup, and the CI-gated
-  parity verdicts (graph fingerprints and final profile bytes must be
-  identical to the step-at-a-time reference);
-* ``sharded_million`` (``--million`` only) — one sharded iteration over
-  1M users in 64 partitions with the per-worker resident-bytes cap set to
-  an eighth of the profile store, proving the tier runs out-of-core under
-  a hard ``MemoryError``-enforced budget;
+* ``sharded`` — the backend-parity matrix: the 10k-user churned workload
+  scored step at a time through the worker seam on serial, thread and
+  process, recording phase-4 wall-clock, load/unload operations, the
+  process-over-thread speedup, and the CI-gated parity verdicts (graph
+  fingerprints and final profile bytes must be identical to the serial
+  run's);
+* ``sharded_million`` (``--million`` only) — one step-at-a-time iteration
+  over 1M users in 64 partitions with ``memory_budget_bytes`` capping the
+  partition cache at an eighth of the profile store: a breach raises
+  ``MemoryError``, so a completed tier ran out-of-core within budget; its
+  load/unload operations are recorded;
 * ``thread_sweep`` — evaluations/second of one engine iteration at 1, 2 and
   4 scoring threads;
 * ``backend_sweep`` — phase-4 seconds of one engine iteration per backend
@@ -705,8 +706,8 @@ def run_serving_bench() -> dict:
     }
 
 
-#: Shape of the shard-parallel workload: the update workload's 10k users
-#: and uniform churn, run with ``shard_parallel`` on and off.  Thread and
+#: Shape of the backend-parity workload: the update workload's 10k users
+#: and uniform churn, scored step at a time on every backend.  Thread and
 #: process rows use the same worker count so the recorded
 #: ``process_speedup_over_thread`` compares like with like; the gate only
 #: enforces it on machines with ≥ 4 cores (GIL-bound thread scoring vs
@@ -715,23 +716,15 @@ SHARDED_ITERATIONS = 3
 SHARDED_WORKERS = max(2, min(4, os.cpu_count() or 1))
 SHARDED_BACKENDS = (("serial", 1), ("thread", SHARDED_WORKERS),
                     ("process", SHARDED_WORKERS))
-#: Per-worker resident-bytes cap for the sharded rows (generous: the
-#: 10k-user store is ~1.3 MB; the cap exists so the bench records real
-#: ``peak_worker_bytes`` accounting, not to constrain this tier).
-SHARDED_BUDGET_BYTES = 64 * 1024 * 1024
 
 
-def _run_sharded_workload(shard_parallel: bool, backend: str = "serial",
-                          workers: int = 1,
-                          budget_bytes: float = None) -> dict:
-    """One churned run with whole-step wave execution on or off."""
+def _run_sharded_workload(backend: str, workers: int) -> dict:
+    """One churned run on one backend."""
     profiles = generate_dense_profiles(UPDATE_USERS, dim=16,
                                        num_communities=8, seed=SEED)
-    overrides = {"backend": backend, "num_workers": workers}
     config = EngineConfig(k=K, num_partitions=UPDATE_PARTITIONS,
                           heuristic="degree-low-high", seed=SEED,
-                          shard_parallel=shard_parallel,
-                          memory_budget_bytes=budget_bytes, **overrides)
+                          backend=backend, num_workers=workers)
     rng = np.random.default_rng(7)
 
     def churn(_iteration: int):
@@ -744,12 +737,7 @@ def _run_sharded_workload(shard_parallel: bool, backend: str = "serial",
         run = engine.run(num_iterations=SHARDED_ITERATIONS,
                          profile_change_feed=churn)
         wall = time.perf_counter() - start
-        scoring_workers = engine._iteration_runner.workers
-        # the per-worker budget only exists under wave execution
-        peak_worker_bytes = (scoring_workers.peak_worker_bytes
-                             if shard_parallel else None)
-        coordinator_backend = (scoring_workers.transport
-                               if shard_parallel else None)
+        transport = engine._iteration_runner.workers.transport
         profile_sha256 = hashlib.sha256(
             (engine.profile_store.base_dir
              / "profiles_dense.bin").read_bytes()).hexdigest()
@@ -758,38 +746,32 @@ def _run_sharded_workload(shard_parallel: bool, backend: str = "serial",
     return {
         "backend": backend,
         "workers": workers,
-        "shard_parallel": shard_parallel,
-        "coordinator_backend": coordinator_backend,
+        "transport": transport,
         "wall_seconds": round(wall, 4),
         "phase4_seconds": round(phase4, 4),
         "load_unload_operations": sum(result.load_unload_operations
                                       for result in run.iterations),
         "similarity_evaluations": sum(result.similarity_evaluations
                                       for result in run.iterations),
-        "peak_worker_bytes": peak_worker_bytes,
-        "worker_budget_bytes": budget_bytes,
         "graph_fingerprint": run.final_graph.edge_fingerprint(),
         "profile_sha256": profile_sha256,
     }
 
 
 def run_sharded_bench() -> dict:
-    """Shard-parallel parity + speedup matrix (the PR-9 gate).
+    """Backend parity + speedup matrix.
 
-    One step-at-a-time reference run plus a sharded run per backend over
-    the identical churned workload.  Gated quantities:
-    ``fingerprints_match`` and ``profiles_match`` must stay true (wave
-    execution must never change a result bit — graphs *and* final profile
-    bytes), every sharded row must respect its per-worker byte budget
-    (``within_budget``), and on machines with ≥ 4 cores
-    ``process_speedup_over_thread`` must stay ≥ 2.0 (the reason the
+    One run per backend over the identical churned workload, the serial
+    one the reference.  Gated quantities: ``fingerprints_match`` and
+    ``profiles_match`` must stay true (no transport may change a result
+    bit — graphs *and* final profile bytes), and on machines with ≥ 4
+    cores ``process_speedup_over_thread`` must stay ≥ 2.0 (the reason the
     process backend exists; honestly skipped below 4 cores).
     """
-    reference = _run_sharded_workload(False)
-    rows = [_run_sharded_workload(True, backend, workers,
-                                  budget_bytes=SHARDED_BUDGET_BYTES)
+    rows = [_run_sharded_workload(backend, workers)
             for backend, workers in SHARDED_BACKENDS]
     by_backend = {row["backend"]: row for row in rows}
+    reference = by_backend["serial"]
     thread_phase4 = by_backend["thread"]["phase4_seconds"]
     process_phase4 = by_backend["process"]["phase4_seconds"]
     return {
@@ -799,17 +781,12 @@ def run_sharded_bench() -> dict:
         "churn_per_iteration": UPDATE_CHURN,
         "cpu_count": os.cpu_count(),
         "workers": SHARDED_WORKERS,
-        "reference": reference,
-        "sharded": rows,
+        "rows": rows,
         "fingerprints_match": all(
             row["graph_fingerprint"] == reference["graph_fingerprint"]
             for row in rows),
         "profiles_match": all(
             row["profile_sha256"] == reference["profile_sha256"]
-            for row in rows),
-        "within_budget": all(
-            row["peak_worker_bytes"] is not None
-            and row["peak_worker_bytes"] <= SHARDED_BUDGET_BYTES
             for row in rows),
         "phase4_seconds_reference": reference["phase4_seconds"],
         "phase4_seconds_thread": thread_phase4,
@@ -820,11 +797,11 @@ def run_sharded_bench() -> dict:
     }
 
 
-#: Shape of the million-user tier (run with ``--million``): one sharded
-#: iteration over 1M dense users in 64 partitions, with the per-worker
-#: resident-bytes cap set to an eighth of the profile store — the
-#: out-of-core claim at serving scale, enforced (MemoryError, not a
-#: silent spill) by ``MemoryBudget.record_transient``.
+#: Shape of the million-user tier (run with ``--million``): one
+#: step-at-a-time iteration over 1M dense users in 64 partitions, with the
+#: partition cache capped at an eighth of the profile store — the
+#: out-of-core claim at serving scale, enforced (MemoryError, not a silent
+#: spill) by the cache's ``MemoryBudget``.
 MILLION_USERS = 1_000_000
 MILLION_PARTITIONS = 64
 MILLION_DIM = 8
@@ -832,48 +809,37 @@ MILLION_K = 4
 
 
 def run_million_user_bench() -> dict:
-    """One shard-parallel iteration at ≥ 1M users under a hard byte budget.
+    """One step-at-a-time iteration at ≥ 1M users under a hard byte budget.
 
-    The gated quantities (checked only when the section is present):
-    ``within_budget`` must be true — the peak per-worker resident slice
-    bytes stayed under a budget that is itself a small fraction of the
-    store (``budget_fraction_of_store``), so the tier genuinely ran
-    out-of-core.  A budget overflow raises ``MemoryError`` and fails the
-    bench outright, so ``within_budget`` doubles as the did-it-run flag.
+    ``memory_budget_bytes`` caps the partition cache at a small fraction of
+    the store (``budget_fraction_of_store``).  A load that would breach it
+    raises ``MemoryError`` and fails the bench outright, so a completed
+    tier ran out-of-core within budget; the gate (checked only when the
+    section is present) asks that it recorded its load/unload operations.
     """
     profiles = generate_dense_profiles(MILLION_USERS, dim=MILLION_DIM,
                                        num_communities=16, seed=SEED)
     store_bytes = int(profiles.matrix.nbytes)
-    # two resident partitions per worker is ~1/32 of the store; an eighth
-    # leaves 4x headroom while still forcing out-of-core execution
+    # two resident partitions — their rows, ids and edge lists — are ~1/10
+    # of the store; an eighth still forces out-of-core execution
     budget_bytes = store_bytes // 8
-    workers = max(1, min(4, os.cpu_count() or 1))
     config = EngineConfig(k=MILLION_K, num_partitions=MILLION_PARTITIONS,
                           heuristic="degree-low-high", seed=SEED,
-                          shard_parallel=True, backend="process",
-                          num_workers=workers,
                           memory_budget_bytes=budget_bytes,
                           max_pairs_per_bridge=1)
     start = time.perf_counter()
     with KNNEngine(profiles, config) as engine:
         result = engine.run_iteration()
         wall = time.perf_counter() - start
-        scoring_workers = engine._iteration_runner.workers
-        peak_worker_bytes = scoring_workers.peak_worker_bytes
-        coordinator_backend = scoring_workers.transport
     phase4 = result.phase_timer.as_dict()[PHASE_NAMES[3]]
     return {
         "num_users": MILLION_USERS,
         "num_partitions": MILLION_PARTITIONS,
         "dim": MILLION_DIM,
         "k": MILLION_K,
-        "workers": workers,
-        "coordinator_backend": coordinator_backend,
         "store_bytes": store_bytes,
-        "worker_budget_bytes": budget_bytes,
+        "memory_budget_bytes": budget_bytes,
         "budget_fraction_of_store": round(budget_bytes / store_bytes, 4),
-        "peak_worker_bytes": peak_worker_bytes,
-        "within_budget": bool(0 < peak_worker_bytes <= budget_bytes),
         "wall_seconds": round(wall, 4),
         "phase4_seconds": round(phase4, 4),
         "similarity_evaluations": result.similarity_evaluations,
@@ -919,8 +885,8 @@ def main() -> None:
                         help="pipeline + update-workload benches only "
                              "(what the CI gate compares)")
     parser.add_argument("--million", action="store_true",
-                        help="also run the 1M-user shard-parallel tier "
-                             "(minutes of wall-clock; gated only when "
+                        help="also run the 1M-user out-of-core tier "
+                             "(~1.2 GB peak RSS; gated only when "
                              "present in the report)")
     parser.add_argument("--skip-invariant-lint", action="store_true",
                         help="skip the static-analysis preflight (escape "
@@ -961,9 +927,9 @@ def main() -> None:
         # part of --quick: the CI gate fails on any failed read under load,
         # on unproven snapshot isolation, or when burst load is not shed
         "serving": run_serving_bench(),
-        # part of --quick: the CI gate fails on sharded-vs-serial
-        # fingerprint/profile divergence or a busted per-worker budget,
-        # and (on ≥ 4 cores) on a process-over-thread speedup below 2x
+        # part of --quick: the CI gate fails on a backend's fingerprint or
+        # profile bytes diverging from serial, and (on ≥ 4 cores) on a
+        # process-over-thread speedup below 2x
         "sharded": run_sharded_bench(),
     }
     if args.million:

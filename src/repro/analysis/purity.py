@@ -1,8 +1,9 @@
 """Rule ``purity``: declared-pure entry points must stay pure.
 
-``plan_dirty_schedule``, ``plan_shard_schedule`` and ``simulate_schedule``
-are re-executed on every backend, every resume and every re-plan — the
-parity walls only hold because the same inputs always produce the same plan.  The :data:`repro.pigraph.scheduler.PURE_FUNCTIONS`
+``plan_dirty_schedule`` and ``simulate_schedule`` are re-executed on every
+backend, every resume and every re-plan — the parity walls only hold
+because the same inputs always produce the same plan.  The
+:data:`repro.pigraph.scheduler.PURE_FUNCTIONS`
 manifest declares that contract; this rule enforces it with a call-graph
 walk from each manifest entry, rejecting any reachable wall-clock read,
 randomness source, environment read, file I/O or module-global write.

@@ -45,11 +45,12 @@ class EngineConfig:
     max_resident_partitions:
         Cache slots for phase 4; the paper uses 2.
     memory_budget_bytes:
-        Optional hard byte budget for the resident partitions (``None`` =
-        only the slot limit applies).  A resident partition is charged its
-        edge lists (16 B an in- or out-edge), its vertex ids (8 B each) and
-        the profile rows of its users; ``G(t)``, ``H`` and the score slab
-        are in-core and outside the budget.
+        Optional hard byte cap of phase 4's partition cache (``None`` =
+        only the slot limit applies); a load that would exceed it raises
+        ``MemoryError``.  A resident partition is charged its edge lists
+        (16 B an in- or out-edge), its vertex ids (8 B each) and the profile
+        rows of its users; ``G(t)``, ``H`` and the score slab are in-core
+        and outside the budget.
     include_direct_edges:
         Whether the direct edges of ``G(t)`` are added to the hash table
         alongside the neighbours-of-neighbours tuples (the paper does).
@@ -61,7 +62,9 @@ class EngineConfig:
         (:class:`~repro.core.parallel.ScoringWorkers`): ``"serial"`` (the
         calling thread), ``"thread"`` (a GIL-sharing thread pool) or
         ``"process"`` (forked workers that re-open the profile store
-        read-only by path and score against mmap-served slices).  All three
+        read-only by path and score against mmap-served slices).  Phase 4
+        walks its steps one at a time whatever the backend; a pool wider
+        than one cuts each step's rows across its workers.  All three
         produce bit-identical graphs.
     num_workers:
         Width of whichever pool ``backend`` names.  ``1`` (or ``"process"``
@@ -82,18 +85,6 @@ class EngineConfig:
         vouch for the churn — cold start, ``reload()``, compaction
         rollover, recovery or resume — the iteration rescores everything
         on the full schedule.  Produced graphs are bit-identical either way.
-    shard_parallel:
-        Execute *whole residency steps* concurrently instead of one step at
-        a time: the steps that need their partitions are colored into waves
-        of pairwise partition-disjoint steps (``plan_shard_schedule``) and
-        each wave is one call across the worker seam, every worker
-        exclusively owning its step's partitions for the wave.  Produced
-        graphs and profile bytes stay **bit-identical** with the toggle on
-        or off, on every backend.  ``memory_budget_bytes`` then caps each
-        *worker's* resident profile bytes (its step's slices) instead of the
-        partition cache.  Off by default: one-step-at-a-time residency is
-        the paper's cost model, and waves pay up to twice its load/unload
-        operations.
     seed:
         Seed for the random initial KNN graph.
     shard_timeout_seconds:
@@ -130,7 +121,6 @@ class EngineConfig:
     backend: str = "thread"
     num_workers: int = 1
     score_cache_entries: int = 4_000_000
-    shard_parallel: bool = False
     seed: Optional[int] = 0
     shard_timeout_seconds: Optional[float] = None
     durable: bool = False

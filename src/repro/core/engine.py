@@ -58,7 +58,8 @@ _change_from_manifest = change_from_manifest
 
 #: ``EngineConfig`` fields older manifests may carry that no longer exist.
 _RETIRED_KNOBS = ("adaptive_score_cache", "incremental_phase4",
-                  "dirty_scheduling", "profile_segment_rows")
+                  "dirty_scheduling", "profile_segment_rows",
+                  "shard_parallel")
 
 
 def _config_from_manifest(saved: dict, directory) -> EngineConfig:
@@ -66,11 +67,11 @@ def _config_from_manifest(saved: dict, directory) -> EngineConfig:
 
     The manifest is outside input — older commits wrote it — so knobs retired
     since are translated rather than handed to the constructor: a saved
-    ``adaptive_score_cache``, ``incremental_phase4``, ``dirty_scheduling``
-    or ``profile_segment_rows`` is dropped (none ever changed results), a
-    saved ``num_threads`` becomes the ``num_workers`` of a ``"thread"``
-    backend and is dropped otherwise.  Any other key this version does not
-    know is an error that names the key and the checkpoint.
+    ``adaptive_score_cache``, ``incremental_phase4``, ``dirty_scheduling``,
+    ``profile_segment_rows`` or ``shard_parallel`` is dropped (none ever
+    changed results), a saved ``num_threads`` becomes the ``num_workers`` of
+    a ``"thread"`` backend and is dropped otherwise.  Any other key this
+    version does not know is an error that names the key and the checkpoint.
     """
     saved = dict(saved)
     for retired in _RETIRED_KNOBS:

@@ -42,20 +42,18 @@ decoded once an iteration into ``(left row, right row)`` runs grouped by PI
 edge, so a step costs a slice of those arrays, a gather from each resident
 slice and a kernel, on every backend.
 
-Phase 4 itself is one loop over one seam: the steps the cache could not
-answer are grouped — each alone, or into waves of partition-disjoint steps
-under ``shard_parallel`` — and every group goes residency in, one
-``ScoringWorkers.execute(tasks)``, scores into the slab, residency out.  The
-two groupings are two *cost models* of the same loop (:class:`_StepResidency`,
-:class:`_WaveResidency`), and the residency model — never whoever happened
-to run the kernel — charges the partition loads and the slice reads.
+Phase 4 itself is one loop over one seam, the paper's: every step the
+cache could not answer, in plan order, acquires its partition pair, crosses
+``ScoringWorkers.execute(task)`` once and scores into the slab.  The
+residency model (:class:`_StepResidency`) — never whoever happened to run
+the kernel — charges the partition loads and the slice reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import (Dict, FrozenSet, Iterable, Iterator, List, Optional,
-                    Sequence, Set, Tuple, Union)
+                    Sequence, Set, Tuple)
 
 import numpy as np
 
@@ -70,7 +68,7 @@ from repro.partition.model import (PartitionLayout, build_partitions,
 from repro.partition.partitioners import get_partitioner
 from repro.pigraph.pi_graph import PIEdge, PIGraph
 from repro.pigraph.scheduler import (ScheduleResult, plan_dirty_schedule,
-                                     plan_shard_schedule, simulate_schedule)
+                                     simulate_schedule)
 from repro.pigraph.traversal import ResidencyStep, get_heuristic
 from repro.storage.io_stats import IOStats
 from repro.storage.memory_manager import MemoryBudget, PartitionCache
@@ -387,20 +385,17 @@ class _Phase4Run:
         self.evaluations += start
 
 
-#: A step the cache could not settle, with its unresolved PI-edge batches.
-_PendingStep = Tuple[ResidencyStep, List[_EdgeBatch]]
-
-
 class _StepResidency:
     """Step-at-a-time residency — the paper's cost model.
 
-    One pending step a group, walked in plan order through an LRU
-    :class:`PartitionCache` of ``max_resident_partitions`` slots.  Every
+    The pending steps, walked in plan order through an LRU
+    :class:`PartitionCache` of ``max_resident_partitions`` slots whose
+    ``memory_budget_bytes`` is the one cap on resident partitions.  Every
     pending step acquires its pair, also one whose tuples the cache answered
     in full (the planned :class:`ScheduleResult` counted it); a partition's
     profile slice is charged once per residency, and only when a step with
     tuples to score needs it — a fully cache-hit step touches no profile
-    bytes at all.
+    bytes at all.  A partition stays until the LRU walk evicts it.
     """
 
     def __init__(self, config: EngineConfig, partition_store: PartitionStore,
@@ -420,28 +415,22 @@ class _StepResidency:
         # resident partitions whose slice read this residency already paid
         self._charged: Set[int] = set()
 
-    def groups(self, pending: Iterable[_PendingStep]
-               ) -> Iterable[List[_PendingStep]]:
-        return ([item] for item in pending)
-
-    def enter(self, group: Sequence[_PendingStep]) -> None:
-        for (first, second, edges), batches in group:
-            self._hits += self._cache.acquire_pair(first, second)
-            self._steps += 1
-            self._tuples += sum(edge.weight for edge in edges)
-            # slices leave with their partitions — on every acquiring step,
-            # or fully cache-hit steps would let the charged set outlive the
-            # residencies it describes
-            self._charged.intersection_update(self._cache.resident_ids)
-            if batches:
-                for pid in (first, second):
-                    if pid not in self._charged:
-                        self._profile_store.charge_slice_read(
-                            self._layout.vertices(pid))
-                        self._charged.add(pid)
-
-    def leave(self, group: Sequence[_PendingStep]) -> None:
-        """Nothing: a partition stays until the LRU walk evicts it."""
+    def acquire(self, step: ResidencyStep, batches: Sequence[_EdgeBatch]) -> None:
+        """Make the step's pair resident and charge what it reads."""
+        first, second, edges = step
+        self._hits += self._cache.acquire_pair(first, second)
+        self._steps += 1
+        self._tuples += sum(edge.weight for edge in edges)
+        # slices leave with their partitions — on every acquiring step, or
+        # fully cache-hit steps would let the charged set outlive the
+        # residencies it describes
+        self._charged.intersection_update(self._cache.resident_ids)
+        if batches:
+            for pid in (first, second):
+                if pid not in self._charged:
+                    self._profile_store.charge_slice_read(
+                        self._layout.vertices(pid))
+                    self._charged.add(pid)
 
     def schedule(self) -> ScheduleResult:
         """Unload what is still resident; the schedule as executed, read off
@@ -461,80 +450,6 @@ class _StepResidency:
         )
 
 
-class _WaveResidency:
-    """Wave residency — ``shard_parallel``'s cost model.
-
-    The pending steps that have tuples to score are colored into waves of
-    pairwise partition-disjoint steps (:func:`plan_shard_schedule`), one
-    wave a group, every step's worker exclusively owning its partitions for
-    the wave.  Each wave loads its distinct partitions once — in the
-    workers' address spaces, so the operations and one slice read per
-    (wave, partition) are attributed here — and drops them at the wave
-    barrier: loads = unloads = the plan's total partition residencies.
-    Nothing stays resident between waves, which is why this model pays up
-    to twice the step-at-a-time walk's load/unload operations.  The
-    partition files' reads are not charged; ``memory_budget_bytes`` caps
-    each worker's step (:class:`ScoringWorkers`) instead of a partition
-    cache.
-    """
-
-    def __init__(self, profile_store: OnDiskProfileStore,
-                 layout: PartitionLayout, io_stats: IOStats,
-                 planned: ScheduleResult):
-        self._profile_store = profile_store
-        self._layout = layout
-        self._io_stats = io_stats
-        self._planned = planned
-        self._steps = 0
-        self._residencies = 0
-        self._tuples = 0
-
-    def groups(self, pending: Iterable[_PendingStep]
-               ) -> Iterable[List[_PendingStep]]:
-        executing = [item for item in pending if item[1]]
-        plan = plan_shard_schedule([step for step, _ in executing])
-        waves: List[List[_PendingStep]] = [[] for _ in range(plan.num_waves)]
-        for item, wave in zip(executing, plan.wave_of):
-            waves[wave].append(item)
-        return waves
-
-    @staticmethod
-    def _partitions(group: Sequence[_PendingStep]) -> List[int]:
-        # steps of one wave are partition-disjoint
-        return [pid for (first, second, _), _ in group
-                for pid in ((first,) if second == first else (first, second))]
-
-    def enter(self, group: Sequence[_PendingStep]) -> None:
-        for pid in self._partitions(group):
-            self._io_stats.record_partition_load()
-            self._profile_store.charge_slice_read(self._layout.vertices(pid))
-
-    def leave(self, group: Sequence[_PendingStep]) -> None:
-        partitions = self._partitions(group)
-        for _ in partitions:
-            self._io_stats.record_partition_unload()
-        self._residencies += len(partitions)
-        self._steps += len(group)
-        self._tuples += sum(edge.weight for step, _ in group for edge in step[2])
-
-    def schedule(self) -> ScheduleResult:
-        """The executed-residency schedule of the wave model: loads and
-        unloads both equal the per-wave distinct-partition count, so the
-        schedule == actual invariant holds by construction."""
-        return ScheduleResult(
-            heuristic=self._planned.heuristic,
-            num_partitions=self._planned.num_partitions,
-            num_steps=self._steps,
-            loads=self._residencies,
-            unloads=self._residencies,
-            cache_hits=0,
-            tuples_scheduled=self._tuples,
-        )
-
-
-_Residency = Union[_StepResidency, _WaveResidency]
-
-
 def _score_in_process(left, left_rows, right, right_rows, measure: str) -> np.ndarray:
     """The kernel dispatch handed to the scoring workers: ``score_tuples`` as
     this module binds it *when called*, so whatever replaces that name sees
@@ -552,19 +467,13 @@ class OutOfCoreIteration:
         self._profile_store = profile_store
         self._fault = config.fault_plan
         # who runs the kernel: the one seam every phase-4 score crosses,
-        # alive for the whole run.  Under shard_parallel the memory budget
-        # caps each worker's step instead of the partition cache.
-        worker_budget = (config.memory_budget_bytes
-                         if config.shard_parallel else None)
+        # alive for the whole run
         self._workers = ScoringWorkers(
             profile_store,
             backend=config.backend,
             num_workers=config.num_workers,
             shard_timeout=config.shard_timeout_seconds,
             part_cache_slots=config.max_resident_partitions,
-            worker_budget_bytes=worker_budget,
-            bytes_per_user=(profile_store.estimated_bytes_per_user()
-                            if worker_budget else 0),
             fault_plan=config.fault_plan,
             score=_score_in_process)
         # survives across iterations, like the workers
@@ -577,7 +486,7 @@ class OutOfCoreIteration:
 
     @property
     def workers(self) -> ScoringWorkers:
-        """The run-lifetime scoring workers (benchmarks read their budget)."""
+        """The run-lifetime scoring workers."""
         return self._workers
 
     def close(self) -> None:
@@ -863,41 +772,33 @@ class OutOfCoreIteration:
             yield step, batches
 
     def _execute_pending(self, iteration: int, run: _Phase4Run, measure: str,
-                         residency: _Residency) -> None:
-        """The one phase-4 loop: per group of pending steps, residency in,
-        one ``execute`` across the worker seam, scores into the slab,
-        residency out."""
+                         residency: _StepResidency) -> None:
+        """The one phase-4 loop: per pending step, residency in, one
+        ``execute`` across the worker seam, scores into the slab."""
         layout = run.layout
-        for group in residency.groups(self._pending_steps(run, measure)):
-            residency.enter(group)
-            tasks = []
-            scored = []
-            for step, batches in group:
-                if not batches:
-                    continue
-                if self._fault is not None:
-                    # crash window: mid-phase-4, some steps scored, nothing
-                    # committed — one firing per executed step
-                    self._fault.point("phase4.step")
-                first, second, _ = step
-                pids = (first,) if second == first else (first, second)
-                # worker caches are keyed by (iteration, partition):
-                # partition ids repeat across iterations with different
-                # vertex sets, and the store generation tells workers when
-                # phase 5 replaced the files.  Every PI edge of the step is
-                # one batch: the sources' rows in the source partition's
-                # slice against the destinations' rows in the destination's.
-                tasks.append(ShardStepTask(
-                    parts=tuple(((iteration, pid), layout.vertices(pid))
-                                for pid in pids),
-                    batches=tuple((pids.index(edge.src), pids.index(edge.dst),
-                                   run.left_rows[lo:hi], run.right_rows[lo:hi])
-                                  for edge, lo, hi in batches),
-                    measure=measure, generation=run.store_generation))
-                scored.append(batches)
-            for batches, fresh in zip(scored, self._workers.execute(tasks)):
-                run.resolve(batches, fresh)
-            residency.leave(group)
+        for step, batches in self._pending_steps(run, measure):
+            residency.acquire(step, batches)
+            if not batches:
+                continue
+            if self._fault is not None:
+                # crash window: mid-phase-4, some steps scored, nothing
+                # committed — one firing per executed step
+                self._fault.point("phase4.step")
+            first, second, _ = step
+            pids = (first,) if second == first else (first, second)
+            # worker caches are keyed by (iteration, partition): partition
+            # ids repeat across iterations with different vertex sets, and
+            # the store generation tells workers when phase 5 replaced the
+            # files.  Every PI edge of the step is one batch: the sources'
+            # rows in the source partition's slice against the destinations'
+            # rows in the destination's.
+            run.resolve(batches, self._workers.execute(ShardStepTask(
+                parts=tuple(((iteration, pid), layout.vertices(pid))
+                            for pid in pids),
+                batches=tuple((pids.index(edge.src), pids.index(edge.dst),
+                               run.left_rows[lo:hi], run.right_rows[lo:hi])
+                              for edge, lo, hi in batches),
+                measure=measure, generation=run.store_generation)))
 
     def _finish_phase4(self, run: _Phase4Run, graph: KNNGraph,
                        table: TupleHashTable) -> KNNGraph:
@@ -951,20 +852,14 @@ class OutOfCoreIteration:
         not by luck: similarity scores are a pure function of the two
         endpoint profiles (no worker observes phase-5 writes mid-iteration —
         they run before phase 4 or after it), every score lands in the same
-        slab slot whichever group or worker produced it, and the G(t+1) merge
-        is a pure function of the slab.  Regrouping steps into waves or cutting
-        one across workers therefore cannot move a single edge or byte.
+        slab slot whichever step or worker produced it, and the G(t+1) merge
+        is a pure function of the slab.  Cutting a step across workers
+        therefore cannot move a single edge or byte.
         """
-        config = self._config
         run = self._begin_phase4(graph, table, patch, steps, measure, layout)
-        residency: _Residency
-        if config.shard_parallel:
-            residency = _WaveResidency(self._profile_store, layout, io_stats,
-                                       schedule)
-        else:
-            residency = _StepResidency(config, self._partition_store,
-                                       self._profile_store, layout, io_stats,
-                                       schedule)
+        residency = _StepResidency(self._config, self._partition_store,
+                                   self._profile_store, layout, io_stats,
+                                   schedule)
         self._execute_pending(iteration, run, measure, residency)
         executed = residency.schedule()
         return run, self._finish_phase4(run, graph, table), executed

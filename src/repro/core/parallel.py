@@ -3,11 +3,11 @@
 Phase 4 is one loop — make a step's partitions resident, score its tuples,
 let them go — and the only parallelism it needs is *who runs the kernel*.
 That choice lives behind one call, :meth:`ScoringWorkers.execute`, whose
-contract is deliberately narrow and serialisable: a list of
-:class:`ShardStepTask` work orders goes in (the partitions a step owns, the
+contract is deliberately narrow and serialisable: one
+:class:`ShardStepTask` work order goes in (the partitions a step owns, the
 step's PI edges as partition-local row batches, the measure, the store
-generation), one score array per task comes out, in task order, and nothing
-else crosses the boundary.
+generation), one score array comes out, and nothing else crosses the
+boundary.
 
 Three transports realise it, picked once from ``(backend, num_workers,
 fork_available())``:
@@ -25,11 +25,10 @@ fork_available())``:
   pipe.  This sidesteps the GIL entirely — including the Python-level
   portions of the kernels that threads serialise on.
 
-and two granularities fall out of the same call: a *wave* of partition-
-disjoint steps is a list of tasks, one per step, and a lone step on a
-transport wider than one is cut row-wise into sub-tasks over the same
-partitions.  Scores come back aligned with the task's rows whatever the
-transport or the cut, so results are bit-identical to the inline path.
+and a step on a transport wider than one is cut row-wise into sub-tasks
+over the same partitions.  Scores come back aligned with the task's rows
+whatever the transport or the cut, so results are bit-identical to the
+inline path.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.storage.memory_manager import MemoryBudget
 from repro.storage.profile_store import OnDiskProfileStore, ProfileSlice
 from repro.testing.faults import apply_worker_fault
 from repro.utils.logging import get_logger
@@ -67,7 +65,7 @@ PartDescriptor = Tuple[object, Union[range, np.ndarray]]
 #: the rows local to those partitions.
 RowBatch = Tuple[int, int, np.ndarray, np.ndarray]
 
-#: Rows above which a lone task's batch is cut across the workers; a smaller
+#: Rows above which a task's batch is cut across the workers; a smaller
 #: batch costs more to hand over than to score where it is.
 SPLIT_FLOOR_ROWS = 4096
 
@@ -313,15 +311,13 @@ def _split_rows(task: ShardStepTask, width: int
 
 
 class ScoringWorkers:
-    """The one supervised executor behind phase 4: ``execute(tasks) -> scores``.
+    """The one supervised executor behind phase 4: ``execute(task) -> scores``.
 
-    ``tasks`` is either one residency step or a wave of steps that share no
-    partition (the caller guarantees it — ``plan_shard_schedule`` does — so
-    whoever executes a step owns its partitions exclusively until the call
-    returns; there is no cross-worker coordination on profile state, only
-    the barrier the call itself is).  A lone task on a transport wider than
-    one is cut row-wise into sub-tasks (:func:`_split_rows`) and its scores
-    reassembled in order.
+    ``task`` is one residency step.  On a transport wider than one it is cut
+    row-wise into sub-tasks over the same partitions (:func:`_split_rows`),
+    which the workers score side by side, and its scores are reassembled in
+    order; there is no cross-worker coordination on profile state, only the
+    barrier the call itself is.
 
     The transport is picked at construction: ``thread`` and ``process`` need
     ``num_workers > 1`` (and ``process`` needs ``fork``) — otherwise a pool
@@ -334,21 +330,15 @@ class ScoringWorkers:
     :class:`BrokenProcessPool`; a hung one is caught by the per-future
     watchdog (``shard_timeout`` seconds, ``None`` = wait forever).  Either
     way the pool is torn down (leftover processes killed), respawned, and
-    the *whole task list* retried with capped exponential backoff — tasks
-    are pure, and retrying all of them keeps the submission order, so
-    results stay bit-identical under any kill schedule.  After
+    the *whole sub-task list* retried with capped exponential backoff —
+    sub-tasks are pure, and retrying all of them keeps the submission order,
+    so results stay bit-identical under any kill schedule.  After
     ``max_retries`` consecutive failures the instance logs one warning,
     switches to the inline transport for the rest of its life and re-runs
     the list there.
 
-    Per-worker memory budget: ``worker_budget_bytes`` caps the resident
-    profile bytes a single worker may hold — one step's partitions, the
-    wave analogue of the two-resident-partitions envelope.  Each task's
-    slice bytes are charged transiently against a
-    :class:`~repro.storage.memory_manager.MemoryBudget` before dispatch
-    (``MemoryError`` on overflow, never a silent spill), and the high-water
-    mark is reported via :attr:`peak_worker_bytes`.  Workers cache at most
-    ``part_cache_slots`` slices, so the envelope also survives partitioners
+    Workers cache at most ``part_cache_slots`` slices — the
+    two-resident-partitions envelope, which also survives partitioners
     whose slices are gathered copies rather than views.
 
     ``score`` is the in-process kernel dispatch; phase 4 passes its own
@@ -365,8 +355,6 @@ class ScoringWorkers:
                  shard_timeout: Optional[float] = None,
                  max_retries: int = 3,
                  part_cache_slots: int = 2,
-                 worker_budget_bytes: Optional[float] = None,
-                 bytes_per_user: int = 0,
                  fault_plan=None,
                  score: Callable[..., np.ndarray] = score_tuples):
         if backend not in BACKENDS:
@@ -383,9 +371,6 @@ class ScoringWorkers:
         self._shard_timeout = shard_timeout
         self._max_retries = max_retries
         self._part_cache_slots = part_cache_slots
-        self._budget = (MemoryBudget(worker_budget_bytes)
-                        if worker_budget_bytes else None)
-        self._bytes_per_user = int(bytes_per_user)
         self._fault_plan = fault_plan
         self._respawns = 0
         self._executor = None  # built on first use (thread or process)
@@ -418,38 +403,23 @@ class ScoringWorkers:
         """How many times supervision replaced the worker pool."""
         return self._respawns
 
-    @property
-    def peak_worker_bytes(self) -> float:
-        """High-water mark of any single worker's resident slice bytes."""
-        return self._budget.peak_bytes if self._budget is not None else 0.0
-
-    @property
-    def worker_budget_bytes(self) -> Optional[float]:
-        return self._budget.capacity_bytes if self._budget is not None else None
-
     # -- the seam ------------------------------------------------------------
 
-    def execute(self, tasks: Sequence[ShardStepTask]) -> List[np.ndarray]:
-        """Score every task; one score array per task, in task order, each
-        aligned with its task's batches concatenated in order."""
-        if not tasks:
-            return []
-        if self._budget is not None:
-            for task in tasks:
-                self._budget.record_transient(
-                    sum(len(ids) for _, ids in task.parts) * self._bytes_per_user)
-        if len(tasks) > 1 or self._transport == "inline":
-            return self._dispatch(tasks)
-        subtasks, runs, total = _split_rows(tasks[0], self._num_workers)
+    def execute(self, task: ShardStepTask) -> np.ndarray:
+        """Score one task: its scores, aligned with its batches concatenated
+        in order."""
+        if self._transport == "inline":
+            return self._dispatch([task])[0]
+        subtasks, runs, total = _split_rows(task, self._num_workers)
         if len(subtasks) <= 1:   # nothing above the floor: nothing to put back
-            return self._dispatch(tasks)
+            return self._dispatch([task])[0]
         scores = np.empty(total, dtype=np.float64)
         for piece, piece_runs in zip(self._dispatch(subtasks), runs):
             start = 0
             for lo, hi in piece_runs:
                 scores[lo:hi] = piece[start:start + hi - lo]
                 start += hi - lo
-        return [scores]
+        return scores
 
     def _dispatch(self, tasks: Sequence[ShardStepTask]) -> List[np.ndarray]:
         if self._transport == "process":

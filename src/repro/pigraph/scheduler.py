@@ -21,15 +21,14 @@ from repro.pigraph.traversal import ResidencyStep, TraversalHeuristic, get_heuri
 from repro.storage.memory_manager import PartitionCache
 
 #: Declared-pure planners: same inputs, same plan — on every backend,
-#: every resume, every re-plan.  The dirty-partition scheduler (PR 7) and
-#: the shard planner (PR 9) rely on this to keep the parity walls meaningful.  The invariant lint
+#: every resume, every re-plan.  The dirty-partition scheduler relies on
+#: this to keep the parity walls meaningful.  The invariant lint
 #: (``python -m repro.analysis``) walks the call graph from each entry
 #: and rejects reachable wall-clock reads, randomness, environment reads,
 #: file I/O and module-global writes.  Add a function here to put it
 #: under the same contract.
 PURE_FUNCTIONS = (
     "repro.pigraph.scheduler.plan_dirty_schedule",
-    "repro.pigraph.scheduler.plan_shard_schedule",
     "repro.pigraph.scheduler.simulate_schedule",
 )
 
@@ -144,87 +143,6 @@ def plan_dirty_schedule(steps: Sequence[ResidencyStep],
     return DirtySchedule(executed=dirty_steps + clean_unscored, cached=cached,
                          dirty_partitions=tuple(sorted(dirty)),
                          assume_all_dirty=False)
-
-
-@dataclass
-class ShardSchedule:
-    """A step sequence colored into waves of partition-disjoint steps.
-
-    Within one wave no two steps share a partition, so every step of a wave
-    can execute concurrently with each executor holding exclusive ownership
-    of its step's partitions.  ``waves`` flattened in order is a permutation
-    of the input steps, and steps that share a partition keep their input
-    order across waves (each partition's step sequence is monotone in wave
-    index), so per-partition effects replay in the serial order.
-    """
-
-    waves: List[List[ResidencyStep]]
-    wave_of: Tuple[int, ...]
-
-    @property
-    def num_steps(self) -> int:
-        return len(self.wave_of)
-
-    @property
-    def num_waves(self) -> int:
-        return len(self.waves)
-
-    @property
-    def max_wave_width(self) -> int:
-        """Steps in the widest wave — the useful parallelism bound."""
-        return max((len(wave) for wave in self.waves), default=0)
-
-    def wave_partitions(self, wave_index: int) -> List[int]:
-        """Distinct partitions resident during one wave, in step order."""
-        partitions: List[int] = []
-        seen = set()
-        for first, second, _ in self.waves[wave_index]:
-            for partition in (first, second):
-                if partition not in seen:
-                    seen.add(partition)
-                    partitions.append(partition)
-        return partitions
-
-    @property
-    def total_partition_residencies(self) -> int:
-        """Sum of distinct partitions across waves: the sharded load count.
-
-        Each wave loads each of its partitions exactly once (and drops them
-        at the wave barrier), so this is both the load and the unload count
-        of a sharded execution — the analogue of
-        :attr:`ScheduleResult.load_unload_operations` ``/ 2``.
-        """
-        return sum(len(self.wave_partitions(i)) for i in range(len(self.waves)))
-
-
-def plan_shard_schedule(steps: Sequence[ResidencyStep]) -> ShardSchedule:
-    """Color ``steps`` into waves of pairwise partition-disjoint steps.
-
-    A *pure*, deterministic function of the step sequence (no wall clock, no
-    ambient state), so every backend and every re-plan produces the same
-    waves.  Greedy earliest-wave placement: each step lands in the first
-    wave where neither of its partitions is taken yet, which both preserves
-    the per-partition step order of the input (a partition's ``wave_free``
-    watermark only moves forward) and keeps dirty-first sequences front
-    loaded — the dirty steps the input leads with fill the early waves.
-
-    Degenerate inputs behave sensibly: an empty sequence yields zero waves,
-    and a single-partition graph (every step ``(p, p)``) yields one
-    single-step wave per step in input order.
-    """
-    wave_free: Dict[int, int] = {}
-    waves: List[List[ResidencyStep]] = []
-    wave_of: List[int] = []
-    for step in steps:
-        first, second, _ = step
-        wave = max(wave_free.get(first, 0), wave_free.get(second, 0))
-        if wave == len(waves):
-            waves.append([])
-        waves[wave].append(step)
-        wave_of.append(wave)
-        wave_free[first] = wave + 1
-        wave_free[second] = wave + 1
-    return ShardSchedule(waves=waves, wave_of=tuple(wave_of))
 
 
 def simulate_schedule(steps: Sequence[ResidencyStep],

@@ -73,19 +73,6 @@ class MemoryBudget:
             raise ValueError("num_bytes must be >= 0")
         self._used = max(0.0, self._used - num_bytes)
 
-    def record_transient(self, num_bytes: float) -> None:
-        """Account a short-lived allocation against the budget.
-
-        Enforces the cap (raising ``MemoryError`` like :meth:`allocate`) and
-        advances the peak water-mark, but does not leave the bytes in
-        ``used``.  Shard-parallel execution charges each worker's per-step
-        resident slices this way: the budget is a *per concurrent holder*
-        cap — every step's slices must individually fit — not a cumulative
-        account across a wave.
-        """
-        self.allocate(num_bytes)
-        self.release(num_bytes)
-
     def reset(self) -> None:
         self._used = 0.0
         self._peak = 0.0

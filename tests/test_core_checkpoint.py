@@ -634,6 +634,20 @@ _SWITCHED_OFF_ENGINE_CONFIG = {
 }
 
 
+#: ``engine_config`` as commit 80b82dc wrote it into a checkpoint manifest —
+#: captured from a run there — with phase 4 executing in waves, before
+#: ``shard_parallel`` was retired.
+_WAVES_ENGINE_CONFIG = {
+    "backend": "thread", "disk_model": "ssd", "durable": False,
+    "heuristic": "sequential", "include_direct_edges": True, "k": 4,
+    "max_pairs_per_bridge": None, "max_resident_partitions": 2,
+    "measure": None, "memory_budget_bytes": None, "num_partitions": 3,
+    "num_workers": 1, "partitioner": "contiguous",
+    "score_cache_entries": 4000000, "seed": 9, "shard_parallel": True,
+    "shard_timeout_seconds": None,
+}
+
+
 def _rewrite_saved_config(directory, base=_PARENT_ENGINE_CONFIG, **changes):
     """Make a checkpoint carry an older commit's ``engine_config`` (``base``
     plus ``changes``), re-sealing the directory when it is a sealed epoch."""
@@ -764,3 +778,47 @@ class TestSwitchedOffManifest:
         with pytest.raises(ValueError, match="warp_factor") as failure:
             KNNEngine.from_checkpoint(tmp_path / "ckpt")
         assert "incremental_phase4" not in str(failure.value)
+
+    def test_a_saved_wave_switch_resumes_and_recovers_to_the_twin(self, tmp_path):
+        """``shard_parallel`` retired after the switches: a manifest that ran
+        phase 4 in waves resumes and recovers step at a time to the graphs
+        and profile bytes of a twin that never stopped, and an unknown key
+        beside it is still named."""
+        profiles = generate_dense_profiles(60, dim=4, seed=1)
+
+        def dense_bytes(engine):
+            return (engine.profile_store.base_dir
+                    / "profiles_dense.bin").read_bytes()
+
+        with KNNEngine(profiles, self.CONFIG) as twin:
+            expected = [result.graph.edge_fingerprint() for result in twin.run(
+                4, profile_change_feed=self._feed).iterations][2:]
+            expected_bytes = dense_bytes(twin)
+        workdir = tmp_path / "work"
+        durable = self.CONFIG.with_overrides(durable=True)
+        with KNNEngine(profiles, durable, workdir=workdir) as engine:
+            engine.run(2, profile_change_feed=self._feed)
+            engine.save_checkpoint(tmp_path / "ckpt")
+            epochs = engine.sealed_epochs()
+        _rewrite_saved_config(tmp_path / "ckpt", base=_WAVES_ENGINE_CONFIG,
+                              durable=True)
+        for _, path in epochs:
+            _rewrite_saved_config(path, base=_WAVES_ENGINE_CONFIG, durable=True)
+        with KNNEngine.from_checkpoint(tmp_path / "ckpt") as resumed:
+            assert resumed.config == durable
+            run = resumed.run(2, profile_change_feed=self._feed)
+            assert [result.graph.edge_fingerprint()
+                    for result in run.iterations] == expected
+            assert dense_bytes(resumed) == expected_bytes
+        with KNNEngine.recover(workdir) as recovered:
+            assert recovered.config == durable
+            assert recovered.iterations_run == 2
+            run = recovered.run(2, profile_change_feed=self._feed)
+            assert [result.graph.edge_fingerprint()
+                    for result in run.iterations] == expected
+            assert dense_bytes(recovered) == expected_bytes
+        _rewrite_saved_config(tmp_path / "ckpt", base=_WAVES_ENGINE_CONFIG,
+                              warp_factor=9)
+        with pytest.raises(ValueError, match="warp_factor") as failure:
+            KNNEngine.from_checkpoint(tmp_path / "ckpt")
+        assert "shard_parallel" not in str(failure.value)

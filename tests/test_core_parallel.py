@@ -43,7 +43,7 @@ def _threaded(store, pairs, num_workers, floor, monkeypatch):
     monkeypatch.setattr(parallel_module, "SPLIT_FLOOR_ROWS", floor)
     with ScoringWorkers(store, backend="thread",
                         num_workers=num_workers) as workers:
-        (scores,) = workers.execute([_task(store.num_users, pairs)])
+        scores = workers.execute(_task(store.num_users, pairs))
     return scores
 
 
@@ -98,7 +98,7 @@ class TestScoreTuples:
         with ScoringWorkers(dense_store, backend="serial",
                             num_workers=8) as workers:
             assert workers.transport == "inline"
-            (serial,) = workers.execute([_task(dense_store.num_users, pairs)])
+            serial = workers.execute(_task(dense_store.num_users, pairs))
         assert np.array_equal(serial, dense_slice.similarity_pairs(pairs, "cosine"))
 
 

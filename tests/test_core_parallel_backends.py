@@ -1,16 +1,15 @@
 """Backend parity wall: ``process`` ≡ ``thread`` ≡ serial, everywhere.
 
-Every phase-4 score crosses one seam, ``ScoringWorkers.execute(tasks)``,
+Every phase-4 score crosses one seam, ``ScoringWorkers.execute(task)``,
 whose three transports (inline, a thread pool, forked workers that re-open
 the profile store and score against mmap-served slices) must be
 indistinguishable by their results.  These tests pin the seam to
 ``similarity_rows`` on freshly loaded slices — bitwise, for all 8 measures on
-dense and sparse stores, at both granularities (one task cut row-wise, a wave
-of partition-disjoint tasks) and every width — and whole engine runs to each
-other by edge-set fingerprint, including the awkward shapes: empty batches,
-fewer rows than workers, partitions smaller than the worker count, a step
-whose two partitions are one, a store that changed between calls, and a
-one-worker pool.
+dense and sparse stores, with the task cut row-wise at every width — and
+whole engine runs to each other by edge-set fingerprint, including the
+awkward shapes: empty batches, fewer rows than workers, partitions smaller
+than the worker count, a step whose two partitions are one, a store that
+changed between calls, and a one-worker pool.
 """
 
 from __future__ import annotations
@@ -116,7 +115,7 @@ class TestScoreParityAllMeasures:
         expected = _expected(dense_store, task)
         for backend in BACKENDS:
             with _workers(dense_store, backend) as workers:
-                np.testing.assert_array_equal(workers.execute([task])[0],
+                np.testing.assert_array_equal(workers.execute(task),
                                               expected)
 
     @pytest.mark.parametrize("measure", sorted(SET_MEASURES))
@@ -125,7 +124,7 @@ class TestScoreParityAllMeasures:
         expected = _expected(sparse_store, task)
         for backend in BACKENDS:
             with _workers(sparse_store, backend) as workers:
-                np.testing.assert_array_equal(workers.execute([task])[0],
+                np.testing.assert_array_equal(workers.execute(task),
                                               expected)
 
     def test_scattered_slice_parity(self, dense_store, cut_everything):
@@ -136,9 +135,9 @@ class TestScoreParityAllMeasures:
         task = _task([("scattered", users)], [(0, 0, rows[:, 0], rows[:, 1])],
                      "cosine")
         with _workers(dense_store, "serial") as serial:
-            expected = serial.execute([task])[0]
+            expected = serial.execute(task)
         with _workers(dense_store, "process") as process:
-            np.testing.assert_array_equal(process.execute([task])[0], expected)
+            np.testing.assert_array_equal(process.execute(task), expected)
         # and the rows mean what the ids say
         whole = dense_store.load_users(range(NUM_USERS))
         np.testing.assert_array_equal(
@@ -153,15 +152,15 @@ class TestScoreParityAllMeasures:
         task = _task([("low", range(half)), ("high", range(half, NUM_USERS))],
                      [(0, 1, left_rows, right_rows)], "cosine")
         with _workers(dense_store, "process") as process:
-            got = process.execute([task])[0]
+            got = process.execute(task)
         whole = dense_store.load_users(range(NUM_USERS))
         np.testing.assert_array_equal(whole.similarity_pairs(
             np.column_stack([left_rows, half + right_rows]), "cosine"), got)
 
 
 class TestSeamWall:
-    """3 transports × widths {1, 2, 3} × both granularities, dense and sparse:
-    every result bit-equal to ``similarity_rows`` on freshly loaded slices."""
+    """3 transports × widths {1, 2, 3}, dense and sparse: every result
+    bit-equal to ``similarity_rows`` on freshly loaded slices."""
 
     @pytest.mark.parametrize("kind", ["dense", "sparse"])
     @pytest.mark.parametrize("width", [1, 2, 3])
@@ -172,21 +171,26 @@ class TestSeamWall:
         (task,) = _step_tasks(np.random.default_rng(3), [(0, 2)],
                               measure="cosine" if kind == "dense" else "jaccard")
         with _workers(store, backend, width) as workers:
-            (scores,) = workers.execute([task])
+            scores = workers.execute(task)
         np.testing.assert_array_equal(scores, _expected(store, task))
 
     @pytest.mark.parametrize("kind", ["dense", "sparse"])
     @pytest.mark.parametrize("width", [1, 2, 3])
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_a_wave_of_disjoint_tasks(self, stores, backend, width, kind):
+    def test_steps_one_after_another_on_one_pool(self, stores, backend, width,
+                                                 kind, cut_everything):
+        """Phase 4's walk: one pool scores step after step, a partition
+        shared with the step before it and one not, in either order; no
+        step's result depends on what the pool scored before it."""
         store = stores[kind]
-        tasks = _step_tasks(np.random.default_rng(4), [(0, 1), (2, 3)],
+        tasks = _step_tasks(np.random.default_rng(4), [(0, 1), (1, 2), (3, 3)],
                             measure="cosine" if kind == "dense" else "jaccard")
         with _workers(store, backend, width) as workers:
-            results = workers.execute(tasks)
-        assert len(results) == len(tasks)
-        for task, scores in zip(tasks, results):
+            forward = [workers.execute(task) for task in tasks]
+            backward = [workers.execute(task) for task in reversed(tasks)]
+        for task, scores, again in zip(tasks, forward, reversed(backward)):
             np.testing.assert_array_equal(scores, _expected(store, task))
+            np.testing.assert_array_equal(again, scores)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_a_step_inside_one_partition(self, dense_store, backend,
@@ -195,7 +199,7 @@ class TestSeamWall:
                               measure="cosine")
         assert len(task.parts) == 1
         with _workers(dense_store, backend) as workers:
-            (scores,) = workers.execute([task])
+            scores = workers.execute(task)
         np.testing.assert_array_equal(scores, _expected(dense_store, task))
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -207,10 +211,9 @@ class TestSeamWall:
                      [(0, 0, nothing, nothing), (0, 0, rows, rows[::-1])],
                      "cosine")
         with _workers(dense_store, backend) as workers:
-            (scores,) = workers.execute([task])
-            (none,) = workers.execute([_task(task.parts, task.batches[:1],
-                                             "cosine")])
-            assert workers.execute([]) == []
+            scores = workers.execute(task)
+            none = workers.execute(_task(task.parts, task.batches[:1],
+                                         "cosine"))
         np.testing.assert_array_equal(scores, _expected(dense_store, task))
         assert none.shape == (0,)
 
@@ -220,7 +223,7 @@ class TestSeamWall:
         task = _task([("ten", range(10))],
                      [(0, 0, np.array([0, 2]), np.array([1, 3]))], "cosine")
         with _workers(dense_store, backend, width=3) as workers:
-            (scores,) = workers.execute([task])
+            scores = workers.execute(task)
         np.testing.assert_array_equal(scores, _expected(dense_store, task))
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -237,11 +240,11 @@ class TestSeamWall:
                          generation=store.generation)
 
         with _workers(store, backend, width=2) as workers:
-            (before,) = workers.execute([task()])
+            before = workers.execute(task())
             np.testing.assert_array_equal(before, _expected(store, task()))
             store.apply_changes([ProfileChange(user=0, kind="set",
                                                vector=np.ones(6))])
-            (after,) = workers.execute([task()])
+            after = workers.execute(task())
         np.testing.assert_array_equal(after, _expected(store, task()))
         assert not np.array_equal(before, after)
 
@@ -250,10 +253,11 @@ class TestSeamWall:
         holds more slices than its slots, whatever the tasks name."""
         task = _whole_store_task(pairs, "cosine", key="step-a")
         with _workers(dense_store, "serial", part_cache_slots=2) as workers:
-            first = workers.execute([task])[0]
-            second = workers.execute([task])[0]
-            workers.execute(_step_tasks(np.random.default_rng(6),
-                                        [(0, 1), (2, 3)], measure="cosine"))
+            first = workers.execute(task)
+            second = workers.execute(task)
+            for step_task in _step_tasks(np.random.default_rng(6),
+                                         [(0, 1), (2, 3)], measure="cosine"):
+                workers.execute(step_task)
             assert len(workers._state._parts) == 2
         np.testing.assert_array_equal(first, _expected(dense_store, task))
         np.testing.assert_array_equal(first, second)
@@ -264,7 +268,7 @@ class TestSeamWall:
         with caplog.at_level("WARNING", logger="repro.core.parallel"):
             with _workers(dense_store, "process", width=1) as workers:
                 assert workers.transport == "inline"
-                (scores,) = workers.execute([task])
+                scores = workers.execute(task)
                 assert workers._executor is None
         np.testing.assert_array_equal(scores, _expected(dense_store, task))
         assert sum("skipping the worker pool" in record.message

@@ -17,8 +17,8 @@ translating user ids through a merged slice.  These tests pin
     the id-addressed oracle, and the 4x rule picks the same steps;
 (e) the algorithmic fix: a scattered slice of a 1,000,000-row store never
     allocates an id→row table;
-(f) backend × ``shard_parallel`` parity on the ``hash`` partitioner, where
-    no partition slice is a contiguous id run.
+(f) backend parity on the ``hash`` partitioner, where no partition slice
+    is a contiguous id run.
 """
 
 from __future__ import annotations
@@ -427,9 +427,13 @@ def test_scattered_slice_of_a_million_rows_allocates_no_lookup_table(tmp_path):
     assert peak < 1_000_000, f"peak {peak} B: an id→row table is back"
 
 
-# -- (f) backends × shard_parallel on the hash partitioner --------------------------
+# -- (f) backends on the hash partitioner ------------------------------------------
 
-def _hash_run(backend: str, shard_parallel: bool):
+#: The most bytes the partition cache of :func:`_hash_run` holds at once.
+HASH_RUN_PEAK_BYTES = 44_000
+
+
+def _hash_run(backend: str, budget=None):
     profiles = generate_dense_profiles(400, dim=8, num_communities=5, seed=23)
     overrides = {"backend": backend}
     if backend == "thread":
@@ -438,7 +442,7 @@ def _hash_run(backend: str, shard_parallel: bool):
         overrides["num_workers"] = 2
     config = EngineConfig(k=6, num_partitions=5, partitioner="hash",
                           heuristic="degree-low-high", seed=23,
-                          shard_parallel=shard_parallel, **overrides)
+                          memory_budget_bytes=budget, **overrides)
     rng = np.random.default_rng(31)
 
     def feed(iteration):
@@ -458,20 +462,25 @@ def _hash_run(backend: str, shard_parallel: bool):
 
 @pytest.fixture(scope="module")
 def hash_reference():
-    return {sharded: _hash_run("serial", sharded) for sharded in (False, True)}
+    return _hash_run("serial")
 
 
-@pytest.mark.parametrize("shard_parallel", [False, True])
 @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-def test_backend_and_shard_parity_on_non_contiguous_partitions(
-        backend, shard_parallel, hash_reference):
+def test_backend_parity_on_non_contiguous_partitions(backend, hash_reference):
     if backend == "process" and not fork_available():
         pytest.skip("process backend needs fork")
-    fingerprints, counts, load_unload, dense = _hash_run(backend, shard_parallel)
-    # same wave model → same operation counts; any model → same graphs
-    ref_fingerprints, ref_counts, ref_load_unload, ref_dense = (
-        hash_reference[shard_parallel])
-    assert fingerprints == ref_fingerprints == hash_reference[False][0]
-    assert counts == ref_counts == hash_reference[False][1]
-    assert load_unload == ref_load_unload
-    assert dense == ref_dense == hash_reference[False][3]
+    # same graphs, same operation counts, same profile bytes
+    assert _hash_run(backend) == hash_reference
+
+
+@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+def test_a_cache_capped_at_its_peak_changes_nothing_on_non_contiguous_partitions(
+        backend, hash_reference):
+    """Gathered-copy slices are charged like contiguous ones: capped at
+    exactly the peak the walk reaches, the run fits and nothing changes;
+    a byte less and it fails loudly."""
+    if backend == "process" and not fork_available():
+        pytest.skip("process backend needs fork")
+    assert _hash_run(backend, budget=HASH_RUN_PEAK_BYTES) == hash_reference
+    with pytest.raises(MemoryError):
+        _hash_run(backend, budget=HASH_RUN_PEAK_BYTES - 1)

@@ -83,11 +83,11 @@ def _profiles(kind):
                                     num_communities=4, seed=5)
 
 
-def _config(backend, budget, shard=False):
+def _config(backend, budget):
     overrides = {} if backend == "serial" else {"num_workers": 2}
     return EngineConfig(k=5, num_partitions=6, heuristic="degree-low-high",
                         seed=3, memory_budget_bytes=budget, backend=backend,
-                        shard_parallel=shard, **overrides)
+                        **overrides)
 
 
 @pytest.fixture
@@ -106,17 +106,14 @@ def allocations(monkeypatch):
 
 
 #: Per iteration ``(read_ops, write_ops, simulated_io_seconds)`` and the
-#: run's ``MemoryBudget.peak_bytes``, by (kind, shard_parallel); the same on
-#: every backend.  Computed at commit 3784424, the last to write the files.
+#: run's ``MemoryBudget.peak_bytes``, by (kind, False) — the second field
+#: keyed the retired wave switch's rows; the same on every backend.
+#: Computed at commit 3784424, the last to write the files.
 _GOLDEN_COST = {
     ("dense", False): ([(38, 7, 0.0005605376), (38, 6, 0.0005155136),
                         (38, 6, 0.0005179776)], 19760.0),
-    ("dense", True): ([(36, 7, 0.0004455456000000002), (36, 6, 0.0004006176),
-                       (36, 6, 0.0004006176)], 5120.0),
     ("sparse", False): ([(38, 7, 0.0005747648), (38, 6, 0.0004943296),
                          (38, 6, 0.0004889536)], 24784.0),
-    ("sparse", True): ([(36, 7, 0.00045977280000000017), (36, 6, 0.0004006176),
-                        (36, 6, 0.0004006176)], 6400.0),
 }
 #: A budget the run outgrows — ``(budget, the error, allocations that fit
 #: before it)`` by kind: dense on iteration 0's second load, sparse on
@@ -131,19 +128,34 @@ _GOLDEN_OVER_BUDGET = {
 
 class TestEnginesChargeWhatTheFilesCost:
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("shard", [False, True], ids=["steps", "waves"])
     @pytest.mark.parametrize("kind", ["dense", "sparse"])
     def test_matches_the_parent_commit_and_leaves_no_file(
-            self, kind, shard, backend, allocations):
+            self, kind, backend, allocations):
         assert fork_available() or backend != "process", (
             "the process backend needs fork; this wall does not skip")
-        with KNNEngine(_profiles(kind), _config(backend, BUDGET, shard)) as engine:
+        with KNNEngine(_profiles(kind), _config(backend, BUDGET)) as engine:
             run = engine.run(num_iterations=3)
             assert not (engine.workdir / "partitions").exists()
             assert not list(engine.workdir.rglob("partition_*.bin"))
         rows = [(r.io_stats.read_ops, r.io_stats.write_ops,
                  r.io_stats.simulated_io_seconds) for r in run.iterations]
-        assert (rows, max(allocations)) == _GOLDEN_COST[kind, shard]
+        assert (rows, max(allocations)) == _GOLDEN_COST[kind, False]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("kind", ["dense", "sparse"])
+    def test_without_a_budget_the_files_cost_the_same(self, kind, backend,
+                                                      allocations):
+        """The budget is the partition cache's cap and nothing else: with
+        none, no byte is allocated and every charge is the capped run's."""
+        assert fork_available() or backend != "process", (
+            "the process backend needs fork; this wall does not skip")
+        with KNNEngine(_profiles(kind), _config(backend, None)) as engine:
+            run = engine.run(num_iterations=3)
+            assert not list(engine.workdir.rglob("partition_*.bin"))
+        rows = [(r.io_stats.read_ops, r.io_stats.write_ops,
+                 r.io_stats.simulated_io_seconds) for r in run.iterations]
+        assert rows == _GOLDEN_COST[kind, False][0]
+        assert allocations == []
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("kind", ["dense", "sparse"])

@@ -218,14 +218,15 @@ def test_every_engine_config_field_is_read_somewhere():
             if isinstance(node, ast.Attribute)}
     fields = {spec.name for spec in dataclasses.fields(EngineConfig)}
     assert fields - read == set()
-    assert len(fields) == 18
+    assert len(fields) == 17
 
 
 def test_engine_config_fields_are_pinned():
     """Every field either is the paper's knob or pays for itself on a gated
     bench; the carried state has no switch (``incremental_phase4``,
-    ``dirty_scheduling``) and the segment layout follows the partitioner
-    (``profile_segment_rows``).  A new field is a decision made here."""
+    ``dirty_scheduling``), the segment layout follows the partitioner
+    (``profile_segment_rows``) and phase 4 walks its steps one at a time
+    (``shard_parallel``).  A new field is a decision made here."""
     import dataclasses
 
     from repro.core.config import EngineConfig
@@ -234,8 +235,39 @@ def test_engine_config_fields_are_pinned():
         "k", "num_partitions", "partitioner", "heuristic", "measure",
         "disk_model", "max_resident_partitions", "memory_budget_bytes",
         "include_direct_edges", "max_pairs_per_bridge", "backend",
-        "num_workers", "score_cache_entries", "shard_parallel", "seed",
+        "num_workers", "score_cache_entries", "seed",
         "shard_timeout_seconds", "durable", "fault_plan"]
+
+
+def test_one_residency_model():
+    """Phase 4 has one cost model, the paper's step-at-a-time walk through
+    the partition cache, and ``memory_budget_bytes`` one meaning, that
+    cache's cap: the wave execution, its planner and the per-worker budget
+    do not come back under ``src/``.  The retired knob is named only where
+    old manifests are translated (``core/engine.py::_RETIRED_KNOBS`` and
+    the docstring of ``_config_from_manifest``)."""
+    gone = re.compile(r"\b(shard_parallel|_WaveResidency|plan_shard_schedule|"
+                      r"ShardSchedule|record_transient|peak_worker_bytes|"
+                      r"worker_budget_bytes)\b")
+    engine = REPO_ROOT / "src" / "repro" / "core" / "engine.py"
+    retired = set()
+    for node in ast.parse(engine.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "_RETIRED_KNOBS"
+                for target in node.targets):
+            retired.update(range(node.lineno, node.end_lineno + 1))
+        elif (isinstance(node, ast.FunctionDef)
+              and node.name == "_config_from_manifest"):
+            docstring = node.body[0]
+            retired.update(range(docstring.lineno, docstring.end_lineno + 1))
+    src = REPO_ROOT / "src"
+    offenders = [
+        f"{path.relative_to(REPO_ROOT)}:{number}"
+        for path in sorted(src.rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if gone.search(line) and not (path == engine and number in retired)]
+    assert offenders == []
+    assert len(retired) > 2, "the retired-knob record moved; re-point the test"
 
 
 def test_no_score_cache_file_under_src():

@@ -358,20 +358,15 @@ class TestToggleAndCapacity:
             assert result.reused_scores == 0
         assert runner.score_cache.evictions >= 3
 
-    @pytest.mark.parametrize("shard_parallel", [False, True],
-                             ids=["steps", "waves"])
-    def test_one_over_capacity_iteration_costs_one_eviction(self, tmp_path,
-                                                            shard_parallel):
+    def test_one_over_capacity_iteration_costs_one_eviction(self, tmp_path):
         """Capacity is one comparison an iteration — the candidate count
-        against the cap — on both phase-4 paths: the over-capacity iteration
-        still reuses and still builds the same graph, leaves the cache and
-        its scored pairs empty, counts one eviction, and costs the next
-        iteration one full rescore."""
+        against the cap: the over-capacity iteration still reuses and still
+        builds the same graph, leaves the cache and its scored pairs empty,
+        counts one eviction, and costs the next iteration one full
+        rescore."""
         profiles = generate_dense_profiles(NUM_USERS, dim=6, seed=37)
-        twin, _ = _runner(tmp_path / "twin", profiles,
-                          shard_parallel=shard_parallel)
-        capped, _ = _runner(tmp_path / "capped", profiles,
-                            shard_parallel=shard_parallel)
+        twin, _ = _runner(tmp_path / "twin", profiles)
+        capped, _ = _runner(tmp_path / "capped", profiles)
         graphs = {twin: KNNGraph.random(NUM_USERS, 5, seed=37),
                   capped: KNNGraph.random(NUM_USERS, 5, seed=37)}
 

@@ -31,6 +31,7 @@ from repro.graph.knn_graph import KNNGraph
 from repro.partition.model import Partition, build_partitions
 from repro.similarity.workloads import (ProfileChange, generate_dense_profiles,
                                         generate_sparse_profiles)
+from repro.storage.memory_manager import MemoryBudget
 from repro.tuples.hash_table import TupleHashTable
 from test_graph_knn_arrays import _SCORES, _assert_rows_equal, oracle_merge
 
@@ -475,7 +476,7 @@ def _golden_feed(kind, profiles):
     return feed
 
 
-def _observe(kind, dirty, shard, backend, full_schedule):
+def _observe(kind, dirty, backend, full_schedule, budget=None):
     """``dirty=False`` runs against a store that cannot vouch for its
     partition deltas — the full schedule."""
     overrides = {"backend": backend}
@@ -484,7 +485,7 @@ def _observe(kind, dirty, shard, backend, full_schedule):
     elif backend == "process":
         overrides["num_workers"] = 2
     config = EngineConfig(k=5, num_partitions=6, heuristic="degree-low-high",
-                          seed=17, shard_parallel=shard, **overrides)
+                          seed=17, memory_budget_bytes=budget, **overrides)
     profiles = _golden_profiles(kind)
     with full_schedule(not dirty), KNNEngine(profiles, config) as engine:
         run = engine.run(num_iterations=GOLDEN_WARMUP + GOLDEN_CHURNED,
@@ -516,58 +517,45 @@ _GOLDEN_SCORED = {
 #: sha256[:16] over the names and bytes of the store's ``*.bin`` files.
 _GOLDEN_PROFILES = {"dense": "a84aabaa5f105dbc", "sparse": "e177cf64dc22db4b"}
 #: Per churned iteration: (steps_skipped, load_unload_operations), by
-#: (kind, dirty, shard_parallel); the same for every backend.  ``dirty`` is
-#: False for the full schedule, recorded when a config knob turned dirty
-#: scheduling off and now reached through a store that cannot vouch for its
-#: partition deltas.
+#: (kind, dirty, False) — the third field keyed the retired wave switch's
+#: rows, kept so these stay as recorded; the same for every backend.
+#: ``dirty`` is False for the full schedule, recorded when a config knob
+#: turned dirty scheduling off and now reached through a store that cannot
+#: vouch for its partition deltas.
 _GOLDEN_SCHEDULE = {
     ("dense", True, False): [(21, 0), (15, 12), (15, 12), (15, 12), (15, 12)],
-    ("dense", True, True): [(21, 0), (15, 22), (15, 22), (15, 22), (15, 22)],
     ("dense", False, False): [(0, 38)] * 5,
-    ("dense", False, True): [(0, 72), (0, 40), (0, 40), (0, 58), (0, 44)],
     ("sparse", True, False): [(21, 0), (15, 12), (15, 12), (15, 12), (10, 22)],
-    ("sparse", True, True): [(21, 0), (15, 22), (15, 22), (15, 22), (10, 40)],
     ("sparse", False, False): [(0, 38)] * 5,
-    ("sparse", False, True): [(0, 72), (0, 62), (0, 72), (0, 72), (0, 72)],
 }
 #: Per churned iteration: (io_stats.bytes_read, partition loads, partition
-#: unloads, schedule.num_steps), by (kind, dirty, shard_parallel);
+#: unloads, schedule.num_steps), by (kind, dirty, False) as above;
 #: the same for every backend.  Computed at commit 6beeaab (PR 14), before
 #: phase 4's two loops and two pools became one loop over one seam.
 _GOLDEN_IO = {
     ("dense", True, False): [(12384, 0, 0, 0), (97488, 6, 6, 6),
                              (97632, 6, 6, 6), (98640, 6, 6, 6),
                              (97776, 6, 6, 6)],
-    ("dense", True, True): [(12384, 0, 0, 0), (54072, 11, 11, 6),
-                            (54216, 11, 11, 6), (55224, 11, 11, 6),
-                            (54360, 11, 11, 6)],
     ("dense", False, False): [(304280, 19, 19, 21), (275440, 19, 19, 21),
                               (275488, 19, 19, 21), (289904, 19, 19, 21),
                               (280208, 19, 19, 21)],
-    ("dense", False, True): [(172800, 36, 36, 21), (96192, 20, 20, 11),
-                             (96120, 20, 20, 11), (139320, 29, 29, 17),
-                             (105696, 22, 22, 12)],
     ("sparse", True, False): [(44064, 0, 0, 0), (118136, 6, 6, 6),
                               (127464, 6, 6, 6), (128632, 6, 6, 6),
                               (214064, 11, 11, 11)],
-    ("sparse", True, True): [(44064, 0, 0, 0), (85760, 11, 11, 6),
-                             (95408, 11, 11, 6), (96896, 11, 11, 6),
-                             (159736, 20, 20, 11)],
     ("sparse", False, False): [(317136, 19, 19, 21), (317208, 19, 19, 21),
                                (319048, 19, 19, 21), (320840, 19, 19, 21),
                                (324712, 19, 19, 21)],
-    ("sparse", False, True): [(249888, 36, 36, 21), (215656, 31, 31, 17),
-                              (250608, 36, 36, 21), (250992, 36, 36, 21),
-                              (251376, 36, 36, 21)],
 }
+#: The most bytes the partition cache holds at once over a golden run, by
+#: kind: the two largest residencies its walk reaches, on either schedule.
+_GOLDEN_PEAK = {"dense": 32400.0, "sparse": 44688.0}
 
 
 class TestEngineGoldens:
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    @pytest.mark.parametrize("shard", [False, True], ids=["steps", "waves"])
     @pytest.mark.parametrize("dirty", [True, False], ids=["dirty", "full"])
     @pytest.mark.parametrize("kind", ["dense", "sparse"])
-    def test_matches_the_parent_commit(self, kind, dirty, shard, backend,
+    def test_matches_the_parent_commit(self, kind, dirty, backend,
                                        monkeypatch, full_schedule):
         assert fork_available() or backend != "process", (
             "the process backend needs fork; this wall does not skip")
@@ -594,14 +582,40 @@ class TestEngineGoldens:
             return build_partitions(*args, **kwargs)
 
         monkeypatch.setattr(iteration_module, "build_partitions", spied_build)
-        rows, profile_digest, rebuilt = _observe(kind, dirty, shard, backend,
+        rows, profile_digest, rebuilt = _observe(kind, dirty, backend,
                                                  full_schedule)
         assert [row[:3] for row in rows] == _GOLDEN_SCORED[kind]
-        assert [row[3:5] for row in rows] == _GOLDEN_SCHEDULE[kind, dirty, shard]
-        assert [row[5:] for row in rows] == _GOLDEN_IO[kind, dirty, shard]
+        assert [row[3:5] for row in rows] == _GOLDEN_SCHEDULE[kind, dirty, False]
+        assert [row[5:] for row in rows] == _GOLDEN_IO[kind, dirty, False]
         assert profile_digest == _GOLDEN_PROFILES[kind]
         # every iteration but the cold first asked; what the engine reports
         # is what ran, and most of the churn ran on the delta path
         assert [not flag for flag in rebuilt[1:]] == advanced
         assert built_in == [i for i, flag in enumerate(rebuilt) if flag]
         assert rebuilt[GOLDEN_WARMUP:].count(False) >= GOLDEN_CHURNED - 1
+
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("dirty", [True, False], ids=["dirty", "full"])
+    @pytest.mark.parametrize("kind", ["dense", "sparse"])
+    def test_a_cache_capped_at_its_peak_changes_no_golden(
+            self, kind, dirty, backend, monkeypatch, full_schedule):
+        """``memory_budget_bytes`` caps the partition cache and does nothing
+        else: capped at exactly the peak the walk reaches, the run fits and
+        every golden above is the uncapped run's."""
+        assert fork_available() or backend != "process", (
+            "the process backend needs fork; this wall does not skip")
+        peaks = []
+        allocate = MemoryBudget.allocate
+
+        def spied(budget, num_bytes):
+            allocate(budget, num_bytes)
+            peaks.append(budget.peak_bytes)
+
+        monkeypatch.setattr(MemoryBudget, "allocate", spied)
+        rows, profile_digest, _ = _observe(kind, dirty, backend, full_schedule,
+                                           budget=_GOLDEN_PEAK[kind])
+        assert max(peaks) == _GOLDEN_PEAK[kind]
+        assert [row[:3] for row in rows] == _GOLDEN_SCORED[kind]
+        assert [row[3:5] for row in rows] == _GOLDEN_SCHEDULE[kind, dirty, False]
+        assert [row[5:] for row in rows] == _GOLDEN_IO[kind, dirty, False]
+        assert profile_digest == _GOLDEN_PROFILES[kind]

@@ -7,9 +7,8 @@ to the coordinator) and ``hang_worker`` puts it to sleep past the per-future
 watchdog timeout.  Supervision must respawn and retry until the task list
 succeeds — with bit-identical scores — and degrade to the inline transport
 only after the retry budget is exhausted.  Each rung is asserted once
-against ``ScoringWorkers.execute`` and once end to end per granularity
-(step at a time here and in waves, see also ``test_shard_parallel.py``)
-through ``KNNEngine``.
+against ``ScoringWorkers.execute`` and once end to end through
+``KNNEngine``.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ def _score(workers, pairs):
     task = ShardStepTask(parts=((None, np.arange(NUM_USERS)),),
                          batches=((0, 0, pairs[:, 0], pairs[:, 1]),),
                          measure="cosine", generation=None)
-    return workers.execute([task])[0]
+    return workers.execute(task)
 
 
 def _expected(store, pairs):
@@ -202,17 +201,13 @@ class TestEngineDegradation:
                             num_workers=2, seed=5, fault_plan=plan,
                             **overrides)
 
-    @pytest.mark.parametrize("shard_parallel", [False, True],
-                             ids=["steps", "waves"])
-    def test_persistent_worker_death_degrades_to_serial(self, caplog,
-                                                        shard_parallel):
+    def test_persistent_worker_death_degrades_to_serial(self, caplog):
         """Bit-identical results despite the mid-run transport switch — and
         identical I/O accounting: the residency model is the only charger,
         so the steps the inline transport finishes are not read twice."""
         profiles = generate_dense_profiles(240, dim=6, num_communities=3,
                                            seed=31)
-        with KNNEngine(profiles, self._config(
-                shard_parallel=shard_parallel)) as clean:
+        with KNNEngine(profiles, self._config()) as clean:
             reference = clean.run(2)
         # kill the targeted worker on every attempt of the first execute
         # call: initial + max_retries(3) retries = 4 consecutive failures
@@ -220,8 +215,7 @@ class TestEngineDegradation:
         for call in range(1, 5):
             plan.kill_worker(call=call, shard=0)
         with caplog.at_level(logging.WARNING):
-            with KNNEngine(profiles, self._config(
-                    plan, shard_parallel=shard_parallel)) as engine:
+            with KNNEngine(profiles, self._config(plan)) as engine:
                 run = engine.run(2)
                 assert engine._iteration_runner.workers.transport == "inline"
         assert _io_rows(run) == _io_rows(reference)
@@ -240,6 +234,23 @@ class TestEngineDegradation:
             assert workers.transport == "process" and workers.respawns == 1
         assert _io_rows(run) == _io_rows(reference)
 
+    def test_a_hung_step_times_out_and_recovers_without_degrading(self):
+        """The watchdog ``shard_timeout_seconds`` arms catches a worker asleep
+        in its step: a respawn, no 60 s wait, the clean run's rows."""
+        profiles = generate_dense_profiles(NUM_USERS, dim=6,
+                                           num_communities=3, seed=31)
+        with KNNEngine(profiles, self._config()) as clean:
+            reference = clean.run(2)
+        plan = FaultPlan().hang_worker(call=1, shard=0, seconds=60.0)
+        started = time.monotonic()
+        with KNNEngine(profiles, self._config(
+                plan, shard_timeout_seconds=1.0)) as engine:
+            run = engine.run(2)
+            workers = engine._iteration_runner.workers
+            assert workers.transport == "process" and workers.respawns >= 1
+        assert time.monotonic() - started < 30.0
+        assert _io_rows(run) == _io_rows(reference)
+
     def test_shard_timeout_config_reaches_the_pool(self):
         profiles = generate_dense_profiles(NUM_USERS, dim=6,
                                            num_communities=3, seed=31)
@@ -250,16 +261,12 @@ class TestEngineDegradation:
             assert workers._executor is not None
             assert workers._shard_timeout == 12.5
 
-    @pytest.mark.parametrize("shard_parallel", [False, True],
-                             ids=["steps", "waves"])
     def test_no_shared_index_segments_leak_after_faulty_runs(self,
-                                                             shm_unchanged,
-                                                             shard_parallel):
+                                                             shm_unchanged):
         """A pool worker killed mid-step strands nothing under /dev/shm."""
         profiles = generate_dense_profiles(NUM_USERS, dim=6,
                                            num_communities=3, seed=31)
         plan = FaultPlan().kill_worker(call=1, shard=0)
-        with KNNEngine(profiles, self._config(
-                plan, shard_parallel=shard_parallel)) as engine:
+        with KNNEngine(profiles, self._config(plan)) as engine:
             engine.run(2)
         assert "worker" in plan.fired_kinds()
