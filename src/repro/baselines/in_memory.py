@@ -14,13 +14,35 @@ serves two purposes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Set
+from typing import Callable, List, Optional, Set
 
 import numpy as np
 
 from repro.graph.knn_graph import KNNGraph
-from repro.similarity.profiles import ProfileStoreBase
+from repro.similarity.measures import get_measure, is_set_measure
+from repro.similarity.profiles import ProfileStoreBase, SparseProfileStore
 from repro.utils.validation import check_positive_int
+
+
+def _scorer(profiles: ProfileStoreBase, measure: str
+            ) -> Callable[[int, np.ndarray], np.ndarray]:
+    """``score(user, others)``: the similarity of ``user`` to each of ``others``.
+
+    Set measures on item sets are scored pair by pair by the scalar
+    functions of :data:`~repro.similarity.measures.MEASURES` — code the
+    batch set kernel (``SetProfileCSR``) shares nothing with, so a kernel
+    bug cannot vouch for itself in this oracle.  Vector measures go through
+    the store's batch path.
+    """
+    if is_set_measure(measure) and isinstance(profiles, SparseProfileStore):
+        fn = get_measure(measure)
+        sets = [profiles.get(user) for user in range(profiles.num_users)]
+        return lambda user, others: np.fromiter(
+            (fn(sets[user], sets[other]) for other in others.tolist()),
+            dtype=np.float64, count=len(others))
+    return lambda user, others: profiles.similarity_pairs(
+        np.column_stack([np.full(len(others), user, dtype=np.int64), others]),
+        measure)
 
 
 @dataclass
@@ -49,6 +71,7 @@ class InMemoryKNNIterator:
         if graph.num_vertices != profiles.num_users:
             raise ValueError("graph and profile store disagree on the number of users")
         measure = self._measure or profiles.default_measure()
+        score = _scorer(profiles, measure)
         n = graph.num_vertices
         new_graph = KNNGraph(n, self._k)
         evaluations = 0
@@ -66,8 +89,7 @@ class InMemoryKNNIterator:
             if not candidates:
                 continue
             others = np.asarray(sorted(candidates), dtype=np.int64)
-            pairs = np.column_stack([np.full(len(others), user, dtype=np.int64), others])
-            scores = profiles.similarity_pairs(pairs, measure)
+            scores = score(user, others)
             evaluations += len(others)
             new_graph.set_neighbors(user, zip((int(v) for v in others),
                                               (float(s) for s in scores)))

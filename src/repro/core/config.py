@@ -49,8 +49,18 @@ class EngineConfig:
         only the slot limit applies); a load that would exceed it raises
         ``MemoryError``.  A resident partition is charged its edge lists
         (16 B an in- or out-edge), its vertex ids (8 B each) and the profile
-        rows of its users; ``G(t)``, ``H`` and the score slab are in-core
-        and outside the budget.
+        rows of its users (for item sets, 8 B a stored item); ``G(t)``,
+        ``H`` and the score slab are in-core and outside the budget.  A
+        sparse slice's resident bytes also include what the set kernel
+        derives from it — a membership bitmap of at most 32× its codes'
+        bytes (3.8× at 4,000 users, 15.7× at 40,000 in 8 partitions) and
+        fixed-width rows of at most 1× — and the budget holds that too:
+        each step splits the bytes the cache leaves free evenly between the
+        cached slices (and, on the process backend, between the workers),
+        a slice builds derived state only inside its share and drops it
+        when a later share is smaller (a forked worker, when it next
+        scores), and scoring falls back to the search, with the same
+        scores (see ``docs/performance.md``, "The set kernel").
     include_direct_edges:
         Whether the direct edges of ``G(t)`` are added to the hash table
         alongside the neighbours-of-neighbours tuples (the paper does).

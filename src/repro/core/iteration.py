@@ -401,11 +401,11 @@ class _StepResidency:
     def __init__(self, config: EngineConfig, partition_store: PartitionStore,
                  profile_store: OnDiskProfileStore, layout: PartitionLayout,
                  io_stats: IOStats, planned: ScheduleResult):
-        budget = (MemoryBudget(config.memory_budget_bytes)
-                  if config.memory_budget_bytes is not None else None)
+        self._budget = (MemoryBudget(config.memory_budget_bytes)
+                        if config.memory_budget_bytes is not None else None)
         self._cache = PartitionCache(partition_store,
                                      config.max_resident_partitions,
-                                     budget, io_stats)
+                                     self._budget, io_stats)
         self._profile_store = profile_store
         self._layout = layout
         self._planned = planned
@@ -431,6 +431,12 @@ class _StepResidency:
                     self._profile_store.charge_slice_read(
                         self._layout.vertices(pid))
                     self._charged.add(pid)
+
+    @property
+    def headroom_bytes(self) -> Optional[float]:
+        """What the budget leaves free beside the resident partitions — the
+        room the kernel's derived state may take (``None``: no budget)."""
+        return self._budget.available_bytes if self._budget is not None else None
 
     def schedule(self) -> ScheduleResult:
         """Unload what is still resident; the schedule as executed, read off
@@ -798,7 +804,8 @@ class OutOfCoreIteration:
                 batches=tuple((pids.index(edge.src), pids.index(edge.dst),
                                run.left_rows[lo:hi], run.right_rows[lo:hi])
                               for edge, lo, hi in batches),
-                measure=measure, generation=run.store_generation)))
+                measure=measure, generation=run.store_generation,
+                headroom_bytes=residency.headroom_bytes)))
 
     def _finish_phase4(self, run: _Phase4Run, graph: KNNGraph,
                        table: TupleHashTable) -> KNNGraph:

@@ -111,9 +111,12 @@ class ShardStepTask:
     owned partitions as ``(part_key, user_ids)`` descriptors (part keys
     scoped per iteration so caches never serve a stale partition), the
     step's PI edges as :data:`RowBatch` entries — partition-local rows into
-    those parts — the similarity measure and the store generation the worker
+    those parts — the similarity measure, the store generation the worker
     must have loaded (``None`` = the store never changes while the workers
-    live).  Workers never receive profile bytes — they open the store by
+    live) and the bytes the memory budget leaves free at this step
+    (``None`` = no budget), which the kernel's derived state of the cached
+    slices must fit (:meth:`_WorkerState.slices`).  Workers never receive
+    profile bytes — they open the store by
     path (today: the pool initializer; later: an RPC server's own replica) —
     so routing a task to a remote shard server is a pure placement decision.
     """
@@ -122,6 +125,7 @@ class ShardStepTask:
     batches: Tuple[RowBatch, ...]
     measure: str
     generation: Optional[int]
+    headroom_bytes: Optional[float] = None
 
 
 # -- the worker side -----------------------------------------------------------
@@ -156,7 +160,13 @@ class _WorkerState:
         self._generation: Optional[int] = None
 
     def slices(self, task: ShardStepTask) -> List[ProfileSlice]:
-        """The slice of each of the task's parts, generation-checked."""
+        """The slice of each of the task's parts, generation-checked.
+
+        The task's headroom is split evenly between the cache's slots, and
+        every slice held caps its derived state at one share, so what the
+        kernel derives from this worker's slices stays within the headroom
+        it was given.
+        """
         store = self._store
         if store is None:
             # an own read-only handle with the free device model: whoever
@@ -168,7 +178,12 @@ class _WorkerState:
             store.reload()
             self._parts.clear()
             self._generation = task.generation
-        return [self._cached_part_slice(store, part) for part in task.parts]
+        slices = [self._cached_part_slice(store, part) for part in task.parts]
+        share = (None if task.headroom_bytes is None
+                 else task.headroom_bytes / self._slots)
+        for piece in [*self._parts.values(), *slices]:
+            piece.cap_derived_bytes(share)
+        return slices
 
     def release(self) -> None:
         """Drop the store handle and every cached slice."""
@@ -445,9 +460,14 @@ class ScoringWorkers:
 
     def _dispatch_supervised(self, tasks: Sequence[ShardStepTask]
                              ) -> List[np.ndarray]:
-        """The process transport: submit, watch, respawn and retry."""
+        """The process transport: submit, watch, respawn and retry.
+
+        Every worker holds its own copy of the slices it scores, so each
+        gets an equal part of the budget's headroom."""
         tasks = [replace(task, parts=tuple((key, _compact_ids(ids))
-                                           for key, ids in task.parts))
+                                           for key, ids in task.parts),
+                         headroom_bytes=None if task.headroom_bytes is None
+                         else task.headroom_bytes / self._num_workers)
                  for task in tasks]
         for attempt in range(self._max_retries + 1):
             fault = (self._fault_plan.take_worker_fault()

@@ -15,14 +15,59 @@ the KNN top-K selection never needs to know which measure is in use.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterable, Sequence, Set, Tuple, Union
+from typing import (Callable, Dict, FrozenSet, Iterable, NamedTuple, Optional,
+                    Sequence, Set, Tuple, Union)
 
 import numpy as np
 
+from repro.utils.arrays import find_sorted as _find_sorted
 from repro.utils.arrays import ragged_ranges as _ragged_ranges
 
 SparseProfile = Union[Set[int], FrozenSet[int]]
 SimilarityFn = Callable
+
+#: A slice builds its membership bitmap only while the bitmap — the bit
+#: table plus the int32 code → column map — is at most this many times the
+#: bytes of the slice's own codes (8 B a stored item), and holds under
+#: 2**31 bits (it is addressed by int32 bit positions); otherwise the slice
+#: keeps the sorted search.  Item sets from ``generate_sparse_profiles``
+#: (Zipf 1.1, 60,000-item catalogue), bitmap / codes, ns a needle (search
+#: → bitmap with fixed-width rows) and build ns a stored item, on a 2-core
+#: Xeon: 4,000 users × 20 items, 8 partitions (500-row slices, 3,772
+#: distinct of 16,999 coded items) → 3.8×, 38 → 4.4 ns, build 18 ns;
+#: 40,000 × 20, 8 partitions (5,000 rows, 19,751 of 51,118) → 15.7×,
+#: 50 → 7.0 ns, 24.5 ns; over the bound, 40,000 × 5 in 10,000-row slices
+#: → 36× (14 MB), 68 → 12 ns, 125 ns, and 40,000 × 20 in 20,000-row
+#: slices → 32× (102 MB), 52 → 8 ns, 75 ns.  The bitmap wins on time at
+#: every size, so the bound is a memory rule: the bitmap grows with the
+#: slice's distinct items, and 32 is twice the larger fitted size.  With
+#: a memory budget the budget's headroom caps it as well
+#: (:meth:`SetProfileCSR.cap_derived_bytes`).
+_BITMAP_MAX_CODE_MULTIPLE = 32
+
+#: The right side of a batch is read as fixed-width rows only while the
+#: padded matrix holds at most this many cells per stored item (``rows ×
+#: widest row ≤ 2 × nnz``); a more ragged slice keeps the ragged gather.
+#: Padded reads cost per cell, ragged ones per needle.  Rows of lognormal
+#: length (median 20, cut at 160) from the same generator, cells / nnz →
+#: ns a needle padded / ragged, 4,000 users in 500-row slices: 1.0 →
+#: 3.6 / 10.0, 2.0 → 6.8 / 12.3, 4.2 → 14.3 / 12.3, 5.9 → 20.1 / 12.4;
+#: 40,000 users in 5,000-row slices: 1.0 → 7.1 / 13.1, 2.4 → 16.0 / 16.1,
+#: 5.4 → 29.8 / 15.9.  The crossing sits at about 3.4 and 2.4 cells a
+#: needle; 2 stays below both.
+_PAD_MAX_NNZ_MULTIPLE = 2
+
+#: Break-even: a batch builds its left slice's bitmap only when it holds at
+#: least this many needles (right-row items) per item the slice stores;
+#: once built, the bitmap serves every later batch against the slice.
+#: Building costs per stored item, not per cell: at the two sizes above
+#: it took 18 ns and 24.5 ns an item while a needle saved 31 ns and 43 ns,
+#: a break-even of 0.57 needles an item at both, where it moved from 330
+#: to 1,735 cells a needle.  1 leaves each build paid about twice over,
+#: so the small batches of converged iterations keep the search: building
+#: for every batch instead cost ``cold_sparse`` ``update_visible_p50_s``
+#: 0.0668 → 0.0756 s (6 of 6 pairs).
+_BITMAP_NEEDLES_PER_ITEM = 1
 
 
 # -- set (sparse-profile) measures ----------------------------------------
@@ -214,6 +259,30 @@ SET_MEASURE_KERNELS: Dict[str, Callable[[np.ndarray, np.ndarray, np.ndarray],
 }
 
 
+class _Bitmap(NamedTuple):
+    """Which items each row of a slice holds, as bits.
+
+    ``columns`` maps an item code (or the padding sentinel ``num_items``)
+    to a slice-local column; codes the slice never holds share the last
+    column, which is clear in every row.  Row ``r``, column ``c`` is bit
+    ``r * row_bits + c`` of ``table``, least significant bit first.
+    """
+
+    columns: np.ndarray      # int32, num_items + 1
+    table: np.ndarray        # uint8, rows * row_bits / 8
+    row_bits: int            # columns rounded up to whole bytes
+
+    @property
+    def nbytes(self) -> int:
+        return self.columns.nbytes + self.table.nbytes
+
+
+def _bits_set(table: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """Whether each of the flat bit positions ``bits`` is set, as uint8 0 / 1
+    (``np.take`` gathers at about twice the speed of fancy indexing)."""
+    return (np.take(table, bits >> 3) >> (bits & 7).astype(np.uint8)) & np.uint8(1)
+
+
 class SetProfileCSR:
     """CSR user×item incidence matrix over a collection of item-set profiles.
 
@@ -234,11 +303,17 @@ class SetProfileCSR:
         self._item_ids = (np.asarray(item_ids, dtype=np.int64)
                           if item_ids is not None else None)
         # promise that each row's codes are strictly ascending, which lets
-        # pair_counts intersect with a binary search instead of np.isin's
-        # internal sort (a stale promise would silently corrupt counts, so
-        # it is only made by builders that sort, never inferred)
+        # the over-bound fallback of pair_counts intersect with a binary
+        # search instead of np.isin's internal sort (a stale promise would
+        # silently corrupt counts, so it is only made by builders that sort,
+        # never inferred)
         self._rows_sorted = bool(rows_sorted)
+        # derived state with the CSR's lifetime, each built on first need
         self._tagged_keys: "np.ndarray | None" = None
+        self._bitmap: "_Bitmap | bool | None" = None      # False: over the bound
+        self._padded: "np.ndarray | bool | None" = None   # False: too ragged
+        self._distinct: "int | None" = None               # items held, once counted
+        self._derived_cap: "float | None" = None          # see cap_derived_bytes
 
     @classmethod
     def from_sets(cls, profiles: Sequence[Iterable[int]]) -> "SetProfileCSR":
@@ -310,7 +385,8 @@ class SetProfileCSR:
         return self._codes[source], pair_idx
 
     def _row_tagged_keys(self) -> np.ndarray:
-        """Every stored item as a sorted ``row * num_items + code`` key.
+        """Every stored item as a sorted ``row * num_items + code`` key: the
+        haystack of the over-bound fallback, for a slice with no bitmap.
 
         Built once per CSR (lazily) and shared by all pair batches scored
         against it.  With sorted rows the keys ascend globally, so per-pair
@@ -324,6 +400,147 @@ class SetProfileCSR:
             self._tagged_keys = rows * self._num_items + self._codes
         return self._tagged_keys
 
+    def cap_derived_bytes(self, cap: "float | None") -> None:
+        """Hold at most ``cap`` bytes of membership bitmap plus fixed-width
+        rows from now on (``None``: only the module's bounds apply).
+
+        Phase 4 sets the cap from the memory budget's headroom before every
+        step.  What no longer fits is dropped, and built again once a later
+        cap has room for it; every path counts the same intersections, so a
+        cap only picks the path.  The search fallback's sorted keys (8 B a
+        stored item, the size of the codes) are not capped.
+        """
+        self._derived_cap = cap
+        if cap is not None and self.derived_nbytes > cap:
+            if self._bitmap is not False:
+                self._bitmap = None
+            if self._padded is not False:
+                self._padded = None
+
+    @property
+    def derived_nbytes(self) -> int:
+        """Bytes this CSR's bitmap and fixed-width rows hold now."""
+        held = self._bitmap.nbytes if isinstance(self._bitmap, _Bitmap) else 0
+        if isinstance(self._padded, np.ndarray):
+            held += self._padded.nbytes
+        return held
+
+    def _fits(self, nbytes: int) -> bool:
+        """Whether ``nbytes`` more derived state stay within the cap."""
+        return (self._derived_cap is None
+                or self.derived_nbytes + nbytes <= self._derived_cap)
+
+    def _membership(self, needles: int) -> Optional[_Bitmap]:
+        """The slice's bitmap: built by the first batch whose ``needles``
+        pay for it (:data:`_BITMAP_NEEDLES_PER_ITEM`) while the cap holds
+        it; ``None`` before that and, once found over the bound
+        (:data:`_BITMAP_MAX_CODE_MULTIPLE`), for good."""
+        if (self._bitmap is None
+                and needles >= _BITMAP_NEEDLES_PER_ITEM * len(self._codes)):
+            if self._distinct is None:
+                present = np.zeros(self._num_items, dtype=bool)
+                present[self._codes] = True
+                self._distinct = int(np.count_nonzero(present))
+            # a bit a distinct item plus the "absent" column, whole bytes a row
+            row_bits = 8 * (self._distinct // 8 + 1)
+            table_bytes = self.num_rows * row_bits // 8
+            nbytes = table_bytes + 4 * (self._num_items + 1)
+            if (nbytes > _BITMAP_MAX_CODE_MULTIPLE * 8 * len(self._codes)
+                    or 8 * table_bytes > 2 ** 31):
+                self._bitmap = False
+            elif self._fits(nbytes):
+                self._bitmap = self._build_bitmap(row_bits)
+        return self._bitmap if self._bitmap is not False else None
+
+    def _build_bitmap(self, row_bits: int) -> _Bitmap:
+        """This slice's bitmap, ``row_bits`` bits a row."""
+        present = np.zeros(self._num_items, dtype=bool)
+        present[self._codes] = True
+        distinct = np.flatnonzero(present)
+        columns = np.full(self._num_items + 1, len(distinct), dtype=np.int32)
+        columns[distinct] = np.arange(len(distinct), dtype=np.int32)
+        bits = (np.repeat(np.arange(self.num_rows, dtype=np.int64) * row_bits,
+                          np.diff(self._indptr))
+                + columns[self._codes])
+        table = np.zeros(self.num_rows * row_bits // 8, dtype=np.uint8)
+        np.bitwise_or.at(table, bits >> 3, np.left_shift(
+            np.uint8(1), (bits & 7).astype(np.uint8)))
+        return _Bitmap(columns, table, row_bits)
+
+    def _padded_rows(self) -> Optional[np.ndarray]:
+        """Every row as a fixed-width int32 row of codes, padded with the
+        sentinel ``num_items``; ``None`` for a slice too ragged for it
+        (:data:`_PAD_MAX_NNZ_MULTIPLE`) or while the cap has no room."""
+        if self._padded is None:
+            sizes = np.diff(self._indptr)
+            width = int(sizes.max()) if len(sizes) else 0
+            if self.num_rows * width > _PAD_MAX_NNZ_MULTIPLE * len(self._codes):
+                self._padded = False
+            elif self._fits(4 * self.num_rows * width):
+                padded = np.full((self.num_rows, width), self._num_items,
+                                 dtype=np.int32)
+                padded[np.arange(width) < sizes[:, None]] = self._codes
+                self._padded = padded
+        return self._padded if isinstance(self._padded, np.ndarray) else None
+
+    def _bitmap_counts(self, bitmap: _Bitmap, left_rows: np.ndarray,
+                       right: "SetProfileCSR", right_rows: np.ndarray,
+                       size_b: np.ndarray) -> np.ndarray:
+        """``|a ∩ b|`` per pair, each right-row item looked up in the left
+        slice's ``bitmap``: two gathers a needle and no search.
+
+        Two forks each earn their branch on ``cold_sparse`` ``build_s``
+        (10 alternating pairs a fork, 2 cores, medians and the IQR of the
+        runs with the fork): always mapping the batch's rows costs +5.6 %
+        (0.494 → 0.522 s, IQR 0.003), always summing in int64 +2.6 %
+        (0.496 → 0.509 s, IQR 0.007).
+        """
+        row_starts = (left_rows * bitmap.row_bits).astype(np.int32)
+        padded = right._padded_rows()
+        if padded is None:
+            items_b, pairs_b = right._gather(right_rows, size_b)
+            hits = _bits_set(bitmap.table, np.repeat(row_starts, size_b)
+                             + np.take(bitmap.columns, items_b))
+            return np.bincount(pairs_b, weights=hits, minlength=len(left_rows))
+        # map whichever is smaller through the column map: the right
+        # slice's rows, or the rows this batch reads of it
+        if len(right_rows) < right.num_rows:
+            columns = np.take(bitmap.columns, np.take(padded, right_rows, axis=0))
+        else:
+            columns = np.take(np.take(bitmap.columns, padded), right_rows, axis=0)
+        hits = _bits_set(bitmap.table, row_starts[:, None] + columns)
+        # einsum sums short rows ~3x faster than .sum(axis=1); a uint8
+        # accumulator is exact while no row can hold 256 items
+        return np.einsum("ij->i", hits,
+                         dtype=np.uint8 if padded.shape[1] < 256 else np.int64)
+
+    def _search_counts(self, left_rows: np.ndarray, right: "SetProfileCSR",
+                       right_rows: np.ndarray, size_b: np.ndarray) -> np.ndarray:
+        """``|a ∩ b|`` per pair by binary search, for sorted rows.
+
+        Each right-row item is tagged with the pair's LEFT row and searched
+        in the left CSR's ``(row, code)`` keys: only one side is ever
+        expanded to pair granularity, and the haystack is the slice itself
+        instead of the expanded batch.
+        """
+        items_b, pairs_b = right._gather(right_rows, size_b)
+        _, matched = _find_sorted(
+            self._row_tagged_keys(),
+            np.repeat(left_rows, size_b) * self._num_items + items_b)
+        return np.bincount(pairs_b[matched], minlength=len(left_rows))
+
+    def _isin_counts(self, left_rows: np.ndarray, size_a: np.ndarray,
+                     right: "SetProfileCSR", right_rows: np.ndarray,
+                     size_b: np.ndarray) -> np.ndarray:
+        """``|a ∩ b|`` per pair by ``np.isin``, for rows with no sort promise:
+        every item is tagged with its pair index on both sides, and equal
+        keys are exactly the per-pair intersections."""
+        items_a, pairs_a = self._gather(left_rows, size_a)
+        items_b, pairs_b = right._gather(right_rows, size_b)
+        matched = np.isin(pairs_a * self._num_items + items_a,
+                          pairs_b * self._num_items + items_b, assume_unique=True)
+        return np.bincount(pairs_a[matched], minlength=len(left_rows))
+
     def pair_counts(self, left_rows: np.ndarray, right_rows: np.ndarray,
                     right: "SetProfileCSR | None" = None
                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -333,6 +550,13 @@ class SetProfileCSR:
         another CSR under the same item coding, e.g. the other resident
         partition's — or this one when ``right`` is ``None``.  No combined
         CSR is built: each side is gathered where it lies.
+
+        Each right-row item (a *needle*) is tested against the left row it
+        is paired with: by two gathers into this slice's membership bitmap
+        when it has one (:meth:`_membership`), else — the over-bound
+        fallback — by a binary search in the slice's sorted ``(row, code)``
+        keys, or by ``np.isin`` for rows with no sort promise.  Counts are
+        integers, so every path returns the same floats.
         """
         right = self if right is None else right
         if right._num_items != self._num_items:
@@ -341,35 +565,18 @@ class SetProfileCSR:
         right_rows = np.asarray(right_rows, dtype=np.int64)
         size_a = self.row_sizes(left_rows)
         size_b = right.row_sizes(right_rows)
-        common = np.zeros(len(left_rows), dtype=np.float64)
-        if self._num_items and self._rows_sorted:
-            # tag each right-row item with the pair's LEFT row and test it
-            # against the left CSR's (row, code) key array: only one side is
-            # ever expanded to pair granularity, and the binary-search
-            # haystack is the slice itself (small, hot in cache) instead of
-            # the expanded batch
-            items_b, pairs_b = right._gather(right_rows, size_b)
-            if len(items_b):
-                haystack = self._row_tagged_keys()
-                needles = (np.repeat(left_rows, size_b) * self._num_items
-                           + items_b)
-                positions = np.searchsorted(haystack, needles)
-                positions[positions == len(haystack)] = len(haystack) - 1
-                matched = haystack[positions] == needles
-                counts = np.bincount(pairs_b[matched], minlength=len(left_rows))
-                common = counts.astype(np.float64)
-        elif self._num_items:
-            items_a, pairs_a = self._gather(left_rows, size_a)
-            items_b, pairs_b = right._gather(right_rows, size_b)
-            if len(items_a) and len(items_b):
-                # tag every item with its pair index; identical keys on both
-                # sides are exactly the per-pair intersections
-                keys_a = pairs_a * self._num_items + items_a
-                keys_b = pairs_b * self._num_items + items_b
-                matched = np.isin(keys_a, keys_b, assume_unique=True)
-                counts = np.bincount(pairs_a[matched], minlength=len(left_rows))
-                common = counts.astype(np.float64)
-        return common, size_a.astype(np.float64), size_b.astype(np.float64)
+        needles = int(size_b.sum())
+        bitmap = self._membership(needles) if needles else None
+        if bitmap is not None:
+            common = self._bitmap_counts(bitmap, left_rows, right, right_rows, size_b)
+        elif not needles:
+            common = np.zeros(len(left_rows))
+        elif self._rows_sorted:
+            common = self._search_counts(left_rows, right, right_rows, size_b)
+        else:
+            common = self._isin_counts(left_rows, size_a, right, right_rows, size_b)
+        return (common.astype(np.float64), size_a.astype(np.float64),
+                size_b.astype(np.float64))
 
     def measure_pairs(self, measure: str, left_rows: np.ndarray,
                       right_rows: np.ndarray,

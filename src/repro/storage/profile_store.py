@@ -336,6 +336,13 @@ class ProfileSlice:
             raise ValueError(f"cannot {verb} sparse slices under different item "
                              "codings; load both from one store")
 
+    def cap_derived_bytes(self, cap: Optional[float]) -> None:
+        """Cap what the set kernel derives from a sparse slice (see
+        :meth:`~repro.similarity.measures.SetProfileCSR.cap_derived_bytes`);
+        a dense slice derives nothing."""
+        if self._csr is not None:
+            self._csr.cap_derived_bytes(cap)
+
     def _check_measure(self, measure: str) -> None:
         _measures.get_measure(measure)
         if (measure in _measures.SET_MEASURES) != (self.kind == "sparse"):

@@ -8,6 +8,7 @@ from repro.core.config import EngineConfig
 from repro.core.iteration import PHASE_NAMES, OutOfCoreIteration
 from repro.core.update_queue import ProfileUpdateQueue
 from repro.graph.knn_graph import KNNGraph
+from repro.similarity.measures import SetProfileCSR
 from repro.similarity.workloads import ProfileChange, generate_dense_profiles, generate_sparse_profiles
 from repro.storage.profile_store import OnDiskProfileStore
 
@@ -39,6 +40,34 @@ class TestEquivalenceWithInMemory:
             if set(out_of_core.neighbors(v)) != set(oracle.neighbors(v))
         )
         assert mismatches == 0
+
+    @pytest.mark.parametrize("partitioner", ["contiguous", "hash"])
+    def test_sparse_jaccard_matches_in_memory_oracle(self, tmp_path, monkeypatch,
+                                                     partitioner):
+        """Phase 4's set kernel, on its membership-bitmap path, against an
+        oracle that scores every pair with the scalar set functions."""
+        built = []
+        build = SetProfileCSR._build_bitmap
+
+        def recording(csr, row_bits):
+            bitmap = build(csr, row_bits)
+            built.append(bitmap)
+            return bitmap
+
+        monkeypatch.setattr(SetProfileCSR, "_build_bitmap", recording)
+        sparse = generate_sparse_profiles(240, 600, items_per_user=12,
+                                          num_communities=4, seed=31)
+        k = 6
+        initial = KNNGraph.random(sparse.num_users, k, seed=4)
+        runner, _ = make_runner(tmp_path, sparse, k=k, num_partitions=4,
+                                partitioner=partitioner, measure="jaccard",
+                                heuristic="degree-low-high", seed=4)
+        out_of_core = runner.run(0, initial).graph
+        assert built, "no slice built its membership bitmap: the search path was scored"
+        oracle = InMemoryKNNIterator(k=k, measure="jaccard").iterate(
+            initial, sparse).graph
+        for v in range(sparse.num_users):
+            assert out_of_core.neighbor_scores(v) == oracle.neighbor_scores(v)
 
     def test_partition_count_does_not_change_result(self, tmp_path, profiles):
         k = 5
