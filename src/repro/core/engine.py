@@ -50,12 +50,6 @@ from repro.utils.validation import check_positive_int
 
 _logger = get_logger("core.engine")
 
-
-# the checkpoint serialisation of a ProfileChange lives with the WAL codec
-# (same wire format); re-exported here for backwards compatibility
-_change_to_manifest = change_to_manifest
-_change_from_manifest = change_from_manifest
-
 #: ``EngineConfig`` fields older manifests may carry that no longer exist.
 _RETIRED_KNOBS = ("adaptive_score_cache", "incremental_phase4",
                   "dirty_scheduling", "profile_segment_rows",
@@ -190,10 +184,10 @@ class KNNEngine:
         if initial_graph is not None:
             if initial_graph.num_vertices != profiles.num_users:
                 raise ValueError("initial_graph vertex count does not match the profiles")
-            self._graph = initial_graph.copy()
+            self._graph = initial_graph.copy().freeze()
         else:
             self._graph = KNNGraph.random(
-                profiles.num_users, self._config.k, seed=self._config.seed)
+                profiles.num_users, self._config.k, seed=self._config.seed).freeze()
         self._iterations_run = 0
 
     def _segment_bounds(self, num_users: int) -> Optional[list]:
@@ -242,7 +236,9 @@ class KNNEngine:
 
     @property
     def graph(self) -> KNNGraph:
-        """The current KNN graph ``G(t)``."""
+        """The current KNN graph ``G(t)``, read-only (a write raises
+        ``ValueError``): the next iteration copies rows of it forward as
+        phase 4 produced them.  Edit a ``copy()``."""
         return self._graph
 
     @property
@@ -293,7 +289,7 @@ class KNNEngine:
                 f"metadata keys {sorted(reserved)} are reserved for the "
                 "engine's own checkpoint state")
         combined["engine_config"] = self._config_manifest()
-        combined["pending_updates"] = [_change_to_manifest(change)
+        combined["pending_updates"] = [change_to_manifest(change)
                                        for change in self._update_queue.peek()]
         return save_portable_checkpoint(
             directory, self._graph, self._iterations_run,
@@ -383,7 +379,7 @@ class KNNEngine:
             # taken resume their place in the queue, so the next iteration's
             # phase 5 applies exactly what an uninterrupted run would have
             engine.enqueue_profile_changes(
-                _change_from_manifest(item) for item in pending)
+                change_from_manifest(item) for item in pending)
         return engine
 
     @property

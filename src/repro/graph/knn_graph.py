@@ -16,7 +16,8 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.graph.digraph import CSRDiGraph, DiGraph
-from repro.utils.arrays import counting_argsort as _counting_argsort, ragged_run_offsets
+from repro.utils.arrays import (counting_argsort as _counting_argsort,
+                                ragged_run_offsets, sorted_runs)
 from repro.utils.rng import SeedLike, make_rng
 from repro.utils.validation import check_non_negative, check_positive_int
 
@@ -112,6 +113,15 @@ class KNNGraph:
         clone._neighbors = self._neighbors.copy()
         clone._scores = self._scores.copy()
         clone._counts = self._counts.copy()
+        return clone
+
+    def cleared(self, rows: np.ndarray) -> "KNNGraph":
+        """A writable copy with the neighbour lists of ``rows`` emptied —
+        what a merge that re-ranks only those rows starts from."""
+        clone = self.copy()
+        clone._neighbors[rows] = -1
+        clone._scores[rows] = -np.inf
+        clone._counts[rows] = 0
         return clone
 
     def freeze(self) -> "KNNGraph":
@@ -318,8 +328,9 @@ class KNNGraph:
 
         Candidates that arrive strictly increasing in ``(source,
         destination)`` for sources whose rows are all empty — phase 4 hands
-        over the dedup table's own order, into a new graph — take a shorter
-        route to the same rows, whatever ``num_shards`` says: see
+        over the dedup table's own order, into a new graph or into the rows
+        a :meth:`cleared` copy emptied — take a shorter route to the same
+        rows, whatever ``num_shards`` says: see
         :meth:`_merge_sorted`, which is also the only reader of ``hint``.
         """
         check_positive_int(num_shards, "num_shards")
@@ -362,15 +373,14 @@ class KNNGraph:
         keep = src != dst
         if (hint is not None and hint._k >= self._k
                 and hint.num_vertices == self.num_vertices):
-            lo, hi = int(src[0]), int(src[-1]) + 1
-            wanted = (np.arange(lo, hi, dtype=np.int64)[:, None]
-                      * self.num_vertices + hint._neighbors[lo:hi])
+            rows, _, lengths = sorted_runs(src)
+            wanted = rows[:, None] * self.num_vertices + hint._neighbors[rows]
             at = np.minimum(np.searchsorted(keys, wanted.ravel()),
                             len(keys) - 1).reshape(wanted.shape)
             present = ((keys[at] == wanted).all(axis=1)
-                       & (hint._counts[lo:hi] == hint._k))
+                       & (hint._counts[rows] == hint._k))
             floors = np.where(present, sc[at].min(axis=1), -np.inf)
-            keep &= ~(sc < floors[src - lo])
+            keep &= ~(sc < np.repeat(floors, lengths))
         if not keep.all():
             src, dst, sc = src[keep], dst[keep], sc[keep]
         if len(src) == 0:
