@@ -44,9 +44,8 @@ def test_scoring_throughput_by_thread_count(benchmark, scoring_workload, num_thr
     task = ShardStepTask(parts=(("all", range(NUM_USERS)),),
                          batches=((0, 0, pairs[:, 0], pairs[:, 1]),),
                          measure="cosine", generation=None)
-    with ScoringWorkers(store, backend="thread",
-                        num_workers=num_threads) as workers:
-        (scores,) = benchmark(workers.execute, [task])
+    with ScoringWorkers(store, num_workers=num_threads) as workers:
+        scores = benchmark(workers.execute, task)
 
     benchmark.extra_info["num_threads"] = num_threads
     benchmark.extra_info["pairs_scored"] = NUM_PAIRS
@@ -58,8 +57,8 @@ def test_threaded_engine_iteration_matches_sequential(benchmark, pedantic_kwargs
     profiles = generate_dense_profiles(800, dim=16, num_communities=6, seed=31)
 
     def run(num_workers):
-        config = EngineConfig(k=8, num_partitions=6, backend="thread",
-                              num_workers=num_workers, seed=31)
+        config = EngineConfig(k=8, num_partitions=6, num_workers=num_workers,
+                              seed=31)
         with KNNEngine(profiles, config) as engine:
             return engine.run_iteration().graph
 

@@ -21,23 +21,20 @@ bench records any failed read, an unproven snapshot-isolation verdict, or
 a burst phase that shed nothing, or when
 the dirty-scheduling bench reports a dirty-vs-full fingerprint or
 profile-byte divergence — or a steady-state skip rate below 60% — or when
-the backend-parity (``sharded``) bench reports a backend's fingerprint
-or profile bytes diverging from the serial run's, or (on machines with
-≥4 cores) a process-over-thread phase-4 speedup
-below 2x; smaller machines skip the speedup clause with an explicit
-message because a 1-core process pool measures overhead, not
-parallelism.  It prints a behaviour warning when the graph fingerprint
+the transport-parity (``sharded``) bench reports the thread pool's
+fingerprint or profile bytes diverging from the serial run's.  It prints
+a behaviour warning when the graph fingerprint
 changed between baseline and fresh (a fingerprint change is legitimate when
 an algorithmic PR intends it — the diff to the committed baseline makes it
 explicit — so it warns rather than fails).  Baselines predating the update
 workload simply skip that gate.
 
 Backend-sweep rows are compared per ``(num_users, backend, workers)`` when
-both reports carry the sweep; **multi-worker rows (process and thread
-pools) are skipped when the two reports' ``cpu_count`` differ** — a 1-core
-container can only measure a parallel backend's overhead, so comparing it
-against a multi-core baseline (or vice versa) would mask or fake the ≥2x
-multicore target.
+both reports carry the sweep; a row only one report has (an older
+baseline's ``process`` rows) is not compared.  **Multi-worker rows are
+skipped when the two reports' ``cpu_count`` differ** — a 1-core container
+can only measure a thread pool's overhead, so comparing it against a
+multi-core baseline (or vice versa) would mask or fake a speedup.
 """
 
 from __future__ import annotations
@@ -271,7 +268,7 @@ def compare_serving(fresh: dict) -> "tuple[bool, str]":
         f"{section.get('burst_shed_changes', 0)} changes shed under burst")
 
 
-#: Floor on the dirty-scheduling bench's worst-backend skip rate.
+#: Floor on the dirty-scheduling bench's worst-transport skip rate.
 MIN_SKIP_RATE = 0.6
 
 
@@ -279,9 +276,9 @@ def compare_dirty_scheduling(fresh: dict) -> "tuple[bool, str]":
     """Gate the dirty-partition scheduling path (fresh report only).
 
     Fails when a dirty-scheduled run's final graph fingerprint or final
-    profile bytes diverge from the full-schedule reference on any backend
-    (skipping a residency step must never change a result bit), when the
-    steady-state skip rate drops below ``MIN_SKIP_RATE`` on any backend,
+    profile bytes diverge from the full-schedule reference on either
+    transport (skipping a residency step must never change a result bit),
+    when the steady-state skip rate drops below ``MIN_SKIP_RATE`` on either,
     or when the section disappears from the fresh report — the bench
     breaking must not read as a silent pass.
     """
@@ -304,32 +301,20 @@ def compare_dirty_scheduling(fresh: dict) -> "tuple[bool, str]":
                        f"{MIN_SKIP_RATE:.0%} — the steady-state drift "
                        "workload no longer skips clean residency steps")
     return True, (
-        f"dirty scheduling ok: worst-backend skip rate {skip_rate:.0%}, "
+        f"dirty scheduling ok: worst-transport skip rate {skip_rate:.0%}, "
         f"drift-window phase 4 {section.get('phase4_seconds_dirty', 0.0):.4f}s "
         f"vs full {section.get('phase4_seconds_full', 0.0):.4f}s, "
-        "fingerprints and profile bytes match on every backend")
-
-
-#: Minimum process-over-thread phase-4 speedup required from the sharded
-#: bench when the fresh run had real cores to parallelise across.  Below
-#: four cores a process pool mostly measures fork/pickle overhead, so the
-#: speedup clause skips honestly (reported, not silently dropped) — the
-#: parity clauses still gate unconditionally.
-SHARDED_MIN_SPEEDUP = 2.0
-SHARDED_SPEEDUP_MIN_CPUS = 4
+        "fingerprints and profile bytes match on both transports")
 
 
 def compare_sharded(fresh: dict) -> "tuple[bool, str]":
-    """Gate backend parity of the step-at-a-time path (fresh report only).
+    """Gate transport parity of the step-at-a-time path (fresh report only).
 
-    Fails when any backend's final graph fingerprint or final profile
+    Fails when the thread pool's final graph fingerprint or final profile
     bytes diverge from the serial run's (the worker seam must be
     bit-transparent), or when the section disappears from the fresh
     report — the bench breaking must not read as a silent pass.  The
-    process-over-thread speedup is gated at ``SHARDED_MIN_SPEEDUP`` only
-    when the fresh run saw at least ``SHARDED_SPEEDUP_MIN_CPUS`` cores; on
-    smaller machines the clause skips with an explicit message rather than
-    faking a multicore verdict.  The optional ``sharded_million`` tier
+    optional ``sharded_million`` tier
     (``--million`` runs) is checked when present: a budget breach raises
     inside the bench, so a recorded tier ran within its partition-cache
     budget, and it must have recorded its load/unload operations.
@@ -337,13 +322,13 @@ def compare_sharded(fresh: dict) -> "tuple[bool, str]":
     section = fresh.get("sharded")
     if section is None:
         return False, ("sharded section missing from the FRESH report — "
-                       "run_perf_suite no longer measures backend parity")
+                       "run_perf_suite no longer measures transport parity")
     if not section.get("fingerprints_match", False):
-        return False, ("backend fingerprints DIVERGE from the serial run — "
-                       "a transport changed a result bit")
+        return False, ("thread-pool fingerprints DIVERGE from the serial run "
+                       "— a transport changed a result bit")
     if not section.get("profiles_match", False):
-        return False, ("backend final profile bytes DIVERGE from the serial "
-                       "run — phase 5 applied different updates")
+        return False, ("thread-pool final profile bytes DIVERGE from the "
+                       "serial run — phase 5 applied different updates")
     million = fresh.get("sharded_million")
     million_note = ""
     if million is not None:
@@ -356,32 +341,17 @@ def compare_sharded(fresh: dict) -> "tuple[bool, str]":
             f"; 1M-user tier ok ({operations} load/unload operations under "
             f"a {million.get('memory_budget_bytes')}-byte partition-cache "
             f"budget, phase 4 {million.get('phase4_seconds', 0.0):.1f}s)")
-    cpus = fresh.get("cpu_count") or section.get("cpu_count") or 0
-    speedup = section.get("process_speedup_over_thread")
-    if cpus >= SHARDED_SPEEDUP_MIN_CPUS:
-        if speedup is None or speedup < SHARDED_MIN_SPEEDUP:
-            return False, (
-                f"sharded process-over-thread speedup {speedup} fell below "
-                f"{SHARDED_MIN_SPEEDUP}x on a {cpus}-core machine — the "
-                "process backend no longer beats the GIL")
-        speedup_note = f"process {speedup:.2f}x over thread on {cpus} cores"
-    else:
-        speedup_note = (
-            f"speedup clause skipped honestly (cpu_count={cpus} < "
-            f"{SHARDED_SPEEDUP_MIN_CPUS}; measured {speedup}x is overhead, "
-            "not parallelism)")
     return True, (
         "sharded ok: fingerprints and profile bytes bit-identical on "
-        "serial/thread/process, " + speedup_note + million_note)
+        "serial/thread" + million_note)
 
 
 def compare_backend_sweep(baseline: dict, fresh: dict,
                           tolerance: float) -> "tuple[bool, list]":
     """Per-row backend-sweep gate, cpu-count-aware for parallel rows.
 
-    Serial rows regress like any other timing.  Multi-worker rows — the
-    process pool *and* GIL-releasing thread pools alike — only mean
-    something when both runs saw the same core count: on mismatch the row
+    Serial rows regress like any other timing.  Multi-worker rows only
+    mean something when both runs saw the same core count: on mismatch the row
     is skipped (reported, not silently dropped), because a 1-core run's
     parallel timings measure overhead, not speedup.  Reports without a
     sweep (``--quick`` runs) skip entirely.
@@ -402,8 +372,7 @@ def compare_backend_sweep(baseline: dict, fresh: dict,
         if base_row is None:
             continue
         label = f"{key[1]} x{key[2]} @ {key[0]} users"
-        parallel_row = row["backend"] != "serial" and row["workers"] > 1
-        if parallel_row and base_cpu != fresh_cpu:
+        if row["workers"] > 1 and base_cpu != fresh_cpu:
             messages.append(
                 f"backend-sweep {label}: skipped (baseline cpu_count="
                 f"{base_cpu}, fresh cpu_count={fresh_cpu})")

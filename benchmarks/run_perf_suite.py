@@ -2,8 +2,8 @@
 """Fixed-seed performance suite: phase timings and scoring throughput.
 
 Runs the Figure-1 pipeline at a fixed workload size, a thread sweep of the
-phase-4 scoring kernel, and a backend sweep (thread pool vs. process pool
-over mmap-served profile slices) at 2k and 10k users, and writes the
+phase-4 scoring kernel, and a backend sweep (the calling thread vs. a
+thread pool) at 2k and 10k users, and writes the
 results to ``BENCH_perf.json`` so that successive PRs accumulate a
 comparable performance trajectory.
 
@@ -52,12 +52,11 @@ The quantities recorded:
   verdicts: zero failed reads, snapshot isolation proven (reads landed
   mid-refresh with p99 far below the fastest refresh cycle), and burst
   load actually shed;
-* ``sharded`` — the backend-parity matrix: the 10k-user churned workload
-  scored step at a time through the worker seam on serial, thread and
-  process, recording phase-4 wall-clock, load/unload operations, the
-  process-over-thread speedup, and the CI-gated parity verdicts (graph
-  fingerprints and final profile bytes must be identical to the serial
-  run's);
+* ``sharded`` — the transport-parity matrix: the 10k-user churned
+  workload scored step at a time through the worker seam on the calling
+  thread and on a thread pool, recording phase-4 wall-clock, load/unload
+  operations and the CI-gated parity verdicts (graph fingerprints and
+  final profile bytes must be identical to the serial run's);
 * ``sharded_million`` (``--million`` only) — one step-at-a-time iteration
   over 1M users in 64 partitions with ``memory_budget_bytes`` capping the
   partition cache at an eighth of the profile store: a breach raises
@@ -65,10 +64,11 @@ The quantities recorded:
   load/unload operations are recorded;
 * ``thread_sweep`` — evaluations/second of one engine iteration at 1, 2 and
   4 scoring threads;
-* ``backend_sweep`` — phase-4 seconds of one engine iteration per backend
-  (serial / thread / process at several worker counts) at 2k and 10k dense
-  users, each row carrying the final graph fingerprint so cross-backend
-  bit-parity is visible in the trajectory;
+* ``backend_sweep`` — phase-4 seconds of one engine iteration per worker
+  count at 2k and 10k dense users, each row keyed ``(num_users, backend,
+  workers)`` with ``backend`` read off the transport (``serial`` for the
+  calling thread) and carrying the final graph fingerprint, so
+  cross-transport bit-parity is visible in the trajectory;
 * ``graph_fingerprint`` — a hash of the final graph's edge set, so a perf
   regression hunt can immediately see whether behaviour changed too.
 """
@@ -110,13 +110,8 @@ UPDATE_PARTITIONS = 8
 UPDATE_CHURN = 500          # users whose profile changes per iteration
 UPDATE_ITEMS = 30000        # sparse catalogue size
 
-#: (backend, num_workers) datapoints of the backend sweep.
-BACKEND_POINTS = (
-    ("serial", 1),
-    ("thread", 4),
-    ("process", 2),
-    ("process", 4),
-)
+#: Worker counts of the backend sweep.
+SWEEP_WORKERS = (1, 4)
 
 
 def run_pipeline_bench() -> dict:
@@ -149,14 +144,23 @@ def run_pipeline_bench() -> dict:
     }
 
 
+def _backend(engine: KNNEngine) -> str:
+    """The report's name for the engine's transport: ``serial`` for the
+    calling thread (the name older reports used), else the transport."""
+    transport = engine._iteration_runner.workers.transport
+    return "serial" if transport == "inline" else transport
+
+
 def _one_iteration(profiles, **overrides) -> dict:
     config = EngineConfig(k=K, num_partitions=NUM_PARTITIONS,
                           heuristic="degree-low-high", seed=SEED, **overrides)
     with KNNEngine(profiles, config) as engine:
         result = engine.run_iteration()
         graph = engine.graph
+        backend = _backend(engine)
     phase4 = result.phase_timer.as_dict()[PHASE_NAMES[3]]
     return {
+        "backend": backend,
         "phase4_seconds": round(phase4, 4),
         "similarity_evaluations": result.similarity_evaluations,
         "evaluations_per_second": (round(result.similarity_evaluations / phase4)
@@ -292,18 +296,17 @@ def run_update_workload_bench() -> dict:
 DIRTY_DRIFT_ITERATIONS = 4
 DIRTY_DRIFT_SCALE = 0.02
 DIRTY_WARMUP_CAP = 20
-#: (backend, workers) points of the dirty-vs-full parity matrix.
-DIRTY_BACKENDS = (("serial", 1), ("thread", 4), ("process", 2))
+#: Worker counts of the dirty-vs-full parity matrix.
+DIRTY_WORKERS = (1, 4)
 
 
-def _run_dirty_workload(dirty_scheduling: bool, backend: str = "serial",
-                        workers: int = 1) -> dict:
+def _run_dirty_workload(dirty_scheduling: bool, workers: int = 1) -> dict:
     """One converged-then-drift run; drift-window schedule and parity stats.
 
     Warm-up runs until the graph stops changing (fingerprint-stable, capped)
     so the drift window measures the steady state, not residual convergence
     churn.  The warm-up length is a pure function of the data and therefore
-    identical across backends and across the dirty-on/off twin runs.
+    identical across transports and across the dirty-on/off twin runs.
     ``dirty_scheduling=False`` runs it against a store that cannot vouch
     for its partition deltas, which keeps the full schedule.
     """
@@ -312,9 +315,9 @@ def _run_dirty_workload(dirty_scheduling: bool, backend: str = "serial",
     matrix = profiles.matrix.copy()
     rng = np.random.default_rng(7)
     hot_rows = UPDATE_USERS // UPDATE_PARTITIONS   # the first partition
-    overrides = {"backend": backend, "num_workers": workers}
     config = EngineConfig(k=K, num_partitions=UPDATE_PARTITIONS,
-                          heuristic="degree-low-high", seed=SEED, **overrides)
+                          heuristic="degree-low-high", seed=SEED,
+                          num_workers=workers)
 
     def drift_batch():
         users = rng.choice(hot_rows, size=UPDATE_CHURN, replace=False)
@@ -346,6 +349,7 @@ def _run_dirty_workload(dirty_scheduling: bool, backend: str = "serial",
         profile_sha256 = hashlib.sha256(
             (engine.profile_store.base_dir
              / "profiles_dense.bin").read_bytes()).hexdigest()
+        backend = _backend(engine)
     steps_total = sum(result.steps_total for result in drift_results)
     steps_skipped = sum(result.steps_skipped for result in drift_results)
     phase4 = sum(result.phase_timer.as_dict()[PHASE_NAMES[3]]
@@ -373,7 +377,7 @@ def _run_dirty_workload(dirty_scheduling: bool, backend: str = "serial",
 def run_dirty_scheduling_bench() -> dict:
     """Dirty-vs-full parity and skip-rate matrix (the PR-7 gate).
 
-    One full-schedule reference run plus a dirty-scheduled run per backend
+    One full-schedule reference run plus a dirty-scheduled run per width
     over the identical converged-then-drift workload.  Gated quantities:
     ``fingerprints_match`` and ``profiles_match`` must stay true (skipping
     a step must never change a result bit — graphs *and* final profile
@@ -381,8 +385,7 @@ def run_dirty_scheduling_bench() -> dict:
     that justifies the machinery).
     """
     full = _run_dirty_workload(False)
-    rows = [_run_dirty_workload(True, backend, workers)
-            for backend, workers in DIRTY_BACKENDS]
+    rows = [_run_dirty_workload(True, workers) for workers in DIRTY_WORKERS]
     skip_rates = [row["skip_rate"] for row in rows if row["skip_rate"] is not None]
     return {
         "num_users": UPDATE_USERS,
@@ -706,25 +709,20 @@ def run_serving_bench() -> dict:
     }
 
 
-#: Shape of the backend-parity workload: the update workload's 10k users
-#: and uniform churn, scored step at a time on every backend.  Thread and
-#: process rows use the same worker count so the recorded
-#: ``process_speedup_over_thread`` compares like with like; the gate only
-#: enforces it on machines with ≥ 4 cores (GIL-bound thread scoring vs
-#: fork workers needs real parallelism to show).
+#: Shape of the transport-parity workload: the update workload's 10k users
+#: and uniform churn, scored step at a time on the calling thread and on a
+#: pool of ``SHARDED_WORKERS`` threads.
 SHARDED_ITERATIONS = 3
 SHARDED_WORKERS = max(2, min(4, os.cpu_count() or 1))
-SHARDED_BACKENDS = (("serial", 1), ("thread", SHARDED_WORKERS),
-                    ("process", SHARDED_WORKERS))
 
 
-def _run_sharded_workload(backend: str, workers: int) -> dict:
-    """One churned run on one backend."""
+def _run_sharded_workload(workers: int) -> dict:
+    """One churned run at one width."""
     profiles = generate_dense_profiles(UPDATE_USERS, dim=16,
                                        num_communities=8, seed=SEED)
     config = EngineConfig(k=K, num_partitions=UPDATE_PARTITIONS,
                           heuristic="degree-low-high", seed=SEED,
-                          backend=backend, num_workers=workers)
+                          num_workers=workers)
     rng = np.random.default_rng(7)
 
     def churn(_iteration: int):
@@ -738,6 +736,7 @@ def _run_sharded_workload(backend: str, workers: int) -> dict:
                          profile_change_feed=churn)
         wall = time.perf_counter() - start
         transport = engine._iteration_runner.workers.transport
+        backend = _backend(engine)
         profile_sha256 = hashlib.sha256(
             (engine.profile_store.base_dir
              / "profiles_dense.bin").read_bytes()).hexdigest()
@@ -759,21 +758,15 @@ def _run_sharded_workload(backend: str, workers: int) -> dict:
 
 
 def run_sharded_bench() -> dict:
-    """Backend parity + speedup matrix.
+    """Transport parity matrix.
 
-    One run per backend over the identical churned workload, the serial
+    One run per transport over the identical churned workload, the serial
     one the reference.  Gated quantities: ``fingerprints_match`` and
     ``profiles_match`` must stay true (no transport may change a result
-    bit — graphs *and* final profile bytes), and on machines with ≥ 4
-    cores ``process_speedup_over_thread`` must stay ≥ 2.0 (the reason the
-    process backend exists; honestly skipped below 4 cores).
+    bit — graphs *and* final profile bytes).
     """
-    rows = [_run_sharded_workload(backend, workers)
-            for backend, workers in SHARDED_BACKENDS]
-    by_backend = {row["backend"]: row for row in rows}
-    reference = by_backend["serial"]
-    thread_phase4 = by_backend["thread"]["phase4_seconds"]
-    process_phase4 = by_backend["process"]["phase4_seconds"]
+    reference, threaded = rows = [_run_sharded_workload(workers)
+                                  for workers in (1, SHARDED_WORKERS)]
     return {
         "num_users": UPDATE_USERS,
         "num_partitions": UPDATE_PARTITIONS,
@@ -789,11 +782,7 @@ def run_sharded_bench() -> dict:
             row["profile_sha256"] == reference["profile_sha256"]
             for row in rows),
         "phase4_seconds_reference": reference["phase4_seconds"],
-        "phase4_seconds_thread": thread_phase4,
-        "phase4_seconds_process": process_phase4,
-        "process_speedup_over_thread": (
-            round(thread_phase4 / process_phase4, 4)
-            if process_phase4 else None),
+        "phase4_seconds_thread": threaded["phase4_seconds"],
     }
 
 
@@ -853,8 +842,7 @@ def run_thread_sweep(thread_counts=(1, 2, 4)) -> list:
     profiles = generate_dense_profiles(NUM_USERS, dim=16, num_communities=8,
                                        seed=SEED)
     for num_threads in thread_counts:
-        row = _one_iteration(profiles, backend="thread",
-                             num_workers=num_threads)
+        row = _one_iteration(profiles, num_workers=num_threads)
         rows.append({"num_threads": num_threads, **row})
     return rows
 
@@ -864,11 +852,9 @@ def run_backend_sweep(user_counts=(2000, 10000)) -> list:
     for num_users in user_counts:
         profiles = generate_dense_profiles(num_users, dim=16, num_communities=8,
                                            seed=SEED)
-        for backend, workers in BACKEND_POINTS:
-            overrides = {"backend": backend, "num_workers": workers}
-            row = _one_iteration(profiles, **overrides)
-            rows.append({"num_users": num_users, "backend": backend,
-                         "workers": workers, **row})
+        for workers in SWEEP_WORKERS:
+            rows.append({"num_users": num_users, "workers": workers,
+                         **_one_iteration(profiles, num_workers=workers)})
     return rows
 
 
@@ -880,7 +866,7 @@ def main() -> None:
                         help="deprecated alias for --quick (kept so existing "
                              "'pipeline bench only' invocations stay fast)")
     parser.add_argument("--skip-backends", action="store_true",
-                        help="skip the backend (thread vs. process) sweep")
+                        help="skip the backend (inline vs. thread) sweep")
     parser.add_argument("--quick", action="store_true",
                         help="pipeline + update-workload benches only "
                              "(what the CI gate compares)")
@@ -927,9 +913,8 @@ def main() -> None:
         # part of --quick: the CI gate fails on any failed read under load,
         # on unproven snapshot isolation, or when burst load is not shed
         "serving": run_serving_bench(),
-        # part of --quick: the CI gate fails on a backend's fingerprint or
-        # profile bytes diverging from serial, and (on ≥ 4 cores) on a
-        # process-over-thread speedup below 2x
+        # part of --quick: the CI gate fails on the thread pool's
+        # fingerprint or profile bytes diverging from serial
         "sharded": run_sharded_bench(),
     }
     if args.million:

@@ -32,12 +32,9 @@ def main() -> None:
     #    two partitions resident (the paper's memory constraint), and the
     #    degree-based low-to-high PI-graph traversal heuristic.
     #
-    #    Phase-4 scoring is parallelisable via two knobs — who runs the
-    #    kernel, and how wide (all backends produce bit-identical graphs):
-    #      backend="thread",  num_workers=4  — thread pool (kernels drop the GIL)
-    #      backend="process", num_workers=4  — process pool; workers re-open the
-    #                                          profile store read-only by path and
-    #                                          score against zero-copy mmap slices
+    #    Phase-4 scoring runs on the calling thread (num_workers=1); a
+    #    wider num_workers cuts each step across a thread pool of that
+    #    width (the kernels drop the GIL), with bit-identical graphs.
     #
     #    For a crash-safe deployment add durable=True (+ a workdir): every
     #    iteration commits atomically and streamed profile updates land in a
@@ -52,7 +49,6 @@ def main() -> None:
         partitioner="contiguous",
         heuristic="degree-low-high",
         disk_model="ssd",
-        backend="thread",
         num_workers=1,
         seed=1,
     )

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
-from repro.core.parallel import BACKENDS
 from repro.pigraph.traversal import HEURISTICS
 from repro.partition.partitioners import available_partitioners
 from repro.similarity.measures import MEASURES
@@ -56,30 +55,23 @@ class EngineConfig:
         bytes (3.8× at 4,000 users, 15.7× at 40,000 in 8 partitions) and
         fixed-width rows of at most 1× — and the budget holds that too:
         each step splits the bytes the cache leaves free evenly between the
-        cached slices (and, on the process backend, between the workers),
-        a slice builds derived state only inside its share and drops it
-        when a later share is smaller (a forked worker, when it next
-        scores), and scoring falls back to the search, with the same
-        scores (see ``docs/performance.md``, "The set kernel").
+        cached slices, a slice builds derived state only inside its share
+        and drops it when a later share is smaller, and scoring falls back
+        to the search, with the same scores (see ``docs/performance.md``,
+        "The set kernel").
     include_direct_edges:
         Whether the direct edges of ``G(t)`` are added to the hash table
         alongside the neighbours-of-neighbours tuples (the paper does).
     max_pairs_per_bridge:
         Optional cap on the per-bridge-vertex cross product when generating
         candidate tuples (``None`` reproduces the paper exactly).
-    backend:
-        Who runs phase 4's similarity kernel
-        (:class:`~repro.core.parallel.ScoringWorkers`): ``"serial"`` (the
-        calling thread), ``"thread"`` (a GIL-sharing thread pool) or
-        ``"process"`` (forked workers that re-open the profile store
-        read-only by path and score against mmap-served slices).  Phase 4
-        walks its steps one at a time whatever the backend; a pool wider
-        than one cuts each step's rows across its workers.  All three
-        produce bit-identical graphs.
     num_workers:
-        Width of whichever pool ``backend`` names.  ``1`` (or ``"process"``
-        on a platform without ``fork``) builds no pool and scores on the
-        calling thread — identical results, no hand-over cost.
+        Who runs phase 4's similarity kernel
+        (:class:`~repro.core.parallel.ScoringWorkers`): ``1`` scores on the
+        calling thread; a larger width builds a thread pool of that many
+        threads, which cuts each step's rows across its threads.  Phase 4
+        walks its steps one at a time whatever the width, in one process,
+        and every width produces bit-identical graphs.
     score_cache_entries:
         Capacity of the carried state's scores
         (:class:`~repro.core.iteration.Phase4ScoreCache`) in (pair, score)
@@ -97,11 +89,6 @@ class EngineConfig:
         on the full schedule.  Produced graphs are bit-identical either way.
     seed:
         Seed for the random initial KNN graph.
-    shard_timeout_seconds:
-        Per-shard watchdog timeout for the ``process`` backend: a shard
-        whose worker produces no result within this many seconds is treated
-        as hung, the pool is respawned and the shard retried (default
-        ``None`` = wait forever, the historical behaviour).
     durable:
         Run the engine in fault-tolerant mode: queued profile changes go
         through an fsynced write-ahead log, every iteration commits a
@@ -128,11 +115,9 @@ class EngineConfig:
     memory_budget_bytes: Optional[float] = None
     include_direct_edges: bool = True
     max_pairs_per_bridge: Optional[int] = None
-    backend: str = "thread"
     num_workers: int = 1
     score_cache_entries: int = 4_000_000
     seed: Optional[int] = 0
-    shard_timeout_seconds: Optional[float] = None
     durable: bool = False
     fault_plan: Optional[object] = None
 
@@ -141,10 +126,6 @@ class EngineConfig:
         check_positive_int(self.num_partitions, "num_partitions")
         check_positive_int(self.max_resident_partitions, "max_resident_partitions")
         check_positive_int(self.num_workers, "num_workers")
-        if self.backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; known: {', '.join(BACKENDS)}"
-            )
         if self.max_resident_partitions < 2:
             raise ValueError(
                 "max_resident_partitions must be at least 2: phase 4 needs the two "
@@ -173,8 +154,6 @@ class EngineConfig:
         if self.max_pairs_per_bridge is not None and self.max_pairs_per_bridge <= 0:
             raise ValueError("max_pairs_per_bridge must be positive when given")
         check_positive_int(self.score_cache_entries, "score_cache_entries")
-        if self.shard_timeout_seconds is not None and self.shard_timeout_seconds <= 0:
-            raise ValueError("shard_timeout_seconds must be positive when given")
 
     def with_overrides(self, **kwargs) -> "EngineConfig":
         """Return a copy of this configuration with the given fields replaced."""

@@ -53,7 +53,7 @@ _logger = get_logger("core.engine")
 #: ``EngineConfig`` fields older manifests may carry that no longer exist.
 _RETIRED_KNOBS = ("adaptive_score_cache", "incremental_phase4",
                   "dirty_scheduling", "profile_segment_rows",
-                  "shard_parallel")
+                  "shard_parallel", "backend", "shard_timeout_seconds")
 
 
 def _config_from_manifest(saved: dict, directory) -> EngineConfig:
@@ -62,17 +62,24 @@ def _config_from_manifest(saved: dict, directory) -> EngineConfig:
     The manifest is outside input — older commits wrote it — so knobs retired
     since are translated rather than handed to the constructor: a saved
     ``adaptive_score_cache``, ``incremental_phase4``, ``dirty_scheduling``,
-    ``profile_segment_rows`` or ``shard_parallel`` is dropped (none ever
-    changed results), a saved ``num_threads`` becomes the ``num_workers`` of
-    a ``"thread"`` backend and is dropped otherwise.  Any other key this
-    version does not know is an error that names the key and the checkpoint.
+    ``profile_segment_rows``, ``shard_parallel`` or ``shard_timeout_seconds``
+    is dropped (none ever changed results).  A saved ``backend`` is dropped
+    too: ``"serial"`` ran on the calling thread, so it restores
+    ``num_workers=1``, and any other keeps its ``num_workers``, now the
+    width of a thread pool.  A saved ``num_threads`` becomes the
+    ``num_workers`` of a ``"thread"`` backend and is dropped otherwise.  Any
+    other key this version does not know is an error that names the key and
+    the checkpoint.
     """
     saved = dict(saved)
+    backend = saved.get("backend")
     for retired in _RETIRED_KNOBS:
         saved.pop(retired, None)
     num_threads = saved.pop("num_threads", None)
-    if num_threads is not None and saved.get("backend") == "thread":
+    if num_threads is not None and backend == "thread":
         saved["num_workers"] = num_threads
+    if backend == "serial":
+        saved["num_workers"] = 1
     unknown = sorted(saved.keys() - {spec.name for spec in fields(EngineConfig)})
     if unknown:
         raise ValueError(
@@ -328,8 +335,8 @@ class KNNEngine:
         ``config=None`` the configuration saved in the checkpoint manifest
         is restored, so the resumed run computes the same KNN problem (same
         ``k``, measure, partitioning); passing a config explicitly
-        overrides it — including ``backend``/``num_workers``, which never
-        change results.  The snapshot's on-disk segment layout is kept
+        overrides it — including ``num_workers``, which never changes
+        results.  The snapshot's on-disk segment layout is kept
         as-is (a config overriding ``num_partitions`` affects only which
         loads hit the zero-copy fast path, never the produced graphs).
 

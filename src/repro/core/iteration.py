@@ -14,7 +14,7 @@ the update queue, and calls :meth:`OutOfCoreIteration.run` once an iteration.
 Two things survive across iterations:
 
 * the phase-4 scoring workers (:class:`~repro.core.parallel.ScoringWorkers`)
-  — whatever executor the backend needs, created once; workers drop their
+  — the calling thread, or one thread pool created once; they drop their
   cached mmap slices when the store's ``generation`` says phase 5 wrote; and
 * the **carried state** (:class:`Phase4ScoreCache`) — ``G(t)``, the ``H``
   phase 2 made of it, the score slab over ``H`` and the ``G(t+1)`` made of
@@ -41,7 +41,7 @@ vertex's rank among its partition's ascending vertices, fixed by phase 1
 the partition's profile slice.  The tuples the cache could not answer are
 decoded once an iteration into ``(left row, right row)`` runs grouped by PI
 edge, so a step costs a slice of those arrays, a gather from each resident
-slice and a kernel, on every backend.
+slice and a kernel, on either transport.
 
 Phase 4 itself is one loop over one seam, the paper's: every step the
 cache could not answer, in plan order, acquires its partition pair, crosses
@@ -505,11 +505,8 @@ class OutOfCoreIteration:
         # alive for the whole run
         self._workers = ScoringWorkers(
             profile_store,
-            backend=config.backend,
             num_workers=config.num_workers,
-            shard_timeout=config.shard_timeout_seconds,
             part_cache_slots=config.max_resident_partitions,
-            fault_plan=config.fault_plan,
             score=_score_in_process)
         # survives across iterations, like the workers
         self._score_cache = Phase4ScoreCache(config.score_cache_entries)
@@ -770,7 +767,7 @@ class OutOfCoreIteration:
         off a gather of exactly the needed profiles — no partition acquired,
         the step still skips (returns ``True``); a large one means the pair
         genuinely needs its partitions, and the caller executes the step.
-        The 4x rule is a pure function of the data, so every backend and
+        The 4x rule is a pure function of the data, so every width and
         every resume makes the same choice.
         """
         first, second, _ = step
@@ -908,7 +905,7 @@ class OutOfCoreIteration:
         """Walk the plan, score every tuple the cache could not answer, and
         emit ``G(t+1)``.
 
-        Bit-identity across schedules and backends holds by construction,
+        Bit-identity across schedules and widths holds by construction,
         not by luck: similarity scores are a pure function of the two
         endpoint profiles (no worker observes phase-5 writes mid-iteration —
         they run before phase 4 or after it), every score lands in the same

@@ -479,8 +479,8 @@ class KNNGraph:
     def edge_fingerprint(self) -> str:
         """SHA-256 over the sorted ``(src, dst, round(score, 9))`` edge set.
 
-        The regression currency of the perf suite and the backend-parity
-        tests: two graphs with the same fingerprint hold the same neighbour
+        The regression currency of the perf suite and the parity
+        walls: two graphs with the same fingerprint hold the same neighbour
         lists with the same scores (to 1e-9).
         """
         edges = [(s, d, round(score, 9)) for s, d, score in self.edges()]

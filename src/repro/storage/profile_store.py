@@ -23,8 +23,8 @@ lists every file and meta key): a meta recording any other
 ``format_version`` is refused on open with :class:`StoreFormatError`, and
 ``python -m repro migrate`` rewrites older stores in place.  Every layout
 rewrite or incremental update bumps the store's ``generation`` counter,
-which worker processes holding the store open by path use to invalidate
-their cached slices.
+which read-only handles holding the store open by path (phase 4's scoring
+workers) use to invalidate their cached slices.
 The store also keeps an in-memory log of which rows each applied batch
 touched (:meth:`OnDiskProfileStore.touched_rows_since`), the delta feed of
 the engine's incremental phase 4; full rewrites, journal compactions and
@@ -37,8 +37,8 @@ Every operation is charged to the configured disk model and recorded in
 :class:`~repro.storage.io_stats.IOStats`.  Mapped reads are charged through
 :meth:`~repro.storage.disk_model.DiskModel.mapped_read_cost` (page-granular
 demand paging) at slice-load time, which is also exposed as
-:meth:`OnDiskProfileStore.charge_slice_read` so a coordinating process can
-account for reads its worker processes perform against the same files.
+:meth:`OnDiskProfileStore.charge_slice_read` so phase 4's residency model
+can charge reads that a separate, uncharged read-only handle performs.
 Incremental updates (dense row writes, journal appends) are charged through
 the symmetric ``mapped_write_cost``.
 """
@@ -598,14 +598,14 @@ class OnDiskProfileStore:
     def reload(self) -> None:
         """Re-read the meta file and drop every cached memory map.
 
-        Worker processes holding this store open by path call this when the
-        coordinator reports a newer :attr:`generation`: incremental updates
+        A read-only handle holding this store open by path calls this when
+        the engine reports a newer :attr:`generation`: incremental updates
         replace journal/segment files, so cached maps (and any slices built
         on them) must be re-opened before the next load.
         """
         self._meta = self._read_meta()
         self._invalidate_maps()
-        # the files may have been rewritten by another process; any delta
+        # the files may have been rewritten through another handle; any delta
         # history collected through this handle no longer describes them
         self._reset_delta_log()
         if self._verify_on_open and self._meta is not None:
@@ -615,7 +615,7 @@ class OnDiskProfileStore:
 
     @property
     def base_dir(self) -> Path:
-        """Directory holding the store's files (worker processes re-open by path)."""
+        """Directory holding the store's files (read-only handles re-open by path)."""
         return self._base_dir
 
     @staticmethod
@@ -827,7 +827,7 @@ class OnDiskProfileStore:
         mapped views (and invalidates sparse slices entirely, since sparse
         updates replace journal/segment files).  Phase 4 never holds a slice
         across a phase-5 update; callers that do must reload after applying
-        changes — worker processes key this off :attr:`generation`.
+        changes — phase 4's scoring workers key this off :attr:`generation`.
         """
         ids, ranges = self._validated_ids(user_ids)
         self._charge_ranges(ranges)
@@ -856,12 +856,11 @@ class OnDiskProfileStore:
     def charge_slice_read(self, user_ids: Iterable[int]) -> None:
         """Charge (without loading) the I/O of one ``load_users`` call.
 
-        The phase-4 process backend loads slices inside worker processes
-        whose stats never reach the coordinating engine; the coordinator
-        calls this once per partition load so IOStats stay comparable with
-        the in-process backends.  The file page cache is shared between the
-        processes, so charging the device once per slice is also the honest
-        model.
+        Phase 4's scoring workers load slices through their own read-only
+        handle on the free device model, so whichever thread maps the bytes
+        charges nothing; the residency model calls this once per partition
+        residency instead, so a slice is charged once however many steps
+        and threads read it.
         """
         self._charge_ranges(self._validated_ids(user_ids)[1])
 
@@ -1186,8 +1185,8 @@ class OnDiskProfileStore:
     def _write_meta(self) -> None:
         """Publish ``profiles_meta.json`` atomically (fsync + rename).
 
-        Worker processes poll this file for the generation counter; a torn
-        or unsynced meta would desynchronise their cached maps from the
+        Read-only handles re-read this file for the generation counter; a
+        torn or unsynced meta would desynchronise their cached maps from the
         segment files it describes.
         """
         _atomic_write_bytes(json.dumps(self._meta).encode("utf-8"),

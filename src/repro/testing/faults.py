@@ -12,11 +12,7 @@ well-known hook sites:
   match, modelling a failed write/rename/hard-link;
 * **file truncation** — ``plan.after_file_op("write", path)`` truncates the
   just-written file to a scheduled byte count, modelling torn writes and
-  on-disk corruption (checksum verification must catch it);
-* **worker faults** — the supervised scoring pool asks
-  ``plan.take_worker_fault()`` once per score attempt; a scheduled entry
-  kills (``os._exit``) or hangs (``time.sleep``) the worker executing one
-  shard, exercising respawn, watchdog and serial degradation.
+  on-disk corruption (checksum verification must catch it).
 
 Every schedule is explicit and counted, so a plan injected through
 ``EngineConfig.fault_plan`` reproduces the exact same failure sequence on
@@ -108,13 +104,13 @@ class InjectedIOError(OSError):
 
 
 class FaultPlan:
-    """A deterministic schedule of crashes, I/O failures and worker faults.
+    """A deterministic schedule of crashes and I/O failures.
 
     All scheduling methods return ``self`` so plans chain::
 
         plan = (FaultPlan()
                 .crash_at("commit.before_rename", occurrence=2)
-                .kill_worker(call=1, shard=0))
+                .fail_file_op("rename", match="manifest"))
 
     The plan is thread-safe (hook sites may be reached from worker threads)
     and intentionally **not** deep-copied by ``dataclasses.asdict`` — a
@@ -131,9 +127,6 @@ class FaultPlan:
         self._io_failures: dict = {}
         # (op, substring) -> list of (occurrence, keep_bytes)
         self._truncations: dict = {}
-        # score-call number (1-based, attempts included) -> (mode, shard, seconds)
-        self._worker_faults: dict = {}
-        self._worker_calls = 0
         # hit counters per point / per (op, substring)
         self._point_hits: dict = {}
         self._op_hits: dict = {}
@@ -188,24 +181,6 @@ class FaultPlan:
             (int(occurrence), int(keep_bytes)))
         return self
 
-    def kill_worker(self, call: int = 1, shard: int = 0) -> "FaultPlan":
-        """Kill (``os._exit``) the worker scoring ``shard`` of the n-th pool
-        score attempt.  Retries count as fresh attempts, so scheduling
-        calls ``1..N`` forces ``N`` consecutive failures."""
-        if call < 1:
-            raise ValueError("call is 1-based")
-        self._worker_faults[int(call)] = ("kill", int(shard), 0.0)
-        return self
-
-    def hang_worker(self, call: int = 1, shard: int = 0,
-                    seconds: float = 3600.0) -> "FaultPlan":
-        """Hang the worker scoring ``shard`` of the n-th pool score attempt
-        for ``seconds`` (exercises the per-shard watchdog timeout)."""
-        if call < 1:
-            raise ValueError("call is 1-based")
-        self._worker_faults[int(call)] = ("hang", int(shard), float(seconds))
-        return self
-
     # -- runtime hooks ------------------------------------------------------
 
     def point(self, name: str) -> None:
@@ -254,20 +229,6 @@ class FaultPlan:
             with open(path, "r+b") as handle:
                 handle.truncate(truncate_to)
 
-    def take_worker_fault(self) -> Optional[Tuple[str, int, float]]:
-        """Hook: the pool calls this once per score attempt; returns the
-        scheduled ``(mode, shard, seconds)`` for this attempt or ``None``.
-        The entry is consumed — a retry of the same shard set is a new
-        attempt with its own (possibly absent) fault."""
-        with self._lock:
-            self._worker_calls += 1
-            fault = self._worker_faults.pop(self._worker_calls, None)
-            if fault is not None:
-                self.fired.append(
-                    ("worker", f"{fault[0]}@call{self._worker_calls}"
-                               f"/shard{fault[1]}"))
-            return fault
-
     # -- observability ------------------------------------------------------
 
     def hits(self, point: str) -> int:
@@ -292,15 +253,3 @@ def fault_point(plan: Optional[FaultPlan], name: str) -> None:
     if plan is not None:
         plan.point(name)
 
-
-#: Worker-side helper — executed inside a pool worker process when the
-#: coordinator attached a fault directive to a shard task.
-def apply_worker_fault(fault: Optional[Tuple[str, int, float]]) -> None:
-    if fault is None:
-        return
-    mode, _shard, seconds = fault
-    if mode == "kill":
-        os._exit(43)  # simulate a hard worker death (no cleanup, no excepthook)
-    if mode == "hang":
-        import time
-        time.sleep(seconds)

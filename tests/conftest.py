@@ -10,6 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import repro.core.parallel as parallel_module
 from repro.graph.digraph import CSRDiGraph, DiGraph
 from repro.graph.generators import powerlaw_fixed_size_graph
 from repro.graph.knn_graph import KNNGraph
@@ -45,12 +46,22 @@ def full_rescore():
 
 
 @pytest.fixture
+def cut_everything(monkeypatch):
+    """Lower the worker seam's row floor to 0 for the test, so a thread pool
+    cuts every batch of every step across its threads, however small.  The
+    walls' engines are far below the floor, where a pool would hand every
+    step back to the calling thread and prove nothing; the inline transport
+    never cuts, so its cases run as they would without this."""
+    monkeypatch.setattr(parallel_module, "SPLIT_FLOOR_ROWS", 0)
+
+
+@pytest.fixture
 def shm_unchanged():
     """Fail the test if it changes the set of names under ``/dev/shm``.
 
     Nothing in the engine publishes a named shared-memory object, so a run —
-    finished, crashed or with its pool workers killed mid-step — must leave
-    that directory exactly as it found it.
+    finished or crashed mid-step — must leave that directory exactly as it
+    found it.
     """
     def names():
         return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()

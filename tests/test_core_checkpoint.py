@@ -525,13 +525,12 @@ class TestZeroCopyResume:
         for user in range(120):
             assert frozen_after.load_users([user]).get(user) == expected[user]
 
-    @pytest.mark.parametrize("saved,resumed_backend", [
-        ("process", "serial"), ("serial", "process")])
-    def test_backend_override_at_resume_is_bit_identical(self, tmp_path, saved,
-                                                         resumed_backend):
-        """A run checkpointed under one backend and resumed under another
-        must match the uninterrupted run bit for bit — backends never
-        change results, and neither does the resume path."""
+    @pytest.mark.parametrize("saved,resumed_width", [(2, 1), (1, 2)])
+    def test_num_workers_override_at_resume_is_bit_identical(
+            self, tmp_path, saved, resumed_width, cut_everything):
+        """A run checkpointed at one width and resumed at another must match
+        the uninterrupted run bit for bit — the width never changes
+        results, and neither does the resume path."""
         profiles = generate_sparse_profiles(100, 250, items_per_user=10,
                                             num_communities=4, seed=83)
         base = EngineConfig(k=5, num_partitions=4, seed=83)
@@ -550,15 +549,15 @@ class TestZeroCopyResume:
                 profile_change_feed=make_feed(np.random.default_rng(2)))
 
         rng = np.random.default_rng(2)
-        saved_config = base.with_overrides(backend=saved, num_workers=2)
+        saved_config = base.with_overrides(num_workers=saved)
         with KNNEngine(profiles, saved_config) as engine:
             engine.run(num_iterations=2, profile_change_feed=make_feed(rng))
             engine.save_checkpoint(tmp_path / "ckpt")
 
-        override = base.with_overrides(backend=resumed_backend, num_workers=2)
+        override = base.with_overrides(num_workers=resumed_width)
         with KNNEngine.from_checkpoint(tmp_path / "ckpt",
                                        config=override) as engine:
-            assert engine.config.backend == resumed_backend
+            assert engine.config.num_workers == resumed_width
             run = engine.run(num_iterations=2, profile_change_feed=make_feed(rng))
         assert run.final_graph.edge_difference(uninterrupted.final_graph) == 0
         assert (run.final_graph.edge_fingerprint()
@@ -648,6 +647,19 @@ _WAVES_ENGINE_CONFIG = {
 }
 
 
+#: ``engine_config`` as commit 72f614d wrote it into a checkpoint manifest —
+#: captured from a run there — scoring on two forked workers under a
+#: watchdog, before ``backend`` and ``shard_timeout_seconds`` were retired.
+_PROCESS_ENGINE_CONFIG = {
+    "backend": "process", "disk_model": "ssd", "durable": False,
+    "heuristic": "sequential", "include_direct_edges": True, "k": 4,
+    "max_pairs_per_bridge": None, "max_resident_partitions": 2,
+    "measure": None, "memory_budget_bytes": None, "num_partitions": 3,
+    "num_workers": 2, "partitioner": "contiguous",
+    "score_cache_entries": 4000000, "seed": 9, "shard_timeout_seconds": 0.5,
+}
+
+
 def _rewrite_saved_config(directory, base=_PARENT_ENGINE_CONFIG, **changes):
     """Make a checkpoint carry an older commit's ``engine_config`` (``base``
     plus ``changes``), re-sealing the directory when it is a sealed epoch."""
@@ -677,15 +689,14 @@ class TestParentCommitManifest:
         fingerprint, following = self._checkpoint(tmp_path)
         with KNNEngine.from_checkpoint(tmp_path / "ckpt") as resumed:
             assert resumed.config == EngineConfig(
-                k=4, num_partitions=3, seed=9, backend="thread", num_workers=3)
+                k=4, num_partitions=3, seed=9, num_workers=3)
             assert resumed.graph.edge_fingerprint() == fingerprint
             assert resumed.run_iteration().graph.edge_fingerprint() == following
 
     def test_thread_count_of_another_backend_is_dropped(self, tmp_path):
         self._checkpoint(tmp_path, backend="serial", num_threads=8)
         with KNNEngine.from_checkpoint(tmp_path / "ckpt") as resumed:
-            assert resumed.config.backend == "serial"
-            assert resumed.config.num_workers == 2
+            assert resumed.config.num_workers == 1
 
     def test_unknown_key_is_named_with_its_checkpoint(self, tmp_path):
         self._checkpoint(tmp_path, warp_factor=9)
@@ -711,7 +722,7 @@ class TestParentCommitManifest:
         try:
             assert recovered.current_epoch == epochs[-1][0]
             assert recovered.engine.config == config.with_overrides(
-                backend="thread", num_workers=3)
+                num_workers=3)
             assert recovered.neighbors(0) == served
         finally:
             recovered.close()
@@ -729,6 +740,10 @@ class TestSwitchedOffManifest:
         rng = np.random.default_rng(iteration)
         return [ProfileChange(user=int(user), kind="set", vector=rng.random(4))
                 for user in rng.choice(60, size=5, replace=False)]
+
+    @staticmethod
+    def _dense_bytes(engine):
+        return (engine.profile_store.base_dir / "profiles_dense.bin").read_bytes()
 
     def _twin(self, iterations):
         with KNNEngine(generate_dense_profiles(60, dim=4, seed=1),
@@ -785,15 +800,10 @@ class TestSwitchedOffManifest:
         and profile bytes of a twin that never stopped, and an unknown key
         beside it is still named."""
         profiles = generate_dense_profiles(60, dim=4, seed=1)
-
-        def dense_bytes(engine):
-            return (engine.profile_store.base_dir
-                    / "profiles_dense.bin").read_bytes()
-
         with KNNEngine(profiles, self.CONFIG) as twin:
             expected = [result.graph.edge_fingerprint() for result in twin.run(
                 4, profile_change_feed=self._feed).iterations][2:]
-            expected_bytes = dense_bytes(twin)
+            expected_bytes = self._dense_bytes(twin)
         workdir = tmp_path / "work"
         durable = self.CONFIG.with_overrides(durable=True)
         with KNNEngine(profiles, durable, workdir=workdir) as engine:
@@ -809,16 +819,53 @@ class TestSwitchedOffManifest:
             run = resumed.run(2, profile_change_feed=self._feed)
             assert [result.graph.edge_fingerprint()
                     for result in run.iterations] == expected
-            assert dense_bytes(resumed) == expected_bytes
+            assert self._dense_bytes(resumed) == expected_bytes
         with KNNEngine.recover(workdir) as recovered:
             assert recovered.config == durable
             assert recovered.iterations_run == 2
             run = recovered.run(2, profile_change_feed=self._feed)
             assert [result.graph.edge_fingerprint()
                     for result in run.iterations] == expected
-            assert dense_bytes(recovered) == expected_bytes
+            assert self._dense_bytes(recovered) == expected_bytes
         _rewrite_saved_config(tmp_path / "ckpt", base=_WAVES_ENGINE_CONFIG,
                               warp_factor=9)
         with pytest.raises(ValueError, match="warp_factor") as failure:
             KNNEngine.from_checkpoint(tmp_path / "ckpt")
         assert "shard_parallel" not in str(failure.value)
+
+    @pytest.mark.parametrize("changes, width", [
+        ({}, 2), ({"backend": "serial", "num_workers": 3}, 1)],
+        ids=["process", "serial"])
+    def test_a_saved_transport_resumes_and_recovers_to_the_twin(
+            self, tmp_path, changes, width, cut_everything):
+        """``backend`` and ``shard_timeout_seconds`` retired with the fork
+        pool: a ``"process"`` pool keeps its width, now a thread pool's, and
+        ``"serial"`` ran on the calling thread whatever width it saved.
+        Either resumes, and its sealed epochs recover, to the graphs and
+        profile bytes of a twin that never stopped."""
+        profiles = generate_dense_profiles(60, dim=4, seed=1)
+        with KNNEngine(profiles, self.CONFIG) as twin:
+            expected = [result.graph.edge_fingerprint() for result in twin.run(
+                4, profile_change_feed=self._feed).iterations][2:]
+            expected_bytes = self._dense_bytes(twin)
+        workdir = tmp_path / "work"
+        durable = self.CONFIG.with_overrides(durable=True)
+        with KNNEngine(profiles, durable, workdir=workdir) as engine:
+            engine.run(2, profile_change_feed=self._feed)
+            engine.save_checkpoint(tmp_path / "ckpt")
+            epochs = engine.sealed_epochs()
+        _rewrite_saved_config(tmp_path / "ckpt", base=_PROCESS_ENGINE_CONFIG,
+                              durable=True, **changes)
+        for _, path in epochs:
+            _rewrite_saved_config(path, base=_PROCESS_ENGINE_CONFIG,
+                                  durable=True, **changes)
+        restored = durable.with_overrides(num_workers=width)
+        for reopen in (lambda: KNNEngine.from_checkpoint(tmp_path / "ckpt"),
+                       lambda: KNNEngine.recover(workdir)):
+            with reopen() as resumed:
+                assert resumed.config == restored
+                assert resumed.iterations_run == 2
+                run = resumed.run(2, profile_change_feed=self._feed)
+                assert [result.graph.edge_fingerprint()
+                        for result in run.iterations] == expected
+                assert self._dense_bytes(resumed) == expected_bytes

@@ -41,8 +41,7 @@ def _task(num_users, pairs, measure="cosine"):
 def _threaded(store, pairs, num_workers, floor, monkeypatch):
     """One lone task on the thread transport, cut above ``floor`` rows."""
     monkeypatch.setattr(parallel_module, "SPLIT_FLOOR_ROWS", floor)
-    with ScoringWorkers(store, backend="thread",
-                        num_workers=num_workers) as workers:
+    with ScoringWorkers(store, num_workers=num_workers) as workers:
         scores = workers.execute(_task(store.num_users, pairs))
     return scores
 
@@ -86,20 +85,11 @@ class TestScoreTuples:
 
     def test_invalid_thread_count(self, dense_store):
         with pytest.raises(ValueError):
-            ScoringWorkers(dense_store, backend="thread", num_workers=0)
+            ScoringWorkers(dense_store, num_workers=0)
 
     def test_chunking_smaller_than_batch(self, dense_store, pairs, monkeypatch):
         scores = _threaded(dense_store, pairs[:10], 4, 3, monkeypatch)
         assert len(scores) == 10
-
-    def test_serial_backend_ignores_threads(self, dense_store, dense_slice,
-                                            pairs, monkeypatch):
-        monkeypatch.setattr(parallel_module, "SPLIT_FLOOR_ROWS", 16)
-        with ScoringWorkers(dense_store, backend="serial",
-                            num_workers=8) as workers:
-            assert workers.transport == "inline"
-            serial = workers.execute(_task(dense_store.num_users, pairs))
-        assert np.array_equal(serial, dense_slice.similarity_pairs(pairs, "cosine"))
 
 
 def _pieces(num_rows, width, floor, monkeypatch):

@@ -1,15 +1,15 @@
-"""Backend parity wall: ``process`` ≡ ``thread`` ≡ serial, everywhere.
+"""Transport parity wall: ``thread`` ≡ serial, everywhere.
 
 Every phase-4 score crosses one seam, ``ScoringWorkers.execute(task)``,
-whose three transports (inline, a thread pool, forked workers that re-open
-the profile store and score against mmap-served slices) must be
-indistinguishable by their results.  These tests pin the seam to
-``similarity_rows`` on freshly loaded slices — bitwise, for all 8 measures on
-dense and sparse stores, with the task cut row-wise at every width — and
-whole engine runs to each other by edge-set fingerprint, including the
-awkward shapes: empty batches, fewer rows than workers, partitions smaller
-than the worker count, a step whose two partitions are one, a store that
-changed between calls, and a one-worker pool.
+whose two transports (inline on the calling thread, and a thread pool that
+cuts each task row-wise) must be indistinguishable by their results.
+These tests pin the seam to ``similarity_rows`` on freshly loaded slices —
+bitwise, for all 8 measures on dense and sparse stores, with the task cut
+row-wise at every width — and whole engine runs to each other by edge-set
+fingerprint, including the awkward shapes: empty batches, fewer rows than
+workers, partitions smaller than the worker count, a step whose two
+partitions are one, a store that changed between calls, and a one-worker
+pool.
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro.core.parallel as parallel_module
 from repro.core.config import EngineConfig
 from repro.core.engine import KNNEngine
-from repro.core.parallel import ScoringWorkers, ShardStepTask, fork_available
+from repro.core.parallel import ScoringWorkers, ShardStepTask
 from repro.graph.knn_graph import KNNGraph
 from repro.similarity.measures import SET_MEASURES, VECTOR_MEASURES
 from repro.similarity.workloads import (ProfileChange, generate_dense_profiles,
@@ -28,7 +27,8 @@ from repro.similarity.workloads import (ProfileChange, generate_dense_profiles,
 from repro.storage.profile_store import OnDiskProfileStore
 
 NUM_USERS = 120
-BACKENDS = ["serial", "thread", "process"]
+#: The transports by test id: ``serial`` scores inline, ``thread`` on a pool.
+BACKENDS = ["serial", "thread"]
 
 
 @pytest.fixture(scope="module")
@@ -58,16 +58,10 @@ def pairs():
     return rng.integers(0, NUM_USERS, size=(500, 2)).astype(np.int64)
 
 
-@pytest.fixture
-def cut_everything(monkeypatch):
-    """Cut every batch of a lone task, however small, across the workers."""
-    monkeypatch.setattr(parallel_module, "SPLIT_FLOOR_ROWS", 0)
-
-
 def _workers(store, backend, width=3, **options):
-    if backend == "process" and not fork_available():
-        pytest.skip("process transport needs fork")
-    return ScoringWorkers(store, backend=backend, num_workers=width, **options)
+    """``serial`` is one worker whatever ``width`` says."""
+    return ScoringWorkers(store, num_workers=1 if backend == "serial" else width,
+                          **options)
 
 
 def _task(parts, batches, measure, generation=None):
@@ -136,8 +130,8 @@ class TestScoreParityAllMeasures:
                      "cosine")
         with _workers(dense_store, "serial") as serial:
             expected = serial.execute(task)
-        with _workers(dense_store, "process") as process:
-            np.testing.assert_array_equal(process.execute(task), expected)
+        with _workers(dense_store, "thread") as threaded:
+            np.testing.assert_array_equal(threaded.execute(task), expected)
         # and the rows mean what the ids say
         whole = dense_store.load_users(range(NUM_USERS))
         np.testing.assert_array_equal(
@@ -151,15 +145,15 @@ class TestScoreParityAllMeasures:
         right_rows = rng.integers(0, NUM_USERS - half, size=300)
         task = _task([("low", range(half)), ("high", range(half, NUM_USERS))],
                      [(0, 1, left_rows, right_rows)], "cosine")
-        with _workers(dense_store, "process") as process:
-            got = process.execute(task)
+        with _workers(dense_store, "thread") as threaded:
+            got = threaded.execute(task)
         whole = dense_store.load_users(range(NUM_USERS))
         np.testing.assert_array_equal(whole.similarity_pairs(
             np.column_stack([left_rows, half + right_rows]), "cosine"), got)
 
 
 class TestSeamWall:
-    """3 transports × widths {1, 2, 3}, dense and sparse: every result
+    """2 transports × widths {1, 2, 3}, dense and sparse: every result
     bit-equal to ``similarity_rows`` on freshly loaded slices."""
 
     @pytest.mark.parametrize("kind", ["dense", "sparse"])
@@ -227,7 +221,8 @@ class TestSeamWall:
         np.testing.assert_array_equal(scores, _expected(dense_store, task))
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_generation_bump_drops_the_stale_part_cache(self, tmp_path, backend):
+    def test_generation_bump_drops_the_stale_part_cache(self, tmp_path, backend,
+                                                        cut_everything):
         """The same part key after ``apply_changes``: workers that outlive a
         profile update must not serve the slice they cached before it."""
         profiles = generate_dense_profiles(40, dim=6, num_communities=2, seed=3)
@@ -248,6 +243,30 @@ class TestSeamWall:
         np.testing.assert_array_equal(after, _expected(store, task()))
         assert not np.array_equal(before, after)
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_generation_bump_reloads_a_sparse_store(self, tmp_path, backend,
+                                                    cut_everything):
+        """A sparse update lands in a journal the workers' handle has not
+        read: a dense mapped view shows an update through a stale cache, a
+        sparse slice does not, so only the reload the generation asks for
+        lets the workers see it."""
+        profiles = generate_sparse_profiles(40, 60, items_per_user=5, seed=3)
+        store = OnDiskProfileStore.create(tmp_path, profiles,
+                                          disk_model="instant")
+        rows = np.array([0, 2, 0]), np.array([1, 3, 3])
+
+        def task():
+            return _task([("part", range(40))], [(0, 0, *rows)], "jaccard",
+                         generation=store.generation)
+
+        with _workers(store, backend, width=2) as workers:
+            before = workers.execute(task())
+            store.apply_changes([ProfileChange(user=0, kind="add", item=item)
+                                 for item in range(60)])
+            after = workers.execute(task())
+        np.testing.assert_array_equal(after, _expected(store, task()))
+        assert not np.array_equal(before, after)
+
     def test_part_cache_reuse_is_sound_and_bounded(self, dense_store, pairs):
         """Same key twice → same result; and the in-process cache never
         holds more slices than its slots, whatever the tasks name."""
@@ -262,25 +281,18 @@ class TestSeamWall:
         np.testing.assert_array_equal(first, _expected(dense_store, task))
         np.testing.assert_array_equal(first, second)
 
-    def test_single_worker_pool(self, dense_store, caplog):
-        """``process`` × 1 builds no pool: inline, with the warning."""
+    def test_single_worker_pool(self, dense_store):
+        """One worker builds no pool: the calling thread scores."""
         task = _whole_store_task(np.array([[0, 1], [5, 9], [10, 11]]), "cosine")
-        with caplog.at_level("WARNING", logger="repro.core.parallel"):
-            with _workers(dense_store, "process", width=1) as workers:
-                assert workers.transport == "inline"
-                scores = workers.execute(task)
-                assert workers._executor is None
+        with ScoringWorkers(dense_store, num_workers=1) as workers:
+            assert workers.transport == "inline"
+            scores = workers.execute(task)
+            assert workers._executor is None
         np.testing.assert_array_equal(scores, _expected(dense_store, task))
-        assert sum("skipping the worker pool" in record.message
-                   for record in caplog.records) == 1
 
-    def test_unknown_backend_and_bad_knobs_rejected(self, dense_store):
+    def test_bad_knobs_rejected(self, dense_store):
         with pytest.raises(ValueError):
-            ScoringWorkers(dense_store, backend="gpu")
-        with pytest.raises(ValueError):
-            ScoringWorkers(dense_store, shard_timeout=0)
-        with pytest.raises(ValueError):
-            ScoringWorkers(dense_store, max_retries=0)
+            ScoringWorkers(dense_store, num_workers=0)
         with pytest.raises(ValueError):
             ScoringWorkers(dense_store, part_cache_slots=0)
 
@@ -295,35 +307,29 @@ def _engine_fingerprint(profiles, **overrides) -> str:
 
 
 class TestEngineBackendParity:
-    def test_dense_engine_all_backends_identical(self):
-        profiles = generate_dense_profiles(150, dim=8, num_communities=4, seed=23)
-        serial = _engine_fingerprint(profiles, backend="serial")
-        threaded = _engine_fingerprint(profiles, backend="thread", num_workers=3)
-        process = _engine_fingerprint(profiles, backend="process", num_workers=3)
-        assert serial == threaded == process
+    """Whole engines, every step cut across the pool (``cut_everything``)."""
 
-    def test_sparse_engine_process_identical(self):
+    def test_dense_engine_all_backends_identical(self, cut_everything):
+        profiles = generate_dense_profiles(150, dim=8, num_communities=4, seed=23)
+        serial = _engine_fingerprint(profiles, num_workers=1)
+        threaded = _engine_fingerprint(profiles, num_workers=3)
+        assert serial == threaded
+
+    def test_sparse_engine_thread_identical(self, cut_everything):
         """Set measures produce heavy score ties; parity must survive them."""
         profiles = generate_sparse_profiles(150, 200, items_per_user=10,
                                             num_communities=4, seed=23)
-        serial = _engine_fingerprint(profiles, backend="serial")
-        process = _engine_fingerprint(profiles, backend="process", num_workers=3)
-        assert serial == process
+        serial = _engine_fingerprint(profiles, num_workers=1)
+        threaded = _engine_fingerprint(profiles, num_workers=3)
+        assert serial == threaded
 
-    def test_partitions_smaller_than_worker_count(self):
+    def test_partitions_smaller_than_worker_count(self, cut_everything):
         """8 partitions of ~7 users each, 6 workers: shards go empty, results don't."""
         profiles = generate_dense_profiles(60, dim=6, num_communities=3, seed=29)
-        serial = _engine_fingerprint(profiles, k=4, num_partitions=8,
-                                     backend="serial")
-        process = _engine_fingerprint(profiles, k=4, num_partitions=8,
-                                      backend="process", num_workers=6)
-        assert serial == process
-
-    def test_process_single_worker(self):
-        profiles = generate_dense_profiles(80, dim=6, num_communities=3, seed=31)
-        serial = _engine_fingerprint(profiles, backend="serial")
-        process = _engine_fingerprint(profiles, backend="process", num_workers=1)
-        assert serial == process
+        serial = _engine_fingerprint(profiles, k=4, num_partitions=8)
+        threaded = _engine_fingerprint(profiles, k=4, num_partitions=8,
+                                       num_workers=6)
+        assert serial == threaded
 
 
 class TestShardedMergeDeterminism:

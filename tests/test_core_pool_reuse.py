@@ -1,25 +1,20 @@
 """Run-lifetime scoring workers: reuse across iterations, parity across updates.
 
-The engine keeps one :class:`ScoringWorkers` — and whatever executor its
-transport needs — alive for a whole run; workers invalidate their cached
-mmap slices through the profile store's ``generation`` counter after every
-phase-5 update batch.  These tests pin
+The engine keeps one :class:`ScoringWorkers` — and its thread pool, when
+it is wider than one — alive for a whole run; the workers invalidate their
+cached mmap slices through the profile store's ``generation`` counter after
+every phase-5 update batch.  These tests pin
 
-* that the executor really is reused across iterations (fork start-up is
-  paid once a run, not once an iteration),
-* that graph fingerprints stay identical across serial / thread / process
-  backends *while profiles change between iterations* — stale worker caches
+* that graph fingerprints stay identical between the inline and the thread
+  transport *while profiles change between iterations* — a stale part cache
   would break this instantly,
-* the single-worker and no-fork fallbacks to in-process scoring, and that
-  the default configuration builds no executor and no worker process at all.
+* that the pool really is reused across iterations and gone after close,
+  and that the default configuration builds no executor and no process.
 """
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
-import pytest
 
 from repro.core.config import EngineConfig
 from repro.core.engine import KNNEngine
@@ -56,89 +51,27 @@ def _run_fingerprints(profiles, feed_factory, **overrides):
 
 
 class TestPoolReuseParityAcrossUpdates:
-    def test_dense_backends_identical_under_churn(self):
+    def test_dense_backends_identical_under_churn(self, cut_everything):
         profiles = generate_dense_profiles(NUM_USERS, dim=8, num_communities=4,
                                            seed=23)
-        serial = _run_fingerprints(profiles, _dense_feed, backend="serial")
-        threaded = _run_fingerprints(profiles, _dense_feed, backend="thread",
-                                     num_workers=3)
-        process = _run_fingerprints(profiles, _dense_feed, backend="process",
-                                    num_workers=3)
-        assert serial == threaded == process
+        serial = _run_fingerprints(profiles, _dense_feed)
+        threaded = _run_fingerprints(profiles, _dense_feed, num_workers=3)
+        assert serial == threaded
 
-    def test_sparse_backends_identical_under_churn(self):
-        """Sparse updates replace journal/segment files — the hard case for
-        worker caches: a stale mmap would change scores or crash."""
+    def test_sparse_backends_identical_under_churn(self, cut_everything):
+        """Sparse updates replace journal/segment files under the workers'
+        live read-only handle — the hard case for the part cache: a stale
+        mmap would change scores or crash."""
         profiles = generate_sparse_profiles(NUM_USERS, 200, items_per_user=10,
                                             num_communities=4, seed=23)
-        serial = _run_fingerprints(profiles, _sparse_feed, backend="serial")
-        process = _run_fingerprints(profiles, _sparse_feed, backend="process",
-                                    num_workers=3)
-        assert serial == process
-
-    def test_pool_object_survives_iterations(self):
-        profiles = generate_dense_profiles(80, dim=6, num_communities=3, seed=29)
-        config = EngineConfig(k=4, num_partitions=4, backend="process",
-                              num_workers=2, seed=5)
-        with KNNEngine(profiles, config) as engine:
-            engine.run_iteration()
-            workers = engine._iteration_runner.workers
-            pool_first = workers._executor
-            assert pool_first is not None
-            engine.enqueue_profile_changes(
-                [ProfileChange(user=0, kind="set", vector=np.ones(6))])
-            engine.run_iteration()
-            assert workers._executor is pool_first
-            assert workers.respawns == 0
-        # close() shut the pool down and dropped it
-        assert workers._executor is None
-
-    def test_single_worker_skips_pool_with_warning(self, caplog):
-        profiles = generate_dense_profiles(80, dim=6, num_communities=3, seed=31)
-        config = EngineConfig(k=4, num_partitions=4, backend="process",
-                              num_workers=1, seed=5)
-        with caplog.at_level(logging.WARNING, logger="repro.core.parallel"):
-            with KNNEngine(profiles, config) as engine:
-                engine.run_iteration()
-                assert engine._iteration_runner.workers._executor is None
-                engine.run_iteration()
-        warnings = [record for record in caplog.records
-                    if "skipping the worker pool" in record.message]
-        assert len(warnings) == 1  # warned once, not per iteration
-
-    def test_single_worker_fallback_matches_serial(self):
-        profiles = generate_dense_profiles(80, dim=6, num_communities=3, seed=31)
-        feed = lambda rng: _dense_feed(rng, dim=6, num_users=80)
-        serial = _run_fingerprints(profiles, feed, backend="serial")
-        fallback = _run_fingerprints(profiles, feed, backend="process",
-                                     num_workers=1)
-        assert serial == fallback
-
-    def test_no_fork_platform_falls_back(self, monkeypatch, caplog):
-        import repro.core.parallel as parallel_module
-        monkeypatch.setattr(parallel_module, "fork_available", lambda: False)
-        profiles = generate_dense_profiles(80, dim=6, num_communities=3, seed=37)
-        config = EngineConfig(k=4, num_partitions=4, backend="process",
-                              num_workers=4, seed=5)
-        with caplog.at_level(logging.WARNING, logger="repro.core.parallel"):
-            with KNNEngine(profiles, config) as engine:
-                engine.run_iteration()
-                engine.run_iteration()
-                workers = engine._iteration_runner.workers
-                assert workers.transport == "inline"
-                assert workers._executor is None
-        assert sum("fork is unavailable" in record.message
-                   for record in caplog.records) == 1   # once a run
-        feed = lambda rng: _dense_feed(rng, dim=6, num_users=80)
-        serial = _run_fingerprints(profiles, feed, backend="serial")
-        fallback = _run_fingerprints(profiles, feed,
-                                     backend="process", num_workers=4)
-        assert serial == fallback
+        serial = _run_fingerprints(profiles, _sparse_feed)
+        threaded = _run_fingerprints(profiles, _sparse_feed, num_workers=3)
+        assert serial == threaded
 
 
 class TestThreadExecutorReuse:
-    """The thread backend keeps one executor for the whole run, like the
-    process pool — not one per scoring call."""
+    """The thread transport keeps one executor for the whole run — not one
+    per scoring call."""
 
     def test_default_config_builds_no_executor_and_no_process(self, monkeypatch):
         import multiprocessing
@@ -149,7 +82,6 @@ class TestThreadExecutorReuse:
             raise AssertionError("the default configuration built an executor")
 
         monkeypatch.setattr(parallel_module, "ThreadPoolExecutor", refuse)
-        monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", refuse)
         profiles = generate_dense_profiles(NUM_USERS, dim=8, num_communities=4,
                                            seed=23)
         rng = np.random.default_rng(99)
@@ -186,8 +118,7 @@ class TestThreadExecutorReuse:
                                            seed=41)
         base = dict(k=12, num_partitions=8, heuristic="degree-low-high", seed=9)
         baseline = threading.active_count()
-        engine = KNNEngine(profiles, EngineConfig(backend="thread",
-                                                  num_workers=4, **base))
+        engine = KNNEngine(profiles, EngineConfig(num_workers=4, **base))
         try:
             results = [engine.run_iteration(), engine.run_iteration()]
             assert results[0].steps_total == 36
@@ -198,7 +129,7 @@ class TestThreadExecutorReuse:
             engine.close()
         engine.close()  # idempotent
         assert threading.active_count() == baseline
-        with KNNEngine(profiles, EngineConfig(backend="serial", **base)) as twin:
+        with KNNEngine(profiles, EngineConfig(**base)) as twin:
             expected = [twin.run_iteration(), twin.run_iteration()]
         assert ([r.graph.edge_fingerprint() for r in results]
                 == [r.graph.edge_fingerprint() for r in expected])

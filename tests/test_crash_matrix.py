@@ -4,7 +4,8 @@ For every named crash point — spanning phase-4 scoring, phase-5 update
 application, WAL appends, store writes and each stage of the commit
 protocol — a durable run is crashed mid-flight by an injected
 :class:`InjectedCrash`, recovered with :meth:`KNNEngine.recover`, and run
-to completion.  Across all three scoring backends the final graph's
+to completion.  On both phase-4 transports — the calling thread, and a
+pool of two threads cutting every step — the final graph's
 ``edge_fingerprint`` and the final profile bytes must match an
 uninterrupted run exactly: no update lost, none applied twice, and the set
 of names under ``/dev/shm`` unchanged along the way.  The matrix runs
@@ -19,7 +20,6 @@ import pytest
 
 from repro.core.config import EngineConfig
 from repro.core.engine import KNNEngine, _scan_commit_epochs
-from repro.core.parallel import fork_available
 from repro.similarity.workloads import ProfileChange, generate_dense_profiles
 from repro.testing import FaultPlan, InjectedCrash
 
@@ -44,7 +44,10 @@ CRASH_POINTS = [
     "commit.done",
 ]
 
-BACKENDS = ["serial", "thread", "process"]
+#: The phase-4 transports by test id: ``serial`` scores on the calling
+#: thread, ``thread`` on a pool of two (cutting every step, see
+#: ``cut_everything``).
+BACKENDS = ["serial", "thread"]
 
 
 def _profiles():
@@ -53,8 +56,9 @@ def _profiles():
 
 
 def _config(backend, **overrides):
-    return EngineConfig(k=5, num_partitions=4, seed=7, backend=backend,
-                        num_workers=2, **overrides)
+    return EngineConfig(k=5, num_partitions=4, seed=7,
+                        num_workers=1 if backend == "serial" else 2,
+                        **overrides)
 
 
 def _once_feed():
@@ -91,9 +95,8 @@ def reference():
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("point", CRASH_POINTS)
 def test_crash_recover_finish_matches_uninterrupted(point, backend, tmp_path,
-                                                    reference, shm_unchanged):
-    if backend == "process" and not fork_available():
-        pytest.skip("process backend needs fork")
+                                                    reference, shm_unchanged,
+                                                    cut_everything):
     ref_fingerprint, ref_dense = reference
     workdir = tmp_path / "work"
     plan = FaultPlan().crash_at(point, occurrence=2)
@@ -265,9 +268,8 @@ def test_the_serving_order_serves_a_batch_one_iteration_earlier(
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("point", CRASH_POINTS)
 def test_crash_recover_finish_matches_uninterrupted_in_serving_order(
-        point, backend, tmp_path, serving_reference, shm_unchanged):
-    if backend == "process" and not fork_available():
-        pytest.skip("process backend needs fork")
+        point, backend, tmp_path, serving_reference, shm_unchanged,
+        cut_everything):
     ref_fingerprint, ref_dense = serving_reference
     workdir = tmp_path / "work"
     plan = FaultPlan().crash_at(point, occurrence=2)

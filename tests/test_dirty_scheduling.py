@@ -7,7 +7,8 @@ merge is a pure function of the scored candidate multiset.  These tests
 drive hypothesis-generated churn (uniform and partition-localised)
 through runs against a store that vouches for its partition deltas and
 one that cannot (the ``full_schedule`` fixture: the full schedule, as a
-reload or a recovery reaches it) across all three scoring backends and
+reload or a recovery reaches it) on both phase-4 transports (the calling
+thread, and a thread pool cutting every step) and
 compare fingerprint-for-fingerprint plus final profile bytes; pin that
 skipping actually *engages* on a converged graph under localised drift
 churn; and walk every situation where the delta history cannot vouch for
@@ -25,13 +26,14 @@ from hypothesis import strategies as st
 
 from repro.core.config import EngineConfig
 from repro.core.engine import KNNEngine, _scan_commit_epochs
-from repro.core.parallel import fork_available
 from repro.similarity.workloads import ProfileChange, generate_dense_profiles
 from repro.testing import FaultPlan, InjectedCrash
 
 NUM_USERS = 120
 DIM = 8
-BACKENDS = ["serial", "thread", "process"]
+#: The phase-4 transports by test id: ``serial`` scores on the calling
+#: thread, ``thread`` on a pool of three.
+BACKENDS = ["serial", "thread"]
 
 
 def _profiles(seed: int = 7):
@@ -46,12 +48,7 @@ def _config(**overrides):
 
 
 def _backend_overrides(backend: str) -> dict:
-    overrides = {"backend": backend}
-    if backend == "thread":
-        overrides["num_workers"] = 3
-    elif backend == "process":
-        overrides["num_workers"] = 2
-    return overrides
+    return {"num_workers": 1 if backend == "serial" else 3}
 
 
 def _churn_feed(per_iteration, rng_seed: int, users_pool: int = NUM_USERS):
@@ -143,7 +140,8 @@ class TestDirtyParityWall:
     """Dirty-scheduled fingerprints must equal full-schedule ones, always."""
 
     @settings(max_examples=6, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.function_scoped_fixture])
     @given(
         backend=st.sampled_from(BACKENDS),
         churn_sizes=st.lists(st.integers(min_value=0, max_value=25),
@@ -153,9 +151,7 @@ class TestDirtyParityWall:
     )
     def test_dirty_bit_identical_to_full_schedule(self, full_schedule, backend,
                                                   churn_sizes, churn_seed,
-                                                  users_pool):
-        if backend == "process" and not fork_available():
-            backend = "thread"
+                                                  users_pool, cut_everything):
         runs = _run_pair(full_schedule,
                          lambda: _churn_feed(churn_sizes, churn_seed, users_pool),
                          **_backend_overrides(backend))
@@ -172,11 +168,10 @@ class TestDirtyParityWall:
             assert result.steps_total == result.schedule.num_steps
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_converged_drift_skips_and_agrees(self, backend, full_schedule):
+    def test_converged_drift_skips_and_agrees(self, backend, full_schedule,
+                                              cut_everything):
         """On a converged graph under localised drift, skipping must both
         engage (steps and loads actually saved) and stay bit-identical."""
-        if backend == "process" and not fork_available():
-            pytest.skip("process backend needs fork")
         dirty_results, dirty_bytes = _drive_drift(backend, full_schedule(False))
         full_results, full_bytes = _drive_drift(backend, full_schedule())
         assert ([r.graph.edge_fingerprint() for r in dirty_results]

@@ -63,13 +63,6 @@ class TestFaultPlanScheduling:
         plan.after_file_op("write", victim)
         assert victim.stat().st_size == 10
 
-    def test_worker_faults_pop_per_call(self):
-        plan = FaultPlan().kill_worker(call=2, shard=1)
-        assert plan.take_worker_fault() is None     # call 1
-        fault = plan.take_worker_fault()            # call 2
-        assert fault is not None and fault[0] == "kill" and fault[1] == 1
-        assert plan.take_worker_fault() is None     # call 3
-
     def test_seeded_random_points_are_deterministic(self):
         points = ["a", "b", "c", "d"]
         first = FaultPlan(seed=5).crash_at_random(points, count=3,

@@ -17,7 +17,7 @@ translating user ids through a merged slice.  These tests pin
     the id-addressed oracle, and the 4x rule picks the same steps;
 (e) the algorithmic fix: a scattered slice of a 1,000,000-row store never
     allocates an id→row table;
-(f) backend parity on the ``hash`` partitioner, where no partition slice
+(f) transport parity on the ``hash`` partitioner, where no partition slice
     is a contiguous id run.
 """
 
@@ -33,7 +33,6 @@ from hypothesis import strategies as st
 import repro.core.iteration as iteration_module
 from repro.core.config import EngineConfig
 from repro.core.engine import KNNEngine
-from repro.core.parallel import fork_available
 from repro.graph.digraph import CSRDiGraph
 from repro.partition.model import build_partitions, partition_layout
 from repro.similarity.measures import (SET_MEASURES, VECTOR_MEASURES,
@@ -427,7 +426,7 @@ def test_scattered_slice_of_a_million_rows_allocates_no_lookup_table(tmp_path):
     assert peak < 1_000_000, f"peak {peak} B: an id→row table is back"
 
 
-# -- (f) backends on the hash partitioner ------------------------------------------
+# -- (f) transports on the hash partitioner ----------------------------------------
 
 #: The most bytes the partition cache of :func:`_hash_run` holds at once.
 HASH_RUN_PEAK_BYTES = 44_000
@@ -435,14 +434,10 @@ HASH_RUN_PEAK_BYTES = 44_000
 
 def _hash_run(backend: str, budget=None):
     profiles = generate_dense_profiles(400, dim=8, num_communities=5, seed=23)
-    overrides = {"backend": backend}
-    if backend == "thread":
-        overrides["num_workers"] = 3
-    elif backend == "process":
-        overrides["num_workers"] = 2
     config = EngineConfig(k=6, num_partitions=5, partitioner="hash",
                           heuristic="degree-low-high", seed=23,
-                          memory_budget_bytes=budget, **overrides)
+                          memory_budget_bytes=budget,
+                          num_workers=1 if backend == "serial" else 3)
     rng = np.random.default_rng(31)
 
     def feed(iteration):
@@ -465,22 +460,19 @@ def hash_reference():
     return _hash_run("serial")
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-def test_backend_parity_on_non_contiguous_partitions(backend, hash_reference):
-    if backend == "process" and not fork_available():
-        pytest.skip("process backend needs fork")
+@pytest.mark.parametrize("backend", ["serial", "thread"])
+def test_backend_parity_on_non_contiguous_partitions(backend, hash_reference,
+                                                     cut_everything):
     # same graphs, same operation counts, same profile bytes
     assert _hash_run(backend) == hash_reference
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+@pytest.mark.parametrize("backend", ["serial", "thread"])
 def test_a_cache_capped_at_its_peak_changes_nothing_on_non_contiguous_partitions(
-        backend, hash_reference):
+        backend, hash_reference, cut_everything):
     """Gathered-copy slices are charged like contiguous ones: capped at
     exactly the peak the walk reaches, the run fits and nothing changes;
     a byte less and it fails loudly."""
-    if backend == "process" and not fork_available():
-        pytest.skip("process backend needs fork")
     assert _hash_run(backend, budget=HASH_RUN_PEAK_BYTES) == hash_reference
     with pytest.raises(MemoryError):
         _hash_run(backend, budget=HASH_RUN_PEAK_BYTES - 1)

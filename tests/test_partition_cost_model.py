@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from repro.core.config import EngineConfig
 from repro.core.engine import KNNEngine
-from repro.core.parallel import fork_available
 from repro.graph.digraph import CSRDiGraph
 from repro.partition.model import build_partitions, partition_layout
 from repro.similarity.workloads import (generate_dense_profiles,
@@ -72,7 +71,7 @@ class TestClosedFormAgainstBuiltPartitions:
 
 # -- (b) engines against what the parent commit's files cost ------------------
 
-BACKENDS = ["serial", "thread", "process"]
+BACKENDS = ["serial", "thread"]   # inline, and a pool of two
 BUDGET = 200_000
 
 
@@ -84,10 +83,9 @@ def _profiles(kind):
 
 
 def _config(backend, budget):
-    overrides = {} if backend == "serial" else {"num_workers": 2}
     return EngineConfig(k=5, num_partitions=6, heuristic="degree-low-high",
-                        seed=3, memory_budget_bytes=budget, backend=backend,
-                        **overrides)
+                        seed=3, memory_budget_bytes=budget,
+                        num_workers=1 if backend == "serial" else 2)
 
 
 @pytest.fixture
@@ -107,7 +105,7 @@ def allocations(monkeypatch):
 
 #: Per iteration ``(read_ops, write_ops, simulated_io_seconds)`` and the
 #: run's ``MemoryBudget.peak_bytes``, by (kind, False) — the second field
-#: keyed the retired wave switch's rows; the same on every backend.
+#: keyed the retired wave switch's rows; the same on either transport.
 #: Computed at commit 3784424, the last to write the files.
 _GOLDEN_COST = {
     ("dense", False): ([(38, 7, 0.0005605376), (38, 6, 0.0005155136),
@@ -130,9 +128,7 @@ class TestEnginesChargeWhatTheFilesCost:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("kind", ["dense", "sparse"])
     def test_matches_the_parent_commit_and_leaves_no_file(
-            self, kind, backend, allocations):
-        assert fork_available() or backend != "process", (
-            "the process backend needs fork; this wall does not skip")
+            self, kind, backend, allocations, cut_everything):
         with KNNEngine(_profiles(kind), _config(backend, BUDGET)) as engine:
             run = engine.run(num_iterations=3)
             assert not (engine.workdir / "partitions").exists()
@@ -144,11 +140,10 @@ class TestEnginesChargeWhatTheFilesCost:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("kind", ["dense", "sparse"])
     def test_without_a_budget_the_files_cost_the_same(self, kind, backend,
-                                                      allocations):
+                                                      allocations,
+                                                      cut_everything):
         """The budget is the partition cache's cap and nothing else: with
         none, no byte is allocated and every charge is the capped run's."""
-        assert fork_available() or backend != "process", (
-            "the process backend needs fork; this wall does not skip")
         with KNNEngine(_profiles(kind), _config(backend, None)) as engine:
             run = engine.run(num_iterations=3)
             assert not list(engine.workdir.rglob("partition_*.bin"))
@@ -160,9 +155,7 @@ class TestEnginesChargeWhatTheFilesCost:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("kind", ["dense", "sparse"])
     def test_over_budget_fails_on_the_same_step(self, kind, backend,
-                                                allocations):
-        assert fork_available() or backend != "process", (
-            "the process backend needs fork; this wall does not skip")
+                                                allocations, cut_everything):
         budget, message, fitting = _GOLDEN_OVER_BUDGET[kind]
         with KNNEngine(_profiles(kind), _config(backend, budget)) as engine:
             with pytest.raises(MemoryError) as caught:

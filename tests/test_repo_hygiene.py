@@ -182,7 +182,7 @@ def test_the_partition_accountants_touch_no_file():
 
 def test_core_scores_by_row_not_through_merged_or_id_addressed_slices():
     """Nothing in ``core/`` merges profile slices or translates user ids to
-    rows: every backend scores ``ProfileSlice.similarity_rows``.  ``merge``
+    rows: either transport scores ``ProfileSlice.similarity_rows``.  ``merge``
     is also the name of the stats / score-cache accumulators, so a
     ``.merge(...)`` call passes only on one of those receivers."""
     accumulators = {"self", "io_stats", "total_io", "total_phases",
@@ -219,15 +219,17 @@ def test_every_engine_config_field_is_read_somewhere():
             if isinstance(node, ast.Attribute)}
     fields = {spec.name for spec in dataclasses.fields(EngineConfig)}
     assert fields - read == set()
-    assert len(fields) == 17
+    assert len(fields) == 15
 
 
 def test_engine_config_fields_are_pinned():
     """Every field either is the paper's knob or pays for itself on a gated
     bench; the carried state has no switch (``incremental_phase4``,
     ``dirty_scheduling``), the segment layout follows the partitioner
-    (``profile_segment_rows``) and phase 4 walks its steps one at a time
-    (``shard_parallel``).  A new field is a decision made here."""
+    (``profile_segment_rows``), phase 4 walks its steps one at a time
+    (``shard_parallel``) in one process, whose width alone says who scores
+    (``backend``, ``shard_timeout_seconds``).  A new field is a decision
+    made here."""
     import dataclasses
 
     from repro.core.config import EngineConfig
@@ -235,9 +237,8 @@ def test_engine_config_fields_are_pinned():
     assert [spec.name for spec in dataclasses.fields(EngineConfig)] == [
         "k", "num_partitions", "partitioner", "heuristic", "measure",
         "disk_model", "max_resident_partitions", "memory_budget_bytes",
-        "include_direct_edges", "max_pairs_per_bridge", "backend",
-        "num_workers", "score_cache_entries", "seed",
-        "shard_timeout_seconds", "durable", "fault_plan"]
+        "include_direct_edges", "max_pairs_per_bridge", "num_workers",
+        "score_cache_entries", "seed", "durable", "fault_plan"]
 
 
 def test_one_residency_model():
@@ -245,11 +246,17 @@ def test_one_residency_model():
     the partition cache, and ``memory_budget_bytes`` one meaning, that
     cache's cap: the wave execution, its planner and the per-worker budget
     do not come back under ``src/``.  The retired knob is named only where
-    old manifests are translated (``core/engine.py::_RETIRED_KNOBS`` and
-    the docstring of ``_config_from_manifest``)."""
+    old manifests are translated."""
     gone = re.compile(r"\b(shard_parallel|_WaveResidency|plan_shard_schedule|"
                       r"ShardSchedule|record_transient|peak_worker_bytes|"
                       r"worker_budget_bytes)\b")
+    assert _lines_outside_the_retired_knobs(gone) == []
+
+
+def _lines_outside_the_retired_knobs(gone: "re.Pattern[str]") -> "list[str]":
+    """Lines under ``src/`` matching ``gone``, except where old manifests
+    are translated (``core/engine.py::_RETIRED_KNOBS`` and the docstring
+    of ``_config_from_manifest``)."""
     engine = REPO_ROOT / "src" / "repro" / "core" / "engine.py"
     retired = set()
     for node in ast.parse(engine.read_text()).body:
@@ -261,14 +268,23 @@ def test_one_residency_model():
               and node.name == "_config_from_manifest"):
             docstring = node.body[0]
             retired.update(range(docstring.lineno, docstring.end_lineno + 1))
+    assert len(retired) > 2, "the retired-knob record moved; re-point the test"
     src = REPO_ROOT / "src"
-    offenders = [
+    return [
         f"{path.relative_to(REPO_ROOT)}:{number}"
         for path in sorted(src.rglob("*.py"))
         for number, line in enumerate(path.read_text().splitlines(), 1)
         if gone.search(line) and not (path == engine and number in retired)]
-    assert offenders == []
-    assert len(retired) > 2, "the retired-knob record moved; re-point the test"
+
+
+def test_one_scoring_process():
+    """Phase 4 scores in one process: the fork pool, its supervisor and
+    their fault hooks do not come back under ``src/``.  The retired knob is
+    named only where old manifests are translated."""
+    gone = re.compile(r"ProcessPoolExecutor|BrokenProcessPool|multiprocessing|"
+                      r"fork_available|ScoringPoolBroken|shard_timeout|"
+                      r"kill_worker|hang_worker|take_worker_fault")
+    assert _lines_outside_the_retired_knobs(gone) == []
 
 
 def test_no_score_cache_file_under_src():
@@ -286,23 +302,16 @@ def test_no_score_cache_file_under_src():
 
 
 def test_one_worker_seam():
-    """Executors are built in ``core/parallel.py`` and nowhere else under
-    ``src/``, and phase 4 never handles the seam's failure itself: the
-    degrade to inline scoring is written once, behind ``execute``."""
+    """The one executor under ``src/`` is the thread pool built in
+    ``core/parallel.py``."""
     src = REPO_ROOT / "src" / "repro"
-    built = re.compile(r"\b(Thread|Process)PoolExecutor\(")
-    offenders = [
-        f"{path.relative_to(REPO_ROOT)}:{number}"
+    built = re.compile(r"\bThreadPoolExecutor\(")
+    found = [
+        f"{path.relative_to(src)}:{number}"
         for path in sorted(src.rglob("*.py"))
-        if path != src / "core" / "parallel.py"
         for number, line in enumerate(path.read_text().splitlines(), 1)
         if built.search(line)]
-    assert offenders == []
-    parallel = (src / "core" / "parallel.py").read_text()
-    assert len(built.findall(parallel)) == 2
-    assert parallel.count("except (BrokenProcessPool, FutureTimeoutError)") == 1
-    assert parallel.count("_build_worker_executor(") == 2   # def + one call
-    assert "ScoringPoolBroken" not in (src / "core" / "iteration.py").read_text()
+    assert len(found) == 1 and found[0].startswith("core/parallel.py:")
 
 
 def test_one_profile_format_and_one_place_that_checks_it():

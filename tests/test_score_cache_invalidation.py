@@ -5,10 +5,8 @@ since the cached generation must cost **exactly one** full rescore — never
 a stale reuse, and never a permanent fallback to full rescoring:
 
 * ``reload()`` after an external rewrite of the store files,
-* the generation rollover after a journal compaction folds the sparse
-  row-remap journal into the segments,
-* and the ``backend="process"``/``num_workers=1`` pool-skip path, whose
-  only full rescore is the cold first iteration.
+* and the generation rollover after a journal compaction folds the sparse
+  row-remap journal into the segments.
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ import pytest
 
 from repro.core.config import EngineConfig
 from repro.core.iteration import OutOfCoreIteration
-from repro.core.engine import KNNEngine
 from repro.core.update_queue import ProfileUpdateQueue
 from repro.graph.knn_graph import KNNGraph
 from repro.similarity.workloads import (ProfileChange, generate_dense_profiles,
@@ -135,52 +132,6 @@ class TestCompactionForcesOneFullRescore:
                     fps.append(graph.edge_fingerprint())
             fingerprints[incremental] = fps
         assert fingerprints[True] == fingerprints[False]
-
-
-class TestPoolSkipPath:
-    def test_single_worker_pool_skip_rescoring_once(self, tmp_path):
-        """backend='process' with num_workers=1 skips the pool but must keep
-        the cache: exactly one full rescore (the cold start), then reuse."""
-        profiles = generate_dense_profiles(NUM_USERS, dim=6, num_communities=3,
-                                           seed=13)
-        runner, _ = _runner(tmp_path, profiles, backend="process",
-                            num_workers=1)
-        assert runner.workers.transport == "inline"            # pool skipped
-        graph = KNNGraph.random(NUM_USERS, 5, seed=13)
-        results = []
-        for iteration in range(3):
-            result = runner.run(iteration, graph)
-            graph = result.graph
-            results.append(result)
-        assert [r.full_rescore for r in results] == [True, False, False]
-        assert results[0].reused_scores == 0
-        assert all(r.reused_scores > 0 for r in results[1:])
-
-    def test_pool_skip_matches_serial_with_cache_on(self):
-        profiles = generate_dense_profiles(NUM_USERS, dim=6, num_communities=3,
-                                           seed=13)
-        rng_feed = lambda seed: _feed_dense(seed)
-        fingerprints = {}
-        for backend, workers in (("serial", 1), ("process", 1)):
-            config = EngineConfig(k=5, num_partitions=4, seed=13,
-                                  backend=backend, num_workers=workers)
-            with KNNEngine(profiles, config) as engine:
-                run = engine.run(num_iterations=3,
-                                 profile_change_feed=rng_feed(21))
-            fingerprints[backend] = [r.graph.edge_fingerprint()
-                                     for r in run.iterations]
-        assert fingerprints["serial"] == fingerprints["process"]
-
-
-def _feed_dense(seed):
-    rng = np.random.default_rng(seed)
-
-    def feed(_iteration):
-        users = rng.choice(NUM_USERS, size=6, replace=False)
-        return [ProfileChange(user=int(u), kind="set", vector=rng.random(6))
-                for u in users]
-
-    return feed
 
 
 class TestDeltaLogBoundary:

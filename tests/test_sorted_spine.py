@@ -25,7 +25,6 @@ import repro.graph.knn_graph as knn_graph_module
 from repro.core.config import EngineConfig
 from repro.core.engine import KNNEngine
 from repro.core.iteration import Phase4ScoreCache
-from repro.core.parallel import fork_available
 from repro.graph.digraph import CSRDiGraph
 from repro.graph.knn_graph import KNNGraph
 from repro.partition.model import Partition, build_partitions
@@ -479,13 +478,9 @@ def _golden_feed(kind, profiles):
 def _observe(kind, dirty, backend, full_schedule, budget=None):
     """``dirty=False`` runs against a store that cannot vouch for its
     partition deltas — the full schedule."""
-    overrides = {"backend": backend}
-    if backend == "thread":
-        overrides["num_workers"] = 3
-    elif backend == "process":
-        overrides["num_workers"] = 2
     config = EngineConfig(k=5, num_partitions=6, heuristic="degree-low-high",
-                          seed=17, memory_budget_bytes=budget, **overrides)
+                          seed=17, memory_budget_bytes=budget,
+                          num_workers=1 if backend == "serial" else 3)
     profiles = _golden_profiles(kind)
     with full_schedule(not dirty), KNNEngine(profiles, config) as engine:
         run = engine.run(num_iterations=GOLDEN_WARMUP + GOLDEN_CHURNED,
@@ -552,13 +547,12 @@ _GOLDEN_PEAK = {"dense": 32400.0, "sparse": 44688.0}
 
 
 class TestEngineGoldens:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
     @pytest.mark.parametrize("dirty", [True, False], ids=["dirty", "full"])
     @pytest.mark.parametrize("kind", ["dense", "sparse"])
     def test_matches_the_parent_commit(self, kind, dirty, backend,
-                                       monkeypatch, full_schedule):
-        assert fork_available() or backend != "process", (
-            "the process backend needs fork; this wall does not skip")
+                                       monkeypatch, full_schedule,
+                                       cut_everything):
         # the goldens were recorded before phase 2 could advance H by the
         # edge delta: a spy proves the churned iterations took that path,
         # the unedited goldens that it changed nothing
@@ -594,16 +588,15 @@ class TestEngineGoldens:
         assert built_in == [i for i, flag in enumerate(rebuilt) if flag]
         assert rebuilt[GOLDEN_WARMUP:].count(False) >= GOLDEN_CHURNED - 1
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
     @pytest.mark.parametrize("dirty", [True, False], ids=["dirty", "full"])
     @pytest.mark.parametrize("kind", ["dense", "sparse"])
     def test_a_cache_capped_at_its_peak_changes_no_golden(
-            self, kind, dirty, backend, monkeypatch, full_schedule):
+            self, kind, dirty, backend, monkeypatch, full_schedule,
+            cut_everything):
         """``memory_budget_bytes`` caps the partition cache and does nothing
         else: capped at exactly the peak the walk reaches, the run fits and
         every golden above is the uncapped run's."""
-        assert fork_available() or backend != "process", (
-            "the process backend needs fork; this wall does not skip")
         peaks = []
         allocate = MemoryBudget.allocate
 

@@ -1,13 +1,14 @@
-"""The step-at-a-time parity wall: every backend walks the same steps.
+"""The step-at-a-time parity wall: both transports walk the same steps.
 
 Phase 4 executes its plan one residency step at a time — two partitions
 resident, each step's tuples scored across ``ScoringWorkers.execute`` and
 their scores put in their slots of the score slab.  Which transport scored
 them must not show: these tests drive hypothesis-generated churn through
-serial, thread and process engines and compare per-iteration fingerprints,
-final profile bytes and load/unload counts; check that the two reference
-paths (the full schedule, the full rescore) and a partition-cache budget
-change no graph on any backend; and score one step across the seam against
+engines scoring on the calling thread and on a thread pool that cuts every
+step, and compare per-iteration fingerprints, final profile bytes and
+load/unload counts; check that the two reference paths (the full schedule,
+the full rescore) and a partition-cache budget change no graph on either
+transport; and score one step across the seam against
 a first-principles oracle that shares no slice code with it.
 """
 
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import EngineConfig
 from repro.core.engine import KNNEngine
-from repro.core.parallel import ScoringWorkers, ShardStepTask, fork_available
+from repro.core.parallel import ScoringWorkers, ShardStepTask
 from repro.similarity.workloads import (ProfileChange, generate_dense_profiles,
                                         generate_sparse_profiles)
 from repro.storage.memory_manager import MemoryBudget
@@ -30,7 +31,9 @@ from repro.storage.profile_store import OnDiskProfileStore
 
 NUM_USERS = 120
 DIM = 8
-BACKENDS = ["serial", "thread", "process"]
+#: The phase-4 transports by test id: ``serial`` scores on the calling
+#: thread, ``thread`` on a pool of three.
+BACKENDS = ["serial", "thread"]
 
 
 def _profiles(seed: int = 7):
@@ -40,11 +43,7 @@ def _profiles(seed: int = 7):
 
 def _config(backend: str = "serial", **overrides):
     base = dict(k=5, num_partitions=4, heuristic="degree-low-high", seed=17,
-                backend=backend)
-    if backend == "thread":
-        base["num_workers"] = 3
-    elif backend == "process":
-        base["num_workers"] = 2
+                num_workers=1 if backend == "serial" else 3)
     base.update(overrides)
     return EngineConfig(**base)
 
@@ -78,37 +77,31 @@ def _observe(churn, backend="serial", context=contextlib.nullcontext,
             [result.load_unload_operations for result in run.iterations], dense)
 
 
-def _needs_fork(backend):
-    if backend == "process" and not fork_available():
-        pytest.skip("process backend needs fork")
-
-
 class TestStepParityWall:
-    """Every backend's graphs, counts and profile bytes are serial's."""
+    """The thread pool's graphs, counts and profile bytes are serial's, with
+    every step cut across its threads (``cut_everything``)."""
 
     @settings(max_examples=6, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.function_scoped_fixture])
     @given(
-        backend=st.sampled_from(["thread", "process"]),
         churn_sizes=st.lists(st.integers(min_value=0, max_value=25),
                              min_size=4, max_size=4),
         churn_seed=st.integers(min_value=0, max_value=2**16),
         users_pool=st.sampled_from([NUM_USERS, 30]),
     )
-    def test_backends_bit_identical_to_serial(self, backend, churn_sizes,
-                                              churn_seed, users_pool):
-        if backend == "process" and not fork_available():
-            backend = "thread"
+    def test_backends_bit_identical_to_serial(self, churn_sizes, churn_seed,
+                                              users_pool, cut_everything):
         serial = _observe(_churn_feed(churn_sizes, churn_seed, users_pool))
         assert _observe(_churn_feed(churn_sizes, churn_seed, users_pool),
-                        backend) == serial
+                        "thread") == serial
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_the_full_schedule_builds_the_same_graphs(self, backend,
-                                                      full_schedule):
+                                                      full_schedule,
+                                                      cut_everything):
         """A store that cannot vouch for its partition deltas executes every
         step: more loads, the dirty-first walk's graphs and profiles."""
-        _needs_fork(backend)
         dirty = _observe(_churn_feed([10, 5, 0, 8], 29))
         graphs, counts, dense = _observe(_churn_feed([10, 5, 0, 8], 29),
                                          backend, context=full_schedule)
@@ -117,19 +110,19 @@ class TestStepParityWall:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_a_full_rescore_builds_the_same_graphs(self, backend,
-                                                   full_rescore):
+                                                   full_rescore,
+                                                   cut_everything):
         """No reusable score at all: every tuple crosses the seam."""
-        _needs_fork(backend)
         reused = _observe(_churn_feed([6, 6, 6, 6], 31))
         graphs, _, dense = _observe(_churn_feed([6, 6, 6, 6], 31), backend,
                                     context=full_rescore)
         assert (graphs, dense) == (reused[0], reused[2])
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_a_partition_cache_budget_changes_no_result(self, backend):
+    def test_a_partition_cache_budget_changes_no_result(self, backend,
+                                                        cut_everything):
         """A budget the walk fits in changes accounting, not results — not
         even the load/unload count."""
-        _needs_fork(backend)
         uncapped = _observe(_churn_feed([10, 0, 10, 0], 37))
         assert _observe(_churn_feed([10, 0, 10, 0], 37), backend,
                         memory_budget_bytes=50_000_000) == uncapped
@@ -178,11 +171,10 @@ class TestStepOracle:
                              [("dense", "cosine"), ("sparse", "jaccard")])
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_step_scores_match_direct_scoring(self, stores, backend, kind,
-                                              measure):
+                                              measure, cut_everything):
         """Partitions (1, 3) of four, their PI edges (1→3), (3→1), (1→1) as
         partition-local row batches; the oracle scores the same tuples by
         global id on one slice of the whole store."""
-        _needs_fork(backend)
         store = stores[kind]
         rng = np.random.default_rng(5)
         quarter = NUM_USERS // 4
@@ -198,7 +190,8 @@ class TestStepOracle:
             parts=tuple((pid, range(start, start + quarter))
                         for pid, start in zip((1, 3), starts)),
             batches=tuple(batches), measure=measure, generation=None)
-        with ScoringWorkers(store, backend=backend, num_workers=2) as workers:
+        with ScoringWorkers(store, num_workers=1 if backend == "serial"
+                            else 2) as workers:
             scores = workers.execute(task)
         whole = store.load_users(np.arange(NUM_USERS))
         np.testing.assert_array_equal(
