@@ -18,7 +18,7 @@ from repro.core.checkpoint import (
     write_checkpoint_checksums,
 )
 from repro.core.config import EngineConfig
-from repro.core.engine import KNNEngine
+from repro.core.engine import KNNEngine, _config_from_manifest
 from repro.graph.knn_graph import KNNGraph
 from repro.similarity.workloads import (ProfileChange, generate_dense_profiles,
                                         generate_sparse_profiles)
@@ -834,13 +834,15 @@ class TestSwitchedOffManifest:
         assert "shard_parallel" not in str(failure.value)
 
     @pytest.mark.parametrize("changes, width", [
-        ({}, 2), ({"backend": "serial", "num_workers": 3}, 1)],
-        ids=["process", "serial"])
+        ({}, 2), ({"backend": "serial", "num_workers": 3}, 1),
+        ({"backend": "thread", "num_workers": 3}, 3)],
+        ids=["process", "serial", "thread"])
     def test_a_saved_transport_resumes_and_recovers_to_the_twin(
             self, tmp_path, changes, width, cut_everything):
         """``backend`` and ``shard_timeout_seconds`` retired with the fork
-        pool: a ``"process"`` pool keeps its width, now a thread pool's, and
-        ``"serial"`` ran on the calling thread whatever width it saved.
+        pool: a ``"process"`` or ``"thread"`` pool keeps its width, now a
+        thread pool's, and ``"serial"`` ran on the calling thread whatever
+        width it saved.
         Either resumes, and its sealed epochs recover, to the graphs and
         profile bytes of a twin that never stopped."""
         profiles = generate_dense_profiles(60, dim=4, seed=1)
@@ -869,3 +871,39 @@ class TestSwitchedOffManifest:
                 assert [result.graph.edge_fingerprint()
                         for result in run.iterations] == expected
                 assert self._dense_bytes(resumed) == expected_bytes
+
+
+#: ``(saved engine_config, num_workers it restores)``: every captured
+#: manifest above, and the transports each could have named.
+_SAVED_WIDTHS = {
+    "pr14-thread-num-threads": (_PARENT_ENGINE_CONFIG, 3),
+    "pr14-serial-num-threads": ({**_PARENT_ENGINE_CONFIG, "backend": "serial"}, 1),
+    "pr14-process-num-threads": ({**_PARENT_ENGINE_CONFIG,
+                                  "backend": "process"}, 2),
+    "switched-off-thread": (_SWITCHED_OFF_ENGINE_CONFIG, 1),
+    "waves-thread": (_WAVES_ENGINE_CONFIG, 1),
+    "process-watchdog": (_PROCESS_ENGINE_CONFIG, 2),
+    "process-no-watchdog": ({**_PROCESS_ENGINE_CONFIG,
+                             "shard_timeout_seconds": None}, 2),
+    "process-serial": ({**_PROCESS_ENGINE_CONFIG, "backend": "serial",
+                        "num_workers": 3}, 1),
+    "process-thread": ({**_PROCESS_ENGINE_CONFIG, "backend": "thread",
+                        "num_workers": 3}, 3),
+    "no-transport-named": ({key: value for key, value
+                            in _PROCESS_ENGINE_CONFIG.items()
+                            if key not in ("backend", "shard_timeout_seconds")}
+                           | {"num_workers": 3}, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SAVED_WIDTHS))
+def test_a_saved_manifest_restores_its_width(name, tmp_path):
+    """What each saved transport ran on, as today's one width knob: a
+    ``"serial"`` backend was the calling thread whatever it saved, any
+    other keeps its ``num_workers`` (or a ``"thread"`` backend's
+    ``num_threads``), and nothing else of the manifest changes."""
+    saved, width = _SAVED_WIDTHS[name]
+    before = dict(saved)
+    assert _config_from_manifest(saved, tmp_path) == EngineConfig(
+        k=4, num_partitions=3, seed=9, num_workers=width)
+    assert saved == before

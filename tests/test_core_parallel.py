@@ -91,6 +91,23 @@ class TestScoreTuples:
         scores = _threaded(dense_store, pairs[:10], 4, 3, monkeypatch)
         assert len(scores) == 10
 
+    def test_one_worker_never_cuts(self, dense_store, dense_slice, pairs,
+                                   monkeypatch):
+        """However low the floor, one worker scores the whole task inline."""
+        monkeypatch.setattr(parallel_module, "SPLIT_FLOOR_ROWS", 0)
+        batches = []
+
+        def kernel(left, left_rows, right, right_rows, measure):
+            batches.append(len(left_rows))
+            return score_tuples(left, left_rows, right, right_rows, measure)
+
+        with ScoringWorkers(dense_store, num_workers=1, score=kernel) as workers:
+            assert workers.transport == "inline"
+            serial = workers.execute(_task(dense_store.num_users, pairs))
+            assert workers._executor is None
+        assert batches == [len(pairs)]
+        assert np.array_equal(serial, dense_slice.similarity_pairs(pairs, "cosine"))
+
 
 def _pieces(num_rows, width, floor, monkeypatch):
     """Row counts of the sub-tasks one ``num_rows`` batch is cut into."""

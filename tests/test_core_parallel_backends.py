@@ -5,7 +5,7 @@ whose two transports (inline on the calling thread, and a thread pool that
 cuts each task row-wise) must be indistinguishable by their results.
 These tests pin the seam to ``similarity_rows`` on freshly loaded slices —
 bitwise, for all 8 measures on dense and sparse stores, with the task cut
-row-wise at every width — and whole engine runs to each other by edge-set
+row-wise at every width up to eight — and whole engine runs to each other by edge-set
 fingerprint, including the awkward shapes: empty batches, fewer rows than
 workers, partitions smaller than the worker count, a step whose two
 partitions are one, a store that changed between calls, and a one-worker
@@ -14,12 +14,15 @@ pool.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro.core.config import EngineConfig
 from repro.core.engine import KNNEngine
-from repro.core.parallel import ScoringWorkers, ShardStepTask
+from repro.core.parallel import (ScoringWorkers, ShardStepTask, _WorkerState,
+                                 score_tuples)
 from repro.graph.knn_graph import KNNGraph
 from repro.similarity.measures import SET_MEASURES, VECTOR_MEASURES
 from repro.similarity.workloads import (ProfileChange, generate_dense_profiles,
@@ -27,8 +30,15 @@ from repro.similarity.workloads import (ProfileChange, generate_dense_profiles,
 from repro.storage.profile_store import OnDiskProfileStore
 
 NUM_USERS = 120
-#: The transports by test id: ``serial`` scores inline, ``thread`` on a pool.
-BACKENDS = ["serial", "thread"]
+#: The transports by test id, as the ``num_workers`` each runs unless a
+#: test says otherwise: ``serial`` scores inline, ``thread`` on a pool of
+#: three and ``thread4`` on a pool of four.
+WIDTHS = {"serial": 1, "thread": 3, "thread4": 4}
+BACKENDS = list(WIDTHS)
+#: ``(transport, width)`` for the cut itself: inline, and the pool at every
+#: width up to eight — the step tasks' 60-row batches cut evenly up to six
+#: and unevenly at seven and eight.
+CUT_WIDTHS = [("serial", 1)] + [("thread", width) for width in range(1, 9)]
 
 
 @pytest.fixture(scope="module")
@@ -58,10 +68,16 @@ def pairs():
     return rng.integers(0, NUM_USERS, size=(500, 2)).astype(np.int64)
 
 
-def _workers(store, backend, width=3, **options):
-    """``serial`` is one worker whatever ``width`` says."""
-    return ScoringWorkers(store, num_workers=1 if backend == "serial" else width,
-                          **options)
+def _workers(store, backend, width=None, **options):
+    """``serial`` is one worker whatever ``width`` says; a pool is
+    ``width`` wide, or as wide as its transport's default."""
+    return ScoringWorkers(
+        store, num_workers=1 if backend == "serial" else width or WIDTHS[backend],
+        **options)
+
+
+def _measure(kind):
+    return "cosine" if kind == "dense" else "jaccard"
 
 
 def _task(parts, batches, measure, generation=None):
@@ -153,24 +169,22 @@ class TestScoreParityAllMeasures:
 
 
 class TestSeamWall:
-    """2 transports × widths {1, 2, 3}, dense and sparse: every result
+    """Inline and the pool at widths 1–8, dense and sparse: every result
     bit-equal to ``similarity_rows`` on freshly loaded slices."""
 
     @pytest.mark.parametrize("kind", ["dense", "sparse"])
-    @pytest.mark.parametrize("width", [1, 2, 3])
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend, width", CUT_WIDTHS)
     def test_one_task_cut_row_wise(self, stores, backend, width, kind,
                                    cut_everything):
         store = stores[kind]
         (task,) = _step_tasks(np.random.default_rng(3), [(0, 2)],
-                              measure="cosine" if kind == "dense" else "jaccard")
+                              measure=_measure(kind))
         with _workers(store, backend, width) as workers:
             scores = workers.execute(task)
         np.testing.assert_array_equal(scores, _expected(store, task))
 
     @pytest.mark.parametrize("kind", ["dense", "sparse"])
-    @pytest.mark.parametrize("width", [1, 2, 3])
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend, width", CUT_WIDTHS)
     def test_steps_one_after_another_on_one_pool(self, stores, backend, width,
                                                  kind, cut_everything):
         """Phase 4's walk: one pool scores step after step, a partition
@@ -178,7 +192,7 @@ class TestSeamWall:
         step's result depends on what the pool scored before it."""
         store = stores[kind]
         tasks = _step_tasks(np.random.default_rng(4), [(0, 1), (1, 2), (3, 3)],
-                            measure="cosine" if kind == "dense" else "jaccard")
+                            measure=_measure(kind))
         with _workers(store, backend, width) as workers:
             forward = [workers.execute(task) for task in tasks]
             backward = [workers.execute(task) for task in reversed(tasks)]
@@ -186,41 +200,49 @@ class TestSeamWall:
             np.testing.assert_array_equal(scores, _expected(store, task))
             np.testing.assert_array_equal(again, scores)
 
+    @pytest.mark.parametrize("kind", ["dense", "sparse"])
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_a_step_inside_one_partition(self, dense_store, backend,
+    def test_a_step_inside_one_partition(self, stores, backend, kind,
                                          cut_everything):
+        store = stores[kind]
         (task,) = _step_tasks(np.random.default_rng(5), [(1, 1)],
-                              measure="cosine")
+                              measure=_measure(kind))
         assert len(task.parts) == 1
-        with _workers(dense_store, backend) as workers:
+        with _workers(store, backend) as workers:
             scores = workers.execute(task)
-        np.testing.assert_array_equal(scores, _expected(dense_store, task))
+        np.testing.assert_array_equal(scores, _expected(store, task))
 
+    @pytest.mark.parametrize("kind", ["dense", "sparse"])
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_empty_batch(self, dense_store, backend, cut_everything):
+    def test_empty_batch(self, stores, backend, kind, cut_everything):
         """A batch without rows scores to nothing, beside one that has some."""
+        store = stores[kind]
         nothing = np.empty(0, dtype=np.int64)
         rows = np.arange(10)
         task = _task([("ten", range(10))],
                      [(0, 0, nothing, nothing), (0, 0, rows, rows[::-1])],
-                     "cosine")
-        with _workers(dense_store, backend) as workers:
+                     _measure(kind))
+        with _workers(store, backend) as workers:
             scores = workers.execute(task)
             none = workers.execute(_task(task.parts, task.batches[:1],
-                                         "cosine"))
-        np.testing.assert_array_equal(scores, _expected(dense_store, task))
+                                         _measure(kind)))
+        np.testing.assert_array_equal(scores, _expected(store, task))
         assert none.shape == (0,)
 
+    @pytest.mark.parametrize("kind", ["dense", "sparse"])
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_fewer_rows_than_workers(self, dense_store, backend, cut_everything):
+    def test_fewer_rows_than_workers(self, stores, backend, kind,
+                                     cut_everything):
         """Pieces beyond the row count are dropped, not scored empty."""
+        store = stores[kind]
         task = _task([("ten", range(10))],
-                     [(0, 0, np.array([0, 2]), np.array([1, 3]))], "cosine")
-        with _workers(dense_store, backend, width=3) as workers:
+                     [(0, 0, np.array([0, 2]), np.array([1, 3]))],
+                     _measure(kind))
+        with _workers(store, backend) as workers:
             scores = workers.execute(task)
-        np.testing.assert_array_equal(scores, _expected(dense_store, task))
+        np.testing.assert_array_equal(scores, _expected(store, task))
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
     def test_generation_bump_drops_the_stale_part_cache(self, tmp_path, backend,
                                                         cut_everything):
         """The same part key after ``apply_changes``: workers that outlive a
@@ -243,7 +265,7 @@ class TestSeamWall:
         np.testing.assert_array_equal(after, _expected(store, task()))
         assert not np.array_equal(before, after)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
     def test_generation_bump_reloads_a_sparse_store(self, tmp_path, backend,
                                                     cut_everything):
         """A sparse update lands in a journal the workers' handle has not
@@ -297,6 +319,110 @@ class TestSeamWall:
             ScoringWorkers(dense_store, part_cache_slots=0)
 
 
+class TestThreadPool:
+    """What the pool promises besides its scores: where the work runs, what
+    a failure does to it, and when it exists at all."""
+
+    def test_slices_resolve_on_the_calling_thread_and_the_kernel_on_the_pool(
+            self, dense_store, pairs, monkeypatch, cut_everything):
+        """The store handle and the part cache are touched by the calling
+        thread only; each sub-task's kernel call runs on a pool thread."""
+        resolved, scored = [], []
+        slices = _WorkerState.slices
+
+        def spied(state, task):
+            resolved.append(threading.current_thread())
+            return slices(state, task)
+
+        def kernel(*args):
+            scored.append(threading.current_thread())
+            return score_tuples(*args)
+
+        monkeypatch.setattr(_WorkerState, "slices", spied)
+        task = _whole_store_task(pairs, "cosine")
+        with ScoringWorkers(dense_store, num_workers=3, score=kernel) as workers:
+            scores = workers.execute(task)
+        np.testing.assert_array_equal(scores, _expected(dense_store, task))
+        assert set(resolved) == {threading.current_thread()}
+        assert len(resolved) == len(scored) == 3
+        assert threading.current_thread() not in scored
+
+    def test_a_replaced_kernel_scores_every_row_once(self, dense_store, pairs,
+                                                     cut_everything):
+        """A kernel dispatch handed to the pool sees all of a cut task's
+        rows, none twice: a tracer counts what the inline path counts."""
+        rows = []
+        lock = threading.Lock()
+
+        def kernel(left, left_rows, right, right_rows, measure):
+            with lock:
+                rows.extend(zip(left_rows.tolist(), right_rows.tolist()))
+            return score_tuples(left, left_rows, right, right_rows, measure)
+
+        task = _whole_store_task(pairs, "cosine")
+        with ScoringWorkers(dense_store, num_workers=4, score=kernel) as workers:
+            workers.execute(task)
+        assert sorted(rows) == sorted(map(tuple, pairs.tolist()))
+
+    def test_a_kernel_error_on_a_pool_thread_reaches_the_caller(
+            self, dense_store, pairs, cut_everything):
+        """A sub-task whose kernel raises fails that ``execute`` with its own
+        error; the same pool scores the next task as if nothing happened."""
+        calls = []
+
+        def kernel(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                raise RuntimeError("kernel failed")
+            return score_tuples(*args)
+
+        task = _whole_store_task(pairs, "cosine")
+        with ScoringWorkers(dense_store, num_workers=3, score=kernel) as workers:
+            with pytest.raises(RuntimeError, match="kernel failed"):
+                workers.execute(task)
+            pool = workers._executor
+            scores = workers.execute(task)
+            assert workers._executor is pool
+        np.testing.assert_array_equal(scores, _expected(dense_store, task))
+
+    def test_shutdown_is_idempotent_and_a_later_step_builds_a_new_pool(
+            self, dense_store, pairs, cut_everything):
+        task = _whole_store_task(pairs, "cosine")
+        baseline = threading.active_count()
+        workers = ScoringWorkers(dense_store, num_workers=3)
+        first = workers.execute(task)
+        pool = workers._executor
+        assert pool is not None
+        workers.shutdown()
+        workers.shutdown()
+        assert workers._executor is None and workers._state._parts == {}
+        assert threading.active_count() == baseline
+        again = workers.execute(task)
+        assert workers._executor is not None and workers._executor is not pool
+        workers.shutdown()
+        assert threading.active_count() == baseline
+        np.testing.assert_array_equal(again, first)
+
+    def test_a_task_under_the_floor_stays_on_the_calling_thread(self,
+                                                                dense_store,
+                                                                pairs):
+        """At the shipped row floor a small step is not worth handing over:
+        a wide pool scores it where it is and is never built."""
+        scored = []
+
+        def kernel(*args):
+            scored.append(threading.current_thread())
+            return score_tuples(*args)
+
+        task = _whole_store_task(pairs, "cosine")
+        with ScoringWorkers(dense_store, num_workers=4, score=kernel) as workers:
+            assert workers.transport == "thread"
+            scores = workers.execute(task)
+            assert workers._executor is None
+        assert scored == [threading.current_thread()]
+        np.testing.assert_array_equal(scores, _expected(dense_store, task))
+
+
 def _engine_fingerprint(profiles, **overrides) -> str:
     defaults = dict(k=5, num_partitions=4, heuristic="degree-low-high", seed=17)
     defaults.update(overrides)
@@ -309,18 +435,20 @@ def _engine_fingerprint(profiles, **overrides) -> str:
 class TestEngineBackendParity:
     """Whole engines, every step cut across the pool (``cut_everything``)."""
 
-    def test_dense_engine_all_backends_identical(self, cut_everything):
+    @pytest.mark.parametrize("width", [2, 3])
+    def test_dense_engine_all_backends_identical(self, width, cut_everything):
         profiles = generate_dense_profiles(150, dim=8, num_communities=4, seed=23)
         serial = _engine_fingerprint(profiles, num_workers=1)
-        threaded = _engine_fingerprint(profiles, num_workers=3)
+        threaded = _engine_fingerprint(profiles, num_workers=width)
         assert serial == threaded
 
-    def test_sparse_engine_thread_identical(self, cut_everything):
+    @pytest.mark.parametrize("width", [2, 3])
+    def test_sparse_engine_thread_identical(self, width, cut_everything):
         """Set measures produce heavy score ties; parity must survive them."""
         profiles = generate_sparse_profiles(150, 200, items_per_user=10,
                                             num_communities=4, seed=23)
         serial = _engine_fingerprint(profiles, num_workers=1)
-        threaded = _engine_fingerprint(profiles, num_workers=3)
+        threaded = _engine_fingerprint(profiles, num_workers=width)
         assert serial == threaded
 
     def test_partitions_smaller_than_worker_count(self, cut_everything):

@@ -15,6 +15,7 @@ every phase-5 update batch.  These tests pin
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.core.config import EngineConfig
 from repro.core.engine import KNNEngine
@@ -51,22 +52,43 @@ def _run_fingerprints(profiles, feed_factory, **overrides):
 
 
 class TestPoolReuseParityAcrossUpdates:
-    def test_dense_backends_identical_under_churn(self, cut_everything):
+    @pytest.mark.parametrize("width", [2, 3])
+    def test_dense_backends_identical_under_churn(self, width, cut_everything):
         profiles = generate_dense_profiles(NUM_USERS, dim=8, num_communities=4,
                                            seed=23)
         serial = _run_fingerprints(profiles, _dense_feed)
-        threaded = _run_fingerprints(profiles, _dense_feed, num_workers=3)
+        threaded = _run_fingerprints(profiles, _dense_feed, num_workers=width)
         assert serial == threaded
 
-    def test_sparse_backends_identical_under_churn(self, cut_everything):
+    @pytest.mark.parametrize("width", [2, 3])
+    def test_sparse_backends_identical_under_churn(self, width, cut_everything):
         """Sparse updates replace journal/segment files under the workers'
         live read-only handle — the hard case for the part cache: a stale
         mmap would change scores or crash."""
         profiles = generate_sparse_profiles(NUM_USERS, 200, items_per_user=10,
                                             num_communities=4, seed=23)
         serial = _run_fingerprints(profiles, _sparse_feed)
-        threaded = _run_fingerprints(profiles, _sparse_feed, num_workers=3)
+        threaded = _run_fingerprints(profiles, _sparse_feed, num_workers=width)
         assert serial == threaded
+
+    def test_pool_object_survives_iterations(self, cut_everything):
+        """The pool an iteration built scores the next one too, across the
+        generation bump of a profile update; close drops it."""
+        profiles = generate_dense_profiles(80, dim=6, num_communities=3, seed=29)
+        config = EngineConfig(k=4, num_partitions=4, num_workers=2, seed=5)
+        with KNNEngine(profiles, config) as engine:
+            engine.run_iteration()
+            workers = engine._iteration_runner.workers
+            pool_first = workers._executor
+            assert pool_first is not None
+            generation = engine.profile_store.generation
+            engine.enqueue_profile_changes(
+                [ProfileChange(user=0, kind="set", vector=np.ones(6))])
+            engine.run_iteration()
+            assert engine.profile_store.generation > generation
+            assert workers._executor is pool_first
+        # close() shut the pool down and dropped it
+        assert workers._executor is None
 
 
 class TestThreadExecutorReuse:

@@ -4,8 +4,8 @@ For every named crash point — spanning phase-4 scoring, phase-5 update
 application, WAL appends, store writes and each stage of the commit
 protocol — a durable run is crashed mid-flight by an injected
 :class:`InjectedCrash`, recovered with :meth:`KNNEngine.recover`, and run
-to completion.  On both phase-4 transports — the calling thread, and a
-pool of two threads cutting every step — the final graph's
+to completion.  On both phase-4 transports — the calling thread, and
+pools of two and of three threads cutting every step — the final graph's
 ``edge_fingerprint`` and the final profile bytes must match an
 uninterrupted run exactly: no update lost, none applied twice, and the set
 of names under ``/dev/shm`` unchanged along the way.  The matrix runs
@@ -44,10 +44,12 @@ CRASH_POINTS = [
     "commit.done",
 ]
 
-#: The phase-4 transports by test id: ``serial`` scores on the calling
-#: thread, ``thread`` on a pool of two (cutting every step, see
-#: ``cut_everything``).
-BACKENDS = ["serial", "thread"]
+#: The phase-4 transports by test id, as the ``num_workers`` each runs:
+#: ``serial`` scores on the calling thread, ``thread`` on a pool of two
+#: (cutting every step, see ``cut_everything``) and ``thread3`` on a pool
+#: of three, whose cuts are uneven.
+WIDTHS = {"serial": 1, "thread": 2, "thread3": 3}
+BACKENDS = list(WIDTHS)
 
 
 def _profiles():
@@ -57,8 +59,7 @@ def _profiles():
 
 def _config(backend, **overrides):
     return EngineConfig(k=5, num_partitions=4, seed=7,
-                        num_workers=1 if backend == "serial" else 2,
-                        **overrides)
+                        num_workers=WIDTHS[backend], **overrides)
 
 
 def _once_feed():

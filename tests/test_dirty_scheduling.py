@@ -31,9 +31,11 @@ from repro.testing import FaultPlan, InjectedCrash
 
 NUM_USERS = 120
 DIM = 8
-#: The phase-4 transports by test id: ``serial`` scores on the calling
-#: thread, ``thread`` on a pool of three.
-BACKENDS = ["serial", "thread"]
+#: The phase-4 transports by test id, as the ``num_workers`` each runs:
+#: ``serial`` scores on the calling thread, ``thread`` on a pool of three
+#: and ``thread2`` on a pool of two.
+WIDTHS = {"serial": 1, "thread": 3, "thread2": 2}
+BACKENDS = list(WIDTHS)
 
 
 def _profiles(seed: int = 7):
@@ -48,7 +50,7 @@ def _config(**overrides):
 
 
 def _backend_overrides(backend: str) -> dict:
-    return {"num_workers": 1 if backend == "serial" else 3}
+    return {"num_workers": WIDTHS[backend]}
 
 
 def _churn_feed(per_iteration, rng_seed: int, users_pool: int = NUM_USERS):

@@ -79,15 +79,15 @@ class TestDifferentialWall:
                                      HealthCheck.function_scoped_fixture])
     @given(
         kind=st.sampled_from(["dense", "sparse"]),
-        backend=st.sampled_from(["serial", "thread"]),
+        workers=st.sampled_from([1, 2, 3]),
         churn_sizes=st.lists(st.integers(min_value=0, max_value=30),
                              min_size=3, max_size=3),
         churn_seed=st.integers(min_value=0, max_value=2**16),
     )
     def test_incremental_bit_identical_to_full_rescore(self, full_rescore, kind,
-                                                       backend, churn_sizes,
+                                                       workers, churn_sizes,
                                                        churn_seed, cut_everything):
-        overrides = {"num_workers": 1 if backend == "serial" else 3}
+        overrides = {"num_workers": workers}
         runs = {}
         for incremental in (True, False):
             churn = _churn_feed(kind, churn_sizes, churn_seed)
@@ -103,7 +103,8 @@ class TestDifferentialWall:
         assert all(result.reused_scores == 0 for result in runs[False].iterations)
         assert all(result.full_rescore for result in runs[False].iterations)
 
-    @pytest.mark.parametrize("backend,workers", [("serial", 1), ("thread", 3)])
+    @pytest.mark.parametrize("backend,workers",
+                             [("serial", 1), ("thread", 2), ("thread", 3)])
     @pytest.mark.parametrize("kind", ["dense", "sparse"])
     def test_all_backends_reuse_and_agree(self, kind, backend, workers,
                                           full_rescore, cut_everything):

@@ -432,12 +432,17 @@ def test_scattered_slice_of_a_million_rows_allocates_no_lookup_table(tmp_path):
 HASH_RUN_PEAK_BYTES = 44_000
 
 
+#: The phase-4 transports by test id, as the ``num_workers`` each runs:
+#: the calling thread, and pools of three and of two.
+WIDTHS = {"serial": 1, "thread": 3, "thread2": 2}
+
+
 def _hash_run(backend: str, budget=None):
     profiles = generate_dense_profiles(400, dim=8, num_communities=5, seed=23)
     config = EngineConfig(k=6, num_partitions=5, partitioner="hash",
                           heuristic="degree-low-high", seed=23,
                           memory_budget_bytes=budget,
-                          num_workers=1 if backend == "serial" else 3)
+                          num_workers=WIDTHS[backend])
     rng = np.random.default_rng(31)
 
     def feed(iteration):
@@ -460,14 +465,14 @@ def hash_reference():
     return _hash_run("serial")
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread"])
+@pytest.mark.parametrize("backend", list(WIDTHS))
 def test_backend_parity_on_non_contiguous_partitions(backend, hash_reference,
                                                      cut_everything):
     # same graphs, same operation counts, same profile bytes
     assert _hash_run(backend) == hash_reference
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread"])
+@pytest.mark.parametrize("backend", list(WIDTHS))
 def test_a_cache_capped_at_its_peak_changes_nothing_on_non_contiguous_partitions(
         backend, hash_reference, cut_everything):
     """Gathered-copy slices are charged like contiguous ones: capped at

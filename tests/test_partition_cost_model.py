@@ -71,7 +71,10 @@ class TestClosedFormAgainstBuiltPartitions:
 
 # -- (b) engines against what the parent commit's files cost ------------------
 
-BACKENDS = ["serial", "thread"]   # inline, and a pool of two
+#: The phase-4 transports by test id, as the ``num_workers`` each runs:
+#: inline, and pools of two and of three.
+WIDTHS = {"serial": 1, "thread": 2, "thread3": 3}
+BACKENDS = list(WIDTHS)
 BUDGET = 200_000
 
 
@@ -85,7 +88,7 @@ def _profiles(kind):
 def _config(backend, budget):
     return EngineConfig(k=5, num_partitions=6, heuristic="degree-low-high",
                         seed=3, memory_budget_bytes=budget,
-                        num_workers=1 if backend == "serial" else 2)
+                        num_workers=WIDTHS[backend])
 
 
 @pytest.fixture

@@ -1,8 +1,9 @@
 """The service chaos wall: crash the refresh loop everywhere, serve anyway.
 
 The serving runtime's contract is *graceful degradation, never an outage*:
-whatever kills the background refresh — an injected crash at any named
-point, a torn WAL tail, the process dying mid-drain — queries keep being
+whatever kills or stalls the background refresh — an injected crash at any
+named point, a scoring thread that hangs or raises, a torn WAL tail, the
+process dying mid-drain — queries keep being
 answered from the last committed snapshot with zero failed vouched reads,
 the loop recovers automatically, and once the dust
 settles the final graph and profile bytes match a never-crashed twin
@@ -27,8 +28,10 @@ import time
 import numpy as np
 import pytest
 
+import repro.core.iteration as iteration_module
 from repro.core.config import EngineConfig
 from repro.core.engine import KNNEngine
+from repro.core.parallel import score_tuples
 from repro.service import ServingRuntime
 from repro.similarity.workloads import ProfileChange, generate_dense_profiles
 from repro.testing import FaultPlan, InjectedCrash
@@ -85,9 +88,10 @@ def _batch(index):
             for u in rng.choice(NUM_USERS, size=3, replace=False)]
 
 
-def _runtime(workdir, plan=None, **overrides):
+def _runtime(workdir, plan=None, num_workers=1, **overrides):
     return ServingRuntime(
-        _profiles(), _config(durable=True, fault_plan=plan), workdir=workdir,
+        _profiles(), _config(durable=True, fault_plan=plan,
+                             num_workers=num_workers), workdir=workdir,
         admission_capacity=64, refresh_poll_interval=0.005,
         backoff_base=0.005, backoff_cap=0.05, max_restarts=25, **overrides)
 
@@ -245,6 +249,86 @@ def test_drain_crash_recovers_with_nothing_lost(tmp_path, twin):
         assert _final_state(recovered) == twin
     finally:
         recovered.close()
+
+
+def _on_the_pool(monkeypatch, hook):
+    """Call ``hook()`` before every phase-4 kernel call a pool thread makes
+    (phase 4 calls the name ``score_tuples`` as its module binds it)."""
+    def kernel(*args):
+        if threading.current_thread().name.startswith("ThreadPoolExecutor"):
+            hook()
+        return score_tuples(*args)
+
+    monkeypatch.setattr(iteration_module, "score_tuples", kernel)
+
+
+def test_a_stalled_scoring_thread_stalls_one_refresh_not_the_service(
+        tmp_path, twin, monkeypatch, cut_everything):
+    """A pool thread blocked inside phase 4 holds up its refresh and
+    nothing else: reads are answered from the last snapshot while it
+    waits, and once it moves on the run ends as the twin's."""
+    armed, entered, released = (threading.Event() for _ in range(3))
+    lock = threading.Lock()
+
+    def stall():
+        with lock:
+            first = armed.is_set() and not entered.is_set()
+            if first:
+                entered.set()
+        if first:
+            assert released.wait(timeout=60.0), "the test never released"
+
+    _on_the_pool(monkeypatch, stall)
+    runtime = _runtime(tmp_path / "svc", num_workers=2)
+    runtime.start()
+    try:
+        _drive_lockstep(runtime, 1)
+        armed.set()
+        _submit_until_accepted(runtime, _batch(1))
+        assert entered.wait(timeout=60.0), "phase 4 never reached the pool"
+        for user in range(NUM_USERS):
+            assert len(runtime.neighbors(user, deadline_seconds=10.0)) == 5
+        assert runtime.current_epoch == 1       # the refresh is still held
+        released.set()
+        _await_epoch(runtime, 2)
+        _drive_lockstep(runtime, NUM_BATCHES, first_batch=2)
+        assert runtime.restarts == 0
+        assert runtime.stats()["query_failures"] == 0
+        runtime.stop(drain=True)
+        assert _final_state(runtime) == twin
+    finally:
+        released.set()
+        runtime.close()
+
+
+def test_a_scoring_thread_that_raises_fails_one_refresh_not_the_service(
+        tmp_path, twin, monkeypatch, cut_everything):
+    """A kernel error on a pool thread kills its refresh like any crash:
+    the loop recovers, no read fails, and the run ends as the twin's."""
+    armed, fired = threading.Event(), []
+    lock = threading.Lock()
+
+    def fail_once():
+        with lock:
+            if not armed.is_set() or fired:
+                return
+            fired.append(threading.current_thread().name)
+        raise RuntimeError("scoring thread failed")
+
+    _on_the_pool(monkeypatch, fail_once)
+    runtime = _runtime(tmp_path / "svc", num_workers=2)
+    runtime.start()
+    try:
+        _drive_lockstep(runtime, 1)
+        armed.set()
+        _drive_lockstep(runtime, NUM_BATCHES, first_batch=1)
+        assert len(fired) == 1
+        assert runtime.restarts >= 1
+        assert runtime.stats()["query_failures"] == 0
+        runtime.stop(drain=True)
+        assert _final_state(runtime) == twin
+    finally:
+        runtime.close()
 
 
 def test_seeded_crash_soak_serves_through_every_failure(tmp_path, twin):

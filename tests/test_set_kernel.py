@@ -29,9 +29,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.core.parallel as parallel_module
 from repro.core.config import EngineConfig
 from repro.core.engine import KNNEngine
-from repro.core.parallel import ShardStepTask, _WorkerState
+from repro.core.parallel import ScoringWorkers, ShardStepTask, _WorkerState
 from repro.similarity import measures
 from repro.similarity.measures import SetProfileCSR
 from repro.similarity.workloads import generate_sparse_profiles
@@ -447,4 +448,27 @@ def test_a_worker_splits_the_headroom_between_its_cache_slots(tmp_path):
     state.slices(ShardStepTask(parts=halves, batches=(), measure="jaccard",
                                generation=None))
     assert [piece._csr._derived_cap for piece in first] == [None, None]
+
+
+def test_the_pool_shares_its_slices_and_so_the_whole_headroom(tmp_path):
+    """Threads score the slices the calling thread cached: every sub-task of
+    a cut step carries the task's whole headroom, and each slice is capped
+    at its cache slot's share of it, however wide the pool."""
+    store = OnDiskProfileStore.create(
+        tmp_path, generate_sparse_profiles(60, 80, items_per_user=6, seed=2),
+        disk_model="instant")
+    caps = []
+
+    def kernel(left, left_rows, right, right_rows, measure):
+        caps.append((left._csr._derived_cap, right._csr._derived_cap))
+        return np.zeros(len(left_rows))
+
+    rows = np.arange(60)
+    task = ShardStepTask(parts=(("all", range(60)),),
+                         batches=((0, 0, rows, rows[::-1]),),
+                         measure="jaccard", generation=None, headroom_bytes=900.0)
+    with mock.patch.object(parallel_module, "SPLIT_FLOOR_ROWS", 0), \
+            ScoringWorkers(store, num_workers=3, score=kernel) as workers:
+        assert len(workers.execute(task)) == 60
+    assert caps == [(450.0, 450.0)] * 3
 

@@ -475,12 +475,17 @@ def _golden_feed(kind, profiles):
     return feed
 
 
+#: The phase-4 transports by test id, as the ``num_workers`` each runs: the
+#: calling thread, and pools of three and of two cutting every step.
+WIDTHS = {"serial": 1, "thread": 3, "thread2": 2}
+
+
 def _observe(kind, dirty, backend, full_schedule, budget=None):
     """``dirty=False`` runs against a store that cannot vouch for its
     partition deltas — the full schedule."""
     config = EngineConfig(k=5, num_partitions=6, heuristic="degree-low-high",
                           seed=17, memory_budget_bytes=budget,
-                          num_workers=1 if backend == "serial" else 3)
+                          num_workers=WIDTHS[backend])
     profiles = _golden_profiles(kind)
     with full_schedule(not dirty), KNNEngine(profiles, config) as engine:
         run = engine.run(num_iterations=GOLDEN_WARMUP + GOLDEN_CHURNED,
@@ -547,7 +552,7 @@ _GOLDEN_PEAK = {"dense": 32400.0, "sparse": 44688.0}
 
 
 class TestEngineGoldens:
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    @pytest.mark.parametrize("backend", list(WIDTHS))
     @pytest.mark.parametrize("dirty", [True, False], ids=["dirty", "full"])
     @pytest.mark.parametrize("kind", ["dense", "sparse"])
     def test_matches_the_parent_commit(self, kind, dirty, backend,
@@ -588,7 +593,7 @@ class TestEngineGoldens:
         assert built_in == [i for i, flag in enumerate(rebuilt) if flag]
         assert rebuilt[GOLDEN_WARMUP:].count(False) >= GOLDEN_CHURNED - 1
 
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    @pytest.mark.parametrize("backend", list(WIDTHS))
     @pytest.mark.parametrize("dirty", [True, False], ids=["dirty", "full"])
     @pytest.mark.parametrize("kind", ["dense", "sparse"])
     def test_a_cache_capped_at_its_peak_changes_no_golden(

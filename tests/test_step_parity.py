@@ -4,8 +4,8 @@ Phase 4 executes its plan one residency step at a time — two partitions
 resident, each step's tuples scored across ``ScoringWorkers.execute`` and
 their scores put in their slots of the score slab.  Which transport scored
 them must not show: these tests drive hypothesis-generated churn through
-engines scoring on the calling thread and on a thread pool that cuts every
-step, and compare per-iteration fingerprints, final profile bytes and
+engines scoring on the calling thread and on thread pools of three and of
+two that cut every step, and compare per-iteration fingerprints, final profile bytes and
 load/unload counts; check that the two reference paths (the full schedule,
 the full rescore) and a partition-cache budget change no graph on either
 transport; and score one step across the seam against
@@ -31,9 +31,11 @@ from repro.storage.profile_store import OnDiskProfileStore
 
 NUM_USERS = 120
 DIM = 8
-#: The phase-4 transports by test id: ``serial`` scores on the calling
-#: thread, ``thread`` on a pool of three.
-BACKENDS = ["serial", "thread"]
+#: The phase-4 transports by test id, as the ``num_workers`` each runs:
+#: ``serial`` scores on the calling thread, ``thread`` on a pool of three
+#: and ``thread2`` on a pool of two.
+WIDTHS = {"serial": 1, "thread": 3, "thread2": 2}
+BACKENDS = list(WIDTHS)
 
 
 def _profiles(seed: int = 7):
@@ -43,7 +45,7 @@ def _profiles(seed: int = 7):
 
 def _config(backend: str = "serial", **overrides):
     base = dict(k=5, num_partitions=4, heuristic="degree-low-high", seed=17,
-                num_workers=1 if backend == "serial" else 3)
+                num_workers=WIDTHS[backend])
     base.update(overrides)
     return EngineConfig(**base)
 
@@ -78,23 +80,25 @@ def _observe(churn, backend="serial", context=contextlib.nullcontext,
 
 
 class TestStepParityWall:
-    """The thread pool's graphs, counts and profile bytes are serial's, with
-    every step cut across its threads (``cut_everything``)."""
+    """The thread pools' graphs, counts and profile bytes are serial's, with
+    every step cut across their threads (``cut_everything``)."""
 
     @settings(max_examples=6, deadline=None,
               suppress_health_check=[HealthCheck.too_slow,
                                      HealthCheck.function_scoped_fixture])
     @given(
+        backend=st.sampled_from(BACKENDS[1:]),
         churn_sizes=st.lists(st.integers(min_value=0, max_value=25),
                              min_size=4, max_size=4),
         churn_seed=st.integers(min_value=0, max_value=2**16),
         users_pool=st.sampled_from([NUM_USERS, 30]),
     )
-    def test_backends_bit_identical_to_serial(self, churn_sizes, churn_seed,
-                                              users_pool, cut_everything):
+    def test_backends_bit_identical_to_serial(self, backend, churn_sizes,
+                                              churn_seed, users_pool,
+                                              cut_everything):
         serial = _observe(_churn_feed(churn_sizes, churn_seed, users_pool))
         assert _observe(_churn_feed(churn_sizes, churn_seed, users_pool),
-                        "thread") == serial
+                        backend) == serial
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_the_full_schedule_builds_the_same_graphs(self, backend,
@@ -190,8 +194,7 @@ class TestStepOracle:
             parts=tuple((pid, range(start, start + quarter))
                         for pid, start in zip((1, 3), starts)),
             batches=tuple(batches), measure=measure, generation=None)
-        with ScoringWorkers(store, num_workers=1 if backend == "serial"
-                            else 2) as workers:
+        with ScoringWorkers(store, num_workers=WIDTHS[backend]) as workers:
             scores = workers.execute(task)
         whole = store.load_users(np.arange(NUM_USERS))
         np.testing.assert_array_equal(
