@@ -84,7 +84,7 @@ class EngineConfig:
         whose endpoints the store's touched-row deltas report unchanged,
         and always serves residency steps whose two partitions stayed clean
         from them (dirty steps first).  Where the delta history cannot
-        vouch for the churn — cold start, ``reload()``, compaction
+        vouch for the churn — cold start, ``reload()``, delta-log
         rollover, recovery or resume — the iteration rescores everything
         on the full schedule.  Produced graphs are bit-identical either way.
     seed:

@@ -21,8 +21,9 @@ Two things survive across iterations:
   them.  Phase 2 advances ``H`` by the edge delta and the slab follows its
   keys; a tuple with two endpoints untouched since the slab's generation
   reuses its score bit-for-bit, a partition pair the slab covers may skip
-  its residency step, and only sources with a changed candidate are merged
-  into the next ``G(t+1)``: kernel and merge work scale with the churn.
+  its residency step, and only the rows whose top-K a fresh score or a
+  deleted key can move are merged into the next ``G(t+1)``: kernel and
+  merge work scale with the churn.
   ``H`` is rebuilt, or the scores dropped, whenever the data cannot vouch
   for them (the class says when); either loss keeps the other half.
 
@@ -96,12 +97,13 @@ _SCORED_FLUSH_ROWS = 262144
 #: converged drift moves ~0.02, the iterations of a cold build 1.8 … 0.17.
 _DELTA_REBUILD_FRACTION = 0.125
 
-#: Phase 4 merges only the sources with a changed candidate, copying the rest
-#: of the graph it produced last, while they are at most this share of ``n``.
+#: Phase 4 merges only the rows whose top-K can move, copying the rest of the
+#: graph it produced last, while they are at most this share of ``n``.
 #: Iteration time, merging them only vs all, by that share (k = 10): 5k dense
 #: 0.30 −33 %, 0.66 −10 %, 0.74 −5 %, 0.89 +6 %; 40k dense 0.37 −30 %, 0.68
 #: −10 %, 0.74 −3 %, 0.82 +2 %; 5k sparse 0.66 −9 %, 0.84 +2 %; 40k sparse
-#: 0.74 −4 %, 0.85 +1 %.  Serving sits near 0.3, a converged drift at 0.95.
+#: 0.74 −4 %, 0.85 +1 %; re-timed with the top-K test, 5k dense 0.65 −7 %,
+#: 0.86 +0 %.  Serving sits near 0.05, a converged drift near 0.37.
 _COPY_FORWARD_FRACTION = 0.7
 
 #: Names of the five phases, used consistently in timers, logs and benches.
@@ -133,10 +135,11 @@ class Phase4ScoreCache:
     ``table.keys``: while ``aligned`` the slab follows ``H`` through an
     advance's patch (:meth:`carry`); after a rebuild (:meth:`release`) it is
     joined by search (:meth:`lookup`).  ``produced`` is the frozen ``G(t+1)``
-    and ``merged_rows`` its only rows that may not be ``G(t)``'s (``None``:
-    any).  A scored set over ``max_entries`` (16 bytes each) leaves no
-    scores (one :attr:`evictions`) rather than a partial map.  Nothing of it
-    is checkpointed: a resumed or recovered run starts empty, rebuilds ``H``
+    and ``merged_rows`` its only rows that may not be ``G(t)``'s, those
+    ``KNNGraph.movable_rows`` found (``None``: any).  A scored set over
+    ``max_entries`` (16 bytes each) leaves no scores (one
+    :attr:`evictions`) rather than a partial map.  Nothing of it is
+    checkpointed: a resumed or recovered run starts empty, rebuilds ``H``
     and rescores once.
     """
 
@@ -388,8 +391,11 @@ class _Phase4Run:
     edge_spans: Dict[Tuple[int, int], Tuple[int, int]]
     store_generation: int
     reused: int
+    #: ``(sources, destinations)`` of the carried keys the patch deleted when
+    #: ``G(t)`` is the graph made of them; ``None``: no row can be copied
+    deleted: Optional[Tuple[np.ndarray, np.ndarray]]
     #: the sources re-merged, every other row of ``G(t)`` copied; ``None``: all
-    rows: Optional[np.ndarray]
+    rows: Optional[np.ndarray] = None
     evaluations: int = 0
     steps_skipped: int = 0
 
@@ -680,7 +686,7 @@ class OutOfCoreIteration:
 
         Returns ``None`` when the cache cannot be consulted at all — wrong
         measure or vertex count, empty cache, or a delta history the profile
-        store cannot vouch for (external rewrite, journal compaction,
+        store cannot vouch for (external rewrite, delta-log rollover,
         :meth:`~repro.storage.profile_store.OnDiskProfileStore.reload`) —
         which makes the iteration a full rescore.
         """
@@ -706,7 +712,7 @@ class OutOfCoreIteration:
         touched_mask = self._touched_mask(graph, measure)
         full_rescore = touched_mask is None
         cache = self._score_cache
-        hits = changed = None
+        hits = deleted = None
         if full_rescore:
             scores = np.full(len(keys), np.nan)
         elif patch is not None and cache.aligned:
@@ -714,7 +720,7 @@ class OutOfCoreIteration:
             # the slab follows them: a positional join
             scores, hits = cache.carry(patch, keys, touched_mask)
             if graph is cache.produced:
-                changed = np.zeros(graph.num_vertices, dtype=bool)
+                deleted = cache.table.endpoints(patch.deleted)
         else:
             # both key arrays are sorted: one search joins them
             scores, hits = cache.lookup(keys, touched_mask)
@@ -722,7 +728,7 @@ class OutOfCoreIteration:
         # partitions are both clean and whose pair the scores cover run
         # lookup-only (no partition acquired unless a lookup missed);
         # everything else runs dirty-first.  A delta history that cannot
-        # vouch for the churn (reload, compaction rollover, recovery) keeps
+        # vouch for the churn (reload, delta-log rollover, recovery) keeps
         # the full plan in its order.
         executed, cached = steps, []
         if hits is not None:
@@ -739,15 +745,6 @@ class OutOfCoreIteration:
             None if hits is None else ~hits)
         table.freeze()      # read-only from here on, and done with its index
         sources, destinations = table.endpoints(positions)
-        # G(t) is the graph produced from the carried keys and scores: a
-        # source that kept all of its own keeps its row, the rest re-merge
-        rows, limit = None, _COPY_FORWARD_FRACTION * graph.num_vertices
-        if changed is not None:
-            changed[sources] = True     # a touched endpoint or an arriving key
-            if np.count_nonzero(changed) <= limit:      # deletions only add
-                changed[cache.keys[patch.deleted] // graph.num_vertices] = True
-                rows = np.flatnonzero(changed)
-                rows = rows if len(rows) <= limit else None
         return _Phase4Run(
             keys=keys, scores=scores, full_rescore=full_rescore,
             ordered_steps=ordered_steps, layout=layout, positions=positions,
@@ -755,7 +752,7 @@ class OutOfCoreIteration:
             right_rows=layout.local_row[destinations], edge_spans=edge_spans,
             store_generation=self._profile_store.generation,
             reused=int(np.count_nonzero(hits)) if hits is not None else 0,
-            rows=rows)
+            deleted=deleted)
 
     def _score_residual(self, run: _Phase4Run, step: ResidencyStep,
                         batches: Sequence[_EdgeBatch], measure: str) -> bool:
@@ -852,26 +849,34 @@ class OutOfCoreIteration:
         """The back of phase 4: ``G(t+1)`` from the finished slab."""
         config = self._config
         keys = run.keys
-        # the steps are done with the decoded rows, and the merge below has
-        # the iteration's largest temporaries (callers keep no view of them)
-        run.positions = run.left_rows = run.right_rows = None
         if run.reused + run.evaluations != len(keys):
             raise RuntimeError(
                 f"phase 4 resolved {run.reused + run.evaluations} score slots "
                 f"for {len(keys)} candidate tuples")
+        num_vertices = graph.num_vertices
+        if run.deleted is not None:
+            # G(t) is the top-K of the carried keys and scores, and only the
+            # unanswered slots and the deleted keys differ from them: a row
+            # whose top-K they cannot move is copied, the rest re-merge
+            rows = graph.movable_rows(*table.endpoints(run.positions),
+                                      run.scores[run.positions], run.deleted)
+            if len(rows) <= _COPY_FORWARD_FRACTION * num_vertices:
+                run.rows = rows
+        # the steps are done with the decoded rows, and the merge below has
+        # the iteration's largest temporaries (callers keep no view of them)
+        run.positions = run.left_rows = run.right_rows = None
         # H's order is (source, destination), so the slab is merged as it
         # lies, in runs of whole sources no longer than the flush threshold:
         # the sort temporaries never outgrow a small multiple of the graph
         # itself, preserving the two-resident-partitions memory envelope.
         # G(t) is the hint: its edges are candidates (include_direct_edges),
         # and their fresh scores bound each source's top-K from below.
-        num_vertices = graph.num_vertices
         scores, taken = run.scores, None
         if run.rows is None:
             new_graph = KNNGraph(num_vertices, config.k)
         else:
-            # a row's top-K is a pure function of its candidates' keys and
-            # scores: every other row, all carried NaN-free, stays G(t)'s
+            # every other row stays G(t)'s; a NaN in one of its slots would
+            # have ranked, so the NaN's row re-merges and the merge refuses it
             new_graph = graph.cleared(run.rows)
             lo, hi = np.searchsorted(keys, (run.rows + [[0], [1]]) * num_vertices)
             taken = ragged_ranges(lo, hi - lo)      # their runs of the slab

@@ -124,6 +124,45 @@ class KNNGraph:
         clone._counts[rows] = 0
         return clone
 
+    def movable_rows(self, sources: np.ndarray, destinations: np.ndarray,
+                     scores: np.ndarray, deleted: Tuple[np.ndarray, np.ndarray]
+                     ) -> np.ndarray:
+        """The rows whose ranked top-K can differ from this graph's, sorted.
+
+        This graph holds the top-K of a candidate multiset, ranked by
+        ``(-score, destination)``.  In the next multiset the candidates
+        ``(sources[i], destinations[i])`` carry ``scores[i]`` (rescored or
+        arriving), the ``(sources, destinations)`` pairs ``deleted`` are
+        gone, and every other candidate keeps its score bits.  A row can
+        then move only when
+
+        * a deleted candidate is one of its entries;
+        * an entry is offered a score with other bits — ``+0.0`` to
+          ``-0.0`` included: the two rank alike, but the row stores bits;
+        * an offered non-entry does not rank strictly below its K-th entry
+          (NaN ranks, so the merge that follows refuses it); or
+        * it holds fewer than K entries and is offered anything.
+
+        Every other row's entries keep their scores and still outrank all
+        its other candidates, so the row is this graph's byte for byte.
+        """
+        scores = np.asarray(scores, dtype=np.float64)
+        moved = np.zeros(self.num_vertices, dtype=bool)
+        # one K-wide gather a candidate finds its entry, if any (a row holds
+        # a destination once): flat match index // K is the candidate
+        gone_src, gone_dst = deleted
+        lost = np.flatnonzero(self._neighbors[gone_src] == gone_dst[:, None])
+        moved[gone_src[lost // self._k]] = True
+        entry, slot = np.divmod(np.flatnonzero(
+            self._neighbors[sources] == destinations[:, None]), self._k)
+        weakest, last = self._scores[sources, -1], self._neighbors[sources, -1]
+        moves = ~((scores < weakest) | ((scores == weakest) & (destinations > last)))
+        moves[entry] = (self._scores[sources[entry], slot].view(np.uint64)
+                        != scores[entry].view(np.uint64))
+        moves |= self._counts[sources] < self._k
+        moved[sources[moves]] = True
+        return np.flatnonzero(moved)
+
     def freeze(self) -> "KNNGraph":
         """Make the three arrays read-only — a served ``G(t)``; any later
         write through this graph raises ``ValueError``.  Returns ``self``."""

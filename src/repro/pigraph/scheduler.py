@@ -113,7 +113,7 @@ def plan_dirty_schedule(steps: Sequence[ResidencyStep],
       since the score cache's generation, as reported by
       ``OnDiskProfileStore.touched_partitions_since``.  ``None`` propagates
       that method's "cannot vouch" answer: every step executes, in the
-      heuristic's original order (reload, compaction rollover and recovery
+      heuristic's original order (reload, delta-log rollover and recovery
       all land here — the only safe answer is "run everything").
     - ``scored_pairs``: the normalised partition pairs ``(min, max)`` whose
       tuples the score cache all covers, at its generation.

@@ -27,9 +27,10 @@ which read-only handles holding the store open by path (phase 4's scoring
 workers) use to invalidate their cached slices.
 The store also keeps an in-memory log of which rows each applied batch
 touched (:meth:`OnDiskProfileStore.touched_rows_since`), the delta feed of
-the engine's incremental phase 4; full rewrites, journal compactions and
+the engine's incremental phase 4; full rewrites and
 :meth:`OnDiskProfileStore.reload` truncate that history, answering ``None``
-("assume everything changed").  Whole-file replacements go through a temp
+("assume everything changed"), while a journal compaction, which changes
+no row's items, keeps it.  Whole-file replacements go through a temp
 file + rename, so hard links taken by a portable checkpoint
 (:mod:`repro.core.checkpoint`) keep pointing at the immutable old bytes.
 
@@ -679,8 +680,8 @@ class OnDiskProfileStore:
 
         ``None`` means the delta history cannot answer — the asked-about
         generation predates the tracked window, the store was fully
-        rewritten, compacted, or :meth:`reload`-ed in between, or the
-        generation is from the future.  Callers holding results keyed by
+        rewritten or :meth:`reload`-ed in between, or the generation is
+        from the future.  Callers holding results keyed by
         ``generation`` (the phase-4 score cache) must then assume everything
         changed.  An empty array means "nothing changed" and a non-empty one
         is the exact union of rows touched by the intervening
@@ -707,7 +708,7 @@ class OnDiskProfileStore:
 
         The ``None`` contract is inherited verbatim, never widened: whenever
         the row-level answer is unknown (generation outside the tracked
-        window, store rewritten, compacted or reloaded in between) this
+        window, store rewritten or reloaded in between) this
         returns ``None`` — assume every partition is dirty.  An empty array
         means no partition changed; a non-empty one is the exact sorted set
         of partitions containing at least one touched row.
@@ -1089,18 +1090,12 @@ class OnDiskProfileStore:
         self.io_stats.record_write(
             written, self._disk.mapped_write_cost(written, sequential=True))
         self._sparse_state = None
-        compacted = False
         if self._meta["journal_entries"] > self._journal_limit():
+            # moves journaled rows into their segments and changes no row's
+            # items: the delta history stays exact
             self._compact()
-            compacted = True
         self._bump_generation()
-        if compacted:
-            # compaction replaces segment files wholesale; treat it as a
-            # generation rollover and restart the delta history, so cached
-            # scores keyed on pre-compaction generations are fully rescored
-            self._reset_delta_log()
-        else:
-            self._record_delta(rows)
+        self._record_delta(rows)
         return len(sets)
 
     def _append_file(self, name: str, data: np.ndarray) -> None:

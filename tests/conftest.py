@@ -29,7 +29,7 @@ def _unvouched(method, on=True, target=OnDiskProfileStore):
 @pytest.fixture(scope="session")
 def full_schedule():
     """``with full_schedule():`` runs engines on the full schedule, the way
-    a reload, a compaction rollover or a recovery reaches it: the store
+    a reload, a delta-log rollover or a recovery reaches it: the store
     cannot vouch for its partition deltas, so no residency step is served
     from the carried scores (tuples still reuse theirs).  ``on=False`` makes
     it a no-op for parametrised twins; ``target=`` narrows it to one store.

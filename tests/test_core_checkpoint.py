@@ -261,13 +261,13 @@ class TestPortableCheckpoint:
 
     def test_unknown_deltas_at_save_time_drop_the_cache_on_resume(self, tmp_path):
         """When the store cannot enumerate the rows touched since scoring
-        (here: a journal compaction truncated the delta history) the resume
-        is no different: one full rescore, never a stale reuse."""
+        (here: a reload truncated the delta history) the resume is no
+        different: one full rescore, never a stale reuse."""
         profiles = generate_sparse_profiles(90, 250, items_per_user=10,
                                             num_communities=4, seed=59)
         config = EngineConfig(k=5, num_partitions=4, seed=59)
         rng = np.random.default_rng(6)
-        # > journal limit (max(64, 90/4) = 64 rows) so phase 5 compacts
+        # > journal limit (max(64, 90/4) = 64 rows), so phase 5 compacts too
         churn = [ProfileChange(user=int(u), kind="add",
                                item=int(rng.integers(0, 250)))
                  for u in rng.choice(90, size=70, replace=False)]
@@ -280,6 +280,7 @@ class TestPortableCheckpoint:
         with KNNEngine(profiles, config) as engine:
             engine.enqueue_profile_changes(churn)
             engine.run_iteration()
+            engine.profile_store.reload()
             assert engine.profile_store.touched_rows_since(0) is None
             engine.save_checkpoint(tmp_path / "ckpt")
 

@@ -12,7 +12,7 @@ thread, and a thread pool cutting every step) and
 compare fingerprint-for-fingerprint plus final profile bytes; pin that
 skipping actually *engages* on a converged graph under localised drift
 churn; and walk every situation where the delta history cannot vouch for
-the churn — reload, delta-log rollover (compaction), crash recovery,
+the churn — reload, delta-log rollover, crash recovery,
 checkpoint resume — asserting the engine's only answer is "run
 everything" (one unskipped pass) while parity still holds.
 """
@@ -260,8 +260,8 @@ class TestRunEverythingEdges:
 
     def test_delta_log_rollover_forces_full_pass(self):
         """Enough store writes between iterations push the delta floor past
-        the cache's generation (the compaction-rollover case): the honest
-        answer is None and every step executes."""
+        the cache's generation: the honest answer is None and every step
+        executes."""
         from repro.storage.profile_store import _DELTA_LOG_LIMIT
 
         harness = _DriftHarness()

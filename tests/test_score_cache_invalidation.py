@@ -1,12 +1,13 @@
 """Cache-invalidation edges of the incremental phase 4.
 
 Every situation in which the profile store cannot vouch for the row deltas
-since the cached generation must cost **exactly one** full rescore — never
-a stale reuse, and never a permanent fallback to full rescoring:
-
-* ``reload()`` after an external rewrite of the store files,
-* and the generation rollover after a journal compaction folds the sparse
-  row-remap journal into the segments.
+since the cached generation — ``reload()`` after an external rewrite of the
+store files, a delta log rolled past the cached generation — must cost
+**exactly one** full rescore: never a stale reuse, and never a permanent
+fallback to full rescoring.  A journal compaction, which folds the sparse
+row-remap journal into the segments and changes no row's items, is not one
+of them: it keeps the delta history, and the next iteration rescores only
+the tuples the compacting batch touched.
 """
 
 from __future__ import annotations
@@ -91,8 +92,8 @@ class TestReloadForcesOneFullRescore:
                 == oracle.graph.edge_fingerprint())
 
 
-class TestCompactionForcesOneFullRescore:
-    def test_journal_compaction_rolls_the_generation(self, tmp_path):
+class TestCompactionKeepsReuse:
+    def test_a_journal_compaction_rescores_only_the_touched_tuples(self, tmp_path):
         profiles = generate_sparse_profiles(NUM_USERS, 300, items_per_user=10,
                                             seed=7)
         # journal_limit=5: the 8-user batch in iteration 1 forces compaction
@@ -101,17 +102,26 @@ class TestCompactionForcesOneFullRescore:
 
         first = runner.run(0, graph, update_queue=_queue(
             _sparse_changes([1, 2], seed=1)))                  # no compaction
+        assert store._meta["journal_entries"] == 2
         warm = runner.run(1, first.graph, update_queue=_queue(
             _sparse_changes(range(10, 18), seed=2)))           # compacts
-        assert warm.full_rescore is False                      # pre-compaction deltas were fine
-        assert warm.reused_scores > 0
+        assert store._meta["journal_entries"] == 0
+        assert warm.full_rescore is False and warm.reused_scores > 0
 
-        cold = runner.run(2, warm.graph)
-        assert cold.full_rescore is True                       # rollover: exactly one
-        assert cold.reused_scores == 0
-        recovered = runner.run(3, cold.graph)
-        assert recovered.full_rescore is False
-        assert recovered.reused_scores > 0
+        # the compacting batch is recorded like any other
+        cache = runner.score_cache
+        carried = cache.keys
+        touched = store.touched_rows_since(cache.generation)
+        assert touched.tolist() == list(range(10, 18))
+        after = runner.run(2, warm.graph)
+        keys = runner.score_cache.keys
+        sources, destinations = np.divmod(keys, NUM_USERS)
+        rescored = np.count_nonzero(~np.isin(keys, carried)
+                                    | np.isin(sources, touched)
+                                    | np.isin(destinations, touched))
+        assert after.full_rescore is False
+        assert after.similarity_evaluations == rescored
+        assert after.reused_scores == len(keys) - rescored > 0
 
     def test_compaction_during_engine_run_stays_bit_identical(self, tmp_path,
                                                               full_rescore):

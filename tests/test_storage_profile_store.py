@@ -280,15 +280,23 @@ class TestTouchedRowDeltas:
         assert store.touched_rows_since(g0) is None
         assert store.touched_rows_since(store.generation).size == 0
 
-    def test_compaction_truncates_history(self, tmp_path):
+    def test_compaction_keeps_history(self, tmp_path):
+        """Compaction moves journaled rows into their segments and changes
+        no row's items: the batch that triggers it is recorded like any
+        other, and so are the batches before and after it."""
         store = self._sparse_store(tmp_path / "s", journal_limit=2)
         g0 = store.generation
+        store.apply_changes([ProfileChange(user=1, kind="add", item=905)])
+        g1 = store.generation
         store.apply_changes([ProfileChange(user=u, kind="add", item=910 + u)
-                             for u in range(5)])  # 5 > 2: compacts
-        assert store.touched_rows_since(g0) is None
-        # history restarts cleanly after the rollover
+                             for u in range(3, 7)])  # 5 entries > 2: compacts
+        assert store._meta["journal_entries"] == 0
         g_after = store.generation
         store.apply_changes([ProfileChange(user=9, kind="add", item=990)])
+        np.testing.assert_array_equal(store.touched_rows_since(g0),
+                                      [1, 3, 4, 5, 6, 9])
+        np.testing.assert_array_equal(store.touched_rows_since(g1),
+                                      [3, 4, 5, 6, 9])
         np.testing.assert_array_equal(store.touched_rows_since(g_after), [9])
 
     def test_full_rewrite_truncates_history(self, tmp_path):
