@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.config import EngineConfig
 from repro.core.engine import KNNEngine
-from repro.core.parallel import ScoringWorkers, ShardStepTask
+from repro.core.parallel import ScoringWorkers
 from repro.similarity.workloads import generate_dense_profiles
 from repro.storage.profile_store import OnDiskProfileStore
 
@@ -39,13 +39,12 @@ def scoring_workload(tmp_path_factory):
 @pytest.mark.parametrize("num_threads", (1, 2, 4))
 def test_scoring_throughput_by_thread_count(benchmark, scoring_workload, num_threads):
     store, pairs, reference = scoring_workload
-    # one part holding users 0..n-1, so a user's row is its id; the lone
-    # task is cut row-wise across the pool
-    task = ShardStepTask(parts=(("all", range(NUM_USERS)),),
-                         batches=((0, 0, pairs[:, 0], pairs[:, 1]),),
-                         measure="cosine", generation=None)
-    with ScoringWorkers(store, num_workers=num_threads) as workers:
-        scores = benchmark(workers.execute, task)
+    # one slice holding users 0..n-1, so a user's row is its id; the lone
+    # step is cut row-wise across the pool
+    slices = [store.load_users(np.arange(NUM_USERS))]
+    batches = [(0, 0, pairs[:, 0], pairs[:, 1])]
+    with ScoringWorkers(num_workers=num_threads) as workers:
+        scores = benchmark(workers.execute, slices, batches, "cosine")
 
     benchmark.extra_info["num_threads"] = num_threads
     benchmark.extra_info["pairs_scored"] = NUM_PAIRS

@@ -15,8 +15,8 @@ update queue, and shows that
   though the target is moving,
 * phase 5 is *incremental*: the segmented on-disk layout writes only the
   touched rows' journal entries each iteration (watch the ``p5 bytes``
-  column stay orders of magnitude below the store size), bumping the store
-  generation that keeps long-lived scoring workers cache-coherent, and
+  column stay orders of magnitude below the store size) and bumping the
+  store generation the score cache is tagged with, and
 * phase 4 is *incremental* too: candidate tuples whose endpoints did not
   change since the last scored generation reuse their cached similarity
   verbatim — the ``rescored`` column (kernel work) shrinks towards the
@@ -82,7 +82,7 @@ def main() -> None:
     print("profile snapshot P(t)), exactly as the paper's phase 5 prescribes.")
     print("And applying them stays cheap: each batch journals only the touched")
     print("rows of the segmented store (p5 bytes ≪ store size) and bumps the")
-    print("generation that keeps persistent scoring workers cache-coherent.")
+    print("generation the phase-4 score cache is tagged with.")
     print("Scoring them stays cheap too: the rescored column is the kernel")
     print("work per iteration — tuples between unchanged profiles reuse last")
     print("generation's scores (reused column) with bit-identical results.")

@@ -14,8 +14,8 @@ the update queue, and calls :meth:`OutOfCoreIteration.run` once an iteration.
 Two things survive across iterations:
 
 * the phase-4 scoring workers (:class:`~repro.core.parallel.ScoringWorkers`)
-  — the calling thread, or one thread pool created once; they drop their
-  cached mmap slices when the store's ``generation`` says phase 5 wrote; and
+  — the calling thread, or one thread pool created once; they hold no
+  profile state, only the slices each step hands them; and
 * the **carried state** (:class:`Phase4ScoreCache`) — ``G(t)``, the ``H``
   phase 2 made of it, the score slab over ``H`` and the ``G(t+1)`` made of
   them.  Phase 2 advances ``H`` by the edge delta and the slab follows its
@@ -46,21 +46,22 @@ slice and a kernel, on either transport.
 
 Phase 4 itself is one loop over one seam, the paper's: every step the
 cache could not answer, in plan order, acquires its partition pair, crosses
-``ScoringWorkers.execute(task)`` once and scores into the slab.  The
-residency model (:class:`_StepResidency`) — never whoever happened to run
-the kernel — charges the partition loads and the slice reads.
+``ScoringWorkers.execute`` once with the pair's slices and scores into the
+slab.  The residency model (:class:`_StepResidency`) holds those slices —
+it loads each once per partition residency through the engine's own
+store, which is also the charge — and charges the partition loads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import (Dict, FrozenSet, Iterable, Iterator, List, Optional,
-                    Sequence, Set, Tuple)
+                    Sequence, Tuple)
 
 import numpy as np
 
 from repro.core.config import EngineConfig
-from repro.core.parallel import ScoringWorkers, ShardStepTask, score_tuples
+from repro.core.parallel import ScoringWorkers, score_tuples
 from repro.core.update_queue import ProfileUpdateQueue
 from repro.graph.digraph import CSRDiGraph
 from repro.graph.knn_graph import KNNGraph
@@ -75,7 +76,7 @@ from repro.pigraph.traversal import ResidencyStep, get_heuristic
 from repro.storage.io_stats import IOStats
 from repro.storage.memory_manager import MemoryBudget, PartitionCache
 from repro.storage.partition_store import PartitionStore
-from repro.storage.profile_store import OnDiskProfileStore
+from repro.storage.profile_store import OnDiskProfileStore, ProfileSlice
 from repro.tuples.delta import edge_delta, multiplicity_delta
 from repro.tuples.generator import generate_candidate_tuples
 from repro.tuples.hash_table import KeyPatch, TupleHashTable
@@ -427,10 +428,12 @@ class _StepResidency:
     :class:`PartitionCache` of ``max_resident_partitions`` slots whose
     ``memory_budget_bytes`` is the one cap on resident partitions.  Every
     pending step acquires its pair, also one whose tuples the cache answered
-    in full (the planned :class:`ScheduleResult` counted it); a partition's
-    profile slice is charged once per residency, and only when a step with
-    tuples to score needs it — a fully cache-hit step touches no profile
-    bytes at all.  A partition stays until the LRU walk evicts it.
+    in full (the planned :class:`ScheduleResult` counted it).  A resident
+    partition's profile slice is the residency's: the first step with tuples
+    to score loads it from the engine's store — the load is the charge, once
+    per residency — and it leaves when the LRU walk evicts its partition or
+    the walk ends, so no slice outlives phase 4.  A fully cache-hit step
+    touches no profile bytes at all.
     """
 
     def __init__(self, config: EngineConfig, partition_store: PartitionStore,
@@ -447,37 +450,44 @@ class _StepResidency:
         self._steps = 0
         self._hits = 0
         self._tuples = 0
-        # resident partitions whose slice read this residency already paid
-        self._charged: Set[int] = set()
+        # the loaded slice of each resident partition a step has scored on
+        self._slices: Dict[int, ProfileSlice] = {}
 
-    def acquire(self, step: ResidencyStep, batches: Sequence[_EdgeBatch]) -> None:
-        """Make the step's pair resident and charge what it reads."""
+    def acquire(self, step: ResidencyStep, batches: Sequence[_EdgeBatch]
+                ) -> List[ProfileSlice]:
+        """Make the step's pair resident; the slices its batches score on —
+        the first partition's, then the second's unless it is the same."""
         first, second, edges = step
         self._hits += self._cache.acquire_pair(first, second)
         self._steps += 1
         self._tuples += sum(edge.weight for edge in edges)
         # slices leave with their partitions — on every acquiring step, or
-        # fully cache-hit steps would let the charged set outlive the
-        # residencies it describes
-        self._charged.intersection_update(self._cache.resident_ids)
-        if batches:
-            for pid in (first, second):
-                if pid not in self._charged:
-                    self._profile_store.charge_slice_read(
-                        self._layout.vertices(pid))
-                    self._charged.add(pid)
-
-    @property
-    def headroom_bytes(self) -> Optional[float]:
-        """What the budget leaves free beside the resident partitions — the
-        room the kernel's derived state may take (``None``: no budget)."""
-        return self._budget.available_bytes if self._budget is not None else None
+        # fully cache-hit steps would let them outlive their residencies
+        resident = self._cache.resident_ids
+        for pid in [pid for pid in self._slices if pid not in resident]:
+            del self._slices[pid]
+        if not batches:
+            return []
+        pids = (first,) if second == first else (first, second)
+        for pid in pids:
+            if pid not in self._slices:
+                self._slices[pid] = self._profile_store.load_users(
+                    self._layout.vertices(pid))
+        # the headroom beside the resident partitions is split evenly
+        # between the slots, and every slice held caps its kernel's derived
+        # state at one share
+        share = (None if self._budget is None
+                 else self._budget.available_bytes / self._cache.max_resident)
+        for piece in self._slices.values():
+            piece.cap_derived_bytes(share)
+        return [self._slices[pid] for pid in pids]
 
     def schedule(self) -> ScheduleResult:
         """Unload what is still resident; the schedule as executed, read off
         the walk itself — a dirty plan changes which steps reach the
         partition cache and in what order."""
         final_resident = tuple(self._cache.resident_ids)
+        self._slices.clear()
         self._cache.flush()
         return ScheduleResult(
             heuristic=self._planned.heuristic,
@@ -509,11 +519,8 @@ class OutOfCoreIteration:
         self._fault = config.fault_plan
         # who runs the kernel: the one seam every phase-4 score crosses,
         # alive for the whole run
-        self._workers = ScoringWorkers(
-            profile_store,
-            num_workers=config.num_workers,
-            part_cache_slots=config.max_resident_partitions,
-            score=_score_in_process)
+        self._workers = ScoringWorkers(num_workers=config.num_workers,
+                                       score=_score_in_process)
         # survives across iterations, like the workers
         self._score_cache = Phase4ScoreCache(config.score_cache_entries)
 
@@ -572,8 +579,8 @@ class OutOfCoreIteration:
 
         with timer.phase(PHASE_NAMES[3]):
             run, new_graph, schedule = self._phase4_knn(
-                iteration, graph, table, patch, steps, measure, io_stats,
-                layout, schedule)
+                graph, table, patch, steps, measure, io_stats, layout,
+                schedule)
             # the one commit, by a completed phase 4 only.  The scores
             # describe the store as of *this* phase 4 — the deltas the next
             # iteration asks touched_rows_since() about start here — and
@@ -769,6 +776,19 @@ class OutOfCoreIteration:
         """
         first, second, _ = step
         layout = run.layout
+        offset = {first: 0, second: layout.size(first) if second != first else 0}
+        pair_span = offset[second] + layout.size(second)
+        if 8 * sum(hi - lo for _, lo, hi in batches) > pair_span:
+            # too many endpoints to settle unless they repeat: the distinct
+            # ones are the distinct partition-local rows of each side, so
+            # mark them on the pair's span — the first partition's rows,
+            # then the second's — and count, with no sort
+            marked = np.zeros(pair_span, dtype=bool)
+            for edge, lo, hi in batches:
+                marked[run.left_rows[lo:hi] + offset[edge.src]] = True
+                marked[run.right_rows[lo:hi] + offset[edge.dst]] = True
+            if np.count_nonzero(marked) * 4 > pair_span:
+                return False
         endpoints = np.concatenate(
             [layout.vertices(edge.src)[run.left_rows[lo:hi]]
              for edge, lo, hi in batches]
@@ -777,10 +797,6 @@ class OutOfCoreIteration:
         # the gathered slice holds the distinct endpoints ascending, so the
         # inverse of the unique pass *is* each endpoint's row in it
         residual_users, rows = np.unique(endpoints, return_inverse=True)
-        pair_span = layout.size(first) + (layout.size(second)
-                                          if second != first else 0)
-        if len(residual_users) * 4 > pair_span:
-            return False
         residual_slice = self._profile_store.load_users(residual_users)
         half = len(rows) // 2
         fresh = score_tuples(residual_slice, rows[:half], residual_slice,
@@ -814,35 +830,26 @@ class OutOfCoreIteration:
                     continue
             yield step, batches
 
-    def _execute_pending(self, iteration: int, run: _Phase4Run, measure: str,
+    def _execute_pending(self, run: _Phase4Run, measure: str,
                          residency: _StepResidency) -> None:
         """The one phase-4 loop: per pending step, residency in, one
         ``execute`` across the worker seam, scores into the slab."""
-        layout = run.layout
         for step, batches in self._pending_steps(run, measure):
-            residency.acquire(step, batches)
+            slices = residency.acquire(step, batches)
             if not batches:
                 continue
             if self._fault is not None:
                 # crash window: mid-phase-4, some steps scored, nothing
                 # committed — one firing per executed step
                 self._fault.point("phase4.step")
-            first, second, _ = step
-            pids = (first,) if second == first else (first, second)
-            # worker caches are keyed by (iteration, partition): partition
-            # ids repeat across iterations with different vertex sets, and
-            # the store generation tells workers when phase 5 replaced the
-            # files.  Every PI edge of the step is one batch: the sources'
-            # rows in the source partition's slice against the destinations'
-            # rows in the destination's.
-            run.resolve(batches, self._workers.execute(ShardStepTask(
-                parts=tuple(((iteration, pid), layout.vertices(pid))
-                            for pid in pids),
-                batches=tuple((pids.index(edge.src), pids.index(edge.dst),
-                               run.left_rows[lo:hi], run.right_rows[lo:hi])
-                              for edge, lo, hi in batches),
-                measure=measure, generation=run.store_generation,
-                headroom_bytes=residency.headroom_bytes)))
+            # every PI edge of the step is one batch: the sources' rows in
+            # the source partition's slice against the destinations' rows in
+            # the destination's (slice 0 is the first partition's)
+            first = step[0]
+            run.resolve(batches, self._workers.execute(
+                slices, [(int(edge.src != first), int(edge.dst != first),
+                          run.left_rows[lo:hi], run.right_rows[lo:hi])
+                         for edge, lo, hi in batches], measure))
 
     def _finish_phase4(self, run: _Phase4Run, graph: KNNGraph,
                        table: TupleHashTable) -> KNNGraph:
@@ -901,7 +908,7 @@ class OutOfCoreIteration:
             start = stop
         return new_graph
 
-    def _phase4_knn(self, iteration: int, graph: KNNGraph, table: TupleHashTable,
+    def _phase4_knn(self, graph: KNNGraph, table: TupleHashTable,
                     patch: Optional[KeyPatch],
                     steps: Sequence[ResidencyStep], measure: str,
                     io_stats: IOStats, layout: PartitionLayout,
@@ -922,7 +929,7 @@ class OutOfCoreIteration:
         residency = _StepResidency(self._config, self._partition_store,
                                    self._profile_store, layout, io_stats,
                                    schedule)
-        self._execute_pending(iteration, run, measure, residency)
+        self._execute_pending(run, measure, residency)
         executed = residency.schedule()
         return run, self._finish_phase4(run, graph, table), executed
 

@@ -23,8 +23,7 @@ lists every file and meta key): a meta recording any other
 ``format_version`` is refused on open with :class:`StoreFormatError`, and
 ``python -m repro migrate`` rewrites older stores in place.  Every layout
 rewrite or incremental update bumps the store's ``generation`` counter,
-which read-only handles holding the store open by path (phase 4's scoring
-workers) use to invalidate their cached slices.
+which tags what phase 4's score cache computed against.
 The store also keeps an in-memory log of which rows each applied batch
 touched (:meth:`OnDiskProfileStore.touched_rows_since`), the delta feed of
 the engine's incremental phase 4; full rewrites and
@@ -37,10 +36,9 @@ file + rename, so hard links taken by a portable checkpoint
 Every operation is charged to the configured disk model and recorded in
 :class:`~repro.storage.io_stats.IOStats`.  Mapped reads are charged through
 :meth:`~repro.storage.disk_model.DiskModel.mapped_read_cost` (page-granular
-demand paging) at slice-load time, which is also exposed as
-:meth:`OnDiskProfileStore.charge_slice_read` so phase 4's residency model
-can charge reads that a separate, uncharged read-only handle performs.
-Incremental updates (dense row writes, journal appends) are charged through
+demand paging) at slice-load time; phase 4's residency model loads each
+partition's slice once per residency, so that load is the read's one
+charge.  Incremental updates (dense row writes, journal appends) are charged through
 the symmetric ``mapped_write_cost``.
 """
 
@@ -599,10 +597,11 @@ class OnDiskProfileStore:
     def reload(self) -> None:
         """Re-read the meta file and drop every cached memory map.
 
-        A read-only handle holding this store open by path calls this when
-        the engine reports a newer :attr:`generation`: incremental updates
-        replace journal/segment files, so cached maps (and any slices built
-        on them) must be re-opened before the next load.
+        Opening a handle does this; a handle whose files were changed
+        through another one (a newer :attr:`generation`) calls it again:
+        incremental updates replace journal/segment files, so cached maps
+        (and any slices built on them) must be re-opened before the next
+        load.
         """
         self._meta = self._read_meta()
         self._invalidate_maps()
@@ -828,7 +827,7 @@ class OnDiskProfileStore:
         mapped views (and invalidates sparse slices entirely, since sparse
         updates replace journal/segment files).  Phase 4 never holds a slice
         across a phase-5 update; callers that do must reload after applying
-        changes — phase 4's scoring workers key this off :attr:`generation`.
+        changes.
         """
         ids, ranges = self._validated_ids(user_ids)
         self._charge_ranges(ranges)
@@ -853,17 +852,6 @@ class OnDiskProfileStore:
             bad = ids[0] if ids[0] < 0 else ids[np.searchsorted(ids, num_users)]
             raise IndexError(f"user {int(bad)} out of range (store has {num_users})")
         return ids, _contiguous_ranges(ids)
-
-    def charge_slice_read(self, user_ids: Iterable[int]) -> None:
-        """Charge (without loading) the I/O of one ``load_users`` call.
-
-        Phase 4's scoring workers load slices through their own read-only
-        handle on the free device model, so whichever thread maps the bytes
-        charges nothing; the residency model calls this once per partition
-        residency instead, so a slice is charged once however many steps
-        and threads read it.
-        """
-        self._charge_ranges(self._validated_ids(user_ids)[1])
 
     def _charge_ranges(self, ranges: List[Tuple[int, int]]) -> None:
         if not ranges:

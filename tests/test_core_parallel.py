@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 import repro.core.parallel as parallel_module
-from repro.core.parallel import (ScoringWorkers, ShardStepTask, _split_rows,
-                                 score_tuples)
+from repro.core.parallel import ScoringWorkers, _split_rows, score_tuples
 from repro.storage.profile_store import OnDiskProfileStore
 
 
@@ -31,18 +30,17 @@ def _score(piece, pairs, measure):
     return score_tuples(piece, pairs[:, 0], piece, pairs[:, 1], measure)
 
 
-def _task(num_users, pairs, measure="cosine"):
-    """Id pairs as one task over the whole store (row == id)."""
-    return ShardStepTask(parts=(("all", np.arange(num_users)),),
-                         batches=((0, 0, pairs[:, 0], pairs[:, 1]),),
-                         measure=measure, generation=None)
+def _execute(workers, store, pairs, measure="cosine"):
+    """Id pairs as one step over a slice of the whole store (row == id)."""
+    return workers.execute([store.load_users(np.arange(store.num_users))],
+                           [(0, 0, pairs[:, 0], pairs[:, 1])], measure)
 
 
 def _threaded(store, pairs, num_workers, floor, monkeypatch):
-    """One lone task on the thread transport, cut above ``floor`` rows."""
+    """One lone step on the thread transport, cut above ``floor`` rows."""
     monkeypatch.setattr(parallel_module, "SPLIT_FLOOR_ROWS", floor)
-    with ScoringWorkers(store, num_workers=num_workers) as workers:
-        scores = workers.execute(_task(store.num_users, pairs))
+    with ScoringWorkers(num_workers=num_workers) as workers:
+        scores = _execute(workers, store, pairs)
     return scores
 
 
@@ -83,9 +81,9 @@ class TestScoreTuples:
                 score_tuples(dense_slice, rows, dense_slice,
                              np.array([0, 1, bad, 2]), "cosine")
 
-    def test_invalid_thread_count(self, dense_store):
+    def test_invalid_thread_count(self):
         with pytest.raises(ValueError):
-            ScoringWorkers(dense_store, num_workers=0)
+            ScoringWorkers(num_workers=0)
 
     def test_chunking_smaller_than_batch(self, dense_store, pairs, monkeypatch):
         scores = _threaded(dense_store, pairs[:10], 4, 3, monkeypatch)
@@ -93,7 +91,7 @@ class TestScoreTuples:
 
     def test_one_worker_never_cuts(self, dense_store, dense_slice, pairs,
                                    monkeypatch):
-        """However low the floor, one worker scores the whole task inline."""
+        """However low the floor, one worker scores the whole step inline."""
         monkeypatch.setattr(parallel_module, "SPLIT_FLOOR_ROWS", 0)
         batches = []
 
@@ -101,30 +99,27 @@ class TestScoreTuples:
             batches.append(len(left_rows))
             return score_tuples(left, left_rows, right, right_rows, measure)
 
-        with ScoringWorkers(dense_store, num_workers=1, score=kernel) as workers:
+        with ScoringWorkers(num_workers=1, score=kernel) as workers:
             assert workers.transport == "inline"
-            serial = workers.execute(_task(dense_store.num_users, pairs))
+            serial = _execute(workers, dense_store, pairs)
             assert workers._executor is None
         assert batches == [len(pairs)]
         assert np.array_equal(serial, dense_slice.similarity_pairs(pairs, "cosine"))
 
 
 def _pieces(num_rows, width, floor, monkeypatch):
-    """Row counts of the sub-tasks one ``num_rows`` batch is cut into."""
+    """Row counts of the pieces one ``num_rows`` batch is cut into."""
     monkeypatch.setattr(parallel_module, "SPLIT_FLOOR_ROWS", floor)
     rows = np.arange(num_rows)
-    task = ShardStepTask(parts=(("all", range(num_rows)),),
-                         batches=((0, 0, rows, rows),), measure="cosine",
-                         generation=None)
-    subtasks, runs, total = _split_rows(task, width)
-    assert total == num_rows and len(runs) == len(subtasks)
+    pieces, runs, total = _split_rows([(0, 0, rows, rows)], width)
+    assert total == num_rows and len(runs) == len(pieces)
     assert [run for piece in runs for run in piece] == sorted(
         run for piece in runs for run in piece)
-    return [len(sub.batches[0][2]) for sub in subtasks]
+    return [len(piece[0][2]) for piece in pieces]
 
 
 class TestChunkPlanning:
-    """A lone task is cut into at most one piece per worker, none empty."""
+    """A lone step is cut into at most one piece per worker, none empty."""
 
     def test_no_empty_chunks_when_tuples_barely_exceed_chunk_size(self, monkeypatch):
         # 4097 rows, floor 4096, 8 workers: 8 balanced pieces, not one big
@@ -155,17 +150,17 @@ class TestChunkPlanning:
         assert all(_pieces(n, 8, 2, monkeypatch))
 
     def test_each_batch_is_cut_on_its_own(self, monkeypatch):
-        """Two batches, one below the floor: piece ``j`` of the large one
-        rides in sub-task ``j``, the small one whole in sub-task 0, and the
-        runs say where each sub-task's scores belong."""
+        """Two batches, one below the floor: cut ``j`` of the large one
+        rides in piece ``j``, the small one whole in piece 0, and the runs
+        say where each piece's scores belong; every cut keeps its batch's
+        slice indices."""
         monkeypatch.setattr(parallel_module, "SPLIT_FLOOR_ROWS", 4)
         small, large = np.arange(3), np.arange(10)
-        task = ShardStepTask(parts=(("p", range(10)), ("q", range(10, 20))),
-                             batches=((0, 1, small, small), (1, 0, large, large)),
-                             measure="cosine", generation=None)
-        subtasks, runs, total = _split_rows(task, 3)
+        pieces, runs, total = _split_rows(
+            [(0, 1, small, small), (1, 0, large, large)], 3)
         assert total == 13
-        assert [[len(b[2]) for b in sub.batches] for sub in subtasks] == [
+        assert [[len(b[2]) for b in piece] for piece in pieces] == [
             [3, 4], [3], [3]]
         assert runs == [[(0, 3), (3, 7)], [(7, 10)], [(10, 13)]]
-        assert all(sub.parts == task.parts for sub in subtasks)
+        assert [[b[:2] for b in piece] for piece in pieces] == [
+            [(0, 1), (1, 0)], [(1, 0)], [(1, 0)]]

@@ -1,31 +1,32 @@
 """Transport parity wall: ``thread`` ≡ serial, everywhere.
 
-Every phase-4 score crosses one seam, ``ScoringWorkers.execute(task)``,
-whose two transports (inline on the calling thread, and a thread pool that
-cuts each task row-wise) must be indistinguishable by their results.
-These tests pin the seam to ``similarity_rows`` on freshly loaded slices —
-bitwise, for all 8 measures on dense and sparse stores, with the task cut
-row-wise at every width up to eight — and whole engine runs to each other by edge-set
-fingerprint, including the awkward shapes: empty batches, fewer rows than
-workers, partitions smaller than the worker count, a step whose two
-partitions are one, a store that changed between calls, and a one-worker
-pool.
+Every phase-4 score crosses one seam, ``ScoringWorkers.execute(slices,
+batches, measure)``, whose two transports (inline on the calling thread,
+and a thread pool that cuts each step row-wise) must be indistinguishable
+by their results.  These tests pin the seam to ``similarity_rows`` on the
+slices it was handed — bitwise, for all 8 measures on dense and sparse
+stores, with the step cut row-wise at every width up to eight — and whole
+engine runs to each other by edge-set fingerprint, including the awkward
+shapes: empty batches, fewer rows than workers, partitions smaller than the
+worker count, a step whose two partitions are one, and a one-worker pool.
 """
 
 from __future__ import annotations
 
+import gc
 import threading
+import weakref
+from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 import pytest
 
 from repro.core.config import EngineConfig
 from repro.core.engine import KNNEngine
-from repro.core.parallel import (ScoringWorkers, ShardStepTask, _WorkerState,
-                                 score_tuples)
+from repro.core.parallel import RowBatch, ScoringWorkers, score_tuples
 from repro.graph.knn_graph import KNNGraph
 from repro.similarity.measures import SET_MEASURES, VECTOR_MEASURES
-from repro.similarity.workloads import (ProfileChange, generate_dense_profiles,
+from repro.similarity.workloads import (generate_dense_profiles,
                                         generate_sparse_profiles)
 from repro.storage.profile_store import OnDiskProfileStore
 
@@ -68,11 +69,11 @@ def pairs():
     return rng.integers(0, NUM_USERS, size=(500, 2)).astype(np.int64)
 
 
-def _workers(store, backend, width=None, **options):
+def _workers(backend, width=None, **options):
     """``serial`` is one worker whatever ``width`` says; a pool is
     ``width`` wide, or as wide as its transport's default."""
     return ScoringWorkers(
-        store, num_workers=1 if backend == "serial" else width or WIDTHS[backend],
+        num_workers=1 if backend == "serial" else width or WIDTHS[backend],
         **options)
 
 
@@ -80,74 +81,91 @@ def _measure(kind):
     return "cosine" if kind == "dense" else "jaccard"
 
 
-def _task(parts, batches, measure, generation=None):
-    return ShardStepTask(parts=tuple(parts), batches=tuple(batches),
-                         measure=measure, generation=generation)
+class _Step(NamedTuple):
+    """One step as the residency model hands it over: the user ids of its
+    partitions (loaded into the slices the seam takes), its row batches
+    into them and the measure."""
+
+    parts: Tuple[Sequence[int], ...]
+    batches: Tuple[RowBatch, ...]
+    measure: str
 
 
-def _whole_store_task(pairs, measure, key="all"):
-    """Id pairs as one task over the whole store (where row == id)."""
-    return _task([(key, np.arange(NUM_USERS))],
-                 [(0, 0, pairs[:, 0], pairs[:, 1])], measure)
+def _step(parts, batches, measure):
+    return _Step(tuple(parts), tuple(batches), measure)
 
 
-def _expected(store, task):
-    """The task's scores off freshly loaded slices, no seam involved."""
-    slices = [store.load_users(np.asarray(ids, dtype=np.int64))
-              for _, ids in task.parts]
+def _slices(store, step):
+    return [store.load_users(np.asarray(ids, dtype=np.int64))
+            for ids in step.parts]
+
+
+def _execute(workers, store, step):
+    """The step across the seam, on freshly loaded slices."""
+    return workers.execute(_slices(store, step), step.batches, step.measure)
+
+
+def _whole_store_step(pairs, measure):
+    """Id pairs as one step over the whole store (where row == id)."""
+    return _step([np.arange(NUM_USERS)], [(0, 0, pairs[:, 0], pairs[:, 1])],
+                 measure)
+
+
+def _expected(store, step):
+    """The step's scores off freshly loaded slices, no seam involved."""
+    slices = _slices(store, step)
     return np.concatenate([
         slices[left].similarity_rows(left_rows, slices[right], right_rows,
-                                     task.measure)
-        for left, right, left_rows, right_rows in task.batches])
+                                     step.measure)
+        for left, right, left_rows, right_rows in step.batches])
 
 
-def _step_tasks(rng, step_pairs, rows=60, measure=None):
-    """One task per ``(p, q)`` quarter-of-the-store partition pair, each with
+def _steps(rng, step_pairs, rows=60, measure=None):
+    """One step per ``(p, q)`` quarter-of-the-store partition pair, each with
     the PI edges (p, q), (q, p) and (p, p) as partition-local row batches."""
     quarter = NUM_USERS // 4
-    tasks = []
+    steps = []
     for first, second in step_pairs:
         pids = (first,) if first == second else (first, second)
-        parts = [((0, pid), np.arange(pid * quarter, (pid + 1) * quarter))
-                 for pid in pids]
+        parts = [np.arange(pid * quarter, (pid + 1) * quarter) for pid in pids]
         edges = [(0, 0)] if first == second else [(0, 1), (1, 0), (0, 0)]
         batches = [(left, right, rng.integers(0, quarter, size=rows),
                     rng.integers(0, quarter, size=rows))
                    for left, right in edges]
-        tasks.append(_task(parts, batches, measure))
-    return tasks
+        steps.append(_step(parts, batches, measure))
+    return steps
 
 
 class TestScoreParityAllMeasures:
     @pytest.mark.parametrize("measure", sorted(VECTOR_MEASURES))
     def test_dense_measures(self, dense_store, pairs, measure, cut_everything):
-        task = _whole_store_task(pairs, measure)
-        expected = _expected(dense_store, task)
+        step = _whole_store_step(pairs, measure)
+        expected = _expected(dense_store, step)
         for backend in BACKENDS:
-            with _workers(dense_store, backend) as workers:
-                np.testing.assert_array_equal(workers.execute(task),
-                                              expected)
+            with _workers(backend) as workers:
+                np.testing.assert_array_equal(
+                    _execute(workers, dense_store, step), expected)
 
     @pytest.mark.parametrize("measure", sorted(SET_MEASURES))
     def test_sparse_measures(self, sparse_store, pairs, measure, cut_everything):
-        task = _whole_store_task(pairs, measure)
-        expected = _expected(sparse_store, task)
+        step = _whole_store_step(pairs, measure)
+        expected = _expected(sparse_store, step)
         for backend in BACKENDS:
-            with _workers(sparse_store, backend) as workers:
-                np.testing.assert_array_equal(workers.execute(task),
-                                              expected)
+            with _workers(backend) as workers:
+                np.testing.assert_array_equal(
+                    _execute(workers, sparse_store, step), expected)
 
     def test_scattered_slice_parity(self, dense_store, cut_everything):
         """Non-contiguous user ids exercise the gathered-copy load path."""
         users = np.arange(0, NUM_USERS, 3)
         rng = np.random.default_rng(5)
         rows = rng.integers(0, len(users), size=(200, 2))
-        task = _task([("scattered", users)], [(0, 0, rows[:, 0], rows[:, 1])],
-                     "cosine")
-        with _workers(dense_store, "serial") as serial:
-            expected = serial.execute(task)
-        with _workers(dense_store, "thread") as threaded:
-            np.testing.assert_array_equal(threaded.execute(task), expected)
+        step = _step([users], [(0, 0, rows[:, 0], rows[:, 1])], "cosine")
+        with _workers("serial") as serial:
+            expected = _execute(serial, dense_store, step)
+        with _workers("thread") as threaded:
+            np.testing.assert_array_equal(
+                _execute(threaded, dense_store, step), expected)
         # and the rows mean what the ids say
         whole = dense_store.load_users(range(NUM_USERS))
         np.testing.assert_array_equal(
@@ -159,10 +177,10 @@ class TestScoreParityAllMeasures:
         rng = np.random.default_rng(6)
         left_rows = rng.integers(0, half, size=300)
         right_rows = rng.integers(0, NUM_USERS - half, size=300)
-        task = _task([("low", range(half)), ("high", range(half, NUM_USERS))],
+        step = _step([range(half), range(half, NUM_USERS)],
                      [(0, 1, left_rows, right_rows)], "cosine")
-        with _workers(dense_store, "thread") as threaded:
-            got = threaded.execute(task)
+        with _workers("thread") as threaded:
+            got = _execute(threaded, dense_store, step)
         whole = dense_store.load_users(range(NUM_USERS))
         np.testing.assert_array_equal(whole.similarity_pairs(
             np.column_stack([left_rows, half + right_rows]), "cosine"), got)
@@ -170,18 +188,18 @@ class TestScoreParityAllMeasures:
 
 class TestSeamWall:
     """Inline and the pool at widths 1–8, dense and sparse: every result
-    bit-equal to ``similarity_rows`` on freshly loaded slices."""
+    bit-equal to ``similarity_rows`` on the slices the seam was handed."""
 
     @pytest.mark.parametrize("kind", ["dense", "sparse"])
     @pytest.mark.parametrize("backend, width", CUT_WIDTHS)
     def test_one_task_cut_row_wise(self, stores, backend, width, kind,
                                    cut_everything):
         store = stores[kind]
-        (task,) = _step_tasks(np.random.default_rng(3), [(0, 2)],
-                              measure=_measure(kind))
-        with _workers(store, backend, width) as workers:
-            scores = workers.execute(task)
-        np.testing.assert_array_equal(scores, _expected(store, task))
+        (step,) = _steps(np.random.default_rng(3), [(0, 2)],
+                         measure=_measure(kind))
+        with _workers(backend, width) as workers:
+            scores = _execute(workers, store, step)
+        np.testing.assert_array_equal(scores, _expected(store, step))
 
     @pytest.mark.parametrize("kind", ["dense", "sparse"])
     @pytest.mark.parametrize("backend, width", CUT_WIDTHS)
@@ -191,13 +209,14 @@ class TestSeamWall:
         shared with the step before it and one not, in either order; no
         step's result depends on what the pool scored before it."""
         store = stores[kind]
-        tasks = _step_tasks(np.random.default_rng(4), [(0, 1), (1, 2), (3, 3)],
-                            measure=_measure(kind))
-        with _workers(store, backend, width) as workers:
-            forward = [workers.execute(task) for task in tasks]
-            backward = [workers.execute(task) for task in reversed(tasks)]
-        for task, scores, again in zip(tasks, forward, reversed(backward)):
-            np.testing.assert_array_equal(scores, _expected(store, task))
+        steps = _steps(np.random.default_rng(4), [(0, 1), (1, 2), (3, 3)],
+                       measure=_measure(kind))
+        with _workers(backend, width) as workers:
+            forward = [_execute(workers, store, step) for step in steps]
+            backward = [_execute(workers, store, step)
+                        for step in reversed(steps)]
+        for step, scores, again in zip(steps, forward, reversed(backward)):
+            np.testing.assert_array_equal(scores, _expected(store, step))
             np.testing.assert_array_equal(again, scores)
 
     @pytest.mark.parametrize("kind", ["dense", "sparse"])
@@ -205,12 +224,12 @@ class TestSeamWall:
     def test_a_step_inside_one_partition(self, stores, backend, kind,
                                          cut_everything):
         store = stores[kind]
-        (task,) = _step_tasks(np.random.default_rng(5), [(1, 1)],
-                              measure=_measure(kind))
-        assert len(task.parts) == 1
-        with _workers(store, backend) as workers:
-            scores = workers.execute(task)
-        np.testing.assert_array_equal(scores, _expected(store, task))
+        (step,) = _steps(np.random.default_rng(5), [(1, 1)],
+                         measure=_measure(kind))
+        assert len(step.parts) == 1
+        with _workers(backend) as workers:
+            scores = _execute(workers, store, step)
+        np.testing.assert_array_equal(scores, _expected(store, step))
 
     @pytest.mark.parametrize("kind", ["dense", "sparse"])
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -219,14 +238,14 @@ class TestSeamWall:
         store = stores[kind]
         nothing = np.empty(0, dtype=np.int64)
         rows = np.arange(10)
-        task = _task([("ten", range(10))],
+        step = _step([range(10)],
                      [(0, 0, nothing, nothing), (0, 0, rows, rows[::-1])],
                      _measure(kind))
-        with _workers(store, backend) as workers:
-            scores = workers.execute(task)
-            none = workers.execute(_task(task.parts, task.batches[:1],
-                                         _measure(kind)))
-        np.testing.assert_array_equal(scores, _expected(store, task))
+        with _workers(backend) as workers:
+            scores = _execute(workers, store, step)
+            none = _execute(workers, store, step._replace(
+                batches=step.batches[:1]))
+        np.testing.assert_array_equal(scores, _expected(store, step))
         assert none.shape == (0,)
 
     @pytest.mark.parametrize("kind", ["dense", "sparse"])
@@ -235,121 +254,71 @@ class TestSeamWall:
                                      cut_everything):
         """Pieces beyond the row count are dropped, not scored empty."""
         store = stores[kind]
-        task = _task([("ten", range(10))],
-                     [(0, 0, np.array([0, 2]), np.array([1, 3]))],
+        step = _step([range(10)], [(0, 0, np.array([0, 2]), np.array([1, 3]))],
                      _measure(kind))
-        with _workers(store, backend) as workers:
-            scores = workers.execute(task)
-        np.testing.assert_array_equal(scores, _expected(store, task))
+        with _workers(backend) as workers:
+            scores = _execute(workers, store, step)
+        np.testing.assert_array_equal(scores, _expected(store, step))
 
+    @pytest.mark.parametrize("kind", ["dense", "sparse"])
     @pytest.mark.parametrize("backend", ["serial", "thread"])
-    def test_generation_bump_drops_the_stale_part_cache(self, tmp_path, backend,
-                                                        cut_everything):
-        """The same part key after ``apply_changes``: workers that outlive a
-        profile update must not serve the slice they cached before it."""
-        profiles = generate_dense_profiles(40, dim=6, num_communities=2, seed=3)
-        store = OnDiskProfileStore.create(tmp_path, profiles,
-                                          disk_model="instant")
-        rows = np.array([0, 2, 0]), np.array([1, 3, 3])
-
-        def task():
-            return _task([("part", range(40))], [(0, 0, *rows)], "cosine",
-                         generation=store.generation)
-
-        with _workers(store, backend, width=2) as workers:
-            before = workers.execute(task())
-            np.testing.assert_array_equal(before, _expected(store, task()))
-            store.apply_changes([ProfileChange(user=0, kind="set",
-                                               vector=np.ones(6))])
-            after = workers.execute(task())
-        np.testing.assert_array_equal(after, _expected(store, task()))
-        assert not np.array_equal(before, after)
-
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
-    def test_generation_bump_reloads_a_sparse_store(self, tmp_path, backend,
-                                                    cut_everything):
-        """A sparse update lands in a journal the workers' handle has not
-        read: a dense mapped view shows an update through a stale cache, a
-        sparse slice does not, so only the reload the generation asks for
-        lets the workers see it."""
-        profiles = generate_sparse_profiles(40, 60, items_per_user=5, seed=3)
-        store = OnDiskProfileStore.create(tmp_path, profiles,
-                                          disk_model="instant")
-        rows = np.array([0, 2, 0]), np.array([1, 3, 3])
-
-        def task():
-            return _task([("part", range(40))], [(0, 0, *rows)], "jaccard",
-                         generation=store.generation)
-
-        with _workers(store, backend, width=2) as workers:
-            before = workers.execute(task())
-            store.apply_changes([ProfileChange(user=0, kind="add", item=item)
-                                 for item in range(60)])
-            after = workers.execute(task())
-        np.testing.assert_array_equal(after, _expected(store, task()))
-        assert not np.array_equal(before, after)
-
-    def test_part_cache_reuse_is_sound_and_bounded(self, dense_store, pairs):
-        """Same key twice → same result; and the in-process cache never
-        holds more slices than its slots, whatever the tasks name."""
-        task = _whole_store_task(pairs, "cosine", key="step-a")
-        with _workers(dense_store, "serial", part_cache_slots=2) as workers:
-            first = workers.execute(task)
-            second = workers.execute(task)
-            for step_task in _step_tasks(np.random.default_rng(6),
-                                         [(0, 1), (2, 3)], measure="cosine"):
-                workers.execute(step_task)
-            assert len(workers._state._parts) == 2
-        np.testing.assert_array_equal(first, _expected(dense_store, task))
-        np.testing.assert_array_equal(first, second)
+    def test_the_seam_keeps_no_slice_it_was_handed(self, stores, backend, kind,
+                                                   cut_everything):
+        """The slices are the caller's: once it lets go of them, nothing
+        across the seam still holds one — not the workers, not the pool."""
+        store = stores[kind]
+        (step,) = _steps(np.random.default_rng(7), [(0, 3)],
+                         measure=_measure(kind))
+        slices = _slices(store, step)
+        alive = [weakref.ref(piece) for piece in slices]
+        with _workers(backend) as workers:
+            scores = workers.execute(slices, step.batches, step.measure)
+            del slices
+            gc.collect()
+            assert [ref() for ref in alive] == [None, None]
+        np.testing.assert_array_equal(scores, _expected(store, step))
 
     def test_single_worker_pool(self, dense_store):
         """One worker builds no pool: the calling thread scores."""
-        task = _whole_store_task(np.array([[0, 1], [5, 9], [10, 11]]), "cosine")
-        with ScoringWorkers(dense_store, num_workers=1) as workers:
+        step = _whole_store_step(np.array([[0, 1], [5, 9], [10, 11]]), "cosine")
+        with ScoringWorkers(num_workers=1) as workers:
             assert workers.transport == "inline"
-            scores = workers.execute(task)
+            scores = _execute(workers, dense_store, step)
             assert workers._executor is None
-        np.testing.assert_array_equal(scores, _expected(dense_store, task))
+        np.testing.assert_array_equal(scores, _expected(dense_store, step))
 
-    def test_bad_knobs_rejected(self, dense_store):
+    def test_bad_knobs_rejected(self):
         with pytest.raises(ValueError):
-            ScoringWorkers(dense_store, num_workers=0)
-        with pytest.raises(ValueError):
-            ScoringWorkers(dense_store, part_cache_slots=0)
+            ScoringWorkers(num_workers=0)
 
 
 class TestThreadPool:
     """What the pool promises besides its scores: where the work runs, what
     a failure does to it, and when it exists at all."""
 
-    def test_slices_resolve_on_the_calling_thread_and_the_kernel_on_the_pool(
-            self, dense_store, pairs, monkeypatch, cut_everything):
-        """The store handle and the part cache are touched by the calling
-        thread only; each sub-task's kernel call runs on a pool thread."""
-        resolved, scored = [], []
-        slices = _WorkerState.slices
+    def test_the_pool_scores_the_callers_slices_on_its_threads(
+            self, dense_store, pairs, cut_everything):
+        """Each piece's kernel call runs on a pool thread, on the very slice
+        objects the caller handed over: nothing is loaded or copied."""
+        seen, scored = [], []
 
-        def spied(state, task):
-            resolved.append(threading.current_thread())
-            return slices(state, task)
-
-        def kernel(*args):
+        def kernel(left, left_rows, right, right_rows, measure):
+            seen.append((left, right))
             scored.append(threading.current_thread())
-            return score_tuples(*args)
+            return score_tuples(left, left_rows, right, right_rows, measure)
 
-        monkeypatch.setattr(_WorkerState, "slices", spied)
-        task = _whole_store_task(pairs, "cosine")
-        with ScoringWorkers(dense_store, num_workers=3, score=kernel) as workers:
-            scores = workers.execute(task)
-        np.testing.assert_array_equal(scores, _expected(dense_store, task))
-        assert set(resolved) == {threading.current_thread()}
-        assert len(resolved) == len(scored) == 3
+        step = _whole_store_step(pairs, "cosine")
+        slices = _slices(dense_store, step)
+        with ScoringWorkers(num_workers=3, score=kernel) as workers:
+            scores = workers.execute(slices, step.batches, step.measure)
+        np.testing.assert_array_equal(scores, _expected(dense_store, step))
+        assert len(scored) == 3
+        assert all(left is right is slices[0] for left, right in seen)
         assert threading.current_thread() not in scored
 
     def test_a_replaced_kernel_scores_every_row_once(self, dense_store, pairs,
                                                      cut_everything):
-        """A kernel dispatch handed to the pool sees all of a cut task's
+        """A kernel dispatch handed to the pool sees all of a cut step's
         rows, none twice: a tracer counts what the inline path counts."""
         rows = []
         lock = threading.Lock()
@@ -359,15 +328,15 @@ class TestThreadPool:
                 rows.extend(zip(left_rows.tolist(), right_rows.tolist()))
             return score_tuples(left, left_rows, right, right_rows, measure)
 
-        task = _whole_store_task(pairs, "cosine")
-        with ScoringWorkers(dense_store, num_workers=4, score=kernel) as workers:
-            workers.execute(task)
+        step = _whole_store_step(pairs, "cosine")
+        with ScoringWorkers(num_workers=4, score=kernel) as workers:
+            _execute(workers, dense_store, step)
         assert sorted(rows) == sorted(map(tuple, pairs.tolist()))
 
     def test_a_kernel_error_on_a_pool_thread_reaches_the_caller(
             self, dense_store, pairs, cut_everything):
-        """A sub-task whose kernel raises fails that ``execute`` with its own
-        error; the same pool scores the next task as if nothing happened."""
+        """A piece whose kernel raises fails that ``execute`` with its own
+        error; the same pool scores the next step as if nothing happened."""
         calls = []
 
         def kernel(*args):
@@ -376,28 +345,28 @@ class TestThreadPool:
                 raise RuntimeError("kernel failed")
             return score_tuples(*args)
 
-        task = _whole_store_task(pairs, "cosine")
-        with ScoringWorkers(dense_store, num_workers=3, score=kernel) as workers:
+        step = _whole_store_step(pairs, "cosine")
+        with ScoringWorkers(num_workers=3, score=kernel) as workers:
             with pytest.raises(RuntimeError, match="kernel failed"):
-                workers.execute(task)
+                _execute(workers, dense_store, step)
             pool = workers._executor
-            scores = workers.execute(task)
+            scores = _execute(workers, dense_store, step)
             assert workers._executor is pool
-        np.testing.assert_array_equal(scores, _expected(dense_store, task))
+        np.testing.assert_array_equal(scores, _expected(dense_store, step))
 
     def test_shutdown_is_idempotent_and_a_later_step_builds_a_new_pool(
             self, dense_store, pairs, cut_everything):
-        task = _whole_store_task(pairs, "cosine")
+        step = _whole_store_step(pairs, "cosine")
         baseline = threading.active_count()
-        workers = ScoringWorkers(dense_store, num_workers=3)
-        first = workers.execute(task)
+        workers = ScoringWorkers(num_workers=3)
+        first = _execute(workers, dense_store, step)
         pool = workers._executor
         assert pool is not None
         workers.shutdown()
         workers.shutdown()
-        assert workers._executor is None and workers._state._parts == {}
+        assert workers._executor is None
         assert threading.active_count() == baseline
-        again = workers.execute(task)
+        again = _execute(workers, dense_store, step)
         assert workers._executor is not None and workers._executor is not pool
         workers.shutdown()
         assert threading.active_count() == baseline
@@ -414,13 +383,13 @@ class TestThreadPool:
             scored.append(threading.current_thread())
             return score_tuples(*args)
 
-        task = _whole_store_task(pairs, "cosine")
-        with ScoringWorkers(dense_store, num_workers=4, score=kernel) as workers:
+        step = _whole_store_step(pairs, "cosine")
+        with ScoringWorkers(num_workers=4, score=kernel) as workers:
             assert workers.transport == "thread"
-            scores = workers.execute(task)
+            scores = _execute(workers, dense_store, step)
             assert workers._executor is None
         assert scored == [threading.current_thread()]
-        np.testing.assert_array_equal(scores, _expected(dense_store, task))
+        np.testing.assert_array_equal(scores, _expected(dense_store, step))
 
 
 def _engine_fingerprint(profiles, **overrides) -> str:

@@ -1,13 +1,13 @@
 """Run-lifetime scoring workers: reuse across iterations, parity across updates.
 
 The engine keeps one :class:`ScoringWorkers` — and its thread pool, when
-it is wider than one — alive for a whole run; the workers invalidate their
-cached mmap slices through the profile store's ``generation`` counter after
-every phase-5 update batch.  These tests pin
+it is wider than one — alive for a whole run; the workers hold no profile
+state, only the slices each step hands them, which the residency model
+loads afresh every phase 4.  These tests pin
 
 * that graph fingerprints stay identical between the inline and the thread
-  transport *while profiles change between iterations* — a stale part cache
-  would break this instantly,
+  transport *while profiles change between iterations* — a slice held over
+  a phase-5 update would break this instantly,
 * that the pool really is reused across iterations and gone after close,
   and that the default configuration builds no executor and no process.
 """
@@ -62,9 +62,9 @@ class TestPoolReuseParityAcrossUpdates:
 
     @pytest.mark.parametrize("width", [2, 3])
     def test_sparse_backends_identical_under_churn(self, width, cut_everything):
-        """Sparse updates replace journal/segment files under the workers'
-        live read-only handle — the hard case for the part cache: a stale
-        mmap would change scores or crash."""
+        """Sparse updates replace journal/segment files — the hard case for
+        any slice kept across an iteration: a stale mmap would change scores
+        or crash."""
         profiles = generate_sparse_profiles(NUM_USERS, 200, items_per_user=10,
                                             num_communities=4, seed=23)
         serial = _run_fingerprints(profiles, _sparse_feed)
@@ -72,8 +72,8 @@ class TestPoolReuseParityAcrossUpdates:
         assert serial == threaded
 
     def test_pool_object_survives_iterations(self, cut_everything):
-        """The pool an iteration built scores the next one too, across the
-        generation bump of a profile update; close drops it."""
+        """The pool an iteration built scores the next one too, across a
+        profile update; close drops it."""
         profiles = generate_dense_profiles(80, dim=6, num_communities=3, seed=29)
         config = EngineConfig(k=4, num_partitions=4, num_workers=2, seed=5)
         with KNNEngine(profiles, config) as engine:

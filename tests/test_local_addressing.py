@@ -322,10 +322,6 @@ def test_array_and_list_loads_are_the_same_slice_and_the_same_charge(
         lambda: charged_store.load_users(np.asarray(ids, dtype=np.int64)))
     _assert_same_slice(from_array, from_list)
     assert array_charge == list_charge
-    _, charge_only = _charge(
-        charged_store,
-        lambda: charged_store.charge_slice_read(np.asarray(ids, dtype=np.int64)))
-    assert charge_only == list_charge
     # one read per contiguous run, as the per-id generator counted them
     runs = _reference_ranges(sorted(set(ids)))
     assert _contiguous_ranges(sorted(set(ids))) == runs
@@ -349,8 +345,6 @@ def test_out_of_range_ids_name_the_first_offender(charged_store, ids, offender):
     for form in (ids, np.asarray(ids, dtype=np.int64)):
         with pytest.raises(IndexError, match=f"user {offender} out of range"):
             charged_store.load_users(form)
-        with pytest.raises(IndexError, match=f"user {offender} out of range"):
-            charged_store.charge_slice_read(form)
 
 
 def test_mapped_sparse_slice_is_a_plain_read_only_view(tmp_path):

@@ -29,10 +29,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.core.iteration as iteration_module
 import repro.core.parallel as parallel_module
 from repro.core.config import EngineConfig
 from repro.core.engine import KNNEngine
-from repro.core.parallel import ScoringWorkers, ShardStepTask, _WorkerState
+from repro.core.parallel import ScoringWorkers
 from repro.similarity import measures
 from repro.similarity.measures import SetProfileCSR
 from repro.similarity.workloads import generate_sparse_profiles
@@ -431,29 +432,37 @@ def test_a_batch_that_pays_builds_the_bitmap_for_every_later_batch():
     assert taken == ["bitmap+padded", "bitmap+padded"]
 
 
-def test_a_worker_splits_the_headroom_between_its_cache_slots(tmp_path):
-    """Each slice a worker holds — in this task or still cached from the
-    last — is capped at the headroom over the cache's slots."""
-    store = OnDiskProfileStore.create(
-        tmp_path, generate_sparse_profiles(60, 80, items_per_user=6, seed=2),
-        disk_model="instant")
-    state = _WorkerState(str(store.base_dir), slots=2)
-    halves = (("a", range(0, 30)), ("b", range(30, 60)))
-    first = state.slices(ShardStepTask(parts=halves, batches=(), measure="jaccard",
-                                       generation=None, headroom_bytes=1000.0))
-    assert [piece._csr._derived_cap for piece in first] == [500.0, 500.0]
-    state.slices(ShardStepTask(parts=halves[:1], batches=(), measure="jaccard",
-                               generation=None, headroom_bytes=300.0))
-    assert [piece._csr._derived_cap for piece in first] == [150.0, 150.0]
-    state.slices(ShardStepTask(parts=halves, batches=(), measure="jaccard",
-                               generation=None))
-    assert [piece._csr._derived_cap for piece in first] == [None, None]
+def test_the_residency_splits_the_headroom_between_its_slots(monkeypatch):
+    """Each slice the residency holds — the step's pair and any partition
+    still resident from an earlier step — is capped at what the budget
+    leaves beside the resident partitions, over the cache's slots."""
+    caps = []
+    acquire = iteration_module._StepResidency.acquire
+
+    def spied(residency, step, batches):
+        slices = acquire(residency, step, batches)
+        if not batches:     # nothing to score: no slice loaded or capped
+            return slices
+        headroom = residency._budget.capacity_bytes - sum(
+            residency._cache._resident.values())
+        caps.extend((piece._csr._derived_cap, headroom / 3)
+                    for piece in residency._slices.values())
+        return slices
+
+    monkeypatch.setattr(iteration_module._StepResidency, "acquire", spied)
+    profiles = generate_sparse_profiles(300, 200, items_per_user=8, seed=2)
+    config = EngineConfig(k=5, num_partitions=6, max_resident_partitions=3,
+                          memory_budget_bytes=200_000, seed=3)
+    with KNNEngine(profiles, config) as engine:
+        engine.run(num_iterations=2)
+    assert caps and all(cap == want for cap, want in caps)
+    assert len({cap for cap, _ in caps}) > 1
 
 
 def test_the_pool_shares_its_slices_and_so_the_whole_headroom(tmp_path):
-    """Threads score the slices the calling thread cached: every sub-task of
-    a cut step carries the task's whole headroom, and each slice is capped
-    at its cache slot's share of it, however wide the pool."""
+    """Threads score the slices the calling thread holds: every piece of a
+    cut step reads the cap the residency set, whole, however wide the
+    pool."""
     store = OnDiskProfileStore.create(
         tmp_path, generate_sparse_profiles(60, 80, items_per_user=6, seed=2),
         disk_model="instant")
@@ -464,11 +473,10 @@ def test_the_pool_shares_its_slices_and_so_the_whole_headroom(tmp_path):
         return np.zeros(len(left_rows))
 
     rows = np.arange(60)
-    task = ShardStepTask(parts=(("all", range(60)),),
-                         batches=((0, 0, rows, rows[::-1]),),
-                         measure="jaccard", generation=None, headroom_bytes=900.0)
+    piece = store.load_users(np.arange(60))
+    piece.cap_derived_bytes(450.0)
     with mock.patch.object(parallel_module, "SPLIT_FLOOR_ROWS", 0), \
-            ScoringWorkers(store, num_workers=3, score=kernel) as workers:
-        assert len(workers.execute(task)) == 60
+            ScoringWorkers(num_workers=3, score=kernel) as workers:
+        assert len(workers.execute([piece], [(0, 0, rows, rows[::-1])],
+                                   "jaccard")) == 60
     assert caps == [(450.0, 450.0)] * 3
-

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import EngineConfig
 from repro.core.engine import KNNEngine
-from repro.core.parallel import ScoringWorkers, ShardStepTask
+from repro.core.parallel import ScoringWorkers
 from repro.similarity.workloads import (ProfileChange, generate_dense_profiles,
                                         generate_sparse_profiles)
 from repro.storage.memory_manager import MemoryBudget
@@ -190,12 +190,10 @@ class TestStepOracle:
             batches.append((left, right, left_rows, right_rows))
             tuples.append(np.stack([starts[left] + left_rows,
                                     starts[right] + right_rows], axis=1))
-        task = ShardStepTask(
-            parts=tuple((pid, range(start, start + quarter))
-                        for pid, start in zip((1, 3), starts)),
-            batches=tuple(batches), measure=measure, generation=None)
-        with ScoringWorkers(store, num_workers=WIDTHS[backend]) as workers:
-            scores = workers.execute(task)
+        slices = [store.load_users(np.arange(start, start + quarter))
+                  for start in starts]
+        with ScoringWorkers(num_workers=WIDTHS[backend]) as workers:
+            scores = workers.execute(slices, batches, measure)
         whole = store.load_users(np.arange(NUM_USERS))
         np.testing.assert_array_equal(
             scores, whole.similarity_pairs(np.concatenate(tuples), measure))

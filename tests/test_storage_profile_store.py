@@ -192,12 +192,15 @@ class TestFormatVersions:
             piece._norms, np.linalg.norm(np.array(piece.matrix), axis=1))
 
 
-class TestChargeSliceRead:
+class TestSliceReadCharges:
+    """What one ``load_users`` charges — phase 4's residency model loads a
+    partition's slice once per residency, and this is its read."""
+
     def test_dense_contiguous_bytes(self, dense_profiles, tmp_path):
         """Byte math pinned independently: rows × (dim + 1 norm) × 8, one op."""
         store = OnDiskProfileStore.create(tmp_path, dense_profiles, disk_model="ssd")
         store.io_stats.reset()
-        store.charge_slice_read(range(20, 60))
+        store.load_users(range(20, 60))
         assert store.io_stats.read_ops == 1
         assert store.io_stats.bytes_read == 40 * (dense_profiles.dim + 1) * 8
         assert store.io_stats.simulated_io_seconds > 0
@@ -205,7 +208,7 @@ class TestChargeSliceRead:
     def test_dense_scattered_charges_per_range(self, dense_profiles, tmp_path):
         store = OnDiskProfileStore.create(tmp_path, dense_profiles, disk_model="ssd")
         store.io_stats.reset()
-        store.charge_slice_read([0, 1, 2, 50, 51, 119])  # three ranges
+        store.load_users([0, 1, 2, 50, 51, 119])  # three ranges
         row_bytes = (dense_profiles.dim + 1) * 8
         assert store.io_stats.read_ops == 3
         assert store.io_stats.bytes_read == 6 * row_bytes
@@ -215,24 +218,20 @@ class TestChargeSliceRead:
         store = OnDiskProfileStore.create(tmp_path, sparse_profiles, disk_model="ssd")
         num_codes = sum(len(sparse_profiles.get(u)) for u in range(10, 30))
         store.io_stats.reset()
-        store.charge_slice_read(range(10, 30))
+        store.load_users(range(10, 30))
         assert store.io_stats.read_ops == 1
         assert store.io_stats.bytes_read == (num_codes + 21) * 8
 
-    def test_charge_equals_load_invariant(self, dense_profiles, sparse_profiles,
-                                          tmp_path):
-        """load_users routes its accounting through charge_slice_read; this
-        pins that invariant so the two can never drift apart silently."""
-        for name, profiles, ids in (("d", dense_profiles, range(20, 60)),
-                                    ("s", sparse_profiles, [0, 1, 2, 50, 51, 119])):
-            store = OnDiskProfileStore.create(tmp_path / name, profiles,
-                                              disk_model="ssd")
-            store.io_stats.reset()
-            store.load_users(ids)
-            loaded = store.io_stats.as_dict()
-            store.io_stats.reset()
-            store.charge_slice_read(ids)
-            assert store.io_stats.as_dict() == loaded
+    def test_sparse_scattered_charges_per_range(self, sparse_profiles, tmp_path):
+        """One op a contiguous run, each its codes plus its indptr slice."""
+        store = OnDiskProfileStore.create(tmp_path, sparse_profiles, disk_model="ssd")
+        runs = ((0, 3), (50, 52), (119, 120))
+        store.io_stats.reset()
+        store.load_users([0, 1, 2, 50, 51, 119])
+        assert store.io_stats.read_ops == 3
+        assert store.io_stats.bytes_read == 8 * sum(
+            sum(len(sparse_profiles.get(u)) for u in range(lo, hi)) + hi - lo + 1
+            for lo, hi in runs)
 
 
 class TestTouchedRowDeltas:
