@@ -21,20 +21,13 @@ bench records any failed read, an unproven snapshot-isolation verdict, or
 a burst phase that shed nothing, or when
 the dirty-scheduling bench reports a dirty-vs-full fingerprint or
 profile-byte divergence — or a steady-state skip rate below 60% — or when
-the transport-parity (``sharded``) bench reports the thread pool's
-fingerprint or profile bytes diverging from the serial run's.  It prints
-a behaviour warning when the graph fingerprint
+a ``--million`` report's 1M-user tier recorded no load/unload operations.
+It prints a behaviour warning when the graph fingerprint
 changed between baseline and fresh (a fingerprint change is legitimate when
 an algorithmic PR intends it — the diff to the committed baseline makes it
 explicit — so it warns rather than fails).  Baselines predating the update
-workload simply skip that gate.
-
-Backend-sweep rows are compared per ``(num_users, backend, workers)`` when
-both reports carry the sweep; a row only one report has (an older
-baseline's ``process`` rows) is not compared.  **Multi-worker rows are
-skipped when the two reports' ``cpu_count`` differ** — a 1-core container
-can only measure a thread pool's overhead, so comparing it against a
-multi-core baseline (or vice versa) would mask or fake a speedup.
+workload simply skip that gate, and sections only an older baseline
+carries (the retired thread and backend sweeps) are not read.
 """
 
 from __future__ import annotations
@@ -268,19 +261,19 @@ def compare_serving(fresh: dict) -> "tuple[bool, str]":
         f"{section.get('burst_shed_changes', 0)} changes shed under burst")
 
 
-#: Floor on the dirty-scheduling bench's worst-transport skip rate.
+#: Floor on the dirty-scheduling bench's steady-state skip rate.
 MIN_SKIP_RATE = 0.6
 
 
 def compare_dirty_scheduling(fresh: dict) -> "tuple[bool, str]":
     """Gate the dirty-partition scheduling path (fresh report only).
 
-    Fails when a dirty-scheduled run's final graph fingerprint or final
-    profile bytes diverge from the full-schedule reference on either
-    transport (skipping a residency step must never change a result bit),
-    when the steady-state skip rate drops below ``MIN_SKIP_RATE`` on either,
-    or when the section disappears from the fresh report — the bench
-    breaking must not read as a silent pass.
+    Fails when the dirty-scheduled run's final graph fingerprint or final
+    profile bytes diverge from the full-schedule reference (skipping a
+    residency step must never change a result bit), when its steady-state
+    skip rate drops below ``MIN_SKIP_RATE``, or when the section disappears
+    from the fresh report — the bench breaking must not read as a silent
+    pass.
     """
     section = fresh.get("dirty_scheduling")
     if section is None:
@@ -301,93 +294,31 @@ def compare_dirty_scheduling(fresh: dict) -> "tuple[bool, str]":
                        f"{MIN_SKIP_RATE:.0%} — the steady-state drift "
                        "workload no longer skips clean residency steps")
     return True, (
-        f"dirty scheduling ok: worst-transport skip rate {skip_rate:.0%}, "
+        f"dirty scheduling ok: skip rate {skip_rate:.0%}, "
         f"drift-window phase 4 {section.get('phase4_seconds_dirty', 0.0):.4f}s "
         f"vs full {section.get('phase4_seconds_full', 0.0):.4f}s, "
-        "fingerprints and profile bytes match on both transports")
+        "fingerprints and profile bytes match")
 
 
-def compare_sharded(fresh: dict) -> "tuple[bool, str]":
-    """Gate transport parity of the step-at-a-time path (fresh report only).
+def compare_million_tier(fresh: dict) -> "tuple[bool, str]":
+    """Gate the optional 1M-user tier (``--million`` runs; fresh only).
 
-    Fails when the thread pool's final graph fingerprint or final profile
-    bytes diverge from the serial run's (the worker seam must be
-    bit-transparent), or when the section disappears from the fresh
-    report — the bench breaking must not read as a silent pass.  The
-    optional ``sharded_million`` tier
-    (``--million`` runs) is checked when present: a budget breach raises
-    inside the bench, so a recorded tier ran within its partition-cache
-    budget, and it must have recorded its load/unload operations.
+    A budget breach raises inside the bench, so a recorded tier ran within
+    its partition-cache budget; it must also have recorded its load/unload
+    operations.  A report without the tier (the default run) passes.
     """
-    section = fresh.get("sharded")
-    if section is None:
-        return False, ("sharded section missing from the FRESH report — "
-                       "run_perf_suite no longer measures transport parity")
-    if not section.get("fingerprints_match", False):
-        return False, ("thread-pool fingerprints DIVERGE from the serial run "
-                       "— a transport changed a result bit")
-    if not section.get("profiles_match", False):
-        return False, ("thread-pool final profile bytes DIVERGE from the "
-                       "serial run — phase 5 applied different updates")
     million = fresh.get("sharded_million")
-    million_note = ""
-    if million is not None:
-        operations = million.get("load_unload_operations")
-        if not operations:
-            return False, (
-                f"1M-user tier recorded {operations} load/unload operations "
-                "— the out-of-core tier did not run its residency walk")
-        million_note = (
-            f"; 1M-user tier ok ({operations} load/unload operations under "
-            f"a {million.get('memory_budget_bytes')}-byte partition-cache "
-            f"budget, phase 4 {million.get('phase4_seconds', 0.0):.1f}s)")
+    if million is None:
+        return True, "1M-user tier not run (--million only)"
+    operations = million.get("load_unload_operations")
+    if not operations:
+        return False, (
+            f"1M-user tier recorded {operations} load/unload operations "
+            "— the out-of-core tier did not run its residency walk")
     return True, (
-        "sharded ok: fingerprints and profile bytes bit-identical on "
-        "serial/thread" + million_note)
-
-
-def compare_backend_sweep(baseline: dict, fresh: dict,
-                          tolerance: float) -> "tuple[bool, list]":
-    """Per-row backend-sweep gate, cpu-count-aware for parallel rows.
-
-    Serial rows regress like any other timing.  Multi-worker rows only
-    mean something when both runs saw the same core count: on mismatch the row
-    is skipped (reported, not silently dropped), because a 1-core run's
-    parallel timings measure overhead, not speedup.  Reports without a
-    sweep (``--quick`` runs) skip entirely.
-    """
-    base_rows = baseline.get("backend_sweep")
-    fresh_rows = fresh.get("backend_sweep")
-    if not base_rows or not fresh_rows:
-        return True, ["backend-sweep gate skipped (no sweep in one of the reports)"]
-    base_cpu = baseline.get("cpu_count")
-    fresh_cpu = fresh.get("cpu_count")
-    base_by_key = {(row["num_users"], row["backend"], row["workers"]): row
-                   for row in base_rows}
-    ok = True
-    messages = []
-    for row in fresh_rows:
-        key = (row["num_users"], row["backend"], row["workers"])
-        base_row = base_by_key.get(key)
-        if base_row is None:
-            continue
-        label = f"{key[1]} x{key[2]} @ {key[0]} users"
-        if row["workers"] > 1 and base_cpu != fresh_cpu:
-            messages.append(
-                f"backend-sweep {label}: skipped (baseline cpu_count="
-                f"{base_cpu}, fresh cpu_count={fresh_cpu})")
-            continue
-        base_value = base_row.get("phase4_seconds", 0.0)
-        if not base_value or base_value <= 0:
-            continue
-        ratio = row["phase4_seconds"] / base_value
-        message = (f"backend-sweep {label}: baseline {base_value:.4f}s, "
-                   f"fresh {row['phase4_seconds']:.4f}s ({ratio:.2f}x)")
-        if ratio > 1.0 + tolerance:
-            ok = False
-            message += f" — REGRESSION beyond {tolerance:.0%} tolerance"
-        messages.append(message)
-    return ok, messages
+        f"1M-user tier ok: {operations} load/unload operations under "
+        f"a {million.get('memory_budget_bytes')}-byte partition-cache "
+        f"budget, phase 4 {million.get('phase4_seconds', 0.0):.1f}s")
 
 
 def compare_fingerprints(baseline: dict, fresh: dict) -> "tuple[bool, str]":
@@ -431,17 +362,13 @@ def main() -> int:
     print(recovery_message)
     ok_dirty, dirty_message = compare_dirty_scheduling(fresh)
     print(dirty_message)
-    ok_sharded, sharded_message = compare_sharded(fresh)
-    print(sharded_message)
-    ok_sweep, sweep_messages = compare_backend_sweep(baseline, fresh,
-                                                     args.tolerance)
-    for sweep_message in sweep_messages:
-        print(sweep_message)
+    ok_million, million_message = compare_million_tier(fresh)
+    print(million_message)
     same, fp_message = compare_fingerprints(baseline, fresh)
     print(("" if same else "WARNING: ") + fp_message)
     return 0 if (ok and ok45 and ok24 and ok_parity and ok_resume
                  and ok_rss and ok_serving and ok_recovery and ok_dirty
-                 and ok_sharded and ok_sweep) else 1
+                 and ok_million) else 1
 
 
 if __name__ == "__main__":

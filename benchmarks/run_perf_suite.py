@@ -1,18 +1,16 @@
 #!/usr/bin/env python
 """Fixed-seed performance suite: phase timings and scoring throughput.
 
-Runs the Figure-1 pipeline at a fixed workload size, a thread sweep of the
-phase-4 scoring kernel, and a backend sweep (the calling thread vs. a
-thread pool) at 2k and 10k users, and writes the
+Runs the Figure-1 pipeline at a fixed workload size and the update,
+resume, recovery, dirty-scheduling and serving benches, and writes the
 results to ``BENCH_perf.json`` so that successive PRs accumulate a
 comparable performance trajectory.
 
 Run with:  PYTHONPATH=src python benchmarks/run_perf_suite.py [--output PATH]
 
-``--quick`` restricts the run to the pipeline and update-workload benches
-(the CI regression gate compares their phase-4 and combined phase-4+5
-wall-clock against the committed baseline, see
-``benchmarks/check_perf_regression.py``).
+Every bench it runs is one the CI regression gate reads
+(``benchmarks/check_perf_regression.py``); ``--quick`` is accepted for the
+invocations that asked for exactly that set.
 
 The quantities recorded:
 
@@ -52,23 +50,11 @@ The quantities recorded:
   verdicts: zero failed reads, snapshot isolation proven (reads landed
   mid-refresh with p99 far below the fastest refresh cycle), and burst
   load actually shed;
-* ``sharded`` — the transport-parity matrix: the 10k-user churned
-  workload scored step at a time through the worker seam on the calling
-  thread and on a thread pool, recording phase-4 wall-clock, load/unload
-  operations and the CI-gated parity verdicts (graph fingerprints and
-  final profile bytes must be identical to the serial run's);
 * ``sharded_million`` (``--million`` only) — one step-at-a-time iteration
   over 1M users in 64 partitions with ``memory_budget_bytes`` capping the
   partition cache at an eighth of the profile store: a breach raises
   ``MemoryError``, so a completed tier ran out-of-core within budget; its
   load/unload operations are recorded;
-* ``thread_sweep`` — evaluations/second of one engine iteration at 1, 2 and
-  4 scoring threads;
-* ``backend_sweep`` — phase-4 seconds of one engine iteration per worker
-  count at 2k and 10k dense users, each row keyed ``(num_users, backend,
-  workers)`` with ``backend`` read off the transport (``serial`` for the
-  calling thread) and carrying the final graph fingerprint, so
-  cross-transport bit-parity is visible in the trajectory;
 * ``graph_fingerprint`` — a hash of the final graph's edge set, so a perf
   regression hunt can immediately see whether behaviour changed too.
 """
@@ -110,9 +96,6 @@ UPDATE_PARTITIONS = 8
 UPDATE_CHURN = 500          # users whose profile changes per iteration
 UPDATE_ITEMS = 30000        # sparse catalogue size
 
-#: Worker counts of the backend sweep.
-SWEEP_WORKERS = (1, 4)
-
 
 def run_pipeline_bench() -> dict:
     profiles = generate_dense_profiles(NUM_USERS, dim=16, num_communities=8,
@@ -141,31 +124,6 @@ def run_pipeline_bench() -> dict:
         "similarity_evaluations": evaluations,
         "phase4_evaluations_per_second": round(evaluations / phase4) if phase4 else None,
         "graph_fingerprint": run.iterations[-1].graph.edge_fingerprint(),
-    }
-
-
-def _backend(engine: KNNEngine) -> str:
-    """The report's name for the engine's transport: ``serial`` for the
-    calling thread (the name older reports used), else the transport."""
-    transport = engine._iteration_runner.workers.transport
-    return "serial" if transport == "inline" else transport
-
-
-def _one_iteration(profiles, **overrides) -> dict:
-    config = EngineConfig(k=K, num_partitions=NUM_PARTITIONS,
-                          heuristic="degree-low-high", seed=SEED, **overrides)
-    with KNNEngine(profiles, config) as engine:
-        result = engine.run_iteration()
-        graph = engine.graph
-        backend = _backend(engine)
-    phase4 = result.phase_timer.as_dict()[PHASE_NAMES[3]]
-    return {
-        "backend": backend,
-        "phase4_seconds": round(phase4, 4),
-        "similarity_evaluations": result.similarity_evaluations,
-        "evaluations_per_second": (round(result.similarity_evaluations / phase4)
-                                   if phase4 else None),
-        "graph_fingerprint": graph.edge_fingerprint(),
     }
 
 
@@ -296,17 +254,15 @@ def run_update_workload_bench() -> dict:
 DIRTY_DRIFT_ITERATIONS = 4
 DIRTY_DRIFT_SCALE = 0.02
 DIRTY_WARMUP_CAP = 20
-#: Worker counts of the dirty-vs-full parity matrix.
-DIRTY_WORKERS = (1, 4)
 
 
-def _run_dirty_workload(dirty_scheduling: bool, workers: int = 1) -> dict:
+def _run_dirty_workload(dirty_scheduling: bool) -> dict:
     """One converged-then-drift run; drift-window schedule and parity stats.
 
     Warm-up runs until the graph stops changing (fingerprint-stable, capped)
     so the drift window measures the steady state, not residual convergence
     churn.  The warm-up length is a pure function of the data and therefore
-    identical across transports and across the dirty-on/off twin runs.
+    identical across the dirty-on/off twin runs.
     ``dirty_scheduling=False`` runs it against a store that cannot vouch
     for its partition deltas, which keeps the full schedule.
     """
@@ -316,8 +272,7 @@ def _run_dirty_workload(dirty_scheduling: bool, workers: int = 1) -> dict:
     rng = np.random.default_rng(7)
     hot_rows = UPDATE_USERS // UPDATE_PARTITIONS   # the first partition
     config = EngineConfig(k=K, num_partitions=UPDATE_PARTITIONS,
-                          heuristic="degree-low-high", seed=SEED,
-                          num_workers=workers)
+                          heuristic="degree-low-high", seed=SEED)
 
     def drift_batch():
         users = rng.choice(hot_rows, size=UPDATE_CHURN, replace=False)
@@ -349,14 +304,11 @@ def _run_dirty_workload(dirty_scheduling: bool, workers: int = 1) -> dict:
         profile_sha256 = hashlib.sha256(
             (engine.profile_store.base_dir
              / "profiles_dense.bin").read_bytes()).hexdigest()
-        backend = _backend(engine)
     steps_total = sum(result.steps_total for result in drift_results)
     steps_skipped = sum(result.steps_skipped for result in drift_results)
     phase4 = sum(result.phase_timer.as_dict()[PHASE_NAMES[3]]
                  for result in drift_results)
     return {
-        "backend": backend,
-        "workers": workers,
         "dirty_scheduling": dirty_scheduling,
         "warmup_iterations": warmup,
         "steps_skipped": steps_skipped,
@@ -377,16 +329,16 @@ def _run_dirty_workload(dirty_scheduling: bool, workers: int = 1) -> dict:
 def run_dirty_scheduling_bench() -> dict:
     """Dirty-vs-full parity and skip-rate matrix (the PR-7 gate).
 
-    One full-schedule reference run plus a dirty-scheduled run per width
-    over the identical converged-then-drift workload.  Gated quantities:
+    One full-schedule reference run and one dirty-scheduled run over the
+    identical converged-then-drift workload.  Gated quantities:
     ``fingerprints_match`` and ``profiles_match`` must stay true (skipping
     a step must never change a result bit — graphs *and* final profile
-    bytes), and ``min_skip_rate`` must stay ≥ 0.6 (the steady-state saving
-    that justifies the machinery).
+    bytes), and ``min_skip_rate`` (the dirty run's; the name the trajectory
+    has always carried) must stay ≥ 0.6 (the steady-state saving that
+    justifies the machinery).
     """
     full = _run_dirty_workload(False)
-    rows = [_run_dirty_workload(True, workers) for workers in DIRTY_WORKERS]
-    skip_rates = [row["skip_rate"] for row in rows if row["skip_rate"] is not None]
+    dirty = _run_dirty_workload(True)
     return {
         "num_users": UPDATE_USERS,
         "num_partitions": UPDATE_PARTITIONS,
@@ -394,16 +346,13 @@ def run_dirty_scheduling_bench() -> dict:
         "drift_scale": DIRTY_DRIFT_SCALE,
         "drift_iterations": DIRTY_DRIFT_ITERATIONS,
         "full_schedule": full,
-        "dirty": rows,
-        "min_skip_rate": round(min(skip_rates), 4) if skip_rates else None,
-        "fingerprints_match": all(
-            row["graph_fingerprint"] == full["graph_fingerprint"]
-            for row in rows),
-        "profiles_match": all(
-            row["profile_sha256"] == full["profile_sha256"]
-            for row in rows),
+        "dirty": dirty,
+        "min_skip_rate": dirty["skip_rate"],
+        "fingerprints_match": (dirty["graph_fingerprint"]
+                               == full["graph_fingerprint"]),
+        "profiles_match": dirty["profile_sha256"] == full["profile_sha256"],
         "phase4_seconds_full": full["phase4_seconds"],
-        "phase4_seconds_dirty": rows[0]["phase4_seconds"],
+        "phase4_seconds_dirty": dirty["phase4_seconds"],
     }
 
 
@@ -709,83 +658,6 @@ def run_serving_bench() -> dict:
     }
 
 
-#: Shape of the transport-parity workload: the update workload's 10k users
-#: and uniform churn, scored step at a time on the calling thread and on a
-#: pool of ``SHARDED_WORKERS`` threads.
-SHARDED_ITERATIONS = 3
-SHARDED_WORKERS = max(2, min(4, os.cpu_count() or 1))
-
-
-def _run_sharded_workload(workers: int) -> dict:
-    """One churned run at one width."""
-    profiles = generate_dense_profiles(UPDATE_USERS, dim=16,
-                                       num_communities=8, seed=SEED)
-    config = EngineConfig(k=K, num_partitions=UPDATE_PARTITIONS,
-                          heuristic="degree-low-high", seed=SEED,
-                          num_workers=workers)
-    rng = np.random.default_rng(7)
-
-    def churn(_iteration: int):
-        users = rng.choice(UPDATE_USERS, size=UPDATE_CHURN, replace=False)
-        return [ProfileChange(user=int(u), kind="set", vector=rng.random(16))
-                for u in users]
-
-    with KNNEngine(profiles, config) as engine:
-        start = time.perf_counter()
-        run = engine.run(num_iterations=SHARDED_ITERATIONS,
-                         profile_change_feed=churn)
-        wall = time.perf_counter() - start
-        transport = engine._iteration_runner.workers.transport
-        backend = _backend(engine)
-        profile_sha256 = hashlib.sha256(
-            (engine.profile_store.base_dir
-             / "profiles_dense.bin").read_bytes()).hexdigest()
-    phase4 = sum(result.phase_timer.as_dict()[PHASE_NAMES[3]]
-                 for result in run.iterations)
-    return {
-        "backend": backend,
-        "workers": workers,
-        "transport": transport,
-        "wall_seconds": round(wall, 4),
-        "phase4_seconds": round(phase4, 4),
-        "load_unload_operations": sum(result.load_unload_operations
-                                      for result in run.iterations),
-        "similarity_evaluations": sum(result.similarity_evaluations
-                                      for result in run.iterations),
-        "graph_fingerprint": run.final_graph.edge_fingerprint(),
-        "profile_sha256": profile_sha256,
-    }
-
-
-def run_sharded_bench() -> dict:
-    """Transport parity matrix.
-
-    One run per transport over the identical churned workload, the serial
-    one the reference.  Gated quantities: ``fingerprints_match`` and
-    ``profiles_match`` must stay true (no transport may change a result
-    bit — graphs *and* final profile bytes).
-    """
-    reference, threaded = rows = [_run_sharded_workload(workers)
-                                  for workers in (1, SHARDED_WORKERS)]
-    return {
-        "num_users": UPDATE_USERS,
-        "num_partitions": UPDATE_PARTITIONS,
-        "num_iterations": SHARDED_ITERATIONS,
-        "churn_per_iteration": UPDATE_CHURN,
-        "cpu_count": os.cpu_count(),
-        "workers": SHARDED_WORKERS,
-        "rows": rows,
-        "fingerprints_match": all(
-            row["graph_fingerprint"] == reference["graph_fingerprint"]
-            for row in rows),
-        "profiles_match": all(
-            row["profile_sha256"] == reference["profile_sha256"]
-            for row in rows),
-        "phase4_seconds_reference": reference["phase4_seconds"],
-        "phase4_seconds_thread": threaded["phase4_seconds"],
-    }
-
-
 #: Shape of the million-user tier (run with ``--million``): one
 #: step-at-a-time iteration over 1M dense users in 64 partitions, with the
 #: partition cache capped at an eighth of the profile store — the
@@ -837,39 +709,13 @@ def run_million_user_bench() -> dict:
     }
 
 
-def run_thread_sweep(thread_counts=(1, 2, 4)) -> list:
-    rows = []
-    profiles = generate_dense_profiles(NUM_USERS, dim=16, num_communities=8,
-                                       seed=SEED)
-    for num_threads in thread_counts:
-        row = _one_iteration(profiles, num_workers=num_threads)
-        rows.append({"num_threads": num_threads, **row})
-    return rows
-
-
-def run_backend_sweep(user_counts=(2000, 10000)) -> list:
-    rows = []
-    for num_users in user_counts:
-        profiles = generate_dense_profiles(num_users, dim=16, num_communities=8,
-                                           seed=SEED)
-        for workers in SWEEP_WORKERS:
-            rows.append({"num_users": num_users, "workers": workers,
-                         **_one_iteration(profiles, num_workers=workers)})
-    return rows
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--output", type=Path,
                         default=Path(__file__).resolve().parent.parent / "BENCH_perf.json")
-    parser.add_argument("--skip-threads", action="store_true",
-                        help="deprecated alias for --quick (kept so existing "
-                             "'pipeline bench only' invocations stay fast)")
-    parser.add_argument("--skip-backends", action="store_true",
-                        help="skip the backend (inline vs. thread) sweep")
     parser.add_argument("--quick", action="store_true",
-                        help="pipeline + update-workload benches only "
-                             "(what the CI gate compares)")
+                        help="accepted for existing invocations: the suite "
+                             "runs only the benches the CI gate compares")
     parser.add_argument("--million", action="store_true",
                         help="also run the 1M-user out-of-core tier "
                              "(~1.2 GB peak RSS; gated only when "
@@ -878,7 +724,6 @@ def main() -> None:
                         help="skip the static-analysis preflight (escape "
                              "hatch for benching a deliberately-dirty tree)")
     args = parser.parse_args()
-    quick = args.quick or args.skip_threads
 
     if not args.skip_invariant_lint:
         # Preflight: refuse to record a perf trajectory point for a tree
@@ -899,30 +744,23 @@ def main() -> None:
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
         "pipeline": run_pipeline_bench(),
-        # part of --quick: the CI gate compares its combined phase-4+5 time
+        # the CI gate compares its combined phase-4+5 time
         "update_workload": run_update_workload_bench(),
-        # part of --quick: the CI gate fails on a materialised profile copy
+        # the CI gate fails on a materialised profile copy
         # or a resumed-fingerprint mismatch
         "resume": run_resume_bench(),
-        # part of --quick: the CI gate fails when a crashed durable run
+        # the CI gate fails when a crashed durable run
         # does not recover to the uninterrupted fingerprint
         "recovery": run_recovery_bench(),
-        # part of --quick: the CI gate fails on dirty-vs-full fingerprint
+        # the CI gate fails on dirty-vs-full fingerprint
         # or profile-byte divergence, or a skip rate below 60%
         "dirty_scheduling": run_dirty_scheduling_bench(),
-        # part of --quick: the CI gate fails on any failed read under load,
+        # the CI gate fails on any failed read under load,
         # on unproven snapshot isolation, or when burst load is not shed
         "serving": run_serving_bench(),
-        # part of --quick: the CI gate fails on the thread pool's
-        # fingerprint or profile bytes diverging from serial
-        "sharded": run_sharded_bench(),
     }
     if args.million:
         report["sharded_million"] = run_million_user_bench()
-    if not quick:
-        report["thread_sweep"] = run_thread_sweep()
-    if not (quick or args.skip_backends):
-        report["backend_sweep"] = run_backend_sweep()
     args.output.write_text(json.dumps(report, indent=2) + "\n")
     print(json.dumps(report, indent=2))
     print(f"\nwrote {args.output}")

@@ -32,9 +32,7 @@ def main() -> None:
     #    two partitions resident (the paper's memory constraint), and the
     #    degree-based low-to-high PI-graph traversal heuristic.
     #
-    #    Phase-4 scoring runs on the calling thread (num_workers=1); a
-    #    wider num_workers cuts each step across a thread pool of that
-    #    width (the kernels drop the GIL), with bit-identical graphs.
+    #    Phase 4 scores every residency step on the calling thread.
     #
     #    For a crash-safe deployment add durable=True (+ a workdir): every
     #    iteration commits atomically and streamed profile updates land in a
@@ -49,7 +47,6 @@ def main() -> None:
         partitioner="contiguous",
         heuristic="degree-low-high",
         disk_model="ssd",
-        num_workers=1,
         seed=1,
     )
 

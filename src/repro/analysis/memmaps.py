@@ -2,10 +2,10 @@
 
 The entire zero-copy story (PR 2/9) rests on one contract: everything
 outside ``repro/storage`` sees profile bytes through **read-only** mmap
-views.  A writable map handed to a scoring kernel or a shard worker could
-silently corrupt the store underneath every other reader — no checksum
-would catch it until the next verification pass, and the parity walls
-would chase a phantom.  This rule rejects ``np.memmap`` opens with a
+views.  A writable map handed to a scoring kernel could silently corrupt
+the store underneath every other reader — no checksum would catch it
+until the next verification pass, and the parity walls would chase a
+phantom.  This rule rejects ``np.memmap`` opens with a
 writable mode (``r+``/``w+``, or no mode at all — NumPy's default is
 ``r+``) and ``mmap.mmap`` opens without ``ACCESS_READ``/``PROT_READ``,
 anywhere outside the allowed storage modules.

@@ -1,7 +1,7 @@
 """Rule ``purity``: declared-pure entry points must stay pure.
 
 ``plan_dirty_schedule`` and ``simulate_schedule`` are re-executed at every
-worker width, every resume and every re-plan — the parity walls only hold
+resume and every re-plan — the parity walls only hold
 because the same inputs always produce the same plan.  The
 :data:`repro.pigraph.scheduler.PURE_FUNCTIONS`
 manifest declares that contract; this rule enforces it with a call-graph

@@ -65,13 +65,6 @@ class EngineConfig:
     max_pairs_per_bridge:
         Optional cap on the per-bridge-vertex cross product when generating
         candidate tuples (``None`` reproduces the paper exactly).
-    num_workers:
-        Who runs phase 4's similarity kernel
-        (:class:`~repro.core.parallel.ScoringWorkers`): ``1`` scores on the
-        calling thread; a larger width builds a thread pool of that many
-        threads, which cuts each step's rows across its threads.  Phase 4
-        walks its steps one at a time whatever the width, in one process,
-        and every width produces bit-identical graphs.
     score_cache_entries:
         Capacity of the carried state's scores
         (:class:`~repro.core.iteration.Phase4ScoreCache`) in (pair, score)
@@ -115,7 +108,6 @@ class EngineConfig:
     memory_budget_bytes: Optional[float] = None
     include_direct_edges: bool = True
     max_pairs_per_bridge: Optional[int] = None
-    num_workers: int = 1
     score_cache_entries: int = 4_000_000
     seed: Optional[int] = 0
     durable: bool = False
@@ -125,7 +117,6 @@ class EngineConfig:
         check_positive_int(self.k, "k")
         check_positive_int(self.num_partitions, "num_partitions")
         check_positive_int(self.max_resident_partitions, "max_resident_partitions")
-        check_positive_int(self.num_workers, "num_workers")
         if self.max_resident_partitions < 2:
             raise ValueError(
                 "max_resident_partitions must be at least 2: phase 4 needs the two "

@@ -53,33 +53,21 @@ _logger = get_logger("core.engine")
 #: ``EngineConfig`` fields older manifests may carry that no longer exist.
 _RETIRED_KNOBS = ("adaptive_score_cache", "incremental_phase4",
                   "dirty_scheduling", "profile_segment_rows",
-                  "shard_parallel", "backend", "shard_timeout_seconds")
+                  "shard_parallel", "backend", "shard_timeout_seconds",
+                  "num_workers", "num_threads")
 
 
 def _config_from_manifest(saved: dict, directory) -> EngineConfig:
     """The :class:`EngineConfig` a checkpoint manifest saved.
 
-    The manifest is outside input — older commits wrote it — so knobs retired
-    since are translated rather than handed to the constructor: a saved
-    ``adaptive_score_cache``, ``incremental_phase4``, ``dirty_scheduling``,
-    ``profile_segment_rows``, ``shard_parallel`` or ``shard_timeout_seconds``
-    is dropped (none ever changed results).  A saved ``backend`` is dropped
-    too: ``"serial"`` ran on the calling thread, so it restores
-    ``num_workers=1``, and any other keeps its ``num_workers``, now the
-    width of a thread pool.  A saved ``num_threads`` becomes the
-    ``num_workers`` of a ``"thread"`` backend and is dropped otherwise.  Any
-    other key this version does not know is an error that names the key and
-    the checkpoint.
+    The manifest is outside input — older commits wrote it — so a knob
+    retired since (:data:`_RETIRED_KNOBS`) is dropped: none ever changed
+    results, and every saved scoring width or backend restores the same
+    engine.  Any other key this version does not know is an error that names
+    the key and the checkpoint.
     """
-    saved = dict(saved)
-    backend = saved.get("backend")
-    for retired in _RETIRED_KNOBS:
-        saved.pop(retired, None)
-    num_threads = saved.pop("num_threads", None)
-    if num_threads is not None and backend == "thread":
-        saved["num_workers"] = num_threads
-    if backend == "serial":
-        saved["num_workers"] = 1
+    saved = {key: value for key, value in saved.items()
+             if key not in _RETIRED_KNOBS}
     unknown = sorted(saved.keys() - {spec.name for spec in fields(EngineConfig)})
     if unknown:
         raise ValueError(
@@ -222,11 +210,11 @@ class KNNEngine:
         self.close()
 
     def close(self) -> None:
-        """Release the scoring pool and on-disk scratch space (if owned)."""
+        """Close the update queue and release the on-disk scratch space (if
+        owned)."""
         if self._closed:
             return
         self._closed = True
-        self._iteration_runner.close()
         self._update_queue.close()
         if self._owns_workdir:
             shutil.rmtree(self._workdir, ignore_errors=True)
@@ -335,8 +323,7 @@ class KNNEngine:
         ``config=None`` the configuration saved in the checkpoint manifest
         is restored, so the resumed run computes the same KNN problem (same
         ``k``, measure, partitioning); passing a config explicitly
-        overrides it — including ``num_workers``, which never changes
-        results.  The snapshot's on-disk segment layout is kept
+        overrides it.  The snapshot's on-disk segment layout is kept
         as-is (a config overriding ``num_partitions`` affects only which
         loads hit the zero-copy fast path, never the produced graphs).
 

@@ -11,21 +11,16 @@ The orchestration follows Figure 1 of the paper exactly:
 
 The engine (:mod:`repro.core.engine`) owns the loop, the profile store and
 the update queue, and calls :meth:`OutOfCoreIteration.run` once an iteration.
-Two things survive across iterations:
-
-* the phase-4 scoring workers (:class:`~repro.core.parallel.ScoringWorkers`)
-  — the calling thread, or one thread pool created once; they hold no
-  profile state, only the slices each step hands them; and
-* the **carried state** (:class:`Phase4ScoreCache`) — ``G(t)``, the ``H``
-  phase 2 made of it, the score slab over ``H`` and the ``G(t+1)`` made of
-  them.  Phase 2 advances ``H`` by the edge delta and the slab follows its
-  keys; a tuple with two endpoints untouched since the slab's generation
-  reuses its score bit-for-bit, a partition pair the slab covers may skip
-  its residency step, and only the rows whose top-K a fresh score or a
-  deleted key can move are merged into the next ``G(t+1)``: kernel and
-  merge work scale with the churn.
-  ``H`` is rebuilt, or the scores dropped, whenever the data cannot vouch
-  for them (the class says when); either loss keeps the other half.
+What survives across iterations is the **carried state**
+(:class:`Phase4ScoreCache`) — ``G(t)``, the ``H`` phase 2 made of it, the
+score slab over ``H`` and the ``G(t+1)`` made of them.  Phase 2 advances
+``H`` by the edge delta and the slab follows its keys; a tuple with two
+endpoints untouched since the slab's generation reuses its score
+bit-for-bit, a partition pair the slab covers may skip its residency step,
+and only the rows whose top-K a fresh score or a deleted key can move are
+merged into the next ``G(t+1)``: kernel and merge work scale with the churn.
+``H`` is rebuilt, or the scores dropped, whenever the data cannot vouch for
+them (the class says when); either loss keeps the other half.
 
 The state is committed by a completed phase 4 only, in one ``merge``: an
 aborted iteration leaves it untouched (a rebuild lets go of ``G(t)`` and
@@ -42,14 +37,15 @@ vertex's rank among its partition's ascending vertices, fixed by phase 1
 the partition's profile slice.  The tuples the cache could not answer are
 decoded once an iteration into ``(left row, right row)`` runs grouped by PI
 edge, so a step costs a slice of those arrays, a gather from each resident
-slice and a kernel, on either transport.
+slice and a kernel.
 
-Phase 4 itself is one loop over one seam, the paper's: every step the
-cache could not answer, in plan order, acquires its partition pair, crosses
-``ScoringWorkers.execute`` once with the pair's slices and scores into the
-slab.  The residency model (:class:`_StepResidency`) holds those slices —
-it loads each once per partition residency through the engine's own
-store, which is also the charge — and charges the partition loads.
+Phase 4 itself is one loop, the paper's, on the calling thread: every step
+the cache could not answer, in plan order, acquires its partition pair and
+scores each of its PI edges through :func:`score_tuples` on the pair's
+slices into the slab.  The residency model (:class:`_StepResidency`) holds
+those slices — it loads each once per partition residency through the
+engine's own store, which is also the charge — and charges the partition
+loads.
 """
 
 from __future__ import annotations
@@ -61,7 +57,6 @@ from typing import (Dict, FrozenSet, Iterable, Iterator, List, Optional,
 import numpy as np
 
 from repro.core.config import EngineConfig
-from repro.core.parallel import ScoringWorkers, score_tuples
 from repro.core.update_queue import ProfileUpdateQueue
 from repro.graph.digraph import CSRDiGraph
 from repro.graph.knn_graph import KNNGraph
@@ -106,6 +101,22 @@ _DELTA_REBUILD_FRACTION = 0.125
 #: 0.74 −4 %, 0.85 +1 %; re-timed with the top-K test, 5k dense 0.65 −7 %,
 #: 0.86 +0 %.  Serving sits near 0.05, a converged drift near 0.37.
 _COPY_FORWARD_FRACTION = 0.7
+
+
+def score_tuples(left: ProfileSlice, left_rows: np.ndarray,
+                 right: ProfileSlice, right_rows: np.ndarray,
+                 measure: str) -> np.ndarray:
+    """Similarity of row ``left_rows[i]`` of ``left`` against row
+    ``right_rows[i]`` of ``right`` for every ``i``.
+
+    ``left`` and ``right`` are profile slices (the same object for tuples
+    inside one partition) and the rows are local to them.  This is the
+    kernel dispatch: phase 4 looks the name up at call time for every step
+    and residual score, so whatever replaces it — a tracer, a native kernel
+    — sees every score computed.
+    """
+    return left.similarity_rows(left_rows, right, right_rows, measure)
+
 
 #: Names of the five phases, used consistently in timers, logs and benches.
 PHASE_NAMES = (
@@ -501,13 +512,6 @@ class _StepResidency:
         )
 
 
-def _score_in_process(left, left_rows, right, right_rows, measure: str) -> np.ndarray:
-    """The kernel dispatch handed to the scoring workers: ``score_tuples`` as
-    this module binds it *when called*, so whatever replaces that name sees
-    the steps' scores as well as the residuals'."""
-    return score_tuples(left, left_rows, right, right_rows, measure)
-
-
 class OutOfCoreIteration:
     """Executes a single KNN iteration against on-disk profiles, charging
     the partition files' traffic without performing it."""
@@ -517,26 +521,13 @@ class OutOfCoreIteration:
         self._partition_store = PartitionStore(config.disk_model)
         self._profile_store = profile_store
         self._fault = config.fault_plan
-        # who runs the kernel: the one seam every phase-4 score crosses,
-        # alive for the whole run
-        self._workers = ScoringWorkers(num_workers=config.num_workers,
-                                       score=_score_in_process)
-        # survives across iterations, like the workers
+        # survives across iterations
         self._score_cache = Phase4ScoreCache(config.score_cache_entries)
 
     @property
     def score_cache(self) -> Phase4ScoreCache:
         """The run-lifetime carried state."""
         return self._score_cache
-
-    @property
-    def workers(self) -> ScoringWorkers:
-        """The run-lifetime scoring workers."""
-        return self._workers
-
-    def close(self) -> None:
-        """Shut down the scoring workers (idempotent)."""
-        self._workers.shutdown()
 
     # -- public entry point -------------------------------------------------
 
@@ -771,7 +762,7 @@ class OutOfCoreIteration:
         off a gather of exactly the needed profiles — no partition acquired,
         the step still skips (returns ``True``); a large one means the pair
         genuinely needs its partitions, and the caller executes the step.
-        The 4x rule is a pure function of the data, so every width and
+        The 4x rule is a pure function of the data, so every schedule and
         every resume makes the same choice.
         """
         first, second, _ = step
@@ -833,7 +824,7 @@ class OutOfCoreIteration:
     def _execute_pending(self, run: _Phase4Run, measure: str,
                          residency: _StepResidency) -> None:
         """The one phase-4 loop: per pending step, residency in, one
-        ``execute`` across the worker seam, scores into the slab."""
+        kernel call a PI edge, scores into the slab."""
         for step, batches in self._pending_steps(run, measure):
             slices = residency.acquire(step, batches)
             if not batches:
@@ -846,10 +837,12 @@ class OutOfCoreIteration:
             # the source partition's slice against the destinations' rows in
             # the destination's (slice 0 is the first partition's)
             first = step[0]
-            run.resolve(batches, self._workers.execute(
-                slices, [(int(edge.src != first), int(edge.dst != first),
-                          run.left_rows[lo:hi], run.right_rows[lo:hi])
-                         for edge, lo, hi in batches], measure))
+            for batch in batches:
+                edge, lo, hi = batch
+                run.resolve((batch,), score_tuples(
+                    slices[int(edge.src != first)], run.left_rows[lo:hi],
+                    slices[int(edge.dst != first)], run.right_rows[lo:hi],
+                    measure))
 
     def _finish_phase4(self, run: _Phase4Run, graph: KNNGraph,
                        table: TupleHashTable) -> KNNGraph:
@@ -917,13 +910,11 @@ class OutOfCoreIteration:
         """Walk the plan, score every tuple the cache could not answer, and
         emit ``G(t+1)``.
 
-        Bit-identity across schedules and widths holds by construction,
-        not by luck: similarity scores are a pure function of the two
-        endpoint profiles (no worker observes phase-5 writes mid-iteration —
-        they run before phase 4 or after it), every score lands in the same
-        slab slot whichever step or worker produced it, and the G(t+1) merge
-        is a pure function of the slab.  Cutting a step across workers
-        therefore cannot move a single edge or byte.
+        Bit-identity across schedules holds by construction, not by luck:
+        similarity scores are a pure function of the two endpoint profiles
+        (phase-5 writes run before phase 4 or after it, never during), every
+        score lands in the same slab slot whichever step produced it, and
+        the G(t+1) merge is a pure function of the slab.
         """
         run = self._begin_phase4(graph, table, patch, steps, measure, layout)
         residency = _StepResidency(self._config, self._partition_store,

@@ -20,9 +20,9 @@ from repro.pigraph.pi_graph import PIGraph
 from repro.pigraph.traversal import ResidencyStep, TraversalHeuristic, get_heuristic
 from repro.storage.memory_manager import PartitionCache
 
-#: Declared-pure planners: same inputs, same plan — on every worker width,
-#: every resume, every re-plan.  The dirty-partition scheduler relies on
-#: this to keep the parity walls meaningful.  The invariant lint
+#: Declared-pure planners: same inputs, same plan — on every resume, every
+#: re-plan.  The dirty-partition scheduler relies on this to keep the
+#: parity walls meaningful.  The invariant lint
 #: (``python -m repro.analysis``) walks the call graph from each entry
 #: and rejects reachable wall-clock reads, randomness, environment reads,
 #: file I/O and module-global writes.  Add a function here to put it
@@ -106,8 +106,8 @@ def plan_dirty_schedule(steps: Sequence[ResidencyStep],
     """Split and reorder a traversal plan around the partitions churn touched.
 
     A *pure* function of its three inputs — no wall clock, no ambient state —
-    so every worker width, every resume and every re-plan of the same iteration
-    produces the same schedule:
+    so every resume and every re-plan of the same iteration produces the same
+    schedule:
 
     - ``dirty_partitions``: partitions holding at least one row that changed
       since the score cache's generation, as reported by

@@ -652,8 +652,8 @@ class OnDiskProfileStore:
     def generation(self) -> int:
         """Monotone counter bumped by every update or rewrite of the files.
 
-        Coordinators pass this to scoring workers, whose cached slices stay
-        valid exactly as long as the generation they were loaded under.
+        Phase 4 tags the scores it carries with it, and
+        :meth:`touched_rows_since` answers relative to it.
         """
         self._require_meta()
         return int(self._meta.get("generation", 0))

@@ -1,7 +1,7 @@
 """Deterministic fault injection for robustness tests and benchmarks.
 
 The package is shipped with the library (not under ``tests/``) so that the
-engine, the stores and the scoring pool can consult an injected
+engine, the stores and the serving runtime can consult an injected
 :class:`~repro.testing.faults.FaultPlan` through ``EngineConfig.fault_plan``
 without importing anything test-only.
 """

@@ -112,7 +112,7 @@ class FaultPlan:
                 .crash_at("commit.before_rename", occurrence=2)
                 .fail_file_op("rename", match="manifest"))
 
-    The plan is thread-safe (hook sites may be reached from worker threads)
+    The plan is thread-safe (hook sites may be reached from the refresh and client threads)
     and intentionally **not** deep-copied by ``dataclasses.asdict`` — a
     plan is live runtime state shared between the config and the hook
     sites, never part of a serialised manifest.

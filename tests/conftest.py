@@ -10,7 +10,6 @@ from unittest import mock
 import numpy as np
 import pytest
 
-import repro.core.parallel as parallel_module
 from repro.graph.digraph import CSRDiGraph, DiGraph
 from repro.graph.generators import powerlaw_fixed_size_graph
 from repro.graph.knn_graph import KNNGraph
@@ -43,16 +42,6 @@ def full_rescore():
     full schedule: the store cannot vouch for its row deltas, so nothing
     carried is reused.  Same keywords as :func:`full_schedule`."""
     return functools.partial(_unvouched, "touched_rows_since")
-
-
-@pytest.fixture
-def cut_everything(monkeypatch):
-    """Lower the worker seam's row floor to 0 for the test, so a thread pool
-    cuts every batch of every step across its threads, however small.  The
-    walls' engines are far below the floor, where a pool would hand every
-    step back to the calling thread and prove nothing; the inline transport
-    never cuts, so its cases run as they would without this."""
-    monkeypatch.setattr(parallel_module, "SPLIT_FLOOR_ROWS", 0)
 
 
 @pytest.fixture

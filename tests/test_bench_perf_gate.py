@@ -11,19 +11,17 @@ sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 import check_perf_regression
 from check_perf_regression import (MIN_SKIP_RATE, PHASE4_KEY,
                                    RESUME_RSS_SLACK_KB, RESUME_RSS_TOLERANCE,
-                                   compare_backend_sweep,
                                    compare_dirty_scheduling,
                                    compare_fingerprints,
-                                   compare_incremental_parity, compare_phase4,
+                                   compare_incremental_parity,
+                                   compare_million_tier, compare_phase4,
                                    compare_phase24, compare_phase45,
                                    compare_recovery, compare_resume,
-                                   compare_resume_rss, compare_serving,
-                                   compare_sharded)
+                                   compare_resume_rss, compare_serving)
 
 
 def _report(phase4_seconds, fingerprint="abc", phase45_seconds=None,
-            phase24_seconds=None, parity=None, cpu_count=None,
-            backend_sweep=None):
+            phase24_seconds=None, parity=None):
     report = {"pipeline": {"phase_seconds": {PHASE4_KEY: phase4_seconds},
                            "graph_fingerprint": fingerprint}}
     update = {}
@@ -35,16 +33,7 @@ def _report(phase4_seconds, fingerprint="abc", phase45_seconds=None,
         update["incremental_fingerprints_match"] = parity
     if update:
         report["update_workload"] = update
-    if cpu_count is not None:
-        report["cpu_count"] = cpu_count
-    if backend_sweep is not None:
-        report["backend_sweep"] = backend_sweep
     return report
-
-
-def _sweep_row(backend, phase4_seconds, workers=4, num_users=2000):
-    return {"num_users": num_users, "backend": backend, "workers": workers,
-            "phase4_seconds": phase4_seconds}
 
 
 class TestComparePhase4:
@@ -315,55 +304,6 @@ class TestCompareRecovery:
         assert "FRESH" in message
 
 
-class TestBackendSweepCpuAware:
-    def test_thread_pool_rows_skipped_on_cpu_mismatch(self):
-        """A 1-core container must not gate thread-pool rows against a
-        multicore baseline (the rows measure different things)."""
-        baseline = _report(1.0, cpu_count=8,
-                           backend_sweep=[_sweep_row("thread", 0.5)])
-        fresh = _report(1.0, cpu_count=1,
-                        backend_sweep=[_sweep_row("thread", 2.0)])
-        ok, messages = compare_backend_sweep(baseline, fresh, tolerance=0.20)
-        assert ok  # 4x slower, but skipped — not a regression verdict
-        assert any("skipped" in m and "cpu_count" in m for m in messages)
-
-    def test_thread_pool_rows_gated_on_matching_cpu(self):
-        baseline = _report(1.0, cpu_count=4,
-                           backend_sweep=[_sweep_row("thread", 0.5)])
-        fresh = _report(1.0, cpu_count=4,
-                        backend_sweep=[_sweep_row("thread", 2.0)])
-        ok, messages = compare_backend_sweep(baseline, fresh, tolerance=0.20)
-        assert not ok
-        assert any("REGRESSION" in m for m in messages)
-
-    def test_baseline_process_rows_the_fresh_report_lacks_are_not_compared(self):
-        """An older report still carries ``process`` rows; a fresh one has
-        none, and a row only the baseline has pairs with nothing."""
-        baseline = _report(1.0, cpu_count=2, backend_sweep=[
-            _sweep_row("serial", 0.5, workers=1), _sweep_row("thread", 0.5),
-            _sweep_row("process", 0.1, workers=2), _sweep_row("process", 0.1)])
-        fresh = _report(1.0, cpu_count=2, backend_sweep=[
-            _sweep_row("serial", 0.5, workers=1), _sweep_row("thread", 0.5)])
-        ok, messages = compare_backend_sweep(baseline, fresh, tolerance=0.20)
-        assert ok
-        assert len(messages) == 2
-        assert not any("process" in m for m in messages)
-
-    def test_serial_rows_gated_despite_cpu_mismatch(self):
-        baseline = _report(1.0, cpu_count=8,
-                           backend_sweep=[_sweep_row("serial", 0.5, workers=1)])
-        fresh = _report(1.0, cpu_count=1,
-                        backend_sweep=[_sweep_row("serial", 2.0, workers=1)])
-        ok, _ = compare_backend_sweep(baseline, fresh, tolerance=0.20)
-        assert not ok
-
-    def test_quick_reports_without_sweep_skip(self):
-        ok, messages = compare_backend_sweep(_report(1.0), _report(1.0),
-                                             tolerance=0.20)
-        assert ok
-        assert any("skipped" in m for m in messages)
-
-
 class TestCompareDirtyScheduling:
     """The dirty-scheduling gate: parity is hard-failed, never warned."""
 
@@ -412,63 +352,30 @@ class TestCompareDirtyScheduling:
         assert not ok
 
 
-class TestCompareSharded:
-    """The transport-parity gate: parity hard-fails on any machine."""
-
-    @staticmethod
-    def _fresh(fingerprints=True, profiles=True, million=None):
-        report = {"cpu_count": 2,
-                  "sharded": {
-                      "fingerprints_match": fingerprints,
-                      "profiles_match": profiles,
-                      "phase4_seconds_reference": 1.0,
-                      "phase4_seconds_thread": 1.0,
-                  }}
-        if million is not None:
-            report["sharded_million"] = million
-        return report
-
-    def test_healthy_section_passes(self):
-        ok, message = compare_sharded(self._fresh())
-        assert ok
-        assert "bit-identical" in message
-
-    def test_missing_section_fails(self):
-        ok, message = compare_sharded({})
-        assert not ok
-        assert "FRESH" in message
-
-    def test_fingerprint_divergence_fails(self):
-        ok, message = compare_sharded(self._fresh(fingerprints=False))
-        assert not ok
-        assert "DIVERGE" in message
-
-    def test_profile_byte_divergence_fails(self):
-        ok, message = compare_sharded(self._fresh(profiles=False))
-        assert not ok
-        assert "profile bytes" in message
+class TestCompareMillionTier:
+    """The optional 1M-user tier: checked only when a report carries it."""
 
     def test_completed_million_tier_passes(self):
         """A budget breach raises inside the bench, so a recorded tier ran
         within its partition-cache budget."""
         million = {"load_unload_operations": 4156, "phase4_seconds": 1.8,
                    "memory_budget_bytes": 8000000}
-        ok, message = compare_sharded(self._fresh(million=million))
+        ok, message = compare_million_tier({"sharded_million": million})
         assert ok
         assert "1M-user tier ok" in message
 
     def test_million_tier_without_load_unloads_fails(self):
         million = {"load_unload_operations": 0,
                    "memory_budget_bytes": 8000000}
-        ok, message = compare_sharded(self._fresh(million=million))
+        ok, message = compare_million_tier({"sharded_million": million})
         assert not ok
         assert "1M-user" in message
 
     def test_absent_million_tier_is_not_required(self):
-        """--quick runs do not carry the tier; its absence must not fail."""
-        ok, message = compare_sharded(self._fresh(million=None))
+        """Default runs do not carry the tier; its absence must not fail."""
+        ok, message = compare_million_tier({})
         assert ok
-        assert "1M-user" not in message
+        assert "not run" in message
 
 
 class TestCompareFingerprints:
@@ -482,17 +389,15 @@ class TestCompareFingerprints:
         assert "CHANGED" in message
 
 
-def test_the_committed_baseline_gates_a_report_without_process_rows(
+def test_the_committed_baseline_gates_a_report_of_todays_shape(
         tmp_path, monkeypatch):
-    """``BENCH_perf.json`` still carries the process pool's rows and its
-    speedup; a fresh report from today's suite has neither and passes."""
+    """``BENCH_perf.json`` still carries the retired transport sections
+    (``sharded``, ``thread_sweep``, ``backend_sweep``); a fresh report
+    from today's suite has none of them, and the gate passes it."""
     baseline_path = REPO_ROOT / "BENCH_perf.json"
     fresh = copy.deepcopy(json.loads(baseline_path.read_text()))
-    sharded = fresh["sharded"]
-    sharded["sharded"] = [row for row in sharded["sharded"]
-                          if row["backend"] != "process"]
-    for key in ("phase4_seconds_process", "process_speedup_over_thread"):
-        del sharded[key]
+    for section in ("sharded", "thread_sweep", "backend_sweep"):
+        fresh.pop(section, None)
     fresh_path = tmp_path / "fresh.json"
     fresh_path.write_text(json.dumps(fresh))
     monkeypatch.setattr(sys, "argv", [

@@ -18,7 +18,8 @@ from repro.core.checkpoint import (
     write_checkpoint_checksums,
 )
 from repro.core.config import EngineConfig
-from repro.core.engine import KNNEngine, _config_from_manifest
+from repro.core.engine import (_RETIRED_KNOBS, KNNEngine,
+                               _config_from_manifest)
 from repro.graph.knn_graph import KNNGraph
 from repro.similarity.workloads import (ProfileChange, generate_dense_profiles,
                                         generate_sparse_profiles)
@@ -526,44 +527,6 @@ class TestZeroCopyResume:
         for user in range(120):
             assert frozen_after.load_users([user]).get(user) == expected[user]
 
-    @pytest.mark.parametrize("saved,resumed_width", [(2, 1), (1, 2)])
-    def test_num_workers_override_at_resume_is_bit_identical(
-            self, tmp_path, saved, resumed_width, cut_everything):
-        """A run checkpointed at one width and resumed at another must match
-        the uninterrupted run bit for bit — the width never changes
-        results, and neither does the resume path."""
-        profiles = generate_sparse_profiles(100, 250, items_per_user=10,
-                                            num_communities=4, seed=83)
-        base = EngineConfig(k=5, num_partitions=4, seed=83)
-
-        def make_feed(rng):
-            def feed(_iteration):
-                users = rng.choice(100, size=6, replace=False)
-                return [ProfileChange(user=int(u), kind="add",
-                                      item=int(rng.integers(0, 250)))
-                        for u in users]
-            return feed
-
-        with KNNEngine(profiles, base) as engine:
-            uninterrupted = engine.run(
-                num_iterations=4,
-                profile_change_feed=make_feed(np.random.default_rng(2)))
-
-        rng = np.random.default_rng(2)
-        saved_config = base.with_overrides(num_workers=saved)
-        with KNNEngine(profiles, saved_config) as engine:
-            engine.run(num_iterations=2, profile_change_feed=make_feed(rng))
-            engine.save_checkpoint(tmp_path / "ckpt")
-
-        override = base.with_overrides(num_workers=resumed_width)
-        with KNNEngine.from_checkpoint(tmp_path / "ckpt",
-                                       config=override) as engine:
-            assert engine.config.num_workers == resumed_width
-            run = engine.run(num_iterations=2, profile_change_feed=make_feed(rng))
-        assert run.final_graph.edge_difference(uninterrupted.final_graph) == 0
-        assert (run.final_graph.edge_fingerprint()
-                == uninterrupted.final_graph.edge_fingerprint())
-
     def test_engine_accepts_an_on_disk_store_directly(self, tmp_path):
         """Constructing an engine over an existing OnDiskProfileStore clones
         it zero-copy instead of round-tripping through memory."""
@@ -686,19 +649,6 @@ class TestParentCommitManifest:
         _rewrite_saved_config(tmp_path / "ckpt", **changes)
         return fingerprint, following
 
-    def test_thread_width_carries_over_and_the_run_continues(self, tmp_path):
-        fingerprint, following = self._checkpoint(tmp_path)
-        with KNNEngine.from_checkpoint(tmp_path / "ckpt") as resumed:
-            assert resumed.config == EngineConfig(
-                k=4, num_partitions=3, seed=9, num_workers=3)
-            assert resumed.graph.edge_fingerprint() == fingerprint
-            assert resumed.run_iteration().graph.edge_fingerprint() == following
-
-    def test_thread_count_of_another_backend_is_dropped(self, tmp_path):
-        self._checkpoint(tmp_path, backend="serial", num_threads=8)
-        with KNNEngine.from_checkpoint(tmp_path / "ckpt") as resumed:
-            assert resumed.config.num_workers == 1
-
     def test_unknown_key_is_named_with_its_checkpoint(self, tmp_path):
         self._checkpoint(tmp_path, warp_factor=9)
         with pytest.raises(ValueError, match="warp_factor") as failure:
@@ -722,8 +672,7 @@ class TestParentCommitManifest:
         recovered = ServingRuntime.recover(workdir)
         try:
             assert recovered.current_epoch == epochs[-1][0]
-            assert recovered.engine.config == config.with_overrides(
-                num_workers=3)
+            assert recovered.engine.config == config
             assert recovered.neighbors(0) == served
         finally:
             recovered.close()
@@ -834,77 +783,71 @@ class TestSwitchedOffManifest:
             KNNEngine.from_checkpoint(tmp_path / "ckpt")
         assert "shard_parallel" not in str(failure.value)
 
-    @pytest.mark.parametrize("changes, width", [
-        ({}, 2), ({"backend": "serial", "num_workers": 3}, 1),
-        ({"backend": "thread", "num_workers": 3}, 3)],
-        ids=["process", "serial", "thread"])
-    def test_a_saved_transport_resumes_and_recovers_to_the_twin(
-            self, tmp_path, changes, width, cut_everything):
-        """``backend`` and ``shard_timeout_seconds`` retired with the fork
-        pool: a ``"process"`` or ``"thread"`` pool keeps its width, now a
-        thread pool's, and ``"serial"`` ran on the calling thread whatever
-        width it saved.
-        Either resumes, and its sealed epochs recover, to the graphs and
-        profile bytes of a twin that never stopped."""
-        profiles = generate_dense_profiles(60, dim=4, seed=1)
-        with KNNEngine(profiles, self.CONFIG) as twin:
-            expected = [result.graph.edge_fingerprint() for result in twin.run(
-                4, profile_change_feed=self._feed).iterations][2:]
-            expected_bytes = self._dense_bytes(twin)
-        workdir = tmp_path / "work"
-        durable = self.CONFIG.with_overrides(durable=True)
-        with KNNEngine(profiles, durable, workdir=workdir) as engine:
-            engine.run(2, profile_change_feed=self._feed)
-            engine.save_checkpoint(tmp_path / "ckpt")
-            epochs = engine.sealed_epochs()
-        _rewrite_saved_config(tmp_path / "ckpt", base=_PROCESS_ENGINE_CONFIG,
-                              durable=True, **changes)
-        for _, path in epochs:
-            _rewrite_saved_config(path, base=_PROCESS_ENGINE_CONFIG,
-                                  durable=True, **changes)
-        restored = durable.with_overrides(num_workers=width)
-        for reopen in (lambda: KNNEngine.from_checkpoint(tmp_path / "ckpt"),
-                       lambda: KNNEngine.recover(workdir)):
-            with reopen() as resumed:
-                assert resumed.config == restored
-                assert resumed.iterations_run == 2
-                run = resumed.run(2, profile_change_feed=self._feed)
-                assert [result.graph.edge_fingerprint()
-                        for result in run.iterations] == expected
-                assert self._dense_bytes(resumed) == expected_bytes
 
-
-#: ``(saved engine_config, num_workers it restores)``: every captured
-#: manifest above, and the transports each could have named.
-_SAVED_WIDTHS = {
-    "pr14-thread-num-threads": (_PARENT_ENGINE_CONFIG, 3),
-    "pr14-serial-num-threads": ({**_PARENT_ENGINE_CONFIG, "backend": "serial"}, 1),
-    "pr14-process-num-threads": ({**_PARENT_ENGINE_CONFIG,
-                                  "backend": "process"}, 2),
-    "switched-off-thread": (_SWITCHED_OFF_ENGINE_CONFIG, 1),
-    "waves-thread": (_WAVES_ENGINE_CONFIG, 1),
-    "process-watchdog": (_PROCESS_ENGINE_CONFIG, 2),
-    "process-no-watchdog": ({**_PROCESS_ENGINE_CONFIG,
-                             "shard_timeout_seconds": None}, 2),
-    "process-serial": ({**_PROCESS_ENGINE_CONFIG, "backend": "serial",
-                        "num_workers": 3}, 1),
-    "process-thread": ({**_PROCESS_ENGINE_CONFIG, "backend": "thread",
-                        "num_workers": 3}, 3),
-    "no-transport-named": ({key: value for key, value
-                            in _PROCESS_ENGINE_CONFIG.items()
-                            if key not in ("backend", "shard_timeout_seconds")}
-                           | {"num_workers": 3}, 3),
+#: Every captured ``engine_config`` above, and the scoring widths and
+#: backends each could have named: widths 1, 2 and 3, and the ``serial``,
+#: ``thread`` and ``process`` backends, with and without ``num_threads``.
+_SAVED_MANIFESTS = {
+    "pr14-thread-num-threads": _PARENT_ENGINE_CONFIG,
+    "pr14-serial-num-threads": {**_PARENT_ENGINE_CONFIG, "backend": "serial"},
+    "pr14-process-num-threads": {**_PARENT_ENGINE_CONFIG,
+                                 "backend": "process"},
+    "switched-off-thread": _SWITCHED_OFF_ENGINE_CONFIG,
+    "waves-thread": _WAVES_ENGINE_CONFIG,
+    "process-watchdog": _PROCESS_ENGINE_CONFIG,
+    "process-no-watchdog": {**_PROCESS_ENGINE_CONFIG,
+                            "shard_timeout_seconds": None},
+    "process-serial": {**_PROCESS_ENGINE_CONFIG, "backend": "serial",
+                       "num_workers": 3},
+    "process-thread": {**_PROCESS_ENGINE_CONFIG, "backend": "thread",
+                       "num_workers": 3},
+    "no-transport-named": {key: value for key, value
+                           in _PROCESS_ENGINE_CONFIG.items()
+                           if key not in ("backend", "shard_timeout_seconds")}
+                          | {"num_workers": 3},
 }
+#: What every one of them restores: the retired keys carry no result.
+_MANIFEST_CONFIG = EngineConfig(k=4, num_partitions=3, seed=9)
 
 
-@pytest.mark.parametrize("name", sorted(_SAVED_WIDTHS))
-def test_a_saved_manifest_restores_its_width(name, tmp_path):
-    """What each saved transport ran on, as today's one width knob: a
-    ``"serial"`` backend was the calling thread whatever it saved, any
-    other keeps its ``num_workers`` (or a ``"thread"`` backend's
-    ``num_threads``), and nothing else of the manifest changes."""
-    saved, width = _SAVED_WIDTHS[name]
+def _manifest_feed(iteration):
+    rng = np.random.default_rng(iteration)
+    return [ProfileChange(user=int(user), kind="set", vector=rng.random(4))
+            for user in rng.choice(60, size=5, replace=False)]
+
+
+@pytest.fixture(scope="module")
+def manifest_twin():
+    """Per-iteration fingerprints of a 4-iteration run that never stopped."""
+    with KNNEngine(generate_dense_profiles(60, dim=4, seed=1),
+                   _MANIFEST_CONFIG) as twin:
+        return [result.graph.edge_fingerprint() for result in twin.run(
+            4, profile_change_feed=_manifest_feed).iterations]
+
+
+@pytest.mark.parametrize("name", sorted(_SAVED_MANIFESTS))
+def test_every_saved_manifest_resumes_to_the_uninterrupted_run(
+        name, tmp_path, manifest_twin):
+    """Each captured manifest restores today's configuration with every
+    retired key dropped — no saved width or backend changes it — and
+    resumes to the graphs of a twin that never stopped; a key that is
+    really unknown beside them still raises and is named."""
+    saved = _SAVED_MANIFESTS[name]
     before = dict(saved)
-    assert _config_from_manifest(saved, tmp_path) == EngineConfig(
-        k=4, num_partitions=3, seed=9, num_workers=width)
+    assert _config_from_manifest(saved, tmp_path) == _MANIFEST_CONFIG
     assert saved == before
+    with KNNEngine(generate_dense_profiles(60, dim=4, seed=1),
+                   _MANIFEST_CONFIG) as engine:
+        engine.run(2, profile_change_feed=_manifest_feed)
+        engine.save_checkpoint(tmp_path / "ckpt")
+    _rewrite_saved_config(tmp_path / "ckpt", base=saved)
+    with KNNEngine.from_checkpoint(tmp_path / "ckpt") as resumed:
+        assert resumed.config == _MANIFEST_CONFIG
+        run = resumed.run(2, profile_change_feed=_manifest_feed)
+    assert [result.graph.edge_fingerprint()
+            for result in run.iterations] == manifest_twin[2:]
+    _rewrite_saved_config(tmp_path / "ckpt", base=saved, warp_factor=9)
+    with pytest.raises(ValueError, match="warp_factor") as failure:
+        KNNEngine.from_checkpoint(tmp_path / "ckpt")
+    assert str(tmp_path / "ckpt") in str(failure.value)
+    assert not any(key in str(failure.value) for key in _RETIRED_KNOBS)

@@ -63,9 +63,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             EngineConfig(max_pairs_per_bridge=0)
 
-    def test_invalid_threads(self):
-        with pytest.raises(ValueError):
-            EngineConfig(num_workers=0)
+    def test_the_retired_scoring_width_is_not_a_field(self):
+        """Phase 4 scores on the calling thread: there is no width to set."""
+        with pytest.raises(TypeError, match="num_workers"):
+            EngineConfig(num_workers=1)
 
 
 class TestOverrides:

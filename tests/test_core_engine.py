@@ -107,13 +107,23 @@ class TestExecution:
             with pytest.raises(ValueError):
                 engine.run(num_iterations=0)
 
-    def test_multithreaded_matches_single_thread(self, profiles):
-        base = EngineConfig(k=5, num_partitions=4, seed=8)
-        with KNNEngine(profiles, base) as single:
-            graph_single = single.run(num_iterations=2).final_graph
-        with KNNEngine(profiles, base.with_overrides(num_workers=4)) as multi:
-            graph_multi = multi.run(num_iterations=2).final_graph
-        assert graph_single.edge_difference(graph_multi) == 0
+    def test_a_run_under_churn_starts_no_thread_and_no_process(self, profiles):
+        """Phase 4 scores every step on the calling thread: a run starts
+        no thread and no process, and every iteration scored something."""
+        import multiprocessing
+        import threading
+
+        threads = threading.enumerate()
+        rng = np.random.default_rng(8)
+        with KNNEngine(profiles, EngineConfig(k=5, num_partitions=4,
+                                              seed=8)) as engine:
+            run = engine.run(num_iterations=3, profile_change_feed=lambda _: [
+                ProfileChange(user=int(user), kind="set", vector=rng.random(8))
+                for user in rng.choice(profiles.num_users, size=6,
+                                       replace=False)])
+            assert threading.enumerate() == threads
+            assert multiprocessing.active_children() == []
+        assert all(result.similarity_evaluations for result in run.iterations)
 
 
 class TestDynamicProfiles:

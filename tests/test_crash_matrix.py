@@ -4,10 +4,8 @@ For every named crash point — spanning phase-4 scoring, phase-5 update
 application, WAL appends, store writes and each stage of the commit
 protocol — a durable run is crashed mid-flight by an injected
 :class:`InjectedCrash`, recovered with :meth:`KNNEngine.recover`, and run
-to completion.  On both phase-4 transports — the calling thread, and
-pools of two and of three threads cutting every step — the final graph's
-``edge_fingerprint`` and the final profile bytes must match an
-uninterrupted run exactly: no update lost, none applied twice, and the set
+to completion.  The final graph's ``edge_fingerprint`` and the final
+profile bytes must match an uninterrupted run exactly: no update lost, none applied twice, and the set
 of names under ``/dev/shm`` unchanged along the way.  The matrix runs
 twice: in the paper's order (phase 5 at the tail, ``KNNEngine.run``) and in
 the serving refresh's (phase 5 at the head, ``updates_first=True``).
@@ -44,22 +42,14 @@ CRASH_POINTS = [
     "commit.done",
 ]
 
-#: The phase-4 transports by test id, as the ``num_workers`` each runs:
-#: ``serial`` scores on the calling thread, ``thread`` on a pool of two
-#: (cutting every step, see ``cut_everything``) and ``thread3`` on a pool
-#: of three, whose cuts are uneven.
-WIDTHS = {"serial": 1, "thread": 2, "thread3": 3}
-BACKENDS = list(WIDTHS)
-
 
 def _profiles():
     return generate_dense_profiles(NUM_USERS, dim=DIM, num_communities=3,
                                    seed=1)
 
 
-def _config(backend, **overrides):
-    return EngineConfig(k=5, num_partitions=4, seed=7,
-                        num_workers=WIDTHS[backend], **overrides)
+def _config(**overrides):
+    return EngineConfig(k=5, num_partitions=4, seed=7, **overrides)
 
 
 def _once_feed():
@@ -85,25 +75,23 @@ def _once_feed():
 
 @pytest.fixture(scope="module")
 def reference():
-    """Fingerprint + final profile bytes of an uninterrupted serial run."""
-    with KNNEngine(_profiles(), _config("serial")) as engine:
+    """Fingerprint + final profile bytes of an uninterrupted run."""
+    with KNNEngine(_profiles(), _config()) as engine:
         engine.run(NUM_ITERATIONS, profile_change_feed=_once_feed())
         fingerprint = engine.graph.edge_fingerprint()
         dense = (engine.profile_store.base_dir / "profiles_dense.bin").read_bytes()
     return fingerprint, dense
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("point", CRASH_POINTS)
-def test_crash_recover_finish_matches_uninterrupted(point, backend, tmp_path,
-                                                    reference, shm_unchanged,
-                                                    cut_everything):
+def test_crash_recover_finish_matches_uninterrupted(point, tmp_path, reference,
+                                                    shm_unchanged):
     ref_fingerprint, ref_dense = reference
     workdir = tmp_path / "work"
     plan = FaultPlan().crash_at(point, occurrence=2)
     feed = _once_feed()
     engine = KNNEngine(_profiles(),
-                       _config(backend, durable=True, fault_plan=plan),
+                       _config(durable=True, fault_plan=plan),
                        workdir=workdir)
     try:
         with pytest.raises(InjectedCrash):
@@ -141,7 +129,7 @@ def test_recovery_ignores_a_stale_partitions_directory(tmp_path, reference):
     plan = FaultPlan().crash_at("phase4.step", occurrence=2)
     feed = _once_feed()
     engine = KNNEngine(_profiles(),
-                       _config("serial", durable=True, fault_plan=plan),
+                       _config(durable=True, fault_plan=plan),
                        workdir=workdir)
     try:
         with pytest.raises(InjectedCrash):
@@ -208,7 +196,7 @@ def test_sparse_journal_crash_recovers_to_uninterrupted_twin(tmp_path,
 
         return feed
 
-    with KNNEngine(sparse_profiles(), _config("serial")) as clean:
+    with KNNEngine(sparse_profiles(), _config()) as clean:
         run_to_the_end(clean, sparse_feed())
         ref_fingerprint = clean.graph.edge_fingerprint()
         clean_slice = clean.profile_store.load_users(range(40))
@@ -218,7 +206,7 @@ def test_sparse_journal_crash_recovers_to_uninterrupted_twin(tmp_path,
     plan = FaultPlan().crash_at("store.journal_appended", occurrence=1)
     feed = sparse_feed()
     engine = KNNEngine(sparse_profiles(),
-                       _config("serial", durable=True, fault_plan=plan),
+                       _config(durable=True, fault_plan=plan),
                        workdir=workdir)
     try:
         with pytest.raises(InjectedCrash):
@@ -250,7 +238,7 @@ def test_sparse_journal_crash_recovers_to_uninterrupted_twin(tmp_path,
 
 @pytest.fixture(scope="module")
 def serving_reference():
-    with KNNEngine(_profiles(), _config("serial")) as engine:
+    with KNNEngine(_profiles(), _config()) as engine:
         _run_serving_order(engine, _once_feed())
         fingerprint = engine.graph.edge_fingerprint()
         dense = (engine.profile_store.base_dir / "profiles_dense.bin").read_bytes()
@@ -266,17 +254,15 @@ def test_the_serving_order_serves_a_batch_one_iteration_earlier(
     assert serving_reference[0] != reference[0]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("point", CRASH_POINTS)
 def test_crash_recover_finish_matches_uninterrupted_in_serving_order(
-        point, backend, tmp_path, serving_reference, shm_unchanged,
-        cut_everything):
+        point, tmp_path, serving_reference, shm_unchanged):
     ref_fingerprint, ref_dense = serving_reference
     workdir = tmp_path / "work"
     plan = FaultPlan().crash_at(point, occurrence=2)
     feed = _once_feed()
     engine = KNNEngine(_profiles(),
-                       _config(backend, durable=True, fault_plan=plan),
+                       _config(durable=True, fault_plan=plan),
                        workdir=workdir)
     try:
         with pytest.raises(InjectedCrash):
@@ -322,7 +308,7 @@ def test_crash_in_a_delta_iteration_recovers_onto_the_reference_path(tmp_path):
         return (result.graph.edge_fingerprint(), result.similarity_evaluations,
                 result.reused_scores)
 
-    with KNNEngine(_profiles(), _config("serial", durable=True),
+    with KNNEngine(_profiles(), _config(durable=True),
                    workdir=tmp_path / "twin") as twin:
         twin.run(warm - 1)
         twin.enqueue_profile_changes(changes())
@@ -331,7 +317,7 @@ def test_crash_in_a_delta_iteration_recovers_onto_the_reference_path(tmp_path):
     assert not any(result.candidates_rebuilt for result in expected)
 
     workdir = tmp_path / "work"
-    engine = KNNEngine(_profiles(), _config("serial", durable=True),
+    engine = KNNEngine(_profiles(), _config(durable=True),
                        workdir=workdir)
     try:
         engine.run(warm - 1)
@@ -367,7 +353,7 @@ def test_random_crash_sweep_is_recoverable(tmp_path):
     workdir = tmp_path / "work"
     feed = _once_feed()
     engine = KNNEngine(_profiles(),
-                       _config("serial", durable=True, fault_plan=plan),
+                       _config(durable=True, fault_plan=plan),
                        workdir=workdir)
     completed = 0
     try:
@@ -390,7 +376,7 @@ def test_random_crash_sweep_is_recoverable(tmp_path):
             completed = 0
         finally:
             engine.close()
-    with KNNEngine(_profiles(), _config("serial")) as clean:
+    with KNNEngine(_profiles(), _config()) as clean:
         clean.run(NUM_ITERATIONS, profile_change_feed=_once_feed())
         assert engine.graph.edge_fingerprint() == clean.graph.edge_fingerprint()
 
@@ -402,7 +388,7 @@ def test_recover_refuses_a_workdir_without_commits(tmp_path):
 
 def test_recover_falls_back_when_newest_epoch_is_corrupt(tmp_path):
     workdir = tmp_path / "work"
-    engine = KNNEngine(_profiles(), _config("serial", durable=True),
+    engine = KNNEngine(_profiles(), _config(durable=True),
                        workdir=workdir)
     engine.run(2)
     engine.close()

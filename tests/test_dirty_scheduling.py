@@ -7,9 +7,8 @@ merge is a pure function of the scored candidate multiset.  These tests
 drive hypothesis-generated churn (uniform and partition-localised)
 through runs against a store that vouches for its partition deltas and
 one that cannot (the ``full_schedule`` fixture: the full schedule, as a
-reload or a recovery reaches it) on both phase-4 transports (the calling
-thread, and a thread pool cutting every step) and
-compare fingerprint-for-fingerprint plus final profile bytes; pin that
+reload or a recovery reaches it) and compare fingerprint-for-fingerprint
+plus final profile bytes; pin that
 skipping actually *engages* on a converged graph under localised drift
 churn; and walk every situation where the delta history cannot vouch for
 the churn — reload, delta-log rollover, crash recovery,
@@ -31,11 +30,6 @@ from repro.testing import FaultPlan, InjectedCrash
 
 NUM_USERS = 120
 DIM = 8
-#: The phase-4 transports by test id, as the ``num_workers`` each runs:
-#: ``serial`` scores on the calling thread, ``thread`` on a pool of three
-#: and ``thread2`` on a pool of two.
-WIDTHS = {"serial": 1, "thread": 3, "thread2": 2}
-BACKENDS = list(WIDTHS)
 
 
 def _profiles(seed: int = 7):
@@ -47,10 +41,6 @@ def _config(**overrides):
     base = dict(k=5, num_partitions=4, heuristic="degree-low-high", seed=17)
     base.update(overrides)
     return EngineConfig(**base)
-
-
-def _backend_overrides(backend: str) -> dict:
-    return {"num_workers": WIDTHS[backend]}
 
 
 def _churn_feed(per_iteration, rng_seed: int, users_pool: int = NUM_USERS):
@@ -73,12 +63,12 @@ def _final_profile_bytes(engine: KNNEngine) -> bytes:
     return (engine.profile_store.base_dir / "profiles_dense.bin").read_bytes()
 
 
-def _run_pair(full_schedule, churn_factory, iterations: int = 4, **overrides):
+def _run_pair(full_schedule, churn_factory, iterations: int = 4):
     """The same run twice — dirty-scheduled and on the full schedule — for
     comparison."""
     runs = {}
     for dirty in (True, False):
-        config = _config(**overrides)
+        config = _config()
         with full_schedule(not dirty), KNNEngine(_profiles(), config) as engine:
             run = engine.run(num_iterations=iterations,
                              profile_change_feed=churn_factory())
@@ -122,12 +112,12 @@ class _DriftHarness:
         return changes
 
 
-def _drive_drift(backend: str, context, warmup: int = 5, drifts: int = 3,
+def _drive_drift(context, warmup: int = 5, drifts: int = 3,
                  drift_seed: int = 23):
     """Run warm-up + drift iterations inside ``context``; return (results,
     final bytes)."""
     harness = _DriftHarness(drift_seed=drift_seed)
-    config = harness.config(**_backend_overrides(backend))
+    config = harness.config()
     results = []
     with context, KNNEngine(harness.profiles, config) as engine:
         for _ in range(warmup):
@@ -145,18 +135,16 @@ class TestDirtyParityWall:
               suppress_health_check=[HealthCheck.too_slow,
                                      HealthCheck.function_scoped_fixture])
     @given(
-        backend=st.sampled_from(BACKENDS),
         churn_sizes=st.lists(st.integers(min_value=0, max_value=25),
                              min_size=4, max_size=4),
         churn_seed=st.integers(min_value=0, max_value=2**16),
         users_pool=st.sampled_from([NUM_USERS, 30]),
     )
-    def test_dirty_bit_identical_to_full_schedule(self, full_schedule, backend,
+    def test_dirty_bit_identical_to_full_schedule(self, full_schedule,
                                                   churn_sizes, churn_seed,
-                                                  users_pool, cut_everything):
+                                                  users_pool):
         runs = _run_pair(full_schedule,
-                         lambda: _churn_feed(churn_sizes, churn_seed, users_pool),
-                         **_backend_overrides(backend))
+                         lambda: _churn_feed(churn_sizes, churn_seed, users_pool))
         (dirty_run, dirty_bytes) = runs[True]
         (full_run, full_bytes) = runs[False]
         assert ([r.graph.edge_fingerprint() for r in dirty_run.iterations]
@@ -169,13 +157,11 @@ class TestDirtyParityWall:
             assert 0 <= result.steps_skipped <= result.steps_total
             assert result.steps_total == result.schedule.num_steps
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_converged_drift_skips_and_agrees(self, backend, full_schedule,
-                                              cut_everything):
+    def test_converged_drift_skips_and_agrees(self, full_schedule):
         """On a converged graph under localised drift, skipping must both
         engage (steps and loads actually saved) and stay bit-identical."""
-        dirty_results, dirty_bytes = _drive_drift(backend, full_schedule(False))
-        full_results, full_bytes = _drive_drift(backend, full_schedule())
+        dirty_results, dirty_bytes = _drive_drift(full_schedule(False))
+        full_results, full_bytes = _drive_drift(full_schedule())
         assert ([r.graph.edge_fingerprint() for r in dirty_results]
                 == [r.graph.edge_fingerprint() for r in full_results])
         assert dirty_bytes == full_bytes

@@ -7,7 +7,7 @@ through a similarity kernel.  These tests drive random phase-5 churn
 through the update queue and compare each run fingerprint-for-fingerprint
 with its twin against a store that cannot vouch for its row deltas (the
 ``full_rescore`` fixture: every tuple rescored, as after a reload or a
-recovery) on both phase-4 transports, pin the exact clean/dirty
+recovery), pin the exact clean/dirty
 partition of a candidate batch at the cache level, and assert that the
 rescored-tuple counts scale with the churn, not the graph.
 """
@@ -79,21 +79,17 @@ class TestDifferentialWall:
                                      HealthCheck.function_scoped_fixture])
     @given(
         kind=st.sampled_from(["dense", "sparse"]),
-        workers=st.sampled_from([1, 2, 3]),
         churn_sizes=st.lists(st.integers(min_value=0, max_value=30),
                              min_size=3, max_size=3),
         churn_seed=st.integers(min_value=0, max_value=2**16),
     )
     def test_incremental_bit_identical_to_full_rescore(self, full_rescore, kind,
-                                                       workers, churn_sizes,
-                                                       churn_seed, cut_everything):
-        overrides = {"num_workers": workers}
+                                                       churn_sizes, churn_seed):
         runs = {}
         for incremental in (True, False):
             churn = _churn_feed(kind, churn_sizes, churn_seed)
             runs[incremental] = _run(kind, churn,
-                                     context=full_rescore(not incremental),
-                                     **overrides)
+                                     context=full_rescore(not incremental))
         incremental_fps = [result.graph.edge_fingerprint()
                            for result in runs[True].iterations]
         full_fps = [result.graph.edge_fingerprint()
@@ -103,18 +99,14 @@ class TestDifferentialWall:
         assert all(result.reused_scores == 0 for result in runs[False].iterations)
         assert all(result.full_rescore for result in runs[False].iterations)
 
-    @pytest.mark.parametrize("backend,workers",
-                             [("serial", 1), ("thread", 2), ("thread", 3)])
     @pytest.mark.parametrize("kind", ["dense", "sparse"])
-    def test_all_backends_reuse_and_agree(self, kind, backend, workers,
-                                          full_rescore, cut_everything):
-        """Either transport must actually *reuse* scores, not just agree."""
-        overrides = {"num_workers": workers}
+    def test_reuses_and_agrees(self, kind, full_rescore):
+        """The engine must actually *reuse* scores, not just agree."""
         churn_sizes = [8, 8, 8, 8]
         incremental = _run(kind, _churn_feed(kind, churn_sizes, 3),
-                           iterations=4, **overrides)
+                           iterations=4)
         full = _run(kind, _churn_feed(kind, churn_sizes, 3), iterations=4,
-                    context=full_rescore(), **overrides)
+                    context=full_rescore())
         assert ([r.graph.edge_fingerprint() for r in incremental.iterations]
                 == [r.graph.edge_fingerprint() for r in full.iterations])
         assert incremental.iterations[0].full_rescore          # cold cache

@@ -17,8 +17,8 @@ translating user ids through a merged slice.  These tests pin
     the id-addressed oracle, and the 4x rule picks the same steps;
 (e) the algorithmic fix: a scattered slice of a 1,000,000-row store never
     allocates an id→row table;
-(f) transport parity on the ``hash`` partitioner, where no partition slice
-    is a contiguous id run.
+(f) a partition cache capped at the walk's peak on the ``hash``
+    partitioner, where no partition slice is a contiguous id run.
 """
 
 from __future__ import annotations
@@ -420,23 +420,17 @@ def test_scattered_slice_of_a_million_rows_allocates_no_lookup_table(tmp_path):
     assert peak < 1_000_000, f"peak {peak} B: an id→row table is back"
 
 
-# -- (f) transports on the hash partitioner ----------------------------------------
+# -- (f) the hash partitioner --------------------------------------------------------
 
 #: The most bytes the partition cache of :func:`_hash_run` holds at once.
 HASH_RUN_PEAK_BYTES = 44_000
 
 
-#: The phase-4 transports by test id, as the ``num_workers`` each runs:
-#: the calling thread, and pools of three and of two.
-WIDTHS = {"serial": 1, "thread": 3, "thread2": 2}
-
-
-def _hash_run(backend: str, budget=None):
+def _hash_run(budget=None):
     profiles = generate_dense_profiles(400, dim=8, num_communities=5, seed=23)
     config = EngineConfig(k=6, num_partitions=5, partitioner="hash",
                           heuristic="degree-low-high", seed=23,
-                          memory_budget_bytes=budget,
-                          num_workers=WIDTHS[backend])
+                          memory_budget_bytes=budget)
     rng = np.random.default_rng(31)
 
     def feed(iteration):
@@ -456,22 +450,15 @@ def _hash_run(backend: str, budget=None):
 
 @pytest.fixture(scope="module")
 def hash_reference():
-    return _hash_run("serial")
+    return _hash_run()
 
 
-@pytest.mark.parametrize("backend", list(WIDTHS))
-def test_backend_parity_on_non_contiguous_partitions(backend, hash_reference,
-                                                     cut_everything):
-    # same graphs, same operation counts, same profile bytes
-    assert _hash_run(backend) == hash_reference
-
-
-@pytest.mark.parametrize("backend", list(WIDTHS))
 def test_a_cache_capped_at_its_peak_changes_nothing_on_non_contiguous_partitions(
-        backend, hash_reference, cut_everything):
+        hash_reference):
     """Gathered-copy slices are charged like contiguous ones: capped at
     exactly the peak the walk reaches, the run fits and nothing changes;
     a byte less and it fails loudly."""
-    assert _hash_run(backend, budget=HASH_RUN_PEAK_BYTES) == hash_reference
+    # same graphs, same operation counts, same profile bytes
+    assert _hash_run(budget=HASH_RUN_PEAK_BYTES) == hash_reference
     with pytest.raises(MemoryError):
-        _hash_run(backend, budget=HASH_RUN_PEAK_BYTES - 1)
+        _hash_run(budget=HASH_RUN_PEAK_BYTES - 1)

@@ -71,10 +71,6 @@ class TestClosedFormAgainstBuiltPartitions:
 
 # -- (b) engines against what the parent commit's files cost ------------------
 
-#: The phase-4 transports by test id, as the ``num_workers`` each runs:
-#: inline, and pools of two and of three.
-WIDTHS = {"serial": 1, "thread": 2, "thread3": 3}
-BACKENDS = list(WIDTHS)
 BUDGET = 200_000
 
 
@@ -85,10 +81,9 @@ def _profiles(kind):
                                     num_communities=4, seed=5)
 
 
-def _config(backend, budget):
+def _config(budget):
     return EngineConfig(k=5, num_partitions=6, heuristic="degree-low-high",
-                        seed=3, memory_budget_bytes=budget,
-                        num_workers=WIDTHS[backend])
+                        seed=3, memory_budget_bytes=budget)
 
 
 @pytest.fixture
@@ -108,7 +103,7 @@ def allocations(monkeypatch):
 
 #: Per iteration ``(read_ops, write_ops, simulated_io_seconds)`` and the
 #: run's ``MemoryBudget.peak_bytes``, by (kind, False) — the second field
-#: keyed the retired wave switch's rows; the same on either transport.
+#: keyed the retired wave switch's rows.
 #: Computed at commit 3784424, the last to write the files.
 _GOLDEN_COST = {
     ("dense", False): ([(38, 7, 0.0005605376), (38, 6, 0.0005155136),
@@ -128,11 +123,10 @@ _GOLDEN_OVER_BUDGET = {
 
 
 class TestEnginesChargeWhatTheFilesCost:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("kind", ["dense", "sparse"])
-    def test_matches_the_parent_commit_and_leaves_no_file(
-            self, kind, backend, allocations, cut_everything):
-        with KNNEngine(_profiles(kind), _config(backend, BUDGET)) as engine:
+    def test_matches_the_parent_commit_and_leaves_no_file(self, kind,
+                                                          allocations):
+        with KNNEngine(_profiles(kind), _config(BUDGET)) as engine:
             run = engine.run(num_iterations=3)
             assert not (engine.workdir / "partitions").exists()
             assert not list(engine.workdir.rglob("partition_*.bin"))
@@ -140,14 +134,11 @@ class TestEnginesChargeWhatTheFilesCost:
                  r.io_stats.simulated_io_seconds) for r in run.iterations]
         assert (rows, max(allocations)) == _GOLDEN_COST[kind, False]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("kind", ["dense", "sparse"])
-    def test_without_a_budget_the_files_cost_the_same(self, kind, backend,
-                                                      allocations,
-                                                      cut_everything):
+    def test_without_a_budget_the_files_cost_the_same(self, kind, allocations):
         """The budget is the partition cache's cap and nothing else: with
         none, no byte is allocated and every charge is the capped run's."""
-        with KNNEngine(_profiles(kind), _config(backend, None)) as engine:
+        with KNNEngine(_profiles(kind), _config(None)) as engine:
             run = engine.run(num_iterations=3)
             assert not list(engine.workdir.rglob("partition_*.bin"))
         rows = [(r.io_stats.read_ops, r.io_stats.write_ops,
@@ -155,12 +146,10 @@ class TestEnginesChargeWhatTheFilesCost:
         assert rows == _GOLDEN_COST[kind, False][0]
         assert allocations == []
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("kind", ["dense", "sparse"])
-    def test_over_budget_fails_on_the_same_step(self, kind, backend,
-                                                allocations, cut_everything):
+    def test_over_budget_fails_on_the_same_step(self, kind, allocations):
         budget, message, fitting = _GOLDEN_OVER_BUDGET[kind]
-        with KNNEngine(_profiles(kind), _config(backend, budget)) as engine:
+        with KNNEngine(_profiles(kind), _config(budget)) as engine:
             with pytest.raises(MemoryError) as caught:
                 engine.run(num_iterations=3)
         assert str(caught.value) == message

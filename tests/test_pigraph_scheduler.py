@@ -106,7 +106,7 @@ class TestPlanDirtySchedule:
 
     The dirty planner feeds phase 4's step skipping, so any hidden state —
     wall clock, iteration order of a set, ambient randomness — would make
-    transports or resumed runs disagree about *which* steps skip.  The
+    re-plans or resumed runs disagree about *which* steps skip.  The
     property suite pins: executed + cached is always a permutation of the
     input, classification follows the (dirty set, scored pairs) contract
     exactly, relative order is preserved within each class with dirty steps

@@ -182,7 +182,7 @@ def test_the_partition_accountants_touch_no_file():
 
 def test_core_scores_by_row_not_through_merged_or_id_addressed_slices():
     """Nothing in ``core/`` merges profile slices or translates user ids to
-    rows: either transport scores ``ProfileSlice.similarity_rows``.  ``merge``
+    rows: phase 4 scores ``ProfileSlice.similarity_rows``.  ``merge``
     is also the name of the stats / score-cache accumulators, so a
     ``.merge(...)`` call passes only on one of those receivers."""
     accumulators = {"self", "io_stats", "total_io", "total_phases",
@@ -206,7 +206,7 @@ def test_every_engine_config_field_is_read_somewhere():
     """A knob survives only while code outside ``core/config.py`` reads it
     as an attribute: one that nothing reads cannot ride through a refactor
     again (``adaptive_score_cache`` decided nothing on any workload, and
-    ``num_threads`` was a second width beside ``num_workers``)."""
+    ``num_threads`` was a second scoring width beside ``num_workers``)."""
     import dataclasses
 
     from repro.core.config import EngineConfig
@@ -219,7 +219,7 @@ def test_every_engine_config_field_is_read_somewhere():
             if isinstance(node, ast.Attribute)}
     fields = {spec.name for spec in dataclasses.fields(EngineConfig)}
     assert fields - read == set()
-    assert len(fields) == 15
+    assert len(fields) == 14
 
 
 def test_engine_config_fields_are_pinned():
@@ -227,8 +227,8 @@ def test_engine_config_fields_are_pinned():
     bench; the carried state has no switch (``incremental_phase4``,
     ``dirty_scheduling``), the segment layout follows the partitioner
     (``profile_segment_rows``), phase 4 walks its steps one at a time
-    (``shard_parallel``) in one process, whose width alone says who scores
-    (``backend``, ``shard_timeout_seconds``).  A new field is a decision
+    (``shard_parallel``) and scores them on the calling thread (``backend``,
+    ``shard_timeout_seconds``, ``num_workers``).  A new field is a decision
     made here."""
     import dataclasses
 
@@ -237,7 +237,7 @@ def test_engine_config_fields_are_pinned():
     assert [spec.name for spec in dataclasses.fields(EngineConfig)] == [
         "k", "num_partitions", "partitioner", "heuristic", "measure",
         "disk_model", "max_resident_partitions", "memory_budget_bytes",
-        "include_direct_edges", "max_pairs_per_bridge", "num_workers",
+        "include_direct_edges", "max_pairs_per_bridge",
         "score_cache_entries", "seed", "durable", "fault_plan"]
 
 
@@ -277,14 +277,18 @@ def _lines_outside_the_retired_knobs(gone: "re.Pattern[str]") -> "list[str]":
         if gone.search(line) and not (path == engine and number in retired)]
 
 
-def test_one_scoring_process():
-    """Phase 4 scores in one process: the fork pool, its supervisor and
-    their fault hooks do not come back under ``src/``.  The retired knob is
-    named only where old manifests are translated."""
-    gone = re.compile(r"ProcessPoolExecutor|BrokenProcessPool|multiprocessing|"
+def test_no_executor_under_src():
+    """Phase 4 scores on the calling thread: no executor, thread pool or
+    fork pool, no supervisor or worker fault hook and no scoring width come
+    back under ``src/``.  The retired knobs are named only where old
+    manifests are translated."""
+    gone = re.compile(r"ThreadPoolExecutor|concurrent\.futures|ScoringWorkers|"
+                      r"SPLIT_FLOOR_ROWS|_split_rows|num_workers|num_threads|"
+                      r"ProcessPoolExecutor|BrokenProcessPool|multiprocessing|"
                       r"fork_available|ScoringPoolBroken|shard_timeout|"
                       r"kill_worker|hang_worker|take_worker_fault")
     assert _lines_outside_the_retired_knobs(gone) == []
+    assert not (REPO_ROOT / "src" / "repro" / "core" / "parallel.py").exists()
 
 
 def test_no_score_cache_file_under_src():
@@ -299,19 +303,6 @@ def test_no_score_cache_file_under_src():
         for number, line in enumerate(path.read_text().splitlines(), 1)
         if gone.search(line)]
     assert offenders == []
-
-
-def test_one_worker_seam():
-    """The one executor under ``src/`` is the thread pool built in
-    ``core/parallel.py``."""
-    src = REPO_ROOT / "src" / "repro"
-    built = re.compile(r"\bThreadPoolExecutor\(")
-    found = [
-        f"{path.relative_to(src)}:{number}"
-        for path in sorted(src.rglob("*.py"))
-        for number, line in enumerate(path.read_text().splitlines(), 1)
-        if built.search(line)]
-    assert len(found) == 1 and found[0].startswith("core/parallel.py:")
 
 
 def test_one_profile_format_and_one_place_that_checks_it():

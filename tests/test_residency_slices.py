@@ -3,9 +3,9 @@
 Phase 4's residency model (``_StepResidency``) loads a resident partition's
 slice through the engine's own store the first time a step with tuples to
 score needs it — that load is the read's one charge — and lets it go when
-the partition cache evicts the partition or the walk ends.  The seam only
+the partition cache evicts the partition or the walk ends; the kernel only
 borrows the slices.  These tests pin, on budgeted engines with many
-partitions, dense and sparse, inline and on a pool:
+partitions, dense and sparse:
 
 * ``load_users`` runs exactly once per partition residency that scores
   tuples, for that partition's vertices, and never for a step with nothing
@@ -142,13 +142,11 @@ BUDGETED = dict(k=6, num_partitions=12, heuristic="degree-low-high", seed=5,
 class TestResidencySlices:
 
     @pytest.mark.parametrize("slots", [2, 3])
-    @pytest.mark.parametrize("width", [1, 2])
     @pytest.mark.parametrize("kind", ["dense", "sparse"])
-    def test_one_load_per_residency_that_scores(self, kind, width, slots,
-                                                monkeypatch, cut_everything):
+    def test_one_load_per_residency_that_scores(self, kind, slots,
+                                                monkeypatch):
         ledger = _Ledger(monkeypatch)
-        config = EngineConfig(num_workers=width, max_resident_partitions=slots,
-                              **BUDGETED)
+        config = EngineConfig(max_resident_partitions=slots, **BUDGETED)
         results = _churned_run(kind, config, [0, 6, 6, 6, 6, 6], seed=11,
                                pool=50)
         assert ledger.flushes == len(results)
@@ -169,9 +167,7 @@ class TestResidencySlices:
         assert ledger.empty_steps > 0 and ledger.loads > 0
         assert ledger.flushes == len(results)
 
-    @pytest.mark.parametrize("width", [1, 3])
-    def test_the_engine_opens_one_profile_store(self, width, monkeypatch,
-                                                cut_everything):
+    def test_the_engine_opens_one_profile_store(self, monkeypatch):
         opened = []
         init = OnDiskProfileStore.__init__
 
@@ -180,7 +176,7 @@ class TestResidencySlices:
             init(store, *args, **kwargs)
 
         monkeypatch.setattr(OnDiskProfileStore, "__init__", counted)
-        config = EngineConfig(num_workers=width, **BUDGETED)
+        config = EngineConfig(**BUDGETED)
         for kind in ("dense", "sparse"):
             opened.clear()
             _churned_run(kind, config, [0, 5, 5, 5], seed=17, pool=600)

@@ -144,67 +144,6 @@ class TestCompactionKeepsReuse:
         assert fingerprints[True] == fingerprints[False]
 
 
-class TestThreadPoolRescoresOnce:
-    """A thread pool cutting every step keeps the cache like the calling
-    thread does: one cold rescore, then reuse — and an invalidation still
-    costs exactly one rescore that sees the new bytes."""
-
-    def test_only_the_cold_iteration_rescores(self, tmp_path, cut_everything):
-        profiles = generate_dense_profiles(NUM_USERS, dim=6, num_communities=3,
-                                           seed=13)
-        runner, _ = _runner(tmp_path, profiles, num_workers=3)
-        assert runner.workers.transport == "thread"
-        graph = KNNGraph.random(NUM_USERS, 5, seed=13)
-        results = []
-        for iteration in range(3):
-            result = runner.run(iteration, graph)
-            graph = result.graph
-            results.append(result)
-        assert [r.full_rescore for r in results] == [True, False, False]
-        assert results[0].reused_scores == 0
-        assert all(r.reused_scores > 0 for r in results[1:])
-        assert runner.workers._executor is not None
-        runner.close()
-
-    def test_a_reload_rescores_the_rewritten_bytes(self, tmp_path,
-                                                   cut_everything):
-        profiles = generate_sparse_profiles(NUM_USERS, 300, items_per_user=10,
-                                            seed=5)
-        runner, store = _runner(tmp_path, profiles, num_workers=3)
-        graph = KNNGraph.random(NUM_USERS, 5, seed=5)
-        second = runner.run(1, runner.run(0, graph).graph)
-        OnDiskProfileStore(store.base_dir).apply_changes(
-            _sparse_changes(range(20), seed=9))
-        store.reload()
-        reloaded = runner.run(2, second.graph)
-        assert reloaded.full_rescore and reloaded.reused_scores == 0
-        runner.close()
-        fresh_runner, fresh_store = _runner(tmp_path / "fresh", profiles)
-        fresh_store.apply_changes(_sparse_changes(range(20), seed=9))
-        oracle = fresh_runner.run(2, second.graph)
-        assert (reloaded.graph.edge_fingerprint()
-                == oracle.graph.edge_fingerprint())
-
-    def test_a_compaction_matches_the_calling_thread(self, tmp_path,
-                                                     cut_everything):
-        profiles = generate_sparse_profiles(NUM_USERS, 300, items_per_user=10,
-                                            seed=11)
-        fingerprints = {}
-        for width in (1, 3):
-            runner, _ = _runner(tmp_path / f"width-{width}", profiles,
-                                journal_limit=4, num_workers=width)
-            graph = KNNGraph.random(NUM_USERS, 5, seed=11)
-            fps = []
-            for iteration in range(4):
-                graph = runner.run(iteration, graph, update_queue=_queue(
-                    _sparse_changes(range(iteration * 7, iteration * 7 + 7),
-                                    seed=iteration))).graph
-                fps.append(graph.edge_fingerprint())
-            runner.close()
-            fingerprints[width] = fps
-        assert fingerprints[3] == fingerprints[1]
-
-
 class TestDeltaLogBoundary:
     """Both edges of the touched-row delta-log window, pinned exactly.
 

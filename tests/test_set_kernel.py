@@ -30,14 +30,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.core.iteration as iteration_module
-import repro.core.parallel as parallel_module
 from repro.core.config import EngineConfig
 from repro.core.engine import KNNEngine
-from repro.core.parallel import ScoringWorkers
 from repro.similarity import measures
 from repro.similarity.measures import SetProfileCSR
 from repro.similarity.workloads import generate_sparse_profiles
-from repro.storage.profile_store import OnDiskProfileStore
 
 SET_MEASURES = sorted(measures.SET_MEASURES)
 
@@ -369,19 +366,12 @@ def test_a_smaller_cap_drops_what_no_longer_fits_and_a_larger_one_rebuilds():
 
 # -- the engine's budget holds the kernel's derived state ------------------------
 
-@pytest.mark.parametrize("backend", ["serial", "thread"])
-def test_the_budget_caps_every_slice_and_changes_no_score(backend, monkeypatch):
+def test_the_budget_caps_every_slice_and_changes_no_score(monkeypatch):
     """Under a budget, no slice anywhere holds more derived state than its
     cap, and the graph is the unbudgeted run's.  The budget — the run's
-    peak residency, 70,992 B,
-    plus 8 KB — leaves a share of 4 KB a slice at the peak, under a 5.3 KB
-    bitmap, and room for one on the lighter steps.
-
-    The pool's steps stay under the row floor here, uncut: two threads
-    scoring one slice each check its cap and then build, which is not
-    atomic, so cut steps may hold one bitmap and one set of fixed-width
-    rows over the cap for a moment (``docs/performance.md``, "The worker
-    seam")."""
+    peak residency, 70,992 B, plus 8 KB — leaves a share of 4 KB a slice at
+    the peak, under a 5.3 KB bitmap, and room for one on the lighter
+    steps."""
     fits = []
     pair_counts, fit = SetProfileCSR.pair_counts, SetProfileCSR._fits
 
@@ -402,7 +392,6 @@ def test_the_budget_caps_every_slice_and_changes_no_score(backend, monkeypatch):
     fingerprints = {}
     for budget in (None, 79_000):
         config = EngineConfig(k=6, num_partitions=6, seed=3,
-                              num_workers=1 if backend == "serial" else 2,
                               memory_budget_bytes=budget)
         with KNNEngine(profiles, config) as engine:
             run = engine.run(num_iterations=2)
@@ -457,26 +446,3 @@ def test_the_residency_splits_the_headroom_between_its_slots(monkeypatch):
         engine.run(num_iterations=2)
     assert caps and all(cap == want for cap, want in caps)
     assert len({cap for cap, _ in caps}) > 1
-
-
-def test_the_pool_shares_its_slices_and_so_the_whole_headroom(tmp_path):
-    """Threads score the slices the calling thread holds: every piece of a
-    cut step reads the cap the residency set, whole, however wide the
-    pool."""
-    store = OnDiskProfileStore.create(
-        tmp_path, generate_sparse_profiles(60, 80, items_per_user=6, seed=2),
-        disk_model="instant")
-    caps = []
-
-    def kernel(left, left_rows, right, right_rows, measure):
-        caps.append((left._csr._derived_cap, right._csr._derived_cap))
-        return np.zeros(len(left_rows))
-
-    rows = np.arange(60)
-    piece = store.load_users(np.arange(60))
-    piece.cap_derived_bytes(450.0)
-    with mock.patch.object(parallel_module, "SPLIT_FLOOR_ROWS", 0), \
-            ScoringWorkers(num_workers=3, score=kernel) as workers:
-        assert len(workers.execute([piece], [(0, 0, rows, rows[::-1])],
-                                   "jaccard")) == 60
-    assert caps == [(450.0, 450.0)] * 3

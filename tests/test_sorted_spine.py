@@ -475,17 +475,11 @@ def _golden_feed(kind, profiles):
     return feed
 
 
-#: The phase-4 transports by test id, as the ``num_workers`` each runs: the
-#: calling thread, and pools of three and of two cutting every step.
-WIDTHS = {"serial": 1, "thread": 3, "thread2": 2}
-
-
-def _observe(kind, dirty, backend, full_schedule, budget=None):
+def _observe(kind, dirty, full_schedule, budget=None):
     """``dirty=False`` runs against a store that cannot vouch for its
     partition deltas — the full schedule."""
     config = EngineConfig(k=5, num_partitions=6, heuristic="degree-low-high",
-                          seed=17, memory_budget_bytes=budget,
-                          num_workers=WIDTHS[backend])
+                          seed=17, memory_budget_bytes=budget)
     profiles = _golden_profiles(kind)
     with full_schedule(not dirty), KNNEngine(profiles, config) as engine:
         run = engine.run(num_iterations=GOLDEN_WARMUP + GOLDEN_CHURNED,
@@ -552,12 +546,10 @@ _GOLDEN_PEAK = {"dense": 32400.0, "sparse": 44688.0}
 
 
 class TestEngineGoldens:
-    @pytest.mark.parametrize("backend", list(WIDTHS))
     @pytest.mark.parametrize("dirty", [True, False], ids=["dirty", "full"])
     @pytest.mark.parametrize("kind", ["dense", "sparse"])
-    def test_matches_the_parent_commit(self, kind, dirty, backend,
-                                       monkeypatch, full_schedule,
-                                       cut_everything):
+    def test_matches_the_parent_commit(self, kind, dirty, monkeypatch,
+                                       full_schedule):
         # the goldens were recorded before phase 2 could advance H by the
         # edge delta: a spy proves the churned iterations took that path,
         # the unedited goldens that it changed nothing
@@ -581,8 +573,7 @@ class TestEngineGoldens:
             return build_partitions(*args, **kwargs)
 
         monkeypatch.setattr(iteration_module, "build_partitions", spied_build)
-        rows, profile_digest, rebuilt = _observe(kind, dirty, backend,
-                                                 full_schedule)
+        rows, profile_digest, rebuilt = _observe(kind, dirty, full_schedule)
         assert [row[:3] for row in rows] == _GOLDEN_SCORED[kind]
         assert [row[3:5] for row in rows] == _GOLDEN_SCHEDULE[kind, dirty, False]
         assert [row[5:] for row in rows] == _GOLDEN_IO[kind, dirty, False]
@@ -593,12 +584,10 @@ class TestEngineGoldens:
         assert built_in == [i for i, flag in enumerate(rebuilt) if flag]
         assert rebuilt[GOLDEN_WARMUP:].count(False) >= GOLDEN_CHURNED - 1
 
-    @pytest.mark.parametrize("backend", list(WIDTHS))
     @pytest.mark.parametrize("dirty", [True, False], ids=["dirty", "full"])
     @pytest.mark.parametrize("kind", ["dense", "sparse"])
     def test_a_cache_capped_at_its_peak_changes_no_golden(
-            self, kind, dirty, backend, monkeypatch, full_schedule,
-            cut_everything):
+            self, kind, dirty, monkeypatch, full_schedule):
         """``memory_budget_bytes`` caps the partition cache and does nothing
         else: capped at exactly the peak the walk reaches, the run fits and
         every golden above is the uncapped run's."""
@@ -610,7 +599,7 @@ class TestEngineGoldens:
             peaks.append(budget.peak_bytes)
 
         monkeypatch.setattr(MemoryBudget, "allocate", spied)
-        rows, profile_digest, _ = _observe(kind, dirty, backend, full_schedule,
+        rows, profile_digest, _ = _observe(kind, dirty, full_schedule,
                                            budget=_GOLDEN_PEAK[kind])
         assert max(peaks) == _GOLDEN_PEAK[kind]
         assert [row[:3] for row in rows] == _GOLDEN_SCORED[kind]

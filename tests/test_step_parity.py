@@ -1,15 +1,13 @@
-"""The step-at-a-time parity wall: both transports walk the same steps.
+"""The step-at-a-time parity wall.
 
 Phase 4 executes its plan one residency step at a time — two partitions
-resident, each step's tuples scored across ``ScoringWorkers.execute`` and
-their scores put in their slots of the score slab.  Which transport scored
-them must not show: these tests drive hypothesis-generated churn through
-engines scoring on the calling thread and on thread pools of three and of
-two that cut every step, and compare per-iteration fingerprints, final profile bytes and
-load/unload counts; check that the two reference paths (the full schedule,
-the full rescore) and a partition-cache budget change no graph on either
-transport; and score one step across the seam against
-a first-principles oracle that shares no slice code with it.
+resident, each of the step's PI edges scored by one ``score_tuples`` call
+on the calling thread and the scores put in their slots of the score slab.
+These tests check that the two reference paths (the full schedule, the
+full rescore) and a partition-cache budget change no graph, no profile
+byte and no load/unload count they should not; that every charged
+residency is released; and score one step through ``score_tuples``
+against a first-principles oracle that shares no slice code with it.
 """
 
 from __future__ import annotations
@@ -18,12 +16,10 @@ import contextlib
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro.core.config import EngineConfig
 from repro.core.engine import KNNEngine
-from repro.core.parallel import ScoringWorkers
+from repro.core.iteration import score_tuples
 from repro.similarity.workloads import (ProfileChange, generate_dense_profiles,
                                         generate_sparse_profiles)
 from repro.storage.memory_manager import MemoryBudget
@@ -31,11 +27,6 @@ from repro.storage.profile_store import OnDiskProfileStore
 
 NUM_USERS = 120
 DIM = 8
-#: The phase-4 transports by test id, as the ``num_workers`` each runs:
-#: ``serial`` scores on the calling thread, ``thread`` on a pool of three
-#: and ``thread2`` on a pool of two.
-WIDTHS = {"serial": 1, "thread": 3, "thread2": 2}
-BACKENDS = list(WIDTHS)
 
 
 def _profiles(seed: int = 7):
@@ -43,9 +34,8 @@ def _profiles(seed: int = 7):
                                    seed=seed)
 
 
-def _config(backend: str = "serial", **overrides):
-    base = dict(k=5, num_partitions=4, heuristic="degree-low-high", seed=17,
-                num_workers=WIDTHS[backend])
+def _config(**overrides):
+    base = dict(k=5, num_partitions=4, heuristic="degree-low-high", seed=17)
     base.update(overrides)
     return EngineConfig(**base)
 
@@ -64,11 +54,11 @@ def _churn_feed(per_iteration, rng_seed: int, users_pool: int = NUM_USERS):
     return feed
 
 
-def _observe(churn, backend="serial", context=contextlib.nullcontext,
-             iterations: int = 4, **overrides):
+def _observe(churn, context=contextlib.nullcontext, iterations: int = 4,
+             **overrides):
     """Per-iteration fingerprints and load/unload counts, and the final
     profile bytes, of one churned run inside a fresh ``context()``."""
-    with context(), KNNEngine(_profiles(), _config(backend, **overrides)) as engine:
+    with context(), KNNEngine(_profiles(), _config(**overrides)) as engine:
         run = engine.run(num_iterations=iterations, profile_change_feed=churn)
         dense = (engine.profile_store.base_dir / "profiles_dense.bin").read_bytes()
     for result in run.iterations:
@@ -80,55 +70,29 @@ def _observe(churn, backend="serial", context=contextlib.nullcontext,
 
 
 class TestStepParityWall:
-    """The thread pools' graphs, counts and profile bytes are serial's, with
-    every step cut across their threads (``cut_everything``)."""
+    """The reference paths and a budget against the dirty-first walk."""
 
-    @settings(max_examples=6, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow,
-                                     HealthCheck.function_scoped_fixture])
-    @given(
-        backend=st.sampled_from(BACKENDS[1:]),
-        churn_sizes=st.lists(st.integers(min_value=0, max_value=25),
-                             min_size=4, max_size=4),
-        churn_seed=st.integers(min_value=0, max_value=2**16),
-        users_pool=st.sampled_from([NUM_USERS, 30]),
-    )
-    def test_backends_bit_identical_to_serial(self, backend, churn_sizes,
-                                              churn_seed, users_pool,
-                                              cut_everything):
-        serial = _observe(_churn_feed(churn_sizes, churn_seed, users_pool))
-        assert _observe(_churn_feed(churn_sizes, churn_seed, users_pool),
-                        backend) == serial
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_the_full_schedule_builds_the_same_graphs(self, backend,
-                                                      full_schedule,
-                                                      cut_everything):
+    def test_the_full_schedule_builds_the_same_graphs(self, full_schedule):
         """A store that cannot vouch for its partition deltas executes every
         step: more loads, the dirty-first walk's graphs and profiles."""
         dirty = _observe(_churn_feed([10, 5, 0, 8], 29))
         graphs, counts, dense = _observe(_churn_feed([10, 5, 0, 8], 29),
-                                         backend, context=full_schedule)
+                                         context=full_schedule)
         assert (graphs, dense) == (dirty[0], dirty[2])
         assert all(full >= walked for full, walked in zip(counts, dirty[1]))
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_a_full_rescore_builds_the_same_graphs(self, backend,
-                                                   full_rescore,
-                                                   cut_everything):
-        """No reusable score at all: every tuple crosses the seam."""
+    def test_a_full_rescore_builds_the_same_graphs(self, full_rescore):
+        """No reusable score at all: every tuple reaches the kernel."""
         reused = _observe(_churn_feed([6, 6, 6, 6], 31))
-        graphs, _, dense = _observe(_churn_feed([6, 6, 6, 6], 31), backend,
+        graphs, _, dense = _observe(_churn_feed([6, 6, 6, 6], 31),
                                     context=full_rescore)
         assert (graphs, dense) == (reused[0], reused[2])
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_a_partition_cache_budget_changes_no_result(self, backend,
-                                                        cut_everything):
+    def test_a_partition_cache_budget_changes_no_result(self):
         """A budget the walk fits in changes accounting, not results — not
         even the load/unload count."""
         uncapped = _observe(_churn_feed([10, 0, 10, 0], 37))
-        assert _observe(_churn_feed([10, 0, 10, 0], 37), backend,
+        assert _observe(_churn_feed([10, 0, 10, 0], 37),
                         memory_budget_bytes=50_000_000) == uncapped
 
     def test_every_charged_residency_is_released(self, monkeypatch):
@@ -156,7 +120,8 @@ class TestStepParityWall:
 
 
 class TestStepOracle:
-    """One step across the seam against first-principles direct scoring."""
+    """One step through ``score_tuples`` against first-principles direct
+    scoring."""
 
     @pytest.fixture(scope="class")
     def stores(self, tmp_path_factory):
@@ -173,9 +138,7 @@ class TestStepOracle:
 
     @pytest.mark.parametrize("kind, measure",
                              [("dense", "cosine"), ("sparse", "jaccard")])
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_step_scores_match_direct_scoring(self, stores, backend, kind,
-                                              measure, cut_everything):
+    def test_step_scores_match_direct_scoring(self, stores, kind, measure):
         """Partitions (1, 3) of four, their PI edges (1→3), (3→1), (1→1) as
         partition-local row batches; the oracle scores the same tuples by
         global id on one slice of the whole store."""
@@ -192,8 +155,10 @@ class TestStepOracle:
                                     starts[right] + right_rows], axis=1))
         slices = [store.load_users(np.arange(start, start + quarter))
                   for start in starts]
-        with ScoringWorkers(num_workers=WIDTHS[backend]) as workers:
-            scores = workers.execute(slices, batches, measure)
+        scores = np.concatenate([
+            score_tuples(slices[left], left_rows, slices[right], right_rows,
+                         measure)
+            for left, right, left_rows, right_rows in batches])
         whole = store.load_users(np.arange(NUM_USERS))
         np.testing.assert_array_equal(
             scores, whole.similarity_pairs(np.concatenate(tuples), measure))
