@@ -21,6 +21,7 @@ from repro.core.config import EngineConfig
 from repro.core.engine import (_RETIRED_KNOBS, KNNEngine,
                                _config_from_manifest)
 from repro.graph.knn_graph import KNNGraph
+from repro.pigraph.traversal import HEURISTICS
 from repro.similarity.workloads import (ProfileChange, generate_dense_profiles,
                                         generate_sparse_profiles)
 from repro.storage.profile_store import OnDiskProfileStore
@@ -545,10 +546,16 @@ class TestZeroCopyResume:
 
 
 class TestResumeRun:
-    def test_resumed_run_matches_uninterrupted_run(self, tmp_path):
-        """Stopping after 2 iterations and resuming for 2 more must equal a 4-iteration run."""
+    @pytest.mark.parametrize("partitioner", ["contiguous", "hash"])
+    @pytest.mark.parametrize("heuristic", sorted(HEURISTICS))
+    def test_resumed_run_matches_uninterrupted_run(self, tmp_path, heuristic,
+                                                   partitioner):
+        """Stopping after 2 iterations and resuming for 2 more must equal a
+        4-iteration run, on every schedule: the saved graph is all a resume
+        needs."""
         profiles = generate_dense_profiles(140, dim=8, num_communities=4, seed=77)
-        config = EngineConfig(k=5, num_partitions=4, seed=77)
+        config = EngineConfig(k=5, num_partitions=4, seed=77,
+                              heuristic=heuristic, partitioner=partitioner)
 
         with KNNEngine(profiles, config) as engine:
             uninterrupted = engine.run(num_iterations=4).final_graph

@@ -5,10 +5,15 @@ application, WAL appends, store writes and each stage of the commit
 protocol — a durable run is crashed mid-flight by an injected
 :class:`InjectedCrash`, recovered with :meth:`KNNEngine.recover`, and run
 to completion.  The final graph's ``edge_fingerprint`` and the final
-profile bytes must match an uninterrupted run exactly: no update lost, none applied twice, and the set
-of names under ``/dev/shm`` unchanged along the way.  The matrix runs
-twice: in the paper's order (phase 5 at the tail, ``KNNEngine.run``) and in
-the serving refresh's (phase 5 at the head, ``updates_first=True``).
+profile bytes must match an uninterrupted run exactly: no update lost, none
+applied twice, and the set of names under ``/dev/shm`` unchanged along the
+way.  The matrix runs twice: in the paper's order (phase 5 at the tail,
+``KNNEngine.run``) and in the serving refresh's (phase 5 at the head,
+``updates_first=True``).  Each crash is taken on three schedules — the
+paper's, and two that walk other partitions in another order through a
+cache of two or three slots — against the one uninterrupted run on the
+paper's schedule: the walk changes no graph (``test_schedule_invariance``),
+so a recovery that restored another schedule's state wrongly shows.
 """
 
 from __future__ import annotations
@@ -42,6 +47,16 @@ CRASH_POINTS = [
     "commit.done",
 ]
 
+#: The phase-1/3 schedules a crash is taken on, by test id.
+SCHEDULES = {
+    "paper": {},
+    "hash-degree-low-high": dict(partitioner="hash",
+                                 heuristic="degree-low-high"),
+    "ldg-greedy-resident-3": dict(partitioner="ldg",
+                                  heuristic="greedy-resident",
+                                  max_resident_partitions=3),
+}
+
 
 def _profiles():
     return generate_dense_profiles(NUM_USERS, dim=DIM, num_communities=3,
@@ -50,6 +65,12 @@ def _profiles():
 
 def _config(**overrides):
     return EngineConfig(k=5, num_partitions=4, seed=7, **overrides)
+
+
+def _schedule_of(engine):
+    config = engine.config
+    return (config.partitioner, config.heuristic,
+            config.max_resident_partitions)
 
 
 def _once_feed():
@@ -83,15 +104,17 @@ def reference():
     return fingerprint, dense
 
 
+@pytest.mark.parametrize("schedule", list(SCHEDULES))
 @pytest.mark.parametrize("point", CRASH_POINTS)
-def test_crash_recover_finish_matches_uninterrupted(point, tmp_path, reference,
-                                                    shm_unchanged):
+def test_crash_recover_finish_matches_uninterrupted(point, schedule, tmp_path,
+                                                    reference, shm_unchanged):
     ref_fingerprint, ref_dense = reference
     workdir = tmp_path / "work"
     plan = FaultPlan().crash_at(point, occurrence=2)
     feed = _once_feed()
     engine = KNNEngine(_profiles(),
-                       _config(durable=True, fault_plan=plan),
+                       _config(durable=True, fault_plan=plan,
+                               **SCHEDULES[schedule]),
                        workdir=workdir)
     try:
         with pytest.raises(InjectedCrash):
@@ -102,6 +125,7 @@ def test_crash_recover_finish_matches_uninterrupted(point, tmp_path, reference,
 
     recovered = KNNEngine.recover(workdir)
     try:
+        assert _schedule_of(recovered) == _schedule_of(engine)
         remaining = NUM_ITERATIONS - recovered.iterations_run
         assert remaining > 0
         recovered.run(remaining, profile_change_feed=feed)
@@ -254,15 +278,17 @@ def test_the_serving_order_serves_a_batch_one_iteration_earlier(
     assert serving_reference[0] != reference[0]
 
 
+@pytest.mark.parametrize("schedule", list(SCHEDULES))
 @pytest.mark.parametrize("point", CRASH_POINTS)
 def test_crash_recover_finish_matches_uninterrupted_in_serving_order(
-        point, tmp_path, serving_reference, shm_unchanged):
+        point, schedule, tmp_path, serving_reference, shm_unchanged):
     ref_fingerprint, ref_dense = serving_reference
     workdir = tmp_path / "work"
     plan = FaultPlan().crash_at(point, occurrence=2)
     feed = _once_feed()
     engine = KNNEngine(_profiles(),
-                       _config(durable=True, fault_plan=plan),
+                       _config(durable=True, fault_plan=plan,
+                               **SCHEDULES[schedule]),
                        workdir=workdir)
     try:
         with pytest.raises(InjectedCrash):
@@ -273,6 +299,7 @@ def test_crash_recover_finish_matches_uninterrupted_in_serving_order(
 
     recovered = KNNEngine.recover(workdir)
     try:
+        assert _schedule_of(recovered) == _schedule_of(engine)
         assert recovered.iterations_run < NUM_ITERATIONS
         # exactly-once replay: what the WAL hands back is what the restored
         # epoch had not applied — whole batches of 3, never a part of one

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import EngineConfig
 from repro.core.engine import KNNEngine, _scan_commit_epochs
+from repro.pigraph.traversal import HEURISTICS
 from repro.similarity.workloads import ProfileChange, generate_dense_profiles
 from repro.testing import FaultPlan, InjectedCrash
 
@@ -113,11 +114,11 @@ class _DriftHarness:
 
 
 def _drive_drift(context, warmup: int = 5, drifts: int = 3,
-                 drift_seed: int = 23):
+                 drift_seed: int = 23, **overrides):
     """Run warm-up + drift iterations inside ``context``; return (results,
     final bytes)."""
     harness = _DriftHarness(drift_seed=drift_seed)
-    config = harness.config()
+    config = harness.config(**overrides)
     results = []
     with context, KNNEngine(harness.profiles, config) as engine:
         for _ in range(warmup):
@@ -157,11 +158,15 @@ class TestDirtyParityWall:
             assert 0 <= result.steps_skipped <= result.steps_total
             assert result.steps_total == result.schedule.num_steps
 
-    def test_converged_drift_skips_and_agrees(self, full_schedule):
+    @pytest.mark.parametrize("heuristic", sorted(HEURISTICS))
+    def test_converged_drift_skips_and_agrees(self, full_schedule, heuristic):
         """On a converged graph under localised drift, skipping must both
-        engage (steps and loads actually saved) and stay bit-identical."""
-        dirty_results, dirty_bytes = _drive_drift(full_schedule(False))
-        full_results, full_bytes = _drive_drift(full_schedule())
+        engage (steps and loads actually saved) and stay bit-identical, in
+        whichever order the heuristic walks the steps."""
+        dirty_results, dirty_bytes = _drive_drift(full_schedule(False),
+                                                  heuristic=heuristic)
+        full_results, full_bytes = _drive_drift(full_schedule(),
+                                                heuristic=heuristic)
         assert ([r.graph.edge_fingerprint() for r in dirty_results]
                 == [r.graph.edge_fingerprint() for r in full_results])
         assert dirty_bytes == full_bytes

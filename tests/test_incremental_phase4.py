@@ -26,6 +26,7 @@ from repro.core.engine import KNNEngine
 from repro.core.iteration import Phase4ScoreCache
 from repro.graph.digraph import CSRDiGraph
 from repro.partition.model import build_partitions
+from repro.pigraph.traversal import HEURISTICS
 from repro.similarity.workloads import (ProfileChange, generate_dense_profiles,
                                         generate_sparse_profiles)
 from repro.testing import FaultPlan, InjectedCrash
@@ -64,8 +65,8 @@ def _churn_feed(kind: str, per_iteration, rng_seed: int, users_pool=NUM_USERS):
 
 def _run(kind: str, churn, iterations=3, context=contextlib.nullcontext(),
          **overrides):
-    config = EngineConfig(k=5, num_partitions=4, heuristic="degree-low-high",
-                          seed=17, **overrides)
+    base = dict(k=5, num_partitions=4, heuristic="degree-low-high", seed=17)
+    config = EngineConfig(**dict(base, **overrides))
     with context, KNNEngine(_profiles(kind), config) as engine:
         run = engine.run(num_iterations=iterations, profile_change_feed=churn)
     return run
@@ -99,14 +100,16 @@ class TestDifferentialWall:
         assert all(result.reused_scores == 0 for result in runs[False].iterations)
         assert all(result.full_rescore for result in runs[False].iterations)
 
+    @pytest.mark.parametrize("heuristic", sorted(HEURISTICS))
     @pytest.mark.parametrize("kind", ["dense", "sparse"])
-    def test_reuses_and_agrees(self, kind, full_rescore):
-        """The engine must actually *reuse* scores, not just agree."""
+    def test_reuses_and_agrees(self, kind, heuristic, full_rescore):
+        """The engine must actually *reuse* scores, not just agree — in
+        whichever order the heuristic walks the steps."""
         churn_sizes = [8, 8, 8, 8]
         incremental = _run(kind, _churn_feed(kind, churn_sizes, 3),
-                           iterations=4)
+                           iterations=4, heuristic=heuristic)
         full = _run(kind, _churn_feed(kind, churn_sizes, 3), iterations=4,
-                    context=full_rescore())
+                    context=full_rescore(), heuristic=heuristic)
         assert ([r.graph.edge_fingerprint() for r in incremental.iterations]
                 == [r.graph.edge_fingerprint() for r in full.iterations])
         assert incremental.iterations[0].full_rescore          # cold cache

@@ -31,6 +31,7 @@ from hypothesis import strategies as st
 import repro.core.iteration as iteration_module
 from repro.core.config import EngineConfig
 from repro.core.engine import KNNEngine
+from repro.pigraph.traversal import HEURISTICS
 from repro.similarity.workloads import (ProfileChange, generate_dense_profiles,
                                         generate_sparse_profiles)
 from repro.storage.profile_store import OnDiskProfileStore
@@ -141,12 +142,15 @@ BUDGETED = dict(k=6, num_partitions=12, heuristic="degree-low-high", seed=5,
 
 class TestResidencySlices:
 
+    @pytest.mark.parametrize("heuristic", sorted(HEURISTICS))
     @pytest.mark.parametrize("slots", [2, 3])
     @pytest.mark.parametrize("kind", ["dense", "sparse"])
-    def test_one_load_per_residency_that_scores(self, kind, slots,
+    def test_one_load_per_residency_that_scores(self, kind, slots, heuristic,
                                                 monkeypatch):
+        """Whichever order the heuristic walks the steps in."""
         ledger = _Ledger(monkeypatch)
-        config = EngineConfig(max_resident_partitions=slots, **BUDGETED)
+        config = EngineConfig(**dict(BUDGETED, max_resident_partitions=slots,
+                                     heuristic=heuristic))
         results = _churned_run(kind, config, [0, 6, 6, 6, 6, 6], seed=11,
                                pool=50)
         assert ledger.flushes == len(results)

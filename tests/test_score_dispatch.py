@@ -29,6 +29,8 @@ from repro.storage.profile_store import OnDiskProfileStore
 
 NUM_USERS = 120
 QUARTER = NUM_USERS // 4
+EVERY_MEASURE = ([("dense", measure) for measure in sorted(VECTOR_MEASURES)]
+                 + [("sparse", measure) for measure in sorted(SET_MEASURES)])
 
 
 @pytest.fixture(scope="module")
@@ -155,27 +157,34 @@ class TestScoreParityAllMeasures:
     def test_sparse_measures(self, sparse_store, pairs, measure):
         self._halves(sparse_store, pairs, measure)
 
-    def test_scattered_slice_parity(self, dense_store):
+    @pytest.mark.parametrize("kind, measure", EVERY_MEASURE,
+                             ids=[measure for _, measure in EVERY_MEASURE])
+    def test_scattered_slice_parity(self, stores, kind, measure):
         """Non-contiguous user ids exercise the gathered-copy load path."""
+        store = stores[kind]
         users = np.arange(0, NUM_USERS, 3)
         rows = np.random.default_rng(5).integers(0, len(users), size=(200, 2))
-        piece = dense_store.load_users(users)
+        piece = store.load_users(users)
         np.testing.assert_array_equal(
-            score_tuples(piece, rows[:, 0], piece, rows[:, 1], "cosine"),
-            _by_id(dense_store, users, rows[:, 0], users, rows[:, 1], "cosine"))
+            score_tuples(piece, rows[:, 0], piece, rows[:, 1], measure),
+            _by_id(store, users, rows[:, 0], users, rows[:, 1], measure))
 
-    def test_two_partition_parity(self, dense_store):
-        """Left rows address one slice, right rows the other."""
-        half = NUM_USERS // 2
+    @pytest.mark.parametrize("kind, measure", EVERY_MEASURE,
+                             ids=[measure for _, measure in EVERY_MEASURE])
+    def test_two_partition_parity(self, stores, kind, measure):
+        """Left rows address one slice, right rows the other, of unequal
+        sizes."""
+        store = stores[kind]
+        third = NUM_USERS // 3
         rng = np.random.default_rng(6)
-        left_rows = rng.integers(0, half, size=300)
-        right_rows = rng.integers(0, NUM_USERS - half, size=300)
-        got = score_tuples(dense_store.load_users(range(half)), left_rows,
-                           dense_store.load_users(range(half, NUM_USERS)),
-                           right_rows, "cosine")
-        whole = dense_store.load_users(range(NUM_USERS))
+        left_rows = rng.integers(0, third, size=300)
+        right_rows = rng.integers(0, NUM_USERS - third, size=300)
+        got = score_tuples(store.load_users(range(third)), left_rows,
+                           store.load_users(range(third, NUM_USERS)),
+                           right_rows, measure)
+        whole = store.load_users(range(NUM_USERS))
         np.testing.assert_array_equal(whole.similarity_pairs(
-            np.column_stack([left_rows, half + right_rows]), "cosine"), got)
+            np.column_stack([left_rows, third + right_rows]), measure), got)
 
 
 class TestStepShapes:
