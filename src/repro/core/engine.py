@@ -25,9 +25,10 @@ import json
 import os
 import shutil
 import tempfile
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.core.checkpoint import (CloneStats, load_portable_checkpoint,
                                    restore_profile_store,
@@ -36,7 +37,8 @@ from repro.core.checkpoint import (CloneStats, load_portable_checkpoint,
                                    write_checkpoint_checksums)
 from repro.core.config import EngineConfig
 from repro.core.convergence import ConvergenceTracker
-from repro.core.iteration import IterationResult, OutOfCoreIteration
+from repro.core.iteration import (IterationFront, IterationResult,
+                                  OutOfCoreIteration)
 from repro.core.update_queue import (ProfileUpdateQueue, change_from_manifest,
                                      change_to_manifest)
 from repro.graph.knn_graph import KNNGraph
@@ -175,6 +177,8 @@ class KNNEngine:
             wal_path=wal_path, fault_plan=self._config.fault_plan)
         self._wal_replayed = 0
         self._has_commit = False  # flips once: the first sealed epoch
+        self._front: Optional[IterationFront] = None
+        self._collect_deferred = False
 
         if initial_graph is not None:
             if initial_graph.num_vertices != profiles.num_users:
@@ -401,18 +405,45 @@ class KNNEngine:
         *before* scoring, so the sealed ``G(t+1)`` is scored against the
         ``P(t+1)`` stored beside it and an update queued before the call is
         in the graph it returns.
+
+        The commit seals, then collects the epochs and WAL it superseded —
+        at the end of the block instead inside :meth:`collect_after`.  A
+        front :meth:`prepare_front` made for this graph is used.
         """
         self._ensure_open()
         if self._config.durable:
             self._ensure_initial_commit()
+        front, self._front = self._front, None
         result = self._iteration_runner.run(
             self._iterations_run, self._graph, self._update_queue,
-            updates_first=updates_first)
+            updates_first=updates_first, front=front)
         self._graph = result.graph
         self._iterations_run += 1
         if self._config.durable:
-            self._commit_iteration()
+            self._seal_epoch()
+            if not self._collect_deferred:
+                self._collect_garbage()
         return result
+
+    def prepare_front(self) -> None:
+        """Make the next iteration's graph-only front (phases 1–3) now, while
+        nothing waits for it; results do not change."""
+        self._ensure_open()
+        if self._front is None:
+            self._front = self._iteration_runner.front(self._graph)
+
+    @contextmanager
+    def collect_after(self) -> Iterator[None]:
+        """Hold the garbage collection of the iterations inside the block
+        back to its end (none if it raises): the serving refresh swaps in
+        the sealed epoch first.  A crash before it leaves one more epoch and
+        a longer WAL, which the next commit collects."""
+        self._collect_deferred = True
+        try:
+            yield
+        finally:
+            self._collect_deferred = False
+        self._collect_garbage()
 
     # -- durable commits / crash recovery --------------------------------------
 
@@ -435,7 +466,8 @@ class KNNEngine:
     def _ensure_initial_commit(self) -> None:
         """Commit the pre-iteration state once, before the first iteration."""
         if not self._has_commit and not _scan_commit_epochs(self.commits_dir):
-            self._commit_iteration()
+            self._seal_epoch()
+            self._collect_garbage()
         self._has_commit = True
 
     def ensure_initial_commit(self) -> None:
@@ -473,7 +505,7 @@ class KNNEngine:
         epochs = self.sealed_epochs()
         return epochs[-1] if epochs else None
 
-    def _commit_iteration(self) -> None:
+    def _seal_epoch(self) -> None:
         """Atomically seal the current state as ``commits/epoch_NNNNN``.
 
         Protocol: the whole epoch (:meth:`save_checkpoint`'s graph,
@@ -482,10 +514,9 @@ class KNNEngine:
         sealed with ``checksums.json`` (written last — it doubles as the
         completeness marker; the CRCs are the writers' own), and renamed
         into place in one atomic step.
-        Only then are stale epochs pruned and the WAL garbage-collected up
-        to the oldest *surviving* epoch's applied sequence.  A crash
-        between any two steps leaves either the previous epochs or the new
-        one — never a half-committed state that verifies.
+        Only then may :meth:`_collect_garbage` prune stale epochs and the WAL.
+        A crash between any two steps leaves either the previous epochs or
+        the new one — never a half-committed state that verifies.
         """
         fault = self._config.fault_plan
         if fault is not None:
@@ -508,7 +539,15 @@ class KNNEngine:
         os.rename(tmp, final)
         if fault is not None:
             fault.point("commit.committed")
-        epochs = _scan_commit_epochs(commits)
+
+    def _collect_garbage(self) -> None:
+        """Prune the sealed epochs past :attr:`COMMITS_KEPT` and truncate the
+        WAL to the oldest kept epoch's applied sequence (durable engines
+        only; nothing to do otherwise)."""
+        if not self._config.durable:
+            return
+        fault = self._config.fault_plan
+        epochs = _scan_commit_epochs(self.commits_dir)
         kept = epochs[-self.COMMITS_KEPT:]
         for _, stale in epochs[:-self.COMMITS_KEPT]:
             shutil.rmtree(stale, ignore_errors=True)

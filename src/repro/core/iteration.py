@@ -249,19 +249,29 @@ class Phase4ScoreCache:
         scores[found] = self.values[pos[found]]
         return scores, hit_mask
 
-    def carry(self, patch: KeyPatch, pair_keys: np.ndarray,
-              touched_mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def carry(self, slab: np.ndarray, pair_keys: np.ndarray, csr: CSRDiGraph,
+              touched: np.ndarray) -> np.ndarray:
         """:meth:`lookup` without the search, for ``pair_keys`` that are this
-        cache's own keys advanced by ``patch``: the slab follows its keys
-        (a surviving pair keeps its score in place, an arriving one is NaN),
-        so the hits are the carried pairs with two clean endpoints — the
-        same ``(scores, hit_mask)`` the search would return."""
-        scores = patch.apply(self.values, np.nan)
-        sources = pair_keys // np.int64(self.num_vertices)
-        hit_mask = ~(np.isnan(scores) | touched_mask[sources]
-                     | touched_mask[pair_keys - sources * self.num_vertices])
-        scores[~hit_mask] = np.nan
-        return scores, hit_mask
+        cache's keys advanced by a patch and ``slab`` its scores moved along
+        (:meth:`KeyPatch.apply`): NaN goes into every slot with an endpoint
+        in ``touched`` (sorted), and the NaN slots — the misses — are
+        returned, ascending.  The keys are ``H`` of ``csr`` with no bridge
+        cap, so a touched source's pairs are one run of them and a touched
+        destination ``d``'s lie at ``s·n + d`` for ``s`` one or two hops
+        upstream: no key is decoded."""
+        n = np.int64(self.num_vertices)
+        lo, hi = np.searchsorted(pair_keys, (touched + np.array([[0], [1]])) * n)
+        slab[ragged_ranges(lo, hi - lo)] = np.nan
+        upstream, of = touched, touched
+        for _ in range(2):
+            starts = csr.rindptr[upstream]
+            counts = csr.rindptr[upstream + 1] - starts
+            upstream = csr.rindices[ragged_ranges(starts, counts)]
+            of = np.repeat(of, counts)
+            # ascending needles: each search starts where the last one ended
+            pos, found = find_sorted(pair_keys, np.sort(upstream * n + of))
+            slab[pos[found]] = np.nan
+        return np.flatnonzero(np.isnan(slab))
 
     def merge(self, keys: np.ndarray, values: np.ndarray,
               measure: str, generation: int, num_vertices: int, *,
@@ -366,6 +376,27 @@ class IterationResult:
             "simulated_io_seconds": self.io_stats.simulated_io_seconds,
             "phase_seconds": self.phase_timer.as_dict(),
         }
+
+
+@dataclass
+class IterationFront:
+    """Phases 1–3 of the iteration on ``graph``, the carried slab moved
+    along ``H`` (``slab``, or ``None``: no positional join) and the deleted
+    keys' endpoints (``deleted``, for copy-forward): a function of ``G(t)``
+    and the carried state alone, so :meth:`OutOfCoreIteration.front` can
+    make it before the batch arrives.  ``timer`` holds phases 1–3 seconds."""
+
+    graph: KNNGraph
+    edge_keys: np.ndarray
+    csr: CSRDiGraph
+    layout: PartitionLayout
+    table: TupleHashTable
+    patch: Optional[KeyPatch]
+    steps: List[ResidencyStep]
+    schedule: ScheduleResult
+    slab: Optional[np.ndarray]
+    deleted: Optional[Tuple[np.ndarray, np.ndarray]]
+    timer: PhaseTimer
 
 
 #: One PI edge's unresolved tuples: the edge and its ``[lo, hi)`` run in the
@@ -531,9 +562,48 @@ class OutOfCoreIteration:
 
     # -- public entry point -------------------------------------------------
 
+    def front(self, graph: KNNGraph) -> IterationFront:
+        """The graph-only front of the iteration that will run on ``graph``.
+        Only a rebuild of ``H`` touches the carried state: it lets go of the
+        carried ``G(t)`` and ``H`` first (the scores stay), so whichever
+        front the iteration runs with, it joins them by search."""
+        config, timer = self._config, PhaseTimer()
+        # phases 1 and 2 scan G(t) in CSR form, and the edge delta against
+        # the carried graph reads the same sorted keys; build both once
+        edge_keys = graph.edge_keys()
+        csr = graph.to_csr(edge_keys)
+        with timer.phase(PHASE_NAMES[0]):
+            # the one grouping of the vertices by partition this iteration:
+            # the partition files are sized from it, a phase-2 rebuild slices
+            # the partitions out of it, phase 4 addresses rows through it
+            layout = partition_layout(get_partitioner(config.partitioner).assign(
+                csr, config.num_partitions), config.num_partitions)
+        with timer.phase(PHASE_NAMES[1]):
+            table, patch = self._phase2_hash_table(graph, csr, edge_keys,
+                                                   layout)
+        with timer.phase(PHASE_NAMES[2]):
+            heuristic = get_heuristic(config.heuristic)
+            steps = heuristic.plan(PIGraph.from_tuple_table(
+                table, config.num_partitions))
+            schedule = simulate_schedule(
+                steps, heuristic_name=heuristic.name,
+                num_partitions=config.num_partitions,
+                cache_slots=config.max_resident_partitions)
+        cache = self._score_cache
+        slab = deleted = None
+        if patch is not None and cache.aligned:
+            # H was advanced from the very keys the slab is aligned with, so
+            # the slab follows them
+            slab = patch.apply(cache.values, np.nan)
+            if graph is cache.produced:
+                deleted = cache.table.endpoints(patch.deleted)
+        return IterationFront(graph, edge_keys, csr, layout, table, patch,
+                              steps, schedule, slab, deleted, timer)
+
     def run(self, iteration: int, graph: KNNGraph,
             update_queue: Optional[ProfileUpdateQueue] = None, *,
-            updates_first: bool = False) -> IterationResult:
+            updates_first: bool = False,
+            front: Optional[IterationFront] = None) -> IterationResult:
         """Run the five phases once, turning ``G(t)`` into ``G(t+1)``.
 
         The paper's order is 1–4 then 5: ``G(t+1)`` is scored against
@@ -542,6 +612,8 @@ class OutOfCoreIteration:
         instead — the queue is drained and applied, then 1–4 score the
         profiles just written — so ``G(t+1)`` already reflects every change
         queued when the iteration began; what arrives later stays queued.
+
+        A :meth:`front` made ahead is used only if made for this ``graph``.
         """
         config = self._config
         if self._fault is not None:
@@ -554,24 +626,20 @@ class OutOfCoreIteration:
             with timer.phase(PHASE_NAMES[4]):
                 updates_applied = self._phase5_profile_update(update_queue)
 
-        # phases 1 and 2 scan G(t) in CSR form, and the edge delta against
-        # the carried graph reads the same sorted keys; build both once
-        edge_keys = graph.edge_keys()
-        csr = graph.to_csr(edge_keys)
-
+        if front is None or front.graph is not graph:
+            front = self.front(graph)
+        timer.merge(front.timer)
+        csr, edge_keys, layout = front.csr, front.edge_keys, front.layout
+        table, patch, steps = front.table, front.patch, front.steps
         with timer.phase(PHASE_NAMES[0]):
-            layout = self._phase1_partition(csr)
-
-        with timer.phase(PHASE_NAMES[1]):
-            table, patch = self._phase2_hash_table(graph, csr, edge_keys, layout)
-
-        with timer.phase(PHASE_NAMES[2]):
-            pi_graph, steps, schedule = self._phase3_pi_graph(table)
+            # sized from the profiles phase 4 reads — phase 5 may just have
+            # changed them — so never part of the front
+            self._partition_store.replace_all(
+                csr, layout, self._profile_store.estimated_bytes_per_user())
 
         with timer.phase(PHASE_NAMES[3]):
             run, new_graph, schedule = self._phase4_knn(
-                graph, table, patch, steps, measure, io_stats, layout,
-                schedule)
+                graph, front, measure, io_stats)
             # the one commit, by a completed phase 4 only.  The scores
             # describe the store as of *this* phase 4 — the deltas the next
             # iteration asks touched_rows_since() about start here — and
@@ -623,20 +691,6 @@ class OutOfCoreIteration:
         )
         return result
 
-    # -- phase 1 --------------------------------------------------------------
-
-    def _phase1_partition(self, csr) -> PartitionLayout:
-        config = self._config
-        partitioner = get_partitioner(config.partitioner)
-        assignment = partitioner.assign(csr, config.num_partitions)
-        # the one grouping of the vertices by partition this iteration: the
-        # partition files are sized from it, a phase-2 rebuild slices the
-        # partitions out of it, phase 4 addresses profile rows through it
-        layout = partition_layout(assignment, config.num_partitions)
-        self._partition_store.replace_all(
-            csr, layout, self._profile_store.estimated_bytes_per_user())
-        return layout
-
     # -- phase 2 --------------------------------------------------------------
 
     def _phase2_hash_table(self, graph: KNNGraph, csr, edge_keys: np.ndarray,
@@ -662,25 +716,11 @@ class OutOfCoreIteration:
                 max_pairs_per_bridge=config.max_pairs_per_bridge), None
         return advanced
 
-    # -- phase 3 --------------------------------------------------------------
-
-    def _phase3_pi_graph(self, table: TupleHashTable):
-        config = self._config
-        pi_graph = PIGraph.from_tuple_table(table, config.num_partitions)
-        heuristic = get_heuristic(config.heuristic)
-        steps = heuristic.plan(pi_graph)
-        schedule = simulate_schedule(
-            steps,
-            heuristic_name=heuristic.name,
-            num_partitions=config.num_partitions,
-            cache_slots=config.max_resident_partitions,
-        )
-        return pi_graph, steps, schedule
-
     # -- phase 4 --------------------------------------------------------------
 
-    def _touched_mask(self, graph: KNNGraph, measure: str) -> Optional[np.ndarray]:
-        """Vertices whose profiles changed since the cached generation.
+    def _touched_rows(self, graph: KNNGraph, measure: str) -> Optional[np.ndarray]:
+        """Vertices whose profiles changed since the cached generation,
+        ascending.
 
         Returns ``None`` when the cache cannot be consulted at all — wrong
         measure or vertex count, empty cache, or a delta history the profile
@@ -694,34 +734,32 @@ class OutOfCoreIteration:
         touched = self._profile_store.touched_rows_since(cache.generation)
         if touched is None:
             return None
-        mask = np.zeros(graph.num_vertices, dtype=bool)
-        mask[touched[touched < graph.num_vertices]] = True
-        return mask
+        return touched[touched < graph.num_vertices]
 
-    def _begin_phase4(self, graph: KNNGraph, table: TupleHashTable,
-                      patch: Optional[KeyPatch],
-                      steps: Sequence[ResidencyStep], measure: str,
-                      layout: PartitionLayout) -> _Phase4Run:
-        """The front of phase 4: slab, cache join, plan, and the unresolved
+    def _begin_phase4(self, graph: KNNGraph, front: IterationFront,
+                      measure: str) -> _Phase4Run:
+        """The head of phase 4: slab, cache join, plan, and the unresolved
         tuples decoded into partition-local rows."""
+        table, layout, steps = front.table, front.layout, front.steps
         keys = table.keys
         # tuples with two endpoints untouched since the cache's generation
         # reuse its score verbatim; only the rest reach a kernel
-        touched_mask = self._touched_mask(graph, measure)
-        full_rescore = touched_mask is None
+        touched = self._touched_rows(graph, measure)
+        full_rescore = touched is None
         cache = self._score_cache
-        hits = deleted = None
+        misses = deleted = None
         if full_rescore:
             scores = np.full(len(keys), np.nan)
-        elif patch is not None and cache.aligned:
-            # H was advanced from the very keys the slab is aligned with, so
-            # the slab follows them: a positional join
-            scores, hits = cache.carry(patch, keys, touched_mask)
-            if graph is cache.produced:
-                deleted = cache.table.endpoints(patch.deleted)
+        elif front.slab is not None:
+            scores = front.slab
+            misses = cache.carry(scores, keys, front.csr, touched)
+            deleted = front.deleted
         else:
             # both key arrays are sorted: one search joins them
+            touched_mask = np.zeros(graph.num_vertices, dtype=bool)
+            touched_mask[touched] = True
             scores, hits = cache.lookup(keys, touched_mask)
+            misses = np.flatnonzero(~hits)
         # dirty-partition planning, the scores' second reading: steps whose
         # partitions are both clean and whose pair the scores cover run
         # lookup-only (no partition acquired unless a lookup missed);
@@ -729,7 +767,7 @@ class OutOfCoreIteration:
         # vouch for the churn (reload, delta-log rollover, recovery) keeps
         # the full plan in its order.
         executed, cached = steps, []
-        if hits is not None:
+        if misses is not None:
             plan = plan_dirty_schedule(
                 steps, self._profile_store.touched_partitions_since(
                     cache.generation, layout.assignment), cache.scored_pairs)
@@ -739,8 +777,7 @@ class OutOfCoreIteration:
         # the positions of H the cache did not answer, grouped by PI edge and
         # decoded once: a PI edge (p, q) has its sources in p and destinations
         # in q, so the endpoints' local rows address the two slices directly
-        positions, edge_spans = table.bucket_index(
-            None if hits is None else ~hits)
+        positions, edge_spans = table.bucket_index(misses)
         table.freeze()      # read-only from here on, and done with its index
         sources, destinations = table.endpoints(positions)
         return _Phase4Run(
@@ -749,7 +786,7 @@ class OutOfCoreIteration:
             left_rows=layout.local_row[sources],
             right_rows=layout.local_row[destinations], edge_spans=edge_spans,
             store_generation=self._profile_store.generation,
-            reused=int(np.count_nonzero(hits)) if hits is not None else 0,
+            reused=len(keys) - len(misses) if misses is not None else 0,
             deleted=deleted)
 
     def _score_residual(self, run: _Phase4Run, step: ResidencyStep,
@@ -901,11 +938,8 @@ class OutOfCoreIteration:
             start = stop
         return new_graph
 
-    def _phase4_knn(self, graph: KNNGraph, table: TupleHashTable,
-                    patch: Optional[KeyPatch],
-                    steps: Sequence[ResidencyStep], measure: str,
-                    io_stats: IOStats, layout: PartitionLayout,
-                    schedule: ScheduleResult
+    def _phase4_knn(self, graph: KNNGraph, front: IterationFront,
+                    measure: str, io_stats: IOStats
                     ) -> Tuple[_Phase4Run, KNNGraph, ScheduleResult]:
         """Walk the plan, score every tuple the cache could not answer, and
         emit ``G(t+1)``.
@@ -916,13 +950,13 @@ class OutOfCoreIteration:
         score lands in the same slab slot whichever step produced it, and
         the G(t+1) merge is a pure function of the slab.
         """
-        run = self._begin_phase4(graph, table, patch, steps, measure, layout)
+        run = self._begin_phase4(graph, front, measure)
         residency = _StepResidency(self._config, self._partition_store,
-                                   self._profile_store, layout, io_stats,
-                                   schedule)
+                                   self._profile_store, front.layout, io_stats,
+                                   front.schedule)
         self._execute_pending(run, measure, residency)
         executed = residency.schedule()
-        return run, self._finish_phase4(run, graph, table), executed
+        return run, self._finish_phase4(run, graph, front.table), executed
 
     # -- phase 5 --------------------------------------------------------------
 

@@ -5,11 +5,14 @@ Each refresh cycle it runs one dirty-scheduled engine iteration in the
 serving order — drain the update queue, apply, score what was applied, seal
 a commit epoch — clones the sealed epoch into a fresh
 :class:`~repro.service.snapshot.SnapshotView` around the graph it still holds
-in memory, and hands the view to the runtime's atomic swap callback.
+in memory, hands the view to the runtime's atomic swap callback, and only
+then collects the epochs and WAL the seal superseded.
 
 A refresh starts whenever updates are pending, and serves everything that
 was pending when it started.  A batch admitted while it runs stays queued
-and gets the next refresh.
+and gets the next refresh.  A refresh that leaves the queue empty makes the
+next one's graph-only front (:meth:`KNNEngine.prepare_front`) before the
+loop waits, so an update waits for phase 5, phase 4 and the seal only.
 
 Robustness contract (the reason this is a *supervisor* and not a plain
 loop): any exception out of a cycle — an injected crash point, a real I/O
@@ -158,6 +161,9 @@ class RefreshSupervisor:
                     if (self._min_refresh_seconds is None
                             or elapsed < self._min_refresh_seconds):
                         self._min_refresh_seconds = elapsed
+                if self._runtime.pending_updates == 0:
+                    # idle after its own refresh, never beside a synchronous one
+                    self._runtime.engine.prepare_front()
             except Exception as exc:  # noqa: BLE001 — any crash means "recover"
                 self._note_failure(exc)
                 if not self._recover():
@@ -166,24 +172,26 @@ class RefreshSupervisor:
 
     def run_one_refresh(self) -> None:
         """One refresh cycle: drain, apply, score what was applied, seal,
-        clone, swap — an update queued before the call is served after it.
+        clone, swap, then collect the epochs and WAL the seal superseded —
+        an update queued before the call is served after it.
 
         Also used synchronously by the runtime's graceful drain for the
         final epoch.  Raises on any failure — the caller supervises.
         """
         runtime = self._runtime
         engine = runtime.engine
-        engine.run_iteration(updates_first=True)
-        fault_point(runtime.fault_plan, "service.before_swap")
-        # the iteration sealed its own epoch before returning (durable
-        # before visible), so the graph it left in memory is that epoch's
-        epoch = engine.iterations_run
-        epoch_dir = engine.epoch_dir(epoch)
-        assert epoch_dir.is_dir(), f"refresh completed but {epoch_dir} is not sealed"
-        view = SnapshotView.from_commit(epoch_dir, runtime.serving_dir, epoch,
-                                        graph=engine.graph)
-        runtime._swap_snapshot(view)
-        fault_point(runtime.fault_plan, "service.after_swap")
+        with engine.collect_after():
+            engine.run_iteration(updates_first=True)
+            fault_point(runtime.fault_plan, "service.before_swap")
+            # the iteration sealed its own epoch before returning (durable
+            # before visible), so the graph it left in memory is that epoch's
+            epoch = engine.iterations_run
+            epoch_dir = engine.epoch_dir(epoch)
+            assert epoch_dir.is_dir(), f"refresh completed but {epoch_dir} is not sealed"
+            view = SnapshotView.from_commit(epoch_dir, runtime.serving_dir,
+                                            epoch, graph=engine.graph)
+            runtime._swap_snapshot(view)
+            fault_point(runtime.fault_plan, "service.after_swap")
 
     # -- recovery ------------------------------------------------------------
 

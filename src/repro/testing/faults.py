@@ -58,7 +58,8 @@ ITERATION_CRASH_POINTS = (
     # profile store writes
     "store.dense_rows_written",
     "store.journal_appended",
-    # epoch commit protocol (engine._commit_iteration)
+    # epoch commit protocol: the seal (KNNEngine._seal_epoch), then the
+    # garbage collection (KNNEngine._collect_garbage)
     "commit.begin",
     "commit.before_rename",
     "commit.committed",

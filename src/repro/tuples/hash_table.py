@@ -199,8 +199,9 @@ class TupleHashTable:
                 f"{np.count_nonzero(arrived_with <= 0)} arrive without a "
                 "positive multiplicity")
         deleted = held[changed == 0]
-        patch = KeyPatch(deleted, np.searchsorted(
-            np.delete(self._keys, deleted), arrived))
+        # where an arrival goes among all keys, less the deletions before it
+        at = positions[~known]
+        patch = KeyPatch(deleted, at - np.searchsorted(deleted, at))
         table = TupleHashTable(self._num_vertices, assignment)
         table._keys = patch.apply(self._keys, arrived)
         table._multiplicity = patch.apply(multiplicity, arrived_with)
@@ -245,15 +246,14 @@ class TupleHashTable:
         ``[start, stop)`` run in ``order``; ``spans`` lists the pairs in run
         order, so the runs tile ``order``.  Not copies — do not mutate.
 
-        With ``only``, a boolean mask over the keys, the same for those
+        With ``only``, ascending positions of keys, the same for those
         tuples alone — phase 4 groups just what the score cache left
         unresolved: filtered out of the index over every tuple where that
         was built (it is kept), grouped on their own where it was not.
         """
         if only is not None and self._index is None:
-            positions = np.flatnonzero(only)
-            order, spans = self._grouped(self.keys[positions])
-            return positions[order], spans
+            order, spans = self._grouped(self.keys[only])
+            return only[order], spans
         if self._index is None:
             order, spans = self._index = self._grouped(self.keys)
             self._sizes = np.zeros(self._num_parts * self._num_parts, dtype=np.int64)
@@ -262,7 +262,9 @@ class TupleHashTable:
         order, spans = self._index
         if only is None or not spans:
             return order, spans
-        kept = only[order]
+        kept = np.zeros(len(order), dtype=bool)
+        kept[only] = True
+        kept = kept[order]
         # the spans tile ``order``, so one segmented sum counts each pair's
         starts = np.fromiter((start for start, _ in spans.values()),
                              dtype=np.int64, count=len(spans))

@@ -181,16 +181,19 @@ class TestDeltaAlgebra:
             cache = Phase4ScoreCache()
             cache.merge(carried.table.keys, slab, "cosine", 3, n)
             touched = rng.random(n) < 0.25
-            scores, hits = cache.carry(patch, table.keys, touched)
+            scores = patch.apply(cache.values, np.nan)
+            misses = cache.carry(scores, table.keys, csr, np.flatnonzero(touched))
+            hits = np.ones(len(scores), dtype=bool)
+            hits[misses] = False
             searched, found = cache.lookup(table.keys, touched)
             np.testing.assert_array_equal(hits, found)
             np.testing.assert_array_equal(scores, searched)
             # (6) grouping only the unresolved positions lists, per PI edge,
             # what the full bucket index lists there
-            order, spans = table.bucket_index(~hits)
+            order, spans = table.bucket_index(misses)
             full_order, full_spans = reference.bucket_index()
             # the from-scratch table filters the index it already built
-            filtered, filtered_spans = reference.bucket_index(~hits)
+            filtered, filtered_spans = reference.bucket_index(misses)
             np.testing.assert_array_equal(filtered, order)
             assert filtered_spans == spans
             wanted = {}

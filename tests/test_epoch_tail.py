@@ -17,8 +17,10 @@ just sealed from memory.  This wall pins what that must not cost:
 * and nothing grows: serving clones, commit epochs, WAL bytes, open files.
 
 The refresh loop stays parked (``RefreshSupervisor.start`` patched out), so
-every refresh is a ``run_one_refresh()`` the test asked for; the one test of
-the supervisor's own recovery path starts the real thread.
+every refresh is a ``run_one_refresh()`` the test asked for; the test of
+the supervisor's own recovery path and the loop-driven soak (garbage
+collected after each swap, fronts prepared while idle) start the real
+thread.
 """
 
 from __future__ import annotations
@@ -473,3 +475,44 @@ def test_nothing_grows_over_forty_refreshes(tmp_path, parked):
         assert not list(runtime.workdir.rglob("score_cache.bin"))
     finally:
         runtime.close()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+def test_nothing_grows_over_forty_loop_refreshes(tmp_path):
+    """The same soak driven by the refresh loop itself: every refresh
+    collects after its swap, and the idle loop prepares the next front —
+    after each quiesce at most ``COMMITS_KEPT`` epochs, and a flat WAL."""
+    prepared = []
+    prepare_front = KNNEngine.prepare_front
+
+    def preparing(engine):
+        prepared.append(engine.graph)
+        return prepare_front(engine)
+
+    with mock.patch.object(KNNEngine, "prepare_front", preparing):
+        runtime = _service("dense", tmp_path / "svc",
+                           refresh_poll_interval=0.002)
+        engine_dir = runtime.workdir / "engine"
+        wal = engine_dir / "wal.bin"
+        try:
+            wal_ceiling = fds_at_5 = None
+            for index in range(40):
+                epoch = runtime.current_epoch
+                assert runtime.submit_updates(_fixed_width_batch(index)).accepted
+                deadline = time.time() + 60.0
+                while (runtime.current_epoch == epoch or runtime.pending_updates
+                       or runtime.refresh_in_flight):
+                    assert time.time() < deadline, runtime.supervisor.last_error
+                    time.sleep(0.002)
+                commits = list((engine_dir / "commits").iterdir())
+                assert len(commits) <= KNNEngine.COMMITS_KEPT, (index, commits)
+                assert len(list(runtime.serving_dir.iterdir())) <= 2, index
+                if index == 4:
+                    wal_ceiling, fds_at_5 = wal.stat().st_size, _open_fds()
+                elif index > 4:
+                    assert wal.stat().st_size <= wal_ceiling, index
+            assert abs(_open_fds() - fds_at_5) <= 2
+            assert runtime.supervisor.refreshes == 40
+            assert runtime.restarts == 0 and prepared
+        finally:
+            runtime.close()

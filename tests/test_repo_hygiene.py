@@ -185,7 +185,7 @@ def test_core_scores_by_row_not_through_merged_or_id_addressed_slices():
     rows: phase 4 scores ``ProfileSlice.similarity_rows``.  ``merge``
     is also the name of the stats / score-cache accumulators, so a
     ``.merge(...)`` call passes only on one of those receivers."""
-    accumulators = {"self", "io_stats", "total_io", "total_phases",
+    accumulators = {"self", "io_stats", "total_io", "total_phases", "timer",
                     "score_cache", "cache", "snapshot", "profile_snapshot"}
     offenders = []
     for path in sorted((REPO_ROOT / "src" / "repro" / "core").glob("*.py")):

@@ -41,9 +41,10 @@ NUM_BATCHES = 4
 
 #: Crash points reached by the *refresh loop* (supervised thread): every
 #: engine-level point an iteration+commit passes through, plus the two
-#: service-level points bracketing the snapshot swap.  ``wal.appended``
-#: and ``service.admission`` fire in the client thread instead and get
-#: their own process-death test below.
+#: service-level points bracketing the snapshot swap; the two GC points
+#: (``commit.before_wal_truncate``, ``commit.done``) fire after the swap.
+#: ``wal.appended`` and ``service.admission`` fire in the client thread
+#: instead and get their own process-death test below.
 REFRESH_CRASH_POINTS = [
     "iteration.begin",
     "phase4.step",
@@ -53,6 +54,7 @@ REFRESH_CRASH_POINTS = [
     "commit.before_rename",
     "commit.committed",
     "commit.before_wal_truncate",
+    "commit.done",
     "service.before_swap",
     "service.after_swap",
 ]
@@ -161,6 +163,8 @@ def test_refresh_crash_recovers_without_an_outage(point, tmp_path, twin,
         runtime.stop(drain=True)
         fingerprint, dense = _final_state(runtime)
         assert (fingerprint, dense) == twin
+        # and what the recovered service serves is that graph
+        assert runtime._view.graph.edge_fingerprint() == twin[0]
     finally:
         runtime.close()
 
@@ -274,6 +278,42 @@ def test_a_kernel_that_raises_fails_one_refresh_not_the_service(
         assert len(fired) == 1
         assert fired[0] is not threading.current_thread()
         assert runtime.restarts >= 1
+        assert runtime.stats()["query_failures"] == 0
+        runtime.stop(drain=True)
+        assert _final_state(runtime) == twin
+    finally:
+        runtime.close()
+
+
+def test_a_front_preparation_that_raises_fails_one_refresh_not_the_service(
+        tmp_path, twin, monkeypatch):
+    """The idle loop's front preparation is refresh work: an error in it is
+    a refresh failure — the loop recovers the engine, no read fails, and the
+    run ends as the twin's."""
+    armed, fired = threading.Event(), []
+    prepare_front = KNNEngine.prepare_front
+
+    def preparing(engine):
+        if armed.is_set() and not fired:
+            fired.append(threading.current_thread())
+            raise RuntimeError("front preparation failed")
+        return prepare_front(engine)
+
+    monkeypatch.setattr(KNNEngine, "prepare_front", preparing)
+    runtime = _runtime(tmp_path / "svc")
+    runtime.start()
+    try:
+        _drive_lockstep(runtime, 1)
+        armed.set()     # the loop's next idle preparation raises
+        _drive_lockstep(runtime, NUM_BATCHES, first_batch=1)
+        # a refresh the client submits right behind skips the preparation,
+        # so the one that raises may follow the last refresh
+        deadline = time.time() + 60.0
+        while runtime.restarts < 1:
+            assert time.time() < deadline, runtime.supervisor.last_error
+            time.sleep(0.005)
+        assert len(fired) == 1
+        assert fired[0] is not threading.current_thread()
         assert runtime.stats()["query_failures"] == 0
         runtime.stop(drain=True)
         assert _final_state(runtime) == twin
