@@ -7,7 +7,7 @@ point must be registered and exercised, every durable write must go
 temp→fsync→rename, and writable memory maps belong to the storage layer
 alone.  This package checks those conventions mechanically, from source
 alone (stdlib :mod:`ast`; the analyzed code is never imported), so the CI
-gate and the perf-suite preflight can refuse a tree that violates them.
+gate can refuse a tree that violates them.
 
 Five rules (see ``docs/static-analysis.md`` for the full contracts):
 

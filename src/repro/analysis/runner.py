@@ -1,9 +1,9 @@
 """Wiring: configuration, rule orchestration and the analysis report.
 
 :func:`analyze` is the one entry point everything shares — the
-``python -m repro.analysis`` CLI, the CI gate, the perf-suite preflight
-and the test suite.  The default configuration reads its registries from
-the tree being analyzed (``PURE_FUNCTIONS`` from the scheduler module,
+``python -m repro.analysis`` CLI, the CI gate and the test suite.  The
+default configuration reads its registries from the tree being analyzed
+(``PURE_FUNCTIONS`` from the scheduler module,
 ``ITERATION_CRASH_POINTS``/``SERVICE_CRASH_POINTS`` from the fault
 toolkit) via :func:`repro.analysis.sources.literal_tuple_entries`, so the
 analyzer never imports the code under analysis and the registries cannot

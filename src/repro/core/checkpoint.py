@@ -156,11 +156,11 @@ class CloneStats:
 
     ``linked_bytes`` entered the destination as hard links (a directory
     entry each — no data was read or written); ``copied_bytes`` were
-    streamed through ``shutil.copy2``.  The perf suite's resume gate uses
-    the split to prove that resuming a sparse store never materialises a
-    full profile copy.  ``checksums`` is the CRC32 of each cloned file the
-    source's ``profiles_meta.json`` vouches for (its ``crc32`` map, plus the
-    meta file itself from the bytes parsed) — no profile data is read.
+    streamed through ``shutil.copy2``.  The split shows that resuming a
+    sparse store never materialises a full profile copy.  ``checksums`` is
+    the CRC32 of each cloned file the source's ``profiles_meta.json``
+    vouches for (its ``crc32`` map, plus the meta file itself from the
+    bytes parsed) — no profile data is read.
     """
 
     linked_files: int = 0

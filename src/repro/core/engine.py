@@ -384,8 +384,8 @@ class KNNEngine:
     def resume_clone_stats(self) -> Optional[CloneStats]:
         """Link/copy accounting of a zero-copy resume (``None`` for fresh runs).
 
-        The perf suite's resume gate reads this to prove that resuming a
-        segmented sparse store hard-links (not copies) every immutable file.
+        Resuming a segmented sparse store hard-links (not copies) every
+        immutable segment; only the mutable files are copied.
         """
         return self._resume_clone_stats
 

@@ -337,7 +337,7 @@ class IterationResult:
     phase_timer: PhaseTimer
     io_stats: IOStats
     #: The profile store's share of ``io_stats`` — its write side is the
-    #: phase-5 update traffic, which the perf suite tracks per iteration.
+    #: phase-5 update traffic of this iteration.
     profile_io_stats: IOStats = field(default_factory=IOStats)
     #: Tuples whose score was reused verbatim from the phase-4 score cache.
     reused_scores: int = 0

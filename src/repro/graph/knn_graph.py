@@ -518,13 +518,13 @@ class KNNGraph:
     def edge_fingerprint(self) -> str:
         """SHA-256 over the sorted ``(src, dst, round(score, 9))`` edge set.
 
-        The regression currency of the perf suite and the parity
-        walls: two graphs with the same fingerprint hold the same neighbour
-        lists with the same scores (to 1e-9).
+        The regression currency of the parity walls: two graphs with the
+        same fingerprint hold the same neighbour lists with the same scores
+        (to 1e-9).
         """
         edges = [(s, d, round(score, 9)) for s, d, score in self.edges()]
-        # the JSON layout matches the original perf-suite fingerprint so the
-        # BENCH_perf.json trajectory stays comparable across PRs
+        # keep the JSON layout: the walls' goldens (test_graph_knn_arrays,
+        # test_sorted_spine) pin the digest of these exact bytes
         return hashlib.sha256(json.dumps(edges).encode()).hexdigest()
 
     def to_digraph(self) -> DiGraph:

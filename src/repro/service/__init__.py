@@ -9,8 +9,7 @@ recovers from crashes without ever taking the query path down.  See
 
 from repro.service.admission import AdmissionController, AdmissionResult
 from repro.service.health import HealthStatus, build_health
-from repro.service.loadgen import (LoadGenerator, PhaseReport,
-                                   dense_set_batch, sparse_add_batch)
+from repro.service.loadgen import LoadGenerator, PhaseReport, dense_set_batch
 from repro.service.runtime import (DeadlineExceeded, ServiceUnavailable,
                                    ServingRuntime)
 from repro.service.snapshot import SnapshotView
@@ -29,5 +28,4 @@ __all__ = [
     "SnapshotView",
     "build_health",
     "dense_set_batch",
-    "sparse_add_batch",
 ]

@@ -1,8 +1,7 @@
 """Simulated serving load: N reader clients + a writer, with latency stats.
 
-Shared by the serving benchmark (``benchmarks/run_perf_suite.py``), the
-``python -m repro serve`` CLI demo and ``examples/serving.py`` so all three
-exercise the runtime the same way: reader threads hammer
+Shared by the ``python -m repro serve`` CLI demo and ``examples/serving.py``
+so both exercise the runtime the same way: reader threads hammer
 :meth:`ServingRuntime.neighbors` in a closed loop while the caller's
 writer submits update batches, and a :class:`PhaseReport` captures what
 the clients actually observed — per-query latency percentiles, failures,
@@ -53,24 +52,6 @@ class PhaseReport:
     shed_changes: int = 0
     epochs_advanced: int = 0
     restarts: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "duration_seconds": round(self.duration_seconds, 4),
-            "queries": self.queries,
-            "query_failures": self.query_failures,
-            "queries_during_refresh": self.queries_during_refresh,
-            "p50_query_seconds": round(self.p50_query_seconds, 6),
-            "p99_query_seconds": round(self.p99_query_seconds, 6),
-            "max_query_seconds": round(self.max_query_seconds, 6),
-            "accepted_batches": self.accepted_batches,
-            "accepted_changes": self.accepted_changes,
-            "shed_batches": self.shed_batches,
-            "shed_changes": self.shed_changes,
-            "epochs_advanced": self.epochs_advanced,
-            "restarts": self.restarts,
-        }
 
 
 class _Reader(threading.Thread):
@@ -174,11 +155,3 @@ def dense_set_batch(num_users: int, dim: int, batch_size: int,
                             dtype=np.float64)
         changes.append(ProfileChange(user=user, kind="set", vector=vector))
     return changes
-
-
-def sparse_add_batch(num_users: int, num_items: int, batch_size: int,
-                     rng: Random) -> List[ProfileChange]:
-    """One batch of sparse item additions for randomly chosen users."""
-    return [ProfileChange(user=rng.randrange(num_users), kind="add",
-                          item=rng.randrange(num_items))
-            for _ in range(batch_size)]

@@ -29,7 +29,6 @@ query path down with it.
 from __future__ import annotations
 
 import threading
-import time
 import traceback
 from typing import Optional
 
@@ -74,7 +73,6 @@ class RefreshSupervisor:
         self._restarts = 0            # total successful recoveries
         self._consecutive_failures = 0
         self._refreshes = 0
-        self._min_refresh_seconds: Optional[float] = None
         self._last_error: Optional[str] = None
 
     # -- lifecycle -----------------------------------------------------------
@@ -116,17 +114,6 @@ class RefreshSupervisor:
             return self._refreshes
 
     @property
-    def min_refresh_seconds(self) -> Optional[float]:
-        """Fastest completed refresh cycle (iteration + seal + swap).
-
-        The serving bench compares query p99 against this: a read that
-        *blocked* on an in-flight iteration would take at least this long,
-        so p99 orders of magnitude below it proves snapshot isolation.
-        """
-        with self._state_lock:
-            return self._min_refresh_seconds
-
-    @property
     def last_error(self) -> Optional[str]:
         with self._state_lock:
             return self._last_error
@@ -150,17 +137,12 @@ class RefreshSupervisor:
                 continue
             try:
                 self._set_state("refreshing")
-                started = time.perf_counter()
                 self.run_one_refresh()
-                elapsed = time.perf_counter() - started
                 with self._state_lock:
                     self._refreshes += 1
                     self._consecutive_failures = 0
                     self._last_error = None
                     self._state = "idle"
-                    if (self._min_refresh_seconds is None
-                            or elapsed < self._min_refresh_seconds):
-                        self._min_refresh_seconds = elapsed
                 if self._runtime.pending_updates == 0:
                     # idle after its own refresh, never beside a synchronous one
                     self._runtime.engine.prepare_front()

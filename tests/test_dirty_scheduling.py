@@ -177,6 +177,9 @@ class TestDirtyParityWall:
         drift_window = dirty_results[-3:]
         skipped = sum(r.steps_skipped for r in drift_window)
         assert skipped > 0, "dirty scheduling never engaged"
+        # every heuristic skips 30 of the window's 63 steps (0.476)
+        total = sum(r.steps_total for r in drift_window)
+        assert skipped >= 0.45 * total, f"skipped only {skipped} of {total} steps"
         # skipped steps translate into partition loads not performed
         assert (sum(r.load_unload_operations for r in drift_window)
                 < sum(r.load_unload_operations for r in full_results[-3:]))

@@ -351,3 +351,15 @@ def test_one_profile_format_and_one_place_that_checks_it():
     assert named == []
     assert comparing == ["storage/migrate.py:migrate_store",
                          "storage/profile_store.py:_read_meta"]
+
+
+def test_one_benchmark():
+    """``benchmarks/e2e`` is the one performance record: the single-shot
+    suite, its committed baseline and the comparator that gated on it do
+    not come back, and CI runs the one ``tests`` job."""
+    assert not (REPO_ROOT / "BENCH_perf.json").exists()
+    assert not (REPO_ROOT / "benchmarks" / "run_perf_suite.py").exists()
+    assert not (REPO_ROOT / "benchmarks" / "check_perf_regression.py").exists()
+    ci = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    jobs = ci.split("\njobs:\n", 1)[1]
+    assert re.findall(r"^  ([\w-]+):", jobs, flags=re.MULTILINE) == ["tests"]
