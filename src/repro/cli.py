@@ -15,7 +15,8 @@ Commands
 ``disks``       compare the HDD and SSD device models
 ``quality``     engine vs NN-Descent vs brute force recall
 ``serve``       run the always-on serving runtime under simulated load
-``migrate``     rewrite a legacy (version 1 / 2) profile store in place
+``migrate``     rewrite a legacy profile store, checkpoint or engine workdir
+                in place
 """
 
 from __future__ import annotations
@@ -96,9 +97,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="durable state directory (default: a tempdir)")
 
     migrate = sub.add_parser(
-        "migrate", help="rewrite a version 1 / 2 profile store into the "
-                        "current on-disk layout, in place")
-    migrate.add_argument("store_dir", help="directory holding profiles_meta.json")
+        "migrate", help="rewrite a version 1 / 2 profile store, or the "
+                        "older-layout graph file and profiles of a "
+                        "checkpoint, a sealed epoch or every epoch of an "
+                        "engine workdir, into the current layout, in place")
+    migrate.add_argument("store_dir", help="directory holding checkpoint.json "
+                                           "or commits/ or profiles_meta.json")
 
     return parser
 
@@ -245,12 +249,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_migrate(args: argparse.Namespace) -> int:
-    from repro.storage.migrate import migrate_store
+    from repro.storage.migrate import migrate
     from repro.storage.profile_store import StoreFormatError
 
     try:
-        migrated = migrate_store(args.store_dir)
-    except (FileNotFoundError, StoreFormatError) as error:
+        migrated = migrate(args.store_dir)
+    except (FileNotFoundError, StoreFormatError, ValueError) as error:
         print(f"migrate: {error}", file=sys.stderr)
         return 1
     print(f"{args.store_dir}: rewritten in the current layout" if migrated

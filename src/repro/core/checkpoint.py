@@ -5,7 +5,10 @@ paper's setting (profiles keep changing, iterations are independent) makes it
 natural to stop after any iteration and resume later.  A checkpoint captures
 exactly the state the next iteration needs:
 
-* the scored KNN graph ``G(t)`` (binary, NumPy-packed), and
+* the scored KNN graph ``G(t)``: its own ranked ``counts`` / ``neighbors``
+  / ``scores`` arrays behind an ``(n, k)`` header, so a save is one write
+  and a load one read plus a check of the graph's invariants (no sort, no
+  merge), and
 * the iteration counter plus the engine configuration fingerprint,
 
 while the profiles ``P(t)`` already live on disk in the engine's working
@@ -49,26 +52,26 @@ from repro.storage.profile_store import OnDiskProfileStore
 
 PathLike = Union[str, os.PathLike]
 
-_MAGIC = b"RPCK0001"
+_MAGIC = b"RPCK0002"
 
 
 def save_knn_graph(path: PathLike, graph: KNNGraph, fault_plan=None) -> int:
-    """Serialise a scored KNN graph to a compact binary file.
+    """Write ``G(t)``'s own arrays: the magic, ``(n, k)``, then ``counts``,
+    ``neighbors`` and ``scores`` as :meth:`KNNGraph.ranked_arrays` holds them.
 
     Returns the CRC32 of the bytes handed to the file.  ``fault_plan`` (see
     :mod:`repro.testing.faults`) can fail the write or truncate the written
     file to model a crash mid-serialisation; the checkpoint-level
     ``checksums.json`` — which records the returned CRC, not a re-read —
-    and the loader's magic/size checks are what must catch the damage.
+    and the loader's checks are what must catch the damage.
     """
     path = Path(path)
-    sources, destinations, scores = graph.edge_columns()
-    header = np.asarray([graph.num_vertices, graph.k, len(sources)], dtype=np.int64)
+    header = np.asarray([graph.num_vertices, graph.k], dtype=np.int64)
     if fault_plan is not None:
         fault_plan.file_op("write", path)
     crc = 0
     with path.open("wb") as handle:
-        for block in (_MAGIC, header, sources, destinations, scores):
+        for block in (_MAGIC, header, *graph.ranked_arrays()):
             handle.write(block)
             crc = zlib.crc32(block, crc)
     if fault_plan is not None:
@@ -77,40 +80,27 @@ def save_knn_graph(path: PathLike, graph: KNNGraph, fault_plan=None) -> int:
 
 
 def load_knn_graph(path: PathLike) -> KNNGraph:
-    """Restore a KNN graph written by :func:`save_knn_graph`.
-
-    A file in the writer's layout — in-range edges in strictly increasing
-    ``(src, dst)`` order, at most ``k`` a vertex, NaN-free — is placed with
-    one bulk merge; any other edge list is replayed edge by edge.
-    """
+    """Restore a KNN graph written by :func:`save_knn_graph`: one read into
+    a writable buffer, the invariants :meth:`KNNGraph.from_ranked_arrays`
+    checks, and no merge.  A file of the previous layout is refused."""
     path = Path(path)
-    raw = path.read_bytes()
-    if raw[:len(_MAGIC)] != _MAGIC:
+    raw = np.fromfile(path, dtype=np.uint8)
+    magic = raw[:len(_MAGIC)].tobytes()
+    if magic != _MAGIC:
+        if magic[:4] == _MAGIC[:4]:
+            raise ValueError(f"{path} holds a KNN graph in the {magic!r} "
+                             "layout; rewrite it with `python -m repro migrate`")
         raise ValueError(f"{path} is not a repro KNN-graph checkpoint (bad magic)")
-    offset = len(_MAGIC)
-    header = np.frombuffer(raw, dtype=np.int64, count=3, offset=offset)
-    offset += 3 * 8
-    num_vertices, k, num_edges = (int(x) for x in header)
-    expected_size = offset + num_edges * (8 + 8 + 8)
-    if len(raw) < expected_size:
-        raise ValueError(
-            f"{path} is truncated: expected {expected_size} bytes, found {len(raw)}")
-    sources = np.frombuffer(raw, dtype=np.int64, count=num_edges, offset=offset)
-    offset += num_edges * 8
-    destinations = np.frombuffer(raw, dtype=np.int64, count=num_edges, offset=offset)
-    offset += num_edges * 8
-    scores = np.frombuffer(raw, dtype=np.float64, count=num_edges, offset=offset)
-    graph = KNNGraph(num_vertices, k)
-    if (num_edges and min(sources.min(), destinations.min()) >= 0
-            and max(sources.max(), destinations.max()) < num_vertices
-            and (np.diff(sources * num_vertices + destinations) > 0).all()
-            and np.bincount(sources).max() <= k and not np.isnan(scores).any()):
-        graph.add_candidates_batch(sources, destinations, scores, assume_unique=True)
-    else:
-        for src, dst, score in zip(sources.tolist(), destinations.tolist(),
-                                   scores.tolist()):
-            graph.add_candidate(src, dst, score)
-    return graph
+    n, k = raw[8:24].view(np.int64).tolist() if len(raw) >= 24 else (0, 0)
+    size = 24 + 8 * n * (1 + 2 * k)
+    if n < 0 or k < 1 or len(raw) != size:
+        raise ValueError(f"{path} is truncated or padded: expected {size} "
+                         f"bytes, found {len(raw)}")
+    body = raw[24:]
+    return KNNGraph.from_ranked_arrays(
+        body[:8 * n].view(np.int64),
+        body[8 * n:8 * n * (1 + k)].view(np.int64).reshape(n, k),
+        body[8 * n * (1 + k):].view(np.float64).reshape(n, k))
 
 
 def save_checkpoint(directory: PathLike, graph: KNNGraph, iteration: int,

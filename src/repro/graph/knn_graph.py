@@ -108,6 +108,52 @@ class KNNGraph:
                 graph.add_candidate(v, neighbor, score)
         return graph
 
+    @classmethod
+    def from_ranked_arrays(cls, counts: np.ndarray, neighbors: np.ndarray,
+                           scores: np.ndarray) -> "KNNGraph":
+        """Adopt ``(counts, neighbors, scores)`` as a graph's own arrays
+        (no copy, no merge) once they pass every invariant the class
+        docstring states; the inverse of :meth:`ranked_arrays`.
+
+        Raises ``IndexError`` for a held neighbour outside ``[0, n)`` and
+        ``ValueError`` for anything else: a count outside ``[0, k]``, an
+        unused slot other than ``-1`` / ``-inf``, a self loop, a neighbour
+        repeated within a row, a NaN score, or a row not strictly ranked by
+        ``(-score, neighbour)`` (``-0.0`` ranks as ``+0.0``).
+        """
+        n, k = neighbors.shape
+        if counts.shape != (n,) or scores.shape != (n, k):
+            raise ValueError("counts, neighbors and scores disagree on the shape")
+        if ((counts < 0) | (counts > k)).any():
+            raise ValueError(f"a row count lies outside [0, {k}]")
+        held = np.arange(k) < counts[:, None]
+        if (neighbors[~held] != -1).any() or (scores[~held] != -np.inf).any():
+            raise ValueError("an unused slot is not -1 / -inf")
+        if ((neighbors < 0) & held).any() or (neighbors >= n).any():
+            raise IndexError(f"a neighbour lies outside [0, {n})")
+        if (neighbors == np.arange(n)[:, None]).any():
+            raise ValueError("a row holds its own vertex")
+        if np.isnan(scores).any():
+            raise ValueError("a score is NaN")
+        # strictly ranked: each held slot after the first is strictly weaker
+        # than the one before it, or as strong with a larger id
+        before, after = scores[:, :-1], scores[:, 1:]
+        ranked = (before > after) | ((before == after)
+                                     & (neighbors[:, :-1] < neighbors[:, 1:]))
+        if not (ranked | ~held[:, 1:]).all():
+            raise ValueError("a row is not strictly ranked by (-score, neighbour)")
+        ordered = np.sort(neighbors, axis=1)
+        if ((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] >= 0)).any():
+            raise ValueError("a row holds a neighbour twice")
+        graph = cls(0, k)
+        graph._counts, graph._neighbors, graph._scores = counts, neighbors, scores
+        return graph
+
+    def ranked_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(counts, neighbors, scores)``: the graph's own arrays, not
+        copies — what the graph file holds.  Read them; never write."""
+        return self._counts, self._neighbors, self._scores
+
     def copy(self) -> "KNNGraph":
         clone = KNNGraph(0, self._k)
         clone._neighbors = self._neighbors.copy()

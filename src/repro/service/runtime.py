@@ -131,11 +131,7 @@ class ServingRuntime:
             self._engine = KNNEngine(self._profiles, self._config,
                                      workdir=self._engine_dir)
         self._engine.ensure_initial_commit()
-        sealed = self._engine.latest_sealed_epoch()
-        assert sealed is not None
-        epoch, epoch_dir = sealed
-        self._swap_snapshot(
-            SnapshotView.from_commit(epoch_dir, self._serving_dir, epoch))
+        self._publish_engine_epoch()
         self._supervisor.start()
         return self
 
@@ -146,9 +142,10 @@ class ServingRuntime:
         """Restart a service after a process death, from durable state only.
 
         Recovers the engine (:meth:`KNNEngine.recover`: newest verifiable
-        epoch + WAL-tail replay), swaps in a snapshot of that epoch and
-        resumes serving.  Pass the crashed service's ``config`` to keep a
-        live fault plan attached (the sealed manifest cannot carry one).
+        epoch + WAL-tail replay), swaps in a snapshot of that epoch around
+        the graph the engine loaded and resumes serving.  Pass the crashed
+        service's ``config`` to keep a live fault plan attached (the sealed
+        manifest cannot carry one).
         """
         workdir = Path(workdir)
         engine = KNNEngine.recover(workdir / "engine", config=config)
@@ -293,6 +290,17 @@ class ServingRuntime:
         return result
 
     # -- snapshot swap (supervisor-facing) -----------------------------------
+
+    def _publish_engine_epoch(self) -> None:
+        """Swap in a snapshot of the epoch the engine holds, around its
+        in-memory ``G(t)``: what start-up, recovery and every refresh serve.
+        The epoch must be sealed — durable before visible."""
+        engine = self.engine
+        epoch = engine.iterations_run
+        epoch_dir = engine.epoch_dir(epoch)
+        assert epoch_dir.is_dir(), f"{epoch_dir} is not sealed"
+        self._swap_snapshot(SnapshotView.from_commit(
+            epoch_dir, self._serving_dir, epoch, graph=engine.graph))
 
     def _swap_snapshot(self, view: SnapshotView) -> None:
         with self._view_lock:

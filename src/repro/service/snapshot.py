@@ -79,8 +79,8 @@ class SnapshotView:
 
     Built by :meth:`from_commit` from an epoch directory.  The graph is
     held in memory, read-only (queries are sub-millisecond row reads): the
-    refresh hands over the arrays it just sealed, start-up and recovery
-    load them from the clone.  The profiles stay on disk behind the
+    runtime hands over the engine's own ``G(t)``, the graph the epoch was
+    sealed from or recovered into.  The profiles stay on disk behind the
     store's mmap readers and are only touched by :meth:`recommend`.
 
     Thread-safety: all query methods are read-only and safe to call from
@@ -105,9 +105,9 @@ class SnapshotView:
                     epoch: int, graph: Optional[KNNGraph] = None) -> "SnapshotView":
         """Clone a sealed epoch into a fresh ``serving_dir`` subdirectory.
 
-        ``graph`` is the in-memory ``G(t)`` the epoch was sealed from when
-        the caller still holds it (the refresh does); otherwise the clone is
-        read back.  Either way the served graph is frozen.
+        ``graph`` is the in-memory ``G(t)`` of the epoch when the caller
+        holds it (the runtime always does); otherwise the clone is read
+        back.  Either way the served graph is frozen.
 
         The clone directory name carries a per-process monotonic suffix
         (``epoch_NNNNN_cMMMM``) so every view instance owns a *unique*

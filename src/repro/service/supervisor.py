@@ -32,7 +32,6 @@ import threading
 import traceback
 from typing import Optional
 
-from repro.service.snapshot import SnapshotView
 from repro.testing.faults import fault_point
 
 
@@ -44,8 +43,9 @@ class RefreshSupervisor:
     runtime:
         The owning :class:`~repro.service.runtime.ServingRuntime`; the
         supervisor calls back into it for the engine handle
-        (``runtime._engine`` under ``runtime._engine_lock``), the snapshot
-        swap (``runtime._swap_snapshot``) and the serving directory.
+        (``runtime._engine`` under ``runtime._engine_lock``) and the
+        snapshot swap of the engine's epoch
+        (``runtime._publish_engine_epoch``).
     poll_interval:
         How often the loop checks for pending updates when idle.
     backoff_base / backoff_cap:
@@ -167,12 +167,7 @@ class RefreshSupervisor:
             fault_point(runtime.fault_plan, "service.before_swap")
             # the iteration sealed its own epoch before returning (durable
             # before visible), so the graph it left in memory is that epoch's
-            epoch = engine.iterations_run
-            epoch_dir = engine.epoch_dir(epoch)
-            assert epoch_dir.is_dir(), f"refresh completed but {epoch_dir} is not sealed"
-            view = SnapshotView.from_commit(epoch_dir, runtime.serving_dir,
-                                            epoch, graph=engine.graph)
-            runtime._swap_snapshot(view)
+            runtime._publish_engine_epoch()
             fault_point(runtime.fault_plan, "service.after_swap")
 
     # -- recovery ------------------------------------------------------------
@@ -198,15 +193,13 @@ class RefreshSupervisor:
                 return False
             try:
                 self._runtime._replace_engine_via_recovery()
-                # recovery may have found an epoch sealed by a cycle that
-                # crashed after commit but before swap — publish it so the
-                # serving snapshot catches up with the durable truth
-                engine = self._runtime.engine
-                sealed = engine.latest_sealed_epoch()
-                if sealed is not None and sealed[0] > self._runtime.current_epoch:
-                    view = SnapshotView.from_commit(
-                        sealed[1], self._runtime.serving_dir, sealed[0])
-                    self._runtime._swap_snapshot(view)
+                # the recovered engine holds the newest epoch that verifies:
+                # one a cycle sealed but crashed before swapping in, or one
+                # older than the served epoch when that one's files fail
+                # their checksums — either way serve what the engine holds
+                if (self._runtime.engine.iterations_run
+                        != self._runtime.current_epoch):
+                    self._runtime._publish_engine_epoch()
                 with self._state_lock:
                     # the failure streak is only broken by a *successful
                     # refresh* (see _run) — recovery succeeding just means

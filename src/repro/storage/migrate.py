@@ -1,5 +1,7 @@
-"""``python -m repro migrate``: the one door to profile stores of the two
-layouts that preceded the current one (``docs/storage.md`` describes them)."""
+"""``python -m repro migrate``: the one door to files of the layouts that
+preceded the current ones — profile stores of versions 1 and 2
+(``docs/storage.md`` describes them) and the ``RPCK0001`` graph file of
+checkpoints and commit epochs (``docs/robustness.md``)."""
 
 from __future__ import annotations
 
@@ -11,6 +13,9 @@ from typing import Union
 
 import numpy as np
 
+from repro.core.checkpoint import (save_knn_graph, verify_checkpoint,
+                                   write_checkpoint_checksums)
+from repro.graph.knn_graph import KNNGraph
 from repro.similarity.profiles import (DenseProfileStore, ProfileStoreBase,
                                        SparseProfileStore)
 from repro.storage.profile_store import (FORMAT_VERSION, OnDiskProfileStore,
@@ -75,3 +80,135 @@ def migrate_store(base_dir: Union[str, os.PathLike]) -> bool:
             path.unlink()                # the legacy layout's own files
     scratch.rmdir()
     return True
+
+
+# -- checkpoints and commit epochs -------------------------------------------
+
+_OLD_GRAPH_MAGIC = b"RPCK0001"
+_SCRATCH = "migrate.tmp"
+
+
+def _decode_legacy_graph(path: Path) -> KNNGraph:
+    """An ``RPCK0001`` graph file: the magic, ``(n, k, E)``, then the
+    ``src``, ``dst`` and ``score`` columns of ``E`` edges.
+
+    A file in its writer's layout — in-range edges in strictly increasing
+    ``(src, dst)`` order, at most ``k`` a vertex, NaN-free — is placed with
+    one bulk merge; any other edge list is replayed edge by edge.
+    """
+    raw = path.read_bytes()
+    offset = len(_OLD_GRAPH_MAGIC)
+    header = np.frombuffer(raw, dtype=np.int64, count=3, offset=offset)
+    offset += 3 * 8
+    num_vertices, k, num_edges = (int(x) for x in header)
+    expected_size = offset + num_edges * (8 + 8 + 8)
+    if len(raw) < expected_size:
+        raise ValueError(
+            f"{path} is truncated: expected {expected_size} bytes, found {len(raw)}")
+    sources = np.frombuffer(raw, dtype=np.int64, count=num_edges, offset=offset)
+    offset += num_edges * 8
+    destinations = np.frombuffer(raw, dtype=np.int64, count=num_edges, offset=offset)
+    offset += num_edges * 8
+    scores = np.frombuffer(raw, dtype=np.float64, count=num_edges, offset=offset)
+    graph = KNNGraph(num_vertices, k)
+    if (num_edges and min(sources.min(), destinations.min()) >= 0
+            and max(sources.max(), destinations.max()) < num_vertices
+            and (np.diff(sources * num_vertices + destinations) > 0).all()
+            and np.bincount(sources).max() <= k and not np.isnan(scores).any()):
+        graph.add_candidates_batch(sources, destinations, scores, assume_unique=True)
+    else:
+        for src, dst, score in zip(sources.tolist(), destinations.tolist(),
+                                   scores.tolist()):
+            graph.add_candidate(src, dst, score)
+    return graph
+
+
+def _is_legacy_store(base_dir: Path) -> bool:
+    """Whether the store's open-time gate refuses it (an unknown layout
+    raises from :func:`migrate_store` instead)."""
+    try:
+        OnDiskProfileStore(base_dir, disk_model="instant")
+    except StoreFormatError:
+        return True
+    return False
+
+
+def _fsync(path: Path) -> None:
+    """Flush a file's or a directory's entry and bytes to disk."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def migrate_checkpoint(directory: Union[str, os.PathLike]) -> bool:
+    """Rewrite the legacy files of a checkpoint directory in the current layout.
+
+    ``directory`` holds ``checkpoint.json``: an explicit checkpoint or a
+    sealed commit epoch.  An ``RPCK0001`` graph is decoded and written as
+    the current graph file, a legacy ``profiles/`` store goes through
+    :func:`migrate_store`, and a sealed epoch is re-sealed through
+    :func:`write_checkpoint_checksums`.  Returns ``False``, touching
+    nothing, when the directory already is current.  A sealed epoch that
+    fails its checksums is refused with ``ValueError``: migrating it would
+    seal the damage.
+
+    The new graph is built in ``<directory>/migrate.tmp``, fsynced with
+    that directory, and renamed into place; the scratch directory goes only
+    after the seal, so its presence marks an interrupted run, which is
+    simply run again.
+    """
+    base = Path(directory)
+    manifest = json.loads((base / "checkpoint.json").read_text())
+    graph_path = base / manifest["graph_file"]
+    with graph_path.open("rb") as handle:
+        legacy_graph = handle.read(len(_OLD_GRAPH_MAGIC)) == _OLD_GRAPH_MAGIC
+    profiles = (base / manifest["profiles_dir"]
+                if manifest.get("profiles_dir") else None)
+    legacy_store = profiles is not None and _is_legacy_store(profiles)
+    scratch = base / _SCRATCH
+    interrupted = scratch.exists()
+    if not (legacy_graph or legacy_store or interrupted):
+        return False
+    sealed = (base / "checksums.json").is_file()
+    if sealed and not interrupted and not verify_checkpoint(base):
+        raise ValueError(f"{base} fails its checksums; migrating it would "
+                         "seal the damage")
+    shutil.rmtree(scratch, ignore_errors=True)
+    scratch.mkdir()
+    if legacy_store:
+        migrate_store(profiles)
+    vouched = {}
+    if legacy_graph:
+        staged = scratch / graph_path.name
+        vouched[graph_path.name] = save_knn_graph(
+            staged, _decode_legacy_graph(graph_path))
+        _fsync(staged)
+        _fsync(scratch)
+        os.replace(staged, graph_path)
+        _fsync(base)
+    if sealed:
+        write_checkpoint_checksums(base, vouched)
+    scratch.rmdir()
+    return True
+
+
+def migrate(path: Union[str, os.PathLike]) -> bool:
+    """Migrate whatever ``path`` is: a checkpoint directory (it holds
+    ``checkpoint.json``, as every sealed epoch does), an engine workdir
+    (each ``commits/epoch_*``) or a profile store.  ``True`` when anything
+    was rewritten; raises ``FileNotFoundError`` when ``path`` is none of
+    the three."""
+    base = Path(path)
+    if (base / "checkpoint.json").is_file():
+        return migrate_checkpoint(base)
+    if (base / "commits").is_dir():
+        epochs = sorted(epoch for epoch in (base / "commits").glob("epoch_*")
+                        if epoch.is_dir() and not epoch.name.endswith(".tmp"))
+        return any([migrate_checkpoint(epoch) for epoch in epochs])
+    if not (base / _META_NAME).exists():
+        raise FileNotFoundError(f"nothing to migrate under {base}: "
+                                f"checkpoint.json, commits/ and {_META_NAME} "
+                                "not found")
+    return migrate_store(base)

@@ -22,6 +22,8 @@ from repro.core.engine import (_RETIRED_KNOBS, KNNEngine,
                                _config_from_manifest)
 from repro.graph.knn_graph import KNNGraph
 from repro.pigraph.traversal import HEURISTICS
+from repro.service import ServingRuntime
+from repro.service.supervisor import RefreshSupervisor
 from repro.similarity.workloads import (ProfileChange, generate_dense_profiles,
                                         generate_sparse_profiles)
 from repro.storage.profile_store import OnDiskProfileStore
@@ -67,6 +69,51 @@ class TestGraphSerialisation:
         path.write_bytes(path.read_bytes()[:-16])
         with pytest.raises(ValueError, match="truncated"):
             load_knn_graph(path)
+
+
+class TestLoadingMergesNothing:
+    """The graph file is ``G(t)``'s ranked arrays, so resuming places them
+    as they are: with every merge path refusing to run, both resume paths
+    still succeed, to the saved graph."""
+
+    @staticmethod
+    def _refuse_merges(patch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("loading a graph merged candidates")
+
+        for name in ("_merge_batch", "_merge_sorted", "add_candidate"):
+            patch.setattr(KNNGraph, name, refuse)
+
+    def test_from_checkpoint(self, tmp_path, monkeypatch):
+        with KNNEngine(generate_dense_profiles(60, dim=4, seed=1),
+                       EngineConfig(k=5, num_partitions=3, seed=1)) as engine:
+            engine.run_iteration()
+            engine.save_checkpoint(tmp_path / "ckpt")
+            expected = engine.graph.edge_fingerprint()
+        with monkeypatch.context() as patch:
+            self._refuse_merges(patch)
+            resumed = KNNEngine.from_checkpoint(tmp_path / "ckpt")
+        with resumed:
+            assert resumed.graph.edge_fingerprint() == expected
+
+    def test_serving_recover(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(RefreshSupervisor, "start", lambda supervisor: None)
+        runtime = ServingRuntime(generate_dense_profiles(60, dim=4, seed=1),
+                                 EngineConfig(k=5, num_partitions=3, seed=1),
+                                 workdir=tmp_path / "svc").start()
+        try:
+            assert runtime.submit_updates([ProfileChange(
+                user=3, kind="set", vector=np.ones(4))]).accepted
+            runtime.supervisor.run_one_refresh()
+            expected = runtime.engine.graph.edge_fingerprint()
+        finally:
+            runtime.close()
+        with monkeypatch.context() as patch:
+            self._refuse_merges(patch)
+            recovered = ServingRuntime.recover(tmp_path / "svc")
+        with recovered:
+            assert recovered.current_epoch == recovered.engine.iterations_run == 1
+            assert recovered.engine.graph.edge_fingerprint() == expected
 
 
 class TestCheckpointManifest:

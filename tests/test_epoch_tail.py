@@ -10,8 +10,10 @@ just sealed from memory.  This wall pins what that must not cost:
 * an epoch sealed in an older layout (score cache included, CRCs re-read)
   still recovers, to the never-interrupted twin's graph and profile bytes,
   without reading the cache;
-* ``load_checkpoint`` is off the refresh path and still what start-up,
-  recovery and the supervisor's republish read the graph with;
+* ``load_checkpoint`` runs once a recovery, in ``KNNEngine.recover``:
+  start-up, every refresh and the supervisor's republish serve the epoch
+  the engine holds, around its in-memory graph — never a newer sealed
+  epoch the engine did not recover, never a second load;
 * the served graph is the sealed one, row for row, and is read-only — the
   engine's next iteration runs over it regardless;
 * and nothing grows: serving clones, commit epochs, WAL bytes, open files.
@@ -308,8 +310,9 @@ def test_service_recovers_a_parent_layout_epoch_to_the_twin(kind, tmp_path,
 
 class _LoadSpy:
     """Counts ``load_checkpoint`` calls through both names it is reached by:
-    the snapshot module's import (start-up, republish) and the checkpoint
-    module's own (``load_portable_checkpoint``, i.e. recovery)."""
+    the snapshot module's import (``SnapshotView.from_commit`` with no graph
+    in hand) and the checkpoint module's own (``load_portable_checkpoint``,
+    i.e. recovery)."""
 
     def __init__(self):
         self.snapshot = mock.patch.object(
@@ -335,11 +338,11 @@ class _LoadSpy:
 def test_ten_refreshes_serve_the_sealed_graph_from_memory(kind, tmp_path, parked):
     with _LoadSpy() as spy:
         runtime = _service(kind, tmp_path / "svc")
-        assert spy.counts == (1, 0)             # start() read epoch 0 from disk
+        assert spy.counts == (0, 0)             # start() served G(0) from memory
         try:
             for index in range(10):
                 _refresh(runtime, kind, index)
-                assert spy.counts == (1, 0), f"refresh {index} loaded a graph"
+                assert spy.counts == (0, 0), f"refresh {index} loaded a graph"
                 view = runtime._view
                 served = view.graph
                 assert view.epoch == index + 1
@@ -372,7 +375,7 @@ def test_ten_refreshes_serve_the_sealed_graph_from_memory(kind, tmp_path, parked
             runtime.close()
 
 
-def test_recovery_and_republish_still_load_from_disk(tmp_path):
+def test_recovery_loads_the_graph_once_and_serves_it_from_memory(tmp_path):
     plan = FaultPlan().crash_at("service.before_swap", occurrence=1)
     with _LoadSpy() as spy:
         runtime = ServingRuntime(
@@ -380,22 +383,80 @@ def test_recovery_and_republish_still_load_from_disk(tmp_path):
             workdir=tmp_path / "svc", refresh_poll_interval=0.005,
             backoff_base=0.005, backoff_cap=0.05).start()
         try:
-            assert spy.counts == (1, 0)
+            assert spy.counts == (0, 0)
             assert runtime.submit_updates(_batch("dense", 0)).accepted
             deadline = time.time() + 60.0
             while not (runtime.current_epoch == 1 and runtime.restarts == 1):
                 assert time.time() < deadline, runtime.supervisor.last_error
                 time.sleep(0.005)
             # epoch 1 was sealed, the swap crashed, the supervisor recovered the
-            # engine (one load) and published the sealed epoch (another)
+            # engine (the one load) and published the graph it recovered
             assert "crash" in plan.fired_kinds()
-            assert spy.counts == (2, 1)
+            assert spy.counts == (0, 1)
+            assert runtime._view.graph is runtime.engine.graph
             assert runtime.neighbors(0, deadline_seconds=10.0)
         finally:
             runtime.close()
         with ServingRuntime.recover(tmp_path / "svc") as recovered:
-            assert spy.counts == (3, 2)         # KNNEngine.recover + start()
+            assert spy.counts == (0, 2)         # KNNEngine.recover, nothing else
             assert recovered.current_epoch == 1
+            assert recovered._view.graph is recovered.engine.graph
+
+
+# -- recovery serves what it recovered ---------------------------------------------
+
+
+def _flip_a_score_bit(epoch_dir):
+    """Flip the lowest mantissa bit of the last score the epoch's graph file
+    holds: the epoch no longer verifies."""
+    (graph_file,) = epoch_dir.glob("knn_graph_*.bin")
+    raw = bytearray(graph_file.read_bytes())
+    raw[-8] ^= 0x01
+    graph_file.write_bytes(bytes(raw))
+    assert not verify_checkpoint(epoch_dir)
+
+
+def _serves_the_engines_graph(runtime):
+    engine = runtime.engine
+    assert runtime.current_epoch == engine.iterations_run
+    assert [runtime.neighbors(user) for user in range(NUM_USERS)] == [
+        engine.graph.ranked(user) for user in range(NUM_USERS)]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_recovery_past_a_corrupt_epoch_serves_the_epoch_it_recovered(
+        kind, tmp_path, parked):
+    runtime = _service(kind, tmp_path / "svc")
+    try:
+        for index in range(4):
+            _refresh(runtime, kind, index)
+    finally:
+        runtime.close()
+    _flip_a_score_bit(tmp_path / "svc" / "engine" / "commits" / "epoch_00004")
+    with ServingRuntime.recover(tmp_path / "svc") as recovered:
+        assert recovered.engine.iterations_run == 3     # epoch 4 fails its CRCs
+        _serves_the_engines_graph(recovered)
+        _refresh(recovered, kind, 4)
+        assert recovered.engine.iterations_run == 4
+        _serves_the_engines_graph(recovered)
+
+
+def test_the_supervisors_recovery_past_a_corrupt_epoch_serves_what_it_recovered(
+        tmp_path, parked):
+    runtime = _service("dense", tmp_path / "svc", backoff_base=0.001)
+    try:
+        for index in range(4):
+            _refresh(runtime, "dense", index)
+        assert runtime.current_epoch == 4
+        _flip_a_score_bit(runtime.engine.epoch_dir(4))
+        assert runtime.supervisor._recover()    # what the loop does after a crash
+        assert runtime.engine.iterations_run == 3
+        _serves_the_engines_graph(runtime)
+        runtime.supervisor.run_one_refresh()    # the WAL tail makes epoch 4 again
+        assert runtime.engine.iterations_run == 4
+        _serves_the_engines_graph(runtime)
+    finally:
+        runtime.close()
 
 
 # -- nothing grows ----------------------------------------------------------------

@@ -3,9 +3,10 @@
 :class:`KNNGraph` stores the graph as ``(n, k)`` arrays and merges, saves and
 loads array-to-array.  Everything here compares that against references that
 share no code with it: a dict-based merge oracle and a dict-based scalar
-oracle written below, the old per-edge checkpoint writer, and digests
-computed with the parent commit (the dict/heap implementation) and committed
-here.
+oracle written below, the graph file rebuilt from the public rows, and
+digests computed with the dict/heap implementation and committed here (the
+file digest re-recorded when the file became the ranked arrays).  The
+loader's checks get one broken file each.
 """
 
 import hashlib
@@ -165,7 +166,9 @@ class TestScalarAgainstOracle:
 # -- golden graph: digests computed at the parent commit -------------------------
 
 _GOLDEN_FINGERPRINT = "edcf3c06a40c4f2f09298156040df2485d879b3f46b6493cb8f5e2bf9f750bf5"
-_GOLDEN_FILE_SHA256 = "a9a972b7eb383cfb8ff49829640c85109853fa7ec9cc9ce6416616ba6cef3b05"
+#: the ``RPCK0002`` file of the golden graph (the edge-column file it
+#: replaced hashed to a9a972b7...cef3b05)
+_GOLDEN_FILE_SHA256 = "7efacd222d6d8537baa59aa9847d38094ee26b705d9bae9bda93d1f57bf5db41"
 
 
 def golden_graph():
@@ -183,8 +186,8 @@ def golden_graph():
 
 
 def _file_bytes(n, k, edges):
-    """The ``knn_graph_*.bin`` layout, built the way ``save_knn_graph`` used
-    to: one Python row per edge."""
+    """An ``RPCK0001`` graph file, the layout before the ranked arrays, built
+    the way ``save_knn_graph`` used to: one Python row per edge."""
     return (b"RPCK0001" + np.asarray([n, k, len(edges)], dtype=np.int64).tobytes()
             + np.asarray([e[0] for e in edges], dtype=np.int64).tobytes()
             + np.asarray([e[1] for e in edges], dtype=np.int64).tobytes()
@@ -216,11 +219,23 @@ class TestFingerprintAndFileLayout:
         csr = graph.to_csr()
         assert csr.edges_array().tolist() == graph.edge_array().tolist()
 
-    def test_saved_bytes_equal_the_old_writers(self, tmp_path):
+    def test_saved_bytes_are_the_graph_arrays(self, tmp_path):
+        """The file is the magic, ``(n, k)`` and the three ranked arrays,
+        rebuilt here from the public rows: no sort, no edge columns."""
         graph = golden_graph()
+        n, k = graph.num_vertices, graph.k
         save_knn_graph(tmp_path / "g.bin", graph)
         raw = (tmp_path / "g.bin").read_bytes()
-        assert raw == _file_bytes(graph.num_vertices, graph.k, list(graph.edges()))
+        rows = [graph.ranked(vertex) for vertex in range(n)]
+        neighbours = np.full((n, k), -1, dtype=np.int64)
+        scores = np.full((n, k), -np.inf)
+        for vertex, row in enumerate(rows):
+            neighbours[vertex, :len(row)] = [nb for nb, _ in row]
+            scores[vertex, :len(row)] = [score for _, score in row]
+        counts = np.asarray([len(row) for row in rows], dtype=np.int64)
+        assert raw == (b"RPCK0002" + np.asarray([n, k], dtype=np.int64).tobytes()
+                       + counts.tobytes() + neighbours.tobytes() + scores.tobytes())
+        assert len(raw) == 8 + 16 + 8 * n + 16 * n * k
         assert hashlib.sha256(raw).hexdigest() == _GOLDEN_FILE_SHA256
 
     def test_canonical_file_loads_to_the_same_rows(self, tmp_path):
@@ -237,25 +252,6 @@ class TestFingerprintAndFileLayout:
         loaded = load_knn_graph(tmp_path / "g.bin")
         assert (loaded.num_vertices, loaded.k, loaded.num_edges) == (4, 2, 0)
 
-    def test_shuffled_file_loads_through_the_scalar_path(self, tmp_path):
-        graph = golden_graph()
-        edges = list(graph.edges())
-        np.random.default_rng(3).shuffle(edges)
-        loaded = load_knn_graph(_write_file(tmp_path / "g.bin", 72, 5, edges))
-        assert loaded.edge_fingerprint() == _GOLDEN_FINGERPRINT
-
-    def test_over_full_file_is_replayed_edge_by_edge(self, tmp_path):
-        """Three edges for a k=2 vertex, in the writer's order: the replay
-        evicts the smaller id of the tied pair and keeps ``{2, 3}``; a bulk
-        ``(-score, id)`` placement would have kept ``{3, 1}``."""
-        edges = [(0, 1, 0.5), (0, 2, 0.5), (0, 3, 0.6)]
-        loaded = load_knn_graph(_write_file(tmp_path / "g.bin", 5, 2, edges))
-        assert loaded.ranked(0) == [(3, 0.6), (2, 0.5)]
-        # descending ids with tied scores: later ties never enter
-        edges = [(0, 3, 0.5), (0, 2, 0.5), (0, 1, 0.5)]
-        loaded = load_knn_graph(_write_file(tmp_path / "g.bin", 5, 2, edges))
-        assert loaded.ranked(0) == [(2, 0.5), (3, 0.5)]
-
     def test_damaged_files_still_raise(self, tmp_path):
         save_knn_graph(tmp_path / "g.bin", golden_graph())
         raw = (tmp_path / "g.bin").read_bytes()
@@ -265,8 +261,90 @@ class TestFingerprintAndFileLayout:
         (tmp_path / "magic.bin").write_bytes(b"XXXXXXXX" + raw[8:])
         with pytest.raises(ValueError, match="bad magic"):
             load_knn_graph(tmp_path / "magic.bin")
+        counts, neighbours, scores = _valid_arrays()
+        neighbours[0, 0] = 7
         with pytest.raises(IndexError):
-            load_knn_graph(_write_file(tmp_path / "range.bin", 3, 2, [(0, 7, 0.5)]))
+            load_knn_graph(_write_arrays(tmp_path / "range.bin", counts,
+                                         neighbours, scores))
+
+    def test_the_previous_layout_is_refused_and_named(self, tmp_path):
+        with pytest.raises(ValueError, match=r"python -m repro migrate"):
+            load_knn_graph(_write_file(tmp_path / "old.bin", 5, 2, [(0, 1, 0.5)]))
+
+
+# -- the loader's checks -----------------------------------------------------------
+
+
+def _valid_arrays():
+    """Five rows, k = 3: full, tied, zero-signed, empty, under-full.  Row 1
+    ranks ``-0.0`` before ``0.0`` by id, as the merge folds the zeros."""
+    inf = np.inf
+    counts = np.asarray([3, 2, 0, 3, 1], dtype=np.int64)
+    neighbours = np.asarray([[1, 2, 3], [0, 4, -1], [-1, -1, -1],
+                             [4, 0, 1], [3, -1, -1]], dtype=np.int64)
+    scores = np.asarray([[0.9, 0.5, 0.5], [-0.0, 0.0, -inf], [-inf, -inf, -inf],
+                         [0.8, 0.7, 0.6], [-inf, -inf, -inf]], dtype=np.float64)
+    return counts, neighbours, scores
+
+
+def _write_arrays(path, counts, neighbours, scores):
+    n, k = neighbours.shape
+    path.write_bytes(b"RPCK0002" + np.asarray([n, k], dtype=np.int64).tobytes()
+                     + counts.tobytes() + neighbours.tobytes() + scores.tobytes())
+    return path
+
+
+_COUNTS, _NEIGHBOURS, _SCORES_ = 0, 1, 2
+
+#: (what is wrong, edits of the valid arrays as (array, index, value), error)
+_DAMAGE = [
+    ("count above k", [(_COUNTS, 0, 4)], ValueError),
+    ("count below zero", [(_COUNTS, 2, -1)], ValueError),
+    ("unused neighbour not -1", [(_NEIGHBOURS, (4, 1), 2)], ValueError),
+    ("unused score not -inf", [(_SCORES_, (4, 2), 0.0)], ValueError),
+    ("held neighbour at n", [(_NEIGHBOURS, (0, 2), 5)], IndexError),
+    ("held neighbour negative", [(_NEIGHBOURS, (0, 2), -1)], IndexError),
+    ("self loop", [(_NEIGHBOURS, (0, 0), 0)], ValueError),
+    ("neighbour repeated", [(_NEIGHBOURS, (3, 2), 4)], ValueError),
+    ("NaN score", [(_SCORES_, (0, 0), np.nan)], ValueError),
+    ("scores out of rank", [(_SCORES_, (3, 1), 0.85)], ValueError),
+    ("tie out of id order", [(_NEIGHBOURS, (0, 1), 4)], ValueError),
+    # 0.0 then -0.0 would be strictly ranked if the zeros were told apart
+    ("zeros tied out of id order", [(_NEIGHBOURS, 1, [4, 0, -1]),
+                                    (_SCORES_, 1, [0.0, -0.0, -np.inf])],
+     ValueError),
+]
+
+
+class TestLoaderChecks:
+    def test_the_valid_arrays_load_bit_for_bit(self, tmp_path):
+        arrays = _valid_arrays()
+        loaded = load_knn_graph(_write_arrays(tmp_path / "g.bin", *arrays))
+        assert loaded.ranked(1) == [(0, -0.0), (4, 0.0)]
+        assert _bits(loaded.ranked(1)) == _bits([(0, -0.0), (4, 0.0)])
+        assert loaded.ranked(4) == [(3, float("-inf"))]
+        for got, expected in zip(loaded.ranked_arrays(), arrays):
+            assert got.tobytes() == expected.tobytes()
+        save_knn_graph(tmp_path / "again.bin", loaded)
+        assert ((tmp_path / "again.bin").read_bytes()
+                == (tmp_path / "g.bin").read_bytes())
+
+    def test_a_length_other_than_the_header_implies(self, tmp_path):
+        raw = _write_arrays(tmp_path / "g.bin", *_valid_arrays()).read_bytes()
+        for name, damaged in (("long.bin", raw + bytes(8)), ("short.bin", raw[:-8]),
+                              ("headless.bin", raw[:20])):
+            with pytest.raises(ValueError, match="truncated or padded"):
+                (tmp_path / name).write_bytes(damaged)
+                load_knn_graph(tmp_path / name)
+
+    @pytest.mark.parametrize("what,edits,error", _DAMAGE,
+                             ids=[case[0] for case in _DAMAGE])
+    def test_each_broken_invariant_is_rejected(self, what, edits, error, tmp_path):
+        arrays = _valid_arrays()
+        for array, index, value in edits:
+            arrays[array][index] = value
+        with pytest.raises(error):
+            load_knn_graph(_write_arrays(tmp_path / "g.bin", *arrays))
 
 
 def test_million_vertex_graph_is_three_arrays():
