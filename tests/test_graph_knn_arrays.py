@@ -294,24 +294,24 @@ def _write_arrays(path, counts, neighbours, scores):
     return path
 
 
-_COUNTS, _NEIGHBOURS, _SCORES_ = 0, 1, 2
+_ROW_COUNTS, _NEIGHBOUR_ROWS, _SCORE_ROWS = 0, 1, 2
 
 #: (what is wrong, edits of the valid arrays as (array, index, value), error)
 _DAMAGE = [
-    ("count above k", [(_COUNTS, 0, 4)], ValueError),
-    ("count below zero", [(_COUNTS, 2, -1)], ValueError),
-    ("unused neighbour not -1", [(_NEIGHBOURS, (4, 1), 2)], ValueError),
-    ("unused score not -inf", [(_SCORES_, (4, 2), 0.0)], ValueError),
-    ("held neighbour at n", [(_NEIGHBOURS, (0, 2), 5)], IndexError),
-    ("held neighbour negative", [(_NEIGHBOURS, (0, 2), -1)], IndexError),
-    ("self loop", [(_NEIGHBOURS, (0, 0), 0)], ValueError),
-    ("neighbour repeated", [(_NEIGHBOURS, (3, 2), 4)], ValueError),
-    ("NaN score", [(_SCORES_, (0, 0), np.nan)], ValueError),
-    ("scores out of rank", [(_SCORES_, (3, 1), 0.85)], ValueError),
-    ("tie out of id order", [(_NEIGHBOURS, (0, 1), 4)], ValueError),
+    ("count above k", [(_ROW_COUNTS, 0, 4)], ValueError),
+    ("count below zero", [(_ROW_COUNTS, 2, -1)], ValueError),
+    ("unused neighbour not -1", [(_NEIGHBOUR_ROWS, (4, 1), 2)], ValueError),
+    ("unused score not -inf", [(_SCORE_ROWS, (4, 2), 0.0)], ValueError),
+    ("held neighbour at n", [(_NEIGHBOUR_ROWS, (0, 2), 5)], IndexError),
+    ("held neighbour negative", [(_NEIGHBOUR_ROWS, (0, 2), -1)], IndexError),
+    ("self loop", [(_NEIGHBOUR_ROWS, (0, 0), 0)], ValueError),
+    ("neighbour repeated", [(_NEIGHBOUR_ROWS, (3, 2), 4)], ValueError),
+    ("NaN score", [(_SCORE_ROWS, (0, 0), np.nan)], ValueError),
+    ("scores out of rank", [(_SCORE_ROWS, (3, 1), 0.85)], ValueError),
+    ("tie out of id order", [(_NEIGHBOUR_ROWS, (0, 1), 4)], ValueError),
     # 0.0 then -0.0 would be strictly ranked if the zeros were told apart
-    ("zeros tied out of id order", [(_NEIGHBOURS, 1, [4, 0, -1]),
-                                    (_SCORES_, 1, [0.0, -0.0, -np.inf])],
+    ("zeros tied out of id order", [(_NEIGHBOUR_ROWS, 1, [4, 0, -1]),
+                                    (_SCORE_ROWS, 1, [0.0, -0.0, -np.inf])],
      ValueError),
 ]
 
