@@ -31,7 +31,6 @@ DEFAULT_HOT_LOCKS = (
     "ServingRuntime._view_lock",
     "ServingRuntime._stats_lock",
     "AdmissionController._lock",
-    "SnapshotView._lock",
     "RefreshSupervisor._state_lock",
 )
 

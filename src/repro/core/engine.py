@@ -490,9 +490,9 @@ class KNNEngine:
 
         What start-up and recovery publish from: each entry is a
         self-contained, checksummed checkpoint (graph, profile snapshot,
-        manifest) whose files are immutable once sealed — safe to hard-link
-        into a serving snapshot (the clone survives this engine pruning the
-        epoch later).  A refresh does not scan: it sealed :meth:`epoch_dir`.
+        manifest) whose files are immutable once sealed — a serving snapshot
+        reads them in place (its maps survive this engine pruning the epoch
+        later).  A refresh does not scan: it sealed :meth:`epoch_dir`.
         """
         return _scan_commit_epochs(self.commits_dir)
 

@@ -4,7 +4,8 @@
 long-lived service with three separated threads of control:
 
 * **query path** (caller threads) — :meth:`neighbors` / :meth:`recommend`
-  read an immutable :class:`SnapshotView` of the last committed epoch.
+  read an immutable :class:`SnapshotView` of the last committed epoch,
+  which serves the sealed epoch's files where they lie.
   Reads are snapshot-isolated: they never touch the engine's working
   state, never block on the in-flight iteration, and honour a per-request
   deadline (:class:`DeadlineExceeded` instead of unbounded waiting).
@@ -91,7 +92,6 @@ class ServingRuntime:
         self._workdir = (Path(workdir) if workdir is not None
                          else Path(tempfile.mkdtemp(prefix="repro-serve-")))
         self._engine_dir = self._workdir / "engine"
-        self._serving_dir = self._workdir / "serving"
         self._engine: Optional[KNNEngine] = None
         self._recovered_engine: Optional[KNNEngine] = None
         self._engine_lock = threading.Lock()
@@ -121,10 +121,9 @@ class ServingRuntime:
         if self._started:
             raise RuntimeError("ServingRuntime.start() called twice")
         self._started = True
-        # stale snapshot clones from a previous (crashed) process serve
-        # nobody — every live view belongs to this process
-        shutil.rmtree(self._serving_dir, ignore_errors=True)
-        self._serving_dir.mkdir(parents=True, exist_ok=True)
+        # workdirs of earlier versions hold per-refresh snapshot clones
+        # here; views now read the sealed epochs in place
+        shutil.rmtree(self._workdir / "serving", ignore_errors=True)
         if self._recovered_engine is not None:
             self._engine = self._recovered_engine
         else:
@@ -199,9 +198,7 @@ class ServingRuntime:
                 pass
         self._closed = True
         with self._view_lock:
-            view, self._view = self._view, None
-        if view is not None:
-            view.retire()
+            self._view = None
         with self._engine_lock:
             engine, self._engine = self._engine, None
         if engine is not None:
@@ -243,70 +240,63 @@ class ServingRuntime:
 
     # -- query path ----------------------------------------------------------
 
-    def _acquire_view(self, deadline_seconds: Optional[float]) -> SnapshotView:
+    def _current_view(self, deadline_seconds: Optional[float]) -> SnapshotView:
         timeout = (self._default_deadline if deadline_seconds is None
                    else deadline_seconds)
         deadline_at = (time.monotonic() + timeout) if timeout is not None else None
         while True:
             if self._closed:
-                self._count_failure()
                 raise ServiceUnavailable("service is closed")
             with self._view_lock:
                 view = self._view
-            # acquire() can lose a race with a concurrent swap+retire that
-            # disposed this view; loop and pick up the replacement
-            if view is not None and view.acquire():
+            if view is not None:
                 return view
-            if view is None and not self._started:
-                self._count_failure()
+            if not self._started:
                 raise ServiceUnavailable("service not started")
             if deadline_at is not None and time.monotonic() >= deadline_at:
-                self._count_failure()
                 raise DeadlineExceeded(
                     f"no serving snapshot within {timeout}s")
             time.sleep(0.001)
+
+    def _query(self, deadline_seconds: Optional[float], read):
+        """``read(view)`` on the current view, counted once: served, or
+        failed and re-raised."""
+        try:
+            result = read(self._current_view(deadline_seconds))
+        except Exception:
+            self._count(failed=True)
+            raise
+        self._count(failed=False)
+        return result
 
     def neighbors(self, user: int,
                   deadline_seconds: Optional[float] = None
                   ) -> List[Tuple[int, float]]:
         """The user's current KNN ``(neighbor, score)`` from the snapshot."""
-        view = self._acquire_view(deadline_seconds)
-        try:
-            result = view.neighbors(user)
-        finally:
-            view.release()
-        self._count_served()
-        return result
+        return self._query(deadline_seconds,
+                           lambda view: view.neighbors(user))
 
     def recommend(self, user: int, top_n: int = 5,
                   deadline_seconds: Optional[float] = None) -> List[int]:
         """Top-N item recommendations from the snapshot (sparse profiles)."""
-        view = self._acquire_view(deadline_seconds)
-        try:
-            result = view.recommend(user, top_n=top_n)
-        finally:
-            view.release()
-        self._count_served()
-        return result
+        return self._query(deadline_seconds,
+                           lambda view: view.recommend(user, top_n=top_n))
 
     # -- snapshot swap (supervisor-facing) -----------------------------------
 
     def _publish_engine_epoch(self) -> None:
         """Swap in a snapshot of the epoch the engine holds, around its
         in-memory ``G(t)``: what start-up, recovery and every refresh serve.
-        The epoch must be sealed — durable before visible."""
+        ``from_commit`` refuses an epoch that is not sealed — durable before
+        visible."""
         engine = self.engine
         epoch = engine.iterations_run
-        epoch_dir = engine.epoch_dir(epoch)
-        assert epoch_dir.is_dir(), f"{epoch_dir} is not sealed"
         self._swap_snapshot(SnapshotView.from_commit(
-            epoch_dir, self._serving_dir, epoch, graph=engine.graph))
+            engine.epoch_dir(epoch), epoch, graph=engine.graph))
 
     def _swap_snapshot(self, view: SnapshotView) -> None:
         with self._view_lock:
-            old, self._view = self._view, view
-        if old is not None:
-            old.retire()
+            self._view = view
         with self._stats_lock:
             self._swaps += 1
 
@@ -348,10 +338,6 @@ class ServingRuntime:
     @property
     def workdir(self) -> Path:
         return self._workdir
-
-    @property
-    def serving_dir(self) -> Path:
-        return self._serving_dir
 
     @property
     def config(self) -> EngineConfig:
@@ -396,13 +382,12 @@ class ServingRuntime:
         """One consistent liveness/readiness/degradation sample."""
         return build_health(self)
 
-    def _count_served(self) -> None:
+    def _count(self, failed: bool) -> None:
         with self._stats_lock:
-            self._queries_served += 1
-
-    def _count_failure(self) -> None:
-        with self._stats_lock:
-            self._query_failures += 1
+            if failed:
+                self._query_failures += 1
+            else:
+                self._queries_served += 1
 
     def stats(self) -> dict:
         """Counters for dashboards and the serving benchmark."""

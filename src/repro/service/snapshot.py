@@ -1,30 +1,24 @@
-"""Immutable serving snapshots: hard-linked clones of sealed epochs.
+"""Immutable serving snapshots: sealed epochs read where they lie.
 
 The query path of the serving runtime never touches the engine's working
 state.  Every completed iteration seals a checksummed commit epoch (see
-``docs/robustness.md``); the refresh loop clones that epoch into the
-service's own ``serving/`` directory — **hard links** for every file, since
-a sealed epoch is immutable — and wraps it in a :class:`SnapshotView`.
-Queries then read the cloned graph and profiles:
+``docs/robustness.md``) whose files are never rewritten; the refresh loop
+wraps that epoch in a :class:`SnapshotView` around the engine's in-memory
+``G(t)`` and opens the epoch's profile store in place:
 
 * reads are *snapshot-isolated*: the in-flight iteration mutates only the
-  engine's working stores, never the sealed epoch or its clone, so a query
-  observes one consistent ``(G(t), P(t))`` pair from the last committed
-  epoch and never blocks on the refresh;
-* the clone's lifetime is owned by the service, not the engine: the
-  engine's commit GC may prune the epoch directory, but the hard links
-  keep the bytes alive until the last reader releases the view.
-
-Views are reference-counted: the runtime acquires one per query and
-retires the previous view on swap; the clone directory is deleted when a
-retired view's last reader releases it.
+  engine's working stores, never a sealed epoch, so a query observes one
+  consistent ``(G(t), P(t))`` pair from the last committed epoch and never
+  blocks on the refresh;
+* the view maps every profile file when it is built, and a mapping
+  outlives its path: the engine's commit GC may prune the epoch directory
+  while readers still hold the view, and the bytes stay readable until the
+  last reference to the view is dropped.
 """
 
 from __future__ import annotations
 
 import os
-import shutil
-import threading
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -34,45 +28,6 @@ from repro.storage.profile_store import OnDiskProfileStore
 
 PathLike = Union[str, os.PathLike]
 
-#: Monotonic suffix for clone directories.  Two live views must never share
-#: a directory path: a retired view's disposal deletes its directory, and a
-#: ``from_commit`` of the same epoch used to clone into the *same*
-#: ``epoch_NNNNN`` path — so the old view's rmtree (or ``from_commit``'s own
-#: remnant cleanup) could delete the files a fresh view was serving.  A
-#: per-process counter makes every clone directory unique; stale clones from
-#: a crashed previous process are swept by the runtime's ``start()``.
-_CLONE_COUNTER = 0
-_CLONE_COUNTER_LOCK = threading.Lock()
-
-
-def _next_clone_suffix() -> int:
-    global _CLONE_COUNTER
-    with _CLONE_COUNTER_LOCK:
-        _CLONE_COUNTER += 1
-        return _CLONE_COUNTER
-
-
-def _clone_tree_hardlink(source: Path, dest: Path) -> None:
-    """Clone a sealed epoch directory file-by-file via hard links.
-
-    Every file of a sealed epoch is immutable (the commit protocol only
-    ever creates whole new epoch directories), so hard-linking is always
-    safe; cross-filesystem links fall back to copies transparently.
-    """
-    for path in sorted(source.rglob("*")):
-        relative = path.relative_to(source)
-        target = dest / relative
-        if path.is_dir():
-            target.mkdir(parents=True, exist_ok=True)
-            continue
-        target.parent.mkdir(parents=True, exist_ok=True)
-        if target.exists():
-            target.unlink()
-        try:
-            os.link(path, target)
-        except OSError:
-            shutil.copy2(path, target)
-
 
 class SnapshotView:
     """One immutable serving snapshot: ``G(t)`` + ``P(t)`` of a sealed epoch.
@@ -81,97 +36,46 @@ class SnapshotView:
     held in memory, read-only (queries are sub-millisecond row reads): the
     runtime hands over the engine's own ``G(t)``, the graph the epoch was
     sealed from or recovered into.  The profiles stay on disk behind the
-    store's mmap readers and are only touched by :meth:`recommend`.
+    store's memory maps and are only touched by :meth:`recommend`.
 
-    Thread-safety: all query methods are read-only and safe to call from
-    many reader threads concurrently.  Lifetime is managed through
-    :meth:`acquire`/:meth:`release` plus :meth:`retire` (called by the
-    runtime when a newer snapshot is swapped in).
+    Thread-safety: the view is plain immutable state and every query
+    method is read-only, so any number of reader threads may share it.
     """
 
-    def __init__(self, directory: PathLike, epoch: int, graph: KNNGraph,
+    def __init__(self, epoch: int, graph: KNNGraph,
                  store: Optional[OnDiskProfileStore]):
-        self._directory = Path(directory)
         self._epoch = int(epoch)
         self._graph = graph
         self._store = store
-        self._lock = threading.Lock()
-        self._refs = 0
-        self._retired = False
-        self._disposed = False
 
     @classmethod
-    def from_commit(cls, epoch_dir: PathLike, serving_dir: PathLike,
-                    epoch: int, graph: Optional[KNNGraph] = None) -> "SnapshotView":
-        """Clone a sealed epoch into a fresh ``serving_dir`` subdirectory.
+    def from_commit(cls, epoch_dir: PathLike, epoch: int,
+                    graph: Optional[KNNGraph] = None) -> "SnapshotView":
+        """Serve the sealed epoch under ``epoch_dir`` in place.
 
         ``graph`` is the in-memory ``G(t)`` of the epoch when the caller
-        holds it (the runtime always does); otherwise the clone is read
-        back.  Either way the served graph is frozen.
+        holds it (the runtime always does); otherwise it is read from
+        ``epoch_dir``.  Either way the served graph is frozen.  The profile
+        store is opened and mapped right away, so the view keeps answering
+        after the epoch directory is deleted.
 
-        The clone directory name carries a per-process monotonic suffix
-        (``epoch_NNNNN_cMMMM``) so every view instance owns a *unique*
-        directory: re-cloning an epoch that another live view still serves
-        (recovery re-publish, a reader pinning a view across a supervisor
-        restart) can then never delete or overwrite bytes under that
-        reader.  Remnants of clones from a crashed previous process are
-        removed wholesale by the runtime's ``start()`` sweep of
-        ``serving_dir``.
+        Raises ``ValueError`` for a directory that is not sealed — an
+        ``.tmp`` epoch, or one without its ``checksums.json`` (written
+        last): durable before visible.
         """
         source = Path(epoch_dir)
-        dest = (Path(serving_dir)
-                / f"epoch_{epoch:05d}_c{_next_clone_suffix():04d}")
-        if dest.exists():  # pragma: no cover - the suffix makes this unreachable
-            shutil.rmtree(dest)
-        _clone_tree_hardlink(source, dest)
+        if (source.name.endswith(".tmp")
+                or not (source / "checksums.json").is_file()):
+            raise ValueError(
+                f"{source} is not a sealed epoch (no checksums.json, or an "
+                "unrenamed .tmp directory); only sealed epochs are served")
         if graph is None:
-            graph, _iteration, _metadata = load_checkpoint(dest)
+            graph, _iteration, _metadata = load_checkpoint(source)
         store = None
-        if (dest / "profiles").is_dir():
-            store = OnDiskProfileStore(dest / "profiles", disk_model="instant")
-        return cls(dest, epoch, graph.freeze(), store)
-
-    # -- lifetime ------------------------------------------------------------
-
-    def acquire(self) -> bool:
-        """Pin the view for one read; ``False`` when already disposed."""
-        with self._lock:
-            if self._disposed:
-                return False
-            self._refs += 1
-            return True
-
-    def release(self) -> None:
-        """Unpin; a retired view with no readers left deletes its clone."""
-        dispose = False
-        with self._lock:
-            self._refs -= 1
-            if self._retired and self._refs <= 0 and not self._disposed:
-                self._disposed = True
-                dispose = True
-        if dispose:
-            self._dispose()
-
-    def retire(self) -> None:
-        """Mark superseded; disposal happens when the last reader releases."""
-        dispose = False
-        with self._lock:
-            self._retired = True
-            if self._refs <= 0 and not self._disposed:
-                self._disposed = True
-                dispose = True
-        if dispose:
-            self._dispose()
-
-    def _dispose(self) -> None:
-        if self._store is not None:
-            self._store = None
-        shutil.rmtree(self._directory, ignore_errors=True)
-
-    @property
-    def active_readers(self) -> int:
-        with self._lock:
-            return self._refs
+        if (source / "profiles").is_dir():
+            store = OnDiskProfileStore(source / "profiles",
+                                       disk_model="instant").map_files()
+        return cls(epoch, graph.freeze(), store)
 
     # -- queries -------------------------------------------------------------
 
@@ -179,10 +83,6 @@ class SnapshotView:
     def epoch(self) -> int:
         """The sealed epoch this view serves (the iteration counter)."""
         return self._epoch
-
-    @property
-    def directory(self) -> Path:
-        return self._directory
 
     @property
     def graph(self) -> KNNGraph:

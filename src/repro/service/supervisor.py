@@ -3,7 +3,7 @@
 The :class:`RefreshSupervisor` owns the service's single background thread.
 Each refresh cycle it runs one dirty-scheduled engine iteration in the
 serving order — drain the update queue, apply, score what was applied, seal
-a commit epoch — clones the sealed epoch into a fresh
+a commit epoch — wraps the sealed epoch, read in place, in a fresh
 :class:`~repro.service.snapshot.SnapshotView` around the graph it still holds
 in memory, hands the view to the runtime's atomic swap callback, and only
 then collects the epochs and WAL the seal superseded.
@@ -154,7 +154,7 @@ class RefreshSupervisor:
 
     def run_one_refresh(self) -> None:
         """One refresh cycle: drain, apply, score what was applied, seal,
-        clone, swap, then collect the epochs and WAL the seal superseded —
+        swap, then collect the epochs and WAL the seal superseded —
         an update queued before the call is served after it.
 
         Also used synchronously by the runtime's graceful drain for the

@@ -760,6 +760,21 @@ class OnDiskProfileStore:
             self._dense_mapped = (np.asarray(mm), np.asarray(norms_mm))
         return self._dense_mapped
 
+    def map_files(self) -> "OnDiskProfileStore":
+        """Map every file of the store now instead of on the first load.
+
+        A mapping outlives the path it was opened through, so a handle
+        mapped this way keeps serving loads after its directory is deleted
+        — what a snapshot of a sealed epoch needs once the engine's commit
+        GC prunes that epoch.  Returns the handle.
+        """
+        self._require_meta()
+        if self._meta["kind"] == "dense":
+            self._dense_maps()
+        else:
+            self._sparse()
+        return self
+
     def _map_int64(self, name: str) -> np.ndarray:
         """One int64 store file as a read-only plain-``ndarray`` view of its
         map (an empty file, which cannot be mapped, as an empty array)."""

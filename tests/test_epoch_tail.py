@@ -16,7 +16,8 @@ just sealed from memory.  This wall pins what that must not cost:
   epoch the engine did not recover, never a second load;
 * the served graph is the sealed one, row for row, and is read-only — the
   engine's next iteration runs over it regardless;
-* and nothing grows: serving clones, commit epochs, WAL bytes, open files.
+* and nothing grows: commit epochs, WAL bytes, open files, mapped files —
+  and no ``serving/`` directory of per-refresh clones ever appears.
 
 The refresh loop stays parked (``RefreshSupervisor.start`` patched out), so
 every refresh is a ``run_one_refresh()`` the test asked for; the test of
@@ -350,7 +351,8 @@ def test_ten_refreshes_serve_the_sealed_graph_from_memory(kind, tmp_path, parked
                 assert verify_checkpoint(
                     runtime.engine.epoch_dir(view.epoch))
                 # this module's own import of load_checkpoint is not spied
-                sealed, iteration, _ = load_checkpoint(view.directory)
+                sealed, iteration, _ = load_checkpoint(
+                    runtime.engine.epoch_dir(view.epoch))
                 assert iteration == view.epoch
                 # whatever arrays the graph is made of (neighbours, scores,
                 # counts today): equal to the sealed file's, none writeable
@@ -470,6 +472,15 @@ def _open_fds():
     return len(os.listdir("/proc/self/fd"))
 
 
+def _mapped_under(directory):
+    """How many of this process's mappings are of files under ``directory``
+    (a pruned epoch's file still mapped reads ``... (deleted)``)."""
+    gc.collect()
+    prefix = f"{Path(directory).resolve()}{os.sep}"
+    with open("/proc/self/maps", encoding="utf-8") as maps:
+        return sum(1 for line in maps if prefix in line)
+
+
 def _fixed_width_batch(index):
     """25 changes whose WAL records have one size from refresh 5 to 40: the
     log is JSON, so user ids stay two digits, every float prints in four
@@ -483,65 +494,48 @@ def _fixed_width_batch(index):
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
 def test_nothing_grows_over_forty_refreshes(tmp_path, parked):
     """The first piece of the long-run soak: 40 refreshes with churn under a
-    reader that pins views across swaps."""
+    reader that holds views across swaps."""
     runtime = _service("dense", tmp_path / "svc")
-    pinned = []
-    pinned_lock = threading.Lock()
-    # the last release of a retired view deletes its clone on the reader's
-    # thread, and ``shutil.rmtree`` holds directory descriptors meanwhile:
-    # the descriptor count is taken between releases, never during one
-    releasing = threading.Lock()
     stop = threading.Event()
     failures = []
 
     def reader():
-        # pin the current view, hold it across at least one swap, let it go
+        # take the current view, hold it across at least one swap, drop it:
+        # the reader holds one view (two mapped files) at a time
         try:
             while not stop.is_set():
-                view = runtime._acquire_view(5.0)
-                with pinned_lock:
-                    pinned.append(view)
+                view = runtime._current_view(5.0)
                 assert len(view.neighbors(0)) == K
                 time.sleep(0.01)
-                with pinned_lock:
-                    pinned.remove(view)
-                with releasing:
-                    view.release()
+                del view
         except Exception as exc:  # noqa: BLE001 — reported by the main thread
             failures.append(exc)
-
-    def open_fds():
-        with releasing:
-            return _open_fds()
 
     thread = threading.Thread(target=reader, daemon=True)
     thread.start()
     engine_dir = runtime.workdir / "engine"
     wal = engine_dir / "wal.bin"
     try:
-        wal_ceiling = fds_at_5 = None
+        wal_ceiling = fds_at_5 = maps_at_5 = None
         for index in range(40):
             assert runtime.submit_updates(_fixed_width_batch(index)).accepted
             runtime.supervisor.run_one_refresh()
-            with pinned_lock:
-                held = len(set(map(id, pinned)))
-            serving = list(runtime.serving_dir.iterdir())
-            # the current view, one being retired, and whatever is pinned
-            assert len(serving) <= 2 + held, (index, serving)
+            assert not (runtime.workdir / "serving").exists(), index
             commits = list((engine_dir / "commits").iterdir())
             assert len(commits) <= KNNEngine.COMMITS_KEPT, (index, commits)
             if index == 4:
-                wal_ceiling, fds_at_5 = wal.stat().st_size, open_fds()
+                wal_ceiling, fds_at_5 = wal.stat().st_size, _open_fds()
+                maps_at_5 = _mapped_under(runtime.workdir)
             elif index > 4:
                 assert wal.stat().st_size <= wal_ceiling, index
-        assert abs(open_fds() - fds_at_5) <= 2
+        assert abs(_open_fds() - fds_at_5) <= 2
+        assert _mapped_under(runtime.workdir) <= maps_at_5 + 2
     finally:
         stop.set()
         thread.join(timeout=30.0)
     try:
         assert not thread.is_alive() and not failures, failures
-        assert [path.name for path in runtime.serving_dir.iterdir()] == [
-            runtime._view.directory.name]
+        assert not (runtime.workdir / "serving").exists()
         assert not list(runtime.workdir.rglob("score_cache.bin"))
     finally:
         runtime.close()
@@ -565,7 +559,7 @@ def test_nothing_grows_over_forty_loop_refreshes(tmp_path):
         engine_dir = runtime.workdir / "engine"
         wal = engine_dir / "wal.bin"
         try:
-            wal_ceiling = fds_at_5 = None
+            wal_ceiling = fds_at_5 = maps_at_5 = None
             for index in range(40):
                 epoch = runtime.current_epoch
                 assert runtime.submit_updates(_fixed_width_batch(index)).accepted
@@ -576,12 +570,14 @@ def test_nothing_grows_over_forty_loop_refreshes(tmp_path):
                     time.sleep(0.002)
                 commits = list((engine_dir / "commits").iterdir())
                 assert len(commits) <= KNNEngine.COMMITS_KEPT, (index, commits)
-                assert len(list(runtime.serving_dir.iterdir())) <= 2, index
+                assert not (runtime.workdir / "serving").exists(), index
                 if index == 4:
                     wal_ceiling, fds_at_5 = wal.stat().st_size, _open_fds()
+                    maps_at_5 = _mapped_under(runtime.workdir)
                 elif index > 4:
                     assert wal.stat().st_size <= wal_ceiling, index
             assert abs(_open_fds() - fds_at_5) <= 2
+            assert _mapped_under(runtime.workdir) <= maps_at_5 + 2
             assert runtime.supervisor.refreshes == 40
             assert runtime.restarts == 0 and prepared
         finally:

@@ -2,14 +2,16 @@
 
 The chaos wall (``test_service_chaos.py``) proves the service survives
 being killed; this module pins the *contract* of each component — snapshot
-view lifetimes, bounded admission with explicit shed reasons, per-request
-deadlines, health/readiness probes, graceful drain, and degradation to a
-parked-but-serving state when the refresh loop exhausts its restart
-budget.
+views that outlive their pruned epochs, query accounting, bounded admission
+with explicit shed reasons, per-request deadlines, health/readiness probes,
+graceful drain, and degradation to a parked-but-serving state when the
+refresh loop exhausts its restart budget.
 """
 
 from __future__ import annotations
 
+import re
+import shutil
 import threading
 import time
 
@@ -17,12 +19,13 @@ import numpy as np
 import pytest
 
 from repro.core.config import EngineConfig
+from repro.core.engine import KNNEngine
 from repro.service import (DeadlineExceeded, ServiceUnavailable,
                            ServingRuntime, SnapshotView)
 from repro.service.admission import AdmissionController
 from repro.similarity.workloads import (ProfileChange, generate_dense_profiles,
                                         generate_sparse_profiles)
-from repro.testing import FaultPlan
+from repro.testing import FaultPlan, InjectedCrash
 
 NUM_USERS = 60
 DIM = 8
@@ -244,123 +247,122 @@ class TestDeadlines:
             service.close()
 
 
+def _sparse_runtime(workdir, **overrides):
+    profiles = generate_sparse_profiles(NUM_USERS, num_items=200,
+                                        items_per_user=12, seed=3)
+    return ServingRuntime(profiles, _config(durable=True), workdir=workdir,
+                          refresh_poll_interval=0.005, **overrides)
+
+
+def _sparse_batch(index, size=3):
+    rng = np.random.default_rng(300 + index)
+    return [ProfileChange(user=int(u), kind="add",
+                          item=int(rng.integers(0, 200)))
+            for u in rng.choice(NUM_USERS, size=size, replace=False)]
+
+
 class TestSnapshotViews:
-    def test_retired_view_survives_until_last_reader_releases(self, tmp_path):
-        with _runtime(tmp_path / "svc") as service:
+    """A view reads its sealed epoch where it lies: it maps the profile
+    files when built, so it answers after the engine prunes the epoch."""
+
+    @pytest.mark.parametrize("kind", ["dense", "sparse"])
+    def test_a_held_view_answers_after_its_epoch_is_pruned(self, kind,
+                                                           tmp_path):
+        make, batch = ((_runtime, _batch) if kind == "dense"
+                       else (_sparse_runtime, _sparse_batch))
+        with make(tmp_path / "svc") as service:
             with service._view_lock:
-                view = service._view
-            assert view.acquire()
-            service.submit_updates(_batch(0))
-            _await(lambda: service.current_epoch >= 1, message="swap")
-            # the old view is retired but pinned: its files must still exist
-            assert view.directory.is_dir()
-            assert view.neighbors(0)  # still readable mid-retirement
-            view.release()
-            _await(lambda: not view.directory.exists(),
-                   message="retired view disposal")
-            # the new snapshot is untouched by the old view's disposal
-            assert len(service.neighbors(0)) == 5
+                held = service._view
+            users = range(NUM_USERS)
+            neighbors = [held.neighbors(user) for user in users]
+            if kind == "sparse":
+                recommended = [held.recommend(user, top_n=4) for user in users]
+            for index in range(3):  # COMMITS_KEPT=2: epoch 0 gets pruned
+                service.submit_updates(batch(index))
+                _await(lambda i=index: service.current_epoch >= i + 1
+                       and service.pending_updates == 0,
+                       message=f"epoch {index + 1}")
+            assert 0 not in [e for e, _ in service.engine.sealed_epochs()]
+            assert not service.engine.epoch_dir(held.epoch).exists()
+            assert [held.neighbors(user) for user in users] == neighbors
+            if kind == "sparse":
+                assert [held.recommend(user, top_n=4)
+                        for user in users] == recommended
+            assert not (tmp_path / "svc" / "serving").exists()
 
-    def test_snapshot_survives_engine_commit_gc(self, tmp_path):
-        """Hard links keep a served epoch alive after the engine prunes it."""
-        with _runtime(tmp_path / "svc") as service:
-            with service._view_lock:
-                epoch0 = service._view
-            assert epoch0.acquire()
-            try:
-                for index in range(3):  # COMMITS_KEPT=2: epoch 0 gets pruned
-                    service.submit_updates(_batch(index))
-                    _await(lambda i=index: service.current_epoch >= i + 1
-                           and service.pending_updates == 0,
-                           message=f"epoch {index + 1}")
-                engine_epochs = [e for e, _ in service.engine.sealed_epochs()]
-                assert 0 not in engine_epochs
-                assert epoch0.neighbors(0)  # pruned upstream, readable here
-            finally:
-                epoch0.release()
-
-    def test_acquire_after_dispose_fails_cleanly(self, tmp_path):
-        with _runtime(tmp_path / "svc") as service:
-            with service._view_lock:
-                view = service._view
-        # close() retired the final view with no readers: it is disposed
-        assert not view.acquire()
-
-
-class TestSnapshotDirectoryLifetimes:
-    """The disposal-vs-clone seam: every live view owns a unique directory.
-
-    The refcount state machine itself is sound (every transition happens
-    under the view lock and ``_disposed`` latches before the rmtree), but
-    two views cloned from the same epoch used to share one
-    ``epoch_NNNNN`` path — so a retired view's disposal deleted the files
-    a fresh view of the same epoch was serving.  The regression test pins
-    the unique-suffix fix deterministically; the stress test hammers the
-    acquire/read/release path against a swap-and-retire loop.
-    """
-
-    def test_recloning_a_served_epoch_never_shares_its_directory(
+    def test_a_sparse_view_recommends_after_its_directory_is_removed(
             self, tmp_path):
-        with _runtime(tmp_path / "svc") as service:
-            epoch, commit_dir = service.engine.sealed_epochs()[0]
-            serving = tmp_path / "standalone_serving"
-            first = SnapshotView.from_commit(commit_dir, serving, epoch)
-            second = SnapshotView.from_commit(commit_dir, serving, epoch)
-            try:
-                assert first.directory != second.directory
-                first.retire()  # no readers: disposes (rmtree) immediately
-                assert not first.directory.exists()
-                # pre-fix both views served epoch_00000: the rmtree above
-                # deleted the second view's files out from under it
-                assert second.directory.is_dir()
-                assert second.acquire()
-                try:
-                    assert second.neighbors(0) is not None
-                finally:
-                    second.release()
-            finally:
-                second.retire()
+        with _sparse_runtime(tmp_path / "svc") as service:
+            epoch, commit_dir = service.engine.sealed_epochs()[-1]
+        # no graph in hand: the view reads it from the epoch directory
+        view = SnapshotView.from_commit(commit_dir, epoch)
+        unread = SnapshotView.from_commit(commit_dir, epoch)
+        before = [view.recommend(user, top_n=5) for user in range(NUM_USERS)]
+        assert any(before)
+        shutil.rmtree(commit_dir)
+        for served in (view, unread):   # read before the removal, and not
+            assert [served.recommend(user, top_n=5)
+                    for user in range(NUM_USERS)] == before
 
-    def test_readers_versus_swap_and_retire_stress(self, tmp_path):
-        """Reader threads pin/read/release while a swapper re-clones the
-        same epoch and retires the previous view.  A failed acquire is the
-        only acceptable race outcome; a read crashing (its files deleted
-        mid-flight) is the seam this pins shut."""
-        profiles = generate_sparse_profiles(NUM_USERS, num_items=200,
-                                            items_per_user=12, seed=3)
-        with ServingRuntime(profiles, _config(durable=True),
-                            workdir=tmp_path / "svc",
-                            refresh_poll_interval=0.005) as service:
-            epoch, commit_dir = service.engine.sealed_epochs()[0]
-        serving = tmp_path / "stress_serving"
-        holder = {"view": SnapshotView.from_commit(commit_dir, serving, epoch)}
-        swap_lock = threading.Lock()
+    def test_unsealed_epochs_are_refused(self, tmp_path):
+        """Durable before visible: an epoch is served only once sealed and
+        renamed into place."""
+        plan = FaultPlan().crash_at("commit.before_rename", occurrence=2)
+        engine = KNNEngine(_profiles(), _config(durable=True, fault_plan=plan),
+                           workdir=tmp_path / "engine")
+        try:
+            engine.ensure_initial_commit()
+            with pytest.raises(InjectedCrash):
+                engine.run_iteration()
+            unrenamed = engine.commits_dir / "epoch_00001.tmp"
+            assert (unrenamed / "checksums.json").is_file()
+            with pytest.raises(ValueError, match=re.escape(str(unrenamed))):
+                SnapshotView.from_commit(unrenamed, 1)
+            sealed = engine.epoch_dir(0)
+            (sealed / "checksums.json").unlink()
+            with pytest.raises(ValueError, match=re.escape(str(sealed))):
+                SnapshotView.from_commit(sealed, 0)
+        finally:
+            engine.close()
+
+    def test_readers_versus_publish_and_prune_stress(self, tmp_path):
+        """Four readers recommend from the current view and from the first
+        view they took, while a swapper publishes a view of every new epoch
+        and the engine prunes the old ones: no read fails or changes."""
+        engine = KNNEngine(
+            generate_sparse_profiles(NUM_USERS, num_items=200,
+                                     items_per_user=12, seed=3),
+            _config(durable=True), workdir=tmp_path / "engine")
+
+        def publish():
+            epoch = engine.iterations_run
+            return SnapshotView.from_commit(engine.epoch_dir(epoch), epoch,
+                                            graph=engine.graph)
+
+        engine.ensure_initial_commit()
+        holder = {"view": publish()}
+        first = holder["view"]
+        expected = {user: first.recommend(user, top_n=3) for user in range(8)}
         stop = threading.Event()
         errors = []
         reads = [0] * 4
 
         def reader(slot):
-            while not stop.is_set():
-                with swap_lock:
-                    view = holder["view"]
-                if not view.acquire():
-                    continue  # the swapper already disposed it: fine
-                try:
-                    view.recommend(3, top_n=3)  # touches the cloned store
-                    reads[slot] += 1
-                except Exception as exc:  # noqa: BLE001 - the assertion
-                    errors.append(exc)
-                finally:
-                    view.release()
+            try:
+                while not stop.is_set():
+                    for user in range(8):
+                        holder["view"].recommend(user, top_n=3)
+                        assert first.recommend(user, top_n=3) == expected[user]
+                        reads[slot] += 1
+            except Exception as exc:  # noqa: BLE001 - the assertion
+                errors.append(exc)
 
         def swapper():
             try:
-                for _ in range(25):
-                    fresh = SnapshotView.from_commit(commit_dir, serving,
-                                                     epoch)
-                    with swap_lock:
-                        old, holder["view"] = holder["view"], fresh
-                    old.retire()
+                for index in range(12):
+                    engine.enqueue_profile_changes(_sparse_batch(index))
+                    engine.run_iteration(updates_first=True)
+                    holder["view"] = publish()
             except Exception as exc:  # noqa: BLE001 - the assertion
                 errors.append(exc)
             finally:
@@ -369,16 +371,43 @@ class TestSnapshotDirectoryLifetimes:
         threads = ([threading.Thread(target=reader, args=(slot,))
                     for slot in range(4)]
                    + [threading.Thread(target=swapper)])
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == []
-        assert sum(reads) > 0
-        holder["view"].retire()
-        # every clone was retired and read-free: the directory is empty
-        assert list(serving.iterdir()) == []
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            assert all(reads)
+            assert holder["view"].epoch == 12
+            assert [e for e, _ in engine.sealed_epochs()] == [11, 12]
+            # the first view's epoch is long pruned, and it still answers
+            assert not engine.epoch_dir(first.epoch).exists()
+            assert {user: first.recommend(user, top_n=3)
+                    for user in range(8)} == expected
+        finally:
+            stop.set()
+            engine.close()
+
+
+class TestQueryAccounting:
+    def test_every_query_is_counted_once_served_or_failed(self, tmp_path):
+        with _runtime(tmp_path / "svc") as service:
+            calls = [lambda: service.neighbors(10 ** 6),
+                     lambda: service.neighbors(-1),
+                     lambda: service.recommend(0),   # dense: no items
+                     lambda: service.neighbors(0),
+                     lambda: service.neighbors(NUM_USERS - 1)]
+            failed = 0
+            for call in calls:
+                try:
+                    call()
+                except (IndexError, ValueError):
+                    failed += 1
+            stats = service.stats()
+            assert failed == 3
+            assert stats["query_failures"] == failed
+            assert stats["queries_served"] + stats["query_failures"] == len(calls)
 
 
 class TestDegradation:

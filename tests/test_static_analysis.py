@@ -16,7 +16,9 @@ import pytest
 
 from repro.analysis import RULE_IDS, analyze
 from repro.analysis import crashpoints, deadcode, durability, locks, memmaps, purity
-from repro.analysis.runner import AnalysisConfig, _discover_tests
+from repro.analysis.runner import (DEFAULT_HOT_LOCKS,
+                                   DEFAULT_SANCTIONED_WRITERS, AnalysisConfig,
+                                   _discover_tests)
 from repro.analysis.sources import (CodeIndex, SourceFile, discover_sources,
                                     literal_tuple_entries)
 from repro.analysis.suppress import apply_suppressions, collect_suppressions
@@ -209,6 +211,21 @@ def test_committed_tree_analyzes_clean():
     report = analyze(REPO_ROOT)
     assert report.is_clean, "\n" + report.render()
     assert report.summary().startswith("invariant lint: clean (5 rules")
+
+
+def test_configured_locks_and_writers_name_code_in_the_tree(real_index):
+    """A hot lock or sanctioned writer that the tree no longer has guards
+    nothing, silently: every configured entry must name a lock the lock
+    catalogue finds, or a function the index holds, matched the way the
+    rules match them."""
+    index, _config = real_index
+    catalogued = locks.catalog_locks(index).values()
+    lock_names = ({lock.short for lock in catalogued}
+                  | {str(lock) for lock in catalogued})
+    assert [name for name in DEFAULT_HOT_LOCKS if name not in lock_names] == []
+    assert [name for name in DEFAULT_SANCTIONED_WRITERS
+            if not any(qualname == name or qualname.endswith("." + name)
+                       for qualname in index.functions)] == []
 
 
 def test_rule_ids_match_the_rule_modules():
