@@ -1,43 +1,19 @@
-"""Primitive side-effect detection for one function body.
+"""Blocking-call detection for one function body.
 
-The purity and lock rules both need to know what a function *does* before
-they can reason about what its callers inherit: the purity rule propagates
-the impurity categories below through the call graph, the lock rule
-propagates ``blocking``.  Detection is syntactic — a canonicalised dotted
-call chain (import aliases rewritten, so ``np.random`` and
-``numpy.random`` are one thing) matched against the contract lists.
+The lock rule needs to know whether a function can park its thread before
+it can reason about what its callers inherit: it propagates ``blocking``
+through the call graph.  Detection is syntactic — a canonicalised dotted
+call chain (import aliases rewritten, so ``from os import fsync`` and
+``os.fsync`` are one thing) matched against the lists below.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import List, Optional, Set
+from typing import List, Optional
 
-from repro.analysis.sources import (CodeIndex, FunctionInfo, dotted_chain,
-                                    root_name)
-
-#: Impurity categories the purity rule rejects.
-IMPURE_CATEGORIES = ("time", "random", "env", "io", "global-write")
-
-_TIME_CALLS = ("time.time", "time.monotonic", "time.perf_counter",
-               "time.process_time", "time.sleep", "time.monotonic_ns",
-               "time.time_ns", "time.perf_counter_ns")
-_RANDOM_PREFIXES = ("random.", "numpy.random.", "secrets.")
-_RANDOM_CALLS = ("os.urandom", "uuid.uuid4", "uuid.uuid1")
-_ENV_CALLS = ("os.getenv", "os.environ.get", "os.getcwd", "platform.node")
-_IO_CALLS = ("open", "os.replace", "os.rename", "os.link", "os.remove",
-             "os.unlink", "os.fsync", "os.makedirs", "os.mkdir", "os.rmdir",
-             "os.stat", "os.listdir", "os.scandir", "print")
-_IO_PREFIXES = ("shutil.", "tempfile.", "pathlib.", "mmap.")
-_IO_NUMPY = ("numpy.memmap", "numpy.fromfile", "numpy.save", "numpy.load",
-             "numpy.savetxt", "numpy.loadtxt")
-#: Path/file methods that mean I/O regardless of the (unresolvable) receiver.
-_IO_METHODS = frozenset({
-    "read_text", "read_bytes", "write_text", "write_bytes", "tofile",
-    "mkdir", "unlink", "rmdir", "touch", "rename", "replace", "fsync",
-    "flush", "readline", "readlines", "writelines",
-})
+from repro.analysis.sources import CodeIndex, FunctionInfo, dotted_chain
 
 #: Calls that park the calling thread — forbidden under a hot lock.
 _BLOCKING_CALLS = ("os.fsync", "time.sleep", "os.wait", "os.waitpid",
@@ -52,9 +28,8 @@ _BLOCKING_RECEIVER_HINTS = ("thread", "proc", "pool", "worker", "event",
 
 @dataclass(frozen=True)
 class Effect:
-    """One primitive side effect found in a function body."""
+    """One blocking call found in a function body."""
 
-    category: str        # one of IMPURE_CATEGORIES or "blocking"
     line: int
     description: str
 
@@ -84,79 +59,23 @@ def _call_effects(call: ast.Call, index: CodeIndex, module: str,
     effects: List[Effect] = []
     chain = _chain_of(call, index, module)
     line = call.lineno
-    if chain is not None:
-        if chain in _TIME_CALLS or (chain.startswith("time.")
-                                    and resolved is None):
-            effects.append(Effect("time", line, f"wall-clock call {chain}()"))
-        if (chain in _RANDOM_CALLS
-                or any(chain.startswith(p) for p in _RANDOM_PREFIXES)
-                or chain == "random.Random"):
-            effects.append(Effect("random", line,
-                                  f"randomness source {chain}()"))
-        if chain in _ENV_CALLS:
-            effects.append(Effect("env", line,
-                                  f"environment read {chain}()"))
-        if (chain in _IO_CALLS or chain in _IO_NUMPY
-                or any(chain.startswith(p) for p in _IO_PREFIXES)):
-            effects.append(Effect("io", line, f"file/OS call {chain}()"))
-        if (chain in _BLOCKING_CALLS
-                or any(chain.startswith(p) for p in _BLOCKING_PREFIXES)):
-            effects.append(Effect("blocking", line,
-                                  f"blocking call {chain}()"))
+    if chain is not None and (
+            chain in _BLOCKING_CALLS
+            or any(chain.startswith(p) for p in _BLOCKING_PREFIXES)):
+        effects.append(Effect(line, f"blocking call {chain}()"))
     if resolved is None and isinstance(call.func, ast.Attribute):
         attr = call.func.attr
-        if attr in _IO_METHODS:
-            effects.append(Effect("io", line, f"file method .{attr}()"))
         if attr in _BLOCKING_METHODS:
             hint = _receiver_hint(call)
             if any(token in hint for token in _BLOCKING_RECEIVER_HINTS):
                 effects.append(Effect(
-                    "blocking", line,
-                    f"blocking call .{attr}() on '{hint}'"))
+                    line, f"blocking call .{attr}() on '{hint}'"))
     return effects
 
 
-def _global_write_effects(info: FunctionInfo, index: CodeIndex) -> List[Effect]:
+def blocking_effects(info: FunctionInfo, index: CodeIndex) -> List[Effect]:
+    """Every blocking call in one function body (nested defs included)."""
     effects: List[Effect] = []
-    declared_global: Set[str] = set()
-    local_names: Set[str] = set()
-    node = info.node
-    for arg_list in (node.args.args, node.args.posonlyargs,
-                     node.args.kwonlyargs):
-        local_names.update(arg.arg for arg in arg_list)
-    if node.args.vararg:
-        local_names.add(node.args.vararg.arg)
-    if node.args.kwarg:
-        local_names.add(node.args.kwarg.arg)
-    module_bound = index.module_globals.get(info.module, set())
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Global):
-            declared_global.update(sub.names)
-        elif isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store):
-            if sub.id not in declared_global:
-                local_names.add(sub.id)
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store):
-            if sub.id in declared_global:
-                effects.append(Effect(
-                    "global-write", sub.lineno,
-                    f"write to module global '{sub.id}'"))
-        elif isinstance(sub, (ast.Subscript, ast.Attribute)) \
-                and isinstance(sub.ctx, ast.Store):
-            root = root_name(sub.value)
-            if (root is not None and root in module_bound
-                    and root not in local_names and root != "self"):
-                effects.append(Effect(
-                    "global-write", sub.lineno,
-                    f"mutation of module-level object '{root}'"))
-    return effects
-
-
-def function_effects(info: FunctionInfo, index: CodeIndex,
-                     unique_fallback: bool = False) -> List[Effect]:
-    """All primitive effects of one function body (nested defs included)."""
-    effects: List[Effect] = []
-    for call, resolved in index.calls_of(info, unique_fallback=unique_fallback):
+    for call, resolved in index.calls_of(info):
         effects.extend(_call_effects(call, index, info.module, resolved))
-    effects.extend(_global_write_effects(info, index))
     return effects

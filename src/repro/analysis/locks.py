@@ -27,7 +27,7 @@ import ast
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro.analysis.effects import function_effects
+from repro.analysis.effects import blocking_effects
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.sources import CodeIndex, FunctionInfo, dotted_chain
 
@@ -171,8 +171,7 @@ class _HeldWalker(ast.NodeVisitor):
         self.findings: List[Finding] = []
         self._direct_blocking = {
             effect.line: effect.description
-            for effect in function_effects(info, index, unique_fallback=True)
-            if effect.category == "blocking"
+            for effect in blocking_effects(info, index)
         }
 
     def _is_hot(self, lock: LockId) -> bool:
@@ -204,8 +203,7 @@ class _HeldWalker(ast.NodeVisitor):
 
     def visit_Call(self, node: ast.Call) -> None:
         if self.held:
-            resolved = self.index.resolve_call(node, self.info,
-                                               unique_fallback=True)
+            resolved = self.index.resolve_call(node, self.info)
             if resolved is not None:
                 for lock_key in self.acquire_closure.get(
                         resolved.qualname, ()):
@@ -284,12 +282,10 @@ def check(index: CodeIndex, hot_locks: Iterable[str] = ()) -> List[Finding]:
         direct_acquires[qualname] = {
             str(lock) for lock, _line in _direct_acquisitions(info, locks)}
         blocking[qualname] = {
-            effect.description
-            for effect in function_effects(info, index, unique_fallback=True)
-            if effect.category == "blocking"}
+            effect.description for effect in blocking_effects(info, index)}
         call_graph[qualname] = {
             resolved.qualname
-            for _call, resolved in index.calls_of(info, unique_fallback=True)
+            for _call, resolved in index.calls_of(info)
             if resolved is not None}
     acquire_closure = _closure(direct_acquires, call_graph)
     blocking_closure = _closure(blocking, call_graph)

@@ -2,12 +2,8 @@
 
 :func:`analyze` is the one entry point everything shares — the
 ``python -m repro.analysis`` CLI, the CI gate and the test suite.  The
-default configuration reads its registries from the tree being analyzed
-(``PURE_FUNCTIONS`` from the scheduler module,
-``ITERATION_CRASH_POINTS``/``SERVICE_CRASH_POINTS`` from the fault
-toolkit) via :func:`repro.analysis.sources.literal_tuple_entries`, so the
-analyzer never imports the code under analysis and the registries cannot
-drift from what the analyzer enforces.
+analyzer reads only the source tree; it never imports the code under
+analysis.
 """
 
 from __future__ import annotations
@@ -16,21 +12,24 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis import (crashpoints, deadcode, durability, locks,
-                            memmaps, purity)
+from repro.analysis import deadcode, durability, locks, memmaps
 from repro.analysis.findings import Finding
-from repro.analysis.sources import (CodeIndex, SourceFile, discover_sources,
-                                    literal_tuple_entries)
+from repro.analysis.sources import CodeIndex, discover_sources
 from repro.analysis.suppress import (FileSuppressions, apply_suppressions,
                                      collect_suppressions)
 
-#: Locks on the query/ingestion path: holding one of these across a
-#: blocking call violates the snapshot-isolation latency contract.
+#: The rules :func:`run_rules` runs, in the order it runs them.
+RULE_IDS = ("lock-discipline", "durability", "memmap-hygiene")
+
+#: Locks on the query and probe path: holding one across a blocking call
+#: violates the snapshot-isolation latency contract.
+#: ``AdmissionController._lock`` is not one: it serialises writers across
+#: the WAL fsync by design, and no probe or reader takes it.
 DEFAULT_HOT_LOCKS = (
     "ServingRuntime._engine_lock",
     "ServingRuntime._view_lock",
     "ServingRuntime._stats_lock",
-    "AdmissionController._lock",
+    "AdmissionController._counts_lock",
     "RefreshSupervisor._state_lock",
 )
 
@@ -68,13 +67,7 @@ class AnalysisConfig:
 
     repo_root: Path
     src_root: Path
-    test_root: Path
     package: str = "repro"
-    pure_manifest_module: str = "repro.pigraph.scheduler"
-    pure_manifest_name: str = "PURE_FUNCTIONS"
-    fault_registry_module: str = "repro.testing.faults"
-    fault_registry_names: Tuple[str, ...] = ("ITERATION_CRASH_POINTS",
-                                             "SERVICE_CRASH_POINTS")
     hot_locks: Tuple[str, ...] = DEFAULT_HOT_LOCKS
     durable_modules: Tuple[str, ...] = DEFAULT_DURABLE_MODULES
     sanctioned_writers: Tuple[str, ...] = DEFAULT_SANCTIONED_WRITERS
@@ -86,8 +79,7 @@ class AnalysisConfig:
     def for_repo(cls, repo_root: Optional[Path] = None,
                  **overrides) -> "AnalysisConfig":
         root = Path(repo_root) if repo_root is not None else _default_root()
-        return cls(repo_root=root, src_root=root / "src",
-                   test_root=root / "tests", **overrides)
+        return cls(repo_root=root, src_root=root / "src", **overrides)
 
 
 def _default_root() -> Path:
@@ -107,8 +99,11 @@ class AnalysisReport:
     findings: List[Finding]           # unsuppressed, sorted
     suppressed_count: int
     file_count: int
-    rule_count: int = 5
     dead_import_findings: List[Finding] = field(default_factory=list)
+
+    @property
+    def rule_count(self) -> int:
+        return len(RULE_IDS)
 
     @property
     def is_clean(self) -> bool:
@@ -132,47 +127,13 @@ class AnalysisReport:
         return "\n".join(lines)
 
 
-def _registry_source(index: CodeIndex, module: str) -> SourceFile:
-    for source in index.sources:
-        if source.module == module:
-            return source
-    raise KeyError(f"module {module} not found in the analyzed tree")
-
-
-def _discover_tests(test_root: Path) -> List[SourceFile]:
-    sources = []
-    if test_root.is_dir():
-        for path in sorted(test_root.rglob("*.py")):
-            module = "tests." + ".".join(
-                path.relative_to(test_root).with_suffix("").parts)
-            sources.append(SourceFile.parse(path, module))
-    return sources
-
-
-def run_rules(index: CodeIndex, config: AnalysisConfig,
-              test_sources: List[SourceFile]) -> List[Finding]:
-    """All five rules over a pre-built index — raw, pre-suppression."""
+def run_rules(index: CodeIndex, config: AnalysisConfig) -> List[Finding]:
+    """Every rule over a pre-built index — raw, pre-suppression."""
     findings: List[Finding] = []
-
-    manifest = _registry_source(index, config.pure_manifest_module)
-    pure_entries = literal_tuple_entries(manifest, config.pure_manifest_name)
-    findings.extend(purity.check(index, {
-        name: (manifest.path, line) for name, line in pure_entries.items()}))
-
     findings.extend(locks.check(index, hot_locks=config.hot_locks))
-
-    registry_source = _registry_source(index, config.fault_registry_module)
-    registry: Dict[str, Tuple[Path, int]] = {}
-    for constant in config.fault_registry_names:
-        for point, line in literal_tuple_entries(registry_source,
-                                                 constant).items():
-            registry[point] = (registry_source.path, line)
-    findings.extend(crashpoints.check(index, registry, test_sources))
-
     findings.extend(durability.check(
         index, durable_modules=config.durable_modules,
         sanctioned_writers=config.sanctioned_writers))
-
     findings.extend(memmaps.check(
         index, allowed_modules=config.memmap_allowed_modules))
     return findings
@@ -185,9 +146,8 @@ def analyze(repo_root: Optional[Path] = None,
         config = AnalysisConfig.for_repo(repo_root)
     sources = discover_sources(config.src_root, package=config.package)
     index = CodeIndex.build(sources)
-    test_sources = _discover_tests(config.test_root)
 
-    raw = run_rules(index, config, test_sources)
+    raw = run_rules(index, config)
 
     suppressions: Dict[Path, FileSuppressions] = {}
     for source in index.sources:

@@ -5,19 +5,17 @@ the AST of the source tree.  This module builds the shared index the rules
 query: every module's functions, classes, methods and import aliases, plus
 a best-effort call resolver.
 
-Resolution is deliberately layered by confidence:
+Resolution is strict first, then falls back to a unique name:
 
 * **strict** — a plain name call resolved in its own module or through an
   explicit import, a ``self.method()`` call resolved on the enclosing
   class, or a ``ClassName.method()`` call resolved through an imported
-  class.  Used by the purity rule, where a wrong edge would reject a
-  genuinely pure function.
+  class.
 * **unique-name fallback** — an attribute call on an unresolvable receiver
   (``engine.enqueue_profile_changes(...)``) resolves when exactly one
-  function in the whole index bears that name.  Used by the lock and
-  blocking analyses, where a missed edge hides a real deadlock; the small
-  false-edge risk there surfaces as a suppressible finding, not a silent
-  pass.
+  function in the whole index bears that name.  The lock rule needs it:
+  a missed edge hides a real deadlock, while the small false-edge risk
+  surfaces as a suppressible finding, not a silent pass.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 #: Attribute names too generic for the unique-name fallback: resolving
 #: ``mapping.get(...)`` to some class's ``get`` method would invent call
@@ -47,14 +45,12 @@ class SourceFile:
     module: str
     text: str
     tree: ast.Module
-    lines: List[str] = field(default_factory=list)
 
     @classmethod
     def parse(cls, path: Path, module: str) -> "SourceFile":
         text = path.read_text(encoding="utf-8")
         tree = ast.parse(text, filename=str(path))
-        return cls(path=path, module=module, text=text, tree=tree,
-                   lines=text.splitlines())
+        return cls(path=path, module=module, text=text, tree=tree)
 
 
 @dataclass
@@ -125,8 +121,6 @@ class CodeIndex:
         #: module → alias → dotted target ("np" → "numpy",
         #: "KNNEngine" → "repro.core.engine.KNNEngine")
         self.imports: Dict[str, Dict[str, str]] = {}
-        #: module → names bound at module level (for global-write detection)
-        self.module_globals: Dict[str, set] = {}
 
     # -- construction --------------------------------------------------------
 
@@ -141,36 +135,27 @@ class CodeIndex:
         self.sources.append(source)
         module = source.module
         imports = self.imports.setdefault(module, {})
-        bound = self.module_globals.setdefault(module, set())
         for node in source.tree.body:
             if isinstance(node, (ast.Import, ast.ImportFrom)):
-                self._record_import(node, imports, bound)
+                self._record_import(node, imports)
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self._record_function(source, node, class_name=None)
-                bound.add(node.name)
             elif isinstance(node, ast.ClassDef):
                 self._record_class(source, node)
-                bound.add(node.name)
-            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-                for target in _assign_targets(node):
-                    bound.add(target)
 
     @staticmethod
-    def _record_import(node: ast.AST, imports: Dict[str, str],
-                       bound: set) -> None:
+    def _record_import(node: ast.AST, imports: Dict[str, str]) -> None:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 name = alias.asname or alias.name.split(".")[0]
                 target = alias.name if alias.asname else alias.name.split(".")[0]
                 imports[name] = target
-                bound.add(name)
         elif isinstance(node, ast.ImportFrom):
             if node.module is None or node.level:
                 return  # relative imports do not occur in this tree
             for alias in node.names:
                 name = alias.asname or alias.name
                 imports[name] = f"{node.module}.{alias.name}"
-                bound.add(name)
 
     def _record_function(self, source: SourceFile, node: ast.AST,
                          class_name: Optional[str]) -> FunctionInfo:
@@ -197,15 +182,6 @@ class CodeIndex:
 
     # -- lookup --------------------------------------------------------------
 
-    def find(self, qualname: str) -> Optional[FunctionInfo]:
-        """Resolve an exact qualname, or a unique ``suffix`` match."""
-        hit = self.functions.get(qualname)
-        if hit is not None:
-            return hit
-        suffix_hits = [info for name, info in self.functions.items()
-                       if name.endswith("." + qualname)]
-        return suffix_hits[0] if len(suffix_hits) == 1 else None
-
     def canonical_chain(self, module: str, chain: str) -> str:
         """Rewrite a dotted chain's leading alias through the import map.
 
@@ -221,8 +197,8 @@ class CodeIndex:
 
     # -- call resolution -----------------------------------------------------
 
-    def resolve_call(self, call: ast.Call, caller: FunctionInfo,
-                     unique_fallback: bool = False) -> Optional[FunctionInfo]:
+    def resolve_call(self, call: ast.Call,
+                     caller: FunctionInfo) -> Optional[FunctionInfo]:
         """Resolve a call expression to a function in the index, or None."""
         func = call.func
         module = caller.module
@@ -267,40 +243,17 @@ class CodeIndex:
                 local_class = self.classes.get(f"{module}.{receiver.id}")
                 if local_class is not None:
                     return local_class.methods.get(attr)
-        if unique_fallback and attr not in _AMBIGUOUS_METHOD_NAMES:
+        if attr not in _AMBIGUOUS_METHOD_NAMES:
             candidates = self.by_name.get(attr, [])
             if len(candidates) == 1:
                 return candidates[0]
         return None
 
-    def calls_of(self, info: FunctionInfo,
-                 unique_fallback: bool = False
+    def calls_of(self, info: FunctionInfo
                  ) -> List[Tuple[ast.Call, Optional[FunctionInfo]]]:
         """Every call in ``info``'s body with its resolution (or None)."""
-        out = []
-        for node in ast.walk(info.node):
-            if isinstance(node, ast.Call):
-                out.append((node,
-                            self.resolve_call(node, info,
-                                              unique_fallback=unique_fallback)))
-        return out
-
-
-def _assign_targets(node: ast.AST) -> Sequence[str]:
-    targets: List[str] = []
-    if isinstance(node, ast.Assign):
-        candidates = node.targets
-    elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-        candidates = [node.target]
-    else:
-        candidates = []
-    for target in candidates:
-        if isinstance(target, ast.Name):
-            targets.append(target.id)
-        elif isinstance(target, ast.Tuple):
-            targets.extend(elt.id for elt in target.elts
-                           if isinstance(elt, ast.Name))
-    return targets
+        return [(node, self.resolve_call(node, info))
+                for node in ast.walk(info.node) if isinstance(node, ast.Call)]
 
 
 def root_name(node: ast.AST) -> Optional[str]:
@@ -310,33 +263,3 @@ def root_name(node: ast.AST) -> Optional[str]:
     if isinstance(node, ast.Name):
         return node.id
     return None
-
-
-def literal_tuple_entries(source: SourceFile,
-                          constant_name: str) -> Dict[str, int]:
-    """``NAME = ("a", "b", ...)`` at module level → ``{"a": line, ...}``.
-
-    Used to read the crash-point and pure-function registries from source
-    without importing the package under analysis.  Raises ``KeyError`` when
-    the constant is missing, ``ValueError`` when it is not a tuple/list of
-    string literals — both mean the manifest contract itself regressed.
-    """
-    for node in source.tree.body:
-        if not isinstance(node, ast.Assign):
-            continue
-        names = [t.id for t in node.targets if isinstance(t, ast.Name)]
-        if constant_name not in names:
-            continue
-        if not isinstance(node.value, (ast.Tuple, ast.List)):
-            raise ValueError(
-                f"{constant_name} in {source.path} must be a literal tuple")
-        entries: Dict[str, int] = {}
-        for elt in node.value.elts:
-            if not (isinstance(elt, ast.Constant)
-                    and isinstance(elt.value, str)):
-                raise ValueError(
-                    f"{constant_name} in {source.path} must contain only "
-                    f"string literals (line {elt.lineno})")
-            entries[elt.value] = elt.lineno
-        return entries
-    raise KeyError(f"{constant_name} not found in {source.path}")

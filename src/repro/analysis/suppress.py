@@ -4,7 +4,7 @@ A finding is a conversation between the analyzer and the author; the
 suppression comment is the author's documented side of it.  The protocol
 is deliberately strict:
 
-* the comment names the exact rule id it silences (``allow[purity]``,
+* the comment names the exact rule id it silences (``allow[memmap-hygiene]``,
   ``allow[lock-discipline, durability]`` for several);
 * a **non-empty reason is mandatory** — a reasonless suppression is itself
   an ``ERROR`` finding (rule id ``suppression``), because "trust me" is

@@ -31,13 +31,6 @@ class NNDescentResult:
     updates_per_iteration: List[int] = field(default_factory=list)
     converged: bool = False
 
-    @property
-    def scan_rate(self) -> float:
-        """Similarity evaluations divided by the n*(n-1)/2 of brute force."""
-        n = self.graph.num_vertices
-        total_pairs = n * (n - 1) / 2
-        return self.similarity_evaluations / total_pairs if total_pairs else 0.0
-
 
 class NNDescent:
     """In-memory NN-Descent KNN-graph construction.

@@ -132,11 +132,6 @@ def load_checkpoint(directory: PathLike) -> Tuple[KNNGraph, int, Dict[str, objec
     return graph, int(manifest["iteration"]), dict(manifest.get("metadata", {}))
 
 
-def has_checkpoint(directory: PathLike) -> bool:
-    """True when ``directory`` holds a loadable checkpoint manifest."""
-    return (Path(directory) / "checkpoint.json").exists()
-
-
 # -- portable checkpoints ----------------------------------------------------
 
 

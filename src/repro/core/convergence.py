@@ -61,10 +61,6 @@ class ConvergenceTracker:
         """True once the most recent change rate is below the threshold."""
         return bool(self.change_rates) and self.change_rates[-1] <= self.threshold
 
-    @property
-    def latest_recall(self) -> Optional[float]:
-        return self.recalls[-1] if self.recalls else None
-
     def summary(self) -> dict:
         return {
             "iterations": self.iterations_recorded,

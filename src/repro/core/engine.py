@@ -254,10 +254,6 @@ class KNNEngine:
 
     # -- profile changes -----------------------------------------------------------
 
-    def enqueue_profile_change(self, change: ProfileChange) -> None:
-        """Buffer a profile change; it is applied at the end of the current iteration."""
-        self._update_queue.enqueue(change)
-
     def enqueue_profile_changes(self, changes: Iterable[ProfileChange]) -> int:
         return self._update_queue.enqueue_many(changes)
 

@@ -122,8 +122,6 @@ class ProfileUpdateQueue:
         self._changes: List[ProfileChange] = []
         self._seqs: List[int] = []
         self._lock = threading.Lock()
-        self._total_enqueued = 0
-        self._total_applied = 0
         self._next_seq = 0
         self._applied_seq = -1
         self._fsync = bool(fsync)
@@ -212,7 +210,6 @@ class ProfileUpdateQueue:
                     continue
                 self._changes.append(change_from_manifest(payload))
                 self._seqs.append(seq)
-                self._total_enqueued += 1
                 replayed += 1
         return replayed
 
@@ -263,7 +260,6 @@ class ProfileUpdateQueue:
             self._append_wal([(seq, change)])
             self._changes.append(change)
             self._seqs.append(seq)
-            self._total_enqueued += 1
 
     def enqueue_many(self, changes: Iterable[ProfileChange]) -> int:
         """Buffer many changes; returns how many were enqueued.
@@ -284,7 +280,6 @@ class ProfileUpdateQueue:
             self._append_wal(pairs)
             self._changes.extend(items)
             self._seqs.extend(seq for seq, _ in pairs)
-            self._total_enqueued += len(items)
         return len(items)
 
     def drain(self) -> List[ProfileChange]:
@@ -300,7 +295,6 @@ class ProfileUpdateQueue:
             if self._seqs:
                 self._applied_seq = self._seqs[-1]
             self._seqs = []
-            self._total_applied += len(drained)
         return drained
 
     def peek(self) -> Sequence[ProfileChange]:
@@ -311,11 +305,3 @@ class ProfileUpdateQueue:
     def __len__(self) -> int:
         with self._lock:
             return len(self._changes)
-
-    @property
-    def total_enqueued(self) -> int:
-        return self._total_enqueued
-
-    @property
-    def total_applied(self) -> int:
-        return self._total_applied

@@ -14,7 +14,7 @@ relies on this to address partitions and profile rows by simple arithmetic.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
+from typing import Iterable, Iterator, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -55,12 +55,6 @@ class DiGraph:
                 clone.add_edge(src, dst)
         return clone
 
-    def add_vertex(self) -> int:
-        """Append a new isolated vertex and return its id."""
-        self._succ.append(set())
-        self._pred.append(set())
-        return self.num_vertices - 1
-
     def add_edge(self, src: int, dst: int) -> bool:
         """Add the edge ``src -> dst``; return ``True`` if it was new."""
         self._check_vertex(src)
@@ -71,38 +65,6 @@ class DiGraph:
         self._pred[dst].add(src)
         self._num_edges += 1
         return True
-
-    def remove_edge(self, src: int, dst: int) -> bool:
-        """Remove the edge ``src -> dst``; return ``True`` if it existed."""
-        self._check_vertex(src)
-        self._check_vertex(dst)
-        if dst not in self._succ[src]:
-            return False
-        self._succ[src].discard(dst)
-        self._pred[dst].discard(src)
-        self._num_edges -= 1
-        return True
-
-    def set_out_neighbors(self, src: int, neighbors: Iterable[int]) -> None:
-        """Replace all out-edges of ``src`` with edges to ``neighbors``.
-
-        This is the primitive the KNN iteration needs: each user's out-edges
-        are wholesale replaced by its new top-K neighbour set.
-        """
-        self._check_vertex(src)
-        new_set = set()
-        for dst in neighbors:
-            self._check_vertex(dst)
-            if dst == src:
-                continue
-            new_set.add(dst)
-        old_set = self._succ[src]
-        for dst in old_set - new_set:
-            self._pred[dst].discard(src)
-        for dst in new_set - old_set:
-            self._pred[dst].add(src)
-        self._num_edges += len(new_set) - len(old_set)
-        self._succ[src] = new_set
 
     # -- queries ----------------------------------------------------------
 
@@ -305,17 +267,3 @@ class CSRDiGraph:
 
     def __repr__(self) -> str:
         return f"CSRDiGraph(num_vertices={self.num_vertices}, num_edges={self.num_edges})"
-
-
-def degree_histogram(graph: "CSRDiGraph", kind: str = "total") -> Dict[int, int]:
-    """Return ``{degree: count}`` for ``kind`` in {'in', 'out', 'total'}."""
-    if kind == "in":
-        degrees = graph.in_degree_array()
-    elif kind == "out":
-        degrees = graph.out_degree_array()
-    elif kind == "total":
-        degrees = graph.degree_array()
-    else:
-        raise ValueError(f"kind must be 'in', 'out' or 'total', got {kind!r}")
-    values, counts = np.unique(degrees, return_counts=True)
-    return {int(v): int(c) for v, c in zip(values, counts)}

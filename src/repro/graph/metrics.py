@@ -105,19 +105,3 @@ def average_clustering_coefficient(graph: CSRDiGraph, sample_size: Optional[int]
         vertices = make_rng(seed).choice(n, size=sample_size, replace=False)
     values = [local_clustering_coefficient(graph, int(v)) for v in vertices]
     return float(np.mean(values)) if values else 0.0
-
-
-def structural_report(graph: CSRDiGraph, clustering_sample: int = 500,
-                      seed: SeedLike = 0) -> Dict[str, float]:
-    """One-call structural summary used by examples and dataset sanity checks."""
-    report = {
-        "num_vertices": float(graph.num_vertices),
-        "num_edges": float(graph.num_edges),
-        "reciprocity": reciprocity(graph),
-        "degree_gini": degree_gini(graph),
-        "self_loops": float(self_loop_count(graph)),
-        "avg_clustering": average_clustering_coefficient(
-            graph, sample_size=clustering_sample, seed=seed),
-    }
-    report.update(degree_statistics(graph))
-    return report

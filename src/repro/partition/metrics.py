@@ -53,16 +53,3 @@ def partition_report(graph: CSRDiGraph, partitions: Sequence[Partition],
         "max_partition_vertices": float(max((p.num_vertices for p in partitions), default=0)),
         "min_partition_vertices": float(min((p.num_vertices for p in partitions), default=0)),
     }
-
-
-def format_partition_report(report: Dict[str, float]) -> str:
-    """Pretty single-string rendering of :func:`partition_report` output."""
-    lines = []
-    for key in ("num_partitions", "locality_cost", "edge_cut", "edge_cut_fraction",
-                "balance", "max_partition_vertices", "min_partition_vertices"):
-        value = report[key]
-        if key in ("edge_cut_fraction", "balance"):
-            lines.append(f"{key:>24}: {value:.3f}")
-        else:
-            lines.append(f"{key:>24}: {int(value)}")
-    return "\n".join(lines)

@@ -98,14 +98,6 @@ class PIGraph:
         """All PI edges sorted by (src, dst)."""
         return [PIEdge(src, dst, weight) for (src, dst), weight in sorted(self._weights.items())]
 
-    def edges_of(self, partition: int) -> List[PIEdge]:
-        """Edges incident to ``partition`` in either direction (sorted)."""
-        out = []
-        for (src, dst), weight in sorted(self._weights.items()):
-            if src == partition or dst == partition:
-                out.append(PIEdge(src, dst, weight))
-        return out
-
     def neighbors(self, partition: int) -> Set[int]:
         """Partitions adjacent to ``partition`` in either direction (excluding itself)."""
         result: Set[int] = set()
@@ -119,11 +111,6 @@ class PIGraph:
     def degree(self, partition: int) -> int:
         """Number of PI edges incident to ``partition`` (self-edges count once)."""
         return sum(1 for (src, dst) in self._weights if src == partition or dst == partition)
-
-    def weighted_degree(self, partition: int) -> int:
-        """Total tuple count on edges incident to ``partition``."""
-        return sum(weight for (src, dst), weight in self._weights.items()
-                   if src == partition or dst == partition)
 
     def degree_array(self) -> np.ndarray:
         degrees = np.zeros(self._m, dtype=np.int64)

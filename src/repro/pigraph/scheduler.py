@@ -20,18 +20,6 @@ from repro.pigraph.pi_graph import PIGraph
 from repro.pigraph.traversal import ResidencyStep, TraversalHeuristic, get_heuristic
 from repro.storage.memory_manager import PartitionCache
 
-#: Declared-pure planners: same inputs, same plan — on every resume, every
-#: re-plan.  The dirty-partition scheduler relies on this to keep the
-#: parity walls meaningful.  The invariant lint
-#: (``python -m repro.analysis``) walks the call graph from each entry
-#: and rejects reachable wall-clock reads, randomness, environment reads,
-#: file I/O and module-global writes.  Add a function here to put it
-#: under the same contract.
-PURE_FUNCTIONS = (
-    "repro.pigraph.scheduler.plan_dirty_schedule",
-    "repro.pigraph.scheduler.simulate_schedule",
-)
-
 
 @dataclass
 class ScheduleResult:

@@ -75,6 +75,11 @@ class AdmissionController:
     depth extrapolated from the pre-enqueue read (the old
     ``pending + len(batch)`` contract), which overstated it whenever a
     drain slipped into that window.
+
+    The admission lock is held across ``enqueue`` — a WAL fsync, or a wait
+    behind an engine recovery — so nothing a probe calls takes it:
+    :attr:`draining` reads one flag, and :meth:`stats` reads the counters
+    under their own lock, which no one holds across a call.
     """
 
     def __init__(self, capacity: int,
@@ -88,6 +93,7 @@ class AdmissionController:
         self._pending = pending
         self._fault_plan = fault_plan
         self._lock = threading.Lock()
+        self._counts_lock = threading.Lock()
         self._draining = False
         self._closed = False
         self._accepted_batches = 0
@@ -119,16 +125,18 @@ class AdmissionController:
             # recovery it must be safe to resubmit (exactly-once overall)
             fault_point(self._fault_plan, "service.admission")
             depth_after = self._enqueue(batch)
-            self._accepted_batches += 1
-            self._accepted_changes += len(batch)
+            with self._counts_lock:
+                self._accepted_batches += 1
+                self._accepted_changes += len(batch)
             return AdmissionResult(accepted=True,
                                    pending=int(depth_after),
                                    batch_size=len(batch))
 
     def _shed(self, reason: str, batch: list,
               pending: Optional[int] = None) -> AdmissionResult:
-        self._shed_batches += 1
-        self._shed_changes += len(batch)
+        with self._counts_lock:
+            self._shed_batches += 1
+            self._shed_changes += len(batch)
         return AdmissionResult(accepted=False, shed_reason=reason,
                                pending=self._pending() if pending is None
                                else pending,
@@ -147,11 +155,10 @@ class AdmissionController:
 
     @property
     def draining(self) -> bool:
-        with self._lock:
-            return self._draining
+        return self._draining
 
     def stats(self) -> dict:
-        with self._lock:
+        with self._counts_lock:
             return {
                 "capacity": self._capacity,
                 "accepted_batches": self._accepted_batches,

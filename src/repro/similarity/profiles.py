@@ -124,12 +124,6 @@ class SparseProfileStore(ProfileStoreBase):
         self._profiles[user].add(item)
         self._csr = None
 
-    def remove_item(self, user: int, item: int) -> None:
-        """Remove a single item if present (no error when absent)."""
-        self._check_user(user)
-        self._profiles[user].discard(item)
-        self._csr = None
-
     def apply_profile_changes(self, changes: Sequence) -> int:
         """Apply ``add``/``remove`` changes in order (one cache rebuild total).
 

@@ -52,10 +52,6 @@ class DiskModel:
         latency = 0.0 if sequential else self.access_latency_s
         return latency + (num_bytes * self.write_penalty) / bandwidth
 
-    def seek_cost(self) -> float:
-        """Simulated seconds for a pure positioning operation."""
-        return self.access_latency_s
-
     def mapped_read_cost(self, num_bytes: int, sequential: bool = True) -> float:
         """Simulated seconds to fault ``num_bytes`` in through a memory map.
 

@@ -42,10 +42,6 @@ class MemoryBudget:
         return self._capacity
 
     @property
-    def used_bytes(self) -> float:
-        return self._used
-
-    @property
     def peak_bytes(self) -> float:
         return self._peak
 

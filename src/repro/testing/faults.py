@@ -20,9 +20,14 @@ every run.  ``seed`` additionally drives :meth:`FaultPlan.crash_at_random`,
 which picks crash points deterministically from a candidate list — useful
 for randomized-but-reproducible crash sweeps.
 
-The plan records everything it fired in :attr:`FaultPlan.fired`, so tests
-can assert that an injected fault actually triggered (a crash point that
-never fires usually means the hook site regressed).
+Crash-point names are checked against the registry below:
+:meth:`FaultPlan.point` and :meth:`FaultPlan.crash_at` raise
+:class:`ValueError` for a name outside ``ITERATION_CRASH_POINTS`` +
+``SERVICE_CRASH_POINTS``.  Every hook passes through ``point``, so a hook
+with an unregistered name fails the first plan-carrying test that walks
+it.  The plan records everything it fired in :attr:`FaultPlan.fired`, so
+tests can assert that an injected fault actually triggered (a registered
+point that never fires usually means the hook site regressed).
 """
 
 from __future__ import annotations
@@ -33,12 +38,11 @@ import threading
 from typing import List, Optional, Sequence, Tuple
 
 
-#: Engine-level crash points: every ``fault_point``/``plan.point`` literal
-#: on the iteration, WAL, store and commit paths.  This tuple is the
-#: registry the invariant lint (``python -m repro.analysis``) checks the
-#: production tree against — a hook whose literal is not listed here is a
-#: build error, as is a listed point with no production call site or no
-#: test reference.  Keep the names grouped by the path they live on; the
+#: Engine-level crash points: every ``fault_point``/``plan.point`` name
+#: on the iteration, WAL, store and commit paths.  With
+#: ``SERVICE_CRASH_POINTS`` this tuple is the registry :class:`FaultPlan`
+#: enforces — a hook or a schedule naming a point not listed here raises
+#: ``ValueError``.  Keep the names grouped by the path they live on; the
 #: crash matrix (``tests/test_crash_matrix.py``) crashes the engine at
 #: each of these and proves recovery, in both orders of an iteration.  In
 #: the paper's order ``phase4.done`` is "scored, updates not applied" and
@@ -84,6 +88,16 @@ SERVICE_CRASH_POINTS = (
     "service.after_swap",
     "service.drain",
 )
+
+_REGISTERED = frozenset(ITERATION_CRASH_POINTS + SERVICE_CRASH_POINTS)
+
+
+def _registered(point: str) -> str:
+    if point not in _REGISTERED:
+        raise ValueError(
+            f"crash point {point!r} is not registered in "
+            "ITERATION_CRASH_POINTS or SERVICE_CRASH_POINTS")
+    return point
 
 
 class InjectedCrash(RuntimeError):
@@ -145,10 +159,13 @@ class FaultPlan:
     # -- scheduling ---------------------------------------------------------
 
     def crash_at(self, point: str, occurrence: int = 1) -> "FaultPlan":
-        """Crash (raise :class:`InjectedCrash`) on the n-th hit of ``point``."""
+        """Crash (raise :class:`InjectedCrash`) on the n-th hit of ``point``.
+
+        Raises ``ValueError`` for a point the registry does not list.
+        """
         if occurrence < 1:
             raise ValueError("occurrence is 1-based")
-        self._crashes.setdefault(point, set()).add(int(occurrence))
+        self._crashes.setdefault(_registered(point), set()).add(int(occurrence))
         return self
 
     def crash_at_random(self, points: Sequence[str], count: int = 1,
@@ -185,7 +202,12 @@ class FaultPlan:
     # -- runtime hooks ------------------------------------------------------
 
     def point(self, name: str) -> None:
-        """Hook: count a crash-point hit; raise when this hit is scheduled."""
+        """Hook: count a crash-point hit; raise when this hit is scheduled.
+
+        Raises ``ValueError`` for a name the registry does not list, so a
+        new hook fails the first plan-carrying test that walks it.
+        """
+        _registered(name)
         with self._lock:
             hit = self._point_hits.get(name, 0) + 1
             self._point_hits[name] = hit

@@ -31,7 +31,7 @@ lists, per bucket, the positions of its tuples in the key array.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -130,14 +130,6 @@ class TupleHashTable:
             return False
         self._pending[key] = 1
         return True
-
-    def add_many(self, pairs: Iterable[Tuple[int, int]]) -> int:
-        """Insert many tuples; returns how many were new."""
-        added = 0
-        for source, destination in pairs:
-            if self.add(int(source), int(destination)):
-                added += 1
-        return added
 
     def add_array(self, pairs: np.ndarray) -> int:
         """Vectorised bulk insert of an ``(n, 2)`` array of tuples.

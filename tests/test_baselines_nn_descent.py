@@ -29,8 +29,7 @@ class TestNNDescent:
         # naive all-pairs pass would score; sampling tightens it further.
         result = NNDescent(k=8, measure="cosine", seed=2, sample_rate=0.5).run(profiles)
         n = profiles.num_users
-        assert result.similarity_evaluations < n * (n - 1)
-        assert result.scan_rate > 0
+        assert 0 < result.similarity_evaluations < n * (n - 1)
 
     def test_converges_and_reports_iterations(self, profiles):
         result = NNDescent(k=8, measure="cosine", seed=3,

@@ -24,7 +24,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core import iteration as iteration_module
@@ -177,7 +177,12 @@ class TestTwins:
                     include_direct_edges=direct,
                     rebuild=iteration_module._DELTA_REBUILD_FRACTION if direct else 1.0)
         always = _run(1.0, **same)
-        assert any(eligible for _, _, eligible, _ in always)
+        # a draw whose every iteration rebuilds H has nothing to copy: all
+        # three twins take the full merge.  Skip it rather than fail; a
+        # regression that made nothing eligible trips hypothesis's filter
+        # health check, and test_the_constant_takes_both_paths pins that
+        # copy-forward engages
+        assume(any(eligible for _, _, eligible, _ in always))
         for fraction in (0.0, FRACTION):
             _assert_paths(_run(fraction, **same), fraction, always)
 

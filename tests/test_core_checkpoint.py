@@ -8,7 +8,6 @@ import pytest
 
 from repro.core.checkpoint import (
     clone_profile_files,
-    has_checkpoint,
     load_checkpoint,
     load_knn_graph,
     load_portable_checkpoint,
@@ -119,14 +118,12 @@ class TestLoadingMergesNothing:
 class TestCheckpointManifest:
     def test_save_and_load(self, scored_graph, tmp_path):
         save_checkpoint(tmp_path, scored_graph, iteration=4, metadata={"k": 5})
-        assert has_checkpoint(tmp_path)
         graph, iteration, metadata = load_checkpoint(tmp_path)
         assert iteration == 4
         assert metadata == {"k": 5}
         assert graph.edge_difference(scored_graph) == 0
 
     def test_missing_checkpoint(self, tmp_path):
-        assert not has_checkpoint(tmp_path)
         with pytest.raises(FileNotFoundError):
             load_checkpoint(tmp_path)
 
@@ -544,8 +541,8 @@ class TestZeroCopyResume:
             assert (os.stat(ckpt / "profiles" / "profiles_dense.bin").st_ino
                     != os.stat(resumed.workdir / "profiles"
                                / "profiles_dense.bin").st_ino)
-            resumed.enqueue_profile_change(ProfileChange(
-                user=3, kind="set", vector=np.full(6, 42.0)))
+            resumed.enqueue_profile_changes([ProfileChange(
+                user=3, kind="set", vector=np.full(6, 42.0))])
             resumed.run_iteration()
         frozen = OnDiskProfileStore(ckpt / "profiles")
         np.testing.assert_array_equal(frozen.load_users([3]).get(3), expected)

@@ -27,13 +27,11 @@ class TestConvergenceTracker:
         tracker = ConvergenceTracker(threshold=0.5, exact_graph=exact)
         tracker.record(KNNGraph.random(30, 3, seed=5), exact.copy())
         assert tracker.recalls == [pytest.approx(1.0)]
-        assert tracker.latest_recall == pytest.approx(1.0)
 
     def test_no_recall_without_exact_graph(self):
         tracker = ConvergenceTracker()
         tracker.record(KNNGraph.random(20, 2, seed=6), KNNGraph.random(20, 2, seed=7))
         assert tracker.recalls == []
-        assert tracker.latest_recall is None
 
     def test_history_grows(self):
         tracker = ConvergenceTracker()

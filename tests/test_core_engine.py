@@ -131,7 +131,7 @@ class TestDynamicProfiles:
         profiles = generate_sparse_profiles(100, 400, items_per_user=12, seed=9)
         config = EngineConfig(k=5, num_partitions=4, seed=9)
         with KNNEngine(profiles, config) as engine:
-            engine.enqueue_profile_change(ProfileChange(user=0, kind="add", item=399))
+            engine.enqueue_profile_changes([ProfileChange(user=0, kind="add", item=399)])
             result = engine.run_iteration()
             assert result.profile_updates_applied == 1
             assert 399 in engine.profile_store.load_users([0]).get(0)

@@ -39,14 +39,6 @@ class TestQueueBasics:
         with pytest.raises(TypeError):
             ProfileUpdateQueue().enqueue("not a change")
 
-    def test_counters(self):
-        queue = ProfileUpdateQueue()
-        queue.enqueue_many(ProfileChange(user=u, kind="add", item=0) for u in range(3))
-        queue.drain()
-        queue.enqueue(ProfileChange(user=0, kind="add", item=1))
-        assert queue.total_enqueued == 4
-        assert queue.total_applied == 3
-
 
 class TestThreadSafety:
     def test_concurrent_enqueue(self):
@@ -62,7 +54,6 @@ class TestThreadSafety:
         for thread in threads:
             thread.join()
         assert len(queue) == 800
-        assert queue.total_enqueued == 800
         assert len(queue.drain()) == 800
 
 
@@ -108,8 +99,6 @@ class TestServingShapedConcurrency:
         # nothing lost, nothing duplicated — across memory and the WAL
         assert len(drained) + len(queue) == expected
         assert len(queue) == 0
-        assert queue.total_enqueued == expected
-        assert queue.total_applied == expected
         assert len({(c.user, c.item) for c in drained}) == expected
         records = queue.wal_records()
         assert len(records) == expected

@@ -24,7 +24,7 @@ import pytest
 from repro.core.config import EngineConfig
 from repro.core.engine import KNNEngine, _scan_commit_epochs
 from repro.similarity.workloads import ProfileChange, generate_dense_profiles
-from repro.testing import FaultPlan, InjectedCrash
+from repro.testing import ITERATION_CRASH_POINTS, FaultPlan, InjectedCrash
 
 NUM_USERS = 50
 NUM_ITERATIONS = 4
@@ -102,6 +102,14 @@ def reference():
         fingerprint = engine.graph.edge_fingerprint()
         dense = (engine.profile_store.base_dir / "profiles_dense.bin").read_bytes()
     return fingerprint, dense
+
+
+def test_the_matrix_covers_every_registered_engine_point():
+    """A registered point no test crashes guards nothing: the matrix takes
+    every engine-level point but the sparse journal's, which has its own
+    test below (the matrix's profiles are dense)."""
+    assert (set(CRASH_POINTS) | {"store.journal_appended"}
+            == set(ITERATION_CRASH_POINTS))
 
 
 @pytest.mark.parametrize("schedule", list(SCHEDULES))

@@ -24,27 +24,37 @@ from repro.testing import FaultPlan, InjectedCrash, InjectedIOError
 
 class TestFaultPlanScheduling:
     def test_crash_fires_at_exact_occurrence(self):
-        plan = FaultPlan().crash_at("p", occurrence=3)
-        plan.point("p")
-        plan.point("p")
+        plan = FaultPlan().crash_at("commit.begin", occurrence=3)
+        plan.point("commit.begin")
+        plan.point("commit.begin")
         with pytest.raises(InjectedCrash) as exc:
-            plan.point("p")
-        assert exc.value.point == "p"
+            plan.point("commit.begin")
+        assert exc.value.point == "commit.begin"
         assert exc.value.occurrence == 3
         # one-shot: the occurrence is consumed
-        plan.point("p")
+        plan.point("commit.begin")
 
     def test_unscheduled_points_are_free(self):
-        plan = FaultPlan().crash_at("p", occurrence=1)
+        plan = FaultPlan().crash_at("commit.begin", occurrence=1)
         for _ in range(10):
-            plan.point("q")
-        assert plan.hits("q") == 10
+            plan.point("commit.done")
+        assert plan.hits("commit.done") == 10
 
     def test_fired_log_records_what_happened(self):
-        plan = FaultPlan().crash_at("p", occurrence=1)
+        plan = FaultPlan().crash_at("commit.begin", occurrence=1)
         with pytest.raises(InjectedCrash):
-            plan.point("p")
+            plan.point("commit.begin")
         assert "crash" in plan.fired_kinds()
+
+    def test_unregistered_point_names_are_refused(self):
+        # every hook passes through point(): a hook whose name the registry
+        # lacks fails the first plan-carrying test that walks it
+        with pytest.raises(ValueError, match="not registered"):
+            FaultPlan().point("nope")
+        with pytest.raises(ValueError, match="not registered"):
+            FaultPlan().crash_at("nope")
+        with pytest.raises(ValueError, match="not registered"):
+            FaultPlan(seed=1).crash_at_random(["nope"])
 
     def test_file_op_failure_matches_substring(self):
         plan = FaultPlan().fail_file_op("write", match="dense", occurrence=1)
@@ -64,7 +74,8 @@ class TestFaultPlanScheduling:
         assert victim.stat().st_size == 10
 
     def test_seeded_random_points_are_deterministic(self):
-        points = ["a", "b", "c", "d"]
+        points = ["iteration.begin", "phase4.step", "phase4.done",
+                  "commit.begin"]
         first = FaultPlan(seed=5).crash_at_random(points, count=3,
                                                   max_occurrence=4)
         second = FaultPlan(seed=5).crash_at_random(points, count=3,
@@ -75,7 +86,7 @@ class TestFaultPlanScheduling:
         # EngineConfig round-trips through dataclasses.replace/asdict, both
         # of which deep-copy field values; the plan must stay ONE shared
         # mutable object or hit counters silently fork
-        plan = FaultPlan().crash_at("p", occurrence=1)
+        plan = FaultPlan().crash_at("commit.begin", occurrence=1)
         config = EngineConfig(fault_plan=plan)
         clone = replace(config, k=7)
         assert clone.fault_plan is plan

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph.digraph import CSRDiGraph, DiGraph, degree_histogram
+from repro.graph.digraph import CSRDiGraph, DiGraph
 
 
 class TestDiGraphBasics:
@@ -25,11 +25,6 @@ class TestDiGraphBasics:
         assert small_digraph.add_edge(0, 1) is False
         assert small_digraph.num_edges == 7
 
-    def test_remove_edge(self, small_digraph):
-        assert small_digraph.remove_edge(0, 1) is True
-        assert small_digraph.num_edges == 6
-        assert small_digraph.remove_edge(0, 1) is False
-
     def test_degrees(self, small_digraph):
         assert small_digraph.out_degree(0) == 2
         assert small_digraph.in_degree(0) == 2
@@ -45,31 +40,11 @@ class TestDiGraphBasics:
         with pytest.raises(IndexError):
             small_digraph.out_neighbors(-1)
 
-    def test_add_vertex(self, small_digraph):
-        new_id = small_digraph.add_vertex()
-        assert new_id == 5
-        assert small_digraph.out_degree(new_id) == 0
-
     def test_copy_is_independent(self, small_digraph):
         clone = small_digraph.copy()
         clone.add_edge(4, 0)
         assert not small_digraph.has_edge(4, 0)
         assert small_digraph == small_digraph.copy()
-
-    def test_set_out_neighbors_replaces(self, small_digraph):
-        small_digraph.set_out_neighbors(0, [3, 4])
-        assert small_digraph.out_neighbors(0) == {3, 4}
-        assert 0 in small_digraph.in_neighbors(3)
-        assert 0 not in small_digraph.in_neighbors(1)
-
-    def test_set_out_neighbors_drops_self_loop(self, small_digraph):
-        small_digraph.set_out_neighbors(0, [0, 1])
-        assert small_digraph.out_neighbors(0) == {1}
-
-    def test_set_out_neighbors_edge_count(self, small_digraph):
-        before = small_digraph.num_edges
-        small_digraph.set_out_neighbors(0, [1])  # was {1, 2}
-        assert small_digraph.num_edges == before - 1
 
     def test_edges_sorted(self, small_digraph):
         edges = list(small_digraph.edges())
@@ -158,17 +133,3 @@ class TestCSRDiGraph:
     def test_invalid_indptr_rejected(self):
         with pytest.raises(ValueError):
             CSRDiGraph(np.array([0, 5]), np.array([1]), np.array([0, 1]), np.array([0]))
-
-
-class TestDegreeHistogram:
-    def test_total_histogram_sums_to_vertices(self, small_csr):
-        hist = degree_histogram(small_csr, "total")
-        assert sum(hist.values()) == small_csr.num_vertices
-
-    def test_kinds(self, small_csr):
-        assert degree_histogram(small_csr, "in") != {}
-        assert degree_histogram(small_csr, "out") != {}
-
-    def test_invalid_kind(self, small_csr):
-        with pytest.raises(ValueError):
-            degree_histogram(small_csr, "sideways")

@@ -12,7 +12,6 @@ from repro.graph.metrics import (
     local_clustering_coefficient,
     reciprocity,
     self_loop_count,
-    structural_report,
 )
 
 
@@ -96,12 +95,3 @@ class TestClustering:
         exact = average_clustering_coefficient(medium_graph)
         sampled = average_clustering_coefficient(medium_graph, sample_size=150, seed=1)
         assert abs(exact - sampled) < 0.1
-
-
-class TestStructuralReport:
-    def test_keys_present(self, medium_graph):
-        report = structural_report(medium_graph, clustering_sample=100)
-        for key in ("num_vertices", "num_edges", "reciprocity", "degree_gini",
-                    "avg_clustering", "out_degree_mean", "num_isolated"):
-            assert key in report
-        assert report["num_edges"] == medium_graph.num_edges

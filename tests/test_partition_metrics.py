@@ -5,7 +5,6 @@ import pytest
 
 from repro.partition.metrics import (
     edge_cut,
-    format_partition_report,
     locality_cost,
     partition_balance,
     partition_report,
@@ -60,6 +59,3 @@ class TestReport:
         report = partition_report(graph, partitions, assignment)
         assert report["num_partitions"] == 4
         assert 0.0 <= report["edge_cut_fraction"] <= 1.0
-        text = format_partition_report(report)
-        assert "locality_cost" in text
-        assert "balance" in text

@@ -72,7 +72,7 @@ class TestCostAware:
         """cost-aware consumes the tuple weights the engine's PI graph carries."""
         assignment = np.array([0, 0, 1, 1, 2, 2], dtype=np.int64)
         table = TupleHashTable(6, assignment)
-        table.add_many([(0, 2), (0, 3), (1, 2), (4, 0), (4, 1), (2, 4)])
+        table.add_array(np.array([(0, 2), (0, 3), (1, 2), (4, 0), (4, 1), (2, 4)]))
         pi = PIGraph.from_tuple_table(table, 3)
         result = count_load_unload_operations(pi, "cost-aware")
         assert result.tuples_scheduled == table.num_tuples

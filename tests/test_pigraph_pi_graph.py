@@ -60,10 +60,6 @@ class TestQueries:
         edges = pi.edges()
         assert [(e.src, e.dst) for e in edges] == [(0, 1), (1, 2), (2, 0), (3, 3)]
 
-    def test_edges_of(self, pi):
-        incident = pi.edges_of(0)
-        assert {(e.src, e.dst) for e in incident} == {(0, 1), (2, 0)}
-
     def test_neighbors_excludes_self(self, pi):
         assert pi.neighbors(0) == {1, 2}
         assert pi.neighbors(3) == set()
@@ -71,10 +67,6 @@ class TestQueries:
     def test_degree_counts_self_edge_once(self, pi):
         assert pi.degree(3) == 1
         assert pi.degree(0) == 2
-
-    def test_weighted_degree(self, pi):
-        assert pi.weighted_degree(0) == 7
-        assert pi.weighted_degree(3) == 7
 
     def test_degree_array_matches_degree(self, pi):
         degrees = pi.degree_array()

@@ -176,7 +176,8 @@ class TestTupleProperties:
     @given(st.lists(st.tuples(st.integers(0, 14), st.integers(0, 14)), max_size=100))
     def test_hash_table_never_stores_duplicates_or_self_pairs(self, pairs):
         table = TupleHashTable(15, np.zeros(15, dtype=np.int64))
-        table.add_many(pairs)
+        for source, destination in pairs:
+            table.add(source, destination)
         stored = list(table.iter_tuples())
         assert len(stored) == len(set(stored))
         assert all(s != d for s, d in stored)

@@ -33,7 +33,7 @@ from repro.core.config import EngineConfig
 from repro.core.engine import KNNEngine
 from repro.service import ServingRuntime
 from repro.similarity.workloads import ProfileChange, generate_dense_profiles
-from repro.testing import FaultPlan, InjectedCrash
+from repro.testing import SERVICE_CRASH_POINTS, FaultPlan, InjectedCrash
 
 NUM_USERS = 60
 DIM = 8
@@ -146,6 +146,14 @@ def twin():
         dense = (engine.profile_store.base_dir
                  / "profiles_dense.bin").read_bytes()
     return fingerprint, dense
+
+
+def test_the_wall_covers_every_registered_service_point():
+    """Each service-level point is crashed here: the swap's two by the
+    refresh wall, ``service.admission`` and ``service.drain`` by their own
+    process-death tests below."""
+    assert set(SERVICE_CRASH_POINTS) <= (
+        set(REFRESH_CRASH_POINTS) | {"service.admission", "service.drain"})
 
 
 @pytest.mark.parametrize("point", REFRESH_CRASH_POINTS)

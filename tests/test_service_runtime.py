@@ -218,6 +218,41 @@ class TestAdmissionDepthContract:
                    message="final drain")
 
 
+class TestProbesDoNotWaitForWriters:
+    def test_health_and_stats_answer_while_a_submit_waits_on_the_engine(
+            self, tmp_path):
+        # a submit holds the admission lock across its enqueue, which waits
+        # here behind _engine_lock as it would behind a WAL fsync or an
+        # engine recovery; the probes must not queue behind it
+        with _runtime(tmp_path / "svc") as service:
+            outcome, timings = [], {}
+
+            def probe():
+                for name in ("health", "stats"):
+                    started = time.perf_counter()
+                    getattr(service, name)()
+                    timings[name] = time.perf_counter() - started
+
+            with service._engine_lock:
+                writer = threading.Thread(
+                    target=lambda: outcome.append(
+                        service.submit_updates(_batch(0))))
+                writer.start()
+                _await(service._admission._lock.locked,
+                       message="the submit to hold the admission lock")
+                # probe from a thread: a probe that did wait would wait
+                # forever here, since this thread holds _engine_lock
+                prober = threading.Thread(target=probe, daemon=True)
+                prober.start()
+                prober.join(timeout=5)
+                assert writer.is_alive()
+            writer.join(timeout=30)
+            prober.join(timeout=30)
+            assert outcome and outcome[0].accepted
+            assert set(timings) == {"health", "stats"}
+            assert max(timings.values()) < 0.05, timings
+
+
 class TestDeadlines:
     def test_deadline_exceeded_when_no_snapshot_can_be_acquired(self, tmp_path):
         service = _runtime(tmp_path / "svc").start()

@@ -12,6 +12,7 @@ import pytest
 
 from repro.similarity import measures as m
 from repro.similarity.profiles import DenseProfileStore, SparseProfileStore
+from repro.similarity.workloads import ProfileChange
 from repro.storage.profile_store import ProfileSlice
 
 SET_MEASURES = sorted(m.SET_MEASURES)
@@ -162,6 +163,6 @@ def test_sparse_store_mutation_keeps_batch_and_scalar_consistent():
     store.add_item(0, 1)
     assert store.similarity_pairs(pairs, "jaccard")[0] == pytest.approx(
         store.similarity(0, 1, "jaccard")) == 0.5
-    store.remove_item(1, 2)
+    store.apply_profile_changes([ProfileChange(user=1, kind="remove", item=2)])
     assert store.similarity_pairs(pairs, "jaccard")[0] == pytest.approx(
         store.similarity(0, 1, "jaccard")) == 1.0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.similarity.profiles import DenseProfileStore, SparseProfileStore
+from repro.similarity.workloads import ProfileChange
 
 
 class TestSparseProfileStore:
@@ -22,8 +23,9 @@ class TestSparseProfileStore:
         store = SparseProfileStore.empty(2)
         store.set(0, [1, 2, 3])
         store.add_item(0, 9)
-        store.remove_item(0, 1)
-        store.remove_item(0, 777)        # absent: no error
+        store.apply_profile_changes([
+            ProfileChange(user=0, kind="remove", item=1),
+            ProfileChange(user=0, kind="remove", item=777)])  # absent: no error
         assert store.get(0) == {2, 3, 9}
 
     def test_similarity(self):

@@ -15,12 +15,10 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import RULE_IDS, analyze
-from repro.analysis import crashpoints, deadcode, durability, locks, memmaps, purity
+from repro.analysis import deadcode, durability, locks, memmaps
 from repro.analysis.runner import (DEFAULT_HOT_LOCKS,
-                                   DEFAULT_SANCTIONED_WRITERS, AnalysisConfig,
-                                   _discover_tests)
-from repro.analysis.sources import (CodeIndex, SourceFile, discover_sources,
-                                    literal_tuple_entries)
+                                   DEFAULT_SANCTIONED_WRITERS, AnalysisConfig)
+from repro.analysis.sources import CodeIndex, SourceFile, discover_sources
 from repro.analysis.suppress import apply_suppressions, collect_suppressions
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -42,37 +40,6 @@ def real_index():
     return CodeIndex.build(sources), config
 
 
-def _real_registry(index, config):
-    registry_source = next(s for s in index.sources
-                           if s.module == config.fault_registry_module)
-    registry = {}
-    for constant in config.fault_registry_names:
-        for point, line in literal_tuple_entries(registry_source,
-                                                 constant).items():
-            registry[point] = (registry_source.path, line)
-    return registry
-
-
-# -- purity ------------------------------------------------------------------
-
-def test_purity_flags_wall_clock_at_exact_line(findex):
-    manifest = (FIXTURES / "impure_scheduler.py", 1)
-    findings = purity.check(findex, {
-        "fixtures.impure_scheduler.plan_with_clock": manifest})
-    assert [(f.rule_id, f.path.name, f.line) for f in findings] == [
-        ("purity", "impure_scheduler.py", 7)]
-    assert "time.time" in findings[0].message
-    assert "_stamp" in findings[0].message  # the witness call chain
-
-
-def test_purity_flags_orphaned_manifest_entry(findex):
-    manifest = (FIXTURES / "impure_scheduler.py", 3)
-    findings = purity.check(findex, {
-        "fixtures.impure_scheduler.no_such_planner": manifest})
-    assert [(f.rule_id, f.line) for f in findings] == [("purity", 3)]
-    assert "matches no function" in findings[0].message
-
-
 # -- lock discipline ---------------------------------------------------------
 
 def test_lock_order_cycle_detected_at_witness_edge(findex):
@@ -87,55 +54,6 @@ def test_blocking_call_under_hot_lock(findex):
                 if f.path.name == "lock_cycle.py" and "hot lock" in f.message]
     assert [(f.rule_id, f.line) for f in findings] == [("lock-discipline", 24)]
     assert "Pair._a" in findings[0].message
-
-
-# -- crash points ------------------------------------------------------------
-
-def test_unregistered_crash_point_flagged_at_call_site(findex):
-    findings = crashpoints.check(findex, registry={}, test_sources=[])
-    assert [(f.rule_id, f.path.name, f.line) for f in findings] == [
-        ("crash-point", "unregistered_crash_point.py", 10)]
-    assert "phase9.bogus" in findings[0].message
-
-
-def test_registered_point_without_site_or_test_reference(findex):
-    registry = {"phase9.bogus": (FIXTURES / "unregistered_crash_point.py", 10),
-                "ghost.point": (FIXTURES / "unregistered_crash_point.py", 3)}
-    findings = crashpoints.check(findex, registry, test_sources=[])
-    ghost = [f for f in findings if "ghost.point" in f.message]
-    assert {f.line for f in ghost} == {3}
-    assert any("no production call site" in f.message for f in ghost)
-    # no test source mentions either point
-    assert any("referenced by no test" in f.message for f in ghost)
-    assert any("referenced by no test" in f.message and "phase9.bogus"
-               in f.message for f in findings)
-
-
-def test_real_tree_lost_test_reference_is_detected(real_index):
-    """Dropping the crash matrix from the test set must surface findings."""
-    index, config = real_index
-    registry = _real_registry(index, config)
-    # this file's own literals count as references, so drop it as well
-    tests_without_matrix = [
-        source for source in _discover_tests(config.test_root)
-        if source.path.name not in ("test_crash_matrix.py",
-                                    "test_static_analysis.py")]
-    findings = crashpoints.check(index, registry, tests_without_matrix)
-    lost = [f for f in findings if "commit.begin" in f.message
-            and "referenced by no test" in f.message]
-    assert lost, "losing the matrix's commit.begin reference must be flagged"
-
-
-def test_real_tree_unregistered_literal_is_detected(real_index):
-    """Removing a point from the registry must flag its production hook."""
-    index, config = real_index
-    registry = _real_registry(index, config)
-    registry.pop("wal.appended")
-    findings = crashpoints.check(index, registry,
-                                 _discover_tests(config.test_root))
-    hits = [f for f in findings if "wal.appended" in f.message
-            and "not registered" in f.message]
-    assert hits and hits[0].path.name == "update_queue.py"
 
 
 # -- durability --------------------------------------------------------------
@@ -189,7 +107,7 @@ def test_suppression_only_matches_its_rule_id():
     path = FIXTURES / "suppressed_ok.py"
     suppressions = collect_suppressions(path, path.read_text())
     assert suppressions.allows(11, "durability")
-    assert not suppressions.allows(11, "purity")
+    assert not suppressions.allows(11, "memmap-hygiene")
     assert not suppressions.allows(10, "durability")
 
 
@@ -210,7 +128,7 @@ def test_dead_import_detector_flags_unused_and_spares_used(tmp_path):
 def test_committed_tree_analyzes_clean():
     report = analyze(REPO_ROOT)
     assert report.is_clean, "\n" + report.render()
-    assert report.summary().startswith("invariant lint: clean (5 rules")
+    assert report.summary().startswith("invariant lint: clean (3 rules")
 
 
 def test_configured_locks_and_writers_name_code_in_the_tree(real_index):
@@ -229,11 +147,10 @@ def test_configured_locks_and_writers_name_code_in_the_tree(real_index):
 
 
 def test_rule_ids_match_the_rule_modules():
-    assert RULE_IDS == (purity.RULE_ID, locks.RULE_ID, crashpoints.RULE_ID,
-                        durability.RULE_ID, memmaps.RULE_ID)
+    assert RULE_IDS == (locks.RULE_ID, durability.RULE_ID, memmaps.RULE_ID)
 
 
 def test_ci_runs_the_lint():
     ci = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text()
     assert "python -m repro.analysis --strict" in ci
-    assert "invariant lint: clean (5 rules" in ci  # the must-run guard grep
+    assert "invariant lint: clean (3 rules" in ci  # the must-run guard grep

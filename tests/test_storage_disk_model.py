@@ -46,9 +46,6 @@ class TestDiskModel:
         with pytest.raises(ValueError):
             DiskModel("bad", 0.0, 10.0, 10.0, write_penalty=0.0)
 
-    def test_seek_cost(self):
-        assert DISK_PRESETS["hdd"].seek_cost() == DISK_PRESETS["hdd"].access_latency_s
-
 
 class TestGetDiskModel:
     def test_preset_lookup(self):

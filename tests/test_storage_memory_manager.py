@@ -23,10 +23,9 @@ class TestMemoryBudget:
     def test_allocate_release(self):
         budget = MemoryBudget(1000)
         budget.allocate(400)
-        assert budget.used_bytes == 400
         assert budget.available_bytes == 600
         budget.release(100)
-        assert budget.used_bytes == 300
+        assert budget.available_bytes == 700
 
     def test_over_allocation_raises(self):
         budget = MemoryBudget(100)
@@ -43,7 +42,7 @@ class TestMemoryBudget:
     def test_release_never_negative(self):
         budget = MemoryBudget(100)
         budget.release(50)
-        assert budget.used_bytes == 0
+        assert budget.available_bytes == 100
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
@@ -129,13 +128,15 @@ class TestPartitionCache:
         budget = MemoryBudget(size * 2 + 16)
         cache = PartitionCache(store, max_resident=2, memory_budget=budget)
         cache.acquire_pair(0, 1)
-        assert budget.used_bytes == sum(p.estimated_bytes() for p in partitions[:2])
+        assert budget.available_bytes == budget.capacity_bytes - sum(
+            p.estimated_bytes() for p in partitions[:2])
         cache.acquire(2)        # evicts 0, the least recently used
-        assert budget.used_bytes == sum(p.estimated_bytes() for p in partitions[1:3])
+        assert budget.available_bytes == budget.capacity_bytes - sum(
+            p.estimated_bytes() for p in partitions[1:3])
         assert budget.peak_bytes == max(
             sum(p.estimated_bytes() for p in partitions[i:i + 2]) for i in (0, 1))
         cache.flush()
-        assert budget.used_bytes == 0
+        assert budget.available_bytes == budget.capacity_bytes
 
     def test_budget_too_small_raises(self, stored_partitions):
         store, partitions = stored_partitions

@@ -37,11 +37,6 @@ class TestAdd:
         with pytest.raises(IndexError):
             table.add(0, 99)
 
-    def test_add_many(self, table):
-        added = table.add_many([(0, 1), (0, 1), (2, 2), (3, 7)])
-        assert added == 2
-        assert len(table) == 2
-
 
 class TestAddArray:
     def test_bulk_insert_dedupes(self, table):
@@ -81,10 +76,13 @@ class TestAddArray:
         for batch in batches:
             # scalar-insert the first half, bulk-insert the whole batch, then
             # scalar-insert the second half again (all duplicates)
-            mixed.add_many(map(tuple, batch[:40]))
+            for source, destination in batch[:40]:
+                mixed.add(int(source), int(destination))
             mixed.add_array(batch)
-            mixed.add_many(map(tuple, batch[40:]))
-            scalar.add_many(map(tuple, batch))
+            for source, destination in batch[40:]:
+                mixed.add(int(source), int(destination))
+            for source, destination in batch:
+                scalar.add(int(source), int(destination))
         assert mixed.num_tuples == scalar.num_tuples
         assert set(mixed.iter_tuples()) == set(scalar.iter_tuples())
         assert mixed.bucket_sizes() == scalar.bucket_sizes()
@@ -104,7 +102,8 @@ class TestAddArray:
         array_table = TupleHashTable(20, assignment)
         rng = np.random.default_rng(0)
         pairs = rng.integers(0, 20, size=(200, 2))
-        scalar_table.add_many(map(tuple, pairs))
+        for source, destination in pairs:
+            scalar_table.add(int(source), int(destination))
         array_table.add_array(pairs)
         assert scalar_table.num_tuples == array_table.num_tuples
         assert set(map(tuple, scalar_table.all_tuples().tolist())) == set(
