@@ -286,6 +286,28 @@ def test_the_serving_order_serves_a_batch_one_iteration_earlier(
     assert serving_reference[0] != reference[0]
 
 
+@pytest.mark.parametrize("run_to_the_end, twin", [
+    (_run_paper_order, "reference"),
+    (_run_serving_order, "serving_reference"),
+], ids=["paper-order", "serving-order"])
+def test_an_inert_plan_reaches_every_matrix_point_and_changes_nothing(
+        run_to_the_end, twin, tmp_path, request):
+    """A registered point whose hook site is gone never fires, so its rows
+    above would crash nothing: an empty plan must count a hit at every
+    matrix point, and carrying it must leave the run unchanged."""
+    ref_fingerprint, ref_dense = request.getfixturevalue(twin)
+    plan = FaultPlan()
+    with KNNEngine(_profiles(), _config(durable=True, fault_plan=plan),
+                   workdir=tmp_path / "work") as engine:
+        run_to_the_end(engine, _once_feed())
+        assert engine.graph.edge_fingerprint() == ref_fingerprint
+        assert (engine.profile_store.base_dir
+                / "profiles_dense.bin").read_bytes() == ref_dense
+    assert {point: plan.hits(point) for point in CRASH_POINTS
+            if plan.hits(point) == 0} == {}
+    assert plan.fired == []
+
+
 @pytest.mark.parametrize("schedule", list(SCHEDULES))
 @pytest.mark.parametrize("point", CRASH_POINTS)
 def test_crash_recover_finish_matches_uninterrupted_in_serving_order(

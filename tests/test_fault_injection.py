@@ -19,7 +19,9 @@ from repro.core.config import EngineConfig
 from repro.core.engine import KNNEngine
 from repro.similarity.workloads import generate_dense_profiles
 from repro.storage.profile_store import OnDiskProfileStore
-from repro.testing import FaultPlan, InjectedCrash, InjectedIOError
+from repro.testing import (ITERATION_CRASH_POINTS, SERVICE_CRASH_POINTS,
+                           FaultPlan, InjectedCrash, InjectedIOError)
+from repro.testing.faults import fault_point
 
 
 class TestFaultPlanScheduling:
@@ -55,6 +57,61 @@ class TestFaultPlanScheduling:
             FaultPlan().crash_at("nope")
         with pytest.raises(ValueError, match="not registered"):
             FaultPlan(seed=1).crash_at_random(["nope"])
+
+    @pytest.mark.parametrize("name", [
+        "",
+        "commit",                # a path group, not a point
+        "commit.begin ",         # no whitespace folding
+        "Commit.begin",          # no case folding
+        "commit.begin.retry",    # no prefix matching
+        "store.journal",         # a truncated registered name
+        "service.swap",          # the two swap points have no common alias
+    ])
+    def test_near_miss_names_are_refused_by_exact_match(self, name):
+        with pytest.raises(ValueError) as exc:
+            FaultPlan().point(name)
+        assert repr(name) in str(exc.value)
+        with pytest.raises(ValueError):
+            FaultPlan().crash_at(name)
+
+    def test_a_refused_name_leaves_the_plan_untouched(self):
+        plan = FaultPlan().crash_at("commit.begin", occurrence=2)
+        with pytest.raises(ValueError):
+            plan.crash_at("commit.bogus")
+        with pytest.raises(ValueError):
+            plan.point("commit.bogus")
+        assert plan.scheduled_crashes() == [("commit.begin", 2)]
+        assert plan.hits("commit.bogus") == 0
+        assert plan.fired == []
+
+    def test_the_registry_is_duplicate_free_and_split_by_layer(self):
+        assert len(set(ITERATION_CRASH_POINTS)) == len(ITERATION_CRASH_POINTS)
+        assert len(set(SERVICE_CRASH_POINTS)) == len(SERVICE_CRASH_POINTS)
+        assert all(name.startswith("service.")
+                   for name in SERVICE_CRASH_POINTS)
+        assert not any(name.startswith("service.")
+                       for name in ITERATION_CRASH_POINTS)
+        # every name is "<path>.<event>": one dot, both halves non-empty
+        for name in ITERATION_CRASH_POINTS + SERVICE_CRASH_POINTS:
+            path, _, event = name.partition(".")
+            assert path and event and "." not in event, name
+
+    def test_occurrences_are_one_based(self):
+        plan = FaultPlan()
+        with pytest.raises(ValueError, match="1-based"):
+            plan.crash_at("commit.begin", occurrence=0)
+        with pytest.raises(ValueError, match="1-based"):
+            plan.fail_file_op("write", occurrence=0)
+        with pytest.raises(ValueError, match="1-based"):
+            plan.truncate_file("write", occurrence=0)
+        assert plan.scheduled_crashes() == []
+
+    def test_without_a_plan_a_hook_checks_nothing(self):
+        # the registry is enforced by the plan: a hook that no
+        # plan-carrying run walks is not checked (docs/static-analysis.md)
+        fault_point(None, "not.registered")
+        with pytest.raises(ValueError, match="not registered"):
+            fault_point(FaultPlan(), "not.registered")
 
     def test_file_op_failure_matches_substring(self):
         plan = FaultPlan().fail_file_op("write", match="dense", occurrence=1)

@@ -84,6 +84,16 @@ class TestQueries:
         assert adjacency[1][0] == 5
         assert adjacency[3][3] == 7
 
+    def test_adjacency_merges_both_directions_of_a_pair(self):
+        # residency is symmetric: tuples 0->1 and 1->0 both need the pair
+        pi = PIGraph(3)
+        pi.add_edge(0, 1, weight=5)
+        pi.add_edge(1, 0, weight=4)
+        adjacency = pi.adjacency()
+        assert adjacency[0] == {1: 9}
+        assert adjacency[1] == {0: 9}
+        assert adjacency[2] == {}
+
     def test_has_edge(self, pi):
         assert pi.has_edge(0, 1)
         assert not pi.has_edge(1, 0)

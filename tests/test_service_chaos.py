@@ -156,6 +156,25 @@ def test_the_wall_covers_every_registered_service_point():
         set(REFRESH_CRASH_POINTS) | {"service.admission", "service.drain"})
 
 
+def test_an_inert_plan_reaches_every_service_point(tmp_path, twin):
+    """A registered point whose hook site is gone never fires: one clean
+    lifecycle — admit, refresh, drain — must count a hit at each service
+    point and at each refresh point, and serve the twin's graph."""
+    plan = FaultPlan()
+    runtime = _runtime(tmp_path / "svc", plan=plan)
+    runtime.start()
+    try:
+        _drive_lockstep(runtime, NUM_BATCHES)
+        runtime.stop(drain=True)
+        assert _final_state(runtime) == twin
+    finally:
+        runtime.close()
+    points = set(SERVICE_CRASH_POINTS) | set(REFRESH_CRASH_POINTS)
+    assert {point for point in points if plan.hits(point) == 0} == set()
+    assert plan.fired == []
+    assert runtime.restarts == 0
+
+
 @pytest.mark.parametrize("point", REFRESH_CRASH_POINTS)
 def test_refresh_crash_recovers_without_an_outage(point, tmp_path, twin,
                                                   shm_unchanged):

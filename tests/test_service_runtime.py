@@ -252,6 +252,82 @@ class TestProbesDoNotWaitForWriters:
             assert set(timings) == {"health", "stats"}
             assert max(timings.values()) < 0.05, timings
 
+    def test_draining_and_stats_answer_while_an_enqueue_is_in_flight(self):
+        # the enqueue callback stands in for a slow WAL fsync: the submit
+        # holds the admission lock until it is released
+        in_enqueue, release = threading.Event(), threading.Event()
+
+        def enqueue(batch):
+            in_enqueue.set()
+            release.wait(timeout=30)
+            return len(batch)
+
+        controller = AdmissionController(capacity=8, enqueue=enqueue,
+                                         pending=lambda: 0)
+        outcome = []
+        writer = threading.Thread(
+            target=lambda: outcome.append(controller.submit(_batch(0))))
+        writer.start()
+        try:
+            assert in_enqueue.wait(timeout=30)
+            started = time.perf_counter()
+            draining = controller.draining
+            stats = controller.stats()
+            elapsed = time.perf_counter() - started
+        finally:
+            release.set()
+            writer.join(timeout=30)
+        assert elapsed < 0.05, elapsed
+        assert draining is False
+        # the in-flight batch is not counted until its enqueue returns
+        assert stats["accepted_batches"] == 0
+        assert outcome and outcome[0].accepted
+        assert controller.stats()["accepted_batches"] == 1
+
+    def test_counters_add_up_under_concurrent_submits_and_sheds(self):
+        queue = []
+        queue_lock = threading.Lock()
+
+        def enqueue(batch):
+            with queue_lock:
+                queue.extend(batch)
+                return len(queue)
+
+        def drain_some():
+            with queue_lock:
+                del queue[:2]
+
+        controller = AdmissionController(capacity=6, enqueue=enqueue,
+                                         pending=lambda: len(queue))
+        results = []
+        results_lock = threading.Lock()
+
+        def writer(slot):
+            for index in range(40):
+                outcome = controller.submit(_batch(slot * 100 + index,
+                                                   size=1 + index % 3))
+                with results_lock:
+                    results.append(outcome)
+                if index % 4 == 0:
+                    drain_some()
+
+        threads = [threading.Thread(target=writer, args=(slot,))
+                   for slot in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        stats = controller.stats()
+        accepted = [r for r in results if r.accepted]
+        shed = [r for r in results if not r.accepted]
+        assert accepted and shed, "the mix exercised only one path"
+        assert stats["accepted_batches"] == len(accepted)
+        assert stats["shed_batches"] == len(shed)
+        assert stats["accepted_batches"] + stats["shed_batches"] == 160
+        assert stats["accepted_changes"] == sum(r.batch_size for r in accepted)
+        assert stats["shed_changes"] == sum(r.batch_size for r in shed)
+
 
 class TestDeadlines:
     def test_deadline_exceeded_when_no_snapshot_can_be_acquired(self, tmp_path):

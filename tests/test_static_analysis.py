@@ -56,6 +56,31 @@ def test_blocking_call_under_hot_lock(findex):
     assert "Pair._a" in findings[0].message
 
 
+def test_only_blocking_calls_count_under_a_hot_lock(tmp_path):
+    """Clock, random and environment reads do not park a thread: under a
+    hot lock only the fsync, reached through a helper, is flagged."""
+    victim = tmp_path / "clocked.py"
+    victim.write_text(
+        "import os\nimport random\nimport threading\nimport time\n\n\n"
+        "class Meter:\n"
+        "    def __init__(self):\n"
+        "        self._lock = threading.Lock()\n\n"
+        "    def sample(self):\n"
+        "        with self._lock:\n"
+        "            return (time.perf_counter(), random.random(),\n"
+        "                    os.environ.get('HOME'))\n\n"
+        "    def persist(self, handle):\n"
+        "        with self._lock:\n"
+        "            self._sync(handle)\n\n"
+        "    def _sync(self, handle):\n"
+        "        os.fsync(handle)\n")
+    index = CodeIndex.build([SourceFile.parse(victim, "fixtures.clocked")])
+    findings = [f for f in locks.check(index, hot_locks=("Meter._lock",))
+                if "hot lock" in f.message]
+    assert [(f.rule_id, f.line) for f in findings] == [("lock-discipline", 18)]
+    assert "os.fsync" in findings[0].message
+
+
 # -- durability --------------------------------------------------------------
 
 def test_fsyncless_rename_flagged_at_replace_line(findex):
