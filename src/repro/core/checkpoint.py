@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import json
 import os
-import shutil
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -46,6 +45,7 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.graph.knn_graph import KNNGraph
+from repro.storage import durable
 from repro.storage.disk_model import DiskModel
 from repro.storage.io_stats import IOStats
 from repro.storage.profile_store import OnDiskProfileStore
@@ -59,23 +59,19 @@ def save_knn_graph(path: PathLike, graph: KNNGraph, fault_plan=None) -> int:
     """Write ``G(t)``'s own arrays: the magic, ``(n, k)``, then ``counts``,
     ``neighbors`` and ``scores`` as :meth:`KNNGraph.ranked_arrays` holds them.
 
-    Returns the CRC32 of the bytes handed to the file.  ``fault_plan`` (see
-    :mod:`repro.testing.faults`) can fail the write or truncate the written
-    file to model a crash mid-serialisation; the checkpoint-level
+    Returns the CRC32 of the bytes handed to the file, which is written in
+    the seam's sealed mode (:mod:`repro.storage.durable`).  ``fault_plan``
+    (see :mod:`repro.testing.faults`) can fail the write or truncate the
+    written file to model a crash mid-serialisation; the checkpoint-level
     ``checksums.json`` — which records the returned CRC, not a re-read —
     and the loader's checks are what must catch the damage.
     """
-    path = Path(path)
     header = np.asarray([graph.num_vertices, graph.k], dtype=np.int64)
-    if fault_plan is not None:
-        fault_plan.file_op("write", path)
+    blocks = (_MAGIC, header, *graph.ranked_arrays())
     crc = 0
-    with path.open("wb") as handle:
-        for block in (_MAGIC, header, *graph.ranked_arrays()):
-            handle.write(block)
-            crc = zlib.crc32(block, crc)
-    if fault_plan is not None:
-        fault_plan.after_file_op("write", path)
+    for block in blocks:
+        crc = zlib.crc32(block, crc)
+    durable.write([(path, blocks)], fault_plan, sealed=True)
     return crc
 
 
@@ -200,22 +196,13 @@ def clone_profile_files(source_dir: PathLike, dest_dir: PathLike,
         if target.exists():
             target.unlink()
         size = path.stat().st_size
-        if OnDiskProfileStore.linkable_snapshot_file(path.name):
-            try:
-                if fault_plan is not None:
-                    # an injected link failure is an OSError like any other
-                    # unsupported-link condition, so it exercises exactly
-                    # the production fallback below
-                    fault_plan.file_op("link", target)
-                os.link(path, target)
-                stats.linked_files += 1
-                stats.linked_bytes += size
-                continue
-            except OSError:
-                pass  # cross-device or unsupported: fall through to a copy
-        shutil.copy2(path, target)
-        stats.copied_files += 1
-        stats.copied_bytes += size
+        linkable = OnDiskProfileStore.linkable_snapshot_file(path.name)
+        if durable.link(path, target, fault_plan, copy=not linkable):
+            stats.linked_files += 1
+            stats.linked_bytes += size
+        else:
+            stats.copied_files += 1
+            stats.copied_bytes += size
     current = {path.name for path in source.glob("profiles_*")}
     for path in dest.glob("profiles_*"):
         if path.name not in current:
@@ -287,7 +274,7 @@ def save_portable_checkpoint(directory: PathLike, graph: KNNGraph, iteration: in
         manifest["profiles_dir"] = "profiles"
     blob = json.dumps(manifest, indent=2).encode("utf-8")
     manifest_path = directory / "checkpoint.json"
-    manifest_path.write_bytes(blob)
+    durable.write([(manifest_path, blob)], sealed=True)
     vouched[manifest_path.name] = zlib.crc32(blob)
     return manifest_path
 
@@ -315,7 +302,7 @@ def load_portable_checkpoint(directory: PathLike) -> Tuple[
 
 # -- checkpoint integrity -----------------------------------------------------
 
-_CHECKSUMS_NAME = "checksums.json"
+_CHECKSUMS_NAME = durable.SEAL
 
 
 def _checkpoint_files(directory: Path) -> List[Path]:
@@ -325,7 +312,8 @@ def _checkpoint_files(directory: Path) -> List[Path]:
 
 
 def write_checkpoint_checksums(directory: PathLike,
-                               vouched: Optional[Dict[str, int]] = None) -> Path:
+                               vouched: Optional[Dict[str, int]] = None, *,
+                               sealed: bool = False) -> Path:
     """Record a CRC32 for every file of a checkpoint directory.
 
     Every file found is listed; only those absent from ``vouched`` (see
@@ -335,7 +323,11 @@ def write_checkpoint_checksums(directory: PathLike,
     engine's commit protocol writes the whole epoch into a temporary
     directory, seals it with this file, and only then renames the directory
     into place.  A crash at any earlier instant leaves either no directory
-    or one that :func:`verify_checkpoint` rejects.
+    or one that :func:`verify_checkpoint` rejects.  The file replaces any
+    earlier one durably (fsynced, with its directory); ``sealed=True``
+    writes it in the seam's sealed mode instead, for a directory
+    :func:`repro.storage.durable.publish` renames next (it fsyncs the
+    seal first).
     """
     directory = Path(directory)
     vouched = vouched or {}
@@ -345,12 +337,9 @@ def write_checkpoint_checksums(directory: PathLike,
         checksums[name] = (vouched[name] if name in vouched
                            else zlib.crc32(path.read_bytes()))
     target = directory / _CHECKSUMS_NAME
-    tmp = target.with_name(target.name + ".tmp")
-    with tmp.open("w", encoding="utf-8") as handle:
-        handle.write(json.dumps(checksums, indent=2, sort_keys=True))
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, target)
+    durable.write([(target, json.dumps(checksums, indent=2,
+                                       sort_keys=True).encode("utf-8"))],
+                  sealed=sealed)
     return target
 
 

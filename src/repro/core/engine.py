@@ -22,7 +22,6 @@ Typical usage::
 from __future__ import annotations
 
 import json
-import os
 import shutil
 import tempfile
 from contextlib import contextmanager
@@ -44,6 +43,7 @@ from repro.core.update_queue import (ProfileUpdateQueue, change_from_manifest,
 from repro.graph.knn_graph import KNNGraph
 from repro.similarity.profiles import ProfileStoreBase
 from repro.similarity.workloads import ProfileChange
+from repro.storage import durable
 from repro.storage.io_stats import IOStats
 from repro.storage.profile_store import OnDiskProfileStore, partition_aligned_bounds
 from repro.utils.logging import get_logger
@@ -214,12 +214,10 @@ class KNNEngine:
         self.close()
 
     def close(self) -> None:
-        """Close the update queue and release the on-disk scratch space (if
-        owned)."""
+        """Release the on-disk scratch space (if owned)."""
         if self._closed:
             return
         self._closed = True
-        self._update_queue.close()
         if self._owns_workdir:
             shutil.rmtree(self._workdir, ignore_errors=True)
 
@@ -508,8 +506,10 @@ class KNNEngine:
         hard-linked profile snapshot and manifest) is written into an
         ``.tmp`` directory,
         sealed with ``checksums.json`` (written last — it doubles as the
-        completeness marker; the CRCs are the writers' own), and renamed
-        into place in one atomic step.
+        completeness marker; the CRCs are the writers' own), and published
+        by one atomic rename (:func:`repro.storage.durable.publish`: the
+        seal and the ``.tmp`` directory fsynced before it, ``commits/``
+        after it).
         Only then may :meth:`_collect_garbage` prune stale epochs and the WAL.
         A crash between any two steps leaves either the previous epochs or
         the new one — never a half-committed state that verifies.
@@ -527,12 +527,12 @@ class KNNEngine:
         self.save_checkpoint(
             tmp, metadata={"wal_applied_seq": self._update_queue.last_applied_seq},
             checksums=vouched)
-        write_checkpoint_checksums(tmp, vouched)
+        write_checkpoint_checksums(tmp, vouched, sealed=True)
         if fault is not None:
             fault.point("commit.before_rename")
         if final.exists():
             shutil.rmtree(final)
-        os.rename(tmp, final)
+        durable.publish([(tmp, final)])
         if fault is not None:
             fault.point("commit.committed")
 

@@ -8,9 +8,10 @@ sees a consistent snapshot.
 
 Durable mode
 ------------
-When constructed with ``wal_path``, every enqueued change is also appended
-to a write-ahead log before it becomes visible to :meth:`drain`, so
-enqueued-but-unapplied changes survive a crash of the whole process.  The
+When constructed with ``wal_path``, every enqueued batch is also appended
+to a write-ahead log, and fsynced, before it becomes visible to
+:meth:`drain` (:func:`repro.storage.durable.append`), so
+enqueued-but-unapplied changes survive a crash of the whole machine.  The
 record format is::
 
     <u32 payload length> <u32 CRC32(payload)> <payload>
@@ -32,7 +33,6 @@ before the tear replays normally.
 from __future__ import annotations
 
 import json
-import os
 import struct
 import threading
 import zlib
@@ -42,6 +42,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.similarity.workloads import ProfileChange
+from repro.storage import durable
 
 _RECORD_HEADER = struct.Struct("<II")
 
@@ -64,10 +65,13 @@ def change_from_manifest(data: dict) -> ProfileChange:
         vector=None if vector is None else np.asarray(vector, dtype=np.float64))
 
 
-def _encode_record(seq: int, change: ProfileChange) -> bytes:
-    payload = dict(change_to_manifest(change), seq=int(seq))
+def _frame(payload: dict) -> bytes:
     blob = json.dumps(payload, separators=(",", ":")).encode("utf-8")
     return _RECORD_HEADER.pack(len(blob), zlib.crc32(blob)) + blob
+
+
+def _encode_record(seq: int, change: ProfileChange) -> bytes:
+    return _frame(dict(change_to_manifest(change), seq=int(seq)))
 
 
 def _scan_wal_bytes(data: bytes) -> List[dict]:
@@ -107,27 +111,22 @@ class ProfileUpdateQueue:
         When given, enqueued changes are appended to this write-ahead log
         before becoming drainable (see the module docstring for the format
         and the exactly-once contract).  ``None`` keeps the queue purely
-        in-memory (the default, and the historical behaviour).
-    fsync:
-        Whether WAL appends fsync (one fsync per enqueue/enqueue_many
-        batch, not per record).  Tests may disable it for speed; durability
-        against machine crashes requires it on.
+        in-memory (the default, and the historical behaviour).  Each
+        :meth:`enqueue_many` batch is one append and one fsync.
     fault_plan:
         Optional :class:`repro.testing.faults.FaultPlan` consulted around
         WAL writes (crash point ``wal.appended``, file ops on the WAL).
     """
 
     def __init__(self, wal_path: Optional[Union[str, Path]] = None,
-                 fsync: bool = True, fault_plan=None):
+                 fault_plan=None):
         self._changes: List[ProfileChange] = []
         self._seqs: List[int] = []
         self._lock = threading.Lock()
         self._next_seq = 0
         self._applied_seq = -1
-        self._fsync = bool(fsync)
         self._fault_plan = fault_plan
         self._wal_path = Path(wal_path) if wal_path is not None else None
-        self._wal_handle = None
         self._wal_preexisting = False
         if self._wal_path is not None:
             self._wal_path.parent.mkdir(parents=True, exist_ok=True)
@@ -159,25 +158,14 @@ class ProfileUpdateQueue:
         with self._lock:
             return self._applied_seq
 
-    def _wal(self):
-        if self._wal_handle is None:
-            self._wal_handle = open(self._wal_path, "ab")
-        return self._wal_handle
-
     def _append_wal(self, pairs: Sequence[Tuple[int, ProfileChange]]) -> None:
         """Append encoded records for ``pairs`` in one write + one fsync."""
         if self._wal_path is None or not pairs:
             return
+        durable.append(self._wal_path,
+                       b"".join(_encode_record(seq, change) for seq, change in pairs),
+                       self._fault_plan)
         if self._fault_plan is not None:
-            self._fault_plan.file_op("write", self._wal_path)
-        handle = self._wal()
-        handle.write(b"".join(_encode_record(seq, change)
-                              for seq, change in pairs))
-        handle.flush()
-        if self._fsync:
-            os.fsync(handle.fileno())
-        if self._fault_plan is not None:
-            self._fault_plan.after_file_op("write", self._wal_path)
             self._fault_plan.point("wal.appended")
 
     def wal_records(self) -> List[dict]:
@@ -216,50 +204,20 @@ class ProfileUpdateQueue:
     def truncate_wal(self, keep_after_seq: int) -> None:
         """Drop WAL records with ``seq <= keep_after_seq`` (garbage collection).
 
-        The survivors are rewritten to a temporary file that atomically
-        replaces the WAL, so a crash mid-truncate leaves either the old or
-        the new log — never a half-written one.  Correctness never depends
-        on truncation happening: replay filters by sequence number.
+        The survivors are rewritten to a log that atomically replaces the
+        WAL (:func:`repro.storage.durable.write`), so a crash mid-truncate
+        leaves either the old or the new log — never a half-written one.
+        Correctness never depends on truncation happening: replay filters
+        by sequence number.
         """
         if self._wal_path is None:
             return
         with self._lock:
-            survivors = [payload for payload in self.wal_records()
+            survivors = [_frame(payload) for payload in self.wal_records()
                          if int(payload["seq"]) > keep_after_seq]
-            if self._wal_handle is not None:
-                self._wal_handle.close()
-                self._wal_handle = None
-            tmp = self._wal_path.with_name(self._wal_path.name + ".tmp")
-            with open(tmp, "wb") as handle:
-                for payload in survivors:
-                    blob = json.dumps(
-                        payload, separators=(",", ":")).encode("utf-8")
-                    handle.write(_RECORD_HEADER.pack(
-                        len(blob), zlib.crc32(blob)) + blob)
-                handle.flush()
-                if self._fsync:
-                    os.fsync(handle.fileno())
-            if self._fault_plan is not None:
-                self._fault_plan.file_op("rename", self._wal_path)
-            os.replace(tmp, self._wal_path)
-
-    def close(self) -> None:
-        if self._wal_handle is not None:
-            self._wal_handle.close()
-            self._wal_handle = None
+            durable.write([(self._wal_path, survivors)], self._fault_plan)
 
     # -- queue API -----------------------------------------------------------
-
-    def enqueue(self, change: ProfileChange) -> None:
-        """Buffer one profile change for the end of the current iteration."""
-        if not isinstance(change, ProfileChange):
-            raise TypeError(f"expected ProfileChange, got {type(change).__name__}")
-        with self._lock:
-            seq = self._next_seq
-            self._next_seq += 1
-            self._append_wal([(seq, change)])
-            self._changes.append(change)
-            self._seqs.append(seq)
 
     def enqueue_many(self, changes: Iterable[ProfileChange]) -> int:
         """Buffer many changes; returns how many were enqueued.

@@ -224,7 +224,10 @@ class ServingRuntime:
             engine = self._engine
             if engine is None:
                 raise ServiceUnavailable("service is closed")
-            # repro: allow[lock-discipline] durability-before-accepted: the WAL fsync must complete before submit() returns ACCEPTED, and it must be ordered against engine replacement; queries take _view_lock (never _engine_lock), so readers do not stall behind this hold
+            # the WAL fsync runs under this lock on purpose: it must finish
+            # before submit() returns ACCEPTED and be ordered against an
+            # engine replacement.  No reader or probe takes _engine_lock
+            # (queries take _view_lock), so none stalls behind the hold
             engine.enqueue_profile_changes(batch)
             # the admission contract wants the queue depth *after* this
             # append.  Refresh drains do NOT take the engine lock (the
@@ -309,7 +312,9 @@ class ServingRuntime:
                     old.close()
                 except Exception:  # noqa: BLE001 — the engine is already broken
                     pass
-            # repro: allow[lock-discipline] recovery path: the engine is already broken, so holding _engine_lock across the rebuild is the point — writers must queue behind recovery, and queries are served from the last committed snapshot via _view_lock meanwhile
+            # the rebuild runs under this lock on purpose: the engine is
+            # broken, writers must queue behind recovery, and queries are
+            # served from the last committed snapshot via _view_lock
             self._engine = KNNEngine.recover(self._engine_dir,
                                              config=self._config)
 

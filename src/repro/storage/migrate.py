@@ -18,6 +18,7 @@ from repro.core.checkpoint import (save_knn_graph, verify_checkpoint,
 from repro.graph.knn_graph import KNNGraph
 from repro.similarity.profiles import (DenseProfileStore, ProfileStoreBase,
                                        SparseProfileStore)
+from repro.storage import durable
 from repro.storage.profile_store import (FORMAT_VERSION, OnDiskProfileStore,
                                          StoreFormatError)
 
@@ -73,8 +74,8 @@ def migrate_store(base_dir: Union[str, os.PathLike]) -> bool:
     fresh._meta["generation"] = int(meta.get("generation", 0)) + 1
     fresh._write_meta()
     written = sorted(path.name for path in scratch.iterdir())
-    for name in sorted(written, key=_META_NAME.__eq__):     # the meta last
-        os.replace(scratch / name, base / name)
+    durable.publish((scratch / name, base / name)             # the meta last
+                    for name in sorted(written, key=_META_NAME.__eq__))
     for path in base.glob("profiles_*"):
         if path.name not in written:
             path.unlink()                # the legacy layout's own files
@@ -133,15 +134,6 @@ def _is_legacy_store(base_dir: Path) -> bool:
     return False
 
 
-def _fsync(path: Path) -> None:
-    """Flush a file's or a directory's entry and bytes to disk."""
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
 def migrate_checkpoint(directory: Union[str, os.PathLike]) -> bool:
     """Rewrite the legacy files of a checkpoint directory in the current layout.
 
@@ -154,10 +146,10 @@ def migrate_checkpoint(directory: Union[str, os.PathLike]) -> bool:
     fails its checksums is refused with ``ValueError``: migrating it would
     seal the damage.
 
-    The new graph is built in ``<directory>/migrate.tmp``, fsynced with
-    that directory, and renamed into place; the scratch directory goes only
-    after the seal, so its presence marks an interrupted run, which is
-    simply run again.
+    The new graph is built in ``<directory>/migrate.tmp`` and published
+    into place (:func:`repro.storage.durable.publish`); the scratch
+    directory goes only after the seal, so its presence marks an
+    interrupted run, which is simply run again.
     """
     base = Path(directory)
     manifest = json.loads((base / "checkpoint.json").read_text())
@@ -184,10 +176,7 @@ def migrate_checkpoint(directory: Union[str, os.PathLike]) -> bool:
         staged = scratch / graph_path.name
         vouched[graph_path.name] = save_knn_graph(
             staged, _decode_legacy_graph(graph_path))
-        _fsync(staged)
-        _fsync(scratch)
-        os.replace(staged, graph_path)
-        _fsync(base)
+        durable.publish([(staged, graph_path)])
     if sealed:
         write_checkpoint_checksums(base, vouched)
     scratch.rmdir()

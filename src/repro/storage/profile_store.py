@@ -56,6 +56,7 @@ import numpy as np
 from repro.similarity import measures as _measures
 from repro.similarity.profiles import DenseProfileStore, ProfileStoreBase, SparseProfileStore
 from repro.similarity.workloads import ProfileChange
+from repro.storage import durable
 from repro.storage.disk_model import DiskModel, get_disk_model
 from repro.storage.io_stats import IOStats
 from repro.utils.arrays import ragged_ranges
@@ -80,46 +81,6 @@ class StoreCorruptionError(RuntimeError):
 
 class StoreFormatError(RuntimeError):
     """A store's meta describes a layout other than the current one."""
-
-
-def _atomic_tofile(array: np.ndarray, path: Path, fault_plan=None) -> None:
-    """Write ``array`` to ``path`` via a temp file + rename.
-
-    Replacing the file atomically gives it a fresh inode, so hard links taken
-    by a portable checkpoint keep pointing at the old (immutable) bytes
-    instead of being rewritten underneath the checkpoint.
-
-    ``fault_plan`` (see :mod:`repro.testing.faults`) can fail the write or
-    the rename, or truncate the published file, to model disk faults.
-    """
-    tmp = path.with_name(path.name + ".tmp")
-    if fault_plan is not None:
-        fault_plan.file_op("write", path)
-    with tmp.open("wb") as handle:
-        array.tofile(handle)
-        handle.flush()
-        os.fsync(handle.fileno())
-    if fault_plan is not None:
-        fault_plan.file_op("rename", path)
-    os.replace(tmp, path)
-    if fault_plan is not None:
-        fault_plan.after_file_op("write", path)
-
-
-def _atomic_write_bytes(data: bytes, path: Path, fault_plan=None) -> None:
-    """Byte-level sibling of :func:`_atomic_tofile` (same hard-link contract)."""
-    tmp = path.with_name(path.name + ".tmp")
-    if fault_plan is not None:
-        fault_plan.file_op("write", path)
-    with tmp.open("wb") as handle:
-        handle.write(data)
-        handle.flush()
-        os.fsync(handle.fileno())
-    if fault_plan is not None:
-        fault_plan.file_op("rename", path)
-    os.replace(tmp, path)
-    if fault_plan is not None:
-        fault_plan.after_file_op("write", path)
 
 
 def partition_aligned_bounds(num_users: int, num_partitions: int) -> List[int]:
@@ -513,9 +474,10 @@ class OnDiskProfileStore:
         self._base_dir.mkdir(parents=True, exist_ok=True)
         if isinstance(store, DenseProfileStore):
             matrix = store.matrix.astype(np.float64)
-            _atomic_tofile(matrix, self._base_dir / self._DENSE_NAME, self.fault_plan)
             norms = np.linalg.norm(matrix, axis=1)
-            _atomic_tofile(norms, self._base_dir / self._NORMS_NAME, self.fault_plan)
+            durable.write([(self._base_dir / self._DENSE_NAME, matrix),
+                           (self._base_dir / self._NORMS_NAME, norms)],
+                          self.fault_plan)
             self._meta = {"kind": "dense", "num_users": store.num_users,
                           "dim": store.dim,
                           "format_version": FORMAT_VERSION,
@@ -542,25 +504,20 @@ class OnDiskProfileStore:
         item_ids = (np.asarray(csr.item_ids, dtype=np.int64)
                     if csr.item_ids is not None else np.empty(0, dtype=np.int64))
         bounds = self._resolve_segment_bounds(store.num_users)
-        total = item_ids.nbytes
-        crcs: Dict[str, int] = {}
+        files: List[Tuple[str, Union[bytes, np.ndarray]]] = []
         for index in range(len(bounds) - 1):
             lo, hi = bounds[index], bounds[index + 1]
-            local = (indptr[lo:hi + 1] - indptr[lo]).astype(np.int64)
-            seg_codes = codes[indptr[lo]:indptr[hi]]
-            _atomic_tofile(local, self._base_dir / self._SEG_INDPTR_TMPL.format(index),
-                           self.fault_plan)
-            _atomic_tofile(seg_codes, self._base_dir / self._SEG_CODES_TMPL.format(index),
-                           self.fault_plan)
-            crcs[self._SEG_INDPTR_TMPL.format(index)] = zlib.crc32(local.tobytes())
-            crcs[self._SEG_CODES_TMPL.format(index)] = zlib.crc32(seg_codes.tobytes())
-            total += local.nbytes + seg_codes.nbytes
-        _atomic_tofile(item_ids, self._base_dir / self._SPARSE_ITEM_IDS,
-                       self.fault_plan)
-        crcs[self._SPARSE_ITEM_IDS] = zlib.crc32(item_ids.tobytes())
-        for name in (self._JOURNAL_ROWS, self._JOURNAL_INDPTR, self._JOURNAL_CODES):
-            _atomic_write_bytes(b"", self._base_dir / name, self.fault_plan)
-            crcs[name] = 0  # zlib.crc32(b"")
+            files.append((self._SEG_INDPTR_TMPL.format(index),
+                          (indptr[lo:hi + 1] - indptr[lo]).astype(np.int64)))
+            files.append((self._SEG_CODES_TMPL.format(index),
+                          codes[indptr[lo]:indptr[hi]]))
+        files.append((self._SPARSE_ITEM_IDS, item_ids))
+        total = sum(data.nbytes for _, data in files)
+        files.extend((name, b"") for name in
+                     (self._JOURNAL_ROWS, self._JOURNAL_INDPTR, self._JOURNAL_CODES))
+        durable.write(((self._base_dir / name, data) for name, data in files),
+                      self.fault_plan)
+        crcs = {name: zlib.crc32(data) for name, data in files}
         # stale segment files of a shrunken segment count
         for path in self._base_dir.glob("profiles_seg_*.bin"):
             index = int(path.stem.split("_")[2])
@@ -623,7 +580,7 @@ class OnDiskProfileStore:
         """Whether a store file is safe to *hard-link* into a snapshot.
 
         Lives next to the write paths it describes: segment files are only
-        ever replaced atomically via rename (:func:`_atomic_tofile`), so a
+        ever replaced atomically via rename (:func:`durable.write`), so a
         link keeps the old bytes.
         The meta file is rewritten in place, the journal and item table
         are appended in place, and dense matrices/norms are updated
@@ -1082,8 +1039,8 @@ class OnDiskProfileStore:
             [state.j_indptr, int(state.j_indptr[-1]) + np.cumsum(sizes)])
         self._append_file(self._JOURNAL_ROWS, rows)
         self._append_file(self._JOURNAL_CODES, new_codes)
-        _atomic_tofile(journal_indptr, self._base_dir / self._JOURNAL_INDPTR,
-                       self.fault_plan)
+        durable.write([(self._base_dir / self._JOURNAL_INDPTR, journal_indptr)],
+                      self.fault_plan)
         self._set_crc(self._JOURNAL_INDPTR, journal_indptr)
         if self.fault_plan is not None:
             # crash window: journal appended, meta/generation not yet bumped
@@ -1102,19 +1059,9 @@ class OnDiskProfileStore:
         return len(sets)
 
     def _append_file(self, name: str, data: np.ndarray) -> None:
-        """Append to one of the store's append-only files.
-
-        Rolls the file's running CRC32 forward over the appended bytes and
-        consults the fault plan around the write (appends are a distinct
-        torn-write surface from the atomic-replace paths).
-        """
-        path = self._base_dir / name
-        if self.fault_plan is not None:
-            self.fault_plan.file_op("write", path)
-        with path.open("ab") as handle:
-            handle.write(data.tobytes())
-        if self.fault_plan is not None:
-            self.fault_plan.after_file_op("write", path)
+        """Append to one of the store's append-only files and roll its
+        running CRC32 forward over the appended bytes."""
+        durable.append(self._base_dir / name, data, self.fault_plan)
         self._extend_crc(name, data)
 
     def _item_code_map(self, state: _SparseState) -> Dict[int, int]:
@@ -1144,7 +1091,7 @@ class OnDiskProfileStore:
         journaled_rows = np.unique(state.j_rows)
         segments = np.unique(
             np.searchsorted(state.bounds, journaled_rows, side="right") - 1)
-        total = 0
+        files: List[Tuple[str, Union[bytes, np.ndarray]]] = []
         for seg in segments:
             lo, hi = int(state.bounds[seg]), int(state.bounds[seg + 1])
             sizes = state.row_sizes[lo:hi]
@@ -1161,16 +1108,15 @@ class OnDiskProfileStore:
             # release the mapped views of this segment before replacing it
             state.seg_indptr[seg] = indptr
             state.seg_codes[seg] = codes
-            _atomic_tofile(indptr, self._base_dir / self._SEG_INDPTR_TMPL.format(int(seg)),
-                           self.fault_plan)
-            _atomic_tofile(codes, self._base_dir / self._SEG_CODES_TMPL.format(int(seg)),
-                           self.fault_plan)
-            self._set_crc(self._SEG_INDPTR_TMPL.format(int(seg)), indptr)
-            self._set_crc(self._SEG_CODES_TMPL.format(int(seg)), codes)
-            total += indptr.nbytes + codes.nbytes
-        for name in (self._JOURNAL_ROWS, self._JOURNAL_INDPTR, self._JOURNAL_CODES):
-            _atomic_write_bytes(b"", self._base_dir / name, self.fault_plan)
-            self._set_crc(name, b"")
+            files.append((self._SEG_INDPTR_TMPL.format(int(seg)), indptr))
+            files.append((self._SEG_CODES_TMPL.format(int(seg)), codes))
+        total = sum(data.nbytes for _, data in files)
+        files.extend((name, b"") for name in
+                     (self._JOURNAL_ROWS, self._JOURNAL_INDPTR, self._JOURNAL_CODES))
+        durable.write(((self._base_dir / name, data) for name, data in files),
+                      self.fault_plan)
+        for name, data in files:
+            self._set_crc(name, data)
         self._meta["journal_entries"] = 0
         self.io_stats.record_write(total,
                                    self._disk.write_cost(total, sequential=True))
@@ -1187,8 +1133,8 @@ class OnDiskProfileStore:
         torn or unsynced meta would desynchronise their cached maps from the
         segment files it describes.
         """
-        _atomic_write_bytes(json.dumps(self._meta).encode("utf-8"),
-                            self._base_dir / self._META_NAME)
+        durable.write([(self._base_dir / self._META_NAME,
+                        json.dumps(self._meta).encode("utf-8"))])
 
     # -- checksums -------------------------------------------------------------
 

@@ -15,6 +15,28 @@ from repro.graph.generators import powerlaw_fixed_size_graph
 from repro.graph.knn_graph import KNNGraph
 from repro.similarity.workloads import generate_dense_profiles, generate_sparse_profiles
 from repro.storage.profile_store import OnDiskProfileStore
+from runtime_contracts import Contracts
+
+
+@pytest.fixture(scope="session", autouse=True)
+def runtime_contracts():
+    """The durability, lock and memmap contracts (``runtime_contracts.py``),
+    watched over the whole session."""
+    contracts = Contracts()
+    with pytest.MonkeyPatch.context() as patch:
+        contracts.install(patch)
+        yield contracts
+
+
+@pytest.fixture(autouse=True)
+def contracts_held(runtime_contracts):
+    """Fail the test during which a runtime contract broke."""
+    runtime_contracts.take()
+    yield
+    broken = runtime_contracts.take()
+    if broken:
+        pytest.fail("runtime contract broken:\n" + "\n".join(broken),
+                    pytrace=False)
 
 
 def _unvouched(method, on=True, target=OnDiskProfileStore):

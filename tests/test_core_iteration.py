@@ -142,7 +142,7 @@ class TestProfileUpdates:
         profiles = generate_sparse_profiles(80, 300, items_per_user=10, seed=8)
         runner, profile_store = make_runner(tmp_path, profiles, k=4, num_partitions=3)
         queue = ProfileUpdateQueue()
-        queue.enqueue(ProfileChange(user=5, kind="add", item=9999))
+        queue.enqueue_many([ProfileChange(user=5, kind="add", item=9999)])
         initial = KNNGraph.random(80, 4, seed=8)
         result = runner.run(0, initial, update_queue=queue)
         assert result.profile_updates_applied == 1

@@ -11,8 +11,8 @@ from repro.similarity.workloads import ProfileChange
 class TestQueueBasics:
     def test_enqueue_and_drain(self):
         queue = ProfileUpdateQueue()
-        queue.enqueue(ProfileChange(user=0, kind="add", item=1))
-        queue.enqueue(ProfileChange(user=1, kind="add", item=2))
+        queue.enqueue_many([ProfileChange(user=0, kind="add", item=1)])
+        queue.enqueue_many([ProfileChange(user=1, kind="add", item=2)])
         assert len(queue) == 2
         drained = queue.drain()
         assert [c.user for c in drained] == [0, 1]
@@ -30,14 +30,14 @@ class TestQueueBasics:
 
     def test_peek_does_not_remove(self):
         queue = ProfileUpdateQueue()
-        queue.enqueue(ProfileChange(user=3, kind="remove", item=9))
+        queue.enqueue_many([ProfileChange(user=3, kind="remove", item=9)])
         snapshot = queue.peek()
         assert len(snapshot) == 1
         assert len(queue) == 1
 
     def test_type_check(self):
         with pytest.raises(TypeError):
-            ProfileUpdateQueue().enqueue("not a change")
+            ProfileUpdateQueue().enqueue_many(["not a change"])
 
 
 class TestThreadSafety:
@@ -46,7 +46,7 @@ class TestThreadSafety:
 
         def worker(base):
             for i in range(200):
-                queue.enqueue(ProfileChange(user=base + i, kind="add", item=i))
+                queue.enqueue_many([ProfileChange(user=base + i, kind="add", item=i)])
 
         threads = [threading.Thread(target=worker, args=(t * 1000,)) for t in range(4)]
         for thread in threads:
@@ -67,7 +67,7 @@ class TestServingShapedConcurrency:
     BATCH_SIZE = 8
 
     def test_interleaved_enqueue_many_and_drain_with_durable_wal(self, tmp_path):
-        queue = ProfileUpdateQueue(wal_path=tmp_path / "wal.bin", fsync=False)
+        queue = ProfileUpdateQueue(wal_path=tmp_path / "wal.bin")
         drained = []
         stop = threading.Event()
 
@@ -115,17 +115,19 @@ class TestServingShapedConcurrency:
             own = [u for u in drained_users if base <= u < base + 10_000]
             assert own == sorted(own)
         assert queue.last_applied_seq == max(seqs)
-        queue.close()
 
-    def test_close_is_idempotent(self, tmp_path):
-        queue = ProfileUpdateQueue(wal_path=tmp_path / "wal.bin", fsync=False)
-        queue.enqueue(ProfileChange(user=0, kind="add", item=1))
-        queue.close()
-        queue.close()  # double close must be a no-op, not an error
-        # the WAL record written before close survives and is readable
+    def test_an_appended_batch_is_on_disk_when_enqueue_returns(self, tmp_path):
+        # each append opens, writes, fsyncs and closes the log: there is no
+        # handle to close, and a queue reopened at once replays the record
+        queue = ProfileUpdateQueue(wal_path=tmp_path / "wal.bin")
+        queue.enqueue_many([ProfileChange(user=0, kind="add", item=1)])
         assert len(queue.wal_records()) == 1
+        reopened = ProfileUpdateQueue(wal_path=tmp_path / "wal.bin")
+        assert reopened.wal_preexisting
+        assert reopened.replay_tail(-1) == 1
 
-    def test_close_without_wal_is_idempotent(self):
+    def test_without_a_wal_nothing_is_logged(self):
         queue = ProfileUpdateQueue()
-        queue.close()
-        queue.close()
+        queue.enqueue_many([ProfileChange(user=0, kind="add", item=1)])
+        assert queue.wal_path is None
+        assert queue.wal_records() == []

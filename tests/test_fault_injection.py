@@ -108,7 +108,7 @@ class TestFaultPlanScheduling:
 
     def test_without_a_plan_a_hook_checks_nothing(self):
         # the registry is enforced by the plan: a hook that no
-        # plan-carrying run walks is not checked (docs/static-analysis.md)
+        # plan-carrying run walks is not checked (docs/robustness.md)
         fault_point(None, "not.registered")
         with pytest.raises(ValueError, match="not registered"):
             fault_point(FaultPlan(), "not.registered")
