@@ -537,9 +537,9 @@ class KNNEngine:
             fault.point("commit.committed")
 
     def _collect_garbage(self) -> None:
-        """Prune the sealed epochs past :attr:`COMMITS_KEPT` and truncate the
-        WAL to the oldest kept epoch's applied sequence (durable engines
-        only; nothing to do otherwise)."""
+        """Prune the sealed epochs past :attr:`COMMITS_KEPT`, fsync the
+        oldest kept epoch's content and truncate the WAL to its applied
+        sequence (durable engines only; nothing to do otherwise)."""
         if not self._config.durable:
             return
         fault = self._config.fault_plan
@@ -550,6 +550,9 @@ class KNNEngine:
         if fault is not None:
             fault.point("commit.before_wal_truncate")
         if self._update_queue.wal_path is not None and kept:
+            # the WAL keeps only what the oldest kept epoch has not applied,
+            # so that epoch goes to disk whole first (it was sealed unsynced)
+            durable.settle(kept[0][1])
             self._update_queue.truncate_wal(
                 self._commit_applied_seq(kept[0][1]))
         if fault is not None:

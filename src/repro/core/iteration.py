@@ -36,14 +36,14 @@ vertex's rank among its partition's ascending vertices, fixed by phase 1
 (:class:`~repro.partition.model.PartitionLayout`) and equal to its row in
 the partition's profile slice.  The tuples the cache could not answer are
 decoded once an iteration into ``(left row, right row)`` runs grouped by PI
-edge, so a step costs a slice of those arrays, a gather from each resident
-slice and a kernel.
+edge, and proved in range there, once; so a step costs a slice of those
+arrays, a gather from each resident slice and one kernel call.
 
 Phase 4 itself is one loop, the paper's, on the calling thread: every step
 the cache could not answer, in plan order, acquires its partition pair and
-scores each of its PI edges through :func:`score_tuples` on the pair's
-slices into the slab.  The residency model (:class:`_StepResidency`) holds
-those slices — it loads each once per partition residency through the
+scores all of its PI edges through one :func:`score_tuples` call on the
+pair's slices into the slab.  The residency model (:class:`_StepResidency`)
+holds those slices — it loads each once per partition residency through the
 engine's own store, which is also the charge — and charges the partition
 loads.
 """
@@ -51,8 +51,8 @@ loads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (Dict, FrozenSet, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple)
+from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -110,10 +110,10 @@ def score_tuples(left: ProfileSlice, left_rows: np.ndarray,
     ``right_rows[i]`` of ``right`` for every ``i``.
 
     ``left`` and ``right`` are profile slices (the same object for tuples
-    inside one partition) and the rows are local to them.  This is the
-    kernel dispatch: phase 4 looks the name up at call time for every step
-    and residual score, so whatever replaces it — a tracer, a native kernel
-    — sees every score computed.
+    inside one partition) and the rows are local to them; every measure is
+    symmetric bit for bit.  This is the kernel dispatch: phase 4 looks the
+    name up at call time, once a step and once a residual gather, so
+    whatever replaces it — a tracer, a native kernel — sees every score.
     """
     return left.similarity_rows(left_rows, right, right_rows, measure)
 
@@ -424,9 +424,9 @@ class _Phase4Run:
     keys: np.ndarray
     scores: np.ndarray
     full_rescore: bool
-    #: ``(step, from_cache)`` in execution order: dirty steps first, then the
-    #: steps the dirty plan expects the cache to answer without partitions.
-    ordered_steps: List[Tuple[ResidencyStep, bool]]
+    #: ``(step, from_cache, batches)``: dirty steps first, then the steps the
+    #: dirty plan expects the cache to answer without partitions.
+    ordered_steps: List[Tuple[ResidencyStep, bool, List[_EdgeBatch]]]
     layout: PartitionLayout
     positions: np.ndarray
     left_rows: np.ndarray
@@ -441,26 +441,59 @@ class _Phase4Run:
     rows: Optional[np.ndarray] = None
     evaluations: int = 0
     steps_skipped: int = 0
+    #: ``[tuples, distinct endpoints, pair rows]`` per cached step with tuples
+    residue: Dict[Tuple[int, int], List[int]] = field(default_factory=dict)
 
-    def batches(self, edges: Iterable[PIEdge]) -> List[_EdgeBatch]:
-        """The step's PI edges that still carry unresolved tuples."""
-        found = []
-        for edge in edges:
-            lo, hi = self.edge_spans.get((edge.src, edge.dst), (0, 0))
-            if hi > lo:
-                found.append((edge, lo, hi))
-        return found
+    def count_residue(self, cached: Sequence[Tuple[ResidencyStep,
+                                                   List[_EdgeBatch]]]) -> None:
+        """Fill :attr:`residue`: a step's distinct endpoints are its distinct
+        partition-local rows, marked on one boolean array over the steps'
+        pair spans laid end to end and counted by one segmented sum — only
+        for steps with over an eighth of their span in tuples (the rule reads
+        no other count), at most :data:`_SCORED_FLUSH_ROWS` tuples at once."""
+        size, crowded = np.diff(self.layout.bounds).tolist(), []
+        for (first, second, _), batches in cached:
+            tuples = sum(hi - lo for _, lo, hi in batches)
+            span = size[first] + (size[second] if second != first else 0)
+            self.residue[first, second] = [tuples, 0, span]
+            if 8 * tuples > span:
+                crowded.append((first, second, tuples, span, batches))
+        while crowded:
+            heads, marks, end, marked = {}, [], 0, 0
+            while crowded and not (
+                    heads and marked + crowded[-1][2] > _SCORED_FLUSH_ROWS):
+                first, second, tuples, span, batches = crowded.pop()
+                heads[first, second] = end
+                marks += [(lo, hi - lo, end + size[first] * (edge.src != first),
+                           end + size[first] * (edge.dst != first))
+                          for edge, lo, hi in batches]
+                end, marked = end + span, marked + tuples
+            los, lens, left_at, right_at = np.array(marks, dtype=np.int64).T
+            runs, hit = ragged_ranges(los, lens), np.zeros(end, dtype=bool)
+            for rows, at in ((self.left_rows, left_at), (self.right_rows, right_at)):
+                hit[rows[runs] + np.repeat(at, lens)] = True
+            counts = np.add.reduceat(hit, list(heads.values()), dtype=np.int64)
+            for pair, count in zip(heads, counts.tolist()):
+                self.residue[pair][1] = count
+
+    def step_rows(self, first: int, batches: Sequence[_EdgeBatch]
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+        """The batches' tuples as rows of the step's first partition's slice
+        against rows of its second's, aligned with their concatenation: a
+        batch leaving the second partition has its row columns swapped."""
+        left, right = zip(*[(self.left_rows[lo:hi], self.right_rows[lo:hi])
+                            [::1 if edge.src == first else -1]
+                            for edge, lo, hi in batches])
+        return np.concatenate(left), np.concatenate(right)
 
     def resolve(self, batches: Sequence[_EdgeBatch], fresh: np.ndarray) -> None:
         """Record freshly computed scores, aligned with the batches'
-        concatenation, in their slab slots."""
-        start = 0
-        for _, lo, hi in batches:
-            self.scores[self.positions[lo:hi]] = fresh[start:start + hi - lo]
-            start += hi - lo
-        if start != len(fresh):
-            raise RuntimeError(f"{len(fresh)} scores for {start} tuples")
-        self.evaluations += start
+        concatenation, in their slab slots: one scatter."""
+        slots = np.concatenate([self.positions[lo:hi] for _, lo, hi in batches])
+        if len(slots) != len(fresh):
+            raise RuntimeError(f"{len(fresh)} scores for {len(slots)} tuples")
+        self.scores[slots] = fresh
+        self.evaluations += len(slots)
 
 
 class _StepResidency:
@@ -506,8 +539,8 @@ class _StepResidency:
         # slices leave with their partitions — on every acquiring step, or
         # fully cache-hit steps would let them outlive their residencies
         resident = self._cache.resident_ids
-        for pid in [pid for pid in self._slices if pid not in resident]:
-            del self._slices[pid]
+        self._slices = {pid: piece for pid, piece in self._slices.items()
+                        if pid in resident}
         if not batches:
             return []
         pids = (first,) if second == first else (first, second)
@@ -718,35 +751,20 @@ class OutOfCoreIteration:
 
     # -- phase 4 --------------------------------------------------------------
 
-    def _touched_rows(self, graph: KNNGraph, measure: str) -> Optional[np.ndarray]:
-        """Vertices whose profiles changed since the cached generation,
-        ascending.
-
-        Returns ``None`` when the cache cannot be consulted at all — wrong
-        measure or vertex count, empty cache, or a delta history the profile
-        store cannot vouch for (external rewrite, delta-log rollover,
-        :meth:`~repro.storage.profile_store.OnDiskProfileStore.reload`) —
-        which makes the iteration a full rescore.
-        """
-        cache = self._score_cache
-        if not cache.matches(measure, graph.num_vertices):
-            return None
-        touched = self._profile_store.touched_rows_since(cache.generation)
-        if touched is None:
-            return None
-        return touched[touched < graph.num_vertices]
-
     def _begin_phase4(self, graph: KNNGraph, front: IterationFront,
                       measure: str) -> _Phase4Run:
         """The head of phase 4: slab, cache join, plan, and the unresolved
         tuples decoded into partition-local rows."""
         table, layout, steps = front.table, front.layout, front.steps
-        keys = table.keys
-        # tuples with two endpoints untouched since the cache's generation
-        # reuse its score verbatim; only the rest reach a kernel
-        touched = self._touched_rows(graph, measure)
+        keys, cache = table.keys, self._score_cache
+        # tuples with both endpoints untouched since the cache's generation
+        # reuse its score; without scores of this measure and vertex count,
+        # or a delta history the store vouches for (``None``), all rescore
+        touched = (self._profile_store.touched_rows_since(cache.generation)
+                   if cache.matches(measure, graph.num_vertices) else None)
         full_rescore = touched is None
-        cache = self._score_cache
+        if not full_rescore:
+            touched = touched[touched < graph.num_vertices]
         misses = deleted = None
         if full_rescore:
             scores = np.full(len(keys), np.nan)
@@ -772,19 +790,30 @@ class OutOfCoreIteration:
                 steps, self._profile_store.touched_partitions_since(
                     cache.generation, layout.assignment), cache.scored_pairs)
             executed, cached = plan.executed, plan.cached
-        ordered_steps = ([(step, False) for step in executed]
-                         + [(step, True) for step in cached])
         # the positions of H the cache did not answer, grouped by PI edge and
         # decoded once: a PI edge (p, q) has its sources in p and destinations
         # in q, so the endpoints' local rows address the two slices directly
         positions, edge_spans = table.bucket_index(misses)
         table.freeze()      # read-only from here on, and done with its index
-        sources, destinations = table.endpoints(positions)
+        left_rows, right_rows = (layout.local_row[ends]
+                                 for ends in table.endpoints(positions))
+        if edge_spans:
+            # one maximum per PI edge and side proves every row in its slice
+            # for the iteration (a negative int32 row read unsigned is huge)
+            sizes = np.diff(layout.bounds)[np.array(list(edge_spans)).T]
+            starts = [lo for lo, _ in edge_spans.values()]
+            if any((np.maximum.reduceat(rows.view(np.uint32), starts) >= size).any()
+                   for rows, size in zip((left_rows, right_rows), sizes)):
+                raise RuntimeError("a decoded row lies outside its partition")
+        ordered_steps = [  # each step with the batches of its unresolved tuples
+            (step, from_cache, [(edge, *span) for edge in step[2]
+                                if (span := edge_spans.get((edge.src, edge.dst)))])
+            for group, from_cache in ((executed, False), (cached, True))
+            for step in group]
         return _Phase4Run(
             keys=keys, scores=scores, full_rescore=full_rescore,
             ordered_steps=ordered_steps, layout=layout, positions=positions,
-            left_rows=layout.local_row[sources],
-            right_rows=layout.local_row[destinations], edge_spans=edge_spans,
+            left_rows=left_rows, right_rows=right_rows, edge_spans=edge_spans,
             store_generation=self._profile_store.generation,
             reused=len(keys) - len(misses) if misses is not None else 0,
             deleted=deleted)
@@ -799,29 +828,16 @@ class OutOfCoreIteration:
         off a gather of exactly the needed profiles — no partition acquired,
         the step still skips (returns ``True``); a large one means the pair
         genuinely needs its partitions, and the caller executes the step.
-        The 4x rule is a pure function of the data, so every schedule and
-        every resume makes the same choice.
+        The 4x rule on the counts of :attr:`_Phase4Run.residue` is a pure
+        function of the data, so every schedule and resume makes one choice.
         """
         first, second, _ = step
-        layout = run.layout
-        offset = {first: 0, second: layout.size(first) if second != first else 0}
-        pair_span = offset[second] + layout.size(second)
-        if 8 * sum(hi - lo for _, lo, hi in batches) > pair_span:
-            # too many endpoints to settle unless they repeat: the distinct
-            # ones are the distinct partition-local rows of each side, so
-            # mark them on the pair's span — the first partition's rows,
-            # then the second's — and count, with no sort
-            marked = np.zeros(pair_span, dtype=bool)
-            for edge, lo, hi in batches:
-                marked[run.left_rows[lo:hi] + offset[edge.src]] = True
-                marked[run.right_rows[lo:hi] + offset[edge.dst]] = True
-            if np.count_nonzero(marked) * 4 > pair_span:
-                return False
-        endpoints = np.concatenate(
-            [layout.vertices(edge.src)[run.left_rows[lo:hi]]
-             for edge, lo, hi in batches]
-            + [layout.vertices(edge.dst)[run.right_rows[lo:hi]]
-               for edge, lo, hi in batches])
+        tuples, distinct, pair_span = run.residue[first, second]
+        if 8 * tuples > pair_span and 4 * distinct > pair_span:
+            return False
+        endpoints = np.concatenate([
+            run.layout.vertices(pid)[rows]
+            for pid, rows in zip((first, second), run.step_rows(first, batches))])
         # the gathered slice holds the distinct endpoints ascending, so the
         # inverse of the unique pass *is* each endpoint's row in it
         residual_users, rows = np.unique(endpoints, return_inverse=True)
@@ -833,36 +849,25 @@ class OutOfCoreIteration:
         run.steps_skipped += 1
         return True
 
-    def _pending_steps(self, run: _Phase4Run, measure: str
-                       ) -> Iterator[Tuple[ResidencyStep, List[_EdgeBatch]]]:
-        """Classify the ordered steps, one at a time as the loop asks:
-        yields, with the PI-edge batches of its unresolved tuples, every
-        step that is not settled without its partitions.
-
-        A step the dirty plan expects the cache to answer is settled when
-        the join did answer all of it, or when :meth:`_score_residual` takes
-        the few tuples it missed; otherwise it falls back to executing —
-        acquired on demand, scored against the resident pair, exact.  A step
-        the plan executes is yielded even with nothing left to score: the
-        step-at-a-time cost model still acquires its partitions.
-        """
-        for step, from_cache in run.ordered_steps:
-            batches = run.batches(step[2])
-            if from_cache:
-                if not batches:
-                    # every tuple answered from the cache: the step never
-                    # touched the partition cache, a profile byte or a kernel
-                    run.steps_skipped += 1
-                    continue
-                if self._score_residual(run, step, batches, measure):
-                    continue
-            yield step, batches
-
     def _execute_pending(self, run: _Phase4Run, measure: str,
                          residency: _StepResidency) -> None:
-        """The one phase-4 loop: per pending step, residency in, one
-        kernel call a PI edge, scores into the slab."""
-        for step, batches in self._pending_steps(run, measure):
+        """The one phase-4 loop over the ordered steps.  A step the dirty
+        plan expects the cache to answer is settled when the join answered
+        all of it, or when :meth:`_score_residual` takes the few tuples it
+        missed (counted for all such steps at once, at the head of the
+        walk); any other step acquires its pair, also with nothing left to
+        score (the step-at-a-time cost model), and scores all its PI edges
+        in one kernel call into the slab."""
+        run.count_residue([(step, batches) for step, from_cache, batches
+                           in run.ordered_steps if from_cache and batches])
+        for step, from_cache, batches in run.ordered_steps:
+            if from_cache and not batches:
+                # every tuple answered from the cache: the step never
+                # touched the partition cache, a profile byte or a kernel
+                run.steps_skipped += 1
+                continue
+            if from_cache and self._score_residual(run, step, batches, measure):
+                continue
             slices = residency.acquire(step, batches)
             if not batches:
                 continue
@@ -870,16 +875,11 @@ class OutOfCoreIteration:
                 # crash window: mid-phase-4, some steps scored, nothing
                 # committed — one firing per executed step
                 self._fault.point("phase4.step")
-            # every PI edge of the step is one batch: the sources' rows in
-            # the source partition's slice against the destinations' rows in
-            # the destination's (slice 0 is the first partition's)
-            first = step[0]
-            for batch in batches:
-                edge, lo, hi = batch
-                run.resolve((batch,), score_tuples(
-                    slices[int(edge.src != first)], run.left_rows[lo:hi],
-                    slices[int(edge.dst != first)], run.right_rows[lo:hi],
-                    measure))
+            # rows of the first partition's slice (slice 0) against rows of
+            # the second's, which is the same slice inside one partition
+            left_rows, right_rows = run.step_rows(step[0], batches)
+            run.resolve(batches, score_tuples(slices[0], left_rows, slices[-1],
+                                              right_rows, measure))
 
     def _finish_phase4(self, run: _Phase4Run, graph: KNNGraph,
                        table: TupleHashTable) -> KNNGraph:

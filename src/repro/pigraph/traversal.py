@@ -94,16 +94,23 @@ class _DegreeBasedHeuristic(TraversalHeuristic):
     _neighbor_sign = 1
 
     def __init__(self):
-        # memoise the degree array per PI graph: neighbor_order is called once
-        # per pivot and recomputing degrees there would be quadratic overall
-        self._degree_cache: Tuple[Optional[int], Optional[np.ndarray]] = (None, None)
+        # the degrees of the graph one plan() call walks: neighbor_order is
+        # called once per pivot and recomputing degrees there would be
+        # quadratic overall.  Kept for that call only, with the graph itself
+        # (an id could name a later graph at a freed one's address)
+        self._planning: Optional[Tuple[PIGraph, np.ndarray]] = None
+
+    def plan(self, pi_graph: PIGraph) -> List[ResidencyStep]:
+        self._planning = (pi_graph, pi_graph.degree_array())
+        try:
+            return super().plan(pi_graph)
+        finally:
+            self._planning = None
 
     def _degrees(self, pi_graph: PIGraph) -> np.ndarray:
-        cached_id, cached = self._degree_cache
-        if cached_id != id(pi_graph) or cached is None:
-            cached = pi_graph.degree_array()
-            self._degree_cache = (id(pi_graph), cached)
-        return cached
+        if self._planning is not None and self._planning[0] is pi_graph:
+            return self._planning[1]
+        return pi_graph.degree_array()
 
     def pivot_order(self, pi_graph: PIGraph) -> List[int]:
         degrees = self._degrees(pi_graph)

@@ -1,6 +1,6 @@
 """The one code path that writes, renames, links or fsyncs a file.
 
-Recovery trusts what these four operations leave on disk, so the write
+Recovery trusts what these five operations leave on disk, so the write
 protocol is stated once, here, and the fault plan's file hooks
 (:mod:`repro.testing.faults`: ``file_op`` before a write, a rename or a
 link, ``after_file_op`` to tear what was written) are consulted here and
@@ -20,13 +20,16 @@ Two modes:
   directory without an fsync per file.  ``checksums.json``, written last,
   vouches for every file, and :func:`publish` fsyncs it and the directory
   and renames the directory into place: a file a power cut lost or tore
-  fails verification, and recovery falls back an epoch.  A sealed-mode
-  directory that is never published (an explicit checkpoint, an engine's
-  working copy) carries no durability promise.
+  fails verification, and recovery falls back an epoch.  :func:`settle`
+  puts a published directory's content on disk too, before anything that
+  only it can replace (the WAL records it applied) is dropped.  A
+  sealed-mode directory that is never published (an explicit checkpoint,
+  an engine's working copy) carries no durability promise.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import shutil
 from pathlib import Path
@@ -142,3 +145,23 @@ def publish(moves: Iterable[Tuple[PathLike, PathLike]]) -> None:
         directories[target.parent] = None
     for directory in directories:
         _fsync(directory)
+
+
+def settle(directory: PathLike) -> None:
+    """Fsync every file a published directory's :data:`SEAL` lists, then
+    every directory holding one — the directory itself included — so its
+    sealed-mode content no longer waits in the page cache.  A directory
+    without a readable seal vouches for nothing and is left as it is."""
+    directory = Path(directory)
+    try:
+        names = json.loads((directory / SEAL).read_text())
+    except (OSError, ValueError):
+        return
+    directories = {directory: None}
+    for name in names:
+        path = directory / name
+        if path.is_file():
+            _fsync(path)
+            directories[path.parent] = None
+    for folder in directories:
+        _fsync(folder)

@@ -142,6 +142,7 @@ class ProfileSlice:
         self._matrix: Optional[np.ndarray] = None
         self._norms: Optional[np.ndarray] = None
         self._csr: Optional[_measures.SetProfileCSR] = None
+        self._measure: Optional[str] = None      # the last measure checked
         if kind == "dense":
             if matrix is not None:
                 self._matrix = matrix
@@ -177,13 +178,17 @@ class ProfileSlice:
         return rows
 
     def _checked_rows(self, rows: np.ndarray) -> np.ndarray:
-        """``rows`` as int64, raising ``IndexError`` unless all lie in the slice."""
-        rows = np.asarray(rows, dtype=np.int64)
+        """``rows`` as an integer array — an integer array as it is, with no
+        copy — raising ``IndexError`` unless all lie in the slice."""
+        rows = np.asarray(rows)
+        if rows.dtype.kind not in "iu":
+            rows = rows.astype(np.int64)
         if rows.ndim != 1:
             raise ValueError("rows must be a 1-D array")
         # one reduction covers both ends: a negative row reinterpreted as
         # unsigned is larger than any slice
-        if len(rows) and int(rows.view(np.uint64).max()) >= len(self._user_ids):
+        if len(rows) and int(rows.view(rows.dtype.str.replace("i", "u")).max()
+                             ) >= len(self._user_ids):
             bad = int(rows[(rows < 0) | (rows >= len(self._user_ids))][0])
             raise IndexError(f"row {bad} out of range for a profile slice of "
                              f"{len(self._user_ids)} rows")
@@ -304,10 +309,13 @@ class ProfileSlice:
             self._csr.cap_derived_bytes(cap)
 
     def _check_measure(self, measure: str) -> None:
+        if measure == self._measure:
+            return      # resolved once for the slice's life
         _measures.get_measure(measure)
         if (measure in _measures.SET_MEASURES) != (self.kind == "sparse"):
             raise ValueError(f"measure {measure!r} needs "
                              f"{'sparse' if self.kind == 'dense' else 'dense'} profiles")
+        self._measure = measure
 
     def similarity_rows(self, left_rows: np.ndarray, other: "ProfileSlice",
                         right_rows: np.ndarray, measure: str) -> np.ndarray:
@@ -319,7 +327,8 @@ class ProfileSlice:
         Rows outside ``[0, len(slice))`` raise ``IndexError``; two sparse
         slices under different item codings raise ``ValueError``.
         """
-        self._check_combinable(other, "score")
+        if other is not self:
+            self._check_combinable(other, "score")
         left_rows = self._checked_rows(left_rows)
         right_rows = other._checked_rows(right_rows)
         if len(left_rows) != len(right_rows):
@@ -330,13 +339,15 @@ class ProfileSlice:
         if self.kind == "sparse":
             return self._csr.measure_pairs(measure, left_rows, right_rows,
                                            other._csr)
-        left, right = self._matrix[left_rows], other._matrix[right_rows]
+        # np.take gathers whole rows at about twice the speed of indexing
+        left = np.take(self._matrix, left_rows, axis=0)
+        right = np.take(other._matrix, right_rows, axis=0)
         if measure == "cosine":
             # row norms are precomputed once per slice (or read straight
             # from the store's norm file)
             return _measures.cosine_from_norms(left, right,
-                                               self._norms[left_rows],
-                                               other._norms[right_rows])
+                                               np.take(self._norms, left_rows),
+                                               np.take(other._norms, right_rows))
         return _measures.vector_measure_batch(measure, left, right)
 
     def similarity_pairs(self, pairs: np.ndarray, measure: str) -> np.ndarray:
@@ -422,6 +433,8 @@ class OnDiskProfileStore:
         self._dense_mapped: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._sparse_state: Optional[_SparseState] = None
         self._item_code_cache: Optional[Dict[int, int]] = None
+        # simulated seconds of a random / sequential mapped read, by bytes
+        self._read_costs: Tuple[Dict[int, float], Dict[int, float]] = ({}, {})
         # touched-row delta log: (generation, sorted touched rows) per applied
         # batch, contiguous back to _delta_floor.  Opening a store by path
         # starts with empty history — whatever happened before is unknown.
@@ -810,14 +823,15 @@ class OnDiskProfileStore:
     def _validated_ids(self, user_ids: Iterable[int]
                        ) -> Tuple[np.ndarray, List[Tuple[int, int]]]:
         """``user_ids`` as a sorted unique in-range int64 array, plus its
-        contiguous ``(start, stop)`` runs."""
+        contiguous ``(start, stop)`` runs — for a sorted, duplicate-free
+        int64 array of one run, a partition's vertex list, at O(1) Python."""
         self._require_meta()
         if (isinstance(user_ids, np.ndarray) and user_ids.dtype == np.int64
                 and user_ids.ndim == 1):
             ids = user_ids
         else:
             ids = np.asarray(sorted({int(u) for u in user_ids}), dtype=np.int64)
-        if len(ids) > 1 and int(np.diff(ids).min()) <= 0:
+        if len(ids) > 1 and not (ids[1:] > ids[:-1]).all():
             ids = np.unique(ids)   # unsorted or duplicated
         num_users = self.num_users
         if len(ids) and (ids[0] < 0 or ids[-1] >= num_users):
@@ -826,26 +840,22 @@ class OnDiskProfileStore:
         return ids, _contiguous_ranges(ids)
 
     def _charge_ranges(self, ranges: List[Tuple[int, int]]) -> None:
-        if not ranges:
-            return
+        """One mapped read per range, random unless there is one; the cost of
+        a byte count is computed once for the store's life."""
         sequential = len(ranges) == 1
-        if self._meta["kind"] == "dense":
-            row_bytes = self.dim * 8 + 8   # the row plus its stored norm
-            cost_of: Dict[int, float] = {}   # runs of equal length cost the same
-            for start, stop in ranges:
-                nbytes = (stop - start) * row_bytes
-                cost = cost_of.get(nbytes)
-                if cost is None:
-                    cost = cost_of[nbytes] = self._disk.mapped_read_cost(
-                        nbytes, sequential=sequential)
-                self.io_stats.record_read(nbytes, cost)
-            return
-        row_sizes = self._sparse().row_sizes
+        dense = self._meta["kind"] == "dense"
+        row_bytes = self.dim * 8 + 8   # a dense row plus its stored norm
+        row_sizes = None if dense else self._sparse().row_sizes
+        costs = self._read_costs[sequential]
         for start, stop in ranges:
-            # the rows' codes plus the indptr slice itself
-            nbytes = (int(row_sizes[start:stop].sum()) + (stop - start + 1)) * 8
-            self.io_stats.record_read(
-                nbytes, self._disk.mapped_read_cost(nbytes, sequential=sequential))
+            # the rows, or their codes plus the indptr slice itself
+            nbytes = ((stop - start) * row_bytes if dense else
+                      (int(row_sizes[start:stop].sum()) + (stop - start + 1)) * 8)
+            cost = costs.get(nbytes)
+            if cost is None:
+                cost = costs[nbytes] = self._disk.mapped_read_cost(
+                    nbytes, sequential=sequential)
+            self.io_stats.record_read(nbytes, cost)
 
     def _load_dense(self, ids: np.ndarray,
                     ranges: List[Tuple[int, int]]) -> ProfileSlice:

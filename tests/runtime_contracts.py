@@ -17,7 +17,11 @@ own fsync is still caught:
 (e) no ``os.fsync``, ``time.sleep``, ``Event.wait`` or ``Thread.join`` runs
     under a hot lock, and the locks of :data:`LOCKS` are taken in no cycle;
 (f) no ``repro`` module outside ``repro.storage`` opens a writable
-    ``np.memmap``.
+    ``np.memmap``;
+(g) a WAL truncation finds every file the ``checksums.json`` of the oldest
+    sealed epoch beside the WAL lists, and every directory holding one,
+    fsynced at their current ``(size, mtime_ns)``: the records it drops
+    are then replaced by an epoch on disk.
 
 A check sees only the paths the tests walk (``docs/robustness.md``).
 """
@@ -154,6 +158,8 @@ class Contracts:
         patch.setattr(threading.Thread, "join",
                       self._blocking_call("Thread.join", threading.Thread.join))
         patch.setattr(np.memmap, "__new__", staticmethod(self._memmap(np.memmap.__new__)))
+        queue = importlib.import_module("repro.core.update_queue").ProfileUpdateQueue
+        patch.setattr(queue, "truncate_wal", self._truncation(queue.truncate_wal))
         owners: dict = {}
         for module, owner, attr in LOCKS:
             cls = getattr(importlib.import_module(module), owner)
@@ -295,3 +301,30 @@ class Contracts:
                           f"(mode={mode!r}) of {filename}")
             return real(subtype, filename, dtype, mode, *args, **kwargs)
         return __new__
+
+    # -- the kept epoch: (g) ---------------------------------------------------
+
+    def _truncation(self, real):
+        @functools.wraps(real)
+        def truncate_wal(queue, *args, **kwargs):
+            if queue.wal_path is not None:
+                self._check_kept_epoch(queue.wal_path.parent / "commits")
+            return real(queue, *args, **kwargs)
+        return truncate_wal
+
+    def _check_kept_epoch(self, commits: Path) -> None:
+        sealed = sorted(path for path in commits.glob("epoch_*")
+                        if not path.name.endswith(".tmp")
+                        and (path / "checksums.json").is_file())
+        if not sealed:
+            return
+        epoch = sealed[0]
+        files = [epoch / name for name in json.loads(
+            (epoch / "checksums.json").read_text())]
+        unsynced = [path for path in files + sorted({path.parent for path in files}
+                                                    | {epoch})
+                    if path.exists() and not self.fsynced(path)]
+        if unsynced:
+            self.fail(f"(g) the WAL is truncated while {epoch.name} has "
+                      f"{[str(path.relative_to(commits)) for path in unsynced]} "
+                      "not fsynced in their current state")

@@ -91,6 +91,33 @@ class TestDegreeBased:
         assert (DegreeHighLowHeuristic().pivot_order(dataset_pi)
                 == DegreeLowHighHeuristic().pivot_order(dataset_pi))
 
+    @pytest.mark.parametrize("heuristic", [DegreeLowHighHeuristic,
+                                           DegreeHighLowHeuristic])
+    def test_a_reused_instance_plans_a_new_graph_by_its_own_degrees(
+            self, heuristic):
+        """An instance planning graph B after graph A was freed — B often
+        lands at A's address — plans B as a fresh instance does; degrees
+        memoised by ``id`` planned B by A's degrees."""
+
+        def graph(edges):
+            pi = PIGraph(4)
+            for src, dst in edges:
+                pi.add_edge(src, dst)
+            return pi
+
+        def pairs(steps):
+            return [(first, second) for first, second, _ in steps]
+
+        reused = heuristic()
+        expected = pairs(heuristic().plan(graph([(3, 0), (3, 1), (3, 2), (1, 2)])))
+        assert expected[0][0] == 3     # the highest-degree pivot
+        for _ in range(20):
+            first = graph([(0, 1), (0, 2), (0, 3), (1, 2)])
+            reused.plan(first)
+            del first
+            assert pairs(reused.plan(
+                graph([(3, 0), (3, 1), (3, 2), (1, 2)]))) == expected
+
 
 class TestGreedyResident:
     def test_plan_is_valid(self, dataset_pi):

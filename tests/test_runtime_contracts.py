@@ -18,8 +18,11 @@ import numpy as np
 import pytest
 
 from repro.core.checkpoint import write_checkpoint_checksums
+from repro.core.config import EngineConfig
+from repro.core.engine import KNNEngine
 from repro.service.admission import AdmissionController
 from repro.service.runtime import ServingRuntime
+from repro.similarity.workloads import ProfileChange, generate_dense_profiles
 from repro.storage import durable
 from runtime_contracts import HOT_LOCKS, LOCKS, RecordingLock
 
@@ -265,3 +268,33 @@ def test_a_writable_memmap_outside_storage_is_flagged(runtime_contracts, tmp_pat
     run_as(module, "view = np.memmap(path, dtype=np.float64, mode=mode)\ndel view",
            np=np, path=path, mode=mode)
     assert bool(flagged(runtime_contracts, "f")) is broken
+
+
+# -- (g) a WAL truncation finds the kept epoch on disk ---------------------------
+
+
+def _durable_run(workdir: Path) -> None:
+    """Three durable iterations with updates queued between them: every
+    commit truncates the WAL to the oldest kept epoch."""
+    profiles = generate_dense_profiles(60, dim=4, num_communities=2, seed=3)
+    config = EngineConfig(k=3, num_partitions=2, seed=3, durable=True)
+    with KNNEngine(profiles, config, workdir=workdir) as engine:
+        for user in (1, 2):
+            engine.run_iteration()
+            engine.enqueue_profile_changes([ProfileChange(user=user, kind="set",
+                                                          vector=np.ones(4))])
+        engine.run_iteration()
+
+
+def test_a_truncation_before_the_kept_epoch_is_fsynced_is_flagged(
+        runtime_contracts, tmp_path, monkeypatch):
+    monkeypatch.setattr(durable, "settle", lambda directory: None)
+    _durable_run(tmp_path / "engine")
+    found = flagged(runtime_contracts, "g")
+    assert found and all("profiles/" in message for message in found)
+
+
+def test_a_truncation_after_the_kept_epoch_is_fsynced_passes(runtime_contracts,
+                                                             tmp_path):
+    _durable_run(tmp_path / "engine")
+    assert runtime_contracts.take() == []

@@ -2,14 +2,17 @@
 score goes through.
 
 Phase 4 scores every residency step on the calling thread, one
-``score_tuples`` call a PI edge, on the step's resident slices with rows
-local to them; a residual gather is scored by one call on its own slice.
-These tests pin that call bitwise to the id-addressed scores of one slice
-of the whole store — for all 8 measures on dense and sparse stores, and
-for the shapes a step takes: two partitions, one partition, scattered ids,
-an empty batch, steps one after another on the same slices — plus its
-input checks, the engine reaching it by its module name for every score
-it computes, and the sharded ``G(t+1)`` merge against the batch merge.
+``score_tuples`` call a step, on the step's resident slices with rows
+local to them — a PI edge leaving the step's second partition is read with
+its two sides swapped; a residual gather is scored by one call on its own
+slice.  These tests pin that call bitwise to the id-addressed scores of one
+slice of the whole store — for all 8 measures on dense and sparse stores,
+and for the shapes a step takes: two partitions, one partition, scattered
+ids, an empty batch, steps one after another on the same slices — plus its
+symmetry bit for bit (zero vectors, empty sets and identical rows
+included), its input checks, the engine reaching it by its module name for
+every score it computes and once per executed step, and the sharded
+``G(t+1)`` merge against the batch merge.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from repro.core.engine import KNNEngine
 from repro.core.iteration import score_tuples
 from repro.graph.knn_graph import KNNGraph
 from repro.similarity.measures import SET_MEASURES, VECTOR_MEASURES
+from repro.similarity.profiles import DenseProfileStore, SparseProfileStore
 from repro.similarity.workloads import (ProfileChange, generate_dense_profiles,
                                         generate_sparse_profiles)
 from repro.storage.profile_store import OnDiskProfileStore
@@ -270,6 +274,137 @@ def test_every_score_an_engine_computes_goes_through_the_module_name(
     assert sum(rows for rows, _ in seen) == run.total_similarity_evaluations
     assert {thread for _, thread in seen} == {threading.current_thread()}
     assert True in settled
+
+
+@pytest.fixture(scope="module")
+def edge_case_stores(tmp_path_factory):
+    """40 users in two halves: a zero vector / an empty set in each half,
+    and a row repeated inside a half and across the halves."""
+    rng = np.random.default_rng(13)
+    matrix = rng.normal(size=(40, 6))
+    sets = [rng.choice(50, size=int(rng.integers(1, 12)), replace=False).tolist()
+            for _ in range(40)]
+    for rows in (matrix, sets):
+        rows[0] = rows[21] = (np.zeros(6) if rows is matrix else [])
+        rows[4] = rows[3]
+        rows[25] = rows[5]
+    return {kind: OnDiskProfileStore.create(
+        tmp_path_factory.mktemp(kind), profiles, disk_model="instant")
+        for kind, profiles in (("dense", DenseProfileStore(matrix)),
+                               ("sparse", SparseProfileStore(sets)))}
+
+
+@pytest.mark.parametrize("kind, measure", EVERY_MEASURE,
+                         ids=[measure for _, measure in EVERY_MEASURE])
+def test_swapped_sides_score_the_same_bits(edge_case_stores, kind, measure):
+    """``score_tuples(A, l, B, r)`` is ``score_tuples(B, r, A, l)`` bit for
+    bit — what lets a step score both directions of its pair in one call —
+    across two slices and inside one, on int32 and int64 rows."""
+    store = edge_case_stores[kind]
+    halves = [store.load_users(np.arange(20)), store.load_users(np.arange(20, 40))]
+    rng = np.random.default_rng(17)
+    # zero vs zero, zero vs a row, identical rows, a row with itself
+    named = np.array([[0, 1], [0, 2], [5, 5], [3, 4], [4, 4], [6, 6]])
+    rows = np.concatenate([named, rng.integers(0, 20, size=(300, 2))])
+    for dtype in (np.int32, np.int64):
+        left, right = rows[:, 0].astype(dtype), rows[:, 1].astype(dtype)
+        for a, b in ((halves[0], halves[1]), (halves[0], halves[0])):
+            forward = score_tuples(a, left, b, right, measure)
+            backward = score_tuples(b, right, a, left, measure)
+            np.testing.assert_array_equal(forward.view(np.uint64),
+                                          backward.view(np.uint64))
+    scores = score_tuples(halves[0], named[:, 0], halves[1], named[:, 1], measure)
+    assert np.isfinite(scores).all()
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse"])
+def test_an_executed_step_reaches_score_tuples_once(monkeypatch, kind):
+    """One call a step, both directions of a pair included: a walk that
+    went back to one call a PI edge fails here."""
+    executed = []       # [batches, calls, rows] per acquired step
+    acquire = iteration_module._StepResidency.acquire
+    score = iteration_module.score_tuples
+
+    def spied_acquire(residency, step, batches):
+        executed.append([len(batches), 0, 0])
+        return acquire(residency, step, batches)
+
+    def counted(left, left_rows, right, right_rows, measure):
+        executed[-1][1] += 1
+        executed[-1][2] += len(left_rows)
+        return score(left, left_rows, right, right_rows, measure)
+
+    monkeypatch.setattr(iteration_module._StepResidency, "acquire", spied_acquire)
+    monkeypatch.setattr(iteration_module, "score_tuples", counted)
+    profiles = (generate_dense_profiles(300, dim=6, num_communities=4, seed=2)
+                if kind == "dense" else
+                generate_sparse_profiles(300, 200, items_per_user=10,
+                                         num_communities=4, seed=2))
+    with KNNEngine(profiles, EngineConfig(k=5, num_partitions=6,
+                                          seed=2)) as engine:
+        # a cold iteration executes every step: no cache, no residual gather
+        result = engine.run_iteration()
+    assert {calls for batches, calls, _ in executed if batches} == {1}
+    assert any(batches == 2 for batches, _, _ in executed)
+    assert sum(rows for _, _, rows in executed) == result.similarity_evaluations
+
+
+@pytest.mark.parametrize("offset", [-1, 0], ids=["negative", "past-the-end"])
+def test_a_decoded_row_outside_its_partition_stops_phase_4(monkeypatch, offset):
+    """Phase 4 proves every decoded row inside its partition once, before
+    the walk: a layout whose local row for one vertex is out of range —
+    below 0, or the partition's size — raises before any kernel call."""
+    layout_of = iteration_module.partition_layout
+    calls = []
+
+    def broken(assignment, num_partitions):
+        layout = layout_of(assignment, num_partitions)
+        pid = int(layout.assignment[7])
+        layout.local_row[7] = -1 if offset < 0 else layout.size(pid) + offset
+        return layout
+
+    monkeypatch.setattr(iteration_module, "partition_layout", broken)
+    monkeypatch.setattr(iteration_module, "score_tuples",
+                        lambda *args: calls.append(args))
+    profiles = generate_dense_profiles(120, dim=4, num_communities=2, seed=5)
+    with KNNEngine(profiles, EngineConfig(k=5, num_partitions=4,
+                                          seed=5)) as engine:
+        with pytest.raises(RuntimeError, match="outside its partition"):
+            engine.run_iteration()
+    assert calls == []
+
+
+def test_the_residue_counted_a_step_at_a_time_settles_the_same(monkeypatch):
+    """Phase 4 counts the cached steps' residue at most a merge call's
+    tuples at once; with that bound at one tuple it counts one step at a
+    time, and settles, executes and builds exactly what one pass does."""
+    decisions = []
+    residual = iteration_module.OutOfCoreIteration._score_residual
+
+    def spied(runner, run, step, batches, measure):
+        settled = residual(runner, run, step, batches, measure)
+        decisions.append((step[0], step[1], settled))
+        return settled
+
+    def churned_run():
+        decisions.clear()
+        profiles = generate_dense_profiles(300, dim=6, num_communities=4, seed=2)
+        rng = np.random.default_rng(4)
+        with KNNEngine(profiles, EngineConfig(k=5, num_partitions=6,
+                                              seed=2)) as engine:
+            run = engine.run(num_iterations=8, profile_change_feed=lambda i: [
+                ProfileChange(user=int(user), kind="set", vector=rng.random(6))
+                for user in rng.choice(50, size=4, replace=False)] if i >= 4 else [])
+        return (list(decisions), [(r.graph.edge_fingerprint(), r.steps_skipped,
+                                   r.similarity_evaluations)
+                                  for r in run.iterations])
+
+    monkeypatch.setattr(iteration_module.OutOfCoreIteration, "_score_residual",
+                        spied)
+    whole = churned_run()
+    monkeypatch.setattr(iteration_module, "_SCORED_FLUSH_ROWS", 1)
+    assert churned_run() == whole
+    assert {settled for _, _, settled in whole[0]} == {True, False}
 
 
 class TestShardedMergeDeterminism:
