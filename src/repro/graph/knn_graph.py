@@ -78,7 +78,13 @@ class KNNGraph:
         """Random initial KNN graph: each vertex points to K distinct random others.
 
         This mirrors the standard NN-Descent initialisation and the "initial"
-        stage of the paper's input graph ``G(0)``.
+        stage of the paper's input graph ``G(0)``.  Each row is a uniform
+        k-subset of the other vertices, drawn by Floyd's algorithm run on
+        every row at once: pass ``slot`` draws one value per row from
+        ``[0, top]`` with ``top = n - 1 - k + slot`` and takes ``top`` itself
+        where the row already holds the draw.  Values ``>= v`` then shift up
+        by one to skip the self loop.  Every score is 0.0, so a row sorted
+        by id is ranked.
         """
         check_positive_int(k, "k")
         if num_vertices <= k:
@@ -86,17 +92,16 @@ class KNNGraph:
                 f"num_vertices ({num_vertices}) must exceed k ({k}) for a random KNN graph"
             )
         rng = make_rng(seed)
-        graph = cls(num_vertices, k)
-        destinations = np.empty((num_vertices, k), dtype=np.int64)
-        for v in range(num_vertices):
-            choices = rng.choice(num_vertices - 1, size=k, replace=False)
-            # shift values >= v by one to exclude the self loop
-            destinations[v] = np.where(choices >= v, choices + 1, choices)
-        sources = np.repeat(np.arange(num_vertices, dtype=np.int64), k)
-        graph.add_candidates_batch(sources, destinations.ravel(),
-                                   np.zeros(num_vertices * k, dtype=np.float64),
-                                   assume_unique=True)
-        return graph
+        neighbors = np.empty((num_vertices, k), dtype=np.int64)
+        for slot in range(k):
+            top = num_vertices - 1 - k + slot
+            draws = rng.integers(0, top + 1, size=num_vertices, dtype=np.int64)
+            held = (neighbors[:, :slot] == draws[:, None]).any(axis=1)
+            neighbors[:, slot] = np.where(held, top, draws)
+        neighbors.sort(axis=1)
+        neighbors += neighbors >= np.arange(num_vertices, dtype=np.int64)[:, None]
+        return cls.from_ranked_arrays(np.full(num_vertices, k, dtype=np.int64), neighbors,
+                                      np.zeros((num_vertices, k), dtype=np.float64))
 
     @classmethod
     def from_neighbor_lists(cls, neighbor_lists: Sequence[Sequence[Tuple[int, float]]],

@@ -15,6 +15,7 @@ the KNN top-K selection never needs to know which measure is in use.
 
 from __future__ import annotations
 
+import itertools
 from typing import (Callable, Dict, FrozenSet, Iterable, NamedTuple, Optional,
                     Sequence, Set, Tuple, Union)
 
@@ -322,19 +323,14 @@ class SetProfileCSR:
                             count=len(profiles))
         indptr = np.zeros(len(profiles) + 1, dtype=np.int64)
         np.cumsum(sizes, out=indptr[1:])
-        total = int(indptr[-1])
-        # each row's items are emitted in ascending id order; codes are item
-        # ranks, so the per-row code runs come out sorted as well
-        flat = np.fromiter(
-            (item for profile in profiles for item in sorted(profile)),
-            dtype=np.int64, count=total)
-        if total:
-            uniques, codes = np.unique(flat, return_inverse=True)
-            num_items = len(uniques)
-        else:
-            uniques = np.empty(0, dtype=np.int64)
-            codes = np.empty(0, dtype=np.int64)
-            num_items = 0
+        flat = np.fromiter(itertools.chain.from_iterable(profiles), dtype=np.int64,
+                           count=int(indptr[-1]))
+        uniques, codes = np.unique(flat, return_inverse=True)
+        num_items = len(uniques)
+        # codes are item ranks: one sort of the row-major (row, code) keys
+        # leaves each row's code run ascending
+        offsets = np.repeat(np.arange(len(profiles), dtype=np.int64) * num_items, sizes)
+        codes = np.sort(offsets + codes) - offsets
         return cls(indptr, codes, num_items, item_ids=uniques, rows_sorted=True)
 
     @property

@@ -43,6 +43,16 @@ class IOStats:
         self.bytes_written += int(num_bytes)
         self.simulated_io_seconds += simulated_seconds
 
+    def record_writes(self, count: int, num_bytes: int,
+                      simulated_seconds: float = 0.0) -> None:
+        """``count`` writes of ``num_bytes`` each, charged exactly as that
+        many :meth:`record_write` calls: the seconds are added one write at
+        a time, so the float total keeps the same bits."""
+        self.write_ops += count
+        self.bytes_written += count * int(num_bytes)
+        for _ in range(count):
+            self.simulated_io_seconds += simulated_seconds
+
     def record_partition_load(self) -> None:
         self.partition_loads += 1
 

@@ -975,22 +975,25 @@ class OnDiskProfileStore:
     def _apply_dense(self, changes: Sequence[ProfileChange]) -> int:
         dim = self.dim
         latest = DenseProfileStore.coalesce_set_changes(changes, dim)
-        for user in latest:
-            # a negative id would wrap through the memmap onto another row
-            if not 0 <= user < self.num_users:
-                raise IndexError(f"user {user} out of range (store has {self.num_users})")
+        num_users = self.num_users
+        users = np.fromiter(latest, dtype=np.int64, count=len(latest))
+        # a negative id would wrap through the memmap onto another row
+        outside = users[(users < 0) | (users >= num_users)]
+        if len(outside):
+            raise IndexError(f"user {outside[0]} out of range (store has {num_users})")
+        vectors = np.array(list(latest.values()), dtype=np.float64).reshape(len(users), dim)
         path = self._base_dir / self._DENSE_NAME
-        mm = np.memmap(path, dtype=np.float64, mode="r+", shape=(self.num_users, dim))
+        mm = np.memmap(path, dtype=np.float64, mode="r+", shape=(num_users, dim))
         norms_mm = np.memmap(self._base_dir / self._NORMS_NAME, dtype=np.float64,
-                             mode="r+", shape=(self.num_users,))
-        for user, vector in latest.items():
-            mm[user] = vector
-            # np.sum reduces pairwise exactly like the axis-1 norm used
-            # at write time, so stored and recomputed norms stay bitwise equal
-            norms_mm[user] = np.sqrt(np.sum(vector * vector))
-            num_bytes = vector.nbytes + 8
-            self.io_stats.record_write(
-                num_bytes, self._disk.mapped_write_cost(num_bytes, sequential=False))
+                             mode="r+", shape=(num_users,))
+        mm[users] = vectors
+        # the axis-1 sum reduces each row pairwise exactly like the norm used
+        # at write time, so stored and recomputed norms stay bitwise equal
+        norms_mm[users] = np.sqrt(np.sum(vectors * vectors, axis=1))
+        # one in-place row write each: a row and its norm
+        num_bytes = dim * 8 + 8
+        self.io_stats.record_writes(
+            len(users), num_bytes, self._disk.mapped_write_cost(num_bytes, sequential=False))
         if self.fault_plan is not None:
             # crash window: rows written in place, meta/generation not yet
             # bumped — recovery must fall back to the last committed epoch
@@ -1002,7 +1005,7 @@ class OnDiskProfileStore:
         self._set_crc(self._NORMS_NAME, norms_mm.tobytes())
         del norms_mm
         self._bump_generation()
-        self._record_delta(np.asarray(sorted(latest), dtype=np.int64))
+        self._record_delta(np.sort(users))
         return len(latest)
 
     def _apply_sparse(self, changes: Sequence[ProfileChange]) -> int:

@@ -94,6 +94,33 @@ class TestExecution:
             graph_b = b.run(num_iterations=2).final_graph
         assert graph_a.edge_difference(graph_b) == 0
 
+    @pytest.mark.parametrize("kind", ["dense", "sparse"])
+    def test_initial_graph_from_the_seed_changes_nothing(self, kind):
+        """An engine handed ``KNNGraph.random(n, k, seed)`` runs exactly as
+        one that draws G(0) from that seed itself: handing a test the graph
+        its recorded values were made on changes only the draw."""
+        if kind == "dense":
+            data = generate_dense_profiles(180, dim=8, num_communities=5, seed=41)
+        else:
+            data = generate_sparse_profiles(180, 150, items_per_user=10,
+                                            num_communities=5, seed=41)
+        config = EngineConfig(k=5, num_partitions=4, seed=13)
+        initial = KNNGraph.random(data.num_users, config.k, config.seed)
+
+        def observe(**kwargs):
+            churn = generate_profile_churn(data, change_fraction=0.1, seed=5)
+            with KNNEngine(data, config, **kwargs) as engine:
+                run = engine.run(num_iterations=4,
+                                 profile_change_feed=lambda i: churn if i == 1 else [])
+                profile_bytes = {path.name: path.read_bytes() for path
+                                 in engine.profile_store.base_dir.glob("*.bin")}
+            return ([(r.graph.edge_fingerprint(), r.similarity_evaluations,
+                      r.reused_scores, r.steps_skipped, r.load_unload_operations,
+                      r.candidates_rebuilt, r.full_rescore, r.io_stats.as_dict())
+                     for r in run.iterations], profile_bytes)
+
+        assert observe(initial_graph=initial) == observe()
+
     def test_run_summary_keys(self, profiles):
         config = EngineConfig(k=5, num_partitions=4, seed=7)
         with KNNEngine(profiles, config) as engine:

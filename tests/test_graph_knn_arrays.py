@@ -6,7 +6,8 @@ share no code with it: a dict-based merge oracle and a dict-based scalar
 oracle written below, the graph file rebuilt from the public rows, and
 digests computed with the dict/heap implementation and committed here (the
 file digest re-recorded when the file became the ranked arrays).  The
-loader's checks get one broken file each.
+loader's checks get one broken file each.  ``KNNGraph.random`` (G(0)) is
+checked for what any draw must hold and, over 3,000 seeds, for uniformity.
 """
 
 import hashlib
@@ -345,6 +346,79 @@ class TestLoaderChecks:
             arrays[array][index] = value
         with pytest.raises(error):
             load_knn_graph(_write_arrays(tmp_path / "g.bin", *arrays))
+
+
+# -- G(0): the random initial graph ---------------------------------------------
+
+
+class TestRandomInitialGraph:
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(min_value=2, max_value=40), data=st.data())
+    def test_k_distinct_neighbours_ranked_with_zero_scores(self, n, data):
+        k = data.draw(st.integers(min_value=1, max_value=n - 1))
+        seed = data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1))
+        counts, neighbours, scores = KNNGraph.random(n, k, seed).ranked_arrays()
+        assert counts.dtype == neighbours.dtype == np.int64
+        assert scores.dtype == np.float64
+        assert (counts == k).all()
+        assert ((neighbours >= 0) & (neighbours < n)).all()
+        assert not (neighbours == np.arange(n)[:, None]).any()
+        # every score is 0.0, so a ranked row is strictly ascending by id
+        assert (np.diff(neighbours, axis=1) > 0).all()
+        assert not scores.any()
+        assert not np.signbit(scores).any()
+
+    def test_the_same_seed_or_generator_state_gives_the_same_graph(self):
+        n, k = 60, 7
+        drawn = KNNGraph.random(n, k, seed=5)
+        for again in (KNNGraph.random(n, k, seed=5),
+                      KNNGraph.random(n, k, seed=np.random.default_rng(5))):
+            assert again.edge_fingerprint() == drawn.edge_fingerprint()
+        a, b = np.random.default_rng(9), np.random.default_rng(9)
+        a.integers(0, 10, size=3)
+        b.integers(0, 10, size=3)
+        first = KNNGraph.random(n, k, seed=a)
+        assert KNNGraph.random(n, k, seed=b).edge_fingerprint() == first.edge_fingerprint()
+        # a draw advances the generator it was handed
+        assert KNNGraph.random(n, k, seed=a).edge_fingerprint() != first.edge_fingerprint()
+        assert KNNGraph.random(n, k, seed=6).edge_fingerprint() != drawn.edge_fingerprint()
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_one_vertex_more_than_k_holds_every_other_vertex(self, k):
+        n = k + 1
+        for seed in range(5):
+            _, neighbours, _ = KNNGraph.random(n, k, seed).ranked_arrays()
+            expected = [[u for u in range(n) if u != v] for v in range(n)]
+            assert neighbours.tolist() == expected
+
+    @pytest.mark.parametrize("n, k", [(5, 5), (3, 7)])
+    def test_k_must_stay_below_the_vertex_count(self, n, k):
+        with pytest.raises(ValueError, match="must exceed k"):
+            KNNGraph.random(n, k, seed=0)
+
+    def test_every_ordered_pair_is_drawn_uniformly(self):
+        """Over 3,000 seeds at n = 8, k = 3 each of the 56 ordered pairs is
+        held with probability p = k / (n - 1).  A row draws k of N = n - 1
+        vertices without replacement, so its N counts have covariance
+        m·p·(1 - p)·N/(N - 1)·(I - J/N) over m draws, and
+        sum((count - m·p)²) / (m·p·(1 - p)·N/(N - 1)) is chi-square with
+        N - 1 degrees of freedom a row: 48 over the 8 rows.  Its 0.999
+        quantile is 84.04.  Each count also stays within five standard
+        deviations of m·p (the draw below reads 1,230–1,361 against 1,285.7
+        and a statistic of 50.7)."""
+        n, k, draws = 8, 3, 3000
+        counts = np.zeros((n, n), dtype=np.int64)
+        rows = np.repeat(np.arange(n), k)
+        for seed in range(draws):
+            _, neighbours, _ = KNNGraph.random(n, k, seed).ranked_arrays()
+            np.add.at(counts, (rows, neighbours.ravel()), 1)
+        assert not np.diagonal(counts).any()
+        held = counts[~np.eye(n, dtype=bool)]
+        p = k / (n - 1)
+        expected, variance = draws * p, draws * p * (1 - p)
+        assert np.abs(held - expected).max() < 5 * math.sqrt(variance)
+        statistic = ((held - expected) ** 2).sum() / (variance * (n - 1) / (n - 2))
+        assert statistic < 84.04
 
 
 def test_million_vertex_graph_is_three_arrays():

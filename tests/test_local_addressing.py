@@ -42,6 +42,7 @@ from repro.similarity.workloads import (ProfileChange, generate_dense_profiles,
                                         generate_sparse_profiles)
 from repro.storage.profile_store import (OnDiskProfileStore, ProfileSlice,
                                          _contiguous_ranges)
+from legacy_graph import legacy_random_graph
 
 NUM_USERS = 90
 
@@ -439,7 +440,9 @@ def _hash_run(budget=None):
         return [ProfileChange(user=int(user), kind="set", vector=rng.random(8))
                 for user in rng.choice(400, size=12, replace=False)]
 
-    with KNNEngine(profiles, config) as engine:
+    # the recorded peak is the walk's on the per-vertex G(0) draw of this seed
+    initial = legacy_random_graph(400, config.k, config.seed)
+    with KNNEngine(profiles, config, initial_graph=initial) as engine:
         run = engine.run(4, profile_change_feed=feed)
         dense = (engine.profile_store.base_dir / "profiles_dense.bin").read_bytes()
     return ([result.graph.edge_fingerprint() for result in run.iterations],

@@ -24,6 +24,7 @@ from repro.similarity.workloads import (generate_dense_profiles,
                                         generate_sparse_profiles)
 from repro.storage.memory_manager import MemoryBudget
 from repro.storage.partition_store import PartitionStore
+from legacy_graph import legacy_random_graph
 from test_sorted_spine import _partitioned_graphs
 
 # -- (a) the closed form against the materialised partitions ------------------
@@ -86,6 +87,14 @@ def _config(budget):
                         seed=3, memory_budget_bytes=budget)
 
 
+def _engine(kind, budget):
+    """The goldens below were recorded on the per-vertex G(0) draw of the
+    config's seed, so the engine is handed that graph."""
+    config = _config(budget)
+    return KNNEngine(_profiles(kind), config,
+                     initial_graph=legacy_random_graph(240, config.k, config.seed))
+
+
 @pytest.fixture
 def allocations(monkeypatch):
     """Every successful ``MemoryBudget.allocate`` as the budget's peak after
@@ -126,7 +135,7 @@ class TestEnginesChargeWhatTheFilesCost:
     @pytest.mark.parametrize("kind", ["dense", "sparse"])
     def test_matches_the_parent_commit_and_leaves_no_file(self, kind,
                                                           allocations):
-        with KNNEngine(_profiles(kind), _config(BUDGET)) as engine:
+        with _engine(kind, BUDGET) as engine:
             run = engine.run(num_iterations=3)
             assert not (engine.workdir / "partitions").exists()
             assert not list(engine.workdir.rglob("partition_*.bin"))
@@ -138,7 +147,7 @@ class TestEnginesChargeWhatTheFilesCost:
     def test_without_a_budget_the_files_cost_the_same(self, kind, allocations):
         """The budget is the partition cache's cap and nothing else: with
         none, no byte is allocated and every charge is the capped run's."""
-        with KNNEngine(_profiles(kind), _config(None)) as engine:
+        with _engine(kind, None) as engine:
             run = engine.run(num_iterations=3)
             assert not list(engine.workdir.rglob("partition_*.bin"))
         rows = [(r.io_stats.read_ops, r.io_stats.write_ops,
@@ -149,7 +158,7 @@ class TestEnginesChargeWhatTheFilesCost:
     @pytest.mark.parametrize("kind", ["dense", "sparse"])
     def test_over_budget_fails_on_the_same_step(self, kind, allocations):
         budget, message, fitting = _GOLDEN_OVER_BUDGET[kind]
-        with KNNEngine(_profiles(kind), _config(budget)) as engine:
+        with _engine(kind, budget) as engine:
             with pytest.raises(MemoryError) as caught:
                 engine.run(num_iterations=3)
         assert str(caught.value) == message

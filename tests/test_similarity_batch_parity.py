@@ -115,6 +115,43 @@ def test_set_csr_kernels_match_scalar_directly():
         np.testing.assert_allclose(got, expected, atol=TOL, rtol=0)
 
 
+def _per_row_csr(profiles):
+    """The per-row build ``SetProfileCSR.from_sets`` replaced: each row's
+    items emitted in ascending order, then one ``np.unique``."""
+    sizes = np.asarray([len(p) for p in profiles], dtype=np.int64)
+    indptr = np.zeros(len(profiles) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=indptr[1:])
+    flat = np.asarray([item for p in profiles for item in sorted(p)], dtype=np.int64)
+    if not len(flat):
+        return indptr, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    uniques, codes = np.unique(flat, return_inverse=True)
+    return indptr, codes, uniques
+
+
+@pytest.mark.parametrize("case", ["random", "sparse ids", "empty rows", "empty store"])
+def test_set_csr_from_sets_matches_the_per_row_build(case):
+    rng = np.random.default_rng(31)
+    if case == "random":
+        profiles = _random_sparse_profiles(rng, num_users=60, num_items=40)
+        profiles[-1] = set()
+    elif case == "sparse ids":
+        ids = rng.choice(10 ** 12, size=30, replace=False)
+        profiles = [frozenset(rng.choice(ids, size=int(rng.integers(0, 9)),
+                                         replace=False).tolist())
+                    for _ in range(25)]
+    elif case == "empty rows":
+        profiles = [set(), set(), set()]
+    else:
+        profiles = []
+    csr = m.SetProfileCSR.from_sets(profiles)
+    indptr, codes, uniques = _per_row_csr(profiles)
+    for got, want in ((csr.indptr, indptr), (csr.codes, codes), (csr.item_ids, uniques)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    assert csr.num_rows == len(profiles) and csr.num_items == len(uniques)
+    assert csr.rows_sorted
+
+
 def test_cosine_from_norms_matches_plain_batch():
     rng = np.random.default_rng(29)
     left = rng.normal(size=(100, 8))

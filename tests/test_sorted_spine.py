@@ -32,6 +32,7 @@ from repro.similarity.workloads import (ProfileChange, generate_dense_profiles,
                                         generate_sparse_profiles)
 from repro.storage.memory_manager import MemoryBudget
 from repro.tuples.hash_table import TupleHashTable
+from legacy_graph import legacy_random_graph
 from test_graph_knn_arrays import _SCORES, _assert_rows_equal, oracle_merge
 
 # -- (a) partitions: CSR row slices against mask + lexsort + unique ------------
@@ -481,7 +482,10 @@ def _observe(kind, dirty, full_schedule, budget=None):
     config = EngineConfig(k=5, num_partitions=6, heuristic="degree-low-high",
                           seed=17, memory_budget_bytes=budget)
     profiles = _golden_profiles(kind)
-    with full_schedule(not dirty), KNNEngine(profiles, config) as engine:
+    # the goldens were recorded on the per-vertex G(0) draw of this seed
+    initial = legacy_random_graph(GOLDEN_USERS, config.k, config.seed)
+    with full_schedule(not dirty), KNNEngine(profiles, config,
+                                             initial_graph=initial) as engine:
         run = engine.run(num_iterations=GOLDEN_WARMUP + GOLDEN_CHURNED,
                          profile_change_feed=_golden_feed(kind, profiles))
         digest = hashlib.sha256()

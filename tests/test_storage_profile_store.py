@@ -1,5 +1,6 @@
 """Tests for repro.storage.profile_store."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from repro.similarity.profiles import DenseProfileStore, SparseProfileStore
 from repro.similarity.workloads import ProfileChange
+from repro.storage.disk_model import get_disk_model
 from repro.storage.profile_store import OnDiskProfileStore, ProfileSlice, _contiguous_ranges
 
 
@@ -49,6 +51,44 @@ class TestDenseOnDisk:
         touched = store.apply_changes([ProfileChange(user=2, kind="set", vector=new_vector)])
         assert touched == 1
         assert np.allclose(store.load_users([2]).get(2), new_vector)
+
+    def test_a_batch_apply_writes_and_charges_what_the_row_loop_did(
+            self, dense_profiles, tmp_path):
+        """One fancy-index write of the rows and their norms, and one
+        ``record_writes`` call, against the per-row loop it replaced: the
+        same file bytes, and the same write ops, bytes and simulated-seconds
+        bits (the seconds added one row at a time)."""
+        store = OnDiskProfileStore.create(tmp_path, dense_profiles, disk_model="hdd")
+        rng = np.random.default_rng(3)
+        users = rng.integers(0, dense_profiles.num_users, size=250)
+        changes = [ProfileChange(user=int(user), kind="set", vector=rng.normal(size=8))
+                   for user in users]
+        expected = dense_profiles.matrix.copy()
+        charged, hdd = dataclasses.replace(store.io_stats), get_disk_model("hdd")
+        latest = DenseProfileStore.coalesce_set_changes(changes, dense_profiles.dim)
+        for user, vector in latest.items():
+            expected[user] = vector
+            charged.record_write(vector.nbytes + 8, hdd.mapped_write_cost(
+                vector.nbytes + 8, sequential=False))
+        norms = np.array([np.sqrt(np.sum(row * row)) for row in expected])
+        assert store.apply_changes(changes) == len(latest) < len(changes)
+        assert (tmp_path / "profiles_dense.bin").read_bytes() == expected.tobytes()
+        assert (tmp_path / "profiles_norms.bin").read_bytes() == norms.tobytes()
+        assert store.io_stats == charged
+        assert store.touched_rows_since(store.generation - 1).tolist() == sorted(latest)
+
+    @pytest.mark.parametrize("bad", [-1, 120])
+    def test_a_user_out_of_range_fails_the_batch_before_any_write(
+            self, dense_profiles, tmp_path, bad):
+        store = OnDiskProfileStore.create(tmp_path, dense_profiles)
+        before = (tmp_path / "profiles_dense.bin").read_bytes()
+        generation, writes = store.generation, store.io_stats.write_ops
+        changes = [ProfileChange(user=user, kind="set", vector=np.ones(8))
+                   for user in (4, bad, 5)]
+        with pytest.raises(IndexError, match=f"user {bad} out of range"):
+            store.apply_changes(changes)
+        assert (tmp_path / "profiles_dense.bin").read_bytes() == before
+        assert (store.generation, store.io_stats.write_ops) == (generation, writes)
 
     def test_apply_wrong_change_kind(self, dense_profiles, tmp_path):
         store = OnDiskProfileStore.create(tmp_path, dense_profiles)
