@@ -16,7 +16,7 @@ What survives across iterations is the **carried state**
 score slab over ``H`` and the ``G(t+1)`` made of them.  Phase 2 advances
 ``H`` by the edge delta and the slab follows its keys; a tuple with two
 endpoints untouched since the slab's generation reuses its score
-bit-for-bit, a partition pair the slab covers may skip its residency step,
+bit-for-bit, a step whose two partitions are clean may skip its residency,
 and only the rows whose top-K a fresh score or a deleted key can move are
 merged into the next ``G(t+1)``: kernel and merge work scale with the churn.
 ``H`` is rebuilt, or the scores dropped, whenever the data cannot vouch for
@@ -51,8 +51,7 @@ loads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence,
-                    Tuple)
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,6 +64,7 @@ from repro.partition.model import (PartitionLayout, build_partitions,
                                    partition_layout)
 from repro.partition.partitioners import get_partitioner
 from repro.pigraph.pi_graph import PIEdge, PIGraph
+# simulate_schedule is unused here: the e2e tracer's pigraph.plan row wraps it
 from repro.pigraph.scheduler import (ScheduleResult, plan_dirty_schedule,
                                      simulate_schedule)
 from repro.pigraph.traversal import ResidencyStep, get_heuristic
@@ -135,9 +135,8 @@ class Phase4ScoreCache:
     2 :meth:`advance`\\ s by the edge delta; and the scores, a sorted int64
     pair-key array (``keys``) with the slab of scores aligned with it
     (``values``), tagged with the ``(measure, store generation, vertex
-    count)`` they were computed under and the normalised partition pairs
-    whose tuples they all cover (``scored_pairs``).  A similarity score
-    depends only on the two endpoint profiles, so a score is reused
+    count)`` they were computed under.  A similarity score depends only on
+    the two endpoint profiles, so a score is reused
     **bit-for-bit** while neither endpoint changed since its generation —
     what the store's touched-row deltas
     (:meth:`~repro.storage.profile_store.OnDiskProfileStore.touched_rows_since`)
@@ -168,7 +167,6 @@ class Phase4ScoreCache:
         self.num_vertices: int = 0
         self.keys: Optional[np.ndarray] = None
         self.values: Optional[np.ndarray] = None
-        self.scored_pairs: FrozenSet[Tuple[int, int]] = frozenset()
         self.aligned = False
 
     def release(self) -> None:
@@ -277,7 +275,6 @@ class Phase4ScoreCache:
               measure: str, generation: int, num_vertices: int, *,
               graph: Optional[Tuple[CSRDiGraph, np.ndarray,
                                     TupleHashTable]] = None,
-              scored_pairs: Iterable[Tuple[int, int]] = (),
               produced: Tuple[Optional[KNNGraph], Optional[np.ndarray]]
               = (None, None)) -> None:
         """Commit one iteration as the new state.
@@ -287,9 +284,9 @@ class Phase4ScoreCache:
         the slab aligned with it, adopted as they lie (read-only, the
         iteration still holds them: no sort, no copy).  ``graph`` is the
         ``(csr, edge_keys, table)`` whose ``table.keys`` they are, or
-        ``None``; ``scored_pairs`` the normalised partition pairs they
-        cover; ``produced`` the ``(G(t+1), merged_rows)`` made of them.  An
-        over-capacity set keeps no scores.  A refused merge changes nothing.
+        ``None``; ``produced`` the ``(G(t+1), merged_rows)`` made of them.
+        An over-capacity set keeps no scores.  A refused merge changes
+        nothing.
         """
         scored = len(keys) <= self.max_entries
         if len(keys) != len(values):
@@ -319,7 +316,6 @@ class Phase4ScoreCache:
         self.measure = measure
         self.generation = int(generation)
         self.num_vertices = int(num_vertices)
-        self.scored_pairs = frozenset(scored_pairs)
         self.aligned = graph is not None
 
 
@@ -348,9 +344,10 @@ class IterationResult:
     #: advanced last iteration's ``H`` by the edge delta ``G(t-1) → G(t)``.
     candidates_rebuilt: bool = True
     #: Residency steps that never acquired their partition pair under dirty
-    #: scheduling: scores came from the score cache, plus at most a small
-    #: row-level residual gather for never-seen pairs.  Always 0 when the
-    #: delta history could not vouch for the churn (full schedule).
+    #: scheduling: both partitions clean, and scores from the score cache
+    #: plus at most a small row-level residual gather of the join's misses.
+    #: Always 0 when the delta history could not vouch for the churn (full
+    #: schedule).
     steps_skipped: int = 0
     #: Residency steps in the full traversal plan this iteration.
     steps_total: int = 0
@@ -393,7 +390,6 @@ class IterationFront:
     table: TupleHashTable
     patch: Optional[KeyPatch]
     steps: List[ResidencyStep]
-    schedule: ScheduleResult
     slab: Optional[np.ndarray]
     deleted: Optional[Tuple[np.ndarray, np.ndarray]]
     timer: PhaseTimer
@@ -424,8 +420,9 @@ class _Phase4Run:
     keys: np.ndarray
     scores: np.ndarray
     full_rescore: bool
-    #: ``(step, from_cache, batches)``: dirty steps first, then the steps the
-    #: dirty plan expects the cache to answer without partitions.
+    #: ``(step, from_cache, batches)``: the steps with a dirty partition first,
+    #: then those with both partitions clean (``from_cache``), each class in
+    #: plan order; ``batches`` are the step's tuples the cache join missed.
     ordered_steps: List[Tuple[ResidencyStep, bool, List[_EdgeBatch]]]
     layout: PartitionLayout
     positions: np.ndarray
@@ -503,17 +500,16 @@ class _StepResidency:
     :class:`PartitionCache` of ``max_resident_partitions`` slots whose
     ``memory_budget_bytes`` is the one cap on resident partitions.  Every
     pending step acquires its pair, also one whose tuples the cache answered
-    in full (the planned :class:`ScheduleResult` counted it).  A resident
-    partition's profile slice is the residency's: the first step with tuples
-    to score loads it from the engine's store — the load is the charge, once
-    per residency — and it leaves when the LRU walk evicts its partition or
-    the walk ends, so no slice outlives phase 4.  A fully cache-hit step
-    touches no profile bytes at all.
+    in full.  A resident partition's profile slice is the residency's: the
+    first step with tuples to score loads it from the engine's store — the
+    load is the charge, once per residency — and it leaves when the LRU walk
+    evicts its partition or the walk ends, so no slice outlives phase 4.  A
+    fully cache-hit step touches no profile bytes at all.
     """
 
     def __init__(self, config: EngineConfig, partition_store: PartitionStore,
                  profile_store: OnDiskProfileStore, layout: PartitionLayout,
-                 io_stats: IOStats, planned: ScheduleResult):
+                 io_stats: IOStats):
         self._budget = (MemoryBudget(config.memory_budget_bytes)
                         if config.memory_budget_bytes is not None else None)
         self._cache = PartitionCache(partition_store,
@@ -521,7 +517,8 @@ class _StepResidency:
                                      self._budget, io_stats)
         self._profile_store = profile_store
         self._layout = layout
-        self._planned = planned
+        self._heuristic = config.heuristic
+        self._num_partitions = config.num_partitions
         self._steps = 0
         self._hits = 0
         self._tuples = 0
@@ -565,8 +562,8 @@ class _StepResidency:
         self._slices.clear()
         self._cache.flush()
         return ScheduleResult(
-            heuristic=self._planned.heuristic,
-            num_partitions=self._planned.num_partitions,
+            heuristic=self._heuristic,
+            num_partitions=self._num_partitions,
             num_steps=self._steps,
             loads=self._cache.io_stats.partition_loads,
             unloads=self._cache.io_stats.partition_unloads,
@@ -615,13 +612,8 @@ class OutOfCoreIteration:
             table, patch = self._phase2_hash_table(graph, csr, edge_keys,
                                                    layout)
         with timer.phase(PHASE_NAMES[2]):
-            heuristic = get_heuristic(config.heuristic)
-            steps = heuristic.plan(PIGraph.from_tuple_table(
-                table, config.num_partitions))
-            schedule = simulate_schedule(
-                steps, heuristic_name=heuristic.name,
-                num_partitions=config.num_partitions,
-                cache_slots=config.max_resident_partitions)
+            steps = get_heuristic(config.heuristic).plan(
+                PIGraph.from_tuple_table(table, config.num_partitions))
         cache = self._score_cache
         slab = deleted = None
         if patch is not None and cache.aligned:
@@ -631,7 +623,7 @@ class OutOfCoreIteration:
             if graph is cache.produced:
                 deleted = cache.table.endpoints(patch.deleted)
         return IterationFront(graph, edge_keys, csr, layout, table, patch,
-                              steps, schedule, slab, deleted, timer)
+                              steps, slab, deleted, timer)
 
     def run(self, iteration: int, graph: KNNGraph,
             update_queue: Optional[ProfileUpdateQueue] = None, *,
@@ -683,8 +675,6 @@ class OutOfCoreIteration:
                 graph.num_vertices,
                 graph=((csr, edge_keys, table)
                        if config.max_pairs_per_bridge is None else None),
-                scored_pairs={(min(first, second), max(first, second))
-                              for first, second, _ in steps},
                 produced=(new_graph, run.rows))
         if self._fault is not None:
             # crash window: G(t+1) fully scored and not sealed; the queued
@@ -778,17 +768,16 @@ class OutOfCoreIteration:
             touched_mask[touched] = True
             scores, hits = cache.lookup(keys, touched_mask)
             misses = np.flatnonzero(~hits)
-        # dirty-partition planning, the scores' second reading: steps whose
-        # partitions are both clean and whose pair the scores cover run
-        # lookup-only (no partition acquired unless a lookup missed);
-        # everything else runs dirty-first.  A delta history that cannot
-        # vouch for the churn (reload, delta-log rollover, recovery) keeps
-        # the full plan in its order.
+        # dirty-partition planning: steps with a dirty partition run first;
+        # steps with both partitions clean are settled by the misses of the
+        # join above (no partition acquired unless the residue is large).  A
+        # delta history that cannot vouch for the churn (reload, delta-log
+        # rollover, recovery) keeps the full plan in its order.
         executed, cached = steps, []
         if misses is not None:
             plan = plan_dirty_schedule(
                 steps, self._profile_store.touched_partitions_since(
-                    cache.generation, layout.assignment), cache.scored_pairs)
+                    cache.generation, layout.assignment))
             executed, cached = plan.executed, plan.cached
         # the positions of H the cache did not answer, grouped by PI edge and
         # decoded once: a PI edge (p, q) has its sources in p and destinations
@@ -820,14 +809,15 @@ class OutOfCoreIteration:
 
     def _score_residual(self, run: _Phase4Run, step: ResidencyStep,
                         batches: Sequence[_EdgeBatch], measure: str) -> bool:
-        """Score a cached step's misses off a row-level gather, if few.
+        """Score a clean step's misses off a row-level gather, if few.
 
-        The plan called this pair clean, but graph churn elsewhere minted
-        candidate tuples the cache has never seen (neighbour lists keep
-        moving even between clean partitions).  A small residue is scored
-        off a gather of exactly the needed profiles — no partition acquired,
-        the step still skips (returns ``True``); a large one means the pair
-        genuinely needs its partitions, and the caller executes the step.
+        Both partitions are clean, but the cache join missed some of the
+        step's tuples: graph churn minted candidate tuples the cache has
+        never seen (neighbour lists keep moving even between clean
+        partitions), or the pair was not scored at all.  A small residue is
+        scored off a gather of exactly the needed profiles — no partition
+        acquired, the step still skips (returns ``True``); a large one means
+        the pair genuinely needs its partitions, and the caller executes it.
         The 4x rule on the counts of :attr:`_Phase4Run.residue` is a pure
         function of the data, so every schedule and resume makes one choice.
         """
@@ -851,13 +841,13 @@ class OutOfCoreIteration:
 
     def _execute_pending(self, run: _Phase4Run, measure: str,
                          residency: _StepResidency) -> None:
-        """The one phase-4 loop over the ordered steps.  A step the dirty
-        plan expects the cache to answer is settled when the join answered
-        all of it, or when :meth:`_score_residual` takes the few tuples it
-        missed (counted for all such steps at once, at the head of the
-        walk); any other step acquires its pair, also with nothing left to
-        score (the step-at-a-time cost model), and scores all its PI edges
-        in one kernel call into the slab."""
+        """The one phase-4 loop over the ordered steps.  A step with both
+        partitions clean is settled when the join answered all of it, or
+        when :meth:`_score_residual` takes the few tuples it missed (counted
+        for all such steps at once, at the head of the walk); any other
+        step acquires its pair, also with nothing left to score (the
+        step-at-a-time cost model), and scores all its PI edges in one
+        kernel call into the slab."""
         run.count_residue([(step, batches) for step, from_cache, batches
                            in run.ordered_steps if from_cache and batches])
         for step, from_cache, batches in run.ordered_steps:
@@ -952,8 +942,7 @@ class OutOfCoreIteration:
         """
         run = self._begin_phase4(graph, front, measure)
         residency = _StepResidency(self._config, self._partition_store,
-                                   self._profile_store, front.layout, io_stats,
-                                   front.schedule)
+                                   self._profile_store, front.layout, io_stats)
         self._execute_pending(run, measure, residency)
         executed = residency.schedule()
         return run, self._finish_phase4(run, graph, front.table), executed

@@ -404,42 +404,24 @@ class KNNGraph:
         return order
 
     def add_candidates_sharded(self, sources: np.ndarray, destinations: np.ndarray,
-                               scores: np.ndarray, num_shards: int = 1,
-                               assume_unique: bool = False,
+                               scores: np.ndarray, assume_unique: bool = False,
                                hint: Optional["KNNGraph"] = None) -> int:
-        """Apply :meth:`add_candidates_batch` shard by shard over the sources.
-
-        Rows are split into ``num_shards`` groups by ``source % num_shards``
-        (row order preserved within a group) and merged one group at a time.
-        Because every step of the batch merge — incumbent gathering, dedup
-        and top-K selection — is independent per source vertex, the result
-        is *identical* to a single batch call over all rows, ties included;
-        sharding only bounds the size of each sort.
+        """:meth:`add_candidates_batch`, by the shortest route to its rows.
 
         Candidates that arrive strictly increasing in ``(source,
         destination)`` for sources whose rows are all empty — phase 4 hands
         over the dedup table's own order, into a new graph or into the rows
-        a :meth:`cleared` copy emptied — take a shorter route to the same
-        rows, whatever ``num_shards`` says: see
-        :meth:`_merge_sorted`, which is also the only reader of ``hint``.
+        a :meth:`cleared` copy emptied — take :meth:`_merge_sorted`, which
+        is also the only reader of ``hint``; any other input takes the
+        batch merge.  Both give the same rows, ties included.
         """
-        check_positive_int(num_shards, "num_shards")
         src, dst, sc = self._checked_candidates(sources, destinations, scores)
         if len(src) == 0:
             return 0
         keys = src * self.num_vertices + dst
         if (keys[1:] > keys[:-1]).all() and not self._counts[src].any():
             return self._merge_sorted(src, dst, sc, keys, hint)
-        if num_shards == 1:
-            return self._merge_batch(src, dst, sc, assume_unique)
-        shard_of = src % num_shards
-        changed = 0
-        for shard in range(num_shards):
-            mask = shard_of == shard
-            if mask.any():
-                changed += self._merge_batch(src[mask], dst[mask], sc[mask],
-                                             assume_unique)
-        return changed
+        return self._merge_batch(src, dst, sc, assume_unique)
 
     def _merge_sorted(self, src: np.ndarray, dst: np.ndarray, sc: np.ndarray,
                       keys: np.ndarray, hint: Optional["KNNGraph"]) -> int:

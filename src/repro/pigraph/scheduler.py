@@ -13,8 +13,7 @@ budget), so the simulated and the executed counts agree by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (Collection, Dict, Iterable, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.pigraph.pi_graph import PIGraph
 from repro.pigraph.traversal import ResidencyStep, TraversalHeuristic, get_heuristic
@@ -64,73 +63,45 @@ def plan_schedule(pi_graph: PIGraph,
 class DirtySchedule:
     """A full traversal plan split by what the update churn can still touch.
 
-    ``executed`` keeps every step that must run against the partition cache,
-    reordered dirty-first; ``cached`` holds the steps whose partitions are
-    both clean *and* whose pair was already scored at the score cache's
-    generation — their tuples are answerable from the cache without loading
-    a profile.  ``executed + cached`` is always a permutation of the input
-    steps: dirty scheduling never drops candidate tuples, it only changes
-    where their scores come from.
+    ``executed`` holds the steps with a dirty partition, which acquire their
+    pair against the partition cache; ``cached`` the steps whose partitions
+    are both clean, which phase 4 settles from the score cache and the exact
+    misses of its join.  ``executed + cached`` is always a permutation of
+    the input steps: dirty scheduling never drops candidate tuples, it only
+    changes where their scores come from.
     """
 
     executed: List[ResidencyStep]
     cached: List[ResidencyStep]
-    dirty_partitions: Optional[Tuple[int, ...]]
-    assume_all_dirty: bool
-
-    @property
-    def num_steps(self) -> int:
-        return len(self.executed) + len(self.cached)
-
-
-def _normalised_pair(first: int, second: int) -> Tuple[int, int]:
-    return (first, second) if first <= second else (second, first)
 
 
 def plan_dirty_schedule(steps: Sequence[ResidencyStep],
-                        dirty_partitions: Optional[Iterable[int]],
-                        scored_pairs: Collection[Tuple[int, int]]
+                        dirty_partitions: Optional[Iterable[int]]
                         ) -> DirtySchedule:
-    """Split and reorder a traversal plan around the partitions churn touched.
+    """Split a traversal plan around the partitions churn touched.
 
-    A *pure* function of its three inputs — no wall clock, no ambient state —
-    so every resume and every re-plan of the same iteration produces the same
-    schedule:
+    ``dirty_partitions`` are the partitions holding at least one row that
+    changed since the score cache's generation, as reported by
+    ``OnDiskProfileStore.touched_partitions_since``.  A *pure* function of
+    its two inputs — no wall clock, no ambient state — so every resume and
+    every re-plan of the same iteration produces the same schedule.
 
-    - ``dirty_partitions``: partitions holding at least one row that changed
-      since the score cache's generation, as reported by
-      ``OnDiskProfileStore.touched_partitions_since``.  ``None`` propagates
-      that method's "cannot vouch" answer: every step executes, in the
-      heuristic's original order (reload, delta-log rollover and recovery
-      all land here — the only safe answer is "run everything").
-    - ``scored_pairs``: the normalised partition pairs ``(min, max)`` whose
-      tuples the score cache all covers, at its generation.
-
-    A step may be served from the cache only when *both* partitions are
-    clean and its pair is in ``scored_pairs``.  Clean-pair steps whose scores are not vouched for still execute — after
-    the dirty steps, so the partitions most likely to change the graph are
-    visited first (convergence-driven ordering).  Relative order within each
-    class is preserved, keeping the heuristic's residency locality.
+    A step with a dirty partition executes; a step with both partitions
+    clean is ``cached``.  Relative order within each class is the input's,
+    keeping the heuristic's residency locality.  ``None`` propagates the
+    store's "cannot vouch" answer: every step executes, in the input order
+    (reload, delta-log rollover and recovery all land here — the only safe
+    answer is "run everything").
     """
-    all_steps = list(steps)
     if dirty_partitions is None:
-        return DirtySchedule(executed=all_steps, cached=[],
-                             dirty_partitions=None, assume_all_dirty=True)
+        return DirtySchedule(executed=list(steps), cached=[])
     dirty = frozenset(int(p) for p in dirty_partitions)
-    dirty_steps: List[ResidencyStep] = []
-    clean_unscored: List[ResidencyStep] = []
-    cached: List[ResidencyStep] = []
-    for step in all_steps:
+    plan = DirtySchedule(executed=[], cached=[])
+    for step in steps:
         first, second, _ = step
-        if first in dirty or second in dirty:
-            dirty_steps.append(step)
-        elif _normalised_pair(first, second) in scored_pairs:
-            cached.append(step)
-        else:
-            clean_unscored.append(step)
-    return DirtySchedule(executed=dirty_steps + clean_unscored, cached=cached,
-                         dirty_partitions=tuple(sorted(dirty)),
-                         assume_all_dirty=False)
+        (plan.executed if first in dirty or second in dirty
+         else plan.cached).append(step)
+    return plan
 
 
 def simulate_schedule(steps: Sequence[ResidencyStep],

@@ -23,6 +23,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import repro.core.iteration as iteration_module
 from repro.core.config import EngineConfig
 from repro.core.engine import KNNEngine, _scan_commit_epochs
 from repro.pigraph.traversal import HEURISTICS
@@ -208,6 +209,50 @@ class TestDirtyParityWall:
             results = [engine.run_iteration() for _ in range(4)]
         assert all(r.steps_skipped == 0 for r in results)
         assert all(r.full_rescore for r in results)
+
+    def test_a_clean_pair_new_to_the_plan_meets_the_residue_rule(
+            self, full_schedule, monkeypatch):
+        """The plan has two inputs, the dirty partitions and the join's
+        misses: a clean step whose partition pair the previous iteration's
+        plan never held still goes through :meth:`_score_residual`.  A
+        partitioner that re-assigns vertices every iteration mints such
+        pairs; the graphs and evaluations stay the full schedule's."""
+        plans, new_pairs = [], []
+        begin = iteration_module.OutOfCoreIteration._begin_phase4
+        residual = iteration_module.OutOfCoreIteration._score_residual
+
+        def planned(runner, graph, front, measure):
+            plans.append({(min(first, second), max(first, second))
+                          for first, second, _ in front.steps})
+            return begin(runner, graph, front, measure)
+
+        def spied(runner, run, step, batches, measure):
+            pair = (min(step[0], step[1]), max(step[0], step[1]))
+            if len(plans) > 1 and pair not in plans[-2]:
+                new_pairs.append((len(plans) - 1, pair))
+            return residual(runner, run, step, batches, measure)
+
+        monkeypatch.setattr(iteration_module.OutOfCoreIteration,
+                            "_begin_phase4", planned)
+        monkeypatch.setattr(iteration_module.OutOfCoreIteration,
+                            "_score_residual", spied)
+        num_users = 600
+        profiles = generate_dense_profiles(num_users, dim=DIM,
+                                           num_communities=8, seed=5)
+        runs = {}
+        for dirty in (True, False):
+            config = _config(k=6, num_partitions=32,
+                             partitioner="greedy-locality")
+            feed = _churn_feed([20] * 6, 9, num_users)
+            with full_schedule(not dirty), KNNEngine(profiles,
+                                                     config) as engine:
+                runs[dirty] = engine.run(num_iterations=6,
+                                         profile_change_feed=feed).iterations
+        assert new_pairs, "no clean step new to the plan met the residue rule"
+        assert ([(r.graph.edge_fingerprint(), r.similarity_evaluations)
+                 for r in runs[True]]
+                == [(r.graph.edge_fingerprint(), r.similarity_evaluations)
+                    for r in runs[False]])
 
 
 class TestRunEverythingEdges:

@@ -104,16 +104,15 @@ class TestMergeAgainstOracle:
             _assert_rows_equal(graph, rows)
 
     @settings(max_examples=150, deadline=None)
-    @given(_flushes(), st.integers(min_value=1, max_value=4))
-    def test_unique_batches_sharded_and_assumed_unique(self, case, num_shards):
+    @given(_flushes())
+    def test_unique_batches_sharded_and_assumed_unique(self, case):
         n, k, flushes = case
         graph, rows = KNNGraph(n, k), [{} for _ in range(n)]
         for batch in flushes:
             batch = list({(src, dst): (src, dst, score)
                           for src, dst, score in batch}.values())
             columns = [list(column) for column in zip(*batch)] or [[], [], []]
-            changed = graph.add_candidates_sharded(*columns, num_shards=num_shards,
-                                                   assume_unique=True)
+            changed = graph.add_candidates_sharded(*columns, assume_unique=True)
             assert changed == oracle_merge(rows, k, batch)
             _assert_rows_equal(graph, rows)
 

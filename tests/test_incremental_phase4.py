@@ -339,8 +339,7 @@ class TestInPlaceMergeDifferential:
     def test_an_aborted_iteration_leaves_every_carried_field(self):
         """One commit: an iteration that dies between its joins and its
         merge leaves every field of the carried state the very object it
-        was — ``G(t)``, ``H``, the slab, its tags, its scored partition
-        pairs and its alignment."""
+        was — ``G(t)``, ``H``, the slab, its tags and its alignment."""
         config = EngineConfig(k=5, num_partitions=4,
                               heuristic="degree-low-high", seed=17)
         with KNNEngine(_profiles("dense"), config) as engine:
@@ -348,10 +347,10 @@ class TestInPlaceMergeDifferential:
                 engine.run_iteration()
             runner = engine._iteration_runner
             state = runner.score_cache
-            assert state.aligned and state.scored_pairs
+            assert state.aligned
             before = {name: getattr(state, name) for name in (
                 "csr", "edge_keys", "table", "keys", "values", "measure",
-                "generation", "num_vertices", "scored_pairs", "aligned",
+                "generation", "num_vertices", "aligned",
                 "evictions")}
             engine.profile_store.apply_changes([ProfileChange(
                 user=3, kind="set", vector=np.full(8, 0.5))])
@@ -375,9 +374,9 @@ class TestInPlaceMergeDifferential:
             csr, build_partitions(csr, assignment, 1), assignment)
         state = Phase4ScoreCache(max_entries=len(table) - 1)
         state.merge(table.keys, np.zeros(len(table)), "cosine", 1, 3,
-                    graph=(csr, keys, table), scored_pairs={(0, 0)})
+                    graph=(csr, keys, table))
         assert state.table is table and state.csr is csr
-        assert state.keys is None and not state.scored_pairs
+        assert state.keys is None
         assert not state.aligned and state.evictions == 1
         with pytest.raises(ValueError):
             state.merge(table.keys.copy(), np.zeros(len(table)), "cosine", 2,

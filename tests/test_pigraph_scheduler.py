@@ -102,16 +102,17 @@ class TestHeuristicComparison:
 
 
 class TestPlanDirtySchedule:
-    """``plan_dirty_schedule`` is a pure function of its three inputs.
+    """``plan_dirty_schedule`` is a pure function of its two inputs.
 
     The dirty planner feeds phase 4's step skipping, so any hidden state —
     wall clock, iteration order of a set, ambient randomness — would make
     re-plans or resumed runs disagree about *which* steps skip.  The
     property suite pins: executed + cached is always a permutation of the
-    input, classification follows the (dirty set, scored pairs) contract
-    exactly, relative order is preserved within each class with dirty steps
-    first, and replanning (with the dirty set presented in any order)
-    reproduces the plan verbatim.
+    input with the dirty steps first, a step is executed exactly when one
+    of its partitions is dirty, relative order is preserved within each
+    class, replanning (with the dirty set presented in any order)
+    reproduces the plan verbatim, and ``None`` executes every step in
+    input order.
     """
 
     @staticmethod
@@ -128,78 +129,52 @@ class TestPlanDirtySchedule:
         pair_seed=st.integers(min_value=0, max_value=2**16),
         num_steps=st.integers(min_value=0, max_value=24),
         dirty_fraction=st.floats(min_value=0.0, max_value=1.0),
-        scored_fraction=st.floats(min_value=0.0, max_value=1.0),
     )
     def test_plan_is_a_pure_classification(self, num_partitions, pair_seed,
-                                           num_steps, dirty_fraction,
-                                           scored_fraction):
+                                           num_steps, dirty_fraction):
         rng = np.random.default_rng(pair_seed)
         pairs = [tuple(rng.integers(0, num_partitions, size=2))
                  for _ in range(num_steps)]
         steps = self._steps(pairs)
         dirty = [p for p in range(num_partitions)
                  if rng.random() < dirty_fraction]
-        scored_pairs = set()
-        for first, second in pairs:
-            key = (first, second) if first <= second else (second, first)
-            if rng.random() < scored_fraction:
-                scored_pairs.add(key)
 
-        plan = plan_dirty_schedule(steps, dirty, scored_pairs)
-        assert not plan.assume_all_dirty
+        plan = plan_dirty_schedule(steps, dirty)
         # permutation: every input step appears exactly once, by identity
         assert sorted(map(id, plan.executed + plan.cached)) == sorted(
             map(id, steps))
+        # dirty steps first: a step executes exactly when it is dirty
         dirty_set = set(dirty)
-        for step in plan.cached:
-            first, second, _ = step
-            key = (first, second) if first <= second else (second, first)
-            assert first not in dirty_set and second not in dirty_set
-            assert key in scored_pairs
-        # dirty-first: once the executed list goes clean it stays clean
         flags = [first in dirty_set or second in dirty_set
-                 for first, second, _ in plan.executed]
-        assert flags == sorted(flags, reverse=True)
-        # ... and a clean step executes only when its pair is not scored
-        for (first, second, _), dirty_step in zip(plan.executed, flags):
-            assert dirty_step or (min(first, second),
-                                  max(first, second)) not in scored_pairs
+                 for first, second, _ in plan.executed + plan.cached]
+        assert flags == [True] * len(plan.executed) + [False] * len(plan.cached)
         # relative order within each class follows the input order
         order = {id(step): index for index, step in enumerate(steps)}
-        dirty_part = [s for s in plan.executed
-                      if s[0] in dirty_set or s[1] in dirty_set]
-        clean_part = [s for s in plan.executed
-                      if s[0] not in dirty_set and s[1] not in dirty_set]
-        for sequence in (dirty_part, clean_part, plan.cached):
+        for sequence in (plan.executed, plan.cached):
             positions = [order[id(step)] for step in sequence]
             assert positions == sorted(positions)
         # deterministic replan, regardless of how the dirty set is presented
-        replan = plan_dirty_schedule(steps, reversed(dirty), scored_pairs)
+        replan = plan_dirty_schedule(steps, reversed(dirty))
         assert replan.executed == plan.executed
         assert replan.cached == plan.cached
-        assert replan.dirty_partitions == plan.dirty_partitions
-        assert plan.dirty_partitions == tuple(sorted(dirty_set))
-        assert plan.num_steps == len(steps)
 
     @settings(max_examples=40, deadline=None)
-    @given(pair_seed=st.integers(min_value=0, max_value=2**16),
-           scored=st.booleans())
-    def test_unknown_inputs_assume_all_dirty_in_input_order(self, pair_seed,
-                                                            scored):
+    @given(pair_seed=st.integers(min_value=0, max_value=2**16))
+    def test_unknown_inputs_assume_all_dirty_in_input_order(self, pair_seed):
         rng = np.random.default_rng(pair_seed)
         pairs = [tuple(sorted(rng.integers(0, 4, size=2))) for _ in range(10)]
         steps = self._steps(pairs)
-        plan = plan_dirty_schedule(steps, None, set(pairs) if scored else set())
-        assert plan.assume_all_dirty
+        plan = plan_dirty_schedule(iter(steps), None)
         assert plan.executed == steps          # original order, untouched
         assert plan.cached == []
-        assert plan.dirty_partitions is None
 
-    def test_unscored_clean_pairs_execute_after_dirty(self):
+    def test_every_clean_step_is_cached_in_plan_order(self):
+        """No third class: a clean pair goes to ``cached`` whatever the
+        score cache holds for it — phase 4's join decides what it scores."""
         steps = self._steps([(0, 1), (2, 3), (2, 2), (0, 3)])
-        plan = plan_dirty_schedule(steps, [0], {(2, 3)})
-        assert plan.executed == [steps[0], steps[3], steps[2]]
-        assert plan.cached == [steps[1]]
+        plan = plan_dirty_schedule(steps, [0])
+        assert plan.executed == [steps[0], steps[3]]
+        assert plan.cached == [steps[1], steps[2]]
 
 
 def _sentinel_steps(pairs):

@@ -110,8 +110,8 @@ def test_score_cache_arrays_are_assigned_in_one_module():
     or unsorted pair, keep a second copy of the slab or of ``H``, or carry a
     second object beside it: after ``__init__`` the runner rebinds none of
     its own attributes."""
-    carried = {"keys", "values", "table", "csr", "edge_keys", "scored_pairs",
-               "produced", "merged_rows"}
+    carried = {"keys", "values", "table", "csr", "edge_keys", "produced",
+               "merged_rows"}
     iteration = REPO_ROOT / "src" / "repro" / "core" / "iteration.py"
     offenders = []
     for top in ("src", "tests", "benchmarks", "examples"):

@@ -341,14 +341,12 @@ class TestToggleAndCapacity:
         for iteration in range(2):
             step(iteration, twin)
             step(iteration, capped)
-        assert capped.score_cache.scored_pairs
         capped.score_cache.max_entries = 10          # below any len(H)
         expected, over = step(2, twin), step(2, capped)
         assert over.graph.edge_fingerprint() == expected.graph.edge_fingerprint()
         assert over.reused_scores == expected.reused_scores > 0
         assert capped.score_cache.keys is None
         assert capped.score_cache.evictions == 1
-        assert not capped.score_cache.scored_pairs
         capped.score_cache.max_entries = twin.score_cache.max_entries
         after = step(3, capped)
         assert after.full_rescore is True and after.reused_scores == 0

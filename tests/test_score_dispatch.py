@@ -408,22 +408,42 @@ def test_the_residue_counted_a_step_at_a_time_settles_the_same(monkeypatch):
 
 
 class TestShardedMergeDeterminism:
-    def test_sharded_equals_batch_with_ties(self):
+    """``add_candidates_sharded`` has two routes to its rows; each must
+    give what one plain batch merge gives, ties included."""
+
+    @staticmethod
+    def _sorted_merges(monkeypatch):
+        calls, merge = [], KNNGraph._merge_sorted
+
+        def counted(graph, *args):
+            calls.append(len(args[0]))
+            return merge(graph, *args)
+
+        monkeypatch.setattr(KNNGraph, "_merge_sorted", counted)
+        return calls
+
+    def test_sharded_equals_batch_with_ties(self, monkeypatch):
+        """Strictly increasing candidates into empty rows: the sorted
+        merge."""
         rng = np.random.default_rng(41)
-        n, rows = 60, 800
-        src = rng.integers(0, n, size=rows).astype(np.int64)
-        dst = rng.integers(0, n, size=rows).astype(np.int64)
+        n = 60
+        keys = np.unique(rng.integers(0, n * n, size=800)).astype(np.int64)
+        src, dst = keys // n, keys % n
         # quantised scores force plenty of exact ties
-        scores = np.round(rng.random(rows), 1)
+        scores = np.round(rng.random(len(keys)), 1)
         plain = KNNGraph(n, 5)
         sharded = KNNGraph(n, 5)
         changed_plain = plain.add_candidates_batch(src, dst, scores)
+        sorted_merges = self._sorted_merges(monkeypatch)
         changed_sharded = sharded.add_candidates_sharded(src, dst, scores,
-                                                         num_shards=4)
+                                                         assume_unique=True)
+        assert sorted_merges == [len(keys)]
         assert changed_plain == changed_sharded
         assert plain.edge_fingerprint() == sharded.edge_fingerprint()
 
-    def test_sharded_with_incumbents(self):
+    def test_sharded_with_incumbents(self, monkeypatch):
+        """Unsorted candidates, with repeats and ties, into full rows: the
+        batch fallback."""
         rng = np.random.default_rng(43)
         n = 40
         plain = KNNGraph.random(n, 4, seed=9)
@@ -431,6 +451,9 @@ class TestShardedMergeDeterminism:
         src = rng.integers(0, n, size=300).astype(np.int64)
         dst = rng.integers(0, n, size=300).astype(np.int64)
         scores = np.round(rng.random(300), 2)
-        plain.add_candidates_batch(src, dst, scores)
-        sharded.add_candidates_sharded(src, dst, scores, num_shards=3)
+        changed_plain = plain.add_candidates_batch(src, dst, scores)
+        sorted_merges = self._sorted_merges(monkeypatch)
+        changed_sharded = sharded.add_candidates_sharded(src, dst, scores)
+        assert sorted_merges == []
+        assert changed_plain == changed_sharded
         assert plain.edge_fingerprint() == sharded.edge_fingerprint()

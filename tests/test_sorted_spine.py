@@ -163,17 +163,16 @@ class _Spy:
 
 class TestSortedMerge:
     @settings(max_examples=300, deadline=None)
-    @given(_sorted_candidates(), st.integers(min_value=1, max_value=3),
-           st.booleans(), st.randoms(use_true_random=False))
-    def test_equals_dict_oracle_and_batch_merge(self, case, num_shards,
-                                                with_hint, shuffler):
+    @given(_sorted_candidates(), st.booleans(),
+           st.randoms(use_true_random=False))
+    def test_equals_dict_oracle_and_batch_merge(self, case, with_hint, shuffler):
         n, k, hint, batch = case
         rows = [{} for _ in range(n)]
         expected_changed = oracle_merge(rows, k, batch)
 
         graph = KNNGraph(n, k)
         changed = graph.add_candidates_sharded(
-            *_columns(batch), num_shards=num_shards, assume_unique=True,
+            *_columns(batch), assume_unique=True,
             hint=hint if with_hint else None)
         assert changed == expected_changed
         _assert_rows_equal(graph, rows)
