@@ -1,25 +1,2 @@
-"""Shared experiment harness used by ``benchmarks/`` and ``examples/``."""
-
-from repro.bench.experiments import (
-    Table1Row,
-    run_table1,
-    run_table1_row,
-    format_table1,
-    run_pipeline_phase_breakdown,
-    run_heuristic_sweep,
-    run_memory_budget_sweep,
-    run_disk_model_comparison,
-    run_quality_comparison,
-)
-
-__all__ = [
-    "Table1Row",
-    "run_table1",
-    "run_table1_row",
-    "format_table1",
-    "run_pipeline_phase_breakdown",
-    "run_heuristic_sweep",
-    "run_memory_budget_sweep",
-    "run_disk_model_comparison",
-    "run_quality_comparison",
-]
+"""The reproduced experiments (:mod:`repro.bench.experiments`) and the
+record they write (:mod:`repro.bench.report`)."""

@@ -1,20 +1,25 @@
 """Experiment runners for every table and figure reproduced from the paper.
 
-Each runner returns plain data structures (dataclasses / dicts) so that the
-``benchmarks/`` modules can both assert on the qualitative shape of the
-results and print paper-style tables, and the ``examples/`` scripts can
-reuse the same code paths interactively.
+Each runner returns plain data structures (dataclasses / dicts);
+:mod:`repro.bench.report` renders them into ``EXPERIMENTS.md`` and the tests
+assert the paper's claims on them at small sizes.
 
 Experiment index:
 
 * :func:`run_table1` — Table 1: load/unload operations of the PI-graph
-  traversal heuristics on the six (synthetic stand-in) datasets.
+  traversal heuristics on the six (synthetic stand-in) datasets, beside the
+  two-slot floor.
+* :func:`run_engine_pi_graphs` — the same heuristics on the PI graphs the
+  engine itself builds, iteration by iteration.
 * :func:`run_pipeline_phase_breakdown` — Figure 1: the five-phase pipeline,
   reported as per-phase timings and operation counts of a full iteration.
-* :func:`run_heuristic_sweep` — Ext-F: all heuristics (paper + extensions).
 * :func:`run_memory_budget_sweep` — Ext-B: varying the number of partitions.
 * :func:`run_disk_model_comparison` — Ext-C: HDD vs SSD simulated I/O time.
+* :func:`run_graph_size_sweep` — Ext-A: work against the number of users.
+* :func:`run_partitioner_ablation` — phase-1 partitioners on the paper's
+  locality objective and the edge cut.
 * :func:`run_quality_comparison` — Ext-E: engine vs NN-Descent vs brute force.
+* :func:`run_churn_convergence` — Ext-E: engine recall under profile churn.
 """
 
 from __future__ import annotations
@@ -27,11 +32,17 @@ from repro.baselines.brute_force import brute_force_knn
 from repro.baselines.nn_descent import NNDescent
 from repro.core.config import EngineConfig
 from repro.core.engine import KNNEngine
-from repro.graph.datasets import DATASETS, TABLE1_ORDER, DatasetSpec
+from repro.graph.datasets import DATASETS, TABLE1_ORDER, DatasetSpec, small_dataset
+from repro.graph.knn_graph import KNNGraph
+from repro.partition.metrics import edge_cut, locality_cost
+from repro.partition.model import build_partitions
+from repro.partition.partitioners import available_partitioners, get_partitioner
 from repro.pigraph.pi_graph import PIGraph
-from repro.pigraph.scheduler import ScheduleResult, compare_heuristics
-from repro.pigraph.traversal import PAPER_HEURISTICS
-from repro.similarity.workloads import generate_dense_profiles
+from repro.pigraph.scheduler import compare_heuristics, load_unload_floor
+from repro.pigraph.traversal import HEURISTICS, PAPER_HEURISTICS
+from repro.similarity.workloads import (generate_dense_profiles, generate_profile_churn,
+                                        generate_sparse_profiles)
+from repro.tuples.generator import generate_candidate_tuples
 from repro.utils.rng import SeedLike
 
 
@@ -40,9 +51,8 @@ from repro.utils.rng import SeedLike
 # ---------------------------------------------------------------------------
 
 #: Values printed in the paper's Table 1, carried beside each reproduced row
-#: (``Table1Row.paper_operations``) and into the benchmark's ``extra_info``.
-#: Keys are dataset registry names; values are (sequential, high-low,
-#: low-high) operation counts.
+#: (``Table1Row.paper_operations``).  Keys are dataset registry names; values
+#: are (sequential, high-low, low-high) operation counts.
 PAPER_TABLE1 = {
     "wiki-vote": (211856, 204706, 202290),
     "gen-rel": (34506, 32220, 31256),
@@ -63,6 +73,8 @@ class Table1Row:
     num_edges: int
     operations: Dict[str, int]            # heuristic name -> load/unload ops
     paper_operations: Optional[Dict[str, int]] = None
+    #: ``load_unload_floor`` of the PI graph: no two-slot traversal does better
+    floor: int = 0
 
     def improvement_over_sequential(self, heuristic: str) -> float:
         """Fractional reduction in operations relative to the sequential heuristic."""
@@ -71,16 +83,16 @@ class Table1Row:
 
 
 def run_table1_row(spec: DatasetSpec, heuristics: Sequence[str] = PAPER_HEURISTICS,
-                   seed: SeedLike = None, cache_slots: int = 2) -> Table1Row:
-    """Reproduce one row of Table 1 on the synthetic stand-in for ``spec``."""
+                   seed: SeedLike = None) -> Table1Row:
+    """Reproduce one row of Table 1 (two slots) on the synthetic stand-in for ``spec``."""
     graph = spec.generate(seed)
     pi_graph = PIGraph.from_digraph(graph)
-    results = compare_heuristics(pi_graph, list(heuristics), cache_slots=cache_slots)
+    results = compare_heuristics(pi_graph, list(heuristics))
     operations = {name: result.load_unload_operations for name, result in results.items()}
     paper = PAPER_TABLE1.get(spec.name)
     paper_ops = None
     if paper is not None:
-        paper_ops = dict(zip(("sequential", "degree-high-low", "degree-low-high"), paper))
+        paper_ops = dict(zip(PAPER_HEURISTICS, paper))
     return Table1Row(
         dataset=spec.name,
         display_name=spec.display_name,
@@ -88,27 +100,53 @@ def run_table1_row(spec: DatasetSpec, heuristics: Sequence[str] = PAPER_HEURISTI
         num_edges=graph.num_edges,
         operations=operations,
         paper_operations=paper_ops,
+        floor=load_unload_floor(pi_graph),
     )
 
 
-def run_table1(datasets: Optional[Sequence[str]] = None,
-               heuristics: Sequence[str] = PAPER_HEURISTICS,
-               seed: SeedLike = None) -> List[Table1Row]:
-    """Reproduce the full Table 1 (all six datasets by default)."""
-    names = list(datasets) if datasets is not None else list(TABLE1_ORDER)
-    return [run_table1_row(DATASETS[name], heuristics, seed=seed) for name in names]
+def run_table1(heuristics: Sequence[str] = PAPER_HEURISTICS) -> List[Table1Row]:
+    """Reproduce the full Table 1, in the paper's dataset order."""
+    return [run_table1_row(DATASETS[name], heuristics) for name in TABLE1_ORDER]
 
 
-def format_table1(rows: Sequence[Table1Row]) -> str:
-    """Paper-style rendering of the reproduced Table 1."""
-    heuristics = list(rows[0].operations) if rows else []
-    header = (f"{'Datasets':<12} {'Nodes':>7} {'Edges':>8} "
-              + " ".join(f"{h:>16}" for h in heuristics))
-    lines = [header, "-" * len(header)]
-    for row in rows:
-        cells = " ".join(f"{row.operations[h]:>16}" for h in heuristics)
-        lines.append(f"{row.display_name:<12} {row.num_nodes:>7} {row.num_edges:>8} {cells}")
-    return "\n".join(lines)
+def _engine_pi_graph(graph: KNNGraph, config: EngineConfig) -> PIGraph:
+    """The PI graph phase 3 builds from ``graph``, with ``H`` built from
+    scratch (the delta-driven phase 2 builds the same table)."""
+    csr = graph.to_csr()
+    assignment = get_partitioner(config.partitioner).assign(csr, config.num_partitions)
+    table = generate_candidate_tuples(
+        csr, build_partitions(csr, assignment, config.num_partitions), assignment,
+        include_direct_edges=config.include_direct_edges,
+        max_pairs_per_bridge=config.max_pairs_per_bridge)
+    return PIGraph.from_tuple_table(table, config.num_partitions)
+
+
+def run_engine_pi_graphs(num_users: int, num_partitions: int,
+                         partitioner: str = "contiguous", num_iterations: int = 4,
+                         k: int = 10, seed: int = 7) -> List[Dict[str, object]]:
+    """Every heuristic on the weighted PI graphs of an engine's iterations.
+
+    The engine itself runs ``degree-low-high``; ``executed`` is what phase 4
+    performed of that plan once dirty scheduling and the residual gather
+    skipped what they could.
+    """
+    profiles = generate_dense_profiles(num_users, dim=16, num_communities=8, seed=seed)
+    config = EngineConfig(k=k, num_partitions=num_partitions, partitioner=partitioner,
+                          heuristic="degree-low-high", measure="cosine", seed=seed)
+    rows: List[Dict[str, object]] = []
+    with KNNEngine(profiles, config) as engine:
+        for iteration in range(num_iterations):
+            pi_graph = _engine_pi_graph(engine.graph, config)
+            results = compare_heuristics(pi_graph, list(HEURISTICS))
+            rows.append({
+                "iteration": iteration,
+                "pi_edges": pi_graph.num_edges,
+                "operations": {name: result.load_unload_operations
+                               for name, result in results.items()},
+                "floor": load_unload_floor(pi_graph),
+                "executed": engine.run_iteration().load_unload_operations,
+            })
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -144,19 +182,6 @@ def run_pipeline_phase_breakdown(num_users: int = 1500, k: int = 10,
 # Extension experiments (the paper's future-work section)
 # ---------------------------------------------------------------------------
 
-def run_heuristic_sweep(dataset: str = "gnutella",
-                        heuristics: Optional[Sequence[str]] = None,
-                        seed: SeedLike = None) -> Dict[str, ScheduleResult]:
-    """Ext-F: compare all traversal heuristics (paper + extensions) on one dataset."""
-    from repro.pigraph.traversal import HEURISTICS
-
-    names = list(heuristics) if heuristics is not None else sorted(HEURISTICS)
-    spec = DATASETS[dataset]
-    graph = spec.generate(seed)
-    pi_graph = PIGraph.from_digraph(graph)
-    return compare_heuristics(pi_graph, names)
-
-
 def run_memory_budget_sweep(num_users: int = 1200, k: int = 8,
                             partition_counts: Sequence[int] = (2, 4, 8, 16),
                             heuristic: str = "degree-low-high",
@@ -171,7 +196,6 @@ def run_memory_budget_sweep(num_users: int = 1200, k: int = 8,
         rows.append({
             "num_partitions": m,
             "load_unload_operations": result.load_unload_operations,
-            "scheduled_operations": result.schedule.load_unload_operations,
             "bytes_read": result.io_stats.bytes_read,
             "simulated_io_seconds": result.io_stats.simulated_io_seconds,
             "candidate_tuples": result.num_candidate_tuples,
@@ -194,8 +218,45 @@ def run_disk_model_comparison(num_users: int = 1200, k: int = 8,
             "disk_model": model,
             "simulated_io_seconds": result.io_stats.simulated_io_seconds,
             "bytes_read": result.io_stats.bytes_read,
-            "bytes_written": result.io_stats.bytes_written,
             "load_unload_operations": result.load_unload_operations,
+        })
+    return rows
+
+
+def run_graph_size_sweep(sizes: Sequence[int] = (500, 1000, 2000, 4000), k: int = 10,
+                         num_partitions: int = 8, seed: int = 19) -> List[Dict[str, object]]:
+    """Ext-A: one out-of-core iteration's work and wall time per user count."""
+    rows: List[Dict[str, object]] = []
+    for num_users in sizes:
+        profiles = generate_dense_profiles(num_users, dim=16, num_communities=8, seed=seed)
+        config = EngineConfig(k=k, num_partitions=num_partitions,
+                              heuristic="degree-low-high", seed=seed)
+        with KNNEngine(profiles, config) as engine:
+            result = engine.run_iteration()
+        rows.append({
+            "num_users": num_users,
+            "candidate_tuples": result.num_candidate_tuples,
+            "similarity_evaluations": result.similarity_evaluations,
+            "bytes_read": result.io_stats.bytes_read,
+            "seconds": result.phase_timer.total(),
+        })
+    return rows
+
+
+def run_partitioner_ablation(num_vertices: int = 2000, num_edges: int = 12000,
+                             num_partitions: int = 8,
+                             seed: int = 71) -> List[Dict[str, object]]:
+    """Each phase-1 partitioner on one graph: the paper's objective
+    ``Σ (N_in + N_out)`` and the edge cut."""
+    graph = small_dataset(num_vertices, num_edges, seed=seed)
+    rows: List[Dict[str, object]] = []
+    for name in available_partitioners():
+        assignment = get_partitioner(name).assign(graph, num_partitions)
+        rows.append({
+            "partitioner": name,
+            "locality_cost": locality_cost(
+                build_partitions(graph, assignment, num_partitions)),
+            "edge_cut": edge_cut(graph, assignment),
         })
     return rows
 
@@ -226,4 +287,25 @@ def run_quality_comparison(num_users: int = 600, k: int = 10,
         "nn_descent_similarity_evaluations": descent.similarity_evaluations,
         "nn_descent_iterations": descent.iterations,
         "brute_force_evaluations": total_pairs,
+    }
+
+
+def run_churn_convergence(num_users: int = 600, k: int = 10, num_iterations: int = 4,
+                          num_partitions: int = 5, change_fraction: float = 0.02,
+                          seed: int = 41) -> Dict[str, object]:
+    """Ext-E: recall of a sparse-profile engine whose profiles change by
+    ``change_fraction`` every iteration (phase 5)."""
+    profiles = generate_sparse_profiles(num_users, 2000, items_per_user=25,
+                                        num_communities=6, seed=seed)
+    exact = brute_force_knn(profiles, k, measure="jaccard")
+    config = EngineConfig(k=k, num_partitions=num_partitions,
+                          heuristic="degree-low-high", seed=seed)
+    with KNNEngine(profiles, config) as engine:
+        run = engine.run(num_iterations=num_iterations, exact_graph=exact,
+                         profile_change_feed=lambda iteration: generate_profile_churn(
+                             profiles, change_fraction=change_fraction, seed=iteration))
+    return {
+        "recalls": list(run.convergence.recalls),
+        "profile_updates_applied": sum(r.profile_updates_applied for r in run.iterations),
+        "similarity_evaluations": sum(r.num_candidate_tuples for r in run.iterations),
     }

@@ -1,19 +1,10 @@
-"""Command-line interface for the reproduction experiments.
-
-Run as ``python -m repro <command>``.  Each command wraps one of the
-experiment runners in :mod:`repro.bench.experiments` (the same code paths the
-benchmark suite uses) and prints a human-readable table, so the paper's
-results can be regenerated without going through pytest.
+"""Command-line interface: ``python -m repro <command>``.
 
 Commands
 --------
-``datasets``    list the six synthetic dataset stand-ins
-``table1``      reproduce Table 1 (PI traversal heuristics)
-``pipeline``    run the five-phase engine and print the per-phase breakdown
-``heuristics``  compare all traversal heuristics (incl. extensions) on a dataset
-``memory``      sweep the number of partitions (memory pressure)
-``disks``       compare the HDD and SSD device models
-``quality``     engine vs NN-Descent vs brute force recall
+``report``      run every reproduced experiment (Table 1 beside the paper's
+                values and the two-slot floor, Figure 1's phases, the
+                extension tables) and write the record, ``EXPERIMENTS.md``
 ``serve``       run the always-on serving runtime under simulated load
 ``migrate``     rewrite a legacy profile store, checkpoint or engine workdir
                 in place
@@ -25,8 +16,6 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from repro.bench import experiments as exp
-from repro.graph.datasets import TABLE1_ORDER, dataset_summary
 from repro.utils.logging import enable_console_logging
 
 
@@ -39,41 +28,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--verbose", action="store_true", help="enable console logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("datasets", help="list the synthetic dataset stand-ins")
-
-    table1 = sub.add_parser("table1", help="reproduce Table 1")
-    table1.add_argument("--datasets", nargs="*", default=None, choices=TABLE1_ORDER,
-                        help="subset of datasets (default: all six)")
-    table1.add_argument("--seed", type=int, default=None,
-                        help="override the deterministic dataset seed")
-
-    pipeline = sub.add_parser("pipeline", help="run the five-phase engine (Figure 1)")
-    pipeline.add_argument("--users", type=int, default=1500)
-    pipeline.add_argument("--k", type=int, default=10)
-    pipeline.add_argument("--partitions", type=int, default=6)
-    pipeline.add_argument("--iterations", type=int, default=2)
-    pipeline.add_argument("--heuristic", default="degree-low-high")
-    pipeline.add_argument("--seed", type=int, default=11)
-
-    heuristics = sub.add_parser("heuristics", help="compare traversal heuristics")
-    heuristics.add_argument("--dataset", default="gnutella", choices=TABLE1_ORDER)
-    heuristics.add_argument("--seed", type=int, default=None)
-
-    memory = sub.add_parser("memory", help="partition-count (memory pressure) sweep")
-    memory.add_argument("--users", type=int, default=1200)
-    memory.add_argument("--partitions", type=int, nargs="*", default=[2, 4, 8, 16])
-    memory.add_argument("--seed", type=int, default=5)
-
-    disks = sub.add_parser("disks", help="HDD vs SSD simulated I/O time")
-    disks.add_argument("--users", type=int, default=1200)
-    disks.add_argument("--partitions", type=int, default=8)
-    disks.add_argument("--seed", type=int, default=5)
-
-    quality = sub.add_parser("quality", help="engine vs NN-Descent vs brute force")
-    quality.add_argument("--users", type=int, default=600)
-    quality.add_argument("--k", type=int, default=10)
-    quality.add_argument("--iterations", type=int, default=4)
-    quality.add_argument("--seed", type=int, default=3)
+    report = sub.add_parser("report", help="run every reproduced experiment and "
+                                           "write the record (a minute or two)")
+    report.add_argument("--out", default="EXPERIMENTS.md",
+                        help="where to write the record (default: %(default)s)")
 
     serve = sub.add_parser(
         "serve", help="run the always-on serving runtime under simulated load "
@@ -109,71 +67,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 # -- command implementations ---------------------------------------------------
 
-def _cmd_datasets(_: argparse.Namespace) -> int:
-    print(dataset_summary())
-    return 0
+def _cmd_report(args: argparse.Namespace) -> int:
+    from repro.bench.report import write_report
 
-
-def _cmd_table1(args: argparse.Namespace) -> int:
-    rows = exp.run_table1(datasets=args.datasets, seed=args.seed)
-    print(exp.format_table1(rows))
-    print("\npaper-reported values:")
-    for row in rows:
-        print(f"  {row.display_name:<12} {row.paper_operations}")
-    return 0
-
-
-def _cmd_pipeline(args: argparse.Namespace) -> int:
-    summary = exp.run_pipeline_phase_breakdown(
-        num_users=args.users, k=args.k, num_partitions=args.partitions,
-        num_iterations=args.iterations, heuristic=args.heuristic, seed=args.seed)
-    print("per-phase seconds:")
-    for phase, seconds in summary["phase_seconds"].items():
-        print(f"  {phase:<20} {seconds:8.3f}s")
-    print(f"similarity evaluations : {summary['total_similarity_evaluations']}")
-    print(f"load/unload operations : {summary['total_load_unload_operations']}")
-    print(f"simulated I/O seconds  : {summary['simulated_io_seconds']:.3f}")
-    return 0
-
-
-def _cmd_heuristics(args: argparse.Namespace) -> int:
-    results = exp.run_heuristic_sweep(args.dataset, seed=args.seed)
-    print(f"{'heuristic':<18} {'load/unload ops':>16}")
-    for name in sorted(results, key=lambda n: results[n].load_unload_operations):
-        print(f"{name:<18} {results[name].load_unload_operations:>16}")
-    return 0
-
-
-def _cmd_memory(args: argparse.Namespace) -> int:
-    rows = exp.run_memory_budget_sweep(num_users=args.users,
-                                       partition_counts=tuple(args.partitions),
-                                       seed=args.seed)
-    print(f"{'partitions':>10} {'ops':>10} {'bytes read':>14} {'sim I/O s':>10}")
-    for row in rows:
-        print(f"{row['num_partitions']:>10} {row['load_unload_operations']:>10} "
-              f"{row['bytes_read']:>14} {row['simulated_io_seconds']:>10.3f}")
-    return 0
-
-
-def _cmd_disks(args: argparse.Namespace) -> int:
-    rows = exp.run_disk_model_comparison(num_users=args.users,
-                                         num_partitions=args.partitions, seed=args.seed)
-    print(f"{'device':>8} {'sim I/O s':>12} {'bytes read':>14} {'ops':>8}")
-    for row in rows:
-        print(f"{row['disk_model']:>8} {row['simulated_io_seconds']:>12.3f} "
-              f"{row['bytes_read']:>14} {row['load_unload_operations']:>8}")
-    return 0
-
-
-def _cmd_quality(args: argparse.Namespace) -> int:
-    summary = exp.run_quality_comparison(num_users=args.users, k=args.k,
-                                         num_iterations=args.iterations, seed=args.seed)
-    recalls = ", ".join(f"{r:.3f}" for r in summary["engine_recalls"])
-    print(f"engine recall per iteration : {recalls}")
-    print(f"NN-Descent recall           : {summary['nn_descent_recall']:.3f}")
-    print(f"engine similarity evals     : {summary['engine_similarity_evaluations']}")
-    print(f"NN-Descent similarity evals : {summary['nn_descent_similarity_evaluations']}")
-    print(f"brute-force evals           : {summary['brute_force_evaluations']}")
+    print(f"wrote {write_report(args.out)}")
     return 0
 
 
@@ -263,13 +160,7 @@ def _cmd_migrate(args: argparse.Namespace) -> int:
 
 
 _COMMANDS = {
-    "datasets": _cmd_datasets,
-    "table1": _cmd_table1,
-    "pipeline": _cmd_pipeline,
-    "heuristics": _cmd_heuristics,
-    "memory": _cmd_memory,
-    "disks": _cmd_disks,
-    "quality": _cmd_quality,
+    "report": _cmd_report,
     "serve": _cmd_serve,
     "migrate": _cmd_migrate,
 }

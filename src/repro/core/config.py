@@ -34,7 +34,7 @@ class EngineConfig:
         ``ldg`` or ``greedy-locality``.
     heuristic:
         PI-graph traversal heuristic: ``sequential``, ``degree-high-low``,
-        ``degree-low-high``, ``greedy-resident`` or ``cost-aware``.
+        ``degree-low-high`` or ``greedy-resident``.
     measure:
         Similarity measure name; ``None`` uses the profile store's default
         (Jaccard for sparse profiles, cosine for dense ones).

@@ -125,17 +125,6 @@ def load_dataset(name: str, seed: SeedLike = None) -> CSRDiGraph:
     raise KeyError(f"unknown dataset {name!r}; known datasets: {known}")
 
 
-def dataset_summary() -> str:
-    """A small text table of the registered datasets (used by examples)."""
-    lines = [f"{'dataset':<12} {'nodes':>8} {'edges':>9}  family"]
-    for key in TABLE1_ORDER:
-        spec = DATASETS[key]
-        lines.append(
-            f"{spec.display_name:<12} {spec.num_vertices:>8} {spec.num_edges:>9}  {spec.family}"
-        )
-    return "\n".join(lines)
-
-
 def small_dataset(num_vertices: int = 500, num_edges: int = 3000,
                   seed: SeedLike = 7) -> CSRDiGraph:
     """A small power-law graph for tests and quick examples."""

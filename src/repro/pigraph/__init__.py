@@ -3,7 +3,6 @@
 from repro.pigraph.pi_graph import PIEdge, PIGraph
 from repro.pigraph.traversal import (
     HEURISTICS,
-    CostAwareHeuristic,
     DegreeHighLowHeuristic,
     DegreeLowHighHeuristic,
     GreedyResidentHeuristic,
@@ -21,7 +20,6 @@ __all__ = [
     "DegreeHighLowHeuristic",
     "DegreeLowHighHeuristic",
     "GreedyResidentHeuristic",
-    "CostAwareHeuristic",
     "HEURISTICS",
     "get_heuristic",
     "ScheduleResult",

@@ -159,6 +159,36 @@ def count_load_unload_operations(pi_graph: PIGraph,
     )
 
 
+def load_unload_floor(pi_graph: PIGraph) -> int:
+    """The fewest load/unload operations any traversal of ``pi_graph`` can
+    make with two cache slots, counting the final unloads.
+
+    Every partition loaded is unloaded once, so the operations are twice the
+    loads.  With two slots each load makes one new resident pair, so every
+    distinct unordered pair of partitions joined by a PI edge needs a load
+    of its own.  The first load into a connected component of those pairs
+    makes none of them (nothing else of the component is resident yet), and
+    a partition whose one PI edge is its self-edge needs one load.
+    """
+    parent = list(range(pi_graph.num_partitions))
+
+    def root(p: int) -> int:
+        while parent[p] != p:
+            parent[p] = p = parent[parent[p]]
+        return p
+
+    pairs, self_edged = set(), set()
+    for edge in pi_graph.edges():
+        if edge.src == edge.dst:
+            self_edged.add(edge.src)
+        else:
+            pairs.add((min(edge.src, edge.dst), max(edge.src, edge.dst)))
+            parent[root(edge.src)] = root(edge.dst)
+    paired = {p for pair in pairs for p in pair}
+    components = len({root(p) for p in paired})
+    return 2 * (len(pairs) + components + len(self_edged - paired))
+
+
 def compare_heuristics(pi_graph: PIGraph,
                        heuristics: Sequence[Union[str, TraversalHeuristic]],
                        cache_slots: int = 2) -> Dict[str, ScheduleResult]:

@@ -151,15 +151,11 @@ class GreedyResidentHeuristic(TraversalHeuristic):
 
     name = "greedy-resident"
 
-    def _pivot_priority(self, pi_graph: PIGraph) -> np.ndarray:
-        """Score used to pick fallback pivots (higher = earlier)."""
-        return pi_graph.degree_array().astype(np.float64)
-
     def pivot_order(self, pi_graph: PIGraph) -> List[int]:
         # Pivot order is computed jointly with neighbour order in plan();
         # this method returns the fallback order used for seeding.
-        priority = self._pivot_priority(pi_graph)
-        return sorted(pi_graph.active_partitions(), key=lambda p: (-priority[p], p))
+        degrees = pi_graph.degree_array()
+        return sorted(pi_graph.active_partitions(), key=lambda p: (-degrees[p], p))
 
     def neighbor_order(self, pi_graph: PIGraph, pivot: int,
                        neighbors: Iterable[int]) -> List[int]:
@@ -168,7 +164,7 @@ class GreedyResidentHeuristic(TraversalHeuristic):
 
     def plan(self, pi_graph: PIGraph) -> List[ResidencyStep]:
         remaining, weights, incident = _index_edges(pi_graph)
-        degrees = self._pivot_priority(pi_graph)
+        degrees = pi_graph.degree_array()
         adjacency = pi_graph.adjacency()
         steps: List[ResidencyStep] = []
         # remaining unprocessed edge count per partition, for O(1) pivot checks
@@ -262,39 +258,12 @@ def _emit_pivot_steps(pivot: int, partners: Dict[int, List[Tuple[int, int]]],
     return ordered
 
 
-class CostAwareHeuristic(GreedyResidentHeuristic):
-    """Extension heuristic weighing I/O cost against similarity work.
-
-    The paper's future work asks for heuristics that "consider the amount of
-    time consumed for both partition load/unload operations and the
-    similarity computation for tuples given two partitions".  This variant
-    keeps the resident-chaining of :class:`GreedyResidentHeuristic` but picks
-    fallback pivots by the amount of similarity work (total tuple weight on
-    their remaining PI edges) they unlock per load, so that expensive loads
-    are amortised over as much computation as possible.
-    """
-
-    name = "cost-aware"
-
-    def _pivot_priority(self, pi_graph: PIGraph) -> np.ndarray:
-        degrees = pi_graph.degree_array().astype(np.float64)
-        weighted = np.zeros(pi_graph.num_partitions, dtype=np.float64)
-        for edge in pi_graph.edges():
-            weighted[edge.src] += edge.weight
-            if edge.dst != edge.src:
-                weighted[edge.dst] += edge.weight
-        # tuples unlocked per partition load: each incident edge costs roughly
-        # one partner load, plus one load for the pivot itself
-        return weighted / (degrees + 1.0)
-
-
 #: Registry of heuristics by name (the first three are the paper's).
 HEURISTICS: Dict[str, type] = {
     SequentialHeuristic.name: SequentialHeuristic,
     DegreeHighLowHeuristic.name: DegreeHighLowHeuristic,
     DegreeLowHighHeuristic.name: DegreeLowHighHeuristic,
     GreedyResidentHeuristic.name: GreedyResidentHeuristic,
-    CostAwareHeuristic.name: CostAwareHeuristic,
 }
 
 #: The three heuristics evaluated in the paper's Table 1, in column order.

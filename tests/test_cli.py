@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.bench import report
 from repro.cli import build_parser, main
-from repro.graph.datasets import DATASETS
 
 
 class TestParser:
@@ -15,61 +15,28 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
 
-    def test_table1_dataset_choices(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["table1", "--datasets", "not-a-dataset"])
+    def test_help_lists_the_three_commands(self):
+        assert "{report,serve,migrate}" in build_parser().format_help()
 
 
 class TestCommands:
-    def test_datasets_lists_all(self, capsys):
-        assert main(["datasets"]) == 0
-        out = capsys.readouterr().out
-        for spec in DATASETS.values():
-            assert spec.display_name in out
+    def test_report_writes_where_told(self, capsys, monkeypatch, tmp_path):
+        written = []
+        monkeypatch.setattr(report, "write_report",
+                            lambda path: written.append(path) or path)
+        assert main(["report", "--out", str(tmp_path / "record.md")]) == 0
+        assert written == [str(tmp_path / "record.md")]
+        assert "record.md" in capsys.readouterr().out
 
-    def test_table1_small_subset(self, capsys):
-        assert main(["table1", "--datasets", "gen-rel", "--seed", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "Gen. Rel." in out
-        assert "sequential" in out
-        assert "paper-reported" in out
+    def test_report_defaults_to_the_record(self, monkeypatch):
+        written = []
+        monkeypatch.setattr(report, "write_report",
+                            lambda path: written.append(path) or path)
+        assert main(["report"]) == 0
+        assert written == ["EXPERIMENTS.md"]
 
-    def test_pipeline(self, capsys):
-        code = main(["pipeline", "--users", "200", "--k", "5", "--partitions", "4",
-                     "--iterations", "1", "--seed", "2"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "4-knn-computation" in out
-        assert "load/unload operations" in out
-
-    def test_heuristics(self, capsys):
-        assert main(["heuristics", "--dataset", "gen-rel", "--seed", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "sequential" in out
-        assert "greedy-resident" in out
-        assert "cost-aware" in out
-
-    def test_memory(self, capsys):
-        code = main(["memory", "--users", "200", "--partitions", "2", "4", "--seed", "4"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "partitions" in out
-
-    def test_disks(self, capsys):
-        assert main(["disks", "--users", "200", "--partitions", "4", "--seed", "5"]) == 0
-        out = capsys.readouterr().out
-        assert "hdd" in out
-        assert "ssd" in out
-
-    def test_quality(self, capsys):
-        code = main(["quality", "--users", "150", "--k", "5", "--iterations", "2",
-                     "--seed", "6"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "NN-Descent recall" in out
-
-    def test_verbose_flag(self, capsys):
-        assert main(["--verbose", "datasets"]) == 0
+    def test_verbose_flag(self, tmp_path):
+        assert main(["--verbose", "migrate", str(tmp_path)]) == 1
 
     def test_serve_runs_and_drains(self, capsys, tmp_path):
         code = main(["serve", "--users", "80", "--dim", "8", "--k", "5",

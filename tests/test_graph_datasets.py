@@ -5,7 +5,6 @@ import pytest
 from repro.graph.datasets import (
     DATASETS,
     TABLE1_ORDER,
-    dataset_summary,
     load_dataset,
     small_dataset,
 )
@@ -30,11 +29,6 @@ class TestRegistry:
             spec = DATASETS[name]
             assert spec.num_vertices == nodes
             assert spec.num_edges == edges
-
-    def test_summary_mentions_every_dataset(self):
-        text = dataset_summary()
-        for spec in DATASETS.values():
-            assert spec.display_name in text
 
 
 class TestGeneration:

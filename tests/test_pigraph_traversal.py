@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core.config import EngineConfig
+from repro.core.engine import KNNEngine
 from repro.graph.datasets import small_dataset
 from repro.pigraph.pi_graph import PIGraph
 from repro.pigraph.traversal import (
@@ -13,6 +15,7 @@ from repro.pigraph.traversal import (
     SequentialHeuristic,
     get_heuristic,
 )
+from repro.similarity.workloads import generate_dense_profiles
 
 
 @pytest.fixture
@@ -132,6 +135,24 @@ class TestGreedyResident:
         chained = any(pivots[i + 1] != pivots[i] and pivots[i + 1] == steps[i][1]
                       for i in range(len(steps) - 1))
         assert chained
+
+    def test_engine_executes_its_plan(self):
+        profiles = generate_dense_profiles(150, dim=8, seed=62)
+        config = EngineConfig(k=5, num_partitions=4, heuristic="greedy-resident", seed=62)
+        with KNNEngine(profiles, config) as engine:
+            result = engine.run_iteration()
+        assert result.load_unload_operations == result.schedule.load_unload_operations
+        assert result.graph.num_vertices == 150
+
+    def test_builds_the_graph_the_sequential_order_builds(self):
+        """Traversal order must not change the computed KNN graph."""
+        profiles = generate_dense_profiles(150, dim=8, seed=63)
+        graphs = []
+        for heuristic in ("sequential", "greedy-resident"):
+            config = EngineConfig(k=5, num_partitions=4, heuristic=heuristic, seed=63)
+            with KNNEngine(profiles, config) as engine:
+                graphs.append(engine.run(num_iterations=2).final_graph)
+        assert graphs[0].edge_difference(graphs[1]) == 0
 
 
 class TestRegistry:

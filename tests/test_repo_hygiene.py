@@ -353,13 +353,29 @@ def test_one_profile_format_and_one_place_that_checks_it():
                          "storage/profile_store.py:_read_meta"]
 
 
+#: Scripts whose tables and claims ``python -m repro report`` and the tier-1
+#: tests took over.
+RETIRED_SCRIPTS = (
+    "benchmarks/bench_table1_pi_heuristics.py", "benchmarks/bench_figure1_pipeline_phases.py",
+    "benchmarks/bench_ext_heuristics.py", "benchmarks/bench_ext_memory_budget.py",
+    "benchmarks/bench_ext_disk_model.py", "benchmarks/bench_ext_graph_size.py",
+    "benchmarks/bench_ext_convergence.py", "benchmarks/bench_ablation_partitioners.py",
+    "examples/heuristic_comparison.py",
+)
+
+
 def test_one_benchmark():
-    """``benchmarks/e2e`` is the one performance record: the single-shot
-    suite, its committed baseline and the comparator that gated on it do
-    not come back, and CI runs the one ``tests`` job."""
+    """``benchmarks/e2e`` is the one performance record and ``EXPERIMENTS.md``
+    the one paper-facing one: the single-shot suite, its committed baseline,
+    the comparator that gated on it, the per-table scripts and CLI commands
+    do not come back, and CI runs the one ``tests`` job."""
+    from repro.cli import build_parser
+
     assert not (REPO_ROOT / "BENCH_perf.json").exists()
     assert not (REPO_ROOT / "benchmarks" / "run_perf_suite.py").exists()
     assert not (REPO_ROOT / "benchmarks" / "check_perf_regression.py").exists()
+    assert [name for name in RETIRED_SCRIPTS if (REPO_ROOT / name).exists()] == []
+    assert "{report,serve,migrate}" in build_parser().format_help()
     ci = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text()
     jobs = ci.split("\njobs:\n", 1)[1]
     assert re.findall(r"^  ([\w-]+):", jobs, flags=re.MULTILINE) == ["tests"]
