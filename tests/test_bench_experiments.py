@@ -18,6 +18,7 @@ from repro.bench.experiments import (
     Table1Row,
     run_churn_convergence,
     run_disk_model_comparison,
+    run_engine_pi_graphs,
     run_graph_size_sweep,
     run_memory_budget_sweep,
     run_partitioner_ablation,
@@ -31,6 +32,7 @@ from repro.core.iteration import PHASE_NAMES
 from repro.graph.datasets import DATASETS, TABLE1_ORDER, DatasetSpec
 from repro.pigraph.pi_graph import PIGraph
 from repro.pigraph.scheduler import compare_heuristics
+from repro.partition.partitioners import available_partitioners
 from repro.pigraph.traversal import HEURISTICS, PAPER_HEURISTICS
 from repro.similarity.workloads import generate_dense_profiles
 
@@ -87,6 +89,54 @@ class TestTable1Harness:
                         num_edges=1, operations={"sequential": 10},
                         paper_operations={"sequential": 211856})
         assert row.paper_operations["sequential"] == 211856
+
+
+@pytest.fixture(scope="module", params=TABLE1_ORDER)
+def stand_in_row(request):
+    """Table 1's row for each stand-in at a twentieth of its published size."""
+    spec = DATASETS[request.param]
+    small = dataclasses.replace(spec, num_vertices=spec.num_vertices // 20,
+                                num_edges=spec.num_edges // 20)
+    return run_table1_row(small, tuple(HEURISTICS), seed=1)
+
+
+class TestTable1OnEveryStandIn:
+    def test_degree_heuristics_beat_sequential(self, stand_in_row):
+        assert stand_in_row.improvement_over_sequential("degree-high-low") > 0
+        assert stand_in_row.improvement_over_sequential("degree-low-high") > 0
+
+    def test_greedy_resident_is_no_worse_than_either_degree_heuristic(self, stand_in_row):
+        ops = stand_in_row.operations
+        assert ops["greedy-resident"] <= min(ops["degree-high-low"], ops["degree-low-high"])
+
+    def test_no_heuristic_beats_the_floor(self, stand_in_row):
+        assert 0 < stand_in_row.floor <= min(stand_in_row.operations.values())
+
+
+@pytest.fixture(scope="module", params=available_partitioners())
+def engine_pi_rows(request):
+    """The heuristics on the PI graphs of four engine iterations, per partitioner."""
+    return run_engine_pi_graphs(400, 8, partitioner=request.param, num_iterations=4)
+
+
+class TestEnginePIGraphs:
+    def test_no_heuristic_beats_the_floor(self, engine_pi_rows):
+        assert [row["iteration"] for row in engine_pi_rows] == [0, 1, 2, 3]
+        for row in engine_pi_rows:
+            assert 0 < row["floor"] <= min(row["operations"].values())
+
+    def test_greedy_resident_is_no_worse_than_sequential(self, engine_pi_rows):
+        for row in engine_pi_rows:
+            assert row["operations"]["greedy-resident"] <= row["operations"]["sequential"]
+
+    def test_the_first_iteration_executes_the_whole_plan(self, engine_pi_rows):
+        # G(0) is random: every partition is dirty, so nothing is skipped
+        first = engine_pi_rows[0]
+        assert first["executed"] == first["operations"]["degree-low-high"]
+
+    def test_phase_4_executes_no_more_than_the_plan(self, engine_pi_rows):
+        for row in engine_pi_rows:
+            assert 0 < row["executed"] <= row["operations"]["degree-low-high"]
 
 
 @pytest.mark.parametrize("heuristic", sorted(HEURISTICS))
@@ -204,7 +254,8 @@ def test_report_writes_every_section(tmp_path, monkeypatch):
         assert field in text
 
 
-@pytest.mark.parametrize("table", ["table1-gen-rel", "memory", "disks", "quality"])
+@pytest.mark.parametrize("table", ["table1-gen-rel", "memory", "disks", "partitioners",
+                                   "quality"])
 def test_report_record_matches_a_regeneration(table):
     """The committed record's deterministic tables are what the code makes
     now: a change that moves one regenerates it (``python -m repro report``)."""
@@ -213,6 +264,7 @@ def test_report_record_matches_a_regeneration(table):
             run_table1_row(DATASETS["gen-rel"], report.ALL_HEURISTICS)),
         "memory": report.section_memory,
         "disks": report.section_disks,
+        "partitioners": report.section_partitioners,
         "quality": report.section_quality,
     }[table]()
     assert regenerated in RECORD.read_text(encoding="utf-8")

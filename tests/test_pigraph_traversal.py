@@ -1,5 +1,6 @@
 """Tests for repro.pigraph.traversal."""
 
+import numpy as np
 import pytest
 
 from repro.core.config import EngineConfig
@@ -16,6 +17,7 @@ from repro.pigraph.traversal import (
     get_heuristic,
 )
 from repro.similarity.workloads import generate_dense_profiles
+from repro.tuples.hash_table import TupleHashTable
 
 
 @pytest.fixture
@@ -34,6 +36,21 @@ def pi_graph():
 @pytest.fixture
 def dataset_pi():
     return PIGraph.from_digraph(small_dataset(150, 800, seed=21))
+
+
+@pytest.fixture
+def weighted_pi():
+    """A PI graph whose tuple weights differ strongly from its degree structure."""
+    pi = PIGraph(6)
+    pi.add_edge(0, 1, weight=1000)
+    pi.add_edge(1, 0, weight=800)
+    pi.add_edge(2, 3, weight=5)
+    pi.add_edge(3, 4, weight=5)
+    pi.add_edge(4, 5, weight=5)
+    pi.add_edge(5, 2, weight=5)
+    pi.add_edge(0, 2, weight=1)
+    pi.add_edge(1, 5, weight=1)
+    return pi
 
 
 ALL_NAMES = sorted(HEURISTICS)
@@ -59,6 +76,22 @@ class TestPlanCoversAllEdges:
         steps = get_heuristic(name).plan(pi_graph)
         total = sum(edge.weight for _, _, edges in steps for edge in edges)
         assert total == pi_graph.total_weight
+
+    def test_weights_preserved_when_they_skew_from_the_degrees(self, name, weighted_pi):
+        steps = get_heuristic(name).plan(weighted_pi)
+        assert sum(len(edges) for _, _, edges in steps) == weighted_pi.num_edges
+        assert (sum(edge.weight for _, _, edges in steps for edge in edges)
+                == weighted_pi.total_weight)
+
+    def test_every_tuple_of_an_engine_tuple_table(self, name):
+        """The weighted PI graph phase 3 builds from ``H`` is planned whole."""
+        assignment = np.array([0, 0, 1, 1, 2, 2], dtype=np.int64)
+        table = TupleHashTable(6, assignment)
+        table.add_array(np.array([(0, 2), (0, 3), (1, 2), (4, 0), (4, 1), (2, 4)]))
+        pi = PIGraph.from_tuple_table(table, 3)
+        steps = get_heuristic(name).plan(pi)
+        assert (sum(edge.weight for _, _, edges in steps for edge in edges)
+                == table.num_tuples)
 
 
 class TestSequential:
