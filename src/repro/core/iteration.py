@@ -896,8 +896,8 @@ class OutOfCoreIteration:
         # lies, in runs of whole sources no longer than the flush threshold:
         # the sort temporaries never outgrow a small multiple of the graph
         # itself, preserving the two-resident-partitions memory envelope.
-        # G(t) is the hint: its edges are candidates (include_direct_edges),
-        # and their fresh scores bound each source's top-K from below.
+        # Each run is in key order into empty rows: the sorted merge finds
+        # every source's K-th best and ranks only what can still reach it.
         scores, taken = run.scores, None
         if run.rows is None:
             new_graph = KNNGraph(num_vertices, config.k)
@@ -924,7 +924,7 @@ class OutOfCoreIteration:
                 slice(start, stop) if taken is None else taken[start:stop])
             new_graph.add_candidates_sharded(
                 sources, destinations, scores[start:stop],
-                assume_unique=True, hint=graph)
+                assume_unique=True)
             start = stop
         return new_graph
 

@@ -24,26 +24,26 @@ from repro.utils.validation import check_non_negative, check_positive_int
 ScoredEdge = Tuple[int, int, float]
 
 
-def _descending_score_argsort(scores: np.ndarray) -> np.ndarray:
-    """Stable argsort by *descending* score via order-isomorphic integer keys.
-
-    The IEEE-754 bit pattern of a float64 is mapped monotonically onto a
-    ``uint64`` (negatives flip every bit, non-negatives flip the sign bit),
-    complemented for descending order, and argsorted with four stable 16-bit
-    counting passes — replacing the merge's last global comparison sort
-    (``np.argsort(-scores, kind="stable")``) with O(4·n) work.
-
-    Tie semantics are pinned: ``-0.0`` is folded into ``+0.0`` before the
-    bit view, so exactly equal scores (including the two zeros, which
-    compare equal as floats but differ bitwise) share a key and stability
-    preserves arrival order — bit-identical to the comparison sort.  Scores
-    must be NaN-free (similarity measures never produce NaN; a comparison
-    sort would sink NaNs to the end, this mapping would not).
+def _descending_score_keys(scores: np.ndarray) -> np.ndarray:
+    """``uint64`` keys that ascend as the scores *descend*: the float64 bits
+    mapped monotonically (negatives flip every bit, non-negatives the sign
+    bit), then complemented.  ``-0.0`` is folded into ``+0.0`` first, so
+    exactly equal scores (the two zeros included) share a key.  Scores must
+    be NaN-free: a comparison sort would sink NaNs to the end, this would not.
     """
-    bits = (scores + 0.0).view(np.uint64)
-    sign = np.uint64(1) << np.uint64(63)
-    ascending = np.where(bits & sign != 0, ~bits, bits | sign)
-    keys = ~ascending
+    keys = (scores + 0.0).view(np.uint64)
+    # that map, complemented: a non-negative flips all but its sign bit
+    keys ^= ((keys >> np.uint64(63)) - np.uint64(1)) >> np.uint64(1)
+    return keys
+
+
+def _descending_score_argsort(scores: np.ndarray) -> np.ndarray:
+    """Stable argsort by *descending* score, bit-identical to
+    ``np.argsort(-scores, kind="stable")``: the score keys through four
+    stable 16-bit counting passes.  The batch merge ranks every entry with
+    it, the sorted merge only what its per-source selection keeps.
+    """
+    keys = _descending_score_keys(scores)
     order = np.argsort((keys & np.uint64(0xFFFF)).astype(np.uint16), kind="stable")
     for shift in (16, 32, 48):
         digits = ((keys[order] >> np.uint64(shift)) & np.uint64(0xFFFF)).astype(np.uint16)
@@ -404,59 +404,55 @@ class KNNGraph:
         return order
 
     def add_candidates_sharded(self, sources: np.ndarray, destinations: np.ndarray,
-                               scores: np.ndarray, assume_unique: bool = False,
-                               hint: Optional["KNNGraph"] = None) -> int:
+                               scores: np.ndarray, assume_unique: bool = False) -> int:
         """:meth:`add_candidates_batch`, by the shortest route to its rows.
 
         Candidates that arrive strictly increasing in ``(source,
         destination)`` for sources whose rows are all empty — phase 4 hands
         over the dedup table's own order, into a new graph or into the rows
-        a :meth:`cleared` copy emptied — take :meth:`_merge_sorted`, which
-        is also the only reader of ``hint``; any other input takes the
-        batch merge.  Both give the same rows, ties included.
+        a :meth:`cleared` copy emptied — take :meth:`_merge_sorted`; any
+        other input takes the batch merge.  Both give the same rows, ties
+        included.
         """
         src, dst, sc = self._checked_candidates(sources, destinations, scores)
         if len(src) == 0:
             return 0
         keys = src * self.num_vertices + dst
         if (keys[1:] > keys[:-1]).all() and not self._counts[src].any():
-            return self._merge_sorted(src, dst, sc, keys, hint)
+            return self._merge_sorted(src, dst, sc)
         return self._merge_batch(src, dst, sc, assume_unique)
 
-    def _merge_sorted(self, src: np.ndarray, dst: np.ndarray, sc: np.ndarray,
-                      keys: np.ndarray, hint: Optional["KNNGraph"]) -> int:
-        """Merge candidates whose ``keys`` (``source * n + destination``)
-        are strictly increasing into rows that hold nothing yet.
+    def _merge_sorted(self, src: np.ndarray, dst: np.ndarray, sc: np.ndarray) -> int:
+        """Merge candidates strictly increasing in ``(source, destination)``
+        into rows that hold nothing yet.
 
         No edge repeats and no incumbent competes, and equal scores already
         stand in destination order, so the ``(-score, destination)`` ranking
         of :meth:`add_candidates_batch` is one stable score pass and the
         source pass — no destination pass, no incumbent gather, no dedup.
 
-        ``hint`` names where K strong candidates of a source can be found:
-        when every neighbour of a full ``hint`` row is itself among the
-        candidates (``G(t)``'s edges are, in the table that produced
-        ``G(t+1)``'s candidates), the weakest of those K candidates' scores
-        *in this batch* bounds the source's top-K from below, and every
-        candidate strictly under it is dropped before any sort.  The floor
-        is read off candidates that are present, so no hint can change the
-        result; a row with a neighbour missing has no floor.
+        Only candidates that can still make their row's top K reach that
+        pass.  One sort of ``source << (64 - b) | score_key >> b`` (``b`` the
+        bit length of ``n - 1``) puts each row's candidates best first; the
+        K-th of a row's run is its K-th best truncated key, and candidates
+        packed above it are dropped.  Truncation is monotone, so every
+        candidate that ranks survives; ties made by the truncation survive
+        too, and the exact pass ranks them.
         """
         keep = src != dst
-        if (hint is not None and hint._k >= self._k
-                and hint.num_vertices == self.num_vertices):
-            rows, _, lengths = sorted_runs(src)
-            wanted = rows[:, None] * self.num_vertices + hint._neighbors[rows]
-            at = np.minimum(np.searchsorted(keys, wanted.ravel()),
-                            len(keys) - 1).reshape(wanted.shape)
-            present = ((keys[at] == wanted).all(axis=1)
-                       & (hint._counts[rows] == hint._k))
-            floors = np.where(present, sc[at].min(axis=1), -np.inf)
-            keep &= ~(sc < np.repeat(floors, lengths))
         if not keep.all():
             src, dst, sc = src[keep], dst[keep], sc[keep]
         if len(src) == 0:
             return 0
+        _, starts, lengths = sorted_runs(src)
+        if lengths.max() > self._k:
+            shift = (self.num_vertices - 1).bit_length()
+            packed = _descending_score_keys(sc) >> np.uint64(shift)
+            packed |= src.astype(np.uint64) << np.uint64(64 - shift)
+            # a row of at most K candidates keeps its last: all of them
+            kth = np.sort(packed)[starts + np.minimum(lengths, self._k) - 1]
+            kept = np.flatnonzero(packed <= np.repeat(kth, lengths))
+            src, dst, sc = src[kept], dst[kept], sc[kept]
         return len(self._write_top_k(_descending_score_argsort(sc), src, dst, sc))
 
     def set_neighbors(self, vertex: int, entries: Iterable[Tuple[int, float]]) -> None:

@@ -128,11 +128,14 @@ def generate_candidate_tuples(graph: CSRDiGraph,
             pending += len(pairs)
             if pending >= _BRIDGE_FLUSH_ROWS:
                 flush()
-    flush()
     if include_direct_edges and graph.num_edges:
-        # inserted separately so the flush buffer never holds the direct
-        # edges on top of pending bridge pairs
-        table.add_array(graph.edges_array())
+        # one more chunk, inserted with the pending bridge pairs when both
+        # fit under the threshold, so H is usually built by one dedup sort
+        edges = graph.edges_array()
+        if pending + len(edges) > _BRIDGE_FLUSH_ROWS:
+            flush()
+        chunks.append(edges)
+    flush()
     # bucket the finished table here, so phase 3 only reads the index
     table.bucket_index()
     return table

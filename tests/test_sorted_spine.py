@@ -7,12 +7,15 @@ into ``G(t+1)`` as it lies and adopted as the next score cache.  Everything
 here compares that against references that share no code with it: the
 mask + ``lexsort`` partition builder and the dict-of-chunks hash table this
 replaced (kept below, verbatim), the dict merge oracle of the graph array
-wall, the general batch merge on a shuffled copy of the same candidates,
-and engine observations computed with the parent commit and committed here.
+wall, the general batch merge on a shuffled copy of the same candidates (also
+where the merge's per-source selection sees scores tie only once truncated),
+``H`` built with each chunk inserted alone, and engine observations computed
+with the parent commit and committed here.
 """
 
 from __future__ import annotations
 
+import collections
 import hashlib
 
 import numpy as np
@@ -22,6 +25,7 @@ from hypothesis import strategies as st
 
 import repro.core.iteration as iteration_module
 import repro.graph.knn_graph as knn_graph_module
+import repro.tuples.generator as generator_module
 from repro.core.config import EngineConfig
 from repro.core.engine import KNNEngine
 from repro.core.iteration import Phase4ScoreCache
@@ -31,9 +35,10 @@ from repro.partition.model import Partition, build_partitions
 from repro.similarity.workloads import (ProfileChange, generate_dense_profiles,
                                         generate_sparse_profiles)
 from repro.storage.memory_manager import MemoryBudget
+from repro.tuples.generator import generate_candidate_tuples, partition_bridge_tuples
 from repro.tuples.hash_table import TupleHashTable
 from legacy_graph import legacy_random_graph
-from test_graph_knn_arrays import _SCORES, _assert_rows_equal, oracle_merge
+from test_graph_knn_arrays import _SCORES, _assert_rows_equal, _bits, oracle_merge
 
 # -- (a) partitions: CSR row slices against mask + lexsort + unique ------------
 
@@ -117,22 +122,22 @@ class TestPartitionsFromCsrRows:
 
 @st.composite
 def _sorted_candidates(draw):
-    """A hint graph ``G(t)`` and sorted unique candidates, engine-shaped:
-    the hint's edges are candidates too (unless ``direct`` is off), each
-    with a fresh score."""
+    """Sorted unique candidates, engine-shaped: the edges of a graph
+    ``G(t)`` are candidates too (unless ``direct`` is off), each with a
+    fresh score."""
     n = draw(st.integers(min_value=2, max_value=9))
     k = draw(st.integers(min_value=1, max_value=4))
     vertex = st.integers(min_value=0, max_value=n - 1)
-    hint = KNNGraph(n, k)
+    previous = KNNGraph(n, k)
     old = draw(st.lists(st.tuples(vertex, vertex, _SCORES), max_size=40))
     if old:
-        hint.add_candidates_batch(*zip(*old))
+        previous.add_candidates_batch(*zip(*old))
     direct = draw(st.booleans())
     pairs = set(draw(st.lists(st.tuples(vertex, vertex), max_size=50)))
     if direct:
-        pairs |= {(src, dst) for src, dst, _ in hint.edges()}
+        pairs |= {(src, dst) for src, dst, _ in previous.edges()}
     batch = [(src, dst, draw(_SCORES)) for src, dst in sorted(pairs)]
-    return n, k, hint, batch
+    return n, k, batch
 
 
 def _columns(batch):
@@ -140,7 +145,8 @@ def _columns(batch):
 
 
 class _Spy:
-    """Counts calls of the sorted merge and the rows that reach its sort."""
+    """Counts calls of the sorted merge and the rows that reach its exact
+    ranking pass."""
 
     def __init__(self, monkeypatch):
         self.sorted_merges = 0
@@ -161,19 +167,65 @@ class _Spy:
                             counted_rank)
 
 
+#: ``n - 1 = 2**19``: the packed key's source field is 20 bits wide, so the
+#: selection drops the low 20 bits of every score key
+_WIDE_N = (1 << 19) + 1
+
+
+def _float_chain(base, steps, towards):
+    chain = [base]
+    for _ in range(steps):
+        chain.append(float(np.nextafter(chain[-1], towards)))
+    return chain
+
+
+#: row bases: both zeros, both infinities, the two smallest subnormals and
+#: a few ordinary values; a few ulps from a base, only the low key bits move
+_BASES = [0.0, -0.0, np.inf, -np.inf, 0.5, -0.5, 1.0, 5e-324, -5e-324]
+
+
+@st.composite
+def _truncation_ties(draw):
+    """Sorted unique candidates on ``_WIDE_N`` vertices whose scores mostly
+    tie once their keys lose their low 20 bits: each row draws from float
+    chains a few ulps long around one base (or repeats the base), and its
+    size is often exactly K or K + 1."""
+    k = draw(st.integers(min_value=1, max_value=4))
+    vertex = st.integers(min_value=0, max_value=_WIDE_N - 1)
+    sources = draw(st.lists(vertex, min_size=1, max_size=4, unique=True))
+    batch = []
+    for src in sorted(sources):
+        size = draw(st.one_of(st.sampled_from([k, k + 1]),
+                              st.integers(min_value=0, max_value=3 * k + 3)))
+        destinations = draw(st.lists(vertex.filter(lambda d, s=src: d != s),
+                                     min_size=size, max_size=size, unique=True))
+        base = draw(st.sampled_from(_BASES))
+        palette = (_float_chain(base, 3, np.inf) + _float_chain(base, 3, -np.inf)
+                   + [-base, 0.0, -0.0])
+        score = st.just(base) if draw(st.booleans()) else st.sampled_from(palette)
+        batch += [(src, dst, draw(score)) for dst in sorted(destinations)]
+    return k, batch
+
+
+def _assert_touched_rows_equal(graph, rows):
+    """:func:`_assert_rows_equal` for a graph too wide to walk: ``rows``
+    maps only the sources the oracle touched."""
+    for vertex, row in rows.items():
+        expected = sorted(row.items(), key=lambda e: (-e[1], e[0]))
+        assert _bits(graph.ranked(vertex)) == _bits(expected)
+    assert graph.num_edges == sum(len(row) for row in rows.values())
+
+
 class TestSortedMerge:
     @settings(max_examples=300, deadline=None)
-    @given(_sorted_candidates(), st.booleans(),
-           st.randoms(use_true_random=False))
-    def test_equals_dict_oracle_and_batch_merge(self, case, with_hint, shuffler):
-        n, k, hint, batch = case
+    @given(_sorted_candidates(), st.randoms(use_true_random=False))
+    def test_equals_dict_oracle_and_batch_merge(self, case, shuffler):
+        n, k, batch = case
         rows = [{} for _ in range(n)]
         expected_changed = oracle_merge(rows, k, batch)
 
         graph = KNNGraph(n, k)
-        changed = graph.add_candidates_sharded(
-            *_columns(batch), assume_unique=True,
-            hint=hint if with_hint else None)
+        changed = graph.add_candidates_sharded(*_columns(batch), assume_unique=True)
         assert changed == expected_changed
         _assert_rows_equal(graph, rows)
 
@@ -183,6 +235,56 @@ class TestSortedMerge:
         assert general.add_candidates_batch(*_columns(shuffled)) == changed
         _assert_rows_equal(general, rows)
         assert graph.edge_fingerprint() == general.edge_fingerprint()
+
+    @settings(max_examples=150, deadline=None)
+    @given(_truncation_ties(), st.randoms(use_true_random=False))
+    def test_selection_is_exact_under_truncation_ties(self, case, shuffler):
+        """The selection compares truncated keys; whatever ties there only
+        must still be ranked exactly, so the sorted merge equals the dict
+        oracle and the batch merge on a shuffled copy, bit for bit."""
+        k, batch = case
+        rows = collections.defaultdict(dict)
+        expected_changed = oracle_merge(rows, k, batch)
+
+        graph = KNNGraph(_WIDE_N, k)
+        assert graph.add_candidates_sharded(*_columns(batch),
+                                            assume_unique=True) == expected_changed
+        _assert_touched_rows_equal(graph, rows)
+
+        shuffled = list(batch)
+        shuffler.shuffle(shuffled)
+        general = KNNGraph(_WIDE_N, k)
+        assert general.add_candidates_batch(*_columns(shuffled)) == expected_changed
+        _assert_touched_rows_equal(general, rows)
+
+    @pytest.mark.parametrize("scores, survivors", [
+        # exactly K: no selection, every candidate reaches the exact pass
+        ([0.5, 0.25, 0.75], 3),
+        # K + 1, every score a few ulps from the next: one truncated key
+        (_float_chain(0.5, 3, np.inf), 4),
+        # all equal
+        ([0.5] * 6, 6),
+        # the zeros at the K-th place tie 5e-324 once truncated, and rank
+        # alike; -5e-324, the next float below them, does not survive
+        ([1.0, 5e-324, -0.0, 0.0, -5e-324], 4),
+        # +inf ranks first, and the three -inf tie at the K-th place
+        ([np.inf, -np.inf, -np.inf, -np.inf, 0.5], 5),
+    ], ids=["exactly-k", "k-plus-one-ulp-chain", "all-equal", "both-zeros",
+            "infinities"])
+    def test_named_boundaries_on_a_wide_graph(self, scores, survivors,
+                                              monkeypatch):
+        """A row of the wide graph against the dict oracle, with the count
+        the selection hands to the exact pass worked out by hand (K = 3)."""
+        spy = _Spy(monkeypatch)
+        src = _WIDE_N - 1
+        batch = [(src, dst, score) for dst, score in
+                 zip(range(1, 2 * len(scores), 2), scores)]
+        rows = collections.defaultdict(dict)
+        expected_changed = oracle_merge(rows, 3, batch)
+        graph = KNNGraph(_WIDE_N, 3)
+        assert graph.add_candidates_sharded(*_columns(batch)) == expected_changed
+        _assert_touched_rows_equal(graph, rows)
+        assert spy.rows_sorted == [survivors]
 
     def test_sorted_candidates_take_the_sorted_merge(self, monkeypatch):
         spy = _Spy(monkeypatch)
@@ -230,54 +332,49 @@ class TestSortedMerge:
                                             [1.0, 0.5, 1.0]) == 1
         assert graph.ranked(0) == [(1, 0.5)] and graph.ranked(1) == []
 
-    def _hint(self):
-        hint = KNNGraph(10, 2)
-        hint.add_candidates_batch([0, 0, 1], [4, 5, 2], [0.7, 0.6, 0.3])
-        return hint      # row 0 is full, row 1 is not
+    # n = 10: a 4-bit source field, so scores more than 16 ulps apart never
+    # tie in the selection and the survivor counts below are exact
 
-    def test_floor_boundary(self, monkeypatch):
-        """The floor is the weakest *fresh* score of the hint row's K
-        neighbours.  A candidate equal to it still competes on the
-        destination id; only a strictly lower one is dropped unsorted."""
-        hint, spy = self._hint(), _Spy(monkeypatch)
+    def test_kth_best_boundary(self, monkeypatch):
+        """The threshold is the row's K-th best score.  A candidate equal
+        to it still competes on the destination id; only a strictly lower
+        one is dropped unranked."""
+        spy = _Spy(monkeypatch)
         graph = KNNGraph(10, 2)
-        # fresh scores: 4 -> 0.9, 5 -> 0.5 (floor); 3 ties the floor with a
-        # smaller id and enters, 6 ties it with a larger id and is ranked
-        # out, 7 and 8 are strictly below and never reach the sort
+        # 4 -> 0.9, 5 -> 0.5 (the K-th best); 3 ties it with a smaller id
+        # and enters, 6 ties it with a larger id and is ranked out, 7 and 8
+        # are strictly below and never reach the exact pass
         graph.add_candidates_sharded(
             [0, 0, 0, 0, 0, 0], [3, 4, 5, 6, 7, 8],
-            [0.5, 0.9, 0.5, 0.5, 0.4999, -1.0], hint=hint)
+            [0.5, 0.9, 0.5, 0.5, 0.4999, -1.0])
         assert graph.ranked(0) == [(4, 0.9), (3, 0.5)]
         assert spy.rows_sorted == [4]
 
-    def test_both_zeros_tie_at_the_floor(self, monkeypatch):
-        hint, spy = self._hint(), _Spy(monkeypatch)
+    def test_both_zeros_tie_at_the_kth_best(self, monkeypatch):
+        spy = _Spy(monkeypatch)
         graph = KNNGraph(10, 2)
         graph.add_candidates_sharded([0, 0, 0, 0], [3, 4, 5, 6],
-                                     [-0.0, 0.0, -0.0, -0.25], hint=hint)
+                                     [-0.0, 0.0, -0.0, -0.25])
         assert graph.neighbors(0) == [3, 4]
         assert spy.rows_sorted == [3]
 
-    def test_no_floor_without_all_k_hint_neighbours(self, monkeypatch):
-        """``include_direct_edges=False``: the hint's edges need not be
-        candidates.  A row missing one, or an under-full hint row, has no
-        floor — every candidate is ranked."""
-        hint, spy = self._hint(), _Spy(monkeypatch)
+    def test_every_row_has_its_own_threshold(self, monkeypatch):
+        """Row 0's K-th best is 0.2, row 1's is 0.2 too but reached through
+        other candidates: each drops its own 0.1, four survive of six."""
+        spy = _Spy(monkeypatch)
         graph = KNNGraph(10, 2)
         graph.add_candidates_sharded(
-            [0, 0, 0, 1, 1, 1], [4, 6, 7, 2, 3, 4],     # (0, 5) is absent
-            [0.9, 0.1, 0.2, 0.8, 0.1, 0.2], hint=hint)
+            [0, 0, 0, 1, 1, 1], [4, 6, 7, 2, 3, 4],
+            [0.9, 0.1, 0.2, 0.8, 0.1, 0.2])
         assert graph.ranked(0) == [(4, 0.9), (7, 0.2)]
         assert graph.ranked(1) == [(2, 0.8), (4, 0.2)]
-        assert spy.rows_sorted == [6]
+        assert spy.rows_sorted == [4]
 
-    def test_a_narrower_hint_is_ignored(self, monkeypatch):
-        """A full row of a k=2 hint names two candidates, not the three a
-        k=3 row needs below its floor."""
-        hint, spy = self._hint(), _Spy(monkeypatch)
+    def test_a_row_of_exactly_k_has_no_threshold(self, monkeypatch):
+        """K candidates all rank: nothing is selected away."""
+        spy = _Spy(monkeypatch)
         graph = KNNGraph(10, 3)
-        graph.add_candidates_sharded([0, 0, 0], [4, 5, 6], [0.9, 0.8, 0.1],
-                                     hint=hint)
+        graph.add_candidates_sharded([0, 0, 0], [4, 5, 6], [0.9, 0.8, 0.1])
         assert graph.neighbors(0) == [4, 5, 6]
         assert spy.rows_sorted == [3]
 
@@ -433,6 +530,56 @@ class TestOneKeyArray:
         assert table.tuples_for(0, 1).tolist() == [[0, 3], [1, 5]]
         sources, destinations = table.endpoints(table.positions_for(1, 0))
         assert (sources.tolist(), destinations.tolist()) == ([4], [1])
+
+
+class TestOneDedupSort:
+    """Phase 2 puts ``G(t)``'s direct edges in the bridge pairs' buffer, so
+    ``H`` is usually built by one dedup sort.  The flush threshold decides
+    only how the inserts are cut: keys, multiplicities and the bucket index
+    are the same whether every chunk is inserted alone (the bridge pairs,
+    then the direct edges on their own), the direct edges alone after one
+    bridge flush, or everything at once."""
+
+    @pytest.mark.parametrize("max_pairs", [None, 6], ids=["uncapped", "capped"])
+    @pytest.mark.parametrize("direct", [True, False], ids=["direct", "bridges-only"])
+    def test_the_flush_threshold_moves_no_tuple(self, direct, max_pairs,
+                                                monkeypatch):
+        graph = KNNGraph.random(300, 6, seed=5).to_csr()
+        assignment = np.random.default_rng(8).integers(0, 5, size=300)
+        partitions = build_partitions(graph, assignment, 5)
+        bridged = [len(partition_bridge_tuples(p, max_pairs_per_bridge=max_pairs))
+                   for p in partitions]
+        inserts = []
+        add_array = TupleHashTable.add_array
+
+        def counted(table, pairs):
+            inserts.append(len(pairs))
+            return add_array(table, pairs)
+
+        monkeypatch.setattr(TupleHashTable, "add_array", counted)
+
+        def build(threshold):
+            inserts.clear()
+            monkeypatch.setattr(generator_module, "_BRIDGE_FLUSH_ROWS", threshold)
+            table = generate_candidate_tuples(graph, partitions, assignment,
+                                              include_direct_edges=direct,
+                                              max_pairs_per_bridge=max_pairs)
+            order, spans = table.bucket_index()
+            return (table.keys.copy(), table.multiplicities.copy(),
+                    order.copy(), dict(spans), list(inserts))
+
+        edges = [graph.num_edges] if direct else []
+        keys, multiplicities, order, spans, once = build(1 << 20)
+        assert once == [sum(bridged) + sum(edges)]
+        for threshold, cut in ((1, [b for b in bridged if b] + edges),
+                               (sum(bridged) + 1, [sum(bridged)] + edges)):
+            other = build(threshold)
+            assert other[4] == cut
+            np.testing.assert_array_equal(other[0], keys)
+            np.testing.assert_array_equal(other[1], multiplicities)
+            np.testing.assert_array_equal(other[2], order)
+            assert other[3] == spans
+        assert (multiplicities > 1).any()
 
 
 # -- (d) the engine, against observations made with the parent commit ---------
