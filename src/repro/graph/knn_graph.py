@@ -445,14 +445,13 @@ class KNNGraph:
         if len(src) == 0:
             return 0
         _, starts, lengths = sorted_runs(src)
-        if lengths.max() > self._k:
-            shift = (self.num_vertices - 1).bit_length()
-            packed = _descending_score_keys(sc) >> np.uint64(shift)
-            packed |= src.astype(np.uint64) << np.uint64(64 - shift)
-            # a row of at most K candidates keeps its last: all of them
-            kth = np.sort(packed)[starts + np.minimum(lengths, self._k) - 1]
-            kept = np.flatnonzero(packed <= np.repeat(kth, lengths))
-            src, dst, sc = src[kept], dst[kept], sc[kept]
+        shift = (self.num_vertices - 1).bit_length()
+        packed = _descending_score_keys(sc) >> np.uint64(shift)
+        packed |= src.astype(np.uint64) << np.uint64(64 - shift)
+        # a row of at most K candidates keeps its last: all of them
+        kth = np.sort(packed)[starts + np.minimum(lengths, self._k) - 1]
+        kept = np.flatnonzero(packed <= np.repeat(kth, lengths))
+        src, dst, sc = src[kept], dst[kept], sc[kept]
         return len(self._write_top_k(_descending_score_argsort(sc), src, dst, sc))
 
     def set_neighbors(self, vertex: int, entries: Iterable[Tuple[int, float]]) -> None:

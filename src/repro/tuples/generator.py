@@ -131,10 +131,9 @@ def generate_candidate_tuples(graph: CSRDiGraph,
     if include_direct_edges and graph.num_edges:
         # one more chunk, inserted with the pending bridge pairs when both
         # fit under the threshold, so H is usually built by one dedup sort
-        edges = graph.edges_array()
-        if pending + len(edges) > _BRIDGE_FLUSH_ROWS:
+        if pending + graph.num_edges > _BRIDGE_FLUSH_ROWS:
             flush()
-        chunks.append(edges)
+        chunks.append(graph.edges_array())
     flush()
     # bucket the finished table here, so phase 3 only reads the index
     table.bucket_index()

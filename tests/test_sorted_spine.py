@@ -38,7 +38,7 @@ from repro.storage.memory_manager import MemoryBudget
 from repro.tuples.generator import generate_candidate_tuples, partition_bridge_tuples
 from repro.tuples.hash_table import TupleHashTable
 from legacy_graph import legacy_random_graph
-from test_graph_knn_arrays import _SCORES, _assert_rows_equal, _bits, oracle_merge
+from test_graph_knn_arrays import _SCORES, _bits, oracle_merge
 
 # -- (a) partitions: CSR row slices against mask + lexsort + unique ------------
 
@@ -204,12 +204,13 @@ def _truncation_ties(draw):
                    + [-base, 0.0, -0.0])
         score = st.just(base) if draw(st.booleans()) else st.sampled_from(palette)
         batch += [(src, dst, draw(score)) for dst in sorted(destinations)]
-    return k, batch
+    return _WIDE_N, k, batch
 
 
 def _assert_touched_rows_equal(graph, rows):
-    """:func:`_assert_rows_equal` for a graph too wide to walk: ``rows``
-    maps only the sources the oracle touched."""
+    """The graph's rows equal ``rows``, which maps only the sources the
+    oracle touched: every other row is empty, so a graph too wide to walk
+    is checked too."""
     for vertex, row in rows.items():
         expected = sorted(row.items(), key=lambda e: (-e[1], e[0]))
         assert _bits(graph.ranked(vertex)) == _bits(expected)
@@ -217,48 +218,31 @@ def _assert_touched_rows_equal(graph, rows):
 
 
 class TestSortedMerge:
-    @settings(max_examples=300, deadline=None)
-    @given(_sorted_candidates(), st.randoms(use_true_random=False))
+    @settings(max_examples=450, deadline=None)
+    @given(st.one_of(_sorted_candidates(), _truncation_ties()),
+           st.randoms(use_true_random=False))
     def test_equals_dict_oracle_and_batch_merge(self, case, shuffler):
+        """The sorted merge equals the dict oracle and the batch merge on a
+        shuffled copy, bit for bit, also where the selection's truncated
+        keys tie and only the exact pass can rank."""
         n, k, batch = case
-        rows = [{} for _ in range(n)]
+        rows = collections.defaultdict(dict)
         expected_changed = oracle_merge(rows, k, batch)
 
         graph = KNNGraph(n, k)
         changed = graph.add_candidates_sharded(*_columns(batch), assume_unique=True)
         assert changed == expected_changed
-        _assert_rows_equal(graph, rows)
+        _assert_touched_rows_equal(graph, rows)
 
         shuffled = list(batch)
         shuffler.shuffle(shuffled)
         general = KNNGraph(n, k)
         assert general.add_candidates_batch(*_columns(shuffled)) == changed
-        _assert_rows_equal(general, rows)
+        _assert_touched_rows_equal(general, rows)
         assert graph.edge_fingerprint() == general.edge_fingerprint()
 
-    @settings(max_examples=150, deadline=None)
-    @given(_truncation_ties(), st.randoms(use_true_random=False))
-    def test_selection_is_exact_under_truncation_ties(self, case, shuffler):
-        """The selection compares truncated keys; whatever ties there only
-        must still be ranked exactly, so the sorted merge equals the dict
-        oracle and the batch merge on a shuffled copy, bit for bit."""
-        k, batch = case
-        rows = collections.defaultdict(dict)
-        expected_changed = oracle_merge(rows, k, batch)
-
-        graph = KNNGraph(_WIDE_N, k)
-        assert graph.add_candidates_sharded(*_columns(batch),
-                                            assume_unique=True) == expected_changed
-        _assert_touched_rows_equal(graph, rows)
-
-        shuffled = list(batch)
-        shuffler.shuffle(shuffled)
-        general = KNNGraph(_WIDE_N, k)
-        assert general.add_candidates_batch(*_columns(shuffled)) == expected_changed
-        _assert_touched_rows_equal(general, rows)
-
     @pytest.mark.parametrize("scores, survivors", [
-        # exactly K: no selection, every candidate reaches the exact pass
+        # exactly K: the K-th best is the row's last, every candidate survives
         ([0.5, 0.25, 0.75], 3),
         # K + 1, every score a few ulps from the next: one truncated key
         (_float_chain(0.5, 3, np.inf), 4),
@@ -370,8 +354,9 @@ class TestSortedMerge:
         assert graph.ranked(1) == [(2, 0.8), (4, 0.2)]
         assert spy.rows_sorted == [4]
 
-    def test_a_row_of_exactly_k_has_no_threshold(self, monkeypatch):
-        """K candidates all rank: nothing is selected away."""
+    def test_a_row_of_exactly_k_keeps_every_candidate(self, monkeypatch):
+        """K candidates all rank: the row's K-th best is its last, so
+        nothing is selected away."""
         spy = _Spy(monkeypatch)
         graph = KNNGraph(10, 3)
         graph.add_candidates_sharded([0, 0, 0], [4, 5, 6], [0.9, 0.8, 0.1])
