@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, List, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.utils.arrays import counting_argsort
+from repro.utils.arrays import counting_argsort, sorted_unique
 from repro.utils.validation import check_non_negative
 
 Edge = Tuple[int, int]
@@ -195,7 +195,7 @@ class CSRDiGraph:
         if arr.min() < 0 or arr.max() >= num_vertices:
             raise ValueError("edge endpoints out of range")
         return cls.from_sorted_keys(num_vertices,
-                                    np.unique(arr[:, 0] * num_vertices + arr[:, 1]))
+                                    sorted_unique(arr[:, 0] * num_vertices + arr[:, 1]))
 
     @classmethod
     def from_sorted_keys(cls, num_vertices: int, keys: np.ndarray) -> "CSRDiGraph":

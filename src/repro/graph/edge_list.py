@@ -17,6 +17,7 @@ from typing import Optional, Union
 import numpy as np
 
 from repro.graph.digraph import CSRDiGraph, DiGraph
+from repro.utils.arrays import sorted_unique
 
 PathLike = Union[str, os.PathLike]
 
@@ -61,7 +62,7 @@ def read_edge_list(path: PathLike, num_vertices: Optional[int] = None) -> CSRDiG
     src = np.asarray(sources, dtype=np.int64)
     dst = np.asarray(destinations, dtype=np.int64)
     if num_vertices is None:
-        ids = np.unique(np.concatenate([src, dst]))
+        ids = sorted_unique(np.concatenate([src, dst]))
         remap = {int(original): new for new, original in enumerate(ids)}
         src = np.asarray([remap[int(s)] for s in src], dtype=np.int64)
         dst = np.asarray([remap[int(d)] for d in dst], dtype=np.int64)

@@ -16,15 +16,13 @@ the KNN top-K selection never needs to know which measure is in use.
 from __future__ import annotations
 
 import itertools
-from typing import (Callable, Dict, FrozenSet, Iterable, NamedTuple, Optional,
-                    Sequence, Set, Tuple, Union)
+from typing import Callable, Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.utils.arrays import find_sorted as _find_sorted
 from repro.utils.arrays import ragged_ranges as _ragged_ranges
 
-SparseProfile = Union[Set[int], FrozenSet[int]]
 SimilarityFn = Callable
 
 #: A slice builds its membership bitmap only while the bitmap — the bit
@@ -317,21 +315,45 @@ class SetProfileCSR:
         self._derived_cap: "float | None" = None          # see cap_derived_bytes
 
     @classmethod
-    def from_sets(cls, profiles: Sequence[Iterable[int]]) -> "SetProfileCSR":
-        """Build from one item set per row (row order is preserved)."""
-        sizes = np.fromiter((len(p) for p in profiles), dtype=np.int64,
-                            count=len(profiles))
-        indptr = np.zeros(len(profiles) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=indptr[1:])
-        flat = np.fromiter(itertools.chain.from_iterable(profiles), dtype=np.int64,
-                           count=int(indptr[-1]))
-        uniques, codes = np.unique(flat, return_inverse=True)
-        num_items = len(uniques)
+    def from_sets(cls, rows: "Sequence[Iterable[int]] | np.ndarray",
+                  indptr: "np.ndarray | None" = None) -> "SetProfileCSR":
+        """Build from one item collection per row (sets, lists or int
+        arrays), an ``(n, k)`` int array, or — with ``indptr`` — the flat
+        item array whose row ``r`` is ``rows[indptr[r]:indptr[r + 1]]``.
+
+        The canonical form: row order kept, item ids coded by rank (every
+        coded item held by some row), each row's codes ascending and an
+        item repeated within a row stored once."""
+        if isinstance(rows, np.ndarray) and rows.ndim == 2:
+            rows, indptr = rows.ravel(), np.arange(len(rows) + 1) * rows.shape[1]
+        if indptr is not None:
+            flat = np.asarray(rows, dtype=np.int64)
+            indptr = np.asarray(indptr, dtype=np.int64)
+        else:
+            indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+            np.cumsum(np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)),
+                      out=indptr[1:])
+            if len(rows) and all(isinstance(row, np.ndarray) for row in rows):
+                flat = np.concatenate(rows).astype(np.int64, copy=False)
+            else:
+                flat = np.fromiter(itertools.chain.from_iterable(rows),
+                                   dtype=np.int64, count=int(indptr[-1]))
+        item_ids, codes = np.unique(flat, return_inverse=True)
         # codes are item ranks: one sort of the row-major (row, code) keys
-        # leaves each row's code run ascending
-        offsets = np.repeat(np.arange(len(profiles), dtype=np.int64) * num_items, sizes)
-        codes = np.sort(offsets + codes) - offsets
-        return cls(indptr, codes, num_items, item_ids=uniques, rows_sorted=True)
+        # leaves each row's code run ascending and a repeat beside its twin
+        offsets = np.repeat(np.arange(len(indptr) - 1, dtype=np.int64) * len(item_ids),
+                            np.diff(indptr))
+        keys = offsets + codes
+        del codes
+        keys.sort()
+        first = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        if not first.all():
+            # each row keeps its block of keys, so the offsets stay aligned
+            kept = np.concatenate([[0], np.cumsum(first)])
+            indptr, keys, offsets = kept[indptr], keys[first], offsets[first]
+        keys -= offsets
+        return cls(indptr, keys, len(item_ids), item_ids=item_ids, rows_sorted=True)
 
     @property
     def num_rows(self) -> int:

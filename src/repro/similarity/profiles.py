@@ -16,11 +16,12 @@ per partition; the engine only ever sees the interface defined by
 from __future__ import annotations
 
 import abc
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, Sequence, Set
 
 import numpy as np
 
 from repro.similarity import measures as _measures
+from repro.utils.arrays import sorted_unique
 from repro.utils.validation import check_non_negative, check_positive_int
 
 
@@ -66,7 +67,7 @@ class ProfileStoreBase(abc.ABC):
 
         Concrete stores override this with a batch-aware implementation (a
         dense store coalesces superseded ``set`` changes, a sparse store
-        defers its incidence-cache invalidation to the end of the batch).
+        folds the touched rows into its arrays once, on the next read).
         """
         raise NotImplementedError
 
@@ -76,17 +77,26 @@ class ProfileStoreBase(abc.ABC):
 
 
 class SparseProfileStore(ProfileStoreBase):
-    """Profiles as sets of integer item ids."""
+    """Profiles as sets of integer item ids, held as the CSR the set kernel
+    scores and the on-disk layer writes (:meth:`SetProfileCSR.from_sets`'s
+    canonical form).  Its arrays are never written in place, so copies
+    share them; a mutated row waits as a set until the next
+    :meth:`incidence` folds it in."""
 
-    def __init__(self, profiles: Sequence[Iterable[int]]):
-        self._profiles: List[Set[int]] = [set(p) for p in profiles]
-        self._csr: Optional[_measures.SetProfileCSR] = None
+    def __init__(self, profiles: "Sequence[Iterable[int]] | np.ndarray"):
+        self._csr = _measures.SetProfileCSR.from_sets(profiles)
+        self._changed: Dict[int, Set[int]] = {}   # row -> its items, not yet folded
 
-    def _incidence(self) -> _measures.SetProfileCSR:
-        """CSR user×item incidence matrix, rebuilt lazily after mutations."""
-        if self._csr is None:
-            self._csr = _measures.SetProfileCSR.from_sets(self._profiles)
-        return self._csr
+    @classmethod
+    def from_csr(cls, csr: _measures.SetProfileCSR) -> "SparseProfileStore":
+        """A store over ``csr``'s arrays as they are, which must be in
+        :meth:`SetProfileCSR.from_sets`'s canonical form."""
+        if not csr.rows_sorted or csr.item_ids is None:
+            raise ValueError("from_csr needs a CSR with sorted rows and an item table")
+        store = cls.__new__(cls)
+        store._csr = csr
+        store._changed = {}
+        return store
 
     def incidence(self) -> _measures.SetProfileCSR:
         """The store's CSR incidence matrix (item ids recoded to dense codes).
@@ -96,56 +106,58 @@ class SparseProfileStore(ProfileStoreBase):
         in CSR row order and a partition slice is a pure slice of the
         mapped arrays.
         """
-        return self._incidence()
+        if self._changed:
+            rows = np.fromiter(sorted(self._changed), dtype=np.int64,
+                               count=len(self._changed))
+            self._csr = _with_rows(self._csr, rows, _measures.SetProfileCSR.from_sets(
+                [self._changed[row] for row in rows.tolist()]))
+            self._changed = {}
+        return self._csr
 
     @classmethod
     def empty(cls, num_users: int) -> "SparseProfileStore":
         check_non_negative(num_users, "num_users")
-        return cls([set() for _ in range(num_users)])
+        return cls(np.empty((num_users, 0), dtype=np.int64))
 
     @property
     def num_users(self) -> int:
-        return len(self._profiles)
+        return self._csr.num_rows
 
     def get(self, user: int) -> Set[int]:
-        """The user's item set (a copy — mutate via :meth:`set`/:meth:`add_item`,
-        which keep the cached incidence matrix consistent)."""
+        """The user's item set (a copy — mutate via :meth:`set`/:meth:`add_item`)."""
         self._check_user(user)
-        return set(self._profiles[user])
+        changed = self._changed.get(user)
+        if changed is not None:
+            return set(changed)
+        return set(self._csr.row_items(user).tolist())
 
     def set(self, user: int, profile: Iterable[int]) -> None:
         self._check_user(user)
-        self._profiles[user] = set(profile)
-        self._csr = None
+        self._changed[int(user)] = {int(item) for item in profile}
 
     def add_item(self, user: int, item: int) -> None:
         """Add a single item to a user's profile (profile-churn primitive)."""
         self._check_user(user)
-        self._profiles[user].add(item)
-        self._csr = None
+        self._changed.setdefault(int(user), self.get(user)).add(int(item))
 
     def apply_profile_changes(self, changes: Sequence) -> int:
-        """Apply ``add``/``remove`` changes in order (one cache rebuild total).
+        """Apply ``add``/``remove`` changes in order (one fold total).
 
         The whole batch is validated before anything mutates, so a bad
-        change leaves the store (and its cached incidence matrix) untouched.
+        change leaves the store untouched.
         """
         for change in changes:
             if change.kind not in ("add", "remove"):
                 raise ValueError(
                     "sparse profile stores only accept 'add'/'remove' changes")
             self._check_user(change.user)
-        touched = set()
         for change in changes:
-            profile = self._profiles[change.user]
+            profile = self._changed.setdefault(int(change.user), self.get(change.user))
             if change.kind == "add":
-                profile.add(change.item)
+                profile.add(int(change.item))
             else:
-                profile.discard(change.item)
-            touched.add(change.user)
-        if touched:
-            self._csr = None
-        return len(touched)
+                profile.discard(int(change.item))
+        return len({int(change.user) for change in changes})
 
     def similarity(self, user_a: int, user_b: int, measure: str = "jaccard") -> float:
         self._check_user(user_a)
@@ -155,7 +167,7 @@ class SparseProfileStore(ProfileStoreBase):
             raise ValueError(
                 f"measure {measure!r} operates on vectors; use a DenseProfileStore"
             )
-        return float(fn(self._profiles[user_a], self._profiles[user_b]))
+        return float(fn(self.get(user_a), self.get(user_b)))
 
     def similarity_pairs(self, pairs: np.ndarray, measure: str = "jaccard") -> np.ndarray:
         pairs = np.asarray(pairs, dtype=np.int64)
@@ -170,29 +182,28 @@ class SparseProfileStore(ProfileStoreBase):
             return np.zeros(0, dtype=np.float64)
         if pairs.min() < 0 or pairs.max() >= self.num_users:
             raise IndexError(f"pair endpoints out of range (store has {self.num_users} users)")
-        return self._incidence().measure_pairs(measure, pairs[:, 0], pairs[:, 1])
+        return self.incidence().measure_pairs(measure, pairs[:, 0], pairs[:, 1])
 
     def subset(self, users: Sequence[int]) -> "SparseProfileStore":
-        store = SparseProfileStore.empty(self.num_users)
         for user in users:
             self._check_user(user)
-            store._profiles[user] = set(self._profiles[user])
-        return store
+        dropped = np.ones(self.num_users, dtype=bool)
+        dropped[np.asarray(users, dtype=np.int64)] = False
+        rows = np.flatnonzero(dropped)
+        return SparseProfileStore.from_csr(_with_rows(
+            self.incidence(), rows,
+            _measures.SetProfileCSR.from_sets(np.empty((len(rows), 0), dtype=np.int64))))
 
     def copy(self) -> "SparseProfileStore":
-        return SparseProfileStore(self._profiles)
+        return SparseProfileStore.from_csr(self.incidence())
 
     def item_universe(self) -> Set[int]:
         """Union of all item ids appearing in any profile."""
-        universe: Set[int] = set()
-        for profile in self._profiles:
-            universe |= profile
-        return universe
+        return set(self.incidence().item_ids.tolist())
 
     def average_profile_size(self) -> float:
-        if not self._profiles:
-            return 0.0
-        return sum(len(p) for p in self._profiles) / len(self._profiles)
+        csr = self.incidence()
+        return float(csr.indptr[-1]) / csr.num_rows if csr.num_rows else 0.0
 
     def default_measure(self) -> str:
         return "jaccard"
@@ -200,11 +211,37 @@ class SparseProfileStore(ProfileStoreBase):
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SparseProfileStore):
             return NotImplemented
-        return self._profiles == other._profiles
+        # the canonical form is unique: equal item sets, equal arrays
+        mine, theirs = self.incidence(), other.incidence()
+        return all(np.array_equal(a, b) for a, b in (
+            (mine.indptr, theirs.indptr), (mine.item_ids, theirs.item_ids),
+            (mine.codes, theirs.codes)))
 
     def __repr__(self) -> str:
         return (f"SparseProfileStore(num_users={self.num_users}, "
                 f"avg_items={self.average_profile_size():.1f})")
+
+
+def _with_rows(csr: _measures.SetProfileCSR, rows: np.ndarray,
+               new: _measures.SetProfileCSR) -> _measures.SetProfileCSR:
+    """Canonical ``csr`` with its ascending ``rows`` replaced by the rows of
+    canonical ``new``: the kept rows' codes move through one ascending map
+    into the table of the items still held, so no stored item is sorted."""
+    sizes = np.diff(csr.indptr)
+    kept = np.ones(csr.num_rows, dtype=bool)
+    kept[rows] = False
+    old_codes = csr.codes[np.repeat(kept, sizes)]
+    held = np.zeros(csr.num_items, dtype=bool)
+    held[old_codes] = True
+    item_ids = sorted_unique(np.concatenate([csr.item_ids[held], new.item_ids]))
+    sizes[rows] = np.diff(new.indptr)
+    indptr = np.concatenate([[0], np.cumsum(sizes)])
+    codes = np.empty(int(indptr[-1]), dtype=np.int64)
+    into_kept = np.repeat(kept, sizes)
+    codes[into_kept] = np.searchsorted(item_ids, csr.item_ids)[old_codes]
+    codes[~into_kept] = np.searchsorted(item_ids, new.item_ids)[new.codes]
+    return _measures.SetProfileCSR(indptr, codes, len(item_ids), item_ids=item_ids,
+                                   rows_sorted=True)
 
 
 class DenseProfileStore(ProfileStoreBase):

@@ -69,20 +69,18 @@ def generate_sparse_profiles(num_users: int, num_items: int,
     weights = ranks ** (-zipf_exponent)
     base_probabilities = weights / weights.sum()
 
-    profiles: List[set] = []
+    boosted = []        # each community's law, computed once
+    for community in range(min(num_communities, num_users)):
+        probabilities = base_probabilities.copy()
+        probabilities[(community * num_items) // num_communities:
+                      ((community + 1) * num_items) // num_communities] *= 8.0
+        boosted.append(probabilities / probabilities.sum())
+    items = np.empty((num_users, items_per_user), dtype=np.int64)
     for user in range(num_users):
-        if num_communities > 0:
-            community = user % num_communities
-            lo = (community * num_items) // num_communities
-            hi = ((community + 1) * num_items) // num_communities
-            probabilities = base_probabilities.copy()
-            probabilities[lo:hi] *= 8.0
-            probabilities /= probabilities.sum()
-        else:
-            probabilities = base_probabilities
-        items = rng.choice(num_items, size=items_per_user, replace=False, p=probabilities)
-        profiles.append(set(int(i) for i in items))
-    return SparseProfileStore(profiles)
+        items[user] = rng.choice(
+            num_items, size=items_per_user, replace=False,
+            p=boosted[user % num_communities] if boosted else base_probabilities)
+    return SparseProfileStore(items)
 
 
 def generate_dense_profiles(num_users: int, dim: int = 16,

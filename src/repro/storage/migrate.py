@@ -16,6 +16,7 @@ import numpy as np
 from repro.core.checkpoint import (save_knn_graph, verify_checkpoint,
                                    write_checkpoint_checksums)
 from repro.graph.knn_graph import KNNGraph
+from repro.similarity.measures import SetProfileCSR
 from repro.similarity.profiles import (DenseProfileStore, ProfileStoreBase,
                                        SparseProfileStore)
 from repro.storage import durable
@@ -38,8 +39,7 @@ def _decode_legacy(base_dir: Path, meta: dict, coded: bool) -> ProfileStoreBase:
     if coded and len(items):
         items = np.fromfile(base_dir / "profiles_item_ids.bin",
                             dtype=np.int64)[items]
-    return SparseProfileStore([set(items[indptr[user]:indptr[user + 1]].tolist())
-                               for user in range(num_users)])
+    return SparseProfileStore.from_csr(SetProfileCSR.from_sets(items, indptr=indptr))
 
 
 def migrate_store(base_dir: Union[str, os.PathLike]) -> bool:

