@@ -59,7 +59,7 @@ from repro.core.config import EngineConfig
 from repro.core.update_queue import ProfileUpdateQueue
 from repro.graph.digraph import CSRDiGraph
 from repro.graph.knn_graph import KNNGraph
-from repro.utils.arrays import find_sorted, ragged_ranges
+from repro.utils.arrays import find_sorted, ragged_ranges, sorted_unique
 from repro.partition.model import (PartitionLayout, build_partitions,
                                    partition_layout)
 from repro.partition.partitioners import get_partitioner
@@ -82,7 +82,8 @@ _logger = get_logger("core.iteration")
 
 #: Floor (in scored rows) for the phase-4 bulk-merge flush threshold — the
 #: most slab rows one ``G(t+1)`` merge call takes; the effective threshold is
-#: ``max(4 * num_vertices * k, _SCORED_FLUSH_ROWS)``.
+#: ``max(4 * num_vertices * k, _SCORED_FLUSH_ROWS)``.  Also the queued
+#: tuples at which a residual flush gathers and scores its steps.
 _SCORED_FLUSH_ROWS = 262144
 
 #: Phase 2 advances the carried ``H`` while the edges removed plus added since
@@ -112,8 +113,9 @@ def score_tuples(left: ProfileSlice, left_rows: np.ndarray,
     ``left`` and ``right`` are profile slices (the same object for tuples
     inside one partition) and the rows are local to them; every measure is
     symmetric bit for bit.  This is the kernel dispatch: phase 4 looks the
-    name up at call time, once a step and once a residual gather, so
-    whatever replaces it — a tracer, a native kernel — sees every score.
+    name up at call time, once an executed step and once a residual flush
+    (however many steps it settles), so whatever replaces it — a tracer, a
+    native kernel — sees every score.
     """
     return left.similarity_rows(left_rows, right, right_rows, measure)
 
@@ -440,6 +442,10 @@ class _Phase4Run:
     steps_skipped: int = 0
     #: ``[tuples, distinct endpoints, pair rows]`` per cached step with tuples
     residue: Dict[Tuple[int, int], List[int]] = field(default_factory=dict)
+    #: the batches of each settled step not scored yet, and their tuples:
+    #: the next residual flush scores them
+    queued: List[List[_EdgeBatch]] = field(default_factory=list)
+    queued_tuples: int = 0
 
     def count_residue(self, cached: Sequence[Tuple[ResidencyStep,
                                                    List[_EdgeBatch]]]) -> None:
@@ -809,42 +815,70 @@ class OutOfCoreIteration:
 
     def _score_residual(self, run: _Phase4Run, step: ResidencyStep,
                         batches: Sequence[_EdgeBatch], measure: str) -> bool:
-        """Score a clean step's misses off a row-level gather, if few.
+        """Settle a clean step's misses off a row-level gather, if few.
 
         Both partitions are clean, but the cache join missed some of the
         step's tuples: graph churn minted candidate tuples the cache has
         never seen (neighbour lists keep moving even between clean
         partitions), or the pair was not scored at all.  A small residue is
-        scored off a gather of exactly the needed profiles — no partition
-        acquired, the step still skips (returns ``True``); a large one means
-        the pair genuinely needs its partitions, and the caller executes it.
-        The 4x rule on the counts of :attr:`_Phase4Run.residue` is a pure
-        function of the data, so every schedule and resume makes one choice.
+        queued for the next :meth:`_flush_residual`, which scores it off a
+        gather of exactly the needed profiles — no partition acquired, the
+        step still skips (returns ``True``); a large one means the pair
+        genuinely needs its partitions, and the caller executes it.  The 4x
+        rule on the counts of :attr:`_Phase4Run.residue` is a pure function
+        of the data, so every schedule and resume makes one choice.
         """
         first, second, _ = step
         tuples, distinct, pair_span = run.residue[first, second]
         if 8 * tuples > pair_span and 4 * distinct > pair_span:
             return False
-        endpoints = np.concatenate([
-            run.layout.vertices(pid)[rows]
-            for pid, rows in zip((first, second), run.step_rows(first, batches))])
-        # the gathered slice holds the distinct endpoints ascending, so the
-        # inverse of the unique pass *is* each endpoint's row in it
-        residual_users, rows = np.unique(endpoints, return_inverse=True)
-        residual_slice = self._profile_store.load_users(residual_users)
-        half = len(rows) // 2
-        fresh = score_tuples(residual_slice, rows[:half], residual_slice,
-                             rows[half:], measure)
-        run.resolve(batches, fresh)
+        run.queued.append(batches)
+        run.queued_tuples += tuples
         run.steps_skipped += 1
         return True
+
+    def _flush_residual(self, run: _Phase4Run, measure: str) -> None:
+        """Score every queued step's tuples off one gather: one
+        :meth:`~repro.storage.profile_store.OnDiskProfileStore.load_users`
+        of the steps' endpoints, charged step by step as each step's own
+        gather would be, one :func:`score_tuples` call on the union slice
+        and one scatter into the slab."""
+        if not run.queued:
+            return
+        queued, run.queued, run.queued_tuples = run.queued, [], 0
+        batches = [batch for step_batches in queued for batch in step_batches]
+        layout, num_vertices = run.layout, len(run.layout.assignment)
+        tags, los, lengths, src_at, dst_at = np.array(
+            [(index * num_vertices, lo, hi - lo, layout.bounds[edge.src],
+              layout.bounds[edge.dst])
+             for index, step_batches in enumerate(queued)
+             for edge, lo, hi in step_batches], dtype=np.int64).T
+        # a batch's local rows are where its partitions' vertices lie
+        at = ragged_ranges(los, lengths)
+        sources = layout.by_partition[run.left_rows[at] + np.repeat(src_at, lengths)]
+        destinations = layout.by_partition[run.right_rows[at]
+                                           + np.repeat(dst_at, lengths)]
+        # each step's distinct endpoints ascending, the steps in queue order
+        tags = np.repeat(tags, lengths)
+        tagged = sorted_unique(np.concatenate([tags + sources, tags + destinations]))
+        gathered = self._profile_store.load_users(
+            tagged % num_vertices, group_starts=np.searchsorted(
+                tagged, np.arange(len(queued), dtype=np.int64) * num_vertices))
+        users = gathered.user_ids
+        run.resolve(batches, score_tuples(
+            gathered, np.searchsorted(users, sources),
+            gathered, np.searchsorted(users, destinations), measure))
 
     def _execute_pending(self, run: _Phase4Run, measure: str,
                          residency: _StepResidency) -> None:
         """The one phase-4 loop over the ordered steps.  A step with both
         partitions clean is settled when the join answered all of it, or
-        when :meth:`_score_residual` takes the few tuples it missed (counted
-        for all such steps at once, at the head of the walk); any other
+        when :meth:`_score_residual` queues the few tuples it missed
+        (counted for all such steps at once, at the head of the walk) for
+        one flush: at the end of the walk, once the queue holds
+        :data:`_SCORED_FLUSH_ROWS` tuples, and before an executed step
+        with tuples (it may load slices), so the store charges its reads
+        in walk order and its float seconds keep their bits.  Any other
         step acquires its pair, also with nothing left to score (the
         step-at-a-time cost model), and scores all its PI edges in one
         kernel call into the slab."""
@@ -857,7 +891,11 @@ class OutOfCoreIteration:
                 run.steps_skipped += 1
                 continue
             if from_cache and self._score_residual(run, step, batches, measure):
+                if run.queued_tuples >= _SCORED_FLUSH_ROWS:
+                    self._flush_residual(run, measure)
                 continue
+            if batches:
+                self._flush_residual(run, measure)
             slices = residency.acquire(step, batches)
             if not batches:
                 continue
@@ -870,6 +908,7 @@ class OutOfCoreIteration:
             left_rows, right_rows = run.step_rows(step[0], batches)
             run.resolve(batches, score_tuples(slices[0], left_rows, slices[-1],
                                               right_rows, measure))
+        self._flush_residual(run, measure)
 
     def _finish_phase4(self, run: _Phase4Run, graph: KNNGraph,
                        table: TupleHashTable) -> KNNGraph:

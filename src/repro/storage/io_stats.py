@@ -9,7 +9,9 @@ the :class:`~repro.storage.disk_model.DiskModel`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Sequence
+
+import numpy as np
 
 
 @dataclass
@@ -43,15 +45,23 @@ class IOStats:
         self.bytes_written += int(num_bytes)
         self.simulated_io_seconds += simulated_seconds
 
+    def record_reads(self, num_bytes: Sequence[int],
+                     simulated_seconds: Sequence[float]) -> None:
+        """Reads of ``num_bytes[i]`` costing ``simulated_seconds[i]``,
+        charged exactly as one :meth:`record_read` call each, in order."""
+        self.read_ops += len(num_bytes)
+        self.bytes_read += int(sum(num_bytes))
+        self.simulated_io_seconds = _added_in_order(self.simulated_io_seconds,
+                                                    simulated_seconds)
+
     def record_writes(self, count: int, num_bytes: int,
                       simulated_seconds: float = 0.0) -> None:
         """``count`` writes of ``num_bytes`` each, charged exactly as that
-        many :meth:`record_write` calls: the seconds are added one write at
-        a time, so the float total keeps the same bits."""
+        many :meth:`record_write` calls."""
         self.write_ops += count
         self.bytes_written += count * int(num_bytes)
-        for _ in range(count):
-            self.simulated_io_seconds += simulated_seconds
+        self.simulated_io_seconds = _added_in_order(
+            self.simulated_io_seconds, np.full(count, simulated_seconds))
 
     def record_partition_load(self) -> None:
         self.partition_loads += 1
@@ -93,3 +103,12 @@ class IOStats:
     def format_table(self) -> str:
         lines = [f"{key:>24}: {value}" for key, value in self.as_dict().items()]
         return "\n".join(lines)
+
+
+def _added_in_order(total: float, seconds: Sequence[float]) -> float:
+    """``total`` plus each of ``seconds`` in turn, as a loop of ``+=`` adds
+    them: one sequential accumulate pass, not a sum, whose pairwise rounding
+    differs — the float total keeps the loop's bits."""
+    if len(seconds) < 2:
+        return total + sum(seconds)
+    return float(np.add.accumulate(np.concatenate(([total], seconds)))[-1])

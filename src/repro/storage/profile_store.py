@@ -433,8 +433,8 @@ class OnDiskProfileStore:
         self._dense_mapped: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._sparse_state: Optional[_SparseState] = None
         self._item_code_cache: Optional[Dict[int, int]] = None
-        # simulated seconds of a random / sequential mapped read, by bytes
-        self._read_costs: Tuple[Dict[int, float], Dict[int, float]] = ({}, {})
+        # simulated seconds of a mapped read, by (bytes, read in sequence)
+        self._read_costs: Dict[Tuple[int, bool], float] = {}
         # touched-row delta log: (generation, sorted touched rows) per applied
         # batch, contiguous back to _delta_floor.  Opening a store by path
         # starts with empty history — whatever happened before is unknown.
@@ -789,7 +789,8 @@ class OnDiskProfileStore:
             return np.empty(0, dtype=np.int64)
         return np.fromfile(path, dtype=np.int64)
 
-    def load_users(self, user_ids: Iterable[int]) -> ProfileSlice:
+    def load_users(self, user_ids: Iterable[int],
+                   group_starts: Optional[np.ndarray] = None) -> ProfileSlice:
         """Load the profiles of ``user_ids`` into a :class:`ProfileSlice`.
 
         A single contiguous id run — the shape of one partition under the
@@ -798,11 +799,15 @@ class OnDiskProfileStore:
         files.  Scattered ids, runs spanning several sparse segments and
         journaled rows fall back to one gathered copy.  Either way the read
         is charged through the disk model's mapped-read cost, per contiguous
-        range.
+        range, random unless there is one.
 
         A sorted, duplicate-free ``int64`` array — a partition's vertex
         list — is taken as it is; any other iterable of ids is sorted and
-        deduplicated first.
+        deduplicated first.  With ``group_starts``, ``user_ids`` is several
+        such arrays, none empty, laid end to end, group ``g`` starting at
+        offset ``group_starts[g]``: each group is charged exactly as its own
+        call would be, in order, and the slice holds their union — phase
+        4's residual flush reads many steps' profiles in one gather.
 
         Because a zero-copy slice reads the live files, it is **not a
         snapshot**: a later :meth:`apply_changes` shows through dense
@@ -811,56 +816,83 @@ class OnDiskProfileStore:
         across a phase-5 update; callers that do must reload after applying
         changes.
         """
-        ids, ranges = self._validated_ids(user_ids)
-        self._charge_ranges(ranges)
+        charged, ids = self._validated_ids(user_ids, group_starts)
+        self._charge_reads(charged, group_starts)
         if self._meta["kind"] == "dense":
-            return self._load_dense(ids, ranges)
-        return self._load_sparse(ids, ranges)
+            return self._load_dense(ids)
+        return self._load_sparse(ids)
 
-    def _validated_ids(self, user_ids: Iterable[int]
-                       ) -> Tuple[np.ndarray, List[Tuple[int, int]]]:
-        """``user_ids`` as a sorted unique in-range int64 array, plus its
-        contiguous ``(start, stop)`` runs — for a sorted, duplicate-free
-        int64 array of one run, a partition's vertex list, at O(1) Python."""
+    def _validated_ids(self, user_ids: Iterable[int],
+                       group_starts: Optional[np.ndarray] = None
+                       ) -> Tuple[np.ndarray, np.ndarray]:
+        """The ids to charge and the ids to load: ``user_ids`` as a sorted
+        unique in-range int64 array, twice — for a sorted, duplicate-free
+        int64 array, a partition's vertex list, at O(1) Python — or the
+        groups as given, each sorted and duplicate-free, and their union."""
         self._require_meta()
-        if (isinstance(user_ids, np.ndarray) and user_ids.dtype == np.int64
+        if group_starts is not None:
+            ids = np.asarray(user_ids, dtype=np.int64)   # the groups as given
+        elif (isinstance(user_ids, np.ndarray) and user_ids.dtype == np.int64
                 and user_ids.ndim == 1):
             ids = user_ids
         else:
             ids = np.asarray(sorted({int(u) for u in user_ids}), dtype=np.int64)
-        if len(ids) > 1 and not (ids[1:] > ids[:-1]).all():
-            ids = sorted_unique(ids)   # unsorted or duplicated
+        charged, rising = ids, ids[1:] > ids[:-1]
+        if group_starts is not None:
+            rising[np.asarray(group_starts[1:]) - 1] = True   # a group's start
+            if not rising.all():
+                raise ValueError("a group of user ids is not sorted and duplicate-free")
+            ids = sorted_unique(ids)
+        elif not rising.all():
+            ids = charged = sorted_unique(ids)   # unsorted or duplicated
         num_users = self.num_users
         if len(ids) and (ids[0] < 0 or ids[-1] >= num_users):
             bad = ids[0] if ids[0] < 0 else ids[np.searchsorted(ids, num_users)]
             raise IndexError(f"user {int(bad)} out of range (store has {num_users})")
-        return ids, _contiguous_ranges(ids)
+        return charged, ids
 
-    def _charge_ranges(self, ranges: List[Tuple[int, int]]) -> None:
-        """One mapped read per range, random unless there is one; the cost of
-        a byte count is computed once for the store's life."""
-        sequential = len(ranges) == 1
+    def _charge_reads(self, ids: np.ndarray,
+                      group_starts: Optional[np.ndarray] = None) -> None:
+        """One mapped read per contiguous run of each group of ``ids`` (all
+        of them without ``group_starts``), random unless its group is one
+        run, recorded in order; a read's cost is computed once for the
+        store's life, and one range of one group scans nothing."""
+        if not len(ids):
+            return
         dense = self._meta["kind"] == "dense"
         row_bytes = self.dim * 8 + 8   # a dense row plus its stored norm
         row_sizes = None if dense else self._sparse().row_sizes
-        costs = self._read_costs[sequential]
-        for start, stop in ranges:
-            # the rows, or their codes plus the indptr slice itself
-            nbytes = ((stop - start) * row_bytes if dense else
-                      (int(row_sizes[start:stop].sum()) + (stop - start + 1)) * 8)
-            cost = costs.get(nbytes)
-            if cost is None:
-                cost = costs[nbytes] = self._disk.mapped_read_cost(
-                    nbytes, sequential=sequential)
-            self.io_stats.record_read(nbytes, cost)
+        run = _single_run(ids) if group_starts is None else None
+        if run is not None:
+            # one range, read in sequence: the rows, or their codes plus
+            # the indptr slice itself
+            nbytes = [len(ids) * row_bytes if dense else 8 * (
+                int(row_sizes[run[0]:run[1]].sum()) + len(ids) + 1)]
+            single = [True]
+        else:
+            head = np.zeros(len(ids) + 1, dtype=bool)    # a group starts here
+            head[[0] if group_starts is None else group_starts] = head[-1] = True
+            edge = head.copy()                          # ... or a run does
+            edge[1:-1] |= ids[1:] != ids[:-1] + 1
+            bounds = np.flatnonzero(edge)
+            starts, lengths = bounds[:-1], bounds[1:] - bounds[:-1]
+            nbytes = (lengths * row_bytes if dense else 8 * (
+                np.add.reduceat(row_sizes[ids], starts) + lengths + 1)).tolist()
+            head = head[bounds]         # a run is its group's only run
+            single = (head[:-1] & head[1:]).tolist()
+        costs = self._read_costs
+        self.io_stats.record_reads(nbytes, [
+            costs[read] if read in costs
+            else costs.setdefault(read, self._disk.mapped_read_cost(*read))
+            for read in zip(nbytes, single)])
 
-    def _load_dense(self, ids: np.ndarray,
-                    ranges: List[Tuple[int, int]]) -> ProfileSlice:
-        if not ranges:
+    def _load_dense(self, ids: np.ndarray) -> ProfileSlice:
+        if not len(ids):
             return ProfileSlice("dense", {}, dim=self.dim)
         matrix_map, norms_map = self._dense_maps()
-        if len(ranges) == 1:
-            start, stop = ranges[0]
+        run = _single_run(ids)
+        if run is not None:
+            start, stop = run
             matrix = matrix_map[start:stop]  # zero-copy read-only view
             norms = norms_map[start:stop]
         else:
@@ -870,15 +902,15 @@ class OnDiskProfileStore:
         return ProfileSlice("dense", None, user_ids=ids,
                             matrix=matrix, norms=norms)
 
-    def _load_sparse(self, ids: np.ndarray,
-                        ranges: List[Tuple[int, int]]) -> ProfileSlice:
+    def _load_sparse(self, ids: np.ndarray) -> ProfileSlice:
         num_items = int(self._meta.get("num_items", 0))
         state = self._sparse()
-        if len(ranges) == 1:
+        run = _single_run(ids)
+        if run is not None:
             # zero-copy fast path: one id run inside one segment, with no
             # journaled rows — the common case when segment bounds follow the
             # engine's partition split and the journal has been compacted
-            start, stop = ranges[0]
+            start, stop = run
             seg = int(np.searchsorted(state.bounds, start, side="right")) - 1
             seg_end = int(np.searchsorted(state.bounds, stop - 1, side="right")) - 1
             if seg == seg_end and not (state.j_of[start:stop] >= 0).any():
@@ -932,7 +964,7 @@ class OnDiskProfileStore:
         self.io_stats.record_read(total,
                                   self._disk.read_cost(total, sequential=True))
         ids = np.arange(self.num_users, dtype=np.int64)
-        csr = self._load_sparse(ids, _contiguous_ranges(ids))._csr
+        csr = self._load_sparse(ids)._csr
         return SparseProfileStore.from_csr(_measures.SetProfileCSR.from_sets(
             np.asarray(state.item_ids)[csr.codes], indptr=csr.indptr))
 
@@ -1003,7 +1035,7 @@ class OnDiskProfileStore:
         state = self._sparse()
         rows = sorted_unique(np.fromiter((change.user for change in changes),
                                          dtype=np.int64, count=len(changes)))
-        piece = self._load_sparse(rows, _contiguous_ranges(rows))
+        piece = self._load_sparse(rows)
         sets = {int(user): piece.get(user) for user in rows}
         for change in changes:
             if change.kind == "add":
@@ -1177,16 +1209,11 @@ class OnDiskProfileStore:
         return mismatched
 
 
-def _contiguous_ranges(sorted_ids: Sequence[int]) -> List[Tuple[int, int]]:
-    """Half-open ``(start, stop)`` ranges covering the runs of consecutive ids
-    in a sorted, duplicate-free id sequence."""
-    ids = np.asarray(sorted_ids, dtype=np.int64)
-    if not len(ids):
-        return []
-    first, last = int(ids[0]), int(ids[-1])
-    if last - first + 1 == len(ids):
-        return [(first, last + 1)]
-    breaks = np.flatnonzero(np.diff(ids) != 1)
-    starts = ids[np.concatenate([[0], breaks + 1])]
-    stops = ids[np.concatenate([breaks, [len(ids) - 1]])] + 1
-    return list(zip(starts.tolist(), stops.tolist()))
+def _single_run(sorted_ids: np.ndarray) -> Optional[Tuple[int, int]]:
+    """The half-open ``(start, stop)`` of a sorted, duplicate-free id array
+    that is one run of consecutive ids; ``None`` for any other."""
+    if len(sorted_ids):
+        first, last = int(sorted_ids[0]), int(sorted_ids[-1])
+        if last - first + 1 == len(sorted_ids):
+            return first, last + 1
+    return None

@@ -41,7 +41,7 @@ from repro.similarity.profiles import DenseProfileStore
 from repro.similarity.workloads import (ProfileChange, generate_dense_profiles,
                                         generate_sparse_profiles)
 from repro.storage.profile_store import (OnDiskProfileStore, ProfileSlice,
-                                         _contiguous_ranges)
+                                         _single_run)
 from legacy_graph import legacy_random_graph
 
 NUM_USERS = 90
@@ -325,7 +325,8 @@ def test_array_and_list_loads_are_the_same_slice_and_the_same_charge(
     assert array_charge == list_charge
     # one read per contiguous run, as the per-id generator counted them
     runs = _reference_ranges(sorted(set(ids)))
-    assert _contiguous_ranges(sorted(set(ids))) == runs
+    assert _single_run(np.array(sorted(set(ids)), dtype=np.int64)) == (
+        runs[0] if len(runs) == 1 else None)
     assert list_charge[0] == len(runs)
     # the loaded rows are the requested users', ascending
     np.testing.assert_array_equal(from_array.user_ids, sorted(set(ids)))
@@ -360,8 +361,9 @@ def test_mapped_sparse_slice_is_a_plain_read_only_view(tmp_path):
 
 def test_residual_scores_by_inverse_equal_the_id_addressed_oracle(monkeypatch):
     """Spy on every residual attempt of a cold build: the decision must be
-    the 4x rule over the distinct endpoint *ids*, and an accepted residue's
-    slab slots must hold the id-addressed scores."""
+    the 4x rule over the distinct endpoint *ids*, and once the walk's
+    flushes have run, every accepted residue's slab slots must hold the
+    id-addressed scores."""
     num_users, num_partitions = 1000, 20
     profiles = generate_dense_profiles(num_users, dim=8, num_communities=5,
                                        seed=11)
@@ -369,8 +371,9 @@ def test_residual_scores_by_inverse_equal_the_id_addressed_oracle(monkeypatch):
                           heuristic="degree-low-high", measure="cosine",
                           seed=11)
     everyone = DenseProfileStore(profiles.matrix.copy())
-    decisions = []
+    decisions, accepted_slots = [], []
     original = iteration_module.OutOfCoreIteration._score_residual
+    execute = iteration_module.OutOfCoreIteration._execute_pending
 
     def spy(self, run, step, batches, measure, **scoring):
         first, second, _ = step
@@ -384,13 +387,21 @@ def test_residual_scores_by_inverse_equal_the_id_addressed_oracle(monkeypatch):
         accepted = original(self, run, step, batches, measure, **scoring)
         assert accepted == expected
         if accepted:
-            np.testing.assert_array_equal(
-                run.scores[positions], everyone.similarity_pairs(pairs, measure))
+            accepted_slots.append((positions, pairs, measure))
         decisions.append(accepted)
         return accepted
 
+    def checked(self, run, measure, residency):
+        accepted_slots.clear()
+        execute(self, run, measure, residency)
+        for positions, pairs, measure in accepted_slots:
+            np.testing.assert_array_equal(
+                run.scores[positions], everyone.similarity_pairs(pairs, measure))
+
     monkeypatch.setattr(iteration_module.OutOfCoreIteration,
                         "_score_residual", spy)
+    monkeypatch.setattr(iteration_module.OutOfCoreIteration,
+                        "_execute_pending", checked)
     with KNNEngine(profiles, config) as engine:
         run = engine.run(5)
     assert decisions.count(True) > 5 and decisions.count(False) > 5

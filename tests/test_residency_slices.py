@@ -83,10 +83,10 @@ class _Ledger:
         acquire, schedule = Residency.acquire, Residency.schedule
         load_users = OnDiskProfileStore.load_users
 
-        def spied_load(store, user_ids):
+        def spied_load(store, user_ids, **grouped):
             if self.loading is not None:
                 self.loading.append(np.asarray(user_ids))
-            return load_users(store, user_ids)
+            return load_users(store, user_ids, **grouped)
 
         def spied_acquire(residency, step, batches):
             if residency is not self.residency:

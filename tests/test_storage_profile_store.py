@@ -9,18 +9,18 @@ import pytest
 from repro.similarity.profiles import DenseProfileStore, SparseProfileStore
 from repro.similarity.workloads import ProfileChange
 from repro.storage.disk_model import get_disk_model
-from repro.storage.profile_store import OnDiskProfileStore, ProfileSlice, _contiguous_ranges
+from repro.storage.profile_store import OnDiskProfileStore, ProfileSlice, _single_run
 
 
-class TestContiguousRanges:
+class TestSingleRun:
     def test_single_run(self):
-        assert list(_contiguous_ranges([1, 2, 3])) == [(1, 4)]
+        assert _single_run(np.array([1, 2, 3])) == (1, 4)
 
     def test_multiple_runs(self):
-        assert list(_contiguous_ranges([0, 1, 5, 6, 9])) == [(0, 2), (5, 7), (9, 10)]
+        assert _single_run(np.array([0, 1, 5, 6, 9])) is None
 
     def test_empty(self):
-        assert list(_contiguous_ranges([])) == []
+        assert _single_run(np.array([], dtype=np.int64)) is None
 
 
 class TestDenseOnDisk:
