@@ -113,9 +113,9 @@ def score_tuples(left: ProfileSlice, left_rows: np.ndarray,
     ``left`` and ``right`` are profile slices (the same object for tuples
     inside one partition) and the rows are local to them; every measure is
     symmetric bit for bit.  This is the kernel dispatch: phase 4 looks the
-    name up at call time, once an executed step and once a residual flush
-    (however many steps it settles), so whatever replaces it — a tracer, a
-    native kernel — sees every score.
+    name up at call time, once for an executed step and once for a
+    residual flush (however many steps it settles), so whatever replaces
+    it — a tracer, a native kernel — sees every score.
     """
     return left.similarity_rows(left_rows, right, right_rows, measure)
 
@@ -858,7 +858,7 @@ class OutOfCoreIteration:
         sources = layout.by_partition[run.left_rows[at] + np.repeat(src_at, lengths)]
         destinations = layout.by_partition[run.right_rows[at]
                                            + np.repeat(dst_at, lengths)]
-        # each step's distinct endpoints ascending, the steps in queue order
+        # one group a step: its distinct endpoints, ascending
         tags = np.repeat(tags, lengths)
         tagged = sorted_unique(np.concatenate([tags + sources, tags + destinations]))
         gathered = self._profile_store.load_users(
@@ -875,13 +875,10 @@ class OutOfCoreIteration:
         partitions clean is settled when the join answered all of it, or
         when :meth:`_score_residual` queues the few tuples it missed
         (counted for all such steps at once, at the head of the walk) for
-        one flush: at the end of the walk, once the queue holds
-        :data:`_SCORED_FLUSH_ROWS` tuples, and before an executed step
-        with tuples (it may load slices), so the store charges its reads
-        in walk order and its float seconds keep their bits.  Any other
-        step acquires its pair, also with nothing left to score (the
-        step-at-a-time cost model), and scores all its PI edges in one
-        kernel call into the slab."""
+        one flush: once the queue holds :data:`_SCORED_FLUSH_ROWS` tuples,
+        and at the end of the walk.  Any other step acquires its pair, also
+        with nothing left to score (the step-at-a-time cost model), and
+        scores all its PI edges in one kernel call into the slab."""
         run.count_residue([(step, batches) for step, from_cache, batches
                            in run.ordered_steps if from_cache and batches])
         for step, from_cache, batches in run.ordered_steps:
@@ -894,8 +891,6 @@ class OutOfCoreIteration:
                 if run.queued_tuples >= _SCORED_FLUSH_ROWS:
                     self._flush_residual(run, measure)
                 continue
-            if batches:
-                self._flush_residual(run, measure)
             slices = residency.acquire(step, batches)
             if not batches:
                 continue

@@ -16,7 +16,14 @@ import numpy as np
 
 @dataclass
 class IOStats:
-    """Mutable counters for one storage component (or one whole run)."""
+    """Mutable counters for one storage component (or one whole run).
+
+    ``simulated_io_ps`` is the simulated device time in whole picoseconds:
+    each charge's seconds are rounded once, and integers add exactly, so the
+    same charges give the same total in any order or batching.  A batch of
+    reads sums an int64 array, which holds ≈ 9.2·10⁶ s a call; the total
+    itself is a Python int.
+    """
 
     partition_loads: int = 0
     partition_unloads: int = 0
@@ -24,7 +31,7 @@ class IOStats:
     write_ops: int = 0
     bytes_read: int = 0
     bytes_written: int = 0
-    simulated_io_seconds: float = 0.0
+    simulated_io_ps: int = 0
 
     @property
     def load_unload_operations(self) -> int:
@@ -35,24 +42,28 @@ class IOStats:
     def total_bytes(self) -> int:
         return self.bytes_read + self.bytes_written
 
+    @property
+    def simulated_io_seconds(self) -> float:
+        return self.simulated_io_ps / 1e12
+
     def record_read(self, num_bytes: int, simulated_seconds: float = 0.0) -> None:
         self.read_ops += 1
         self.bytes_read += int(num_bytes)
-        self.simulated_io_seconds += simulated_seconds
+        self.simulated_io_ps += round(simulated_seconds * 1e12)
 
     def record_write(self, num_bytes: int, simulated_seconds: float = 0.0) -> None:
         self.write_ops += 1
         self.bytes_written += int(num_bytes)
-        self.simulated_io_seconds += simulated_seconds
+        self.simulated_io_ps += round(simulated_seconds * 1e12)
 
     def record_reads(self, num_bytes: Sequence[int],
                      simulated_seconds: Sequence[float]) -> None:
         """Reads of ``num_bytes[i]`` costing ``simulated_seconds[i]``,
-        charged exactly as one :meth:`record_read` call each, in order."""
+        charged exactly as one :meth:`record_read` call each."""
         self.read_ops += len(num_bytes)
         self.bytes_read += int(sum(num_bytes))
-        self.simulated_io_seconds = _added_in_order(self.simulated_io_seconds,
-                                                    simulated_seconds)
+        self.simulated_io_ps += int(np.rint(np.multiply(
+            simulated_seconds, 1e12)).astype(np.int64).sum())
 
     def record_writes(self, count: int, num_bytes: int,
                       simulated_seconds: float = 0.0) -> None:
@@ -60,8 +71,7 @@ class IOStats:
         many :meth:`record_write` calls."""
         self.write_ops += count
         self.bytes_written += count * int(num_bytes)
-        self.simulated_io_seconds = _added_in_order(
-            self.simulated_io_seconds, np.full(count, simulated_seconds))
+        self.simulated_io_ps += count * round(simulated_seconds * 1e12)
 
     def record_partition_load(self) -> None:
         self.partition_loads += 1
@@ -77,7 +87,7 @@ class IOStats:
         self.write_ops += other.write_ops
         self.bytes_read += other.bytes_read
         self.bytes_written += other.bytes_written
-        self.simulated_io_seconds += other.simulated_io_seconds
+        self.simulated_io_ps += other.simulated_io_ps
 
     def reset(self) -> None:
         self.partition_loads = 0
@@ -86,7 +96,7 @@ class IOStats:
         self.write_ops = 0
         self.bytes_read = 0
         self.bytes_written = 0
-        self.simulated_io_seconds = 0.0
+        self.simulated_io_ps = 0
 
     def as_dict(self) -> Dict[str, float]:
         return {
@@ -104,11 +114,3 @@ class IOStats:
         lines = [f"{key:>24}: {value}" for key, value in self.as_dict().items()]
         return "\n".join(lines)
 
-
-def _added_in_order(total: float, seconds: Sequence[float]) -> float:
-    """``total`` plus each of ``seconds`` in turn, as a loop of ``+=`` adds
-    them: one sequential accumulate pass, not a sum, whose pairwise rounding
-    differs — the float total keeps the loop's bits."""
-    if len(seconds) < 2:
-        return total + sum(seconds)
-    return float(np.add.accumulate(np.concatenate(([total], seconds)))[-1])

@@ -806,8 +806,8 @@ class OnDiskProfileStore:
         deduplicated first.  With ``group_starts``, ``user_ids`` is several
         such arrays, none empty, laid end to end, group ``g`` starting at
         offset ``group_starts[g]``: each group is charged exactly as its own
-        call would be, in order, and the slice holds their union — phase
-        4's residual flush reads many steps' profiles in one gather.
+        call would be, and the slice holds their union — phase 4's residual
+        flush reads many steps' profiles in one gather.
 
         Because a zero-copy slice reads the live files, it is **not a
         snapshot**: a later :meth:`apply_changes` shows through dense
@@ -855,8 +855,8 @@ class OnDiskProfileStore:
                       group_starts: Optional[np.ndarray] = None) -> None:
         """One mapped read per contiguous run of each group of ``ids`` (all
         of them without ``group_starts``), random unless its group is one
-        run, recorded in order; a read's cost is computed once for the
-        store's life, and one range of one group scans nothing."""
+        run; a read's cost is computed once for the store's life, and one
+        range of one group scans nothing."""
         if not len(ids):
             return
         dense = self._meta["kind"] == "dense"

@@ -7,14 +7,14 @@ steps' endpoints, one ``score_tuples`` call, one scatter into the slab.
 These tests pin:
 
 * the grouped load's charge — each group's own contiguous runs, random
-  unless there is one, recorded in order — equals the per-step
-  ``load_users`` calls it replaces bit for bit, on dense, segmented-sparse
-  and journaled-sparse stores, for one-run and many-run groups, and its
-  slice is the plain load of the groups' union;
+  unless there is one — equals the per-step ``load_users`` calls it
+  replaces to the picosecond, on dense, segmented-sparse and
+  journaled-sparse stores, for one-run and many-run groups, and its slice
+  is the plain load of the groups' union;
 * the flush threshold ``_SCORED_FLUSH_ROWS`` at 1 (a flush a step), at a
   mid value and at its default gives the same slab bits, evaluations,
-  ``steps_skipped``, ``IOStats``, fingerprints and sequence of read
-  charges, on a cold build whose gathered steps interleave with executed
+  ``steps_skipped``, ``IOStats``, fingerprints and read charges, in any
+  order, on a cold build whose gathered steps interleave with executed
   ones and on churned dense and sparse runs whose gathers queue up;
 * one flush makes one ``score_tuples`` call, and a gathered step acquires
   no partition.
@@ -70,16 +70,16 @@ def store(request, tmp_path_factory):
 
 
 def _charged(store, loads):
-    """The store's ``(read_ops, bytes_read, simulated seconds)`` after
-    ``loads`` ran from a start whose seconds are not round; the last load's
-    slice."""
+    """The store's ``(read_ops, bytes_read, simulated picoseconds)`` after
+    ``loads`` ran from a start whose picoseconds are not round; the last
+    load's slice."""
     store.io_stats.reset()
-    store.io_stats.simulated_io_seconds = 0.1234567
+    store.io_stats.simulated_io_ps = 123_456_789_012
     piece = None
     for load in loads:
         piece = load()
     stats = store.io_stats
-    return (stats.read_ops, stats.bytes_read, stats.simulated_io_seconds), piece
+    return (stats.read_ops, stats.bytes_read, stats.simulated_io_ps), piece
 
 
 @pytest.mark.parametrize("shape", sorted(GROUPS))
@@ -166,8 +166,8 @@ RUNS = {"cold-dense": lambda: _cold_run("dense"),
 def _observed(name, rows):
     """What a run computes and charges: per iteration the fingerprint,
     evaluations, steps skipped, I/O and committed slab bits; every read
-    charge in the order it was recorded; the flushes' queue lengths — with
-    the flush threshold at ``rows``."""
+    charge, sorted; the flushes' queue lengths — with the flush threshold
+    at ``rows``."""
     reads, slabs, flushes = [], [], []
     record_reads = IOStats.record_reads
     merge = iteration_module.Phase4ScoreCache.merge
@@ -195,7 +195,7 @@ def _observed(name, rows):
         results = RUNS[name]()
     iterations = [(r.graph.edge_fingerprint(), r.similarity_evaluations,
                    r.steps_skipped, r.io_stats.as_dict()) for r in results]
-    return iterations, slabs, reads, flushes
+    return iterations, slabs, sorted(reads), flushes
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))

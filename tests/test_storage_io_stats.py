@@ -1,6 +1,9 @@
 """Tests for repro.storage.io_stats."""
 
-import numpy as np
+import random
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.storage.io_stats import IOStats
 
@@ -51,41 +54,74 @@ class TestIOStats:
         assert "bytes_read" in stats.format_table()
 
 
-class TestBatchedRecords:
-    """``record_reads`` / ``record_writes`` charge what a loop of single
-    records charges, bit for bit: their seconds are added one at a time,
-    never by a pairwise sum."""
+#: Realistic charges: a read or a write, repeated, of some bytes, each
+#: costing up to a minute and a half of simulated seconds.
+CHARGES = st.lists(st.tuples(st.booleans(), st.integers(1, 4),
+                             st.integers(0, 1 << 30),
+                             st.floats(0.0, 100.0, allow_nan=False)),
+                   max_size=40)
 
-    def test_reads_add_in_order_where_a_pairwise_sum_differs(self):
-        seconds = [1e16, 1.0, -1e16, 1.0]
-        assert (seconds[0] + seconds[1]) + (seconds[2] + seconds[3]) == 0.0
-        looped, batched = IOStats(), IOStats()
-        for num_bytes, cost in zip([4096, 8, 100, 7], seconds):
-            looped.record_read(num_bytes, cost)
-        batched.record_reads([4096, 8, 100, 7], seconds)
-        assert looped.simulated_io_seconds == 1.0
-        assert batched == looped
+#: Float seconds added one by one in this order and in reverse differ in
+#: their last bit: 1.2000000000000002 against 1.2.
+ROUNDED_APART = [(False, 1, 8, 0.1), (False, 1, 8, 0.2), (True, 3, 8, 0.3)]
 
-    def test_writes_add_in_order_where_a_pairwise_sum_differs(self):
-        looped, batched = IOStats(), IOStats()
-        looped.simulated_io_seconds = batched.simulated_io_seconds = 1e16
-        for _ in range(4):
-            looped.record_write(16, 1.0)
-        batched.record_writes(4, 16, 1.0)
-        assert 1e16 + ((1.0 + 1.0) + (1.0 + 1.0)) != 1e16
-        assert looped.simulated_io_seconds == 1e16
-        assert batched == looped
 
-    def test_many_records_equal_the_loop(self):
-        rng = np.random.default_rng(7)
-        seconds = rng.normal(size=1000) * 10.0 ** rng.integers(-8, 8, size=1000)
-        sizes = rng.integers(0, 1 << 20, size=1000)
-        looped, batched = IOStats(), IOStats()
-        for num_bytes, cost in zip(sizes.tolist(), seconds.tolist()):
-            looped.record_read(num_bytes, cost)
-        batched.record_reads(sizes, seconds)
-        assert float(np.sum(seconds)) != looped.simulated_io_seconds
-        assert batched == looped
-        batched.record_reads([], [])
-        batched.record_writes(0, 16, 1.0)
-        assert batched == looped
+def _charged(charges, batched=False, stats=None):
+    """``stats`` (a new one by default) after ``charges``, one record call
+    a read or write, or one ``record_reads`` / ``record_writes`` call a
+    charge."""
+    stats = IOStats() if stats is None else stats
+    for write, count, num_bytes, seconds in charges:
+        if batched and write:
+            stats.record_writes(count, num_bytes, seconds)
+        elif batched:
+            stats.record_reads([num_bytes] * count, [seconds] * count)
+        else:
+            for _ in range(count):
+                (stats.record_write if write else stats.record_read)(
+                    num_bytes, seconds)
+    return stats
+
+
+class TestOrderFree:
+    """Simulated seconds are kept as whole picoseconds, one rounding a
+    charge: the same charges give the same ``IOStats`` in any order, one at
+    a time, batched or merged from several."""
+
+    @given(CHARGES, st.randoms(use_true_random=False))
+    @example(ROUNDED_APART, random.Random(0))
+    @settings(max_examples=200, deadline=None)
+    def test_any_order_of_the_charges_is_one_total(self, charges, rng):
+        shuffled = list(charges)
+        rng.shuffle(shuffled)
+        for order in (shuffled, charges[::-1]):
+            assert _charged(order) == _charged(charges)
+
+    @given(CHARGES, st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_any_split_of_the_charges_is_one_total(self, charges, data):
+        """Each piece of the charges goes through single or batched records
+        into the total, or into its own ``IOStats`` merged into it."""
+        cuts = data.draw(st.lists(st.integers(0, len(charges))))
+        bounds = sorted({0, len(charges), *cuts})
+        split = IOStats()
+        for lo, hi in zip(bounds, bounds[1:]):
+            piece, batched = charges[lo:hi], data.draw(st.booleans())
+            if data.draw(st.booleans()):
+                split.merge(_charged(piece, batched))
+            else:
+                _charged(piece, batched, stats=split)
+        assert split == _charged(charges)
+
+    @given(CHARGES)
+    @example(ROUNDED_APART)
+    @example([(False, 2, 4096, 9.2e6 / 2)])     # an int64 batch's range
+    @settings(max_examples=200, deadline=None)
+    def test_the_total_is_the_sum_of_the_rounded_charges(self, charges):
+        expected = sum(count * round(seconds * 1e12)
+                       for _, count, _, seconds in charges)
+        for batched in (False, True):
+            stats = _charged(charges, batched)
+            assert type(stats.simulated_io_ps) is int
+            assert stats.simulated_io_ps == expected
+            assert stats.simulated_io_seconds == expected / 1e12

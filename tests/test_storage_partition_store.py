@@ -32,13 +32,13 @@ class TestIOAccounting:
             self, medium_graph, layout, file_bytes, disk):
         store = PartitionStore(disk_model=disk)
         store.replace_all(medium_graph, layout)
-        expected_seconds = 0.0
+        expected_ps = 0
         for num_bytes in file_bytes:
-            expected_seconds += get_disk_model(disk).write_cost(
-                num_bytes, sequential=True)
+            expected_ps += round(get_disk_model(disk).write_cost(
+                num_bytes, sequential=True) * 1e12)
         assert store.io_stats.write_ops == NUM_PARTITIONS
         assert store.io_stats.bytes_written == sum(file_bytes)
-        assert store.io_stats.simulated_io_seconds == expected_seconds > 0
+        assert store.io_stats.simulated_io_ps == expected_ps > 0
         assert store.io_stats.read_ops == 0
 
     @pytest.mark.parametrize("disk", ["hdd", "ssd"])
@@ -47,15 +47,15 @@ class TestIOAccounting:
         store = PartitionStore(disk_model=disk)
         store.replace_all(medium_graph, layout)
         store.io_stats.reset()
-        expected_seconds = 0.0
+        expected_ps = 0
         for _ in range(3):
             for pid, num_bytes in enumerate(file_bytes):
                 store.read_partition(pid)
-                expected_seconds += get_disk_model(disk).read_cost(
-                    num_bytes, sequential=True)
+                expected_ps += round(get_disk_model(disk).read_cost(
+                    num_bytes, sequential=True) * 1e12)
         assert store.io_stats.read_ops == 3 * NUM_PARTITIONS
         assert store.io_stats.bytes_read == 3 * sum(file_bytes)
-        assert store.io_stats.simulated_io_seconds == expected_seconds > 0
+        assert store.io_stats.simulated_io_ps == expected_ps > 0
         assert store.io_stats.write_ops == 0
 
     def test_instant_disk_has_zero_simulated_time(self, medium_graph, layout):
