@@ -113,4 +113,3 @@ class IOStats:
     def format_table(self) -> str:
         lines = [f"{key:>24}: {value}" for key, value in self.as_dict().items()]
         return "\n".join(lines)
-
