@@ -1,15 +1,36 @@
-"""Directed-graph substrate: in-memory graphs, the KNN graph and generators."""
+"""Directed-graph substrate: in-memory graphs, the KNN graph, file I/O and generators."""
 
 from repro.graph.digraph import CSRDiGraph, DiGraph
+from repro.graph.edge_list import (
+    read_edge_list,
+    read_edge_list_binary,
+    write_edge_list,
+    write_edge_list_binary,
+)
 from repro.graph.knn_graph import KNNGraph
-from repro.graph.generators import erdos_renyi_graph, random_knn_graph
+from repro.graph.generators import (
+    barabasi_albert_graph,
+    configuration_model_graph,
+    erdos_renyi_graph,
+    powerlaw_cluster_graph,
+    random_knn_graph,
+    watts_strogatz_graph,
+)
 from repro.graph.datasets import DATASETS, DatasetSpec, load_dataset
 
 __all__ = [
     "DiGraph",
     "CSRDiGraph",
     "KNNGraph",
+    "read_edge_list",
+    "write_edge_list",
+    "read_edge_list_binary",
+    "write_edge_list_binary",
     "erdos_renyi_graph",
+    "barabasi_albert_graph",
+    "watts_strogatz_graph",
+    "configuration_model_graph",
+    "powerlaw_cluster_graph",
     "random_knn_graph",
     "DATASETS",
     "DatasetSpec",

@@ -1,20 +1,21 @@
 """Synthetic directed-graph generators.
 
 These generators provide the workloads for the reproduction: random initial
-KNN graphs, uniform random graphs, and a fixed-size power-law generator used
-to build synthetic stand-ins for the SNAP datasets of the paper's Table 1
-(see ``repro.graph.datasets``).
+KNN graphs, classic random-graph families used for controlled scaling
+experiments, and a fixed-size power-law generator used to build synthetic
+stand-ins for the SNAP datasets of the paper's Table 1 (see
+``repro.graph.datasets``).
 
 All generators are deterministic for a given seed.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.graph.digraph import CSRDiGraph
+from repro.graph.digraph import CSRDiGraph, DiGraph
 from repro.utils.rng import SeedLike, make_rng
 from repro.utils.validation import check_fraction, check_non_negative, check_positive_int
 
@@ -45,6 +46,157 @@ def erdos_renyi_graph(num_vertices: int, edge_probability: Optional[float] = Non
         target = int(num_edges)
     edges = _sample_unique_edges(num_vertices, target, rng)
     return CSRDiGraph.from_edges(num_vertices, edges)
+
+
+def barabasi_albert_graph(num_vertices: int, edges_per_vertex: int,
+                          seed: SeedLike = None) -> CSRDiGraph:
+    """Directed Barabási–Albert preferential-attachment graph.
+
+    Each new vertex attaches ``edges_per_vertex`` out-edges to existing
+    vertices chosen with probability proportional to their current total
+    degree, yielding a power-law in-degree distribution similar to the
+    web-style graphs the paper targets.
+    """
+    check_positive_int(num_vertices, "num_vertices")
+    check_positive_int(edges_per_vertex, "edges_per_vertex")
+    if num_vertices <= edges_per_vertex:
+        raise ValueError("num_vertices must exceed edges_per_vertex")
+    rng = make_rng(seed)
+    sources, destinations = [], []
+    # repeated-targets list implements preferential attachment in O(E)
+    repeated: list = list(range(edges_per_vertex))
+    for new_vertex in range(edges_per_vertex, num_vertices):
+        if new_vertex == edges_per_vertex:
+            targets = list(range(edges_per_vertex))
+        else:
+            targets = set()
+            while len(targets) < edges_per_vertex:
+                targets.add(repeated[rng.integers(0, len(repeated))])
+            targets = sorted(targets)
+        for t in targets:
+            sources.append(new_vertex)
+            destinations.append(t)
+            repeated.append(t)
+            repeated.append(new_vertex)
+    edges = np.column_stack([np.asarray(sources, dtype=np.int64),
+                             np.asarray(destinations, dtype=np.int64)])
+    return CSRDiGraph.from_edges(num_vertices, edges)
+
+
+def watts_strogatz_graph(num_vertices: int, nearest_neighbors: int,
+                         rewire_probability: float,
+                         seed: SeedLike = None) -> CSRDiGraph:
+    """Directed Watts–Strogatz small-world graph.
+
+    Each vertex points to its ``nearest_neighbors`` clockwise ring
+    neighbours; each edge is rewired to a uniform random destination with
+    probability ``rewire_probability``.
+    """
+    check_positive_int(num_vertices, "num_vertices")
+    check_positive_int(nearest_neighbors, "nearest_neighbors")
+    check_fraction(rewire_probability, "rewire_probability")
+    if nearest_neighbors >= num_vertices:
+        raise ValueError("nearest_neighbors must be smaller than num_vertices")
+    rng = make_rng(seed)
+    graph = DiGraph(num_vertices)
+    for v in range(num_vertices):
+        for offset in range(1, nearest_neighbors + 1):
+            dst = (v + offset) % num_vertices
+            if rng.random() < rewire_probability:
+                dst = int(rng.integers(0, num_vertices))
+                attempts = 0
+                while (dst == v or graph.has_edge(v, dst)) and attempts < 32:
+                    dst = int(rng.integers(0, num_vertices))
+                    attempts += 1
+                if dst == v or graph.has_edge(v, dst):
+                    dst = (v + offset) % num_vertices
+            if dst != v:
+                graph.add_edge(v, dst)
+    return graph.to_csr()
+
+
+def configuration_model_graph(out_degrees: Sequence[int],
+                              in_degrees: Optional[Sequence[int]] = None,
+                              seed: SeedLike = None) -> CSRDiGraph:
+    """Directed configuration-model graph with (approximately) given degrees.
+
+    Out-stubs and in-stubs are matched uniformly at random; self loops and
+    multi-edges produced by the matching are dropped, so realised degrees can
+    be slightly below the requested ones (the standard simple-graph
+    projection of the configuration model).
+    """
+    out_deg = np.asarray(out_degrees, dtype=np.int64)
+    if in_degrees is None:
+        in_deg = out_deg.copy()
+    else:
+        in_deg = np.asarray(in_degrees, dtype=np.int64)
+    if len(out_deg) != len(in_deg):
+        raise ValueError("out_degrees and in_degrees must have the same length")
+    if (out_deg < 0).any() or (in_deg < 0).any():
+        raise ValueError("degrees must be non-negative")
+    total_out, total_in = int(out_deg.sum()), int(in_deg.sum())
+    if total_out != total_in:
+        # trim the heavier side so the stub counts match
+        diff = abs(total_out - total_in)
+        heavier = out_deg if total_out > total_in else in_deg
+        order = np.argsort(heavier)[::-1]
+        i = 0
+        while diff > 0:
+            v = order[i % len(order)]
+            if heavier[v] > 0:
+                heavier[v] -= 1
+                diff -= 1
+            i += 1
+    rng = make_rng(seed)
+    num_vertices = len(out_deg)
+    out_stubs = np.repeat(np.arange(num_vertices, dtype=np.int64), out_deg)
+    in_stubs = np.repeat(np.arange(num_vertices, dtype=np.int64), in_deg)
+    rng.shuffle(in_stubs)
+    edges = np.column_stack([out_stubs, in_stubs])
+    edges = edges[edges[:, 0] != edges[:, 1]]
+    return CSRDiGraph.from_edges(num_vertices, edges)
+
+
+def powerlaw_cluster_graph(num_vertices: int, edges_per_vertex: int,
+                           triangle_probability: float,
+                           seed: SeedLike = None) -> CSRDiGraph:
+    """Holme–Kim-style power-law graph with tunable clustering (directed).
+
+    Like :func:`barabasi_albert_graph`, but after each preferential
+    attachment step a triad-formation step adds an edge to a random neighbour
+    of the previous target with probability ``triangle_probability``,
+    producing the local clustering typical of collaboration networks
+    (the Gen.Rel. / AstroPhysics datasets in the paper).
+    """
+    check_positive_int(num_vertices, "num_vertices")
+    check_positive_int(edges_per_vertex, "edges_per_vertex")
+    check_fraction(triangle_probability, "triangle_probability")
+    if num_vertices <= edges_per_vertex:
+        raise ValueError("num_vertices must exceed edges_per_vertex")
+    rng = make_rng(seed)
+    graph = DiGraph(num_vertices)
+    repeated: list = list(range(edges_per_vertex))
+    for new_vertex in range(edges_per_vertex, num_vertices):
+        added = 0
+        previous_target: Optional[int] = None
+        guard = 0
+        while added < edges_per_vertex and guard < 50 * edges_per_vertex:
+            guard += 1
+            target: Optional[int] = None
+            if (previous_target is not None and rng.random() < triangle_probability):
+                neighbors = list(graph.out_neighbors(previous_target))
+                if neighbors:
+                    target = neighbors[int(rng.integers(0, len(neighbors)))]
+            if target is None:
+                target = repeated[int(rng.integers(0, len(repeated)))]
+            if target == new_vertex or graph.has_edge(new_vertex, target):
+                continue
+            graph.add_edge(new_vertex, target)
+            repeated.append(target)
+            repeated.append(new_vertex)
+            previous_target = target
+            added += 1
+    return graph.to_csr()
 
 
 def random_knn_graph(num_vertices: int, k: int, seed: SeedLike = None) -> CSRDiGraph:

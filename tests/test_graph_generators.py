@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 from repro.graph.generators import (
+    barabasi_albert_graph,
+    configuration_model_graph,
     erdos_renyi_graph,
+    powerlaw_cluster_graph,
     powerlaw_fixed_size_graph,
     random_knn_graph,
+    watts_strogatz_graph,
 )
 
 
@@ -42,6 +46,73 @@ class TestErdosRenyi:
     def test_too_many_edges_rejected(self):
         with pytest.raises(ValueError):
             erdos_renyi_graph(3, num_edges=100)
+
+
+class TestBarabasiAlbert:
+    def test_shape(self):
+        graph = barabasi_albert_graph(200, 3, seed=4)
+        assert graph.num_vertices == 200
+        # every vertex after the seed adds exactly 3 out-edges
+        assert graph.num_edges == (200 - 3) * 3
+
+    def test_skewed_in_degree(self):
+        graph = barabasi_albert_graph(300, 2, seed=5)
+        in_degrees = graph.in_degree_array()
+        assert in_degrees.max() >= 5 * max(1, int(np.median(in_degrees[in_degrees > 0])))
+
+    def test_requires_enough_vertices(self):
+        with pytest.raises(ValueError):
+            barabasi_albert_graph(3, 5)
+
+    def test_no_self_loops(self):
+        assert _no_self_loops(barabasi_albert_graph(100, 2, seed=6))
+
+
+class TestWattsStrogatz:
+    def test_degree_close_to_k(self):
+        graph = watts_strogatz_graph(100, 4, 0.1, seed=7)
+        assert graph.num_vertices == 100
+        assert graph.num_edges <= 400
+        assert graph.num_edges >= 350
+
+    def test_zero_rewiring_is_ring(self):
+        graph = watts_strogatz_graph(20, 2, 0.0, seed=8)
+        assert graph.has_edge(0, 1)
+        assert graph.has_edge(0, 2)
+        assert graph.num_edges == 40
+
+    def test_invalid_k(self):
+        with pytest.raises(ValueError):
+            watts_strogatz_graph(5, 5, 0.1)
+
+
+class TestConfigurationModel:
+    def test_approximates_degrees(self):
+        out_deg = [3] * 50
+        graph = configuration_model_graph(out_deg, seed=9)
+        assert graph.num_vertices == 50
+        assert graph.num_edges <= 150
+        assert graph.num_edges >= 100
+
+    def test_mismatched_totals_trimmed(self):
+        graph = configuration_model_graph([5, 0, 0], [1, 1, 1], seed=10)
+        assert graph.num_vertices == 3
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            configuration_model_graph([1, 2], [1])
+
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ValueError):
+            configuration_model_graph([-1, 1])
+
+
+class TestPowerlawCluster:
+    def test_shape(self):
+        graph = powerlaw_cluster_graph(150, 3, 0.5, seed=11)
+        assert graph.num_vertices == 150
+        assert graph.num_edges > 0
+        assert _no_self_loops(graph)
 
 
 class TestRandomKnnGraph:
