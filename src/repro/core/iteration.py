@@ -16,9 +16,9 @@ What survives across iterations is the **carried state**
 score slab over ``H`` and the ``G(t+1)`` made of them.  Phase 2 advances
 ``H`` by the edge delta and the slab follows its keys; a tuple with two
 endpoints untouched since the slab's generation reuses its score
-bit-for-bit, a step whose two partitions are clean may skip its residency,
-and only the rows whose top-K a fresh score or a deleted key can move are
-merged into the next ``G(t+1)``: kernel and merge work scale with the churn.
+bit-for-bit, a step whose misses are few skips its residency, and only
+the rows whose top-K a fresh score or a deleted key can move are merged
+into the next ``G(t+1)``: kernel and merge work scale with the churn.
 ``H`` is rebuilt, or the scores dropped, whenever the data cannot vouch for
 them (the class says when); either loss keeps the other half.
 
@@ -40,8 +40,9 @@ edge, and proved in range there, once; so a step costs a slice of those
 arrays, a gather from each resident slice and one kernel call.
 
 Phase 4 itself is one loop, the paper's, on the calling thread: every step
-the cache could not answer, in plan order, acquires its partition pair and
-scores all of its PI edges through one :func:`score_tuples` call on the
+of the plan, in plan order, meets one classification by its cache misses
+(:func:`classify_step`), and a step it executes acquires its partition pair
+and scores all of its PI edges through one :func:`score_tuples` call on the
 pair's slices into the slab.  The residency model (:class:`_StepResidency`)
 holds those slices — it loads each once per partition residency through the
 engine's own store, which is also the charge — and charges the partition
@@ -50,6 +51,7 @@ loads.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -64,7 +66,8 @@ from repro.partition.model import (PartitionLayout, build_partitions,
                                    partition_layout)
 from repro.partition.partitioners import get_partitioner
 from repro.pigraph.pi_graph import PIEdge, PIGraph
-# simulate_schedule is unused here: the e2e tracer's pigraph.plan row wraps it
+# simulate_schedule and plan_dirty_schedule are unused here: the e2e tracer's
+# pigraph.plan and pigraph.dirty_plan rows wrap them
 from repro.pigraph.scheduler import (ScheduleResult, plan_dirty_schedule,
                                      simulate_schedule)
 from repro.pigraph.traversal import ResidencyStep, get_heuristic
@@ -118,6 +121,29 @@ def score_tuples(left: ProfileSlice, left_rows: np.ndarray,
     it — a tracer, a native kernel — sees every score.
     """
     return left.similarity_rows(left_rows, right, right_rows, measure)
+
+
+#: What phase 4 does with a residency step: answered in full by the score
+#: cache, its misses scored off the residual gather, or its pair acquired.
+SKIP, GATHER, EXECUTE = "skip", "gather", "execute"
+
+
+def classify_step(tuples: int, distinct: int, span: int) -> str:
+    """The one classification of a residency step whose cache misses are
+    known, from its :attr:`_Phase4Run.residue`: the ``tuples`` the join
+    missed, their ``distinct`` endpoints and the ``span`` of rows its pair
+    holds.  No misses: skip.  A small residue — at most an eighth of the
+    span in tuples, or at most a quarter in distinct endpoints (the 4x
+    rule): gather.  Anything else genuinely needs its partitions: execute.
+    A pure function of the data, so every schedule and resume makes one
+    choice; phase 4 looks it up at call time, and the full schedule (what a
+    reference run compares against) is this name answering :data:`EXECUTE`
+    to every step."""
+    if not tuples:
+        return SKIP
+    if 8 * tuples > span and 4 * distinct > span:
+        return EXECUTE
+    return GATHER
 
 
 #: Names of the five phases, used consistently in timers, logs and benches.
@@ -345,11 +371,10 @@ class IterationResult:
     #: ``True`` when phase 2 built ``H`` from the partitions; ``False`` when it
     #: advanced last iteration's ``H`` by the edge delta ``G(t-1) → G(t)``.
     candidates_rebuilt: bool = True
-    #: Residency steps that never acquired their partition pair under dirty
-    #: scheduling: both partitions clean, and scores from the score cache
-    #: plus at most a small row-level residual gather of the join's misses.
-    #: Always 0 when the delta history could not vouch for the churn (full
-    #: schedule).
+    #: Residency steps that never acquired their partition pair: the score
+    #: cache answered all their tuples, or the join's few misses were scored
+    #: off the residual gather (:func:`classify_step`).  Always 0 when the
+    #: delta history could not vouch for the churn (full rescore).
     steps_skipped: int = 0
     #: Residency steps in the full traversal plan this iteration.
     steps_total: int = 0
@@ -422,10 +447,9 @@ class _Phase4Run:
     keys: np.ndarray
     scores: np.ndarray
     full_rescore: bool
-    #: ``(step, from_cache, batches)``: the steps with a dirty partition first,
-    #: then those with both partitions clean (``from_cache``), each class in
-    #: plan order; ``batches`` are the step's tuples the cache join missed.
-    ordered_steps: List[Tuple[ResidencyStep, bool, List[_EdgeBatch]]]
+    #: ``(step, batches)`` in plan order: ``batches`` are the step's tuples
+    #: the cache join missed — all of them in a full rescore
+    steps: List[Tuple[ResidencyStep, List[_EdgeBatch]]]
     layout: PartitionLayout
     positions: np.ndarray
     left_rows: np.ndarray
@@ -440,44 +464,67 @@ class _Phase4Run:
     rows: Optional[np.ndarray] = None
     evaluations: int = 0
     steps_skipped: int = 0
-    #: ``[tuples, distinct endpoints, pair rows]`` per cached step with tuples
+    #: ``[tuples, distinct endpoints, pair rows]`` per step, when the join's
+    #: misses are known (:meth:`count_residue`)
     residue: Dict[Tuple[int, int], List[int]] = field(default_factory=dict)
     #: the batches of each settled step not scored yet, and their tuples:
     #: the next residual flush scores them
     queued: List[List[_EdgeBatch]] = field(default_factory=list)
     queued_tuples: int = 0
 
-    def count_residue(self, cached: Sequence[Tuple[ResidencyStep,
-                                                   List[_EdgeBatch]]]) -> None:
-        """Fill :attr:`residue`: a step's distinct endpoints are its distinct
-        partition-local rows, marked on one boolean array over the steps'
-        pair spans laid end to end and counted by one segmented sum — only
-        for steps with over an eighth of their span in tuples (the rule reads
-        no other count), at most :data:`_SCORED_FLUSH_ROWS` tuples at once."""
-        size, crowded = np.diff(self.layout.bounds).tolist(), []
-        for (first, second, _), batches in cached:
+    def count_residue(self) -> None:
+        """Fill :attr:`residue` for every step.  A step's distinct endpoints
+        are its distinct partition-local rows, marked on one boolean array
+        over the steps' pair spans laid end to end — only for steps with
+        over an eighth of their span in tuples (the 4x rule reads no other
+        count), and only until a prefix of the step's tuples has over a
+        quarter of its span in distinct endpoints: more tuples only add
+        endpoints, so the count decides as the full one would.  A step's
+        tuples are marked in windows, the first an eighth of its span and
+        each next one doubling the prefix; a pass marks at most
+        :data:`_SCORED_FLUSH_ROWS` tuples unless one window alone holds more."""
+        size, pending, end = np.diff(self.layout.bounds).tolist(), deque(), 0
+        for (first, second, _), batches in self.steps:
             tuples = sum(hi - lo for _, lo, hi in batches)
             span = size[first] + (size[second] if second != first else 0)
             self.residue[first, second] = [tuples, 0, span]
             if 8 * tuples > span:
-                crowded.append((first, second, tuples, span, batches))
-        while crowded:
-            heads, marks, end, marked = {}, [], 0, 0
-            while crowded and not (
-                    heads and marked + crowded[-1][2] > _SCORED_FLUSH_ROWS):
-                first, second, tuples, span, batches = crowded.pop()
-                heads[first, second] = end
-                marks += [(lo, hi - lo, end + size[first] * (edge.src != first),
-                           end + size[first] * (edge.dst != first))
-                          for edge, lo, hi in batches]
-                end, marked = end + span, marked + tuples
-            los, lens, left_at, right_at = np.array(marks, dtype=np.int64).T
-            runs, hit = ragged_ranges(los, lens), np.zeros(end, dtype=bool)
-            for rows, at in ((self.left_rows, left_at), (self.right_rows, right_at)):
-                hit[rows[runs] + np.repeat(at, lens)] = True
-            counts = np.add.reduceat(hit, list(heads.values()), dtype=np.int64)
-            for pair, count in zip(heads, counts.tolist()):
-                self.residue[pair][1] = count
+                # each batch's run and where its two sides' rows are marked
+                marks = [(lo, hi - lo, end + size[first] * (edge.src != first),
+                          end + size[first] * (edge.dst != first))
+                         for edge, lo, hi in batches]
+                pending.append(((first, second), end, span, tuples, marks, 0))
+                end += span
+        hit = np.zeros(end, dtype=bool)
+        while pending:
+            taken, runs, marked = [], [], 0
+            while pending:
+                pair, head, span, tuples, marks, done = pending[0]
+                stop = min(tuples, max(2 * done, span // 8 + 1))
+                if taken and marked + stop - done > _SCORED_FLUSH_ROWS:
+                    break
+                pending.popleft()
+                at = 0      # the step's tuples in the batches before this one
+                for lo, length, left_at, right_at in marks:
+                    since, until = max(done, at), min(stop, at + length)
+                    if until > since:
+                        runs.append((lo + since - at, until - since,
+                                     left_at, right_at))
+                    at += length
+                marked += stop - done
+                taken.append((pair, head, span, tuples, marks, stop))
+            los, lens, left_at, right_at = np.array(runs, dtype=np.int64).T
+            at = ragged_ranges(los, lens)
+            for rows, offset in ((self.left_rows, left_at),
+                                 (self.right_rows, right_at)):
+                hit[rows[at] + np.repeat(offset, lens)] = True
+            for entry in taken:
+                pair, head, span, tuples, _, done = entry
+                count = int(np.count_nonzero(hit[head:head + span]))
+                if 4 * count > span or done == tuples:
+                    self.residue[pair][1] = count
+                else:
+                    pending.append(entry)
 
     def step_rows(self, first: int, batches: Sequence[_EdgeBatch]
                   ) -> Tuple[np.ndarray, np.ndarray]:
@@ -502,11 +549,11 @@ class _Phase4Run:
 class _StepResidency:
     """Step-at-a-time residency — the paper's cost model.
 
-    The pending steps, walked in plan order through an LRU
+    The executed steps, walked in plan order through an LRU
     :class:`PartitionCache` of ``max_resident_partitions`` slots whose
     ``memory_budget_bytes`` is the one cap on resident partitions.  Every
-    pending step acquires its pair, also one whose tuples the cache answered
-    in full.  A resident partition's profile slice is the residency's: the
+    executed step acquires its pair, also one whose tuples the cache
+    answered in full (on the full schedule).  A resident partition's profile slice is the residency's: the
     first step with tuples to score loads it from the engine's store — the
     load is the charge, once per residency — and it leaves when the LRU walk
     evicts its partition or the walk ends, so no slice outlives phase 4.  A
@@ -562,8 +609,8 @@ class _StepResidency:
 
     def schedule(self) -> ScheduleResult:
         """Unload what is still resident; the schedule as executed, read off
-        the walk itself — a dirty plan changes which steps reach the
-        partition cache and in what order."""
+        the walk itself — the classification decides which steps reach the
+        partition cache."""
         final_resident = tuple(self._cache.resident_ids)
         self._slices.clear()
         self._cache.flush()
@@ -774,17 +821,10 @@ class OutOfCoreIteration:
             touched_mask[touched] = True
             scores, hits = cache.lookup(keys, touched_mask)
             misses = np.flatnonzero(~hits)
-        # dirty-partition planning: steps with a dirty partition run first;
-        # steps with both partitions clean are settled by the misses of the
-        # join above (no partition acquired unless the residue is large).  A
-        # delta history that cannot vouch for the churn (reload, delta-log
-        # rollover, recovery) keeps the full plan in its order.
-        executed, cached = steps, []
-        if misses is not None:
-            plan = plan_dirty_schedule(
-                steps, self._profile_store.touched_partitions_since(
-                    cache.generation, layout.assignment))
-            executed, cached = plan.executed, plan.cached
+        # the misses of the join above are all a step's classification reads
+        # (clean or dirty partitions alike); a delta history that cannot
+        # vouch for the churn (reload, delta-log rollover, recovery) leaves
+        # them unknown, and every step executes
         # the positions of H the cache did not answer, grouped by PI edge and
         # decoded once: a PI edge (p, q) has its sources in p and destinations
         # in q, so the endpoints' local rows address the two slices directly
@@ -800,14 +840,11 @@ class OutOfCoreIteration:
             if any((np.maximum.reduceat(rows.view(np.uint32), starts) >= size).any()
                    for rows, size in zip((left_rows, right_rows), sizes)):
                 raise RuntimeError("a decoded row lies outside its partition")
-        ordered_steps = [  # each step with the batches of its unresolved tuples
-            (step, from_cache, [(edge, *span) for edge in step[2]
-                                if (span := edge_spans.get((edge.src, edge.dst)))])
-            for group, from_cache in ((executed, False), (cached, True))
-            for step in group]
         return _Phase4Run(
             keys=keys, scores=scores, full_rescore=full_rescore,
-            ordered_steps=ordered_steps, layout=layout, positions=positions,
+            steps=[(step, [(edge, *span) for edge in step[2]  # unresolved
+                           if (span := edge_spans.get((edge.src, edge.dst)))])
+                   for step in steps], layout=layout, positions=positions,
             left_rows=left_rows, right_rows=right_rows, edge_spans=edge_spans,
             store_generation=self._profile_store.generation,
             reused=len(keys) - len(misses) if misses is not None else 0,
@@ -815,25 +852,22 @@ class OutOfCoreIteration:
 
     def _score_residual(self, run: _Phase4Run, step: ResidencyStep,
                         batches: Sequence[_EdgeBatch], measure: str) -> bool:
-        """Settle a clean step's misses off a row-level gather, if few.
+        """Settle a step's misses off a row-level gather, if few.
 
-        Both partitions are clean, but the cache join missed some of the
-        step's tuples: graph churn minted candidate tuples the cache has
-        never seen (neighbour lists keep moving even between clean
-        partitions), or the pair was not scored at all.  A small residue is
-        queued for the next :meth:`_flush_residual`, which scores it off a
-        gather of exactly the needed profiles — no partition acquired, the
-        step still skips (returns ``True``); a large one means the pair
-        genuinely needs its partitions, and the caller executes it.  The 4x
-        rule on the counts of :attr:`_Phase4Run.residue` is a pure function
-        of the data, so every schedule and resume makes one choice.
+        The cache join missed some of the step's tuples: a partition's rows
+        changed, graph churn minted candidate tuples the cache has never
+        seen, or the pair was not scored at all.  When
+        :func:`classify_step` finds the residue small, it is queued for the
+        next :meth:`_flush_residual`, which scores it off a gather of
+        exactly the needed profiles — no partition acquired, the step
+        skips (returns ``True``); otherwise the pair genuinely needs its
+        partitions, and the caller executes it.
         """
         first, second, _ = step
-        tuples, distinct, pair_span = run.residue[first, second]
-        if 8 * tuples > pair_span and 4 * distinct > pair_span:
+        if classify_step(*run.residue[first, second]) != GATHER:
             return False
         run.queued.append(batches)
-        run.queued_tuples += tuples
+        run.queued_tuples += run.residue[first, second][0]
         run.steps_skipped += 1
         return True
 
@@ -871,33 +905,36 @@ class OutOfCoreIteration:
 
     def _execute_pending(self, run: _Phase4Run, measure: str,
                          residency: _StepResidency) -> None:
-        """The one phase-4 loop over the ordered steps.  A step with both
-        partitions clean is settled when the join answered all of it, or
-        when :meth:`_score_residual` queues the few tuples it missed
-        (counted for all such steps at once, at the head of the walk) for
-        one flush: once the queue holds :data:`_SCORED_FLUSH_ROWS` tuples,
-        and at the end of the walk.  Any other step acquires its pair, also
-        with nothing left to score (the step-at-a-time cost model), and
-        scores all its PI edges in one kernel call into the slab."""
-        run.count_residue([(step, batches) for step, from_cache, batches
-                           in run.ordered_steps if from_cache and batches])
-        for step, from_cache, batches in run.ordered_steps:
-            if from_cache and not batches:
-                # every tuple answered from the cache: the step never
-                # touched the partition cache, a profile byte or a kernel
-                run.steps_skipped += 1
-                continue
-            if from_cache and self._score_residual(run, step, batches, measure):
+        """The one phase-4 loop over the plan's steps.  While the join's
+        misses are known, each step's residue is counted at the head of the
+        walk, and a step whose tuples the join answered in full skips
+        (:func:`classify_step`); one with a few misses is queued by
+        :meth:`_score_residual` for one flush: once the queue holds
+        :data:`_SCORED_FLUSH_ROWS` tuples, and at the end of the walk.  Any
+        other step acquires its pair, also with nothing left to score (the
+        step-at-a-time cost model), and scores all its PI edges in one
+        kernel call into the slab."""
+        known = not run.full_rescore
+        if known:
+            run.count_residue()
+        for step, batches in run.steps:
+            if batches and self._fault is not None:
+                # crash window: mid-phase-4, some steps scored or queued,
+                # nothing committed — one firing per step with tuples to score
+                self._fault.point("phase4.step")
+            if known and not batches:
+                if classify_step(*run.residue[step[0], step[1]]) == SKIP:
+                    # every tuple answered from the cache: the step never
+                    # touched the partition cache, a profile byte or a kernel
+                    run.steps_skipped += 1
+                    continue
+            elif known and self._score_residual(run, step, batches, measure):
                 if run.queued_tuples >= _SCORED_FLUSH_ROWS:
                     self._flush_residual(run, measure)
                 continue
             slices = residency.acquire(step, batches)
             if not batches:
                 continue
-            if self._fault is not None:
-                # crash window: mid-phase-4, some steps scored, nothing
-                # committed — one firing per executed step
-                self._fault.point("phase4.step")
             # rows of the first partition's slice (slice 0) against rows of
             # the second's, which is the same slice inside one partition
             left_rows, right_rows = run.step_rows(step[0], batches)

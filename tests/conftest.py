@@ -10,6 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import repro.core.iteration as iteration_module
 from repro.graph.digraph import CSRDiGraph, DiGraph
 from repro.graph.generators import powerlaw_fixed_size_graph
 from repro.graph.knn_graph import KNNGraph
@@ -47,22 +48,30 @@ def _unvouched(method, on=True, target=OnDiskProfileStore):
     return mock.patch.object(target, method, lambda *args: None)
 
 
+def _every_step_executes(on=True):
+    """A context in which phase 4 classifies every step as executed; a
+    no-op when not ``on``."""
+    if not on:
+        return contextlib.nullcontext()
+    return mock.patch.object(iteration_module, "classify_step",
+                             lambda *counts: iteration_module.EXECUTE)
+
+
 @pytest.fixture(scope="session")
 def full_schedule():
-    """``with full_schedule():`` runs engines on the full schedule, the way
-    a reload, a delta-log rollover or a recovery reaches it: the store
-    cannot vouch for its partition deltas, so no residency step is served
-    from the carried scores (tuples still reuse theirs).  ``on=False`` makes
-    it a no-op for parametrised twins; ``target=`` narrows it to one store.
-    """
-    return functools.partial(_unvouched, "touched_partitions_since")
+    """``with full_schedule():`` runs engines on the full schedule: every
+    residency step acquires its pair, none is skipped or gathered, and
+    tuples still reuse their carried scores.  ``on=False`` makes it a no-op
+    for parametrised twins."""
+    return _every_step_executes
 
 
 @pytest.fixture(scope="session")
 def full_rescore():
     """``with full_rescore():`` runs engines that rescore every tuple on the
     full schedule: the store cannot vouch for its row deltas, so nothing
-    carried is reused.  Same keywords as :func:`full_schedule`."""
+    carried is reused.  ``on=False`` makes it a no-op for parametrised
+    twins; ``target=`` narrows it to one store."""
     return functools.partial(_unvouched, "touched_rows_since")
 
 

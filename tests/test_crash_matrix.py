@@ -403,6 +403,57 @@ def test_crash_in_a_delta_iteration_recovers_onto_the_reference_path(tmp_path):
         counters(result) for result in expected[1:]]
 
 
+def test_crash_recover_finish_matches_uninterrupted_when_every_step_gathers(
+        tmp_path, shm_unchanged):
+    """A converged run whose one changed user leaves every step with misses
+    a residue small enough to gather: the iteration acquires no partition,
+    so ``phase4.step`` fires from the steps the walk queues.  Crashed at the
+    first of them, recovered and finished, the run ends on the
+    never-crashed twin's graph and profiles."""
+    warm, total = 6, 9
+    profiles = generate_dense_profiles(600, dim=DIM, num_communities=5, seed=3)
+    config = EngineConfig(k=5, num_partitions=6, seed=7, durable=True)
+    changes = [ProfileChange(user=250, kind="set", vector=np.full(DIM, 0.5))]
+
+    def finish(engine):
+        while engine.iterations_run < total:
+            engine.run_iteration(updates_first=True)
+        return (engine.graph.edge_fingerprint(), (
+            engine.profile_store.base_dir / "profiles_dense.bin").read_bytes())
+
+    with KNNEngine(profiles, config, workdir=tmp_path / "twin") as twin:
+        twin.run(warm)
+        twin.enqueue_profile_changes(changes)
+        twin._iteration_runner._fault = inert = FaultPlan()
+        gathered = twin.run_iteration(updates_first=True)
+        twin._iteration_runner._fault = None
+        expected = finish(twin)
+    assert gathered.similarity_evaluations > 0
+    assert gathered.schedule.num_steps == 0
+    assert gathered.steps_skipped == gathered.steps_total
+    assert inert.hits("phase4.step") > 0
+
+    workdir = tmp_path / "work"
+    engine = KNNEngine(profiles, config, workdir=workdir)
+    try:
+        engine.run(warm)
+        engine.enqueue_profile_changes(changes)
+        engine._iteration_runner._fault = FaultPlan().crash_at(
+            "phase4.step", occurrence=1)
+        with pytest.raises(InjectedCrash):
+            engine.run_iteration(updates_first=True)
+    finally:
+        engine.close()
+
+    recovered = KNNEngine.recover(workdir)
+    try:
+        assert recovered.iterations_run == warm
+        assert recovered.wal_replayed == len(changes)
+        assert finish(recovered) == expected
+    finally:
+        recovered.close()
+
+
 def test_random_crash_sweep_is_recoverable(tmp_path):
     """Seeded random multi-crash schedule: crash, recover, crash again."""
     plan = FaultPlan(seed=17).crash_at_random(CRASH_POINTS[:6], count=2,

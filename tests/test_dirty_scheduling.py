@@ -18,6 +18,8 @@ everything" (one unskipped pass) while parity still holds.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -27,7 +29,8 @@ import repro.core.iteration as iteration_module
 from repro.core.config import EngineConfig
 from repro.core.engine import KNNEngine, _scan_commit_epochs
 from repro.pigraph.traversal import HEURISTICS
-from repro.similarity.workloads import ProfileChange, generate_dense_profiles
+from repro.similarity.workloads import (ProfileChange, generate_dense_profiles,
+                                        generate_sparse_profiles)
 from repro.testing import FaultPlan, InjectedCrash
 
 NUM_USERS = 120
@@ -253,6 +256,88 @@ class TestDirtyParityWall:
                  for r in runs[True]]
                 == [(r.graph.edge_fingerprint(), r.similarity_evaluations)
                     for r in runs[False]])
+
+
+def _serve_uniform(kind, context, heuristic, refreshes=4, warmup=6):
+    """A converged graph, then serving refreshes (phase 5 at the head) of
+    changes spread over every partition — the serving shape, where no
+    partition stays clean.  Returns per refresh the results and each
+    pair's classification (``{(low, high): verdict}``), and the digest of
+    the final profile files."""
+    num_users = 600
+    profiles = (generate_dense_profiles(num_users, dim=DIM,
+                                        num_communities=5, seed=3)
+                if kind == "dense" else
+                generate_sparse_profiles(num_users, 300, items_per_user=12,
+                                         num_communities=5, seed=3))
+    rng = np.random.default_rng(41)
+    verdicts = []
+    count = iteration_module._Phase4Run.count_residue
+
+    def classified(run):
+        count(run)
+        verdicts.append({(min(pair), max(pair)): iteration_module.classify_step(
+            *residue) for pair, residue in run.residue.items()})
+
+    config = _config(num_partitions=6, heuristic=heuristic)
+    with pytest.MonkeyPatch.context() as patch, context, KNNEngine(
+            profiles, config) as engine:
+        for _ in range(warmup):
+            engine.run_iteration()
+        patch.setattr(iteration_module._Phase4Run, "count_residue", classified)
+        results, changed = [], []
+        for _ in range(refreshes):
+            # one user in each sixth of the ids: the contiguous split
+            # puts each in its own partition
+            users = np.arange(0, num_users, 100) + rng.integers(0, 100, 6)
+            changed.append(users)
+            engine.enqueue_profile_changes([
+                ProfileChange(user=int(user), kind="set",
+                              vector=rng.random(DIM)) if kind == "dense" else
+                ProfileChange(user=int(user), kind="add",
+                              item=int(rng.integers(0, 300)))
+                for user in users])
+            results.append(engine.run_iteration(updates_first=True))
+        digest = hashlib.sha256()
+        for path in sorted(engine.profile_store.base_dir.glob("*.bin")):
+            digest.update(path.read_bytes())
+    dirtied = [set(result.assignment[users].tolist())
+               for result, users in zip(results, changed)]
+    return results, verdicts, digest.hexdigest(), dirtied
+
+
+class TestUniformChurnGathers:
+    """Uniform churn dirties every partition, yet a step's misses are only
+    the changed users' tuples: the classification reads those misses alone,
+    so dirty steps with a small residue gather instead of executing."""
+
+    @pytest.mark.parametrize("kind", ["dense", "sparse"])
+    def test_dirty_steps_gather_and_agree_with_the_full_schedule(
+            self, full_schedule, kind):
+        seen = None
+        for heuristic in sorted(HEURISTICS):
+            walked, verdicts, digest, dirtied = _serve_uniform(
+                kind, full_schedule(False), heuristic)
+            full, _, full_digest, _ = _serve_uniform(kind, full_schedule(),
+                                                     heuristic)
+            # every refresh's churn reached every partition
+            assert all(len(parts) == 6 for parts in dirtied)
+            assert ([r.graph.edge_fingerprint() for r in walked]
+                    == [r.graph.edge_fingerprint() for r in full])
+            assert ([(r.similarity_evaluations, r.reused_scores) for r in walked]
+                    == [(r.similarity_evaluations, r.reused_scores)
+                        for r in full])
+            assert digest == full_digest
+            for result, twin, verdict in zip(walked, full, verdicts):
+                assert result.steps_skipped > 0 and twin.steps_skipped == 0
+                assert "gather" in verdict.values()
+                assert (result.load_unload_operations
+                        < twin.load_unload_operations)
+                assert (result.schedule.num_steps
+                        == result.steps_total - result.steps_skipped)
+            # a pure function of the data: the walk's order moves no verdict
+            assert seen is None or verdicts == seen
+            seen = verdicts
 
 
 class TestRunEverythingEdges:

@@ -17,19 +17,27 @@ These tests pin:
   order, on a cold build whose gathered steps interleave with executed
   ones and on churned dense and sparse runs whose gathers queue up;
 * one flush makes one ``score_tuples`` call, and a gathered step acquires
-  no partition.
+  no partition;
+* the distinct-endpoint count that stops once a prefix of a step's tuples
+  passes a quarter of its span decides every step as the full count does.
 """
 
 from __future__ import annotations
 
 import hashlib
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import repro.core.iteration as iteration_module
 from repro.core.config import EngineConfig
 from repro.core.engine import KNNEngine
+from repro.partition.model import partition_layout
+from repro.pigraph.pi_graph import PIEdge
 from repro.similarity.workloads import (ProfileChange, generate_dense_profiles,
                                         generate_sparse_profiles)
 from repro.storage.io_stats import IOStats
@@ -256,3 +264,58 @@ def test_one_flush_is_one_kernel_call_and_acquires_nothing(monkeypatch, kind):
     assert max(queued) > 1 and sum(queued) == len(gathered)
     # the lists hold every step, so no two of them share an id
     assert not {id(step) for step in gathered} & {id(step) for step in acquired}
+
+
+# -- the bounded residue count -------------------------------------------------------
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_the_bounded_residue_count_decides_as_the_full_count(data):
+    """Every step of random partitions, each PI edge's tuples drawn from a
+    pool of rows narrow (repeated endpoints) or wide: the count stops early
+    only past a quarter of the span, is exact below it, and
+    ``classify_step`` decides on it as on the full distinct count — with
+    the pass bound at 1 tuple, a few, or its default."""
+    sizes = data.draw(st.lists(st.integers(1, 40), min_size=1, max_size=4))
+    layout = partition_layout(np.repeat(np.arange(len(sizes)), sizes),
+                              len(sizes))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    left, right, steps, expected = [], [], [], {}
+    for first in range(len(sizes)):
+        for second in range(first, len(sizes)):
+            edges, batches, ends = [], [], set()
+            for src, dst in dict.fromkeys([(first, second), (second, first)]):
+                length = data.draw(st.integers(0, 90))
+                edge = PIEdge(src, dst, max(length, 1))
+                edges.append(edge)
+                if not length:
+                    continue
+                rows = [rng.integers(0, data.draw(st.integers(1, sizes[side])),
+                                     length) for side in (src, dst)]
+                batches.append((edge, sum(map(len, left)),
+                                sum(map(len, left)) + length))
+                left.append(rows[0])
+                right.append(rows[1])
+                ends |= {(src, row) for row in rows[0].tolist()}
+                ends |= {(dst, row) for row in rows[1].tolist()}
+            steps.append(((first, second, edges), batches))
+            expected[first, second] = len(ends)
+    dtype = layout.local_row.dtype
+    run = iteration_module._Phase4Run(
+        keys=np.empty(0, dtype=np.int64), scores=np.empty(0),
+        full_rescore=False, steps=steps, layout=layout,
+        positions=np.empty(0, dtype=np.int64),
+        left_rows=np.concatenate(left + [[]]).astype(dtype),
+        right_rows=np.concatenate(right + [[]]).astype(dtype),
+        edge_spans={}, store_generation=0, reused=0, deleted=None)
+    rows = data.draw(st.sampled_from([1, 7, iteration_module._SCORED_FLUSH_ROWS]))
+    with mock.patch.object(iteration_module, "_SCORED_FLUSH_ROWS", rows):
+        run.count_residue()
+    classify = iteration_module.classify_step
+    for pair, distinct in expected.items():
+        tuples, counted, span = run.residue[pair]
+        assert classify(tuples, counted, span) == classify(tuples, distinct, span)
+        assert counted <= distinct
+        if 8 * tuples > span and 4 * distinct <= span:
+            assert counted == distinct
