@@ -51,7 +51,6 @@ loads.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -464,8 +463,8 @@ class _Phase4Run:
     rows: Optional[np.ndarray] = None
     evaluations: int = 0
     steps_skipped: int = 0
-    #: ``[tuples, distinct endpoints, pair rows]`` per step, when the join's
-    #: misses are known (:meth:`count_residue`)
+    #: ``[tuples, distinct endpoints, pair rows]`` per step when the join's
+    #: misses are known; past a quarter of the rows, a lower bound suffices
     residue: Dict[Tuple[int, int], List[int]] = field(default_factory=dict)
     #: the batches of each settled step not scored yet, and their tuples:
     #: the next residual flush scores them
@@ -473,58 +472,53 @@ class _Phase4Run:
     queued_tuples: int = 0
 
     def count_residue(self) -> None:
-        """Fill :attr:`residue` for every step.  A step's distinct endpoints
-        are its distinct partition-local rows, marked on one boolean array
-        over the steps' pair spans laid end to end — only for steps with
-        over an eighth of their span in tuples (the 4x rule reads no other
-        count), and only until a prefix of the step's tuples has over a
-        quarter of its span in distinct endpoints: more tuples only add
-        endpoints, so the count decides as the full one would.  A step's
-        tuples are marked in windows, the first an eighth of its span and
-        each next one doubling the prefix; a pass marks at most
-        :data:`_SCORED_FLUSH_ROWS` tuples unless one window alone holds more."""
-        size, pending, end = np.diff(self.layout.bounds).tolist(), deque(), 0
+        """Fill :attr:`residue` for every step.  The 4x rule reads a step's
+        distinct endpoints only when over an eighth of its span is tuples,
+        and then only whether they pass a quarter of its span.  A PI edge's
+        tuples lie in key order, so its source rows ascend and its distinct
+        sources are one more than the changes in their run; the two PI
+        edges of a pair leave different partitions, so their sum is a lower
+        bound, and a step whose bound passes the quarter keeps it (more
+        endpoints only add to it).  The others are counted exactly: their
+        distinct partition-local rows, marked on one boolean array over the
+        steps' pair spans laid end to end and counted by one segmented sum,
+        at most :data:`_SCORED_FLUSH_ROWS` tuples at once."""
+        size, crowded = np.diff(self.layout.bounds).tolist(), []
         for (first, second, _), batches in self.steps:
             tuples = sum(hi - lo for _, lo, hi in batches)
             span = size[first] + (size[second] if second != first else 0)
             self.residue[first, second] = [tuples, 0, span]
             if 8 * tuples > span:
-                # each batch's run and where its two sides' rows are marked
-                marks = [(lo, hi - lo, end + size[first] * (edge.src != first),
-                          end + size[first] * (edge.dst != first))
-                         for edge, lo, hi in batches]
-                pending.append(((first, second), end, span, tuples, marks, 0))
-                end += span
-        hit = np.zeros(end, dtype=bool)
-        while pending:
-            taken, runs, marked = [], [], 0
-            while pending:
-                pair, head, span, tuples, marks, done = pending[0]
-                stop = min(tuples, max(2 * done, span // 8 + 1))
-                if taken and marked + stop - done > _SCORED_FLUSH_ROWS:
-                    break
-                pending.popleft()
-                at = 0      # the step's tuples in the batches before this one
-                for lo, length, left_at, right_at in marks:
-                    since, until = max(done, at), min(stop, at + length)
-                    if until > since:
-                        runs.append((lo + since - at, until - since,
-                                     left_at, right_at))
-                    at += length
-                marked += stop - done
-                taken.append((pair, head, span, tuples, marks, stop))
-            los, lens, left_at, right_at = np.array(runs, dtype=np.int64).T
-            at = ragged_ranges(los, lens)
-            for rows, offset in ((self.left_rows, left_at),
-                                 (self.right_rows, right_at)):
-                hit[rows[at] + np.repeat(offset, lens)] = True
-            for entry in taken:
-                pair, head, span, tuples, _, done = entry
-                count = int(np.count_nonzero(hit[head:head + span]))
-                if 4 * count > span or done == tuples:
-                    self.residue[pair][1] = count
-                else:
-                    pending.append(entry)
+                crowded.append((first, second, tuples, span, batches))
+        if crowded:
+            changes = np.flatnonzero(self.left_rows[1:] != self.left_rows[:-1])
+            los, lasts = np.array([(lo, hi - 1) for *_, batches in crowded
+                                   for _, lo, hi in batches], dtype=np.int64).T
+            sources = iter((np.searchsorted(changes, lasts) + 1
+                            - np.searchsorted(changes, los)).tolist())
+            for entry in list(crowded):
+                first, second, _, span, batches = entry
+                bound = sum(next(sources) for _ in batches)
+                if 4 * bound > span:
+                    self.residue[first, second][1] = bound
+                    crowded.remove(entry)
+        while crowded:
+            heads, marks, end, marked = {}, [], 0, 0
+            while crowded and not (
+                    heads and marked + crowded[-1][2] > _SCORED_FLUSH_ROWS):
+                first, second, tuples, span, batches = crowded.pop()
+                heads[first, second] = end
+                marks += [(lo, hi - lo, end + size[first] * (edge.src != first),
+                           end + size[first] * (edge.dst != first))
+                          for edge, lo, hi in batches]
+                end, marked = end + span, marked + tuples
+            los, lens, left_at, right_at = np.array(marks, dtype=np.int64).T
+            runs, hit = ragged_ranges(los, lens), np.zeros(end, dtype=bool)
+            for rows, at in ((self.left_rows, left_at), (self.right_rows, right_at)):
+                hit[rows[runs] + np.repeat(at, lens)] = True
+            counts = np.add.reduceat(hit, list(heads.values()), dtype=np.int64)
+            for pair, count in zip(heads, counts.tolist()):
+                self.residue[pair][1] = count
 
     def step_rows(self, first: int, batches: Sequence[_EdgeBatch]
                   ) -> Tuple[np.ndarray, np.ndarray]:

@@ -18,8 +18,10 @@ These tests pin:
   ones and on churned dense and sparse runs whose gathers queue up;
 * one flush makes one ``score_tuples`` call, and a gathered step acquires
   no partition;
-* the distinct-endpoint count that stops once a prefix of a step's tuples
-  passes a quarter of its span decides every step as the full count does.
+* the distinct-endpoint count that settles for a lower bound once the
+  distinct sources pass a quarter of a step's span decides every step as
+  the full count does, and the source rows it reads ascend along every PI
+  edge's run, as that bound assumes.
 """
 
 from __future__ import annotations
@@ -273,10 +275,11 @@ def test_one_flush_is_one_kernel_call_and_acquires_nothing(monkeypatch, kind):
 @given(data=st.data())
 def test_the_bounded_residue_count_decides_as_the_full_count(data):
     """Every step of random partitions, each PI edge's tuples drawn from a
-    pool of rows narrow (repeated endpoints) or wide: the count stops early
-    only past a quarter of the span, is exact below it, and
-    ``classify_step`` decides on it as on the full distinct count — with
-    the pass bound at 1 tuple, a few, or its default."""
+    pool of rows narrow (repeated endpoints) or wide, source rows ascending
+    as in a PI edge's key-ordered run: the count is a lower bound only past
+    a quarter of the span, exact below it, and ``classify_step`` decides on
+    it as on the full distinct count — with the marking bound at 1 tuple,
+    a few, or its default."""
     sizes = data.draw(st.lists(st.integers(1, 40), min_size=1, max_size=4))
     layout = partition_layout(np.repeat(np.arange(len(sizes)), sizes),
                               len(sizes))
@@ -293,6 +296,7 @@ def test_the_bounded_residue_count_decides_as_the_full_count(data):
                     continue
                 rows = [rng.integers(0, data.draw(st.integers(1, sizes[side])),
                                      length) for side in (src, dst)]
+                rows[0].sort()
                 batches.append((edge, sum(map(len, left)),
                                 sum(map(len, left)) + length))
                 left.append(rows[0])
@@ -319,3 +323,25 @@ def test_the_bounded_residue_count_decides_as_the_full_count(data):
         assert counted <= distinct
         if 8 * tuples > span and 4 * distinct <= span:
             assert counted == distinct
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_source_rows_ascend_along_every_pi_edge(name):
+    """The lower bound counts a PI edge's distinct sources as the changes
+    in its run of source rows: those rows must ascend, in every run the
+    count reads, on cold builds and on churned dense and sparse runs."""
+    checked = []
+    count = iteration_module._Phase4Run.count_residue
+
+    def checked_count(run):
+        for _, batches in run.steps:
+            for _, lo, hi in batches:
+                assert (np.diff(run.left_rows[lo:hi]) >= 0).all()
+                checked.append(hi - lo)
+        count(run)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(iteration_module._Phase4Run, "count_residue",
+                      checked_count)
+        RUNS[name]()
+    assert len(checked) > 10 and max(checked) > 1
