@@ -491,14 +491,17 @@ class _Phase4Run:
             if 8 * tuples > span:
                 crowded.append((first, second, tuples, span, batches))
         if crowded:
-            changes = np.flatnonzero(self.left_rows[1:] != self.left_rows[:-1])
-            los, lasts = np.array([(lo, hi - 1) for *_, batches in crowded
-                                   for _, lo, hi in batches], dtype=np.int64).T
-            sources = iter((np.searchsorted(changes, lasts) + 1
-                            - np.searchsorted(changes, los)).tolist())
+            # a PI edge's run starts with a source, and each change of source
+            # row in it adds one: a segmented sum counts every run's sources
+            starts = [lo for lo, _ in self.edge_spans.values()]
+            new = np.ones(len(self.left_rows), dtype=bool)
+            np.not_equal(self.left_rows[1:], self.left_rows[:-1], out=new[1:])
+            new[starts] = True
+            sources = dict(zip(self.edge_spans, np.add.reduceat(
+                new.view(np.uint8), starts, dtype=np.int64).tolist()))
             for entry in list(crowded):
                 first, second, _, span, batches = entry
-                bound = sum(next(sources) for _ in batches)
+                bound = sum(sources[edge.src, edge.dst] for edge, _, _ in batches)
                 if 4 * bound > span:
                     self.residue[first, second][1] = bound
                     crowded.remove(entry)

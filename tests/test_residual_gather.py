@@ -284,7 +284,7 @@ def test_the_bounded_residue_count_decides_as_the_full_count(data):
     layout = partition_layout(np.repeat(np.arange(len(sizes)), sizes),
                               len(sizes))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    left, right, steps, expected = [], [], [], {}
+    left, right, steps, expected, spans = [], [], [], {}, {}
     for first in range(len(sizes)):
         for second in range(first, len(sizes)):
             edges, batches, ends = [], [], set()
@@ -297,8 +297,9 @@ def test_the_bounded_residue_count_decides_as_the_full_count(data):
                 rows = [rng.integers(0, data.draw(st.integers(1, sizes[side])),
                                      length) for side in (src, dst)]
                 rows[0].sort()
-                batches.append((edge, sum(map(len, left)),
-                                sum(map(len, left)) + length))
+                spans[src, dst] = (sum(map(len, left)),
+                                   sum(map(len, left)) + length)
+                batches.append((edge, *spans[src, dst]))
                 left.append(rows[0])
                 right.append(rows[1])
                 ends |= {(src, row) for row in rows[0].tolist()}
@@ -312,7 +313,7 @@ def test_the_bounded_residue_count_decides_as_the_full_count(data):
         positions=np.empty(0, dtype=np.int64),
         left_rows=np.concatenate(left + [[]]).astype(dtype),
         right_rows=np.concatenate(right + [[]]).astype(dtype),
-        edge_spans={}, store_generation=0, reused=0, deleted=None)
+        edge_spans=spans, store_generation=0, reused=0, deleted=None)
     rows = data.draw(st.sampled_from([1, 7, iteration_module._SCORED_FLUSH_ROWS]))
     with mock.patch.object(iteration_module, "_SCORED_FLUSH_ROWS", rows):
         run.count_residue()
