@@ -65,8 +65,7 @@ from repro.partition.model import (PartitionLayout, build_partitions,
                                    partition_layout)
 from repro.partition.partitioners import get_partitioner
 from repro.pigraph.pi_graph import PIEdge, PIGraph
-# simulate_schedule and plan_dirty_schedule are unused here: the e2e tracer's
-# pigraph.plan and pigraph.dirty_plan rows wrap them
+# unused here but for the e2e tracer, which wraps them by this module's names
 from repro.pigraph.scheduler import (ScheduleResult, plan_dirty_schedule,
                                      simulate_schedule)
 from repro.pigraph.traversal import ResidencyStep, get_heuristic
@@ -122,22 +121,17 @@ def score_tuples(left: ProfileSlice, left_rows: np.ndarray,
     return left.similarity_rows(left_rows, right, right_rows, measure)
 
 
-#: What phase 4 does with a residency step: answered in full by the score
-#: cache, its misses scored off the residual gather, or its pair acquired.
 SKIP, GATHER, EXECUTE = "skip", "gather", "execute"
 
 
 def classify_step(tuples: int, distinct: int, span: int) -> str:
-    """The one classification of a residency step whose cache misses are
-    known, from its :attr:`_Phase4Run.residue`: the ``tuples`` the join
-    missed, their ``distinct`` endpoints and the ``span`` of rows its pair
-    holds.  No misses: skip.  A small residue — at most an eighth of the
-    span in tuples, or at most a quarter in distinct endpoints (the 4x
-    rule): gather.  Anything else genuinely needs its partitions: execute.
-    A pure function of the data, so every schedule and resume makes one
-    choice; phase 4 looks it up at call time, and the full schedule (what a
-    reference run compares against) is this name answering :data:`EXECUTE`
-    to every step."""
+    """What phase 4 does with a step whose cache misses are known, from its
+    :attr:`_Phase4Run.residue` (``tuples`` missed, their ``distinct``
+    endpoints, its pair's ``span`` of rows): no misses, skip; at most an
+    eighth of the span in tuples or a quarter in distinct endpoints (the
+    4x rule), gather; anything else, execute.  A pure function of the data,
+    looked up at call time: the full schedule is this name answering
+    :data:`EXECUTE` to every step."""
     if not tuples:
         return SKIP
     if 8 * tuples > span and 4 * distinct > span:
@@ -472,17 +466,14 @@ class _Phase4Run:
     queued_tuples: int = 0
 
     def count_residue(self) -> None:
-        """Fill :attr:`residue` for every step.  The 4x rule reads a step's
-        distinct endpoints only when over an eighth of its span is tuples,
-        and then only whether they pass a quarter of its span.  A PI edge's
-        tuples lie in key order, so its source rows ascend and its distinct
-        sources are one more than the changes in their run; the two PI
-        edges of a pair leave different partitions, so their sum is a lower
-        bound, and a step whose bound passes the quarter keeps it (more
-        endpoints only add to it).  The others are counted exactly: their
-        distinct partition-local rows, marked on one boolean array over the
-        steps' pair spans laid end to end and counted by one segmented sum,
-        at most :data:`_SCORED_FLUSH_ROWS` tuples at once."""
+        """Fill :attr:`residue` for every step.  The 4x rule reads distinct
+        endpoints only of steps with over an eighth of their span in
+        tuples, and only whether they pass a quarter of it: a step whose
+        distinct sources (its two PI edges leave different partitions)
+        already do keeps that lower bound.  The rest count their distinct
+        partition-local rows, marked on one boolean array over their pair
+        spans laid end to end and summed by segment, at most
+        :data:`_SCORED_FLUSH_ROWS` tuples at once."""
         size, crowded = np.diff(self.layout.bounds).tolist(), []
         for (first, second, _), batches in self.steps:
             tuples = sum(hi - lo for _, lo, hi in batches)
@@ -491,20 +482,19 @@ class _Phase4Run:
             if 8 * tuples > span:
                 crowded.append((first, second, tuples, span, batches))
         if crowded:
-            # a PI edge's run starts with a source, and each change of source
-            # row in it adds one: a segmented sum counts every run's sources
+            # a PI edge's tuples lie in key order, so its source rows ascend:
+            # its run's first row and each change of row is a new source
             starts = [lo for lo, _ in self.edge_spans.values()]
             new = np.ones(len(self.left_rows), dtype=bool)
             np.not_equal(self.left_rows[1:], self.left_rows[:-1], out=new[1:])
             new[starts] = True
             sources = dict(zip(self.edge_spans, np.add.reduceat(
                 new.view(np.uint8), starts, dtype=np.int64).tolist()))
-            for entry in list(crowded):
-                first, second, _, span, batches = entry
-                bound = sum(sources[edge.src, edge.dst] for edge, _, _ in batches)
-                if 4 * bound > span:
-                    self.residue[first, second][1] = bound
-                    crowded.remove(entry)
+            for first, second, _, _, batches in crowded:
+                self.residue[first, second][1] = sum(
+                    sources[edge.src, edge.dst] for edge, _, _ in batches)
+            crowded = [entry for entry in crowded
+                       if 4 * self.residue[entry[:2]][1] <= entry[3]]
         while crowded:
             heads, marks, end, marked = {}, [], 0, 0
             while crowded and not (
@@ -549,12 +539,13 @@ class _StepResidency:
     The executed steps, walked in plan order through an LRU
     :class:`PartitionCache` of ``max_resident_partitions`` slots whose
     ``memory_budget_bytes`` is the one cap on resident partitions.  Every
-    executed step acquires its pair, also one whose tuples the cache
-    answered in full (on the full schedule).  A resident partition's profile slice is the residency's: the
-    first step with tuples to score loads it from the engine's store — the
-    load is the charge, once per residency — and it leaves when the LRU walk
-    evicts its partition or the walk ends, so no slice outlives phase 4.  A
-    fully cache-hit step touches no profile bytes at all.
+    executed step acquires its pair, also one (on the full schedule) whose
+    tuples the cache answered in full.  A resident partition's profile
+    slice is the residency's: the first step with tuples to score loads it
+    from the engine's store — the load is the charge, once per residency —
+    and it leaves when the LRU walk evicts its partition or the walk ends,
+    so no slice outlives phase 4.  A fully cache-hit step touches no
+    profile bytes at all.
     """
 
     def __init__(self, config: EngineConfig, partition_store: PartitionStore,
@@ -851,14 +842,13 @@ class OutOfCoreIteration:
                         batches: Sequence[_EdgeBatch], measure: str) -> bool:
         """Settle a step's misses off a row-level gather, if few.
 
-        The cache join missed some of the step's tuples: a partition's rows
-        changed, graph churn minted candidate tuples the cache has never
-        seen, or the pair was not scored at all.  When
-        :func:`classify_step` finds the residue small, it is queued for the
-        next :meth:`_flush_residual`, which scores it off a gather of
-        exactly the needed profiles — no partition acquired, the step
-        skips (returns ``True``); otherwise the pair genuinely needs its
-        partitions, and the caller executes it.
+        The cache join missed some of the step's tuples: a row changed,
+        graph churn minted tuples the cache has never seen, or the pair was
+        not scored at all.  When :func:`classify_step` finds the residue
+        small, it is queued for the next :meth:`_flush_residual`, which
+        scores it off a gather of exactly the needed profiles — no
+        partition acquired, the step skips (returns ``True``); otherwise
+        the caller executes it.
         """
         first, second, _ = step
         if classify_step(*run.residue[first, second]) != GATHER:
@@ -903,10 +893,10 @@ class OutOfCoreIteration:
     def _execute_pending(self, run: _Phase4Run, measure: str,
                          residency: _StepResidency) -> None:
         """The one phase-4 loop over the plan's steps.  While the join's
-        misses are known, each step's residue is counted at the head of the
-        walk, and a step whose tuples the join answered in full skips
-        (:func:`classify_step`); one with a few misses is queued by
-        :meth:`_score_residual` for one flush: once the queue holds
+        misses are known, the residues are counted at the head of the walk
+        and every step is classified (:func:`classify_step`): one the join
+        answered in full skips, one with a few misses is queued by
+        :meth:`_score_residual` for one flush — once the queue holds
         :data:`_SCORED_FLUSH_ROWS` tuples, and at the end of the walk.  Any
         other step acquires its pair, also with nothing left to score (the
         step-at-a-time cost model), and scores all its PI edges in one
@@ -919,13 +909,14 @@ class OutOfCoreIteration:
                 # crash window: mid-phase-4, some steps scored or queued,
                 # nothing committed — one firing per step with tuples to score
                 self._fault.point("phase4.step")
-            if known and not batches:
-                if classify_step(*run.residue[step[0], step[1]]) == SKIP:
-                    # every tuple answered from the cache: the step never
-                    # touched the partition cache, a profile byte or a kernel
-                    run.steps_skipped += 1
-                    continue
-            elif known and self._score_residual(run, step, batches, measure):
+            if (known and not batches
+                    and classify_step(*run.residue[step[:2]]) == SKIP):
+                # every tuple answered from the cache: the step never
+                # touched the partition cache, a profile byte or a kernel
+                run.steps_skipped += 1
+                continue
+            if known and batches and self._score_residual(run, step, batches,
+                                                          measure):
                 if run.queued_tuples >= _SCORED_FLUSH_ROWS:
                     self._flush_residual(run, measure)
                 continue

@@ -61,15 +61,11 @@ def plan_schedule(pi_graph: PIGraph,
 
 @dataclass
 class DirtySchedule:
-    """A full traversal plan split by what the update churn can still touch.
-
-    ``executed`` holds the steps with a dirty partition, which acquire their
-    pair against the partition cache; ``cached`` the steps whose partitions
-    are both clean, which phase 4 settles from the score cache and the exact
-    misses of its join.  ``executed + cached`` is always a permutation of
-    the input steps: dirty scheduling never drops candidate tuples, it only
-    changes where their scores come from.
-    """
+    """A traversal plan split into the steps with a dirty partition
+    (``executed``) and those with both clean (``cached``).  Phase 4 no
+    longer splits its plan: this is kept only for the e2e tracer's
+    ``pigraph.dirty_plan`` row, which resolves :func:`plan_dirty_schedule`
+    by name."""
 
     executed: List[ResidencyStep]
     cached: List[ResidencyStep]
@@ -78,21 +74,9 @@ class DirtySchedule:
 def plan_dirty_schedule(steps: Sequence[ResidencyStep],
                         dirty_partitions: Optional[Iterable[int]]
                         ) -> DirtySchedule:
-    """Split a traversal plan around the partitions churn touched.
-
-    ``dirty_partitions`` are the partitions holding at least one row that
-    changed since the score cache's generation, as reported by
-    ``OnDiskProfileStore.touched_partitions_since``.  A *pure* function of
-    its two inputs — no wall clock, no ambient state — so every resume and
-    every re-plan of the same iteration produces the same schedule.
-
-    A step with a dirty partition executes; a step with both partitions
-    clean is ``cached``.  Relative order within each class is the input's,
-    keeping the heuristic's residency locality.  ``None`` propagates the
-    store's "cannot vouch" answer: every step executes, in the input order
-    (reload, delta-log rollover and recovery all land here — the only safe
-    answer is "run everything").
-    """
+    """Split ``steps`` around ``dirty_partitions``, each class in plan
+    order; ``None`` executes every step.  Tracer-only (see
+    :class:`DirtySchedule`)."""
     if dirty_partitions is None:
         return DirtySchedule(executed=list(steps), cached=[])
     dirty = frozenset(int(p) for p in dirty_partitions)

@@ -664,21 +664,11 @@ class OnDiskProfileStore:
 
     def touched_partitions_since(self, generation: int,
                                  partition_of: np.ndarray) -> Optional[np.ndarray]:
-        """Partitions holding a row that changed after ``generation``, or ``None``.
-
-        The partition-level rollup of :meth:`touched_rows_since` that
-        dirty-partition scheduling plans against.  ``partition_of`` maps each
-        row id to its partition for the *current* iteration — the store knows
-        nothing about partitioning, so the caller supplies the assignment it
-        is about to schedule with.
-
-        The ``None`` contract is inherited verbatim, never widened: whenever
-        the row-level answer is unknown (generation outside the tracked
-        window, store rewritten or reloaded in between) this
-        returns ``None`` — assume every partition is dirty.  An empty array
-        means no partition changed; a non-empty one is the exact sorted set
-        of partitions containing at least one touched row.
-        """
+        """Partitions holding a row that changed after ``generation``, or
+        ``None``: the sorted partition rollup of :meth:`touched_rows_since`
+        under ``partition_of`` (each row's partition), with its ``None``
+        contract.  Phase 4 classifies steps by their exact misses instead;
+        this is kept for the e2e tracer's ``storage.touched_query`` row."""
         rows = self.touched_rows_since(generation)
         if rows is None:
             return None
