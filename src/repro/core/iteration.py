@@ -483,13 +483,14 @@ class _Phase4Run:
                 crowded.append((first, second, tuples, span, batches))
         if crowded:
             # a PI edge's tuples lie in key order, so its source rows ascend:
-            # its run's first row and each change of row is a new source
-            starts = [lo for lo, _ in self.edge_spans.values()]
-            new = np.ones(len(self.left_rows), dtype=bool)
+            # its run's first row and each change of row is a new source (no
+            # more than the partition's rows, which int32 local rows index)
+            starts = np.array([lo for lo, _ in self.edge_spans.values()])
+            new = np.empty(len(self.left_rows), dtype=bool)
             np.not_equal(self.left_rows[1:], self.left_rows[:-1], out=new[1:])
             new[starts] = True
             sources = dict(zip(self.edge_spans, np.add.reduceat(
-                new.view(np.uint8), starts, dtype=np.int64).tolist()))
+                new, starts, dtype=np.int32).tolist()))
             for first, second, _, _, batches in crowded:
                 self.residue[first, second][1] = sum(
                     sources[edge.src, edge.dst] for edge, _, _ in batches)
@@ -809,13 +810,11 @@ class OutOfCoreIteration:
             touched_mask[touched] = True
             scores, hits = cache.lookup(keys, touched_mask)
             misses = np.flatnonzero(~hits)
-        # the misses of the join above are all a step's classification reads
-        # (clean or dirty partitions alike); a delta history that cannot
-        # vouch for the churn (reload, delta-log rollover, recovery) leaves
-        # them unknown, and every step executes
-        # the positions of H the cache did not answer, grouped by PI edge and
-        # decoded once: a PI edge (p, q) has its sources in p and destinations
-        # in q, so the endpoints' local rows address the two slices directly
+        # the positions of H the cache did not answer — all that classifies a
+        # step, its partitions dirty or clean; every position, and every step
+        # executes, without them — grouped by PI edge and decoded once: a PI
+        # edge (p, q) has its sources in p and destinations in q, so the
+        # endpoints' local rows address the two slices directly
         positions, edge_spans = table.bucket_index(misses)
         table.freeze()      # read-only from here on, and done with its index
         left_rows, right_rows = (layout.local_row[ends]

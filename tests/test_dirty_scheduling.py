@@ -1,14 +1,16 @@
-"""The dirty-partition scheduling correctness wall.
+"""The step-skipping correctness wall.
 
-Dirty scheduling promises that an engine skipping clean residency steps
-produces graphs **bit-identical** to the full schedule: per-tuple cache
-validity is still checked against the touched-row mask, and the G(t+1)
-merge is a pure function of the scored candidate multiset.  These tests
-drive hypothesis-generated churn (uniform and partition-localised)
-through runs against a store that vouches for its partition deltas and
-one that cannot (the ``full_schedule`` fixture: the full schedule, as a
-reload or a recovery reaches it) and compare fingerprint-for-fingerprint
-plus final profile bytes; pin that
+Phase 4 classifies every residency step by its cache misses
+(``classify_step``) and promises that an engine skipping steps — answered
+in full by the cache, or their few misses gathered, dirty partitions or
+not — produces graphs **bit-identical** to the full schedule: per-tuple
+cache validity is still checked against the touched-row mask, and the
+G(t+1) merge is a pure function of the scored candidate multiset.  These
+tests drive hypothesis-generated churn (uniform and partition-localised)
+and uniform serving-order churn over every partition through runs against
+their full-schedule twins (the ``full_schedule`` fixture: every step
+classified as executed) and compare fingerprint-for-fingerprint plus
+final profile bytes; pin that
 skipping actually *engages* on a converged graph under localised drift
 churn; and walk every situation where the delta history cannot vouch for
 the churn — reload, delta-log rollover, crash recovery,

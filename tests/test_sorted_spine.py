@@ -608,8 +608,8 @@ def _golden_feed(kind, profiles):
 
 
 def _observe(kind, dirty, full_schedule, budget=None):
-    """``dirty=False`` runs against a store that cannot vouch for its
-    partition deltas — the full schedule."""
+    """``dirty=False`` runs the full schedule: every step classified as
+    executed."""
     config = EngineConfig(k=5, num_partitions=6, heuristic="degree-low-high",
                           seed=17, memory_budget_bytes=budget)
     profiles = _golden_profiles(kind)

@@ -70,11 +70,11 @@ def _observe(churn, context=contextlib.nullcontext, iterations: int = 4,
 
 
 class TestStepParityWall:
-    """The reference paths and a budget against the dirty-first walk."""
+    """The reference paths and a budget against the classified walk."""
 
     def test_the_full_schedule_builds_the_same_graphs(self, full_schedule):
-        """A store that cannot vouch for its partition deltas executes every
-        step: more loads, the dirty-first walk's graphs and profiles."""
+        """Every step classified as executed: more loads, the classified
+        walk's graphs and profiles."""
         dirty = _observe(_churn_feed([10, 5, 0, 8], 29))
         graphs, counts, dense = _observe(_churn_feed([10, 5, 0, 8], 29),
                                          context=full_schedule)
