@@ -849,11 +849,11 @@ class OutOfCoreIteration:
         partition acquired, the step skips (returns ``True``); otherwise
         the caller executes it.
         """
-        first, second, _ = step
-        if classify_step(*run.residue[first, second]) != GATHER:
+        residue = run.residue[step[:2]]
+        if classify_step(*residue) != GATHER:
             return False
         run.queued.append(batches)
-        run.queued_tuples += run.residue[first, second][0]
+        run.queued_tuples += residue[0]
         run.steps_skipped += 1
         return True
 
